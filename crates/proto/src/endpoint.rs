@@ -11,7 +11,7 @@
 //! caller-supplied vector.  The hosting protocol stack (in `vsync-core`) owns one endpoint
 //! per group and turns the outputs into packets and application deliveries.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use vsync_msg::{Frame, Message};
 use vsync_net::{MsgId, PacketKind, ProtocolKind, SharedStats};
@@ -21,7 +21,7 @@ use crate::abcast::AbcastState;
 use crate::cbcast::{CbcastState, ReadyCb};
 use crate::config::ProtoConfig;
 use crate::flush::{stored_msg_id, FlushCoordinator, FlushParticipant, FlushRole};
-use crate::frontier::Frontier;
+use crate::frontier::{Frontier, IdSet};
 use crate::messages::{ProtoMsg, StoredMsg};
 use crate::output::{Delivery, EndpointOutput, ViewEvent};
 use crate::stability::StabilityTracker;
@@ -70,7 +70,10 @@ pub struct GroupEndpoint {
     cb: CbcastState,
     ab: AbcastState,
     stab: StabilityTracker,
-    delivered: BTreeSet<MsgId>,
+    /// Ids delivered in the current view (the dedup filter for retransmissions and flush
+    /// redelivery), with their count beside them.
+    delivered: IdSet,
+    delivered_count: usize,
     flush: Option<FlushRole>,
     /// Membership changes queued at (or forwarded to) the acting coordinator.
     pending_joins: Vec<ProcessId>,
@@ -129,7 +132,8 @@ impl GroupEndpoint {
             cb: CbcastState::new(0),
             ab: AbcastState::new(),
             stab: StabilityTracker::new(site, vec![site]),
-            delivered: BTreeSet::new(),
+            delivered: IdSet::new(),
+            delivered_count: 0,
             flush: None,
             pending_joins: Vec::new(),
             pending_leaves: Vec::new(),
@@ -259,7 +263,7 @@ impl GroupEndpoint {
         self.send_to_peers(PacketKind::Data, wire, out);
         // Deliver locally right away: the caller "can pretend that the message was delivered
         // to its destinations at the moment the CBCAST was issued" (Section 3.4).
-        self.delivered.insert(id);
+        self.mark_delivered(id);
         self.emit_delivery(id, ProtocolKind::Cbcast, payload, out);
         Ok(id)
     }
@@ -321,9 +325,9 @@ impl GroupEndpoint {
         payload: Message,
         out: &mut Vec<EndpointOutput>,
     ) -> Result<()> {
-        let Some(view) = self.view.clone() else {
+        if self.view.is_none() {
             return Err(VsError::NotAMember(self.group));
-        };
+        }
         let Some(coord) = self.acting_coordinator() else {
             return Err(VsError::NoCoordinator(self.group));
         };
@@ -333,7 +337,6 @@ impl GroupEndpoint {
         } else {
             let wire = ProtoMsg::GbcastReq { sender, payload }.encode_frame(self.group);
             self.send_to_site(coord.site, PacketKind::Flush, wire, out);
-            let _ = view;
         }
         Ok(())
     }
@@ -792,10 +795,10 @@ impl GroupEndpoint {
             ProtoMsg::Stability {
                 view_seq,
                 from_site: gossip_site,
-                ids,
+                received,
             } => match self.view_position(*view_seq) {
                 ViewPosition::Current => {
-                    self.stab.on_gossip(*gossip_site, ids);
+                    self.stab.on_gossip_set(*gossip_site, received);
                 }
                 ViewPosition::Future => {
                     if self.wedged {
@@ -822,16 +825,17 @@ impl GroupEndpoint {
         // Stability gossip.
         if now.saturating_since(self.last_gossip) >= self.cfg.stability_interval {
             self.last_gossip = now;
-            // Gossip while there is anything to advertise — held copies *or* ack
-            // tombstones: a site that stabilized a message before ever gossiping it must
-            // still tell the origin, or the origin's ack set never completes (see
-            // `stability::Tracked::stable_for`).  A wedged endpoint gossips even with
-            // nothing to report: across a healed partition the stale view stamp makes a
-            // primary-side member answer with the latest commit (the bulletin), which is
-            // an idle minority's only way to learn it was cut out.  The same goes for the
-            // probe rounds right after an un-wedge (see `maybe_unwedge`): heartbeats
-            // retract suspicions the instant the cut heals, usually before this tick ever
-            // fires in the wedged state, so the wedge alone cannot carry that burden.
+            // Gossip while there is anything to advertise — held copies *or* a message
+            // that became stable here in the last few rounds: a site that stabilized a
+            // message before ever gossiping it must still tell the origin, or the origin's
+            // ack set never completes (see `stability::QUIET_ROUNDS`).  A wedged endpoint
+            // gossips even with nothing to report: across a healed partition the stale
+            // view stamp makes a primary-side member answer with the latest commit (the
+            // bulletin), which is an idle minority's only way to learn it was cut out.
+            // The same goes for the probe rounds right after an un-wedge (see
+            // `maybe_unwedge`): heartbeats retract suspicions the instant the cut heals,
+            // usually before this tick ever fires in the wedged state, so the wedge alone
+            // cannot carry that burden.
             let probing = self.stale_probes > 0;
             if (self.stab.has_reportable() || self.wedged || probing) && !self.peer_sites.is_empty()
             {
@@ -950,14 +954,20 @@ impl GroupEndpoint {
     /// `view_seq`.  Doubles as the stale-view probe: at a peer that committed a newer
     /// view the stamp reads as `ViewPosition::Past` and draws the bulletin commit back.
     fn send_stability_gossip(&mut self, view_seq: u64, out: &mut Vec<EndpointOutput>) {
-        let ids = self.stab.local_ids();
         let wire = ProtoMsg::Stability {
             view_seq,
             from_site: self.site,
-            ids,
+            received: self.stab.received().clone(),
         }
         .encode_frame(self.group);
         self.send_to_peers(PacketKind::Stability, wire, out);
+    }
+
+    /// Adds `id` to the delivered set; false if it was delivered before (a duplicate).
+    fn mark_delivered(&mut self, id: MsgId) -> bool {
+        let new = self.delivered.insert(id);
+        self.delivered_count += usize::from(new);
+        new
     }
 
     fn emit_delivery(
@@ -996,7 +1006,7 @@ impl GroupEndpoint {
                 payload,
                 ..
             } => {
-                if self.delivered.contains(id) {
+                if self.delivered.contains(*id) {
                     return;
                 }
                 self.stab.record_local(
@@ -1018,7 +1028,7 @@ impl GroupEndpoint {
                     &mut ready,
                 );
                 for r in ready.drain(..) {
-                    if self.delivered.insert(r.id) {
+                    if self.mark_delivered(r.id) {
                         self.emit_delivery(r.id, ProtocolKind::Cbcast, r.payload, out);
                     }
                 }
@@ -1030,7 +1040,7 @@ impl GroupEndpoint {
                 payload,
                 view_seq,
             } => {
-                if self.delivered.contains(id) {
+                if self.delivered.contains(*id) {
                     return;
                 }
                 let proposed = self.ab.on_data(*id, *sender, payload.clone());
@@ -1076,7 +1086,7 @@ impl GroupEndpoint {
 
     fn drain_abcasts(&mut self, out: &mut Vec<EndpointOutput>) {
         for r in self.ab.drain() {
-            if self.delivered.insert(r.id) {
+            if self.mark_delivered(r.id) {
                 self.emit_delivery(r.id, ProtocolKind::Abcast, r.payload, out);
             }
         }
@@ -1147,23 +1157,17 @@ impl GroupEndpoint {
     /// re-encoded from there so the flush coordinator can finalise the order.
     fn flush_report(&self, view_seq: u64) -> Vec<StoredMsg> {
         let mut stored = self.stab.unstable();
-        let proposals = self.ab.pending_proposals();
+        // Index the proposals once; overlaying takes each held message's entry out, so
+        // what remains afterwards are the proposals with no held copy.
+        let mut proposals: BTreeMap<MsgId, u64> = self.ab.pending_proposals().into_iter().collect();
         for s in &mut stored {
-            if let Ok(id) = stored_msg_id(s) {
-                if let Some((_, p)) = proposals.iter().find(|(pid, _)| *pid == id) {
-                    s.ab_priority = Some(s.ab_priority.unwrap_or(0).max(*p));
-                }
+            let proposed = stored_msg_id(s).ok().and_then(|id| proposals.remove(&id));
+            if let Some(p) = proposed {
+                s.ab_priority = Some(s.ab_priority.unwrap_or(0).max(p));
             }
         }
         if self.cfg.ack_proposal_only {
-            let held: Vec<MsgId> = stored
-                .iter()
-                .filter_map(|s| stored_msg_id(s).ok())
-                .collect();
             for (id, proposed) in proposals {
-                if held.contains(&id) {
-                    continue;
-                }
                 let Some((sender, payload)) = self.ab.undecided_payload(&id) else {
                     continue;
                 };
@@ -1280,10 +1284,7 @@ impl GroupEndpoint {
         // joiners use the frontier to suppress the redelivery of covered messages (their
         // effects arrive via state transfer instead — the exactly-once partition of
         // history that virtual synchrony promises a joiner).
-        let mut covered = Frontier::new();
-        for id in &self.delivered {
-            covered.observe(*id);
-        }
+        let mut covered = self.delivered.frontier();
         for s in &deliver {
             if let Ok(id) = stored_msg_id(s) {
                 covered.observe(id);
@@ -1415,7 +1416,7 @@ impl GroupEndpoint {
                     payload,
                     ..
                 } => {
-                    if self.delivered.contains(id) || (joining && covered.covers(*id)) {
+                    if self.delivered.contains(*id) || (joining && covered.covers(*id)) {
                         continue;
                     }
                     let ready = self.cb.receive(ReadyCb {
@@ -1426,7 +1427,7 @@ impl GroupEndpoint {
                         payload: payload.clone(),
                     });
                     for r in ready {
-                        if self.delivered.insert(r.id) {
+                        if self.mark_delivered(r.id) {
                             self.emit_delivery(r.id, ProtocolKind::Cbcast, r.payload, out);
                         }
                     }
@@ -1437,7 +1438,7 @@ impl GroupEndpoint {
                     payload,
                     ..
                 } => {
-                    if self.delivered.contains(id) || (joining && covered.covers(*id)) {
+                    if self.delivered.contains(*id) || (joining && covered.covers(*id)) {
                         continue;
                     }
                     self.ab.on_data(*id, *sender, payload.clone());
@@ -1451,12 +1452,12 @@ impl GroupEndpoint {
         // Anything still stuck had dependencies that vanished with their sender; deliver in a
         // deterministic order so every survivor sees the same thing.
         for r in self.cb.force_drain() {
-            if self.delivered.insert(r.id) {
+            if self.mark_delivered(r.id) {
                 self.emit_delivery(r.id, ProtocolKind::Cbcast, r.payload, out);
             }
         }
         for r in self.ab.force_drain() {
-            if self.delivered.insert(r.id) {
+            if self.mark_delivered(r.id) {
                 self.emit_delivery(r.id, ProtocolKind::Abcast, r.payload, out);
             }
         }
@@ -1520,6 +1521,7 @@ impl GroupEndpoint {
         self.ab.reset();
         self.stab.reset(member_sites);
         self.delivered.clear();
+        self.delivered_count = 0;
         self.flush = None;
         self.flush_attempt = 0;
         // A committed view is primary by construction: any wedge episode ends here, and
@@ -1555,7 +1557,7 @@ impl GroupEndpoint {
 
     /// Test/diagnostic helper: number of messages delivered in the current view.
     pub fn delivered_count(&self) -> usize {
-        self.delivered.len()
+        self.delivered_count
     }
 
     /// Returns a tick interval hint for the hosting stack.

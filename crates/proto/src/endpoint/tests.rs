@@ -7,11 +7,12 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use vsync_msg::{Frame, Message};
-use vsync_net::{ProtocolKind, SharedStats};
+use vsync_net::{PacketKind, ProtocolKind, SharedStats};
 use vsync_util::{GroupId, ProcessId, SimTime, SiteId};
 
 use super::GroupEndpoint;
 use crate::config::ProtoConfig;
+use crate::frontier::Frontier;
 use crate::output::{Delivery, EndpointOutput, ViewEvent};
 
 const GROUP: GroupId = GroupId(1);
@@ -31,6 +32,8 @@ struct Cluster {
     stalls: BTreeMap<SiteId, Vec<(u64, usize, usize)>>,
     /// `RejoinRequired` requests per site: `(contact, observed_seq)`.
     rejoins: BTreeMap<SiteId, Vec<(SiteId, u64)>>,
+    /// Every stability-gossip frame sent, with its sender (one entry per destination).
+    gossip: Vec<(SiteId, Frame)>,
     now: SimTime,
     stats: SharedStats,
 }
@@ -56,6 +59,7 @@ impl Cluster {
             views: BTreeMap::new(),
             stalls: BTreeMap::new(),
             rejoins: BTreeMap::new(),
+            gossip: Vec::new(),
             now: SimTime::ZERO,
             stats,
         }
@@ -78,7 +82,14 @@ impl Cluster {
     fn route(&mut self, from: SiteId, outputs: Vec<EndpointOutput>) {
         for o in outputs {
             match o {
-                EndpointOutput::Send { dst_site, msg, .. } => {
+                EndpointOutput::Send {
+                    dst_site,
+                    kind,
+                    msg,
+                } => {
+                    if kind == PacketKind::Stability {
+                        self.gossip.push((from, msg.clone()));
+                    }
                     self.channels
                         .entry((dst_site, from))
                         .or_default()
@@ -749,6 +760,125 @@ fn multicast_counters_reflect_primitive_usage() {
     assert_eq!(snap.multicasts_of(ProtocolKind::Cbcast), 1);
     assert_eq!(snap.multicasts_of(ProtocolKind::Abcast), 1);
     assert_eq!(snap.multicasts_of(ProtocolKind::Gbcast), 0);
+}
+
+// -- Stability bookkeeping is O(sites), not O(messages) --------------------------------------
+
+#[test]
+fn a_long_view_keeps_gossip_and_dedup_state_bounded() {
+    const MESSAGES: u64 = 20_000;
+    let mut c = Cluster::build_three_member_group();
+    let view_seq = c.endpoints[&SiteId(0)].view().unwrap().seq();
+    let mut early_size = None;
+    for i in 0..MESSAGES {
+        let s = (i % 3) as u16;
+        c.exec(SiteId(s), |ep, now, out| {
+            if i % 4 == 3 {
+                ep.abcast(now, member(s), Message::with_body(i), out)
+            } else {
+                ep.cbcast(now, member(s), Message::with_body(i), out)
+            }
+            .unwrap();
+        });
+        if i % 64 == 63 {
+            c.pump(false);
+        }
+        if i % 256 == 255 {
+            c.tick_all();
+            c.pump(false);
+            // (a) Past the warm-up every gossip frame has the same small size, however
+            // many messages the view has carried by then.
+            for (from, frame) in c.gossip.drain(..) {
+                let size = frame.wire_bytes().len();
+                assert!(
+                    size <= 256,
+                    "site {} gossiped {size} B at message {i}",
+                    from.0
+                );
+                assert_eq!(*early_size.get_or_insert(size), size, "at message {i}");
+                assert!(
+                    !frame.message().contains("ids"),
+                    "FIFO traffic lists no ids"
+                );
+            }
+        }
+    }
+    c.pump(false);
+    assert!(early_size.is_some(), "gossip was observed");
+    // (b) Once sends stop, everything stabilizes and gossip goes silent within a fixed
+    // number of ticks: one exchange to stabilize, then the quiet rounds.
+    let mut ticks_to_silence = 0;
+    loop {
+        c.gossip.clear();
+        c.tick_all();
+        c.pump(false);
+        if c.gossip.is_empty() {
+            break;
+        }
+        ticks_to_silence += 1;
+        assert!(ticks_to_silence <= 8, "gossip never goes silent");
+    }
+    for s in [0u16, 1, 2] {
+        let ep = &c.endpoints[&SiteId(s)];
+        assert_eq!(ep.unstable_len(), 0, "site {s}");
+        assert_eq!(ep.delivered_count(), MESSAGES as usize, "site {s}");
+    }
+    // (c) Site 1 receives the first and third of three multicasts; while the second is
+    // overdue its gossip lists the third explicitly, and no longer once the gap closes.
+    for i in 0..3u64 {
+        c.exec(SiteId(0), |ep, now, out| {
+            ep.cbcast(now, member(0), Message::with_body(MESSAGES + i), out)
+                .unwrap();
+        });
+    }
+    let first = self_channel_take(&mut c, SiteId(1), SiteId(0));
+    let second = self_channel_take(&mut c, SiteId(1), SiteId(0));
+    let third = self_channel_take(&mut c, SiteId(1), SiteId(0));
+    let gossip_of_site_1 = |c: &mut Cluster| -> Frame {
+        c.gossip.clear();
+        c.now = SimTime(c.now.0 + 50_000);
+        c.exec(SiteId(1), |ep, now, out| ep.on_tick(now, out));
+        let (_, frame) = c.gossip.first().expect("site 1 gossips").clone();
+        frame
+    };
+    for frame in [&first, &third] {
+        c.exec(SiteId(1), |ep, now, out| {
+            ep.on_message(now, SiteId(0), frame, out).unwrap();
+        });
+    }
+    let open = gossip_of_site_1(&mut c);
+    let third_seq = MESSAGES / 3 + 1 + 3; // site 0 sent a third of the bulk, rounded up
+    assert_eq!(
+        open.message().get_u64_list("ids"),
+        Some(&[0, third_seq][..]),
+        "the id beyond the gap is listed explicitly"
+    );
+    c.exec(SiteId(1), |ep, now, out| {
+        ep.on_message(now, SiteId(0), &second, out).unwrap();
+    });
+    let closed = gossip_of_site_1(&mut c);
+    assert!(!closed.message().contains("ids"), "the gap closed");
+    assert_eq!(closed.wire_bytes().len(), early_size.unwrap());
+    c.pump(false);
+    // (d) A join cuts the view: the commit's covered frontier, read off the per-origin
+    // runs, is the one that folding every delivered id would give.
+    c.exec(SiteId(0), |ep, now, out| {
+        ep.submit_join(now, ProcessId::new(SiteId(1), 9), None, out)
+            .unwrap();
+    });
+    c.pump(false);
+    let mut folded = Frontier::new();
+    for d in &c.deliveries[&SiteId(0)] {
+        assert_eq!(d.view_seq, view_seq);
+        folded.observe(d.msg_id);
+    }
+    assert_eq!(c.deliveries[&SiteId(0)].len() as u64, MESSAGES + 3);
+    for s in [0u16, 1, 2] {
+        let ev = c.latest_view(SiteId(s)).expect("view event");
+        assert_eq!(ev.view.seq(), view_seq + 1, "site {s}");
+        assert_eq!(ev.covered, folded, "site {s}");
+        assert_eq!(c.endpoints[&SiteId(s)].delivered_count(), 0, "site {s}");
+    }
 }
 
 // -- Primary-partition fence ---------------------------------------------------------------

@@ -36,7 +36,7 @@ pub mod view;
 
 pub use config::ProtoConfig;
 pub use endpoint::GroupEndpoint;
-pub use frontier::Frontier;
+pub use frontier::{Frontier, IdSet};
 pub use messages::ProtoMsg;
 pub use output::{Delivery, EndpointOutput, ViewEvent};
 pub use reform::{authority_cmp, LogSummary, ReformStatus, ReformTracker};

@@ -9,7 +9,7 @@ use vsync_msg::{Frame, Message};
 use vsync_net::MsgId;
 use vsync_util::{Address, GroupId, ProcessId, Result, SiteId, VectorClock, VsError};
 
-use crate::frontier::Frontier;
+use crate::frontier::{Frontier, IdSet};
 use crate::view::View;
 
 /// Thread-local counters of frame-level protocol encode/decode work on the packet path.
@@ -170,13 +170,18 @@ pub enum ProtoMsg {
         gbcasts: Vec<Message>,
     },
     /// Stability gossip: the ids this site has received in the current view.
+    ///
+    /// On the wire the set is `runs` — `[origin, lo, hi, ...]`, one triple per origin on
+    /// FIFO traffic — plus `ids` — `[origin, seq, ...]`, single ids received beyond a gap
+    /// that is still open, absent otherwise (see [`IdSet::to_wire`]).  The frame's size
+    /// therefore follows the number of sites, not the number of messages in the view.
     Stability {
         /// View sequence number the ids belong to.
         view_seq: u64,
         /// The reporting site.
         from_site: SiteId,
         /// Ids of messages received at that site.
-        ids: Vec<MsgId>,
+        received: IdSet,
     },
     /// Total-failure reform: a restarting site summarises its recovery log so the group
     /// can elect the "last to fail" log as authoritative (paper Section 3.8).
@@ -305,21 +310,6 @@ fn unpack_stored(list: &Message) -> Result<Vec<StoredMsg>> {
                 ab_priority: m.get_u64("abp"),
             })
         })
-        .collect()
-}
-
-fn pack_ids(ids: &[MsgId]) -> Vec<u64> {
-    let mut out = Vec::with_capacity(ids.len() * 2);
-    for id in ids {
-        out.push(id.origin.0 as u64);
-        out.push(id.seq);
-    }
-    out
-}
-
-fn unpack_ids(raw: &[u64]) -> Vec<MsgId> {
-    raw.chunks_exact(2)
-        .map(|c| MsgId::new(SiteId(c[0] as u16), c[1]))
         .collect()
 }
 
@@ -459,11 +449,15 @@ impl ProtoMsg {
             ProtoMsg::Stability {
                 view_seq,
                 from_site,
-                ids,
+                received,
             } => {
                 m.set("view-seq", *view_seq);
                 m.set("from-site", from_site.0 as u64);
-                m.set("ids", pack_ids(ids));
+                let (runs, ids) = received.to_wire();
+                m.set("runs", runs);
+                if !ids.is_empty() {
+                    m.set("ids", ids);
+                }
             }
             ProtoMsg::ReformSummary {
                 from_site,
@@ -495,9 +489,11 @@ impl ProtoMsg {
     /// is memoized in the frame's shared memo slot, so when a multicast fans one frame out
     /// to N receivers only the first receiver pays for the parse and the rest borrow it.
     ///
-    /// A debug assertion keeps the cache honest: the typed message must re-encode to exactly
-    /// the wire form it was parsed from, otherwise a memo hit at a later receiver could
-    /// diverge from what a fresh parse would have returned.
+    /// A debug assertion keeps the cache honest: the typed message must survive a trip
+    /// through its own wire form unchanged, otherwise what this site would re-send (a
+    /// relayed commit, a held copy) could parse differently from the memo.  The comparison
+    /// is between typed messages, not wire forms, because decoding canonicalises id sets
+    /// and frontiers: a peer's unsorted or overlapping runs are legal input.
     pub fn decode_frame(frame: &Frame) -> Result<&(GroupId, ProtoMsg)> {
         if let Some(hit) = frame.memo_get::<(GroupId, ProtoMsg)>() {
             return Ok(hit);
@@ -505,8 +501,8 @@ impl ProtoMsg {
         wire_stats::note_decode();
         let decoded = ProtoMsg::decode(frame.message())?;
         debug_assert_eq!(
-            &decoded.1.encode(decoded.0),
-            frame.message(),
+            ProtoMsg::decode(&decoded.1.encode(decoded.0)).ok().as_ref(),
+            Some(&decoded),
             "ProtoMsg wire round-trip diverged; the decode memo would be unsound"
         );
         frame
@@ -608,7 +604,10 @@ impl ProtoMsg {
             "stability" => ProtoMsg::Stability {
                 view_seq: m.require_u64("view-seq")?,
                 from_site: SiteId(m.require_u64("from-site")? as u16),
-                ids: unpack_ids(m.get_u64_list("ids").unwrap_or_default()),
+                received: IdSet::from_wire(
+                    m.get_u64_list("runs").unwrap_or_default(),
+                    m.get_u64_list("ids").unwrap_or_default(),
+                ),
             },
             "reform-summary" => ProtoMsg::ReformSummary {
                 from_site: SiteId(m.require_u64("from-site")? as u16),
@@ -786,18 +785,81 @@ mod tests {
         assert!(ProtoMsg::decode(&wire).is_err(), "lost frontier must error");
     }
 
+    fn id_set(ids: &[(u16, u64)]) -> IdSet {
+        let mut set = IdSet::new();
+        for (site, seq) in ids {
+            set.insert(MsgId::new(SiteId(*site), *seq));
+        }
+        set
+    }
+
     #[test]
     fn stability_roundtrip() {
+        // FIFO traffic: one run per origin and no explicit ids on the wire.
+        let fifo = ProtoMsg::Stability {
+            view_seq: 2,
+            from_site: SiteId(3),
+            received: id_set(&[(0, 1), (0, 2), (0, 3), (2, 8)]),
+        };
+        let wire = fifo.encode(GroupId(42));
+        assert_eq!(wire.get_u64_list("runs"), Some(&[0, 1, 3, 2, 8, 8][..]));
+        assert!(!wire.contains("ids"));
+        roundtrip(fifo);
+        // A gap open at origin 0: the id beyond it is listed explicitly, a longer stretch
+        // beyond a gap is a second run.
+        let gapped = ProtoMsg::Stability {
+            view_seq: 2,
+            from_site: SiteId(3),
+            received: id_set(&[(0, 1), (0, 2), (0, 4), (1, 5), (1, 7), (1, 8)]),
+        };
+        let wire = gapped.encode(GroupId(42));
+        assert_eq!(
+            wire.get_u64_list("runs"),
+            Some(&[0, 1, 2, 1, 5, 5, 1, 7, 8][..])
+        );
+        assert_eq!(wire.get_u64_list("ids"), Some(&[0, 4][..]));
+        roundtrip(gapped);
+        // The probe of a wedged or just un-wedged endpoint has nothing to report.
         roundtrip(ProtoMsg::Stability {
             view_seq: 2,
             from_site: SiteId(3),
-            ids: vec![MsgId::new(SiteId(0), 1), MsgId::new(SiteId(2), 8)],
+            received: IdSet::new(),
         });
-        roundtrip(ProtoMsg::Stability {
+    }
+
+    #[test]
+    fn stability_gossip_canonicalises_foreign_run_lists() {
+        // Unsorted, overlapping and touching runs, an id inside a run, a repeated id, an
+        // inverted run and a torn trailing element: legal input, one canonical set.
+        let mut wire = ProtoMsg::Stability {
             view_seq: 2,
             from_site: SiteId(3),
-            ids: vec![],
-        });
+            received: IdSet::new(),
+        }
+        .encode(GroupId(42));
+        wire.set(
+            "runs",
+            vec![2u64, 5, 9, 0, 4, 6, 0, 1, 3, 2, 8, 12, 1, 9, 2, 7],
+        );
+        wire.set("ids", vec![0u64, 2, 2, 14, 2, 14, 2, 13, 5]);
+        let expected = ProtoMsg::Stability {
+            view_seq: 2,
+            from_site: SiteId(3),
+            received: IdSet::from_wire(&[0, 1, 6, 2, 5, 14], &[]),
+        };
+        let (_, decoded) = ProtoMsg::decode(&wire).expect("decode");
+        assert_eq!(decoded, expected);
+        let canonical = decoded.encode(GroupId(42));
+        assert_eq!(
+            canonical.get_u64_list("runs"),
+            Some(&[0, 1, 6, 2, 5, 14][..])
+        );
+        assert!(!canonical.contains("ids"));
+        // The frame path accepts it too: its debug round-trip assertion compares typed
+        // messages, so a non-canonical wire form is not mistaken for a codec bug.
+        let frame = Frame::new(wire);
+        let (_, via_frame) = ProtoMsg::decode_frame(&frame).expect("decode_frame");
+        assert_eq!(via_frame, &expected);
     }
 
     #[test]

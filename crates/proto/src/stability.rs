@@ -4,81 +4,81 @@
 //! Stability matters for two reasons: stable messages can be garbage-collected from the
 //! endpoint's buffers, and — more importantly — they never need to be redistributed by a
 //! view-change flush, which keeps flush acks small.  Sites learn about each other's receipts
-//! through periodic gossip of received-message ids.
+//! through periodic gossip.
+//!
+//! What a site gossips is the whole set of ids it has received in the current view, as an
+//! [`IdSet`]: one run per origin on FIFO traffic, so a gossip frame, the memory kept per
+//! peer and the work to ingest a frame are all O(sites), independent of how many messages
+//! the view has carried.  Only the held copies themselves are per message, and they leave
+//! as soon as every peer's run has passed them.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 use vsync_net::MsgId;
 use vsync_util::SiteId;
 
+use crate::frontier::IdSet;
 use crate::messages::StoredMsg;
 
-/// Per-message tracking entry: the buffered copy (once this site has received the message)
-/// and the sites known to have received it.  The ack set is a small unsorted vector, not a
-/// `BTreeSet`: groups span a handful of sites and this is touched on every receive.
-#[derive(Clone, Debug, Default)]
-struct Tracked {
-    copy: Option<StoredMsg>,
-    acked: Vec<SiteId>,
-    /// `Some(n)` once the message is stable *here*: the copy has been dropped but the
-    /// entry lingers as an **ack tombstone** for `n` more gossip rounds, so our gossip
-    /// keeps telling slower sites that we received it.  Without the tombstone a site that
-    /// stabilizes on the origin's gossip before ever gossiping itself silently strands
-    /// the origin: it stops advertising the id, the origin never completes its ack set,
-    /// and the message stays "unstable" there forever — which every later view-change
-    /// flush then redistributes.  Invisible in the simulator (all sites tick at the same
-    /// virtual instants, so gossip always crosses symmetrically); the threaded runtime's
-    /// unaligned clocks hit it on most runs.
-    stable_for: Option<u8>,
-    /// Gossip rounds this entry has existed as a *remote-ack-only* record (no local copy,
-    /// not locally acked): either the message is still in flight to us, or a peer's late
-    /// tombstone gossip arrived after our own entry was dropped.  Aged out after
-    /// `ORPHAN_ROUNDS` so such records cannot accumulate for the lifetime of a view.
-    orphan_rounds: u8,
-}
-
-/// Gossip rounds an ack tombstone is re-advertised after stabilization.  Each round is one
-/// `stability_interval`, so this gives a slow peer several full gossip exchanges (plus
-/// retransmission delays) to pick the ack up before the entry is finally dropped.
-const TOMBSTONE_ROUNDS: u8 = 4;
-
-/// Gossip rounds a remote-ack-only entry is remembered while waiting for our own copy.
-/// Generous enough to cover worst-case in-flight time (a full retransmission ladder);
-/// expiring early is safe — the ack is simply forgotten and the message stays unstable
-/// until the next flush accounts for it.
-const ORPHAN_ROUNDS: u8 = 32;
+/// Gossip rounds a site keeps advertising after a message last became stable *here*.
+///
+/// Without them a site that stabilizes on the origin's gossip before ever gossiping itself
+/// silently strands the origin: it goes quiet, the origin never completes its ack set, and
+/// the message stays "unstable" there forever — which every later view-change flush then
+/// redistributes.  Invisible in the simulator (all sites tick at the same virtual instants,
+/// so gossip always crosses symmetrically); the threaded runtime's unaligned clocks hit it
+/// on most runs.  Each round is one `stability_interval`, so this gives a slow peer several
+/// full gossip exchanges (plus retransmission delays) to pick the acks up.
+const QUIET_ROUNDS: u8 = 4;
 
 /// Tracks which multicasts this site has received in the current view and which of them are
 /// known to have reached every member site.
 #[derive(Clone, Debug)]
 pub struct StabilityTracker {
-    /// Sites whose acknowledgement is required for stability (all member sites).
-    member_sites: Vec<SiteId>,
     /// This endpoint's own site.
     my_site: SiteId,
-    /// One entry per message not yet known stable — the held copy and its ack set live in
-    /// the same node, so the per-receive bookkeeping touches one map, not two.
-    tracked: BTreeMap<MsgId, Tracked>,
-    /// Number of entries whose copy is present (= the held-message count).
+    /// Every other member site, with the ids it has acknowledged in this view (the union of
+    /// its gossip).  Stability needs all of them; this site's own receipt is implied by
+    /// holding a copy.
+    peers: Vec<(SiteId, IdSet)>,
+    /// Ids received here in this view — what this site's gossip advertises.
+    received: IdSet,
+    /// Copies not yet known stable: one queue per origin (sorted by site), ascending by
+    /// sequence number, so on FIFO traffic copies enter at the back and leave at the front.
+    held: Vec<(SiteId, VecDeque<(u64, StoredMsg)>)>,
+    /// Total length of the `held` queues.
     held_count: usize,
+    /// Gossip rounds since a message last became stable here (see [`QUIET_ROUNDS`]);
+    /// saturated while there has been none in this view.
+    rounds_since_release: u8,
 }
 
 impl StabilityTracker {
     /// Creates a tracker for a view spanning `member_sites`.
     pub fn new(my_site: SiteId, member_sites: Vec<SiteId>) -> Self {
-        StabilityTracker {
-            member_sites,
+        let mut tracker = StabilityTracker {
             my_site,
-            tracked: BTreeMap::new(),
+            peers: Vec::new(),
+            received: IdSet::new(),
+            held: Vec::new(),
             held_count: 0,
-        }
+            rounds_since_release: u8::MAX,
+        };
+        tracker.reset(member_sites);
+        tracker
     }
 
     /// Resets for a new view.
     pub fn reset(&mut self, member_sites: Vec<SiteId>) {
-        self.member_sites = member_sites;
-        self.tracked.clear();
+        self.peers = member_sites
+            .into_iter()
+            .filter(|s| *s != self.my_site)
+            .map(|s| (s, IdSet::new()))
+            .collect();
+        self.received.clear();
+        self.held.clear();
         self.held_count = 0;
+        self.rounds_since_release = u8::MAX;
     }
 
     /// Number of messages currently held as potentially unstable.
@@ -88,120 +88,138 @@ impl StabilityTracker {
 
     /// Records that this site received (and is buffering a copy of) a message.
     pub fn record_local(&mut self, id: MsgId, copy: StoredMsg) {
-        let entry = self.tracked.entry(id).or_default();
-        if entry.stable_for.is_some() {
-            // A retransmitted copy of a message already known stable; do not resurrect it.
+        if !self.received.insert(id) {
+            // A duplicate, or a retransmitted copy of a message already stable here; do not
+            // resurrect it.
             return;
         }
-        if entry.copy.is_none() {
-            entry.copy = Some(copy);
-            self.held_count += 1;
+        if self.peers.iter().all(|(_, acked)| acked.contains(id)) {
+            // Every peer's gossip overtook the data (or there is no peer).
+            self.rounds_since_release = 0;
+            return;
         }
-        if !entry.acked.contains(&self.my_site) {
-            entry.acked.push(self.my_site);
-        }
-        self.collect(id);
+        let queue = match self.held.binary_search_by_key(&id.origin, |(s, _)| *s) {
+            Ok(i) => &mut self.held[i].1,
+            Err(i) => {
+                self.held.insert(i, (id.origin, VecDeque::new()));
+                &mut self.held[i].1
+            }
+        };
+        let at = match queue.back() {
+            Some((last, _)) if *last > id.seq => queue.partition_point(|(seq, _)| *seq < id.seq),
+            _ => queue.len(),
+        };
+        queue.insert(at, (id.seq, copy));
+        self.held_count += 1;
     }
 
     /// Updates the flush-relevant ABCAST priority attached to a held copy (e.g. once the
     /// final order is known).
     pub fn set_ab_priority(&mut self, id: MsgId, priority: u64) {
-        if let Some(copy) = self.tracked.get_mut(&id).and_then(|t| t.copy.as_mut()) {
-            copy.ab_priority = Some(priority);
+        let Ok(i) = self.held.binary_search_by_key(&id.origin, |(s, _)| *s) else {
+            return;
+        };
+        let queue = &mut self.held[i].1;
+        if let Ok(at) = queue.binary_search_by_key(&id.seq, |(seq, _)| *seq) {
+            queue[at].1.ab_priority = Some(priority);
         }
     }
 
-    /// Ids of messages this site has received (sent in stability gossip).  Includes ack
-    /// tombstones: stable messages are still advertised for `TOMBSTONE_ROUNDS` gossip
-    /// rounds so every peer can complete its own ack set.
-    pub fn local_ids(&self) -> Vec<MsgId> {
-        self.tracked
-            .iter()
-            .filter(|(_, t)| t.acked.contains(&self.my_site))
-            .map(|(id, _)| *id)
-            .collect()
+    /// The ids this site has received in this view (sent in stability gossip).  It keeps
+    /// every id for the whole view, stable or not — a run costs the same whatever its
+    /// length — so a peer that missed a round loses nothing.
+    pub fn received(&self) -> &IdSet {
+        &self.received
     }
 
-    /// True if gossip has anything to advertise (held copies or ack tombstones).
+    /// True if gossip has anything to advertise: held copies, or a message that became
+    /// stable here within the last few (`QUIET_ROUNDS`) rounds.
     pub fn has_reportable(&self) -> bool {
-        self.held_count > 0
-            || self
-                .tracked
-                .values()
-                .any(|t| t.acked.contains(&self.my_site))
+        self.held_count > 0 || self.rounds_since_release <= QUIET_ROUNDS
     }
 
-    /// Marks one gossip round as elapsed: ack tombstones age and are dropped once every
-    /// peer has had `TOMBSTONE_ROUNDS` chances to hear them.  Call once per gossip
-    /// interval, after sending.
+    /// Marks one gossip round as elapsed.  Call once per gossip interval, after sending.
     pub fn note_gossip_round(&mut self) {
-        let my_site = self.my_site;
-        self.tracked.retain(|_, t| {
-            if let Some(rounds) = &mut t.stable_for {
-                if *rounds >= TOMBSTONE_ROUNDS {
-                    return false;
-                }
-                *rounds += 1;
-                return true;
-            }
-            if t.copy.is_none() && !t.acked.contains(&my_site) {
-                if t.orphan_rounds >= ORPHAN_ROUNDS {
-                    return false;
-                }
-                t.orphan_rounds += 1;
-            }
-            true
-        });
+        self.rounds_since_release = self.rounds_since_release.saturating_add(1);
     }
 
-    /// Processes a gossip message from `from_site`; returns ids that became stable.
-    pub fn on_gossip(&mut self, from_site: SiteId, ids: &[MsgId]) -> Vec<MsgId> {
-        let mut stabilized = Vec::new();
-        for id in ids {
-            let entry = self.tracked.entry(*id).or_default();
-            if !entry.acked.contains(&from_site) {
-                entry.acked.push(from_site);
+    /// Processes gossip from `from_site` that lists ids one by one; returns how many held
+    /// copies became stable.  Consecutive ids fold into the peer's run as they are read.
+    pub fn on_gossip(&mut self, from_site: SiteId, ids: &[MsgId]) -> usize {
+        self.ingest(from_site, |acked| {
+            for id in ids {
+                acked.insert(*id);
             }
-            if self.collect(*id) {
-                stabilized.push(*id);
-            }
-        }
-        stabilized
+        })
+    }
+
+    /// Processes gossip from `from_site` carrying its received set; returns how many held
+    /// copies became stable.
+    pub fn on_gossip_set(&mut self, from_site: SiteId, received: &IdSet) -> usize {
+        self.ingest(from_site, |acked| acked.union_with(received))
+    }
+
+    /// Adds to what `from_site` has acknowledged, then releases what that made stable.
+    /// Gossip from a site outside the view is ignored.
+    fn ingest(&mut self, from_site: SiteId, add: impl FnOnce(&mut IdSet)) -> usize {
+        let Some((_, acked)) = self.peers.iter_mut().find(|(s, _)| *s == from_site) else {
+            return 0;
+        };
+        add(acked);
+        self.release_stable()
     }
 
     /// Returns copies of every message still considered unstable, for a flush ack.
     pub fn unstable(&self) -> Vec<StoredMsg> {
-        self.tracked
-            .values()
-            .filter_map(|t| t.copy.clone())
-            .collect()
-    }
-
-    /// Returns true if the id is known stable here (its copy has been released; the entry
-    /// may still linger as an ack tombstone) or was never tracked at all.
-    pub fn is_stable(&self, id: &MsgId) -> bool {
-        self.tracked
-            .get(id)
-            .map(|t| t.stable_for.is_some())
-            .unwrap_or(true)
-    }
-
-    fn collect(&mut self, id: MsgId) -> bool {
-        let Some(entry) = self.tracked.get_mut(&id) else {
-            return false;
-        };
-        let all = self.member_sites.iter().all(|s| entry.acked.contains(s));
-        if all && entry.copy.is_some() {
-            // Release the buffered copy but keep the entry as an ack tombstone (see
-            // `Tracked::stable_for`): our gossip must keep advertising the receipt until
-            // every peer has had a chance to complete its own ack set.
-            entry.copy = None;
-            entry.stable_for = Some(0);
-            self.held_count -= 1;
-            true
-        } else {
-            false
+        let mut out = Vec::with_capacity(self.held_count);
+        for (_, queue) in &self.held {
+            out.extend(queue.iter().map(|(_, copy)| copy.clone()));
         }
+        out
+    }
+
+    /// Drops every held copy that all peers have acknowledged.
+    fn release_stable(&mut self) -> usize {
+        let StabilityTracker { held, peers, .. } = self;
+        let mut released = 0;
+        'origins: for (origin, queue) in held.iter_mut() {
+            let Some(&(front, _)) = queue.front() else {
+                continue;
+            };
+            // The stretch of this origin's ids that every peer has acknowledged — exact
+            // as long as each peer's acks are a single run.
+            let (mut lo, mut hi) = (0, u64::MAX);
+            let mut one_run_each = true;
+            for (_, acked) in peers.iter() {
+                match acked.runs_of(*origin) {
+                    [] => continue 'origins,
+                    [run] => {
+                        lo = lo.max(run.lo);
+                        hi = hi.min(run.hi);
+                    }
+                    _ => one_run_each = false,
+                }
+            }
+            let before = queue.len();
+            if one_run_each && front >= lo {
+                // FIFO everywhere: the stable copies are the front of the queue up to `hi`.
+                while queue.front().is_some_and(|(seq, _)| *seq <= hi) {
+                    queue.pop_front();
+                }
+            } else {
+                // A reordered packet is overdue somewhere; look at every copy.
+                queue.retain(|(seq, _)| {
+                    let id = MsgId::new(*origin, *seq);
+                    !peers.iter().all(|(_, acked)| acked.contains(id))
+                });
+            }
+            released += before - queue.len();
+        }
+        if released > 0 {
+            self.held_count -= released;
+            self.rounds_since_release = 0;
+        }
+        released
     }
 }
 
@@ -221,6 +239,13 @@ mod tests {
         MsgId::new(SiteId(site), seq)
     }
 
+    fn held_bodies(t: &StabilityTracker) -> Vec<u64> {
+        t.unstable()
+            .iter()
+            .filter_map(|s| s.wire.get_u64("body"))
+            .collect()
+    }
+
     #[test]
     fn single_site_groups_stabilize_immediately() {
         let mut t = StabilityTracker::new(SiteId(0), vec![SiteId(0)]);
@@ -237,11 +262,10 @@ mod tests {
         let mut t = StabilityTracker::new(SiteId(0), vec![SiteId(0), SiteId(1), SiteId(2)]);
         t.record_local(id(0, 1), copy(1));
         assert_eq!(t.held_len(), 1);
-        assert!(t.on_gossip(SiteId(1), &[id(0, 1)]).is_empty());
-        let stable = t.on_gossip(SiteId(2), &[id(0, 1)]);
-        assert_eq!(stable, vec![id(0, 1)]);
+        assert_eq!(t.on_gossip(SiteId(1), &[id(0, 1)]), 0);
+        assert_eq!(t.on_gossip(SiteId(2), &[id(0, 1)]), 1);
         assert_eq!(t.held_len(), 0);
-        assert!(t.is_stable(&id(0, 1)));
+        assert!(t.unstable().is_empty());
     }
 
     #[test]
@@ -250,17 +274,19 @@ mod tests {
         t.record_local(id(0, 1), copy(1));
         t.record_local(id(1, 5), copy(2));
         t.on_gossip(SiteId(1), &[id(0, 1)]);
-        let unstable = t.unstable();
-        assert_eq!(unstable.len(), 1);
-        assert_eq!(unstable[0].wire.get_u64("body"), Some(2));
+        assert_eq!(held_bodies(&t), vec![2]);
     }
 
     #[test]
     fn ab_priority_updates_are_carried_in_copies() {
         let mut t = StabilityTracker::new(SiteId(0), vec![SiteId(0), SiteId(1)]);
         t.record_local(id(0, 1), copy(1));
-        t.set_ab_priority(id(0, 1), 42);
-        assert_eq!(t.unstable()[0].ab_priority, Some(42));
+        t.record_local(id(0, 2), copy(2));
+        t.set_ab_priority(id(0, 2), 42);
+        t.set_ab_priority(id(0, 9), 7); // not held: ignored
+        let unstable = t.unstable();
+        assert_eq!(unstable[0].ab_priority, None);
+        assert_eq!(unstable[1].ab_priority, Some(42));
     }
 
     #[test]
@@ -271,31 +297,34 @@ mod tests {
         t.on_gossip(SiteId(1), &[id(1, 1)]);
         t.record_local(id(1, 1), copy(3));
         assert_eq!(t.held_len(), 0, "stable as soon as our copy arrives");
+        assert!(t.has_reportable(), "and the receipt is still advertised");
     }
 
     #[test]
     fn stabilized_receiver_keeps_acking_until_the_origin_converges() {
         // The threaded-runtime regression: origin site 0 holds m; site 1 receives m and
         // hears the origin's gossip *before ever gossiping itself*, so it stabilizes
-        // immediately.  Pre-tombstone, site 1 then stopped advertising m and the origin
-        // could never complete its ack set — m stayed "unstable" forever and every later
-        // view-change flush redistributed it.
+        // immediately.  If site 1 then went quiet, the origin could never complete its
+        // ack set — m stayed "unstable" forever and every later view-change flush
+        // redistributed it.
         let mut origin = StabilityTracker::new(SiteId(0), vec![SiteId(0), SiteId(1)]);
         let mut receiver = StabilityTracker::new(SiteId(1), vec![SiteId(0), SiteId(1)]);
         origin.record_local(id(0, 1), copy(1));
         receiver.record_local(id(0, 1), copy(1));
         // Site 1 hears the origin first and stabilizes at once.
-        receiver.on_gossip(SiteId(0), &origin.local_ids());
+        receiver.on_gossip_set(SiteId(0), origin.received());
         assert_eq!(receiver.held_len(), 0);
-        // Its own next gossip must still advertise the id (ack tombstone)...
-        let advertised = receiver.local_ids();
-        assert_eq!(advertised, vec![id(0, 1)]);
-        // ...so the origin converges instead of holding m unstable forever.
-        origin.on_gossip(SiteId(1), &advertised);
+        // It must still have something to gossip, and that gossip must carry the id ...
+        assert!(receiver.has_reportable());
+        assert!(receiver.received().contains(id(0, 1)));
+        // ... so the origin converges instead of holding m unstable forever.
+        origin.on_gossip_set(SiteId(1), receiver.received());
         assert_eq!(origin.held_len(), 0);
         assert!(origin.unstable().is_empty());
-        // Tombstones age out after a few gossip rounds and gossip goes quiet.
-        for _ in 0..=TOMBSTONE_ROUNDS {
+        // A few quiet rounds later gossip stops.
+        for round in 0..=QUIET_ROUNDS {
+            assert!(receiver.has_reportable(), "round {round}");
+            assert!(origin.has_reportable(), "round {round}");
             receiver.note_gossip_round();
             origin.note_gossip_round();
         }
@@ -304,18 +333,70 @@ mod tests {
     }
 
     #[test]
-    fn remote_only_entries_age_out_instead_of_leaking() {
-        // A peer's gossip (possibly a late tombstone after our own entry was dropped)
-        // creates a remote-ack-only record.  It must not live for the rest of the view.
+    fn a_fresh_view_has_nothing_to_advertise() {
         let mut t = StabilityTracker::new(SiteId(0), vec![SiteId(0), SiteId(1)]);
+        assert!(!t.has_reportable());
+        for _ in 0..300 {
+            t.note_gossip_round(); // the round counter saturates instead of wrapping
+        }
+        assert!(!t.has_reportable());
         t.on_gossip(SiteId(1), &[id(1, 1)]);
-        for _ in 0..=ORPHAN_ROUNDS {
+        assert!(
+            !t.has_reportable(),
+            "a peer's ack alone is nothing to report"
+        );
+    }
+
+    #[test]
+    fn a_peers_acks_are_kept_for_the_whole_view_as_one_run() {
+        // Ack state per peer is a run, not an entry per id: it never ages out, so a copy
+        // that arrives arbitrarily long after the peer's gossip is stable on arrival.
+        let mut t = StabilityTracker::new(SiteId(0), vec![SiteId(0), SiteId(1)]);
+        let ids: Vec<MsgId> = (1..=10_000).map(|seq| id(1, seq)).collect();
+        t.on_gossip(SiteId(1), &ids);
+        for _ in 0..100 {
             t.note_gossip_round();
         }
-        // The remembered ack expired; when the copy finally arrives the message is simply
-        // unstable again (the flush accounts for it) rather than instantly stable.
-        t.record_local(id(1, 1), copy(3));
-        assert_eq!(t.held_len(), 1, "expired remote ack no longer counts");
+        assert_eq!(
+            t.peers[0].1.runs().len(),
+            1,
+            "consecutive ids fold into a run"
+        );
+        t.record_local(id(1, 10_000), copy(3));
+        assert_eq!(t.held_len(), 0);
+        t.record_local(id(1, 10_001), copy(4));
+        assert_eq!(t.held_len(), 1, "one past the acked run is not covered");
+    }
+
+    #[test]
+    fn copies_behind_an_open_gap_are_released_exactly() {
+        // Peer 1 received 1, 2 and 4 (3 is overdue there); peer 2 received everything.
+        let sites = vec![SiteId(0), SiteId(1), SiteId(2)];
+        let mut t = StabilityTracker::new(SiteId(0), sites);
+        for seq in 1..=4 {
+            t.record_local(id(0, seq), copy(seq));
+        }
+        t.on_gossip(SiteId(2), &[id(0, 1), id(0, 2), id(0, 3), id(0, 4)]);
+        assert_eq!(t.on_gossip(SiteId(1), &[id(0, 1), id(0, 2), id(0, 4)]), 3);
+        assert_eq!(held_bodies(&t), vec![3], "only the overdue one is unstable");
+        assert_eq!(t.on_gossip(SiteId(1), &[id(0, 3)]), 1);
+        assert_eq!(t.held_len(), 0);
+        // A gap at the *start* of a peer's run blocks the front of the queue, not the rest.
+        let mut t = StabilityTracker::new(SiteId(0), vec![SiteId(0), SiteId(1)]);
+        for seq in [6, 5, 7] {
+            t.record_local(id(0, seq), copy(seq)); // also: out-of-order receipt stays sorted
+        }
+        assert_eq!(held_bodies(&t), vec![5, 6, 7]);
+        assert_eq!(t.on_gossip(SiteId(1), &[id(0, 6), id(0, 7)]), 2);
+        assert_eq!(held_bodies(&t), vec![5]);
+    }
+
+    #[test]
+    fn gossip_from_a_site_outside_the_view_is_ignored() {
+        let mut t = StabilityTracker::new(SiteId(0), vec![SiteId(0), SiteId(1)]);
+        t.record_local(id(0, 1), copy(1));
+        assert_eq!(t.on_gossip(SiteId(7), &[id(0, 1)]), 0);
+        assert_eq!(t.held_len(), 1);
     }
 
     #[test]
@@ -326,16 +407,21 @@ mod tests {
         assert_eq!(t.held_len(), 0);
         // A duplicate (retransmitted) copy of the now-stable message arrives.
         t.record_local(id(0, 1), copy(1));
-        assert_eq!(t.held_len(), 0, "tombstoned entries must not re-buffer");
-        assert!(t.is_stable(&id(0, 1)));
+        assert_eq!(t.held_len(), 0, "stable messages must not re-buffer");
+        assert!(t.unstable().is_empty());
     }
 
     #[test]
     fn reset_drops_view_scoped_state() {
         let mut t = StabilityTracker::new(SiteId(0), vec![SiteId(0), SiteId(1)]);
         t.record_local(id(0, 1), copy(1));
-        t.reset(vec![SiteId(0)]);
+        t.on_gossip(SiteId(1), &[id(0, 2)]);
+        t.reset(vec![SiteId(0), SiteId(1)]);
         assert_eq!(t.held_len(), 0);
-        assert!(t.local_ids().is_empty());
+        assert!(t.received().is_empty());
+        assert!(!t.has_reportable());
+        // The previous view's acks are gone too.
+        t.record_local(id(0, 2), copy(2));
+        assert_eq!(t.held_len(), 1);
     }
 }
