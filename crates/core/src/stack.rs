@@ -213,6 +213,13 @@ impl SiteStack {
             .unwrap_or(0)
     }
 
+    /// The wire frame of the last flush commit this site installed for the group (see
+    /// [`GroupEndpoint::last_commit`]).  Diagnostic: lets a test check that every site
+    /// holds the one frame the coordinator wrote.
+    pub fn last_commit(&self, group: GroupId) -> Option<&Frame> {
+        self.endpoints.get(&group).and_then(|ep| ep.last_commit())
+    }
+
     /// Resolves a symbolic group name from the local namespace cache.
     pub fn lookup(&self, name: &str) -> Option<GroupId> {
         self.directory.get(name).copied()
@@ -339,7 +346,7 @@ impl SiteStack {
             covered: s.covered.clone(),
             rank: s.rank,
         }
-        .encode_frame(group);
+        .into_frame(group);
         let mut sent = false;
         for site in run.tracker.expected().to_vec() {
             if site != self.site {
@@ -363,7 +370,7 @@ impl SiteStack {
             .and_then(|ep| ep.view())
             .is_some()
         {
-            let wire = ProtoMsg::ReformAlive { contact: self.site }.encode_frame(group);
+            let wire = ProtoMsg::ReformAlive { contact: self.site }.into_frame(group);
             self.send_proto(summary.site, PacketKind::Control, wire, out);
             return;
         }
@@ -402,7 +409,7 @@ impl SiteStack {
             covered: s.covered.clone(),
             rank: s.rank,
         }
-        .encode_frame(group);
+        .into_frame(group);
         self.send_proto(dst, PacketKind::Control, wire, out);
         self.stats.with(|st| st.count_reform_summary());
     }
@@ -487,7 +494,7 @@ impl SiteStack {
             joiner,
             credentials,
         }
-        .encode_frame(group);
+        .into_frame(group);
         self.send_proto(contact, PacketKind::Flush, wire, out);
         Ok(())
     }
@@ -533,7 +540,7 @@ impl SiteStack {
                 let contact = self
                     .alive_contact(group)
                     .ok_or(VsError::NoSuchGroup(group))?;
-                let wire = ProtoMsg::LeaveReq { member }.encode_frame(group);
+                let wire = ProtoMsg::LeaveReq { member }.into_frame(group);
                 self.send_proto(contact, PacketKind::Flush, wire, out);
                 Ok(())
             }
@@ -580,7 +587,7 @@ impl SiteStack {
             // whichever of them hosts the acting coordinator starts the view change (the
             // crashed process may itself have been the coordinator).  One report frame is
             // fanned out to every peer site.
-            let wire = ProtoMsg::FailReport { failed: vec![pid] }.encode_frame(g);
+            let wire = ProtoMsg::FailReport { failed: vec![pid] }.into_frame(g);
             for s in peer_sites {
                 if s != self.site {
                     self.send_proto(s, PacketKind::Flush, wire.clone(), out);
@@ -1196,9 +1203,10 @@ impl SiteStack {
     }
 
     fn handle_proto(&mut self, pkt: &Packet, out: &mut Outbox) {
-        // One parse per frame: the decode is memoized in the packet's shared frame, so the
-        // endpoint's own `decode_frame` below is a cache hit, and when the frame was fanned
-        // out to several sites only the first receiving stack pays for the parse at all.
+        // At most one parse per frame: a frame born in this process (every frame, on the
+        // simulator) carries its typed message, and one that arrived as bytes is parsed here
+        // and memoized in the shared frame, so the endpoint's own `decode_frame` below is a
+        // hit either way.
         let Ok((group, decoded)) = ProtoMsg::decode_frame(&pkt.payload) else {
             out.trace_with(|| format!("{}: undecodable protocol message", self.site));
             return;
@@ -1285,8 +1293,14 @@ impl SiteHandler for SiteStack {
                 }
             }
         }
-        if ProtoMsg::is_proto_message(&pkt.payload) {
+        // Protocol frames are recognised and read without a field tree; everything else
+        // (control, replies, application traffic) is a symbol table and gets one built here,
+        // lazily, if it arrived as bytes.  Bytes that decode as neither are a corrupt
+        // datagram: traced and dropped.
+        if ProtoMsg::is_proto_frame(&pkt.payload) {
             self.handle_proto(&pkt, out);
+        } else if let Err(e) = pkt.payload.try_message() {
+            out.trace_with(|| format!("{}: undecodable message from {}: {e}", self.site, pkt.src));
         } else if pkt.payload.contains(CTRL) {
             self.handle_control(&pkt, out);
         } else {

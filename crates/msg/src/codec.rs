@@ -1,11 +1,18 @@
 //! A compact binary codec for [`Message`].
 //!
 //! The codec is self-contained (no external schema), length-prefixed, and versioned with a
-//! single magic byte.  It is used by the file-backed stable store, by the state-transfer tool
-//! when shipping large blocks over the simulated TCP channel, and by tests that need to check
-//! the wire size model of [`Message::encoded_len`] is honest.
+//! single magic byte.  It is the wire format of the threaded backend — every packet that
+//! crosses a thread boundary travels as these bytes (see `vsync_rt::wire`) — and of the
+//! file-backed stable store.  A [`crate::Frame`] holds a message in this form, in tree form,
+//! or both, and derives either from the other through this module; protocol messages are
+//! written straight into the format by [`crate::stream::FieldWriter`] and read back out of it
+//! by [`crate::stream::FieldCursor`], without a [`Message`] in between.
 //!
-//! Two decode paths are provided:
+//! The layout is an envelope byte (`0xA5`) followed by a message *body*: a `u32` field
+//! count, then per field a `u16`-prefixed name, a type tag and the value.  A nested message
+//! is a body without the envelope byte and carries no length of its own.
+//!
+//! Three decode paths are provided:
 //!
 //! * [`decode`] — the owned path: allocates a [`Message`] whose strings and byte vectors are
 //!   independent of the input buffer.  Strings are allocated exactly once (the field table is
@@ -14,6 +21,8 @@
 //!   values are slices of the input and whose list values stay packed in wire form until
 //!   iterated.  Use it when a caller only needs to *inspect* a stored message (filter by a
 //!   field, count entries) without materialising the whole thing.
+//! * [`decode_shared`] / [`decode_body_shared`] — the owned path over a shared buffer:
+//!   `Bytes` values alias the input instead of being copied out of it.
 //!
 //! Encode buffers are pre-sized from [`wire_len`], which is exact by construction, and
 //! [`encode_to`] lets hot callers (the file-backed stable store) reuse one `BytesMut`
@@ -26,7 +35,8 @@ use crate::message::{Field, Message};
 use crate::name::FieldName;
 use crate::value::{decode_address, encode_address, Value};
 
-const MAGIC: u8 = 0xA5;
+/// The envelope byte every top-level encoded message starts with.
+pub(crate) const MAGIC: u8 = 0xA5;
 
 /// Minimum wire size of one encoded field: a 2-byte name length (empty name) plus the
 /// smallest value encoding (1-byte tag + 1-byte `Bool` body).  Bounds how many fields a
@@ -44,16 +54,16 @@ const MAX_EAGER_FIELDS: usize = 1024;
 const MAX_NESTING_DEPTH: usize = 32;
 
 // Value type tags.
-const TAG_BOOL: u8 = 1;
-const TAG_I64: u8 = 2;
-const TAG_U64: u8 = 3;
-const TAG_F64: u8 = 4;
-const TAG_STR: u8 = 5;
-const TAG_BYTES: u8 = 6;
-const TAG_ADDR: u8 = 7;
-const TAG_ADDR_LIST: u8 = 8;
-const TAG_U64_LIST: u8 = 9;
-const TAG_MSG: u8 = 10;
+pub(crate) const TAG_BOOL: u8 = 1;
+pub(crate) const TAG_I64: u8 = 2;
+pub(crate) const TAG_U64: u8 = 3;
+pub(crate) const TAG_F64: u8 = 4;
+pub(crate) const TAG_STR: u8 = 5;
+pub(crate) const TAG_BYTES: u8 = 6;
+pub(crate) const TAG_ADDR: u8 = 7;
+pub(crate) const TAG_ADDR_LIST: u8 = 8;
+pub(crate) const TAG_U64_LIST: u8 = 9;
+pub(crate) const TAG_MSG: u8 = 10;
 
 /// Exact number of bytes [`encode`] produces for `msg` (unlike [`Message::encoded_len`],
 /// which is the simulator's *cost model* and only approximate).
@@ -98,7 +108,7 @@ pub fn encode_to(msg: &Message, buf: &mut BytesMut) {
     encode_into(msg, buf);
 }
 
-fn encode_into(msg: &Message, buf: &mut BytesMut) {
+pub(crate) fn encode_into(msg: &Message, buf: &mut BytesMut) {
     buf.put_u32(msg.field_count() as u32);
     for field in msg.iter() {
         encode_field(field, buf);
@@ -181,6 +191,25 @@ pub fn decode_shared(bytes: &Bytes) -> Result<Message> {
     decode_inner(bytes, Some(bytes))
 }
 
+/// Decodes a message *body* — the nested form, a field count and fields with no envelope
+/// byte — from a shared buffer it must span exactly.  This is how a [`crate::Frame`] recovered
+/// from inside another frame (a multicast redistributed by a flush) builds its tree; `Bytes`
+/// values alias `body` as in [`decode_shared`].
+pub fn decode_body_shared(body: &Bytes) -> Result<Message> {
+    let mut buf: &[u8] = body;
+    let msg = decode_message(&mut buf, Some(body), 0)?;
+    check_no_trailing(buf)?;
+    Ok(msg)
+}
+
+/// Checks the envelope byte of an encoded message and returns the body behind it, aliasing
+/// `bytes`.
+pub fn envelope_body(bytes: &Bytes) -> Result<Bytes> {
+    let mut buf: &[u8] = bytes;
+    strip_magic(&mut buf)?;
+    Ok(bytes.slice(1..))
+}
+
 /// Validates and strips the envelope's magic byte.  Shared by the owned and borrowing
 /// decoders so the two paths cannot diverge on envelope rules.
 fn strip_magic(buf: &mut &[u8]) -> Result<()> {
@@ -215,18 +244,26 @@ fn decode_inner(bytes: &[u8], src: Option<&Bytes>) -> Result<Message> {
     Ok(msg)
 }
 
-fn need(buf: &&[u8], n: usize, what: &str) -> Result<()> {
+#[inline]
+pub(crate) fn need(buf: &&[u8], n: usize, what: &str) -> Result<()> {
     if buf.remaining() < n {
-        Err(VsError::CodecError(format!(
-            "truncated message: need {n} bytes for {what}, have {}",
-            buf.remaining()
-        )))
+        Err(truncated(n, what, buf.remaining()))
     } else {
         Ok(())
     }
 }
 
-fn decode_message(buf: &mut &[u8], src: Option<&Bytes>, depth: usize) -> Result<Message> {
+#[cold]
+fn truncated(n: usize, what: &str, have: usize) -> VsError {
+    VsError::CodecError(format!(
+        "truncated message: need {n} bytes for {what}, have {have}"
+    ))
+}
+
+/// Reads the header of a message body at nesting level `depth`: enforces the nesting bound
+/// and rejects a field count the remaining bytes cannot possibly hold.  Shared by every
+/// reader of the format so none of them can be made to recurse or reserve without bound.
+pub(crate) fn read_field_count(buf: &mut &[u8], depth: usize) -> Result<usize> {
     if depth > MAX_NESTING_DEPTH {
         return Err(VsError::CodecError(format!(
             "message nesting exceeds {MAX_NESTING_DEPTH} levels"
@@ -240,6 +277,100 @@ fn decode_message(buf: &mut &[u8], src: Option<&Bytes>, depth: usize) -> Result<
             buf.remaining()
         )));
     }
+    Ok(count)
+}
+
+/// Reads one field name as raw bytes (see [`name_str`]).
+#[inline]
+pub(crate) fn read_name_bytes<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8]> {
+    need(buf, 2, "field name length")?;
+    let name_len = buf.get_u16() as usize;
+    need(buf, name_len, "field name")?;
+    let name = &buf[..name_len];
+    buf.advance(name_len);
+    Ok(name)
+}
+
+/// Validates a field name as UTF-8, like every decoder does.
+pub(crate) fn name_str(raw: &[u8]) -> Result<&str> {
+    std::str::from_utf8(raw)
+        .map_err(|e| VsError::CodecError(format!("field name is not UTF-8: {e}")))
+}
+
+/// Validates a string value as UTF-8.
+pub(crate) fn value_str(raw: &[u8]) -> Result<&str> {
+    std::str::from_utf8(raw).map_err(|e| VsError::CodecError(format!("string is not UTF-8: {e}")))
+}
+
+/// Reads one field name.
+#[inline]
+pub(crate) fn read_name<'a>(buf: &mut &'a [u8]) -> Result<&'a str> {
+    name_str(read_name_bytes(buf)?)
+}
+
+/// Reads a `u32` element count followed by `count * unit` bytes and returns those bytes.
+#[inline]
+pub(crate) fn read_counted<'a>(buf: &mut &'a [u8], unit: usize, what: &str) -> Result<&'a [u8]> {
+    need(buf, 4, what)?;
+    let len = (buf.get_u32() as usize).saturating_mul(unit);
+    need(buf, len, what)?;
+    let raw = &buf[..len];
+    buf.advance(len);
+    Ok(raw)
+}
+
+/// Walks one encoded message body without building anything: validates exactly what
+/// [`decode`] validates (bounds, tags, UTF-8, nesting, field counts), leaves `buf` just past
+/// the body, and returns the body's size under the [`Message::encoded_len`] cost model —
+/// so finding where a nested message ends and sizing a wire-born frame for the simulator
+/// are the same pass.  (A name repeated in the encoding counts once per occurrence here and
+/// once in total in a decoded tree; no writer in this workspace repeats names.)
+pub(crate) fn walk_message(buf: &mut &[u8], depth: usize) -> Result<usize> {
+    let count = read_field_count(buf, depth)?;
+    let mut model = 4;
+    for _ in 0..count {
+        let name = read_name(buf)?;
+        model += 1 + 2 + name.len() + 4 + walk_value(buf, depth)?;
+    }
+    Ok(model)
+}
+
+/// Walks one encoded value (tag included); returns its [`Value::payload_len`].
+pub(crate) fn walk_value(buf: &mut &[u8], depth: usize) -> Result<usize> {
+    need(buf, 1, "value tag")?;
+    let len = match buf.get_u8() {
+        TAG_BOOL => 1,
+        TAG_I64 | TAG_U64 | TAG_F64 | TAG_ADDR => 8,
+        TAG_STR => {
+            return Ok(value_str(read_counted(buf, 1, "string")?)?.len());
+        }
+        TAG_BYTES => return Ok(read_counted(buf, 1, "bytes")?.len()),
+        TAG_ADDR_LIST | TAG_U64_LIST => return Ok(read_counted(buf, 8, "list")?.len()),
+        TAG_MSG => return walk_message(buf, depth + 1),
+        other => {
+            return Err(VsError::CodecError(format!("unknown value tag {other}")));
+        }
+    };
+    need(buf, len, "fixed-width value")?;
+    buf.advance(len);
+    Ok(len)
+}
+
+/// Size of an encoded message body under the [`Message::encoded_len`] cost model, computed
+/// from the bytes alone (no tree is built).  `body` must hold exactly one message body.
+pub fn body_model_len(body: &[u8]) -> Result<usize> {
+    let mut buf = body;
+    let model = walk_message(&mut buf, 0)?;
+    check_no_trailing(buf)?;
+    Ok(model)
+}
+
+pub(crate) fn decode_message(
+    buf: &mut &[u8],
+    src: Option<&Bytes>,
+    depth: usize,
+) -> Result<Message> {
+    let count = read_field_count(buf, depth)?;
     let mut msg = Message::new();
     msg.reserve_fields(count.min(MAX_EAGER_FIELDS));
     for _ in 0..count {
@@ -252,28 +383,22 @@ fn decode_message(buf: &mut &[u8], src: Option<&Bytes>, depth: usize) -> Result<
 }
 
 fn decode_field(buf: &mut &[u8], src: Option<&Bytes>, depth: usize) -> Result<(FieldName, Value)> {
-    need(buf, 2, "field name length")?;
-    let name_len = buf.get_u16() as usize;
-    need(buf, name_len, "field name")?;
-    let name = std::str::from_utf8(&buf[..name_len])
-        .map_err(|e| VsError::CodecError(format!("field name is not UTF-8: {e}")))?;
     // Short names (all system fields and typical application fields) build inline with no
     // heap allocation.
-    let name = FieldName::from(name);
-    buf.advance(name_len);
+    let name = FieldName::from(read_name(buf)?);
     let value = decode_value(buf, src, depth)?;
     Ok((name, value))
 }
 
-/// Re-borrows `&buf[..len]` as a zero-copy slice of `src` when decoding over a shared
-/// buffer, falling back to a copy otherwise.  `buf` must be a sub-slice of `src`.
-fn shared_or_copied(buf: &[u8], len: usize, src: Option<&Bytes>) -> Bytes {
+/// Re-borrows `raw` as a zero-copy slice of `src` when decoding over a shared buffer,
+/// falling back to a copy otherwise.  `raw` must be a sub-slice of `src`.
+fn shared_or_copied(raw: &[u8], src: Option<&Bytes>) -> Bytes {
     match src {
         Some(src) => {
-            let offset = buf.as_ptr() as usize - src.as_ptr() as usize;
-            src.slice(offset..offset + len)
+            let offset = raw.as_ptr() as usize - src.as_ptr() as usize;
+            src.slice(offset..offset + raw.len())
         }
-        None => Bytes::copy_from_slice(&buf[..len]),
+        None => Bytes::copy_from_slice(raw),
     }
 }
 
@@ -297,51 +422,17 @@ fn decode_value(buf: &mut &[u8], src: Option<&Bytes>, depth: usize) -> Result<Va
             need(buf, 8, "f64")?;
             Value::F64(buf.get_f64())
         }
-        TAG_STR => {
-            need(buf, 4, "string length")?;
-            let len = buf.get_u32() as usize;
-            need(buf, len, "string body")?;
-            let s = std::str::from_utf8(&buf[..len])
-                .map_err(|e| VsError::CodecError(format!("string is not UTF-8: {e}")))?
-                .to_owned();
-            buf.advance(len);
-            Value::Str(s)
-        }
-        TAG_BYTES => {
-            need(buf, 4, "bytes length")?;
-            let len = buf.get_u32() as usize;
-            need(buf, len, "bytes body")?;
-            let b = shared_or_copied(buf, len, src);
-            buf.advance(len);
-            Value::Bytes(b)
-        }
+        TAG_STR => Value::Str(value_str(read_counted(buf, 1, "string")?)?.to_owned()),
+        TAG_BYTES => Value::Bytes(shared_or_copied(read_counted(buf, 1, "bytes")?, src)),
         TAG_ADDR => {
             need(buf, 8, "address")?;
             Value::Addr(decode_address(buf.get_u64()))
         }
+        // Exact-size collects: one allocation, no per-push capacity checks.
         TAG_ADDR_LIST => {
-            need(buf, 4, "address list length")?;
-            let len = buf.get_u32() as usize;
-            need(buf, len * 8, "address list body")?;
-            // Exact-size collect: one allocation, no per-push capacity checks.
-            let v: Vec<_> = buf[..len * 8]
-                .chunks_exact(8)
-                .map(|c| decode_address(u64::from_be_bytes(c.try_into().expect("8-byte chunk"))))
-                .collect();
-            buf.advance(len * 8);
-            Value::AddrList(v)
+            Value::AddrList(AddrsView::new(read_counted(buf, 8, "address list")?).to_vec())
         }
-        TAG_U64_LIST => {
-            need(buf, 4, "u64 list length")?;
-            let len = buf.get_u32() as usize;
-            need(buf, len * 8, "u64 list body")?;
-            let v: Vec<u64> = buf[..len * 8]
-                .chunks_exact(8)
-                .map(|c| u64::from_be_bytes(c.try_into().expect("8-byte chunk")))
-                .collect();
-            buf.advance(len * 8);
-            Value::U64List(v)
-        }
+        TAG_U64_LIST => Value::U64List(U64sView::new(read_counted(buf, 8, "u64 list")?).to_vec()),
         TAG_MSG => Value::Msg(Box::new(decode_message(buf, src, depth + 1)?)),
         other => {
             return Err(VsError::CodecError(format!("unknown value tag {other}")));
@@ -360,6 +451,11 @@ pub struct U64sView<'a> {
 }
 
 impl<'a> U64sView<'a> {
+    /// Wraps packed big-endian elements (`raw.len()` is a multiple of 8).
+    pub(crate) fn new(raw: &'a [u8]) -> Self {
+        U64sView { raw }
+    }
+
     /// Number of elements.
     pub fn len(&self) -> usize {
         self.raw.len() / 8
@@ -396,6 +492,13 @@ pub struct AddrsView<'a> {
 }
 
 impl<'a> AddrsView<'a> {
+    /// Wraps packed 8-byte encoded addresses.
+    pub(crate) fn new(raw: &'a [u8]) -> Self {
+        AddrsView {
+            raw: U64sView::new(raw),
+        }
+    }
+
     /// Number of addresses.
     pub fn len(&self) -> usize {
         self.raw.len()
@@ -573,27 +676,10 @@ pub fn decode_view(bytes: &[u8]) -> Result<MessageView<'_>> {
 }
 
 fn decode_message_view<'a>(buf: &mut &'a [u8], depth: usize) -> Result<MessageView<'a>> {
-    if depth > MAX_NESTING_DEPTH {
-        return Err(VsError::CodecError(format!(
-            "message nesting exceeds {MAX_NESTING_DEPTH} levels"
-        )));
-    }
-    need(buf, 4, "field count")?;
-    let count = buf.get_u32() as usize;
-    if count > buf.remaining() / MIN_FIELD_WIRE_LEN {
-        return Err(VsError::CodecError(format!(
-            "implausible field count {count} with {} bytes remaining",
-            buf.remaining()
-        )));
-    }
+    let count = read_field_count(buf, depth)?;
     let mut fields = Vec::with_capacity(count.min(MAX_EAGER_FIELDS));
     for _ in 0..count {
-        need(buf, 2, "field name length")?;
-        let name_len = buf.get_u16() as usize;
-        need(buf, name_len, "field name")?;
-        let name = std::str::from_utf8(&buf[..name_len])
-            .map_err(|e| VsError::CodecError(format!("field name is not UTF-8: {e}")))?;
-        buf.advance(name_len);
+        let name = read_name(buf)?;
         let value = decode_value_view(buf, depth)?;
         fields.push(FieldView { name, value });
     }
@@ -620,45 +706,14 @@ fn decode_value_view<'a>(buf: &mut &'a [u8], depth: usize) -> Result<ValueView<'
             need(buf, 8, "f64")?;
             ValueView::F64(buf.get_f64())
         }
-        TAG_STR => {
-            need(buf, 4, "string length")?;
-            let len = buf.get_u32() as usize;
-            need(buf, len, "string body")?;
-            let s = std::str::from_utf8(&buf[..len])
-                .map_err(|e| VsError::CodecError(format!("string is not UTF-8: {e}")))?;
-            buf.advance(len);
-            ValueView::Str(s)
-        }
-        TAG_BYTES => {
-            need(buf, 4, "bytes length")?;
-            let len = buf.get_u32() as usize;
-            need(buf, len, "bytes body")?;
-            let b = &buf[..len];
-            buf.advance(len);
-            ValueView::Bytes(b)
-        }
+        TAG_STR => ValueView::Str(value_str(read_counted(buf, 1, "string")?)?),
+        TAG_BYTES => ValueView::Bytes(read_counted(buf, 1, "bytes")?),
         TAG_ADDR => {
             need(buf, 8, "address")?;
             ValueView::Addr(decode_address(buf.get_u64()))
         }
-        TAG_ADDR_LIST => {
-            need(buf, 4, "address list length")?;
-            let len = buf.get_u32() as usize;
-            need(buf, len * 8, "address list body")?;
-            let raw = &buf[..len * 8];
-            buf.advance(len * 8);
-            ValueView::AddrList(AddrsView {
-                raw: U64sView { raw },
-            })
-        }
-        TAG_U64_LIST => {
-            need(buf, 4, "u64 list length")?;
-            let len = buf.get_u32() as usize;
-            need(buf, len * 8, "u64 list body")?;
-            let raw = &buf[..len * 8];
-            buf.advance(len * 8);
-            ValueView::U64List(U64sView { raw })
-        }
+        TAG_ADDR_LIST => ValueView::AddrList(AddrsView::new(read_counted(buf, 8, "address list")?)),
+        TAG_U64_LIST => ValueView::U64List(U64sView::new(read_counted(buf, 8, "u64 list")?)),
         TAG_MSG => ValueView::Msg(Box::new(decode_message_view(buf, depth + 1)?)),
         other => {
             return Err(VsError::CodecError(format!("unknown value tag {other}")));

@@ -1,47 +1,64 @@
 //! Reference-counted wire frames.
 //!
-//! A [`Frame`] is an immutable, cheaply clonable handle to a [`Message`] that has been
-//! prepared for transmission.  Multicasting to N sites used to deep-copy the whole field
-//! tree N times (once per destination packet); with frames the sender encodes once and every
-//! packet aliases the same allocation, so fan-out costs one pointer clone per destination.
+//! A [`Frame`] is an immutable, cheaply clonable handle to one message prepared for
+//! transmission.  It holds the message in **wire form** (the codec's bytes), in **tree form**
+//! (a [`Message`]), or both, and derives whichever is missing from the other on demand,
+//! once, through the one generic codec:
 //!
-//! Frames also carry a *memo slot*: a one-shot, type-erased cache that receive paths use to
-//! remember the result of parsing the frame (e.g. the typed protocol message decoded from
-//! the wire form).  Because the slot lives inside the shared allocation, a frame fanned out
-//! to N receivers is parsed once, not N times.  The slot is write-once — the first value
-//! stored wins — and is deliberately dropped by [`Frame::make_mut`], since mutating the
-//! message would invalidate anything derived from it.
+//! * [`Frame::new`] starts from a tree — what an application hands the stack.  The bytes
+//!   are encoded the first time a byte-oriented transport asks for them
+//!   ([`Frame::wire_bytes`], counted by [`wire_cache`]).
+//! * [`Frame::from_wire`] starts from bytes — what arrives over a thread boundary.  Nothing
+//!   is decoded until someone reads a field ([`Frame::message`] or `Deref`, counted by
+//!   [`tree_builds`]); `Bytes` values of the tree then alias the receive buffer.
+//! * [`Frame::from_writer`] starts from a [`FieldWriter`] — how protocol messages are born:
+//!   the bytes, their modelled size and the typed value they were written from, all at once.
+//!   Such a frame never needs a tree.
+//! * [`Frame::from_wire_body`] wraps a message found *inside* another frame's bytes (a
+//!   multicast redistributed by a flush), aliasing them.
 //!
-//! Symmetrically for the *send* path, [`Frame::wire_bytes`] caches the codec-encoded byte
-//! form in the shared allocation: a multicast fanned out to N destination sites over a
-//! byte-oriented transport (the threaded backend, or a future socket backend) is encoded
-//! once, and each destination clones a refcounted buffer.  Like the memo, the cache is
-//! dropped on mutation.
+//! Multicasting to N sites therefore costs one pointer clone per destination, whatever form
+//! the frame is in.
 //!
-//! Mutation is copy-on-write: [`Frame::make_mut`] hands out `&mut Message`, cloning the
-//! underlying message first if (and only if) other handles share it.  This is what keeps
-//! deliveries isolated — a receiver that edits its copy can never be observed by another
-//! receiver aliasing the same frame.
+//! Frames also carry a *memo slot*: a one-shot, type-erased cache for the typed value the
+//! frame stands for (the protocol message).  Because the slot lives inside the shared
+//! allocation, every holder of the frame in one process reads the same typed value and the
+//! bytes are parsed at most once per process — not at all where the frame was born.  The
+//! slot is write-once — the first value stored wins — and is deliberately dropped by
+//! [`Frame::make_mut`], since mutating the message would invalidate anything derived from it.
 //!
-//! The simulation is single-threaded (see ARCHITECTURE.md), so the handle is an `Rc`; swap
-//! for `Arc` + `OnceLock` if frames ever cross threads.
+//! Mutation is copy-on-write: [`Frame::make_mut`] hands out `&mut Message`, building a
+//! private tree first if other handles share the frame.  This is what keeps deliveries
+//! isolated — a receiver that edits its copy can never be observed by another receiver
+//! aliasing the same frame.
+//!
+//! Bytes that do not decode are not an error until someone looks: [`Frame::try_message`]
+//! reports them, and `Deref` (which cannot) reads them as an empty message, so corrupt
+//! input from a peer can be dropped and traced by whoever routes the frame but can never
+//! panic a node.
+//!
+//! Each node is single-threaded (see ARCHITECTURE.md), so the handle is an `Rc` and frames
+//! never cross threads: what crosses is [`Frame::wire_bytes`].
 
 use std::any::Any;
-use std::cell::OnceCell;
+use std::cell::{Cell, OnceCell};
 use std::fmt;
 use std::ops::Deref;
 use std::rc::Rc;
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
+use vsync_util::Result;
 
 use crate::codec;
 use crate::message::Message;
+use crate::stream::FieldWriter;
 
-/// Thread-local counter of codec encodes performed by [`Frame::wire_bytes`] (cache misses
-/// only — a warm cache costs a pointer clone, not an encode).  Tests use the deltas to pin
-/// the fan-out invariant: a frame shipped to N destinations over a byte-oriented transport
-/// is encoded once in total.  Thread-local for the same reason as the protocol-level
-/// `wire_stats`: nodes encode on their own threads and `cargo test` runs tests in parallel.
+/// Thread-local counter of tree → bytes encodes performed by [`Frame::wire_bytes`] (cache
+/// misses only — a warm cache costs a pointer clone, and a frame born from a writer or from
+/// the wire never encodes).  Tests use the deltas to pin the fan-out invariant: a frame
+/// shipped to N destinations over a byte-oriented transport is encoded once in total.
+/// Thread-local for the same reason as the protocol-level `wire_stats`: nodes encode on
+/// their own threads and `cargo test` runs tests in parallel.
 pub mod wire_cache {
     use std::cell::Cell;
 
@@ -59,73 +76,220 @@ pub mod wire_cache {
     }
 }
 
-struct FrameInner {
-    msg: Message,
-    memo: OnceCell<Box<dyn Any>>,
-    /// Codec-encoded wire form of the message, filled lazily by [`Frame::wire_bytes`].
-    /// Lives in the shared allocation, so a multicast fan-out that serializes the same
-    /// frame once per destination (the threaded backend's per-site `WirePacket`s) pays
-    /// for one encode and N buffer clones (`Bytes` is refcounted).
-    wire: OnceCell<Bytes>,
+/// Bytes → tree decodes performed by frames on this thread so far: how often a frame that
+/// had only its wire form was asked for a [`Message`].  Protocol traffic never is — it is
+/// read through the typed value in the memo slot — so tests pin a delta of zero across it.
+pub fn tree_builds() -> u64 {
+    TREE_BUILDS.with(|c| c.get())
 }
 
-/// A shared, immutable wire frame: one encoded [`Message`] plus a write-once memo slot for
-/// whatever the receive path derives from it.  Cloning is O(1).
+thread_local! {
+    static TREE_BUILDS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// What `Deref` reads when a frame's bytes do not decode.
+static EMPTY: Message = Message::new();
+
+/// A message's wire form.
+enum Wire {
+    /// A top-level encoding: the envelope byte, then the body.
+    Envelope(Bytes),
+    /// A body alone, as found nested inside another message's bytes.
+    Body(Bytes),
+}
+
+struct FrameInner {
+    /// Tree form, built lazily from the wire form (`Err` if the bytes do not decode).
+    tree: OnceCell<Result<Message>>,
+    /// Wire form, encoded lazily from the tree.  Lives in the shared allocation, so a
+    /// fan-out that serializes the same frame once per destination pays for one encode and
+    /// N buffer clones (`Bytes` is refcounted).
+    wire: OnceCell<Wire>,
+    /// Size under the simulator's cost model ([`Message::encoded_len`]).
+    model_len: OnceCell<usize>,
+    memo: OnceCell<Box<dyn Any>>,
+}
+
+impl FrameInner {
+    fn from_tree(msg: Message) -> Self {
+        FrameInner {
+            tree: OnceCell::from(Ok(msg)),
+            wire: OnceCell::new(),
+            model_len: OnceCell::new(),
+            memo: OnceCell::new(),
+        }
+    }
+
+    fn from_wire(wire: Wire) -> Self {
+        FrameInner {
+            tree: OnceCell::new(),
+            wire: OnceCell::from(wire),
+            model_len: OnceCell::new(),
+            memo: OnceCell::new(),
+        }
+    }
+}
+
+/// A shared, immutable wire frame: one message in wire form, tree form or both, plus a
+/// write-once memo slot for the typed value it stands for.  Cloning is O(1).
 pub struct Frame {
     inner: Rc<FrameInner>,
 }
 
 impl Frame {
-    /// Wraps a message in a fresh frame (empty memo slot).
+    /// Wraps a message tree in a fresh frame (empty memo slot, bytes encoded on demand).
     pub fn new(msg: Message) -> Self {
         Frame {
-            inner: Rc::new(FrameInner {
-                msg,
-                memo: OnceCell::new(),
-                wire: OnceCell::new(),
-            }),
+            inner: Rc::new(FrameInner::from_tree(msg)),
         }
     }
 
-    /// The codec-encoded wire form of the framed message, encoded **once per frame**: the
-    /// bytes are cached in the shared allocation, so every later call (every further
-    /// destination of a fan-out) clones a refcounted buffer instead of re-walking the
-    /// field tree.  [`wire_cache`] counts the cache misses.
-    pub fn wire_bytes(&self) -> Bytes {
-        self.inner
-            .wire
-            .get_or_init(|| {
-                wire_cache::note_encode();
-                codec::encode(&self.inner.msg)
-            })
-            .clone()
+    /// Wraps an encoded message (envelope byte included) as received from a byte-oriented
+    /// transport.  Nothing is decoded or validated here; see the module docs for what
+    /// happens if the bytes turn out to be corrupt.
+    pub fn from_wire(bytes: Bytes) -> Self {
+        Frame {
+            inner: Rc::new(FrameInner::from_wire(Wire::Envelope(bytes))),
+        }
     }
 
-    /// The framed message.
+    /// Wraps an encoded message *body* found nested inside another frame's bytes, aliasing
+    /// them (see [`crate::stream::FieldCursor::encoded`]).
+    pub fn from_wire_body(body: Bytes) -> Self {
+        Frame {
+            inner: Rc::new(FrameInner::from_wire(Wire::Body(body))),
+        }
+    }
+
+    /// A frame born in wire form: the bytes `writer` produced, the modelled size it
+    /// accumulated, and in the memo slot the typed value the bytes were written from — so no
+    /// holder of this frame ever parses it.
+    pub fn from_writer<T: 'static>(writer: FieldWriter, memo: T) -> Self {
+        let (bytes, model_len) = writer.finish();
+        let inner = FrameInner::from_wire(Wire::Envelope(bytes));
+        let _ = inner.model_len.set(model_len);
+        let _ = inner.memo.set(Box::new(memo));
+        Frame {
+            inner: Rc::new(inner),
+        }
+    }
+
+    fn wire(&self) -> &Wire {
+        self.inner.wire.get_or_init(|| {
+            wire_cache::note_encode();
+            let tree = self.inner.tree.get().and_then(|t| t.as_ref().ok());
+            Wire::Envelope(codec::encode(tree.expect("a frame holds a tree or bytes")))
+        })
+    }
+
+    /// The codec-encoded wire form of the framed message, envelope byte included.  For a
+    /// frame that started as a tree the bytes are encoded **once per frame** and cached in
+    /// the shared allocation, so every later call (every further destination of a fan-out)
+    /// clones a refcounted buffer; [`wire_cache`] counts those encodes.  A frame that was
+    /// found inside another one ([`Frame::from_wire_body`]) has no envelope of its own and
+    /// copies its body behind a fresh one on every call — nothing on the packet path sends
+    /// such a frame on its own.
+    pub fn wire_bytes(&self) -> Bytes {
+        match self.wire() {
+            Wire::Envelope(bytes) => bytes.clone(),
+            Wire::Body(body) => {
+                let mut buf = BytesMut::with_capacity(1 + body.len());
+                buf.put_u8(codec::MAGIC);
+                buf.put_slice(body);
+                buf.freeze()
+            }
+        }
+    }
+
+    /// The wire form without the envelope byte: what nests inside another message, and what
+    /// a [`crate::stream::FieldCursor`] reads.  Aliases the frame's bytes; fails if they do
+    /// not start with the envelope byte.
+    pub fn wire_body(&self) -> Result<Bytes> {
+        match self.wire() {
+            Wire::Envelope(bytes) => codec::envelope_body(bytes),
+            Wire::Body(body) => Ok(body.clone()),
+        }
+    }
+
+    /// The framed message as a tree, or why its bytes do not decode.  A frame that has only
+    /// its wire form decodes it here, once ([`tree_builds`] counts), over the shared buffer:
+    /// `Bytes` values alias the frame's bytes instead of being copied out of them.
+    pub fn try_message(&self) -> Result<&Message> {
+        self.inner
+            .tree
+            .get_or_init(|| {
+                TREE_BUILDS.with(|c| c.set(c.get() + 1));
+                match self
+                    .inner
+                    .wire
+                    .get()
+                    .expect("a frame holds a tree or bytes")
+                {
+                    Wire::Envelope(bytes) => codec::decode_shared(bytes),
+                    Wire::Body(body) => codec::decode_body_shared(body),
+                }
+            })
+            .as_ref()
+            .map_err(Clone::clone)
+    }
+
+    /// The framed message; an empty message if the frame's bytes do not decode (see
+    /// [`Frame::try_message`] to tell the two apart).
     pub fn message(&self) -> &Message {
-        &self.inner.msg
+        self.try_message().unwrap_or(&EMPTY)
     }
 
     /// Copies the framed message out into an independent [`Message`].
     pub fn to_message(&self) -> Message {
-        self.inner.msg.clone()
+        self.message().clone()
+    }
+
+    /// The name of the message's first field, read off whichever form the frame already
+    /// has — a few bytes into the buffer for a wire-born frame.  Lets a router recognise a
+    /// protocol message (whose first field is its type tag) without building a tree.
+    pub fn first_field_name(&self) -> Option<&str> {
+        if let Some(tree) = self.inner.tree.get() {
+            return tree.as_ref().ok()?.iter().next().map(|f| f.name.as_str());
+        }
+        let mut buf: &[u8] = match self.inner.wire.get()? {
+            Wire::Envelope(bytes) => bytes.get(1..)?,
+            Wire::Body(body) => body,
+        };
+        codec::read_field_count(&mut buf, 0)
+            .ok()
+            .filter(|n| *n > 0)?;
+        codec::read_name(&mut buf).ok()
+    }
+
+    /// Size of the message under the simulator's cost model — [`Message::encoded_len`] of
+    /// its tree — computed once per frame: accumulated while writing for a frame born from
+    /// a writer, read off the tree if there is one, walked off the bytes otherwise (bytes
+    /// that do not decode count as their own length).
+    pub fn model_len(&self) -> usize {
+        *self.inner.model_len.get_or_init(|| {
+            if let Some(Ok(tree)) = self.inner.tree.get() {
+                return tree.encoded_len();
+            }
+            self.wire_body()
+                .and_then(|body| codec::body_model_len(&body))
+                .unwrap_or_else(|_| self.wire_bytes().len())
+        })
     }
 
     /// Mutable access to the message, copy-on-write: if other handles alias this frame the
-    /// message is cloned first, so the mutation is invisible to them.  The memo slot is
-    /// cleared either way — derived values do not survive mutation.
+    /// message is cloned first, so the mutation is invisible to them.  The memo slot and the
+    /// wire form are dropped either way — derived values do not survive mutation.
     pub fn make_mut(&mut self) -> &mut Message {
-        if Rc::get_mut(&mut self.inner).is_none() {
-            self.inner = Rc::new(FrameInner {
-                msg: self.inner.msg.clone(),
-                memo: OnceCell::new(),
-                wire: OnceCell::new(),
-            });
+        let tree = match Rc::get_mut(&mut self.inner).and_then(|inner| inner.tree.take()) {
+            Some(Ok(tree)) => tree,
+            _ => self.to_message(),
+        };
+        self.inner = Rc::new(FrameInner::from_tree(tree));
+        let inner = Rc::get_mut(&mut self.inner).expect("freshly allocated");
+        match inner.tree.get_mut() {
+            Some(Ok(msg)) => msg,
+            _ => unreachable!("constructed from a tree above"),
         }
-        let inner = Rc::get_mut(&mut self.inner).expect("uniquely owned after copy-on-write");
-        inner.memo = OnceCell::new();
-        inner.wire = OnceCell::new();
-        &mut inner.msg
     }
 
     /// Number of handles (packets, buffers) currently aliasing this frame.  Diagnostic; used
@@ -142,7 +306,7 @@ impl Frame {
     /// Returns the memoized value of type `T`, running `make` to fill the empty slot.  The
     /// slot is write-once and type-erased: if a value of a *different* type already occupies
     /// it, `None` is returned and the caller falls back to uncached work (in practice the
-    /// slot has a single user — the protocol decode cache).
+    /// slot has a single user — the typed protocol message).
     pub fn memo_get_or_init<T: 'static>(&self, make: impl FnOnce() -> T) -> Option<&T> {
         self.inner
             .memo
@@ -162,7 +326,7 @@ impl Clone for Frame {
 impl Deref for Frame {
     type Target = Message;
     fn deref(&self) -> &Message {
-        &self.inner.msg
+        self.message()
     }
 }
 
@@ -172,23 +336,45 @@ impl From<Message> for Frame {
     }
 }
 
+/// Frames are equal when they carry the same message, whatever form each holds it in: two
+/// wire forms compare as bytes (no tree is built), anything else compares as trees.
 impl PartialEq for Frame {
     fn eq(&self, other: &Self) -> bool {
-        Rc::ptr_eq(&self.inner, &other.inner) || self.inner.msg == other.inner.msg
+        if Rc::ptr_eq(&self.inner, &other.inner) {
+            return true;
+        }
+        if self.inner.wire.get().is_some() && other.inner.wire.get().is_some() {
+            if let (Ok(a), Ok(b)) = (self.wire_body(), other.wire_body()) {
+                return a == b;
+            }
+        }
+        match (self.try_message(), other.try_message()) {
+            (Ok(a), Ok(b)) => a == b,
+            _ => false,
+        }
     }
 }
 
 // A frame renders as its message: the sharing is an implementation detail and traces/tests
-// compare payload content, not identity.
+// compare payload content, not identity.  Rendering never changes the frame: a wire-born
+// frame decodes a throwaway tree instead of caching one.
 impl fmt::Debug for Frame {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&self.inner.msg, f)
+        if let Some(Ok(tree)) = self.inner.tree.get() {
+            return fmt::Debug::fmt(tree, f);
+        }
+        let bytes = self.wire_bytes();
+        match codec::decode_shared(&bytes) {
+            Ok(tree) => fmt::Debug::fmt(&tree, f),
+            Err(e) => write!(f, "Frame(<{} undecodable bytes: {e}>)", bytes.len()),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::FieldWriter;
 
     #[test]
     fn clone_aliases_instead_of_copying() {
@@ -296,6 +482,95 @@ mod tests {
         let before = wire_cache::encodes();
         assert_eq!(a.wire_bytes(), cached, "original handle keeps its cache");
         assert_eq!(wire_cache::encodes() - before, 0);
+    }
+
+    #[test]
+    fn a_wire_born_frame_builds_its_tree_lazily_once_and_aliases_the_buffer() {
+        let msg = Message::with_body(vec![9u8; 256]).with("seq", 3u64);
+        let bytes = codec::encode(&msg);
+        let frame = Frame::from_wire(bytes.clone());
+        let copy = frame.clone();
+        let (encodes, builds) = (wire_cache::encodes(), tree_builds());
+        // Shipping it on and sizing it touch no tree and encode nothing.
+        assert_eq!(frame.wire_bytes(), bytes);
+        assert_eq!(frame.model_len(), msg.encoded_len());
+        assert_eq!(frame.first_field_name(), Some("body"));
+        assert_eq!((wire_cache::encodes(), tree_builds()), (encodes, builds));
+        // The first field read builds the tree; every handle shares it afterwards.
+        assert_eq!(frame.get_u64("seq"), Some(3));
+        assert_eq!(copy.message(), &msg);
+        assert_eq!(tree_builds() - builds, 1);
+        let body = copy.get_bytes("body").expect("body");
+        let (base, at) = (bytes.as_ptr() as usize, body.as_ptr() as usize);
+        assert!(at >= base && at < base + bytes.len(), "aliases the wire");
+    }
+
+    #[test]
+    fn undecodable_bytes_read_as_an_empty_message_and_report_the_error() {
+        let bytes = codec::encode(&Message::with_body("x"));
+        for corrupt in [
+            Bytes::new(),
+            bytes.slice(..bytes.len() - 1),
+            Bytes::from(vec![0x00, 0, 0, 0, 0]),
+        ] {
+            let frame = Frame::from_wire(corrupt.clone());
+            assert!(frame.try_message().is_err());
+            assert!(
+                frame.message().is_empty(),
+                "Deref cannot fail: it reads empty"
+            );
+            assert_eq!(frame.model_len(), corrupt.len());
+            assert_eq!(frame.wire_bytes(), corrupt, "still forwardable as is");
+            let _ = format!("{frame:?}");
+        }
+        assert_eq!(Frame::from_wire(Bytes::new()).first_field_name(), None);
+    }
+
+    #[test]
+    fn a_frame_born_from_a_writer_has_bytes_model_and_memo_and_never_a_tree() {
+        let mut w = FieldWriter::with_capacity(32);
+        w.put_str("kind", "born");
+        w.put_u64("seq", 7);
+        let frame = Frame::from_writer(w, 7u64);
+        let tree = Message::new().with("kind", "born").with("seq", 7u64);
+        let (encodes, builds) = (wire_cache::encodes(), tree_builds());
+        assert_eq!(frame.wire_bytes(), codec::encode(&tree));
+        assert_eq!(frame.model_len(), tree.encoded_len());
+        assert_eq!(frame.memo_get::<u64>(), Some(&7));
+        assert_eq!(frame.first_field_name(), Some("kind"));
+        assert_eq!((wire_cache::encodes(), tree_builds()), (encodes, builds));
+        // Still a message to anyone who asks for one, and equal to its tree-born twin.
+        assert_eq!(frame.message(), &tree);
+        assert_eq!(frame, Frame::new(tree));
+    }
+
+    #[test]
+    fn a_nested_body_is_a_frame_of_its_own() {
+        let inner = Message::with_body("inner").with("n", 1u64);
+        let outer = codec::encode(&Message::new().with("wrapped", inner.clone()));
+        let body = {
+            let body = codec::envelope_body(&outer).expect("envelope");
+            let mut cur = crate::stream::FieldCursor::new(&body).expect("open");
+            cur.encoded("wrapped").expect("nested")
+        };
+        let frame = Frame::from_wire_body(body.clone());
+        assert_eq!(frame.wire_body().expect("body"), body);
+        assert_eq!(frame.wire_bytes(), codec::encode(&inner));
+        assert_eq!(frame.model_len(), inner.encoded_len());
+        assert_eq!(frame.message(), &inner);
+        assert_eq!(frame, Frame::new(inner));
+    }
+
+    #[test]
+    fn make_mut_on_a_wire_born_frame_edits_a_private_tree() {
+        let bytes = codec::encode(&Message::with_body(1u64));
+        let mut a = Frame::from_wire(bytes.clone());
+        let b = a.clone();
+        a.make_mut().set("body", 2u64);
+        assert_eq!(a.get_u64("body"), Some(2));
+        assert_eq!(b.get_u64("body"), Some(1));
+        assert_eq!(b.wire_bytes(), bytes, "the aliasing handle keeps its bytes");
+        assert_ne!(a.wire_bytes(), bytes, "the edited one re-encodes");
     }
 
     #[test]

@@ -7,17 +7,22 @@
 //! etc.  A field can even contain another message."
 //!
 //! This crate provides exactly that data structure ([`Message`]), the typed values fields can
-//! hold ([`Value`]), the well-known system field names ([`fields`]), and a compact binary
-//! codec ([`codec`]) used by the transport layer to compute realistic wire sizes and by the
-//! stable-storage tool to persist logged messages.
+//! hold ([`Value`]), the well-known system field names ([`fields`]), the compact binary
+//! codec ([`codec`]) that is the wire format between threads and on stable storage, a field
+//! writer and cursor over that format for layers that do not need the symbol table
+//! ([`stream`]), and the shared wire frame packets carry ([`Frame`]).
 
 pub mod codec;
 pub mod fields;
 pub mod frame;
 pub mod message;
 pub mod name;
+pub mod stream;
 pub mod value;
 
+/// The shared byte buffer wire forms live in (re-exported so layers that handle frames'
+/// bytes need no dependency of their own on the buffer crate).
+pub use bytes::Bytes;
 pub use frame::Frame;
 pub use message::{Field, Message};
 pub use name::FieldName;

@@ -32,7 +32,7 @@ pub struct Message {
 
 impl Message {
     /// Creates an empty message.
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         Message { fields: Vec::new() }
     }
 

@@ -61,8 +61,9 @@ pub enum PacketKind {
 /// Packets always name concrete processes; group expansion happens in the protocol layer
 /// before packets are handed to the network.  The payload is a shared [`Frame`]: a multicast
 /// fan-out builds one frame and every destination packet aliases it, so cloning a packet (or
-/// addressing the same message to N destinations) never deep-copies the field tree.  Readers
-/// reach the message through `Deref` (`pkt.payload.get_str(..)`); a handler that wants to
+/// addressing the same message to N destinations) never copies the message, whichever form —
+/// wire bytes, field tree or both — the frame holds it in.  Readers of application traffic
+/// reach the fields through `Deref` (`pkt.payload.get_str(..)`); a handler that wants to
 /// *edit* its copy goes through [`Packet::payload_mut`], which is copy-on-write.
 #[derive(Clone, Debug)]
 pub struct Packet {
@@ -104,9 +105,10 @@ impl Packet {
         self.src.site == self.dst.site
     }
 
-    /// Approximate wire size of the packet (payload plus a small header).
+    /// Approximate wire size of the packet (payload plus a small header).  The payload's
+    /// share is cached in the frame, so the packets of one fan-out size it once.
     pub fn wire_size(&self) -> usize {
-        self.payload.encoded_len() + 32
+        self.payload.model_len() + 32
     }
 }
 

@@ -238,21 +238,19 @@ impl GroupEndpoint {
         };
         let id = self.alloc_msg_id();
         let vt = self.cb.stamp_send(rank);
-        // Encode once; the stability buffer and every peer-site packet alias this frame.
-        // The payload moves through the typed message and back out for the local delivery,
-        // so the only payload copy made here is the one embedded in the wire frame.
-        let proto = ProtoMsg::CbData {
+        // Written once; the stability buffer and every peer-site packet alias this frame,
+        // and the typed message travels in it.  The one payload copy made here is the local
+        // delivery's.
+        let local = payload.clone();
+        let wire = ProtoMsg::CbData {
             id,
             sender,
             sender_rank: rank as u64,
             view_seq,
             vt,
             payload,
-        };
-        let wire = proto.encode_frame(self.group);
-        let ProtoMsg::CbData { payload, .. } = proto else {
-            unreachable!("constructed as CbData above");
-        };
+        }
+        .into_frame(self.group);
         self.stab.record_local(
             id,
             StoredMsg {
@@ -264,7 +262,7 @@ impl GroupEndpoint {
         // Deliver locally right away: the caller "can pretend that the message was delivered
         // to its destinations at the moment the CBCAST was issued" (Section 3.4).
         self.mark_delivered(id);
-        self.emit_delivery(id, ProtocolKind::Cbcast, payload, out);
+        self.emit_delivery(id, ProtocolKind::Cbcast, local, out);
         Ok(id)
     }
 
@@ -287,18 +285,15 @@ impl GroupEndpoint {
         }
         self.stats.count_multicast(ProtocolKind::Abcast);
         let id = self.alloc_msg_id();
-        // As in `cbcast`: move the payload through the typed message and back out, so the
-        // only copy made is the one embedded in the wire frame.
-        let proto = ProtoMsg::AbData {
+        // As in `cbcast`: the one payload copy is the holdback queue's.
+        let held = payload.clone();
+        let wire = ProtoMsg::AbData {
             id,
             sender,
             view_seq,
             payload,
-        };
-        let wire = proto.encode_frame(self.group);
-        let ProtoMsg::AbData { payload, .. } = proto else {
-            unreachable!("constructed as AbData above");
-        };
+        }
+        .into_frame(self.group);
         self.stab.record_local(
             id,
             StoredMsg {
@@ -308,7 +303,7 @@ impl GroupEndpoint {
         );
         let ordered = self
             .ab
-            .initiate(id, sender, payload, self.site, self.peer_sites.clone());
+            .initiate(id, sender, held, self.site, self.peer_sites.clone());
         self.send_to_peers(PacketKind::Data, wire, out);
         if ordered {
             self.drain_abcasts(out);
@@ -335,7 +330,7 @@ impl GroupEndpoint {
             self.pending_gbcasts.push(payload);
             self.start_flush_if_needed(now, out);
         } else {
-            let wire = ProtoMsg::GbcastReq { sender, payload }.encode_frame(self.group);
+            let wire = ProtoMsg::GbcastReq { sender, payload }.into_frame(self.group);
             self.send_to_site(coord.site, PacketKind::Flush, wire, out);
         }
         Ok(())
@@ -365,7 +360,7 @@ impl GroupEndpoint {
                 joiner,
                 credentials,
             }
-            .encode_frame(self.group);
+            .into_frame(self.group);
             self.send_to_site(coord.site, PacketKind::Flush, wire, out);
         }
         Ok(())
@@ -392,7 +387,7 @@ impl GroupEndpoint {
             }
             self.start_flush_if_needed(now, out);
         } else {
-            let wire = ProtoMsg::LeaveReq { member }.encode_frame(self.group);
+            let wire = ProtoMsg::LeaveReq { member }.into_frame(self.group);
             self.send_to_site(coord.site, PacketKind::Flush, wire, out);
         }
         Ok(())
@@ -668,9 +663,10 @@ impl GroupEndpoint {
 
     /// Handles a protocol message from the endpoint at `from_site`.
     ///
-    /// The wire form arrives as a shared [`Frame`]; decoding goes through the frame's memo
-    /// ([`ProtoMsg::decode_frame`]), so a frame fanned out to N sites is parsed once in
-    /// total, and the hosting stack's own pre-routing decode is never repeated here.
+    /// The wire form arrives as a shared [`Frame`]; reading it goes through the frame's memo
+    /// ([`ProtoMsg::decode_frame`]): a frame born in this process is never parsed, one that
+    /// arrived as bytes was parsed once by the hosting stack's pre-routing decode, and
+    /// neither is parsed again here.
     pub fn on_message(
         &mut self,
         now: SimTime,
@@ -774,24 +770,7 @@ impl GroupEndpoint {
             } => {
                 self.handle_flush_ack(now, *target_seq, *from_site, stored.clone(), out);
             }
-            ProtoMsg::FlushCommit {
-                target_seq,
-                view,
-                deliver,
-                covered,
-                gbcasts,
-            } => {
-                self.apply_commit(
-                    now,
-                    *target_seq,
-                    view.clone(),
-                    deliver.clone(),
-                    covered.clone(),
-                    gbcasts.clone(),
-                    true,
-                    out,
-                );
-            }
+            ProtoMsg::FlushCommit { .. } => self.apply_commit(now, frame, true, out),
             ProtoMsg::Stability {
                 view_seq,
                 from_site: gossip_site,
@@ -862,7 +841,7 @@ impl GroupEndpoint {
                             .unwrap_or_else(|| ProcessId::new(self.site, 0)),
                         attempt: c.attempt,
                     }
-                    .encode_frame(self.group);
+                    .into_frame(self.group);
                     for s in c.awaiting.iter().copied().collect::<Vec<_>>() {
                         self.send_to_site(s, PacketKind::Flush, req.clone(), out);
                     }
@@ -938,7 +917,7 @@ impl GroupEndpoint {
 
     /// Fans one wire frame out to every peer site of the current view.  Each `Send` aliases
     /// the same frame — the per-destination cost is a reference-count bump, not a copy of
-    /// the field tree — and the destination list is the cached `peer_sites`, so nothing is
+    /// the message — and the destination list is the cached `peer_sites`, so nothing is
     /// recomputed per multicast.
     fn send_to_peers(&self, kind: PacketKind, msg: Frame, out: &mut Vec<EndpointOutput>) {
         for s in &self.peer_sites {
@@ -959,7 +938,7 @@ impl GroupEndpoint {
             from_site: self.site,
             received: self.stab.received().clone(),
         }
-        .encode_frame(self.group);
+        .into_frame(self.group);
         self.send_to_peers(PacketKind::Stability, wire, out);
     }
 
@@ -1057,7 +1036,7 @@ impl GroupEndpoint {
                     proposed,
                     proposer_site: self.site,
                 }
-                .encode_frame(self.group);
+                .into_frame(self.group);
                 self.send_to_site(id.origin, PacketKind::Proposal, propose, out);
             }
             _ => unreachable!("handle_data only receives data messages"),
@@ -1079,7 +1058,7 @@ impl GroupEndpoint {
             final_priority,
             tiebreak_site: tiebreak,
         }
-        .encode_frame(self.group);
+        .into_frame(self.group);
         self.send_to_peers(PacketKind::SetOrder, order, out);
         self.drain_abcasts(out);
     }
@@ -1139,7 +1118,7 @@ impl GroupEndpoint {
             initiator: coord,
             attempt: self.flush_attempt,
         }
-        .encode_frame(self.group);
+        .into_frame(self.group);
         for s in &awaiting {
             self.send_to_site(*s, PacketKind::Flush, req.clone(), out);
         }
@@ -1177,7 +1156,7 @@ impl GroupEndpoint {
                     view_seq,
                     payload,
                 }
-                .encode_frame(self.group);
+                .into_frame(self.group);
                 stored.push(StoredMsg {
                     wire,
                     ab_priority: Some(proposed),
@@ -1227,7 +1206,7 @@ impl GroupEndpoint {
             from_site: self.site,
             stored,
         }
-        .encode_frame(self.group);
+        .into_frame(self.group);
         self.send_to_site(initiator.site, PacketKind::Flush, ack, out);
     }
 
@@ -1300,45 +1279,49 @@ impl GroupEndpoint {
                 dst_sites.push(s);
             }
         }
+        // One frame: sent to every site, applied here, kept as the bulletin, and relayed by
+        // every receiver, without ever being written (or, in one process, read) again.
         let commit = ProtoMsg::FlushCommit {
             target_seq: new_view.seq(),
-            view: new_view.clone(),
-            deliver: deliver.clone(),
-            covered: covered.clone(),
-            gbcasts: gbcasts.clone(),
+            view: new_view,
+            deliver,
+            covered,
+            gbcasts,
         }
-        .encode_frame(self.group);
+        .into_frame(self.group);
         for s in dst_sites {
             if s != self.site {
                 self.send_to_site(s, PacketKind::Flush, commit.clone(), out);
             }
         }
-        self.apply_commit(
-            now,
-            new_view.seq(),
-            new_view,
-            deliver,
-            covered,
-            gbcasts,
-            false,
-            out,
-        );
+        self.apply_commit(now, &commit, false, out);
     }
 
-    // One parameter per `FlushCommit` field plus the clock, sink, and relay flag; bundling
-    // them into a struct would just restate the wire message.
-    #[allow(clippy::too_many_arguments)]
+    /// Applies a flush commit.  `commit` is the frame itself — the one `complete_flush`
+    /// just built, or the one `on_message` received — because installing a view also means
+    /// forwarding that frame (the relay) and keeping it (the bulletin), and a frame in hand
+    /// need not be written again.
     fn apply_commit(
         &mut self,
         now: SimTime,
-        target_seq: u64,
-        new_view: View,
-        deliver: Vec<StoredMsg>,
-        covered: Frontier,
-        gbcasts: Vec<Message>,
+        commit: &Frame,
         relay: bool,
         out: &mut Vec<EndpointOutput>,
     ) {
+        let Ok((
+            _,
+            ProtoMsg::FlushCommit {
+                target_seq,
+                view: new_view,
+                deliver,
+                covered,
+                gbcasts,
+            },
+        )) = ProtoMsg::decode_frame(commit)
+        else {
+            return;
+        };
+        let target_seq = *target_seq;
         if let Some(v) = &self.view {
             if target_seq <= v.seq() {
                 return;
@@ -1368,14 +1351,6 @@ impl GroupEndpoint {
         // closes the gap: whoever installs re-sends the frame to every member site of the
         // old and new views, and later copies fail the sequence check above, so the relay
         // storm terminates after at most one send per member.
-        let wire = ProtoMsg::FlushCommit {
-            target_seq,
-            view: new_view.clone(),
-            deliver: deliver.clone(),
-            covered: covered.clone(),
-            gbcasts: gbcasts.clone(),
-        }
-        .encode_frame(self.group);
         if relay {
             let mut relay_sites: Vec<SiteId> = self
                 .view
@@ -1389,12 +1364,12 @@ impl GroupEndpoint {
             }
             for s in relay_sites {
                 if s != self.site {
-                    self.send_to_site(s, PacketKind::Flush, wire.clone(), out);
+                    self.send_to_site(s, PacketKind::Flush, commit.clone(), out);
                 }
             }
         }
         // Keep the commit as the bulletin answered to stale traffic from excluded sites.
-        self.last_commit = Some(wire);
+        self.last_commit = Some(commit.clone());
         // A joining endpoint (no view installed: this site only enters the group at this
         // cut) must NOT apply the redistributed pre-cut messages: the state snapshot its
         // members receive is taken exactly at this cut and already covers them, so
@@ -1467,8 +1442,8 @@ impl GroupEndpoint {
         // snapshot includes.
         out.push(EndpointOutput::ViewChange(ViewEvent {
             view: new_view.clone(),
-            gbcasts,
-            covered,
+            gbcasts: gbcasts.clone(),
+            covered: covered.clone(),
         }));
         self.install_view(new_view.clone());
         // Any membership change reported during the flush that the new view did not cover
@@ -1553,6 +1528,13 @@ impl GroupEndpoint {
     /// this to prove a join really raced unstable traffic.
     pub fn unstable_len(&self) -> usize {
         self.stab.held_len()
+    }
+
+    /// The wire frame of the last flush commit this endpoint installed, which it keeps as
+    /// its bulletin.  Diagnostic: it is the very frame the coordinator wrote wherever the
+    /// commit did not cross a thread boundary.
+    pub fn last_commit(&self) -> Option<&Frame> {
+        self.last_commit.as_ref()
     }
 
     /// Test/diagnostic helper: number of messages delivered in the current view.

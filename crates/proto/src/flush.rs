@@ -27,8 +27,9 @@ use vsync_util::{ProcessId, Result, SimTime, SiteId, VsError};
 use crate::messages::{ProtoMsg, StoredMsg};
 
 /// Extracts the message id out of a stored (wire-form) data message.  Goes through the
-/// frame's decode memo, so repeated id lookups over the same held copy (stability overlay,
-/// coordinator merge) parse the wire form at most once.
+/// frame's typed memo: a held copy that was written or received in this process is not
+/// parsed at all, and one taken out of a flush ack's bytes is parsed once however many id
+/// lookups (stability overlay, coordinator merge, delivery) follow.
 pub fn stored_msg_id(stored: &StoredMsg) -> Result<MsgId> {
     let (_, proto) = ProtoMsg::decode_frame(&stored.wire)?;
     match proto {

@@ -1,23 +1,40 @@
 //! Wire format of the protocol messages exchanged between group endpoints.
 //!
-//! Every protocol message is carried inside a regular ISIS [`Message`] so the transport layer
-//! (and the statistics that drive Table 1 / Figure 3) see realistic field-structured
-//! payloads.  [`ProtoMsg`] is the typed view of those messages; `encode`/`decode` convert
-//! between the two.
+//! On the wire every protocol message is a regular, self-describing ISIS message (named,
+//! typed fields in the format of [`vsync_msg::codec`]), so the transport layer and the
+//! statistics that drive Table 1 / Figure 3 see realistic field-structured payloads.  In
+//! the program it is a typed [`ProtoMsg`], and the two are converted **directly**: one
+//! writer ([`ProtoMsg::into_frame`]) streams the fields into bytes in a single pass, one
+//! reader ([`ProtoMsg::decode_frame`]) picks them back out of the bytes, and no
+//! [`Message`] tree is built in either direction.  The only trees left are the
+//! application payloads the messages carry.
+//!
+//! A frame is *born* with its typed value in the memo slot, so inside one process — every
+//! site of the simulator, the sender's own stability buffer, a commit relayed onwards — a
+//! frame is never parsed at all; the bytes are read once per receiving site after they
+//! cross a thread boundary.  Multicasts held for a flush travel inside `FlushAck` /
+//! `FlushCommit` by splicing their frames' bytes and come back out as frames aliasing the
+//! carrier's buffer.
+//!
+//! [`ProtoMsg::encode`] and [`ProtoMsg::decode`] convert to and from a [`Message`] tree by
+//! going through the bytes; they exist for tests and tools that want to look at (or
+//! tamper with) a message as a symbol table.
 
-use vsync_msg::{Frame, Message};
+use vsync_msg::stream::{FieldCursor, FieldWriter};
+use vsync_msg::{codec, Bytes, Frame, Message};
 use vsync_net::MsgId;
-use vsync_util::{Address, GroupId, ProcessId, Result, SiteId, VectorClock, VsError};
+use vsync_util::{GroupId, ProcessId, Result, SiteId, VectorClock, VsError};
 
 use crate::frontier::{Frontier, IdSet};
-use crate::view::View;
+use crate::view::{process_addrs, View};
 
 /// Thread-local counters of frame-level protocol encode/decode work on the packet path.
 ///
-/// Only *uncached* work is counted: [`ProtoMsg::encode_frame`] calls and
-/// [`ProtoMsg::decode_frame`] memo misses.  Tests use the deltas to pin the fan-out
-/// invariant — a multicast performs one encode total and at most one parse per
-/// (frame, receiving site) — without instrumenting release builds with shared atomics.
+/// Only *uncached* work is counted: frames written ([`ProtoMsg::into_frame`], and
+/// [`ProtoMsg::encode_frame`] through it) and [`ProtoMsg::decode_frame`] memo misses.  Tests
+/// use the deltas to pin the fan-out invariant — a multicast performs one encode total, no
+/// parse inside the process it was born in and at most one per receiving site beyond a
+/// thread boundary — without instrumenting release builds with shared atomics.
 /// Thread-local because the simulator is single-threaded while `cargo test` runs tests on
 /// parallel threads.
 pub mod wire_stats {
@@ -49,8 +66,9 @@ pub mod wire_stats {
 
 /// A multicast message held by an endpoint (received but not yet known stable), in the form
 /// it travels inside flush reports and commits.  The wire form is a shared [`Frame`], so
-/// buffering a received multicast (or reporting it in a flush ack) aliases the packet's
-/// frame instead of re-encoding the field tree.
+/// buffering a received multicast aliases the packet's frame, reporting it in a flush ack
+/// splices the frame's bytes, and taking it back out of an ack or commit aliases *those*
+/// bytes — the message is never re-encoded and never becomes a tree on the way.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StoredMsg {
     /// The original data-bearing protocol message (`CbData` or `AbData`) in wire form.
@@ -207,110 +225,111 @@ pub enum ProtoMsg {
 
 const TYPE_FIELD: &str = "@g-type";
 const GROUP_FIELD: &str = "@g-group";
-// Fixed field names (no per-call `format!`): message ids ride on every data, proposal and
-// order message, so building their field names must not allocate.
 const ID_ORIGIN: &str = "id-origin";
 const ID_SEQ: &str = "id-seq";
 
-fn put_msg_id(msg: &mut Message, id: MsgId) {
-    msg.set(ID_ORIGIN, id.origin.0 as u64);
-    msg.set(ID_SEQ, id.seq);
+fn put_msg_id(w: &mut FieldWriter, id: MsgId) {
+    w.put_u64(ID_ORIGIN, id.origin.0 as u64);
+    w.put_u64(ID_SEQ, id.seq);
 }
 
-fn get_msg_id(msg: &Message) -> Result<MsgId> {
-    let origin = msg.require_u64(ID_ORIGIN)?;
-    let seq = msg.require_u64(ID_SEQ)?;
+fn get_msg_id(c: &mut FieldCursor<'_>) -> Result<MsgId> {
+    let origin = c.u64(ID_ORIGIN)?;
+    let seq = c.u64(ID_SEQ)?;
     Ok(MsgId::new(SiteId(origin as u16), seq))
 }
 
-fn put_process(msg: &mut Message, name: &str, p: ProcessId) {
-    msg.set(name, p);
-}
-
-fn get_process(msg: &Message, name: &str) -> Result<ProcessId> {
-    msg.require_addr(name)?
+fn get_process(c: &mut FieldCursor<'_>, name: &str) -> Result<ProcessId> {
+    c.addr(name)?
         .as_process()
         .ok_or_else(|| VsError::CodecError(format!("field {name:?} is not a process address")))
 }
 
-// Element field names for packed message lists.  Flush-era packing (`FlushAck` stored
-// messages, `FlushCommit` deliver/gbcast lists) names one field per element; building
-// `i{N}` through `format!` allocated a string per element per encode *and* per decode,
-// which dominated the multi-group burst profile.  Small indices — the overwhelmingly
-// common case — come from this static table; larger ones reuse one scratch buffer.
-const IDX_NAMES: [&str; 64] = [
-    "i0", "i1", "i2", "i3", "i4", "i5", "i6", "i7", "i8", "i9", "i10", "i11", "i12", "i13", "i14",
-    "i15", "i16", "i17", "i18", "i19", "i20", "i21", "i22", "i23", "i24", "i25", "i26", "i27",
-    "i28", "i29", "i30", "i31", "i32", "i33", "i34", "i35", "i36", "i37", "i38", "i39", "i40",
-    "i41", "i42", "i43", "i44", "i45", "i46", "i47", "i48", "i49", "i50", "i51", "i52", "i53",
-    "i54", "i55", "i56", "i57", "i58", "i59", "i60", "i61", "i62", "i63",
-];
+fn get_site(c: &mut FieldCursor<'_>, name: &str) -> Result<SiteId> {
+    Ok(SiteId(c.u64(name)? as u16))
+}
 
-fn idx_name(i: usize, scratch: &mut String) -> &str {
-    match IDX_NAMES.get(i) {
-        Some(name) => name,
-        None => {
-            use std::fmt::Write as _;
-            scratch.clear();
-            let _ = write!(scratch, "i{i}");
-            scratch
+/// Name of element `i` of a packed list (`i0`, `i1`, ...), formatted into `buf` — flush-era
+/// lists name one field per element, and neither direction may allocate a string for it.
+fn item_name(i: usize, buf: &mut [u8; 21]) -> &str {
+    let mut at = buf.len();
+    let mut n = i;
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
     }
+    at -= 1;
+    buf[at] = b'i';
+    std::str::from_utf8(&buf[at..]).expect("ASCII digits")
 }
 
-fn pack_msg_list(items: &[Message]) -> Message {
-    let mut list = Message::with_field_capacity(items.len() + 1);
-    list.set("n", items.len() as u64);
-    let mut scratch = String::new();
-    for (i, item) in items.iter().enumerate() {
-        list.set(idx_name(i, &mut scratch), item.clone());
-    }
-    list
+/// Writes a packed list: a nested message holding the count `n` and one field per element.
+fn put_list<T>(
+    w: &mut FieldWriter,
+    name: &str,
+    items: &[T],
+    put: impl Fn(&mut FieldWriter, &str, &T),
+) {
+    w.put_nested(name, |w| {
+        w.put_u64("n", items.len() as u64);
+        let mut buf = [0u8; 21];
+        for (i, item) in items.iter().enumerate() {
+            put(w, item_name(i, &mut buf), item);
+        }
+    });
 }
 
-fn unpack_msg_list(list: &Message) -> Result<Vec<Message>> {
-    let n = list.require_u64("n")? as usize;
-    let mut items = Vec::with_capacity(n);
-    let mut scratch = String::new();
-    for i in 0..n {
-        let name = idx_name(i, &mut scratch);
-        let item = list
-            .get_msg(name)
-            .ok_or_else(|| VsError::CodecError(format!("missing list item i{i}")))?;
-        items.push(item.clone());
-    }
-    Ok(items)
+/// Reads a packed list written by [`put_list`].
+fn get_list<'a, T>(
+    c: &mut FieldCursor<'a>,
+    name: &str,
+    get: impl Fn(&mut FieldCursor<'a>, &str) -> Result<T>,
+) -> Result<Vec<T>> {
+    c.nested(name, |list| {
+        let n = list.u64("n")? as usize;
+        // Every element is a field of the list, which bounds what `n` can honestly be.
+        let mut items = Vec::with_capacity(n.min(list.field_count()));
+        let mut buf = [0u8; 21];
+        for i in 0..n {
+            items.push(get(list, item_name(i, &mut buf))?);
+        }
+        Ok(items)
+    })
 }
 
-fn pack_stored(stored: &[StoredMsg]) -> Message {
-    let items: Vec<Message> = stored
-        .iter()
-        .map(|s| {
-            let mut m = Message::new();
-            m.set("wire", s.wire.to_message());
-            if let Some(p) = s.ab_priority {
-                m.set("abp", p);
-            }
-            m
+/// A stored multicast nests as `{ wire: <its frame's bytes, spliced>, abp? }`.
+fn put_stored(w: &mut FieldWriter, name: &str, stored: &StoredMsg) {
+    w.put_nested(name, |w| {
+        match stored.wire.wire_body() {
+            Ok(body) => w.put_encoded("wire", &body, stored.wire.model_len()),
+            // Held frames were decoded before they were held, so this cannot happen to a
+            // frame the endpoint stored; a hand-built one travels as an empty message,
+            // which the receiver skips as undecodable.
+            Err(_) => w.put_nested("wire", |_| {}),
+        }
+        if let Some(p) = stored.ab_priority {
+            w.put_u64("abp", p);
+        }
+    });
+}
+
+fn get_stored(c: &mut FieldCursor<'_>, name: &str) -> Result<StoredMsg> {
+    c.nested(name, |c| {
+        Ok(StoredMsg {
+            wire: Frame::from_wire_body(c.encoded("wire")?),
+            ab_priority: c.opt_u64("abp")?,
         })
-        .collect();
-    pack_msg_list(&items)
+    })
 }
 
-fn unpack_stored(list: &Message) -> Result<Vec<StoredMsg>> {
-    unpack_msg_list(list)?
-        .into_iter()
-        .map(|m| {
-            let wire = m
-                .get_msg("wire")
-                .ok_or_else(|| VsError::CodecError("stored message missing wire".into()))?
-                .clone();
-            Ok(StoredMsg {
-                wire: Frame::new(wire),
-                ab_priority: m.get_u64("abp"),
-            })
-        })
-        .collect()
+/// Bytes to reserve for a list of stored multicasts: the size model runs slightly above the
+/// wire size, and splicing needs each frame's modelled size anyway.
+fn stored_len(stored: &[StoredMsg]) -> usize {
+    stored.iter().map(|s| 32 + s.wire.model_len()).sum()
 }
 
 impl ProtoMsg {
@@ -334,13 +353,24 @@ impl ProtoMsg {
         }
     }
 
-    /// Encodes the protocol message, tagging it with the group it belongs to.
-    pub fn encode(&self, group: GroupId) -> Message {
-        // Widest variant (CbData) carries 9 fields; pre-size so repeated `set` calls never
-        // grow the field table.
-        let mut m = Message::with_field_capacity(9);
-        m.set(TYPE_FIELD, self.type_tag());
-        m.set(GROUP_FIELD, group);
+    /// Streams the message's wire form — the one place each protocol field is written.
+    fn write(&self, group: GroupId) -> FieldWriter {
+        let reserve = match self {
+            ProtoMsg::CbData { vt, payload, .. } => {
+                8 * vt.entries().len() + codec::wire_len(payload)
+            }
+            ProtoMsg::AbData { payload, .. } | ProtoMsg::GbcastReq { payload, .. } => {
+                codec::wire_len(payload)
+            }
+            ProtoMsg::FlushAck { stored, .. } => stored_len(stored),
+            ProtoMsg::FlushCommit {
+                deliver, gbcasts, ..
+            } => 256 + stored_len(deliver) + gbcasts.iter().map(codec::wire_len).sum::<usize>(),
+            _ => 0,
+        };
+        let mut w = FieldWriter::with_capacity(192 + reserve);
+        w.put_str(TYPE_FIELD, self.type_tag());
+        w.put_addr(GROUP_FIELD, group);
         match self {
             ProtoMsg::CbData {
                 id,
@@ -350,12 +380,12 @@ impl ProtoMsg {
                 vt,
                 payload,
             } => {
-                put_msg_id(&mut m, *id);
-                put_process(&mut m, "sender", *sender);
-                m.set("sender-rank", *sender_rank);
-                m.set("view-seq", *view_seq);
-                m.set("vt", vt.entries().to_vec());
-                m.set("payload", payload.clone());
+                put_msg_id(&mut w, *id);
+                w.put_addr("sender", *sender);
+                w.put_u64("sender-rank", *sender_rank);
+                w.put_u64("view-seq", *view_seq);
+                w.put_u64_list("vt", vt.entries());
+                w.put_message("payload", payload);
             }
             ProtoMsg::AbData {
                 id,
@@ -363,10 +393,10 @@ impl ProtoMsg {
                 view_seq,
                 payload,
             } => {
-                put_msg_id(&mut m, *id);
-                put_process(&mut m, "sender", *sender);
-                m.set("view-seq", *view_seq);
-                m.set("payload", payload.clone());
+                put_msg_id(&mut w, *id);
+                w.put_addr("sender", *sender);
+                w.put_u64("view-seq", *view_seq);
+                w.put_message("payload", payload);
             }
             ProtoMsg::AbPropose {
                 id,
@@ -374,10 +404,10 @@ impl ProtoMsg {
                 proposed,
                 proposer_site,
             } => {
-                put_msg_id(&mut m, *id);
-                m.set("view-seq", *view_seq);
-                m.set("proposed", *proposed);
-                m.set("proposer-site", proposer_site.0 as u64);
+                put_msg_id(&mut w, *id);
+                w.put_u64("view-seq", *view_seq);
+                w.put_u64("proposed", *proposed);
+                w.put_u64("proposer-site", proposer_site.0 as u64);
             }
             ProtoMsg::AbOrder {
                 id,
@@ -385,53 +415,43 @@ impl ProtoMsg {
                 final_priority,
                 tiebreak_site,
             } => {
-                put_msg_id(&mut m, *id);
-                m.set("view-seq", *view_seq);
-                m.set("final", *final_priority);
-                m.set("tiebreak-site", tiebreak_site.0 as u64);
+                put_msg_id(&mut w, *id);
+                w.put_u64("view-seq", *view_seq);
+                w.put_u64("final", *final_priority);
+                w.put_u64("tiebreak-site", tiebreak_site.0 as u64);
             }
             ProtoMsg::JoinReq {
                 joiner,
                 credentials,
             } => {
-                put_process(&mut m, "joiner", *joiner);
+                w.put_addr("joiner", *joiner);
                 if let Some(c) = credentials {
-                    m.set("credentials", c.as_str());
+                    w.put_str("credentials", c);
                 }
             }
-            ProtoMsg::LeaveReq { member } => {
-                put_process(&mut m, "member", *member);
-            }
-            ProtoMsg::FailReport { failed } => {
-                m.set(
-                    "failed",
-                    failed
-                        .iter()
-                        .map(|p| Address::Process(*p))
-                        .collect::<Vec<_>>(),
-                );
-            }
+            ProtoMsg::LeaveReq { member } => w.put_addr("member", *member),
+            ProtoMsg::FailReport { failed } => w.put_addr_list("failed", process_addrs(failed)),
             ProtoMsg::GbcastReq { sender, payload } => {
-                put_process(&mut m, "sender", *sender);
-                m.set("payload", payload.clone());
+                w.put_addr("sender", *sender);
+                w.put_message("payload", payload);
             }
             ProtoMsg::FlushReq {
                 target_seq,
                 initiator,
                 attempt,
             } => {
-                m.set("target-seq", *target_seq);
-                put_process(&mut m, "initiator", *initiator);
-                m.set("attempt", *attempt);
+                w.put_u64("target-seq", *target_seq);
+                w.put_addr("initiator", *initiator);
+                w.put_u64("attempt", *attempt);
             }
             ProtoMsg::FlushAck {
                 target_seq,
                 from_site,
                 stored,
             } => {
-                m.set("target-seq", *target_seq);
-                m.set("from-site", from_site.0 as u64);
-                m.set("stored", pack_stored(stored));
+                w.put_u64("target-seq", *target_seq);
+                w.put_u64("from-site", from_site.0 as u64);
+                put_list(&mut w, "stored", stored, put_stored);
             }
             ProtoMsg::FlushCommit {
                 target_seq,
@@ -440,23 +460,23 @@ impl ProtoMsg {
                 covered,
                 gbcasts,
             } => {
-                m.set("target-seq", *target_seq);
-                view.encode_into(&mut m, "view-");
-                m.set("deliver", pack_stored(deliver));
-                m.set("covered", covered.to_wire());
-                m.set("gbcasts", pack_msg_list(gbcasts));
+                w.put_u64("target-seq", *target_seq);
+                view.write_fields(&mut w);
+                put_list(&mut w, "deliver", deliver, put_stored);
+                w.put_u64_list("covered", &covered.to_wire());
+                put_list(&mut w, "gbcasts", gbcasts, FieldWriter::put_message);
             }
             ProtoMsg::Stability {
                 view_seq,
                 from_site,
                 received,
             } => {
-                m.set("view-seq", *view_seq);
-                m.set("from-site", from_site.0 as u64);
+                w.put_u64("view-seq", *view_seq);
+                w.put_u64("from-site", from_site.0 as u64);
                 let (runs, ids) = received.to_wire();
-                m.set("runs", runs);
+                w.put_u64_list("runs", &runs);
                 if !ids.is_empty() {
-                    m.set("ids", ids);
+                    w.put_u64_list("ids", &ids);
                 }
             }
             ProtoMsg::ReformSummary {
@@ -465,41 +485,167 @@ impl ProtoMsg {
                 covered,
                 rank,
             } => {
-                m.set("from-site", from_site.0 as u64);
-                m.set("view-seq", *view_seq);
-                m.set("covered", covered.to_wire());
-                m.set("rank", *rank);
+                w.put_u64("from-site", from_site.0 as u64);
+                w.put_u64("view-seq", *view_seq);
+                w.put_u64_list("covered", &covered.to_wire());
+                w.put_u64("rank", *rank);
             }
-            ProtoMsg::ReformAlive { contact } => {
-                m.set("contact", contact.0 as u64);
-            }
+            ProtoMsg::ReformAlive { contact } => w.put_u64("contact", contact.0 as u64),
         }
-        m
+        w
     }
 
-    /// Encodes the protocol message into a shared wire [`Frame`] ready for fan-out: the
-    /// sender encodes once, and every destination packet (plus the stability buffer) aliases
-    /// the same frame.  This is the packet-path entry point counted by [`wire_stats`].
-    pub fn encode_frame(&self, group: GroupId) -> Frame {
+    /// Reads a message out of an encoded body — the one place each protocol field is read.
+    /// Fields are asked for in the order [`ProtoMsg::write`] writes them, so the cursor
+    /// passes every byte once; any other order decodes to the same value, only slower.
+    ///
+    /// Every field the protocol depends on is required: a `cb-data` without its timestamp
+    /// would sit undeliverable in the holdback queue until the next flush, a `stability`
+    /// without its runs would read as "received nothing", a commit or reform summary
+    /// without its frontier as "covers nothing" — each a silent stall or a silent wrong
+    /// answer where a decode error belongs.
+    fn read(body: &Bytes) -> Result<(GroupId, ProtoMsg)> {
+        let mut c = FieldCursor::new(body)?;
+        let tag = c.str(TYPE_FIELD)?;
+        let group = c.addr(GROUP_FIELD)?.as_group().ok_or_else(|| {
+            VsError::CodecError(format!("field {GROUP_FIELD:?} is not a group address"))
+        })?;
+        let msg = match tag {
+            "cb-data" => ProtoMsg::CbData {
+                id: get_msg_id(&mut c)?,
+                sender: get_process(&mut c, "sender")?,
+                sender_rank: c.u64("sender-rank")?,
+                view_seq: c.u64("view-seq")?,
+                vt: VectorClock::from_entries(c.u64_list("vt")?.to_vec()),
+                payload: c.message("payload")?,
+            },
+            "ab-data" => ProtoMsg::AbData {
+                id: get_msg_id(&mut c)?,
+                sender: get_process(&mut c, "sender")?,
+                view_seq: c.u64("view-seq")?,
+                payload: c.message("payload")?,
+            },
+            "ab-propose" => ProtoMsg::AbPropose {
+                id: get_msg_id(&mut c)?,
+                view_seq: c.u64("view-seq")?,
+                proposed: c.u64("proposed")?,
+                proposer_site: get_site(&mut c, "proposer-site")?,
+            },
+            "ab-order" => ProtoMsg::AbOrder {
+                id: get_msg_id(&mut c)?,
+                view_seq: c.u64("view-seq")?,
+                final_priority: c.u64("final")?,
+                tiebreak_site: get_site(&mut c, "tiebreak-site")?,
+            },
+            "join-req" => ProtoMsg::JoinReq {
+                joiner: get_process(&mut c, "joiner")?,
+                credentials: c.opt_str("credentials")?.map(str::to_owned),
+            },
+            "leave-req" => ProtoMsg::LeaveReq {
+                member: get_process(&mut c, "member")?,
+            },
+            "fail-report" => ProtoMsg::FailReport {
+                failed: c
+                    .addr_list("failed")?
+                    .iter()
+                    .filter_map(|a| a.as_process())
+                    .collect(),
+            },
+            "gbcast-req" => ProtoMsg::GbcastReq {
+                sender: get_process(&mut c, "sender")?,
+                payload: c.message("payload")?,
+            },
+            "flush-req" => ProtoMsg::FlushReq {
+                target_seq: c.u64("target-seq")?,
+                initiator: get_process(&mut c, "initiator")?,
+                attempt: c.u64("attempt")?,
+            },
+            "flush-ack" => ProtoMsg::FlushAck {
+                target_seq: c.u64("target-seq")?,
+                from_site: get_site(&mut c, "from-site")?,
+                stored: get_list(&mut c, "stored", get_stored)?,
+            },
+            "flush-commit" => ProtoMsg::FlushCommit {
+                target_seq: c.u64("target-seq")?,
+                view: View::read_fields(&mut c)?,
+                deliver: get_list(&mut c, "deliver", get_stored)?,
+                covered: Frontier::from_wire(&c.u64_list("covered")?.to_vec()),
+                gbcasts: get_list(&mut c, "gbcasts", FieldCursor::message)?,
+            },
+            "stability" => ProtoMsg::Stability {
+                view_seq: c.u64("view-seq")?,
+                from_site: get_site(&mut c, "from-site")?,
+                received: IdSet::from_wire(
+                    &c.u64_list("runs")?.to_vec(),
+                    &c.opt_u64_list("ids")?
+                        .map(|l| l.to_vec())
+                        .unwrap_or_default(),
+                ),
+            },
+            "reform-summary" => ProtoMsg::ReformSummary {
+                from_site: get_site(&mut c, "from-site")?,
+                view_seq: c.u64("view-seq")?,
+                covered: Frontier::from_wire(&c.u64_list("covered")?.to_vec()),
+                rank: c.u64("rank")?,
+            },
+            "reform-alive" => ProtoMsg::ReformAlive {
+                contact: get_site(&mut c, "contact")?,
+            },
+            other => {
+                return Err(VsError::CodecError(format!(
+                    "unknown protocol message type {other:?}"
+                )))
+            }
+        };
+        c.finish()?;
+        Ok((group, msg))
+    }
+
+    /// Turns the message into its wire [`Frame`], tagged with the group it belongs to: the
+    /// bytes are written in one pass and the typed message moves into the frame's memo slot,
+    /// so the sender's stability buffer, every same-process receiver of the fan-out and
+    /// anything that later forwards the frame read `self` back without parsing.  This is the
+    /// packet-path entry point counted by [`wire_stats`].
+    ///
+    /// A debug assertion keeps the memo honest: the bytes must decode to the typed message
+    /// they were written from, or a receiver beyond a thread boundary would see something
+    /// else than the receivers on this side of it.
+    pub fn into_frame(self, group: GroupId) -> Frame {
         wire_stats::note_encode();
-        Frame::new(self.encode(group))
+        let frame = Frame::from_writer(self.write(group), (group, self));
+        debug_assert_eq!(
+            frame
+                .wire_body()
+                .and_then(|body| ProtoMsg::read(&body))
+                .ok()
+                .as_ref(),
+            frame.memo_get::<(GroupId, ProtoMsg)>(),
+            "ProtoMsg bytes do not decode to the message they were written from"
+        );
+        frame
     }
 
-    /// Decodes a protocol message from a wire frame, parsing **once per frame**: the result
-    /// is memoized in the frame's shared memo slot, so when a multicast fans one frame out
-    /// to N receivers only the first receiver pays for the parse and the rest borrow it.
+    /// [`ProtoMsg::into_frame`] for a message the caller keeps.
+    pub fn encode_frame(&self, group: GroupId) -> Frame {
+        self.clone().into_frame(group)
+    }
+
+    /// The typed message a wire frame stands for.  A frame born in this process carries it
+    /// in its memo slot; a frame that arrived as bytes is parsed here **once** and the
+    /// result memoized in the frame's shared allocation, so however many handlers, buffers
+    /// and relays hold the frame, they all borrow this one value.
     ///
     /// A debug assertion keeps the cache honest: the typed message must survive a trip
-    /// through its own wire form unchanged, otherwise what this site would re-send (a
-    /// relayed commit, a held copy) could parse differently from the memo.  The comparison
-    /// is between typed messages, not wire forms, because decoding canonicalises id sets
-    /// and frontiers: a peer's unsorted or overlapping runs are legal input.
+    /// through its own wire form unchanged, otherwise what this site would re-send (a held
+    /// copy reported in a flush) could parse differently from the memo.  The comparison is
+    /// between typed messages, not wire forms, because decoding canonicalises id sets and
+    /// frontiers: a peer's unsorted or overlapping runs are legal input.
     pub fn decode_frame(frame: &Frame) -> Result<&(GroupId, ProtoMsg)> {
         if let Some(hit) = frame.memo_get::<(GroupId, ProtoMsg)>() {
             return Ok(hit);
         }
         wire_stats::note_decode();
-        let decoded = ProtoMsg::decode(frame.message())?;
+        let decoded = ProtoMsg::read(&frame.wire_body()?)?;
         debug_assert_eq!(
             ProtoMsg::decode(&decoded.1.encode(decoded.0)).ok().as_ref(),
             Some(&decoded),
@@ -510,129 +656,27 @@ impl ProtoMsg {
             .ok_or_else(|| VsError::Internal("frame memo slot held by a foreign type".to_owned()))
     }
 
-    /// Decodes a protocol message, returning the group it belongs to alongside the message.
-    pub fn decode(m: &Message) -> Result<(GroupId, ProtoMsg)> {
-        let group = m
-            .get_addr(GROUP_FIELD)
-            .and_then(|a| a.as_group())
-            .ok_or_else(|| VsError::CodecError("missing @g-group field".into()))?;
-        let tag = m.require_str(TYPE_FIELD)?;
-        let payload_of = |m: &Message| -> Result<Message> {
-            m.get_msg("payload")
-                .cloned()
-                .ok_or_else(|| VsError::CodecError("missing payload".into()))
-        };
-        let msg = match tag {
-            "cb-data" => ProtoMsg::CbData {
-                id: get_msg_id(m)?,
-                sender: get_process(m, "sender")?,
-                sender_rank: m.require_u64("sender-rank")?,
-                view_seq: m.require_u64("view-seq")?,
-                vt: VectorClock::from_entries(m.get_u64_list("vt").unwrap_or_default().to_vec()),
-                payload: payload_of(m)?,
-            },
-            "ab-data" => ProtoMsg::AbData {
-                id: get_msg_id(m)?,
-                sender: get_process(m, "sender")?,
-                view_seq: m.require_u64("view-seq")?,
-                payload: payload_of(m)?,
-            },
-            "ab-propose" => ProtoMsg::AbPropose {
-                id: get_msg_id(m)?,
-                view_seq: m.require_u64("view-seq")?,
-                proposed: m.require_u64("proposed")?,
-                proposer_site: SiteId(m.require_u64("proposer-site")? as u16),
-            },
-            "ab-order" => ProtoMsg::AbOrder {
-                id: get_msg_id(m)?,
-                view_seq: m.require_u64("view-seq")?,
-                final_priority: m.require_u64("final")?,
-                tiebreak_site: SiteId(m.require_u64("tiebreak-site")? as u16),
-            },
-            "join-req" => ProtoMsg::JoinReq {
-                joiner: get_process(m, "joiner")?,
-                credentials: m.get_str("credentials").map(str::to_owned),
-            },
-            "leave-req" => ProtoMsg::LeaveReq {
-                member: get_process(m, "member")?,
-            },
-            "fail-report" => ProtoMsg::FailReport {
-                failed: m
-                    .get_addr_list("failed")
-                    .unwrap_or_default()
-                    .iter()
-                    .filter_map(|a| a.as_process())
-                    .collect(),
-            },
-            "gbcast-req" => ProtoMsg::GbcastReq {
-                sender: get_process(m, "sender")?,
-                payload: payload_of(m)?,
-            },
-            "flush-req" => ProtoMsg::FlushReq {
-                target_seq: m.require_u64("target-seq")?,
-                initiator: get_process(m, "initiator")?,
-                attempt: m.require_u64("attempt")?,
-            },
-            "flush-ack" => ProtoMsg::FlushAck {
-                target_seq: m.require_u64("target-seq")?,
-                from_site: SiteId(m.require_u64("from-site")? as u16),
-                stored: unpack_stored(
-                    m.get_msg("stored")
-                        .ok_or_else(|| VsError::CodecError("missing stored".into()))?,
-                )?,
-            },
-            "flush-commit" => ProtoMsg::FlushCommit {
-                target_seq: m.require_u64("target-seq")?,
-                view: View::decode_from(m, "view-")
-                    .ok_or_else(|| VsError::CodecError("missing view".into()))?,
-                deliver: unpack_stored(
-                    m.get_msg("deliver")
-                        .ok_or_else(|| VsError::CodecError("missing deliver".into()))?,
-                )?,
-                // Required, like `deliver` and `gbcasts`: a commit whose frontier was lost
-                // must fail loudly — decoding it as "covers nothing" would silently
-                // re-enable double-application at joiners.
-                covered: Frontier::from_wire(
-                    m.get_u64_list("covered")
-                        .ok_or_else(|| VsError::CodecError("missing covered".into()))?,
-                ),
-                gbcasts: unpack_msg_list(
-                    m.get_msg("gbcasts")
-                        .ok_or_else(|| VsError::CodecError("missing gbcasts".into()))?,
-                )?,
-            },
-            "stability" => ProtoMsg::Stability {
-                view_seq: m.require_u64("view-seq")?,
-                from_site: SiteId(m.require_u64("from-site")? as u16),
-                received: IdSet::from_wire(
-                    m.get_u64_list("runs").unwrap_or_default(),
-                    m.get_u64_list("ids").unwrap_or_default(),
-                ),
-            },
-            "reform-summary" => ProtoMsg::ReformSummary {
-                from_site: SiteId(m.require_u64("from-site")? as u16),
-                view_seq: m.require_u64("view-seq")?,
-                // Required: a summary whose frontier was lost would silently lose the
-                // election tie-break and could crown the wrong log.
-                covered: Frontier::from_wire(
-                    m.get_u64_list("covered")
-                        .ok_or_else(|| VsError::CodecError("missing covered".into()))?,
-                ),
-                rank: m.require_u64("rank")?,
-            },
-            "reform-alive" => ProtoMsg::ReformAlive {
-                contact: SiteId(m.require_u64("contact")? as u16),
-            },
-            other => {
-                return Err(VsError::CodecError(format!(
-                    "unknown protocol message type {other:?}"
-                )))
-            }
-        };
-        Ok((group, msg))
+    /// True if `frame` carries a protocol message, without parsing it or building a tree:
+    /// either it was born as one, or its first field is the type tag every protocol
+    /// message starts with.  This is how the site stack routes an incoming packet.
+    pub fn is_proto_frame(frame: &Frame) -> bool {
+        frame.memo_get::<(GroupId, ProtoMsg)>().is_some()
+            || frame.first_field_name() == Some(TYPE_FIELD)
     }
 
-    /// Returns true if the encoded form of `m` looks like a protocol message.
+    /// The message as a [`Message`] tree: its wire bytes, decoded by the generic codec.
+    pub fn encode(&self, group: GroupId) -> Message {
+        codec::decode_shared(&self.write(group).finish().0)
+            .expect("the field writer produces well-formed messages")
+    }
+
+    /// Decodes a protocol message from a [`Message`] tree (through the tree's wire bytes),
+    /// returning the group it belongs to alongside the message.
+    pub fn decode(m: &Message) -> Result<(GroupId, ProtoMsg)> {
+        ProtoMsg::read(&codec::envelope_body(&codec::encode(m))?)
+    }
+
+    /// Returns true if the tree form of `m` looks like a protocol message.
     pub fn is_proto_message(m: &Message) -> bool {
         m.contains(TYPE_FIELD) && m.contains(GROUP_FIELD)
     }
@@ -785,6 +829,60 @@ mod tests {
         assert!(ProtoMsg::decode(&wire).is_err(), "lost frontier must error");
     }
 
+    /// Encodes `msg`, drops one field from the tree, and checks the decoder notices.
+    fn assert_field_is_required(msg: ProtoMsg, field: &str) {
+        let mut wire = msg.encode(GroupId(42));
+        assert!(ProtoMsg::decode(&wire).is_ok(), "intact message decodes");
+        assert!(wire.remove(field).is_some(), "{field} was on the wire");
+        assert!(
+            ProtoMsg::decode(&wire).is_err(),
+            "a {} without {field:?} must be a decode error",
+            msg.type_tag()
+        );
+        // The frame path agrees.
+        assert!(ProtoMsg::decode_frame(&Frame::new(wire)).is_err());
+    }
+
+    #[test]
+    fn cb_data_without_a_timestamp_is_rejected() {
+        // An empty timestamp never satisfies the causal delivery test: the message would
+        // sit in the holdback queue until the next flush force-drained it.
+        assert_field_is_required(
+            ProtoMsg::CbData {
+                id: MsgId::new(SiteId(1), 7),
+                sender: p(1, 3),
+                sender_rank: 1,
+                view_seq: 5,
+                vt: VectorClock::from_entries(vec![0, 1]),
+                payload: Message::with_body("x"),
+            },
+            "vt",
+        );
+    }
+
+    #[test]
+    fn stability_without_runs_is_rejected() {
+        // "Received nothing" is a legal report; a report that lost its runs is not one.
+        assert_field_is_required(
+            ProtoMsg::Stability {
+                view_seq: 2,
+                from_site: SiteId(3),
+                received: id_set(&[(0, 1), (0, 2)]),
+            },
+            "runs",
+        );
+    }
+
+    #[test]
+    fn fail_report_without_its_list_is_rejected() {
+        assert_field_is_required(
+            ProtoMsg::FailReport {
+                failed: vec![p(1, 1)],
+            },
+            "failed",
+        );
+    }
+
     fn id_set(ids: &[(u16, u64)]) -> IdSet {
         let mut set = IdSet::new();
         for (site, seq) in ids {
@@ -884,19 +982,20 @@ mod tests {
     }
 
     #[test]
-    fn long_msg_lists_roundtrip_past_the_static_name_table() {
-        // 80 elements: indices 0..63 use the static `i{N}` table, 64..79 the scratch path.
-        let items: Vec<Message> = (0..80u64).map(Message::with_body).collect();
-        let packed = pack_msg_list(&items);
-        let back = unpack_msg_list(&packed).expect("unpack");
-        assert_eq!(back, items);
-        // The last static name and the first scratch-built name are both present.
-        assert!(packed.get_msg("i63").is_some());
-        assert!(packed.get_msg("i64").is_some());
+    fn list_element_names_count_up_without_a_table() {
+        let mut buf = [0u8; 21];
+        for (i, want) in [(0, "i0"), (9, "i9"), (10, "i10"), (63, "i63"), (64, "i64")] {
+            assert_eq!(item_name(i, &mut buf), want);
+        }
+        assert_eq!(
+            item_name(usize::MAX, &mut buf),
+            format!("i{}", usize::MAX),
+            "the widest index fits the buffer"
+        );
     }
 
     #[test]
-    fn decode_frame_parses_once_per_frame_and_counts_wire_work() {
+    fn a_frame_is_never_parsed_where_it_was_born_and_once_where_it_arrives_as_bytes() {
         let msg = ProtoMsg::AbData {
             id: MsgId::new(SiteId(1), 2),
             sender: p(1, 1),
@@ -905,9 +1004,12 @@ mod tests {
         };
         let encodes = wire_stats::frame_encodes();
         let decodes = wire_stats::frame_decodes();
+        let builds = vsync_msg::frame::tree_builds();
         let frame = msg.encode_frame(GroupId(9));
         assert_eq!(wire_stats::frame_encodes() - encodes, 1);
-        // N receivers alias the frame; only the first parse does work.
+        assert!(ProtoMsg::is_proto_frame(&frame));
+        // N same-process receivers alias the frame and read the typed value it was born
+        // with: no parse at all.
         let copies: Vec<_> = (0..4).map(|_| frame.clone()).collect();
         for c in &copies {
             let (g, back) = ProtoMsg::decode_frame(c).expect("decode");
@@ -916,8 +1018,26 @@ mod tests {
         }
         assert_eq!(
             wire_stats::frame_decodes() - decodes,
+            0,
+            "born with its memo"
+        );
+        // Beyond a thread boundary only the bytes arrive: one parse, shared by every
+        // holder of the received frame.
+        let arrived = Frame::from_wire(frame.wire_bytes());
+        assert!(ProtoMsg::is_proto_frame(&arrived));
+        let copies: Vec<_> = (0..4).map(|_| arrived.clone()).collect();
+        for c in &copies {
+            assert_eq!(ProtoMsg::decode_frame(c).expect("decode").1, msg);
+        }
+        assert_eq!(
+            wire_stats::frame_decodes() - decodes,
             1,
-            "one parse per frame, not per receiver"
+            "one parse per received frame, not per holder"
+        );
+        assert_eq!(
+            vsync_msg::frame::tree_builds() - builds,
+            0,
+            "and never a field tree"
         );
     }
 

@@ -54,7 +54,7 @@ pub enum EndpointOutput {
         kind: PacketKind,
         /// The protocol message in wire form.  A multicast fan-out emits one `Send` per
         /// peer site, all aliasing the same frame: the hosting stack turns each into a
-        /// packet without copying the field tree.
+        /// packet without copying (or reading) the message.
         msg: Frame,
     },
     /// Deliver an application message to the local members of the group.

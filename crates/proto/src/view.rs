@@ -8,8 +8,8 @@
 //! decisions — no extra agreement protocol required.
 
 use serde::{Deserialize, Serialize};
-use vsync_msg::Message;
-use vsync_util::{Address, GroupId, ProcessId, Rank, SiteId, ViewId};
+use vsync_msg::stream::{FieldCursor, FieldWriter};
+use vsync_util::{Address, GroupId, ProcessId, Rank, Result, SiteId, ViewId, VsError};
 
 /// A group membership view.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -24,12 +24,15 @@ pub struct View {
     pub departed: Vec<ProcessId>,
 }
 
-/// Rebuilds `buf` as `{prefix}{suffix}` without allocating per field — the one helper both
-/// wire directions use, so encode and decode can never disagree on a view field name.
-fn view_field(buf: &mut String, prefix: &str, suffix: &str) {
-    buf.clear();
-    buf.push_str(prefix);
-    buf.push_str(suffix);
+const VIEW_GROUP: &str = "view-group";
+const VIEW_SEQ: &str = "view-seq";
+const VIEW_MEMBERS: &str = "view-members";
+const VIEW_JOINED: &str = "view-joined";
+const VIEW_DEPARTED: &str = "view-departed";
+
+/// A process list as the wire's address list.
+pub(crate) fn process_addrs(ps: &[ProcessId]) -> impl ExactSizeIterator<Item = Address> + '_ {
+    ps.iter().map(|p| Address::Process(*p))
 }
 
 impl View {
@@ -137,64 +140,33 @@ impl View {
         }
     }
 
-    /// Serialises the view into message fields (prefixed with `prefix`) for the wire.
-    /// Field names are assembled in one reused buffer instead of a `format!` per field —
-    /// every flush commit carries a view, so this runs on the view-change path.
-    pub fn encode_into(&self, msg: &mut Message, prefix: &str) {
-        let mut name = String::with_capacity(prefix.len() + 8);
-        view_field(&mut name, prefix, "group");
-        msg.set(&name, self.id.group);
-        view_field(&mut name, prefix, "seq");
-        msg.set(&name, self.id.seq);
-        view_field(&mut name, prefix, "members");
-        msg.set(
-            &name,
-            self.members
-                .iter()
-                .map(|m| Address::Process(*m))
-                .collect::<Vec<_>>(),
-        );
-        view_field(&mut name, prefix, "joined");
-        msg.set(
-            &name,
-            self.joined
-                .iter()
-                .map(|m| Address::Process(*m))
-                .collect::<Vec<_>>(),
-        );
-        view_field(&mut name, prefix, "departed");
-        msg.set(
-            &name,
-            self.departed
-                .iter()
-                .map(|m| Address::Process(*m))
-                .collect::<Vec<_>>(),
-        );
+    /// Writes the view as the `view-*` fields of a flush commit — the one place those
+    /// fields are written.
+    pub fn write_fields(&self, w: &mut FieldWriter) {
+        w.put_addr(VIEW_GROUP, self.id.group);
+        w.put_u64(VIEW_SEQ, self.id.seq);
+        w.put_addr_list(VIEW_MEMBERS, process_addrs(&self.members));
+        w.put_addr_list(VIEW_JOINED, process_addrs(&self.joined));
+        w.put_addr_list(VIEW_DEPARTED, process_addrs(&self.departed));
     }
 
-    /// Parses a view previously written by [`View::encode_into`].
-    pub fn decode_from(msg: &Message, prefix: &str) -> Option<View> {
-        let mut name = String::with_capacity(prefix.len() + 8);
-        view_field(&mut name, prefix, "group");
-        let group = msg.get_addr(&name)?.as_group()?;
-        view_field(&mut name, prefix, "seq");
-        let seq = msg.get_u64(&name)?;
-        let decode_list = |name: &str| -> Vec<ProcessId> {
-            msg.get_addr_list(name)
+    /// Reads a view previously written by [`View::write_fields`] — the one place those
+    /// fields are read.  A list that is absent reads as empty.
+    pub fn read_fields(c: &mut FieldCursor<'_>) -> Result<View> {
+        let group = c.addr(VIEW_GROUP)?.as_group().ok_or_else(|| {
+            VsError::CodecError(format!("field {VIEW_GROUP:?} is not a group address"))
+        })?;
+        let seq = c.u64(VIEW_SEQ)?;
+        let mut list = |name: &str| -> Result<Vec<ProcessId>> {
+            Ok(c.opt_addr_list(name)?
                 .map(|l| l.iter().filter_map(|a| a.as_process()).collect())
-                .unwrap_or_default()
+                .unwrap_or_default())
         };
-        view_field(&mut name, prefix, "members");
-        let members = decode_list(&name);
-        view_field(&mut name, prefix, "joined");
-        let joined = decode_list(&name);
-        view_field(&mut name, prefix, "departed");
-        let departed = decode_list(&name);
-        Some(View {
+        Ok(View {
             id: ViewId { group, seq },
-            members,
-            joined,
-            departed,
+            members: list(VIEW_MEMBERS)?,
+            joined: list(VIEW_JOINED)?,
+            departed: list(VIEW_DEPARTED)?,
         })
     }
 }
@@ -267,9 +239,20 @@ mod tests {
         let v = View::founding(GroupId(7), p(0, 1))
             .successor(&[], &[p(1, 1)])
             .successor(&[p(0, 1)], &[p(2, 1)]);
-        let mut m = Message::new();
-        v.encode_into(&mut m, "v-");
-        let back = View::decode_from(&m, "v-").expect("decode");
-        assert_eq!(back, v);
+        let mut w = FieldWriter::with_capacity(128);
+        v.write_fields(&mut w);
+        let (bytes, _) = w.finish();
+        let body = vsync_msg::codec::envelope_body(&bytes).expect("envelope");
+        let mut c = FieldCursor::new(&body).expect("open");
+        assert_eq!(View::read_fields(&mut c).expect("decode"), v);
+        c.finish().expect("nothing else in the buffer");
+        // The bytes are what the tree codec writes for the same five fields.
+        let tree = vsync_msg::codec::decode(&bytes).expect("tree");
+        assert_eq!(tree.field_count(), 5);
+        assert_eq!(tree.get_u64("view-seq"), Some(3));
+        assert_eq!(
+            tree.get_addr_list("view-departed"),
+            Some(&[p(0, 1).into()][..])
+        );
     }
 }

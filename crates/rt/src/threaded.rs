@@ -225,10 +225,12 @@ impl ThreadedTransport {
                 }
                 (_, Some(pd)) if pd <= now => {
                     let p = self.held.pop().expect("peeked");
-                    match p.wire.into_packet() {
-                        Ok(pkt) => return Some(Event::Packet(pkt)),
-                        // An undecodable wire packet is dropped like a corrupt datagram.
-                        Err(_) => continue,
+                    // Nothing is decoded here, so nothing is rejected here: corrupt contents
+                    // are found, traced and dropped by the site stack when it first reads
+                    // the frame.  (An `Err` would be a transport that validates on arrival
+                    // dropping a datagram.)
+                    if let Ok(pkt) = p.wire.into_packet() {
+                        return Some(Event::Packet(pkt));
                     }
                 }
                 _ => return None,

@@ -4,7 +4,7 @@
 //! semantics as the real crate (`Bytes` is a cheaply clonable immutable buffer
 //! supporting zero-copy `slice`, `BytesMut::freeze` converts without copying).
 
-use std::ops::{Bound, Deref, RangeBounds};
+use std::ops::{Bound, Deref, DerefMut, RangeBounds};
 use std::sync::Arc;
 
 /// A cheaply clonable immutable byte buffer: a reference-counted allocation plus a
@@ -131,6 +131,14 @@ impl Deref for BytesMut {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
         &self.0
+    }
+}
+
+/// In-place access to what has been written so far, like the real crate: a writer that
+/// reserves a length or count slot patches it once the value is known.
+impl DerefMut for BytesMut {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.0
     }
 }
 

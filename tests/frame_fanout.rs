@@ -1,33 +1,39 @@
 //! Integration: the shared-frame fan-out contract.
 //!
-//! A multicast to N sites must encode its wire frame exactly once, parse it at most once
-//! per (frame, receiving site) — in practice once per frame, because receivers share the
-//! frame's decode memo — and still hand every receiver an isolated payload: one receiver
-//! editing its copy can never be observed by another.  The encode/decode counts come from
-//! `vsync_proto::messages::wire_stats`, which tracks uncached frame work per thread.
+//! A protocol frame is born as wire bytes with its typed value attached.  A multicast to N
+//! sites must therefore write its frame exactly once, parse it **never** where every site
+//! shares the process (the simulator) and at most once per receiving site where frames
+//! cross a thread boundary as bytes, build no field tree anywhere — and still hand every
+//! receiver an isolated payload: one receiver editing its copy can never be observed by
+//! another.  A flush follows the same rule at scale: one commit frame is written
+//! cluster-wide and every copy that is sent, applied, kept or relayed aliases it.
+//!
+//! The counts come from `vsync_proto::messages::wire_stats` (typed encodes and decodes),
+//! `vsync_msg::frame::wire_cache` (tree → bytes encodes) and `vsync_msg::frame::tree_builds`
+//! (bytes → tree decodes), all per thread.
 
 use std::any::Any;
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-use vsync_core::{
-    Duration, EntryId, IsisSystem, LatencyProfile, Message, ProcessId, ProtocolKind, SiteId,
-    StackConfig,
+use vsync::core::{
+    Duration, EntryId, GroupId, Message, ProcessId, ProtocolKind, SiteId, StackConfig,
 };
-use vsync_msg::Frame;
-use vsync_net::{Engine, Outbox, Packet, PacketKind, SiteHandler};
-use vsync_proto::messages::wire_stats;
-use vsync_proto::ProtoConfig;
-use vsync_util::{NetParams, SimTime};
+use vsync::msg::frame::{tree_builds, wire_cache};
+use vsync::msg::Frame;
+use vsync::net::{Engine, Outbox, Packet, PacketKind, SiteHandler};
+use vsync::proto::messages::wire_stats;
+use vsync::proto::ProtoConfig;
+use vsync::rt::{IsisHarness, IsisRuntime, SimRuntime, ThreadedRuntime};
+use vsync::util::{NetParams, SimTime};
 
 const APPLY: EntryId = EntryId(2);
 
-type Log = Rc<RefCell<Vec<u64>>>;
-type Deployment = (IsisSystem, vsync_core::GroupId, Vec<ProcessId>, Vec<Log>);
-
-/// A cluster whose every periodic timer is pushed beyond the test horizon, so the only
-/// wire traffic during the measurement window is the multicast under test.
-fn quiet_cluster(num_sites: usize, num_members: usize) -> Deployment {
+/// Every periodic timer pushed beyond the test horizon, so the only wire traffic during a
+/// measurement window is the traffic under test (no heartbeats, no stability gossip).
+fn quiet_configs() -> (StackConfig, ProtoConfig) {
     let hour = Duration::from_secs(3_600);
     let stack_cfg = StackConfig {
         tick_interval: hour,
@@ -43,91 +49,249 @@ fn quiet_cluster(num_sites: usize, num_members: usize) -> Deployment {
         ack_proposal_only: true,
         primary_partition: true,
     };
-    let mut sys = IsisSystem::builder(num_sites)
-        .profile(LatencyProfile::Modern)
-        .stack_config(stack_cfg)
-        .proto_config(proto_cfg)
-        .seed(11)
-        .build();
-    let mut members = Vec::new();
-    let mut logs = Vec::new();
-    for i in 0..num_members {
-        let log: Log = Rc::new(RefCell::new(Vec::new()));
-        let l = log.clone();
-        let pid = sys.spawn(SiteId(i as u16), move |b| {
+    (stack_cfg, proto_cfg)
+}
+
+/// `(typed encodes, typed decodes, tree → bytes encodes, bytes → tree decodes)` on the
+/// calling thread.
+fn wire_work() -> [u64; 4] {
+    [
+        wire_stats::frame_encodes(),
+        wire_stats::frame_decodes(),
+        wire_cache::encodes(),
+        tree_builds(),
+    ]
+}
+
+fn since(before: [u64; 4]) -> [u64; 4] {
+    let now = wire_work();
+    [0, 1, 2, 3].map(|i| now[i] - before[i])
+}
+
+/// A group with one member on each of the first `members` sites; every member counts the
+/// bodies it applies into the returned totals.
+fn spawn_group<R: IsisRuntime>(
+    h: &mut IsisHarness<R>,
+    members: u16,
+) -> (GroupId, Vec<ProcessId>, Vec<Arc<AtomicU64>>) {
+    let gid = h.allocate_group_id();
+    let mut pids = Vec::new();
+    let mut applied = Vec::new();
+    for site in 0..members {
+        let total = Arc::new(AtomicU64::new(0));
+        applied.push(total.clone());
+        pids.push(h.spawn(SiteId(site), move |b| {
             b.on_entry(APPLY, move |_ctx, msg| {
-                l.borrow_mut().push(msg.get_u64("body").unwrap_or(0));
+                total.fetch_add(msg.get_u64("body").unwrap_or(0), Ordering::Relaxed);
             });
-        });
-        members.push(pid);
-        logs.push(log);
+        }));
     }
-    let gid = sys.create_group("fanout", members[0]);
-    for m in &members[1..] {
-        sys.join_and_wait(gid, *m, None, Duration::from_secs(30))
+    h.create_group_with_id("fanout", gid, pids[0]);
+    for m in &pids[1..] {
+        h.join_and_wait(gid, *m, None, Duration::from_secs(30))
             .expect("join");
     }
-    sys.run_ms(50);
-    (sys, gid, members, logs)
+    (gid, pids, applied)
+}
+
+/// Four simulated sites, members on the first three.
+fn quiet_sim() -> (
+    IsisHarness<SimRuntime>,
+    GroupId,
+    Vec<ProcessId>,
+    Vec<Arc<AtomicU64>>,
+) {
+    let (stack_cfg, proto_cfg) = quiet_configs();
+    let mut h = IsisHarness::new(SimRuntime::new(
+        4,
+        NetParams::modern(),
+        stack_cfg,
+        proto_cfg,
+        11,
+    ));
+    let (gid, pids, applied) = spawn_group(&mut h, 3);
+    h.settle(Duration::from_millis(50));
+    (h, gid, pids, applied)
+}
+
+fn totals(applied: &[Arc<AtomicU64>]) -> Vec<u64> {
+    applied.iter().map(|a| a.load(Ordering::Relaxed)).collect()
 }
 
 #[test]
-fn cbcast_fan_out_encodes_once_and_decodes_once_per_frame() {
-    let (mut sys, gid, members, logs) = quiet_cluster(4, 3);
-    let encodes = wire_stats::frame_encodes();
-    let decodes = wire_stats::frame_decodes();
-    sys.client_send(
+fn sim_cbcast_writes_one_frame_and_parses_none() {
+    let (mut h, gid, members, applied) = quiet_sim();
+    let before = wire_work();
+    h.client_send(
         members[0],
         gid,
         APPLY,
         Message::with_body(77u64),
         ProtocolKind::Cbcast,
     );
-    sys.run_ms(50);
-    for (i, log) in logs.iter().enumerate() {
-        assert_eq!(log.borrow().as_slice(), &[77], "member {i} delivered");
-    }
+    h.settle(Duration::from_millis(50));
+    assert_eq!(totals(&applied), [77, 77, 77], "every member delivered");
     assert_eq!(
-        wire_stats::frame_encodes() - encodes,
-        1,
-        "a multicast to 2 peer sites encodes exactly one wire frame"
-    );
-    assert_eq!(
-        wire_stats::frame_decodes() - decodes,
-        1,
-        "both receiving sites share the frame's decode memo: one parse total \
-         (the contract allows at most one per site-frame pair)"
+        since(before),
+        [1, 0, 0, 0],
+        "one frame written for both peer sites; both read the typed value it was born \
+         with, so nothing is parsed, encoded from a tree or decoded into one"
     );
 }
 
 #[test]
-fn abcast_fan_out_encodes_once_per_protocol_message() {
-    let (mut sys, gid, members, logs) = quiet_cluster(4, 3);
-    let encodes = wire_stats::frame_encodes();
-    let decodes = wire_stats::frame_decodes();
-    sys.client_send(
+fn sim_abcast_writes_one_frame_per_protocol_message_and_parses_none() {
+    let (mut h, gid, members, applied) = quiet_sim();
+    let before = wire_work();
+    h.client_send(
         members[1],
         gid,
         APPLY,
         Message::with_body(99u64),
         ProtocolKind::Abcast,
     );
-    sys.run_ms(100);
-    for (i, log) in logs.iter().enumerate() {
-        assert_eq!(log.borrow().as_slice(), &[99], "member {i} delivered");
-    }
-    // ABCAST = 1 AbData (fanned out, shared) + 2 AbPropose (one per destination site,
-    // distinct frames) + 1 AbOrder (fanned out, shared): 4 encodes.
+    h.settle(Duration::from_millis(100));
+    assert_eq!(totals(&applied), [99, 99, 99], "every member delivered");
+    // ABCAST = 1 AbData (fanned out, shared) + 1 AbPropose per destination site (2 here,
+    // distinct frames) + 1 AbOrder (fanned out, shared): with two sites that is the 3
+    // packets per multicast of the paper; with three it is 4 frames for 6 packets.
     assert_eq!(
-        wire_stats::frame_encodes() - encodes,
-        4,
-        "one encode per distinct protocol message, regardless of fan-out width"
+        since(before),
+        [4, 0, 0, 0],
+        "one write per distinct protocol message, regardless of fan-out width, no parse"
     );
-    // Decodes: AbData parsed once (memo shared by both receivers), each AbPropose once at
-    // the initiator, AbOrder once (memo shared): 4 — and never more than one per
-    // (frame, receiving site) pair, of which there are 6.
-    let d = wire_stats::frame_decodes() - decodes;
-    assert_eq!(d, 4, "decode-once delivery held: {d} parses");
+}
+
+#[test]
+fn sim_ten_thousand_multicasts_build_no_tree_and_parse_nothing() {
+    let (mut h, gid, members, applied) = quiet_sim();
+    let before = wire_work();
+    let n = 10_000u64;
+    for i in 0..n {
+        let kind = if i % 5 == 4 {
+            ProtocolKind::Abcast
+        } else {
+            ProtocolKind::Cbcast
+        };
+        h.client_send(
+            members[(i % 3) as usize],
+            gid,
+            APPLY,
+            Message::with_body(1u64),
+            kind,
+        );
+        if i % 64 == 63 {
+            h.settle(Duration::from_millis(1));
+        }
+    }
+    h.settle(Duration::from_millis(200));
+    assert_eq!(totals(&applied), [n, n, n]);
+    let [encodes, decodes, tree_encodes, tree_decodes] = since(before);
+    assert_eq!(encodes, n * 4 / 5 + n / 5 * 4, "1 per CBCAST, 4 per ABCAST");
+    assert_eq!([decodes, tree_encodes, tree_decodes], [0, 0, 0]);
+}
+
+#[test]
+fn sim_join_under_load_writes_one_commit_that_every_site_aliases() {
+    let (mut h, gid, members, applied) = quiet_sim();
+    // Load: with stability gossip an hour away every multicast stays unstable, so the
+    // join's flush has to redistribute all of them.
+    for i in 0..24u64 {
+        let kind = if i % 3 == 2 {
+            ProtocolKind::Abcast
+        } else {
+            ProtocolKind::Cbcast
+        };
+        h.client_send(
+            members[(i % 3) as usize],
+            gid,
+            APPLY,
+            Message::with_body(1u64),
+            kind,
+        );
+    }
+    h.settle(Duration::from_millis(100));
+    assert_eq!(totals(&applied), [24, 24, 24]);
+    assert!(
+        h.unstable_count(SiteId(1), gid) >= 24,
+        "the join races held copies"
+    );
+
+    let joiner = h.spawn(SiteId(3), |b| {
+        b.on_entry(APPLY, |_ctx, _msg| {});
+    });
+    let before = wire_work();
+    h.join_and_wait(gid, joiner, None, Duration::from_secs(30))
+        .expect("join under load");
+    h.settle(Duration::from_millis(100));
+    // JoinReq, FlushReq (one frame to both participants), a FlushAck from each of the two
+    // participants, and ONE FlushCommit: sent to three sites, applied at four, kept as the
+    // bulletin at four and relayed by three, all as the frame the coordinator wrote.  The
+    // 24 held multicasts ride inside the acks and the commit as spliced bytes and come
+    // back out with the typed values they were born with.
+    assert_eq!(
+        since(before),
+        [5, 0, 0, 0],
+        "one commit write cluster-wide, nothing parsed, no tree in either direction"
+    );
+    let bulletins: Vec<(usize, usize)> = (0..4u16)
+        .map(|s| {
+            h.query(SiteId(s), move |stack, _now, _out| {
+                let commit = stack.last_commit(gid).expect("installed through a commit");
+                (commit.handle_count(), commit.wire_bytes().as_ptr() as usize)
+            })
+            .expect("site is up")
+        })
+        .collect();
+    assert!(
+        bulletins.iter().all(|b| b.1 == bulletins[0].1),
+        "every site's bulletin is the same buffer: {bulletins:?}"
+    );
+    assert!(
+        bulletins[0].0 >= 4,
+        "and the same frame, held once per site: {bulletins:?}"
+    );
+}
+
+/// Two nodes on two threads: frames cross as bytes, so the receiving node parses each one
+/// exactly once; nothing is ever encoded from a tree or decoded into one.
+#[test]
+fn threaded_frames_are_parsed_once_per_receiving_site_and_never_become_trees() {
+    let (stack_cfg, proto_cfg) = quiet_configs();
+    let mut h = IsisHarness::new(ThreadedRuntime::new(
+        2,
+        stack_cfg,
+        proto_cfg,
+        Default::default(),
+        7,
+    ));
+    let (gid, members, applied) = spawn_group(&mut h, 2);
+    let work_at = |h: &mut IsisHarness<ThreadedRuntime>, site: u16| {
+        h.query(SiteId(site), |_stack, _now, _out| wire_work())
+            .expect("node is up")
+    };
+    let before = [work_at(&mut h, 0), work_at(&mut h, 1)];
+    let n = 10_000u64;
+    for i in 0..n {
+        let kind = if i % 5 == 4 {
+            ProtocolKind::Abcast
+        } else {
+            ProtocolKind::Cbcast
+        };
+        h.client_send(members[0], gid, APPLY, Message::with_body(1u64), kind);
+    }
+    assert!(
+        h.wait_until(Duration::from_secs(60), |_| totals(&applied) == [n, n]),
+        "deliveries never completed: {:?}",
+        totals(&applied)
+    );
+    let delta = |site: usize, now: [u64; 4]| [0, 1, 2, 3].map(|i| now[i] - before[site][i]);
+    let (cb, ab) = (n * 4 / 5, n / 5);
+    // Site 0 writes every data and order frame and reads one proposal per ABCAST; site 1
+    // reads each of those frames once and writes the proposals.
+    assert_eq!(delta(0, work_at(&mut h, 0)), [cb + 2 * ab, ab, 0, 0]);
+    assert_eq!(delta(1, work_at(&mut h, 1)), [ab, cb + 2 * ab, 0, 0]);
+    h.rt.shutdown();
 }
 
 /// Engine-level isolation: two packets of one fan-out alias a single frame; a receiver
