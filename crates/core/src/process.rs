@@ -50,8 +50,10 @@ pub enum CtxAction {
     },
     /// Reply to a request received earlier.
     Reply {
-        /// The request being answered (carries the session id and reply address).
-        request: Message,
+        /// The session being answered and the process collecting its replies, resolved
+        /// from the request when the action was recorded (see [`reply_target`]); `None` if
+        /// the request carried no session, which the stack traces instead of answering.
+        target: Option<(u64, ProcessId)>,
         /// Reply payload.
         payload: Message,
         /// Additional processes that should receive a copy of the reply (`reply_cc`).
@@ -188,7 +190,7 @@ impl<'a> ToolCtx<'a> {
     /// Replies to a request.
     pub fn reply(&mut self, request: &Message, payload: Message) {
         self.actions.push(CtxAction::Reply {
-            request: request.clone(),
+            target: reply_target(request),
             payload,
             copies: Vec::new(),
             null: false,
@@ -199,7 +201,7 @@ impl<'a> ToolCtx<'a> {
     /// (the paper's `reply_cc`, used by the coordinator–cohort tool).
     pub fn reply_with_copies(&mut self, request: &Message, payload: Message, copies: Vec<Address>) {
         self.actions.push(CtxAction::Reply {
-            request: request.clone(),
+            target: reply_target(request),
             payload,
             copies,
             null: false,
@@ -209,7 +211,7 @@ impl<'a> ToolCtx<'a> {
     /// Sends a null reply: tells the caller not to wait for a real reply from this process.
     pub fn null_reply(&mut self, request: &Message) {
         self.actions.push(CtxAction::Reply {
-            request: request.clone(),
+            target: reply_target(request),
             payload: Message::new(),
             copies: Vec::new(),
             null: true,
@@ -356,8 +358,8 @@ impl ProcessBuilder {
     }
 }
 
-/// Extracts the reply session and requester from a request message, as used by the stack when
-/// executing a [`CtxAction::Reply`].
+/// Extracts the reply session and requester from a request message, as recorded in a
+/// [`CtxAction::Reply`].
 pub fn reply_target(request: &Message) -> Option<(u64, ProcessId)> {
     let session = request.session()?;
     let requester = request

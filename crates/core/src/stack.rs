@@ -24,7 +24,7 @@ use vsync_util::{
 };
 
 use crate::config::StackConfig;
-use crate::process::{reply_target, CtxAction, IsisProcess, ReplyCallback, ToolCtx};
+use crate::process::{CtxAction, IsisProcess, ReplyCallback, ToolCtx};
 use crate::protection::{FilterDecision, ProtectionPolicy};
 use crate::rpc::{CollectorStatus, ReplyCollector, ReplyWanted, RpcOutcome};
 use vsync_net::FailureDetector;
@@ -616,19 +616,26 @@ impl SiteStack {
         let session = self.next_session;
 
         let collecting = !matches!(wanted, ReplyWanted::None);
+        // Replies route to `@reply-to` when present and fall back to `@sender` (which is
+        // always the caller here), so fire-and-forget sends skip the field.  `@group` names
+        // the group destination being served; a leading one is stamped with the rest.
+        let reply_to = collecting.then(|| vec![Address::Process(caller)]);
+        let mut group = match dests.first() {
+            Some(Address::Group(g)) => Some(*g),
+            _ => None,
+        };
         let mut msg = payload;
-        msg.strip_system_fields();
-        // Five system fields follow; one reservation instead of repeated growth.
-        msg.reserve_fields(5);
-        msg.set_sender(caller);
-        msg.set_entry(entry);
-        msg.set_session(session);
-        if collecting {
-            // Replies route to `@reply-to` when present and fall back to `@sender` (which
-            // is always the caller here), so fire-and-forget sends skip the field.
-            msg.set(fields::REPLY_TO, vec![Address::Process(caller)]);
-        }
-        msg.set(fields::PROTOCOL, protocol.name());
+        msg.replace_system_fields(
+            [
+                (fields::SENDER, caller.into()),
+                (fields::ENTRY, u64::from(entry.0).into()),
+                (fields::SESSION, session.into()),
+            ]
+            .into_iter()
+            .chain(reply_to.map(|to| (fields::REPLY_TO, to.into())))
+            .chain([(fields::PROTOCOL, protocol.name().into())])
+            .chain(group.map(|g| (fields::GROUP, g.into()))),
+        );
 
         let mut callback = callback;
         if collecting {
@@ -654,19 +661,14 @@ impl SiteStack {
             }
         }
 
-        // The last destination takes ownership of the message; only fan-outs to several
-        // destinations pay for clones (and the common single-destination call pays none).
-        let last = dests.len().saturating_sub(1);
-        for (i, d) in dests.into_iter().enumerate() {
+        for d in dests {
             match d {
                 Address::Group(g) => {
-                    msg.set_group(g);
-                    let m = if i == last {
-                        std::mem::take(&mut msg)
-                    } else {
-                        msg.clone()
-                    };
-                    self.multicast_to_group(caller, g, protocol, m, out);
+                    if group != Some(g) {
+                        msg.set_group(g);
+                        group = Some(g);
+                    }
+                    self.multicast_to_group(caller, g, protocol, msg.clone(), out);
                 }
                 Address::Process(p) => {
                     if p.site == self.site {
@@ -674,12 +676,7 @@ impl SiteStack {
                     } else {
                         self.stats.count_multicast(ProtocolKind::Cbcast);
                     }
-                    let m = if i == last {
-                        std::mem::take(&mut msg)
-                    } else {
-                        msg.clone()
-                    };
-                    out.send(Packet::new(caller, p, PacketKind::Data, m));
+                    out.send(Packet::new(caller, p, PacketKind::Data, msg.clone()));
                 }
             }
         }
@@ -974,12 +971,12 @@ impl SiteStack {
                     );
                 }
                 CtxAction::Reply {
-                    request,
+                    target,
                     payload,
                     copies,
                     null,
                 } => {
-                    self.issue_reply(caller, &request, payload, copies, null, out);
+                    self.issue_reply(caller, target, payload, copies, null, out);
                 }
                 CtxAction::Join { group, credentials } => {
                     if let Err(e) = self.join_group(group, caller, credentials, out) {
@@ -999,23 +996,32 @@ impl SiteStack {
     fn issue_reply(
         &mut self,
         caller: ProcessId,
-        request: &Message,
+        target: Option<(u64, ProcessId)>,
         payload: Message,
         copies: Vec<Address>,
         null: bool,
         out: &mut Outbox,
     ) {
-        let Some((session, requester)) = reply_target(request) else {
+        let Some((session, requester)) = target else {
             out.trace_with(|| format!("{caller}: reply to a message without a session"));
             return;
         };
         let mut reply = payload;
-        reply.strip_system_fields();
-        reply.set_sender(caller);
-        reply.set_session(session);
-        reply.set_entry(EntryId::REPLY);
-        reply.mark_reply(null);
+        reply.replace_system_fields(
+            [
+                (fields::SENDER, caller.into()),
+                (fields::SESSION, session.into()),
+                (fields::ENTRY, u64::from(EntryId::REPLY.0).into()),
+                (fields::IS_REPLY, true.into()),
+            ]
+            .into_iter()
+            .chain(null.then(|| (fields::NULL_REPLY, true.into()))),
+        );
         self.stats.count_multicast(ProtocolKind::Reply);
+        if copies.is_empty() {
+            out.send(Packet::new(caller, requester, PacketKind::Reply, reply));
+            return;
+        }
         out.send(Packet::new(
             caller,
             requester,

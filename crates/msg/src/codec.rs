@@ -371,15 +371,22 @@ pub(crate) fn decode_message(
     depth: usize,
 ) -> Result<Message> {
     let count = read_field_count(buf, depth)?;
-    let mut msg = Message::new();
-    msg.reserve_fields(count.min(MAX_EAGER_FIELDS));
+    // Built privately and shared once, when complete: no copy-on-write check per field.
+    let mut table = Vec::with_capacity(count.min(MAX_EAGER_FIELDS));
     for _ in 0..count {
         let (name, value) = decode_field(buf, src, depth)?;
-        // Moves the just-decoded name into the field table (no second allocation); replaces
-        // on duplicate names like `Message::set` would.
-        msg.set_owned(name, value);
+        put_field(&mut table, name, value);
     }
-    Ok(msg)
+    Ok(Message::from_table(table))
+}
+
+/// Adds a decoded field to a table under construction, moving the just-decoded name in (no
+/// second allocation); a repeated name replaces the earlier value like `Message::set` would.
+fn put_field(table: &mut Vec<Field>, name: FieldName, value: Value) {
+    match table.iter_mut().find(|f| f.name == name) {
+        Some(f) => f.value = value,
+        None => table.push(Field { name, value }),
+    }
 }
 
 fn decode_field(buf: &mut &[u8], src: Option<&Bytes>, depth: usize) -> Result<(FieldName, Value)> {
@@ -656,12 +663,11 @@ impl<'a> MessageView<'a> {
     /// Copies the view out into an owned [`Message`] (identical to what [`decode`] returns
     /// for the same input).
     pub fn to_message(&self) -> Message {
-        let mut msg = Message::new();
-        msg.reserve_fields(self.fields.len());
+        let mut table = Vec::with_capacity(self.fields.len());
         for f in &self.fields {
-            msg.set_owned(FieldName::from(f.name), f.value.to_value());
+            put_field(&mut table, FieldName::from(f.name), f.value.to_value());
         }
-        msg
+        Message::from_table(table)
     }
 }
 

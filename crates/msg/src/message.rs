@@ -1,6 +1,30 @@
 //! The field-structured message type.
+//!
+//! # Sharing contract
+//!
+//! A [`Message`] is a *handle* to a field table, not the table itself.  [`Clone`] bumps a
+//! reference count; it never copies a field.  The payload a sender stamps, the copy in the
+//! frame's typed memo, the CBCAST/ABCAST holdback entries, every `Delivery` and — where
+//! several sites live in one process — every receiving site therefore alias **one** table
+//! per multicast per process.
+//!
+//! Sharing is invisible: a mutation through one handle is never seen through another.  A
+//! mutating method first makes the handle's table private — in place when no other handle
+//! aliases it, by copying the table (one level: nested messages and byte strings inside it
+//! stay shared) when one does — and a mutation that would change nothing (`remove` of an
+//! absent field, `strip_system_fields` on a message with none) copies nothing.  Handles
+//! compare by content, whatever they share.
+//!
+//! Code that *builds* a table field by field (the codec's decoder, the stack's system-field
+//! stamping) builds a private `Vec<Field>` and shares it once, through
+//! [`Message::replace_system_fields`] or the crate-private `Message::from_table`, instead
+//! of paying a uniqueness check per field.
+//!
+//! The table is behind an [`Arc`], so a handle is `Send`: it can be moved to, cloned on and
+//! dropped by another thread while this one keeps reading.
 
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use vsync_util::{Address, EntryId, GroupId, ProcessId, VectorClock, VsError};
@@ -25,23 +49,32 @@ pub struct Field {
 /// System fields (names starting with `'@'`) carry toolkit metadata such as the sender
 /// address and the session id; they are managed by the protocol stack and are stripped from
 /// user-supplied messages before transmission so they cannot be forged.
-#[derive(Clone, Default, PartialEq, Serialize, Deserialize)]
+///
+/// Cloning is O(1) and mutation is copy-on-write; see the [module docs](self) for the
+/// sharing contract.
+#[derive(Clone, Default, Serialize, Deserialize)]
 pub struct Message {
-    fields: Vec<Field>,
+    /// The shared field table; `None` is the empty message (so [`Message::new`] is `const`
+    /// and allocates nothing).
+    fields: Option<Arc<Vec<Field>>>,
 }
 
 impl Message {
     /// Creates an empty message.
     pub const fn new() -> Self {
-        Message { fields: Vec::new() }
+        Message { fields: None }
     }
 
-    /// Creates an empty message whose field table is pre-sized for `fields` inserts.  Hot
-    /// encoders (the protocol wire format) know their field count up front; pre-sizing
-    /// turns the O(log n) growth reallocations of repeated `set` calls into one allocation.
+    /// Creates an empty message whose field table is pre-sized for `fields` inserts, turning
+    /// the O(log n) growth reallocations of repeated `set` calls into one allocation.
     pub fn with_field_capacity(fields: usize) -> Self {
+        Message::from_table(Vec::with_capacity(fields))
+    }
+
+    /// Shares a privately built table.  A table without capacity is the empty message.
+    pub(crate) fn from_table(table: Vec<Field>) -> Self {
         Message {
-            fields: Vec::with_capacity(fields),
+            fields: (table.capacity() > 0).then(|| Arc::new(table)),
         }
     }
 
@@ -52,28 +85,40 @@ impl Message {
         m
     }
 
+    /// The field table, read-only.
+    fn table(&self) -> &[Field] {
+        self.fields.as_deref().map_or(&[], Vec::as_slice)
+    }
+
+    /// The field table, private to this handle from here on: copied first if another handle
+    /// aliases it.
+    fn table_mut(&mut self) -> &mut Vec<Field> {
+        Arc::make_mut(self.fields.get_or_insert_with(Default::default))
+    }
+
     /// Number of fields currently in the message.
     pub fn field_count(&self) -> usize {
-        self.fields.len()
+        self.table().len()
     }
 
     /// Returns true if the message has no fields.
     pub fn is_empty(&self) -> bool {
-        self.fields.is_empty()
+        self.table().is_empty()
     }
 
     /// Iterates over all fields in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = &Field> {
-        self.fields.iter()
+        self.table().iter()
     }
 
     /// Sets (inserting or replacing) a field.
     pub fn set(&mut self, name: &str, value: impl Into<Value>) -> &mut Self {
         let value = value.into();
-        if let Some(f) = self.fields.iter_mut().find(|f| f.name == name) {
+        let table = self.table_mut();
+        if let Some(f) = table.iter_mut().find(|f| f.name == name) {
             f.value = value;
         } else {
-            self.fields.push(Field {
+            table.push(Field {
                 name: FieldName::from(name),
                 value,
             });
@@ -87,32 +132,15 @@ impl Message {
         self
     }
 
-    /// `set` that takes an already-built [`FieldName`], avoiding the conversion
-    /// [`Message::set`] performs on insert.  Used by the codec's decode path.
-    pub(crate) fn set_owned(&mut self, name: FieldName, value: Value) {
-        if let Some(f) = self.fields.iter_mut().find(|f| f.name == name) {
-            f.value = value;
-        } else {
-            self.fields.push(Field { name, value });
-        }
-    }
-
-    /// Pre-sizes the field table for `additional` upcoming inserts.  Used by the codec's
-    /// decode path and by hot senders that stamp a known set of system fields onto a
-    /// message before transmission.
-    pub fn reserve_fields(&mut self, additional: usize) {
-        self.fields.reserve(additional);
-    }
-
     /// Removes a field, returning its value if it was present.
     pub fn remove(&mut self, name: &str) -> Option<Value> {
-        let idx = self.fields.iter().position(|f| f.name == name)?;
-        Some(self.fields.remove(idx).value)
+        let idx = self.table().iter().position(|f| f.name == name)?;
+        Some(self.table_mut().remove(idx).value)
     }
 
     /// Returns a reference to a field's value.
     pub fn get(&self, name: &str) -> Option<&Value> {
-        self.fields
+        self.table()
             .iter()
             .find(|f| f.name == name)
             .map(|f| &f.value)
@@ -198,7 +226,36 @@ impl Message {
     /// user-supplied messages before adding its own metadata, which is what makes the sender
     /// address unforgeable.
     pub fn strip_system_fields(&mut self) {
-        self.fields.retain(|f| !fields::is_system_field(&f.name));
+        if self.iter().any(|f| fields::is_system_field(&f.name)) {
+            self.replace_system_fields([]);
+        }
+    }
+
+    /// Removes every system field and appends `stamped` — system fields, each name at most
+    /// once — in one pass: what the stack does to every message it sends.  The table is made
+    /// private once instead of once per field (a shared one is copied without the fields
+    /// that go), and the new fields are not searched for among the ones just removed.
+    pub fn replace_system_fields<'a>(
+        &mut self,
+        stamped: impl IntoIterator<Item = (&'a str, Value)>,
+    ) {
+        let stamped = stamped.into_iter().map(|(name, value)| {
+            debug_assert!(fields::is_system_field(name), "{name:?} is a user field");
+            Field {
+                name: FieldName::from(name),
+                value,
+            }
+        });
+        let is_user = |f: &Field| !fields::is_system_field(&f.name);
+        if let Some(own) = self.fields.as_mut().and_then(Arc::get_mut) {
+            own.retain(is_user);
+            own.extend(stamped);
+            return;
+        }
+        let mut table = Vec::with_capacity(self.field_count() + stamped.size_hint().0);
+        table.extend(self.iter().filter(|f| is_user(f)).cloned());
+        table.extend(stamped);
+        *self = Message::from_table(table);
     }
 
     /// Sets the (unforgeable) sender address.
@@ -275,17 +332,25 @@ impl Message {
     pub fn encoded_len(&self) -> usize {
         // Header: field count (4 bytes).
         4 + self
-            .fields
+            .table()
             .iter()
             .map(|f| 1 + 2 + f.name.len() + 4 + f.value.payload_len())
             .sum::<usize>()
     }
 }
 
+/// Messages are equal when their tables hold the same fields in the same order, however
+/// many handles share either table.
+impl PartialEq for Message {
+    fn eq(&self, other: &Self) -> bool {
+        self.table() == other.table()
+    }
+}
+
 impl fmt::Debug for Message {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut s = f.debug_struct("Message");
-        for field in &self.fields {
+        for field in self.table() {
             s.field(&field.name, &field.value);
         }
         s.finish()

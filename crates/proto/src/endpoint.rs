@@ -15,7 +15,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use vsync_msg::{Frame, Message};
 use vsync_net::{MsgId, PacketKind, ProtocolKind, SharedStats};
-use vsync_util::{Duration, GroupId, ProcessId, Rank, Result, SimTime, SiteId, VsError};
+use vsync_util::{
+    Duration, GroupId, ProcessId, Rank, Result, SimTime, SiteId, VectorClock, VsError,
+};
 
 use crate::abcast::AbcastState;
 use crate::cbcast::{CbcastState, ReadyCb};
@@ -239,8 +241,7 @@ impl GroupEndpoint {
         let id = self.alloc_msg_id();
         let vt = self.cb.stamp_send(rank);
         // Written once; the stability buffer and every peer-site packet alias this frame,
-        // and the typed message travels in it.  The one payload copy made here is the local
-        // delivery's.
+        // and the typed message travels in it.
         let local = payload.clone();
         let wire = ProtoMsg::CbData {
             id,
@@ -285,7 +286,6 @@ impl GroupEndpoint {
         }
         self.stats.count_multicast(ProtocolKind::Abcast);
         let id = self.alloc_msg_id();
-        // As in `cbcast`: the one payload copy is the holdback queue's.
         let held = payload.clone();
         let wire = ProtoMsg::AbData {
             id,
@@ -995,23 +995,7 @@ impl GroupEndpoint {
                         ab_priority: None,
                     },
                 );
-                let mut ready = std::mem::take(&mut self.ready_scratch);
-                self.cb.receive_into(
-                    ReadyCb {
-                        id: *id,
-                        sender: *sender,
-                        sender_rank: *sender_rank as Rank,
-                        vt: vt.clone(),
-                        payload: payload.clone(),
-                    },
-                    &mut ready,
-                );
-                for r in ready.drain(..) {
-                    if self.mark_delivered(r.id) {
-                        self.emit_delivery(r.id, ProtocolKind::Cbcast, r.payload, out);
-                    }
-                }
-                self.ready_scratch = ready;
+                self.receive_cbcast(*id, *sender, *sender_rank as Rank, vt, payload, out);
             }
             ProtoMsg::AbData {
                 id,
@@ -1041,6 +1025,44 @@ impl GroupEndpoint {
             }
             _ => unreachable!("handle_data only receives data messages"),
         }
+    }
+
+    /// Runs one received CBCAST through the causal-order machine and emits whatever became
+    /// deliverable.  `vt` and `payload` are borrowed from the frame's memo: a message that
+    /// arrives in order is delivered straight from there, and only one that has to wait gets
+    /// a holdback entry — and with it the one copy of its timestamp.
+    fn receive_cbcast(
+        &mut self,
+        id: MsgId,
+        sender: ProcessId,
+        sender_rank: Rank,
+        vt: &VectorClock,
+        payload: &Message,
+        out: &mut Vec<EndpointOutput>,
+    ) {
+        if self.cb.deliver_in_order(sender_rank, vt) {
+            if self.mark_delivered(id) {
+                self.emit_delivery(id, ProtocolKind::Cbcast, payload.clone(), out);
+            }
+            return;
+        }
+        let mut ready = std::mem::take(&mut self.ready_scratch);
+        self.cb.receive_into(
+            ReadyCb {
+                id,
+                sender,
+                sender_rank,
+                vt: vt.clone(),
+                payload: payload.clone(),
+            },
+            &mut ready,
+        );
+        for r in ready.drain(..) {
+            if self.mark_delivered(r.id) {
+                self.emit_delivery(r.id, ProtocolKind::Cbcast, r.payload, out);
+            }
+        }
+        self.ready_scratch = ready;
     }
 
     fn finish_abcast_order(
@@ -1394,18 +1416,7 @@ impl GroupEndpoint {
                     if self.delivered.contains(*id) || (joining && covered.covers(*id)) {
                         continue;
                     }
-                    let ready = self.cb.receive(ReadyCb {
-                        id: *id,
-                        sender: *sender,
-                        sender_rank: *sender_rank as Rank,
-                        vt: vt.clone(),
-                        payload: payload.clone(),
-                    });
-                    for r in ready {
-                        if self.mark_delivered(r.id) {
-                            self.emit_delivery(r.id, ProtocolKind::Cbcast, r.payload, out);
-                        }
-                    }
+                    self.receive_cbcast(*id, *sender, *sender_rank as Rank, vt, payload, out);
                 }
                 ProtoMsg::AbData {
                     id,

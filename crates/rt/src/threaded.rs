@@ -168,6 +168,9 @@ pub struct ThreadedTransport {
     /// `NetworkModel::channel_front`); deliberate reordering bypasses the clamp.
     channel_front: FastHashMap<(ProcessId, ProcessId), SimTime>,
     seq: u64,
+    /// The wall clock as last read by [`Transport::recv`]: one reading per event serves the
+    /// due check, the handler's `now`, every `deliver_at` and every timer the event arms.
+    clock: SimTime,
 }
 
 impl ThreadedTransport {
@@ -179,6 +182,7 @@ impl ThreadedTransport {
         seed: u64,
     ) -> Self {
         ThreadedTransport {
+            clock: router.now(),
             site,
             router,
             rx,
@@ -255,7 +259,7 @@ impl Transport for ThreadedTransport {
     }
 
     fn now(&self) -> SimTime {
-        self.router.now()
+        self.clock
     }
 
     fn send(&mut self, pkt: Packet) {
@@ -301,37 +305,37 @@ impl Transport for ThreadedTransport {
 
     fn recv(&mut self, block: bool) -> Option<Event> {
         loop {
+            // The one clock reading of this pass; `now()` serves it until the next `recv`.
+            self.clock = self.router.now();
             if let Some(pkt) = self.local.pop_front() {
                 return Some(Event::Packet(pkt));
             }
-            if let Some(ev) = self.pop_due(self.now()) {
+            if let Some(ev) = self.pop_due(self.clock) {
                 return Some(ev);
             }
-            if !block {
-                // Pull in whatever already sits on the channel (it may be immediately
-                // due), but never wait.
-                match self.rx.try_recv() {
-                    Recv::Item(msg) => {
-                        if let Some(ev) = self.accept(msg) {
-                            return Some(ev);
+            // Pull in whatever already sits on the channel (it may be immediately due);
+            // wait only if asked to and there is nothing.
+            let msg = match self.rx.try_recv() {
+                Recv::Item(msg) => msg,
+                Recv::TimedOut if block => {
+                    let deadline = self.next_deadline().map(|t| self.router.instant_of(t));
+                    match self.rx.recv_deadline(deadline) {
+                        Recv::Item(msg) => {
+                            // Time passed while parked; what runs next must not see it stale.
+                            self.clock = self.router.now();
+                            msg
                         }
-                    }
-                    Recv::TimedOut | Recv::Disconnected => return None,
-                }
-                continue;
-            }
-            let deadline = self.next_deadline().map(|t| self.router.instant_of(t));
-            match self.rx.recv_deadline(deadline) {
-                Recv::Item(msg) => {
-                    if let Some(ev) = self.accept(msg) {
-                        return Some(ev);
+                        // A deadline passed: loop around and fire the now-due timer/packet.
+                        Recv::TimedOut => continue,
+                        // Disconnected from the cluster: exit even though timers may be
+                        // pending — a crashed site's timers die with it.
+                        Recv::Disconnected => return None,
                     }
                 }
-                // A deadline passed: loop around and fire the now-due timer/packet.
-                Recv::TimedOut => {}
-                // Disconnected from the cluster: exit even though timers may be pending —
-                // a crashed site's timers die with it.
-                Recv::Disconnected => return None,
+                Recv::TimedOut | Recv::Disconnected => return None,
+            };
+            if let Some(ev) = self.accept(msg) {
+                return Some(ev);
             }
         }
     }

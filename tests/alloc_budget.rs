@@ -1,0 +1,276 @@
+//! Integration: what a delivery may allocate.
+//!
+//! A payload is one shared field table per multicast per process (`vsync_msg::message`), and
+//! an in-order CBCAST is delivered from the frame it arrived in without a copy of its
+//! timestamp.  This file holds both facts down from the outside: a counting
+//! `#[global_allocator]` (this test binary's own) puts a budget on allocations per delivery
+//! on both backends, and a pair of handlers compares the addresses of what they were handed.
+//!
+//! What still allocates, per CBCAST of a 16 B body (ARCHITECTURE.md, "Allocations per
+//! CBCAST", has the table):
+//!
+//! * **the caller** (six on the simulator, seven on threads) — the body's bytes and the
+//!   `Bytes` around them, the payload's table (`Arc` + `Vec`), and on these harnesses the
+//!   boxed job that carries the call to the site (boxed once more to cross a thread) and
+//!   its destination list;
+//! * **the sending stack** (seven, once per multicast whatever the fan-out) — the table
+//!   growing to take the system fields, the `@protocol` string, `stamp_send`'s timestamp,
+//!   the frame writer's buffer and the `Bytes` it is frozen into, the frame's `Rc` and its
+//!   memo `Box`;
+//! * **a receiving site on the simulator** — nothing: it reads the typed value the frame was
+//!   born with, and the payload it delivers is the sender's table;
+//! * **a receiving site across a thread boundary** (six) — the arriving frame's `Rc`, its
+//!   memo `Box`, the decoded timestamp, the decoded payload's table (`Arc` + `Vec`) and the
+//!   `@protocol` string in it (the body aliases the receive buffer);
+//! * **the runtime** — heartbeat and stability-gossip frames, about half an allocation per
+//!   multicast when amortised over these streams; nothing per packet on either backend.
+//!
+//! That is 13.6 per CBCAST on the 8-site simulator (the parent commit: 35.5) and 20.4 on two
+//! threads (23.3).  An ABCAST adds a proposal frame per receiving site and one order frame —
+//! four allocations per frame born (buffer, `Bytes`, `Rc`, memo `Box`), none per frame read
+//! on the simulator — and its holdback entries: 53.6 on the simulator (68.6).
+//!
+//! The simulator budget holds in debug and release builds alike and fails at the parent
+//! commit in both.  The threaded budget is a release-build figure: a debug build re-reads
+//! every frame it writes and re-writes every frame it reads (the `debug_assert`s in
+//! `ProtoMsg::{into_frame, decode_frame}`), which doubles the count and drowns the
+//! difference, so there the test only checks a loose bound; CI runs this file in release.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
+
+use vsync::core::{
+    Duration, EntryId, GroupId, Message, ProcessId, ProtocolKind, SiteId, StackConfig,
+};
+use vsync::msg::Value;
+use vsync::proto::ProtoConfig;
+use vsync::rt::{FaultPlan, IsisHarness, IsisRuntime, SimRuntime, ThreadedRuntime};
+use vsync::util::NetParams;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// Forwards to the system allocator, counting every call that obtains or grows memory.
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter touches no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller upholds `alloc`'s contract for `layout`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`, with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr`/`layout` describe a live `System` block; the caller guarantees
+        // `new_size` is valid for `layout.align()`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// The counter is process-wide and `cargo test` runs tests on parallel threads: every test
+/// in this file holds this lock for its whole body.
+fn exclusive() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+const APPLY: EntryId = EntryId(2);
+
+/// Allocations per delivery over 2 000 CBCASTs and 500 ABCASTs on the 8-site simulator.
+/// Measured 2.63 in release and 3.13 in debug, the same on every run; the parent commit,
+/// same file: 5.20 and 5.57.
+const SIM_BUDGET: f64 = 3.5;
+
+/// Allocations per delivery over a 2-site threaded CBCAST stream, driver included.
+/// Release: measured 10.18, the parent commit 11.66, so the budget sits 8 % above the one
+/// and 6 % below the other (the 15 % of headroom the issue asked for would overlap the
+/// parent).  Debug: measured 20.3 against the parent's 19.8 — see the module docs.
+const THREADED_BUDGET: f64 = if cfg!(debug_assertions) { 24.0 } else { 11.0 };
+
+/// A group with one counting member on each of the first `sites` sites.
+fn counting_group<R: IsisRuntime>(
+    h: &mut IsisHarness<R>,
+    sites: u16,
+) -> (GroupId, Vec<ProcessId>, Arc<AtomicU64>) {
+    let delivered = Arc::new(AtomicU64::new(0));
+    let members: Vec<ProcessId> = (0..sites)
+        .map(|site| {
+            let delivered = delivered.clone();
+            h.spawn(SiteId(site), move |b| {
+                b.on_entry(APPLY, move |_ctx, _msg| {
+                    delivered.fetch_add(1, Ordering::Relaxed);
+                });
+            })
+        })
+        .collect();
+    let gid = h.create_group("budget", members[0]);
+    for m in &members[1..] {
+        h.join_and_wait(gid, *m, None, Duration::from_secs(30))
+            .expect("join");
+    }
+    (gid, members, delivered)
+}
+
+fn body() -> Message {
+    Message::with_body(vec![7u8; 16])
+}
+
+/// Sends `n` multicasts round-robin from the members, every fifth an ABCAST when `mixed`,
+/// letting the runtime run every 16 sends; returns once all of them are delivered to all.
+fn stream<R: IsisRuntime>(
+    h: &mut IsisHarness<R>,
+    gid: GroupId,
+    members: &[ProcessId],
+    delivered: &AtomicU64,
+    n: u64,
+    mixed: bool,
+) {
+    let target = delivered.load(Ordering::Relaxed) + n * members.len() as u64;
+    for i in 0..n {
+        let kind = if mixed && i % 5 == 4 {
+            ProtocolKind::Abcast
+        } else {
+            ProtocolKind::Cbcast
+        };
+        let from = members[i as usize % members.len()];
+        h.client_send(from, gid, APPLY, body(), kind);
+        if i % 16 == 15 {
+            h.settle(Duration::from_millis(1));
+        }
+    }
+    let done = h.wait_until(Duration::from_secs(30), |_| {
+        delivered.load(Ordering::Relaxed) >= target
+    });
+    assert!(done, "stream was not delivered everywhere");
+}
+
+fn sim8() -> IsisHarness<SimRuntime> {
+    let params = NetParams::modern();
+    IsisHarness::new(SimRuntime::new(
+        8,
+        params,
+        StackConfig::from_params(&params),
+        ProtoConfig::fast(),
+        15,
+    ))
+}
+
+#[test]
+fn sim_deliveries_stay_within_the_allocation_budget() {
+    let _guard = exclusive();
+    let mut h = sim8();
+    let (gid, members, delivered) = counting_group(&mut h, 8);
+    // Warm-up: scratch buffers, the calendar and every per-view table reach their size.
+    stream(&mut h, gid, &members, &delivered, 500, true);
+    let (allocs, count) = (
+        ALLOCATIONS.load(Ordering::Relaxed),
+        delivered.load(Ordering::Relaxed),
+    );
+    stream(&mut h, gid, &members, &delivered, 2_500, true);
+    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs;
+    let count = delivered.load(Ordering::Relaxed) - count;
+    assert_eq!(count, 2_500 * 8, "each member delivers each multicast");
+    let per_delivery = allocs as f64 / count as f64;
+    println!("sim: {per_delivery:.2} allocations per delivery");
+    assert!(
+        per_delivery <= SIM_BUDGET,
+        "{per_delivery:.2} allocations per delivery on the simulator, budget {SIM_BUDGET}"
+    );
+}
+
+#[test]
+fn threaded_deliveries_stay_within_the_allocation_budget() {
+    let _guard = exclusive();
+    let mut h = IsisHarness::new(ThreadedRuntime::new(
+        2,
+        ThreadedRuntime::fast_local_config(),
+        ProtoConfig::fast(),
+        FaultPlan::none(),
+        15,
+    ));
+    let (gid, members, delivered) = counting_group(&mut h, 2);
+    stream(&mut h, gid, &members, &delivered, 500, false);
+    let (allocs, count) = (
+        ALLOCATIONS.load(Ordering::Relaxed),
+        delivered.load(Ordering::Relaxed),
+    );
+    stream(&mut h, gid, &members, &delivered, 2_000, false);
+    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs;
+    let count = delivered.load(Ordering::Relaxed) - count;
+    assert_eq!(count, 2_000 * 2);
+    let per_delivery = allocs as f64 / count as f64;
+    println!("threaded: {per_delivery:.2} allocations per delivery");
+    assert!(
+        per_delivery <= THREADED_BUDGET,
+        "{per_delivery:.2} allocations per delivery on threads, budget {THREADED_BUDGET}"
+    );
+}
+
+#[test]
+fn every_member_in_the_process_is_handed_the_same_table() {
+    let _guard = exclusive();
+    let mut h = sim8();
+    // Where each member found the body of what it was handed: `(member, address)`.
+    let seen: Arc<Mutex<Vec<(ProcessId, usize)>>> = Arc::default();
+    let members: Vec<ProcessId> = [0u16, 0, 1, 2]
+        .into_iter()
+        .map(|site| {
+            let seen = seen.clone();
+            h.spawn(SiteId(site), move |b| {
+                b.on_entry(APPLY, move |ctx, msg| {
+                    let at = msg.get("body").expect("body") as *const Value as usize;
+                    seen.lock().expect("seen").push((ctx.me(), at));
+                });
+            })
+        })
+        .collect();
+    let gid = h.create_group("alias", members[0]);
+    for m in &members[1..] {
+        h.join_and_wait(gid, *m, None, Duration::from_secs(30))
+            .expect("join");
+    }
+    for kind in [ProtocolKind::Cbcast, ProtocolKind::Abcast] {
+        seen.lock().expect("seen").clear();
+        h.client_send(members[2], gid, APPLY, body(), kind);
+        h.settle(Duration::from_millis(50));
+        let seen = seen.lock().expect("seen").clone();
+        assert_eq!(
+            seen.len(),
+            members.len(),
+            "{kind:?}: delivered to every member"
+        );
+        let at = |m: ProcessId| seen.iter().find(|(who, _)| *who == m).expect("seen").1;
+        assert_eq!(
+            at(members[0]),
+            at(members[1]),
+            "{kind:?}: two members on one site"
+        );
+        assert_eq!(
+            at(members[0]),
+            at(members[3]),
+            "{kind:?}: members on two different simulated sites"
+        );
+        assert_eq!(
+            at(members[2]),
+            at(members[3]),
+            "{kind:?}: the sender's site and a receiver's"
+        );
+    }
+}
