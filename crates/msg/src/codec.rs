@@ -21,18 +21,23 @@
 //!   values are slices of the input and whose list values stay packed in wire form until
 //!   iterated.  Use it when a caller only needs to *inspect* a stored message (filter by a
 //!   field, count entries) without materialising the whole thing.
-//! * [`decode_shared`] / [`decode_body_shared`] — the owned path over a shared buffer:
-//!   `Bytes` values alias the input instead of being copied out of it.
+//! * [`decode_shared`] / [`decode_segments`] / [`decode_body_shared`] — the owned path over
+//!   shared input: `Bytes` values alias the input instead of being copied out of it.
 //!
-//! Encode buffers are pre-sized from [`wire_len`], which is exact by construction, and
-//! [`encode_to`] lets hot callers (the file-backed stable store) reuse one `BytesMut`
-//! scratch buffer across messages instead of allocating per call.
+//! The same bytes may be held as one buffer or as a [`Segments`] list.  [`encode_segments`]
+//! writes the list form, in which a large `Bytes` value is its own segment — the value's
+//! buffer itself, not a copy — and the decoders over shared input hand such a segment back
+//! as the value; see [`crate::segments`].  [`encode`] and [`encode_to`] write one buffer:
+//! pre-sized from [`wire_len`], which is exact by construction, and [`encode_to`] lets hot
+//! callers (the file-backed stable store) reuse one `BytesMut` scratch buffer across
+//! messages instead of allocating per call.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use vsync_util::{Address, Result, VsError};
 
 use crate::message::{Field, Message};
 use crate::name::FieldName;
+use crate::segments::{splices, Reader, Segments, SegmentsMut, Sink};
 use crate::value::{decode_address, encode_address, Value};
 
 /// The envelope byte every top-level encoded message starts with.
@@ -68,25 +73,35 @@ pub(crate) const TAG_MSG: u8 = 10;
 /// Exact number of bytes [`encode`] produces for `msg` (unlike [`Message::encoded_len`],
 /// which is the simulator's *cost model* and only approximate).
 pub fn wire_len(msg: &Message) -> usize {
-    1 + message_wire_len(msg)
+    1 + message_wire_len(msg, false)
 }
 
-fn message_wire_len(msg: &Message) -> usize {
+/// How many bytes of `msg`'s body a gathering writer ([`encode_segments`], a
+/// [`crate::stream::FieldWriter`]) copies into its own buffer: the wire size less the byte
+/// strings it takes by reference.  What such a writer reserves.
+pub fn buffered_len(msg: &Message) -> usize {
+    message_wire_len(msg, true)
+}
+
+/// Wire size of a message body; `gathered` leaves out the byte strings a gathering writer
+/// splices.
+fn message_wire_len(msg: &Message, gathered: bool) -> usize {
     4 + msg
         .iter()
-        .map(|f| 2 + f.name.len() + value_wire_len(&f.value))
+        .map(|f| 2 + f.name.len() + value_wire_len(&f.value, gathered))
         .sum::<usize>()
 }
 
-fn value_wire_len(value: &Value) -> usize {
+fn value_wire_len(value: &Value, gathered: bool) -> usize {
     1 + match value {
         Value::Bool(_) => 1,
         Value::I64(_) | Value::U64(_) | Value::F64(_) | Value::Addr(_) => 8,
         Value::Str(s) => 4 + s.len(),
+        Value::Bytes(b) if gathered && splices(b.len()) => 4,
         Value::Bytes(b) => 4 + b.len(),
         Value::AddrList(v) => 4 + 8 * v.len(),
         Value::U64List(v) => 4 + 8 * v.len(),
-        Value::Msg(m) => message_wire_len(m),
+        Value::Msg(m) => message_wire_len(m, gathered),
     }
 }
 
@@ -108,20 +123,30 @@ pub fn encode_to(msg: &Message, buf: &mut BytesMut) {
     encode_into(msg, buf);
 }
 
-pub(crate) fn encode_into(msg: &Message, buf: &mut BytesMut) {
+/// Encodes a message to the bytes [`encode`] produces, held as segments: every large
+/// `Bytes` value is a segment of its own, shared with the message instead of copied out of
+/// it, and a message without one is a single buffer as from [`encode`].
+pub fn encode_segments(msg: &Message) -> Segments {
+    let mut buf = SegmentsMut::with_capacity(1 + buffered_len(msg));
+    buf.put_u8(MAGIC);
+    encode_into(msg, &mut buf);
+    buf.finish()
+}
+
+pub(crate) fn encode_into(msg: &Message, buf: &mut impl Sink) {
     buf.put_u32(msg.field_count() as u32);
     for field in msg.iter() {
         encode_field(field, buf);
     }
 }
 
-fn encode_field(field: &Field, buf: &mut BytesMut) {
+fn encode_field(field: &Field, buf: &mut impl Sink) {
     buf.put_u16(field.name.len() as u16);
     buf.put_slice(field.name.as_bytes());
     encode_value(&field.value, buf);
 }
 
-fn encode_value(value: &Value, buf: &mut BytesMut) {
+fn encode_value(value: &Value, buf: &mut impl Sink) {
     match value {
         Value::Bool(b) => {
             buf.put_u8(TAG_BOOL);
@@ -147,7 +172,7 @@ fn encode_value(value: &Value, buf: &mut BytesMut) {
         Value::Bytes(b) => {
             buf.put_u8(TAG_BYTES);
             buf.put_u32(b.len() as u32);
-            buf.put_slice(b);
+            buf.put_shared(b);
         }
         Value::Addr(a) => {
             buf.put_u8(TAG_ADDR);
@@ -177,7 +202,7 @@ fn encode_value(value: &Value, buf: &mut BytesMut) {
 /// Decodes a message from bytes produced by [`encode`].  Byte-string values are copied out
 /// of the input; see [`decode_shared`] for the zero-copy variant over a shared buffer.
 pub fn decode(bytes: &[u8]) -> Result<Message> {
-    decode_inner(bytes, None)
+    decode_envelope(Reader::flat(bytes))
 }
 
 /// Decodes a message from a shared [`Bytes`] buffer produced by [`encode`].
@@ -188,35 +213,44 @@ pub fn decode(bytes: &[u8]) -> Result<Message> {
 /// The aliased slices keep the underlying allocation alive for as long as the decoded
 /// message does.
 pub fn decode_shared(bytes: &Bytes) -> Result<Message> {
-    decode_inner(bytes, Some(bytes))
+    decode_envelope(Reader::shared(bytes))
+}
+
+/// [`decode_shared`] over a segment list.  A `Bytes` value that is a segment of its own —
+/// how [`encode_segments`] writes a large one — comes back as that segment, the buffer the
+/// sender's message held; a list cut anywhere else decodes to the same message through one
+/// flattening copy.
+pub fn decode_segments(wire: &Segments) -> Result<Message> {
+    wire.read_with(|wire| decode_envelope(Reader::over(wire)))
 }
 
 /// Decodes a message *body* — the nested form, a field count and fields with no envelope
-/// byte — from a shared buffer it must span exactly.  This is how a [`crate::Frame`] recovered
+/// byte — from shared segments it must span exactly.  This is how a [`crate::Frame`] recovered
 /// from inside another frame (a multicast redistributed by a flush) builds its tree; `Bytes`
-/// values alias `body` as in [`decode_shared`].
-pub fn decode_body_shared(body: &Bytes) -> Result<Message> {
-    let mut buf: &[u8] = body;
-    let msg = decode_message(&mut buf, Some(body), 0)?;
-    check_no_trailing(buf)?;
-    Ok(msg)
+/// values alias `body` as in [`decode_segments`].
+pub fn decode_body_shared(body: &Segments) -> Result<Message> {
+    body.read_with(|body| {
+        let mut r = Reader::over(body);
+        let msg = decode_message(&mut r, 0)?;
+        check_no_trailing(&r)?;
+        Ok(msg)
+    })
 }
 
-/// Checks the envelope byte of an encoded message and returns the body behind it, aliasing
-/// `bytes`.
-pub fn envelope_body(bytes: &Bytes) -> Result<Bytes> {
-    let mut buf: &[u8] = bytes;
-    strip_magic(&mut buf)?;
-    Ok(bytes.slice(1..))
+/// Checks the envelope byte of an encoded message and returns the body behind it, sharing
+/// `wire`'s segments.
+pub fn envelope_body(wire: &Segments) -> Result<Segments> {
+    strip_magic(&mut Reader::over(wire))?;
+    Ok(wire.without_first_byte())
 }
 
 /// Validates and strips the envelope's magic byte.  Shared by the owned and borrowing
 /// decoders so the two paths cannot diverge on envelope rules.
-fn strip_magic(buf: &mut &[u8]) -> Result<()> {
-    if buf.remaining() < 1 {
+fn strip_magic(r: &mut Reader<'_>) -> Result<()> {
+    if r.remaining() < 1 {
         return Err(VsError::CodecError("empty buffer".into()));
     }
-    let magic = buf.get_u8();
+    let magic = r.u8("envelope byte")?;
     if magic != MAGIC {
         return Err(VsError::CodecError(format!(
             "bad magic byte 0x{magic:02x}, expected 0x{MAGIC:02x}"
@@ -226,55 +260,37 @@ fn strip_magic(buf: &mut &[u8]) -> Result<()> {
 }
 
 /// Rejects bytes left over after a fully decoded message (shared envelope rule).
-fn check_no_trailing(buf: &[u8]) -> Result<()> {
-    if buf.has_remaining() {
+pub(crate) fn check_no_trailing(r: &Reader<'_>) -> Result<()> {
+    if r.remaining() > 0 {
         return Err(VsError::CodecError(format!(
             "{} trailing bytes after message",
-            buf.remaining()
+            r.remaining()
         )));
     }
     Ok(())
 }
 
-fn decode_inner(bytes: &[u8], src: Option<&Bytes>) -> Result<Message> {
-    let mut buf = bytes;
-    strip_magic(&mut buf)?;
-    let msg = decode_message(&mut buf, src, 0)?;
-    check_no_trailing(buf)?;
+fn decode_envelope(mut r: Reader<'_>) -> Result<Message> {
+    strip_magic(&mut r)?;
+    let msg = decode_message(&mut r, 0)?;
+    check_no_trailing(&r)?;
     Ok(msg)
-}
-
-#[inline]
-pub(crate) fn need(buf: &&[u8], n: usize, what: &str) -> Result<()> {
-    if buf.remaining() < n {
-        Err(truncated(n, what, buf.remaining()))
-    } else {
-        Ok(())
-    }
-}
-
-#[cold]
-fn truncated(n: usize, what: &str, have: usize) -> VsError {
-    VsError::CodecError(format!(
-        "truncated message: need {n} bytes for {what}, have {have}"
-    ))
 }
 
 /// Reads the header of a message body at nesting level `depth`: enforces the nesting bound
 /// and rejects a field count the remaining bytes cannot possibly hold.  Shared by every
 /// reader of the format so none of them can be made to recurse or reserve without bound.
-pub(crate) fn read_field_count(buf: &mut &[u8], depth: usize) -> Result<usize> {
+pub(crate) fn read_field_count(r: &mut Reader<'_>, depth: usize) -> Result<usize> {
     if depth > MAX_NESTING_DEPTH {
         return Err(VsError::CodecError(format!(
             "message nesting exceeds {MAX_NESTING_DEPTH} levels"
         )));
     }
-    need(buf, 4, "field count")?;
-    let count = buf.get_u32() as usize;
-    if count > buf.remaining() / MIN_FIELD_WIRE_LEN {
+    let count = r.u32("field count")? as usize;
+    if count > r.remaining() / MIN_FIELD_WIRE_LEN {
         return Err(VsError::CodecError(format!(
             "implausible field count {count} with {} bytes remaining",
-            buf.remaining()
+            r.remaining()
         )));
     }
     Ok(count)
@@ -282,13 +298,9 @@ pub(crate) fn read_field_count(buf: &mut &[u8], depth: usize) -> Result<usize> {
 
 /// Reads one field name as raw bytes (see [`name_str`]).
 #[inline]
-pub(crate) fn read_name_bytes<'a>(buf: &mut &'a [u8]) -> Result<&'a [u8]> {
-    need(buf, 2, "field name length")?;
-    let name_len = buf.get_u16() as usize;
-    need(buf, name_len, "field name")?;
-    let name = &buf[..name_len];
-    buf.advance(name_len);
-    Ok(name)
+pub(crate) fn read_name_bytes<'a>(r: &mut Reader<'a>) -> Result<&'a [u8]> {
+    let name_len = r.u16("field name length")? as usize;
+    r.take(name_len, "field name")
 }
 
 /// Validates a field name as UTF-8, like every decoder does.
@@ -304,77 +316,89 @@ pub(crate) fn value_str(raw: &[u8]) -> Result<&str> {
 
 /// Reads one field name.
 #[inline]
-pub(crate) fn read_name<'a>(buf: &mut &'a [u8]) -> Result<&'a str> {
-    name_str(read_name_bytes(buf)?)
+pub(crate) fn read_name<'a>(r: &mut Reader<'a>) -> Result<&'a str> {
+    name_str(read_name_bytes(r)?)
+}
+
+/// Reads a `u32` element count and returns the length in bytes of `count` elements of
+/// `unit` bytes each.
+#[inline]
+fn read_counted_len(r: &mut Reader<'_>, unit: usize, what: &str) -> Result<usize> {
+    Ok((r.u32(what)? as usize).saturating_mul(unit))
 }
 
 /// Reads a `u32` element count followed by `count * unit` bytes and returns those bytes.
 #[inline]
-pub(crate) fn read_counted<'a>(buf: &mut &'a [u8], unit: usize, what: &str) -> Result<&'a [u8]> {
-    need(buf, 4, what)?;
-    let len = (buf.get_u32() as usize).saturating_mul(unit);
-    need(buf, len, what)?;
-    let raw = &buf[..len];
-    buf.advance(len);
-    Ok(raw)
+pub(crate) fn read_counted<'a>(r: &mut Reader<'a>, unit: usize, what: &str) -> Result<&'a [u8]> {
+    let len = read_counted_len(r, unit, what)?;
+    r.take(len, what)
+}
+
+/// The name of the first field of an encoded message (`envelope`) or message body, borrowed
+/// from `wire`; `None` for a message without fields.
+pub(crate) fn first_field_name(wire: &Segments, envelope: bool) -> Result<Option<&str>> {
+    let mut r = Reader::over(wire);
+    if envelope {
+        strip_magic(&mut r)?;
+    }
+    match read_field_count(&mut r, 0)? {
+        0 => Ok(None),
+        _ => read_name(&mut r).map(Some),
+    }
 }
 
 /// Walks one encoded message body without building anything: validates exactly what
-/// [`decode`] validates (bounds, tags, UTF-8, nesting, field counts), leaves `buf` just past
+/// [`decode`] validates (bounds, tags, UTF-8, nesting, field counts), leaves `r` just past
 /// the body, and returns the body's size under the [`Message::encoded_len`] cost model —
 /// so finding where a nested message ends and sizing a wire-born frame for the simulator
 /// are the same pass.  (A name repeated in the encoding counts once per occurrence here and
 /// once in total in a decoded tree; no writer in this workspace repeats names.)
-pub(crate) fn walk_message(buf: &mut &[u8], depth: usize) -> Result<usize> {
-    let count = read_field_count(buf, depth)?;
+pub(crate) fn walk_message(r: &mut Reader<'_>, depth: usize) -> Result<usize> {
+    let count = read_field_count(r, depth)?;
     let mut model = 4;
     for _ in 0..count {
-        let name = read_name(buf)?;
-        model += 1 + 2 + name.len() + 4 + walk_value(buf, depth)?;
+        let name = read_name(r)?;
+        model += 1 + 2 + name.len() + 4 + walk_value(r, depth)?;
     }
     Ok(model)
 }
 
 /// Walks one encoded value (tag included); returns its [`Value::payload_len`].
-pub(crate) fn walk_value(buf: &mut &[u8], depth: usize) -> Result<usize> {
-    need(buf, 1, "value tag")?;
-    let len = match buf.get_u8() {
+pub(crate) fn walk_value(r: &mut Reader<'_>, depth: usize) -> Result<usize> {
+    let len = match r.u8("value tag")? {
         TAG_BOOL => 1,
         TAG_I64 | TAG_U64 | TAG_F64 | TAG_ADDR => 8,
         TAG_STR => {
-            return Ok(value_str(read_counted(buf, 1, "string")?)?.len());
+            return Ok(value_str(read_counted(r, 1, "string")?)?.len());
         }
-        TAG_BYTES => return Ok(read_counted(buf, 1, "bytes")?.len()),
-        TAG_ADDR_LIST | TAG_U64_LIST => return Ok(read_counted(buf, 8, "list")?.len()),
-        TAG_MSG => return walk_message(buf, depth + 1),
+        TAG_BYTES => return Ok(read_counted(r, 1, "bytes")?.len()),
+        TAG_ADDR_LIST | TAG_U64_LIST => return Ok(read_counted(r, 8, "list")?.len()),
+        TAG_MSG => return walk_message(r, depth + 1),
         other => {
             return Err(VsError::CodecError(format!("unknown value tag {other}")));
         }
     };
-    need(buf, len, "fixed-width value")?;
-    buf.advance(len);
+    r.take(len, "fixed-width value")?;
     Ok(len)
 }
 
 /// Size of an encoded message body under the [`Message::encoded_len`] cost model, computed
 /// from the bytes alone (no tree is built).  `body` must hold exactly one message body.
-pub fn body_model_len(body: &[u8]) -> Result<usize> {
-    let mut buf = body;
-    let model = walk_message(&mut buf, 0)?;
-    check_no_trailing(buf)?;
-    Ok(model)
+pub fn body_model_len(body: &Segments) -> Result<usize> {
+    body.read_with(|body| {
+        let mut r = Reader::over(body);
+        let model = walk_message(&mut r, 0)?;
+        check_no_trailing(&r)?;
+        Ok(model)
+    })
 }
 
-pub(crate) fn decode_message(
-    buf: &mut &[u8],
-    src: Option<&Bytes>,
-    depth: usize,
-) -> Result<Message> {
-    let count = read_field_count(buf, depth)?;
+pub(crate) fn decode_message(r: &mut Reader<'_>, depth: usize) -> Result<Message> {
+    let count = read_field_count(r, depth)?;
     // Built privately and shared once, when complete: no copy-on-write check per field.
     let mut table = Vec::with_capacity(count.min(MAX_EAGER_FIELDS));
     for _ in 0..count {
-        let (name, value) = decode_field(buf, src, depth)?;
+        let (name, value) = decode_field(r, depth)?;
         put_field(&mut table, name, value);
     }
     Ok(Message::from_table(table))
@@ -389,58 +413,33 @@ fn put_field(table: &mut Vec<Field>, name: FieldName, value: Value) {
     }
 }
 
-fn decode_field(buf: &mut &[u8], src: Option<&Bytes>, depth: usize) -> Result<(FieldName, Value)> {
+fn decode_field(r: &mut Reader<'_>, depth: usize) -> Result<(FieldName, Value)> {
     // Short names (all system fields and typical application fields) build inline with no
     // heap allocation.
-    let name = FieldName::from(read_name(buf)?);
-    let value = decode_value(buf, src, depth)?;
+    let name = FieldName::from(read_name(r)?);
+    let value = decode_value(r, depth)?;
     Ok((name, value))
 }
 
-/// Re-borrows `raw` as a zero-copy slice of `src` when decoding over a shared buffer,
-/// falling back to a copy otherwise.  `raw` must be a sub-slice of `src`.
-fn shared_or_copied(raw: &[u8], src: Option<&Bytes>) -> Bytes {
-    match src {
-        Some(src) => {
-            let offset = raw.as_ptr() as usize - src.as_ptr() as usize;
-            src.slice(offset..offset + raw.len())
+fn decode_value(r: &mut Reader<'_>, depth: usize) -> Result<Value> {
+    let value = match r.u8("value tag")? {
+        TAG_BOOL => Value::Bool(r.u8("bool")? != 0),
+        TAG_I64 => Value::I64(r.u64("i64")? as i64),
+        TAG_U64 => Value::U64(r.u64("u64")?),
+        TAG_F64 => Value::F64(f64::from_bits(r.u64("f64")?)),
+        TAG_STR => Value::Str(value_str(read_counted(r, 1, "string")?)?.to_owned()),
+        // Over shared input the value is a slice of the segment it lies in, not a copy.
+        TAG_BYTES => {
+            let len = read_counted_len(r, 1, "bytes")?;
+            Value::Bytes(r.take_shared(len, "bytes")?)
         }
-        None => Bytes::copy_from_slice(raw),
-    }
-}
-
-fn decode_value(buf: &mut &[u8], src: Option<&Bytes>, depth: usize) -> Result<Value> {
-    need(buf, 1, "value tag")?;
-    let tag = buf.get_u8();
-    let value = match tag {
-        TAG_BOOL => {
-            need(buf, 1, "bool")?;
-            Value::Bool(buf.get_u8() != 0)
-        }
-        TAG_I64 => {
-            need(buf, 8, "i64")?;
-            Value::I64(buf.get_i64())
-        }
-        TAG_U64 => {
-            need(buf, 8, "u64")?;
-            Value::U64(buf.get_u64())
-        }
-        TAG_F64 => {
-            need(buf, 8, "f64")?;
-            Value::F64(buf.get_f64())
-        }
-        TAG_STR => Value::Str(value_str(read_counted(buf, 1, "string")?)?.to_owned()),
-        TAG_BYTES => Value::Bytes(shared_or_copied(read_counted(buf, 1, "bytes")?, src)),
-        TAG_ADDR => {
-            need(buf, 8, "address")?;
-            Value::Addr(decode_address(buf.get_u64()))
-        }
+        TAG_ADDR => Value::Addr(decode_address(r.u64("address")?)),
         // Exact-size collects: one allocation, no per-push capacity checks.
         TAG_ADDR_LIST => {
-            Value::AddrList(AddrsView::new(read_counted(buf, 8, "address list")?).to_vec())
+            Value::AddrList(AddrsView::new(read_counted(r, 8, "address list")?).to_vec())
         }
-        TAG_U64_LIST => Value::U64List(U64sView::new(read_counted(buf, 8, "u64 list")?).to_vec()),
-        TAG_MSG => Value::Msg(Box::new(decode_message(buf, src, depth + 1)?)),
+        TAG_U64_LIST => Value::U64List(U64sView::new(read_counted(r, 8, "u64 list")?).to_vec()),
+        TAG_MSG => Value::Msg(Box::new(decode_message(r, depth + 1)?)),
         other => {
             return Err(VsError::CodecError(format!("unknown value tag {other}")));
         }
@@ -674,53 +673,36 @@ impl<'a> MessageView<'a> {
 /// Decodes a message *view* from bytes produced by [`encode`], borrowing string, byte and
 /// list payloads from the input instead of copying them.
 pub fn decode_view(bytes: &[u8]) -> Result<MessageView<'_>> {
-    let mut buf = bytes;
-    strip_magic(&mut buf)?;
-    let msg = decode_message_view(&mut buf, 0)?;
-    check_no_trailing(buf)?;
+    let mut r = Reader::flat(bytes);
+    strip_magic(&mut r)?;
+    let msg = decode_message_view(&mut r, 0)?;
+    check_no_trailing(&r)?;
     Ok(msg)
 }
 
-fn decode_message_view<'a>(buf: &mut &'a [u8], depth: usize) -> Result<MessageView<'a>> {
-    let count = read_field_count(buf, depth)?;
+fn decode_message_view<'a>(r: &mut Reader<'a>, depth: usize) -> Result<MessageView<'a>> {
+    let count = read_field_count(r, depth)?;
     let mut fields = Vec::with_capacity(count.min(MAX_EAGER_FIELDS));
     for _ in 0..count {
-        let name = read_name(buf)?;
-        let value = decode_value_view(buf, depth)?;
+        let name = read_name(r)?;
+        let value = decode_value_view(r, depth)?;
         fields.push(FieldView { name, value });
     }
     Ok(MessageView { fields })
 }
 
-fn decode_value_view<'a>(buf: &mut &'a [u8], depth: usize) -> Result<ValueView<'a>> {
-    need(buf, 1, "value tag")?;
-    let tag = buf.get_u8();
-    let value = match tag {
-        TAG_BOOL => {
-            need(buf, 1, "bool")?;
-            ValueView::Bool(buf.get_u8() != 0)
-        }
-        TAG_I64 => {
-            need(buf, 8, "i64")?;
-            ValueView::I64(buf.get_i64())
-        }
-        TAG_U64 => {
-            need(buf, 8, "u64")?;
-            ValueView::U64(buf.get_u64())
-        }
-        TAG_F64 => {
-            need(buf, 8, "f64")?;
-            ValueView::F64(buf.get_f64())
-        }
-        TAG_STR => ValueView::Str(value_str(read_counted(buf, 1, "string")?)?),
-        TAG_BYTES => ValueView::Bytes(read_counted(buf, 1, "bytes")?),
-        TAG_ADDR => {
-            need(buf, 8, "address")?;
-            ValueView::Addr(decode_address(buf.get_u64()))
-        }
-        TAG_ADDR_LIST => ValueView::AddrList(AddrsView::new(read_counted(buf, 8, "address list")?)),
-        TAG_U64_LIST => ValueView::U64List(U64sView::new(read_counted(buf, 8, "u64 list")?)),
-        TAG_MSG => ValueView::Msg(Box::new(decode_message_view(buf, depth + 1)?)),
+fn decode_value_view<'a>(r: &mut Reader<'a>, depth: usize) -> Result<ValueView<'a>> {
+    let value = match r.u8("value tag")? {
+        TAG_BOOL => ValueView::Bool(r.u8("bool")? != 0),
+        TAG_I64 => ValueView::I64(r.u64("i64")? as i64),
+        TAG_U64 => ValueView::U64(r.u64("u64")?),
+        TAG_F64 => ValueView::F64(f64::from_bits(r.u64("f64")?)),
+        TAG_STR => ValueView::Str(value_str(read_counted(r, 1, "string")?)?),
+        TAG_BYTES => ValueView::Bytes(read_counted(r, 1, "bytes")?),
+        TAG_ADDR => ValueView::Addr(decode_address(r.u64("address")?)),
+        TAG_ADDR_LIST => ValueView::AddrList(AddrsView::new(read_counted(r, 8, "address list")?)),
+        TAG_U64_LIST => ValueView::U64List(U64sView::new(read_counted(r, 8, "u64 list")?)),
+        TAG_MSG => ValueView::Msg(Box::new(decode_message_view(r, depth + 1)?)),
         other => {
             return Err(VsError::CodecError(format!("unknown value tag {other}")));
         }

@@ -3,14 +3,16 @@
 //! A [`Frame`] is an immutable, cheaply clonable handle to one message prepared for
 //! transmission.  It holds the message in **wire form** (the codec's bytes), in **tree form**
 //! (a [`Message`]), or both, and derives whichever is missing from the other on demand,
-//! once, through the one generic codec:
+//! once, through the one generic codec.  The wire form is a [`Segments`] list — one buffer,
+//! unless the message holds a large byte string, which is then a segment of its own shared
+//! with whoever else holds that buffer and never copied into or out of the frame:
 //!
 //! * [`Frame::new`] starts from a tree — what an application hands the stack.  The bytes
 //!   are encoded the first time a byte-oriented transport asks for them
-//!   ([`Frame::wire_bytes`], counted by [`wire_cache`]).
+//!   ([`Frame::wire_segments`], counted by [`wire_cache`]).
 //! * [`Frame::from_wire`] starts from bytes — what arrives over a thread boundary.  Nothing
 //!   is decoded until someone reads a field ([`Frame::message`] or `Deref`, counted by
-//!   [`tree_builds`]); `Bytes` values of the tree then alias the receive buffer.
+//!   [`tree_builds`]); `Bytes` values of the tree then alias the received segments.
 //! * [`Frame::from_writer`] starts from a [`FieldWriter`] — how protocol messages are born:
 //!   the bytes, their modelled size and the typed value they were written from, all at once.
 //!   Such a frame never needs a tree.
@@ -38,7 +40,7 @@
 //! panic a node.
 //!
 //! Each node is single-threaded (see ARCHITECTURE.md), so the handle is an `Rc` and frames
-//! never cross threads: what crosses is [`Frame::wire_bytes`].
+//! never cross threads: what crosses is [`Frame::wire_segments`].
 
 use std::any::Any;
 use std::cell::{Cell, OnceCell};
@@ -46,11 +48,12 @@ use std::fmt;
 use std::ops::Deref;
 use std::rc::Rc;
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use vsync_util::Result;
 
 use crate::codec;
 use crate::message::Message;
+use crate::segments::Segments;
 use crate::stream::FieldWriter;
 
 /// Thread-local counter of tree → bytes encodes performed by [`Frame::wire_bytes`] (cache
@@ -90,12 +93,13 @@ thread_local! {
 /// What `Deref` reads when a frame's bytes do not decode.
 static EMPTY: Message = Message::new();
 
-/// A message's wire form.
+/// A message's wire form: the codec's bytes, as the segments they were written or received
+/// in (one, unless the message holds a large byte string; see [`crate::segments`]).
 enum Wire {
     /// A top-level encoding: the envelope byte, then the body.
-    Envelope(Bytes),
+    Envelope(Segments),
     /// A body alone, as found nested inside another message's bytes.
-    Body(Bytes),
+    Body(Segments),
 }
 
 struct FrameInner {
@@ -103,7 +107,7 @@ struct FrameInner {
     tree: OnceCell<Result<Message>>,
     /// Wire form, encoded lazily from the tree.  Lives in the shared allocation, so a
     /// fan-out that serializes the same frame once per destination pays for one encode and
-    /// N buffer clones (`Bytes` is refcounted).
+    /// N clones of a refcounted segment list.
     wire: OnceCell<Wire>,
     /// Size under the simulator's cost model ([`Message::encoded_len`]).
     model_len: OnceCell<usize>,
@@ -145,19 +149,19 @@ impl Frame {
     }
 
     /// Wraps an encoded message (envelope byte included) as received from a byte-oriented
-    /// transport.  Nothing is decoded or validated here; see the module docs for what
-    /// happens if the bytes turn out to be corrupt.
-    pub fn from_wire(bytes: Bytes) -> Self {
+    /// transport: one buffer, or the segments it arrived in.  Nothing is decoded or validated
+    /// here; see the module docs for what happens if the bytes turn out to be corrupt.
+    pub fn from_wire(wire: impl Into<Segments>) -> Self {
         Frame {
-            inner: Rc::new(FrameInner::from_wire(Wire::Envelope(bytes))),
+            inner: Rc::new(FrameInner::from_wire(Wire::Envelope(wire.into()))),
         }
     }
 
     /// Wraps an encoded message *body* found nested inside another frame's bytes, aliasing
     /// them (see [`crate::stream::FieldCursor::encoded`]).
-    pub fn from_wire_body(body: Bytes) -> Self {
+    pub fn from_wire_body(body: impl Into<Segments>) -> Self {
         Frame {
-            inner: Rc::new(FrameInner::from_wire(Wire::Body(body))),
+            inner: Rc::new(FrameInner::from_wire(Wire::Body(body.into()))),
         }
     }
 
@@ -178,42 +182,50 @@ impl Frame {
         self.inner.wire.get_or_init(|| {
             wire_cache::note_encode();
             let tree = self.inner.tree.get().and_then(|t| t.as_ref().ok());
-            Wire::Envelope(codec::encode(tree.expect("a frame holds a tree or bytes")))
+            Wire::Envelope(codec::encode_segments(
+                tree.expect("a frame holds a tree or bytes"),
+            ))
         })
     }
 
-    /// The codec-encoded wire form of the framed message, envelope byte included.  For a
-    /// frame that started as a tree the bytes are encoded **once per frame** and cached in
-    /// the shared allocation, so every later call (every further destination of a fan-out)
-    /// clones a refcounted buffer; [`wire_cache`] counts those encodes.  A frame that was
-    /// found inside another one ([`Frame::from_wire_body`]) has no envelope of its own and
-    /// copies its body behind a fresh one on every call — nothing on the packet path sends
-    /// such a frame on its own.
-    pub fn wire_bytes(&self) -> Bytes {
+    /// The codec-encoded wire form of the framed message, envelope byte included, as the
+    /// segments it is held in: what a byte-oriented transport sends.  A large byte string
+    /// of the message is a segment of its own, shared with whoever else holds that buffer,
+    /// and a message without one is a single segment.  For a frame that started as a tree
+    /// the bytes are encoded **once per frame** and cached in the shared allocation, so
+    /// every later call (every further destination of a fan-out) clones a refcounted list;
+    /// [`wire_cache`] counts those encodes.  A frame that was found inside another one
+    /// ([`Frame::from_wire_body`]) has no envelope of its own and gets a fresh one-byte
+    /// segment on every call — nothing on the packet path sends such a frame on its own.
+    pub fn wire_segments(&self) -> Segments {
         match self.wire() {
-            Wire::Envelope(bytes) => bytes.clone(),
-            Wire::Body(body) => {
-                let mut buf = BytesMut::with_capacity(1 + body.len());
-                buf.put_u8(codec::MAGIC);
-                buf.put_slice(body);
-                buf.freeze()
-            }
+            Wire::Envelope(wire) => wire.clone(),
+            Wire::Body(body) => std::iter::once(Bytes::copy_from_slice(&[codec::MAGIC]))
+                .chain(body.iter().cloned())
+                .collect(),
         }
     }
 
+    /// [`Frame::wire_segments`] as one buffer: the frame's only segment, or a copy of
+    /// several.  For tests, tools and stores that want contiguous bytes; the packet path
+    /// sends the segments.
+    pub fn wire_bytes(&self) -> Bytes {
+        self.wire_segments().to_bytes()
+    }
+
     /// The wire form without the envelope byte: what nests inside another message, and what
-    /// a [`crate::stream::FieldCursor`] reads.  Aliases the frame's bytes; fails if they do
-    /// not start with the envelope byte.
-    pub fn wire_body(&self) -> Result<Bytes> {
+    /// a [`crate::stream::FieldCursor`] reads.  Shares the frame's segments; fails if they
+    /// do not start with the envelope byte.
+    pub fn wire_body(&self) -> Result<Segments> {
         match self.wire() {
-            Wire::Envelope(bytes) => codec::envelope_body(bytes),
+            Wire::Envelope(wire) => codec::envelope_body(wire),
             Wire::Body(body) => Ok(body.clone()),
         }
     }
 
     /// The framed message as a tree, or why its bytes do not decode.  A frame that has only
-    /// its wire form decodes it here, once ([`tree_builds`] counts), over the shared buffer:
-    /// `Bytes` values alias the frame's bytes instead of being copied out of them.
+    /// its wire form decodes it here, once ([`tree_builds`] counts), over the shared
+    /// segments: `Bytes` values alias the frame's bytes instead of being copied out of them.
     pub fn try_message(&self) -> Result<&Message> {
         self.inner
             .tree
@@ -225,7 +237,7 @@ impl Frame {
                     .get()
                     .expect("a frame holds a tree or bytes")
                 {
-                    Wire::Envelope(bytes) => codec::decode_shared(bytes),
+                    Wire::Envelope(wire) => codec::decode_segments(wire),
                     Wire::Body(body) => codec::decode_body_shared(body),
                 }
             })
@@ -245,20 +257,22 @@ impl Frame {
     }
 
     /// The name of the message's first field, read off whichever form the frame already
-    /// has — a few bytes into the buffer for a wire-born frame.  Lets a router recognise a
-    /// protocol message (whose first field is its type tag) without building a tree.
+    /// has — a few bytes into the first segment for a wire-born frame.  Lets a router
+    /// recognise a protocol message (whose first field is its type tag) without building a
+    /// tree.  Only bytes whose first field cannot be read where it stands (corrupt, or cut
+    /// inside it) are decoded to find out.
     pub fn first_field_name(&self) -> Option<&str> {
-        if let Some(tree) = self.inner.tree.get() {
-            return tree.as_ref().ok()?.iter().next().map(|f| f.name.as_str());
+        if self.inner.tree.get().is_none() {
+            let (wire, envelope) = match self.inner.wire.get()? {
+                Wire::Envelope(wire) => (wire, true),
+                Wire::Body(body) => (body, false),
+            };
+            if let Ok(name) = codec::first_field_name(wire, envelope) {
+                return name;
+            }
         }
-        let mut buf: &[u8] = match self.inner.wire.get()? {
-            Wire::Envelope(bytes) => bytes.get(1..)?,
-            Wire::Body(body) => body,
-        };
-        codec::read_field_count(&mut buf, 0)
-            .ok()
-            .filter(|n| *n > 0)?;
-        codec::read_name(&mut buf).ok()
+        let first = self.try_message().ok()?.iter().next()?;
+        Some(first.name.as_str())
     }
 
     /// Size of the message under the simulator's cost model — [`Message::encoded_len`] of
@@ -272,7 +286,7 @@ impl Frame {
             }
             self.wire_body()
                 .and_then(|body| codec::body_model_len(&body))
-                .unwrap_or_else(|_| self.wire_bytes().len())
+                .unwrap_or_else(|_| self.wire_segments().len())
         })
     }
 
@@ -363,10 +377,10 @@ impl fmt::Debug for Frame {
         if let Some(Ok(tree)) = self.inner.tree.get() {
             return fmt::Debug::fmt(tree, f);
         }
-        let bytes = self.wire_bytes();
-        match codec::decode_shared(&bytes) {
+        let wire = self.wire_segments();
+        match codec::decode_segments(&wire) {
             Ok(tree) => fmt::Debug::fmt(&tree, f),
-            Err(e) => write!(f, "Frame(<{} undecodable bytes: {e}>)", bytes.len()),
+            Err(e) => write!(f, "Frame(<{} undecodable bytes: {e}>)", wire.len()),
         }
     }
 }
@@ -549,7 +563,7 @@ mod tests {
         let inner = Message::with_body("inner").with("n", 1u64);
         let outer = codec::encode(&Message::new().with("wrapped", inner.clone()));
         let body = {
-            let body = codec::envelope_body(&outer).expect("envelope");
+            let body = codec::envelope_body(&outer.into()).expect("envelope");
             let mut cur = crate::stream::FieldCursor::new(&body).expect("open");
             cur.encoded("wrapped").expect("nested")
         };

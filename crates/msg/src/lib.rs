@@ -17,6 +17,7 @@ pub mod fields;
 pub mod frame;
 pub mod message;
 pub mod name;
+pub mod segments;
 pub mod stream;
 pub mod value;
 
@@ -26,4 +27,5 @@ pub use bytes::Bytes;
 pub use frame::Frame;
 pub use message::{Field, Message};
 pub use name::FieldName;
+pub use segments::Segments;
 pub use value::Value;

@@ -12,20 +12,27 @@
 //! * [`FieldCursor`] finds fields by name in an encoded body.  Lookups resume where the last
 //!   one stopped, so reading fields in the order they were written visits every byte once;
 //!   a field that is out of order (or absent) costs one wrap-around sweep.  Nested messages
-//!   come back as sub-slices of the buffer and `Bytes` values alias it.
+//!   come back as sub-lists of the input and `Bytes` values alias it.
+//!
+//! What is written and read is a [`Segments`] list (see [`crate::segments`]): the writer's
+//! one buffer, cut only where a large byte string — an application's 64 KiB body, or a
+//! stored frame that holds one — goes in by reference instead of being copied, and the
+//! cursor hands that same buffer back out.  A message without a large value is one segment,
+//! written and read by the same code with no boundary ever met.
 //!
 //! Both sides go through the codec's own primitives (tags, bounds checks, the nesting
 //! bound), so there is one definition of the format.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::BufMut;
 use vsync_util::{Address, Result, VsError};
 
 use crate::codec::{
-    decode_message, encode_into, name_str, need, read_counted, read_field_count, read_name,
-    read_name_bytes, value_str, walk_message, walk_value, AddrsView, U64sView, MAGIC, TAG_ADDR,
-    TAG_ADDR_LIST, TAG_MSG, TAG_STR, TAG_U64, TAG_U64_LIST,
+    check_no_trailing, decode_message, encode_into, name_str, read_counted, read_field_count,
+    read_name, read_name_bytes, value_str, walk_message, walk_value, AddrsView, U64sView, MAGIC,
+    TAG_ADDR, TAG_ADDR_LIST, TAG_MSG, TAG_STR, TAG_U64, TAG_U64_LIST,
 };
 use crate::message::Message;
+use crate::segments::{Reader, Segments, SegmentsMut, Sink};
 use crate::value::{decode_address, encode_address};
 
 /// Streams one top-level message into wire bytes.
@@ -35,8 +42,9 @@ use crate::value::{decode_address, encode_address};
 /// the two forms would stop being equivalent); nothing checks this beyond a debug build of
 /// the protocol layer re-decoding what it wrote.
 pub struct FieldWriter {
-    buf: BytesMut,
-    /// Offset of the open message's field-count slot, and the fields written into it so far.
+    buf: SegmentsMut,
+    /// Offset in the writer's own bytes of the open message's field-count slot, and the
+    /// fields written into it so far.
     count_at: usize,
     count: u32,
     /// Size of everything written so far under the `encoded_len` model.
@@ -44,9 +52,10 @@ pub struct FieldWriter {
 }
 
 impl FieldWriter {
-    /// Starts a message, reserving `capacity` bytes up front.
+    /// Starts a message, reserving `capacity` bytes up front for what the writer copies
+    /// (see [`crate::codec::buffered_len`]).
     pub fn with_capacity(capacity: usize) -> Self {
-        let mut buf = BytesMut::with_capacity(capacity);
+        let mut buf = SegmentsMut::with_capacity(capacity);
         buf.put_u8(MAGIC);
         buf.put_u32(0);
         FieldWriter {
@@ -123,24 +132,28 @@ impl FieldWriter {
         }
     }
 
-    /// Appends a nested message given as a tree (an application payload).
+    /// Appends a nested message given as a tree (an application payload).  Its large byte
+    /// strings become segments of the wire form, shared with the tree.
     pub fn put_message(&mut self, name: &str, m: &Message) {
         self.field(name, TAG_MSG, m.encoded_len(), []);
         encode_into(m, &mut self.buf);
     }
 
     /// Appends a nested message that already exists in wire form: `body` is spliced in as
-    /// is, and `model_len` is its size under the model (see [`crate::codec::body_model_len`]).
-    pub fn put_encoded(&mut self, name: &str, body: &[u8], model_len: usize) {
+    /// is — its large segments by reference — and `model_len` is its size under the model
+    /// (see [`crate::codec::body_model_len`]).
+    pub fn put_encoded(&mut self, name: &str, body: &Segments, model_len: usize) {
         self.field(name, TAG_MSG, model_len, []);
-        self.buf.put_slice(body);
+        for seg in body.iter() {
+            self.buf.put_shared(seg);
+        }
     }
 
     /// Appends a nested message whose fields `fill` writes.
     pub fn put_nested(&mut self, name: &str, fill: impl FnOnce(&mut FieldWriter)) {
         self.field(name, TAG_MSG, 4, []);
         let outer = (self.count_at, self.count);
-        self.count_at = self.buf.len();
+        self.count_at = self.buf.buffered();
         self.count = 0;
         self.buf.put_u32(0);
         fill(self);
@@ -150,14 +163,14 @@ impl FieldWriter {
 
     /// Patches the open message's field count.
     fn close(&mut self) {
-        self.buf[self.count_at..self.count_at + 4].copy_from_slice(&self.count.to_be_bytes());
+        self.buf.patch(self.count_at, &self.count.to_be_bytes());
     }
 
     /// Finishes the message: its wire bytes (envelope byte included) and its size under the
     /// `encoded_len` model.
-    pub fn finish(mut self) -> (Bytes, usize) {
+    pub fn finish(mut self) -> (Segments, usize) {
         self.close();
-        (self.buf.freeze(), self.model)
+        (self.buf.finish(), self.model)
     }
 }
 
@@ -169,36 +182,36 @@ impl FieldWriter {
 /// it, and [`FieldCursor::finish`] walks whatever was not passed, so a body that was read to
 /// the end is a body `decode` would have accepted.  If a name repeats, the occurrence met
 /// first wins.
+///
+/// The cursor follows segment boundaries where a writer puts them.  A body cut anywhere
+/// else fails to read; open it inside [`Segments::read_with`] to have it read as one buffer
+/// instead.
 pub struct FieldCursor<'a> {
-    /// The shared buffer `buf` lies in; `Bytes` values and nested bodies alias it.
-    src: &'a Bytes,
-    /// This message's body, possibly followed by more of the enclosing message.
-    buf: &'a [u8],
-    count: usize,
-    /// Fields the current sweep has passed, and the offset of the next one.
+    /// The first field: where a sweep starts.
+    first: Reader<'a>,
+    /// The next field of the current sweep, and how many the sweep has passed.
+    at: Reader<'a>,
     idx: usize,
-    pos: usize,
-    /// Offset just past the last field, once a sweep has reached it.
-    end: Option<usize>,
+    count: usize,
+    /// Just past the last field, once a sweep has reached it.
+    end: Option<Reader<'a>>,
     depth: usize,
 }
 
 impl<'a> FieldCursor<'a> {
     /// Opens a top-level message body (see [`crate::codec::envelope_body`]); [`Self::finish`]
     /// checks that the body spans `body` exactly.
-    pub fn new(body: &'a Bytes) -> Result<Self> {
-        Self::at(body, body, 0)
+    pub fn new(body: &'a Segments) -> Result<Self> {
+        Self::open(Reader::over(body), 0)
     }
 
-    fn at(src: &'a Bytes, buf: &'a [u8], depth: usize) -> Result<Self> {
-        let mut rest = buf;
-        let count = read_field_count(&mut rest, depth)?;
+    fn open(mut body: Reader<'a>, depth: usize) -> Result<Self> {
+        let count = read_field_count(&mut body, depth)?;
         Ok(FieldCursor {
-            src,
-            buf,
-            count,
+            first: body,
+            at: body,
             idx: 0,
-            pos: 4,
+            count,
             end: None,
             depth,
         })
@@ -213,21 +226,19 @@ impl<'a> FieldCursor<'a> {
     fn seek(&mut self, name: &str) -> Result<bool> {
         for _ in 0..self.count {
             if self.idx == self.count {
-                self.end = Some(self.pos);
+                self.end = Some(self.at);
                 self.idx = 0;
-                self.pos = 4;
+                self.at = self.first;
             }
-            let mut rest = &self.buf[self.pos..];
             // Bytes equal to `name` are UTF-8 because `name` is; only a name that is
             // passed over still has to be checked.
-            let raw = read_name_bytes(&mut rest)?;
+            let raw = read_name_bytes(&mut self.at)?;
             let found = raw == name.as_bytes();
             if !found {
                 name_str(raw)?;
-                walk_value(&mut rest, self.depth)?;
+                walk_value(&mut self.at, self.depth)?;
             }
             self.idx += 1;
-            self.pos = self.buf.len() - rest.len();
             if found {
                 return Ok(true);
             }
@@ -237,22 +248,14 @@ impl<'a> FieldCursor<'a> {
 
     /// Consumes the tag of the value under the cursor, which must be `tag`.
     #[inline]
-    fn expect_tag(&mut self, name: &str, tag: u8) -> Result<&'a [u8]> {
-        let mut rest = &self.buf[self.pos..];
-        need(&rest, 1, "value tag")?;
-        let got = rest.get_u8();
+    fn expect_tag(&mut self, name: &str, tag: u8) -> Result<()> {
+        let got = self.at.u8("value tag")?;
         if got != tag {
             return Err(VsError::CodecError(format!(
                 "field {name:?} has type tag {got}, expected {tag}"
             )));
         }
-        Ok(rest)
-    }
-
-    /// Moves the cursor to where `rest` starts.
-    #[inline]
-    fn advance_to(&mut self, rest: &[u8]) {
-        self.pos = self.buf.len() - rest.len();
+        Ok(())
     }
 
     #[inline]
@@ -260,11 +263,8 @@ impl<'a> FieldCursor<'a> {
         if !self.seek(name)? {
             return Ok(None);
         }
-        let mut rest = self.expect_tag(name, tag)?;
-        need(&rest, 8, "fixed-width value")?;
-        let v = rest.get_u64();
-        self.advance_to(rest);
-        Ok(Some(v))
+        self.expect_tag(name, tag)?;
+        self.at.u64("fixed-width value").map(Some)
     }
 
     #[inline]
@@ -272,10 +272,8 @@ impl<'a> FieldCursor<'a> {
         if !self.seek(name)? {
             return Ok(None);
         }
-        let mut rest = self.expect_tag(name, tag)?;
-        let raw = read_counted(&mut rest, unit, name)?;
-        self.advance_to(rest);
-        Ok(Some(raw))
+        self.expect_tag(name, tag)?;
+        read_counted(&mut self.at, unit, name).map(Some)
     }
 
     /// The unsigned integer field `name`, if present.
@@ -334,7 +332,7 @@ impl<'a> FieldCursor<'a> {
 
     /// Positions the cursor on the body of the nested-message field `name`.
     #[inline]
-    fn nested_body(&mut self, name: &str) -> Result<&'a [u8]> {
+    fn nested_body(&mut self, name: &str) -> Result<()> {
         if !self.seek(name)? {
             return Err(missing(name));
         }
@@ -342,23 +340,19 @@ impl<'a> FieldCursor<'a> {
     }
 
     /// The nested message `name` as a tree (an application payload); its `Bytes` values
-    /// alias the buffer.
+    /// alias the segments they lie in.
     pub fn message(&mut self, name: &str) -> Result<Message> {
-        let mut rest = self.nested_body(name)?;
-        let m = decode_message(&mut rest, Some(self.src), self.depth + 1)?;
-        self.advance_to(rest);
-        Ok(m)
+        self.nested_body(name)?;
+        decode_message(&mut self.at, self.depth + 1)
     }
 
-    /// The nested message `name` left in wire form: its body as a slice of the buffer,
-    /// walked (so it is known to be well-formed) but not parsed.
-    pub fn encoded(&mut self, name: &str) -> Result<Bytes> {
-        let body = self.nested_body(name)?;
-        let mut rest = body;
-        walk_message(&mut rest, self.depth + 1)?;
-        self.advance_to(rest);
-        let start = body.as_ptr() as usize - self.src.as_ptr() as usize;
-        Ok(self.src.slice(start..start + body.len() - rest.len()))
+    /// The nested message `name` left in wire form: its body as a list sharing the segments
+    /// it lies in, walked (so it is known to be well-formed) but not parsed.
+    pub fn encoded(&mut self, name: &str) -> Result<Segments> {
+        self.nested_body(name)?;
+        let body = self.at;
+        walk_message(&mut self.at, self.depth + 1)?;
+        Ok(body.until(&self.at))
     }
 
     /// Reads the nested message `name` field by field through a cursor of its own.
@@ -367,41 +361,32 @@ impl<'a> FieldCursor<'a> {
         name: &str,
         read: impl FnOnce(&mut FieldCursor<'a>) -> Result<R>,
     ) -> Result<R> {
-        let body = self.nested_body(name)?;
-        let mut sub = FieldCursor::at(self.src, body, self.depth + 1)?;
+        self.nested_body(name)?;
+        let mut sub = FieldCursor::open(self.at, self.depth + 1)?;
         let out = read(&mut sub)?;
-        let len = sub.end()?;
-        self.advance_to(&body[len..]);
+        self.at = sub.end()?;
         Ok(out)
     }
 
-    /// Offset just past the message's last field, walking whatever no lookup has passed.
-    fn end(&mut self) -> Result<usize> {
+    /// The position just past the message's last field, walking whatever no lookup has
+    /// passed.
+    fn end(&mut self) -> Result<Reader<'a>> {
         if let Some(end) = self.end {
             return Ok(end);
         }
-        let mut rest = &self.buf[self.pos..];
         for _ in self.idx..self.count {
-            read_name(&mut rest)?;
-            walk_value(&mut rest, self.depth)?;
+            read_name(&mut self.at)?;
+            walk_value(&mut self.at, self.depth)?;
         }
         self.idx = self.count;
-        self.advance_to(rest);
-        self.end = Some(self.pos);
-        Ok(self.pos)
+        self.end = Some(self.at);
+        Ok(self.at)
     }
 
     /// Ends the read of a top-level body: validates every field no lookup passed and
     /// rejects bytes left over after the last one.
     pub fn finish(mut self) -> Result<()> {
-        let end = self.end()?;
-        if end != self.buf.len() {
-            return Err(VsError::CodecError(format!(
-                "{} trailing bytes after message",
-                self.buf.len() - end
-            )));
-        }
-        Ok(())
+        check_no_trailing(&self.end()?)
     }
 }
 
@@ -419,6 +404,7 @@ fn required<T>(v: Option<T>, name: &str) -> Result<T> {
 mod tests {
     use super::*;
     use crate::codec;
+    use bytes::Bytes;
     use vsync_util::{GroupId, ProcessId, SiteId};
 
     /// Longer than the writer's stack header, so it takes the piecewise path.
@@ -446,7 +432,7 @@ mod tests {
             .with(LONG_NAME, 1u64)
     }
 
-    fn write_sample() -> (Bytes, usize) {
+    fn write_sample() -> (Segments, usize) {
         let tree = sample_tree();
         let mut w = FieldWriter::with_capacity(64);
         w.put_str("@g-type", "sample");
@@ -470,11 +456,11 @@ mod tests {
             });
             // An element that already exists in wire form is spliced, not re-encoded.
             let i1 = codec::encode(&Message::with_body(vec![1u8, 2, 3]));
-            let body = &i1[1..];
+            let body = codec::envelope_body(&i1.into()).expect("envelope");
             w.put_encoded(
                 "i1",
-                body,
-                codec::body_model_len(body).expect("well-formed"),
+                &body,
+                codec::body_model_len(&body).expect("well-formed"),
             );
         });
         w.put_u64(LONG_NAME, 1);
@@ -483,18 +469,22 @@ mod tests {
 
     #[test]
     fn writer_output_is_the_tree_encoders_output_and_model() {
-        let (bytes, model) = write_sample();
+        let (wire, model) = write_sample();
         let tree = sample_tree();
+        assert_eq!(wire.iter().count(), 1, "nothing large: one buffer");
+        let bytes = wire.to_bytes();
         assert_eq!(bytes, codec::encode(&tree), "byte for byte");
         assert_eq!(model, tree.encoded_len(), "size model");
-        assert_eq!(codec::body_model_len(&bytes[1..]).expect("walk"), model);
+        let body = codec::envelope_body(&wire).expect("envelope");
+        assert_eq!(codec::body_model_len(&body).expect("walk"), model);
         assert_eq!(codec::decode(&bytes).expect("decode"), tree);
     }
 
     #[test]
     fn cursor_reads_in_order_out_of_order_and_absent_fields() {
-        let (bytes, _) = write_sample();
-        let body = codec::envelope_body(&bytes).expect("envelope");
+        let (wire, _) = write_sample();
+        let bytes = wire.to_bytes();
+        let body = codec::envelope_body(&wire).expect("envelope");
         let mut c = FieldCursor::new(&body).expect("open");
         assert_eq!(c.field_count(), 8);
         assert_eq!(c.str("@g-type").expect("type"), "sample");
@@ -522,25 +512,27 @@ mod tests {
         assert_eq!(items.0, 2);
         assert_eq!(items.1, ("a".to_owned(), Some(9)));
         // The spliced element comes back out as the bytes that went in, aliasing the buffer.
+        let spliced = items.2.to_bytes();
         assert_eq!(
-            &items.2[..],
+            &spliced[..],
             &codec::encode(&Message::with_body(vec![1u8, 2, 3]))[1..]
         );
         let base = bytes.as_ptr() as usize;
-        let at = items.2.as_ptr() as usize;
+        let at = spliced.as_ptr() as usize;
         assert!(at > base && at < base + bytes.len(), "aliases the input");
         c.finish().expect("whole body consumed");
     }
 
     #[test]
     fn cursor_rejects_wrong_types_truncation_and_trailing_bytes() {
-        let (bytes, _) = write_sample();
-        let body = codec::envelope_body(&bytes).expect("envelope");
-        let mut c = FieldCursor::new(&body).expect("open");
+        let (wire, _) = write_sample();
+        let body = codec::envelope_body(&wire).expect("envelope").to_bytes();
+        let whole = Segments::from(body.clone());
+        let mut c = FieldCursor::new(&whole).expect("open");
         assert!(c.u64("@g-type").is_err(), "a string is not a u64");
         // Every proper prefix fails somewhere between `new` and `finish`, never panics.
         for cut in 0..body.len() {
-            let prefix = body.slice(..cut);
+            let prefix = Segments::from(body.slice(..cut));
             let read = FieldCursor::new(&prefix).and_then(|mut c| {
                 c.str("@g-type")?;
                 c.nested("items", |items| items.u64("n"))?;
@@ -550,7 +542,7 @@ mod tests {
         }
         let mut longer = body.to_vec();
         longer.push(0);
-        let longer = Bytes::from(longer);
+        let longer = Segments::from(Bytes::from(longer));
         let mut c = FieldCursor::new(&longer).expect("open");
         c.str("@g-type").expect("type");
         assert!(c.finish().is_err(), "trailing byte");
@@ -558,13 +550,56 @@ mod tests {
 
     #[test]
     fn a_nested_read_that_stops_early_still_lands_after_the_nested_message() {
-        let (bytes, _) = write_sample();
-        let body = codec::envelope_body(&bytes).expect("envelope");
+        let (wire, _) = write_sample();
+        let body = codec::envelope_body(&wire).expect("envelope");
         let mut c = FieldCursor::new(&body).expect("open");
         // Read only the first field of `payload`'s sibling `items`, then continue in the
         // parent: the parent resumes after the whole nested message.
         assert_eq!(c.nested("items", |items| items.u64("n")).expect("n"), 2);
         assert_eq!(c.u64("seq").expect("wraps to seq"), 41);
         c.finish().expect("well-formed");
+    }
+
+    #[test]
+    fn large_values_are_segments_of_their_own_and_come_back_as_themselves() {
+        let big = Bytes::from(vec![0xC3u8; 64 * 1024]);
+        let payload = Message::with_body(big.clone()).with("op", 7u64);
+        let stored = codec::encode_segments(&Message::new().with("held", big.clone()));
+        let mut w = FieldWriter::with_capacity(64);
+        w.put_u64("seq", 1);
+        w.put_message("payload", &payload);
+        w.put_nested("list", |w| {
+            let body = codec::envelope_body(&stored).expect("envelope");
+            w.put_encoded("i0", &body, codec::body_model_len(&body).expect("walk"));
+        });
+        let (wire, model) = w.finish();
+        let tree = Message::new()
+            .with("seq", 1u64)
+            .with("payload", payload.clone())
+            .with(
+                "list",
+                Message::new().with("i0", Message::new().with("held", big.clone())),
+            );
+        assert_eq!(wire.to_bytes(), codec::encode(&tree), "byte for byte");
+        assert_eq!(model, tree.encoded_len());
+        let segs: Vec<&Bytes> = wire.iter().collect();
+        assert_eq!(segs.len(), 4, "own bytes before each of the two values");
+        assert_eq!(segs[1].as_ptr(), big.as_ptr(), "spliced, not copied");
+        assert_eq!(segs[3].as_ptr(), big.as_ptr(), "the last thing written");
+        assert!(wire.buffered_len() < 128);
+        // Every way of reading hands the value back as the buffer that went in.
+        assert_eq!(codec::decode_segments(&wire).expect("decode"), tree);
+        let body = codec::envelope_body(&wire).expect("envelope");
+        let mut c = FieldCursor::new(&body).expect("open");
+        let read = c.message("payload").expect("payload");
+        assert_eq!(read, payload);
+        assert_eq!(read.get_bytes("body").expect("body").as_ptr(), big.as_ptr());
+        let held = c
+            .nested("list", |list| list.encoded("i0"))
+            .expect("nested wire form");
+        assert_eq!(held, codec::envelope_body(&stored).expect("envelope"));
+        assert_eq!(held.iter().nth(1).expect("value").as_ptr(), big.as_ptr());
+        assert_eq!(c.u64("seq").expect("wraps across segments"), 1);
+        c.finish().expect("whole body consumed");
     }
 }

@@ -14,14 +14,20 @@
 //! frame is never parsed at all; the bytes are read once per receiving site after they
 //! cross a thread boundary.  Multicasts held for a flush travel inside `FlushAck` /
 //! `FlushCommit` by splicing their frames' bytes and come back out as frames aliasing the
-//! carrier's buffer.
+//! carrier's segments.
+//!
+//! The bytes are held as a [`Segments`] list: a payload's large byte string (a 64 KiB body,
+//! a state-transfer block) is never copied into a frame — not when the frame is written,
+//! not when a flush carries the frame onwards — but spliced in as a segment of its own, and
+//! the payload a receiver reads aliases that segment.  Everything else about a frame, and
+//! every frame without such a value, is one buffer as before.
 //!
 //! [`ProtoMsg::encode`] and [`ProtoMsg::decode`] convert to and from a [`Message`] tree by
 //! going through the bytes; they exist for tests and tools that want to look at (or
 //! tamper with) a message as a symbol table.
 
 use vsync_msg::stream::{FieldCursor, FieldWriter};
-use vsync_msg::{codec, Bytes, Frame, Message};
+use vsync_msg::{codec, Frame, Message, Segments};
 use vsync_net::MsgId;
 use vsync_util::{GroupId, ProcessId, Result, SiteId, VectorClock, VsError};
 
@@ -326,10 +332,13 @@ fn get_stored(c: &mut FieldCursor<'_>, name: &str) -> Result<StoredMsg> {
     })
 }
 
-/// Bytes to reserve for a list of stored multicasts: the size model runs slightly above the
-/// wire size, and splicing needs each frame's modelled size anyway.
+/// Bytes to reserve for a list of stored multicasts: what splicing each frame copies (its
+/// large segments go in by reference), plus the fields around it.
 fn stored_len(stored: &[StoredMsg]) -> usize {
-    stored.iter().map(|s| 32 + s.wire.model_len()).sum()
+    stored
+        .iter()
+        .map(|s| 32 + s.wire.wire_body().map_or(0, |body| body.buffered_len()))
+        .sum()
 }
 
 impl ProtoMsg {
@@ -357,15 +366,15 @@ impl ProtoMsg {
     fn write(&self, group: GroupId) -> FieldWriter {
         let reserve = match self {
             ProtoMsg::CbData { vt, payload, .. } => {
-                8 * vt.entries().len() + codec::wire_len(payload)
+                8 * vt.entries().len() + codec::buffered_len(payload)
             }
             ProtoMsg::AbData { payload, .. } | ProtoMsg::GbcastReq { payload, .. } => {
-                codec::wire_len(payload)
+                codec::buffered_len(payload)
             }
             ProtoMsg::FlushAck { stored, .. } => stored_len(stored),
             ProtoMsg::FlushCommit {
                 deliver, gbcasts, ..
-            } => 256 + stored_len(deliver) + gbcasts.iter().map(codec::wire_len).sum::<usize>(),
+            } => 256 + stored_len(deliver) + gbcasts.iter().map(codec::buffered_len).sum::<usize>(),
             _ => 0,
         };
         let mut w = FieldWriter::with_capacity(192 + reserve);
@@ -504,7 +513,15 @@ impl ProtoMsg {
     /// without its runs would read as "received nothing", a commit or reform summary
     /// without its frontier as "covers nothing" — each a silent stall or a silent wrong
     /// answer where a decode error belongs.
-    fn read(body: &Bytes) -> Result<(GroupId, ProtoMsg)> {
+    ///
+    /// Segment boundaries are followed where [`ProtoMsg::write`] puts them; a body cut
+    /// anywhere else is read as one buffer ([`Segments::read_with`]).
+    fn read(body: &Segments) -> Result<(GroupId, ProtoMsg)> {
+        body.read_with(ProtoMsg::read_fields)
+    }
+
+    /// One pass of [`ProtoMsg::read`] over `body` as it is cut.
+    fn read_fields(body: &Segments) -> Result<(GroupId, ProtoMsg)> {
         let mut c = FieldCursor::new(body)?;
         let tag = c.str(TYPE_FIELD)?;
         let group = c.addr(GROUP_FIELD)?.as_group().ok_or_else(|| {
@@ -666,14 +683,14 @@ impl ProtoMsg {
 
     /// The message as a [`Message`] tree: its wire bytes, decoded by the generic codec.
     pub fn encode(&self, group: GroupId) -> Message {
-        codec::decode_shared(&self.write(group).finish().0)
+        codec::decode_segments(&self.write(group).finish().0)
             .expect("the field writer produces well-formed messages")
     }
 
     /// Decodes a protocol message from a [`Message`] tree (through the tree's wire bytes),
     /// returning the group it belongs to alongside the message.
     pub fn decode(m: &Message) -> Result<(GroupId, ProtoMsg)> {
-        ProtoMsg::read(&codec::envelope_body(&codec::encode(m))?)
+        ProtoMsg::read(&codec::envelope_body(&codec::encode_segments(m))?)
     }
 
     /// Returns true if the tree form of `m` looks like a protocol message.

@@ -247,7 +247,7 @@ mod tests {
         assert_eq!(View::read_fields(&mut c).expect("decode"), v);
         c.finish().expect("nothing else in the buffer");
         // The bytes are what the tree codec writes for the same five fields.
-        let tree = vsync_msg::codec::decode(&bytes).expect("tree");
+        let tree = vsync_msg::codec::decode_segments(&bytes).expect("tree");
         assert_eq!(tree.field_count(), 5);
         assert_eq!(tree.get_u64("view-seq"), Some(3));
         assert_eq!(

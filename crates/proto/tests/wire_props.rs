@@ -9,8 +9,14 @@
 //! agree with the tree's `encoded_len`, the reader must give back the typed message, frames
 //! nested in a flush ack or commit must come back out as the bytes that went in, and no
 //! truncation may decode or panic.
+//!
+//! Since issue 16 a frame's bytes are held as a list of segments, with a large payload body
+//! spliced in by reference.  That changes how the bytes are held, not which bytes they are:
+//! the reference below is still compared against the list's concatenation, the list itself
+//! must read back as the typed message, and 64 KiB bodies — alone, held in a flush ack, held
+//! in a commit — must come back out as the very buffer the sender put in.
 
-use vsync_msg::{codec, Frame, Message};
+use vsync_msg::{codec, Bytes, Frame, Message};
 use vsync_net::MsgId;
 use vsync_proto::messages::StoredMsg;
 use vsync_proto::{Frontier, IdSet, ProtoMsg, View};
@@ -399,6 +405,12 @@ fn check(msg: ProtoMsg, check_truncations: bool) {
     let arrived = Frame::from_wire(bytes.clone());
     let (group, decoded) = ProtoMsg::decode_frame(&arrived).expect("decodes");
     assert_eq!((*group, decoded), (GROUP, &msg), "{tag}: typed round trip");
+    let in_segments = Frame::from_wire(frame.wire_segments());
+    assert_eq!(
+        ProtoMsg::decode_frame(&in_segments).expect("decodes").1,
+        msg,
+        "{tag}: typed round trip as the segments the frame was written in"
+    );
     assert_eq!(msg.encode(GROUP), reference, "{tag}: encode() is the tree");
     assert_eq!(
         ProtoMsg::decode(&reference).expect("decode(tree)"),
@@ -478,6 +490,101 @@ fn long_held_lists_agree_past_the_old_name_table() {
             assert!(list.get_msg("i63").is_some() && list.get_msg("i79").is_some());
             check(msg, false);
         }
+    }
+}
+
+/// Addresses of every application `body` a message carries, directly or inside the frames
+/// it holds for a flush.
+fn body_addresses(msg: &ProtoMsg) -> Vec<*const u8> {
+    let of = |payload: &Message| payload.get_bytes("body").expect("body").as_ptr();
+    match msg {
+        ProtoMsg::CbData { payload, .. }
+        | ProtoMsg::AbData { payload, .. }
+        | ProtoMsg::GbcastReq { payload, .. } => vec![of(payload)],
+        ProtoMsg::FlushAck { stored: held, .. } => held_addresses(held),
+        ProtoMsg::FlushCommit {
+            deliver, gbcasts, ..
+        } => held_addresses(deliver)
+            .into_iter()
+            .chain(gbcasts.iter().map(of))
+            .collect(),
+        _ => Vec::new(),
+    }
+}
+
+fn held_addresses(held: &[StoredMsg]) -> Vec<*const u8> {
+    held.iter()
+        .flat_map(|s| body_addresses(&ProtoMsg::decode_frame(&s.wire).expect("held").1))
+        .collect()
+}
+
+#[test]
+fn bulk_payloads_travel_by_reference_and_flatten_to_the_tree_encoders_bytes() {
+    let mut rng = DetRng::new(64);
+    let body: Bytes = (0..64 * 1024)
+        .map(|_| rng.next_u64() as u8)
+        .collect::<Vec<u8>>()
+        .into();
+    let bulk = |op: u64| Message::with_body(body.clone()).with("op", op);
+    let cb = ProtoMsg::CbData {
+        id: MsgId::new(SiteId(1), 7),
+        sender: ProcessId::new(SiteId(1), 1),
+        sender_rank: 1,
+        view_seq: 3,
+        vt: VectorClock::from_entries(vec![4, 7]),
+        payload: bulk(1),
+    };
+    let ab = ProtoMsg::AbData {
+        id: MsgId::new(SiteId(0), 9),
+        sender: ProcessId::new(SiteId(0), 1),
+        view_seq: 3,
+        payload: bulk(2),
+    };
+    // Held both ways a frame can be: as written here, and as received in segments.
+    let held = vec![
+        StoredMsg {
+            wire: cb.encode_frame(GROUP),
+            ab_priority: None,
+        },
+        StoredMsg {
+            wire: Frame::from_wire(ab.encode_frame(GROUP).wire_segments()),
+            ab_priority: Some(12),
+        },
+    ];
+    let ack = ProtoMsg::FlushAck {
+        target_seq: 4,
+        from_site: SiteId(1),
+        stored: held.clone(),
+    };
+    let commit = ProtoMsg::FlushCommit {
+        target_seq: 4,
+        view: view(&mut rng),
+        deliver: held,
+        covered: frontier(&mut rng),
+        gbcasts: vec![bulk(3)],
+    };
+    for (msg, bodies) in [(cb, 1), (ab, 1), (ack, 2), (commit, 3)] {
+        let tag = msg.type_tag();
+        // Typed equality, and flatten == the tree encoder's bytes (`check` (a)-(e)).
+        check(msg.clone(), false);
+        // Every body in the frame is the sender's buffer, spliced; what the frame holds
+        // of its own is small however many bodies it carries.
+        let wire = msg.encode_frame(GROUP).wire_segments();
+        let spliced = wire
+            .iter()
+            .filter(|seg| seg.as_ptr() == body.as_ptr() && seg.len() == body.len())
+            .count();
+        assert_eq!(spliced, bodies, "{tag}: bodies by reference");
+        assert!(wire.len() - bodies * body.len() < 1024, "{tag}: own bytes");
+        // A receiver of those segments reads each one back out as that buffer — through
+        // the carrier, the held frame inside it and the payload inside that.
+        let arrived = Frame::from_wire(wire);
+        let (_, decoded) = ProtoMsg::decode_frame(&arrived).expect("decodes");
+        assert_eq!(
+            body_addresses(decoded),
+            vec![body.as_ptr(); bodies],
+            "{tag}: bodies read"
+        );
     }
 }
 

@@ -130,6 +130,27 @@ impl<T> Receiver<T> {
         }
     }
 
+    /// Takes everything queued in one lock acquisition: swaps the queue with `into`, which
+    /// must be empty — its buffer becomes the channel's next queue, so a receiver that
+    /// drains into the same deque every time makes neither side allocate at steady state.
+    /// Returns [`Recv::Disconnected`] only if nothing was queued and every sender is gone,
+    /// i.e. after the last queued item has been handed out.
+    pub fn drain_into(&self, into: &mut VecDeque<T>) -> Recv<()> {
+        debug_assert!(
+            into.is_empty(),
+            "drain_into swaps: the target must be empty"
+        );
+        let mut st = self.inner.state.lock();
+        if !st.queue.is_empty() {
+            std::mem::swap(&mut st.queue, into);
+            Recv::Item(())
+        } else if st.senders == 0 {
+            Recv::Disconnected
+        } else {
+            Recv::TimedOut
+        }
+    }
+
     /// Blocking receive.  Waits until an item arrives, every sender disconnects, or the
     /// `deadline` (if any) passes.  `None` means wait indefinitely.
     pub fn recv_deadline(&self, deadline: Option<Instant>) -> Recv<T> {
@@ -164,9 +185,15 @@ impl<T> Receiver<T> {
 
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
-        let mut st = self.inner.state.lock();
-        st.receiver_alive = false;
-        st.queue.clear();
+        // Queued items (closures, buffers) are dropped after the lock is released: their
+        // destructors may be slow, and a sender must not wait on them to learn the
+        // receiver is gone.
+        let abandoned = {
+            let mut st = self.inner.state.lock();
+            st.receiver_alive = false;
+            std::mem::take(&mut st.queue)
+        };
+        drop(abandoned);
     }
 }
 
@@ -200,6 +227,51 @@ mod tests {
         assert!(matches!(rx.try_recv(), Recv::Item(7)));
         assert!(matches!(rx.try_recv(), Recv::Disconnected));
         assert!(matches!(rx.recv_deadline(None), Recv::Disconnected));
+    }
+
+    #[test]
+    fn drain_takes_the_whole_queue_in_order_and_recycles_the_buffer() {
+        let (tx, rx) = channel();
+        let mut batch = VecDeque::with_capacity(64);
+        assert!(matches!(rx.drain_into(&mut batch), Recv::TimedOut));
+        for i in 0..5 {
+            tx.send(i);
+        }
+        assert!(matches!(rx.drain_into(&mut batch), Recv::Item(())));
+        assert_eq!(batch.drain(..).collect::<Vec<_>>(), vec![0, 1, 2, 3, 4]);
+        // The emptied deque went in as the queue: the next batch comes back in it, and the
+        // one after that in the channel's first queue again.
+        let grown = batch.capacity();
+        assert!(grown < 64, "the queue the channel grew itself");
+        tx.send(5);
+        assert!(matches!(rx.drain_into(&mut batch), Recv::Item(())));
+        assert!(batch.capacity() >= 64);
+        assert_eq!(batch.pop_front(), Some(5));
+        tx.send(6);
+        assert!(matches!(rx.drain_into(&mut batch), Recv::Item(())));
+        assert_eq!(batch.capacity(), grown);
+        assert_eq!(batch.pop_front(), Some(6));
+        // Disconnect is reported only once nothing is queued.
+        tx.send(7);
+        drop(tx);
+        assert!(matches!(rx.drain_into(&mut batch), Recv::Item(())));
+        assert_eq!(batch.pop_front(), Some(7));
+        assert!(matches!(rx.drain_into(&mut batch), Recv::Disconnected));
+    }
+
+    #[test]
+    fn a_dropped_receiver_drops_queued_items_outside_the_lock() {
+        /// Sends on the channel it sits in when dropped: deadlocks if the receiver's drop
+        /// still holds the queue lock.
+        struct SendsOnDrop(Sender<Option<SendsOnDrop>>);
+        impl Drop for SendsOnDrop {
+            fn drop(&mut self) {
+                assert!(!self.0.send(None), "the receiver is already gone");
+            }
+        }
+        let (tx, rx) = channel();
+        tx.send(Some(SendsOnDrop(tx.clone())));
+        drop(rx);
     }
 
     #[test]

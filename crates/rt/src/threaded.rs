@@ -157,6 +157,9 @@ pub struct ThreadedTransport {
     site: SiteId,
     router: Arc<Router>,
     rx: Receiver<NodeMsg>,
+    /// What the last look at the channel brought in and `recv` has not filed yet.  The
+    /// channel is emptied in one lock acquisition per pass, not one per message.
+    inbox: VecDeque<NodeMsg>,
     faults: FaultPlan,
     rng: DetRng,
     timers: BinaryHeap<TimerEntry>,
@@ -171,6 +174,10 @@ pub struct ThreadedTransport {
     /// The wall clock as last read by [`Transport::recv`]: one reading per event serves the
     /// due check, the handler's `now`, every `deliver_at` and every timer the event arms.
     clock: SimTime,
+    /// Cross-site packets handed to the router, and their wire bytes (segment lengths
+    /// summed: what a socket would carry).
+    packets_sent: u64,
+    wire_bytes_sent: u64,
 }
 
 impl ThreadedTransport {
@@ -186,6 +193,7 @@ impl ThreadedTransport {
             site,
             router,
             rx,
+            inbox: VecDeque::new(),
             faults,
             rng: DetRng::new(seed),
             timers: BinaryHeap::new(),
@@ -193,6 +201,8 @@ impl ThreadedTransport {
             local: VecDeque::new(),
             channel_front: FastHashMap::default(),
             seq: 0,
+            packets_sent: 0,
+            wire_bytes_sent: 0,
         }
     }
 
@@ -201,20 +211,14 @@ impl ThreadedTransport {
         self.seq
     }
 
-    /// Files an incoming channel message; packets wait in the held heap until due.
-    fn accept(&mut self, msg: NodeMsg) -> Option<Event> {
-        match msg {
-            NodeMsg::Packet(wire) => {
-                let entry = HeldPacket {
-                    due: wire.deliver_at,
-                    seq: self.next_seq(),
-                    wire,
-                };
-                self.held.push(entry);
-                None
-            }
-            NodeMsg::Invoke(f) => Some(Event::Invoke(f)),
-        }
+    /// Files a packet from another node; it waits in the held heap until due.
+    fn hold(&mut self, wire: WirePacket) {
+        let entry = HeldPacket {
+            due: wire.deliver_at,
+            seq: self.next_seq(),
+            wire,
+        };
+        self.held.push(entry);
     }
 
     /// Pops whichever of (due timer, due held packet) comes first, if any is due at `now`.
@@ -291,6 +295,8 @@ impl Transport for ThreadedTransport {
             self.channel_front.insert(key, deliver_at);
         }
         let wire = WirePacket::from_packet(&pkt, deliver_at);
+        self.packets_sent += 1;
+        self.wire_bytes_sent += wire.wire_len() as u64;
         self.router.send_to(pkt.dst.site, NodeMsg::Packet(wire));
     }
 
@@ -313,29 +319,43 @@ impl Transport for ThreadedTransport {
             if let Some(ev) = self.pop_due(self.clock) {
                 return Some(ev);
             }
+            // File what the last look at the channel brought in, in order.  A closure runs
+            // only after the packets queued ahead of it that are already due, so it waits
+            // at the front of the inbox while the loop goes around to hand those out.
+            let mut held_any = false;
+            while let Some(msg) = self.inbox.pop_front() {
+                match msg {
+                    NodeMsg::Packet(wire) => {
+                        self.hold(wire);
+                        held_any = true;
+                    }
+                    NodeMsg::Invoke(f) if held_any => {
+                        self.inbox.push_front(NodeMsg::Invoke(f));
+                        break;
+                    }
+                    NodeMsg::Invoke(f) => return Some(Event::Invoke(f)),
+                }
+            }
+            if held_any {
+                continue;
+            }
             // Pull in whatever already sits on the channel (it may be immediately due);
             // wait only if asked to and there is nothing.
-            let msg = match self.rx.try_recv() {
-                Recv::Item(msg) => msg,
+            match self.rx.drain_into(&mut self.inbox) {
+                Recv::Item(()) => {}
                 Recv::TimedOut if block => {
                     let deadline = self.next_deadline().map(|t| self.router.instant_of(t));
                     match self.rx.recv_deadline(deadline) {
-                        Recv::Item(msg) => {
-                            // Time passed while parked; what runs next must not see it stale.
-                            self.clock = self.router.now();
-                            msg
-                        }
+                        // Time passed while parked; the next pass reads the clock again.
+                        Recv::Item(msg) => self.inbox.push_back(msg),
                         // A deadline passed: loop around and fire the now-due timer/packet.
-                        Recv::TimedOut => continue,
+                        Recv::TimedOut => {}
                         // Disconnected from the cluster: exit even though timers may be
                         // pending — a crashed site's timers die with it.
                         Recv::Disconnected => return None,
                     }
                 }
                 Recv::TimedOut | Recv::Disconnected => return None,
-            };
-            if let Some(ev) = self.accept(msg) {
-                return Some(ev);
             }
         }
     }
@@ -348,6 +368,12 @@ pub struct NodeReport {
     pub site: SiteId,
     /// Events (packets, timers, invokes) dispatched into the handler.
     pub events: u64,
+    /// Cross-site packets the node handed to the router (those a cut link swallowed are
+    /// not counted; same-site loopback never is).
+    pub packets_sent: u64,
+    /// Wire bytes of those packets: the lengths of their segments, summed — what a socket
+    /// transport would have carried.
+    pub wire_bytes_sent: u64,
 }
 
 /// A cluster of nodes, one OS thread each.
@@ -420,7 +446,13 @@ impl ThreadedCluster {
                 let mut node = Node::new(transport, make(now));
                 node.start();
                 let events = node.run();
-                NodeReport { site, events }
+                let transport = node.transport();
+                NodeReport {
+                    site,
+                    events,
+                    packets_sent: transport.packets_sent,
+                    wire_bytes_sent: transport.wire_bytes_sent,
+                }
             })
             .expect("spawn node thread");
         self.handles[idx] = Some(handle);
@@ -581,6 +613,48 @@ mod tests {
         let reports = cluster.shutdown();
         assert_eq!(reports.len(), 2);
         assert!(reports.iter().all(|r| r.events > 0));
+    }
+
+    #[test]
+    fn a_node_reports_the_packets_and_wire_bytes_it_sent() {
+        use vsync_msg::codec;
+        let (cluster, rx) = echo_cluster(2);
+        let a = ProcessId::new(SiteId(0), 1);
+        let b = ProcessId::new(SiteId(1), 1);
+        // One message whose body the wire form takes by reference and one it copies: what
+        // is counted is the bytes of the flat encoding either way — the splice changes how
+        // the bytes are held, not how many there are.
+        let bulk = Message::with_body(vec![3u8; 64 * 1024]).with("op", 1u64);
+        let small = Message::with_body(vec![3u8; 16]).with("op", 2u64);
+        let want = (codec::wire_len(&bulk) + codec::wire_len(&small)) as u64;
+        assert_eq!(
+            want,
+            (codec::encode(&bulk).len() + codec::encode(&small).len()) as u64
+        );
+        let send = move |cluster: &ThreadedCluster, dst: ProcessId, msgs: Vec<Message>| {
+            assert!(cluster.invoke(
+                SiteId(0),
+                Box::new(move |_h, _now, out| {
+                    for m in msgs {
+                        out.send(Packet::new(a, dst, PacketKind::Data, m));
+                    }
+                })
+            ));
+        };
+        send(&cluster, b, vec![bulk, small, Message::with_body("last")]);
+        assert!(wait_for(&rx, "last").is_some(), "site 1 received all three");
+        // Neither same-site loopback nor a packet a cut link swallows reaches the router.
+        cluster.set_link_faults(LinkFaults::partition(&[vec![SiteId(0)], vec![SiteId(1)]]));
+        send(&cluster, b, vec![Message::with_body("cut")]);
+        send(&cluster, a, vec![Message::with_body("loop")]);
+        assert!(wait_for(&rx, "loop").is_some(), "loopback delivered");
+        let reports = cluster.shutdown();
+        let of = |site| *reports.iter().find(|r| r.site == site).expect("report");
+        let last = codec::wire_len(&Message::with_body("last")) as u64;
+        assert_eq!(of(SiteId(0)).packets_sent, 3);
+        assert_eq!(of(SiteId(0)).wire_bytes_sent, want + last);
+        assert_eq!(of(SiteId(1)).packets_sent, 0);
+        assert_eq!(of(SiteId(1)).wire_bytes_sent, 0);
     }
 
     #[test]

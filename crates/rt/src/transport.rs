@@ -115,6 +115,11 @@ impl<T: Transport> Node<T> {
         self.transport.now()
     }
 
+    /// The node's transport (for what it counted).
+    pub fn transport(&self) -> &T {
+        &self.transport
+    }
+
     /// Number of events dispatched into the handler so far.
     pub fn events_handled(&self) -> u64 {
         self.events

@@ -9,15 +9,21 @@
 //! same codec a socket-backed transport will.
 //!
 //! Neither direction decodes anything here.  A protocol frame was born as bytes, so sending
-//! it clones a refcounted buffer; an application frame is encoded once per frame, however
-//! many destinations it has.  On arrival the bytes become a frame as they are
+//! it clones a refcounted segment list; an application frame is encoded once per frame,
+//! however many destinations it has.  On arrival the bytes become a frame as they are
 //! ([`Frame::from_wire`]): the receiving stack reads a protocol message straight out of
 //! them, and builds a field tree only for application traffic, lazily, with byte-string
-//! values aliasing the receive buffer.  Corrupt bytes are therefore discovered by whoever
+//! values aliasing the received segments.  Corrupt bytes are therefore discovered by whoever
 //! first reads the frame — the site stack, which traces and drops them — not here.
+//!
+//! What crosses is the frame's [`Segments`] list, not one buffer: a large byte string an
+//! application put in a message (a 64 KiB body) is a segment of its own — the application's
+//! buffer, shared, never copied into the frame — between slices of the few hundred bytes the
+//! sender wrote around it.  A socket transport would hand the same list to `writev`; here
+//! the receiving thread reads the value straight out of the sender's buffer.  An immutable
+//! `Bytes` is the only thing two nodes ever share.
 
-use bytes::Bytes;
-use vsync_msg::Frame;
+use vsync_msg::{Frame, Segments};
 use vsync_net::{Packet, PacketKind};
 use vsync_util::{ProcessId, Result, SimTime};
 
@@ -33,39 +39,45 @@ pub struct WirePacket {
     /// folds link delay and fault injection into this, so the receiver just holds the
     /// packet until the instant passes.
     pub deliver_at: SimTime,
-    /// The codec-encoded payload.  `Bytes` is `Arc`-backed, so handing the buffer to the
-    /// channel moves a pointer, not the payload (one encode, zero extra copies).
-    bytes: Bytes,
+    /// The codec-encoded payload.  The segments are `Arc`-backed, so handing the list to
+    /// the channel moves pointers, not the payload (one encode, zero copies).
+    wire: Segments,
 }
 
 impl WirePacket {
     /// Takes a packet's payload in wire form.
     ///
-    /// This goes through the frame's own bytes ([`Frame::wire_bytes`]): a multicast fan-out
-    /// emits one packet per destination site, all aliasing the same frame, so whatever
-    /// producing the bytes cost — nothing for a protocol frame, one encode for an
+    /// This goes through the frame's own bytes ([`Frame::wire_segments`]): a multicast
+    /// fan-out emits one packet per destination site, all aliasing the same frame, so
+    /// whatever producing the bytes cost — nothing for a protocol frame, one encode for an
     /// application frame — is paid once and every further destination clones a refcounted
-    /// buffer.
+    /// list.
     pub fn from_packet(pkt: &Packet, deliver_at: SimTime) -> Self {
         WirePacket {
             src: pkt.src,
             dst: pkt.dst,
             kind: pkt.kind,
             deliver_at,
-            bytes: pkt.payload.wire_bytes(),
+            wire: pkt.payload.wire_segments(),
         }
     }
 
-    /// Size of the encoded payload in bytes.
+    /// Size of the encoded payload in bytes: the sum of its segments, what a socket would
+    /// carry.
     pub fn wire_len(&self) -> usize {
-        self.bytes.len()
+        self.wire.len()
+    }
+
+    /// The encoded payload.
+    pub fn segments(&self) -> &Segments {
+        &self.wire
     }
 
     /// Turns the bytes back into a packet with a fresh local frame around them.  Nothing is
     /// decoded, so this cannot fail today; the `Result` is what a transport that validates
     /// on arrival (a checksum, a length prefix) would report through.
     pub fn into_packet(self) -> Result<Packet> {
-        let frame = Frame::from_wire(self.bytes);
+        let frame = Frame::from_wire(self.wire);
         Ok(Packet::new(self.src, self.dst, self.kind, frame))
     }
 }
@@ -73,6 +85,7 @@ impl WirePacket {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
     use vsync_msg::Message;
     use vsync_util::SiteId;
 
@@ -114,7 +127,7 @@ mod tests {
         let before = (wire_cache::encodes(), tree_builds());
         let wp = WirePacket::from_packet(&pkt, SimTime(1));
         assert_eq!(
-            wp.bytes.as_ptr(),
+            wp.wire.to_bytes().as_ptr(),
             frame.wire_bytes().as_ptr(),
             "the bytes the frame was born as"
         );
@@ -160,18 +173,23 @@ mod tests {
     }
 
     #[test]
-    fn byte_strings_of_a_received_application_frame_alias_the_receive_buffer() {
-        // A reply, a state-transfer block or a relay envelope arrives as bytes and becomes
-        // a tree lazily, over the shared buffer: a 64 KiB body is not copied out of it.
-        let body = vec![0xABu8; 64 * 1024];
+    fn byte_strings_of_a_received_application_frame_are_the_senders_buffers() {
+        // A reply, a state-transfer block or a relay envelope arrives as segments and
+        // becomes a tree lazily, over them: a 64 KiB body is neither copied into the wire
+        // form nor out of it, a small one aliases the buffer it was written into.
+        let body = Bytes::from(vec![0xABu8; 64 * 1024]);
         let pkt = Packet::new(
             ProcessId::new(SiteId(0), 1),
             ProcessId::new(SiteId(1), 2),
             PacketKind::Reply,
-            Message::with_body(body.clone()).with("xfer-seq", 3u64),
+            Message::with_body(body.clone())
+                .with("xfer-seq", 3u64)
+                .with("tag", vec![7u8; 16]),
         );
         let wp = WirePacket::from_packet(&pkt, SimTime(1));
-        let (base, len) = (wp.bytes.as_ptr() as usize, wp.bytes.len());
+        assert_eq!(wp.segments().iter().count(), 3);
+        assert!(wp.wire_len() > body.len());
+        let tail = wp.segments().iter().last().expect("segments").clone();
         let builds = vsync_msg::frame::tree_builds();
         let back = wp.into_packet().expect("into_packet");
         assert_eq!(
@@ -185,10 +203,12 @@ mod tests {
             1,
             "decoded on first read"
         );
+        assert_eq!(received.as_ptr(), body.as_ptr(), "the sender's buffer");
         assert_eq!(received, &body[..]);
-        let at = received.as_ptr() as usize;
+        let tag = back.payload.get_bytes("tag").expect("tag");
+        let (base, at) = (tail.as_ptr() as usize, tag.as_ptr() as usize);
         assert!(
-            at >= base && at + received.len() <= base + len,
+            at >= base && at + tag.len() <= base + tail.len(),
             "aliases input"
         );
         assert_eq!(back.payload.get_u64("xfer-seq"), Some(3));
@@ -203,7 +223,7 @@ mod tests {
             dst: ProcessId::new(SiteId(1), 1),
             kind: PacketKind::Data,
             deliver_at: SimTime::ZERO,
-            bytes: Bytes::from(vec![0xFF, 0x00, 0x01]),
+            wire: Bytes::from(vec![0xFF, 0x00, 0x01]).into(),
         };
         let pkt = wp.into_packet().expect("the boundary validates nothing");
         assert!(pkt.payload.try_message().is_err());
@@ -274,7 +294,7 @@ mod tests {
                 dst: me,
                 kind,
                 deliver_at: SimTime::ZERO,
-                bytes,
+                wire: bytes.into(),
             };
             let pkt = wp.into_packet().expect("the boundary validates nothing");
             let mut out = Outbox::new();

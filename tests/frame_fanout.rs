@@ -6,7 +6,9 @@
 //! cross a thread boundary as bytes, build no field tree anywhere — and still hand every
 //! receiver an isolated payload: one receiver editing its copy can never be observed by
 //! another.  A flush follows the same rule at scale: one commit frame is written
-//! cluster-wide and every copy that is sent, applied, kept or relayed aliases it.
+//! cluster-wide and every copy that is sent, applied, kept or relayed aliases it.  And a
+//! large body is not part of what is written: it rides in the frame's segment list by
+//! reference, so a 64 KiB multicast to four other sites copies its body zero times.
 //!
 //! The counts come from `vsync_proto::messages::wire_stats` (typed encodes and decodes),
 //! `vsync_msg::frame::wire_cache` (tree → bytes encodes) and `vsync_msg::frame::tree_builds`
@@ -15,19 +17,19 @@
 use std::any::Any;
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use vsync::core::{
     Duration, EntryId, GroupId, Message, ProcessId, ProtocolKind, SiteId, StackConfig,
 };
 use vsync::msg::frame::{tree_builds, wire_cache};
-use vsync::msg::Frame;
-use vsync::net::{Engine, Outbox, Packet, PacketKind, SiteHandler};
+use vsync::msg::{Bytes, Frame};
+use vsync::net::{Engine, MsgId, Outbox, Packet, PacketKind, SiteHandler};
 use vsync::proto::messages::wire_stats;
-use vsync::proto::ProtoConfig;
-use vsync::rt::{IsisHarness, IsisRuntime, SimRuntime, ThreadedRuntime};
-use vsync::util::{NetParams, SimTime};
+use vsync::proto::{ProtoConfig, ProtoMsg};
+use vsync::rt::{IsisHarness, IsisRuntime, SimRuntime, ThreadedRuntime, WirePacket};
+use vsync::util::{NetParams, SimTime, VectorClock};
 
 const APPLY: EntryId = EntryId(2);
 
@@ -291,6 +293,112 @@ fn threaded_frames_are_parsed_once_per_receiving_site_and_never_become_trees() {
     // reads each of those frames once and writes the proposals.
     assert_eq!(delta(0, work_at(&mut h, 0)), [cb + 2 * ab, ab, 0, 0]);
     assert_eq!(delta(1, work_at(&mut h, 1)), [ab, cb + 2 * ab, 0, 0]);
+    h.rt.shutdown();
+}
+
+/// A 64 KiB multicast to four other sites: the frame is written once, each receiving site
+/// parses it once, no tree is encoded or decoded — the counts of a 16 B multicast — and the
+/// body is copied nowhere: the four wire packets carry the sender's buffer as their second
+/// segment, and every handler, on the sender's thread and on four others, is handed it.
+#[test]
+fn a_bulk_multicast_to_four_sites_is_written_once_and_its_body_copied_nowhere() {
+    let body = Bytes::from(vec![0x5Au8; 64 * 1024]);
+
+    // At the thread boundary: four packets of one fan-out.
+    let before = wire_work();
+    let frame = ProtoMsg::CbData {
+        id: MsgId::new(SiteId(0), 1),
+        sender: ProcessId::new(SiteId(0), 1),
+        sender_rank: 0,
+        view_seq: 1,
+        vt: VectorClock::from_entries(vec![1, 0, 0, 0, 0]),
+        payload: Message::with_body(body.clone()),
+    }
+    .into_frame(GroupId(9));
+    let wires: Vec<WirePacket> = (1..=4u16)
+        .map(|site| {
+            let pkt = Packet::new(
+                ProcessId::new(SiteId(0), 0),
+                ProcessId::new(SiteId(site), 0),
+                PacketKind::Data,
+                frame.clone(),
+            );
+            WirePacket::from_packet(&pkt, SimTime(1))
+        })
+        .collect();
+    assert_eq!(since(before), [1, 0, 0, 0], "written once for four sites");
+    for wire in &wires {
+        let segments: Vec<&Bytes> = wire.segments().iter().collect();
+        assert_eq!(segments.len(), 2, "what the writer wrote, then the body");
+        assert_eq!(segments[1].as_ptr(), body.as_ptr(), "the body itself");
+        assert_eq!(
+            segments[0].as_ptr(),
+            wires[0].segments().iter().next().expect("first").as_ptr()
+        );
+        assert!(wire.wire_len() - body.len() < 256);
+    }
+
+    // End to end: five nodes on five threads.
+    let (stack_cfg, proto_cfg) = quiet_configs();
+    let mut h = IsisHarness::new(ThreadedRuntime::new(
+        5,
+        stack_cfg,
+        proto_cfg,
+        Default::default(),
+        9,
+    ));
+    let gid = h.allocate_group_id();
+    let handed: Vec<Arc<AtomicUsize>> = (0..5).map(|_| Arc::default()).collect();
+    let members: Vec<ProcessId> = (0..5u16)
+        .map(|site| {
+            let at = handed[site as usize].clone();
+            h.spawn(SiteId(site), move |b| {
+                b.on_entry(APPLY, move |_ctx, msg| {
+                    let body = msg.get_bytes("body").expect("body");
+                    at.store(body.as_ptr() as usize, Ordering::Relaxed);
+                });
+            })
+        })
+        .collect();
+    h.create_group_with_id("bulk-fanout", gid, members[0]);
+    for m in &members[1..] {
+        h.join_and_wait(gid, *m, None, Duration::from_secs(30))
+            .expect("join");
+    }
+    let work_at = |h: &mut IsisHarness<ThreadedRuntime>, site: u16| {
+        h.query(SiteId(site), |_stack, _now, _out| wire_work())
+            .expect("node is up")
+    };
+    let before: Vec<[u64; 4]> = (0..5).map(|site| work_at(&mut h, site)).collect();
+    h.client_send(
+        members[0],
+        gid,
+        APPLY,
+        Message::with_body(body.clone()),
+        ProtocolKind::Cbcast,
+    );
+    let everywhere = h.wait_until(Duration::from_secs(30), |_| {
+        handed.iter().all(|at| at.load(Ordering::Relaxed) != 0)
+    });
+    assert!(everywhere, "the multicast was not delivered to all five");
+    for site in 0..5u16 {
+        let now = work_at(&mut h, site);
+        let delta = [0, 1, 2, 3].map(|i| now[i] - before[site as usize][i]);
+        let want = if site == 0 {
+            [1, 0, 0, 0]
+        } else {
+            [0, 1, 0, 0]
+        };
+        assert_eq!(
+            delta, want,
+            "site {site}: one write at the sender, one parse each"
+        );
+        assert_eq!(
+            handed[site as usize].load(Ordering::Relaxed),
+            body.as_ptr() as usize,
+            "site {site}: handed a copy of the body"
+        );
+    }
     h.rt.shutdown();
 }
 
