@@ -9,12 +9,22 @@
 //! this site, hosts the client processes themselves (entry handlers and monitors), runs the
 //! failure detector, collects group-RPC replies, and relays multicasts issued by clients that
 //! are not members of the destination group to a site that is.
+//!
+//! "All inter-site communication" includes message stability: what this site has received
+//! is something it tells its peer *sites*, not something each group tells its peers.  On a
+//! maintenance tick the stack asks every endpoint for its report
+//! ([`GroupEndpoint::gossip_due`]) and sends one [`ProtoMsg::Stability`] frame per distinct
+//! set of peer sites, with an entry for each group whose view spans exactly those sites —
+//! one packet per peer site per tick in the usual case of every group on the same sites,
+//! however many groups there are.  An arriving frame is taken apart again: each entry goes
+//! to its group's endpoint ([`GroupEndpoint::on_gossip`]), where it does everything a
+//! per-group frame did; an entry for a group with no endpoint here is dropped.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use vsync_msg::{fields, Frame, Message};
 use vsync_net::{Outbox, Packet, PacketKind, ProtocolKind, SharedStats, SiteHandler};
-use vsync_proto::messages::ProtoMsg;
+use vsync_proto::messages::{ProtoMsg, StabilityEntry};
 use vsync_proto::{
     Delivery, EndpointOutput, GroupEndpoint, LogSummary, ProtoConfig, ReformStatus, ReformTracker,
     View, ViewEvent,
@@ -92,6 +102,15 @@ struct ReformRun {
     counted: bool,
 }
 
+/// The stability frame this site is building for one set of peer sites during a tick: the
+/// reports of every local endpoint whose view spans exactly those sites.  Kept between
+/// ticks (emptied) so a steady cluster re-uses the destination list it compares against.
+struct GossipBundle {
+    dsts: Vec<SiteId>,
+    /// Empty between ticks, with room for as many entries as the last frame carried.
+    entries: Vec<StabilityEntry>,
+}
+
 /// The per-site protocols process plus the client processes it hosts.
 pub struct SiteStack {
     site: SiteId,
@@ -122,8 +141,11 @@ pub struct SiteStack {
     /// default config (`StackConfig::from_params`) the tick period *equals* the heartbeat
     /// period, so this guard only bites for custom configs that tick faster.
     last_heartbeat: Option<SimTime>,
-    /// Scratch for the per-tick group sweep, reused so an idle tick allocates nothing.
-    group_scratch: Vec<GroupId>,
+    /// The heartbeat, written once: every heartbeat packet this stack ever sends aliases it.
+    heartbeat: Frame,
+    /// Stability frames under construction during a tick, one per distinct set of peer
+    /// sites; between ticks, the sets in use with nothing in them.
+    gossip: Vec<GossipBundle>,
     /// Scratch for the per-delivery local-member sweep (same reuse rationale).
     member_scratch: Vec<ProcessId>,
     /// Scratch for endpoint outputs, reused across packets/ticks.  Taken (leaving an empty
@@ -148,6 +170,8 @@ impl SiteStack {
             cfg.failure_timeout,
             SimTime::ZERO,
         );
+        let mut heartbeat = Message::new();
+        heartbeat.set(CTRL, "hb");
         SiteStack {
             site,
             cfg,
@@ -168,7 +192,8 @@ impl SiteStack {
             next_session: 0,
             now: SimTime::ZERO,
             last_heartbeat: None,
-            group_scratch: Vec::new(),
+            heartbeat: Frame::new(heartbeat),
+            gossip: Vec::new(),
             member_scratch: Vec::new(),
             eout_scratch: Vec::new(),
         }
@@ -201,6 +226,13 @@ impl SiteStack {
     /// The view this site currently has of a group (member view or cached).
     pub fn view_of(&self, group: GroupId) -> Option<&View> {
         self.views.get(&group)
+    }
+
+    /// True if this site runs a protocol endpoint for the group: a member lives here, or is
+    /// joining here.  Diagnostic: traffic about a group this site has no part in must not
+    /// leave one behind.
+    pub fn has_endpoint(&self, group: GroupId) -> bool {
+        self.endpoints.contains_key(&group)
     }
 
     /// Number of multicasts this site has received in the group's current view that are
@@ -1243,6 +1275,39 @@ impl SiteStack {
                 }
                 return;
             }
+            // A stability frame is site-to-site too: each entry goes to the endpoint of its
+            // group.  A group with no endpoint here (a view that does not span this site
+            // any more, a corrupt entry) is skipped, never faulted into existence.
+            ProtoMsg::Stability { from_site, entries } => {
+                if *from_site != pkt.src.site {
+                    out.trace_with(|| {
+                        format!(
+                            "{}: stability frame from {} reports for {from_site}",
+                            self.site, pkt.src.site
+                        )
+                    });
+                    return;
+                }
+                let mut eouts = self.take_eouts();
+                for entry in entries {
+                    let Some(ep) = self.endpoints.get_mut(&entry.group) else {
+                        continue;
+                    };
+                    ep.on_gossip(
+                        self.now,
+                        *from_site,
+                        entry.view_seq,
+                        &entry.received,
+                        &mut eouts,
+                    );
+                    if !eouts.is_empty() {
+                        self.pump_endpoint_outputs(entry.group, eouts, out);
+                        eouts = self.take_eouts();
+                    }
+                }
+                self.eout_scratch = eouts;
+                return;
+            }
             _ => {}
         }
         // Joins are validated by the protection policy before the protocol layer sees them.
@@ -1321,24 +1386,16 @@ impl SiteHandler for SiteStack {
         }
         // Heartbeats to every other site, rate-limited to the heartbeat period so the
         // cadence stays correct even under a custom config whose tick runs faster than
-        // `heartbeat_interval`.  One frame, aliased by every packet.
+        // `heartbeat_interval`.  One frame for the life of the stack, aliased by every packet.
         let due = match self.last_heartbeat {
             None => true,
             Some(last) => now.saturating_since(last) >= self.cfg.heartbeat_interval,
         };
         if due {
             self.last_heartbeat = Some(now);
-            let mut hb = Message::new();
-            hb.set(CTRL, "hb");
-            let hb = Frame::new(hb);
             for s in &self.all_sites {
                 if *s != self.site {
-                    out.send(Packet::new(
-                        protocols_process(self.site),
-                        protocols_process(*s),
-                        PacketKind::Heartbeat,
-                        hb.clone(),
-                    ));
+                    self.send_proto(*s, PacketKind::Heartbeat, self.heartbeat.clone(), out);
                 }
             }
         }
@@ -1348,18 +1405,55 @@ impl SiteHandler for SiteStack {
                 self.handle_site_failure(site, out);
             }
         }
-        // Per-group maintenance.  The id sweep reuses one scratch vector across ticks.
-        let mut groups = std::mem::take(&mut self.group_scratch);
-        groups.clear();
-        groups.extend(self.endpoints.keys().copied());
-        for g in groups.drain(..) {
-            let mut eouts = self.take_eouts();
-            if let Some(ep) = self.endpoints.get_mut(&g) {
-                ep.on_tick(now, &mut eouts);
+        // Per-group maintenance: one visit per endpoint.  Stability is a conversation
+        // between sites, so the reports of every endpoint with a gossip round due travel
+        // together — one frame per distinct set of peer sites, entries in group order, sent
+        // at the instant each endpoint's own frame would have left.  A receiver therefore
+        // only ever sees entries of groups whose view contains it.
+        let mut eouts = self.take_eouts();
+        let mut emitted: Vec<(GroupId, Vec<EndpointOutput>)> = Vec::new();
+        for (g, ep) in self.endpoints.iter_mut() {
+            if let Some(report) = ep.gossip_due(now) {
+                let bundle = match self.gossip.iter_mut().find(|b| b.dsts == report.peer_sites) {
+                    Some(bundle) => bundle,
+                    None => {
+                        // A set of peers not seen before: views have moved on, so forget
+                        // the sets nobody has reported to yet this tick.
+                        self.gossip.retain(|b| !b.entries.is_empty());
+                        self.gossip.push(GossipBundle {
+                            dsts: report.peer_sites.to_vec(),
+                            entries: Vec::new(),
+                        });
+                        self.gossip.last_mut().expect("just pushed")
+                    }
+                };
+                bundle.entries.push(report.to_entry());
             }
-            self.pump_endpoint_outputs(g, eouts, out);
+            ep.flush_watchdog(now, &mut eouts);
+            if !eouts.is_empty() {
+                emitted.push((*g, std::mem::take(&mut eouts)));
+            }
         }
-        self.group_scratch = groups;
+        self.eout_scratch = eouts;
+        let mut gossip = std::mem::take(&mut self.gossip);
+        for bundle in &mut gossip {
+            let Some(group) = bundle.entries.first().map(|e| e.group) else {
+                continue;
+            };
+            let room = Vec::with_capacity(bundle.entries.len());
+            let wire = ProtoMsg::Stability {
+                from_site: self.site,
+                entries: std::mem::replace(&mut bundle.entries, room),
+            }
+            .into_frame(group);
+            for s in &bundle.dsts {
+                self.send_proto(*s, PacketKind::Stability, wire.clone(), out);
+            }
+        }
+        self.gossip = gossip;
+        for (g, outputs) in emitted {
+            self.pump_endpoint_outputs(g, outputs, out);
+        }
         // Re-submit joins whose view has still not installed: the first JoinReq, or the
         // coordinator holding the queued join, may have died with a crashed site.  The
         // base cadence (one failure timeout) gives the original attempt time to land, and

@@ -108,15 +108,22 @@ impl FieldWriter {
 
     /// Appends a list of unsigned integers.
     pub fn put_u64_list(&mut self, name: &str, v: &[u64]) {
-        self.field(
-            name,
-            TAG_U64_LIST,
-            8 * v.len(),
-            (v.len() as u32).to_be_bytes(),
-        );
+        self.put_u64_iter(name, v.iter().copied());
+    }
+
+    /// Appends a list of unsigned integers produced one at a time, for a caller that holds
+    /// no slice of them.  The element count is patched in once the iterator is spent, as a
+    /// nested message's field count is.
+    pub fn put_u64_iter(&mut self, name: &str, v: impl Iterator<Item = u64>) {
+        self.field(name, TAG_U64_LIST, 0, 0u32.to_be_bytes());
+        let count_at = self.buf.buffered() - 4;
+        let mut n = 0u32;
         for x in v {
-            self.buf.put_u64(*x);
+            self.buf.put_u64(x);
+            n += 1;
         }
+        self.buf.patch(count_at, &n.to_be_bytes());
+        self.model += 8 * n as usize;
     }
 
     /// Appends a list of addresses.

@@ -12,6 +12,7 @@
 //! per group and turns the outputs into packets and application deliveries.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 use vsync_msg::{Frame, Message};
 use vsync_net::{MsgId, PacketKind, ProtocolKind, SharedStats};
@@ -24,7 +25,7 @@ use crate::cbcast::{CbcastState, ReadyCb};
 use crate::config::ProtoConfig;
 use crate::flush::{stored_msg_id, FlushCoordinator, FlushParticipant, FlushRole};
 use crate::frontier::{Frontier, IdSet};
-use crate::messages::{ProtoMsg, StoredMsg};
+use crate::messages::{ProtoMsg, StabilityEntry, StoredMsg};
 use crate::output::{Delivery, EndpointOutput, ViewEvent};
 use crate::stability::StabilityTracker;
 use crate::view::View;
@@ -39,6 +40,40 @@ const STALE_VIEW_PROBES: u8 = 3;
 enum BufferedSend {
     Cb { sender: ProcessId, payload: Message },
     Ab { sender: ProcessId, payload: Message },
+}
+
+/// What an endpoint has to tell its peers in a gossip round: its entry for a stability
+/// frame, borrowed from the endpoint until the host has put it into the frame it builds.
+#[derive(Debug)]
+pub struct GossipReport<'a> {
+    /// The reporting endpoint's group.
+    pub group: GroupId,
+    /// The view the ids belong to.
+    pub view_seq: u64,
+    /// Ids received at this site in that view.
+    pub received: &'a Rc<IdSet>,
+    /// Where the report goes: the other member sites of the view.
+    pub peer_sites: &'a [SiteId],
+}
+
+impl GossipReport<'_> {
+    /// The report as an entry of a [`ProtoMsg::Stability`] frame, sharing the set.
+    pub fn to_entry(&self) -> StabilityEntry {
+        StabilityEntry {
+            group: self.group,
+            view_seq: self.view_seq,
+            received: Rc::clone(self.received),
+        }
+    }
+
+    /// A stability frame from `site` carrying this report alone.
+    fn into_frame(self, site: SiteId) -> Frame {
+        ProtoMsg::Stability {
+            from_site: site,
+            entries: vec![self.to_entry()],
+        }
+        .into_frame(self.group)
+    }
 }
 
 /// Protocol endpoint for one group at one site.
@@ -618,7 +653,8 @@ impl GroupEndpoint {
         self.wedged = false;
         self.stale_probes = STALE_VIEW_PROBES;
         if !self.peer_sites.is_empty() {
-            self.send_stability_gossip(view_seq, out);
+            let probe = self.gossip_report(view_seq).into_frame(self.site);
+            self.send_to_peers(PacketKind::Stability, probe, out);
         }
     }
 
@@ -675,7 +711,10 @@ impl GroupEndpoint {
         out: &mut Vec<EndpointOutput>,
     ) -> Result<()> {
         let (group, msg) = ProtoMsg::decode_frame(frame)?;
-        if *group != self.group {
+        // A stability frame is its sender's report on every group it shares with this
+        // site and names no group of its own; what concerns this endpoint is picked out
+        // of its entries below.
+        if *group != self.group && !matches!(msg, ProtoMsg::Stability { .. }) {
             return Err(VsError::Internal(format!(
                 "message for {group} routed to endpoint of {}",
                 self.group
@@ -772,20 +811,25 @@ impl GroupEndpoint {
             }
             ProtoMsg::FlushCommit { .. } => self.apply_commit(now, frame, true, out),
             ProtoMsg::Stability {
-                view_seq,
-                from_site: gossip_site,
-                received,
-            } => match self.view_position(*view_seq) {
-                ViewPosition::Current => {
-                    self.stab.on_gossip_set(*gossip_site, received);
+                from_site: reporter,
+                entries,
+            } => {
+                if *reporter != from_site {
+                    return Err(VsError::Internal(format!(
+                        "stability frame from {from_site} reports for {reporter}"
+                    )));
                 }
-                ViewPosition::Future => {
-                    if self.wedged {
-                        self.require_rejoin(from_site, *view_seq, out);
-                    }
+                let own = self.group;
+                let mut mine = entries.iter().filter(|e| e.group == own).peekable();
+                if mine.peek().is_none() {
+                    return Err(VsError::Internal(format!(
+                        "stability frame without an entry for {own} routed to its endpoint"
+                    )));
                 }
-                ViewPosition::Past => self.bulletin_stale_sender(from_site, out),
-            },
+                for entry in mine {
+                    self.on_gossip(now, from_site, entry.view_seq, &entry.received, out);
+                }
+            }
             // Reform traffic is a site-level exchange handled by the hosting stack before
             // any endpoint exists (there is no group to route it to while the group is
             // dead); an operational endpoint simply ignores a stray copy.
@@ -794,36 +838,80 @@ impl GroupEndpoint {
         Ok(())
     }
 
-    /// Periodic maintenance: stability gossip and flush-timeout recovery.
-    pub fn on_tick(&mut self, now: SimTime, out: &mut Vec<EndpointOutput>) {
-        // Runs on every maintenance tick of every site: the idle path (nothing unstable,
-        // no flush in progress) must not clone the view or allocate.
-        let Some(view_seq) = self.view.as_ref().map(View::seq) else {
-            return;
-        };
-        // Stability gossip.
-        if now.saturating_since(self.last_gossip) >= self.cfg.stability_interval {
-            self.last_gossip = now;
-            // Gossip while there is anything to advertise — held copies *or* a message
-            // that became stable here in the last few rounds: a site that stabilized a
-            // message before ever gossiping it must still tell the origin, or the origin's
-            // ack set never completes (see `stability::QUIET_ROUNDS`).  A wedged endpoint
-            // gossips even with nothing to report: across a healed partition the stale
-            // view stamp makes a primary-side member answer with the latest commit (the
-            // bulletin), which is an idle minority's only way to learn it was cut out.
-            // The same goes for the probe rounds right after an un-wedge (see
-            // `maybe_unwedge`): heartbeats retract suspicions the instant the cut heals,
-            // usually before this tick ever fires in the wedged state, so the wedge alone
-            // cannot carry that burden.
-            let probing = self.stale_probes > 0;
-            if (self.stab.has_reportable() || self.wedged || probing) && !self.peer_sites.is_empty()
-            {
-                self.send_stability_gossip(view_seq, out);
-                self.stale_probes = self.stale_probes.saturating_sub(1);
+    /// Handles one entry of a stability frame from `from_site`: its report, stamped
+    /// `view_seq`, of the ids it has `received` in this endpoint's group.  Everything a
+    /// protocol message does on arrival happens per entry — the sender's members are
+    /// un-suspected first; a report for the current view feeds the stability tracker; one
+    /// for a view this endpoint never installed is, while wedged, proof of a newer primary
+    /// view (rejoin); one for a view it has left behind draws the bulletin commit back if
+    /// the sender was cut out of it.
+    pub fn on_gossip(
+        &mut self,
+        now: SimTime,
+        from_site: SiteId,
+        view_seq: u64,
+        received: &IdSet,
+        out: &mut Vec<EndpointOutput>,
+    ) {
+        self.unsuspect_site(now, from_site, out);
+        match self.view_position(view_seq) {
+            ViewPosition::Current => {
+                self.stab.on_gossip_set(from_site, received);
             }
-            self.stab.note_gossip_round();
+            ViewPosition::Future => {
+                if self.wedged {
+                    self.require_rejoin(from_site, view_seq, out);
+                }
+            }
+            ViewPosition::Past => self.bulletin_stale_sender(from_site, out),
         }
-        // Flush watchdog.
+    }
+
+    /// Periodic maintenance for a host that drives this endpoint alone: the gossip round,
+    /// sent as a stability frame of this one entry, then the flush watchdog.  A host of
+    /// many endpoints calls the two halves itself and sends one frame for all of them.
+    pub fn on_tick(&mut self, now: SimTime, out: &mut Vec<EndpointOutput>) {
+        let site = self.site;
+        if let Some(wire) = self.gossip_due(now).map(|report| report.into_frame(site)) {
+            self.send_to_peers(PacketKind::Stability, wire, out);
+        }
+        self.flush_watchdog(now, out);
+    }
+
+    /// First half of a maintenance tick: runs the gossip timer and, if a round is due and
+    /// there is something to tell the peers, returns this endpoint's report for the host
+    /// to send — in a frame of its own or beside other groups' reports to the same sites.
+    pub fn gossip_due(&mut self, now: SimTime) -> Option<GossipReport<'_>> {
+        // Runs on every maintenance tick of every site: the idle path (nothing unstable)
+        // must not clone the view or allocate.
+        let view_seq = self.view.as_ref()?.seq();
+        if now.saturating_since(self.last_gossip) < self.cfg.stability_interval {
+            return None;
+        }
+        self.last_gossip = now;
+        // Gossip while there is anything to advertise — held copies *or* a message
+        // that became stable here in the last few rounds: a site that stabilized a
+        // message before ever gossiping it must still tell the origin, or the origin's
+        // ack set never completes (see `stability::QUIET_ROUNDS`).  A wedged endpoint
+        // gossips even with nothing to report: across a healed partition the stale
+        // view stamp makes a primary-side member answer with the latest commit (the
+        // bulletin), which is an idle minority's only way to learn it was cut out.
+        // The same goes for the probe rounds right after an un-wedge (see
+        // `maybe_unwedge`): heartbeats retract suspicions the instant the cut heals,
+        // usually before this tick ever fires in the wedged state, so the wedge alone
+        // cannot carry that burden.
+        let probing = self.stale_probes > 0;
+        let due =
+            (self.stab.has_reportable() || self.wedged || probing) && !self.peer_sites.is_empty();
+        if due {
+            self.stale_probes = self.stale_probes.saturating_sub(1);
+        }
+        self.stab.note_gossip_round();
+        due.then(|| self.gossip_report(view_seq))
+    }
+
+    /// Second half of a maintenance tick: flush-timeout recovery.
+    pub fn flush_watchdog(&mut self, now: SimTime, out: &mut Vec<EndpointOutput>) {
         let stalled = self
             .flush
             .as_ref()
@@ -929,17 +1017,16 @@ impl GroupEndpoint {
         }
     }
 
-    /// One round of stability gossip to every peer of the current view, stamped with
-    /// `view_seq`.  Doubles as the stale-view probe: at a peer that committed a newer
-    /// view the stamp reads as `ViewPosition::Past` and draws the bulletin commit back.
-    fn send_stability_gossip(&mut self, view_seq: u64, out: &mut Vec<EndpointOutput>) {
-        let wire = ProtoMsg::Stability {
+    /// This endpoint's report as things stand, stamped with `view_seq`.  Doubles as the
+    /// stale-view probe: at a peer that committed a newer view the stamp reads as
+    /// `ViewPosition::Past` and draws the bulletin commit back.
+    fn gossip_report(&self, view_seq: u64) -> GossipReport<'_> {
+        GossipReport {
+            group: self.group,
             view_seq,
-            from_site: self.site,
-            received: self.stab.received().clone(),
+            received: self.stab.received(),
+            peer_sites: &self.peer_sites,
         }
-        .into_frame(self.group);
-        self.send_to_peers(PacketKind::Stability, wire, out);
     }
 
     /// Adds `id` to the delivered set; false if it was delivered before (a duplicate).

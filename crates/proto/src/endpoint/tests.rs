@@ -12,7 +12,8 @@ use vsync_util::{GroupId, ProcessId, SimTime, SiteId};
 
 use super::GroupEndpoint;
 use crate::config::ProtoConfig;
-use crate::frontier::Frontier;
+use crate::frontier::{Frontier, IdSet};
+use crate::messages::{ProtoMsg, StabilityEntry};
 use crate::output::{Delivery, EndpointOutput, ViewEvent};
 
 const GROUP: GroupId = GroupId(1);
@@ -764,6 +765,15 @@ fn multicast_counters_reflect_primitive_usage() {
 
 // -- Stability bookkeeping is O(sites), not O(messages) --------------------------------------
 
+/// The `ids` list of a lone endpoint's gossip frame: the one entry it carries, on the wire.
+fn listed_ids(gossip: &Frame) -> Option<Vec<u64>> {
+    let entries = gossip.message().get_msg("entries").expect("entries");
+    assert_eq!(entries.get_u64("n"), Some(1), "one endpoint, one entry");
+    let entry = entries.get_msg("i0").expect("entry");
+    assert_eq!(entry.get_addr("group"), Some(GROUP.into()));
+    entry.get_u64_list("ids").map(<[u64]>::to_vec)
+}
+
 #[test]
 fn a_long_view_keeps_gossip_and_dedup_state_bounded() {
     const MESSAGES: u64 = 20_000;
@@ -796,10 +806,7 @@ fn a_long_view_keeps_gossip_and_dedup_state_bounded() {
                     from.0
                 );
                 assert_eq!(*early_size.get_or_insert(size), size, "at message {i}");
-                assert!(
-                    !frame.message().contains("ids"),
-                    "FIFO traffic lists no ids"
-                );
+                assert_eq!(listed_ids(&frame), None, "FIFO traffic lists no ids");
             }
         }
     }
@@ -849,15 +856,15 @@ fn a_long_view_keeps_gossip_and_dedup_state_bounded() {
     let open = gossip_of_site_1(&mut c);
     let third_seq = MESSAGES / 3 + 1 + 3; // site 0 sent a third of the bulk, rounded up
     assert_eq!(
-        open.message().get_u64_list("ids"),
-        Some(&[0, third_seq][..]),
+        listed_ids(&open),
+        Some(vec![0, third_seq]),
         "the id beyond the gap is listed explicitly"
     );
     c.exec(SiteId(1), |ep, now, out| {
         ep.on_message(now, SiteId(0), &second, out).unwrap();
     });
     let closed = gossip_of_site_1(&mut c);
-    assert!(!closed.message().contains("ids"), "the gap closed");
+    assert_eq!(listed_ids(&closed), None, "the gap closed");
     assert_eq!(closed.wire_bytes().len(), early_size.unwrap());
     c.pump(false);
     // (d) A join cuts the view: the commit's covered frontier, read off the per-origin
@@ -879,6 +886,152 @@ fn a_long_view_keeps_gossip_and_dedup_state_bounded() {
         assert_eq!(ev.covered, folded, "site {s}");
         assert_eq!(c.endpoints[&SiteId(s)].delivered_count(), 0, "site {s}");
     }
+}
+
+// -- A stability frame is a site's report on many groups ---------------------------------------
+
+#[test]
+fn on_message_takes_its_own_groups_entries_out_of_a_site_level_stability_frame() {
+    let mut c = Cluster::build_three_member_group();
+    let view_seq = c.endpoints[&SiteId(0)].view().unwrap().seq();
+    c.exec(SiteId(0), |ep, now, out| {
+        ep.cbcast(now, member(0), Message::with_body(1u64), out)
+            .unwrap();
+    });
+    c.pump(false);
+    assert_eq!(c.endpoints[&SiteId(0)].unstable_len(), 1);
+    let acks = |c: &Cluster, site: u16| IdSet::clone(c.endpoints[&SiteId(site)].stab.received());
+    let entry = |group: GroupId, view_seq: u64, received: IdSet| StabilityEntry {
+        group,
+        view_seq,
+        received: received.into(),
+    };
+    let other = GroupId(77);
+    // Site 1 reports on three groups; ours sits between two this endpoint knows nothing
+    // of, one of them stamped with a view far ahead and one with garbage ids.
+    let mut foreign = IdSet::new();
+    foreign.insert_run(SiteId(0), 1, 1_000);
+    let from_1 = ProtoMsg::Stability {
+        from_site: SiteId(1),
+        entries: vec![
+            entry(other, 99, foreign.clone()),
+            entry(GROUP, view_seq, acks(&c, 1)),
+            entry(GroupId(78), 1, foreign.clone()),
+        ],
+    }
+    .into_frame(other);
+    c.exec(SiteId(0), |ep, now, out| {
+        ep.on_message(now, SiteId(1), &from_1, out).unwrap();
+        assert!(out.is_empty(), "other groups' entries cause nothing here");
+    });
+    assert_eq!(
+        c.endpoints[&SiteId(0)].unstable_len(),
+        1,
+        "one of two peers has acknowledged"
+    );
+    // Site 2's report comes in two entries for the group, the first of them empty: both
+    // are applied, in order.
+    let from_2 = ProtoMsg::Stability {
+        from_site: SiteId(2),
+        entries: vec![
+            entry(GROUP, view_seq, IdSet::new()),
+            entry(GROUP, view_seq, acks(&c, 2)),
+        ],
+    }
+    .into_frame(GROUP);
+    c.exec(SiteId(0), |ep, now, out| {
+        ep.on_message(now, SiteId(2), &from_2, out).unwrap();
+    });
+    assert_eq!(
+        c.endpoints[&SiteId(0)].unstable_len(),
+        0,
+        "stable: both peers reported it"
+    );
+    // A frame with nothing for this group was routed here by mistake, whatever group its
+    // envelope names; so was one that reports for another site than the one it came from.
+    for stray in [
+        ProtoMsg::Stability {
+            from_site: SiteId(1),
+            entries: vec![entry(other, view_seq, foreign.clone())],
+        }
+        .into_frame(GROUP),
+        ProtoMsg::Stability {
+            from_site: SiteId(1),
+            entries: Vec::new(),
+        }
+        .into_frame(GROUP),
+    ] {
+        c.exec(SiteId(0), |ep, now, out| {
+            assert!(ep.on_message(now, SiteId(1), &stray, out).is_err());
+        });
+    }
+    let forged = ProtoMsg::Stability {
+        from_site: SiteId(2),
+        entries: vec![entry(GROUP, view_seq, foreign)],
+    }
+    .into_frame(GROUP);
+    c.exec(SiteId(0), |ep, now, out| {
+        assert!(ep.on_message(now, SiteId(1), &forged, out).is_err());
+    });
+    c.exec(SiteId(0), |ep, now, out| {
+        ep.cbcast(now, member(0), Message::with_body(2u64), out)
+            .unwrap();
+    });
+    assert_eq!(
+        c.endpoints[&SiteId(0)].unstable_len(),
+        1,
+        "the forged report acknowledged nothing"
+    );
+}
+
+#[test]
+fn the_halves_of_a_tick_report_what_on_tick_sends() {
+    // A host of many endpoints calls `gossip_due` + `flush_watchdog` where a host of one
+    // calls `on_tick`: same timer, same decision, same report.
+    let mut c = Cluster::build_three_member_group();
+    c.exec(SiteId(0), |ep, now, out| {
+        ep.cbcast(now, member(0), Message::with_body(1u64), out)
+            .unwrap();
+    });
+    c.pump(false);
+    c.now = SimTime(c.now.0 + 50_000);
+    let now = c.now;
+    let ep1 = c.endpoints.get_mut(&SiteId(1)).expect("endpoint");
+    let report = ep1.gossip_due(now).expect("a held copy is worth a round");
+    assert_eq!(report.group, GROUP);
+    assert_eq!(report.peer_sites, &[SiteId(0), SiteId(2)]);
+    let entry = report.to_entry();
+    assert!(
+        ep1.gossip_due(now).is_none(),
+        "one round per stability interval"
+    );
+    let mut out = Vec::new();
+    ep1.flush_watchdog(now, &mut out);
+    assert!(out.is_empty(), "no flush in progress");
+    // Site 2, ticked whole at the same instant, sends that entry's counterpart alone in a
+    // frame of its own, to the same kind of destination list.
+    c.exec(SiteId(2), |ep, now, out| ep.on_tick(now, out));
+    let sent: Vec<SiteId> = c
+        .channels
+        .iter()
+        .filter(|((_, src), q)| *src == SiteId(2) && !q.is_empty())
+        .map(|((dst, _), _)| *dst)
+        .collect();
+    assert_eq!(sent, [SiteId(0), SiteId(1)]);
+    let (from, frame) = c.gossip.first().expect("gossip");
+    assert_eq!(*from, SiteId(2));
+    let (_, ProtoMsg::Stability { from_site, entries }) =
+        ProtoMsg::decode_frame(frame).expect("decodes")
+    else {
+        panic!("not a stability frame");
+    };
+    assert_eq!(*from_site, SiteId(2));
+    assert_eq!(entries.len(), 1);
+    assert_eq!(
+        (entries[0].group, entries[0].view_seq, &entries[0].received),
+        (entry.group, entry.view_seq, &entry.received),
+        "both sites received the same multicast in the same view"
+    );
 }
 
 // -- Primary-partition fence ---------------------------------------------------------------

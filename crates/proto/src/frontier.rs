@@ -209,11 +209,50 @@ impl IdSet {
         self.runs.drain(i + 1..=last); // empty when only one run touched
     }
 
-    /// Adds every id of `other`.
+    /// Adds every id of `other`, in one pass over the two run lists.
     pub fn union_with(&mut self, other: &IdSet) {
-        for r in &other.runs {
-            self.insert_run(r.origin, r.lo, r.hi);
+        // FIFO traffic: both sets hold the same runs from the same first ids and only the
+        // ends differ, so the union is this set with its ends moved — in place.  Raising
+        // `hi` cannot make a run reach the next: it stops short of it in both sets.
+        let same_shape = self.runs.len() == other.runs.len()
+            && self
+                .runs
+                .iter()
+                .zip(&other.runs)
+                .all(|(a, b)| a.origin == b.origin && a.lo == b.lo);
+        if same_shape {
+            for (a, b) in self.runs.iter_mut().zip(&other.runs) {
+                a.hi = a.hi.max(b.hi);
+            }
+            return;
         }
+        // Otherwise merge the two lists, both sorted by `(origin, lo)`, folding each run
+        // into the last one written whenever it overlaps or touches it.
+        let mut merged: Vec<Run> = Vec::with_capacity(self.runs.len() + other.runs.len());
+        let (mut ours, mut theirs) = (self.runs.iter().peekable(), other.runs.iter().peekable());
+        loop {
+            let ours_first = match (ours.peek(), theirs.peek()) {
+                (Some(a), Some(b)) => (a.origin, a.lo) <= (b.origin, b.lo),
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (None, None) => break,
+            };
+            let next = if ours_first {
+                ours.next()
+            } else {
+                theirs.next()
+            };
+            let next = *next.expect("peeked");
+            match merged.last_mut() {
+                Some(last)
+                    if last.origin == next.origin && next.lo <= last.hi.saturating_add(1) =>
+                {
+                    last.hi = last.hi.max(next.hi);
+                }
+                _ => merged.push(next),
+            }
+        }
+        self.runs = merged;
     }
 
     /// The frontier that covers every id of the set: the per-origin maxima.
@@ -225,23 +264,35 @@ impl IdSet {
         f
     }
 
-    /// Flattens to the wire form `(runs, ids)`: `runs` is `[origin, lo, hi, ...]` and `ids`
-    /// is `[origin, seq, ...]`.  Each origin's first run always travels in `runs`; a later
-    /// run — ids received beyond an open gap — travels in `ids` when it is a single id and
-    /// in `runs` otherwise, so `ids` is empty on FIFO traffic.
+    /// Every run beside whether it is a *straggler*: a single id that is not its origin's
+    /// first run, i.e. one received beyond a gap that is still open.
+    fn runs_and_stragglers(&self) -> impl Iterator<Item = (&Run, bool)> {
+        self.runs.iter().enumerate().map(|(i, r)| {
+            let straggler = r.lo == r.hi && i > 0 && self.runs[i - 1].origin == r.origin;
+            (r, straggler)
+        })
+    }
+
+    /// The `runs` half of the wire form, `[origin, lo, hi, ...]`: each origin's first run,
+    /// and every later run that is longer than a single id.
+    pub fn wire_runs(&self) -> impl Iterator<Item = u64> + '_ {
+        self.runs_and_stragglers()
+            .filter(|(_, straggler)| !straggler)
+            .flat_map(|(r, _)| [r.origin.0 as u64, r.lo, r.hi])
+    }
+
+    /// The `ids` half of the wire form, `[origin, seq, ...]`: the stragglers.  Empty on FIFO
+    /// traffic.
+    pub fn wire_ids(&self) -> impl Iterator<Item = u64> + '_ {
+        self.runs_and_stragglers()
+            .filter(|(_, straggler)| *straggler)
+            .flat_map(|(r, _)| [r.origin.0 as u64, r.lo])
+    }
+
+    /// The wire form `(runs, ids)` as two vectors (see [`IdSet::wire_runs`] and
+    /// [`IdSet::wire_ids`], which a frame writer streams without them).
     pub fn to_wire(&self) -> (Vec<u64>, Vec<u64>) {
-        let mut runs = Vec::with_capacity(self.runs.len() * 3);
-        let mut ids = Vec::new();
-        let mut prev_origin = None;
-        for r in &self.runs {
-            if r.lo == r.hi && prev_origin == Some(r.origin) {
-                ids.extend([r.origin.0 as u64, r.lo]);
-            } else {
-                runs.extend([r.origin.0 as u64, r.lo, r.hi]);
-            }
-            prev_origin = Some(r.origin);
-        }
-        (runs, ids)
+        (self.wire_runs().collect(), self.wire_ids().collect())
     }
 
     /// Parses the wire form written by [`IdSet::to_wire`].  Like [`Frontier::from_wire`]

@@ -35,9 +35,9 @@ pub mod stability;
 pub mod view;
 
 pub use config::ProtoConfig;
-pub use endpoint::GroupEndpoint;
+pub use endpoint::{GossipReport, GroupEndpoint};
 pub use frontier::{Frontier, IdSet};
-pub use messages::ProtoMsg;
+pub use messages::{ProtoMsg, StabilityEntry};
 pub use output::{Delivery, EndpointOutput, ViewEvent};
 pub use reform::{authority_cmp, LogSummary, ReformStatus, ReformTracker};
 pub use view::View;

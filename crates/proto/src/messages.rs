@@ -22,9 +22,17 @@
 //! the payload a receiver reads aliases that segment.  Everything else about a frame, and
 //! every frame without such a value, is one buffer as before.
 //!
+//! Every frame names the group it belongs to and is routed to that group's endpoint — except
+//! [`ProtoMsg::Stability`], which is a conversation between *sites*: one frame carries the
+//! sending site's report for every group it shares with the destination, as a list of
+//! [`StabilityEntry`], and the receiving stack routes each entry by the group *it* names.
+//! There is one such frame shape; a lone endpoint's gossip is the list of one.
+//!
 //! [`ProtoMsg::encode`] and [`ProtoMsg::decode`] convert to and from a [`Message`] tree by
 //! going through the bytes; they exist for tests and tools that want to look at (or
 //! tamper with) a message as a symbol table.
+
+use std::rc::Rc;
 
 use vsync_msg::stream::{FieldCursor, FieldWriter};
 use vsync_msg::{codec, Frame, Message, Segments};
@@ -82,6 +90,25 @@ pub struct StoredMsg {
     /// For ABCAST messages: the priority this endpoint proposed (in an ack) or the final
     /// priority decided by the flush coordinator (in a commit).
     pub ab_priority: Option<u64>,
+}
+
+/// One group's report in a [`ProtoMsg::Stability`] frame: the ids the sending site has
+/// received in that group's current view.
+///
+/// On the wire an entry nests as `{ group, view-seq, runs, ids? }`: `runs` is
+/// `[origin, lo, hi, ...]`, one triple per origin on FIFO traffic, and `ids` is
+/// `[origin, seq, ...]`, single ids received beyond a gap that is still open, absent
+/// otherwise (see [`IdSet::wire_runs`]).  An entry's size therefore follows the number of
+/// sites, not the number of messages in the view.
+#[derive(Clone, Debug, PartialEq)]
+pub struct StabilityEntry {
+    /// The group reported on.
+    pub group: GroupId,
+    /// View sequence number the ids belong to.
+    pub view_seq: u64,
+    /// Ids of messages received at the reporting site: a handle on the set the reporting
+    /// endpoint's tracker keeps, so building a frame copies no run list.
+    pub received: Rc<IdSet>,
 }
 
 /// Typed protocol messages exchanged between the group endpoints of different sites.
@@ -193,19 +220,17 @@ pub enum ProtoMsg {
         /// User GBCAST payloads delivered at the cut, in this exact order.
         gbcasts: Vec<Message>,
     },
-    /// Stability gossip: the ids this site has received in the current view.
-    ///
-    /// On the wire the set is `runs` — `[origin, lo, hi, ...]`, one triple per origin on
-    /// FIFO traffic — plus `ids` — `[origin, seq, ...]`, single ids received beyond a gap
-    /// that is still open, absent otherwise (see [`IdSet::to_wire`]).  The frame's size
-    /// therefore follows the number of sites, not the number of messages in the view.
+    /// Stability gossip: what one site has received, for every group it reports on to the
+    /// destination — a site-level frame, one per peer site per tick however many groups the
+    /// two sites share.  The frame-level group every protocol frame names is its first
+    /// entry's and selects nothing: a receiver routes by the entries.
     Stability {
-        /// View sequence number the ids belong to.
-        view_seq: u64,
         /// The reporting site.
         from_site: SiteId,
-        /// Ids of messages received at that site.
-        received: IdSet,
+        /// One report per group, in the order the sender visited them.  A receiver applies
+        /// every entry it hosts an endpoint for and drops the others; groups may repeat or
+        /// arrive unsorted.
+        entries: Vec<StabilityEntry>,
     },
     /// Total-failure reform: a restarting site summarises its recovery log so the group
     /// can elect the "last to fail" log as authoritative (paper Section 3.8).
@@ -253,6 +278,12 @@ fn get_process(c: &mut FieldCursor<'_>, name: &str) -> Result<ProcessId> {
 
 fn get_site(c: &mut FieldCursor<'_>, name: &str) -> Result<SiteId> {
     Ok(SiteId(c.u64(name)? as u16))
+}
+
+fn get_group(c: &mut FieldCursor<'_>, name: &str) -> Result<GroupId> {
+    c.addr(name)?
+        .as_group()
+        .ok_or_else(|| VsError::CodecError(format!("field {name:?} is not a group address")))
 }
 
 /// Name of element `i` of a packed list (`i0`, `i1`, ...), formatted into `buf` — flush-era
@@ -332,6 +363,35 @@ fn get_stored(c: &mut FieldCursor<'_>, name: &str) -> Result<StoredMsg> {
     })
 }
 
+/// A stability entry nests as `{ group, view-seq, runs, ids? }`, its runs streamed straight
+/// out of the set.
+fn put_entry(w: &mut FieldWriter, name: &str, entry: &StabilityEntry) {
+    w.put_nested(name, |w| {
+        w.put_addr("group", entry.group);
+        w.put_u64("view-seq", entry.view_seq);
+        w.put_u64_iter("runs", entry.received.wire_runs());
+        let mut ids = entry.received.wire_ids().peekable();
+        if ids.peek().is_some() {
+            w.put_u64_iter("ids", ids);
+        }
+    });
+}
+
+fn get_entry(c: &mut FieldCursor<'_>, name: &str) -> Result<StabilityEntry> {
+    c.nested(name, |c| {
+        Ok(StabilityEntry {
+            group: get_group(c, "group")?,
+            view_seq: c.u64("view-seq")?,
+            received: Rc::new(IdSet::from_wire(
+                &c.u64_list("runs")?.to_vec(),
+                &c.opt_u64_list("ids")?
+                    .map(|l| l.to_vec())
+                    .unwrap_or_default(),
+            )),
+        })
+    })
+}
+
 /// Bytes to reserve for a list of stored multicasts: what splicing each frame copies (its
 /// large segments go in by reference), plus the fields around it.
 fn stored_len(stored: &[StoredMsg]) -> usize {
@@ -375,6 +435,10 @@ impl ProtoMsg {
             ProtoMsg::FlushCommit {
                 deliver, gbcasts, ..
             } => 256 + stored_len(deliver) + gbcasts.iter().map(codec::buffered_len).sum::<usize>(),
+            ProtoMsg::Stability { entries, .. } => entries
+                .iter()
+                .map(|e| 64 + 24 * e.received.runs().len())
+                .sum(),
             _ => 0,
         };
         let mut w = FieldWriter::with_capacity(192 + reserve);
@@ -475,18 +539,9 @@ impl ProtoMsg {
                 w.put_u64_list("covered", &covered.to_wire());
                 put_list(&mut w, "gbcasts", gbcasts, FieldWriter::put_message);
             }
-            ProtoMsg::Stability {
-                view_seq,
-                from_site,
-                received,
-            } => {
-                w.put_u64("view-seq", *view_seq);
+            ProtoMsg::Stability { from_site, entries } => {
                 w.put_u64("from-site", from_site.0 as u64);
-                let (runs, ids) = received.to_wire();
-                w.put_u64_list("runs", &runs);
-                if !ids.is_empty() {
-                    w.put_u64_list("ids", &ids);
-                }
+                put_list(&mut w, "entries", entries, put_entry);
             }
             ProtoMsg::ReformSummary {
                 from_site,
@@ -510,7 +565,7 @@ impl ProtoMsg {
     ///
     /// Every field the protocol depends on is required: a `cb-data` without its timestamp
     /// would sit undeliverable in the holdback queue until the next flush, a `stability`
-    /// without its runs would read as "received nothing", a commit or reform summary
+    /// entry without its runs would read as "received nothing", a commit or reform summary
     /// without its frontier as "covers nothing" — each a silent stall or a silent wrong
     /// answer where a decode error belongs.
     ///
@@ -524,9 +579,7 @@ impl ProtoMsg {
     fn read_fields(body: &Segments) -> Result<(GroupId, ProtoMsg)> {
         let mut c = FieldCursor::new(body)?;
         let tag = c.str(TYPE_FIELD)?;
-        let group = c.addr(GROUP_FIELD)?.as_group().ok_or_else(|| {
-            VsError::CodecError(format!("field {GROUP_FIELD:?} is not a group address"))
-        })?;
+        let group = get_group(&mut c, GROUP_FIELD)?;
         let msg = match tag {
             "cb-data" => ProtoMsg::CbData {
                 id: get_msg_id(&mut c)?,
@@ -590,14 +643,8 @@ impl ProtoMsg {
                 gbcasts: get_list(&mut c, "gbcasts", FieldCursor::message)?,
             },
             "stability" => ProtoMsg::Stability {
-                view_seq: c.u64("view-seq")?,
                 from_site: get_site(&mut c, "from-site")?,
-                received: IdSet::from_wire(
-                    &c.u64_list("runs")?.to_vec(),
-                    &c.opt_u64_list("ids")?
-                        .map(|l| l.to_vec())
-                        .unwrap_or_default(),
-                ),
+                entries: get_list(&mut c, "entries", get_entry)?,
             },
             "reform-summary" => ProtoMsg::ReformSummary {
                 from_site: get_site(&mut c, "from-site")?,
@@ -877,17 +924,48 @@ mod tests {
         );
     }
 
+    /// A one-entry stability frame from site 3 about group 42's view 2.
+    fn gossip(received: IdSet) -> ProtoMsg {
+        ProtoMsg::Stability {
+            from_site: SiteId(3),
+            entries: vec![StabilityEntry {
+                group: GroupId(42),
+                view_seq: 2,
+                received: received.into(),
+            }],
+        }
+    }
+
+    /// Entry `i` of a stability frame's tree form.
+    fn entry_tree(wire: &Message, i: usize) -> &Message {
+        wire.get_msg("entries")
+            .and_then(|list| list.get_msg(&format!("i{i}")))
+            .expect("entry")
+    }
+
+    /// Replaces entry `i` of a stability frame's tree form by `edit` of it.
+    fn edit_entry(wire: &mut Message, i: usize, edit: impl FnOnce(&mut Message)) {
+        let mut entry = entry_tree(wire, i).clone();
+        edit(&mut entry);
+        let mut list = wire.get_msg("entries").expect("entries").clone();
+        list.set(&format!("i{i}"), entry);
+        wire.set("entries", list);
+    }
+
     #[test]
     fn stability_without_runs_is_rejected() {
-        // "Received nothing" is a legal report; a report that lost its runs is not one.
-        assert_field_is_required(
-            ProtoMsg::Stability {
-                view_seq: 2,
-                from_site: SiteId(3),
-                received: id_set(&[(0, 1), (0, 2)]),
-            },
-            "runs",
-        );
+        // "Received nothing" is a legal report; a report that lost its runs is not one —
+        // and neither is a frame that lost its reporter or its entry list.
+        let msg = gossip(id_set(&[(0, 1), (0, 2)]));
+        assert_field_is_required(msg.clone(), "from-site");
+        assert_field_is_required(msg.clone(), "entries");
+        let mut wire = msg.encode(GroupId(42));
+        assert!(ProtoMsg::decode(&wire).is_ok(), "intact frame decodes");
+        edit_entry(&mut wire, 0, |entry| {
+            assert!(entry.remove("runs").is_some(), "runs were on the wire");
+        });
+        assert!(ProtoMsg::decode(&wire).is_err());
+        assert!(ProtoMsg::decode_frame(&Frame::new(wire)).is_err());
     }
 
     #[test]
@@ -911,34 +989,69 @@ mod tests {
     #[test]
     fn stability_roundtrip() {
         // FIFO traffic: one run per origin and no explicit ids on the wire.
-        let fifo = ProtoMsg::Stability {
-            view_seq: 2,
-            from_site: SiteId(3),
-            received: id_set(&[(0, 1), (0, 2), (0, 3), (2, 8)]),
-        };
+        let fifo = gossip(id_set(&[(0, 1), (0, 2), (0, 3), (2, 8)]));
         let wire = fifo.encode(GroupId(42));
-        assert_eq!(wire.get_u64_list("runs"), Some(&[0, 1, 3, 2, 8, 8][..]));
-        assert!(!wire.contains("ids"));
+        assert_eq!(wire.get_u64("from-site"), Some(3));
+        let entry = entry_tree(&wire, 0);
+        assert_eq!(entry.get_addr("group"), Some(GroupId(42).into()));
+        assert_eq!(entry.get_u64("view-seq"), Some(2));
+        assert_eq!(entry.get_u64_list("runs"), Some(&[0, 1, 3, 2, 8, 8][..]));
+        assert!(!entry.contains("ids"));
         roundtrip(fifo);
         // A gap open at origin 0: the id beyond it is listed explicitly, a longer stretch
         // beyond a gap is a second run.
-        let gapped = ProtoMsg::Stability {
-            view_seq: 2,
-            from_site: SiteId(3),
-            received: id_set(&[(0, 1), (0, 2), (0, 4), (1, 5), (1, 7), (1, 8)]),
-        };
+        let gapped = gossip(id_set(&[(0, 1), (0, 2), (0, 4), (1, 5), (1, 7), (1, 8)]));
         let wire = gapped.encode(GroupId(42));
+        let entry = entry_tree(&wire, 0);
         assert_eq!(
-            wire.get_u64_list("runs"),
+            entry.get_u64_list("runs"),
             Some(&[0, 1, 2, 1, 5, 5, 1, 7, 8][..])
         );
-        assert_eq!(wire.get_u64_list("ids"), Some(&[0, 4][..]));
+        assert_eq!(entry.get_u64_list("ids"), Some(&[0, 4][..]));
         roundtrip(gapped);
         // The probe of a wedged or just un-wedged endpoint has nothing to report.
+        roundtrip(gossip(IdSet::new()));
+    }
+
+    #[test]
+    fn a_stability_frame_carries_one_entry_per_group_in_the_senders_order() {
+        // What a site hosting three groups sends a peer: three reports, each with its own
+        // view stamp and set, under one reporter.  Order and repeats are the sender's.
+        let bundle = ProtoMsg::Stability {
+            from_site: SiteId(1),
+            entries: vec![
+                StabilityEntry {
+                    group: GroupId(9),
+                    view_seq: 4,
+                    received: id_set(&[(0, 1), (1, 1), (1, 2)]).into(),
+                },
+                StabilityEntry {
+                    group: GroupId(2),
+                    view_seq: 7,
+                    received: IdSet::new().into(),
+                },
+                StabilityEntry {
+                    group: GroupId(9),
+                    view_seq: 4,
+                    received: id_set(&[(0, 1), (0, 3)]).into(),
+                },
+            ],
+        };
+        let wire = bundle.encode(GroupId(9));
+        assert_eq!(
+            wire.get_msg("entries").and_then(|l| l.get_u64("n")),
+            Some(3)
+        );
+        assert_eq!(
+            entry_tree(&wire, 1).get_addr("group"),
+            Some(GroupId(2).into())
+        );
+        assert_eq!(entry_tree(&wire, 2).get_u64_list("ids"), Some(&[0, 3][..]));
+        roundtrip(bundle);
+        // No entry at all is a frame nobody sends, and still a frame that decodes.
         roundtrip(ProtoMsg::Stability {
-            view_seq: 2,
-            from_site: SiteId(3),
-            received: IdSet::new(),
+            from_site: SiteId(1),
+            entries: Vec::new(),
         });
     }
 
@@ -946,30 +1059,21 @@ mod tests {
     fn stability_gossip_canonicalises_foreign_run_lists() {
         // Unsorted, overlapping and touching runs, an id inside a run, a repeated id, an
         // inverted run and a torn trailing element: legal input, one canonical set.
-        let mut wire = ProtoMsg::Stability {
-            view_seq: 2,
-            from_site: SiteId(3),
-            received: IdSet::new(),
-        }
-        .encode(GroupId(42));
-        wire.set(
-            "runs",
-            vec![2u64, 5, 9, 0, 4, 6, 0, 1, 3, 2, 8, 12, 1, 9, 2, 7],
-        );
-        wire.set("ids", vec![0u64, 2, 2, 14, 2, 14, 2, 13, 5]);
-        let expected = ProtoMsg::Stability {
-            view_seq: 2,
-            from_site: SiteId(3),
-            received: IdSet::from_wire(&[0, 1, 6, 2, 5, 14], &[]),
-        };
+        let mut wire = gossip(IdSet::new()).encode(GroupId(42));
+        edit_entry(&mut wire, 0, |entry| {
+            entry.set(
+                "runs",
+                vec![2u64, 5, 9, 0, 4, 6, 0, 1, 3, 2, 8, 12, 1, 9, 2, 7],
+            );
+            entry.set("ids", vec![0u64, 2, 2, 14, 2, 14, 2, 13, 5]);
+        });
+        let expected = gossip(IdSet::from_wire(&[0, 1, 6, 2, 5, 14], &[]));
         let (_, decoded) = ProtoMsg::decode(&wire).expect("decode");
         assert_eq!(decoded, expected);
         let canonical = decoded.encode(GroupId(42));
-        assert_eq!(
-            canonical.get_u64_list("runs"),
-            Some(&[0, 1, 6, 2, 5, 14][..])
-        );
-        assert!(!canonical.contains("ids"));
+        let entry = entry_tree(&canonical, 0);
+        assert_eq!(entry.get_u64_list("runs"), Some(&[0, 1, 6, 2, 5, 14][..]));
+        assert!(!entry.contains("ids"));
         // The frame path accepts it too: its debug round-trip assertion compares typed
         // messages, so a non-canonical wire form is not mistaken for a codec bug.
         let frame = Frame::new(wire);

@@ -6,13 +6,22 @@
 //! view-change flush, which keeps flush acks small.  Sites learn about each other's receipts
 //! through periodic gossip.
 //!
-//! What a site gossips is the whole set of ids it has received in the current view, as an
-//! [`IdSet`]: one run per origin on FIFO traffic, so a gossip frame, the memory kept per
-//! peer and the work to ingest a frame are all O(sites), independent of how many messages
-//! the view has carried.  Only the held copies themselves are per message, and they leave
-//! as soon as every peer's run has passed them.
+//! What a site gossips about a group is the whole set of ids it has received in the current
+//! view, as an [`IdSet`]: one run per origin on FIFO traffic, so a gossip entry, the memory
+//! kept per peer and the work to ingest an entry are all O(sites), independent of how many
+//! messages the view has carried.  Only the held copies themselves are per message, and they
+//! leave as soon as every peer's run has passed them.
+//!
+//! The tracker does not send anything.  Its endpoint hands the received set out as a report
+//! ([`crate::endpoint::GossipReport`]) and the host — the site's protocol stack — puts the
+//! reports of all its groups that go to the same peer sites into one stability frame, an
+//! entry each.  An entry *shares* the set (`Rc`): the tracker copies it only if its next
+//! receipt finds a frame still holding the last report.  Ingesting a peer's entry is
+//! [`IdSet::union_with`] into that peer's acknowledged set — on FIFO traffic the same runs
+//! with their ends moved, in place — followed by one pass over the held queues.
 
 use std::collections::VecDeque;
+use std::rc::Rc;
 
 use vsync_net::MsgId;
 use vsync_util::SiteId;
@@ -41,8 +50,10 @@ pub struct StabilityTracker {
     /// its gossip).  Stability needs all of them; this site's own receipt is implied by
     /// holding a copy.
     peers: Vec<(SiteId, IdSet)>,
-    /// Ids received here in this view — what this site's gossip advertises.
-    received: IdSet,
+    /// Ids received here in this view — what this site's gossip advertises.  Shared with
+    /// the gossip frames that report it: a report takes a handle, not a copy, and the set is
+    /// copied only if the next receipt finds a frame still holding the last one.
+    received: Rc<IdSet>,
     /// Copies not yet known stable: one queue per origin (sorted by site), ascending by
     /// sequence number, so on FIFO traffic copies enter at the back and leave at the front.
     held: Vec<(SiteId, VecDeque<(u64, StoredMsg)>)>,
@@ -59,7 +70,7 @@ impl StabilityTracker {
         let mut tracker = StabilityTracker {
             my_site,
             peers: Vec::new(),
-            received: IdSet::new(),
+            received: Rc::default(),
             held: Vec::new(),
             held_count: 0,
             rounds_since_release: u8::MAX,
@@ -75,7 +86,7 @@ impl StabilityTracker {
             .filter(|s| *s != self.my_site)
             .map(|s| (s, IdSet::new()))
             .collect();
-        self.received.clear();
+        self.received = Rc::default();
         self.held.clear();
         self.held_count = 0;
         self.rounds_since_release = u8::MAX;
@@ -88,7 +99,7 @@ impl StabilityTracker {
 
     /// Records that this site received (and is buffering a copy of) a message.
     pub fn record_local(&mut self, id: MsgId, copy: StoredMsg) {
-        if !self.received.insert(id) {
+        if !Rc::make_mut(&mut self.received).insert(id) {
             // A duplicate, or a retransmitted copy of a message already stable here; do not
             // resurrect it.
             return;
@@ -127,8 +138,9 @@ impl StabilityTracker {
 
     /// The ids this site has received in this view (sent in stability gossip).  It keeps
     /// every id for the whole view, stable or not — a run costs the same whatever its
-    /// length — so a peer that missed a round loses nothing.
-    pub fn received(&self) -> &IdSet {
+    /// length — so a peer that missed a round loses nothing.  Cloning the handle is how a
+    /// gossip frame takes the set along.
+    pub fn received(&self) -> &Rc<IdSet> {
         &self.received
     }
 

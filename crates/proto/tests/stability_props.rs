@@ -3,6 +3,10 @@
 //! schedule of sends, in-order / reordered / duplicated receipts, gossip that overtakes the
 //! data it acknowledges, and gossip rounds.
 //!
+//! What a tracker does with a peer's gossip is [`IdSet::union_with`] — a merge of two run
+//! lists, in place when they have the same shape — so that is pinned here too, against
+//! inserting the same ids one at a time.
+//!
 //! The reference below is that algorithm as an executable specification: one entry per
 //! message id with its ack set, gossip as an explicit id list — minus the tombstone and
 //! orphan ageing, which bounded the old representation's memory and have no counterpart
@@ -127,7 +131,7 @@ impl Model {
     }
 
     fn gossip(&mut self, src: usize) {
-        let set = self.trackers[src].received().clone();
+        let set = IdSet::clone(self.trackers[src].received());
         let ids: Vec<MsgId> = self.references[src].received.iter().copied().collect();
         assert_eq!(expand(&set), ids, "site {src} advertises a different set");
         for dst in 0..self.sites.len() {
@@ -257,5 +261,69 @@ proptest! {
             }
             prop_assert!(!tracker.has_reportable(), "site {} never goes quiet", i);
         }
+    }
+}
+
+/// A set built from `(origin, lo, extra)` stretches, in the order given: the stretches
+/// overlap, touch, repeat and leave gaps as they come.
+fn set_from(stretches: &[(u8, u8, u8)]) -> IdSet {
+    let mut set = IdSet::new();
+    for (origin, lo, extra) in stretches {
+        let lo = u64::from(*lo);
+        set.insert_run(SiteId(u16::from(*origin)), lo, lo + u64::from(*extra));
+    }
+    set
+}
+
+fn assert_canonical(set: &IdSet) {
+    assert!(
+        set.runs()
+            .windows(2)
+            .all(|w| w[0].origin < w[1].origin
+                || (w[0].origin == w[1].origin && w[0].hi + 1 < w[1].lo)),
+        "runs must stay sorted, disjoint and apart: {:?}",
+        set.runs()
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    #[test]
+    fn union_with_is_inserting_every_id_one_by_one(
+        ours in proptest::collection::vec((0u8..4, 0u8..60, 0u8..8), 0..12),
+        theirs in proptest::collection::vec((0u8..4, 0u8..60, 0u8..8), 0..12),
+        growth in proptest::collection::vec(0u8..4, 12),
+    ) {
+        let (a, b) = (set_from(&ours), set_from(&theirs));
+        // Two arbitrary sets: gapped, overlapping, touching, disjoint origins.
+        let mut merged = a.clone();
+        merged.union_with(&b);
+        let mut one_by_one = a.clone();
+        for id in expand(&b) {
+            one_by_one.insert(id);
+        }
+        prop_assert_eq!(&merged, &one_by_one);
+        assert_canonical(&merged);
+        // Union is idempotent and commutative.
+        let mut again = merged.clone();
+        again.union_with(&b);
+        prop_assert_eq!(&again, &merged);
+        let mut flipped = b.clone();
+        flipped.union_with(&a);
+        prop_assert_eq!(&flipped, &merged);
+        // FIFO traffic: a peer's next report is its last with some runs longer.  Where no
+        // run grows into the next the two have the same shape and the union happens in
+        // place; where one does, the shapes differ and the lists are merged.
+        let mut later = a.clone();
+        for (run, more) in a.runs().iter().zip(&growth) {
+            later.insert_run(run.origin, run.lo, run.hi + u64::from(*more));
+        }
+        let mut acked = a.clone();
+        acked.union_with(&later);
+        prop_assert_eq!(&acked, &later);
+        let mut stale = later.clone();
+        stale.union_with(&a);
+        prop_assert_eq!(&stale, &later, "an older report takes nothing away");
     }
 }

@@ -10,6 +10,11 @@
 //! nested in a flush ack or commit must come back out as the bytes that went in, and no
 //! truncation may decode or panic.
 //!
+//! A stability frame is a site's reports on many groups at once (issue 17), so the
+//! generator draws it with no entry, one, or many — groups repeated and out of order, sets
+//! with open gaps — and a frame of 64 entries is checked on its own, bit-flips included:
+//! whatever arrives decodes or is refused, and never panics.
+//!
 //! Since issue 16 a frame's bytes are held as a list of segments, with a large payload body
 //! spliced in by reference.  That changes how the bytes are held, not which bytes they are:
 //! the reference below is still compared against the list's concatenation, the list itself
@@ -18,7 +23,7 @@
 
 use vsync_msg::{codec, Bytes, Frame, Message};
 use vsync_net::MsgId;
-use vsync_proto::messages::StoredMsg;
+use vsync_proto::messages::{StabilityEntry, StoredMsg};
 use vsync_proto::{Frontier, IdSet, ProtoMsg, View};
 use vsync_util::{Address, DetRng, GroupId, ProcessId, SiteId, VectorClock};
 
@@ -164,18 +169,23 @@ fn reference_tree(msg: &ProtoMsg, group: GroupId) -> Message {
             m.set("covered", covered.to_wire());
             m.set("gbcasts", pack_msg_list(gbcasts));
         }
-        ProtoMsg::Stability {
-            view_seq,
-            from_site,
-            received,
-        } => {
-            m.set("view-seq", *view_seq);
+        ProtoMsg::Stability { from_site, entries } => {
             m.set("from-site", from_site.0 as u64);
-            let (runs, ids) = received.to_wire();
-            m.set("runs", runs);
-            if !ids.is_empty() {
-                m.set("ids", ids);
-            }
+            let entries: Vec<Message> = entries
+                .iter()
+                .map(|e| {
+                    let mut m = Message::new();
+                    m.set("group", e.group);
+                    m.set("view-seq", e.view_seq);
+                    let (runs, ids) = e.received.to_wire();
+                    m.set("runs", runs);
+                    if !ids.is_empty() {
+                        m.set("ids", ids);
+                    }
+                    m
+                })
+                .collect();
+            m.set("entries", pack_msg_list(&entries));
         }
         ProtoMsg::ReformSummary {
             from_site,
@@ -292,6 +302,21 @@ fn id_set(rng: &mut DetRng) -> IdSet {
     set
 }
 
+/// A stability frame of `n` entries: groups drawn from a handful, so they repeat and come
+/// out of order, each with its own view stamp and set.
+fn stability(rng: &mut DetRng, n: usize) -> ProtoMsg {
+    ProtoMsg::Stability {
+        from_site: SiteId(rng.next_below(6) as u16),
+        entries: (0..n)
+            .map(|_| StabilityEntry {
+                group: GroupId(40 + rng.next_below(8)),
+                view_seq: rng.next_below(9),
+                received: id_set(rng).into(),
+            })
+            .collect(),
+    }
+}
+
 fn frontier(rng: &mut DetRng) -> Frontier {
     let mut f = Frontier::new();
     for _ in 0..rng.next_below(5) {
@@ -364,11 +389,10 @@ fn arbitrary(rng: &mut DetRng, variant: usize, held: usize) -> ProtoMsg {
             covered: frontier(rng),
             gbcasts: (0..rng.next_below(3)).map(|_| payload(rng)).collect(),
         },
-        11 => ProtoMsg::Stability {
-            view_seq: rng.next_below(9),
-            from_site: SiteId(rng.next_below(6) as u16),
-            received: id_set(rng),
-        },
+        11 => {
+            let n = [0, 1, 1, 3, 9][rng.next_index(5)];
+            stability(rng, n)
+        }
         12 => ProtoMsg::ReformSummary {
             from_site: SiteId(rng.next_below(6) as u16),
             view_seq: rng.next_below(9),
@@ -489,6 +513,43 @@ fn long_held_lists_agree_past_the_old_name_table() {
                 .expect("list");
             assert!(list.get_msg("i63").is_some() && list.get_msg("i79").is_some());
             check(msg, false);
+        }
+    }
+}
+
+#[test]
+fn a_stability_frame_of_many_groups_agrees_and_survives_damage() {
+    // What a site hosting 64 groups sends a peer each tick: 64 entries, element names
+    // `i0`..`i63`.  Typed round trip, reference tree and size model as for any message.
+    for seed in 0..2u64 {
+        let mut rng = DetRng::new(2_000 + seed);
+        let msg = stability(&mut rng, 64);
+        let tree = reference_tree(&msg, GROUP);
+        let list = tree.get_msg("entries").expect("list");
+        assert_eq!(list.get_u64("n"), Some(64));
+        assert!(list.get_msg("i63").is_some_and(|e| e.contains("runs")));
+        check(msg.clone(), false);
+        // Damage: a sample of truncations is refused; a flipped bit anywhere gives a frame
+        // that decodes (to *some* report — a changed sequence number is still a number) or
+        // is refused, and neither path panics.
+        let bytes = msg.encode_frame(GROUP).wire_bytes();
+        for cut in (0..bytes.len()).step_by(29) {
+            let prefix = Frame::from_wire(bytes.slice(..cut));
+            assert!(
+                ProtoMsg::decode_frame(&prefix).is_err(),
+                "{cut}-byte prefix"
+            );
+        }
+        for at in (0..bytes.len()).step_by(13) {
+            let mut damaged = bytes.to_vec();
+            damaged[at] ^= 1 << (at % 8);
+            let frame = Frame::from_wire(Bytes::from(damaged));
+            if let Ok((_, ProtoMsg::Stability { entries, .. })) = ProtoMsg::decode_frame(&frame) {
+                assert!(
+                    entries.len() <= 64,
+                    "an entry count cannot grow past its fields"
+                );
+            }
         }
     }
 }
@@ -616,11 +677,19 @@ fn edge_shapes_agree_with_the_tree_encoder() {
             from_site: SiteId(1),
             stored: Vec::new(),
         },
-        // The probe of a wedged endpoint: nothing received.
+        // The probe of a wedged endpoint: one entry, nothing received.
         ProtoMsg::Stability {
-            view_seq: 2,
             from_site: SiteId(3),
-            received: IdSet::new(),
+            entries: vec![StabilityEntry {
+                group: GROUP,
+                view_seq: 2,
+                received: IdSet::new().into(),
+            }],
+        },
+        // A frame nobody sends: no entry at all.
+        ProtoMsg::Stability {
+            from_site: SiteId(3),
+            entries: Vec::new(),
         },
         ProtoMsg::FailReport { failed: Vec::new() },
         ProtoMsg::CbData {

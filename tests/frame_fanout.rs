@@ -96,6 +96,34 @@ fn spawn_group<R: IsisRuntime>(
     (gid, pids, applied)
 }
 
+/// Every threaded site's [`wire_work`], read once the cluster has gone quiet: two reads of
+/// all sites, a pause apart, that agree.  `join_and_wait` returns when the *joiner's* site
+/// shows the new view, and that is not yet quiet: every site that installs a view relays
+/// the `FlushCommit` frame to every member site (`GroupEndpoint::apply_commit`), so copies
+/// relayed by the last join can still be on their way to the coordinator's site, which
+/// parses each one before dropping it as already installed — a decode that must land
+/// before a measurement window opens, not inside it.
+fn wire_work_at_rest(h: &mut IsisHarness<ThreadedRuntime>, sites: u16) -> Vec<[u64; 4]> {
+    let read = |h: &mut IsisHarness<ThreadedRuntime>| -> Vec<[u64; 4]> {
+        (0..sites)
+            .map(|site| {
+                h.query(SiteId(site), |_stack, _now, _out| wire_work())
+                    .expect("node is up")
+            })
+            .collect()
+    };
+    let mut last = read(h);
+    for _ in 0..500 {
+        h.settle(Duration::from_millis(20));
+        let now = read(h);
+        if now == last {
+            return now;
+        }
+        last = now;
+    }
+    panic!("the cluster never went quiet: {last:?}");
+}
+
 /// Four simulated sites, members on the first three.
 fn quiet_sim() -> (
     IsisHarness<SimRuntime>,
@@ -272,7 +300,7 @@ fn threaded_frames_are_parsed_once_per_receiving_site_and_never_become_trees() {
         h.query(SiteId(site), |_stack, _now, _out| wire_work())
             .expect("node is up")
     };
-    let before = [work_at(&mut h, 0), work_at(&mut h, 1)];
+    let before = wire_work_at_rest(&mut h, 2);
     let n = 10_000u64;
     for i in 0..n {
         let kind = if i % 5 == 4 {
@@ -369,7 +397,7 @@ fn a_bulk_multicast_to_four_sites_is_written_once_and_its_body_copied_nowhere() 
         h.query(SiteId(site), |_stack, _now, _out| wire_work())
             .expect("node is up")
     };
-    let before: Vec<[u64; 4]> = (0..5).map(|site| work_at(&mut h, site)).collect();
+    let before = wire_work_at_rest(&mut h, 5);
     h.client_send(
         members[0],
         gid,
