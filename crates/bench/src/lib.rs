@@ -13,7 +13,6 @@
 //! * [`ablation_ordering`] — ISIS two-phase ABCAST versus a fixed-sequencer baseline;
 //! * [`ablation_view_change`] — view-change (GBCAST flush) latency versus group size.
 
-pub mod baseline;
 pub mod cli;
 
 use std::cell::RefCell;
@@ -24,7 +23,6 @@ use vsync_core::{
     Address, Duration, EntryId, IsisSystem, LatencyProfile, Message, ProcessId, ProtocolKind,
     ReplyWanted, SiteId,
 };
-use vsync_net::NetStats;
 use vsync_proto::sequencer::{abcast_inter_site_hops, sequencer_inter_site_hops};
 
 /// Entry used by the benchmark member processes.
@@ -178,103 +176,6 @@ impl BenchCluster {
         assert!(ok, "throughput run never completed");
         let elapsed = (self.sys.now() - start).as_secs_f64().max(1e-9);
         (size * count) as f64 / elapsed
-    }
-}
-
-/// A benchmark cluster hosting several independent groups, each spanning every site.
-///
-/// Exercises the engine burst path when one site's protocols process serves multiple
-/// `GroupEndpoint`s at once — the fan-out frames of different groups interleave in the
-/// event queue and the per-tick group sweep touches every endpoint.
-pub struct MultiGroupCluster {
-    /// The simulated system.
-    pub sys: IsisSystem,
-    /// One group id per group, in creation order.
-    pub gids: Vec<vsync_core::GroupId>,
-    /// The rank-0 (sending) member of each group.
-    pub senders: Vec<ProcessId>,
-    /// Count of payload bytes delivered at remote members, across all groups.
-    pub delivered_bytes: Rc<RefCell<u64>>,
-}
-
-impl MultiGroupCluster {
-    /// Builds `num_groups` groups over `num_sites` sites with one member per (group, site).
-    /// Group creators rotate around the sites so coordination load is spread.
-    pub fn new(profile: LatencyProfile, num_sites: usize, num_groups: usize, seed: u64) -> Self {
-        let mut sys = IsisSystem::builder(num_sites)
-            .profile(profile)
-            .seed(seed)
-            .build();
-        let delivered_bytes = Rc::new(RefCell::new(0u64));
-        let mut gids = Vec::new();
-        let mut senders = Vec::new();
-        for g in 0..num_groups {
-            let gid = sys.allocate_group_id();
-            let creator_site = g % num_sites;
-            let mut creator = None;
-            for offset in 0..num_sites {
-                let site = SiteId(((creator_site + offset) % num_sites) as u16);
-                let counter = delivered_bytes.clone();
-                // Only members remote from the group's sender count: the sender's own
-                // (instant) local delivery must not satisfy the completion condition.
-                let is_remote = offset != 0;
-                let pid = sys.spawn(site, move |b| {
-                    b.on_entry(BENCH_ENTRY, move |_ctx, msg| {
-                        if !is_remote {
-                            return;
-                        }
-                        if let Some(bytes) = msg.get_bytes("payload") {
-                            *counter.borrow_mut() += bytes.len() as u64;
-                        }
-                    });
-                });
-                if offset == 0 {
-                    sys.create_group_with_id(&format!("bench-{g}"), gid, pid);
-                    creator = Some(pid);
-                } else {
-                    sys.join_and_wait(gid, pid, None, Duration::from_secs(60))
-                        .expect("multi-group member join");
-                }
-            }
-            gids.push(gid);
-            senders.push(creator.expect("creator spawned"));
-        }
-        sys.run_ms(100);
-        MultiGroupCluster {
-            sys,
-            gids,
-            senders,
-            delivered_bytes,
-        }
-    }
-
-    /// Sends `count` asynchronous CBCASTs of `size` bytes into *every* group (round-robin
-    /// across groups, so the per-site event queue interleaves the fan-outs) and runs until
-    /// every remote member of every group received them all.  Returns aggregate bytes/s.
-    pub fn burst_throughput(&mut self, size: usize, count: usize) -> f64 {
-        *self.delivered_bytes.borrow_mut() = 0;
-        let remote_members = self.sys.sites().len() - 1;
-        let total_msgs = count * self.gids.len();
-        let expected = (size * total_msgs * remote_members) as u64;
-        let start = self.sys.now();
-        for round in 0..count {
-            for (gid, sender) in self.gids.iter().zip(&self.senders) {
-                let payload = Message::new()
-                    .with("payload", vec![0u8; size])
-                    .with("round", round as u64);
-                self.sys
-                    .client_send(*sender, *gid, BENCH_ENTRY, payload, ProtocolKind::Cbcast);
-            }
-        }
-        let bytes = self.delivered_bytes.clone();
-        let ok = self
-            .sys
-            .run_until_condition(Duration::from_secs(600), move |_s| {
-                *bytes.borrow() >= expected
-            });
-        assert!(ok, "multi-group burst never completed");
-        let elapsed = (self.sys.now() - start).as_secs_f64().max(1e-9);
-        (size * total_msgs) as f64 / elapsed
     }
 }
 
@@ -762,32 +663,6 @@ pub fn ablation_view_change(sizes: &[usize], background_per_member: usize) -> Re
     }
 }
 
-/// Convenience for the repro binary: multicast counter snapshot as a table.
-pub fn stats_report(title: &str, stats: &NetStats) -> Report {
-    Report {
-        title: title.to_owned(),
-        columns: vec!["Counter".into(), "Value".into()],
-        rows: vec![
-            Row {
-                label: "multicasts".into(),
-                values: vec![stats.multicast_summary()],
-            },
-            Row {
-                label: "packets sent".into(),
-                values: vec![stats.packets_sent.to_string()],
-            },
-            Row {
-                label: "inter-site packets".into(),
-                values: vec![stats.inter_site_packets.to_string()],
-            },
-            Row {
-                label: "bytes sent".into(),
-                values: vec![stats.bytes_sent.to_string()],
-            },
-        ],
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -829,16 +704,6 @@ mod tests {
         let (link, hops, processing) = figure3_breakdown(75.0);
         assert_eq!((link, hops), (48.0, 20.0));
         assert!((processing - 7.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn multi_group_cluster_delivers_every_burst_in_every_group() {
-        let mut c = MultiGroupCluster::new(LatencyProfile::Modern, 3, 2, 1);
-        assert_eq!(c.gids.len(), 2);
-        let tp = c.burst_throughput(256, 2);
-        assert!(tp > 0.0);
-        // size * count * groups * remote members, every byte accounted for.
-        assert_eq!(*c.delivered_bytes.borrow(), 256 * 2 * 2 * 2);
     }
 
     #[test]

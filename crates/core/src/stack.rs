@@ -315,13 +315,10 @@ impl SiteStack {
         out: &mut Outbox,
     ) {
         let deadline = self.now + self.cfg.reform_timeout;
-        let mut tracker = ReformTracker::new(summary, expected, deadline);
         // The reform election honors the same primary-partition rule as live view changes:
         // a degraded (deadline) election may only elect a leader among a majority of the
-        // expected participants.  Disabled together with the endpoint fence.
-        if !self.proto_cfg.primary_partition {
-            tracker = tracker.without_majority_fence();
-        }
+        // expected participants.
+        let tracker = ReformTracker::new(summary, expected, deadline);
         out.trace_with(|| {
             format!(
                 "{}: reforming {group} with {} expected participants",

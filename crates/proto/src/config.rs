@@ -18,12 +18,6 @@ pub struct ProtoConfig {
     /// for correctness — a stable-but-undecided ABCAST is otherwise silently dropped at a
     /// view change.  The escape hatch exists only so tests can pin the failure mode.
     pub ack_proposal_only: bool,
-    /// Whether view installs are fenced by the primary-partition majority rule: a flush
-    /// only commits in a component holding a strict majority of the view it is cutting
-    /// from (rank-0 membership breaks exact-half ties), and minority components wedge
-    /// instead of installing.  Required for split-brain safety under network partitions.
-    /// The escape hatch exists only so tests can demonstrate the failure mode.
-    pub primary_partition: bool,
 }
 
 impl Default for ProtoConfig {
@@ -33,7 +27,6 @@ impl Default for ProtoConfig {
             flush_timeout: Duration::from_millis(2_000),
             abcast_retry: Duration::from_millis(1_000),
             ack_proposal_only: true,
-            primary_partition: true,
         }
     }
 }
@@ -46,7 +39,6 @@ impl ProtoConfig {
             flush_timeout: Duration::from_millis(100),
             abcast_retry: Duration::from_millis(50),
             ack_proposal_only: true,
-            primary_partition: true,
         }
     }
 }

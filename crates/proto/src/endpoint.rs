@@ -585,9 +585,6 @@ impl GroupEndpoint {
     /// holds a strict majority of the voters, or exactly half of them *including the
     /// oldest voter* (the rank-0 tie-break, so an even split has exactly one winner).
     fn has_primary_majority(&self, view: &View) -> bool {
-        if !self.cfg.primary_partition {
-            return true;
-        }
         let (alive, voters) = self.majority_tally(view);
         if voters == 0 || alive * 2 > voters {
             return true;

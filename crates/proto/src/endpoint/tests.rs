@@ -205,12 +205,7 @@ impl Cluster {
 
     /// Builds a three-member group spanning sites 0, 1, 2 (member i at site i).
     fn build_three_member_group() -> Cluster {
-        Cluster::build_three_member_group_with(ProtoConfig::fast())
-    }
-
-    /// Like [`Cluster::build_three_member_group`] but with custom protocol tunables.
-    fn build_three_member_group_with(cfg: ProtoConfig) -> Cluster {
-        let mut c = Cluster::new_with_config(3, cfg);
+        let mut c = Cluster::new(3);
         c.exec(SiteId(0), |ep, _now, out| ep.create(member(0), out));
         c.exec(SiteId(0), |ep, now, out| {
             ep.submit_join(now, member(1), None, out).unwrap();
@@ -479,17 +474,13 @@ fn abcast_orphaned_by_sender_failure_is_finalized_by_the_flush() {
 /// stability gossip runs to completion (so the survivors' stability trackers drop their
 /// wire copies), and then both initiators crash before phase two.  The only remaining
 /// record of either message is the survivors' holdback queues.  Returns the cluster after
-/// the failure flush between the survivors (sites 1 and 2).
+/// the failure flush between the survivors (sites 0 and 2): exactly half of the view,
+/// holding the rank-0 member, which the primary-partition fence admits.
 fn stable_undecided_abcasts_after_crash(ack_proposal_only: bool) -> Cluster {
     let mut c = Cluster::new_with_config(
         4,
         ProtoConfig {
             ack_proposal_only,
-            // The scenario kills exactly half the view including the rank-0 member, which
-            // the primary-partition fence (rightly) refuses to cut past — survivors cannot
-            // tell these crashes from a partition.  This test pins the proposal-only-ack
-            // edge, not partition semantics, so the fence is off.
-            primary_partition: false,
             ..ProtoConfig::fast()
         },
     );
@@ -500,31 +491,31 @@ fn stable_undecided_abcasts_after_crash(ack_proposal_only: bool) -> Cluster {
         });
         c.pump(false);
     }
-    // Member 0 initiates A (body 10) and member 3 initiates B (body 20) concurrently.
-    c.exec(SiteId(0), |ep, now, out| {
-        ep.abcast(now, member(0), Message::with_body(10u64), out)
+    // Member 1 initiates A (body 10) and member 3 initiates B (body 20) concurrently.
+    c.exec(SiteId(1), |ep, now, out| {
+        ep.abcast(now, member(1), Message::with_body(10u64), out)
             .unwrap();
     });
     c.exec(SiteId(3), |ep, now, out| {
         ep.abcast(now, member(3), Message::with_body(20u64), out)
             .unwrap();
     });
-    // Adversarial phase-one interleaving: site 1 receives A then B, site 2 receives B then
+    // Adversarial phase-one interleaving: site 0 receives A then B, site 2 receives B then
     // A, and each initiator's site receives the other's message (every site holds both, the
     // precondition for stability).  All priority proposals head back to the initiators.
-    let a_for_1 = self_channel_take(&mut c, SiteId(1), SiteId(0));
-    let b_for_1 = self_channel_take(&mut c, SiteId(1), SiteId(3));
-    let a_for_2 = self_channel_take(&mut c, SiteId(2), SiteId(0));
-    let b_for_2 = self_channel_take(&mut c, SiteId(2), SiteId(3));
+    let a_for_0 = self_channel_take(&mut c, SiteId(0), SiteId(1));
     let b_for_0 = self_channel_take(&mut c, SiteId(0), SiteId(3));
-    let a_for_3 = self_channel_take(&mut c, SiteId(3), SiteId(0));
+    let a_for_2 = self_channel_take(&mut c, SiteId(2), SiteId(1));
+    let b_for_2 = self_channel_take(&mut c, SiteId(2), SiteId(3));
+    let b_for_1 = self_channel_take(&mut c, SiteId(1), SiteId(3));
+    let a_for_3 = self_channel_take(&mut c, SiteId(3), SiteId(1));
     for (dst, src, frame) in [
-        (1u16, 0u16, a_for_1),
-        (1, 3, b_for_1),
-        (2, 3, b_for_2),
-        (2, 0, a_for_2),
+        (0u16, 1u16, a_for_0),
         (0, 3, b_for_0),
-        (3, 0, a_for_3),
+        (2, 3, b_for_2),
+        (2, 1, a_for_2),
+        (1, 3, b_for_1),
+        (3, 1, a_for_3),
     ] {
         c.exec(SiteId(dst), |ep, now, out| {
             ep.on_message(now, SiteId(src), &frame, out).unwrap();
@@ -533,14 +524,14 @@ fn stable_undecided_abcasts_after_crash(ack_proposal_only: bool) -> Cluster {
     // One gossip round from every site (all four now hold both copies), then both
     // initiators crash, taking the in-flight proposals with them — phase two never runs.
     c.tick_all();
-    c.crash_site(SiteId(0));
+    c.crash_site(SiteId(1));
     c.crash_site(SiteId(3));
     c.pump(false);
     c.tick_all();
     c.pump(false);
     // The precondition the regression pins: both messages went *stable* (no survivor holds
     // a wire copy any more) while still *undecided* (neither was delivered).
-    for s in [1u16, 2] {
+    for s in [0u16, 2] {
         assert_eq!(
             c.endpoints[&SiteId(s)].unstable_len(),
             0,
@@ -551,9 +542,9 @@ fn stable_undecided_abcasts_after_crash(ack_proposal_only: bool) -> Cluster {
             "site {s} delivered before ordering completed"
         );
     }
-    for s in [1u16, 2] {
+    for s in [0u16, 2] {
         c.exec(SiteId(s), |ep, now, out| {
-            ep.report_failures(now, &[member(0), member(3)], out);
+            ep.report_failures(now, &[member(1), member(3)], out);
         });
     }
     c.pump(false);
@@ -566,14 +557,14 @@ fn stable_but_undecided_abcasts_keep_a_single_total_order_across_the_view_change
     // The flush acks carried proposal-only entries re-encoded from the holdback queues, so
     // the coordinator finalised both orphaned ABCASTs with the merged maximum proposals:
     // one total order, identical at every survivor.
-    let order1 = c.delivered_bodies(SiteId(1));
+    let order0 = c.delivered_bodies(SiteId(0));
     let order2 = c.delivered_bodies(SiteId(2));
-    assert_eq!(order1.len(), 2, "site 1 lost a stable-but-undecided ABCAST");
+    assert_eq!(order0.len(), 2, "site 0 lost a stable-but-undecided ABCAST");
     assert_eq!(
-        order1, order2,
+        order0, order2,
         "survivors disagree on the total order at the cut"
     );
-    for s in [1u16, 2] {
+    for s in [0u16, 2] {
         assert_eq!(c.endpoints[&SiteId(s)].view().unwrap().members.len(), 2);
     }
 }
@@ -585,11 +576,11 @@ fn without_proposal_only_acks_the_total_order_diverges_at_the_cut() {
     // survivor force-drains them with its own *local* proposal priorities at the cut, and
     // the two survivors commit opposite total orders — the ABCAST contract is broken.
     let c = stable_undecided_abcasts_after_crash(false);
-    let order1 = c.delivered_bodies(SiteId(1));
+    let order0 = c.delivered_bodies(SiteId(0));
     let order2 = c.delivered_bodies(SiteId(2));
-    assert_eq!(order1, vec![10, 20], "site 1 drains in its arrival order");
+    assert_eq!(order0, vec![10, 20], "site 0 drains in its arrival order");
     assert_eq!(order2, vec![20, 10], "site 2 drains in its arrival order");
-    for s in [1u16, 2] {
+    for s in [0u16, 2] {
         assert_eq!(c.endpoints[&SiteId(s)].view().unwrap().members.len(), 2);
     }
 }
@@ -1170,36 +1161,4 @@ fn an_even_split_has_exactly_one_winner_the_rank_zero_side() {
         assert_eq!(c.stalls[&SiteId(s)], vec![(4, 2, 4)], "site {s}");
     }
     assert_eq!(c.stats.snapshot().minority_wedges, 2);
-}
-
-#[test]
-fn without_the_fence_a_cut_splits_the_brain() {
-    let mut c = Cluster::build_three_member_group_with(ProtoConfig {
-        primary_partition: false,
-        ..ProtoConfig::fast()
-    });
-    // Same cut as `majority_cuts_the_minority_which_rejoins_after_heal`, but with the
-    // fence disabled the isolated site happily elects itself: two concurrent "primary"
-    // views at the same sequence number with disjoint memberships.  This is the failure
-    // mode the fence exists to prevent.
-    c.exec(SiteId(2), |ep, now, out| {
-        ep.report_failures(now, &[member(0), member(1)], out);
-    });
-    c.drop_channel(SiteId(0), SiteId(2));
-    c.drop_channel(SiteId(1), SiteId(2));
-    c.exec(SiteId(0), |ep, now, out| {
-        ep.report_failures(now, &[member(2)], out);
-    });
-    c.exec(SiteId(1), |ep, now, out| {
-        ep.report_failures(now, &[member(2)], out);
-    });
-    let isolated = c.endpoints.remove(&SiteId(2)).expect("endpoint exists");
-    c.pump(false);
-    c.endpoints.insert(SiteId(2), isolated);
-    let majority = c.endpoints[&SiteId(0)].view().expect("view installed");
-    let minority = c.endpoints[&SiteId(2)].view().expect("view installed");
-    assert_eq!(majority.seq(), 4);
-    assert_eq!(minority.seq(), 4, "same sequence number on both sides");
-    assert_eq!(majority.members, vec![member(0), member(1)]);
-    assert_eq!(minority.members, vec![member(2)], "disjoint memberships");
 }

@@ -107,7 +107,6 @@ pub struct ReformTracker {
     summaries: BTreeMap<SiteId, LogSummary>,
     deadline: SimTime,
     resolved: Option<ReformStatus>,
-    majority_fence: bool,
 }
 
 impl ReformTracker {
@@ -126,15 +125,7 @@ impl ReformTracker {
             summaries,
             deadline,
             resolved: None,
-            majority_fence: true,
         }
-    }
-
-    /// Disables the degraded-election majority fence.  The escape hatch exists only so
-    /// tests can demonstrate the split-brain the fence prevents.
-    pub fn without_majority_fence(mut self) -> Self {
-        self.majority_fence = false;
-        self
     }
 
     /// Our own summary (re-broadcast by the stack until the election resolves).
@@ -182,7 +173,7 @@ impl ReformTracker {
         // majority of the expected participants; a minority keeps collecting — it can
         // never self-elect an authoritative log while the rest might be partitioned away,
         // alive, and electing among themselves.
-        if !all_in && (now < self.deadline || (self.majority_fence && !majority)) {
+        if !all_in && (now < self.deadline || !majority) {
             return ReformStatus::Collecting {
                 have: self.summaries.len(),
                 expected: self.expected.len(),
@@ -354,23 +345,6 @@ mod tests {
         t.record(summary(2, 7, &[], 2));
         assert_eq!(
             t.try_resolve(deadline + vsync_util::Duration::from_secs(60)),
-            ReformStatus::Lead { new_view_seq: 10 }
-        );
-    }
-
-    #[test]
-    fn fence_escape_hatch_demonstrates_minority_self_election() {
-        let deadline = SimTime::ZERO + vsync_util::Duration::from_secs(1);
-        let mut t = ReformTracker::new(
-            summary(0, 9, &[(0, 50)], 0),
-            (0..5).map(SiteId).collect(),
-            deadline,
-        )
-        .without_majority_fence();
-        // With the fence disabled a single stranded site elects its own log: exactly the
-        // split-brain the fence exists to prevent.
-        assert_eq!(
-            t.try_resolve(deadline),
             ReformStatus::Lead { new_view_seq: 10 }
         );
     }

@@ -31,7 +31,6 @@
 //! * [`invariants`] — the partition-safety checker: replays per-member view logs and
 //!   view-tagged delivery logs, asserting no two concurrent primary views and post-heal
 //!   convergence to identical duplicate-free delivery orders.
-//! * [`throughput`] — the `rt_throughput` benchmark workload (N threads × M groups).
 //!
 //! Determinism ends at the threaded backend's scheduler: fault *decisions* stay seeded and
 //! reproducible per node, but thread interleaving is the operating system's.  The
@@ -45,7 +44,6 @@ pub mod harness;
 pub mod invariants;
 pub mod sim;
 pub mod threaded;
-pub mod throughput;
 pub mod transport;
 pub mod wire;
 
@@ -57,6 +55,5 @@ pub use harness::{IsisHarness, IsisRuntime, SimRuntime, StackJob, ThreadedRuntim
 pub use invariants::{InvariantViolation, MemberTimeline, PartitionInvariants};
 pub use sim::{SimCluster, SimTransport};
 pub use threaded::{NodeReport, ThreadedCluster, ThreadedTransport};
-pub use throughput::{rt_throughput, ThroughputReport, THROUGHPUT_ENTRY};
 pub use transport::{Event, InvokeFn, Node, Transport};
 pub use wire::WirePacket;

@@ -49,7 +49,6 @@ fn quiet_configs() -> (StackConfig, ProtoConfig) {
         flush_timeout: hour,
         abcast_retry: hour,
         ack_proposal_only: true,
-        primary_partition: true,
     };
     (stack_cfg, proto_cfg)
 }
