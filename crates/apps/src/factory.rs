@@ -19,9 +19,9 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use vsync_core::{
-    Address, Duration, EntryId, GroupId, IsisSystem, Message, ProcessId, ProtocolKind, ReplyWanted,
-    SiteId,
+    Address, Duration, EntryId, GroupId, Message, ProcessId, ProtocolKind, ReplyWanted, SiteId,
 };
+use vsync_rt::{IsisHarness, SimRuntime};
 use vsync_tools::{CoordCohort, ReplicatedData, SemaphoreTool, UpdateOrdering};
 
 /// Entry point for emulsion batch requests.
@@ -67,7 +67,7 @@ pub struct Factory {
 
 impl Factory {
     /// Deploys both services, one member per site in `sites`.
-    pub fn deploy(sys: &mut IsisSystem, sites: &[SiteId]) -> Factory {
+    pub fn deploy(sys: &mut IsisHarness<SimRuntime>, sites: &[SiteId]) -> Factory {
         let emulsion_gid = sys.allocate_group_id();
         let transport_gid = sys.allocate_group_id();
         let mut emulsion = Vec::new();
@@ -80,7 +80,7 @@ impl Factory {
             let cc_attach = cc.clone();
             let cc_handle = cc.clone();
             let processed_h = processed.clone();
-            let pid = sys.spawn(*site, move |b| {
+            let pid = sys.spawn_local(*site, move |b| {
                 cc_attach.attach(b);
                 let cc_inner = cc_handle.clone();
                 b.on_entry(BATCH_ENTRY, move |ctx, msg| {
@@ -123,7 +123,7 @@ impl Factory {
             conveyor.define("conveyor", 1);
             let status_attach = status.clone();
             let conveyor_attach = conveyor.clone();
-            let pid = sys.spawn(*site, move |b| {
+            let pid = sys.spawn_local(*site, move |b| {
                 status_attach.attach(b);
                 conveyor_attach.attach(b);
             });
@@ -139,7 +139,7 @@ impl Factory {
                 conveyor,
             });
         }
-        sys.run_ms(50);
+        sys.settle(Duration::from_millis(50));
         Factory {
             emulsion_gid,
             transport_gid,
@@ -153,7 +153,7 @@ impl Factory {
     /// member actually performed the deposition.
     pub fn submit_batch(
         &self,
-        sys: &mut IsisSystem,
+        sys: &mut IsisHarness<SimRuntime>,
         client: ProcessId,
         batch: u64,
         max_wait: Duration,
@@ -173,7 +173,7 @@ impl Factory {
     /// Publishes a station-status update from one transport member.
     pub fn update_station(
         &self,
-        sys: &mut IsisSystem,
+        sys: &mut IsisHarness<SimRuntime>,
         member_index: usize,
         station: &str,
         state: &str,

@@ -24,9 +24,10 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use vsync_core::{
-    Address, Duration, EntryId, GroupId, IsisSystem, Message, ProcessId, ProtocolKind, ReplyWanted,
-    RpcOutcome, SiteId,
+    Address, Duration, EntryId, GroupId, Message, ProcessId, ProtocolKind, ReplyWanted, RpcOutcome,
+    SiteId,
 };
+use vsync_rt::{IsisHarness, SimRuntime};
 use vsync_tools::{ConfigTool, ReplicatedData, StateTransfer, UpdateOrdering};
 
 /// Entry point for queries.
@@ -324,7 +325,7 @@ impl TwentyQuestions {
     /// Deploys the service: one member per entry of `sites`, with the first `nmembers`
     /// active and the rest acting as hot standbys (paper Step 4).
     pub fn deploy(
-        sys: &mut IsisSystem,
+        sys: &mut IsisHarness<SimRuntime>,
         name: &str,
         sites: &[SiteId],
         nmembers: usize,
@@ -346,7 +347,7 @@ impl TwentyQuestions {
             members.push(pid);
             handles.push(handle);
         }
-        sys.run_ms(50);
+        sys.settle(Duration::from_millis(50));
         TwentyQuestions {
             gid,
             members,
@@ -359,7 +360,7 @@ impl TwentyQuestions {
     /// for a vertical query, `NMEMBERS` replies for a horizontal one (paper Step 2).
     pub fn query(
         &self,
-        sys: &mut IsisSystem,
+        sys: &mut IsisHarness<SimRuntime>,
         client: ProcessId,
         q: &Query,
         max_wait: Duration,
@@ -387,7 +388,7 @@ impl TwentyQuestions {
 
     /// Issues a dynamic update (paper Step 5): adds a row, delivered by GBCAST so it is
     /// ordered consistently with respect to every query.
-    pub fn update(&self, sys: &mut IsisSystem, client: ProcessId, row: Row) {
+    pub fn update(&self, sys: &mut IsisHarness<SimRuntime>, client: ProcessId, row: Row) {
         let encoded: Vec<String> = row.iter().map(|(c, v)| format!("{c}={v}")).collect();
         let msg = Message::new().with("new-row", encoded.join(";"));
         sys.client_send(client, self.gid, UPDATE_ENTRY, msg, ProtocolKind::Gbcast);
@@ -402,7 +403,7 @@ impl TwentyQuestions {
 /// Spawns one service member at `site`.  `group` is `None` only for the bootstrap member that
 /// exists before the group id has been allocated.
 fn spawn_member(
-    sys: &mut IsisSystem,
+    sys: &mut IsisHarness<SimRuntime>,
     site: SiteId,
     db: Database,
     nmembers: usize,
@@ -438,7 +439,7 @@ fn spawn_member(
     let transfer_attach = transfer.clone();
     let replicated_attach = replicated.clone();
 
-    let pid = sys.spawn(site, move |b| {
+    let pid = sys.spawn_local(site, move |b| {
         config_attach.attach(b);
         transfer_attach.attach(b);
         replicated_attach.attach(b);

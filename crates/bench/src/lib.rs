@@ -20,10 +20,18 @@ use std::rc::Rc;
 
 use vsync_apps::twenty::{Database, Op, Query, TwentyQuestions};
 use vsync_core::{
-    Address, Duration, EntryId, IsisSystem, LatencyProfile, Message, ProcessId, ProtocolKind,
-    ReplyWanted, SiteId,
+    Address, Duration, EntryId, LatencyProfile, Message, ProcessId, ProtocolKind, ReplyWanted,
+    SiteId,
 };
 use vsync_proto::sequencer::{abcast_inter_site_hops, sequencer_inter_site_hops};
+use vsync_rt::{IsisHarness, IsisRuntime, SimRuntime};
+
+/// A simulated cluster under the harness every measurement drives.
+type Sim = IsisHarness<SimRuntime>;
+
+fn harness(num_sites: usize, profile: LatencyProfile, seed: u64) -> Sim {
+    IsisHarness::new(SimRuntime::for_profile(num_sites, profile, seed))
+}
 
 /// Entry used by the benchmark member processes.
 pub const BENCH_ENTRY: EntryId = EntryId(70);
@@ -72,7 +80,7 @@ impl Report {
 /// under the given latency profile.
 pub struct BenchCluster {
     /// The simulated system.
-    pub sys: IsisSystem,
+    pub sys: Sim,
     /// The group spanning all member sites.
     pub gid: vsync_core::GroupId,
     /// Group members, one per site, in rank order.
@@ -87,16 +95,13 @@ pub struct BenchCluster {
 impl BenchCluster {
     /// Builds a cluster of `num_sites` sites with one echo member per site.
     pub fn new(profile: LatencyProfile, num_sites: usize, seed: u64) -> Self {
-        let mut sys = IsisSystem::builder(num_sites)
-            .profile(profile)
-            .seed(seed)
-            .build();
+        let mut sys = harness(num_sites, profile, seed);
         let delivered_bytes = Rc::new(RefCell::new(0u64));
         let mut members = Vec::new();
         let gid = sys.allocate_group_id();
         for i in 0..num_sites {
             let counter = delivered_bytes.clone();
-            let pid = sys.spawn(SiteId(i as u16), move |b| {
+            let pid = sys.spawn_local(SiteId(i as u16), move |b| {
                 b.on_entry(BENCH_ENTRY, move |ctx, msg| {
                     if let Some(bytes) = msg.get_bytes("payload") {
                         *counter.borrow_mut() += bytes.len() as u64;
@@ -115,7 +120,7 @@ impl BenchCluster {
             members.push(pid);
         }
         let local_client = sys.spawn(SiteId(0), |_| {});
-        sys.run_ms(100);
+        sys.settle(Duration::from_millis(100));
         BenchCluster {
             sys,
             gid,
@@ -131,7 +136,7 @@ impl BenchCluster {
         let payload = Message::new()
             .with("payload", vec![0u8; size])
             .with("want-reply", true);
-        let start = self.sys.now();
+        let start = self.sys.rt.now();
         let outcome = self.sys.client_call(
             self.local_client,
             vec![Address::Group(self.gid)],
@@ -146,7 +151,7 @@ impl BenchCluster {
             "bench call failed: {:?}",
             outcome.error
         );
-        self.sys.now() - start
+        self.sys.rt.now() - start
     }
 
     /// Asynchronous CBCAST throughput in bytes/second for messages of `size` bytes:
@@ -156,7 +161,7 @@ impl BenchCluster {
         *self.delivered_bytes.borrow_mut() = 0;
         let remote_members = self.members.len() - 1;
         let expected = (size * count * remote_members) as u64;
-        let start = self.sys.now();
+        let start = self.sys.rt.now();
         for _ in 0..count {
             let payload = Message::new().with("payload", vec![0u8; size]);
             self.sys.client_send(
@@ -168,13 +173,11 @@ impl BenchCluster {
             );
         }
         let bytes = self.delivered_bytes.clone();
-        let ok = self
-            .sys
-            .run_until_condition(Duration::from_secs(600), move |_s| {
-                *bytes.borrow() >= expected
-            });
+        let ok = self.sys.wait_until(Duration::from_secs(600), move |_| {
+            *bytes.borrow() >= expected
+        });
         assert!(ok, "throughput run never completed");
-        let elapsed = (self.sys.now() - start).as_secs_f64().max(1e-9);
+        let elapsed = (self.sys.rt.now() - start).as_secs_f64().max(1e-9);
         (size * count) as f64 / elapsed
     }
 }
@@ -183,10 +186,7 @@ impl BenchCluster {
 pub fn table1() -> Report {
     use vsync_tools::{ConfigTool, NewsService, ReplicatedData, SemaphoreTool, UpdateOrdering};
 
-    let mut sys = IsisSystem::builder(4)
-        .profile(LatencyProfile::Modern)
-        .seed(7)
-        .build();
+    let mut sys = harness(4, LatencyProfile::Modern, 7);
     let gid = sys.allocate_group_id();
     let mut members = Vec::new();
     for i in 0..3u16 {
@@ -196,7 +196,7 @@ pub fn table1() -> Report {
         sem.define("mutex", 1);
         let news = NewsService::new(gid, EntryId(63));
         let (d, c, s, n) = (data.clone(), cfg.clone(), sem.clone(), news.clone());
-        let pid = sys.spawn(SiteId(i), move |b| {
+        let pid = sys.spawn_local(SiteId(i), move |b| {
             d.attach(b);
             c.attach(b);
             s.attach(b);
@@ -214,20 +214,19 @@ pub fn table1() -> Report {
         members.push(pid);
     }
     let client = sys.spawn(SiteId(3), |_| {});
-    sys.run_ms(200);
+    sys.settle(Duration::from_millis(200));
 
     let mut rows = Vec::new();
-    let mut measure =
-        |sys: &mut IsisSystem, label: &str, paper: &str, op: &mut dyn FnMut(&mut IsisSystem)| {
-            let before = sys.stats();
-            op(sys);
-            sys.run_ms(400);
-            let delta = sys.stats().delta_since(&before);
-            rows.push(Row {
-                label: label.to_owned(),
-                values: vec![paper.to_owned(), delta.multicast_summary()],
-            });
-        };
+    let mut measure = |sys: &mut Sim, label: &str, paper: &str, op: &mut dyn FnMut(&mut Sim)| {
+        let before = sys.rt.stats();
+        op(sys);
+        sys.settle(Duration::from_millis(400));
+        let delta = sys.rt.stats().delta_since(&before);
+        rows.push(Row {
+            label: label.to_owned(),
+            values: vec![paper.to_owned(), delta.multicast_summary()],
+        });
+    };
 
     measure(
         &mut sys,
@@ -430,15 +429,12 @@ pub fn figure3_breakdown(total_ms: f64) -> (f64, f64, f64) {
 pub fn figure3() -> Report {
     // Measure the delivery latency of an ABCAST at a remote member under the 1987 profile.
     let delivered_at = Rc::new(RefCell::new(None));
-    let mut sys = IsisSystem::builder(3)
-        .profile(LatencyProfile::Paper1987)
-        .seed(3)
-        .build();
+    let mut sys = harness(3, LatencyProfile::Paper1987, 3);
     let gid = sys.allocate_group_id();
     let mut members = Vec::new();
     for i in 0..3u16 {
         let slot = delivered_at.clone();
-        let pid = sys.spawn(SiteId(i), move |b| {
+        let pid = sys.spawn_local(SiteId(i), move |b| {
             b.on_entry(BENCH_ENTRY, move |ctx, _msg| {
                 if ctx.me().site == SiteId(2) && slot.borrow().is_none() {
                     *slot.borrow_mut() = Some(ctx.now());
@@ -453,8 +449,8 @@ pub fn figure3() -> Report {
         }
         members.push(pid);
     }
-    sys.run_ms(200);
-    let start = sys.now();
+    sys.settle(Duration::from_millis(200));
+    let start = sys.rt.now();
     sys.client_send(
         members[0],
         gid,
@@ -463,7 +459,7 @@ pub fn figure3() -> Report {
         ProtocolKind::Abcast,
     );
     let slot = delivered_at.clone();
-    sys.run_until_condition(Duration::from_secs(30), move |_s| slot.borrow().is_some());
+    sys.wait_until(Duration::from_secs(30), move |_| slot.borrow().is_some());
     let delivered = delivered_at.borrow().expect("abcast delivered remotely");
     let total = (delivered - start).as_millis_f64();
 
@@ -503,17 +499,14 @@ pub fn figure3() -> Report {
 /// Reproduces the Section 5 summary: twenty-questions aggregate query and update rates on
 /// four sites under the 1987 profile.
 pub fn section5(queries: usize, updates: usize) -> Report {
-    let mut sys = IsisSystem::builder(5)
-        .profile(LatencyProfile::Paper1987)
-        .seed(5)
-        .build();
+    let mut sys = harness(5, LatencyProfile::Paper1987, 5);
     let sites: Vec<SiteId> = (0..4).map(SiteId).collect();
     let svc = TwentyQuestions::deploy(&mut sys, "twenty", &sites, 4, Database::demo());
     let client = sys.spawn(SiteId(4), |_| {});
-    sys.run_ms(500);
+    sys.settle(Duration::from_millis(500));
 
     // Queries: alternate vertical and horizontal, measuring virtual time.
-    let q_start = sys.now();
+    let q_start = sys.rt.now();
     for i in 0..queries {
         let q = if i % 2 == 0 {
             Query::vertical("price", Op::Gt, "9000")
@@ -523,11 +516,11 @@ pub fn section5(queries: usize, updates: usize) -> Report {
         let answers = svc.query(&mut sys, client, &q, Duration::from_secs(60));
         assert!(!answers.is_empty(), "query {i} got no answers");
     }
-    let q_elapsed = (sys.now() - q_start).as_secs_f64();
+    let q_elapsed = (sys.rt.now() - q_start).as_secs_f64();
     let q_rate = queries as f64 / q_elapsed.max(1e-9);
 
     // Updates (GBCAST).
-    let u_start = sys.now();
+    let u_start = sys.rt.now();
     for i in 0..updates {
         svc.update(
             &mut sys,
@@ -537,13 +530,13 @@ pub fn section5(queries: usize, updates: usize) -> Report {
                 ("price".into(), format!("{}", 50_000 + i)),
             ],
         );
-        sys.run_ms(250);
+        sys.settle(Duration::from_millis(250));
     }
     let expect = 10 + updates;
-    sys.run_until_condition(Duration::from_secs(120), |_s| {
+    sys.wait_until(Duration::from_secs(120), |_| {
         svc.replica_sizes().iter().all(|n| *n >= expect)
     });
-    let u_elapsed = (sys.now() - u_start).as_secs_f64();
+    let u_elapsed = (sys.rt.now() - u_start).as_secs_f64();
     let u_rate = updates as f64 / u_elapsed.max(1e-9);
 
     Report {
@@ -638,13 +631,13 @@ pub fn ablation_view_change(sizes: &[usize], background_per_member: usize) -> Re
                 );
             }
         }
-        let start = cluster.sys.now();
+        let start = cluster.sys.rt.now();
         let joiner = cluster.sys.spawn(SiteId(0), |_| {});
         cluster
             .sys
             .join_and_wait(cluster.gid, joiner, None, Duration::from_secs(120))
             .expect("join");
-        let elapsed = cluster.sys.now() - start;
+        let elapsed = cluster.sys.rt.now() - start;
         rows.push(Row {
             label: format!("{n} member sites"),
             values: vec![format!("{:.1}", elapsed.as_millis_f64())],

@@ -12,10 +12,12 @@
 //! * [`stack`] — the per-site protocols process of Figure 1: it owns one
 //!   [`vsync_proto::GroupEndpoint`] per group, the failure detector, the reply collectors,
 //!   the group-name directory cache, and relays multicasts issued by non-member clients.
-//! * [`system`] — [`system::IsisSystem`], the harness that builds a simulated cluster,
-//!   spawns processes, creates and joins groups, and runs the event loop; every example,
-//!   test and benchmark starts here.
 //! * [`protection`] — sender validation and join-credential checks (paper Section 3.10).
+//!
+//! The crate is sans-io: a [`SiteStack`] reacts to packets and timers through a
+//! `vsync_net::Outbox`.  Running stacks — on the deterministic simulator or on OS threads —
+//! is `vsync-rt`'s job, and its `IsisHarness` is where every example, test and benchmark
+//! starts.
 //!
 //! The crate deliberately exposes the same vocabulary as the paper: `pg_create`, `pg_join`,
 //! `pg_lookup`, `pg_monitor`, CBCAST / ABCAST / GBCAST, coordinator–cohort (in `vsync-tools`),
@@ -27,14 +29,12 @@ pub mod process;
 pub mod protection;
 pub mod rpc;
 pub mod stack;
-pub mod system;
 
 pub use config::StackConfig;
 pub use process::{CtxAction, EntryHandler, IsisProcess, MonitorHandler, ProcessBuilder, ToolCtx};
 pub use protection::{FilterDecision, ProtectionPolicy};
 pub use rpc::{ReplyWanted, RpcOutcome};
 pub use stack::SiteStack;
-pub use system::{IsisSystem, SystemBuilder};
 
 // Re-export the identifiers and message types users need constantly.
 pub use vsync_msg::{fields, Message, Value};

@@ -73,7 +73,7 @@ pub enum CtxAction {
         /// The group to leave.
         group: GroupId,
     },
-    /// Emit a trace line (visible through the engine's trace log).
+    /// Emit a trace line (streamed to stderr when `VSYNC_RT_TRACE` is set).
     Trace(String),
 }
 
@@ -305,7 +305,8 @@ impl IsisProcess {
     }
 }
 
-/// Builder used by [`crate::system::IsisSystem::spawn`] to assemble a process declaratively.
+/// Assembles a process declaratively: the `configure` closure handed to `vsync-rt`'s
+/// `IsisHarness::spawn` fills one in.
 pub struct ProcessBuilder {
     process: IsisProcess,
 }

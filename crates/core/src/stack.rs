@@ -628,7 +628,7 @@ impl SiteStack {
 
     /// Issues a call (multicast + reply collection) on behalf of `caller`, which must be a
     /// process hosted at this site.  This is the entry point used both by handler actions and
-    /// by the system-level convenience API.
+    /// by the harness's client calls (`client_send`, `client_call`).
     #[allow(clippy::too_many_arguments)]
     pub fn issue_call(
         &mut self,

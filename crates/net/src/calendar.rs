@@ -1,9 +1,8 @@
-//! A calendar queue for the discrete-event engine.
+//! A calendar queue for the discrete-event simulator (`vsync-rt`'s `sim` backend).
 //!
-//! The engine's event queue used to be a `BinaryHeap` ordered by `(time, sequence)`.  Its
+//! The simulator's event queue used to be a `BinaryHeap` ordered by `(time, sequence)`.  Its
 //! dominant workload is bursty: a multicast fan-out or reply storm schedules dozens of
-//! events at the *same instant* (identical arrival time under a zero-jitter profile, or the
-//! batched same-site deliveries the outbox planner produces), and each of those paid a full
+//! events at the *same instant* (identical arrival time under a zero-jitter profile), and each of those paid a full
 //! O(log n) sift on push *and* pop.
 //!
 //! [`CalendarQueue`] is a calendar keyed by [`SimTime`]: one FIFO bucket per occupied

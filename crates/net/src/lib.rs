@@ -12,21 +12,22 @@
 //! * [`stats`] — counters used to regenerate Table 1 (multicasts per toolkit routine) and the
 //!   message-count aspects of Figure 3.
 //! * [`model`] — the latency / loss / fragmentation model.
-//! * [`calendar`] — the bucketed calendar queue backing the engine's event loop.
-//! * [`engine`] — the discrete-event simulator: virtual clock, per-site handlers, timers,
-//!   crash and recovery injection.
+//! * [`calendar`] — the bucketed calendar queue backing the simulator's event loop.
+//! * [`handler`] — the sans-io [`SiteHandler`] interface and the [`Outbox`] it records its
+//!   sends, timers and trace lines in; `vsync-rt` drives handlers on the simulated and the
+//!   threaded backend.
 //! * [`fail`] — the heartbeat failure detector with adaptive timeouts (paper Section 3.7).
 
 pub mod calendar;
-pub mod engine;
 pub mod fail;
+pub mod handler;
 pub mod model;
 pub mod packet;
 pub mod stats;
 
 pub use calendar::CalendarQueue;
-pub use engine::{Engine, Outbox, SiteHandler};
 pub use fail::FailureDetector;
+pub use handler::{Outbox, SiteHandler};
 pub use model::NetworkModel;
 pub use packet::{MsgId, Packet, PacketKind};
 pub use stats::{NetStats, ProtocolKind, SharedStats};

@@ -108,8 +108,7 @@ impl NetworkModel {
 
         // FIFO per (src, dst) channel: never deliver *before* a previously submitted packet.
         // Equal arrival instants are allowed — the event queue breaks timestamp ties in
-        // submission order, which both preserves FIFO and lets the engine deliver a burst to
-        // one site as a single batched event.
+        // submission order, which preserves FIFO.
         let key = (packet.src, packet.dst);
         if let Some(front) = self.channel_front.get(&key) {
             if arrival < *front {

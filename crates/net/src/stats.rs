@@ -255,7 +255,7 @@ impl NetStats {
     }
 }
 
-/// Statistics shared between the engine, the network model and the protocol stacks.
+/// Statistics shared between the simulator, the network model and the protocol stacks.
 ///
 /// The whole simulation runs on one thread (see ARCHITECTURE.md), and the counters are
 /// bumped several times per packet, so they live behind a `RefCell`, not a mutex: an

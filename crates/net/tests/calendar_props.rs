@@ -1,6 +1,6 @@
 //! Property tests pinning the calendar event queue to a binary-heap reference model.
 //!
-//! The engine's old queue was a `BinaryHeap` ordered by `(time, insertion sequence)`; the
+//! The simulator's old queue was a `BinaryHeap` ordered by `(time, insertion sequence)`; the
 //! calendar queue must pop in exactly that order for *every* interleaving of pushes and
 //! pops, or the simulator's determinism (and the virtual-synchrony property tests built on
 //! it) silently breaks.  Schedules here are driven by the deterministic RNG across many
@@ -8,14 +8,13 @@
 //! exists to make cheap — and interleave pops mid-schedule so drained-and-reoccupied
 //! instants are exercised.
 
-use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use vsync_net::{CalendarQueue, Engine, Outbox, Packet, SiteHandler};
-use vsync_util::{DetRng, Duration, NetParams, SimTime, SiteId};
+use vsync_net::CalendarQueue;
+use vsync_util::{DetRng, SimTime};
 
-/// Reference model: the exact ordering contract of the engine's previous queue.
+/// Reference model: the exact ordering contract of the simulator's previous queue.
 #[derive(Default)]
 struct HeapModel {
     heap: BinaryHeap<Reverse<(SimTime, u64)>>,
@@ -85,100 +84,4 @@ fn pop_order_matches_the_heap_reference_across_random_schedules() {
             }
         }
     }
-}
-
-/// Records every callback with its time, so the test can check cross-kind ordering.
-struct Recorder {
-    log: std::rc::Rc<std::cell::RefCell<Vec<(SimTime, String)>>>,
-}
-
-impl SiteHandler for Recorder {
-    fn on_packet(&mut self, now: SimTime, pkt: Packet, _out: &mut Outbox) {
-        let body = pkt.payload.get_str("body").unwrap_or("?").to_owned();
-        self.log.borrow_mut().push((now, format!("pkt:{body}")));
-    }
-
-    fn on_timer(&mut self, now: SimTime, token: u64, _out: &mut Outbox) {
-        self.log.borrow_mut().push((now, format!("timer:{token}")));
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-/// Crash-epoch interleaving at one instant: timers armed by a crashed incarnation must be
-/// dropped even when the crash, the stale timer and a fresh incarnation's timer all occupy
-/// the *same* calendar bucket, and the surviving events must fire in insertion order.
-#[test]
-fn same_instant_crash_epoch_interleaving_drops_only_stale_timers() {
-    use vsync_msg::Message;
-    use vsync_util::ProcessId;
-
-    let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-    let mut eng = Engine::new(2, NetParams::instant(), 7);
-    eng.install_site(SiteId(0), Box::new(Recorder { log: log.clone() }));
-    eng.install_site(SiteId(1), Box::new(Recorder { log: log.clone() }));
-
-    // Site 1 arms a timer for t=5ms, the engine schedules site 1's crash at the same
-    // instant *after* the timer (insertion order: timer first — it fires, then the crash).
-    eng.with_site::<Recorder, _>(SiteId(1), |_h, _now, out| {
-        out.set_timer(Duration::from_millis(5), 41);
-    });
-    eng.schedule_crash(SimTime(5_000), SiteId(1));
-    // Site 0 arms a timer at the same instant, after the crash event: still fires (site 0
-    // is unaffected), proving the bucket keeps FIFO across kinds.
-    eng.with_site::<Recorder, _>(SiteId(0), |_h, _now, out| {
-        out.set_timer(Duration::from_millis(5), 42);
-    });
-    // A stale timer of site 1 at a later instant: armed pre-crash, must be dropped.
-    eng.with_site::<Recorder, _>(SiteId(1), |_h, _now, out| {
-        out.set_timer(Duration::from_millis(7), 43);
-    });
-    eng.run_until(SimTime(6_000));
-    // Recover site 1 with a fresh incarnation whose timer lands on the same instant as the
-    // stale one; only the fresh incarnation's timer may fire.
-    eng.recover_site(SiteId(1), Box::new(Recorder { log: log.clone() }));
-    eng.with_site::<Recorder, _>(SiteId(1), |_h, _now, out| {
-        out.set_timer(Duration::from_micros(1_000), 44);
-    });
-    // And traffic to the dead-then-recovered site at one instant is delivered exactly once.
-    let a = ProcessId::new(SiteId(0), 0);
-    let b = ProcessId::new(SiteId(1), 0);
-    eng.with_site::<Recorder, _>(SiteId(0), |_h, _now, out| {
-        out.send(Packet::new(
-            a,
-            b,
-            vsync_net::PacketKind::Data,
-            Message::with_body("post-recovery"),
-        ));
-    });
-    eng.run_until(SimTime(20_000));
-
-    let entries: Vec<String> = log
-        .borrow()
-        .iter()
-        .map(|(t, s)| format!("{}:{s}", t.0))
-        .collect();
-    assert!(
-        entries.contains(&"5000:timer:41".to_owned()),
-        "pre-crash same-instant timer fires before the crash: {entries:?}"
-    );
-    assert!(
-        entries.contains(&"5000:timer:42".to_owned()),
-        "other site's same-instant timer fires: {entries:?}"
-    );
-    assert!(
-        !entries.iter().any(|e| e.ends_with("timer:43")),
-        "stale timer of the crashed incarnation must be dropped: {entries:?}"
-    );
-    assert!(
-        entries.contains(&"7000:timer:44".to_owned()),
-        "fresh incarnation's timer at the reoccupied instant fires: {entries:?}"
-    );
-    assert_eq!(
-        entries.iter().filter(|e| e.contains("pkt:")).count(),
-        1,
-        "post-recovery packet delivered exactly once: {entries:?}"
-    );
 }

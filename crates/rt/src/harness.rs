@@ -6,14 +6,17 @@
 //! [`SimCluster`]; [`ThreadedRuntime`] over real OS threads.  [`IsisHarness`] then builds
 //! the familiar toolkit operations (spawn, `pg_create`/`pg_join`, multicast, group RPC) on
 //! top of that surface once, so the same scenario — including the cross-backend conformance
-//! suite — runs unchanged on both.
+//! suite — runs unchanged on both.  It is the one way tests, examples, the applications and
+//! the paper reproduction drive a cluster.
 //!
 //! The threaded implementation answers queries by round-tripping a closure through the
 //! node's event loop and an `mpsc` reply channel; the simulated one executes it
 //! synchronously at the current virtual time.  Everything shipped into a stack job must be
 //! `Send`: plain data, [`Message`]s (whose byte values are `Arc`-backed) and channel
 //! senders all qualify, while `Rc`-based protocol state cannot leave its node even by
-//! accident.
+//! accident.  On the simulator, where caller and node share one thread, the two methods of
+//! `IsisHarness<SimRuntime>` — [`IsisHarness::with_stack`] and [`IsisHarness::spawn_local`] —
+//! lift that bound, so handlers may share `Rc` state the caller reads (as the tools do).
 
 use std::sync::mpsc;
 
@@ -25,7 +28,8 @@ use vsync_core::{
 use vsync_net::{NetStats, Outbox, SharedStats};
 use vsync_proto::ProtoConfig;
 use vsync_util::{
-    Duration, EntryId, GroupId, NetParams, ProcessId, Result, SimTime, SiteId, VsError,
+    Duration, EntryId, GroupId, LatencyProfile, NetParams, ProcessId, Rank, Result, SimTime,
+    SiteId, VsError,
 };
 
 use crate::faults::{CrashSchedule, FaultPlan, LinkFaults, NemesisEvent, NemesisSchedule};
@@ -98,6 +102,24 @@ impl SimRuntime {
             rt.install_stack(s);
         }
         rt
+    }
+
+    /// Builds a simulated cluster for a named latency profile: the profile's network
+    /// parameters, stack timers derived from them, and the paper's protocol timers under
+    /// `Paper1987` ([`ProtoConfig::fast`] otherwise).
+    pub fn for_profile(num_sites: usize, profile: LatencyProfile, seed: u64) -> Self {
+        let params = NetParams::for_profile(profile);
+        let proto_cfg = match profile {
+            LatencyProfile::Paper1987 => ProtoConfig::default(),
+            _ => ProtoConfig::fast(),
+        };
+        SimRuntime::new(
+            num_sites,
+            params,
+            StackConfig::from_params(&params),
+            proto_cfg,
+            seed,
+        )
     }
 
     fn install_stack(&mut self, site: SiteId) {
@@ -301,8 +323,8 @@ impl IsisRuntime for ThreadedRuntime {
 // The generic harness
 // ---------------------------------------------------------------------------------------
 
-/// Toolkit-level operations over any [`IsisRuntime`]: the backend-generic equivalent of
-/// [`vsync_core::IsisSystem`].
+/// Toolkit-level operations over any [`IsisRuntime`]: spawn processes, create, join and
+/// leave groups, multicast, group RPC, and inject failures.
 pub struct IsisHarness<R: IsisRuntime> {
     /// The underlying runtime, reachable for backend-specific calls.
     pub rt: R,
@@ -375,6 +397,13 @@ impl<R: IsisRuntime> IsisHarness<R> {
         .flatten()
     }
 
+    /// The next process id at `site` (shared by every spawn path, so pids never repeat).
+    fn next_pid(&mut self, site: SiteId) -> ProcessId {
+        let local = self.next_local[site.index()];
+        self.next_local[site.index()] += 1;
+        ProcessId::new(site, local)
+    }
+
     /// Spawns a client process at `site`.  The `configure` closure runs on the site's node
     /// (thread) to build the handlers, so handler state never crosses threads.
     pub fn spawn(
@@ -382,9 +411,7 @@ impl<R: IsisRuntime> IsisHarness<R> {
         site: SiteId,
         configure: impl FnOnce(&mut ProcessBuilder) + Send + 'static,
     ) -> ProcessId {
-        let local = self.next_local[site.index()];
-        self.next_local[site.index()] += 1;
-        let pid = ProcessId::new(site, local);
+        let pid = self.next_pid(site);
         let sent = self.rt.with_stack_job(
             site,
             Box::new(move |stack, _now, _out| {
@@ -393,9 +420,8 @@ impl<R: IsisRuntime> IsisHarness<R> {
                 stack.add_process(b.build());
             }),
         );
-        // Mirrors `IsisSystem::spawn`'s "site is up" expectation: returning a pid for a
-        // process that was silently never created only defers the failure to a confusing
-        // join/RPC timeout later.
+        // Returning a pid for a process that was silently never created only defers the
+        // failure to a confusing join/RPC timeout later.
         assert!(sent, "spawn at {site:?}: site is down");
         pid
     }
@@ -413,11 +439,11 @@ impl<R: IsisRuntime> IsisHarness<R> {
         gid
     }
 
-    /// Creates a group using a pre-allocated id.
+    /// Creates a group using a pre-allocated id.  A group is open unless
+    /// [`IsisHarness::set_policy`] protected the id first.
     pub fn create_group_with_id(&mut self, name: &str, gid: GroupId, creator: ProcessId) {
         let n = name.to_owned();
         self.query(creator.site, move |stack, _now, out| {
-            stack.set_policy(gid, ProtectionPolicy::open());
             stack.create_group(&n, gid, creator, out);
         });
         for s in self.sites() {
@@ -431,10 +457,42 @@ impl<R: IsisRuntime> IsisHarness<R> {
         }
     }
 
+    /// Installs a protection policy (join credentials, trusted senders) for `gid` at every
+    /// site, since any site may come to coordinate the group's joins.  Call it between
+    /// [`IsisHarness::allocate_group_id`] and [`IsisHarness::create_group_with_id`], so no
+    /// join is ever checked without it.
+    pub fn set_policy(&mut self, gid: GroupId, policy: ProtectionPolicy) {
+        for s in self.sites() {
+            let policy = policy.clone();
+            self.rt.with_stack_job(
+                s,
+                Box::new(move |stack, _now, _out| stack.set_policy(gid, policy)),
+            );
+        }
+    }
+
+    /// `pg_lookup` as seen from a site's namespace cache.
+    pub fn lookup(&mut self, site: SiteId, name: &str) -> Option<GroupId> {
+        let name = name.to_owned();
+        self.query(site, move |stack, _now, _out| stack.lookup(&name))
+            .flatten()
+    }
+
     /// The view a site currently has of a group.
     pub fn view_of(&mut self, site: SiteId, gid: GroupId) -> Option<View> {
         self.query(site, move |stack, _now, _out| stack.view_of(gid).cloned())
             .flatten()
+    }
+
+    /// The rank of a member in the group, as seen from its own site.
+    pub fn rank_of(&mut self, gid: GroupId, member: ProcessId) -> Option<Rank> {
+        self.view_of(member.site, gid)?.rank_of(member)
+    }
+
+    /// True if the process is currently alive.
+    pub fn process_exists(&mut self, pid: ProcessId) -> bool {
+        self.query(pid.site, move |stack, _now, _out| stack.has_process(pid))
+            .unwrap_or(false)
     }
 
     /// Number of multicasts `site` has received in the group's current view that are not
@@ -454,21 +512,42 @@ impl<R: IsisRuntime> IsisHarness<R> {
         credentials: Option<String>,
         max_wait: Duration,
     ) -> Result<()> {
-        let submitted = self
-            .query(joiner.site, move |stack, _now, out| {
-                stack.join_group(gid, joiner, credentials, out)
-            })
-            .ok_or(VsError::NoSuchProcess(joiner))?;
-        submitted?;
-        let ok = self.wait_until(max_wait, |h| {
-            h.view_of(joiner.site, gid)
-                .map(|v| v.contains(joiner))
-                .unwrap_or(false)
+        self.change_membership(gid, joiner, true, max_wait, move |stack, out| {
+            stack.join_group(gid, joiner, credentials, out)
+        })
+    }
+
+    /// Asks `member` to leave and drives the runtime until its site's view no longer lists it.
+    pub fn leave_and_wait(
+        &mut self,
+        gid: GroupId,
+        member: ProcessId,
+        max_wait: Duration,
+    ) -> Result<()> {
+        self.change_membership(gid, member, false, max_wait, move |stack, out| {
+            stack.leave_group(gid, member, out)
+        })
+    }
+
+    /// Submits a join or leave `request` at `pid`'s site, then drives the runtime until that
+    /// site's view of `gid` lists `pid` exactly when `listed`.
+    fn change_membership(
+        &mut self,
+        gid: GroupId,
+        pid: ProcessId,
+        listed: bool,
+        max_wait: Duration,
+        request: impl FnOnce(&mut SiteStack, &mut Outbox) -> Result<()> + Send + 'static,
+    ) -> Result<()> {
+        self.query(pid.site, move |stack, _now, out| request(stack, out))
+            .ok_or(VsError::NoSuchProcess(pid))??;
+        let done = self.wait_until(max_wait, |h| {
+            h.view_of(pid.site, gid).is_some_and(|v| v.contains(pid)) == listed
         });
-        if ok {
-            Ok(())
-        } else {
-            Err(VsError::Timeout(format!("join of {joiner} to {gid}")))
+        match (done, listed) {
+            (true, _) => Ok(()),
+            (false, true) => Err(VsError::Timeout(format!("join of {pid} to {gid}"))),
+            (false, false) => Err(VsError::Timeout(format!("leave of {pid} from {gid}"))),
         }
     }
 
@@ -553,6 +632,14 @@ impl<R: IsisRuntime> IsisHarness<R> {
         .unwrap_or_else(|| failed("client call never completed"))
     }
 
+    /// Crashes a single client process, leaving its site up.
+    pub fn kill_process(&mut self, pid: ProcessId) {
+        self.rt.with_stack_job(
+            pid.site,
+            Box::new(move |stack, _now, out| stack.crash_local_process(pid, out)),
+        );
+    }
+
     /// Executes a coordinated crash schedule: kills each listed site at its offset,
     /// letting runtime time pass between kills so the spacing (which decides who fails
     /// last, and therefore whose log a later reform must elect) is real on both backends.
@@ -629,23 +716,49 @@ impl<R: IsisRuntime> IsisHarness<R> {
     }
 }
 
+/// Simulator-only access.  Caller and nodes share one thread here, so neither method asks
+/// for `Send`: handlers may capture `Rc` state the caller keeps reading, which is how the
+/// tools (`Rc<RefCell<..>>` inside) and the applications built on them are driven.
+impl IsisHarness<SimRuntime> {
+    /// Runs `f` against a site's stack at the current virtual time and flushes whatever it
+    /// records.  `None` if the site is down.
+    pub fn with_stack<T>(
+        &mut self,
+        site: SiteId,
+        f: impl FnOnce(&mut SiteStack, SimTime, &mut Outbox) -> T,
+    ) -> Option<T> {
+        self.rt.cluster.with_node::<SiteStack, _>(site, f)
+    }
+
+    /// Spawns a client process at `site` like [`IsisHarness::spawn`] (from the same pid
+    /// sequence), with a `configure` closure that need not be `Send`.
+    pub fn spawn_local(
+        &mut self,
+        site: SiteId,
+        configure: impl FnOnce(&mut ProcessBuilder),
+    ) -> ProcessId {
+        let pid = self.next_pid(site);
+        let mut b = ProcessBuilder::new(pid);
+        configure(&mut b);
+        let process = b.build();
+        let added = self.with_stack(site, |stack, _now, _out| stack.add_process(process));
+        assert!(added.is_some(), "spawn at {site:?}: site is down");
+        pid
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+    use std::rc::Rc;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
     const ECHO: EntryId = EntryId(40);
 
     fn sim_harness(n: usize) -> IsisHarness<SimRuntime> {
-        let params = NetParams::modern();
-        IsisHarness::new(SimRuntime::new(
-            n,
-            params,
-            StackConfig::from_params(&params),
-            ProtoConfig::fast(),
-            42,
-        ))
+        IsisHarness::new(SimRuntime::for_profile(n, LatencyProfile::Modern, 42))
     }
 
     #[test]
@@ -670,6 +783,11 @@ mod tests {
         }
         let v = h.view_of(SiteId(0), gid).expect("view");
         assert_eq!(v.members, members);
+        for (i, m) in members.iter().enumerate() {
+            assert_eq!(h.rank_of(gid, *m), Some(i), "rank of member {i}");
+        }
+        assert_eq!(h.lookup(SiteId(2), "svc"), Some(gid));
+        assert_eq!(h.lookup(SiteId(2), "absent"), None);
         let client = h.spawn(SiteId(2), |_| {});
         let outcome = h.client_call(
             client,
@@ -706,6 +824,203 @@ mod tests {
                 .unwrap_or(false)
         });
         assert!(ok, "survivors never installed the two-member view");
+    }
+
+    type Deployment = (
+        IsisHarness<SimRuntime>,
+        GroupId,
+        Vec<ProcessId>,
+        Vec<Rc<RefCell<Vec<u64>>>>,
+    );
+
+    /// Four sites; a group of three members at sites 0–2, each appending every delivered
+    /// body to its own log and replying with `100 + rank`.  Site 3 is left for clients.
+    fn build_group_of_three() -> Deployment {
+        let mut h = sim_harness(4);
+        let logs: Vec<Rc<RefCell<Vec<u64>>>> =
+            (0..3).map(|_| Rc::new(RefCell::new(Vec::new()))).collect();
+        let members: Vec<ProcessId> = (0..3u16)
+            .map(|i| {
+                let log = logs[i as usize].clone();
+                h.spawn_local(SiteId(i), move |b| {
+                    b.on_entry(ECHO, move |ctx, msg| {
+                        log.borrow_mut().push(msg.get_u64("body").unwrap_or(0));
+                        ctx.reply(msg, Message::with_body(100 + i as u64));
+                    });
+                })
+            })
+            .collect();
+        let gid = h.create_group("svc", members[0]);
+        for m in &members[1..] {
+            h.join_and_wait(gid, *m, None, Duration::from_secs(5))
+                .expect("join");
+        }
+        (h, gid, members, logs)
+    }
+
+    #[test]
+    fn group_formation_and_ranks() {
+        let (mut h, gid, members, _logs) = build_group_of_three();
+        for (i, m) in members.iter().enumerate() {
+            assert_eq!(h.rank_of(gid, *m), Some(i), "rank of member {i}");
+        }
+        let v = h.view_of(SiteId(0), gid).unwrap();
+        assert_eq!(v.members, members);
+        // A site with no member still resolves the name.
+        assert_eq!(h.lookup(SiteId(3), "svc"), Some(gid));
+        assert_eq!(h.lookup(SiteId(3), "absent"), None);
+    }
+
+    #[test]
+    fn group_rpc_collects_all_replies() {
+        let (mut h, gid, _members, logs) = build_group_of_three();
+        let client = h.spawn(SiteId(3), |_| {});
+        let outcome = h.client_call(
+            client,
+            vec![Address::Group(gid)],
+            ECHO,
+            Message::with_body(7u64),
+            ProtocolKind::Cbcast,
+            ReplyWanted::Count(3),
+            Duration::from_secs(5),
+        );
+        assert!(outcome.error.is_none(), "error: {:?}", outcome.error);
+        let mut values: Vec<u64> = outcome
+            .replies
+            .iter()
+            .filter_map(|r| r.get_u64("body"))
+            .collect();
+        values.sort_unstable();
+        assert_eq!(values, vec![100, 101, 102]);
+        // Every member saw the query exactly once.
+        for log in &logs {
+            assert_eq!(log.borrow().as_slice(), &[7]);
+        }
+    }
+
+    #[test]
+    fn asynchronous_cbcast_reaches_all_members() {
+        let (mut h, gid, members, logs) = build_group_of_three();
+        h.client_send(
+            members[0],
+            gid,
+            ECHO,
+            Message::with_body(55u64),
+            ProtocolKind::Cbcast,
+        );
+        h.settle(Duration::from_millis(200));
+        for log in &logs {
+            assert_eq!(log.borrow().as_slice(), &[55]);
+        }
+    }
+
+    #[test]
+    fn member_failure_installs_new_view_everywhere() {
+        let (mut h, gid, members, _logs) = build_group_of_three();
+        h.rt.kill_site(SiteId(2));
+        let ok = h.wait_until(Duration::from_secs(10), |h| {
+            [SiteId(0), SiteId(1)]
+                .into_iter()
+                .all(|s| h.view_of(s, gid).is_some_and(|v| v.len() == 2))
+        });
+        assert!(ok, "surviving members never installed the two-member view");
+        let v = h.view_of(SiteId(0), gid).unwrap();
+        assert_eq!(v.members, vec![members[0], members[1]]);
+    }
+
+    #[test]
+    fn kill_process_triggers_failure_handling_without_killing_the_site() {
+        let mut h = sim_harness(3);
+        let members: Vec<ProcessId> = (0..3).map(|i| h.spawn(SiteId(i), |_| {})).collect();
+        let gid = h.create_group("svc", members[0]);
+        for m in &members[1..] {
+            h.join_and_wait(gid, *m, None, Duration::from_secs(5))
+                .expect("join");
+        }
+        assert!(h.process_exists(members[1]));
+        h.kill_process(members[1]);
+        let ok = h.wait_until(Duration::from_secs(10), |h| {
+            h.view_of(SiteId(0), gid).is_some_and(|v| v.len() == 2)
+        });
+        assert!(ok, "the group never dropped the dead process");
+        assert!(h.rt.site_is_up(SiteId(1)), "the site itself stays up");
+        assert!(!h.process_exists(members[1]));
+    }
+
+    #[test]
+    fn rpc_to_a_fully_failed_group_reports_an_error() {
+        let mut h = sim_harness(3);
+        let member = h.spawn(SiteId(0), |b| {
+            b.on_entry(ECHO, |ctx, msg| ctx.reply(msg, Message::with_body(1u64)));
+        });
+        let gid = h.create_group("lonely", member);
+        h.settle(Duration::from_millis(50));
+        h.rt.kill_site(SiteId(0));
+        h.settle(Duration::from_millis(50));
+        let client = h.spawn(SiteId(2), |_| {});
+        let outcome = h.client_call(
+            client,
+            vec![Address::Group(gid)],
+            ECHO,
+            Message::with_body(1u64),
+            ProtocolKind::Cbcast,
+            ReplyWanted::One,
+            Duration::from_secs(3),
+        );
+        assert!(outcome.error.is_some(), "caller must get an error code");
+    }
+
+    #[test]
+    fn protection_policy_rejects_bad_join_credentials() {
+        let mut h = sim_harness(2);
+        let creator = h.spawn(SiteId(0), |_| {});
+        let gid = h.allocate_group_id();
+        h.set_policy(gid, ProtectionPolicy::open().with_join_credential("sesame"));
+        h.create_group_with_id("secure", gid, creator);
+        let outsider = h.spawn(SiteId(1), |_| {});
+        let denied = h.join_and_wait(
+            gid,
+            outsider,
+            Some("wrong".into()),
+            Duration::from_millis(500),
+        );
+        assert!(
+            denied.is_err(),
+            "join with bad credentials must not complete"
+        );
+        let allowed = h.join_and_wait(gid, outsider, Some("sesame".into()), Duration::from_secs(5));
+        assert!(
+            allowed.is_ok(),
+            "join with the right credential succeeds: {allowed:?}"
+        );
+    }
+
+    #[test]
+    fn views_monitoring_from_handlers() {
+        let mut h = sim_harness(2);
+        let creator = h.spawn(SiteId(0), |_| {});
+        let gid = h.create_group("watched", creator);
+        // A monitor that shares `Rc` state with the test: only `spawn_local` can build it.
+        let observed: Rc<RefCell<Vec<usize>>> = Rc::new(RefCell::new(Vec::new()));
+        let seen = observed.clone();
+        h.spawn_local(SiteId(0), move |b| {
+            b.on_view_change(gid, move |_ctx, ev| seen.borrow_mut().push(ev.view.len()));
+        });
+        let joiner = h.spawn(SiteId(1), |_| {});
+        h.join_and_wait(gid, joiner, None, Duration::from_secs(5))
+            .unwrap();
+        h.settle(Duration::from_millis(100));
+        assert!(
+            observed.borrow().contains(&2),
+            "monitor saw the two-member view: {:?}",
+            observed.borrow()
+        );
+        let pids = [creator, h.spawn_local(SiteId(0), |_| {}), joiner];
+        assert_eq!(
+            pids.map(|p| (p.site, p.local)),
+            [(SiteId(0), 1), (SiteId(0), 3), (SiteId(1), 1)],
+            "spawn and spawn_local draw from one pid sequence per site"
+        );
     }
 
     #[test]

@@ -1,14 +1,11 @@
 //! Runtime backends for the vsync stack: the step from "reproduction" to "system".
 //!
 //! Everything below `vsync-core` is sans-io: protocol endpoints and site stacks react to
-//! packets and timers by recording actions in an outbox.  Until this crate existed, the only
-//! thing that could *drive* them was the single-threaded discrete-event simulator in
-//! `vsync-net`.  This crate decouples the stack from the simulator behind a small
-//! [`Transport`] abstraction and ships two interchangeable backends:
+//! packets and timers by recording actions in an outbox.  This crate is what *drives* them:
+//! a small [`Transport`] abstraction with two interchangeable backends:
 //!
-//! * [`sim`] — the simulation, re-hosted behind the trait: deterministic virtual time, the
-//!   same calendar queue and network model the legacy engine uses.  Properties are proved
-//!   here.
+//! * [`sim`] — the discrete-event simulation: deterministic virtual time over `vsync-net`'s
+//!   calendar queue and network model.  Properties are proved here.
 //! * [`threaded`] — one OS thread per site; packets are serialized through the toolkit
 //!   codec and flow over lock-protected channels (`parking_lot` mutexes), with configurable
 //!   delay / loss / reordering injection at the sending side.  Properties are *exercised

@@ -1,16 +1,13 @@
 //! The discrete-event simulation backend behind the [`Transport`] trait.
 //!
-//! This is `net::engine`'s machinery — the [`CalendarQueue`] event loop and the
-//! [`NetworkModel`] latency/loss/fragmentation model — re-hosted behind the per-node
-//! [`Transport`] interface, so the *same* [`Node`] driver that runs on an OS thread in the
-//! threaded backend runs here under a deterministic scheduler.  Virtual time, seeded
-//! randomness and single-threaded execution make every run exactly reproducible, which is
-//! what the cross-backend conformance tests lean on: prove a property here, then check the
-//! threaded backend preserves it under real concurrency.
-//!
-//! (The original [`vsync_net::Engine`] remains the tuned fast path for the legacy
-//! [`vsync_core::IsisSystem`] harness; this module is the trait-shaped equivalent new code
-//! should target.  Both are thin drivers over the same `net` components.)
+//! The [`CalendarQueue`] event loop and the [`NetworkModel`] latency/loss/fragmentation
+//! model, behind the per-node [`Transport`] interface, so the *same* [`Node`] driver that
+//! runs on an OS thread in the threaded backend runs here under a deterministic scheduler.
+//! Virtual time, seeded randomness and single-threaded execution make every run exactly
+//! reproducible, which is what the cross-backend conformance tests lean on: prove a property
+//! here, then check the threaded backend preserves it under real concurrency.  This is the
+//! only simulator: every test, example, application and the paper reproduction (`repro`)
+//! runs on it.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -149,7 +146,7 @@ impl SimCluster {
         self.core.borrow().stats.clone()
     }
 
-    /// Events dispatched so far (progress measure, mirrors `Engine::events_processed`).
+    /// Events dispatched so far (a progress measure).
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }
@@ -366,6 +363,85 @@ mod tests {
     }
 
     #[test]
+    fn ping_pong_round_trip_obeys_link_delays() {
+        let mut c = two_sites();
+        let a = ProcessId::new(SiteId(0), 0);
+        let b = ProcessId::new(SiteId(1), 0);
+        c.with_node::<Echo, _>(SiteId(0), |_h, _now, out| {
+            out.send(Packet::new(
+                a,
+                b,
+                PacketKind::Data,
+                Message::with_body("ping"),
+            ));
+        });
+        c.run_until(SimTime(200_000));
+        let ping = c
+            .with_node::<Echo, _>(SiteId(1), |h, _n, _o| h.received.clone())
+            .unwrap();
+        let pong = c
+            .with_node::<Echo, _>(SiteId(0), |h, _n, _o| h.received.clone())
+            .unwrap();
+        // Site 1 saw the ping, site 0 saw the pong.
+        assert_eq!(ping.len(), 1);
+        assert_eq!(pong.len(), 1);
+        assert_eq!(ping[0].1, "ping");
+        assert_eq!(pong[0].1, "pong");
+        // The pong leaves when the ping lands, so it pays a full hop of its own.
+        assert!(pong[0].0.as_millis_f64() - ping[0].0.as_millis_f64() >= 16.0);
+    }
+
+    #[test]
+    fn timers_fire_and_on_start_runs() {
+        let mut c = two_sites();
+        c.run_until(SimTime(100_000));
+        for site in [SiteId(0), SiteId(1)] {
+            let timers = c
+                .with_node::<Echo, _>(site, |h, _n, _o| h.timers.clone())
+                .unwrap();
+            assert_eq!(timers, vec![1], "the on_start timer fired once at {site:?}");
+        }
+    }
+
+    #[test]
+    fn crashed_sites_drop_traffic() {
+        let mut c = two_sites();
+        let a = ProcessId::new(SiteId(0), 0);
+        let b = ProcessId::new(SiteId(1), 0);
+        // Unlike an in-flight kill, the destination is already down when the packet leaves.
+        c.kill(SiteId(1));
+        c.with_node::<Echo, _>(SiteId(0), |_h, _now, out| {
+            out.send(Packet::new(
+                a,
+                b,
+                PacketKind::Data,
+                Message::with_body("ping"),
+            ));
+        });
+        c.run_until(SimTime(1_000_000));
+        assert!(!c.site_is_up(SiteId(1)));
+        let got = c
+            .with_node::<Echo, _>(SiteId(0), |h, _n, _o| h.received.len())
+            .unwrap();
+        assert_eq!(got, 0, "no pong ever came back");
+    }
+
+    #[test]
+    fn recovery_installs_a_fresh_handler() {
+        let mut c = two_sites();
+        c.kill(SiteId(1));
+        assert!(!c.site_is_up(SiteId(1)));
+        c.install(SiteId(1), Echo::boxed());
+        assert!(c.site_is_up(SiteId(1)));
+        // The fresh handler re-armed its start timer.
+        c.run_until(SimTime(50_000));
+        let timers = c
+            .with_node::<Echo, _>(SiteId(1), |h, _n, _o| h.timers.clone())
+            .unwrap();
+        assert_eq!(timers, vec![1]);
+    }
+
+    #[test]
     fn timers_fire_and_epochs_gate_stale_ones() {
         let mut c = two_sites();
         c.run_until(SimTime(50_000));
@@ -383,6 +459,109 @@ mod tests {
             .with_node::<Echo, _>(SiteId(1), |h, _n, _o| h.timers.clone())
             .unwrap();
         assert_eq!(timers, vec![1], "exactly the fresh incarnation's timer");
+    }
+
+    #[test]
+    fn virtual_time_is_monotonic_and_respects_limits() {
+        let mut c = two_sites();
+        assert_eq!(c.now(), SimTime::ZERO);
+        c.run_until(SimTime(1_000));
+        assert_eq!(c.now(), SimTime(1_000));
+        c.run_for(Duration::from_millis(2));
+        assert_eq!(c.now(), SimTime(3_000));
+    }
+
+    #[test]
+    fn with_node_on_down_or_missing_site_returns_none() {
+        let mut c = SimCluster::new(1, NetParams::instant(), 0);
+        assert!(c.with_node::<Echo, _>(SiteId(0), |_h, _n, _o| ()).is_none());
+        assert!(c.with_node::<Echo, _>(SiteId(5), |_h, _n, _o| ()).is_none());
+        c.install(SiteId(0), Echo::boxed());
+        assert!(c.with_node::<Echo, _>(SiteId(0), |_h, _n, _o| ()).is_some());
+        c.kill(SiteId(0));
+        assert!(c.with_node::<Echo, _>(SiteId(0), |_h, _n, _o| ()).is_none());
+    }
+
+    /// Records every callback with its time, so a test can check cross-kind ordering.
+    struct Recorder {
+        log: Rc<RefCell<Vec<String>>>,
+    }
+
+    impl SiteHandler for Recorder {
+        fn on_packet(&mut self, now: SimTime, pkt: Packet, _out: &mut Outbox) {
+            let body = pkt.payload.get_str("body").unwrap_or("?").to_owned();
+            self.log.borrow_mut().push(format!("{}:pkt:{body}", now.0));
+        }
+        fn on_timer(&mut self, now: SimTime, token: u64, _out: &mut Outbox) {
+            self.log
+                .borrow_mut()
+                .push(format!("{}:timer:{token}", now.0));
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// Crash-epoch interleaving at one instant: a site killed and reinstalled at the instant
+    /// its timers fire must drop every timer of the dead incarnation — including one that
+    /// shares a later instant with the fresh incarnation's timer — while other sites' timers
+    /// at the crash instant still fire, and traffic to the new incarnation arrives once.
+    #[test]
+    fn same_instant_crash_epoch_interleaving_drops_only_stale_timers() {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let recorder = || Box::new(Recorder { log: log.clone() }) as Box<dyn SiteHandler>;
+        let mut c = SimCluster::new(2, NetParams::instant(), 7);
+        c.install(SiteId(0), recorder());
+        c.install(SiteId(1), recorder());
+        let arm = |c: &mut SimCluster, site: u16, after: Duration, token: u64| {
+            c.with_node::<Recorder, _>(SiteId(site), |_h, _n, out| out.set_timer(after, token))
+                .expect("site is up");
+        };
+        arm(&mut c, 1, Duration::from_millis(5), 41);
+        arm(&mut c, 0, Duration::from_millis(5), 42);
+        // Armed by the incarnation about to die, due after its death.
+        arm(&mut c, 1, Duration::from_millis(7), 43);
+        c.run_until(SimTime(5_000));
+
+        // Site 1 dies and comes back at the instant its first timer fired.  Site 0 re-occupies
+        // the drained instant; the fresh incarnation's timer lands on the stale one's instant.
+        c.kill(SiteId(1));
+        arm(&mut c, 0, Duration::ZERO, 45);
+        c.install(SiteId(1), recorder());
+        arm(&mut c, 1, Duration::from_millis(2), 44);
+        let a = ProcessId::new(SiteId(0), 0);
+        let b = ProcessId::new(SiteId(1), 0);
+        c.with_node::<Recorder, _>(SiteId(0), |_h, _n, out| {
+            out.send(Packet::new(
+                a,
+                b,
+                PacketKind::Data,
+                Message::with_body("post-recovery"),
+            ));
+        });
+        c.run_until(SimTime(20_000));
+
+        let entries = log.borrow();
+        for want in [
+            "5000:timer:41",
+            "5000:timer:42",
+            "5000:timer:45",
+            "7000:timer:44",
+        ] {
+            assert!(
+                entries.iter().any(|e| e == want),
+                "{want} missing: {entries:?}"
+            );
+        }
+        assert!(
+            !entries.iter().any(|e| e.ends_with("timer:43")),
+            "stale timer of the crashed incarnation must be dropped: {entries:?}"
+        );
+        assert_eq!(
+            entries.iter().filter(|e| e.contains(":pkt:")).count(),
+            1,
+            "post-recovery packet delivered exactly once: {entries:?}"
+        );
     }
 
     #[test]

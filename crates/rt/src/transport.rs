@@ -28,8 +28,8 @@ pub enum Event {
     Packet(Packet),
     /// A timer armed earlier by this node has fired.
     Timer(u64),
-    /// A control-plane closure injected from outside the node (the runtime equivalent of
-    /// [`vsync_net::Engine::with_site`]: "a client calls the toolkit now").
+    /// A control-plane closure injected from outside the node ("a client calls the toolkit
+    /// now"; the threaded counterpart of [`Node::with_handler`]).
     Invoke(InvokeFn),
 }
 
@@ -165,8 +165,8 @@ impl<T: Transport> Node<T> {
         self.events
     }
 
-    /// Runs `f` against the concrete handler (downcast like
-    /// [`vsync_net::Engine::with_site`]), then flushes whatever actions it recorded.
+    /// Runs `f` against the concrete handler (downcast through
+    /// [`SiteHandler::as_any_mut`]), then flushes whatever actions it recorded.
     /// Returns `None` if the concrete type does not match.
     pub fn with_handler<H: SiteHandler, R>(
         &mut self,

@@ -7,15 +7,15 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use vsync_core::{
-    Address, Duration, EntryId, IsisSystem, LatencyProfile, Message, ProtocolKind, ReplyWanted,
-    SiteId,
+    Address, Duration, EntryId, LatencyProfile, Message, ProtocolKind, ReplyWanted, SiteId,
 };
+use vsync_rt::{IsisHarness, SimRuntime};
 use vsync_tools::CoordCohort;
 
 const WORK: EntryId = EntryId(33);
 
 fn main() {
-    let mut sys = IsisSystem::new(4, LatencyProfile::Modern);
+    let mut sys = IsisHarness::new(SimRuntime::for_profile(4, LatencyProfile::Modern, 42));
     let gid = sys.allocate_group_id();
 
     // Three members; each records which requests it executed as coordinator.
@@ -27,7 +27,7 @@ fn main() {
         let cc_handle = cc.clone();
         let log = Rc::new(RefCell::new(Vec::new()));
         let log_for_action = log.clone();
-        let pid = sys.spawn(SiteId(i), move |b| {
+        let pid = sys.spawn_local(SiteId(i), move |b| {
             cc_attach.attach(b);
             let cc = cc_handle.clone();
             let log = log_for_action.clone();
@@ -63,7 +63,7 @@ fn main() {
     }
 
     let client = sys.spawn(SiteId(3), |_| {});
-    let submit = |sys: &mut IsisSystem, job: u64| {
+    let submit = |sys: &mut IsisHarness<SimRuntime>, job: u64| {
         let outcome = sys.client_call(
             client,
             vec![Address::Group(gid)],
@@ -88,7 +88,7 @@ fn main() {
         .unwrap();
     println!("killing member {busiest} (the current coordinator)");
     sys.kill_process(members[busiest]);
-    sys.run_until_condition(Duration::from_secs(10), |s| {
+    sys.wait_until(Duration::from_secs(10), |s| {
         s.view_of(SiteId((busiest as u16 + 1) % 3), gid)
             .map(|v| v.len() == 2)
             .unwrap_or(false)

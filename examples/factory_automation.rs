@@ -5,10 +5,11 @@
 //! Run with: `cargo run --example factory_automation`
 
 use vsync_apps::factory::Factory;
-use vsync_core::{Duration, IsisSystem, LatencyProfile, SiteId};
+use vsync_core::{Duration, LatencyProfile, SiteId};
+use vsync_rt::{IsisHarness, SimRuntime};
 
 fn main() {
-    let mut sys = IsisSystem::new(4, LatencyProfile::Modern);
+    let mut sys = IsisHarness::new(SimRuntime::for_profile(4, LatencyProfile::Modern, 42));
     let factory = Factory::deploy(&mut sys, &[SiteId(0), SiteId(1), SiteId(2)]);
     let operator = sys.spawn(SiteId(3), |_| {});
 
@@ -26,7 +27,7 @@ fn main() {
     // Update station status through the replicated data tool and read it from another member.
     factory.update_station(&mut sys, 0, "station-7", "loaded");
     factory.update_station(&mut sys, 1, "station-9", "empty");
-    sys.run_ms(200);
+    sys.settle(Duration::from_millis(200));
     println!(
         "station-7 as seen from member 2: {:?}",
         factory.station_status(2, "station-7")
@@ -35,12 +36,12 @@ fn main() {
     // Kill the oldest emulsion member mid-operation; the next batch still completes because
     // the cohorts take over.
     sys.kill_process(factory.emulsion[0].pid);
-    sys.run_until_condition(Duration::from_secs(10), |s| {
+    sys.wait_until(Duration::from_secs(10), |s| {
         s.view_of(SiteId(1), factory.emulsion_gid)
             .map(|v| v.len() == 2)
             .unwrap_or(false)
     });
     let done = factory.submit_batch(&mut sys, operator, 6, Duration::from_secs(5));
     println!("batch 6 after a member failure -> {done:?}");
-    println!("multicasts used: {}", sys.stats().multicast_summary());
+    println!("multicasts used: {}", sys.rt.stats().multicast_summary());
 }

@@ -7,15 +7,15 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use vsync_core::{
-    Address, Duration, EntryId, IsisSystem, LatencyProfile, Message, ProtocolKind, ReplyWanted,
-    SiteId,
+    Address, Duration, EntryId, LatencyProfile, Message, ProtocolKind, ReplyWanted, SiteId,
 };
+use vsync_rt::{IsisHarness, SimRuntime};
 
 const HELLO: EntryId = EntryId(1);
 
 fn main() {
     // A four-site simulated LAN with a modern latency profile.
-    let mut sys = IsisSystem::new(4, LatencyProfile::Modern);
+    let mut sys = IsisHarness::new(SimRuntime::for_profile(4, LatencyProfile::Modern, 42));
 
     // Spawn three members; each logs what it receives and answers group RPCs.
     let logs: Vec<Rc<RefCell<Vec<u64>>>> =
@@ -23,7 +23,7 @@ fn main() {
     let members: Vec<_> = (0..3)
         .map(|i| {
             let log = logs[i].clone();
-            sys.spawn(SiteId(i as u16), move |b| {
+            sys.spawn_local(SiteId(i as u16), move |b| {
                 b.on_entry(HELLO, move |ctx, msg| {
                     let n = msg.get_u64("body").unwrap_or(0);
                     log.borrow_mut().push(n);
@@ -57,7 +57,7 @@ fn main() {
         Message::with_body(2u64),
         ProtocolKind::Abcast,
     );
-    sys.run_ms(200);
+    sys.settle(Duration::from_millis(200));
 
     // Group RPC from a client outside the group: wait for all three replies.
     let client = sys.spawn(SiteId(3), |_| {});
@@ -82,7 +82,7 @@ fn main() {
 
     // Kill a member: the surviving members install a new view (a clean, agreed event).
     sys.kill_process(members[2]);
-    sys.run_until_condition(Duration::from_secs(10), |s| {
+    sys.wait_until(Duration::from_secs(10), |s| {
         s.view_of(SiteId(0), gid)
             .map(|v| v.len() == 2)
             .unwrap_or(false)
@@ -94,5 +94,5 @@ fn main() {
     for (i, log) in logs.iter().enumerate() {
         println!("member {i} delivered {:?}", log.borrow());
     }
-    println!("multicast counters: {}", sys.stats().multicast_summary());
+    println!("multicast counters: {}", sys.rt.stats().multicast_summary());
 }

@@ -4,13 +4,14 @@
 //!
 //! Run with: `cargo run --example replicated_counter`
 
-use vsync_core::{Duration, EntryId, IsisSystem, LatencyProfile, Message, ProtocolKind, SiteId};
+use vsync_core::{Duration, EntryId, LatencyProfile, Message, ProtocolKind, SiteId};
+use vsync_rt::{IsisHarness, SimRuntime};
 use vsync_tools::{ReplicatedData, UpdateOrdering};
 
 const DATA: EntryId = EntryId(60);
 
 fn main() {
-    let mut sys = IsisSystem::new(3, LatencyProfile::Modern);
+    let mut sys = IsisHarness::new(SimRuntime::for_profile(3, LatencyProfile::Modern, 42));
     let gid = sys.allocate_group_id();
 
     // Three members, each holding a replica managed by the replicated-data tool.
@@ -19,7 +20,7 @@ fn main() {
     for i in 0..3u16 {
         let data = ReplicatedData::new(gid, DATA, UpdateOrdering::Causal);
         let d = data.clone();
-        let pid = sys.spawn(SiteId(i), move |b| d.attach(b));
+        let pid = sys.spawn_local(SiteId(i), move |b| d.attach(b));
         if i == 0 {
             sys.create_group_with_id("counter", gid, pid);
         } else {
@@ -48,7 +49,7 @@ fn main() {
         replicas[0].read_u64("counter")
     );
 
-    sys.run_ms(500);
+    sys.settle(Duration::from_millis(500));
     for (i, r) in replicas.iter().enumerate() {
         println!(
             "replica {i}: counter = {:?} after {} applied updates",
@@ -56,5 +57,5 @@ fn main() {
             r.updates_applied()
         );
     }
-    println!("multicasts used: {}", sys.stats().multicast_summary());
+    println!("multicasts used: {}", sys.rt.stats().multicast_summary());
 }

@@ -2,8 +2,8 @@
 //!
 //! Three sites run on three threads; a group forms across them, multicasts flow over the
 //! lock-protected channels, one site crashes, and the survivors install the new view —
-//! the same toolkit calls as the simulated quickstart, against `vsync::rt` instead of
-//! `IsisSystem`.
+//! the same toolkit calls as the simulated quickstart, on `ThreadedRuntime` instead of
+//! `SimRuntime`.
 //!
 //! Run with: `cargo run --example threaded_group`
 

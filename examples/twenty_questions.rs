@@ -4,11 +4,12 @@
 //! Run with: `cargo run --example twenty_questions`
 
 use vsync_apps::twenty::{Database, Op, Query, TwentyQuestions};
-use vsync_core::{Duration, IsisSystem, LatencyProfile, SiteId};
+use vsync_core::{Duration, LatencyProfile, SiteId};
+use vsync_rt::{IsisHarness, SimRuntime};
 
 fn main() {
     // Four service sites plus one client site (the paper ran on four SUN 3/50s).
-    let mut sys = IsisSystem::new(5, LatencyProfile::Modern);
+    let mut sys = IsisHarness::new(SimRuntime::for_profile(5, LatencyProfile::Modern, 42));
     let sites: Vec<SiteId> = (0..4).map(SiteId).collect();
 
     // Deploy with NMEMBERS = 3 active members and one hot standby (Step 4).
@@ -42,7 +43,7 @@ fn main() {
             ("model".into(), "F40".into()),
         ],
     );
-    sys.run_ms(300);
+    sys.settle(Duration::from_millis(300));
     println!("replica sizes after update: {:?}", svc.replica_sizes());
     let q = Query::vertical("price", Op::Gt, "50000");
     println!(
@@ -53,7 +54,7 @@ fn main() {
     // Failure: kill an active member; the standby takes over its rank (Steps 3-4).
     sys.kill_process(svc.members[1]);
     let gid = svc.gid;
-    sys.run_until_condition(Duration::from_secs(10), |s| {
+    sys.wait_until(Duration::from_secs(10), |s| {
         s.view_of(SiteId(0), gid)
             .map(|v| v.len() == 3)
             .unwrap_or(false)
@@ -63,5 +64,5 @@ fn main() {
         "after failure, *object = car -> {:?}",
         svc.query(&mut sys, client, &q, Duration::from_secs(5))
     );
-    println!("multicasts used: {}", sys.stats().multicast_summary());
+    println!("multicasts used: {}", sys.rt.stats().multicast_summary());
 }

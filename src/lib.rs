@@ -9,13 +9,15 @@
 //!
 //! * [`util`] — ids, virtual time, logical clocks, deterministic RNG.
 //! * [`msg`] — the ISIS symbol-table message representation and binary codec.
-//! * [`net`] — the deterministic discrete-event simulated LAN and failure detector.
+//! * [`net`] — the simulated LAN's network model and calendar queue, the sans-io
+//!   `SiteHandler`/`Outbox` interface, and the failure detector.
 //! * [`proto`] — CBCAST / ABCAST / GBCAST sans-io protocol state machines.
-//! * [`core`] — the user-facing toolkit core: processes, group RPC, the protocol
-//!   stack, and [`IsisSystem`](vsync_core::IsisSystem).
+//! * [`core`] — the user-facing toolkit core: processes, group RPC, and the
+//!   per-site protocol stack.
 //! * [`rt`](mod@rt) — runtime backends behind the `Transport` abstraction: the
 //!   deterministic simulation and the multi-threaded in-process runtime (one OS
-//!   thread per site, lock-protected channels, fault injection).
+//!   thread per site, lock-protected channels, fault injection), driven through
+//!   [`IsisHarness`](vsync_rt::IsisHarness).
 //! * [`tools`] — the ISIS tool suite (coordinator–cohort, replicated data,
 //!   semaphores, monitoring, recovery, state transfer, news, bulletin board).
 //! * [`apps`] — worked applications: twenty questions (paper Section 5) and the

@@ -7,21 +7,21 @@ use std::rc::Rc;
 
 use vsync_apps::factory::Factory;
 use vsync_core::{
-    Address, Duration, EntryId, IsisSystem, LatencyProfile, Message, ProtocolKind, ReplyWanted,
-    SiteId,
+    Address, Duration, EntryId, LatencyProfile, Message, ProtocolKind, ReplyWanted, SiteId,
 };
+use vsync_rt::{IsisHarness, IsisRuntime, SimRuntime};
 
 const APPLY: EntryId = EntryId(2);
 
 #[test]
 fn site_crash_is_converted_into_a_clean_membership_change() {
-    let mut sys = IsisSystem::new(4, LatencyProfile::Modern);
+    let mut sys = IsisHarness::new(SimRuntime::for_profile(4, LatencyProfile::Modern, 42));
     let logs: Vec<Rc<RefCell<Vec<u64>>>> =
         (0..4).map(|_| Rc::new(RefCell::new(Vec::new()))).collect();
     let members: Vec<_> = (0..4)
         .map(|i| {
             let l = logs[i].clone();
-            sys.spawn(SiteId(i as u16), move |b| {
+            sys.spawn_local(SiteId(i as u16), move |b| {
                 b.on_entry(APPLY, move |_ctx, msg| {
                     l.borrow_mut().push(msg.get_u64("body").unwrap_or(0));
                 });
@@ -43,9 +43,9 @@ fn site_crash_is_converted_into_a_clean_membership_change() {
             ProtocolKind::Cbcast,
         );
     }
-    sys.run_ms(200);
-    sys.kill_site(SiteId(3));
-    let ok = sys.run_until_condition(Duration::from_secs(10), |s| {
+    sys.settle(Duration::from_millis(200));
+    sys.rt.kill_site(SiteId(3));
+    let ok = sys.wait_until(Duration::from_secs(10), |s| {
         [0u16, 1, 2].iter().all(|i| {
             s.view_of(SiteId(*i), gid)
                 .map(|v| v.len() == 3)
@@ -63,7 +63,7 @@ fn site_crash_is_converted_into_a_clean_membership_change() {
 
 #[test]
 fn coordinator_cohort_fail_over_still_answers_the_caller() {
-    let mut sys = IsisSystem::new(4, LatencyProfile::Modern);
+    let mut sys = IsisHarness::new(SimRuntime::for_profile(4, LatencyProfile::Modern, 42));
     let factory = Factory::deploy(&mut sys, &[SiteId(0), SiteId(1), SiteId(2)]);
     let client = sys.spawn(SiteId(3), |_| {});
 
@@ -75,7 +75,7 @@ fn coordinator_cohort_fail_over_still_answers_the_caller() {
     // Kill the member co-located with nothing in particular (rank 0 member's site) and submit
     // again: the coordinator selection skips the dead member and the batch still completes.
     sys.kill_process(factory.emulsion[0].pid);
-    let ok = sys.run_until_condition(Duration::from_secs(10), |s| {
+    let ok = sys.wait_until(Duration::from_secs(10), |s| {
         s.view_of(SiteId(1), factory.emulsion_gid)
             .map(|v| v.len() == 2)
             .unwrap_or(false)
@@ -87,7 +87,7 @@ fn coordinator_cohort_fail_over_still_answers_the_caller() {
 
 #[test]
 fn rpc_in_flight_when_a_destination_dies_still_completes() {
-    let mut sys = IsisSystem::new(3, LatencyProfile::Modern);
+    let mut sys = IsisHarness::new(SimRuntime::for_profile(3, LatencyProfile::Modern, 42));
     let responder = sys.spawn(SiteId(0), |b| {
         b.on_entry(APPLY, |ctx, msg| {
             ctx.reply(msg, Message::with_body(7u64));

@@ -25,10 +25,10 @@ use vsync::core::{
 };
 use vsync::msg::frame::{tree_builds, wire_cache};
 use vsync::msg::{Bytes, Frame};
-use vsync::net::{Engine, MsgId, Outbox, Packet, PacketKind, SiteHandler};
+use vsync::net::{MsgId, Outbox, Packet, PacketKind, SiteHandler};
 use vsync::proto::messages::wire_stats;
 use vsync::proto::{ProtoConfig, ProtoMsg};
-use vsync::rt::{IsisHarness, IsisRuntime, SimRuntime, ThreadedRuntime, WirePacket};
+use vsync::rt::{IsisHarness, IsisRuntime, SimCluster, SimRuntime, ThreadedRuntime, WirePacket};
 use vsync::util::{NetParams, SimTime, VectorClock};
 
 const APPLY: EntryId = EntryId(2);
@@ -429,7 +429,7 @@ fn a_bulk_multicast_to_four_sites_is_written_once_and_its_body_copied_nowhere() 
     h.rt.shutdown();
 }
 
-/// Engine-level isolation: two packets of one fan-out alias a single frame; a receiver
+/// Simulator-level isolation: two packets of one fan-out alias a single frame; a receiver
 /// that edits its packet payload (copy-on-write) must not be observable by the other.
 struct Editor {
     edit: bool,
@@ -456,8 +456,8 @@ impl SiteHandler for Editor {
 #[test]
 fn shared_frame_fan_out_preserves_payload_isolation_between_receivers() {
     let seen = Rc::new(RefCell::new(Vec::new()));
-    let mut eng = Engine::new(3, NetParams::instant(), 5);
-    eng.install_site(
+    let mut sim = SimCluster::new(3, NetParams::instant(), 5);
+    sim.install(
         SiteId(0),
         Box::new(Editor {
             edit: false,
@@ -466,14 +466,14 @@ fn shared_frame_fan_out_preserves_payload_isolation_between_receivers() {
     );
     // Site 1 edits its delivered copy; site 2 receives the sibling packet of the same
     // fan-out afterwards (same instant, pushed later) and must see the original body.
-    eng.install_site(
+    sim.install(
         SiteId(1),
         Box::new(Editor {
             edit: true,
             seen: seen.clone(),
         }),
     );
-    eng.install_site(
+    sim.install(
         SiteId(2),
         Box::new(Editor {
             edit: false,
@@ -482,7 +482,7 @@ fn shared_frame_fan_out_preserves_payload_isolation_between_receivers() {
     );
     let src = ProcessId::new(SiteId(0), 0);
     let frame = Frame::new(Message::with_body("pristine"));
-    eng.with_site::<Editor, _>(SiteId(0), |_h, _now, out| {
+    sim.with_node::<Editor, _>(SiteId(0), |_h, _now, out| {
         for dst_site in [1u16, 2] {
             out.send(Packet::new(
                 src,
@@ -492,7 +492,7 @@ fn shared_frame_fan_out_preserves_payload_isolation_between_receivers() {
             ));
         }
     });
-    eng.run_until(SimTime(1_000_000));
+    sim.run_until(SimTime(1_000_000));
     assert_eq!(
         seen.borrow().as_slice(),
         ["defaced", "pristine"],

@@ -1,11 +1,12 @@
 //! Integration: process-group lifecycle — create, lookup, join, rank, leave — across the full
-//! stack (engine → transport → protocol endpoints → site stacks → application handlers).
+//! stack (simulator → transport → protocol endpoints → site stacks → application handlers).
 
-use vsync_core::{Duration, EntryId, IsisSystem, LatencyProfile, Message, SiteId};
+use vsync_core::{Duration, EntryId, LatencyProfile, Message, SiteId};
+use vsync_rt::{IsisHarness, SimRuntime};
 
 const ECHO: EntryId = EntryId(1);
 
-fn spawn_echo(sys: &mut IsisSystem, site: SiteId) -> vsync_core::ProcessId {
+fn spawn_echo(sys: &mut IsisHarness<SimRuntime>, site: SiteId) -> vsync_core::ProcessId {
     sys.spawn(site, |b| {
         b.on_entry(ECHO, |ctx, msg| {
             ctx.reply(
@@ -18,7 +19,7 @@ fn spawn_echo(sys: &mut IsisSystem, site: SiteId) -> vsync_core::ProcessId {
 
 #[test]
 fn create_join_leave_lifecycle() {
-    let mut sys = IsisSystem::new(4, LatencyProfile::Modern);
+    let mut sys = IsisHarness::new(SimRuntime::for_profile(4, LatencyProfile::Modern, 42));
     let a = spawn_echo(&mut sys, SiteId(0));
     let b = spawn_echo(&mut sys, SiteId(1));
     let c = spawn_echo(&mut sys, SiteId(2));
@@ -46,7 +47,7 @@ fn create_join_leave_lifecycle() {
 
     // The middle member leaves; survivors promote consistently.
     sys.leave_and_wait(gid, b, Duration::from_secs(5)).unwrap();
-    sys.run_ms(100);
+    sys.settle(Duration::from_millis(100));
     for site in [0u16, 2] {
         let v = sys.view_of(SiteId(site), gid).unwrap();
         assert_eq!(v.members, vec![a, c], "site {site}");
@@ -56,7 +57,7 @@ fn create_join_leave_lifecycle() {
 
 #[test]
 fn every_member_observes_the_same_view_sequence() {
-    let mut sys = IsisSystem::new(3, LatencyProfile::Modern);
+    let mut sys = IsisHarness::new(SimRuntime::for_profile(3, LatencyProfile::Modern, 42));
     let members: Vec<_> = (0..3).map(|i| spawn_echo(&mut sys, SiteId(i))).collect();
     let gid = sys.create_group("seq", members[0]);
     for m in &members[1..] {
@@ -73,7 +74,7 @@ fn every_member_observes_the_same_view_sequence() {
 
 #[test]
 fn joining_a_nonexistent_group_fails_cleanly() {
-    let mut sys = IsisSystem::new(2, LatencyProfile::Modern);
+    let mut sys = IsisHarness::new(SimRuntime::for_profile(2, LatencyProfile::Modern, 42));
     let p = spawn_echo(&mut sys, SiteId(0));
     let bogus = vsync_core::GroupId(999);
     let res = sys.join_and_wait(bogus, p, None, Duration::from_millis(200));
@@ -82,7 +83,7 @@ fn joining_a_nonexistent_group_fails_cleanly() {
 
 #[test]
 fn two_groups_are_independent() {
-    let mut sys = IsisSystem::new(3, LatencyProfile::Modern);
+    let mut sys = IsisHarness::new(SimRuntime::for_profile(3, LatencyProfile::Modern, 42));
     let a = spawn_echo(&mut sys, SiteId(0));
     let b = spawn_echo(&mut sys, SiteId(1));
     let c = spawn_echo(&mut sys, SiteId(2));
@@ -96,7 +97,7 @@ fn two_groups_are_independent() {
     assert_eq!(sys.view_of(SiteId(1), g2).unwrap().members, vec![b, c]);
     // Killing a member of g1 does not disturb g2's membership.
     sys.kill_process(a);
-    let ok = sys.run_until_condition(Duration::from_secs(10), |s| {
+    let ok = sys.wait_until(Duration::from_secs(10), |s| {
         s.view_of(SiteId(2), g1)
             .map(|v| v.len() == 1)
             .unwrap_or(false)

@@ -5,17 +5,18 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use vsync_core::{
-    Duration, EntryId, IsisSystem, LatencyProfile, Message, ProcessId, ProtocolKind, SiteId,
+    Duration, EntryId, GroupId, LatencyProfile, Message, ProcessId, ProtocolKind, SiteId,
 };
+use vsync_rt::{IsisHarness, SimRuntime};
 
 const APPLY: EntryId = EntryId(2);
 
 type Log = Rc<RefCell<Vec<u64>>>;
 
-fn spawn_logger(sys: &mut IsisSystem, site: SiteId) -> (ProcessId, Log) {
+fn spawn_logger(sys: &mut IsisHarness<SimRuntime>, site: SiteId) -> (ProcessId, Log) {
     let log: Log = Rc::new(RefCell::new(Vec::new()));
     let l = log.clone();
-    let pid = sys.spawn(site, move |b| {
+    let pid = sys.spawn_local(site, move |b| {
         b.on_entry(APPLY, move |_ctx, msg| {
             l.borrow_mut().push(msg.get_u64("body").unwrap_or(0));
         });
@@ -23,8 +24,8 @@ fn spawn_logger(sys: &mut IsisSystem, site: SiteId) -> (ProcessId, Log) {
     (pid, log)
 }
 
-fn deploy(n: usize) -> (IsisSystem, vsync_core::GroupId, Vec<ProcessId>, Vec<Log>) {
-    let mut sys = IsisSystem::new(n, LatencyProfile::Modern);
+fn deploy(n: usize) -> (IsisHarness<SimRuntime>, GroupId, Vec<ProcessId>, Vec<Log>) {
+    let mut sys = IsisHarness::new(SimRuntime::for_profile(n, LatencyProfile::Modern, 42));
     let mut members = Vec::new();
     let mut logs = Vec::new();
     for i in 0..n {
@@ -52,7 +53,7 @@ fn cbcast_is_fifo_per_sender_and_delivered_everywhere() {
             ProtocolKind::Cbcast,
         );
     }
-    sys.run_ms(500);
+    sys.settle(Duration::from_millis(500));
     for (i, log) in logs.iter().enumerate() {
         assert_eq!(*log.borrow(), (0..10).collect::<Vec<u64>>(), "member {i}");
     }
@@ -73,7 +74,7 @@ fn abcast_total_order_is_identical_at_every_member() {
             );
         }
     }
-    sys.run_ms(2_000);
+    sys.settle(Duration::from_millis(2_000));
     let reference = logs[0].borrow().clone();
     assert_eq!(
         reference.len(),
@@ -103,7 +104,7 @@ fn gbcast_is_ordered_with_respect_to_cbcast_traffic() {
             ProtocolKind::Cbcast,
         );
     }
-    sys.run_ms(200);
+    sys.settle(Duration::from_millis(200));
     sys.client_send(
         members[0],
         gid,
@@ -111,7 +112,7 @@ fn gbcast_is_ordered_with_respect_to_cbcast_traffic() {
         Message::with_body(100),
         ProtocolKind::Gbcast,
     );
-    sys.run_ms(200);
+    sys.settle(Duration::from_millis(200));
     for i in 5..10u64 {
         sys.client_send(
             members[0],
@@ -121,7 +122,7 @@ fn gbcast_is_ordered_with_respect_to_cbcast_traffic() {
             ProtocolKind::Cbcast,
         );
     }
-    sys.run_ms(1_000);
+    sys.settle(Duration::from_millis(1_000));
     let positions: Vec<usize> = logs
         .iter()
         .map(|l| {
@@ -164,7 +165,7 @@ fn every_primitive_reaches_every_member_exactly_once() {
         Message::with_body(3u64),
         ProtocolKind::Gbcast,
     );
-    sys.run_ms(1_000);
+    sys.settle(Duration::from_millis(1_000));
     for (i, log) in logs.iter().enumerate() {
         let mut seen = log.borrow().clone();
         seen.sort_unstable();

@@ -5,7 +5,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use proptest::prelude::*;
-use vsync_core::{Duration, EntryId, IsisSystem, LatencyProfile, Message, ProtocolKind, SiteId};
+use vsync_core::{Duration, EntryId, LatencyProfile, Message, ProtocolKind, SiteId};
+use vsync_rt::{IsisHarness, IsisRuntime, SimRuntime};
 use vsync_tools::{
     FileStore, MemoryStore, RecoveryAdvice, RecoveryManager, ReplicatedData, StableStore,
     UpdateOrdering,
@@ -20,16 +21,16 @@ fn replicated_data_survives_total_failure_through_checkpoint_and_log() {
 
     // First incarnation: two members, some updates, a checkpoint, more updates, then a total
     // failure (both sites die).
-    let mut sys = IsisSystem::new(2, LatencyProfile::Modern);
+    let mut sys = IsisHarness::new(SimRuntime::for_profile(2, LatencyProfile::Modern, 42));
     let gid = sys.allocate_group_id();
     let data0 = ReplicatedData::new(gid, DATA, UpdateOrdering::Total)
         .with_logging(store.clone(), "inventory");
     let d0 = data0.clone();
-    let creator = sys.spawn(SiteId(0), move |b| d0.attach(b));
+    let creator = sys.spawn_local(SiteId(0), move |b| d0.attach(b));
     sys.create_group_with_id("inventory", gid, creator);
     let data1 = ReplicatedData::new(gid, DATA, UpdateOrdering::Total);
     let d1 = data1.clone();
-    let member1 = sys.spawn(SiteId(1), move |b| d1.attach(b));
+    let member1 = sys.spawn_local(SiteId(1), move |b| d1.attach(b));
     sys.join_and_wait(gid, member1, None, Duration::from_secs(5))
         .unwrap();
 
@@ -42,7 +43,7 @@ fn replicated_data_survives_total_failure_through_checkpoint_and_log() {
             .with("rd-value", 10u64),
         ProtocolKind::Abcast,
     );
-    sys.run_ms(300);
+    sys.settle(Duration::from_millis(300));
     data0.checkpoint().unwrap();
     sys.client_send(
         creator,
@@ -62,10 +63,10 @@ fn replicated_data_survives_total_failure_through_checkpoint_and_log() {
             .with("rd-value", 3u64),
         ProtocolKind::Abcast,
     );
-    sys.run_ms(300);
+    sys.settle(Duration::from_millis(300));
     assert_eq!(data0.read_u64("widgets"), Some(25));
-    sys.kill_site(SiteId(0));
-    sys.kill_site(SiteId(1));
+    sys.rt.kill_site(SiteId(0));
+    sys.rt.kill_site(SiteId(1));
 
     // Second incarnation: a fresh replica recovers from the checkpoint plus the logged
     // updates, exactly as the original version of the program "would have read the database
@@ -80,34 +81,34 @@ fn replicated_data_survives_total_failure_through_checkpoint_and_log() {
 
 #[test]
 fn recovery_manager_advice_depends_on_who_failed_last() {
-    let mut sys = IsisSystem::new(3, LatencyProfile::Modern);
+    let mut sys = IsisHarness::new(SimRuntime::for_profile(3, LatencyProfile::Modern, 42));
     let store: Rc<dyn StableStore> = Rc::new(MemoryStore::new());
     let rm = RecoveryManager::new(store, "svc");
 
     let gid = sys.allocate_group_id();
     let rm_attach = rm.clone();
-    let a = sys.spawn(SiteId(0), move |b| rm_attach.attach_logging(b, gid));
+    let a = sys.spawn_local(SiteId(0), move |b| rm_attach.attach_logging(b, gid));
     sys.create_group_with_id("svc", gid, a);
     let rm_attach = rm.clone();
-    let b = sys.spawn(SiteId(1), move |builder| {
+    let b = sys.spawn_local(SiteId(1), move |builder| {
         rm_attach.attach_logging(builder, gid)
     });
     sys.join_and_wait(gid, b, None, Duration::from_secs(5))
         .unwrap();
-    sys.run_ms(100);
+    sys.settle(Duration::from_millis(100));
 
     // While the group is operational somewhere, the advice is always to rejoin.
     assert_eq!(rm.advise(a, true).unwrap(), RecoveryAdvice::Rejoin);
 
     // Member a fails first; the survivors install a view without it and keep logging.
     sys.kill_process(a);
-    let ok = sys.run_until_condition(Duration::from_secs(10), |s| {
+    let ok = sys.wait_until(Duration::from_secs(10), |s| {
         s.view_of(SiteId(1), gid)
             .map(|v| v.len() == 1)
             .unwrap_or(false)
     });
     assert!(ok);
-    sys.run_ms(100);
+    sys.settle(Duration::from_millis(100));
 
     // Now the whole group fails.  Consulting the (surviving site's) log: member b was in the
     // last view, so it restarts; member a was not, so it waits for b.
@@ -118,7 +119,7 @@ fn recovery_manager_advice_depends_on_who_failed_last() {
 
 #[test]
 fn recovered_site_can_host_a_rejoining_member() {
-    let mut sys = IsisSystem::new(3, LatencyProfile::Modern);
+    let mut sys = IsisHarness::new(SimRuntime::for_profile(3, LatencyProfile::Modern, 42));
     let data_b = ReplicatedData::new(vsync_core::GroupId(1), DATA, UpdateOrdering::Causal);
     let gid = sys.allocate_group_id();
     assert_eq!(gid, vsync_core::GroupId(1));
@@ -126,24 +127,24 @@ fn recovered_site_can_host_a_rejoining_member() {
     // group the primary-partition fence only lets the half holding the oldest member cut
     // the dead half out, so the survivor must be the founder.
     let d = data_b.clone();
-    let b = sys.spawn(SiteId(1), move |builder| d.attach(builder));
+    let b = sys.spawn_local(SiteId(1), move |builder| d.attach(builder));
     sys.create_group_with_id("svc", gid, b);
     let data_a = ReplicatedData::new(gid, DATA, UpdateOrdering::Causal);
     let d = data_a.clone();
-    let a = sys.spawn(SiteId(0), move |builder| d.attach(builder));
+    let a = sys.spawn_local(SiteId(0), move |builder| d.attach(builder));
     sys.join_and_wait(gid, a, None, Duration::from_secs(5))
         .unwrap();
 
     // Site 0 crashes and later recovers empty; the group survives on site 1.
-    sys.kill_site(SiteId(0));
-    let ok = sys.run_until_condition(Duration::from_secs(10), |s| {
+    sys.rt.kill_site(SiteId(0));
+    let ok = sys.wait_until(Duration::from_secs(10), |s| {
         s.view_of(SiteId(1), gid)
             .map(|v| v.len() == 1)
             .unwrap_or(false)
     });
     assert!(ok);
-    sys.recover_site(SiteId(0));
-    sys.run_ms(200);
+    sys.rt.recover_site(SiteId(0));
+    sys.settle(Duration::from_millis(200));
 
     // The namespace on the recovered site is rebuilt by re-registration (the namespace
     // service push), after which a fresh process there can rejoin the surviving group.
@@ -152,7 +153,7 @@ fn recovered_site_can_host_a_rejoining_member() {
     });
     let data_a2 = ReplicatedData::new(gid, DATA, UpdateOrdering::Causal);
     let d = data_a2.clone();
-    let a2 = sys.spawn(SiteId(0), move |builder| d.attach(builder));
+    let a2 = sys.spawn_local(SiteId(0), move |builder| d.attach(builder));
     sys.join_and_wait(gid, a2, None, Duration::from_secs(5))
         .unwrap();
     let v = sys.view_of(SiteId(1), gid).unwrap();
@@ -167,7 +168,7 @@ fn recovered_site_can_host_a_rejoining_member() {
         Message::new().with("rd-item", "x").with("rd-value", 1u64),
         ProtocolKind::Cbcast,
     );
-    sys.run_ms(300);
+    sys.settle(Duration::from_millis(300));
     assert_eq!(data_b.read_u64("x"), Some(1));
     assert_eq!(data_a2.read_u64("x"), Some(1));
 }

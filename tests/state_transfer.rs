@@ -10,7 +10,8 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use vsync_core::{Duration, EntryId, IsisSystem, LatencyProfile, Message, ProtocolKind, SiteId};
+use vsync_core::{Duration, EntryId, LatencyProfile, Message, ProtocolKind, SiteId};
+use vsync_rt::{IsisHarness, SimRuntime};
 use vsync_tools::StateTransfer;
 
 const APPLY: EntryId = EntryId(2);
@@ -27,7 +28,7 @@ struct CounterState {
 /// The APPLY entry goes through the transfer tool's buffering, so a joiner holds post-cut
 /// messages until its snapshot has been applied.
 fn spawn_counter_member(
-    sys: &mut IsisSystem,
+    sys: &mut IsisHarness<SimRuntime>,
     site: SiteId,
     gid: vsync_core::GroupId,
 ) -> (vsync_core::ProcessId, CounterState, StateTransfer) {
@@ -52,7 +53,7 @@ fn spawn_counter_member(
     let xfer_attach = xfer.clone();
     let c_for_updates = state.value.clone();
     let applies = state.applies.clone();
-    let pid = sys.spawn(site, move |b| {
+    let pid = sys.spawn_local(site, move |b| {
         xfer_attach.attach(b);
         xfer_attach.on_entry_buffered(b, APPLY, move |_ctx, msg| {
             *c_for_updates.borrow_mut() += msg.get_u64("body").unwrap_or(0);
@@ -64,7 +65,7 @@ fn spawn_counter_member(
 
 #[test]
 fn joiner_receives_the_state_current_at_the_join_while_traffic_is_unstable() {
-    let mut sys = IsisSystem::new(3, LatencyProfile::Modern);
+    let mut sys = IsisHarness::new(SimRuntime::for_profile(3, LatencyProfile::Modern, 42));
     let gid = sys.allocate_group_id();
     let (creator, c0, x0) = spawn_counter_member(&mut sys, SiteId(0), gid);
     sys.create_group_with_id("counter", gid, creator);
@@ -74,7 +75,7 @@ fn joiner_receives_the_state_current_at_the_join_while_traffic_is_unstable() {
     let (m1, c1, x1) = spawn_counter_member(&mut sys, SiteId(1), gid);
     sys.join_and_wait(gid, m1, None, Duration::from_secs(5))
         .unwrap();
-    let ok = sys.run_until_condition(Duration::from_secs(5), |_s| x1.is_ready());
+    let ok = sys.wait_until(Duration::from_secs(5), |_s| x1.is_ready());
     assert!(ok, "first transfer never completed");
 
     // Burst state updates and join immediately: no settling, the burst is still in flight.
@@ -100,9 +101,9 @@ fn joiner_receives_the_state_current_at_the_join_while_traffic_is_unstable() {
     let (joiner, c2, x2) = spawn_counter_member(&mut sys, SiteId(2), gid);
     sys.join_and_wait(gid, joiner, None, Duration::from_secs(5))
         .unwrap();
-    let ok = sys.run_until_condition(Duration::from_secs(5), |_s| x2.is_ready());
+    let ok = sys.wait_until(Duration::from_secs(5), |_s| x2.is_ready());
     assert!(ok, "state transfer never completed");
-    let ok = sys.run_until_condition(Duration::from_secs(5), |_s| {
+    let ok = sys.wait_until(Duration::from_secs(5), |_s| {
         *c1.value.borrow() == 10 && *c2.value.borrow() == 10
     });
     assert!(
@@ -129,7 +130,7 @@ fn joiner_receives_the_state_current_at_the_join_while_traffic_is_unstable() {
         Message::with_body(5u64),
         ProtocolKind::Cbcast,
     );
-    let ok = sys.run_until_condition(Duration::from_secs(5), |_s| {
+    let ok = sys.wait_until(Duration::from_secs(5), |_s| {
         *c0.value.borrow() == 15 && *c1.value.borrow() == 15 && *c2.value.borrow() == 15
     });
     assert!(ok, "post-join update lost or duplicated");
@@ -137,7 +138,7 @@ fn joiner_receives_the_state_current_at_the_join_while_traffic_is_unstable() {
 
 #[test]
 fn process_migration_as_join_then_leave() {
-    let mut sys = IsisSystem::new(3, LatencyProfile::Modern);
+    let mut sys = IsisHarness::new(SimRuntime::for_profile(3, LatencyProfile::Modern, 42));
     let gid = sys.allocate_group_id();
     let (old, c_old, x_old) = spawn_counter_member(&mut sys, SiteId(0), gid);
     sys.create_group_with_id("migrating", gid, old);
@@ -159,12 +160,12 @@ fn process_migration_as_join_then_leave() {
     let (new, c_new, x_new) = spawn_counter_member(&mut sys, SiteId(2), gid);
     sys.join_and_wait(gid, new, None, Duration::from_secs(5))
         .unwrap();
-    let ok = sys.run_until_condition(Duration::from_secs(5), |_s| x_new.is_ready());
+    let ok = sys.wait_until(Duration::from_secs(5), |_s| x_new.is_ready());
     assert!(ok);
     assert_eq!(*c_new.value.borrow(), 4);
     sys.leave_and_wait(gid, old, Duration::from_secs(5))
         .unwrap();
-    sys.run_ms(100);
+    sys.settle(Duration::from_millis(100));
 
     let v = sys.view_of(SiteId(2), gid).unwrap();
     assert_eq!(v.members, vec![new]);
@@ -176,6 +177,6 @@ fn process_migration_as_join_then_leave() {
         Message::with_body(1u64),
         ProtocolKind::Cbcast,
     );
-    sys.run_ms(200);
+    sys.settle(Duration::from_millis(200));
     assert_eq!(*c_new.value.borrow(), 5);
 }

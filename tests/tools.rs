@@ -4,7 +4,8 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use vsync_core::{Duration, EntryId, IsisSystem, LatencyProfile, Message, ProcessId, SiteId};
+use vsync_core::{Duration, EntryId, GroupId, LatencyProfile, Message, ProcessId, SiteId};
+use vsync_rt::{IsisHarness, SimRuntime};
 use vsync_tools::{
     BulletinBoard, ConfigTool, NewsService, ReplicatedData, SemaphoreTool, SiteMonitor,
     UpdateOrdering,
@@ -26,8 +27,8 @@ struct Member {
     monitor: SiteMonitor,
 }
 
-fn deploy(n: usize) -> (IsisSystem, vsync_core::GroupId, Vec<Member>) {
-    let mut sys = IsisSystem::new(n, LatencyProfile::Modern);
+fn deploy(n: usize) -> (IsisHarness<SimRuntime>, GroupId, Vec<Member>) {
+    let mut sys = IsisHarness::new(SimRuntime::for_profile(n, LatencyProfile::Modern, 42));
     let gid = sys.allocate_group_id();
     let mut members = Vec::new();
     for i in 0..n {
@@ -46,7 +47,7 @@ fn deploy(n: usize) -> (IsisSystem, vsync_core::GroupId, Vec<Member>) {
             bb.clone(),
             monitor.clone(),
         );
-        let pid = sys.spawn(SiteId(i as u16), move |builder| {
+        let pid = sys.spawn_local(SiteId(i as u16), move |builder| {
             d.attach(builder);
             c.attach(builder);
             s.attach(builder);
@@ -70,7 +71,7 @@ fn deploy(n: usize) -> (IsisSystem, vsync_core::GroupId, Vec<Member>) {
             monitor,
         });
     }
-    sys.run_ms(50);
+    sys.settle(Duration::from_millis(50));
     (sys, gid, members)
 }
 
@@ -87,7 +88,7 @@ fn replicated_data_converges_at_every_member() {
             .with("rd-value", 42u64),
         vsync_core::ProtocolKind::Abcast,
     );
-    sys.run_ms(500);
+    sys.settle(Duration::from_millis(500));
     for (i, m) in members.iter().enumerate() {
         assert_eq!(m.data.read_u64("inventory"), Some(42), "member {i}");
         assert_eq!(m.data.updates_applied(), 1, "member {i}");
@@ -106,7 +107,7 @@ fn configuration_changes_are_seen_by_every_member() {
             .with("cfg-value", 7u64),
         vsync_core::ProtocolKind::Gbcast,
     );
-    sys.run_ms(500);
+    sys.settle(Duration::from_millis(500));
     for (i, m) in members.iter().enumerate() {
         assert_eq!(m.cfg.read_u64("nworkers"), Some(7), "member {i}");
         assert_eq!(m.cfg.version(), 1, "member {i}");
@@ -130,7 +131,7 @@ fn semaphore_grants_are_mutually_exclusive_and_fifo() {
             vsync_core::ProtocolKind::Abcast,
         );
     }
-    sys.run_ms(500);
+    sys.settle(Duration::from_millis(500));
     let holders: Vec<_> = members.iter().map(|m| m.sem.holders("mutex")).collect();
     assert!(
         holders.windows(2).all(|w| w[0] == w[1]),
@@ -150,7 +151,7 @@ fn semaphore_grants_are_mutually_exclusive_and_fifo() {
             .with("sem-proc", holder),
         vsync_core::ProtocolKind::Abcast,
     );
-    sys.run_ms(500);
+    sys.settle(Duration::from_millis(500));
     for m in &members {
         assert_eq!(m.sem.holders("mutex").len(), 1);
         assert_ne!(m.sem.holders("mutex")[0], holder);
@@ -171,16 +172,16 @@ fn semaphore_held_by_a_failed_member_is_released() {
             .with("sem-proc", members[2].pid),
         vsync_core::ProtocolKind::Abcast,
     );
-    sys.run_ms(500);
+    sys.settle(Duration::from_millis(500));
     assert_eq!(members[0].sem.holders("mutex"), vec![members[2].pid]);
     sys.kill_process(members[2].pid);
-    let ok = sys.run_until_condition(Duration::from_secs(10), |s| {
+    let ok = sys.wait_until(Duration::from_secs(10), |s| {
         s.view_of(SiteId(0), gid)
             .map(|v| v.len() == 2)
             .unwrap_or(false)
     });
     assert!(ok);
-    sys.run_ms(100);
+    sys.settle(Duration::from_millis(100));
     for m in &members[..2] {
         assert!(
             m.sem.holders("mutex").is_empty(),
@@ -211,7 +212,7 @@ fn news_postings_arrive_in_the_same_order_for_every_subscriber() {
             vsync_core::ProtocolKind::Abcast,
         );
     }
-    sys.run_ms(1_000);
+    sys.settle(Duration::from_millis(1_000));
     let reference = seen[0].borrow().clone();
     assert_eq!(reference.len(), 5);
     for s in &seen[1..] {
@@ -238,7 +239,7 @@ fn bulletin_board_replicates_postings_in_order() {
             vsync_core::ProtocolKind::Abcast,
         );
     }
-    sys.run_ms(500);
+    sys.settle(Duration::from_millis(500));
     let a: Vec<u64> = members[0]
         .bb
         .read("sensor")
@@ -259,13 +260,13 @@ fn bulletin_board_replicates_postings_in_order() {
 fn site_monitor_reports_clean_membership_events() {
     let (mut sys, gid, members) = deploy(3);
     sys.kill_process(members[2].pid);
-    let ok = sys.run_until_condition(Duration::from_secs(10), |s| {
+    let ok = sys.wait_until(Duration::from_secs(10), |s| {
         s.view_of(SiteId(0), gid)
             .map(|v| v.len() == 2)
             .unwrap_or(false)
     });
     assert!(ok);
-    sys.run_ms(100);
+    sys.settle(Duration::from_millis(100));
     assert_eq!(members[0].monitor.departures(), 1);
     assert_eq!(members[1].monitor.departures(), 1);
 }

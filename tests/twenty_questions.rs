@@ -1,7 +1,8 @@
 //! Integration: the twenty-questions service of paper Section 5, step by step.
 
 use vsync_apps::twenty::{Answer, Database, Op, Query, TwentyQuestions};
-use vsync_core::{Duration, IsisSystem, LatencyProfile, SiteId};
+use vsync_core::{Duration, LatencyProfile, SiteId};
+use vsync_rt::{IsisHarness, SimRuntime};
 
 fn sites(n: usize) -> Vec<SiteId> {
     (0..n as u16).map(SiteId).collect()
@@ -9,7 +10,7 @@ fn sites(n: usize) -> Vec<SiteId> {
 
 #[test]
 fn vertical_queries_are_answered_by_exactly_one_member() {
-    let mut sys = IsisSystem::new(5, LatencyProfile::Modern);
+    let mut sys = IsisHarness::new(SimRuntime::for_profile(5, LatencyProfile::Modern, 42));
     let svc = TwentyQuestions::deploy(&mut sys, "twenty", &sites(4), 4, Database::demo());
     let client = sys.spawn(SiteId(4), |_| {});
 
@@ -36,7 +37,7 @@ fn vertical_queries_are_answered_by_exactly_one_member() {
 
 #[test]
 fn horizontal_queries_fan_out_across_all_members() {
-    let mut sys = IsisSystem::new(5, LatencyProfile::Modern);
+    let mut sys = IsisHarness::new(SimRuntime::for_profile(5, LatencyProfile::Modern, 42));
     let svc = TwentyQuestions::deploy(&mut sys, "twenty", &sites(5), 5, Database::demo());
     let client = sys.spawn(SiteId(4), |_| {});
     let mut answers = svc.query(
@@ -67,7 +68,7 @@ fn horizontal_queries_fan_out_across_all_members() {
 
 #[test]
 fn dynamic_updates_reach_every_replica_and_later_queries_see_them() {
-    let mut sys = IsisSystem::new(4, LatencyProfile::Modern);
+    let mut sys = IsisHarness::new(SimRuntime::for_profile(4, LatencyProfile::Modern, 42));
     let svc = TwentyQuestions::deploy(&mut sys, "twenty", &sites(3), 3, Database::demo());
     let client = sys.spawn(SiteId(3), |_| {});
 
@@ -92,7 +93,7 @@ fn dynamic_updates_reach_every_replica_and_later_queries_see_them() {
             ("model".into(), "Testarossa".into()),
         ],
     );
-    sys.run_ms(500);
+    sys.settle(Duration::from_millis(500));
     assert_eq!(
         svc.replica_sizes(),
         vec![11, 11, 11],
@@ -111,7 +112,7 @@ fn dynamic_updates_reach_every_replica_and_later_queries_see_them() {
 #[test]
 fn member_failure_is_tolerated_with_standbys_taking_over() {
     // Step 4: deploy 4 members but NMEMBERS = 3, so the youngest is a hot standby.
-    let mut sys = IsisSystem::new(5, LatencyProfile::Modern);
+    let mut sys = IsisHarness::new(SimRuntime::for_profile(5, LatencyProfile::Modern, 42));
     let svc = TwentyQuestions::deploy(&mut sys, "twenty", &sites(4), 3, Database::demo());
     let client = sys.spawn(SiteId(4), |_| {});
 
@@ -127,13 +128,13 @@ fn member_failure_is_tolerated_with_standbys_taking_over() {
     // keeps answering with the full decomposition.
     sys.kill_process(svc.members[1]);
     let gid = svc.gid;
-    let ok = sys.run_until_condition(Duration::from_secs(10), |s| {
+    let ok = sys.wait_until(Duration::from_secs(10), |s| {
         s.view_of(SiteId(0), gid)
             .map(|v| v.len() == 3)
             .unwrap_or(false)
     });
     assert!(ok, "view never shrank after the failure");
-    sys.run_ms(100);
+    sys.settle(Duration::from_millis(100));
 
     let after = svc.query(
         &mut sys,

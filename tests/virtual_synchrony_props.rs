@@ -10,8 +10,10 @@ use std::rc::Rc;
 
 use proptest::prelude::*;
 use vsync_core::{
-    Duration, EntryId, IsisSystem, Message, NetParams, ProcessId, ProtocolKind, SiteId,
+    Duration, EntryId, GroupId, Message, NetParams, ProcessId, ProtocolKind, SiteId, StackConfig,
 };
+use vsync_proto::ProtoConfig;
+use vsync_rt::{IsisHarness, IsisRuntime, SimRuntime};
 
 const APPLY: EntryId = EntryId(2);
 
@@ -21,15 +23,21 @@ fn deploy_with(
     seed: u64,
     loss: f64,
     n: usize,
-) -> (IsisSystem, vsync_core::GroupId, Vec<ProcessId>, Vec<Log>) {
+) -> (IsisHarness<SimRuntime>, GroupId, Vec<ProcessId>, Vec<Log>) {
     let params = NetParams::modern().with_loss(loss);
-    let mut sys = IsisSystem::builder(n).params(params).seed(seed).build();
+    let mut sys = IsisHarness::new(SimRuntime::new(
+        n,
+        params,
+        StackConfig::from_params(&params),
+        ProtoConfig::fast(),
+        seed,
+    ));
     let mut members = Vec::new();
     let mut logs = Vec::new();
     for i in 0..n {
         let log: Log = Rc::new(RefCell::new(Vec::new()));
         let l = log.clone();
-        let pid = sys.spawn(SiteId(i as u16), move |b| {
+        let pid = sys.spawn_local(SiteId(i as u16), move |b| {
             b.on_entry(APPLY, move |_ctx, msg| {
                 l.borrow_mut().push(msg.get_u64("body").unwrap_or(0));
             });
@@ -66,7 +74,7 @@ proptest! {
                 ProtocolKind::Abcast,
             );
         }
-        sys.run_ms(5_000);
+        sys.settle(Duration::from_millis(5_000));
         let reference = logs[0].borrow().clone();
         prop_assert_eq!(reference.len(), sender_picks.len(), "all messages delivered");
         for log in &logs[1..] {
@@ -93,16 +101,16 @@ proptest! {
             );
             if i == crash_after {
                 // Crash the site of member 3 mid-stream.
-                sys.kill_site(SiteId(3));
+                sys.rt.kill_site(SiteId(3));
             }
         }
-        let ok = sys.run_until_condition(Duration::from_secs(30), |s| {
+        let ok = sys.wait_until(Duration::from_secs(30), |s| {
             [0u16, 1, 2].iter().all(|i| {
                 s.view_of(SiteId(*i), gid).map(|v| v.len() == 3).unwrap_or(false)
             })
         });
         prop_assert!(ok, "survivors never installed the post-crash view");
-        sys.run_ms(3_000);
+        sys.settle(Duration::from_millis(3_000));
         // Survivors delivered identical message sets (order may differ between concurrent
         // CBCASTs from different senders, so compare as sets).
         let mut sets: Vec<Vec<u64>> = logs[..3]
@@ -140,7 +148,7 @@ fn per_sender_fifo_holds_for_every_seed_in_a_sweep() {
                 ProtocolKind::Cbcast,
             );
         }
-        sys.run_ms(3_000);
+        sys.settle(Duration::from_millis(3_000));
         for log in &logs {
             let seen = log.borrow();
             let only_sender0: Vec<u64> = seen.iter().copied().collect();
