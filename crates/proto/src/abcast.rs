@@ -14,8 +14,10 @@
 //!    the final priority; destinations mark the message *deliverable* and deliver queued
 //!    messages in priority order as soon as no undeliverable message could precede them.
 //!
-//! If the initiator fails before completing phase two, the view-change flush finalises the
-//! ordering on its behalf using the maximum of the proposals the survivors reported.
+//! If the initiator fails before completing phase two, the view-change flush settles the
+//! message: a decision any survivor reports wins, and a message nobody reports decided gets
+//! a priority above every survivor's priority clock, so above everything any survivor has
+//! delivered.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -219,8 +221,8 @@ impl AbcastState {
         if let Some(p) = self.pending.get_mut(&id) {
             match p.decided {
                 Some((old, _)) => {
-                    // A repeated decision (e.g. coordinator re-finalising during a flush)
-                    // re-keys the delivery index.
+                    // A repeated decision (a flush commit settling a message this site
+                    // decided after its ack) re-keys the delivery index.
                     self.ready.remove(&(old, id));
                 }
                 None => {
@@ -242,27 +244,24 @@ impl AbcastState {
         self.pending.contains_key(id)
     }
 
-    /// The proposals this endpoint has outstanding, as `(id, proposed_priority)` pairs.
-    /// Reported in flush acks so the coordinator can finalise orphaned ABCASTs.
-    pub fn pending_proposals(&self) -> Vec<(MsgId, u64)> {
-        // The undecided frontier *is* the answer; no need to filter the whole holdback queue.
-        let mut out = Vec::with_capacity(self.undecided.len());
-        out.extend(self.undecided.iter().map(|&(prop, id)| (id, prop)));
-        out
+    /// The priority clock: at least every priority this state has proposed or decided, so
+    /// at least every priority it has delivered.  A flush ack reports it.
+    pub(crate) fn priority_clock(&self) -> u64 {
+        self.priority_clock
     }
 
-    /// The sender and payload of a message that is held but still awaiting phase two.
-    ///
-    /// Used by the flush path: a message can be *stable* (every site holds a copy, so the
-    /// stability tracker no longer retains its wire form) yet still *undecided* (phase two
-    /// never arrived because the initiator crashed).  The flush ack must then re-encode the
-    /// message from the holdback queue, otherwise the coordinator cannot finalise it and
-    /// the ABCAST is silently dropped at the view change.
-    pub fn undecided_payload(&self, id: &MsgId) -> Option<(ProcessId, Message)> {
-        self.pending
-            .get(id)
-            .filter(|p| p.decided.is_none())
-            .map(|p| (p.sender, p.payload.clone()))
+    /// Drops every message still awaiting phase two and returns their ids in order.  Used
+    /// after a flush commit, which settled every ABCAST in the cut: what is still undecided
+    /// was never in the cut, and no survivor may deliver it.
+    pub fn discard_undecided(&mut self) -> Vec<MsgId> {
+        let ids: Vec<MsgId> = std::mem::take(&mut self.undecided)
+            .into_iter()
+            .map(|(_, id)| id)
+            .collect();
+        for id in &ids {
+            self.pending.remove(id);
+        }
+        ids
     }
 
     /// Delivers every message whose final priority is known and cannot be preceded by any
@@ -288,38 +287,6 @@ impl AbcastState {
                 payload: p.payload,
             });
         }
-        out
-    }
-
-    /// Force-delivers everything still pending (used at the flush cut after the coordinator
-    /// has assigned final priorities to every orphaned message).
-    pub fn force_drain(&mut self) -> Vec<ReadyAb> {
-        // Both indexes are already sorted by the best-known priority key, so the combined
-        // order is a two-way merge — no re-collecting and re-sorting the holdback queue.
-        let mut out = Vec::with_capacity(self.pending.len());
-        let mut decided = std::mem::take(&mut self.ready).into_iter().peekable();
-        let mut undecided = std::mem::take(&mut self.undecided).into_iter().peekable();
-        loop {
-            let take_decided = match (decided.peek(), undecided.peek()) {
-                (Some(d), Some(u)) => d < u,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => break,
-            };
-            let (prio, id) = if take_decided {
-                decided.next().expect("peeked")
-            } else {
-                undecided.next().expect("peeked")
-            };
-            let p = self.pending.remove(&id).expect("pending entry");
-            out.push(ReadyAb {
-                id,
-                sender: p.sender,
-                priority: prio,
-                payload: p.payload,
-            });
-        }
-        debug_assert!(self.pending.is_empty());
         out
     }
 }
@@ -430,26 +397,20 @@ mod tests {
     }
 
     #[test]
-    fn pending_proposals_report_only_undecided_messages() {
-        let mut ab = AbcastState::new();
-        ab.on_data(id(1, 1), pid(1), Message::with_body(1u64));
-        ab.on_data(id(2, 1), pid(2), Message::with_body(2u64));
-        ab.decide(id(1, 1), 50, SiteId(1));
-        let pending = ab.pending_proposals();
-        assert_eq!(pending.len(), 1);
-        assert_eq!(pending[0].0, id(2, 1));
-    }
-
-    #[test]
-    fn force_drain_orders_by_best_known_priority() {
+    fn discarding_the_undecided_releases_what_they_blocked() {
         let mut ab = AbcastState::new();
         ab.on_data(id(1, 1), pid(1), Message::with_body(1u64));
         ab.on_data(id(2, 1), pid(2), Message::with_body(2u64));
         ab.decide(id(2, 1), 1_000, SiteId(2));
-        let drained = ab.force_drain();
-        assert_eq!(drained.len(), 2);
-        assert_eq!(drained[0].id, id(1, 1), "undecided low proposal first");
-        assert_eq!(drained[1].id, id(2, 1));
+        assert!(
+            ab.drain().is_empty(),
+            "blocked behind the undecided low proposal"
+        );
+        assert_eq!(ab.priority_clock(), 1_000);
+        assert_eq!(ab.discard_undecided(), vec![id(1, 1)]);
+        let drained = ab.drain();
+        assert_eq!(drained.len(), 1);
+        assert_eq!(drained[0].id, id(2, 1));
         assert_eq!(ab.pending_len(), 0);
     }
 

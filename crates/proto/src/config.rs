@@ -2,7 +2,8 @@
 
 use vsync_util::Duration;
 
-/// Timers and limits used by the group endpoints.
+/// The timers of the group endpoints.  Nothing here switches protocol behaviour: both
+/// fields only say how often, or how long, an endpoint waits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ProtoConfig {
     /// Interval between stability gossip rounds.
@@ -10,14 +11,6 @@ pub struct ProtoConfig {
     /// How long a participant waits for a flush to commit before suspecting the flush
     /// coordinator and (if next in line) taking over.
     pub flush_timeout: Duration,
-    /// How long the initiator of an ABCAST waits for priority proposals before re-sending
-    /// phase one to destinations that have not answered (loss recovery belt-and-braces).
-    pub abcast_retry: Duration,
-    /// Whether flush acks carry *proposal-only* entries: ABCAST messages that are stable
-    /// (so the stability tracker dropped their wire copies) but still undecided.  Required
-    /// for correctness — a stable-but-undecided ABCAST is otherwise silently dropped at a
-    /// view change.  The escape hatch exists only so tests can pin the failure mode.
-    pub ack_proposal_only: bool,
 }
 
 impl Default for ProtoConfig {
@@ -25,8 +18,6 @@ impl Default for ProtoConfig {
         ProtoConfig {
             stability_interval: Duration::from_millis(200),
             flush_timeout: Duration::from_millis(2_000),
-            abcast_retry: Duration::from_millis(1_000),
-            ack_proposal_only: true,
         }
     }
 }
@@ -37,8 +28,6 @@ impl ProtoConfig {
         ProtoConfig {
             stability_interval: Duration::from_millis(5),
             flush_timeout: Duration::from_millis(100),
-            abcast_retry: Duration::from_millis(50),
-            ack_proposal_only: true,
         }
     }
 }

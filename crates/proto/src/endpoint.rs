@@ -11,7 +11,7 @@
 //! caller-supplied vector.  The hosting protocol stack (in `vsync-core`) owns one endpoint
 //! per group and turns the outputs into packets and application deliveries.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::rc::Rc;
 
 use vsync_msg::{Frame, Message};
@@ -329,16 +329,19 @@ impl GroupEndpoint {
             payload,
         }
         .into_frame(self.group);
-        self.stab.record_local(
-            id,
-            StoredMsg {
-                wire: wire.clone(),
-                ab_priority: None,
-            },
-        );
         let ordered = self
             .ab
             .initiate(id, sender, held, self.site, self.peer_sites.clone());
+        let copy = StoredMsg {
+            wire: wire.clone(),
+            ab_priority: None,
+        };
+        if ordered {
+            // A group on one site: decided, and stable, on the spot.
+            self.stab.record_local(id, copy);
+        } else {
+            self.stab.hold(id, copy);
+        }
         self.send_to_peers(PacketKind::Data, wire, out);
         if ordered {
             self.drain_abcasts(out);
@@ -506,8 +509,7 @@ impl GroupEndpoint {
             _ => false,
         };
         if initiator_failed {
-            self.flush = None;
-            self.flush_attempt += 1;
+            self.leave_flush(out);
         }
         if let Some(FlushRole::Coordinator(c)) = &mut self.flush {
             let mut complete = false;
@@ -552,8 +554,7 @@ impl GroupEndpoint {
         // and builds the view from the corrected failure set.  If nothing else is pending,
         // no flush restarts and the needless view change never happens.
         if matches!(self.flush, Some(FlushRole::Coordinator(_))) {
-            self.flush = None;
-            self.flush_attempt += 1;
+            self.leave_flush(out);
         }
         self.maybe_unwedge(out);
         self.start_flush_if_needed(now, out);
@@ -601,11 +602,18 @@ impl GroupEndpoint {
         false
     }
 
-    /// Wedges the endpoint: abandons any flush role, counts the stall, and reports it.
-    fn enter_wedge(&mut self, view_seq: u64, out: &mut Vec<EndpointOutput>) {
+    /// Abandons this endpoint's flush role, if any, without a commit: the next attempt
+    /// counts up, and the ABCASTs held back since this site's ack are delivered.
+    fn leave_flush(&mut self, out: &mut Vec<EndpointOutput>) {
         if self.flush.take().is_some() {
             self.flush_attempt += 1;
         }
+        self.drain_abcasts(out);
+    }
+
+    /// Wedges the endpoint: abandons any flush role, counts the stall, and reports it.
+    fn enter_wedge(&mut self, view_seq: u64, out: &mut Vec<EndpointOutput>) {
+        self.leave_flush(out);
         let (alive, voters) = self
             .view
             .as_ref()
@@ -802,11 +810,13 @@ impl GroupEndpoint {
             ProtoMsg::FlushAck {
                 target_seq,
                 from_site,
+                ab_clock,
                 stored,
             } => {
-                self.handle_flush_ack(now, *target_seq, *from_site, stored.clone(), out);
+                let stored = stored.clone();
+                self.handle_flush_ack(now, *target_seq, *from_site, stored, *ab_clock, out);
             }
-            ProtoMsg::FlushCommit { .. } => self.apply_commit(now, frame, true, out),
+            ProtoMsg::FlushCommit { .. } => return self.apply_commit(now, frame, true, out),
             ProtoMsg::Stability {
                 from_site: reporter,
                 entries,
@@ -937,6 +947,7 @@ impl GroupEndpoint {
                     // surviving member (possibly hosted here) take over.
                     self.suspected.insert(p.initiator);
                     self.flush_attempt = p.attempt + 1;
+                    self.drain_abcasts(out);
                     self.start_flush_if_needed(now, out);
                 }
                 None => {}
@@ -1090,14 +1101,14 @@ impl GroupEndpoint {
                 if self.delivered.contains(*id) {
                     return;
                 }
-                let proposed = self.ab.on_data(*id, *sender, payload.clone());
-                self.stab.record_local(
-                    *id,
-                    StoredMsg {
+                if !self.ab.is_pending(id) {
+                    let copy = StoredMsg {
                         wire: frame.clone(),
-                        ab_priority: Some(proposed),
-                    },
-                );
+                        ab_priority: None,
+                    };
+                    self.stab.hold(*id, copy);
+                }
+                let proposed = self.ab.on_data(*id, *sender, payload.clone());
                 let propose = ProtoMsg::AbPropose {
                     id: *id,
                     view_seq: *view_seq,
@@ -1169,7 +1180,12 @@ impl GroupEndpoint {
         self.drain_abcasts(out);
     }
 
+    /// Delivers the ABCASTs whose order is final here — except between this site's flush
+    /// ack and the commit, whose priorities may overrule a decision made here since the ack.
     fn drain_abcasts(&mut self, out: &mut Vec<EndpointOutput>) {
+        if matches!(self.flush, Some(FlushRole::Participant(_))) {
+            return;
+        }
         for r in self.ab.drain() {
             if self.mark_delivered(r.id) {
                 self.emit_delivery(r.id, ProtocolKind::Abcast, r.payload, out);
@@ -1233,45 +1249,6 @@ impl GroupEndpoint {
         }
     }
 
-    /// Everything this endpoint must report in a flush ack (or, as coordinator, merge into
-    /// the union directly): its unstable messages with outstanding ABCAST proposals
-    /// overlaid, plus — when `ack_proposal_only` is enabled — *proposal-only* entries for
-    /// ABCASTs that are stable but still undecided.  Stability means every site holds a
-    /// copy, so the tracker has dropped the wire form; if the initiator then dies before
-    /// phase two, the holdback queue is the only place the message still exists, and it is
-    /// re-encoded from there so the flush coordinator can finalise the order.
-    fn flush_report(&self, view_seq: u64) -> Vec<StoredMsg> {
-        let mut stored = self.stab.unstable();
-        // Index the proposals once; overlaying takes each held message's entry out, so
-        // what remains afterwards are the proposals with no held copy.
-        let mut proposals: BTreeMap<MsgId, u64> = self.ab.pending_proposals().into_iter().collect();
-        for s in &mut stored {
-            let proposed = stored_msg_id(s).ok().and_then(|id| proposals.remove(&id));
-            if let Some(p) = proposed {
-                s.ab_priority = Some(s.ab_priority.unwrap_or(0).max(p));
-            }
-        }
-        if self.cfg.ack_proposal_only {
-            for (id, proposed) in proposals {
-                let Some((sender, payload)) = self.ab.undecided_payload(&id) else {
-                    continue;
-                };
-                let wire = ProtoMsg::AbData {
-                    id,
-                    sender,
-                    view_seq,
-                    payload,
-                }
-                .into_frame(self.group);
-                stored.push(StoredMsg {
-                    wire,
-                    ab_priority: Some(proposed),
-                });
-            }
-        }
-        stored
-    }
-
     fn handle_flush_req(
         &mut self,
         now: SimTime,
@@ -1305,12 +1282,12 @@ impl GroupEndpoint {
             started_at: now,
         }));
         // Report everything we have received in this view that might not be everywhere,
-        // overlaying our outstanding ABCAST proposals.
-        let stored = self.flush_report(view.seq());
+        // and the priority clock that bounds every ABCAST delivered here.
         let ack = ProtoMsg::FlushAck {
             target_seq,
             from_site: self.site,
-            stored,
+            ab_clock: self.ab.priority_clock(),
+            stored: self.stab.unstable(),
         }
         .into_frame(self.group);
         self.send_to_site(initiator.site, PacketKind::Flush, ack, out);
@@ -1322,11 +1299,12 @@ impl GroupEndpoint {
         target_seq: u64,
         from_site: SiteId,
         stored: Vec<StoredMsg>,
+        ab_clock: u64,
         out: &mut Vec<EndpointOutput>,
     ) {
         let complete = match &mut self.flush {
             Some(FlushRole::Coordinator(c)) if c.target_seq == target_seq => {
-                c.absorb_ack(from_site, stored)
+                c.absorb_ack(from_site, stored, ab_clock)
             }
             _ => false,
         };
@@ -1350,9 +1328,8 @@ impl GroupEndpoint {
             self.enter_wedge(view.seq(), out);
             return;
         }
-        // Merge our own unstable messages and pending proposals into the union.
-        let own = self.flush_report(view.seq());
-        c.merge(own);
+        // Merge our own unstable messages and priority clock into the union.
+        c.merge(self.stab.unstable(), self.ab.priority_clock());
         // Build the new view.
         let departed: Vec<ProcessId> = self
             .suspected
@@ -1400,20 +1377,27 @@ impl GroupEndpoint {
                 self.send_to_site(s, PacketKind::Flush, commit.clone(), out);
             }
         }
-        self.apply_commit(now, &commit, false, out);
+        let applied = self.apply_commit(now, &commit, false, out);
+        debug_assert!(
+            applied.is_ok(),
+            "the coordinator's undecided ABCASTs are all in its own report"
+        );
     }
 
     /// Applies a flush commit.  `commit` is the frame itself — the one `complete_flush`
     /// just built, or the one `on_message` received — because installing a view also means
     /// forwarding that frame (the relay) and keeping it (the bulletin), and a frame in hand
     /// need not be written again.
+    ///
+    /// Returns an error naming the ABCASTs the cut dropped here, if any, once the view is
+    /// installed: the hosting stack traces it.
     fn apply_commit(
         &mut self,
         now: SimTime,
         commit: &Frame,
         relay: bool,
         out: &mut Vec<EndpointOutput>,
-    ) {
+    ) -> Result<()> {
         let Ok((
             _,
             ProtoMsg::FlushCommit {
@@ -1425,12 +1409,12 @@ impl GroupEndpoint {
             },
         )) = ProtoMsg::decode_frame(commit)
         else {
-            return;
+            return Ok(());
         };
         let target_seq = *target_seq;
         if let Some(v) = &self.view {
             if target_seq <= v.seq() {
-                return;
+                return Ok(());
             }
         }
         // A commit whose new view excludes every local member that neither asked to leave
@@ -1447,7 +1431,7 @@ impl GroupEndpoint {
         if cut_out {
             let contact = new_view.coordinator().map(|c| c.site).unwrap_or(self.site);
             self.require_rejoin(contact, target_seq, out);
-            return;
+            return Ok(());
         }
         // Relay the commit on first install (receivers only — the creator already sent it
         // everywhere).  Commits come from the acting coordinator, which may die with some
@@ -1511,24 +1495,29 @@ impl GroupEndpoint {
                     if self.delivered.contains(*id) || (joining && covered.covers(*id)) {
                         continue;
                     }
+                    // The commit's priority is final, even over a decision made here
+                    // after the ack.  A commit always carries one for an ABCAST.
+                    let Some(prio) = stored.ab_priority else {
+                        continue;
+                    };
                     self.ab.on_data(*id, *sender, payload.clone());
-                    let prio = stored.ab_priority.unwrap_or(u64::MAX / 2);
                     self.ab.decide(*id, prio, id.origin);
                 }
                 _ => {}
             }
         }
+        // Every ABCAST in the cut is decided now.  One still undecided was never in it: a
+        // crashed initiator's message that reached this site after its ack, which no
+        // survivor reported.  It is dropped, so whatever else this site holds is delivered
+        // by the one rule — priority order.
+        let dropped = self.ab.discard_undecided();
+        self.flush = None;
         self.drain_abcasts(out);
         // Anything still stuck had dependencies that vanished with their sender; deliver in a
         // deterministic order so every survivor sees the same thing.
         for r in self.cb.force_drain() {
             if self.mark_delivered(r.id) {
                 self.emit_delivery(r.id, ProtocolKind::Cbcast, r.payload, out);
-            }
-        }
-        for r in self.ab.force_drain() {
-            if self.mark_delivered(r.id) {
-                self.emit_delivery(r.id, ProtocolKind::Abcast, r.payload, out);
             }
         }
         // The cut is complete: install the view and deliver the view event plus any GBCASTs.
@@ -1570,6 +1559,13 @@ impl GroupEndpoint {
         }
         if pending_restart {
             self.start_flush_if_needed(now, out);
+        }
+        if dropped.is_empty() {
+            Ok(())
+        } else {
+            Err(VsError::Internal(format!(
+                "undecided ABCASTs outside the cut to view {target_seq} dropped: {dropped:?}"
+            )))
         }
     }
 

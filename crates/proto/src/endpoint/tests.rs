@@ -180,6 +180,47 @@ impl Cluster {
         self.channels.retain(|(dst, _), _| *dst != site);
     }
 
+    /// Hands the frame at the head of the channel from `src` to `dst` to its endpoint: one
+    /// transport event of a hand-written schedule.
+    fn step(&mut self, dst: u16, src: u16) {
+        let frame = self_channel_take(self, SiteId(dst), SiteId(src));
+        self.now = SimTime(self.now.0 + 1_000);
+        self.exec(SiteId(dst), |ep, now, out| {
+            ep.on_message(now, SiteId(src), &frame, out)
+                .expect("protocol message handled");
+        });
+    }
+
+    /// Member `site` ABCASTs `body`.
+    fn abcast(&mut self, site: u16, body: u64) {
+        self.exec(SiteId(site), |ep, now, out| {
+            ep.abcast(now, member(site), Message::with_body(body), out)
+                .unwrap();
+        });
+    }
+
+    /// Member `site` GBCASTs, which starts a flush at the coordinator.
+    fn gbcast(&mut self, site: u16) {
+        self.exec(SiteId(site), |ep, now, out| {
+            ep.gbcast(now, member(site), Message::with_body(0u64), out)
+                .unwrap();
+        });
+    }
+
+    /// Asserts that `sites` delivered the same bodies in the same order, and returns it.
+    fn one_total_order(&self, sites: &[u16]) -> Vec<u64> {
+        let first = self.delivered_bodies(SiteId(sites[0]));
+        for s in &sites[1..] {
+            assert_eq!(
+                self.delivered_bodies(SiteId(*s)),
+                first,
+                "sites {} and {s} disagree on the total order",
+                sites[0]
+            );
+        }
+        first
+    }
+
     fn tick_all(&mut self) {
         self.now = SimTime(self.now.0 + 50_000);
         let sites: Vec<SiteId> = self.endpoints.keys().copied().collect();
@@ -469,21 +510,14 @@ fn abcast_orphaned_by_sender_failure_is_finalized_by_the_flush() {
     }
 }
 
-/// Drives the stable-but-undecided ABCAST edge: two concurrent ABCASTs from two different
-/// initiators reach every site in *opposite* orders at the two eventual survivors, the
-/// stability gossip runs to completion (so the survivors' stability trackers drop their
-/// wire copies), and then both initiators crash before phase two.  The only remaining
-/// record of either message is the survivors' holdback queues.  Returns the cluster after
-/// the failure flush between the survivors (sites 0 and 2): exactly half of the view,
-/// holding the rank-0 member, which the primary-partition fence admits.
-fn stable_undecided_abcasts_after_crash(ack_proposal_only: bool) -> Cluster {
-    let mut c = Cluster::new_with_config(
-        4,
-        ProtoConfig {
-            ack_proposal_only,
-            ..ProtoConfig::fast()
-        },
-    );
+/// Drives what used to be the stable-but-undecided ABCAST edge: two concurrent ABCASTs
+/// from two different initiators reach every site in *opposite* orders at the two eventual
+/// survivors, the stability gossip runs to completion, and then both initiators crash
+/// before phase two.  Returns the cluster after the failure flush between the survivors
+/// (sites 0 and 2): exactly half of the view, holding the rank-0 member, which the
+/// primary-partition fence admits.
+fn stable_undecided_abcasts_after_crash() -> Cluster {
+    let mut c = Cluster::new(4);
     c.exec(SiteId(0), |ep, _now, out| ep.create(member(0), out));
     for joiner in [1u16, 2, 3] {
         c.exec(SiteId(0), |ep, now, out| {
@@ -501,8 +535,8 @@ fn stable_undecided_abcasts_after_crash(ack_proposal_only: bool) -> Cluster {
             .unwrap();
     });
     // Adversarial phase-one interleaving: site 0 receives A then B, site 2 receives B then
-    // A, and each initiator's site receives the other's message (every site holds both, the
-    // precondition for stability).  All priority proposals head back to the initiators.
+    // A, and each initiator's site receives the other's message, so every site holds both.
+    // All priority proposals head back to the initiators.
     let a_for_0 = self_channel_take(&mut c, SiteId(0), SiteId(1));
     let b_for_0 = self_channel_take(&mut c, SiteId(0), SiteId(3));
     let a_for_2 = self_channel_take(&mut c, SiteId(2), SiteId(1));
@@ -521,21 +555,21 @@ fn stable_undecided_abcasts_after_crash(ack_proposal_only: bool) -> Cluster {
             ep.on_message(now, SiteId(src), &frame, out).unwrap();
         });
     }
-    // One gossip round from every site (all four now hold both copies), then both
-    // initiators crash, taking the in-flight proposals with them — phase two never runs.
+    // One gossip round from every site, then both initiators crash, taking the in-flight
+    // proposals with them — phase two never runs.
     c.tick_all();
     c.crash_site(SiteId(1));
     c.crash_site(SiteId(3));
     c.pump(false);
     c.tick_all();
     c.pump(false);
-    // The precondition the regression pins: both messages went *stable* (no survivor holds
-    // a wire copy any more) while still *undecided* (neither was delivered).
+    // Gossip advertises an ABCAST only once it is decided, so neither message went stable:
+    // both survivors still hold both copies for the flush, and delivered neither.
     for s in [0u16, 2] {
         assert_eq!(
             c.endpoints[&SiteId(s)].unstable_len(),
-            0,
-            "site {s} still holds an unstable copy; the edge under test needs stability"
+            2,
+            "site {s} released an undecided ABCAST"
         );
         assert!(
             c.delivered_bodies(SiteId(s)).is_empty(),
@@ -553,13 +587,12 @@ fn stable_undecided_abcasts_after_crash(ack_proposal_only: bool) -> Cluster {
 
 #[test]
 fn stable_but_undecided_abcasts_keep_a_single_total_order_across_the_view_change() {
-    let c = stable_undecided_abcasts_after_crash(true);
-    // The flush acks carried proposal-only entries re-encoded from the holdback queues, so
-    // the coordinator finalised both orphaned ABCASTs with the merged maximum proposals:
-    // one total order, identical at every survivor.
+    let c = stable_undecided_abcasts_after_crash();
+    // Neither survivor had decided either message, so the commit settled both above every
+    // reported clock: one total order, identical at every survivor.
     let order0 = c.delivered_bodies(SiteId(0));
     let order2 = c.delivered_bodies(SiteId(2));
-    assert_eq!(order0.len(), 2, "site 0 lost a stable-but-undecided ABCAST");
+    assert_eq!(order0.len(), 2, "site 0 lost an undecided ABCAST");
     assert_eq!(
         order0, order2,
         "survivors disagree on the total order at the cut"
@@ -569,20 +602,95 @@ fn stable_but_undecided_abcasts_keep_a_single_total_order_across_the_view_change
     }
 }
 
+// -- ABCAST at the flush cut: hand-routed schedules -------------------------------------------
+//
+// Each schedule breaks total order at the cut unless an ack reports decisions and the
+// site's priority clock, an ABCAST is advertised to stability gossip only once decided, and an
+// acked site delivers no ABCAST before the commit.  The comments name each site's proposals as
+// p<site>(message).
+
 #[test]
-fn without_proposal_only_acks_the_total_order_diverges_at_the_cut() {
-    // The knob exists precisely to keep the failure mode pinned: without proposal-only ack
-    // entries the coordinator never learns of the stable-but-undecided messages, each
-    // survivor force-drains them with its own *local* proposal priorities at the cut, and
-    // the two survivors commit opposite total orders — the ABCAST contract is broken.
-    let c = stable_undecided_abcasts_after_crash(false);
-    let order0 = c.delivered_bodies(SiteId(0));
-    let order2 = c.delivered_bodies(SiteId(2));
-    assert_eq!(order0, vec![10, 20], "site 0 drains in its arrival order");
-    assert_eq!(order2, vec![20, 10], "site 2 drains in its arrival order");
-    for s in [0u16, 2] {
-        assert_eq!(c.endpoints[&SiteId(s)].view().unwrap().members.len(), 2);
+fn an_undecided_abcast_settles_above_what_an_acked_site_delivered() {
+    let mut c = Cluster::build_three_member_group();
+    c.abcast(2, 30); // C; p2(C) = 1
+    c.step(1, 2); // p1(C) = 1
+    c.abcast(1, 10); // A; p1(A) = 2
+    c.step(0, 1); // p0(A) = 1
+    c.step(0, 2); // p0(C) = 2
+    c.step(2, 1); // C's proposal from site 1
+    c.step(2, 0); // ... and from site 0: C decided at 2, delivered at site 2
+    assert_eq!(c.delivered_bodies(SiteId(2)), vec![30]);
+    c.gbcast(0);
+    c.step(1, 0); // A's proposal from site 0
+    c.step(1, 0); // site 1 acks, A undecided
+    c.step(2, 0); // site 2 acks before A's data reaches it
+    c.step(0, 1); // site 1's ack
+    c.step(0, 2); // C's order
+    c.step(0, 2); // site 2's ack: the commit
+    c.pump(false);
+    // A priority of at most 2 for A, which has the lower id, would put it before C.
+    assert_eq!(c.one_total_order(&[0, 1, 2]), vec![30, 10]);
+}
+
+#[test]
+fn an_abcast_goes_stable_only_once_decided_everywhere() {
+    let mut c = Cluster::build_three_member_group();
+    c.abcast(0, 20); // B; p0(B) = 1
+    c.abcast(1, 10); // A; p1(A) = 1
+    c.step(0, 1); // p0(A) = 2
+    c.step(1, 0); // p1(B) = 2
+    c.step(2, 1); // p2(A) = 1
+    c.step(2, 0); // p2(B) = 2
+    c.step(1, 0); // A's proposals from site 0 ...
+    c.step(1, 2); // ... and site 2: A decided at 2
+    c.step(0, 1); // B's proposals from site 1 ...
+    c.step(0, 2); // ... and site 2: B decided at 2, delivered at site 0
+    c.step(0, 1); // A's order
+    c.step(1, 0); // B's order
+    c.step(2, 0); // B's order; A's order to site 2 is held back
+    let a_order_for_2 = self_channel_take(&mut c, SiteId(2), SiteId(1));
+    for _ in 0..2 {
+        c.tick_all();
+        c.pump(false);
     }
+    // B is decided everywhere and went stable; A is not decided at site 2, so site 2 never
+    // advertised it and every site still holds its copy for a flush.
+    for s in [0u16, 1, 2] {
+        assert_eq!(c.endpoints[&SiteId(s)].unstable_len(), 1, "site {s}");
+    }
+    c.gbcast(0);
+    c.pump(false);
+    c.exec(SiteId(2), |ep, now, out| {
+        ep.on_message(now, SiteId(1), &a_order_for_2, out).unwrap();
+    });
+    // Settling A at site 2's proposal of 1 would put it before B there.
+    assert_eq!(c.one_total_order(&[0, 1, 2]), vec![20, 10]);
+}
+
+#[test]
+fn an_acked_site_delivers_no_abcast_until_the_commit() {
+    let mut c = Cluster::build_three_member_group();
+    c.abcast(1, 10); // A; p1(A) = 1
+    c.abcast(2, 20); // B; p2(B) = 1
+    c.step(0, 1); // p0(A) = 1
+    c.step(0, 2); // p0(B) = 2
+    c.step(1, 2); // p1(B) = 2
+    c.step(2, 0); // B's proposal from site 0
+    c.step(2, 1); // p2(A) = 2
+    c.step(2, 1); // B's proposal from site 1: B decided at 2
+    c.step(1, 0); // A's proposal from site 0
+    c.gbcast(0);
+    c.step(1, 0); // site 1 acks, A and B undecided
+                  // A's last proposal: A is decided at 2 here, ahead of B by id, but the ack reported it
+                  // undecided and the commit will settle it above site 1's clock — after B.
+    c.step(1, 2);
+    assert_eq!(c.delivered_bodies(SiteId(1)), Vec::<u64>::new());
+    c.step(2, 0); // site 2 acks, B decided
+    c.step(0, 1); // site 1's ack
+    c.step(0, 2); // B's order
+    c.step(0, 2); // site 2's ack: the commit
+    c.pump(false);
+    assert_eq!(c.one_total_order(&[0, 1, 2]), vec![20, 10]);
 }
 
 #[test]

@@ -8,11 +8,13 @@
 //! 1. the group coordinator (the site hosting the oldest surviving member) sends `FlushReq`
 //!    to every member site;
 //! 2. each site answers `FlushAck` with every message it has received in the current view
-//!    that is not yet known stable (including its own sends), together with its outstanding
-//!    ABCAST priority proposals;
-//! 3. the coordinator merges the reports — taking the maximum proposal as the final priority
-//!    of any ABCAST whose initiator did not finish phase two — and multicasts `FlushCommit`
-//!    carrying the agreed message set, the new view, and any user GBCAST payloads;
+//!    that is not yet known stable (including its own sends), each ABCAST with its final
+//!    priority if it is decided there, plus its ABCAST priority clock; from its ack to the
+//!    commit the site delivers no ABCAST;
+//! 3. the coordinator merges the reports — a reported decision wins, and an ABCAST nobody
+//!    decided is settled above every reported clock, so after anything any site delivered —
+//!    and multicasts `FlushCommit` carrying the agreed message set, the new view, and any
+//!    user GBCAST payloads;
 //! 4. every member delivers whatever it is missing from the agreed set, then delivers the
 //!    view-change event, then resumes normal operation in the new view.
 //!
@@ -52,6 +54,8 @@ pub struct FlushCoordinator {
     pub awaiting: BTreeSet<SiteId>,
     /// Union of unstable messages reported so far, keyed by message id.
     pub collected: BTreeMap<MsgId, StoredMsg>,
+    /// The highest ABCAST priority clock reported so far.
+    pub ab_clock: u64,
     /// When the flush started (for timeout-based retry).
     pub started_at: SimTime,
 }
@@ -69,34 +73,32 @@ impl FlushCoordinator {
             attempt,
             awaiting,
             collected: BTreeMap::new(),
+            ab_clock: 0,
             started_at,
         }
     }
 
-    /// Merges one site's reported unstable messages into the union.
-    pub fn merge(&mut self, stored: Vec<StoredMsg>) {
+    /// Merges one site's report: its unstable messages and its ABCAST priority clock.  A
+    /// reported decision wins over a report of the same ABCAST as undecided; two decisions
+    /// never differ, because an initiator fixes an ABCAST's priority once.
+    pub fn merge(&mut self, stored: Vec<StoredMsg>, ab_clock: u64) {
+        self.ab_clock = self.ab_clock.max(ab_clock);
         for s in stored {
             let Ok(id) = stored_msg_id(&s) else { continue };
-            match self.collected.get_mut(&id) {
-                Some(existing) => {
-                    // Keep the highest priority proposal seen; the maximum becomes the final
-                    // ABCAST order when the initiator is gone.
-                    existing.ab_priority = match (existing.ab_priority, s.ab_priority) {
-                        (Some(a), Some(b)) => Some(a.max(b)),
-                        (a, b) => a.or(b),
-                    };
-                }
-                None => {
-                    self.collected.insert(id, s);
-                }
-            }
+            let decided = s.ab_priority;
+            let held = self.collected.entry(id).or_insert(s);
+            debug_assert!(
+                decided.is_none() || held.ab_priority.is_none() || held.ab_priority == decided,
+                "two sites report different decisions for {id:?}"
+            );
+            held.ab_priority = held.ab_priority.or(decided);
         }
     }
 
     /// Records an ack from `site` (merging its report); returns true when every awaited site
     /// has answered.
-    pub fn absorb_ack(&mut self, site: SiteId, stored: Vec<StoredMsg>) -> bool {
-        self.merge(stored);
+    pub fn absorb_ack(&mut self, site: SiteId, stored: Vec<StoredMsg>, ab_clock: u64) -> bool {
+        self.merge(stored, ab_clock);
         self.awaiting.remove(&site);
         self.awaiting.is_empty()
     }
@@ -108,9 +110,25 @@ impl FlushCoordinator {
         self.awaiting.is_empty()
     }
 
-    /// The agreed message set, in a deterministic order.
+    /// The agreed message set, in a deterministic order, every ABCAST with its final
+    /// priority.  One that no report decided is settled at one above the highest clock
+    /// reported, so after everything any reporter has delivered; such ABCASTs tie, and
+    /// their ids order them.
     pub fn deliver_set(&self) -> Vec<StoredMsg> {
-        self.collected.values().cloned().collect()
+        let settled = self.ab_clock + 1;
+        let is_abcast = |s: &StoredMsg| {
+            matches!(
+                ProtoMsg::decode_frame(&s.wire),
+                Ok((_, ProtoMsg::AbData { .. }))
+            )
+        };
+        self.collected
+            .values()
+            .map(|s| StoredMsg {
+                wire: s.wire.clone(),
+                ab_priority: s.ab_priority.or_else(|| is_abcast(s).then_some(settled)),
+            })
+            .collect()
     }
 }
 
@@ -175,7 +193,7 @@ mod tests {
         }
     }
 
-    fn ab_stored(origin: u16, seq: u64, proposal: u64) -> StoredMsg {
+    fn ab_stored(origin: u16, seq: u64, decided: Option<u64>) -> StoredMsg {
         StoredMsg {
             wire: ProtoMsg::AbData {
                 id: MsgId::new(SiteId(origin), seq),
@@ -184,7 +202,7 @@ mod tests {
                 payload: Message::with_body(seq),
             }
             .encode_frame(GroupId(1)),
-            ab_priority: Some(proposal),
+            ab_priority: decided,
         }
     }
 
@@ -195,7 +213,7 @@ mod tests {
             MsgId::new(SiteId(2), 9)
         );
         assert_eq!(
-            stored_msg_id(&ab_stored(1, 3, 7)).unwrap(),
+            stored_msg_id(&ab_stored(1, 3, Some(7))).unwrap(),
             MsgId::new(SiteId(1), 3)
         );
         let bogus = StoredMsg {
@@ -216,21 +234,49 @@ mod tests {
             [SiteId(1), SiteId(2)].into_iter().collect(),
             SimTime::ZERO,
         );
-        assert!(!c.absorb_ack(SiteId(1), vec![cb_stored(1, 1, 10)]));
-        assert!(c.absorb_ack(SiteId(2), vec![cb_stored(1, 1, 10), cb_stored(2, 1, 20)]));
+        assert!(!c.absorb_ack(SiteId(1), vec![cb_stored(1, 1, 10)], 0));
+        assert!(c.absorb_ack(SiteId(2), vec![cb_stored(1, 1, 10), cb_stored(2, 1, 20)], 0));
         let set = c.deliver_set();
         assert_eq!(set.len(), 2, "duplicates are merged by id");
+        assert!(
+            set.iter().all(|s| s.ab_priority.is_none()),
+            "CBCASTs get none"
+        );
     }
 
     #[test]
-    fn ab_priorities_take_the_maximum_across_reports() {
+    fn a_reported_decision_wins() {
         let mut c = FlushCoordinator::new(2, 0, [SiteId(1)].into_iter().collect(), SimTime::ZERO);
-        c.merge(vec![ab_stored(0, 1, 4)]);
-        c.merge(vec![ab_stored(0, 1, 9)]);
-        c.merge(vec![ab_stored(0, 1, 2)]);
+        c.merge(vec![ab_stored(0, 1, None)], 30);
+        c.merge(vec![ab_stored(0, 1, Some(9))], 12);
+        c.merge(vec![ab_stored(0, 1, None)], 4);
         let set = c.deliver_set();
         assert_eq!(set.len(), 1);
-        assert_eq!(set[0].ab_priority, Some(9));
+        assert_eq!(set[0].ab_priority, Some(9), "not the clocks, not a maximum");
+    }
+
+    #[test]
+    fn undecided_abcasts_settle_above_every_reported_clock() {
+        let mut c = FlushCoordinator::new(2, 0, [SiteId(1)].into_iter().collect(), SimTime::ZERO);
+        c.merge(vec![ab_stored(1, 1, None), ab_stored(0, 2, Some(5))], 7);
+        c.merge(vec![ab_stored(0, 3, None), cb_stored(2, 1, 20)], 11);
+        c.merge(Vec::new(), 9);
+        let set: Vec<(MsgId, Option<u64>)> = c
+            .deliver_set()
+            .iter()
+            .map(|s| (stored_msg_id(s).unwrap(), s.ab_priority))
+            .collect();
+        let id = |origin, seq| MsgId::new(SiteId(origin), seq);
+        assert_eq!(
+            set,
+            vec![
+                (id(0, 2), Some(5)),
+                (id(0, 3), Some(12)),
+                (id(1, 1), Some(12)),
+                (id(2, 1), None),
+            ],
+            "one above the highest clock, whoever reported it; ids break the tie"
+        );
     }
 
     #[test]

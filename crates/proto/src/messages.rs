@@ -87,8 +87,9 @@ pub mod wire_stats {
 pub struct StoredMsg {
     /// The original data-bearing protocol message (`CbData` or `AbData`) in wire form.
     pub wire: Frame,
-    /// For ABCAST messages: the priority this endpoint proposed (in an ack) or the final
-    /// priority decided by the flush coordinator (in a commit).
+    /// For an ABCAST: its final priority if it is decided — at the reporting site (in an
+    /// ack) or by the flush (in a commit, where every ABCAST carries one).  `None` for a
+    /// CBCAST and for an ABCAST the reporting site has not decided.
     pub ab_priority: Option<u64>,
 }
 
@@ -195,12 +196,15 @@ pub enum ProtoMsg {
         /// Retry counter (a takeover after a coordinator failure bumps it).
         attempt: u64,
     },
-    /// Flush phase two: a member site reports its unstable messages and pending proposals.
+    /// Flush phase two: a member site reports its unstable messages and its ABCAST clock.
     FlushAck {
         /// Sequence number of the view being installed.
         target_seq: u64,
         /// The reporting site.
         from_site: SiteId,
+        /// The site's ABCAST priority clock: at least every priority it has delivered.  The
+        /// coordinator settles an ABCAST nobody reports decided above every site's clock.
+        ab_clock: u64,
         /// Messages received in the current view that are not known stable.
         stored: Vec<StoredMsg>,
     },
@@ -520,10 +524,12 @@ impl ProtoMsg {
             ProtoMsg::FlushAck {
                 target_seq,
                 from_site,
+                ab_clock,
                 stored,
             } => {
                 w.put_u64("target-seq", *target_seq);
                 w.put_u64("from-site", from_site.0 as u64);
+                w.put_u64("ab-clock", *ab_clock);
                 put_list(&mut w, "stored", stored, put_stored);
             }
             ProtoMsg::FlushCommit {
@@ -633,6 +639,7 @@ impl ProtoMsg {
             "flush-ack" => ProtoMsg::FlushAck {
                 target_seq: c.u64("target-seq")?,
                 from_site: get_site(&mut c, "from-site")?,
+                ab_clock: c.u64("ab-clock")?,
                 stored: get_list(&mut c, "stored", get_stored)?,
             },
             "flush-commit" => ProtoMsg::FlushCommit {
@@ -852,8 +859,20 @@ mod tests {
         roundtrip(ProtoMsg::FlushAck {
             target_seq: 4,
             from_site: SiteId(1),
+            ab_clock: 12,
             stored: stored.clone(),
         });
+        // An ack that lost its clock would let the commit settle an ABCAST below a priority
+        // the reporter already delivered.
+        assert_field_is_required(
+            ProtoMsg::FlushAck {
+                target_seq: 4,
+                from_site: SiteId(1),
+                ab_clock: 12,
+                stored: Vec::new(),
+            },
+            "ab-clock",
+        );
         let view = View::founding(GroupId(42), p(0, 1)).successor(&[], &[p(1, 1)]);
         let mut covered = Frontier::new();
         covered.observe(MsgId::new(SiteId(1), 9));

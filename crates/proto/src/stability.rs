@@ -12,6 +12,10 @@
 //! messages the view has carried.  Only the held copies themselves are per message, and they
 //! leave as soon as every peer's run has passed them.
 //!
+//! An ABCAST is held from receipt but advertised only once it is *decided* here, so a stable
+//! ABCAST is decided at every member site and a view-change flush never meets one that is
+//! stable yet undecided.  While an ABCAST is undecided its id is a gap in its origin's run.
+//!
 //! The tracker does not send anything.  Its endpoint hands the received set out as a report
 //! ([`crate::endpoint::GossipReport`]) and the host — the site's protocol stack — puts the
 //! reports of all its groups that go to the same peer sites into one stability frame, an
@@ -47,12 +51,12 @@ pub struct StabilityTracker {
     /// This endpoint's own site.
     my_site: SiteId,
     /// Every other member site, with the ids it has acknowledged in this view (the union of
-    /// its gossip).  Stability needs all of them; this site's own receipt is implied by
-    /// holding a copy.
+    /// its gossip).  Stability needs all of them and this site's own `received`.
     peers: Vec<(SiteId, IdSet)>,
-    /// Ids received here in this view — what this site's gossip advertises.  Shared with
-    /// the gossip frames that report it: a report takes a handle, not a copy, and the set is
-    /// copied only if the next receipt finds a frame still holding the last one.
+    /// Ids this site advertises in this view: every CBCAST received here, and every ABCAST
+    /// decided here.  Shared with the gossip frames that report it: a report takes a
+    /// handle, not a copy, and the set is copied only if the next receipt finds a frame
+    /// still holding the last one.
     received: Rc<IdSet>,
     /// Copies not yet known stable: one queue per origin (sorted by site), ascending by
     /// sequence number, so on FIFO traffic copies enter at the back and leave at the front.
@@ -97,7 +101,9 @@ impl StabilityTracker {
         self.held_count
     }
 
-    /// Records that this site received (and is buffering a copy of) a message.
+    /// Records that this site received (and is buffering a copy of) a message, and
+    /// advertises its id.  An ABCAST is only held until it is decided here
+    /// ([`StabilityTracker::set_ab_priority`]).
     pub fn record_local(&mut self, id: MsgId, copy: StoredMsg) {
         if !Rc::make_mut(&mut self.received).insert(id) {
             // A duplicate, or a retransmitted copy of a message already stable here; do not
@@ -109,6 +115,13 @@ impl StabilityTracker {
             self.rounds_since_release = 0;
             return;
         }
+        self.hold(id, copy);
+    }
+
+    /// Holds a copy without advertising its id: how an ABCAST is kept from receipt until
+    /// [`StabilityTracker::set_ab_priority`] records its decision, so that a stable ABCAST
+    /// is one decided at every member site.
+    pub(crate) fn hold(&mut self, id: MsgId, copy: StoredMsg) {
         let queue = match self.held.binary_search_by_key(&id.origin, |(s, _)| *s) {
             Ok(i) => &mut self.held[i].1,
             Err(i) => {
@@ -124,9 +137,10 @@ impl StabilityTracker {
         self.held_count += 1;
     }
 
-    /// Updates the flush-relevant ABCAST priority attached to a held copy (e.g. once the
-    /// final order is known).
+    /// Records that an ABCAST held here was decided at `priority`: its copy carries the
+    /// priority into flush acks, and its id is advertised from now on.
     pub fn set_ab_priority(&mut self, id: MsgId, priority: u64) {
+        Rc::make_mut(&mut self.received).insert(id);
         let Ok(i) = self.held.binary_search_by_key(&id.origin, |(s, _)| *s) else {
             return;
         };
@@ -190,19 +204,26 @@ impl StabilityTracker {
         out
     }
 
-    /// Drops every held copy that all peers have acknowledged.
+    /// Drops every held copy that all peers have acknowledged and this site advertises (an
+    /// undecided ABCAST is held but not yet advertised).
     fn release_stable(&mut self) -> usize {
-        let StabilityTracker { held, peers, .. } = self;
+        let StabilityTracker {
+            held,
+            peers,
+            received,
+            ..
+        } = self;
+        let everywhere = || peers.iter().map(|(_, acked)| acked).chain([&**received]);
         let mut released = 0;
         'origins: for (origin, queue) in held.iter_mut() {
             let Some(&(front, _)) = queue.front() else {
                 continue;
             };
-            // The stretch of this origin's ids that every peer has acknowledged — exact
-            // as long as each peer's acks are a single run.
+            // The stretch of this origin's ids that every site has acknowledged — exact
+            // as long as each site's acks are a single run.
             let (mut lo, mut hi) = (0, u64::MAX);
             let mut one_run_each = true;
-            for (_, acked) in peers.iter() {
+            for acked in everywhere() {
                 match acked.runs_of(*origin) {
                     [] => continue 'origins,
                     [run] => {
@@ -222,7 +243,7 @@ impl StabilityTracker {
                 // A reordered packet is overdue somewhere; look at every copy.
                 queue.retain(|(seq, _)| {
                     let id = MsgId::new(*origin, *seq);
-                    !peers.iter().all(|(_, acked)| acked.contains(id))
+                    !everywhere().all(|acked| acked.contains(id))
                 });
             }
             released += before - queue.len();
@@ -293,12 +314,36 @@ mod tests {
     fn ab_priority_updates_are_carried_in_copies() {
         let mut t = StabilityTracker::new(SiteId(0), vec![SiteId(0), SiteId(1)]);
         t.record_local(id(0, 1), copy(1));
-        t.record_local(id(0, 2), copy(2));
+        t.hold(id(0, 2), copy(2));
+        assert!(!t.received().contains(id(0, 2)), "held, not advertised");
         t.set_ab_priority(id(0, 2), 42);
-        t.set_ab_priority(id(0, 9), 7); // not held: ignored
+        assert!(t.received().contains(id(0, 2)), "advertised once decided");
         let unstable = t.unstable();
+        assert_eq!(unstable.len(), 2);
         assert_eq!(unstable[0].ab_priority, None);
         assert_eq!(unstable[1].ab_priority, Some(42));
+    }
+
+    #[test]
+    fn an_undecided_abcast_is_not_stable_until_decided_here() {
+        // Every peer decided and advertised the message; this site has not decided it, so
+        // its copy stays — the flush must still hear of it from here.
+        let mut t = StabilityTracker::new(SiteId(0), vec![SiteId(0), SiteId(1), SiteId(2)]);
+        t.hold(id(1, 1), copy(1));
+        t.record_local(id(1, 2), copy(2));
+        assert_eq!(t.on_gossip(SiteId(1), &[id(1, 1), id(1, 2)]), 0);
+        assert_eq!(t.on_gossip(SiteId(2), &[id(1, 1), id(1, 2)]), 1);
+        assert_eq!(
+            held_bodies(&t),
+            vec![1],
+            "only the CBCAST behind the gap went"
+        );
+        t.set_ab_priority(id(1, 1), 9);
+        assert!(t.received().contains(id(1, 1)));
+        // The peers still hold their copies until this site's decision reaches them, so
+        // their next gossip comes, and releases this one.
+        assert_eq!(t.on_gossip(SiteId(1), &[]), 1);
+        assert_eq!(t.held_len(), 0);
     }
 
     #[test]

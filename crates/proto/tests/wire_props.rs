@@ -146,10 +146,12 @@ fn reference_tree(msg: &ProtoMsg, group: GroupId) -> Message {
         ProtoMsg::FlushAck {
             target_seq,
             from_site,
+            ab_clock,
             stored,
         } => {
             m.set("target-seq", *target_seq);
             m.set("from-site", from_site.0 as u64);
+            m.set("ab-clock", *ab_clock);
             m.set("stored", pack_stored(stored));
         }
         ProtoMsg::FlushCommit {
@@ -380,6 +382,7 @@ fn arbitrary(rng: &mut DetRng, variant: usize, held: usize) -> ProtoMsg {
         9 => ProtoMsg::FlushAck {
             target_seq: rng.next_below(9),
             from_site: SiteId(rng.next_below(6) as u16),
+            ab_clock: rng.next_below(1 << 40),
             stored: stored(rng, held),
         },
         10 => ProtoMsg::FlushCommit {
@@ -615,6 +618,7 @@ fn bulk_payloads_travel_by_reference_and_flatten_to_the_tree_encoders_bytes() {
     let ack = ProtoMsg::FlushAck {
         target_seq: 4,
         from_site: SiteId(1),
+        ab_clock: 12,
         stored: held.clone(),
     };
     let commit = ProtoMsg::FlushCommit {
@@ -675,6 +679,7 @@ fn edge_shapes_agree_with_the_tree_encoder() {
         ProtoMsg::FlushAck {
             target_seq: 2,
             from_site: SiteId(1),
+            ab_clock: 0,
             stored: Vec::new(),
         },
         // The probe of a wedged endpoint: one entry, nothing received.

@@ -47,8 +47,6 @@ fn quiet_configs() -> (StackConfig, ProtoConfig) {
     let proto_cfg = ProtoConfig {
         stability_interval: hour,
         flush_timeout: hour,
-        abcast_retry: hour,
-        ack_proposal_only: true,
     };
     (stack_cfg, proto_cfg)
 }
