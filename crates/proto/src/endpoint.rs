@@ -287,13 +287,7 @@ impl GroupEndpoint {
             payload,
         }
         .into_frame(self.group);
-        self.stab.record_local(
-            id,
-            StoredMsg {
-                wire: wire.clone(),
-                ab_priority: None,
-            },
-        );
+        self.stab.record_local(id, wire.clone().into());
         self.send_to_peers(PacketKind::Data, wire, out);
         // Deliver locally right away: the caller "can pretend that the message was delivered
         // to its destinations at the moment the CBCAST was issued" (Section 3.4).
@@ -332,19 +326,12 @@ impl GroupEndpoint {
         let ordered = self
             .ab
             .initiate(id, sender, held, self.site, self.peer_sites.clone());
-        let copy = StoredMsg {
-            wire: wire.clone(),
-            ab_priority: None,
-        };
-        if ordered {
-            // A group on one site: decided, and stable, on the spot.
-            self.stab.record_local(id, copy);
-        } else {
-            self.stab.hold(id, copy);
-        }
+        self.stab.hold(id, wire.clone().into());
         self.send_to_peers(PacketKind::Data, wire, out);
         if ordered {
-            self.drain_abcasts(out);
+            // A group on one site: decided at the initiator's own proposal.
+            let priority = self.ab.priority_clock();
+            self.abcast_decided(id, priority, self.site, out);
         }
         Ok(id)
     }
@@ -509,7 +496,7 @@ impl GroupEndpoint {
             _ => false,
         };
         if initiator_failed {
-            self.leave_flush(out);
+            self.leave_flush();
         }
         if let Some(FlushRole::Coordinator(c)) = &mut self.flush {
             let mut complete = false;
@@ -554,7 +541,7 @@ impl GroupEndpoint {
         // and builds the view from the corrected failure set.  If nothing else is pending,
         // no flush restarts and the needless view change never happens.
         if matches!(self.flush, Some(FlushRole::Coordinator(_))) {
-            self.leave_flush(out);
+            self.leave_flush();
         }
         self.maybe_unwedge(out);
         self.start_flush_if_needed(now, out);
@@ -603,17 +590,17 @@ impl GroupEndpoint {
     }
 
     /// Abandons this endpoint's flush role, if any, without a commit: the next attempt
-    /// counts up, and the ABCASTs held back since this site's ack are delivered.
-    fn leave_flush(&mut self, out: &mut Vec<EndpointOutput>) {
+    /// counts up.  ABCASTs held back since this site's ack are not released here: the commit
+    /// that follows (a takeover's, or the abandoned attempt's, relayed) delivers them.
+    fn leave_flush(&mut self) {
         if self.flush.take().is_some() {
             self.flush_attempt += 1;
         }
-        self.drain_abcasts(out);
     }
 
     /// Wedges the endpoint: abandons any flush role, counts the stall, and reports it.
     fn enter_wedge(&mut self, view_seq: u64, out: &mut Vec<EndpointOutput>) {
-        self.leave_flush(out);
+        self.leave_flush();
         let (alive, voters) = self
             .view
             .as_ref()
@@ -770,9 +757,7 @@ impl GroupEndpoint {
                 tiebreak_site,
             } => match self.view_position(*view_seq) {
                 ViewPosition::Current => {
-                    self.ab.decide(*id, *final_priority, *tiebreak_site);
-                    self.stab.set_ab_priority(*id, *final_priority);
-                    self.drain_abcasts(out);
+                    self.abcast_decided(*id, *final_priority, *tiebreak_site, out);
                 }
                 ViewPosition::Future => {
                     self.future_msgs.push((from_site, frame.clone()));
@@ -947,7 +932,6 @@ impl GroupEndpoint {
                     // surviving member (possibly hosted here) take over.
                     self.suspected.insert(p.initiator);
                     self.flush_attempt = p.attempt + 1;
-                    self.drain_abcasts(out);
                     self.start_flush_if_needed(now, out);
                 }
                 None => {}
@@ -1083,13 +1067,7 @@ impl GroupEndpoint {
                 if self.delivered.contains(*id) {
                     return;
                 }
-                self.stab.record_local(
-                    *id,
-                    StoredMsg {
-                        wire: frame.clone(),
-                        ab_priority: None,
-                    },
-                );
+                self.stab.record_local(*id, frame.clone().into());
                 self.receive_cbcast(*id, *sender, *sender_rank as Rank, vt, payload, out);
             }
             ProtoMsg::AbData {
@@ -1102,11 +1080,7 @@ impl GroupEndpoint {
                     return;
                 }
                 if !self.ab.is_pending(id) {
-                    let copy = StoredMsg {
-                        wire: frame.clone(),
-                        ab_priority: None,
-                    };
-                    self.stab.hold(*id, copy);
+                    self.stab.hold(*id, frame.clone().into());
                 }
                 let proposed = self.ab.on_data(*id, *sender, payload.clone());
                 let propose = ProtoMsg::AbPropose {
@@ -1167,8 +1141,6 @@ impl GroupEndpoint {
         tiebreak: SiteId,
         out: &mut Vec<EndpointOutput>,
     ) {
-        self.ab.decide(id, final_priority, tiebreak);
-        self.stab.set_ab_priority(id, final_priority);
         let order = ProtoMsg::AbOrder {
             id,
             view_seq: self.view.as_ref().map(View::seq).unwrap_or(0),
@@ -1177,6 +1149,22 @@ impl GroupEndpoint {
         }
         .into_frame(self.group);
         self.send_to_peers(PacketKind::SetOrder, order, out);
+        self.abcast_decided(id, final_priority, tiebreak, out);
+    }
+
+    /// Records the decision on ABCAST `id` and delivers what it makes deliverable.  One made
+    /// between this site's flush ack and the commit is never gossiped in this view: a peer
+    /// could let it go stable, and no report would carry a decision the ack did not.
+    fn abcast_decided(
+        &mut self,
+        id: MsgId,
+        priority: u64,
+        tiebreak: SiteId,
+        out: &mut Vec<EndpointOutput>,
+    ) {
+        self.ab.decide(id, priority, tiebreak);
+        let acked = matches!(self.flush, Some(FlushRole::Participant(_)));
+        self.stab.set_ab_priority(id, priority, !acked);
         self.drain_abcasts(out);
     }
 

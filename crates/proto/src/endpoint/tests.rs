@@ -605,9 +605,9 @@ fn stable_but_undecided_abcasts_keep_a_single_total_order_across_the_view_change
 // -- ABCAST at the flush cut: hand-routed schedules -------------------------------------------
 //
 // Each schedule breaks total order at the cut unless an ack reports decisions and the
-// site's priority clock, an ABCAST is advertised to stability gossip only once decided, and an
-// acked site delivers no ABCAST before the commit.  The comments name each site's proposals as
-// p<site>(message).
+// site's priority clock, an ABCAST is advertised to stability gossip only once decided and
+// never if decided after the site's ack, and an acked site delivers no ABCAST before the
+// commit.  The comments name each site's proposals as p<site>(message).
 
 #[test]
 fn an_undecided_abcast_settles_above_what_an_acked_site_delivered() {
@@ -691,6 +691,44 @@ fn an_acked_site_delivers_no_abcast_until_the_commit() {
     c.step(0, 2); // site 2's ack: the commit
     c.pump(false);
     assert_eq!(c.one_total_order(&[0, 1, 2]), vec![20, 10]);
+}
+
+#[test]
+fn a_decision_made_after_the_ack_is_not_gossiped_before_the_commit() {
+    let mut c = Cluster::build_three_member_group();
+    c.abcast(2, 10); // M; p2(M) = 1
+    c.step(0, 2); // p0(M) = 1
+    c.step(1, 2); // p1(M) = 1
+    c.abcast(0, 20); // M2; p0(M2) = 2
+    c.step(1, 0); // p1(M2) = 2
+    c.step(2, 0); // M's proposal from site 0
+    c.step(2, 0); // p2(M2) = 2
+    c.step(2, 1); // M's proposal from site 1: M decided at 1, delivered at site 2
+    c.step(0, 1); // M2's proposal from site 1 ...
+    c.step(0, 2); // ... and site 2: M2 decided at 2
+    c.step(0, 2); // M's order: site 0 delivers M, then M2
+    c.step(1, 0); // M2's order: decided at site 1, behind the undecided M
+    c.step(2, 0); // M2's order: site 2 delivers M2
+    assert_eq!(c.delivered_bodies(SiteId(1)), Vec::<u64>::new());
+    // A gossip round before the flush: sites 0 and 2 learn that each other decided M.
+    c.tick_all();
+    for (dst, src) in [(0, 1), (0, 2), (1, 0), (2, 0), (2, 1)] {
+        c.step(dst, src);
+    }
+    c.gbcast(0);
+    c.step(1, 0); // site 1 acks, M undecided and M2 decided at 2
+    c.step(1, 2); // M's order: decided at 1 here, after the ack
+    c.tick_all(); // one gossip round between site 1's ack and site 2's
+    c.step(2, 1); // site 1's gossip
+    c.step(0, 1); // site 1's ack
+    c.step(0, 1); // site 1's gossip
+    c.step(2, 0); // site 2 acks
+    c.step(0, 2); // site 2's gossip
+    c.step(0, 2); // site 2's ack: the commit
+    c.pump(false);
+    // Had site 1 gossiped M, sites 0 and 2 would have let it go stable, no report would
+    // carry its decision, and the commit would settle it above M2 at site 1 alone.
+    assert_eq!(c.one_total_order(&[0, 1, 2]), vec![10, 20]);
 }
 
 #[test]

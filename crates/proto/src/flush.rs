@@ -10,7 +10,7 @@
 //! 2. each site answers `FlushAck` with every message it has received in the current view
 //!    that is not yet known stable (including its own sends), each ABCAST with its final
 //!    priority if it is decided there, plus its ABCAST priority clock; from its ack to the
-//!    commit the site delivers no ABCAST;
+//!    commit the site delivers no ABCAST, and never gossips a decision made in that time;
 //! 3. the coordinator merges the reports — a reported decision wins, and an ABCAST nobody
 //!    decided is settled above every reported clock, so after anything any site delivered —
 //!    and multicasts `FlushCommit` carrying the agreed message set, the new view, and any
@@ -155,14 +155,6 @@ pub enum FlushRole {
 }
 
 impl FlushRole {
-    /// The target view sequence number of the flush.
-    pub fn target_seq(&self) -> u64 {
-        match self {
-            FlushRole::Coordinator(c) => c.target_seq,
-            FlushRole::Participant(p) => p.target_seq,
-        }
-    }
-
     /// When this flush started locally.
     pub fn started_at(&self) -> SimTime {
         match self {
@@ -294,7 +286,6 @@ mod tests {
     #[test]
     fn role_accessors() {
         let c = FlushRole::Coordinator(FlushCoordinator::new(5, 0, BTreeSet::new(), SimTime(123)));
-        assert_eq!(c.target_seq(), 5);
         assert_eq!(c.started_at(), SimTime(123));
         let p = FlushRole::Participant(FlushParticipant {
             target_seq: 6,
@@ -302,6 +293,6 @@ mod tests {
             attempt: 2,
             started_at: SimTime(9),
         });
-        assert_eq!(p.target_seq(), 6);
+        assert_eq!(p.started_at(), SimTime(9));
     }
 }

@@ -93,6 +93,16 @@ pub struct StoredMsg {
     pub ab_priority: Option<u64>,
 }
 
+impl From<Frame> for StoredMsg {
+    /// A copy as an endpoint first holds it: no ABCAST decision yet.
+    fn from(wire: Frame) -> Self {
+        StoredMsg {
+            wire,
+            ab_priority: None,
+        }
+    }
+}
+
 /// One group's report in a [`ProtoMsg::Stability`] frame: the ids the sending site has
 /// received in that group's current view.
 ///

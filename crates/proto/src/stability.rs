@@ -12,9 +12,9 @@
 //! messages the view has carried.  Only the held copies themselves are per message, and they
 //! leave as soon as every peer's run has passed them.
 //!
-//! An ABCAST is held from receipt but advertised only once it is *decided* here, so a stable
-//! ABCAST is decided at every member site and a view-change flush never meets one that is
-//! stable yet undecided.  While an ABCAST is undecided its id is a gap in its origin's run.
+//! An ABCAST is held from receipt but advertised only once it is *decided* here, and not if
+//! it is decided between this site's flush ack and the commit, so no flush report carries a
+//! stable ABCAST as undecided.  Until it is advertised its id is a gap in its origin's run.
 //!
 //! The tracker does not send anything.  Its endpoint hands the received set out as a report
 //! ([`crate::endpoint::GossipReport`]) and the host — the site's protocol stack — puts the
@@ -54,9 +54,9 @@ pub struct StabilityTracker {
     /// its gossip).  Stability needs all of them and this site's own `received`.
     peers: Vec<(SiteId, IdSet)>,
     /// Ids this site advertises in this view: every CBCAST received here, and every ABCAST
-    /// decided here.  Shared with the gossip frames that report it: a report takes a
-    /// handle, not a copy, and the set is copied only if the next receipt finds a frame
-    /// still holding the last one.
+    /// decided here outside a flush ack's wait for the commit.  Shared with the gossip frames
+    /// that report it: a report takes a handle, not a copy, and the set is copied only if the
+    /// next receipt finds a frame still holding the last one.
     received: Rc<IdSet>,
     /// Copies not yet known stable: one queue per origin (sorted by site), ascending by
     /// sequence number, so on FIFO traffic copies enter at the back and leave at the front.
@@ -102,7 +102,7 @@ impl StabilityTracker {
     }
 
     /// Records that this site received (and is buffering a copy of) a message, and
-    /// advertises its id.  An ABCAST is only held until it is decided here
+    /// advertises its id.  An ABCAST is instead held (`hold`) until it is decided here
     /// ([`StabilityTracker::set_ab_priority`]).
     pub fn record_local(&mut self, id: MsgId, copy: StoredMsg) {
         if !Rc::make_mut(&mut self.received).insert(id) {
@@ -138,15 +138,24 @@ impl StabilityTracker {
     }
 
     /// Records that an ABCAST held here was decided at `priority`: its copy carries the
-    /// priority into flush acks, and its id is advertised from now on.
-    pub fn set_ab_priority(&mut self, id: MsgId, priority: u64) {
-        Rc::make_mut(&mut self.received).insert(id);
+    /// priority into flush acks.  If `advertise`, its id is gossiped from now on, and the
+    /// copy goes at once if every peer has acknowledged it already.
+    pub fn set_ab_priority(&mut self, id: MsgId, priority: u64, advertise: bool) {
+        let stable = advertise
+            && Rc::make_mut(&mut self.received).insert(id)
+            && self.peers.iter().all(|(_, acked)| acked.contains(id));
         let Ok(i) = self.held.binary_search_by_key(&id.origin, |(s, _)| *s) else {
             return;
         };
         let queue = &mut self.held[i].1;
-        if let Ok(at) = queue.binary_search_by_key(&id.seq, |(seq, _)| *seq) {
-            queue[at].1.ab_priority = Some(priority);
+        let Ok(at) = queue.binary_search_by_key(&id.seq, |(seq, _)| *seq) else {
+            return;
+        };
+        queue[at].1.ab_priority = Some(priority);
+        if stable {
+            queue.remove(at);
+            self.held_count -= 1;
+            self.rounds_since_release = 0;
         }
     }
 
@@ -316,12 +325,27 @@ mod tests {
         t.record_local(id(0, 1), copy(1));
         t.hold(id(0, 2), copy(2));
         assert!(!t.received().contains(id(0, 2)), "held, not advertised");
-        t.set_ab_priority(id(0, 2), 42);
+        t.set_ab_priority(id(0, 2), 42, true);
         assert!(t.received().contains(id(0, 2)), "advertised once decided");
+        t.hold(id(0, 3), copy(3));
+        t.set_ab_priority(id(0, 3), 43, false);
+        assert!(!t.received().contains(id(0, 3)), "decided, not advertised");
         let unstable = t.unstable();
-        assert_eq!(unstable.len(), 2);
+        assert_eq!(unstable.len(), 3);
         assert_eq!(unstable[0].ab_priority, None);
         assert_eq!(unstable[1].ab_priority, Some(42));
+        assert_eq!(unstable[2].ab_priority, Some(43));
+        // An ABCAST every peer acknowledged before this site decided it goes on the
+        // decision, as a single-site group's does.
+        t.on_gossip(SiteId(1), &[id(0, 4)]);
+        t.hold(id(0, 4), copy(4));
+        t.set_ab_priority(id(0, 4), 44, true);
+        assert_eq!(t.held_len(), 3);
+        let mut alone = StabilityTracker::new(SiteId(0), vec![SiteId(0)]);
+        alone.hold(id(0, 1), copy(1));
+        alone.set_ab_priority(id(0, 1), 1, true);
+        assert_eq!(alone.held_len(), 0);
+        assert!(alone.has_reportable());
     }
 
     #[test]
@@ -338,12 +362,9 @@ mod tests {
             vec![1],
             "only the CBCAST behind the gap went"
         );
-        t.set_ab_priority(id(1, 1), 9);
+        t.set_ab_priority(id(1, 1), 9, true);
         assert!(t.received().contains(id(1, 1)));
-        // The peers still hold their copies until this site's decision reaches them, so
-        // their next gossip comes, and releases this one.
-        assert_eq!(t.on_gossip(SiteId(1), &[]), 1);
-        assert_eq!(t.held_len(), 0);
+        assert_eq!(t.held_len(), 0, "every peer had acknowledged it");
     }
 
     #[test]
