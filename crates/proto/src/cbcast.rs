@@ -52,8 +52,8 @@ impl CbcastState {
         }
     }
 
-    /// Resets the state for a new view of `width` members (the flush protocol guarantees
-    /// nothing from the previous view is still undelivered).
+    /// Resets the state for a new view of `width` members.  Nothing from the previous view
+    /// is held back any more: the flush commit delivered what it could and dropped the rest.
     pub fn reset(&mut self, width: usize) {
         self.delivered_vt = VectorClock::zero(width);
         self.holdback.clear();
@@ -133,22 +133,11 @@ impl CbcastState {
         }
     }
 
-    /// Delivers everything still held back, in a deterministic order, ignoring unsatisfiable
-    /// causal dependencies.  Used at the flush cut when a dependency vanished with a failed
-    /// sender that nobody else heard from.
-    pub fn force_drain(&mut self) -> Vec<ReadyCb> {
-        let mut rest: Vec<ReadyCb> = self.holdback.drain(..).map(|h| h.ready).collect();
-        rest.sort_by(|a, b| {
-            (a.sender_rank, a.vt.get(a.sender_rank), a.id).cmp(&(
-                b.sender_rank,
-                b.vt.get(b.sender_rank),
-                b.id,
-            ))
-        });
-        for r in &rest {
-            self.delivered_vt.merge(&r.vt);
-        }
-        rest
+    /// Empties the holdback queue and returns the ids it held, in arrival order.  Used after
+    /// a flush commit: a message still held back then waits for a predecessor that no
+    /// survivor has, so no survivor may deliver it.
+    pub(crate) fn discard(&mut self) -> Vec<MsgId> {
+        self.holdback.drain(..).map(|h| h.ready.id).collect()
     }
 }
 
@@ -233,18 +222,17 @@ mod tests {
     }
 
     #[test]
-    fn force_drain_releases_stuck_messages_in_deterministic_order() {
+    fn discard_drops_stuck_messages_and_delivers_nothing() {
         let mut cb = CbcastState::new(3);
         // Both messages depend on a rank-2 message nobody will ever get.
         let a = mk(3, 0, vec![1, 0, 1]);
         let b = mk(4, 1, vec![0, 1, 1]);
         assert!(cb.receive(b.clone()).is_empty());
         assert!(cb.receive(a.clone()).is_empty());
-        let drained = cb.force_drain();
-        assert_eq!(drained.len(), 2);
-        assert_eq!(drained[0].id, a.id, "lower sender rank first");
-        assert_eq!(drained[1].id, b.id);
+        assert_eq!(cb.discard(), vec![b.id, a.id], "in arrival order");
         assert_eq!(cb.holdback_len(), 0);
+        // Nothing was delivered.
+        assert_eq!(cb.delivered_vt(), &VectorClock::zero(3));
     }
 
     /// Feeds `arrivals` to two machines — one through `receive_into` alone, one trying the

@@ -108,9 +108,8 @@ pub struct GroupEndpoint {
     ab: AbcastState,
     stab: StabilityTracker,
     /// Ids delivered in the current view (the dedup filter for retransmissions and flush
-    /// redelivery), with their count beside them.
+    /// redelivery).
     delivered: IdSet,
-    delivered_count: usize,
     flush: Option<FlushRole>,
     /// Membership changes queued at (or forwarded to) the acting coordinator.
     pending_joins: Vec<ProcessId>,
@@ -170,7 +169,6 @@ impl GroupEndpoint {
             ab: AbcastState::new(),
             stab: StabilityTracker::new(site, vec![site]),
             delivered: IdSet::new(),
-            delivered_count: 0,
             flush: None,
             pending_joins: Vec::new(),
             pending_leaves: Vec::new(),
@@ -291,7 +289,7 @@ impl GroupEndpoint {
         self.send_to_peers(PacketKind::Data, wire, out);
         // Deliver locally right away: the caller "can pretend that the message was delivered
         // to its destinations at the moment the CBCAST was issued" (Section 3.4).
-        self.mark_delivered(id);
+        self.delivered.insert(id);
         self.emit_delivery(id, ProtocolKind::Cbcast, local, out);
         Ok(id)
     }
@@ -589,9 +587,18 @@ impl GroupEndpoint {
         false
     }
 
+    /// True from this site's flush ack to the commit (or to leaving the flush): the window in
+    /// which it delivers nothing from the current view and gossips no new receipt, because
+    /// the report it sent cannot carry them.  A CBCAST that arrives in it is delivered only
+    /// if the commit carries it.
+    fn acked(&self) -> bool {
+        matches!(self.flush, Some(FlushRole::Participant(_)))
+    }
+
     /// Abandons this endpoint's flush role, if any, without a commit: the next attempt
-    /// counts up.  ABCASTs held back since this site's ack are not released here: the commit
-    /// that follows (a takeover's, or the abandoned attempt's, relayed) delivers them.
+    /// counts up.  Nothing held since this site's ack is released here — an ABCAST decided
+    /// or a CBCAST received in that window: the commit that follows (a takeover's, or the
+    /// abandoned attempt's, relayed) delivers them.
     fn leave_flush(&mut self) {
         if self.flush.take().is_some() {
             self.flush_attempt += 1;
@@ -1021,13 +1028,6 @@ impl GroupEndpoint {
         }
     }
 
-    /// Adds `id` to the delivered set; false if it was delivered before (a duplicate).
-    fn mark_delivered(&mut self, id: MsgId) -> bool {
-        let new = self.delivered.insert(id);
-        self.delivered_count += usize::from(new);
-        new
-    }
-
     fn emit_delivery(
         &mut self,
         id: MsgId,
@@ -1065,6 +1065,10 @@ impl GroupEndpoint {
                 ..
             } => {
                 if self.delivered.contains(*id) {
+                    return;
+                }
+                if self.acked() {
+                    self.stab.hold(*id, frame.clone().into());
                     return;
                 }
                 self.stab.record_local(*id, frame.clone().into());
@@ -1110,7 +1114,7 @@ impl GroupEndpoint {
         out: &mut Vec<EndpointOutput>,
     ) {
         if self.cb.deliver_in_order(sender_rank, vt) {
-            if self.mark_delivered(id) {
+            if self.delivered.insert(id) {
                 self.emit_delivery(id, ProtocolKind::Cbcast, payload.clone(), out);
             }
             return;
@@ -1127,7 +1131,7 @@ impl GroupEndpoint {
             &mut ready,
         );
         for r in ready.drain(..) {
-            if self.mark_delivered(r.id) {
+            if self.delivered.insert(r.id) {
                 self.emit_delivery(r.id, ProtocolKind::Cbcast, r.payload, out);
             }
         }
@@ -1163,19 +1167,18 @@ impl GroupEndpoint {
         out: &mut Vec<EndpointOutput>,
     ) {
         self.ab.decide(id, priority, tiebreak);
-        let acked = matches!(self.flush, Some(FlushRole::Participant(_)));
-        self.stab.set_ab_priority(id, priority, !acked);
+        self.stab.set_ab_priority(id, priority, !self.acked());
         self.drain_abcasts(out);
     }
 
     /// Delivers the ABCASTs whose order is final here — except between this site's flush
     /// ack and the commit, whose priorities may overrule a decision made here since the ack.
     fn drain_abcasts(&mut self, out: &mut Vec<EndpointOutput>) {
-        if matches!(self.flush, Some(FlushRole::Participant(_))) {
+        if self.acked() {
             return;
         }
         for r in self.ab.drain() {
-            if self.mark_delivered(r.id) {
+            if self.delivered.insert(r.id) {
                 self.emit_delivery(r.id, ProtocolKind::Abcast, r.payload, out);
             }
         }
@@ -1353,7 +1356,6 @@ impl GroupEndpoint {
         // One frame: sent to every site, applied here, kept as the bulletin, and relayed by
         // every receiver, without ever being written (or, in one process, read) again.
         let commit = ProtoMsg::FlushCommit {
-            target_seq: new_view.seq(),
             view: new_view,
             deliver,
             covered,
@@ -1365,19 +1367,17 @@ impl GroupEndpoint {
                 self.send_to_site(s, PacketKind::Flush, commit.clone(), out);
             }
         }
-        let applied = self.apply_commit(now, &commit, false, out);
-        debug_assert!(
-            applied.is_ok(),
-            "the coordinator's undecided ABCASTs are all in its own report"
-        );
+        // The coordinator can drop only CBCASTs here (see `apply_commit`), and every other
+        // survivor holding one finds it in this commit and drops it too.
+        let _ = self.apply_commit(now, &commit, false, out);
     }
 
     /// Applies a flush commit.  `commit` is the frame itself — the one `complete_flush`
-    /// just built, or the one `on_message` received — because installing a view also means
-    /// forwarding that frame (the relay) and keeping it (the bulletin), and a frame in hand
-    /// need not be written again.
+    /// just built (`relay` false), or the one `on_message` received — because installing a
+    /// view also means forwarding that frame (the relay) and keeping it (the bulletin), and a
+    /// frame in hand need not be written again.
     ///
-    /// Returns an error naming the ABCASTs the cut dropped here, if any, once the view is
+    /// Returns an error naming the messages the cut dropped here, if any, once the view is
     /// installed: the hosting stack traces it.
     fn apply_commit(
         &mut self,
@@ -1389,7 +1389,6 @@ impl GroupEndpoint {
         let Ok((
             _,
             ProtoMsg::FlushCommit {
-                target_seq,
                 view: new_view,
                 deliver,
                 covered,
@@ -1399,7 +1398,7 @@ impl GroupEndpoint {
         else {
             return Ok(());
         };
-        let target_seq = *target_seq;
+        let target_seq = new_view.seq();
         if let Some(v) = &self.view {
             if target_seq <= v.seq() {
                 return Ok(());
@@ -1469,7 +1468,9 @@ impl GroupEndpoint {
                     payload,
                     ..
                 } => {
-                    if self.delivered.contains(*id) || (joining && covered.covers(*id)) {
+                    // A CBCAST received here before the ack is delivered, or held back for a
+                    // predecessor this loop may yet bring.
+                    if self.stab.received().contains(*id) || (joining && covered.covers(*id)) {
                         continue;
                     }
                     self.receive_cbcast(*id, *sender, *sender_rank as Rank, vt, payload, out);
@@ -1494,20 +1495,19 @@ impl GroupEndpoint {
                 _ => {}
             }
         }
-        // Every ABCAST in the cut is decided now.  One still undecided was never in it: a
-        // crashed initiator's message that reached this site after its ack, which no
-        // survivor reported.  It is dropped, so whatever else this site holds is delivered
-        // by the one rule — priority order.
-        let dropped = self.ab.discard_undecided();
+        // Every message in the cut has been through its protocol now, and what this site
+        // still cannot deliver is dropped.  An undecided ABCAST was never in the cut: a
+        // crashed initiator's message that reached this site after its ack, which no survivor
+        // reported.  A held-back CBCAST misses a predecessor that no survivor has, so no
+        // survivor delivered it, and every one holding it drops it too.
+        let mut dropped = self.ab.discard_undecided();
+        debug_assert!(
+            relay || dropped.is_empty(),
+            "the coordinator's undecided ABCASTs are all in its own report"
+        );
+        dropped.extend(self.cb.discard());
         self.flush = None;
         self.drain_abcasts(out);
-        // Anything still stuck had dependencies that vanished with their sender; deliver in a
-        // deterministic order so every survivor sees the same thing.
-        for r in self.cb.force_drain() {
-            if self.mark_delivered(r.id) {
-                self.emit_delivery(r.id, ProtocolKind::Cbcast, r.payload, out);
-            }
-        }
         // The cut is complete: install the view and deliver the view event plus any GBCASTs.
         // The event carries the cut's covered frontier so a state-transfer source encoding
         // its snapshot *while handling this event* can tag the blocks with exactly what the
@@ -1552,7 +1552,7 @@ impl GroupEndpoint {
             Ok(())
         } else {
             Err(VsError::Internal(format!(
-                "undecided ABCASTs outside the cut to view {target_seq} dropped: {dropped:?}"
+                "messages the cut to view {target_seq} left undeliverable dropped: {dropped:?}"
             )))
         }
     }
@@ -1575,7 +1575,6 @@ impl GroupEndpoint {
         self.ab.reset();
         self.stab.reset(member_sites);
         self.delivered.clear();
-        self.delivered_count = 0;
         self.flush = None;
         self.flush_attempt = 0;
         // A committed view is primary by construction: any wedge episode ends here, and
@@ -1614,11 +1613,6 @@ impl GroupEndpoint {
     /// commit did not cross a thread boundary.
     pub fn last_commit(&self) -> Option<&Frame> {
         self.last_commit.as_ref()
-    }
-
-    /// Test/diagnostic helper: number of messages delivered in the current view.
-    pub fn delivered_count(&self) -> usize {
-        self.delivered_count
     }
 
     /// Returns a tick interval hint for the hosting stack.

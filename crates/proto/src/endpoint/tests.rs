@@ -191,6 +191,22 @@ impl Cluster {
         });
     }
 
+    /// Member `site` CBCASTs `body`.
+    fn cbcast(&mut self, site: u16, body: u64) {
+        self.exec(SiteId(site), |ep, now, out| {
+            ep.cbcast(now, member(site), Message::with_body(body), out)
+                .unwrap();
+        });
+    }
+
+    /// Site `site` learns that the members at the `crashed` sites have crashed.
+    fn confirm_crashes(&mut self, site: u16, crashed: &[u16]) {
+        let crashed: Vec<ProcessId> = crashed.iter().map(|s| member(*s)).collect();
+        self.exec(SiteId(site), |ep, now, out| {
+            ep.confirm_failures(now, &crashed, out);
+        });
+    }
+
     /// Member `site` ABCASTs `body`.
     fn abcast(&mut self, site: u16, body: u64) {
         self.exec(SiteId(site), |ep, now, out| {
@@ -244,19 +260,22 @@ impl Cluster {
         self.views.get(&site).and_then(|v| v.last())
     }
 
+    /// Builds a group of `n` members spanning sites `0..n`, member i at site i with rank i.
+    fn build_group(n: u16) -> Cluster {
+        let mut c = Cluster::new(n);
+        c.exec(SiteId(0), |ep, _now, out| ep.create(member(0), out));
+        for joiner in 1..n {
+            c.exec(SiteId(0), |ep, now, out| {
+                ep.submit_join(now, member(joiner), None, out).unwrap();
+            });
+            c.pump(false);
+        }
+        c
+    }
+
     /// Builds a three-member group spanning sites 0, 1, 2 (member i at site i).
     fn build_three_member_group() -> Cluster {
-        let mut c = Cluster::new(3);
-        c.exec(SiteId(0), |ep, _now, out| ep.create(member(0), out));
-        c.exec(SiteId(0), |ep, now, out| {
-            ep.submit_join(now, member(1), None, out).unwrap();
-        });
-        c.pump(false);
-        c.exec(SiteId(0), |ep, now, out| {
-            ep.submit_join(now, member(2), None, out).unwrap();
-        });
-        c.pump(false);
-        c
+        Cluster::build_group(3)
     }
 }
 
@@ -517,14 +536,7 @@ fn abcast_orphaned_by_sender_failure_is_finalized_by_the_flush() {
 /// (sites 0 and 2): exactly half of the view, holding the rank-0 member, which the
 /// primary-partition fence admits.
 fn stable_undecided_abcasts_after_crash() -> Cluster {
-    let mut c = Cluster::new(4);
-    c.exec(SiteId(0), |ep, _now, out| ep.create(member(0), out));
-    for joiner in [1u16, 2, 3] {
-        c.exec(SiteId(0), |ep, now, out| {
-            ep.submit_join(now, member(joiner), None, out).unwrap();
-        });
-        c.pump(false);
-    }
+    let mut c = Cluster::build_group(4);
     // Member 1 initiates A (body 10) and member 3 initiates B (body 20) concurrently.
     c.exec(SiteId(1), |ep, now, out| {
         ep.abcast(now, member(1), Message::with_body(10u64), out)
@@ -602,12 +614,16 @@ fn stable_but_undecided_abcasts_keep_a_single_total_order_across_the_view_change
     }
 }
 
-// -- ABCAST at the flush cut: hand-routed schedules -------------------------------------------
+// -- At the flush cut: hand-routed schedules --------------------------------------------------
 //
-// Each schedule breaks total order at the cut unless an ack reports decisions and the
-// site's priority clock, an ABCAST is advertised to stability gossip only once decided and
-// never if decided after the site's ack, and an acked site delivers no ABCAST before the
-// commit.  The comments name each site's proposals as p<site>(message).
+// One rule settles both protocols at the cut.  An ack reports what the site holds that may
+// not be everywhere, each ABCAST with its priority if decided there, and the site's priority
+// clock; an ABCAST is advertised to stability gossip only once decided, and never if decided
+// after the ack.  From its ack to the commit a site delivers nothing.  The commit's set is
+// delivered, an ABCAST nobody decided settled above every reported clock, and whatever is
+// still undeliverable after it is dropped.  Each schedule but the last gives two survivors
+// different deliveries in the view, or breaks causal or total order, without one of these
+// rules.  The comments name each site's proposals as p<site>(message).
 
 #[test]
 fn an_undecided_abcast_settles_above_what_an_acked_site_delivered() {
@@ -729,6 +745,79 @@ fn a_decision_made_after_the_ack_is_not_gossiped_before_the_commit() {
     // Had site 1 gossiped M, sites 0 and 2 would have let it go stable, no report would
     // carry its decision, and the commit would settle it above M2 at site 1 alone.
     assert_eq!(c.one_total_order(&[0, 1, 2]), vec![10, 20]);
+}
+
+#[test]
+fn an_acked_site_delivers_no_cbcast_until_the_commit() {
+    let mut c = Cluster::build_three_member_group();
+    c.cbcast(2, 7); // m
+    c.drop_channel(SiteId(0), SiteId(2)); // m's copy to site 0 is lost ...
+    c.crash_site(SiteId(2)); // ... and its sender crashes
+    c.confirm_crashes(0, &[2]);
+    c.step(1, 0); // site 1 acks without m
+    c.step(1, 2); // m arrives after the ack: held, not delivered
+    assert_eq!(c.delivered_bodies(SiteId(1)), Vec::<u64>::new());
+    // The commit does not carry m.  Had site 1 delivered m, it would be the one survivor
+    // to have it in the view.
+    c.pump(false);
+    assert_eq!(c.one_total_order(&[0, 1]), Vec::<u64>::new());
+    for s in [0u16, 1] {
+        let v = c.endpoints[&SiteId(s)].view().unwrap();
+        assert_eq!(v.members, vec![member(0), member(1)], "site {s}");
+    }
+}
+
+#[test]
+fn a_cbcast_whose_predecessor_no_survivor_has_is_dropped_at_the_cut() {
+    let mut c = Cluster::build_group(4);
+    c.cbcast(2, 1); // p
+    c.step(3, 2); // only site 3 receives p ...
+    c.drop_channel(SiteId(0), SiteId(2));
+    c.drop_channel(SiteId(1), SiteId(2));
+    c.crash_site(SiteId(2)); // ... before its sender crashes
+    c.cbcast(3, 2); // m, causally after p
+    c.step(1, 3); // only site 1 receives m, and holds it back for p
+    c.drop_channel(SiteId(0), SiteId(3));
+    c.crash_site(SiteId(3));
+    c.confirm_crashes(0, &[2, 3]);
+    c.step(1, 0); // site 1 acks with m
+    c.step(0, 1); // site 1's ack: the commit carries m, which site 0 holds back for p too
+    let commit = self_channel_take(&mut c, SiteId(1), SiteId(0));
+    let applied = c.exec(SiteId(1), |ep, now, out| {
+        ep.on_message(now, SiteId(0), &commit, out)
+    });
+    // No survivor will ever deliver p, so none may deliver m.
+    assert_eq!(c.one_total_order(&[0, 1]), Vec::<u64>::new());
+    let dropped = applied.expect_err("the drop is reported").to_string();
+    assert!(dropped.contains("[m3:1]"), "{dropped}");
+    for s in [0u16, 1] {
+        let v = c.endpoints[&SiteId(s)].view().unwrap();
+        assert_eq!(v.members, vec![member(0), member(1)], "site {s}");
+    }
+}
+
+#[test]
+fn a_cbcast_held_since_the_ack_is_re_reported_to_a_takeover_coordinator() {
+    let mut c = Cluster::build_group(4);
+    c.exec(SiteId(0), |ep, now, out| {
+        ep.submit_leave(now, member(3), out).unwrap();
+    });
+    c.step(2, 0); // site 2 acks site 0's flush
+    c.cbcast(3, 9); // m, from a site that has not seen the flush request yet
+    c.step(2, 3); // site 2 holds m
+    c.drop_channel(SiteId(1), SiteId(0));
+    c.drop_channel(SiteId(1), SiteId(3));
+    c.crash_site(SiteId(0));
+    c.crash_site(SiteId(3));
+    for s in [1u16, 2] {
+        c.confirm_crashes(s, &[0, 3]);
+    }
+    c.pump(false); // site 1 takes over; site 2's re-ack carries m
+    assert_eq!(c.one_total_order(&[1, 2]), vec![9]);
+    for s in [1u16, 2] {
+        let v = c.endpoints[&SiteId(s)].view().unwrap();
+        assert_eq!(v.members, vec![member(1), member(2)], "site {s}");
+    }
 }
 
 #[test]
@@ -965,7 +1054,8 @@ fn a_long_view_keeps_gossip_and_dedup_state_bounded() {
     for s in [0u16, 1, 2] {
         let ep = &c.endpoints[&SiteId(s)];
         assert_eq!(ep.unstable_len(), 0, "site {s}");
-        assert_eq!(ep.delivered_count(), MESSAGES as usize, "site {s}");
+        // Every site's ids run from 1 without a gap, so the frontier's weight counts them.
+        assert_eq!(ep.delivered.frontier().weight(), MESSAGES, "site {s}");
     }
     // (c) Site 1 receives the first and third of three multicasts; while the second is
     // overdue its gossip lists the third explicitly, and no longer once the gap closes.
@@ -1021,7 +1111,7 @@ fn a_long_view_keeps_gossip_and_dedup_state_bounded() {
         let ev = c.latest_view(SiteId(s)).expect("view event");
         assert_eq!(ev.view.seq(), view_seq + 1, "site {s}");
         assert_eq!(ev.covered, folded, "site {s}");
-        assert_eq!(c.endpoints[&SiteId(s)].delivered_count(), 0, "site {s}");
+        assert!(c.endpoints[&SiteId(s)].delivered.is_empty(), "site {s}");
     }
 }
 
@@ -1264,14 +1354,7 @@ fn majority_cuts_the_minority_which_rejoins_after_heal() {
 
 #[test]
 fn an_even_split_has_exactly_one_winner_the_rank_zero_side() {
-    let mut c = Cluster::new(4);
-    c.exec(SiteId(0), |ep, _now, out| ep.create(member(0), out));
-    for m in [1u16, 2, 3] {
-        c.exec(SiteId(0), |ep, now, out| {
-            ep.submit_join(now, member(m), None, out).unwrap();
-        });
-        c.pump(false);
-    }
+    let mut c = Cluster::build_group(4);
     for s in [0u16, 1, 2, 3] {
         assert_eq!(c.endpoints[&SiteId(s)].view().unwrap().seq(), 4, "site {s}");
     }

@@ -10,13 +10,15 @@
 //! 2. each site answers `FlushAck` with every message it has received in the current view
 //!    that is not yet known stable (including its own sends), each ABCAST with its final
 //!    priority if it is decided there, plus its ABCAST priority clock; from its ack to the
-//!    commit the site delivers no ABCAST, and never gossips a decision made in that time;
+//!    commit the site delivers nothing, and gossips neither a decision made nor a CBCAST
+//!    received in that time;
 //! 3. the coordinator merges the reports — a reported decision wins, and an ABCAST nobody
 //!    decided is settled above every reported clock, so after anything any site delivered —
 //!    and multicasts `FlushCommit` carrying the agreed message set, the new view, and any
 //!    user GBCAST payloads;
-//! 4. every member delivers whatever it is missing from the agreed set, then delivers the
-//!    view-change event, then resumes normal operation in the new view.
+//! 4. every member delivers whatever it is missing from the agreed set, drops what it still
+//!    cannot deliver (an ABCAST no report carried, a CBCAST whose predecessor none did),
+//!    then delivers the view-change event, then resumes normal operation in the new view.
 //!
 //! This module holds the bookkeeping for both roles; the driving logic lives in
 //! [`crate::endpoint::GroupEndpoint`].

@@ -220,9 +220,7 @@ pub enum ProtoMsg {
     },
     /// Flush phase three: the coordinator distributes the agreed cut and the new view.
     FlushCommit {
-        /// Sequence number of the view being installed.
-        target_seq: u64,
-        /// The new view.
+        /// The new view; its sequence number is the one this flush installs.
         view: View,
         /// Messages every member must deliver (if it has not already) before the view event.
         deliver: Vec<StoredMsg>,
@@ -543,13 +541,11 @@ impl ProtoMsg {
                 put_list(&mut w, "stored", stored, put_stored);
             }
             ProtoMsg::FlushCommit {
-                target_seq,
                 view,
                 deliver,
                 covered,
                 gbcasts,
             } => {
-                w.put_u64("target-seq", *target_seq);
                 view.write_fields(&mut w);
                 put_list(&mut w, "deliver", deliver, put_stored);
                 w.put_u64_list("covered", &covered.to_wire());
@@ -653,7 +649,6 @@ impl ProtoMsg {
                 stored: get_list(&mut c, "stored", get_stored)?,
             },
             "flush-commit" => ProtoMsg::FlushCommit {
-                target_seq: c.u64("target-seq")?,
                 view: View::read_fields(&mut c)?,
                 deliver: get_list(&mut c, "deliver", get_stored)?,
                 covered: Frontier::from_wire(&c.u64_list("covered")?.to_vec()),
@@ -888,7 +883,6 @@ mod tests {
         covered.observe(MsgId::new(SiteId(1), 9));
         covered.observe(MsgId::new(SiteId(0), 4));
         roundtrip(ProtoMsg::FlushCommit {
-            target_seq: 4,
             view: view.clone(),
             deliver: stored,
             covered,
@@ -896,7 +890,6 @@ mod tests {
         });
         // An empty frontier (nothing unstable at the cut) also survives the wire.
         roundtrip(ProtoMsg::FlushCommit {
-            target_seq: 4,
             view,
             deliver: Vec::new(),
             covered: Frontier::new(),
@@ -910,7 +903,6 @@ mod tests {
         // nothing" (which would silently double-apply at joiners).
         let view = View::founding(GroupId(42), p(0, 1));
         let mut wire = ProtoMsg::FlushCommit {
-            target_seq: 2,
             view,
             deliver: Vec::new(),
             covered: Frontier::new(),
@@ -939,7 +931,7 @@ mod tests {
     #[test]
     fn cb_data_without_a_timestamp_is_rejected() {
         // An empty timestamp never satisfies the causal delivery test: the message would
-        // sit in the holdback queue until the next flush force-drained it.
+        // sit in the holdback queue until the next flush dropped it.
         assert_field_is_required(
             ProtoMsg::CbData {
                 id: MsgId::new(SiteId(1), 7),

@@ -14,7 +14,8 @@
 //!
 //! An ABCAST is held from receipt but advertised only once it is *decided* here, and not if
 //! it is decided between this site's flush ack and the commit, so no flush report carries a
-//! stable ABCAST as undecided.  Until it is advertised its id is a gap in its origin's run.
+//! stable ABCAST as undecided.  A CBCAST received in that window is held and never
+//! advertised either.  Until an id is advertised it is a gap in its origin's run.
 //!
 //! The tracker does not send anything.  Its endpoint hands the received set out as a report
 //! ([`crate::endpoint::GossipReport`]) and the host — the site's protocol stack — puts the
@@ -53,8 +54,8 @@ pub struct StabilityTracker {
     /// Every other member site, with the ids it has acknowledged in this view (the union of
     /// its gossip).  Stability needs all of them and this site's own `received`.
     peers: Vec<(SiteId, IdSet)>,
-    /// Ids this site advertises in this view: every CBCAST received here, and every ABCAST
-    /// decided here outside a flush ack's wait for the commit.  Shared with the gossip frames
+    /// Ids this site advertises in this view: every CBCAST received and every ABCAST decided
+    /// here outside a flush ack's wait for the commit.  Shared with the gossip frames
     /// that report it: a report takes a handle, not a copy, and the set is copied only if the
     /// next receipt finds a frame still holding the last one.
     received: Rc<IdSet>,
@@ -120,7 +121,8 @@ impl StabilityTracker {
 
     /// Holds a copy without advertising its id: how an ABCAST is kept from receipt until
     /// [`StabilityTracker::set_ab_priority`] records its decision, so that a stable ABCAST
-    /// is one decided at every member site.
+    /// is one decided at every member site, and how a CBCAST that arrives between this
+    /// site's flush ack and the commit is kept for a re-ack to a takeover coordinator.
     pub(crate) fn hold(&mut self, id: MsgId, copy: StoredMsg) {
         let queue = match self.held.binary_search_by_key(&id.origin, |(s, _)| *s) {
             Ok(i) => &mut self.held[i].1,

@@ -155,13 +155,11 @@ fn reference_tree(msg: &ProtoMsg, group: GroupId) -> Message {
             m.set("stored", pack_stored(stored));
         }
         ProtoMsg::FlushCommit {
-            target_seq,
             view,
             deliver,
             covered,
             gbcasts,
         } => {
-            m.set("target-seq", *target_seq);
             m.set("view-group", view.id.group);
             m.set("view-seq", view.id.seq);
             m.set("view-members", addrs(&view.members));
@@ -386,7 +384,6 @@ fn arbitrary(rng: &mut DetRng, variant: usize, held: usize) -> ProtoMsg {
             stored: stored(rng, held),
         },
         10 => ProtoMsg::FlushCommit {
-            target_seq: rng.next_below(9),
             view: view(rng),
             deliver: stored(rng, held),
             covered: frontier(rng),
@@ -622,7 +619,6 @@ fn bulk_payloads_travel_by_reference_and_flatten_to_the_tree_encoders_bytes() {
         stored: held.clone(),
     };
     let commit = ProtoMsg::FlushCommit {
-        target_seq: 4,
         view: view(&mut rng),
         deliver: held,
         covered: frontier(&mut rng),
@@ -660,7 +656,6 @@ fn edge_shapes_agree_with_the_tree_encoder() {
     for msg in [
         // Empty everything a commit can carry.
         ProtoMsg::FlushCommit {
-            target_seq: 2,
             view: view.clone(),
             deliver: Vec::new(),
             covered: Frontier::new(),
@@ -668,7 +663,6 @@ fn edge_shapes_agree_with_the_tree_encoder() {
         },
         // A view with joined and departed members, non-empty gbcasts, one held message.
         ProtoMsg::FlushCommit {
-            target_seq: 4,
             view: view
                 .successor(&[], &[ProcessId::new(SiteId(1), 1)])
                 .successor(&[founder], &[ProcessId::new(SiteId(2), 1)]),

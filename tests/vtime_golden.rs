@@ -3,8 +3,8 @@
 //! One fixed-seed `rt::sim` scenario — 4 sites, 300 paced operations mixing CBCAST, ABCAST
 //! and group RPC, one join with a state transfer and one site crash, both under load —
 //! must reproduce, to the packet, byte and microsecond, the numbers captured on the commit
-//! before protocol frames became wire-born (issue 14; the byte total re-pinned twice since,
-//! see the constant).  Packet sizes drive fragmentation
+//! before protocol frames became wire-born (the byte total has been re-pinned since, each
+//! time with its reason beside the constant).  Packet sizes drive fragmentation
 //! and link delay in the simulator, so a change that moves the size model
 //! (`Message::encoded_len` / `Frame::model_len` / `Packet::wire_size`) or the number of
 //! packets a primitive costs shows up here, in `cargo test`, and not only in the
@@ -271,9 +271,11 @@ fn fixed_seed_scenario_reproduces_packet_byte_and_latency_counts_exactly() {
     // packets −142 B: an ack gains its `ab-clock` and loses `abp` on undecided copies.  The
     // larger gossip costs one CBCAST 1 µs below; the 19 ABCASTs that wait for the crashed
     // site are decided after the survivors' acks and so delivered at the commit, 167 µs later.
+    // Then 1 072 215 → 1 071 690 when a commit stopped carrying `target-seq`, always its
+    // view's own sequence number: 21 commit packets × 25 B for the field.
     assert_eq!(
         totals,
-        (4087, 4057, 30, 0, 1_072_215, 999, 899),
+        (4087, 4057, 30, 0, 1_071_690, 999, 899),
         "(packets, inter-site, intra-site, fragments, bytes, deliveries, logged)"
     );
     let lat = |n, p50, p99, max, sum| Latencies {
