@@ -1,9 +1,8 @@
-//! Logical clocks: Lamport scalar clocks and per-view vector clocks.
+//! Per-view vector clocks.
 //!
 //! The CBCAST protocol orders potentially causally related multicasts (paper Section 3.1)
-//! using vector timestamps indexed by the sender's rank in the current group view.  ABCAST
-//! uses Lamport-style scalar priorities for its two-phase ordering.  Both clock types live
-//! here so they can be property-tested in isolation.
+//! using vector timestamps indexed by the sender's rank in the current group view.  The
+//! clock lives here so it can be property-tested in isolation.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -11,39 +10,6 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use crate::ids::Rank;
-
-/// A Lamport scalar clock.
-///
-/// `tick` advances local time; `observe` merges a remote timestamp, ensuring the clock never
-/// runs behind any event it has heard about.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LamportClock {
-    value: u64,
-}
-
-impl LamportClock {
-    /// Creates a clock at zero.
-    pub fn new() -> Self {
-        LamportClock { value: 0 }
-    }
-
-    /// Returns the current value without advancing.
-    pub fn current(&self) -> u64 {
-        self.value
-    }
-
-    /// Advances the clock for a local event and returns the new value.
-    pub fn tick(&mut self) -> u64 {
-        self.value += 1;
-        self.value
-    }
-
-    /// Merges a remote timestamp and advances past it.
-    pub fn observe(&mut self, remote: u64) -> u64 {
-        self.value = self.value.max(remote) + 1;
-        self.value
-    }
-}
 
 /// Result of comparing two vector timestamps.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -81,11 +47,6 @@ impl VectorClock {
         VectorClock { entries }
     }
 
-    /// Number of components (group members) this clock covers.
-    pub fn width(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Returns the component for `rank`, or 0 if the clock is narrower than `rank`.
     pub fn get(&self, rank: Rank) -> u64 {
         self.entries.get(rank).copied().unwrap_or(0)
@@ -119,13 +80,13 @@ impl VectorClock {
     }
 
     /// Returns true if `self <= other` component-wise.
-    pub fn dominated_by(&self, other: &VectorClock) -> bool {
+    fn dominated_by(&self, other: &VectorClock) -> bool {
         let width = self.entries.len().max(other.entries.len());
         (0..width).all(|i| self.get(i) <= other.get(i))
     }
 
     /// Compares two vector timestamps under the causal (happened-before) partial order.
-    pub fn causal_cmp(&self, other: &VectorClock) -> CausalOrder {
+    fn causal_cmp(&self, other: &VectorClock) -> CausalOrder {
         let le = self.dominated_by(other);
         let ge = other.dominated_by(self);
         match (le, ge) {
@@ -182,16 +143,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lamport_tick_and_observe() {
-        let mut c = LamportClock::new();
-        assert_eq!(c.tick(), 1);
-        assert_eq!(c.tick(), 2);
-        assert_eq!(c.observe(10), 11);
-        assert_eq!(c.observe(3), 12);
-        assert_eq!(c.current(), 12);
-    }
-
-    #[test]
     fn vector_clock_basic_ops() {
         let mut a = VectorClock::zero(3);
         a.increment(0);
@@ -200,7 +151,7 @@ mod tests {
         assert_eq!(a.entries(), &[2, 0, 1]);
         assert_eq!(a.get(5), 0);
         a.set(4, 7);
-        assert_eq!(a.width(), 5);
+        assert_eq!(a.entries().len(), 5);
         assert_eq!(a.get(4), 7);
     }
 

@@ -111,18 +111,6 @@ impl NetParams {
         self
     }
 
-    /// Sets the intra-site delay.
-    pub fn with_intra_site_delay(mut self, d: Duration) -> Self {
-        self.intra_site_delay = d;
-        self
-    }
-
-    /// Sets the inter-site delay.
-    pub fn with_inter_site_delay(mut self, d: Duration) -> Self {
-        self.inter_site_delay = d;
-        self
-    }
-
     /// Number of fragments a message of `len` bytes is split into.
     pub fn fragments_for(&self, len: usize) -> usize {
         if len == 0 || self.fragment_size == usize::MAX {

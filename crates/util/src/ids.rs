@@ -104,13 +104,6 @@ impl fmt::Display for ProcessId {
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct GroupId(pub u64);
 
-impl GroupId {
-    /// Returns the raw value.
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-}
-
 impl fmt::Debug for GroupId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "G{}", self.0)
@@ -230,11 +223,6 @@ impl Address {
             Address::Process(_) => None,
         }
     }
-
-    /// Returns true if this address names a group.
-    pub fn is_group(&self) -> bool {
-        matches!(self, Address::Group(_))
-    }
 }
 
 impl From<ProcessId> for Address {
@@ -297,8 +285,6 @@ mod tests {
         assert_eq!(ap.as_process(), Some(p));
         assert_eq!(ap.as_group(), None);
         assert_eq!(ag.as_group(), Some(g));
-        assert!(ag.is_group());
-        assert!(!ap.is_group());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!   mirroring the paper's 8-byte encoded addressing scheme (Section 4.1).
 //! * [`time`] — the virtual time base used by the discrete-event simulator and by the
 //!   sans-io protocol state machines.
-//! * [`clock`] — Lamport and vector logical clocks used by the CBCAST/ABCAST protocols.
+//! * [`clock`] — the per-view vector clocks CBCAST orders by.
 //! * [`error`] — the common error type.
 //! * [`config`] — latency/bandwidth profiles, including the 1987 profile used to reproduce
 //!   the paper's Figures 2 and 3.
@@ -22,7 +22,7 @@ pub mod ids;
 pub mod rng;
 pub mod time;
 
-pub use clock::{LamportClock, VectorClock};
+pub use clock::VectorClock;
 pub use config::{LatencyProfile, NetParams};
 pub use error::{Result, VsError};
 pub use hash::{FastHashMap, FastHashSet, IdBuildHasher, IdHasher};

@@ -73,7 +73,7 @@ impl DetRng {
     }
 
     /// Returns a float uniformly distributed in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
+    fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
@@ -103,11 +103,6 @@ impl DetRng {
         } else {
             Some(&items[self.next_index(items.len())])
         }
-    }
-
-    /// Derives an independent child generator; useful to give each site its own stream.
-    pub fn fork(&mut self) -> DetRng {
-        DetRng::new(self.next_u64())
     }
 }
 
@@ -169,13 +164,5 @@ mod tests {
         let empty: [u8; 0] = [];
         assert!(r.choose(&empty).is_none());
         assert!(r.choose(&[1, 2, 3]).is_some());
-    }
-
-    #[test]
-    fn fork_produces_independent_streams() {
-        let mut parent = DetRng::new(5);
-        let mut c1 = parent.fork();
-        let mut c2 = parent.fork();
-        assert_ne!(c1.next_u64(), c2.next_u64());
     }
 }

@@ -31,11 +31,6 @@ impl SimTime {
         self.0 as f64 / 1_000.0
     }
 
-    /// Returns the time as fractional seconds.
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1_000_000.0
-    }
-
     /// Saturating difference between two times.
     pub fn saturating_since(self, earlier: SimTime) -> Duration {
         Duration(self.0.saturating_sub(earlier.0))
@@ -62,7 +57,7 @@ impl Duration {
     }
 
     /// Builds a duration from fractional seconds, rounding to the nearest microsecond.
-    pub fn from_secs_f64(s: f64) -> Self {
+    pub(crate) fn from_secs_f64(s: f64) -> Self {
         Duration((s * 1_000_000.0).round().max(0.0) as u64)
     }
 
