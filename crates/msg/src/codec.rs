@@ -21,7 +21,7 @@
 //!   values are slices of the input and whose list values stay packed in wire form until
 //!   iterated.  Use it when a caller only needs to *inspect* a stored message (filter by a
 //!   field, count entries) without materialising the whole thing.
-//! * [`decode_shared`] / [`decode_segments`] / [`decode_body_shared`] — the owned path over
+//! * [`decode_shared`] / [`decode_segments`] / `decode_body_shared` — the owned path over
 //!   shared input: `Bytes` values alias the input instead of being copied out of it.
 //!
 //! The same bytes may be held as one buffer or as a [`Segments`] list.  [`encode_segments`]
@@ -228,7 +228,7 @@ pub fn decode_segments(wire: &Segments) -> Result<Message> {
 /// byte — from shared segments it must span exactly.  This is how a [`crate::Frame`] recovered
 /// from inside another frame (a multicast redistributed by a flush) builds its tree; `Bytes`
 /// values alias `body` as in [`decode_segments`].
-pub fn decode_body_shared(body: &Segments) -> Result<Message> {
+pub(crate) fn decode_body_shared(body: &Segments) -> Result<Message> {
     body.read_with(|body| {
         let mut r = Reader::over(body);
         let msg = decode_message(&mut r, 0)?;
@@ -435,9 +435,11 @@ fn decode_value(r: &mut Reader<'_>, depth: usize) -> Result<Value> {
         }
         TAG_ADDR => Value::Addr(decode_address(r.u64("address")?)),
         // Exact-size collects: one allocation, no per-push capacity checks.
-        TAG_ADDR_LIST => {
-            Value::AddrList(AddrsView::new(read_counted(r, 8, "address list")?).to_vec())
-        }
+        TAG_ADDR_LIST => Value::AddrList(
+            AddrsView::new(read_counted(r, 8, "address list")?)
+                .iter()
+                .collect(),
+        ),
         TAG_U64_LIST => Value::U64List(U64sView::new(read_counted(r, 8, "u64 list")?).to_vec()),
         TAG_MSG => Value::Msg(Box::new(decode_message(r, depth + 1)?)),
         other => {
@@ -463,23 +465,20 @@ impl<'a> U64sView<'a> {
     }
 
     /// Number of elements.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.raw.len() / 8
     }
 
-    /// True if the list is empty.
-    pub fn is_empty(&self) -> bool {
-        self.raw.is_empty()
-    }
-
     /// Element `i`, if in bounds.
-    pub fn get(&self, i: usize) -> Option<u64> {
+    #[cfg(test)]
+    fn get(&self, i: usize) -> Option<u64> {
         let chunk = self.raw.get(i * 8..i * 8 + 8)?;
         Some(u64::from_be_bytes(chunk.try_into().expect("8-byte slice")))
     }
 
     /// Iterates the decoded elements.
-    pub fn iter(&self) -> impl Iterator<Item = u64> + 'a {
+    fn iter(&self) -> impl Iterator<Item = u64> + 'a {
         self.raw
             .chunks_exact(8)
             .map(|c| u64::from_be_bytes(c.try_into().expect("8-byte chunk")))
@@ -506,28 +505,20 @@ impl<'a> AddrsView<'a> {
     }
 
     /// Number of addresses.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.raw.len()
     }
 
-    /// True if the list is empty.
-    pub fn is_empty(&self) -> bool {
-        self.raw.is_empty()
-    }
-
     /// Address `i`, if in bounds.
-    pub fn get(&self, i: usize) -> Option<Address> {
+    #[cfg(test)]
+    fn get(&self, i: usize) -> Option<Address> {
         self.raw.get(i).map(decode_address)
     }
 
     /// Iterates the decoded addresses.
     pub fn iter(&self) -> impl Iterator<Item = Address> + 'a {
         self.raw.iter().map(decode_address)
-    }
-
-    /// Copies the list out into an owned vector.
-    pub fn to_vec(&self) -> Vec<Address> {
-        self.iter().collect()
     }
 }
 
@@ -559,7 +550,7 @@ pub enum ValueView<'a> {
 
 impl ValueView<'_> {
     /// Returns the unsigned integer if this is a `U64`.
-    pub fn as_u64(&self) -> Option<u64> {
+    fn as_u64(&self) -> Option<u64> {
         match self {
             ValueView::U64(v) => Some(*v),
             _ => None,
@@ -567,7 +558,8 @@ impl ValueView<'_> {
     }
 
     /// Returns the string slice if this is a `Str`.
-    pub fn as_str(&self) -> Option<&str> {
+    #[cfg(test)]
+    fn as_str(&self) -> Option<&str> {
         match self {
             ValueView::Str(s) => Some(s),
             _ => None,
@@ -575,7 +567,8 @@ impl ValueView<'_> {
     }
 
     /// Returns the byte slice if this is a `Bytes`.
-    pub fn as_bytes(&self) -> Option<&[u8]> {
+    #[cfg(test)]
+    fn as_bytes(&self) -> Option<&[u8]> {
         match self {
             ValueView::Bytes(b) => Some(b),
             _ => None,
@@ -583,7 +576,8 @@ impl ValueView<'_> {
     }
 
     /// Copies the view out into an owned [`Value`].
-    pub fn to_value(&self) -> Value {
+    #[cfg(test)]
+    fn to_value(&self) -> Value {
         match self {
             ValueView::Bool(v) => Value::Bool(*v),
             ValueView::I64(v) => Value::I64(*v),
@@ -592,7 +586,7 @@ impl ValueView<'_> {
             ValueView::Str(s) => Value::Str((*s).to_owned()),
             ValueView::Bytes(b) => Value::Bytes(Bytes::copy_from_slice(b)),
             ValueView::Addr(a) => Value::Addr(*a),
-            ValueView::AddrList(v) => Value::AddrList(v.to_vec()),
+            ValueView::AddrList(v) => Value::AddrList(v.iter().collect()),
             ValueView::U64List(v) => Value::U64List(v.to_vec()),
             ValueView::Msg(m) => Value::Msg(Box::new(m.to_message())),
         }
@@ -611,7 +605,7 @@ pub struct FieldView<'a> {
 /// A message decoded without copying its payload out of the input buffer.
 ///
 /// The view validates exactly as much as [`decode`] does (magic byte, UTF-8, bounds,
-/// trailing garbage); [`MessageView::to_message`] is guaranteed to produce the same
+/// trailing garbage); `MessageView::to_message` is guaranteed to produce the same
 /// [`Message`] the owned decoder would.
 #[derive(Clone, Debug, Default)]
 pub struct MessageView<'a> {
@@ -620,23 +614,14 @@ pub struct MessageView<'a> {
 
 impl<'a> MessageView<'a> {
     /// Number of fields (counting duplicates in the raw encoding separately).
-    pub fn field_count(&self) -> usize {
+    #[cfg(test)]
+    fn field_count(&self) -> usize {
         self.fields.len()
-    }
-
-    /// True if the message has no fields.
-    pub fn is_empty(&self) -> bool {
-        self.fields.is_empty()
-    }
-
-    /// Iterates over the fields in wire order.
-    pub fn iter(&self) -> impl Iterator<Item = &FieldView<'a>> {
-        self.fields.iter()
     }
 
     /// The value of the *last* field named `name`, mirroring the replace-on-duplicate
     /// semantics of the owned decoder.
-    pub fn get(&self, name: &str) -> Option<&ValueView<'a>> {
+    fn get(&self, name: &str) -> Option<&ValueView<'a>> {
         self.fields
             .iter()
             .rev()
@@ -650,18 +635,21 @@ impl<'a> MessageView<'a> {
     }
 
     /// Typed accessor: string slice.
-    pub fn get_str(&self, name: &str) -> Option<&str> {
+    #[cfg(test)]
+    fn get_str(&self, name: &str) -> Option<&str> {
         self.get(name).and_then(ValueView::as_str)
     }
 
     /// Typed accessor: byte slice.
-    pub fn get_bytes(&self, name: &str) -> Option<&[u8]> {
+    #[cfg(test)]
+    fn get_bytes(&self, name: &str) -> Option<&[u8]> {
         self.get(name).and_then(ValueView::as_bytes)
     }
 
     /// Copies the view out into an owned [`Message`] (identical to what [`decode`] returns
     /// for the same input).
-    pub fn to_message(&self) -> Message {
+    #[cfg(test)]
+    fn to_message(&self) -> Message {
         let mut table = Vec::with_capacity(self.fields.len());
         for f in &self.fields {
             put_field(&mut table, FieldName::from(f.name), f.value.to_value());

@@ -38,7 +38,7 @@ pub const CREDENTIALS: &str = "@credentials";
 pub const BODY: &str = "body";
 
 /// Returns true if `name` is reserved for system use.
-pub fn is_system_field(name: &str) -> bool {
+pub(crate) fn is_system_field(name: &str) -> bool {
     name.starts_with('@')
 }
 

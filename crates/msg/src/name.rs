@@ -49,7 +49,7 @@ impl FieldName {
 
     /// The name's bytes.  Unlike going through `Deref<str>`, this skips the inline-buffer
     /// UTF-8 revalidation, which matters to the codec's encode loop and name comparisons.
-    pub fn as_bytes(&self) -> &[u8] {
+    pub(crate) fn as_bytes(&self) -> &[u8] {
         match &self.0 {
             Repr::Inline { len, buf } => &buf[..*len as usize],
             Repr::Heap(s) => s.as_bytes(),
@@ -57,16 +57,11 @@ impl FieldName {
     }
 
     /// Byte length of the name (validation-free; shadows `str::len` via `Deref`).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match &self.0 {
             Repr::Inline { len, .. } => *len as usize,
             Repr::Heap(s) => s.len(),
         }
-    }
-
-    /// True if the name is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Converts to an owned `String` (allocating only if inline).

@@ -39,25 +39,9 @@ pub enum Value {
 }
 
 impl Value {
-    /// Human-readable name of the value's type (used in error messages).
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Value::Bool(_) => "bool",
-            Value::I64(_) => "i64",
-            Value::U64(_) => "u64",
-            Value::F64(_) => "f64",
-            Value::Str(_) => "str",
-            Value::Bytes(_) => "bytes",
-            Value::Addr(_) => "addr",
-            Value::AddrList(_) => "addr-list",
-            Value::U64List(_) => "u64-list",
-            Value::Msg(_) => "message",
-        }
-    }
-
     /// Approximate in-memory / on-wire payload size in bytes, used by the network simulator
     /// to charge serialization and fragmentation costs.
-    pub fn payload_len(&self) -> usize {
+    pub(crate) fn payload_len(&self) -> usize {
         match self {
             Value::Bool(_) => 1,
             Value::I64(_) | Value::U64(_) | Value::F64(_) => 8,
@@ -71,18 +55,9 @@ impl Value {
     }
 
     /// Returns the boolean if this is a `Bool`.
-    pub fn as_bool(&self) -> Option<bool> {
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// Returns the integer if this is an `I64`.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::I64(v) => Some(*v),
-            Value::U64(v) => i64::try_from(*v).ok(),
             _ => None,
         }
     }
@@ -96,16 +71,6 @@ impl Value {
         }
     }
 
-    /// Returns the float if this is an `F64`.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::F64(v) => Some(*v),
-            Value::I64(v) => Some(*v as f64),
-            Value::U64(v) => Some(*v as f64),
-            _ => None,
-        }
-    }
-
     /// Returns the string if this is a `Str`.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -115,7 +80,7 @@ impl Value {
     }
 
     /// Returns the bytes if this is a `Bytes`.
-    pub fn as_bytes(&self) -> Option<&[u8]> {
+    pub(crate) fn as_bytes(&self) -> Option<&[u8]> {
         match self {
             Value::Bytes(b) => Some(b),
             _ => None,
@@ -123,7 +88,7 @@ impl Value {
     }
 
     /// Returns the address if this is an `Addr`.
-    pub fn as_addr(&self) -> Option<Address> {
+    pub(crate) fn as_addr(&self) -> Option<Address> {
         match self {
             Value::Addr(a) => Some(*a),
             _ => None,
@@ -131,7 +96,7 @@ impl Value {
     }
 
     /// Returns the address list if this is an `AddrList`.
-    pub fn as_addr_list(&self) -> Option<&[Address]> {
+    pub(crate) fn as_addr_list(&self) -> Option<&[Address]> {
         match self {
             Value::AddrList(v) => Some(v),
             _ => None,
@@ -139,7 +104,7 @@ impl Value {
     }
 
     /// Returns the integer list if this is a `U64List`.
-    pub fn as_u64_list(&self) -> Option<&[u64]> {
+    pub(crate) fn as_u64_list(&self) -> Option<&[u64]> {
         match self {
             Value::U64List(v) => Some(v),
             _ => None,
@@ -147,7 +112,7 @@ impl Value {
     }
 
     /// Returns the nested message if this is a `Msg`.
-    pub fn as_msg(&self) -> Option<&Message> {
+    pub(crate) fn as_msg(&self) -> Option<&Message> {
         match self {
             Value::Msg(m) => Some(m),
             _ => None,
@@ -264,7 +229,7 @@ impl From<Message> for Value {
 }
 
 /// Helper used by codecs: packs an [`Address`] into the paper's 8-byte encoded form.
-pub fn encode_address(addr: &Address) -> u64 {
+pub(crate) fn encode_address(addr: &Address) -> u64 {
     match addr {
         Address::Process(p) => {
             // Tag bit 0 (MSB clear), then site (16) | local (24) | incarnation (23).
@@ -277,7 +242,7 @@ pub fn encode_address(addr: &Address) -> u64 {
 }
 
 /// Unpacks an [`Address`] from its 8-byte encoded form.
-pub fn decode_address(raw: u64) -> Address {
+pub(crate) fn decode_address(raw: u64) -> Address {
     if raw >> 63 == 1 {
         Address::Group(GroupId(raw & 0x7FFF_FFFF_FFFF_FFFF))
     } else {
@@ -296,11 +261,8 @@ mod tests {
     #[test]
     fn accessors_match_variants() {
         assert_eq!(Value::from(true).as_bool(), Some(true));
-        assert_eq!(Value::from(-5i64).as_i64(), Some(-5));
         assert_eq!(Value::from(7u64).as_u64(), Some(7));
-        assert_eq!(Value::from(7u64).as_i64(), Some(7));
         assert_eq!(Value::from(-1i64).as_u64(), None);
-        assert_eq!(Value::from(2.5f64).as_f64(), Some(2.5));
         assert_eq!(Value::from("hi").as_str(), Some("hi"));
         assert_eq!(Value::from(vec![1u8, 2]).as_bytes(), Some(&[1u8, 2][..]));
         assert_eq!(Value::from("hi").as_u64(), None);
@@ -333,12 +295,5 @@ mod tests {
             Value::AddrList(vec![Address::Group(GroupId(1)); 3]).payload_len(),
             24
         );
-    }
-
-    #[test]
-    fn type_names() {
-        assert_eq!(Value::from(1u64).type_name(), "u64");
-        assert_eq!(Value::from("x").type_name(), "str");
-        assert_eq!(Value::Msg(Box::new(Message::new())).type_name(), "message");
     }
 }
