@@ -26,10 +26,21 @@ struct PeerState {
     alive: bool,
 }
 
+impl PeerState {
+    /// The timeout applied to this peer: the adaptive estimate, never below `base`.
+    fn timeout(&self, base: Duration, safety_factor: f64) -> Duration {
+        let adaptive = self.smoothed_interval.mul_f64(safety_factor);
+        if adaptive > base {
+            adaptive
+        } else {
+            base
+        }
+    }
+}
+
 /// A heartbeat failure detector with an adaptive timeout.
 #[derive(Clone, Debug)]
 pub struct FailureDetector {
-    me: SiteId,
     heartbeat_interval: Duration,
     base_timeout: Duration,
     /// Multiplier applied to the smoothed inter-arrival time to obtain the timeout.
@@ -73,7 +84,6 @@ impl FailureDetector {
             })
             .collect();
         FailureDetector {
-            me,
             heartbeat_interval,
             base_timeout,
             safety_factor: 4.0,
@@ -81,60 +91,9 @@ impl FailureDetector {
         }
     }
 
-    /// The site this detector runs on.
-    pub fn me(&self) -> SiteId {
-        self.me
-    }
-
-    /// The heartbeat period this detector expects (and should itself send at).
-    pub fn heartbeat_interval(&self) -> Duration {
-        self.heartbeat_interval
-    }
-
-    /// Starts monitoring an additional peer (e.g. a site that just recovered).
-    pub fn add_peer(&mut self, peer: SiteId, now: SimTime) {
-        if peer == self.me {
-            return;
-        }
-        self.peers.entry(peer).or_insert(PeerState {
-            last_heard: now,
-            smoothed_interval: self.heartbeat_interval,
-            alive: true,
-        });
-    }
-
-    /// Stops monitoring a peer (e.g. after the membership layer has excluded it).
-    pub fn remove_peer(&mut self, peer: SiteId) {
-        self.peers.remove(&peer);
-    }
-
-    /// Sites currently believed operational.
-    pub fn alive_peers(&self) -> Vec<SiteId> {
-        self.peers
-            .iter()
-            .filter(|(_, s)| s.alive)
-            .map(|(p, _)| *p)
-            .collect()
-    }
-
     /// Returns true if the peer is currently believed operational (unknown peers are not).
     pub fn is_alive(&self, peer: SiteId) -> bool {
         self.peers.get(&peer).map(|s| s.alive).unwrap_or(false)
-    }
-
-    /// Current timeout applied to a peer, reflecting the adaptive estimate.
-    pub fn timeout_for(&self, peer: SiteId) -> Duration {
-        match self.peers.get(&peer) {
-            Some(state) => {
-                let adaptive = state.smoothed_interval.mul_f64(self.safety_factor);
-                if adaptive > self.base_timeout {
-                    adaptive
-                } else {
-                    self.base_timeout
-                }
-            }
-            None => self.base_timeout,
-        }
     }
 
     /// Feeds a heartbeat (or any message, since any traffic proves liveness) from `peer`.
@@ -161,8 +120,7 @@ impl FailureDetector {
 
     /// Checks all peers against their timeouts; returns newly suspected sites.  Runs on
     /// every maintenance tick of every site, so the healthy path (nobody suspected) must
-    /// not allocate: the timeout is computed inline per peer and the verdict vector only
-    /// allocates when a suspicion actually fires.
+    /// not allocate: the verdict vector only allocates when a suspicion actually fires.
     pub fn tick(&mut self, now: SimTime) -> Vec<Verdict> {
         let mut verdicts = Vec::new();
         let base = self.base_timeout;
@@ -171,9 +129,7 @@ impl FailureDetector {
             if !state.alive {
                 continue;
             }
-            let adaptive = state.smoothed_interval.mul_f64(safety);
-            let timeout = if adaptive > base { adaptive } else { base };
-            if now.saturating_since(state.last_heard) > timeout {
+            if now.saturating_since(state.last_heard) > state.timeout(base, safety) {
                 state.alive = false;
                 verdicts.push(Verdict::Suspected(*peer));
             }
@@ -200,7 +156,7 @@ mod tests {
     fn does_not_monitor_itself() {
         let d = detector();
         assert!(!d.is_alive(SiteId(0)));
-        assert_eq!(d.alive_peers(), vec![SiteId(1), SiteId(2)]);
+        assert!(d.is_alive(SiteId(1)) && d.is_alive(SiteId(2)));
     }
 
     #[test]
@@ -249,14 +205,16 @@ mod tests {
     #[test]
     fn timeout_adapts_to_slow_heartbeats() {
         let mut d = detector();
-        let initial = d.timeout_for(SiteId(1));
+        let timeout_1 =
+            |d: &FailureDetector| d.peers[&SiteId(1)].timeout(d.base_timeout, d.safety_factor);
+        let initial = timeout_1(&d);
         // Site 1 is overloaded: heartbeats arrive every 400 ms instead of every 100 ms.
         let mut now = SimTime::ZERO;
         for _ in 0..30 {
             now += Duration::from_millis(400);
             d.on_heartbeat(SiteId(1), now);
         }
-        let adapted = d.timeout_for(SiteId(1));
+        let adapted = timeout_1(&d);
         assert!(
             adapted > initial,
             "timeout should grow: initial {initial:?}, adapted {adapted:?}"
@@ -266,17 +224,5 @@ mod tests {
         d.on_heartbeat(SiteId(1), now);
         let verdicts = d.tick(now);
         assert!(!verdicts.contains(&Verdict::Suspected(SiteId(1))));
-    }
-
-    #[test]
-    fn add_and_remove_peers() {
-        let mut d = detector();
-        d.add_peer(SiteId(5), SimTime::ZERO);
-        assert!(d.is_alive(SiteId(5)));
-        d.remove_peer(SiteId(5));
-        assert!(!d.is_alive(SiteId(5)));
-        // Adding self is a no-op.
-        d.add_peer(SiteId(0), SimTime::ZERO);
-        assert!(!d.is_alive(SiteId(0)));
     }
 }

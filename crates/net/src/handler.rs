@@ -67,15 +67,6 @@ impl Outbox {
         self.timers.push((after, token));
     }
 
-    /// Records a trace line (kept only when trace collection is enabled).  Prefer
-    /// [`Outbox::trace_with`] on hot paths: it skips building the string entirely when
-    /// traces are off.
-    pub fn trace(&mut self, line: impl Into<String>) {
-        if self.collect_traces {
-            self.traces.push(line.into());
-        }
-    }
-
     /// Records a lazily-built trace line; `make` runs only if traces are being collected,
     /// so disabled tracing costs one branch instead of a `format!` allocation.
     pub fn trace_with(&mut self, make: impl FnOnce() -> String) {
@@ -88,11 +79,6 @@ impl Outbox {
     /// work beyond the line itself).
     pub fn traces_enabled(&self) -> bool {
         self.collect_traces
-    }
-
-    /// Returns true if no actions were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.sends.is_empty() && self.timers.is_empty() && self.traces.is_empty()
     }
 
     /// Enables or disables trace collection.  Runtime drivers (the `vsync-rt` node loop)
@@ -126,7 +112,7 @@ mod tests {
     fn free_standing_outbox_records_traces_for_unit_tests() {
         let mut out = Outbox::new();
         assert!(out.traces_enabled());
-        out.trace("kept");
-        assert!(!out.is_empty());
+        out.trace_with(|| "kept".to_owned());
+        assert_eq!(out.drain_traces().collect::<Vec<_>>(), ["kept"]);
     }
 }

@@ -48,16 +48,6 @@ impl NetworkModel {
         }
     }
 
-    /// Returns the configured parameters.
-    pub fn params(&self) -> &NetParams {
-        &self.params
-    }
-
-    /// Replaces the parameters (used by benches that sweep latency profiles).
-    pub fn set_params(&mut self, params: NetParams) {
-        self.params = params;
-    }
-
     /// Plans the delivery of `packet` submitted at time `now`.
     ///
     /// The returned [`DeliveryPlan`] gives the arrival time of the complete message at the
@@ -125,13 +115,6 @@ impl NetworkModel {
             arrival,
             physical_packets: physical,
         }
-    }
-
-    /// Forgets FIFO channel state involving a crashed process so a later incarnation starts
-    /// with a clean channel.
-    pub fn forget_process(&mut self, process: ProcessId) {
-        self.channel_front
-            .retain(|(src, dst), _| !src.same_slot(&process) && !dst.same_slot(&process));
     }
 }
 
@@ -232,16 +215,5 @@ mod tests {
             "with 50% loss many retransmissions must happen, got {extra}"
         );
         assert!(stats.snapshot().retransmissions > 20);
-    }
-
-    #[test]
-    fn forget_process_clears_channel_state() {
-        let stats = SharedStats::new();
-        let mut net = NetworkModel::new(NetParams::paper1987(), stats, 1);
-        let p = mk_packet(100_000, false);
-        net.plan_delivery(SimTime::ZERO, &p);
-        assert!(!net.channel_front.is_empty());
-        net.forget_process(p.src);
-        assert!(net.channel_front.is_empty());
     }
 }

@@ -101,13 +101,13 @@ impl Packet {
     }
 
     /// True if source and destination live on the same site.
-    pub fn is_intra_site(&self) -> bool {
+    pub(crate) fn is_intra_site(&self) -> bool {
         self.src.site == self.dst.site
     }
 
     /// Approximate wire size of the packet (payload plus a small header).  The payload's
     /// share is cached in the frame, so the packets of one fan-out size it once.
-    pub fn wire_size(&self) -> usize {
+    pub(crate) fn wire_size(&self) -> usize {
         self.payload.model_len() + 32
     }
 }

@@ -3,7 +3,7 @@
 //! Table 1 of the paper reports, for every toolkit routine, the *number and kind of
 //! multicasts* it performs.  Figure 3 breaks an ABCAST down into link traversals and packet
 //! costs.  Both are regenerated from the counters collected here: the protocol layer calls
-//! [`NetStats::count_multicast`] every time it initiates a CBCAST/ABCAST/GBCAST (or a reply),
+//! [`SharedStats::count_multicast`] every time it initiates a CBCAST/ABCAST/GBCAST (or a reply),
 //! and the network model counts packets, fragments, bytes and retransmissions as they flow.
 
 use std::cell::RefCell;
@@ -102,12 +102,18 @@ impl NetStats {
     }
 
     /// Records one multicast invocation of the given kind.
-    pub fn count_multicast(&mut self, kind: ProtocolKind) {
+    fn count_multicast(&mut self, kind: ProtocolKind) {
         *self.multicasts.entry(kind).or_insert(0) += 1;
     }
 
     /// Records a packet transmission.
-    pub fn count_packet(&mut self, kind: PacketKind, inter_site: bool, fragments: u64, bytes: u64) {
+    pub(crate) fn count_packet(
+        &mut self,
+        kind: PacketKind,
+        inter_site: bool,
+        fragments: u64,
+        bytes: u64,
+    ) {
         *self.packets.entry(kind).or_insert(0) += 1;
         self.packets_sent += fragments.max(1);
         self.fragments_sent += fragments.saturating_sub(1);
@@ -120,13 +126,13 @@ impl NetStats {
     }
 
     /// Records a retransmission caused by packet loss.
-    pub fn count_retransmission(&mut self) {
+    pub(crate) fn count_retransmission(&mut self) {
         self.retransmissions += 1;
         self.packets_sent += 1;
     }
 
     /// Records a delivery to an application entry point.
-    pub fn count_delivery(&mut self) {
+    fn count_delivery(&mut self) {
         self.deliveries += 1;
     }
 
@@ -173,11 +179,6 @@ impl NetStats {
     /// Returns the number of multicasts of a given kind.
     pub fn multicasts_of(&self, kind: ProtocolKind) -> u64 {
         self.multicasts.get(&kind).copied().unwrap_or(0)
-    }
-
-    /// Total multicasts of any kind.
-    pub fn total_multicasts(&self) -> u64 {
-        self.multicasts.values().sum()
     }
 
     /// Subtracts a baseline snapshot, yielding the activity between the two snapshots.
@@ -315,7 +316,6 @@ mod tests {
         s.count_multicast(ProtocolKind::Reply);
         assert_eq!(s.multicasts_of(ProtocolKind::Cbcast), 2);
         assert_eq!(s.multicasts_of(ProtocolKind::Abcast), 0);
-        assert_eq!(s.total_multicasts(), 3);
         assert_eq!(s.multicast_summary(), "2 CBCAST, 1 reply");
         assert_eq!(NetStats::new().multicast_summary(), "none");
     }
@@ -356,6 +356,6 @@ mod tests {
         assert_eq!(snap.multicasts_of(ProtocolKind::Abcast), 1);
         assert_eq!(snap.deliveries, 1);
         shared.reset();
-        assert_eq!(shared.snapshot().total_multicasts(), 0);
+        assert_eq!(shared.snapshot().multicast_summary(), "none");
     }
 }
