@@ -40,7 +40,7 @@ pub use stack::SiteStack;
 pub use vsync_msg::{fields, Message, Value};
 pub use vsync_net::{MsgId, NetStats, ProtocolKind, SharedStats};
 pub use vsync_proto::{
-    authority_cmp, Delivery, Frontier, LogSummary, ReformStatus, ReformTracker, View, ViewEvent,
+    Delivery, Frontier, LogSummary, ReformStatus, ReformTracker, View, ViewEvent,
 };
 pub use vsync_util::{
     Address, Duration, EntryId, GroupId, LatencyProfile, NetParams, ProcessId, Rank, Result,

@@ -96,7 +96,7 @@ impl AbcastState {
     }
 
     /// Resets the state for a new view.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.priority_clock = 0;
         self.pending.clear();
         self.ready.clear();
@@ -197,7 +197,7 @@ impl AbcastState {
 
     /// A peer site is no longer awaited (it failed); returns a decision if that completes the
     /// collection for any message.  Used when a view change races with an ongoing ABCAST.
-    pub fn forget_site(&mut self, site: SiteId) -> Vec<(MsgId, u64, SiteId)> {
+    pub(crate) fn forget_site(&mut self, site: SiteId) -> Vec<(MsgId, u64, SiteId)> {
         let mut decisions = Vec::new();
         self.collecting.retain(|id, c| {
             c.awaiting.retain(|s| *s != site);
@@ -235,7 +235,7 @@ impl AbcastState {
     }
 
     /// Returns true if the message is known but not yet delivered.
-    pub fn is_pending(&self, id: &MsgId) -> bool {
+    pub(crate) fn is_pending(&self, id: &MsgId) -> bool {
         self.pending.contains_key(id)
     }
 

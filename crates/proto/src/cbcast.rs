@@ -54,18 +54,20 @@ impl CbcastState {
 
     /// Resets the state for a new view of `width` members.  Nothing from the previous view
     /// is held back any more: the flush commit delivered what it could and dropped the rest.
-    pub fn reset(&mut self, width: usize) {
+    pub(crate) fn reset(&mut self, width: usize) {
         self.delivered_vt = VectorClock::zero(width);
         self.holdback.clear();
     }
 
     /// Vector timestamp of everything delivered so far.
-    pub fn delivered_vt(&self) -> &VectorClock {
+    #[cfg(test)]
+    fn delivered_vt(&self) -> &VectorClock {
         &self.delivered_vt
     }
 
     /// Number of messages parked in the holdback queue.
-    pub fn holdback_len(&self) -> usize {
+    #[cfg(test)]
+    fn holdback_len(&self) -> usize {
         self.holdback.len()
     }
 
@@ -94,29 +96,24 @@ impl CbcastState {
 
     /// Handles an incoming CBCAST.  Returns every message (possibly including this one and
     /// previously held ones) that has become deliverable, in causal order.
-    pub fn receive(&mut self, msg: ReadyCb) -> Vec<ReadyCb> {
+    #[cfg(test)]
+    fn receive(&mut self, msg: ReadyCb) -> Vec<ReadyCb> {
         let mut delivered = Vec::new();
         self.receive_into(msg, &mut delivered);
         delivered
     }
 
-    /// Like [`CbcastState::receive`], but appends the deliverable messages to a
-    /// caller-owned vector — the hot receive path reuses one scratch vector across packets
-    /// instead of allocating per receive.
+    /// Handles an incoming CBCAST, appending every message (possibly including this one and
+    /// previously held ones) that has become deliverable, in causal order, to a caller-owned
+    /// vector — the hot receive path reuses one scratch vector across packets instead of
+    /// allocating per receive.
     pub fn receive_into(&mut self, msg: ReadyCb, delivered: &mut Vec<ReadyCb>) {
         self.holdback.push(HeldCb { ready: msg });
         self.drain_into(delivered);
     }
 
     /// Delivers every message whose causal predecessors have been delivered.
-    pub fn drain(&mut self) -> Vec<ReadyCb> {
-        let mut delivered = Vec::new();
-        self.drain_into(&mut delivered);
-        delivered
-    }
-
-    /// Allocation-reusing form of [`CbcastState::drain`].
-    pub fn drain_into(&mut self, delivered: &mut Vec<ReadyCb>) {
+    fn drain_into(&mut self, delivered: &mut Vec<ReadyCb>) {
         loop {
             let idx = self.holdback.iter().position(|h| {
                 self.delivered_vt

@@ -16,9 +16,7 @@ use std::rc::Rc;
 
 use vsync_msg::{Frame, Message};
 use vsync_net::{MsgId, PacketKind, ProtocolKind, SharedStats};
-use vsync_util::{
-    Duration, GroupId, ProcessId, Rank, Result, SimTime, SiteId, VectorClock, VsError,
-};
+use vsync_util::{GroupId, ProcessId, Rank, Result, SimTime, SiteId, VectorClock, VsError};
 
 use crate::abcast::AbcastState;
 use crate::cbcast::{CbcastState, ReadyCb};
@@ -186,16 +184,6 @@ impl GroupEndpoint {
         }
     }
 
-    /// The group this endpoint serves.
-    pub fn group(&self) -> GroupId {
-        self.group
-    }
-
-    /// The site this endpoint runs on.
-    pub fn site(&self) -> SiteId {
-        self.site
-    }
-
     /// The currently installed view, if any.
     pub fn view(&self) -> Option<&View> {
         self.view.as_ref()
@@ -204,22 +192,6 @@ impl GroupEndpoint {
     /// Members of the current view hosted at this site.
     pub fn local_members(&self) -> &[ProcessId] {
         &self.local_members
-    }
-
-    /// True while a flush (view change / GBCAST) is in progress at this endpoint.
-    pub fn is_flushing(&self) -> bool {
-        self.flush.is_some()
-    }
-
-    /// True while the primary-partition fence has this endpoint wedged in a minority
-    /// component (no view change can commit here until the partition heals).
-    pub fn is_wedged(&self) -> bool {
-        self.wedged
-    }
-
-    /// Number of members this endpoint currently suspects.
-    pub fn suspected_len(&self) -> usize {
-        self.suspected.len()
     }
 
     /// Creates the group: installs the founding view with `creator` as the only member.
@@ -1613,11 +1585,6 @@ impl GroupEndpoint {
     /// commit did not cross a thread boundary.
     pub fn last_commit(&self) -> Option<&Frame> {
         self.last_commit.as_ref()
-    }
-
-    /// Returns a tick interval hint for the hosting stack.
-    pub fn tick_interval(&self) -> Duration {
-        self.cfg.stability_interval
     }
 }
 

@@ -828,7 +828,7 @@ fn multicasts_issued_during_a_flush_are_delivered_in_the_next_view() {
         ep.submit_join(now, ProcessId::new(SiteId(0), 9), None, out)
             .unwrap();
     });
-    assert!(c.endpoints[&SiteId(0)].is_flushing());
+    assert!(c.endpoints[&SiteId(0)].flush.is_some());
     // A multicast issued at the flushing site is buffered, not lost.
     c.exec(SiteId(0), |ep, now, out| {
         ep.cbcast(now, member(0), Message::with_body(5u64), out)
@@ -1111,7 +1111,10 @@ fn a_long_view_keeps_gossip_and_dedup_state_bounded() {
         let ev = c.latest_view(SiteId(s)).expect("view event");
         assert_eq!(ev.view.seq(), view_seq + 1, "site {s}");
         assert_eq!(ev.covered, folded, "site {s}");
-        assert!(c.endpoints[&SiteId(s)].delivered.is_empty(), "site {s}");
+        assert!(
+            c.endpoints[&SiteId(s)].delivered.runs().is_empty(),
+            "site {s}"
+        );
     }
 }
 
@@ -1271,7 +1274,7 @@ fn minority_component_wedges_instead_of_cutting_a_view() {
     c.exec(SiteId(2), |ep, now, out| {
         ep.report_failures(now, &[member(0), member(1)], out);
     });
-    assert!(c.endpoints[&SiteId(2)].is_wedged());
+    assert!(c.endpoints[&SiteId(2)].wedged);
     assert_eq!(c.stalls[&SiteId(2)], vec![(3, 1, 3)]);
     // The wedge happens before any flush traffic leaves the site: no FlushReq was sent,
     // so a one-member "view" can never be cut.
@@ -1289,7 +1292,7 @@ fn retracted_suspicion_unwedges_without_a_view_change() {
     c.exec(SiteId(2), |ep, now, out| {
         ep.report_failures(now, &[member(0), member(1)], out);
     });
-    assert!(c.endpoints[&SiteId(2)].is_wedged());
+    assert!(c.endpoints[&SiteId(2)].wedged);
     // The "dead" members speak again (the cut was a delay spike, not a crash): their
     // suspicions are withdrawn on arrival and the wedge lifts, with no view change.
     c.exec(SiteId(0), |ep, now, out| {
@@ -1302,8 +1305,8 @@ fn retracted_suspicion_unwedges_without_a_view_change() {
     });
     c.pump(false);
     let ep2 = &c.endpoints[&SiteId(2)];
-    assert!(!ep2.is_wedged());
-    assert_eq!(ep2.suspected_len(), 0);
+    assert!(!ep2.wedged);
+    assert_eq!(ep2.suspected.len(), 0);
     assert_eq!(ep2.view().unwrap().seq(), 3, "no view change was needed");
     assert_eq!(c.delivered_bodies(SiteId(2)), vec![7, 8]);
     assert_eq!(c.stats.snapshot().suspicions_cleared, 2);
@@ -1336,7 +1339,7 @@ fn majority_cuts_the_minority_which_rejoins_after_heal() {
         assert_eq!(v.members, vec![member(0), member(1)]);
     }
     // ... while the minority wedged at the old view, having missed the commit.
-    assert!(c.endpoints[&SiteId(2)].is_wedged());
+    assert!(c.endpoints[&SiteId(2)].wedged);
     assert_eq!(c.endpoints[&SiteId(2)].view().unwrap().seq(), 3);
     assert!(c.stats.snapshot().minority_wedges >= 1);
     // Heal.  The wedged side's next tick gossips into its stale view; a primary-side
@@ -1385,7 +1388,7 @@ fn an_even_split_has_exactly_one_winner_the_rank_zero_side() {
     }
     // ... and the other half wedges: an even split has one winner, never two.
     for s in [2u16, 3] {
-        assert!(c.endpoints[&SiteId(s)].is_wedged(), "site {s}");
+        assert!(c.endpoints[&SiteId(s)].wedged, "site {s}");
         assert_eq!(c.endpoints[&SiteId(s)].view().unwrap().seq(), 4, "site {s}");
         assert_eq!(c.stalls[&SiteId(s)], vec![(4, 2, 4)], "site {s}");
     }

@@ -34,7 +34,7 @@ use crate::messages::{ProtoMsg, StoredMsg};
 /// frame's typed memo: a held copy that was written or received in this process is not
 /// parsed at all, and one taken out of a flush ack's bytes is parsed once however many id
 /// lookups (stability overlay, coordinator merge, delivery) follow.
-pub fn stored_msg_id(stored: &StoredMsg) -> Result<MsgId> {
+pub(crate) fn stored_msg_id(stored: &StoredMsg) -> Result<MsgId> {
     let (_, proto) = ProtoMsg::decode_frame(&stored.wire)?;
     match proto {
         ProtoMsg::CbData { id, .. } | ProtoMsg::AbData { id, .. } => Ok(*id),
@@ -64,7 +64,7 @@ pub struct FlushCoordinator {
 
 impl FlushCoordinator {
     /// Creates coordinator state awaiting acks from `awaiting`.
-    pub fn new(
+    pub(crate) fn new(
         target_seq: u64,
         attempt: u64,
         awaiting: BTreeSet<SiteId>,
@@ -83,7 +83,7 @@ impl FlushCoordinator {
     /// Merges one site's report: its unstable messages and its ABCAST priority clock.  A
     /// reported decision wins over a report of the same ABCAST as undecided; two decisions
     /// never differ, because an initiator fixes an ABCAST's priority once.
-    pub fn merge(&mut self, stored: Vec<StoredMsg>, ab_clock: u64) {
+    pub(crate) fn merge(&mut self, stored: Vec<StoredMsg>, ab_clock: u64) {
         self.ab_clock = self.ab_clock.max(ab_clock);
         for s in stored {
             let Ok(id) = stored_msg_id(&s) else { continue };
@@ -99,7 +99,12 @@ impl FlushCoordinator {
 
     /// Records an ack from `site` (merging its report); returns true when every awaited site
     /// has answered.
-    pub fn absorb_ack(&mut self, site: SiteId, stored: Vec<StoredMsg>, ab_clock: u64) -> bool {
+    pub(crate) fn absorb_ack(
+        &mut self,
+        site: SiteId,
+        stored: Vec<StoredMsg>,
+        ab_clock: u64,
+    ) -> bool {
         self.merge(stored, ab_clock);
         self.awaiting.remove(&site);
         self.awaiting.is_empty()
@@ -107,7 +112,7 @@ impl FlushCoordinator {
 
     /// Drops a site from the awaited set (it failed mid-flush); returns true if the flush is
     /// now complete.
-    pub fn forget_site(&mut self, site: SiteId) -> bool {
+    pub(crate) fn forget_site(&mut self, site: SiteId) -> bool {
         self.awaiting.remove(&site);
         self.awaiting.is_empty()
     }
@@ -116,7 +121,7 @@ impl FlushCoordinator {
     /// priority.  One that no report decided is settled at one above the highest clock
     /// reported, so after everything any reporter has delivered; such ABCASTs tie, and
     /// their ids order them.
-    pub fn deliver_set(&self) -> Vec<StoredMsg> {
+    pub(crate) fn deliver_set(&self) -> Vec<StoredMsg> {
         let settled = self.ab_clock + 1;
         let is_abcast = |s: &StoredMsg| {
             matches!(
@@ -158,7 +163,7 @@ pub enum FlushRole {
 
 impl FlushRole {
     /// When this flush started locally.
-    pub fn started_at(&self) -> SimTime {
+    pub(crate) fn started_at(&self) -> SimTime {
         match self {
             FlushRole::Coordinator(c) => c.started_at,
             FlushRole::Participant(p) => p.started_at,

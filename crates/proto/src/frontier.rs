@@ -69,7 +69,7 @@ impl Frontier {
 
     /// True if the frontier covers `id`: a snapshot cut at this frontier already includes
     /// the message's effects, so delivering it again would double-apply.
-    pub fn covers(&self, id: MsgId) -> bool {
+    pub(crate) fn covers(&self, id: MsgId) -> bool {
         self.entries
             .binary_search_by_key(&id.origin, |(s, _)| *s)
             .map(|i| id.seq <= self.entries[i].1)
@@ -80,7 +80,7 @@ impl Frontier {
     /// as the reform election's tie-break between logs that agree on the final view seq —
     /// a strictly larger weight means the log delivered (and therefore durably recorded)
     /// more of the group's history before the crash.
-    pub fn weight(&self) -> u64 {
+    pub(crate) fn weight(&self) -> u64 {
         self.entries.iter().map(|(_, seq)| *seq).sum()
     }
 
@@ -139,13 +139,8 @@ impl IdSet {
         IdSet::default()
     }
 
-    /// True if the set holds no id.
-    pub fn is_empty(&self) -> bool {
-        self.runs.is_empty()
-    }
-
     /// Removes every id.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.runs.clear();
     }
 
@@ -155,7 +150,7 @@ impl IdSet {
     }
 
     /// The runs of one origin, ascending; a single run unless a gap is open.
-    pub fn runs_of(&self, origin: SiteId) -> &[Run] {
+    pub(crate) fn runs_of(&self, origin: SiteId) -> &[Run] {
         let start = self.runs.partition_point(|r| r.origin < origin);
         let len = self.runs[start..].partition_point(|r| r.origin == origin);
         &self.runs[start..start + len]
@@ -168,7 +163,7 @@ impl IdSet {
     }
 
     /// True if `id` is in the set.
-    pub fn contains(&self, id: MsgId) -> bool {
+    pub(crate) fn contains(&self, id: MsgId) -> bool {
         self.runs
             .get(self.first_reaching(id.origin, id.seq))
             .is_some_and(|r| r.contains(id))
@@ -256,7 +251,7 @@ impl IdSet {
     }
 
     /// The frontier that covers every id of the set: the per-origin maxima.
-    pub fn frontier(&self) -> Frontier {
+    pub(crate) fn frontier(&self) -> Frontier {
         let mut f = Frontier::new();
         for r in &self.runs {
             f.observe(MsgId::new(r.origin, r.hi));
@@ -275,7 +270,7 @@ impl IdSet {
 
     /// The `runs` half of the wire form, `[origin, lo, hi, ...]`: each origin's first run,
     /// and every later run that is longer than a single id.
-    pub fn wire_runs(&self) -> impl Iterator<Item = u64> + '_ {
+    pub(crate) fn wire_runs(&self) -> impl Iterator<Item = u64> + '_ {
         self.runs_and_stragglers()
             .filter(|(_, straggler)| !straggler)
             .flat_map(|(r, _)| [r.origin.0 as u64, r.lo, r.hi])
@@ -283,14 +278,14 @@ impl IdSet {
 
     /// The `ids` half of the wire form, `[origin, seq, ...]`: the stragglers.  Empty on FIFO
     /// traffic.
-    pub fn wire_ids(&self) -> impl Iterator<Item = u64> + '_ {
+    pub(crate) fn wire_ids(&self) -> impl Iterator<Item = u64> + '_ {
         self.runs_and_stragglers()
             .filter(|(_, straggler)| *straggler)
             .flat_map(|(r, _)| [r.origin.0 as u64, r.lo])
     }
 
-    /// The wire form `(runs, ids)` as two vectors (see [`IdSet::wire_runs`] and
-    /// [`IdSet::wire_ids`], which a frame writer streams without them).
+    /// The wire form `(runs, ids)` as two vectors (see `IdSet::wire_runs` and
+    /// `IdSet::wire_ids`, which a frame writer streams without them).
     pub fn to_wire(&self) -> (Vec<u64>, Vec<u64>) {
         (self.wire_runs().collect(), self.wire_ids().collect())
     }
@@ -299,7 +294,7 @@ impl IdSet {
     /// it re-canonicalises: runs may arrive unsorted, overlapping or touching, an id may
     /// repeat or fall inside a run, and incomplete trailing elements and inverted runs are
     /// ignored.  The result costs memory per run on the wire, not per id covered.
-    pub fn from_wire(runs: &[u64], ids: &[u64]) -> Self {
+    pub(crate) fn from_wire(runs: &[u64], ids: &[u64]) -> Self {
         let mut set = IdSet::new();
         for r in runs.chunks_exact(3) {
             set.insert_run(SiteId(r[0] as u16), r[1], r[2]);
@@ -389,7 +384,7 @@ mod tests {
     #[test]
     fn fifo_inserts_extend_one_run_per_origin() {
         let mut set = IdSet::new();
-        assert!(set.is_empty());
+        assert!(set.runs().is_empty());
         for seq in 5..=9 {
             assert!(set.insert(id(1, seq)), "seq {seq} is new");
             assert!(set.insert(id(0, seq + 100)));
@@ -402,7 +397,7 @@ mod tests {
         assert_eq!(set.runs_of(SiteId(1)), &[run(1, 5, 9)]);
         assert!(set.runs_of(SiteId(2)).is_empty());
         set.clear();
-        assert!(set.is_empty() && !set.contains(id(1, 5)));
+        assert!(set.runs().is_empty() && !set.contains(id(1, 5)));
     }
 
     #[test]

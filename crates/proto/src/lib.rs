@@ -15,7 +15,8 @@
 //!   messages before every membership change — the defining property of virtual synchrony.
 //! * [`stability`] — tracking of which messages are known to have reached every member, so
 //!   flush reports stay small.
-//! * [`sequencer`] — a fixed-sequencer total-order baseline used by the ablation benchmarks.
+//! * [`sequencer`] — the hop counts of a fixed-sequencer total order, for the ablation
+//!   benchmark.
 //!
 //! Everything here is deterministic and free of I/O: inputs are explicit calls plus a clock
 //! value, outputs are [`output::EndpointOutput`] values that the hosting layer (the
@@ -39,5 +40,5 @@ pub use endpoint::{GossipReport, GroupEndpoint};
 pub use frontier::{Frontier, IdSet};
 pub use messages::{ProtoMsg, StabilityEntry};
 pub use output::{Delivery, EndpointOutput, ViewEvent};
-pub use reform::{authority_cmp, LogSummary, ReformStatus, ReformTracker};
+pub use reform::{LogSummary, ReformStatus, ReformTracker};
 pub use view::View;

@@ -109,7 +109,7 @@ impl From<Frame> for StoredMsg {
 /// On the wire an entry nests as `{ group, view-seq, runs, ids? }`: `runs` is
 /// `[origin, lo, hi, ...]`, one triple per origin on FIFO traffic, and `ids` is
 /// `[origin, seq, ...]`, single ids received beyond a gap that is still open, absent
-/// otherwise (see [`IdSet::wire_runs`]).  An entry's size therefore follows the number of
+/// otherwise (see `IdSet::wire_runs`).  An entry's size therefore follows the number of
 /// sites, not the number of messages in the view.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StabilityEntry {
@@ -751,11 +751,6 @@ impl ProtoMsg {
     pub fn decode(m: &Message) -> Result<(GroupId, ProtoMsg)> {
         ProtoMsg::read(&codec::envelope_body(&codec::encode_segments(m))?)
     }
-
-    /// Returns true if the tree form of `m` looks like a protocol message.
-    pub fn is_proto_message(m: &Message) -> bool {
-        m.contains(TYPE_FIELD) && m.contains(GROUP_FIELD)
-    }
 }
 
 #[cfg(test)]
@@ -770,7 +765,6 @@ mod tests {
     fn roundtrip(msg: ProtoMsg) {
         let g = GroupId(42);
         let wire = msg.encode(g);
-        assert!(ProtoMsg::is_proto_message(&wire));
         let (g2, back) = ProtoMsg::decode(&wire).expect("decode");
         assert_eq!(g2, g);
         assert_eq!(back, msg);
@@ -1193,7 +1187,6 @@ mod tests {
 
     #[test]
     fn decode_rejects_non_protocol_messages() {
-        assert!(!ProtoMsg::is_proto_message(&Message::with_body(1u64)));
         assert!(ProtoMsg::decode(&Message::with_body(1u64)).is_err());
         let mut m = Message::new();
         m.set(TYPE_FIELD, "bogus");

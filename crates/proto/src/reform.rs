@@ -10,7 +10,7 @@
 //! transfer.
 //!
 //! This module is the deterministic core of that protocol: the [`LogSummary`] each site
-//! offers, the strict total order [`authority_cmp`] that decides the election identically
+//! offers, the strict total order `authority_cmp` that decides the election identically
 //! at every site, and the [`ReformTracker`] state machine a restarting stack drives with
 //! incoming summaries and its clock.  Wire traffic (`ProtoMsg::ReformSummary` /
 //! `ProtoMsg::ReformAlive`) and retransmission live in the `vsync-core` stack; nothing
@@ -47,7 +47,7 @@ pub struct LogSummary {
 /// deliveries = died later), then the member's rank (older member wins), then the site id
 /// — so the order is total and every site elects the same log without communication
 /// beyond the summaries themselves.
-pub fn authority_cmp(a: &LogSummary, b: &LogSummary) -> Ordering {
+fn authority_cmp(a: &LogSummary, b: &LogSummary) -> Ordering {
     a.view_seq
         .cmp(&b.view_seq)
         .then(a.covered.weight().cmp(&b.covered.weight()))

@@ -1,4 +1,4 @@
-//! A fixed-sequencer total-order baseline.
+//! A hop-count model of a fixed-sequencer total order, for the ablation benchmark.
 //!
 //! The paper's ABCAST uses decentralised two-phase priority agreement.  A common alternative
 //! (used by many later group-communication systems) is a *fixed sequencer*: all messages are
@@ -6,83 +6,10 @@
 //! rebroadcasts them; receivers deliver in sequence-number order.  The sequencer needs fewer
 //! messages per multicast when the sender is not the sequencer's site (2 inter-site hops
 //! instead of 3) but concentrates load and adds a hop for every sender that is not co-located
-//! with the sequencer.  The ablation benchmark (`repro -- ablation-order`) compares the two.
+//! with the sequencer.  The ablation benchmark (`repro -- ablation-order`) compares the two
+//! critical paths as counted here; no sequencer protocol runs.
 
-use std::collections::BTreeMap;
-
-use vsync_msg::Message;
-use vsync_net::MsgId;
-use vsync_util::{ProcessId, SiteId};
-
-/// A message ordered by the sequencer, ready for delivery.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SequencedMsg {
-    /// Original multicast id.
-    pub id: MsgId,
-    /// Application-level sender.
-    pub sender: ProcessId,
-    /// Global sequence number assigned by the sequencer.
-    pub seq: u64,
-    /// Payload.
-    pub payload: Message,
-}
-
-/// State of the sequencer member itself.
-#[derive(Clone, Debug, Default)]
-pub struct Sequencer {
-    next_seq: u64,
-}
-
-impl Sequencer {
-    /// Creates a sequencer starting at sequence number 1.
-    pub fn new() -> Self {
-        Sequencer { next_seq: 0 }
-    }
-
-    /// Assigns the next global sequence number to a message.
-    pub fn assign(&mut self, id: MsgId, sender: ProcessId, payload: Message) -> SequencedMsg {
-        self.next_seq += 1;
-        SequencedMsg {
-            id,
-            sender,
-            seq: self.next_seq,
-            payload,
-        }
-    }
-}
-
-/// Receiver-side state: delivers sequenced messages in gap-free order.
-#[derive(Clone, Debug, Default)]
-pub struct SequencedReceiver {
-    next_expected: u64,
-    pending: BTreeMap<u64, SequencedMsg>,
-}
-
-impl SequencedReceiver {
-    /// Creates a receiver expecting sequence number 1 first.
-    pub fn new() -> Self {
-        SequencedReceiver {
-            next_expected: 1,
-            pending: BTreeMap::new(),
-        }
-    }
-
-    /// Accepts a sequenced message (possibly out of order); returns everything now deliverable.
-    pub fn receive(&mut self, msg: SequencedMsg) -> Vec<SequencedMsg> {
-        self.pending.insert(msg.seq, msg);
-        let mut out = Vec::new();
-        while let Some(m) = self.pending.remove(&self.next_expected) {
-            self.next_expected += 1;
-            out.push(m);
-        }
-        out
-    }
-
-    /// Number of messages waiting for earlier sequence numbers.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-}
+use vsync_util::SiteId;
 
 /// Message cost of one multicast under the sequencer scheme, counted the same way Figure 3
 /// counts ABCAST hops: inter-site messages on the critical path to a remote destination.
@@ -107,64 +34,6 @@ pub fn abcast_inter_site_hops(sender_site: SiteId, destination_site: SiteId) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn pid(site: u16) -> ProcessId {
-        ProcessId::new(SiteId(site), 1)
-    }
-
-    #[test]
-    fn sequencer_assigns_consecutive_numbers() {
-        let mut s = Sequencer::new();
-        let a = s.assign(MsgId::new(SiteId(1), 1), pid(1), Message::with_body(1u64));
-        let b = s.assign(MsgId::new(SiteId(2), 1), pid(2), Message::with_body(2u64));
-        assert_eq!(a.seq, 1);
-        assert_eq!(b.seq, 2);
-    }
-
-    #[test]
-    fn receiver_delivers_in_order_despite_reordering() {
-        let mut s = Sequencer::new();
-        let a = s.assign(MsgId::new(SiteId(1), 1), pid(1), Message::with_body(1u64));
-        let b = s.assign(MsgId::new(SiteId(2), 1), pid(2), Message::with_body(2u64));
-        let c = s.assign(MsgId::new(SiteId(0), 1), pid(0), Message::with_body(3u64));
-        let mut r = SequencedReceiver::new();
-        assert!(r.receive(c.clone()).is_empty());
-        assert!(r.receive(b.clone()).is_empty());
-        assert_eq!(r.pending_len(), 2);
-        let delivered = r.receive(a.clone());
-        assert_eq!(
-            delivered.iter().map(|m| m.seq).collect::<Vec<_>>(),
-            vec![1, 2, 3]
-        );
-        assert_eq!(r.pending_len(), 0);
-    }
-
-    #[test]
-    fn all_receivers_agree_on_the_order() {
-        let mut s = Sequencer::new();
-        let msgs: Vec<SequencedMsg> = (0..10)
-            .map(|i| {
-                s.assign(
-                    MsgId::new(SiteId(i % 3), i as u64),
-                    pid(i % 3),
-                    Message::with_body(i as u64),
-                )
-            })
-            .collect();
-        let mut orders = Vec::new();
-        for skew in 0..3usize {
-            let mut r = SequencedReceiver::new();
-            let mut delivered = Vec::new();
-            let mut arrival = msgs.clone();
-            arrival.rotate_left(skew);
-            for m in arrival {
-                delivered.extend(r.receive(m).into_iter().map(|m| m.seq));
-            }
-            orders.push(delivered);
-        }
-        assert_eq!(orders[0], orders[1]);
-        assert_eq!(orders[1], orders[2]);
-    }
 
     #[test]
     fn hop_counts_match_the_analytical_model() {

@@ -85,7 +85,7 @@ impl StabilityTracker {
     }
 
     /// Resets for a new view.
-    pub fn reset(&mut self, member_sites: Vec<SiteId>) {
+    pub(crate) fn reset(&mut self, member_sites: Vec<SiteId>) {
         self.peers = member_sites
             .into_iter()
             .filter(|s| *s != self.my_site)
@@ -104,7 +104,7 @@ impl StabilityTracker {
 
     /// Records that this site received (and is buffering a copy of) a message, and
     /// advertises its id.  An ABCAST is instead held (`hold`) until it is decided here
-    /// ([`StabilityTracker::set_ab_priority`]).
+    /// (`StabilityTracker::set_ab_priority`).
     pub fn record_local(&mut self, id: MsgId, copy: StoredMsg) {
         if !Rc::make_mut(&mut self.received).insert(id) {
             // A duplicate, or a retransmitted copy of a message already stable here; do not
@@ -142,7 +142,7 @@ impl StabilityTracker {
     /// Records that an ABCAST held here was decided at `priority`: its copy carries the
     /// priority into flush acks.  If `advertise`, its id is gossiped from now on, and the
     /// copy goes at once if every peer has acknowledged it already.
-    pub fn set_ab_priority(&mut self, id: MsgId, priority: u64, advertise: bool) {
+    pub(crate) fn set_ab_priority(&mut self, id: MsgId, priority: u64, advertise: bool) {
         let stable = advertise
             && Rc::make_mut(&mut self.received).insert(id)
             && self.peers.iter().all(|(_, acked)| acked.contains(id));
@@ -498,7 +498,7 @@ mod tests {
         t.on_gossip(SiteId(1), &[id(0, 2)]);
         t.reset(vec![SiteId(0), SiteId(1)]);
         assert_eq!(t.held_len(), 0);
-        assert!(t.received().is_empty());
+        assert!(t.received().runs().is_empty());
         assert!(!t.has_reportable());
         // The previous view's acks are gone too.
         t.record_local(id(0, 2), copy(2));

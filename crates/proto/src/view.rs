@@ -46,7 +46,7 @@ impl View {
     /// incarnation continues the view-sequence line of the authoritative log
     /// (`last logged seq + 1`), so recovery logs written across incarnations stay
     /// totally ordered and a later reform election still compares view seqs directly.
-    pub fn founding_at(group: GroupId, creator: ProcessId, seq: u64) -> Self {
+    pub(crate) fn founding_at(group: GroupId, creator: ProcessId, seq: u64) -> Self {
         View {
             id: ViewId { group, seq },
             members: vec![creator],
@@ -86,7 +86,7 @@ impl View {
     }
 
     /// The oldest member, which acts as the group coordinator for view changes.
-    pub fn coordinator(&self) -> Option<ProcessId> {
+    pub(crate) fn coordinator(&self) -> Option<ProcessId> {
         self.members.first().copied()
     }
 
@@ -142,7 +142,7 @@ impl View {
 
     /// Writes the view as the `view-*` fields of a flush commit — the one place those
     /// fields are written.
-    pub fn write_fields(&self, w: &mut FieldWriter) {
+    pub(crate) fn write_fields(&self, w: &mut FieldWriter) {
         w.put_addr(VIEW_GROUP, self.id.group);
         w.put_u64(VIEW_SEQ, self.id.seq);
         w.put_addr_list(VIEW_MEMBERS, process_addrs(&self.members));
@@ -152,7 +152,7 @@ impl View {
 
     /// Reads a view previously written by [`View::write_fields`] — the one place those
     /// fields are read.  A list that is absent reads as empty.
-    pub fn read_fields(c: &mut FieldCursor<'_>) -> Result<View> {
+    pub(crate) fn read_fields(c: &mut FieldCursor<'_>) -> Result<View> {
         let group = c.addr(VIEW_GROUP)?.as_group().ok_or_else(|| {
             VsError::CodecError(format!("field {VIEW_GROUP:?} is not a group address"))
         })?;
