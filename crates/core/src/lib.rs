@@ -3,7 +3,7 @@
 //! This crate assembles the protocol machinery of `vsync-proto` into the programming model
 //! the paper describes:
 //!
-//! * [`process`] — the per-process runtime: entry points, message filters, monitors, and the
+//! * [`process`] — the per-process runtime: entry points, monitors, and the
 //!   [`process::ToolCtx`] handle through which handlers issue multicasts, replies and calls
 //!   (the continuation-style equivalent of ISIS's lightweight tasks).
 //! * [`rpc`] — group RPC: multicast a request, collect 0 / 1 / N / ALL replies, discard
@@ -32,7 +32,7 @@ pub mod stack;
 
 pub use config::StackConfig;
 pub use process::{CtxAction, EntryHandler, IsisProcess, MonitorHandler, ProcessBuilder, ToolCtx};
-pub use protection::{FilterDecision, ProtectionPolicy};
+pub use protection::ProtectionPolicy;
 pub use rpc::{ReplyWanted, RpcOutcome};
 pub use stack::SiteStack;
 

@@ -1,4 +1,4 @@
-//! The per-process runtime: entry points, filters, monitors and the [`ToolCtx`] handle.
+//! The per-process runtime: entry points, monitors and the [`ToolCtx`] handle.
 //!
 //! "Each process using ISIS binds routines to any entry point on which it will receive
 //! messages. ...  When a message arrives, a new task is started up corresponding to the entry
@@ -15,7 +15,6 @@ use vsync_net::{ProtocolKind, SharedStats};
 use vsync_proto::{View, ViewEvent};
 use vsync_util::{Address, EntryId, GroupId, ProcessId, Rank, SimTime};
 
-use crate::protection::FilterDecision;
 use crate::rpc::{ReplyWanted, RpcOutcome};
 
 /// Handler bound to an entry point.
@@ -26,9 +25,6 @@ pub type MonitorHandler = Box<dyn FnMut(&mut ToolCtx<'_>, &ViewEvent)>;
 
 /// Continuation invoked when a group RPC completes.
 pub type ReplyCallback = Box<dyn FnOnce(&mut ToolCtx<'_>, RpcOutcome)>;
-
-/// Message filter (paper Section 4.1): inspects every arriving message before dispatch.
-pub type MessageFilter = Box<dyn FnMut(&Message) -> FilterDecision>;
 
 /// An action recorded by a handler through its [`ToolCtx`]; the site stack executes the
 /// actions after the handler returns (which is what keeps handlers free of re-entrancy).
@@ -234,13 +230,12 @@ impl<'a> ToolCtx<'a> {
     }
 }
 
-/// A process: its entry-point table, group monitors and message filters.
+/// A process: its entry-point table and group monitors.
 pub struct IsisProcess {
     /// The process identity.
     pub id: ProcessId,
     entries: BTreeMap<EntryId, EntryHandler>,
     monitors: Vec<(GroupId, MonitorHandler)>,
-    filters: Vec<MessageFilter>,
 }
 
 impl IsisProcess {
@@ -250,7 +245,6 @@ impl IsisProcess {
             id,
             entries: BTreeMap::new(),
             monitors: Vec::new(),
-            filters: Vec::new(),
         }
     }
 
@@ -264,25 +258,9 @@ impl IsisProcess {
         self.monitors.push((group, handler));
     }
 
-    /// Adds a message filter; filters run in registration order before dispatch.
-    pub fn add_filter(&mut self, filter: MessageFilter) {
-        self.filters.push(filter);
-    }
-
     /// True if the process has a handler for `entry`.
     pub fn has_entry(&self, entry: EntryId) -> bool {
         self.entries.contains_key(&entry)
-    }
-
-    /// Runs the filter chain over an arriving message.
-    pub fn run_filters(&mut self, msg: &Message) -> FilterDecision {
-        for f in &mut self.filters {
-            match f(msg) {
-                FilterDecision::Accept => continue,
-                other => return other,
-            }
-        }
-        FilterDecision::Accept
     }
 
     /// Dispatches a message to the handler bound to `entry` (if any).
@@ -341,15 +319,6 @@ impl ProcessBuilder {
         handler: impl FnMut(&mut ToolCtx<'_>, &ViewEvent) + 'static,
     ) -> &mut Self {
         self.process.add_monitor(group, Box::new(handler));
-        self
-    }
-
-    /// Adds a message filter.
-    pub fn with_filter(
-        &mut self,
-        filter: impl FnMut(&Message) -> FilterDecision + 'static,
-    ) -> &mut Self {
-        self.process.add_filter(Box::new(filter));
         self
     }
 
@@ -468,27 +437,6 @@ mod tests {
     }
 
     #[test]
-    fn filters_run_in_order_and_short_circuit() {
-        let mut proc = IsisProcess::new(pid());
-        proc.add_filter(Box::new(|m: &Message| {
-            if m.contains("bad") {
-                FilterDecision::Reject("bad field".into())
-            } else {
-                FilterDecision::Accept
-            }
-        }));
-        proc.add_filter(Box::new(|_m: &Message| FilterDecision::Accept));
-        assert_eq!(
-            proc.run_filters(&Message::with_body(1u64)),
-            FilterDecision::Accept
-        );
-        assert!(matches!(
-            proc.run_filters(&Message::new().with("bad", 1u64)),
-            FilterDecision::Reject(_)
-        ));
-    }
-
-    #[test]
     fn reply_target_extraction() {
         let mut req = Message::with_body(1u64);
         req.set_session(42);
@@ -504,8 +452,7 @@ mod tests {
     fn builder_composes_a_process() {
         let mut b = ProcessBuilder::new(pid());
         b.on_entry(EntryId(1), |_ctx, _m| {})
-            .on_view_change(GroupId(1), |_ctx, _e| {})
-            .with_filter(|_m| FilterDecision::Accept);
+            .on_view_change(GroupId(1), |_ctx, _e| {});
         let p = b.build();
         assert!(p.has_entry(EntryId(1)));
         assert_eq!(p.id, pid());

@@ -14,22 +14,13 @@ use std::collections::BTreeSet;
 use vsync_msg::Message;
 use vsync_util::ProcessId;
 
-/// Outcome of running a message filter.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum FilterDecision {
-    /// Deliver the message.
-    Accept,
-    /// Drop the message; the string explains why (surfaced in traces).
-    Reject(String),
-}
-
 /// A per-group protection policy: who may join and who may send.
 #[derive(Clone, Debug, Default)]
 pub struct ProtectionPolicy {
     /// If set, join requests must present exactly this credential string.
     pub join_credential: Option<String>,
-    /// If non-empty, only these processes may send messages to group members through the
-    /// protected entries.
+    /// If non-empty, only these processes may send messages to the group's members; the
+    /// stack drops anything else before it reaches a handler.
     pub trusted_senders: BTreeSet<ProcessId>,
 }
 
@@ -66,21 +57,15 @@ impl ProtectionPolicy {
     }
 
     /// Validates an incoming message using its (unforgeable) sender address.
-    pub fn validate_sender(&self, msg: &Message) -> FilterDecision {
+    pub fn validate_sender(&self, msg: &Message) -> Result<(), String> {
         if self.trusted_senders.is_empty() {
-            return FilterDecision::Accept;
+            return Ok(());
         }
         match msg.sender() {
-            Some(sender) if self.trusted_senders.contains(&sender) => FilterDecision::Accept,
-            Some(sender) => FilterDecision::Reject(format!("untrusted sender {sender}")),
-            None => FilterDecision::Reject("message has no sender address".to_owned()),
+            Some(sender) if self.trusted_senders.contains(&sender) => Ok(()),
+            Some(sender) => Err(format!("untrusted sender {sender}")),
+            None => Err("message has no sender address".to_owned()),
         }
-    }
-
-    /// Builds a message filter closure enforcing this policy.
-    pub fn as_filter(&self) -> impl FnMut(&Message) -> FilterDecision + 'static {
-        let policy = self.clone();
-        move |msg| policy.validate_sender(msg)
     }
 }
 
@@ -97,10 +82,7 @@ mod tests {
     fn open_policy_accepts_everything() {
         let policy = ProtectionPolicy::open();
         assert_eq!(policy.validate_join(None), Ok(()));
-        assert_eq!(
-            policy.validate_sender(&Message::new()),
-            FilterDecision::Accept
-        );
+        assert_eq!(policy.validate_sender(&Message::new()), Ok(()));
     }
 
     #[test]
@@ -116,30 +98,12 @@ mod tests {
         let policy = ProtectionPolicy::open().with_trusted_senders([p(1), p(2)]);
         let mut trusted = Message::with_body(1u64);
         trusted.set_sender(p(1));
-        assert_eq!(policy.validate_sender(&trusted), FilterDecision::Accept);
+        assert_eq!(policy.validate_sender(&trusted), Ok(()));
 
         let mut untrusted = Message::with_body(1u64);
         untrusted.set_sender(p(9));
-        assert!(matches!(
-            policy.validate_sender(&untrusted),
-            FilterDecision::Reject(_)
-        ));
+        assert!(policy.validate_sender(&untrusted).is_err());
 
-        assert!(matches!(
-            policy.validate_sender(&Message::with_body(1u64)),
-            FilterDecision::Reject(_)
-        ));
-    }
-
-    #[test]
-    fn filter_closure_applies_the_policy() {
-        let policy = ProtectionPolicy::open().with_trusted_senders([p(1)]);
-        let mut filter = policy.as_filter();
-        let mut ok = Message::new();
-        ok.set_sender(p(1));
-        assert_eq!(filter(&ok), FilterDecision::Accept);
-        let mut bad = Message::new();
-        bad.set_sender(p(2));
-        assert!(matches!(filter(&bad), FilterDecision::Reject(_)));
+        assert!(policy.validate_sender(&Message::with_body(1u64)).is_err());
     }
 }

@@ -35,7 +35,7 @@ use vsync_util::{
 
 use crate::config::StackConfig;
 use crate::process::{CtxAction, IsisProcess, ReplyCallback, ToolCtx};
-use crate::protection::{FilterDecision, ProtectionPolicy};
+use crate::protection::ProtectionPolicy;
 use crate::rpc::{CollectorStatus, ReplyCollector, ReplyWanted, RpcOutcome};
 use vsync_net::FailureDetector;
 
@@ -263,7 +263,8 @@ impl SiteStack {
         self.contacts.insert(group, contact_sites);
     }
 
-    /// Installs a protection policy for a group (checked at this site when it coordinates).
+    /// Installs a protection policy for a group: joins are checked when this site
+    /// coordinates them, and senders on every message dispatched here.
     pub fn set_policy(&mut self, group: GroupId, policy: ProtectionPolicy) {
         self.policies.insert(group, policy);
     }
@@ -930,17 +931,18 @@ impl SiteStack {
     // and directory tables — disjoint fields, so no remove/re-insert round-trip through the
     // process map per delivery.  Re-entrancy is safe because handlers only *record* actions;
     // `apply_actions` runs after every borrow is released.
+    //
+    // Every message a handler sees passes here, so this is where the protection tool checks
+    // the sender of a message addressed to a protected group (paper Section 3.10).
     fn dispatch_entry(&mut self, pid: ProcessId, entry: EntryId, msg: &Message, out: &mut Outbox) {
+        let policy = msg.group().and_then(|g| self.policies.get(&g));
+        if let Some(Err(why)) = policy.map(|p| p.validate_sender(msg)) {
+            out.trace_with(|| format!("{pid}: protection rejected message at {entry:?}: {why}"));
+            return;
+        }
         let Some(process) = self.processes.get_mut(&pid) else {
             return;
         };
-        match process.run_filters(msg) {
-            FilterDecision::Accept => {}
-            FilterDecision::Reject(why) => {
-                out.trace_with(|| format!("{pid}: filter rejected message at {entry:?}: {why}"));
-                return;
-            }
-        }
         let actions = {
             let mut ctx = ToolCtx::new(pid, self.now, &self.views, &self.directory)
                 .with_stats(self.stats.clone());

@@ -996,6 +996,49 @@ mod tests {
     }
 
     #[test]
+    fn protection_policy_rejects_untrusted_senders() {
+        let mut h = sim_harness(2);
+        let seen: Vec<Rc<RefCell<Vec<u64>>>> = (0..2).map(|_| Rc::default()).collect();
+        let members: Vec<ProcessId> = (0..2u16)
+            .map(|i| {
+                let log = seen[i as usize].clone();
+                h.spawn_local(SiteId(i), move |b| {
+                    b.on_entry(ECHO, move |_ctx, msg| {
+                        log.borrow_mut().push(msg.get_u64("body").unwrap_or(0));
+                    });
+                })
+            })
+            .collect();
+        let trusted = h.spawn(SiteId(1), |_| {});
+        let untrusted = h.spawn(SiteId(1), |_| {});
+        let gid = h.allocate_group_id();
+        h.set_policy(
+            gid,
+            ProtectionPolicy::open().with_trusted_senders([members[0], trusted]),
+        );
+        h.create_group_with_id("guarded", gid, members[0]);
+        h.join_and_wait(gid, members[1], None, Duration::from_secs(5))
+            .expect("join");
+        for (sender, body) in [(untrusted, 1u64), (trusted, 2), (members[1], 3)] {
+            h.client_send(
+                sender,
+                gid,
+                ECHO,
+                Message::with_body(body),
+                ProtocolKind::Cbcast,
+            );
+        }
+        h.settle(Duration::from_millis(200));
+        for (i, log) in seen.iter().enumerate() {
+            assert_eq!(
+                log.borrow().as_slice(),
+                &[2],
+                "member {i} hears only the trusted sender"
+            );
+        }
+    }
+
+    #[test]
     fn views_monitoring_from_handlers() {
         let mut h = sim_harness(2);
         let creator = h.spawn(SiteId(0), |_| {});
