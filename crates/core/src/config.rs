@@ -21,7 +21,7 @@ pub struct StackConfig {
 
 impl StackConfig {
     /// Derives stack timers from a latency profile: slower networks need slower timers.
-    pub fn for_profile(profile: LatencyProfile) -> Self {
+    fn for_profile(profile: LatencyProfile) -> Self {
         let params = NetParams::for_profile(profile);
         StackConfig::from_params(&params)
     }

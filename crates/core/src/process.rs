@@ -47,7 +47,7 @@ pub enum CtxAction {
     /// Reply to a request received earlier.
     Reply {
         /// The session being answered and the process collecting its replies, resolved
-        /// from the request when the action was recorded (see [`reply_target`]); `None` if
+        /// from the request when the action was recorded (see `reply_target`); `None` if
         /// the request carried no session, which the stack traces instead of answering.
         target: Option<(u64, ProcessId)>,
         /// Reply payload.
@@ -85,7 +85,7 @@ pub struct ToolCtx<'a> {
 
 impl<'a> ToolCtx<'a> {
     /// Creates a context (called by the site stack before dispatching a handler).
-    pub fn new(
+    pub(crate) fn new(
         me: ProcessId,
         now: SimTime,
         views: &'a BTreeMap<GroupId, View>,
@@ -103,7 +103,7 @@ impl<'a> ToolCtx<'a> {
 
     /// Attaches the site's statistics counters (called by the site stack; contexts built
     /// without them — e.g. in unit tests — simply have no counters to bump).
-    pub fn with_stats(mut self, stats: SharedStats) -> Self {
+    pub(crate) fn with_stats(mut self, stats: SharedStats) -> Self {
         self.stats = Some(stats);
         self
     }
@@ -140,7 +140,7 @@ impl<'a> ToolCtx<'a> {
     }
 
     /// Drains the recorded actions (called by the site stack).
-    pub fn take_actions(&mut self) -> Vec<CtxAction> {
+    pub(crate) fn take_actions(&mut self) -> Vec<CtxAction> {
         std::mem::take(&mut self.actions)
     }
 
@@ -240,7 +240,7 @@ pub struct IsisProcess {
 
 impl IsisProcess {
     /// Creates an empty process.
-    pub fn new(id: ProcessId) -> Self {
+    fn new(id: ProcessId) -> Self {
         IsisProcess {
             id,
             entries: BTreeMap::new(),
@@ -249,22 +249,22 @@ impl IsisProcess {
     }
 
     /// Binds a handler to an entry point, replacing any previous binding.
-    pub fn bind_entry(&mut self, entry: EntryId, handler: EntryHandler) {
+    fn bind_entry(&mut self, entry: EntryId, handler: EntryHandler) {
         self.entries.insert(entry, handler);
     }
 
     /// Registers a `pg_monitor` callback for a group.
-    pub fn add_monitor(&mut self, group: GroupId, handler: MonitorHandler) {
+    fn add_monitor(&mut self, group: GroupId, handler: MonitorHandler) {
         self.monitors.push((group, handler));
     }
 
-    /// True if the process has a handler for `entry`.
-    pub fn has_entry(&self, entry: EntryId) -> bool {
-        self.entries.contains_key(&entry)
-    }
-
     /// Dispatches a message to the handler bound to `entry` (if any).
-    pub fn dispatch(&mut self, ctx: &mut ToolCtx<'_>, entry: EntryId, msg: &Message) -> bool {
+    pub(crate) fn dispatch(
+        &mut self,
+        ctx: &mut ToolCtx<'_>,
+        entry: EntryId,
+        msg: &Message,
+    ) -> bool {
         if let Some(handler) = self.entries.get_mut(&entry) {
             handler(ctx, msg);
             true
@@ -274,7 +274,7 @@ impl IsisProcess {
     }
 
     /// Dispatches a view event to every monitor registered for the group.
-    pub fn dispatch_view(&mut self, ctx: &mut ToolCtx<'_>, event: &ViewEvent) {
+    pub(crate) fn dispatch_view(&mut self, ctx: &mut ToolCtx<'_>, event: &ViewEvent) {
         for (g, handler) in &mut self.monitors {
             if *g == event.view.group() {
                 handler(ctx, event);
@@ -330,7 +330,7 @@ impl ProcessBuilder {
 
 /// Extracts the reply session and requester from a request message, as recorded in a
 /// [`CtxAction::Reply`].
-pub fn reply_target(request: &Message) -> Option<(u64, ProcessId)> {
+fn reply_target(request: &Message) -> Option<(u64, ProcessId)> {
     let session = request.session()?;
     let requester = request
         .get_addr_list(fields::REPLY_TO)
@@ -399,8 +399,8 @@ mod tests {
                 seen2.borrow_mut().push(msg.get_u64("body").unwrap_or(0));
             }),
         );
-        assert!(proc.has_entry(EntryId(1)));
-        assert!(!proc.has_entry(EntryId(2)));
+        assert!(proc.entries.contains_key(&EntryId(1)));
+        assert!(!proc.entries.contains_key(&EntryId(2)));
         let mut ctx = ToolCtx::new(pid(), SimTime(0), &views, &directory);
         assert!(proc.dispatch(&mut ctx, EntryId(1), &Message::with_body(9u64)));
         assert!(!proc.dispatch(&mut ctx, EntryId(2), &Message::with_body(9u64)));
@@ -454,7 +454,7 @@ mod tests {
         b.on_entry(EntryId(1), |_ctx, _m| {})
             .on_view_change(GroupId(1), |_ctx, _e| {});
         let p = b.build();
-        assert!(p.has_entry(EntryId(1)));
+        assert!(p.entries.contains_key(&EntryId(1)));
         assert_eq!(p.id, pid());
     }
 }

@@ -43,7 +43,7 @@ impl ProtectionPolicy {
     }
 
     /// Validates a join request.
-    pub fn validate_join(&self, credentials: Option<&str>) -> Result<(), String> {
+    pub(crate) fn validate_join(&self, credentials: Option<&str>) -> Result<(), String> {
         match &self.join_credential {
             None => Ok(()),
             Some(required) => {
@@ -57,7 +57,7 @@ impl ProtectionPolicy {
     }
 
     /// Validates an incoming message using its (unforgeable) sender address.
-    pub fn validate_sender(&self, msg: &Message) -> Result<(), String> {
+    pub(crate) fn validate_sender(&self, msg: &Message) -> Result<(), String> {
         if self.trusted_senders.is_empty() {
             return Ok(());
         }

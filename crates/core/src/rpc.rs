@@ -27,7 +27,7 @@ pub enum ReplyWanted {
 
 impl ReplyWanted {
     /// The numeric target given the number of destinations awaited.
-    pub fn target(&self, destinations: usize) -> usize {
+    fn target(&self, destinations: usize) -> usize {
         match self {
             ReplyWanted::None => 0,
             ReplyWanted::One => 1.min(destinations),
@@ -47,13 +47,6 @@ pub struct RpcOutcome {
     /// Set when the collection ended without reaching the target (all remaining destinations
     /// failed, or the deadline passed for an external caller).
     pub error: Option<VsError>,
-}
-
-impl RpcOutcome {
-    /// True if the desired number of replies was collected.
-    pub fn is_ok(&self) -> bool {
-        self.error.is_none()
-    }
 }
 
 /// State of one in-progress reply collection.
@@ -88,19 +81,9 @@ pub enum CollectorStatus {
 }
 
 impl ReplyCollector {
-    /// Creates a collector awaiting replies from `destinations`.
-    pub fn new(
-        caller: ProcessId,
-        session: u64,
-        destinations: Vec<ProcessId>,
-        wanted: ReplyWanted,
-        deadline: Option<SimTime>,
-    ) -> Self {
-        Self::new_with_mode(caller, session, destinations, wanted, deadline, false)
-    }
-
-    /// Creates a collector, optionally in open-ended mode (destination membership unknown).
-    pub fn new_with_mode(
+    /// Creates a collector awaiting replies from `destinations`, optionally in open-ended
+    /// mode (destination membership unknown).
+    pub(crate) fn new(
         caller: ProcessId,
         session: u64,
         destinations: Vec<ProcessId>,
@@ -130,16 +113,6 @@ impl ReplyCollector {
             deadline,
             open_ended,
         }
-    }
-
-    /// Number of real replies still needed.
-    pub fn outstanding(&self) -> usize {
-        self.target.saturating_sub(self.replies.len())
-    }
-
-    /// Processes whose replies are still awaited.
-    pub fn awaiting(&self) -> Vec<ProcessId> {
-        self.awaiting.iter().copied().collect()
     }
 
     fn check(&mut self) -> CollectorStatus {
@@ -172,7 +145,7 @@ impl ReplyCollector {
     }
 
     /// Feeds a reply (normal or null) from `from`.
-    pub fn on_reply(&mut self, from: ProcessId, msg: Message) -> CollectorStatus {
+    pub(crate) fn on_reply(&mut self, from: ProcessId, msg: Message) -> CollectorStatus {
         if self.responded.contains(&from) {
             // Duplicate replies are discarded silently.
             return self.check();
@@ -187,19 +160,19 @@ impl ReplyCollector {
     }
 
     /// Notes that a destination failed before replying.
-    pub fn on_failure(&mut self, failed: ProcessId) -> CollectorStatus {
+    pub(crate) fn on_failure(&mut self, failed: ProcessId) -> CollectorStatus {
         self.awaiting.remove(&failed);
         self.check()
     }
 
     /// Notes that every process at a site failed (site crash).
-    pub fn on_site_failure(&mut self, site: SiteId) -> CollectorStatus {
+    pub(crate) fn on_site_failure(&mut self, site: SiteId) -> CollectorStatus {
         self.awaiting.retain(|p| p.site != site);
         self.check()
     }
 
     /// Checks the deadline.
-    pub fn on_tick(&mut self, now: SimTime) -> CollectorStatus {
+    pub(crate) fn on_tick(&mut self, now: SimTime) -> CollectorStatus {
         if let Some(d) = self.deadline {
             if now >= d {
                 // Reaching the deadline with some replies in hand (an open-ended ALL call,
@@ -257,11 +230,11 @@ mod tests {
     #[test]
     fn collects_until_target() {
         let dests = vec![p(0, 1), p(1, 1), p(2, 1)];
-        let mut c = ReplyCollector::new(p(3, 1), 1, dests, ReplyWanted::Count(2), None);
+        let mut c = ReplyCollector::new(p(3, 1), 1, dests, ReplyWanted::Count(2), None, false);
         assert_eq!(c.on_reply(p(0, 1), reply(10)), CollectorStatus::Pending);
         match c.on_reply(p(1, 1), reply(20)) {
             CollectorStatus::Done(outcome) => {
-                assert!(outcome.is_ok());
+                assert!(outcome.error.is_none());
                 assert_eq!(outcome.replies.len(), 2);
                 assert_eq!(outcome.responders, vec![p(0, 1), p(1, 1)]);
             }
@@ -271,7 +244,14 @@ mod tests {
 
     #[test]
     fn duplicate_replies_are_discarded() {
-        let mut c = ReplyCollector::new(p(3, 1), 1, vec![p(0, 1), p(1, 1)], ReplyWanted::All, None);
+        let mut c = ReplyCollector::new(
+            p(3, 1),
+            1,
+            vec![p(0, 1), p(1, 1)],
+            ReplyWanted::All,
+            None,
+            false,
+        );
         assert_eq!(c.on_reply(p(0, 1), reply(1)), CollectorStatus::Pending);
         assert_eq!(c.on_reply(p(0, 1), reply(1)), CollectorStatus::Pending);
         match c.on_reply(p(1, 1), reply(2)) {
@@ -283,7 +263,14 @@ mod tests {
     #[test]
     fn null_replies_release_the_caller_from_waiting_for_standbys() {
         // Caller wants ALL, but one destination is a standby that sends a null reply.
-        let mut c = ReplyCollector::new(p(3, 1), 1, vec![p(0, 1), p(1, 1)], ReplyWanted::All, None);
+        let mut c = ReplyCollector::new(
+            p(3, 1),
+            1,
+            vec![p(0, 1), p(1, 1)],
+            ReplyWanted::All,
+            None,
+            false,
+        );
         assert_eq!(c.on_reply(p(1, 1), null_reply()), CollectorStatus::Pending);
         // Hmm: wanting ALL of 2 destinations but one was null; the real reply completes it
         // because the null reply removed that destination from the awaited set and the target
@@ -299,7 +286,14 @@ mod tests {
 
     #[test]
     fn all_destinations_failing_is_an_error() {
-        let mut c = ReplyCollector::new(p(3, 1), 7, vec![p(0, 1), p(1, 1)], ReplyWanted::One, None);
+        let mut c = ReplyCollector::new(
+            p(3, 1),
+            7,
+            vec![p(0, 1), p(1, 1)],
+            ReplyWanted::One,
+            None,
+            false,
+        );
         assert_eq!(c.on_failure(p(0, 1)), CollectorStatus::Pending);
         match c.on_failure(p(1, 1)) {
             CollectorStatus::Done(o) => {
@@ -320,9 +314,10 @@ mod tests {
             vec![p(0, 1), p(0, 2), p(1, 1)],
             ReplyWanted::One,
             None,
+            false,
         );
         assert_eq!(c.on_site_failure(SiteId(0)), CollectorStatus::Pending);
-        assert_eq!(c.awaiting(), vec![p(1, 1)]);
+        assert_eq!(c.awaiting, BTreeSet::from([p(1, 1)]));
     }
 
     #[test]
@@ -333,6 +328,7 @@ mod tests {
             vec![p(0, 1)],
             ReplyWanted::One,
             Some(SimTime(1_000)),
+            false,
         );
         assert_eq!(c.on_tick(SimTime(999)), CollectorStatus::Pending);
         match c.on_tick(SimTime(1_000)) {
@@ -343,9 +339,9 @@ mod tests {
 
     #[test]
     fn zero_replies_wanted_completes_immediately() {
-        let mut c = ReplyCollector::new(p(9, 1), 7, vec![p(0, 1)], ReplyWanted::None, None);
+        let mut c = ReplyCollector::new(p(9, 1), 7, vec![p(0, 1)], ReplyWanted::None, None, false);
         match c.on_tick(SimTime(0)) {
-            CollectorStatus::Done(o) => assert!(o.is_ok()),
+            CollectorStatus::Done(o) => assert!(o.error.is_none()),
             other => panic!("expected done, got {other:?}"),
         }
     }

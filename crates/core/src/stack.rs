@@ -46,7 +46,7 @@ const TICK: u64 = 1;
 const CTRL: &str = "@ctrl";
 
 /// Returns the process id conventionally used for the protocols process of a site.
-pub fn protocols_process(site: SiteId) -> ProcessId {
+fn protocols_process(site: SiteId) -> ProcessId {
     ProcessId::new(site, 0)
 }
 
@@ -197,11 +197,6 @@ impl SiteStack {
             member_scratch: Vec::new(),
             eout_scratch: Vec::new(),
         }
-    }
-
-    /// The site this stack runs on.
-    pub fn site(&self) -> SiteId {
-        self.site
     }
 
     /// Shared statistics counters.
@@ -682,9 +677,8 @@ impl SiteStack {
                 }
             }
             let deadline = Some(self.now + self.cfg.rpc_timeout);
-            let collector = ReplyCollector::new_with_mode(
-                caller, session, awaited, wanted, deadline, open_ended,
-            );
+            let collector =
+                ReplyCollector::new(caller, session, awaited, wanted, deadline, open_ended);
             self.collectors.insert(session, collector);
             if let Some(cb) = callback.take() {
                 self.callbacks.insert(session, cb);
