@@ -120,22 +120,12 @@ impl<T> Drop for Sender<T> {
 }
 
 impl<T> Receiver<T> {
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Recv<T> {
-        let mut st = self.inner.state.lock();
-        match st.queue.pop_front() {
-            Some(item) => Recv::Item(item),
-            None if st.senders == 0 => Recv::Disconnected,
-            None => Recv::TimedOut,
-        }
-    }
-
     /// Takes everything queued in one lock acquisition: swaps the queue with `into`, which
     /// must be empty — its buffer becomes the channel's next queue, so a receiver that
     /// drains into the same deque every time makes neither side allocate at steady state.
     /// Returns [`Recv::Disconnected`] only if nothing was queued and every sender is gone,
     /// i.e. after the last queued item has been handed out.
-    pub fn drain_into(&self, into: &mut VecDeque<T>) -> Recv<()> {
+    pub(crate) fn drain_into(&self, into: &mut VecDeque<T>) -> Recv<()> {
         debug_assert!(
             into.is_empty(),
             "drain_into swaps: the target must be empty"
@@ -202,14 +192,19 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
+    /// A receive that does not wait: a deadline already passed.
+    fn try_recv<T>(rx: &Receiver<T>) -> Recv<T> {
+        rx.recv_deadline(Some(Instant::now()))
+    }
+
     #[test]
     fn items_flow_in_fifo_order() {
         let (tx, rx) = channel();
         assert!(tx.send(1));
         assert!(tx.send(2));
-        assert!(matches!(rx.try_recv(), Recv::Item(1)));
-        assert!(matches!(rx.try_recv(), Recv::Item(2)));
-        assert!(matches!(rx.try_recv(), Recv::TimedOut));
+        assert!(matches!(try_recv(&rx), Recv::Item(1)));
+        assert!(matches!(try_recv(&rx), Recv::Item(2)));
+        assert!(matches!(try_recv(&rx), Recv::TimedOut));
     }
 
     #[test]
@@ -224,8 +219,8 @@ mod tests {
         let (tx, rx) = channel();
         tx.send(7);
         drop(tx);
-        assert!(matches!(rx.try_recv(), Recv::Item(7)));
-        assert!(matches!(rx.try_recv(), Recv::Disconnected));
+        assert!(matches!(try_recv(&rx), Recv::Item(7)));
+        assert!(matches!(try_recv(&rx), Recv::Disconnected));
         assert!(matches!(rx.recv_deadline(None), Recv::Disconnected));
     }
 

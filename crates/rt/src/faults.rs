@@ -69,19 +69,6 @@ impl FaultPlan {
         }
     }
 
-    /// A mildly adversarial LAN: sub-millisecond delay and jitter, occasional loss
-    /// (recovered by retransmission) and reordering.  Used by the failure-scenario tests.
-    pub fn lan() -> Self {
-        FaultPlan {
-            delay: Duration::from_micros(100),
-            jitter: Duration::from_micros(400),
-            drop_probability: 0.01,
-            retransmit_timeout: Duration::from_millis(2),
-            reorder_probability: 0.02,
-            reorder_extra: Duration::from_millis(1),
-        }
-    }
-
     /// Sets the fixed delay.
     pub fn with_delay(mut self, d: Duration) -> Self {
         self.delay = d;
@@ -100,15 +87,8 @@ impl FaultPlan {
         self
     }
 
-    /// Sets the reorder probability (clamped to `[0, 1]`) and the extra hold.
-    pub fn with_reorder(mut self, p: f64, extra: Duration) -> Self {
-        self.reorder_probability = p.clamp(0.0, 1.0);
-        self.reorder_extra = extra;
-        self
-    }
-
     /// Decides one packet's fate.
-    pub fn decide(&self, rng: &mut DetRng) -> FaultDecision {
+    pub(crate) fn decide(&self, rng: &mut DetRng) -> FaultDecision {
         let mut extra = self.delay;
         if self.jitter > Duration::ZERO {
             extra += Duration::from_micros(rng.next_below(self.jitter.as_micros()));
@@ -207,18 +187,13 @@ impl CrashSchedule {
     }
 
     /// The kills in execution order.
-    pub fn kills(&self) -> &[ScheduledKill] {
+    pub(crate) fn kills(&self) -> &[ScheduledKill] {
         &self.kills
     }
 
     /// The sites in kill order (the last entry is the "last to fail").
     pub fn order(&self) -> Vec<SiteId> {
         self.kills.iter().map(|k| k.site).collect()
-    }
-
-    /// Offset of the final kill: how long the whole schedule takes to execute.
-    pub fn window(&self) -> Duration {
-        self.kills.last().map(|k| k.after).unwrap_or(Duration::ZERO)
     }
 }
 
@@ -240,7 +215,7 @@ pub struct LinkFaults {
 
 impl LinkFaults {
     /// Healthy links: nothing cut, no extra delay.
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         LinkFaults::default()
     }
 
@@ -248,7 +223,7 @@ impl LinkFaults {
     /// *different* components is cut in both directions; links within a component stay up.
     /// Sites not listed in any component keep all their links (they can still talk to
     /// every side — useful for modelling a partial cut).
-    pub fn partition(components: &[Vec<SiteId>]) -> Self {
+    pub(crate) fn partition(components: &[Vec<SiteId>]) -> Self {
         let mut faults = LinkFaults::default();
         for (i, a) in components.iter().enumerate() {
             for b in components.iter().skip(i + 1) {
@@ -265,7 +240,7 @@ impl LinkFaults {
 
     /// Cuts links one way only: packets from any site in `from` to any site in `to`
     /// disappear, while the reverse direction keeps working.
-    pub fn one_way(from: &[SiteId], to: &[SiteId]) -> Self {
+    pub(crate) fn one_way(from: &[SiteId], to: &[SiteId]) -> Self {
         let mut faults = LinkFaults::default();
         for &x in from {
             for &y in to {
@@ -278,23 +253,23 @@ impl LinkFaults {
     }
 
     /// Adds an extra one-way latency to every surviving inter-site packet.
-    pub fn with_extra_delay(mut self, d: Duration) -> Self {
+    pub(crate) fn with_extra_delay(mut self, d: Duration) -> Self {
         self.extra_delay = d;
         self
     }
 
     /// True if packets from `src` to `dst` are currently dropped.
-    pub fn blocks(&self, src: SiteId, dst: SiteId) -> bool {
+    pub(crate) fn blocks(&self, src: SiteId, dst: SiteId) -> bool {
         src != dst && !self.cut.is_empty() && self.cut.contains(&(src, dst))
     }
 
     /// The extra latency surviving inter-site packets currently pay.
-    pub fn extra_delay(&self) -> Duration {
+    pub(crate) fn extra_delay(&self) -> Duration {
         self.extra_delay
     }
 
     /// True if the table injects nothing at all (the hot-path fast case).
-    pub fn is_clear(&self) -> bool {
+    pub(crate) fn is_clear(&self) -> bool {
         self.cut.is_empty() && self.extra_delay == Duration::ZERO
     }
 }
@@ -365,18 +340,6 @@ impl NemesisSchedule {
             .at(heal_at.max(cut_at), NemesisEvent::Heal)
     }
 
-    /// A one-way cut from `from` to `to` over the same window shape.
-    pub fn one_way_window(
-        cut_at: Duration,
-        heal_at: Duration,
-        from: Vec<SiteId>,
-        to: Vec<SiteId>,
-    ) -> Self {
-        NemesisSchedule::new()
-            .at(cut_at, NemesisEvent::OneWayCut { from, to })
-            .at(heal_at.max(cut_at), NemesisEvent::Heal)
-    }
-
     /// A delay spike of `extra` per packet between `start` and `end` (no links cut).
     pub fn delay_spike_window(start: Duration, end: Duration, extra: Duration) -> Self {
         NemesisSchedule::new()
@@ -390,21 +353,13 @@ impl NemesisSchedule {
     }
 
     /// The events in execution order.
-    pub fn events(&self) -> &[ScheduledNemesis] {
+    pub(crate) fn events(&self) -> &[ScheduledNemesis] {
         &self.events
-    }
-
-    /// Offset of the final event: how long the whole schedule takes to execute.
-    pub fn window(&self) -> Duration {
-        self.events
-            .last()
-            .map(|e| e.after)
-            .unwrap_or(Duration::ZERO)
     }
 
     /// Folds one event into a running link table, returning `true` if the table changed
     /// (crashes leave it untouched — the runtime handles those directly).
-    pub fn apply_to_links(event: &NemesisEvent, links: &mut LinkFaults) -> bool {
+    pub(crate) fn apply_to_links(event: &NemesisEvent, links: &mut LinkFaults) -> bool {
         match event {
             NemesisEvent::Partition { components } => {
                 *links = LinkFaults::partition(components).with_extra_delay(links.extra_delay);
@@ -468,12 +423,15 @@ mod tests {
     fn crash_schedules_order_and_window() {
         let sites: Vec<SiteId> = (0..4).map(SiteId).collect();
         let all = CrashSchedule::simultaneous(sites.clone());
-        assert_eq!(all.window(), Duration::ZERO);
+        assert!(all.kills().iter().all(|k| k.after == Duration::ZERO));
         assert_eq!(all.order(), sites);
 
         let gap = Duration::from_millis(50);
         let st = CrashSchedule::staggered(sites.clone(), gap);
-        assert_eq!(st.window(), Duration::from_millis(150));
+        assert_eq!(
+            st.kills().last().map(|k| k.after),
+            Some(Duration::from_millis(150))
+        );
         assert_eq!(st.order().last(), Some(&SiteId(3)));
 
         // Shuffles are deterministic per seed and vary across seeds.
@@ -534,7 +492,6 @@ mod tests {
                 Duration::from_millis(50),
                 NemesisEvent::DelaySpike { extra: spike },
             );
-        assert_eq!(sched.window(), Duration::from_millis(100));
         let offsets: Vec<Duration> = sched.events().iter().map(|e| e.after).collect();
         assert_eq!(
             offsets,
@@ -583,12 +540,6 @@ mod tests {
         ));
         assert!(matches!(p.events()[1].event, NemesisEvent::Heal));
 
-        let o = NemesisSchedule::one_way_window(cut, heal, vec![SiteId(0)], vec![SiteId(1)]);
-        assert!(matches!(
-            o.events()[0].event,
-            NemesisEvent::OneWayCut { .. }
-        ));
-
         let d = NemesisSchedule::delay_spike_window(cut, heal, Duration::from_millis(3));
         assert!(
             matches!(d.events()[1].event, NemesisEvent::DelaySpike { extra } if extra == Duration::ZERO)
@@ -597,7 +548,13 @@ mod tests {
 
     #[test]
     fn decisions_are_deterministic_per_seed() {
-        let plan = FaultPlan::lan();
+        let plan = FaultPlan {
+            reorder_probability: 0.02,
+            reorder_extra: Duration::from_millis(1),
+            ..FaultPlan::none()
+                .with_jitter(Duration::from_micros(400))
+                .with_drop(0.01)
+        };
         let run = |seed| {
             let mut rng = DetRng::new(seed);
             (0..64).map(|_| plan.decide(&mut rng)).collect::<Vec<_>>()

@@ -65,7 +65,7 @@ pub trait IsisRuntime {
     /// True if the site is currently operational.
     fn site_is_up(&self, site: SiteId) -> bool;
 
-    /// Installs a link-level partition table ([`LinkFaults::none`] heals every link).
+    /// Installs a link-level partition table (`LinkFaults::none` heals every link).
     fn set_link_faults(&mut self, links: LinkFaults);
 }
 
@@ -138,13 +138,8 @@ impl SimRuntime {
         self.cluster.stats().snapshot()
     }
 
-    /// The underlying cluster (event counts, direct node access).
-    pub fn cluster(&self) -> &SimCluster {
-        &self.cluster
-    }
-
     /// Kills a site *and* drops its in-flight outbound packets (see
-    /// [`SimCluster::kill_dropping_outbound`]) — the kill the crash-instant fuzz tests use,
+    /// `SimCluster::kill_dropping_outbound`) — the kill the crash-instant fuzz tests use,
     /// so a crash can truncate a multi-packet exchange such as a state transfer.
     pub fn kill_site_dropping_outbound(&mut self, site: SiteId) {
         self.cluster.kill_dropping_outbound(site);
@@ -247,29 +242,6 @@ impl ThreadedRuntime {
                 SharedStats::new(),
             ))
         });
-    }
-
-    /// Cluster-wide statistics: merges every live node's counters (each node counts on its
-    /// own thread; see [`NetStats::merge`]).
-    pub fn stats(&mut self) -> NetStats {
-        let mut total = NetStats::new();
-        for site in self.all_sites.clone() {
-            let (tx, rx) = mpsc::channel();
-            let sent = self.cluster.invoke(
-                site,
-                invoke_fn(move |h, _now, _out| {
-                    if let Some(stack) = h.as_any_mut().downcast_mut::<SiteStack>() {
-                        let _ = tx.send(stack.stats().snapshot());
-                    }
-                }),
-            );
-            if sent {
-                if let Ok(snap) = rx.recv_timeout(std::time::Duration::from_secs(5)) {
-                    total.merge(&snap);
-                }
-            }
-        }
-        total
     }
 
     /// Stops every node and returns the per-node reports.
@@ -487,12 +459,6 @@ impl<R: IsisRuntime> IsisHarness<R> {
     /// The rank of a member in the group, as seen from its own site.
     pub fn rank_of(&mut self, gid: GroupId, member: ProcessId) -> Option<Rank> {
         self.view_of(member.site, gid)?.rank_of(member)
-    }
-
-    /// True if the process is currently alive.
-    pub fn process_exists(&mut self, pid: ProcessId) -> bool {
-        self.query(pid.site, move |stack, _now, _out| stack.has_process(pid))
-            .unwrap_or(false)
     }
 
     /// Number of multicasts `site` has received in the group's current view that are not
@@ -937,14 +903,17 @@ mod tests {
             h.join_and_wait(gid, *m, None, Duration::from_secs(5))
                 .expect("join");
         }
-        assert!(h.process_exists(members[1]));
+        let exists = |h: &mut IsisHarness<SimRuntime>, pid: ProcessId| {
+            h.with_stack(pid.site, |stack, _now, _out| stack.has_process(pid)) == Some(true)
+        };
+        assert!(exists(&mut h, members[1]));
         h.kill_process(members[1]);
         let ok = h.wait_until(Duration::from_secs(10), |h| {
             h.view_of(SiteId(0), gid).is_some_and(|v| v.len() == 2)
         });
         assert!(ok, "the group never dropped the dead process");
         assert!(h.rt.site_is_up(SiteId(1)), "the site itself stays up");
-        assert!(!h.process_exists(members[1]));
+        assert!(!exists(&mut h, members[1]));
     }
 
     #[test]
@@ -1108,7 +1077,5 @@ mod tests {
             "12 deliveries expected, saw {}",
             delivered.load(Ordering::Relaxed)
         );
-        let stats = h.rt.stats();
-        assert!(stats.deliveries >= 12);
     }
 }

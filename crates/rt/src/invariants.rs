@@ -135,11 +135,6 @@ impl PartitionInvariants {
         self.timelines.push(timeline);
     }
 
-    /// The recorded timelines (for diagnostics).
-    pub fn timelines(&self) -> &[MemberTimeline] {
-        &self.timelines
-    }
-
     /// Invariants 1 + 2: one membership per view seq across all members, and strictly
     /// increasing view seqs per member.
     pub fn check_no_split_brain(&self) -> Result<(), InvariantViolation> {
@@ -178,7 +173,7 @@ impl PartitionInvariants {
     }
 
     /// Invariant 3: every delivery log is duplicate-free and all logs are identical.
-    pub fn check_convergence(&self) -> Result<(), InvariantViolation> {
+    fn check_convergence(&self) -> Result<(), InvariantViolation> {
         for t in &self.timelines {
             let mut seen = std::collections::BTreeSet::new();
             for (_vs, key) in &t.deliveries {

@@ -186,11 +186,6 @@ impl SimCluster {
         self.core.borrow_mut().links = links;
     }
 
-    /// The link-fault table currently in force.
-    pub fn link_faults(&self) -> LinkFaults {
-        self.core.borrow().links.clone()
-    }
-
     /// Crashes a site: the node is dropped, its pending timers are invalidated through the
     /// epoch counter, and in-flight packets toward it will be discarded on arrival.
     pub fn kill(&mut self, site: SiteId) {
@@ -207,7 +202,7 @@ impl SimCluster {
     /// adversarial kill crash-instant fuzzing wants: a plain [`SimCluster::kill`] lets every
     /// packet the site ever emitted arrive, so a multi-packet exchange such as a state
     /// transfer can never be observed half-done.
-    pub fn kill_dropping_outbound(&mut self, site: SiteId) {
+    pub(crate) fn kill_dropping_outbound(&mut self, site: SiteId) {
         self.kill(site);
         self.core
             .borrow_mut()

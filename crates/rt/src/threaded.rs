@@ -2,13 +2,13 @@
 //!
 //! Topology: a shared [`Router`] holds one channel [`crate::chan::Sender`] per live site
 //! behind a `parking_lot::RwLock`; each node's thread owns the matching receiver inside its
-//! [`ThreadedTransport`] and parks in [`Node::run`] until traffic or a timer deadline wakes
+//! [`ThreadedTransport`] and parks in `Node::run` until traffic or a timer deadline wakes
 //! it.  Packets cross threads in wire form ([`WirePacket`]), so every `Rc`-based protocol
 //! structure stays strictly thread-local — ownership of all mutable state is per-thread by
 //! construction, and the only shared state is the router table and the channel queues, both
 //! lock-protected.
 //!
-//! Time is wall-clock: [`Router::now`] maps `Instant::now()` onto microseconds since
+//! Time is wall-clock: `Router::now` maps `Instant::now()` onto microseconds since
 //! cluster start, the same [`vsync_util::SimTime`] axis the simulator uses, so the protocol
 //! stacks run unmodified.
 //!
@@ -89,7 +89,7 @@ impl Router {
     }
 
     /// Microseconds since cluster start, on the same axis as simulated time.
-    pub fn now(&self) -> SimTime {
+    fn now(&self) -> SimTime {
         SimTime(self.start.elapsed().as_micros() as u64)
     }
 
@@ -464,16 +464,11 @@ impl ThreadedCluster {
         self.router.send_to(site, NodeMsg::Invoke(f))
     }
 
-    /// Installs a link-level partition table; [`LinkFaults::none`] heals all links.
+    /// Installs a link-level partition table; `LinkFaults::none` heals all links.
     /// Takes effect for packets sent after the call; packets already queued or held at
     /// the receiver still arrive (a real cut cannot recall in-flight datagrams either).
     pub fn set_link_faults(&self, links: LinkFaults) {
         self.router.set_links(links);
-    }
-
-    /// The currently installed partition table.
-    pub fn link_faults(&self) -> LinkFaults {
-        self.router.links.read().clone()
     }
 
     /// Crashes a site: its channel closes, the node drains its backlog, observes the
@@ -782,7 +777,11 @@ mod tests {
             2,
             // ~30% of packets skip the FIFO clamp and are held 3 ms extra, long past the
             // sub-millisecond spacing of a burst — they must land out of order.
-            FaultPlan::none().with_reorder(0.3, Duration::from_millis(3)),
+            FaultPlan {
+                reorder_probability: 0.3,
+                reorder_extra: Duration::from_millis(3),
+                ..FaultPlan::none()
+            },
             21,
         );
         for i in 0..2 {

@@ -29,7 +29,7 @@ pub enum Event {
     /// A timer armed earlier by this node has fired.
     Timer(u64),
     /// A control-plane closure injected from outside the node ("a client calls the toolkit
-    /// now"; the threaded counterpart of [`Node::with_handler`]).
+    /// now"; the threaded counterpart of `Node::with_handler`).
     Invoke(InvokeFn),
 }
 
@@ -77,8 +77,8 @@ pub trait Transport {
 /// The driver loop that owns one site's protocol stack and its transport.
 ///
 /// The loop is deliberately tiny: receive an event, dispatch it into the handler, flush the
-/// recorded actions back into the transport.  The simulation calls [`Node::poll`] from its
-/// scheduler; the threaded backend parks in [`Node::run`] on its own OS thread.
+/// recorded actions back into the transport.  The simulation calls `Node::poll` from its
+/// scheduler; the threaded backend parks in `Node::run` on its own OS thread.
 pub struct Node<T: Transport> {
     transport: T,
     handler: Box<dyn SiteHandler>,
@@ -89,7 +89,7 @@ pub struct Node<T: Transport> {
 impl<T: Transport> Node<T> {
     /// Creates a node.  Call [`Node::start`] before pumping events so the handler can arm
     /// its initial timers.
-    pub fn new(transport: T, handler: Box<dyn SiteHandler>) -> Self {
+    pub(crate) fn new(transport: T, handler: Box<dyn SiteHandler>) -> Self {
         let mut out = Outbox::new();
         // Nodes normally do not collect traces: the threaded backend has no global trace
         // sink, and handlers using `trace_with` should skip the formatting entirely.
@@ -105,35 +105,20 @@ impl<T: Transport> Node<T> {
         }
     }
 
-    /// The site this node runs.
-    pub fn site(&self) -> SiteId {
-        self.transport.site()
-    }
-
-    /// The transport's current time.
-    pub fn now(&self) -> SimTime {
-        self.transport.now()
-    }
-
     /// The node's transport (for what it counted).
-    pub fn transport(&self) -> &T {
+    pub(crate) fn transport(&self) -> &T {
         &self.transport
     }
 
-    /// Number of events dispatched into the handler so far.
-    pub fn events_handled(&self) -> u64 {
-        self.events
-    }
-
     /// Runs the handler's `on_start` hook and flushes its actions.
-    pub fn start(&mut self) {
+    pub(crate) fn start(&mut self) {
         let now = self.transport.now();
         self.handler.on_start(now, &mut self.out);
         self.flush();
     }
 
     /// Dispatches one event into the handler and flushes the recorded actions.
-    pub fn handle(&mut self, ev: Event) {
+    fn handle(&mut self, ev: Event) {
         let now = self.transport.now();
         match ev {
             Event::Packet(pkt) => self.handler.on_packet(now, pkt, &mut self.out),
@@ -147,7 +132,7 @@ impl<T: Transport> Node<T> {
     /// Drains every event that is ready *right now* (non-blocking); returns how many were
     /// handled.  This is the entry point the simulation scheduler uses after routing events
     /// into the node's inbox.
-    pub fn poll(&mut self) -> u64 {
+    pub(crate) fn poll(&mut self) -> u64 {
         let mut n = 0;
         while let Some(ev) = self.transport.recv(false) {
             self.handle(ev);
@@ -158,7 +143,7 @@ impl<T: Transport> Node<T> {
 
     /// Blocks on the transport until it closes, dispatching every event.  This is the body
     /// of a threaded node's OS thread.  Returns the total number of events handled.
-    pub fn run(&mut self) -> u64 {
+    pub(crate) fn run(&mut self) -> u64 {
         while let Some(ev) = self.transport.recv(true) {
             self.handle(ev);
         }
@@ -168,7 +153,7 @@ impl<T: Transport> Node<T> {
     /// Runs `f` against the concrete handler (downcast through
     /// [`SiteHandler::as_any_mut`]), then flushes whatever actions it recorded.
     /// Returns `None` if the concrete type does not match.
-    pub fn with_handler<H: SiteHandler, R>(
+    pub(crate) fn with_handler<H: SiteHandler, R>(
         &mut self,
         f: impl FnOnce(&mut H, SimTime, &mut Outbox) -> R,
     ) -> Option<R> {
@@ -190,16 +175,13 @@ impl<T: Transport> Node<T> {
         for (after, token) in self.out.drain_timers() {
             self.transport.set_timer(after, token);
         }
-        // With `VSYNC_RT_TRACE` set the collected lines stream to stderr; otherwise traces
-        // are off (see `Node::new`), but a handler may have pushed some through the eager
-        // `trace` path — drop them rather than let the buffer grow unbounded.
+        // With `VSYNC_RT_TRACE` set the collected lines stream to stderr; otherwise the
+        // outbox collects none (see `Node::new`).
         if self.out.traces_enabled() {
             let now = self.transport.now();
             for line in self.out.drain_traces() {
                 eprintln!("[rt {now:?}] {line}");
             }
-        } else {
-            self.out.drain_traces();
         }
     }
 }
