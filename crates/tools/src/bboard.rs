@@ -76,26 +76,6 @@ impl BulletinBoard {
             .cloned()
             .unwrap_or_default()
     }
-
-    /// Number of postings on a board.
-    pub fn len(&self, board: &str) -> usize {
-        self.inner
-            .borrow()
-            .boards
-            .get(board)
-            .map(Vec::len)
-            .unwrap_or(0)
-    }
-
-    /// True if the board has no postings.
-    pub fn is_empty(&self, board: &str) -> bool {
-        self.len(board) == 0
-    }
-
-    /// Names of boards that have at least one posting.
-    pub fn boards(&self) -> Vec<String> {
-        self.inner.borrow().boards.keys().cloned().collect()
-    }
 }
 
 #[cfg(test)]
@@ -105,16 +85,16 @@ mod tests {
     #[test]
     fn boards_start_empty_and_are_independent() {
         let bb = BulletinBoard::new(GroupId(1), EntryId(40));
-        assert!(bb.is_empty("sensor-readings"));
+        assert!(bb.read("sensor-readings").is_empty());
         bb.inner
             .borrow_mut()
             .boards
             .entry("sensor-readings".into())
             .or_default()
             .push(Message::with_body(1u64));
-        assert_eq!(bb.len("sensor-readings"), 1);
-        assert!(bb.is_empty("other"));
-        assert_eq!(bb.boards(), vec!["sensor-readings".to_owned()]);
+        assert_eq!(bb.read("sensor-readings").len(), 1);
+        assert!(bb.read("other").is_empty());
+        assert!(bb.inner.borrow().boards.keys().eq(["sensor-readings"]));
         assert_eq!(bb.read("sensor-readings")[0].get_u64("body"), Some(1));
     }
 }

@@ -36,8 +36,6 @@ struct PendingComputation {
 struct Inner {
     group: GroupId,
     pending: BTreeMap<u64, PendingComputation>,
-    completed: u64,
-    taken_over: u64,
 }
 
 /// The coordinator–cohort tool attached to one group member.
@@ -49,7 +47,7 @@ pub struct CoordCohort {
 /// Deterministically selects the coordinator for a request, following Section 6: prefer a
 /// participant at the caller's site (to minimise latency); otherwise use the caller's site id
 /// as a "random" starting index into the participant list and scan circularly.
-pub fn pick_coordinator(
+fn pick_coordinator(
     view: &View,
     plist: &[ProcessId],
     caller: Option<ProcessId>,
@@ -79,8 +77,6 @@ impl CoordCohort {
             inner: Rc::new(RefCell::new(Inner {
                 group,
                 pending: BTreeMap::new(),
-                completed: 0,
-                taken_over: 0,
             })),
         }
     }
@@ -97,7 +93,6 @@ impl CoordCohort {
             };
             let pending = inner.borrow_mut().pending.remove(&session);
             if let Some(mut p) = pending {
-                inner.borrow_mut().completed += 1;
                 (p.got_reply)(ctx, msg);
             }
         });
@@ -124,9 +119,6 @@ impl CoordCohort {
                     if let Some(mut p) = removed {
                         let result = (p.action)(ctx, &p.request);
                         reply_and_copy(ctx, &p.request, &p.plist, me, result, session);
-                        let mut state = inner.borrow_mut();
-                        state.taken_over += 1;
-                        state.completed += 1;
                     }
                 }
             }
@@ -160,7 +152,6 @@ impl CoordCohort {
         if coordinator == Some(me) {
             let result = action(ctx, request);
             reply_and_copy(ctx, request, &plist, me, result, session);
-            self.inner.borrow_mut().completed += 1;
         } else {
             // Cohort: remember everything needed to take over, then wait.
             self.inner.borrow_mut().pending.insert(
@@ -173,21 +164,6 @@ impl CoordCohort {
                 },
             );
         }
-    }
-
-    /// Number of computations this participant completed as coordinator.
-    pub fn completed(&self) -> u64 {
-        self.inner.borrow().completed
-    }
-
-    /// Number of computations this participant completed by taking over after a failure.
-    pub fn taken_over(&self) -> u64 {
-        self.inner.borrow().taken_over
-    }
-
-    /// Number of computations this participant is currently monitoring as a cohort.
-    pub fn monitoring(&self) -> usize {
-        self.inner.borrow().pending.len()
     }
 }
 

@@ -78,11 +78,6 @@ impl SiteMonitor {
         });
     }
 
-    /// Every membership event observed so far, in order.
-    pub fn events(&self) -> Vec<MemberEvent> {
-        self.inner.borrow().events.clone()
-    }
-
     /// Number of departures (failures and voluntary leaves) observed.
     pub fn departures(&self) -> usize {
         self.inner
@@ -102,7 +97,7 @@ mod tests {
     #[test]
     fn starts_empty() {
         let m = SiteMonitor::new(GroupId(1));
-        assert!(m.events().is_empty());
+        assert!(m.inner.borrow().events.is_empty());
         assert_eq!(m.departures(), 0);
     }
 
@@ -117,7 +112,7 @@ mod tests {
             .borrow_mut()
             .events
             .push(MemberEvent::Departed(ProcessId::new(SiteId(1), 1)));
-        assert_eq!(m.events().len(), 2);
+        assert_eq!(m.inner.borrow().events.len(), 2);
         assert_eq!(m.departures(), 1);
     }
 }

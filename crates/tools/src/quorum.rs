@@ -1,15 +1,15 @@
-//! Quorum and full-replication call helpers (paper Section 3.3).
+//! Quorum and full-replication calls (paper Section 3.3).
 //!
 //! "Some replicated processing methods, such as the full replication method used in CIRCUS or
 //! the quorum methods, have straightforward implementations in ISIS.  In the former case, the
 //! caller waits for ALL responses and all recipients respond.  If the caller knows the quorum
-//! size, Q, it simply waits for Q replies. ...  the Q oldest group members (or any other set
-//! of Q members that can be identified consistently) reply, giving the value of Q as part of
-//! their reply.  Other members send null replies."
+//! size, Q, it simply waits for Q replies."
+//!
+//! Both are one group RPC each; which members answer — the paper's "Q oldest members", say —
+//! is the responders' choice, made from the ranked view every member shares.
 
 use vsync_core::{
-    Address, EntryId, GroupId, Message, ProcessId, ProtocolKind, Rank, ReplyWanted, RpcOutcome,
-    ToolCtx, View,
+    Address, EntryId, GroupId, Message, ProtocolKind, ReplyWanted, RpcOutcome, ToolCtx,
 };
 
 /// Issues a quorum call: waits for `q` replies.
@@ -48,80 +48,4 @@ pub fn full_replication_call(
         ReplyWanted::All,
         callback,
     );
-}
-
-/// Deterministic helper for the responder side of a quorum scheme: the `q` oldest members
-/// reply, everyone else sends a null reply.  Because every member sees the same ranked view,
-/// no agreement protocol is needed to decide who is in the quorum.
-pub fn in_quorum(view: &View, me: ProcessId, q: usize) -> bool {
-    view.rank_of(me).map(|r| r < q).unwrap_or(false)
-}
-
-/// Deterministic helper for partitioning work by rank: returns the member responsible for a
-/// given column / shard index (`index mod NMEMBERS`), the rule the twenty-questions service
-/// uses for vertical queries (paper Section 5, Step 2).
-pub fn responsible_member(view: &View, index: usize) -> Option<ProcessId> {
-    if view.is_empty() {
-        None
-    } else {
-        view.members.get(index % view.len()).copied()
-    }
-}
-
-/// Deterministic helper: the ranks of rows a member should answer for in horizontal mode
-/// (`row mod NMEMBERS == my rank`).
-pub fn responsible_for_row(view: &View, me: ProcessId, row: usize) -> bool {
-    match (view.rank_of(me), view.len()) {
-        (Some(rank), n) if n > 0 => row % n == rank,
-        _ => false,
-    }
-}
-
-/// Convenience: my rank in the view, if a member.
-pub fn my_rank(view: &View, me: ProcessId) -> Option<Rank> {
-    view.rank_of(me)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use vsync_util::SiteId;
-
-    fn view_of_three() -> View {
-        let a = ProcessId::new(SiteId(0), 1);
-        let b = ProcessId::new(SiteId(1), 1);
-        let c = ProcessId::new(SiteId(2), 1);
-        View::founding(GroupId(1), a)
-            .successor(&[], &[b])
-            .successor(&[], &[c])
-    }
-
-    #[test]
-    fn quorum_membership_is_by_rank() {
-        let v = view_of_three();
-        let a = v.members[0];
-        let c = v.members[2];
-        assert!(in_quorum(&v, a, 2));
-        assert!(!in_quorum(&v, c, 2));
-        assert!(in_quorum(&v, c, 3));
-        assert!(!in_quorum(&v, ProcessId::new(SiteId(9), 9), 3));
-    }
-
-    #[test]
-    fn work_partitioning_is_deterministic() {
-        let v = view_of_three();
-        assert_eq!(responsible_member(&v, 0), Some(v.members[0]));
-        assert_eq!(responsible_member(&v, 4), Some(v.members[1]));
-        assert_eq!(responsible_member(&v, 5), Some(v.members[2]));
-        assert!(responsible_for_row(&v, v.members[1], 4));
-        assert!(!responsible_for_row(&v, v.members[1], 5));
-        assert_eq!(my_rank(&v, v.members[2]), Some(2));
-        let empty = View {
-            id: v.id,
-            members: vec![],
-            joined: vec![],
-            departed: vec![],
-        };
-        assert_eq!(responsible_member(&empty, 1), None);
-    }
 }

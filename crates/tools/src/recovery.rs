@@ -157,7 +157,7 @@ impl RecoveryManager {
 
     /// Appends a view marker, recording that everything logged before it was delivered
     /// no later than this view's cut.
-    pub fn log_view_marker(&self, view: &View) -> Result<()> {
+    fn log_view_marker(&self, view: &View) -> Result<()> {
         let mut rec = Message::new();
         rec.set("rec", "view");
         rec.set("lsn", self.alloc_lsn()?);
@@ -233,25 +233,9 @@ impl RecoveryManager {
         result
     }
 
-    /// The sequence number of the last view marker in the durable log, if any.
-    pub fn last_logged_view_seq(&self) -> Result<Option<u64>> {
-        let mut last = None;
-        for rec in self.store.read_log(&self.log_key())? {
-            if rec.get_str("rec") == Some("view") {
-                last = rec.get_u64("seq");
-            }
-        }
-        Ok(last)
-    }
-
     /// Number of records currently in the durable log (the compaction trigger input).
-    pub fn log_record_count(&self) -> Result<usize> {
+    fn log_record_count(&self) -> Result<usize> {
         Ok(self.store.read_log(&self.log_key())?.len())
-    }
-
-    /// Discards the durable log (typically right after folding it into a checkpoint).
-    pub fn truncate_log(&self) -> Result<()> {
-        self.store.truncate_log(&self.log_key())
     }
 
     /// Discards **all** durable state for this service: log, checkpoint and membership
@@ -275,7 +259,7 @@ impl RecoveryManager {
     ///
     /// Returns `Ok(false)` without touching storage when fenced off: a stale epoch (a
     /// straggler compaction from a superseded cut) or an in-flight replay.
-    pub fn compact(&self, epoch: u64, blocks: &[Message]) -> Result<bool> {
+    fn compact(&self, epoch: u64, blocks: &[Message]) -> Result<bool> {
         if self.shared.replaying.get() {
             return Ok(false);
         }
@@ -366,16 +350,6 @@ impl RecoveryManager {
         });
     }
 
-    /// Compactions performed by this incarnation (observability for tests/benches).
-    pub fn compactions(&self) -> u64 {
-        self.shared.compactions.get()
-    }
-
-    /// Log records folded into checkpoints by this incarnation.
-    pub fn records_compacted(&self) -> u64 {
-        self.shared.records_compacted.get()
-    }
-
     fn read_snapshot(&self) -> Result<Option<Snapshot>> {
         match self.store.read_checkpoint(&self.snap_key())? {
             Some(m) => Snapshot::decode(&m),
@@ -443,7 +417,7 @@ impl RecoveryManager {
     // -- Membership record + advice -------------------------------------------------------
 
     /// Records a view observed by a member (normally called from the attached monitor).
-    pub fn record_view(&self, view: &View) -> Result<()> {
+    fn record_view(&self, view: &View) -> Result<()> {
         let mut m = Message::new();
         m.set("view-seq", view.seq());
         m.set(
@@ -672,11 +646,9 @@ mod tests {
             }
         );
         assert_eq!(seen, vec![(7, 10), (7, 11), (8, 12)]);
-        assert_eq!(rm.last_logged_view_seq().unwrap(), Some(v2.seq()));
 
-        rm.truncate_log().unwrap();
+        rm.store.truncate_log(&rm.log_key()).unwrap();
         assert_eq!(rm.replay(|_, _| {}).unwrap(), ReplaySummary::default());
-        assert_eq!(rm.last_logged_view_seq().unwrap(), None);
     }
 
     #[test]
@@ -738,8 +710,8 @@ mod tests {
             .map(|(b, o)| delivery(*o, *b))
             .collect();
         assert!(rm.compact(v1.seq(), &blocks).unwrap());
-        assert_eq!(rm.compactions(), 1);
-        assert_eq!(rm.records_compacted(), 4);
+        assert_eq!(rm.shared.compactions.get(), 1);
+        assert_eq!(rm.shared.records_compacted.get(), 4);
         assert_eq!(rm.log_record_count().unwrap(), 0, "log truncated");
 
         // Both incarnations keep delivering after the checkpoint.
@@ -794,7 +766,7 @@ mod tests {
         // A straggler from a superseded cut must not clobber the newer checkpoint.
         assert!(!rm.compact(5, &[]).unwrap());
         assert!(!rm.compact(4, &[]).unwrap());
-        assert_eq!(rm.compactions(), 1);
+        assert_eq!(rm.shared.compactions.get(), 1);
         // Compaction during a replay is refused (the log is being read).
         let rm2 = rm.clone();
         let mut fenced = None;

@@ -95,7 +95,7 @@ impl ReplicatedData {
     }
 
     /// Local, zero-cost read of an item (paper Table 1: "read-only access by manager: no cost").
-    pub fn read(&self, item: &str) -> Option<Value> {
+    fn read(&self, item: &str) -> Option<Value> {
         self.inner.borrow().items.get(item).cloned()
     }
 
@@ -109,28 +109,14 @@ impl ReplicatedData {
         self.read(item).and_then(|v| v.as_str().map(str::to_owned))
     }
 
-    /// All item names currently present.
-    pub fn item_names(&self) -> Vec<String> {
-        self.inner.borrow().items.keys().cloned().collect()
-    }
-
     /// Number of updates applied at this member.
     pub fn updates_applied(&self) -> u64 {
         self.inner.borrow().updates_applied
     }
 
-    /// Sets an item locally without multicasting (initial load of the database before the
-    /// group is distributed, or application of a transferred state).
-    pub fn load_local(&self, item: &str, value: impl Into<Value>) {
-        self.inner
-            .borrow_mut()
-            .items
-            .insert(item.to_owned(), value.into());
-    }
-
     /// Encodes the full state into a message (used by the state-transfer tool and by the
     /// checkpointing routine of the logging mode).
-    pub fn snapshot(&self) -> Message {
+    fn snapshot(&self) -> Message {
         let state = self.inner.borrow();
         let mut m = Message::new();
         for (k, v) in &state.items {
@@ -140,7 +126,7 @@ impl ReplicatedData {
     }
 
     /// Replaces the local state with a snapshot produced by [`ReplicatedData::snapshot`].
-    pub fn apply_snapshot(&self, snapshot: &Message) {
+    fn apply_snapshot(&self, snapshot: &Message) {
         let mut state = self.inner.borrow_mut();
         state.items.clear();
         for field in snapshot.iter() {
@@ -220,14 +206,17 @@ mod tests {
         assert_eq!(rd.read_u64("price"), Some(9000));
         assert_eq!(rd.read_u64("absent"), None);
         assert_eq!(rd.updates_applied(), 1);
-        assert_eq!(rd.item_names(), vec!["price".to_owned()]);
+        assert!(rd.inner.borrow().items.keys().eq(["price"]));
     }
 
     #[test]
     fn snapshot_roundtrip() {
         let rd = ReplicatedData::new(GroupId(1), EntryId(5), UpdateOrdering::Causal);
-        rd.load_local("a", 1u64);
-        rd.load_local("b", "two");
+        {
+            let items = &mut rd.inner.borrow_mut().items;
+            items.insert("a".to_owned(), 1u64.into());
+            items.insert("b".to_owned(), "two".into());
+        }
         let snap = rd.snapshot();
         let other = ReplicatedData::new(GroupId(1), EntryId(5), UpdateOrdering::Causal);
         other.apply_snapshot(&snap);

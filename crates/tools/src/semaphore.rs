@@ -30,7 +30,6 @@ struct Inner {
     me: Option<ProcessId>,
     sems: BTreeMap<String, SemState>,
     waiting_callbacks: BTreeMap<String, VecDeque<AcquiredFn>>,
-    grants: u64,
     auto_releases: u64,
 }
 
@@ -50,7 +49,6 @@ impl SemaphoreTool {
                 me: None,
                 sems: BTreeMap::new(),
                 waiting_callbacks: BTreeMap::new(),
-                grants: 0,
                 auto_releases: 0,
             })),
         }
@@ -139,17 +137,6 @@ impl SemaphoreTool {
         ctx.send(group, entry, msg, ProtocolKind::Abcast);
     }
 
-    /// True if this member currently holds the semaphore.
-    pub fn holds(&self, name: &str) -> bool {
-        let state = self.inner.borrow();
-        let me = state.me;
-        state
-            .sems
-            .get(name)
-            .map(|s| me.map(|m| s.holders.contains(&m)).unwrap_or(false))
-            .unwrap_or(false)
-    }
-
     /// Current holders of the semaphore (identical at every member).
     pub fn holders(&self, name: &str) -> Vec<ProcessId> {
         self.inner
@@ -168,11 +155,6 @@ impl SemaphoreTool {
             .get(name)
             .map(|s| s.queue.len())
             .unwrap_or(0)
-    }
-
-    /// Number of grants observed at this member (including grants to other members).
-    pub fn grants(&self) -> u64 {
-        self.inner.borrow().grants
     }
 
     /// Number of automatic releases performed because a holder failed.
@@ -199,7 +181,6 @@ impl Inner {
                 if sem.count > 0 {
                     sem.count -= 1;
                     sem.holders.push(proc_);
-                    self.grants += 1;
                     Some(proc_) == me
                 } else {
                     sem.queue.push_back(proc_);
@@ -211,7 +192,6 @@ impl Inner {
                     sem.holders.remove(pos);
                     if let Some(next) = sem.queue.pop_front() {
                         sem.holders.push(next);
-                        self.grants += 1;
                         return Some(next) == me;
                     }
                     sem.count += 1;
@@ -240,7 +220,6 @@ impl Inner {
                 self.auto_releases += 1;
                 if let Some(next) = sem.queue.pop_front() {
                     sem.holders.push(next);
-                    self.grants += 1;
                     if Some(next) == me {
                         granted_to_me.push(name.clone());
                     }
@@ -292,7 +271,7 @@ mod tests {
         let t = tool_for(p(0));
         let grant0 = t.inner.borrow_mut().apply(&op("mutex", "P", p(0)));
         assert!(grant0, "first P is granted immediately to the local member");
-        assert!(t.holds("mutex"));
+        assert_eq!(t.holders("mutex"), vec![p(0)]);
         let grant1 = t.inner.borrow_mut().apply(&op("mutex", "P", p(1)));
         assert!(!grant1);
         assert_eq!(t.queue_len("mutex"), 1);
@@ -300,8 +279,6 @@ mod tests {
         let grant2 = t.inner.borrow_mut().apply(&op("mutex", "V", p(0)));
         assert!(!grant2, "the grant goes to p(1), not to the local member");
         assert_eq!(t.holders("mutex"), vec![p(1)]);
-        assert!(!t.holds("mutex"));
-        assert_eq!(t.grants(), 2);
     }
 
     #[test]
@@ -325,7 +302,6 @@ mod tests {
         let granted = t.inner.borrow_mut().release_failed(&[p(0)]);
         assert_eq!(granted, vec!["mutex".to_owned()]);
         assert_eq!(t.holders("mutex"), vec![p(1)]);
-        assert!(t.holds("mutex"));
         assert_eq!(t.auto_releases(), 1);
     }
 

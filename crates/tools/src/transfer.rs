@@ -64,7 +64,9 @@ pub type ApplyFn = Box<dyn FnMut(&mut ToolCtx<'_>, &Message)>;
 /// stalled (see [`StateTransfer::with_stall_threshold`]).
 const DEFAULT_STALL_THRESHOLD: usize = 32;
 
-/// Hard cap on the joiner's post-cut buffer (see [`StateTransfer::with_buffer_limit`]).
+/// Hard cap on the joiner's post-cut buffer.  Crossing it raises a `BufferOverflow` trace
+/// event, drops the buffer, and re-requests the snapshot at a fresh cut — bounding memory
+/// under hostile load at the cost of restarting the transfer.
 const DEFAULT_MAX_BUFFERED: usize = 1024;
 
 struct Inner {
@@ -105,12 +107,9 @@ struct Inner {
     /// Fence epoch of the last overflow-triggered re-request, so repeated overflows
     /// within the same view drop the buffer again but do not flood GBCAST markers.
     overflow_marker_epoch: u64,
-    blocks_sent: u64,
     blocks_received: u64,
     transfers_served: u64,
-    reserves_served: u64,
     rerequests_sent: u64,
-    stale_blocks_discarded: u64,
 }
 
 /// The state-transfer tool attached to one group member (or joiner).
@@ -164,12 +163,9 @@ impl StateTransfer {
                 max_buffered: DEFAULT_MAX_BUFFERED,
                 buffer_overflows: 0,
                 overflow_marker_epoch: 0,
-                blocks_sent: 0,
                 blocks_received: 0,
                 transfers_served: 0,
-                reserves_served: 0,
                 rerequests_sent: 0,
-                stale_blocks_discarded: 0,
             })),
         }
     }
@@ -294,7 +290,6 @@ impl StateTransfer {
                 if state.ready || epoch < state.min_epoch {
                     // A straggler from a superseded serve (or a late re-serve after this
                     // member already completed): applying it would corrupt newer state.
-                    state.stale_blocks_discarded += 1;
                     return;
                 }
                 state.blocks_received += 1;
@@ -391,34 +386,14 @@ impl StateTransfer {
         self
     }
 
-    /// Sets the hard cap on the post-cut buffer (default 1024).  Crossing it raises a
-    /// `BufferOverflow` trace event, drops the buffer, and re-requests the snapshot at a
-    /// fresh cut — bounding memory under hostile load at the cost of restarting the
-    /// transfer.
-    pub fn with_buffer_limit(self, limit: usize) -> Self {
-        self.inner.borrow_mut().max_buffered = limit.max(1);
-        self
-    }
-
     /// True once this member holds the full state (creator, or joiner after transfer).
     pub fn is_ready(&self) -> bool {
         self.inner.borrow().ready
     }
 
-    /// True while the buffer has grown past the stall threshold with no snapshot progress.
-    pub fn is_stalled(&self) -> bool {
-        self.inner.borrow().stalled
-    }
-
     /// Number of `TransferStalled` events raised by this member.
     pub fn stalled_events(&self) -> u64 {
         self.inner.borrow().stalled_events
-    }
-
-    /// Number of `BufferOverflow` events: times the post-cut buffer hit its cap and the
-    /// transfer restarted at a fresh cut.
-    pub fn buffer_overflows(&self) -> u64 {
-        self.inner.borrow().buffer_overflows
     }
 
     /// The covered frontier tagged onto the received snapshot: which pre-cut messages the
@@ -432,34 +407,14 @@ impl StateTransfer {
         self.inner.borrow().pending.len()
     }
 
-    /// Number of state blocks sent to joiners by this member.
-    pub fn blocks_sent(&self) -> u64 {
-        self.inner.borrow().blocks_sent
-    }
-
-    /// Number of state blocks received by this member.
-    pub fn blocks_received(&self) -> u64 {
-        self.inner.borrow().blocks_received
-    }
-
     /// Number of joins this member served as the transfer source.
     pub fn transfers_served(&self) -> u64 {
         self.inner.borrow().transfers_served
     }
 
-    /// Number of transfers this member re-served after the original source died.
-    pub fn reserves_served(&self) -> u64 {
-        self.inner.borrow().reserves_served
-    }
-
     /// Number of snapshot re-requests this member issued after its source died.
     pub fn rerequests_sent(&self) -> u64 {
         self.inner.borrow().rerequests_sent
-    }
-
-    /// Number of blocks discarded as stragglers from a superseded (dead) serve cut.
-    pub fn stale_blocks_discarded(&self) -> u64 {
-        self.inner.borrow().stale_blocks_discarded
     }
 }
 
@@ -605,14 +560,12 @@ fn sender_side(inner: &Rc<RefCell<Inner>>, ctx: &mut ToolCtx<'_>, ev: &ViewEvent
         .copied()
         .filter(|j| *j != me)
         .collect();
-    let mut reserve_targets = 0u64;
     for g in &ev.gbcasts {
         let Some(requester) = rerequest_joiner(g) else {
             continue;
         };
         if requester != me && ev.view.contains(requester) && !targets.contains(&requester) {
             targets.push(requester);
-            reserve_targets += 1;
         }
     }
     if targets.is_empty() || ev.view.rank_of(me) != Some(0) || !inner.borrow().ready {
@@ -626,7 +579,6 @@ fn sender_side(inner: &Rc<RefCell<Inner>>, ctx: &mut ToolCtx<'_>, ev: &ViewEvent
         let mut state = inner.borrow_mut();
         state.encode = encode;
         state.transfers_served += 1;
-        state.reserves_served += reserve_targets;
         blocks
     };
     let covered_wire = ev.covered.to_wire();
@@ -646,7 +598,6 @@ fn sender_side(inner: &Rc<RefCell<Inner>>, ctx: &mut ToolCtx<'_>, ev: &ViewEvent
                 m,
                 ProtocolKind::Cbcast,
             );
-            inner.borrow_mut().blocks_sent += 1;
             continue;
         }
         for (i, block) in blocks.iter().enumerate() {
@@ -661,7 +612,6 @@ fn sender_side(inner: &Rc<RefCell<Inner>>, ctx: &mut ToolCtx<'_>, ev: &ViewEvent
                 m,
                 ProtocolKind::Cbcast,
             );
-            inner.borrow_mut().blocks_sent += 1;
         }
     }
 }
@@ -676,15 +626,11 @@ mod tests {
         assert!(!t.is_ready());
         t.mark_ready();
         assert!(t.is_ready());
-        assert_eq!(t.blocks_sent(), 0);
-        assert_eq!(t.blocks_received(), 0);
         assert_eq!(t.transfers_served(), 0);
-        assert_eq!(t.reserves_served(), 0);
         assert_eq!(t.rerequests_sent(), 0);
-        assert_eq!(t.stale_blocks_discarded(), 0);
         assert_eq!(t.buffered_len(), 0);
         assert!(t.covered().is_none());
-        assert!(!t.is_stalled());
+        assert!(!t.inner.borrow().stalled);
         assert_eq!(t.stalled_events(), 0);
     }
 
@@ -713,10 +659,10 @@ mod tests {
 
     #[test]
     fn buffer_limit_bookkeeping() {
-        let t = StateTransfer::new(GroupId(1), Vec::new, |_ctx, _m| {}).with_buffer_limit(3);
+        let t = StateTransfer::new(GroupId(1), Vec::new, |_ctx, _m| {});
         {
             let mut inner = t.inner.borrow_mut();
-            assert_eq!(inner.max_buffered, 3);
+            inner.max_buffered = 3;
             inner.last_view_seq = 5;
             for _ in 0..3 {
                 inner.pending.push((EntryId(3), Message::new()));
@@ -732,7 +678,7 @@ mod tests {
                 "current-epoch stragglers are fenced too"
             );
         }
-        assert_eq!(t.buffer_overflows(), 1);
+        assert_eq!(t.inner.borrow().buffer_overflows, 1);
         assert_eq!(t.buffered_len(), 0);
     }
 

@@ -4,7 +4,9 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use vsync_core::{Duration, EntryId, GroupId, LatencyProfile, Message, ProcessId, SiteId};
+use vsync_core::{
+    Duration, EntryId, GroupId, LatencyProfile, Message, ProcessId, ProtocolKind, SiteId,
+};
 use vsync_rt::{IsisHarness, SimRuntime};
 use vsync_tools::{
     BulletinBoard, ConfigTool, NewsService, ReplicatedData, SemaphoreTool, SiteMonitor,
@@ -156,6 +158,65 @@ fn semaphore_grants_are_mutually_exclusive_and_fifo() {
         assert_eq!(m.sem.holders("mutex").len(), 1);
         assert_ne!(m.sem.holders("mutex")[0], holder);
         assert_eq!(m.sem.queue_len("mutex"), 0);
+    }
+}
+
+#[test]
+fn semaphore_p_from_a_handler_grants_in_fifo_order_and_v_hands_on() {
+    const ACQUIRE: EntryId = EntryId(65);
+    const RELEASE: EntryId = EntryId(66);
+    let mut sys = IsisHarness::new(SimRuntime::for_profile(3, LatencyProfile::Modern, 42));
+    let gid = sys.allocate_group_id();
+    // Every `on_acquired` run: which requester's callback it was, and where it ran.
+    let acquired: Rc<RefCell<Vec<(usize, ProcessId)>>> = Rc::default();
+    let mut members: Vec<(ProcessId, SemaphoreTool)> = Vec::new();
+    for i in 0..3usize {
+        let sem = SemaphoreTool::new(gid, SEM);
+        sem.define("mutex", 1);
+        let (tool, log) = (sem.clone(), acquired.clone());
+        let pid = sys.spawn_local(SiteId(i as u16), move |b| {
+            tool.attach(b);
+            let p_tool = tool.clone();
+            b.on_entry(ACQUIRE, move |ctx, _msg| {
+                let log = log.clone();
+                p_tool.p(ctx, "mutex", move |ctx| {
+                    log.borrow_mut().push((i, ctx.me()))
+                });
+            });
+            b.on_entry(RELEASE, move |ctx, _msg| tool.v(ctx, "mutex"));
+        });
+        if i == 0 {
+            sys.create_group_with_id("sem", gid, pid);
+        } else {
+            sys.join_and_wait(gid, pid, None, Duration::from_secs(5))
+                .unwrap();
+        }
+        members.push((pid, sem));
+    }
+    let pid = |i: usize| members[i].0;
+    let kick = |sys: &mut IsisHarness<SimRuntime>, who: ProcessId, entry: EntryId| {
+        sys.client_send(who, who, entry, Message::new(), ProtocolKind::Cbcast);
+        sys.settle(Duration::from_millis(200));
+    };
+    // Members 1 and then 2 call P from inside their own handlers.
+    kick(&mut sys, pid(1), ACQUIRE);
+    kick(&mut sys, pid(2), ACQUIRE);
+    assert_eq!(
+        *acquired.borrow(),
+        vec![(1, pid(1))],
+        "only the first requester"
+    );
+    for (_, sem) in &members {
+        assert_eq!(sem.holders("mutex"), vec![pid(1)]);
+        assert_eq!(sem.queue_len("mutex"), 1);
+    }
+    // The holder calls V from its handler: the queued requester is granted, and its
+    // `on_acquired` runs once, at that requester.
+    kick(&mut sys, pid(1), RELEASE);
+    assert_eq!(*acquired.borrow(), vec![(1, pid(1)), (2, pid(2))]);
+    for (_, sem) in &members {
+        assert_eq!(sem.holders("mutex"), vec![pid(2)]);
+        assert_eq!(sem.queue_len("mutex"), 0);
     }
 }
 
