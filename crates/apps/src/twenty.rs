@@ -196,17 +196,17 @@ impl Database {
     }
 
     /// Number of rows.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.rows.len()
     }
 
     /// True if the relation has no rows.
-    pub fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
 
     /// Index of a column, if it exists.
-    pub fn column_index(&self, column: &str) -> Option<usize> {
+    fn column_index(&self, column: &str) -> Option<usize> {
         self.columns.iter().position(|c| c == column)
     }
 
@@ -220,7 +220,7 @@ impl Database {
     }
 
     /// Evaluates a query over a subset of rows selected by `keep`.
-    pub fn answer_over(&self, q: &Query, keep: impl Fn(usize) -> bool) -> Answer {
+    fn answer_over(&self, q: &Query, keep: impl Fn(usize) -> bool) -> Answer {
         let mut yes = 0usize;
         let mut no = 0usize;
         for (i, row) in self.rows.iter().enumerate() {
@@ -241,17 +241,17 @@ impl Database {
     }
 
     /// Evaluates a query over the whole relation.
-    pub fn answer(&self, q: &Query) -> Answer {
+    fn answer(&self, q: &Query) -> Answer {
         self.answer_over(q, |_| true)
     }
 
     /// Appends a row described as `(column, value)` pairs.
-    pub fn add_row(&mut self, row: Row) {
+    fn add_row(&mut self, row: Row) {
         self.rows.push(row);
     }
 
     /// Serialises the relation into a message (used by the state-transfer tool).
-    pub fn snapshot(&self) -> Message {
+    fn snapshot(&self) -> Message {
         let mut m = Message::new();
         m.set("columns", self.columns.join(","));
         m.set("nrows", self.rows.len() as u64);
@@ -263,7 +263,7 @@ impl Database {
     }
 
     /// Rebuilds the relation from a snapshot.
-    pub fn from_snapshot(m: &Message) -> Database {
+    fn from_snapshot(m: &Message) -> Database {
         let columns: Vec<String> = m
             .get_str("columns")
             .unwrap_or("")
