@@ -94,7 +94,7 @@ pub struct BenchCluster {
 
 impl BenchCluster {
     /// Builds a cluster of `num_sites` sites with one echo member per site.
-    pub fn new(profile: LatencyProfile, num_sites: usize, seed: u64) -> Self {
+    fn new(profile: LatencyProfile, num_sites: usize, seed: u64) -> Self {
         let mut sys = harness(num_sites, profile, seed);
         let delivered_bytes = Rc::new(RefCell::new(0u64));
         let mut members = Vec::new();
@@ -132,7 +132,7 @@ impl BenchCluster {
 
     /// Latency seen by the sender for one multicast of `size` bytes when one (local) reply is
     /// requested — the quantity plotted in Figure 2(b-d).
-    pub fn latency_one_reply(&mut self, protocol: ProtocolKind, size: usize) -> Duration {
+    fn latency_one_reply(&mut self, protocol: ProtocolKind, size: usize) -> Duration {
         let payload = Message::new()
             .with("payload", vec![0u8; size])
             .with("want-reply", true);
@@ -157,7 +157,7 @@ impl BenchCluster {
     /// Asynchronous CBCAST throughput in bytes/second for messages of `size` bytes:
     /// the sender issues `count` multicasts back-to-back and we measure until every remote
     /// member has received them all (Figure 2(a)).
-    pub fn async_cbcast_throughput(&mut self, size: usize, count: usize) -> f64 {
+    fn async_cbcast_throughput(&mut self, size: usize, count: usize) -> f64 {
         *self.delivered_bytes.borrow_mut() = 0;
         let remote_members = self.members.len() - 1;
         let expected = (size * count * remote_members) as u64;
@@ -415,7 +415,7 @@ pub fn figure2(sizes: &[usize]) -> Report {
 /// profile) are *upper bounds*: when the measured total comes in under budget (packets that
 /// overlap in time), the budgets are truncated in order rather than reporting a negative
 /// processing residual.
-pub fn figure3_breakdown(total_ms: f64) -> (f64, f64, f64) {
+fn figure3_breakdown(total_ms: f64) -> (f64, f64, f64) {
     const LINK_BUDGET_MS: f64 = 48.0;
     const HOP_BUDGET_MS: f64 = 20.0;
     let total = total_ms.max(0.0);
