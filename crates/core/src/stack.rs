@@ -226,6 +226,9 @@ impl SiteStack {
     /// True if this site runs a protocol endpoint for the group: a member lives here, or is
     /// joining here.  Diagnostic: traffic about a group this site has no part in must not
     /// leave one behind.
+    ///
+    /// Only caller: `tests/gossip_bundle.rs`.
+    #[doc(hidden)]
     pub fn has_endpoint(&self, group: GroupId) -> bool {
         self.endpoints.contains_key(&group)
     }
@@ -241,8 +244,11 @@ impl SiteStack {
     }
 
     /// The wire frame of the last flush commit this site installed for the group (see
-    /// [`GroupEndpoint::last_commit`]).  Diagnostic: lets a test check that every site
+    /// `GroupEndpoint::last_commit`).  Diagnostic: lets a test check that every site
     /// holds the one frame the coordinator wrote.
+    ///
+    /// Only caller: `tests/frame_fanout.rs`.
+    #[doc(hidden)]
     pub fn last_commit(&self, group: GroupId) -> Option<&Frame> {
         self.endpoints.get(&group).and_then(|ep| ep.last_commit())
     }

@@ -1583,6 +1583,9 @@ impl GroupEndpoint {
     /// The wire frame of the last flush commit this endpoint installed, which it keeps as
     /// its bulletin.  Diagnostic: it is the very frame the coordinator wrote wherever the
     /// commit did not cross a thread boundary.
+    ///
+    /// Only caller: `SiteStack::last_commit`, for `tests/frame_fanout.rs`.
+    #[doc(hidden)]
     pub fn last_commit(&self) -> Option<&Frame> {
         self.last_commit.as_ref()
     }
