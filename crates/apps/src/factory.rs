@@ -12,8 +12,9 @@
 //!   the coordinator–cohort tool, so a batch completes even if the member processing it fails
 //!   mid-request;
 //! * the **transport service**: a process group replicating per-station status with the
-//!   replicated-data tool (CBCAST updates, local reads) and using a replicated semaphore to
-//!   serialise access to the single inter-station conveyor.
+//!   replicated-data tool (CBCAST updates, local reads).  Every member also defines and
+//!   attaches a replicated semaphore for the single inter-station conveyor, but no step of the
+//!   scenario calls P on it, so nothing is serialised by it yet.
 
 use std::cell::RefCell;
 use std::rc::Rc;

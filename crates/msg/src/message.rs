@@ -27,7 +27,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
-use vsync_util::{Address, EntryId, GroupId, ProcessId, VectorClock};
+use vsync_util::{Address, EntryId, GroupId, ProcessId, VectorClock, VsError};
 
 use crate::fields;
 use crate::name::FieldName;
@@ -189,6 +189,25 @@ impl Message {
     /// Typed accessor: nested message.
     pub fn get_msg(&self, name: &str) -> Option<&Message> {
         self.get(name).and_then(Value::as_msg)
+    }
+
+    /// Like [`Message::get_u64`] but returns a codec error naming the missing field,
+    /// which is convenient inside protocol handlers.
+    pub fn require_u64(&self, name: &str) -> Result<u64, VsError> {
+        self.get_u64(name)
+            .ok_or_else(|| VsError::CodecError(format!("missing u64 field {name:?}")))
+    }
+
+    /// Required string accessor.
+    pub fn require_str(&self, name: &str) -> Result<&str, VsError> {
+        self.get_str(name)
+            .ok_or_else(|| VsError::CodecError(format!("missing str field {name:?}")))
+    }
+
+    /// Required address accessor.
+    pub fn require_addr(&self, name: &str) -> Result<Address, VsError> {
+        self.get_addr(name)
+            .ok_or_else(|| VsError::CodecError(format!("missing addr field {name:?}")))
     }
 
     // --- System field helpers -------------------------------------------------------------
@@ -413,5 +432,13 @@ mod tests {
         assert!(empty.encoded_len() < small.encoded_len());
         assert!(small.encoded_len() < big.encoded_len());
         assert!(big.encoded_len() >= 10_000);
+    }
+
+    #[test]
+    fn require_accessors_error_on_missing() {
+        let m = Message::new();
+        assert!(m.require_u64("nope").is_err());
+        assert!(m.require_str("nope").is_err());
+        assert!(m.require_addr("nope").is_err());
     }
 }

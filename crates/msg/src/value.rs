@@ -39,6 +39,22 @@ pub enum Value {
 }
 
 impl Value {
+    /// Human-readable name of the value's type (used in error messages).
+    pub fn type_name(&self) -> &'static str {
+        match self {
+            Value::Bool(_) => "bool",
+            Value::I64(_) => "i64",
+            Value::U64(_) => "u64",
+            Value::F64(_) => "f64",
+            Value::Str(_) => "str",
+            Value::Bytes(_) => "bytes",
+            Value::Addr(_) => "addr",
+            Value::AddrList(_) => "addr-list",
+            Value::U64List(_) => "u64-list",
+            Value::Msg(_) => "message",
+        }
+    }
+
     /// Approximate in-memory / on-wire payload size in bytes, used by the network simulator
     /// to charge serialization and fragmentation costs.
     pub(crate) fn payload_len(&self) -> usize {
@@ -295,5 +311,12 @@ mod tests {
             Value::AddrList(vec![Address::Group(GroupId(1)); 3]).payload_len(),
             24
         );
+    }
+
+    #[test]
+    fn type_names() {
+        assert_eq!(Value::from(1u64).type_name(), "u64");
+        assert_eq!(Value::from("x").type_name(), "str");
+        assert_eq!(Value::Msg(Box::new(Message::new())).type_name(), "message");
     }
 }

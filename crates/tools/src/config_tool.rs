@@ -88,6 +88,29 @@ impl ConfigTool {
     pub fn version(&self) -> u64 {
         self.inner.borrow().version
     }
+
+    /// Encodes the configuration for state transfer.
+    pub fn snapshot(&self) -> Message {
+        let state = self.inner.borrow();
+        let mut m = Message::new();
+        for (k, v) in &state.values {
+            m.set(k, v.clone());
+        }
+        m
+    }
+
+    /// Replaces the local configuration with a snapshot.
+    pub fn apply_snapshot(&self, snapshot: &Message) {
+        let mut state = self.inner.borrow_mut();
+        state.values.clear();
+        for field in snapshot.iter() {
+            if !field.name.starts_with('@') {
+                state
+                    .values
+                    .insert(field.name.to_string(), field.value.clone());
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -104,6 +127,22 @@ mod tests {
             cfg.version(),
             0,
             "local loads do not bump the replicated version"
+        );
+    }
+
+    #[test]
+    fn snapshot_roundtrip() {
+        let cfg = ConfigTool::new(GroupId(1), EntryId(9));
+        cfg.load_local("workers", 5u64);
+        cfg.load_local("mode", "horizontal");
+        let other = ConfigTool::new(GroupId(1), EntryId(9));
+        other.apply_snapshot(&cfg.snapshot());
+        assert_eq!(other.read_u64("workers"), Some(5));
+        assert_eq!(
+            other
+                .read("mode")
+                .and_then(|v| v.as_str().map(str::to_owned)),
+            Some("horizontal".to_owned())
         );
     }
 }
