@@ -199,6 +199,38 @@ impl Cluster {
         });
     }
 
+    /// Site `site`'s failure detector times out on the members at the `silent` sites.
+    fn suspect(&mut self, site: u16, silent: &[u16]) {
+        let silent: Vec<ProcessId> = silent.iter().map(|s| member(*s)).collect();
+        self.exec(SiteId(site), |ep, now, out| {
+            ep.report_failures(now, &silent, out);
+        });
+    }
+
+    /// Site `site` hears from `heard` again, which retracts its suspicion of that site.
+    fn hear(&mut self, site: u16, heard: u16) {
+        self.exec(SiteId(site), |ep, now, out| {
+            ep.unsuspect_site(now, SiteId(heard), out);
+        });
+    }
+
+    /// True while the primary-partition fence holds site `site`.
+    fn wedged(&self, site: u16) -> bool {
+        self.endpoints[&SiteId(site)].wedged
+    }
+
+    /// The kinds of the frames queued from `src` to `dst`, oldest first.
+    fn queued(&self, dst: u16, src: u16) -> Vec<&'static str> {
+        self.channels
+            .get(&(SiteId(dst), SiteId(src)))
+            .map(|q| {
+                q.iter()
+                    .map(|f| ProtoMsg::decode_frame(f).expect("decodes").1.type_tag())
+                    .collect()
+            })
+            .unwrap_or_default()
+    }
+
     /// Site `site` learns that the members at the `crashed` sites have crashed.
     fn confirm_crashes(&mut self, site: u16, crashed: &[u16]) {
         let crashed: Vec<ProcessId> = crashed.iter().map(|s| member(*s)).collect();
@@ -1274,7 +1306,7 @@ fn minority_component_wedges_instead_of_cutting_a_view() {
     c.exec(SiteId(2), |ep, now, out| {
         ep.report_failures(now, &[member(0), member(1)], out);
     });
-    assert!(c.endpoints[&SiteId(2)].wedged);
+    assert!(c.wedged(2));
     assert_eq!(c.stalls[&SiteId(2)], vec![(3, 1, 3)]);
     // The wedge happens before any flush traffic leaves the site: no FlushReq was sent,
     // so a one-member "view" can never be cut.
@@ -1292,7 +1324,7 @@ fn retracted_suspicion_unwedges_without_a_view_change() {
     c.exec(SiteId(2), |ep, now, out| {
         ep.report_failures(now, &[member(0), member(1)], out);
     });
-    assert!(c.endpoints[&SiteId(2)].wedged);
+    assert!(c.wedged(2));
     // The "dead" members speak again (the cut was a delay spike, not a crash): their
     // suspicions are withdrawn on arrival and the wedge lifts, with no view change.
     c.exec(SiteId(0), |ep, now, out| {
@@ -1304,8 +1336,8 @@ fn retracted_suspicion_unwedges_without_a_view_change() {
             .unwrap();
     });
     c.pump(false);
+    assert!(!c.wedged(2));
     let ep2 = &c.endpoints[&SiteId(2)];
-    assert!(!ep2.wedged);
     assert_eq!(ep2.suspected.len(), 0);
     assert_eq!(ep2.view().unwrap().seq(), 3, "no view change was needed");
     assert_eq!(c.delivered_bodies(SiteId(2)), vec![7, 8]);
@@ -1339,7 +1371,7 @@ fn majority_cuts_the_minority_which_rejoins_after_heal() {
         assert_eq!(v.members, vec![member(0), member(1)]);
     }
     // ... while the minority wedged at the old view, having missed the commit.
-    assert!(c.endpoints[&SiteId(2)].wedged);
+    assert!(c.wedged(2));
     assert_eq!(c.endpoints[&SiteId(2)].view().unwrap().seq(), 3);
     assert!(c.stats.snapshot().minority_wedges >= 1);
     // Heal.  The wedged side's next tick gossips into its stale view; a primary-side
@@ -1388,9 +1420,96 @@ fn an_even_split_has_exactly_one_winner_the_rank_zero_side() {
     }
     // ... and the other half wedges: an even split has one winner, never two.
     for s in [2u16, 3] {
-        assert!(c.endpoints[&SiteId(s)].wedged, "site {s}");
+        assert!(c.wedged(s), "site {s}");
         assert_eq!(c.endpoints[&SiteId(s)].view().unwrap().seq(), 4, "site {s}");
         assert_eq!(c.stalls[&SiteId(s)], vec![(4, 2, 4)], "site {s}");
     }
     assert_eq!(c.stats.snapshot().minority_wedges, 2);
+}
+
+// -- Where the fence meets the flush -------------------------------------------------------------
+//
+// A site is in one mode: normal, coordinating a flush, acked into one, wedged, or exiled.
+// These schedules pin how the modes meet when the fence and a flush overlap.  Five sites let
+// one of them lose its majority while it still hears the coordinator.
+
+#[test]
+fn a_wedged_site_acks_the_majoritys_flush_and_installs_its_commit() {
+    let mut c = Cluster::build_group(5);
+    c.suspect(4, &[1, 2, 3]); // site 4 still hears site 0: 2 of 5 voters
+    assert!(c.wedged(4));
+    c.gbcast(0);
+    c.step(4, 0); // the request leaves site 4 wedged, and it acks
+    assert!(c.wedged(4));
+    assert_eq!(c.queued(0, 4), ["flush-ack"]);
+    c.pump(false);
+    // Site 0's commit reaches site 4 before any relay retracts a suspicion: site 4 installs
+    // the view while wedged, wedges again in it, and un-wedges as the relays arrive.
+    for s in 0..5u16 {
+        let ve = c.latest_view(SiteId(s)).expect("view event");
+        assert_eq!(ve.view.seq(), 6, "site {s}");
+        assert_eq!(
+            (ve.view.members.len(), ve.gbcasts.len()),
+            (5, 1),
+            "site {s}"
+        );
+    }
+    assert_eq!(c.stalls[&SiteId(4)], vec![(5, 2, 5), (6, 2, 5)]);
+    assert!(!c.wedged(4));
+}
+
+#[test]
+fn a_flush_request_is_acked_during_the_probes_after_an_unwedge() {
+    let mut c = Cluster::build_three_member_group();
+    c.suspect(2, &[0, 1]);
+    assert!(c.wedged(2));
+    c.hear(2, 1); // 2 of 3 voters: site 2 un-wedges and probes both peers
+    assert!(!c.wedged(2));
+    assert_eq!(c.queued(0, 2), ["stability"]);
+    assert_eq!(c.queued(1, 2), ["stability"]);
+    c.gbcast(0);
+    c.step(2, 0); // the request retracts the last suspicion, and site 2 acks it
+    assert_eq!(c.queued(0, 2), ["stability", "flush-ack"]);
+    c.pump(false);
+    for s in 0..3u16 {
+        let ve = c.latest_view(SiteId(s)).expect("view event");
+        assert_eq!((ve.view.seq(), ve.gbcasts.len()), (4, 1), "site {s}");
+    }
+    assert_eq!(c.stalls[&SiteId(2)], vec![(3, 1, 3)]);
+}
+
+#[test]
+fn an_acked_site_unwedges_probes_and_installs_the_commit() {
+    let mut c = Cluster::build_group(5);
+    c.suspect(4, &[1, 2, 3]);
+    c.gbcast(0);
+    c.step(4, 0); // site 4 acks while wedged
+    c.hear(4, 1); // 3 of 5 voters: site 4 un-wedges while it waits for the commit
+    assert!(!c.wedged(4));
+    assert_eq!(c.queued(0, 4), ["flush-ack", "stability"]);
+    for dst in 1..4 {
+        assert_eq!(c.queued(dst, 4), ["stability"], "site {dst}");
+    }
+    c.pump(false);
+    for s in 0..5u16 {
+        let v = c.endpoints[&SiteId(s)].view().unwrap();
+        assert_eq!((v.seq(), v.members.len()), (6, 5), "site {s}");
+    }
+    assert_eq!(c.stalls[&SiteId(4)], vec![(5, 2, 5)]);
+}
+
+#[test]
+fn a_commit_that_cuts_out_an_acked_site_asks_it_to_rejoin_once() {
+    let mut c = Cluster::build_three_member_group();
+    c.gbcast(0);
+    c.step(2, 0); // site 2 acks
+    c.confirm_crashes(0, &[2]); // the coordinator stops waiting for site 2 ...
+    c.confirm_crashes(1, &[2]);
+    c.pump(false); // ... and both its commit and site 1's relay reach site 2
+    for s in [0u16, 1] {
+        let v = c.endpoints[&SiteId(s)].view().unwrap();
+        assert_eq!((v.seq(), &v.members[..]), (4, &[member(0), member(1)][..]));
+    }
+    assert_eq!(c.rejoins[&SiteId(2)], vec![(SiteId(0), 4)]);
+    assert_eq!(c.endpoints[&SiteId(2)].view().unwrap().seq(), 3);
 }
