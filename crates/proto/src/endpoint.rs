@@ -3,9 +3,16 @@
 //! In the ISIS architecture (paper Figure 1) every site runs a *protocols process* that
 //! "implements the multicast primitives, handles process group addressing and does all
 //! inter-site communication", keeping one block of ordering state per process group with
-//! members at that site.  [`GroupEndpoint`] is that block of state: it composes the CBCAST
-//! and ABCAST machines, the stability tracker, and the flush protocol that implements GBCAST
-//! and virtually synchronous view changes.
+//! members at that site.  [`GroupEndpoint`] is that block of state.
+//!
+//! It is two machines side by side.  The *data path* runs CBCAST, ABCAST and the stability
+//! buffer in the installed view.  The *mode* is where the site stands in the flush that
+//! implements GBCAST and virtually synchronous view changes, and against the
+//! primary-partition fence: normal, coordinating a flush, acked into one, wedged in a
+//! minority, or exiled from a primary view that moved on without it.  One transition
+//! function is the only writer of the mode.  The mode gates the data path with one flag,
+//! true from this site's flush ack to the commit, and never reaches into it.  ARCHITECTURE.md
+//! draws the mode's state diagram.
 //!
 //! The endpoint is sans-io: every public method appends [`EndpointOutput`] actions to a
 //! caller-supplied vector.  The hosting protocol stack (in `vsync-core`) owns one endpoint
@@ -16,22 +23,20 @@ use std::rc::Rc;
 
 use vsync_msg::{Frame, Message};
 use vsync_net::{MsgId, PacketKind, ProtocolKind, SharedStats};
-use vsync_util::{GroupId, ProcessId, Rank, Result, SimTime, SiteId, VectorClock, VsError};
+use vsync_util::{GroupId, ProcessId, Rank, Result, SimTime, SiteId, VsError};
 
-use crate::abcast::AbcastState;
-use crate::cbcast::{CbcastState, ReadyCb};
 use crate::config::ProtoConfig;
-use crate::flush::{stored_msg_id, FlushCoordinator, FlushParticipant, FlushRole};
+use crate::flush::{stored_msg_id, FlushCoordinator, FlushParticipant};
 use crate::frontier::{Frontier, IdSet};
 use crate::messages::{ProtoMsg, StabilityEntry, StoredMsg};
-use crate::output::{Delivery, EndpointOutput, ViewEvent};
-use crate::stability::StabilityTracker;
+use crate::output::{EndpointOutput, ViewEvent};
 use crate::view::View;
 
-/// Gossip rounds an endpoint keeps probing for after it un-wedges without a view change
-/// (see [`GroupEndpoint::maybe_unwedge`]): one immediate probe plus this many periodic
-/// ones, so a lost probe cannot strand a healed minority in a stale view.
-const STALE_VIEW_PROBES: u8 = 3;
+mod data;
+mod mode;
+
+use data::DataPath;
+use mode::{Input, Mode};
 
 /// A multicast buffered while a flush is in progress; it is re-issued in the next view.
 #[derive(Clone, Debug)]
@@ -74,6 +79,15 @@ impl GossipReport<'_> {
     }
 }
 
+/// Appends one `Send` of `msg` to `dst_site`.
+fn send(out: &mut Vec<EndpointOutput>, dst_site: SiteId, kind: PacketKind, msg: Frame) {
+    out.push(EndpointOutput::Send {
+        dst_site,
+        kind,
+        msg,
+    });
+}
+
 /// Protocol endpoint for one group at one site.
 pub struct GroupEndpoint {
     group: GroupId,
@@ -81,12 +95,8 @@ pub struct GroupEndpoint {
     cfg: ProtoConfig,
     stats: SharedStats,
     view: Option<View>,
-    /// Member sites of the current view excluding this one, refreshed on view install.
-    /// Cached so the per-multicast fan-out iterates a ready list instead of recomputing
-    /// (and re-allocating) the site set from the member list on every send.
-    peer_sites: Vec<SiteId>,
-    /// Members of the current view hosted at this site (same caching rationale: read on
-    /// every local delivery).
+    /// Members of the current view hosted at this site (cached: read on every local
+    /// delivery).
     local_members: Vec<ProcessId>,
     /// Sequence number of the previously installed view (0 if none).
     prev_view_seq: u64,
@@ -98,17 +108,14 @@ pub struct GroupEndpoint {
     /// in particular never to a process that joined at the cut, whose snapshot already
     /// covers them.
     prev_local_members: Vec<ProcessId>,
-    /// Scratch for CBCAST deliveries, reused across received packets.
-    ready_scratch: Vec<ReadyCb>,
-    next_msg_seq: u64,
+    /// CBCAST, ABCAST and stability in the installed view.
+    data: DataPath,
+    /// Where this site stands in the view change and against the fence.  Written only by
+    /// [`GroupEndpoint::step`].
+    mode: Mode,
+    /// The attempt number the next flush this site coordinates carries.  Written only by
+    /// [`GroupEndpoint::step`].
     flush_attempt: u64,
-    cb: CbcastState,
-    ab: AbcastState,
-    stab: StabilityTracker,
-    /// Ids delivered in the current view (the dedup filter for retransmissions and flush
-    /// redelivery).
-    delivered: IdSet,
-    flush: Option<FlushRole>,
     /// Membership changes queued at (or forwarded to) the acting coordinator.
     pending_joins: Vec<ProcessId>,
     pending_leaves: Vec<ProcessId>,
@@ -119,13 +126,6 @@ pub struct GroupEndpoint {
     /// else in `suspected` came from timeouts and is withdrawn the moment the suspect
     /// speaks again (see [`GroupEndpoint::unsuspect_site`]).
     confirmed: BTreeSet<ProcessId>,
-    /// True while the primary-partition fence blocks this endpoint from cutting a view:
-    /// its component does not hold a majority of the current view.  A wedged endpoint
-    /// never starts or completes a flush; it waits for the partition to heal (suspicions
-    /// retracted, or evidence of a newer primary view triggering a rejoin).
-    wedged: bool,
-    /// Guards against emitting [`EndpointOutput::RejoinRequired`] more than once.
-    rejoin_emitted: bool,
     /// Local members whose voluntary leave was submitted through this endpoint.  A commit
     /// excluding them is an *expected* departure, not evidence that the primary partition
     /// cut this site out.
@@ -143,8 +143,6 @@ pub struct GroupEndpoint {
     /// what lets the healed minority discover the primary view and rejoin.
     last_commit: Option<Frame>,
     last_gossip: SimTime,
-    /// Remaining gossip rounds forced after an un-wedge (see [`STALE_VIEW_PROBES`]).
-    stale_probes: u8,
 }
 
 impl GroupEndpoint {
@@ -156,31 +154,22 @@ impl GroupEndpoint {
             cfg,
             stats,
             view: None,
-            peer_sites: Vec::new(),
             local_members: Vec::new(),
             prev_view_seq: 0,
             prev_local_members: Vec::new(),
-            ready_scratch: Vec::new(),
-            next_msg_seq: 0,
+            data: DataPath::new(group, site),
+            mode: Mode::Normal { probes: 0 },
             flush_attempt: 0,
-            cb: CbcastState::new(0),
-            ab: AbcastState::new(),
-            stab: StabilityTracker::new(site, vec![site]),
-            delivered: IdSet::new(),
-            flush: None,
             pending_joins: Vec::new(),
             pending_leaves: Vec::new(),
             suspected: BTreeSet::new(),
             confirmed: BTreeSet::new(),
-            wedged: false,
-            rejoin_emitted: false,
             leaving_local: BTreeSet::new(),
             pending_gbcasts: Vec::new(),
             buffered_sends: Vec::new(),
             future_msgs: Vec::new(),
             last_commit: None,
             last_gossip: SimTime::ZERO,
-            stale_probes: 0,
         }
     }
 
@@ -215,7 +204,34 @@ impl GroupEndpoint {
         }));
     }
 
+    // -- The mode -----------------------------------------------------------------------------
+
+    /// The one writer of the mode, and of the attempt counter that moves with it.
+    fn step(&mut self, input: Input) {
+        let mode = std::mem::replace(&mut self.mode, Mode::Exiled);
+        (self.mode, self.flush_attempt) = mode.next(input, self.flush_attempt);
+    }
+
+    /// The data path's gate: true from this site's flush ack to the commit, the window in
+    /// which it delivers nothing from the current view and gossips no new receipt, because
+    /// the report it sent cannot carry them.
+    fn acked(&self) -> bool {
+        matches!(self.mode, Mode::Acked { .. })
+    }
+
+    fn exiled(&self) -> bool {
+        matches!(self.mode, Mode::Exiled)
+    }
+
     // -- Application-facing multicast operations --------------------------------------------
+
+    /// The installed view, for a client call that needs one: none while joining or exiled.
+    fn member_view(&self) -> Result<&View> {
+        match &self.view {
+            Some(view) if !self.exiled() => Ok(view),
+            _ => Err(VsError::NotAMember(self.group)),
+        }
+    }
 
     /// Issues a CBCAST from a local member (or on behalf of a relayed external caller).
     pub fn cbcast(
@@ -225,10 +241,8 @@ impl GroupEndpoint {
         payload: Message,
         out: &mut Vec<EndpointOutput>,
     ) -> Result<MsgId> {
-        if self.view.is_none() {
-            return Err(VsError::NotAMember(self.group));
-        }
-        if self.flush.is_some() {
+        self.member_view()?;
+        if self.mode.flushing() {
             // Not counted in the multicast statistics yet: the re-issue after the flush
             // commits goes through this method again and counts exactly once there.
             self.buffered_sends
@@ -237,33 +251,8 @@ impl GroupEndpoint {
             return Ok(MsgId::new(self.site, u64::MAX));
         }
         self.stats.count_multicast(ProtocolKind::Cbcast);
-        // Borrow (never clone) the view: the per-multicast cost of the fast path must not
-        // include copying the member list.
-        let (rank, view_seq) = {
-            let view = self.view.as_ref().expect("checked above");
-            (self.rank_for_sender(view, sender)?, view.seq())
-        };
-        let id = self.alloc_msg_id();
-        let vt = self.cb.stamp_send(rank);
-        // Written once; the stability buffer and every peer-site packet alias this frame,
-        // and the typed message travels in it.
-        let local = payload.clone();
-        let wire = ProtoMsg::CbData {
-            id,
-            sender,
-            sender_rank: rank as u64,
-            view_seq,
-            vt,
-            payload,
-        }
-        .into_frame(self.group);
-        self.stab.record_local(id, wire.clone().into());
-        self.send_to_peers(PacketKind::Data, wire, out);
-        // Deliver locally right away: the caller "can pretend that the message was delivered
-        // to its destinations at the moment the CBCAST was issued" (Section 3.4).
-        self.delivered.insert(id);
-        self.emit_delivery(id, ProtocolKind::Cbcast, local, out);
-        Ok(id)
+        let rank = self.rank_for_sender(self.member_view()?, sender)?;
+        Ok(self.data.cbcast(sender, rank, payload, out))
     }
 
     /// Issues an ABCAST from a local member (or on behalf of a relayed external caller).
@@ -274,36 +263,15 @@ impl GroupEndpoint {
         payload: Message,
         out: &mut Vec<EndpointOutput>,
     ) -> Result<MsgId> {
-        let Some(view_seq) = self.view.as_ref().map(View::seq) else {
-            return Err(VsError::NotAMember(self.group));
-        };
-        if self.flush.is_some() {
+        self.member_view()?;
+        if self.mode.flushing() {
             // As in `cbcast`: counted once, at re-issue time, not here.
             self.buffered_sends
                 .push(BufferedSend::Ab { sender, payload });
             return Ok(MsgId::new(self.site, u64::MAX));
         }
         self.stats.count_multicast(ProtocolKind::Abcast);
-        let id = self.alloc_msg_id();
-        let held = payload.clone();
-        let wire = ProtoMsg::AbData {
-            id,
-            sender,
-            view_seq,
-            payload,
-        }
-        .into_frame(self.group);
-        let ordered = self
-            .ab
-            .initiate(id, sender, held, self.site, self.peer_sites.clone());
-        self.stab.hold(id, wire.clone().into());
-        self.send_to_peers(PacketKind::Data, wire, out);
-        if ordered {
-            // A group on one site: decided at the initiator's own proposal.
-            let priority = self.ab.priority_clock();
-            self.abcast_decided(id, priority, self.site, out);
-        }
-        Ok(id)
+        Ok(self.data.abcast(sender, payload, out))
     }
 
     /// Issues a GBCAST: the payload is delivered at the next virtual-synchrony cut, ordered
@@ -315,9 +283,7 @@ impl GroupEndpoint {
         payload: Message,
         out: &mut Vec<EndpointOutput>,
     ) -> Result<()> {
-        if self.view.is_none() {
-            return Err(VsError::NotAMember(self.group));
-        }
+        self.member_view()?;
         let Some(coord) = self.acting_coordinator() else {
             return Err(VsError::NoCoordinator(self.group));
         };
@@ -326,7 +292,7 @@ impl GroupEndpoint {
             self.start_flush_if_needed(now, out);
         } else {
             let wire = ProtoMsg::GbcastReq { sender, payload }.into_frame(self.group);
-            self.send_to_site(coord.site, PacketKind::Flush, wire, out);
+            send(out, coord.site, PacketKind::Flush, wire);
         }
         Ok(())
     }
@@ -356,7 +322,7 @@ impl GroupEndpoint {
                 credentials,
             }
             .into_frame(self.group);
-            self.send_to_site(coord.site, PacketKind::Flush, wire, out);
+            send(out, coord.site, PacketKind::Flush, wire);
         }
         Ok(())
     }
@@ -383,7 +349,7 @@ impl GroupEndpoint {
             self.start_flush_if_needed(now, out);
         } else {
             let wire = ProtoMsg::LeaveReq { member }.into_frame(self.group);
-            self.send_to_site(coord.site, PacketKind::Flush, wire, out);
+            send(out, coord.site, PacketKind::Flush, wire);
         }
         Ok(())
     }
@@ -420,6 +386,9 @@ impl GroupEndpoint {
         confirmed: bool,
         out: &mut Vec<EndpointOutput>,
     ) {
+        if self.exiled() {
+            return;
+        }
         let Some(view) = self.view.clone() else {
             return;
         };
@@ -454,24 +423,20 @@ impl GroupEndpoint {
                     .all(|m| self.suspected.contains(m))
             })
             .collect();
+        let gate = self.acked();
         for fs in &failed_sites {
-            for (id, final_prio, tiebreak) in self.ab.forget_site(*fs) {
-                self.finish_abcast_order(id, final_prio, tiebreak, out);
-            }
+            self.data.forget_site(*fs, gate, out);
         }
-        // If the flush we were part of was being run by a now-failed member, forget it so the
-        // next coordinator (possibly us) can take over.
-        let initiator_failed = match &self.flush {
-            Some(FlushRole::Participant(p)) => self.suspected.contains(&p.initiator),
-            _ => false,
-        };
-        if initiator_failed {
-            self.leave_flush();
+        // If the flush we acked was being run by a now-failed member, leave it so the next
+        // coordinator (possibly us) can take over.
+        if matches!(&self.mode, Mode::Acked { flush, .. } if self.suspected.contains(&flush.initiator))
+        {
+            self.step(Input::Abandon);
         }
-        if let Some(FlushRole::Coordinator(c)) = &mut self.flush {
+        if let Mode::Coordinating { flush, .. } = &mut self.mode {
             let mut complete = false;
             for fs in &failed_sites {
-                if c.forget_site(*fs) {
+                if flush.forget_site(*fs) {
                     complete = true;
                 }
             }
@@ -489,6 +454,9 @@ impl GroupEndpoint {
     /// internally on any protocol message — so a suspicion raised by a delay spike is
     /// retracted before it can force a needless view change.
     pub fn unsuspect_site(&mut self, now: SimTime, site: SiteId, out: &mut Vec<EndpointOutput>) {
+        if self.exiled() {
+            return;
+        }
         let cleared: Vec<ProcessId> = self
             .suspected
             .iter()
@@ -510,8 +478,8 @@ impl GroupEndpoint {
         // abandon it: the next attempt (if anything is still pending) re-awaits their site
         // and builds the view from the corrected failure set.  If nothing else is pending,
         // no flush restarts and the needless view change never happens.
-        if matches!(self.flush, Some(FlushRole::Coordinator(_))) {
-            self.leave_flush();
+        if matches!(self.mode, Mode::Coordinating { .. }) {
+            self.step(Input::Abandon);
         }
         self.maybe_unwedge(out);
         self.start_flush_if_needed(now, out);
@@ -559,39 +527,21 @@ impl GroupEndpoint {
         false
     }
 
-    /// True from this site's flush ack to the commit (or to leaving the flush): the window in
-    /// which it delivers nothing from the current view and gossips no new receipt, because
-    /// the report it sent cannot carry them.  A CBCAST that arrives in it is delivered only
-    /// if the commit carries it.
-    fn acked(&self) -> bool {
-        matches!(self.flush, Some(FlushRole::Participant(_)))
-    }
-
-    /// Abandons this endpoint's flush role, if any, without a commit: the next attempt
-    /// counts up.  Nothing held since this site's ack is released here — an ABCAST decided
-    /// or a CBCAST received in that window: the commit that follows (a takeover's, or the
-    /// abandoned attempt's, relayed) delivers them.
-    fn leave_flush(&mut self) {
-        if self.flush.take().is_some() {
-            self.flush_attempt += 1;
-        }
-    }
-
     /// Wedges the endpoint: abandons any flush role, counts the stall, and reports it.
     fn enter_wedge(&mut self, view_seq: u64, out: &mut Vec<EndpointOutput>) {
-        self.leave_flush();
         let (alive, voters) = self
             .view
             .as_ref()
             .map(|v| self.majority_tally(v))
             .unwrap_or((0, 0));
+        let newly = !self.mode.wedged();
         self.stats.with(|s| {
             s.count_partition_stall();
-            if !self.wedged {
+            if newly {
                 s.count_minority_wedge();
             }
         });
-        self.wedged = true;
+        self.step(Input::Wedge);
         out.push(EndpointOutput::PartitionStalled {
             group: self.group,
             view_seq,
@@ -607,11 +557,11 @@ impl GroupEndpoint {
     /// committed a view without us and, holding no member of ours, will never address us
     /// again; silently resuming in the stale view would strand this endpoint as a
     /// quiescent zombie.  So the transition out of a wedge always probes: gossip
-    /// immediately and for [`STALE_VIEW_PROBES`] more rounds.  A peer still in this view
+    /// immediately, and from `Wedged` for a few more rounds.  A peer still in this view
     /// reads the probe as ordinary stability traffic; a peer that moved on sees the stale
     /// view stamp and answers with the bulletin commit that triggers the rejoin.
     fn maybe_unwedge(&mut self, out: &mut Vec<EndpointOutput>) {
-        if !self.wedged {
+        if !self.mode.wedged() {
             return;
         }
         let Some(view) = &self.view else {
@@ -620,27 +570,17 @@ impl GroupEndpoint {
         if !self.has_primary_majority(view) {
             return;
         }
-        let view_seq = view.seq();
-        self.wedged = false;
-        self.stale_probes = STALE_VIEW_PROBES;
-        if !self.peer_sites.is_empty() {
-            let probe = self.gossip_report(view_seq).into_frame(self.site);
-            self.send_to_peers(PacketKind::Stability, probe, out);
-        }
+        self.step(Input::Unwedge);
+        self.data.send_report(out);
     }
 
-    /// A wedged (or excluded) member saw evidence of a newer primary view: request a
-    /// rejoin through the site that evidenced it, at most once.
-    fn require_rejoin(
-        &mut self,
-        contact: SiteId,
-        observed_seq: u64,
-        out: &mut Vec<EndpointOutput>,
-    ) {
-        if self.rejoin_emitted {
+    /// Evidence of a primary view that excludes this site: request a rejoin through the
+    /// site that evidenced it.  The endpoint ignores everything after.
+    fn exile(&mut self, contact: SiteId, observed_seq: u64, out: &mut Vec<EndpointOutput>) {
+        if self.exiled() {
             return;
         }
-        self.rejoin_emitted = true;
+        self.step(Input::Exile);
         out.push(EndpointOutput::RejoinRequired {
             group: self.group,
             contact,
@@ -662,7 +602,7 @@ impl GroupEndpoint {
             return;
         }
         if let Some(commit) = self.last_commit.clone() {
-            self.send_to_site(from_site, PacketKind::Flush, commit, out);
+            send(out, from_site, PacketKind::Flush, commit);
         }
     }
 
@@ -681,6 +621,9 @@ impl GroupEndpoint {
         frame: &Frame,
         out: &mut Vec<EndpointOutput>,
     ) -> Result<()> {
+        if self.exiled() {
+            return Ok(());
+        }
         let (group, msg) = ProtoMsg::decode_frame(frame)?;
         // A stability frame is its sender's report on every group it shares with this
         // site and names no group of its own; what concerns this endpoint is picked out
@@ -698,15 +641,8 @@ impl GroupEndpoint {
         match msg {
             ProtoMsg::CbData { view_seq, .. } | ProtoMsg::AbData { view_seq, .. } => {
                 match self.view_position(*view_seq) {
-                    ViewPosition::Current => self.handle_data(now, msg, frame, out),
-                    ViewPosition::Future => {
-                        self.future_msgs.push((from_site, frame.clone()));
-                        // Data stamped with a view we never installed: while wedged this
-                        // is proof a newer primary view exists on the far side.
-                        if self.wedged {
-                            self.require_rejoin(from_site, *view_seq, out);
-                        }
-                    }
+                    ViewPosition::Current => self.data.handle_data(msg, frame, self.acked(), out),
+                    ViewPosition::Future => self.hold_future(from_site, frame, *view_seq, out),
                     ViewPosition::Past => self.bulletin_stale_sender(from_site, out),
                 }
             }
@@ -715,20 +651,14 @@ impl GroupEndpoint {
                 view_seq,
                 proposed,
                 proposer_site,
-            } => {
-                if self.view_position(*view_seq) == ViewPosition::Current {
-                    if let Some((final_prio, tiebreak)) =
-                        self.ab.on_proposal(*id, *proposer_site, *proposed)
-                    {
-                        self.finish_abcast_order(*id, final_prio, tiebreak, out);
-                    }
-                } else if self.view_position(*view_seq) == ViewPosition::Future {
-                    self.future_msgs.push((from_site, frame.clone()));
-                    if self.wedged {
-                        self.require_rejoin(from_site, *view_seq, out);
-                    }
+            } => match self.view_position(*view_seq) {
+                ViewPosition::Current => {
+                    self.data
+                        .on_proposal(*id, *proposer_site, *proposed, self.acked(), out);
                 }
-            }
+                ViewPosition::Future => self.hold_future(from_site, frame, *view_seq, out),
+                ViewPosition::Past => {}
+            },
             ProtoMsg::AbOrder {
                 id,
                 view_seq,
@@ -736,14 +666,11 @@ impl GroupEndpoint {
                 tiebreak_site,
             } => match self.view_position(*view_seq) {
                 ViewPosition::Current => {
-                    self.abcast_decided(*id, *final_priority, *tiebreak_site, out);
+                    let gate = self.acked();
+                    self.data
+                        .abcast_decided(*id, *final_priority, *tiebreak_site, gate, out);
                 }
-                ViewPosition::Future => {
-                    self.future_msgs.push((from_site, frame.clone()));
-                    if self.wedged {
-                        self.require_rejoin(from_site, *view_seq, out);
-                    }
-                }
+                ViewPosition::Future => self.hold_future(from_site, frame, *view_seq, out),
                 ViewPosition::Past => self.bulletin_stale_sender(from_site, out),
             },
             ProtoMsg::JoinReq {
@@ -809,6 +736,21 @@ impl GroupEndpoint {
         Ok(())
     }
 
+    /// Keeps a message stamped with a view this endpoint has not installed, for when it
+    /// does.  While wedged, such a message is proof that a newer primary view exists.
+    fn hold_future(
+        &mut self,
+        from_site: SiteId,
+        frame: &Frame,
+        view_seq: u64,
+        out: &mut Vec<EndpointOutput>,
+    ) {
+        self.future_msgs.push((from_site, frame.clone()));
+        if self.mode.wedged() {
+            self.exile(from_site, view_seq, out);
+        }
+    }
+
     /// Handles one entry of a stability frame from `from_site`: its report, stamped
     /// `view_seq`, of the ids it has `received` in this endpoint's group.  Everything a
     /// protocol message does on arrival happens per entry — the sender's members are
@@ -824,14 +766,15 @@ impl GroupEndpoint {
         received: &IdSet,
         out: &mut Vec<EndpointOutput>,
     ) {
+        if self.exiled() {
+            return;
+        }
         self.unsuspect_site(now, from_site, out);
         match self.view_position(view_seq) {
-            ViewPosition::Current => {
-                self.stab.on_gossip_set(from_site, received);
-            }
+            ViewPosition::Current => self.data.on_gossip(from_site, received),
             ViewPosition::Future => {
-                if self.wedged {
-                    self.require_rejoin(from_site, view_seq, out);
+                if self.mode.wedged() {
+                    self.exile(from_site, view_seq, out);
                 }
             }
             ViewPosition::Past => self.bulletin_stale_sender(from_site, out),
@@ -842,9 +785,8 @@ impl GroupEndpoint {
     /// sent as a stability frame of this one entry, then the flush watchdog.  A host of
     /// many endpoints calls the two halves itself and sends one frame for all of them.
     pub fn on_tick(&mut self, now: SimTime, out: &mut Vec<EndpointOutput>) {
-        let site = self.site;
-        if let Some(wire) = self.gossip_due(now).map(|report| report.into_frame(site)) {
-            self.send_to_peers(PacketKind::Stability, wire, out);
+        if self.gossip_due(now).is_some() {
+            self.data.send_report(out);
         }
         self.flush_watchdog(now, out);
     }
@@ -855,75 +797,71 @@ impl GroupEndpoint {
     pub fn gossip_due(&mut self, now: SimTime) -> Option<GossipReport<'_>> {
         // Runs on every maintenance tick of every site: the idle path (nothing unstable)
         // must not clone the view or allocate.
-        let view_seq = self.view.as_ref()?.seq();
+        if self.view.is_none() || self.exiled() {
+            return None;
+        }
         if now.saturating_since(self.last_gossip) < self.cfg.stability_interval {
             return None;
         }
         self.last_gossip = now;
-        // Gossip while there is anything to advertise — held copies *or* a message
-        // that became stable here in the last few rounds: a site that stabilized a
-        // message before ever gossiping it must still tell the origin, or the origin's
-        // ack set never completes (see `stability::QUIET_ROUNDS`).  A wedged endpoint
-        // gossips even with nothing to report: across a healed partition the stale
-        // view stamp makes a primary-side member answer with the latest commit (the
-        // bulletin), which is an idle minority's only way to learn it was cut out.
-        // The same goes for the probe rounds right after an un-wedge (see
-        // `maybe_unwedge`): heartbeats retract suspicions the instant the cut heals,
-        // usually before this tick ever fires in the wedged state, so the wedge alone
-        // cannot carry that burden.
-        let probing = self.stale_probes > 0;
-        let due =
-            (self.stab.has_reportable() || self.wedged || probing) && !self.peer_sites.is_empty();
+        // Gossip while there is anything to advertise — held copies *or* a message that
+        // became stable here in the last few rounds: a site that stabilized a message
+        // before ever gossiping it must still tell the origin, or the origin's ack set
+        // never completes (see `stability::QUIET_ROUNDS`).  A wedged endpoint gossips even
+        // with nothing to report: across a healed partition the stale view stamp makes a
+        // primary-side member answer with the latest commit (the bulletin), which is an
+        // idle minority's only way to learn it was cut out.  The same goes for the probe
+        // rounds right after an un-wedge (see `maybe_unwedge`): heartbeats retract
+        // suspicions the instant the cut heals, usually before this tick ever fires in the
+        // wedged state, so the wedge alone cannot carry that burden.
+        let due = self
+            .data
+            .gossip_round(self.mode.wedged() || self.mode.probing());
         if due {
-            self.stale_probes = self.stale_probes.saturating_sub(1);
+            self.step(Input::GossipRound);
         }
-        self.stab.note_gossip_round();
-        due.then(|| self.gossip_report(view_seq))
+        due.then(|| self.data.gossip_report())
     }
 
     /// Second half of a maintenance tick: flush-timeout recovery.
     pub fn flush_watchdog(&mut self, now: SimTime, out: &mut Vec<EndpointOutput>) {
-        let stalled = self
-            .flush
-            .as_ref()
-            .map(|f| now.saturating_since(f.started_at()) > self.cfg.flush_timeout)
-            .unwrap_or(false);
-        if stalled {
-            match self.flush.take() {
-                Some(FlushRole::Coordinator(mut c)) => {
-                    // Re-send the request to laggard sites.
-                    c.started_at = now;
-                    let req = ProtoMsg::FlushReq {
-                        target_seq: c.target_seq,
-                        initiator: self
-                            .acting_coordinator()
-                            .unwrap_or_else(|| ProcessId::new(self.site, 0)),
-                        attempt: c.attempt,
-                    }
-                    .into_frame(self.group);
-                    for s in c.awaiting.iter().copied().collect::<Vec<_>>() {
-                        self.send_to_site(s, PacketKind::Flush, req.clone(), out);
-                    }
-                    self.flush = Some(FlushRole::Coordinator(c));
+        let started_at = match &self.mode {
+            Mode::Coordinating { flush, .. } => flush.started_at,
+            Mode::Acked { flush, .. } => flush.started_at,
+            _ => return,
+        };
+        if now.saturating_since(started_at) <= self.cfg.flush_timeout {
+            return;
+        }
+        let initiator = self
+            .acting_coordinator()
+            .unwrap_or_else(|| ProcessId::new(self.site, 0));
+        match &mut self.mode {
+            Mode::Coordinating { flush, .. } => {
+                // Re-send the request to laggard sites.
+                flush.started_at = now;
+                let req = ProtoMsg::FlushReq {
+                    target_seq: flush.target_seq,
+                    initiator,
+                    attempt: flush.attempt,
                 }
-                Some(FlushRole::Participant(p)) => {
-                    // The coordinator went quiet: treat it as failed and let the next oldest
-                    // surviving member (possibly hosted here) take over.
-                    self.suspected.insert(p.initiator);
-                    self.flush_attempt = p.attempt + 1;
-                    self.start_flush_if_needed(now, out);
+                .into_frame(self.group);
+                for s in &flush.awaiting {
+                    send(out, *s, PacketKind::Flush, req.clone());
                 }
-                None => {}
             }
+            Mode::Acked { flush, .. } => {
+                // The coordinator went quiet: treat it as failed and let the next oldest
+                // surviving member (possibly hosted here) take over.
+                self.suspected.insert(flush.initiator);
+                self.step(Input::CoordinatorSilent);
+                self.start_flush_if_needed(now, out);
+            }
+            _ => {}
         }
     }
 
     // -- Internal helpers ----------------------------------------------------------------------
-
-    fn alloc_msg_id(&mut self) -> MsgId {
-        self.next_msg_seq += 1;
-        MsgId::new(self.site, self.next_msg_seq)
-    }
 
     fn rank_for_sender(&self, view: &View, sender: ProcessId) -> Result<Rank> {
         if let Some(r) = view.rank_of(sender) {
@@ -936,7 +874,11 @@ impl GroupEndpoint {
             .ok_or(VsError::NotAMember(self.group))
     }
 
+    /// The oldest member this site does not suspect.  An exiled endpoint knows none.
     fn acting_coordinator(&self) -> Option<ProcessId> {
+        if self.exiled() {
+            return None;
+        }
         self.view
             .as_ref()?
             .members
@@ -960,204 +902,8 @@ impl GroupEndpoint {
         }
     }
 
-    fn send_to_site(
-        &self,
-        dst_site: SiteId,
-        kind: PacketKind,
-        msg: Frame,
-        out: &mut Vec<EndpointOutput>,
-    ) {
-        out.push(EndpointOutput::Send {
-            dst_site,
-            kind,
-            msg,
-        });
-    }
-
-    /// Fans one wire frame out to every peer site of the current view.  Each `Send` aliases
-    /// the same frame — the per-destination cost is a reference-count bump, not a copy of
-    /// the message — and the destination list is the cached `peer_sites`, so nothing is
-    /// recomputed per multicast.
-    fn send_to_peers(&self, kind: PacketKind, msg: Frame, out: &mut Vec<EndpointOutput>) {
-        for s in &self.peer_sites {
-            out.push(EndpointOutput::Send {
-                dst_site: *s,
-                kind,
-                msg: msg.clone(),
-            });
-        }
-    }
-
-    /// This endpoint's report as things stand, stamped with `view_seq`.  Doubles as the
-    /// stale-view probe: at a peer that committed a newer view the stamp reads as
-    /// `ViewPosition::Past` and draws the bulletin commit back.
-    fn gossip_report(&self, view_seq: u64) -> GossipReport<'_> {
-        GossipReport {
-            group: self.group,
-            view_seq,
-            received: self.stab.received(),
-            peer_sites: &self.peer_sites,
-        }
-    }
-
-    fn emit_delivery(
-        &mut self,
-        id: MsgId,
-        protocol: ProtocolKind,
-        payload: Message,
-        out: &mut Vec<EndpointOutput>,
-    ) {
-        let view_seq = self.view.as_ref().map(|v| v.seq()).unwrap_or(0);
-        out.push(EndpointOutput::Deliver(Delivery {
-            group: self.group,
-            msg_id: id,
-            view_seq,
-            protocol,
-            payload,
-        }));
-    }
-
-    /// Handles a data-bearing message in the current view.  `msg` is the decoded view of
-    /// `frame`; the stability buffer aliases the frame directly (no re-encode — the received
-    /// wire form *is* the copy a flush would redistribute).
-    fn handle_data(
-        &mut self,
-        _now: SimTime,
-        msg: &ProtoMsg,
-        frame: &Frame,
-        out: &mut Vec<EndpointOutput>,
-    ) {
-        match msg {
-            ProtoMsg::CbData {
-                id,
-                sender,
-                sender_rank,
-                vt,
-                payload,
-                ..
-            } => {
-                if self.delivered.contains(*id) {
-                    return;
-                }
-                if self.acked() {
-                    self.stab.hold(*id, frame.clone().into());
-                    return;
-                }
-                self.stab.record_local(*id, frame.clone().into());
-                self.receive_cbcast(*id, *sender, *sender_rank as Rank, vt, payload, out);
-            }
-            ProtoMsg::AbData {
-                id,
-                sender,
-                payload,
-                view_seq,
-            } => {
-                if self.delivered.contains(*id) {
-                    return;
-                }
-                if !self.ab.is_pending(id) {
-                    self.stab.hold(*id, frame.clone().into());
-                }
-                let proposed = self.ab.on_data(*id, *sender, payload.clone());
-                let propose = ProtoMsg::AbPropose {
-                    id: *id,
-                    view_seq: *view_seq,
-                    proposed,
-                    proposer_site: self.site,
-                }
-                .into_frame(self.group);
-                self.send_to_site(id.origin, PacketKind::Proposal, propose, out);
-            }
-            _ => unreachable!("handle_data only receives data messages"),
-        }
-    }
-
-    /// Runs one received CBCAST through the causal-order machine and emits whatever became
-    /// deliverable.  `vt` and `payload` are borrowed from the frame's memo: a message that
-    /// arrives in order is delivered straight from there, and only one that has to wait gets
-    /// a holdback entry — and with it the one copy of its timestamp.
-    fn receive_cbcast(
-        &mut self,
-        id: MsgId,
-        sender: ProcessId,
-        sender_rank: Rank,
-        vt: &VectorClock,
-        payload: &Message,
-        out: &mut Vec<EndpointOutput>,
-    ) {
-        if self.cb.deliver_in_order(sender_rank, vt) {
-            if self.delivered.insert(id) {
-                self.emit_delivery(id, ProtocolKind::Cbcast, payload.clone(), out);
-            }
-            return;
-        }
-        let mut ready = std::mem::take(&mut self.ready_scratch);
-        self.cb.receive_into(
-            ReadyCb {
-                id,
-                sender,
-                sender_rank,
-                vt: vt.clone(),
-                payload: payload.clone(),
-            },
-            &mut ready,
-        );
-        for r in ready.drain(..) {
-            if self.delivered.insert(r.id) {
-                self.emit_delivery(r.id, ProtocolKind::Cbcast, r.payload, out);
-            }
-        }
-        self.ready_scratch = ready;
-    }
-
-    fn finish_abcast_order(
-        &mut self,
-        id: MsgId,
-        final_priority: u64,
-        tiebreak: SiteId,
-        out: &mut Vec<EndpointOutput>,
-    ) {
-        let order = ProtoMsg::AbOrder {
-            id,
-            view_seq: self.view.as_ref().map(View::seq).unwrap_or(0),
-            final_priority,
-            tiebreak_site: tiebreak,
-        }
-        .into_frame(self.group);
-        self.send_to_peers(PacketKind::SetOrder, order, out);
-        self.abcast_decided(id, final_priority, tiebreak, out);
-    }
-
-    /// Records the decision on ABCAST `id` and delivers what it makes deliverable.  One made
-    /// between this site's flush ack and the commit is never gossiped in this view: a peer
-    /// could let it go stable, and no report would carry a decision the ack did not.
-    fn abcast_decided(
-        &mut self,
-        id: MsgId,
-        priority: u64,
-        tiebreak: SiteId,
-        out: &mut Vec<EndpointOutput>,
-    ) {
-        self.ab.decide(id, priority, tiebreak);
-        self.stab.set_ab_priority(id, priority, !self.acked());
-        self.drain_abcasts(out);
-    }
-
-    /// Delivers the ABCASTs whose order is final here — except between this site's flush
-    /// ack and the commit, whose priorities may overrule a decision made here since the ack.
-    fn drain_abcasts(&mut self, out: &mut Vec<EndpointOutput>) {
-        if self.acked() {
-            return;
-        }
-        for r in self.ab.drain() {
-            if self.delivered.insert(r.id) {
-                self.emit_delivery(r.id, ProtocolKind::Abcast, r.payload, out);
-            }
-        }
-    }
-
     fn start_flush_if_needed(&mut self, now: SimTime, out: &mut Vec<EndpointOutput>) {
-        if self.flush.is_some() {
+        if !matches!(self.mode, Mode::Normal { .. } | Mode::Wedged) {
             return;
         }
         let Some(view) = self.view.clone() else {
@@ -1176,7 +922,9 @@ impl GroupEndpoint {
             self.enter_wedge(view.seq(), out);
             return;
         }
-        self.wedged = false;
+        // A wedged site that has its majority back leaves the wedge the one way there is:
+        // un-wedging, which probes.
+        self.maybe_unwedge(out);
         let Some(coord) = self.acting_coordinator() else {
             return;
         };
@@ -1195,9 +943,6 @@ impl GroupEndpoint {
                     .any(|m| !self.suspected.contains(m))
             })
             .collect();
-        let coordinator =
-            FlushCoordinator::new(target_seq, self.flush_attempt, awaiting.clone(), now);
-        self.flush = Some(FlushRole::Coordinator(coordinator));
         let req = ProtoMsg::FlushReq {
             target_seq,
             initiator: coord,
@@ -1205,9 +950,12 @@ impl GroupEndpoint {
         }
         .into_frame(self.group);
         for s in &awaiting {
-            self.send_to_site(*s, PacketKind::Flush, req.clone(), out);
+            send(out, *s, PacketKind::Flush, req.clone());
         }
-        if awaiting.is_empty() {
+        let complete = awaiting.is_empty();
+        let coordinator = FlushCoordinator::new(target_seq, self.flush_attempt, awaiting, now);
+        self.step(Input::Coordinate(coordinator));
+        if complete {
             self.complete_flush(now, out);
         }
     }
@@ -1220,7 +968,7 @@ impl GroupEndpoint {
         attempt: u64,
         out: &mut Vec<EndpointOutput>,
     ) {
-        let Some(view) = self.view.clone() else {
+        let Some(view) = &self.view else {
             return;
         };
         if target_seq != view.seq() + 1 {
@@ -1228,7 +976,7 @@ impl GroupEndpoint {
         }
         // If we believed ourselves coordinator but an older member is also flushing, defer to
         // it (lower rank wins); otherwise ignore the request and let ours proceed.
-        if let Some(FlushRole::Coordinator(_)) = &self.flush {
+        if matches!(self.mode, Mode::Coordinating { .. }) {
             let my_rank = self
                 .acting_coordinator()
                 .and_then(|c| view.rank_of(c))
@@ -1238,22 +986,20 @@ impl GroupEndpoint {
                 return;
             }
         }
-        self.flush = Some(FlushRole::Participant(FlushParticipant {
-            target_seq,
+        self.step(Input::Ack(FlushParticipant {
             initiator,
             attempt,
             started_at: now,
         }));
-        // Report everything we have received in this view that might not be everywhere,
-        // and the priority clock that bounds every ABCAST delivered here.
+        let (stored, ab_clock) = self.data.flush_report();
         let ack = ProtoMsg::FlushAck {
             target_seq,
             from_site: self.site,
-            ab_clock: self.ab.priority_clock(),
-            stored: self.stab.unstable(),
+            ab_clock,
+            stored,
         }
         .into_frame(self.group);
-        self.send_to_site(initiator.site, PacketKind::Flush, ack, out);
+        send(out, initiator.site, PacketKind::Flush, ack);
     }
 
     fn handle_flush_ack(
@@ -1265,9 +1011,9 @@ impl GroupEndpoint {
         ab_clock: u64,
         out: &mut Vec<EndpointOutput>,
     ) {
-        let complete = match &mut self.flush {
-            Some(FlushRole::Coordinator(c)) if c.target_seq == target_seq => {
-                c.absorb_ack(from_site, stored, ab_clock)
+        let complete = match &mut self.mode {
+            Mode::Coordinating { flush, .. } if flush.target_seq == target_seq => {
+                flush.absorb_ack(from_site, stored, ab_clock)
             }
             _ => false,
         };
@@ -1277,22 +1023,25 @@ impl GroupEndpoint {
     }
 
     fn complete_flush(&mut self, now: SimTime, out: &mut Vec<EndpointOutput>) {
-        let Some(FlushRole::Coordinator(mut c)) = self.flush.take() else {
-            return;
-        };
         let Some(view) = self.view.clone() else {
             return;
         };
+        if !matches!(self.mode, Mode::Coordinating { .. }) {
+            return;
+        }
         // Authoritative primary-partition fence: suspicions may have accumulated since
         // this flush started (forgotten sites complete a flush too), so re-check that we
         // still hold a majority of the view being cut before committing its successor.
         if !self.has_primary_majority(&view) {
-            self.flush_attempt += 1;
             self.enter_wedge(view.seq(), out);
             return;
         }
-        // Merge our own unstable messages and priority clock into the union.
-        c.merge(self.stab.unstable(), self.ab.priority_clock());
+        let Mode::Coordinating { flush, .. } = &mut self.mode else {
+            return;
+        };
+        // Merge our own report into the union.
+        let (stored, ab_clock) = self.data.flush_report();
+        flush.merge(stored, ab_clock);
         // Build the new view.
         let departed: Vec<ProcessId> = self
             .suspected
@@ -1302,14 +1051,14 @@ impl GroupEndpoint {
             .collect();
         let joined: Vec<ProcessId> = self.pending_joins.clone();
         let new_view = view.successor(&departed, &joined);
-        let deliver = c.deliver_set();
+        let deliver = flush.deliver_set();
         // Describe the cut as a per-origin frontier: everything redistributed by this
         // flush plus everything the coordinator already delivered in the old view.  A
         // snapshot taken while installing the committed view covers exactly this set, so
         // joiners use the frontier to suppress the redelivery of covered messages (their
         // effects arrive via state transfer instead — the exactly-once partition of
         // history that virtual synchrony promises a joiner).
-        let mut covered = self.delivered.frontier();
+        let mut covered = self.data.delivered_frontier();
         for s in &deliver {
             if let Ok(id) = stored_msg_id(s) {
                 covered.observe(id);
@@ -1336,7 +1085,7 @@ impl GroupEndpoint {
         .into_frame(self.group);
         for s in dst_sites {
             if s != self.site {
-                self.send_to_site(s, PacketKind::Flush, commit.clone(), out);
+                send(out, s, PacketKind::Flush, commit.clone());
             }
         }
         // The coordinator can drop only CBCASTs here (see `apply_commit`), and every other
@@ -1389,7 +1138,7 @@ impl GroupEndpoint {
         let cut_out = involuntary.peek().is_some() && !involuntary.any(|m| new_view.contains(*m));
         if cut_out {
             let contact = new_view.coordinator().map(|c| c.site).unwrap_or(self.site);
-            self.require_rejoin(contact, target_seq, out);
+            self.exile(contact, target_seq, out);
             return Ok(());
         }
         // Relay the commit on first install (receivers only — the creator already sent it
@@ -1413,7 +1162,7 @@ impl GroupEndpoint {
             }
             for s in relay_sites {
                 if s != self.site {
-                    self.send_to_site(s, PacketKind::Flush, commit.clone(), out);
+                    send(out, s, PacketKind::Flush, commit.clone());
                 }
             }
         }
@@ -1422,64 +1171,15 @@ impl GroupEndpoint {
         // A joining endpoint (no view installed: this site only enters the group at this
         // cut) must NOT apply the redistributed pre-cut messages: the state snapshot its
         // members receive is taken exactly at this cut and already covers them, so
-        // delivering them here would double-apply (the bug that used to force every test
-        // to settle until traffic was stable before joining).  Members of the old view,
-        // by contrast, deliver whatever they are missing — that is the flush's job.
+        // delivering them here would double-apply.  Members of the old view, by contrast,
+        // deliver whatever they are missing — that is the flush's job.
         let joining = self.view.is_none();
-        // Deliver the agreed cut: everything in the set that we have not delivered yet.
-        for stored in deliver {
-            let Ok((_, proto)) = ProtoMsg::decode_frame(&stored.wire) else {
-                continue;
-            };
-            match proto {
-                ProtoMsg::CbData {
-                    id,
-                    sender,
-                    sender_rank,
-                    vt,
-                    payload,
-                    ..
-                } => {
-                    // A CBCAST received here before the ack is delivered, or held back for a
-                    // predecessor this loop may yet bring.
-                    if self.stab.received().contains(*id) || (joining && covered.covers(*id)) {
-                        continue;
-                    }
-                    self.receive_cbcast(*id, *sender, *sender_rank as Rank, vt, payload, out);
-                }
-                ProtoMsg::AbData {
-                    id,
-                    sender,
-                    payload,
-                    ..
-                } => {
-                    if self.delivered.contains(*id) || (joining && covered.covers(*id)) {
-                        continue;
-                    }
-                    // The commit's priority is final, even over a decision made here
-                    // after the ack.  A commit always carries one for an ABCAST.
-                    let Some(prio) = stored.ab_priority else {
-                        continue;
-                    };
-                    self.ab.on_data(*id, *sender, payload.clone());
-                    self.ab.decide(*id, prio, id.origin);
-                }
-                _ => {}
-            }
-        }
-        // Every message in the cut has been through its protocol now, and what this site
-        // still cannot deliver is dropped.  An undecided ABCAST was never in the cut: a
-        // crashed initiator's message that reached this site after its ack, which no survivor
-        // reported.  A held-back CBCAST misses a predecessor that no survivor has, so no
-        // survivor delivered it, and every one holding it drops it too.
-        let mut dropped = self.ab.discard_undecided();
+        let (mut dropped, held_back) = self.data.deliver_cut(deliver, covered, joining, out);
         debug_assert!(
             relay || dropped.is_empty(),
             "the coordinator's undecided ABCASTs are all in its own report"
         );
-        dropped.extend(self.cb.discard());
-        self.flush = None;
-        self.drain_abcasts(out);
+        dropped.extend(held_back);
         // The cut is complete: install the view and deliver the view event plus any GBCASTs.
         // The event carries the cut's covered frontier so a state-transfer source encoding
         // its snapshot *while handling this event* can tag the blocks with exactly what the
@@ -1529,31 +1229,17 @@ impl GroupEndpoint {
         }
     }
 
+    /// Installs `view`: a committed view is primary by construction, so any flush role,
+    /// wedge or probing ends here.
     fn install_view(&mut self, view: View) {
-        let width = view.len();
-        let member_sites = view.member_sites();
-        self.peer_sites = member_sites
-            .iter()
-            .copied()
-            .filter(|s| *s != self.site)
-            .collect();
         // Keep the outgoing view's local members: deliveries emitted at the cut are tagged
         // with the old view's sequence number and must still route to *its* members (see
         // `delivery_recipients`).
         self.prev_view_seq = self.view.as_ref().map(View::seq).unwrap_or(0);
         self.prev_local_members = std::mem::take(&mut self.local_members);
         self.local_members = view.members_at(self.site);
-        self.cb.reset(width);
-        self.ab.reset();
-        self.stab.reset(member_sites);
-        self.delivered.clear();
-        self.flush = None;
-        self.flush_attempt = 0;
-        // A committed view is primary by construction: any wedge episode ends here, and
-        // with it the stale-view probing — this view is fresh by definition.
-        self.wedged = false;
-        self.stale_probes = 0;
-        self.rejoin_emitted = false;
+        self.data.reset(&view);
+        self.step(Input::Install);
         self.view = Some(view);
     }
 
@@ -1577,7 +1263,7 @@ impl GroupEndpoint {
     /// known stable (held for a potential flush redistribution).  Join-under-load tests use
     /// this to prove a join really raced unstable traffic.
     pub fn unstable_len(&self) -> usize {
-        self.stab.held_len()
+        self.data.held_len()
     }
 
     /// The wire frame of the last flush commit this endpoint installed, which it keeps as

@@ -1,0 +1,452 @@
+//! The endpoint's data path: CBCAST and ABCAST in the installed view, the stability buffer
+//! and the dedup filter.
+//!
+//! It knows nothing of flushes, the fence or membership.  The endpoint's mode gates it with
+//! one flag, `gate`: true from this site's flush ack to the commit, the window in which the
+//! site delivers nothing from the view and advertises no receipt that its ack could not
+//! carry.  A CBCAST that arrives in it is held and delivered only if the commit carries it;
+//! an ABCAST decided in it is delivered only in the commit's order.  The commit's agreed set
+//! goes through [`DataPath::deliver_cut`], which ends the window.
+
+use vsync_msg::{Frame, Message};
+use vsync_net::{MsgId, PacketKind, ProtocolKind};
+use vsync_util::{GroupId, ProcessId, Rank, SiteId, VectorClock};
+
+use super::{send, GossipReport};
+use crate::abcast::AbcastState;
+use crate::cbcast::{CbcastState, ReadyCb};
+use crate::frontier::{Frontier, IdSet};
+use crate::messages::{ProtoMsg, StoredMsg};
+use crate::output::{Delivery, EndpointOutput};
+use crate::stability::StabilityTracker;
+use crate::view::View;
+
+/// CBCAST, ABCAST and stability for one group at one site, in one view at a time.
+pub(super) struct DataPath {
+    group: GroupId,
+    site: SiteId,
+    /// The view the state belongs to (0 before the first install).
+    view_seq: u64,
+    /// Member sites of the view other than this one.  Cached, because every multicast fans
+    /// out to them: the per-send cost must not include recomputing the site set.
+    peers: Vec<SiteId>,
+    next_msg_seq: u64,
+    cb: CbcastState,
+    ab: AbcastState,
+    stab: StabilityTracker,
+    /// Ids delivered in the view: the dedup filter for retransmissions and flush redelivery.
+    delivered: IdSet,
+    /// Scratch for CBCAST deliveries, reused across received packets.
+    ready_scratch: Vec<ReadyCb>,
+}
+
+impl DataPath {
+    pub(super) fn new(group: GroupId, site: SiteId) -> Self {
+        DataPath {
+            group,
+            site,
+            view_seq: 0,
+            peers: Vec::new(),
+            next_msg_seq: 0,
+            cb: CbcastState::new(0),
+            ab: AbcastState::new(),
+            stab: StabilityTracker::new(site, vec![site]),
+            delivered: IdSet::new(),
+            ready_scratch: Vec::new(),
+        }
+    }
+
+    /// Starts over in `view`.  Nothing of the previous view survives: its commit delivered
+    /// what it could and dropped the rest.
+    pub(super) fn reset(&mut self, view: &View) {
+        let member_sites = view.member_sites();
+        self.peers = member_sites
+            .iter()
+            .copied()
+            .filter(|s| *s != self.site)
+            .collect();
+        self.view_seq = view.seq();
+        self.cb.reset(view.len());
+        self.ab.reset();
+        self.stab.reset(member_sites);
+        self.delivered.clear();
+    }
+
+    /// What a flush ack reports, and what the coordinator adds to the cut as its own share:
+    /// a copy of every message not yet known stable here, each ABCAST with its priority if it
+    /// is decided here, and the priority clock, which bounds every ABCAST delivered here.
+    pub(super) fn flush_report(&self) -> (Vec<StoredMsg>, u64) {
+        (self.stab.unstable(), self.ab.priority_clock())
+    }
+
+    /// Number of copies held as not yet known stable.
+    pub(super) fn held_len(&self) -> usize {
+        self.stab.held_len()
+    }
+
+    /// What this site delivered in the view, as a per-origin frontier.
+    pub(super) fn delivered_frontier(&self) -> Frontier {
+        self.delivered.frontier()
+    }
+
+    /// This site's stability report as things stand.
+    pub(super) fn gossip_report(&self) -> GossipReport<'_> {
+        GossipReport {
+            group: self.group,
+            view_seq: self.view_seq,
+            received: self.stab.received(),
+            peer_sites: &self.peers,
+        }
+    }
+
+    /// Sends the report to every peer site in a stability frame of its own.  Doubles as the
+    /// stale-view probe: at a peer that committed a newer view the stamp reads as past and
+    /// draws the bulletin commit back.
+    pub(super) fn send_report(&self, out: &mut Vec<EndpointOutput>) {
+        if !self.peers.is_empty() {
+            let frame = self.gossip_report().into_frame(self.site);
+            self.send_to_peers(PacketKind::Stability, frame, out);
+        }
+    }
+
+    /// Closes one gossip round.  Returns whether the round is worth a report: there is a
+    /// peer to tell, and the stability buffer has something to advertise or the caller
+    /// `forced` the round.
+    pub(super) fn gossip_round(&mut self, forced: bool) -> bool {
+        let due = (self.stab.has_reportable() || forced) && !self.peers.is_empty();
+        self.stab.note_gossip_round();
+        due
+    }
+
+    /// Takes in `from_site`'s report of the ids it has received in the view.
+    pub(super) fn on_gossip(&mut self, from_site: SiteId, received: &IdSet) {
+        self.stab.on_gossip_set(from_site, received);
+    }
+
+    /// Fans one wire frame out to every peer site.  Each `Send` aliases the same frame: the
+    /// per-destination cost is a reference-count bump, not a copy of the message.
+    fn send_to_peers(&self, kind: PacketKind, msg: Frame, out: &mut Vec<EndpointOutput>) {
+        for s in &self.peers {
+            send(out, *s, kind, msg.clone());
+        }
+    }
+
+    fn alloc_msg_id(&mut self) -> MsgId {
+        self.next_msg_seq += 1;
+        MsgId::new(self.site, self.next_msg_seq)
+    }
+
+    /// Stamps a CBCAST from `sender` at `rank`, sends it, and delivers it here at once: the
+    /// caller "can pretend that the message was delivered to its destinations at the moment
+    /// the CBCAST was issued" (Section 3.4).
+    pub(super) fn cbcast(
+        &mut self,
+        sender: ProcessId,
+        rank: Rank,
+        payload: Message,
+        out: &mut Vec<EndpointOutput>,
+    ) -> MsgId {
+        let id = self.alloc_msg_id();
+        let vt = self.cb.stamp_send(rank);
+        // Written once; the stability buffer and every peer-site packet alias this frame,
+        // and the typed message travels in it.
+        let local = payload.clone();
+        let wire = ProtoMsg::CbData {
+            id,
+            sender,
+            sender_rank: rank as u64,
+            view_seq: self.view_seq,
+            vt,
+            payload,
+        }
+        .into_frame(self.group);
+        self.stab.record_local(id, wire.clone().into());
+        self.send_to_peers(PacketKind::Data, wire, out);
+        self.delivered.insert(id);
+        self.emit_delivery(id, ProtocolKind::Cbcast, local, out);
+        id
+    }
+
+    /// Stamps an ABCAST from `sender` and starts its ordering.  Never gated: the endpoint
+    /// holds back multicasts while a flush runs.
+    pub(super) fn abcast(
+        &mut self,
+        sender: ProcessId,
+        payload: Message,
+        out: &mut Vec<EndpointOutput>,
+    ) -> MsgId {
+        let id = self.alloc_msg_id();
+        let held = payload.clone();
+        let wire = ProtoMsg::AbData {
+            id,
+            sender,
+            view_seq: self.view_seq,
+            payload,
+        }
+        .into_frame(self.group);
+        let ordered = self
+            .ab
+            .initiate(id, sender, held, self.site, self.peers.clone());
+        self.stab.hold(id, wire.clone().into());
+        self.send_to_peers(PacketKind::Data, wire, out);
+        if ordered {
+            // A group on one site: decided at the initiator's own proposal.
+            let priority = self.ab.priority_clock();
+            self.abcast_decided(id, priority, self.site, false, out);
+        }
+        id
+    }
+
+    /// Handles a data message of the view.  `msg` is the decoded view of `frame`; the
+    /// stability buffer aliases the frame directly (no re-encode: the received wire form *is*
+    /// the copy a flush would redistribute).
+    pub(super) fn handle_data(
+        &mut self,
+        msg: &ProtoMsg,
+        frame: &Frame,
+        gate: bool,
+        out: &mut Vec<EndpointOutput>,
+    ) {
+        match msg {
+            ProtoMsg::CbData {
+                id,
+                sender,
+                sender_rank,
+                vt,
+                payload,
+                ..
+            } => {
+                if self.delivered.contains(*id) {
+                    return;
+                }
+                if gate {
+                    self.stab.hold(*id, frame.clone().into());
+                    return;
+                }
+                self.stab.record_local(*id, frame.clone().into());
+                self.receive_cbcast(*id, *sender, *sender_rank as Rank, vt, payload, out);
+            }
+            ProtoMsg::AbData {
+                id,
+                sender,
+                payload,
+                view_seq,
+            } => {
+                if self.delivered.contains(*id) {
+                    return;
+                }
+                if !self.ab.is_pending(id) {
+                    self.stab.hold(*id, frame.clone().into());
+                }
+                let proposed = self.ab.on_data(*id, *sender, payload.clone());
+                let propose = ProtoMsg::AbPropose {
+                    id: *id,
+                    view_seq: *view_seq,
+                    proposed,
+                    proposer_site: self.site,
+                }
+                .into_frame(self.group);
+                send(out, id.origin, PacketKind::Proposal, propose);
+            }
+            _ => unreachable!("handle_data only receives data messages"),
+        }
+    }
+
+    /// Runs one received CBCAST through the causal-order machine and emits whatever became
+    /// deliverable.  `vt` and `payload` are borrowed from the frame's memo: a message that
+    /// arrives in order is delivered straight from there, and only one that has to wait gets
+    /// a holdback entry, and with it the one copy of its timestamp.
+    fn receive_cbcast(
+        &mut self,
+        id: MsgId,
+        sender: ProcessId,
+        sender_rank: Rank,
+        vt: &VectorClock,
+        payload: &Message,
+        out: &mut Vec<EndpointOutput>,
+    ) {
+        if self.cb.deliver_in_order(sender_rank, vt) {
+            if self.delivered.insert(id) {
+                self.emit_delivery(id, ProtocolKind::Cbcast, payload.clone(), out);
+            }
+            return;
+        }
+        let mut ready = std::mem::take(&mut self.ready_scratch);
+        self.cb.receive_into(
+            ReadyCb {
+                id,
+                sender,
+                sender_rank,
+                vt: vt.clone(),
+                payload: payload.clone(),
+            },
+            &mut ready,
+        );
+        for r in ready.drain(..) {
+            if self.delivered.insert(r.id) {
+                self.emit_delivery(r.id, ProtocolKind::Cbcast, r.payload, out);
+            }
+        }
+        self.ready_scratch = ready;
+    }
+
+    /// Takes in a priority proposal for an ABCAST this site initiated, and announces the
+    /// order once every awaited site has proposed.
+    pub(super) fn on_proposal(
+        &mut self,
+        id: MsgId,
+        proposer: SiteId,
+        proposed: u64,
+        gate: bool,
+        out: &mut Vec<EndpointOutput>,
+    ) {
+        if let Some((priority, tiebreak)) = self.ab.on_proposal(id, proposer, proposed) {
+            self.finish_abcast_order(id, priority, tiebreak, gate, out);
+        }
+    }
+
+    /// Stops awaiting proposals from `site`, which failed, and announces every order that
+    /// completes.
+    pub(super) fn forget_site(&mut self, site: SiteId, gate: bool, out: &mut Vec<EndpointOutput>) {
+        for (id, priority, tiebreak) in self.ab.forget_site(site) {
+            self.finish_abcast_order(id, priority, tiebreak, gate, out);
+        }
+    }
+
+    fn finish_abcast_order(
+        &mut self,
+        id: MsgId,
+        final_priority: u64,
+        tiebreak: SiteId,
+        gate: bool,
+        out: &mut Vec<EndpointOutput>,
+    ) {
+        let order = ProtoMsg::AbOrder {
+            id,
+            view_seq: self.view_seq,
+            final_priority,
+            tiebreak_site: tiebreak,
+        }
+        .into_frame(self.group);
+        self.send_to_peers(PacketKind::SetOrder, order, out);
+        self.abcast_decided(id, final_priority, tiebreak, gate, out);
+    }
+
+    /// Records the decision on ABCAST `id` and delivers what it makes deliverable.  Behind
+    /// the gate the decision is neither gossiped nor delivered: a peer could let it go
+    /// stable, and no report would carry a decision the ack did not; the commit's priority
+    /// may overrule it.
+    pub(super) fn abcast_decided(
+        &mut self,
+        id: MsgId,
+        priority: u64,
+        tiebreak: SiteId,
+        gate: bool,
+        out: &mut Vec<EndpointOutput>,
+    ) {
+        self.ab.decide(id, priority, tiebreak);
+        self.stab.set_ab_priority(id, priority, !gate);
+        if !gate {
+            self.drain_abcasts(out);
+        }
+    }
+
+    /// Delivers the ABCASTs whose order is final here.
+    fn drain_abcasts(&mut self, out: &mut Vec<EndpointOutput>) {
+        for r in self.ab.drain() {
+            if self.delivered.insert(r.id) {
+                self.emit_delivery(r.id, ProtocolKind::Abcast, r.payload, out);
+            }
+        }
+    }
+
+    /// Delivers a flush commit's agreed set, everything in it that this site has not
+    /// delivered yet, and ends the gate.  A `joining` site delivers nothing `covered`: the
+    /// state snapshot its members receive is taken at this cut and already holds it.
+    ///
+    /// Then drops what is still undeliverable and returns the ids: the undecided ABCASTs, and
+    /// the CBCASTs still held back.  An undecided ABCAST was never in the cut: a crashed
+    /// initiator's message that reached this site after its ack, which no survivor reported.
+    /// A held-back CBCAST misses a predecessor that no survivor has, so no survivor
+    /// delivered it, and every one holding it drops it too.
+    pub(super) fn deliver_cut(
+        &mut self,
+        deliver: &[StoredMsg],
+        covered: &Frontier,
+        joining: bool,
+        out: &mut Vec<EndpointOutput>,
+    ) -> (Vec<MsgId>, Vec<MsgId>) {
+        for stored in deliver {
+            let Ok((_, proto)) = ProtoMsg::decode_frame(&stored.wire) else {
+                continue;
+            };
+            match proto {
+                ProtoMsg::CbData {
+                    id,
+                    sender,
+                    sender_rank,
+                    vt,
+                    payload,
+                    ..
+                } => {
+                    // A CBCAST received here before the ack is delivered, or held back for a
+                    // predecessor this loop may yet bring.
+                    if self.stab.received().contains(*id) || (joining && covered.covers(*id)) {
+                        continue;
+                    }
+                    self.receive_cbcast(*id, *sender, *sender_rank as Rank, vt, payload, out);
+                }
+                ProtoMsg::AbData {
+                    id,
+                    sender,
+                    payload,
+                    ..
+                } => {
+                    if self.delivered.contains(*id) || (joining && covered.covers(*id)) {
+                        continue;
+                    }
+                    // The commit's priority is final, even over a decision made here
+                    // after the ack.  A commit always carries one for an ABCAST.
+                    let Some(prio) = stored.ab_priority else {
+                        continue;
+                    };
+                    self.ab.on_data(*id, *sender, payload.clone());
+                    self.ab.decide(*id, prio, id.origin);
+                }
+                _ => {}
+            }
+        }
+        let undecided = self.ab.discard_undecided();
+        let held_back = self.cb.discard();
+        self.drain_abcasts(out);
+        (undecided, held_back)
+    }
+
+    fn emit_delivery(
+        &mut self,
+        id: MsgId,
+        protocol: ProtocolKind,
+        payload: Message,
+        out: &mut Vec<EndpointOutput>,
+    ) {
+        out.push(EndpointOutput::Deliver(Delivery {
+            group: self.group,
+            msg_id: id,
+            view_seq: self.view_seq,
+            protocol,
+            payload,
+        }));
+    }
+
+    /// The ids this site has received in the view.
+    #[cfg(test)]
+    pub(super) fn received(&self) -> &IdSet {
+        self.stab.received()
+    }
+
+    /// The ids this site has delivered in the view.
+    #[cfg(test)]
+    pub(super) fn delivered(&self) -> &IdSet {
+        &self.delivered
+    }
+}

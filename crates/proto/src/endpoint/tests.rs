@@ -216,7 +216,7 @@ impl Cluster {
 
     /// True while the primary-partition fence holds site `site`.
     fn wedged(&self, site: u16) -> bool {
-        self.endpoints[&SiteId(site)].wedged
+        self.endpoints[&SiteId(site)].mode.wedged()
     }
 
     /// The kinds of the frames queued from `src` to `dst`, oldest first.
@@ -860,7 +860,7 @@ fn multicasts_issued_during_a_flush_are_delivered_in_the_next_view() {
         ep.submit_join(now, ProcessId::new(SiteId(0), 9), None, out)
             .unwrap();
     });
-    assert!(c.endpoints[&SiteId(0)].flush.is_some());
+    assert!(c.endpoints[&SiteId(0)].mode.flushing());
     // A multicast issued at the flushing site is buffered, not lost.
     c.exec(SiteId(0), |ep, now, out| {
         ep.cbcast(now, member(0), Message::with_body(5u64), out)
@@ -1087,7 +1087,11 @@ fn a_long_view_keeps_gossip_and_dedup_state_bounded() {
         let ep = &c.endpoints[&SiteId(s)];
         assert_eq!(ep.unstable_len(), 0, "site {s}");
         // Every site's ids run from 1 without a gap, so the frontier's weight counts them.
-        assert_eq!(ep.delivered.frontier().weight(), MESSAGES, "site {s}");
+        assert_eq!(
+            ep.data.delivered().frontier().weight(),
+            MESSAGES,
+            "site {s}"
+        );
     }
     // (c) Site 1 receives the first and third of three multicasts; while the second is
     // overdue its gossip lists the third explicitly, and no longer once the gap closes.
@@ -1144,7 +1148,7 @@ fn a_long_view_keeps_gossip_and_dedup_state_bounded() {
         assert_eq!(ev.view.seq(), view_seq + 1, "site {s}");
         assert_eq!(ev.covered, folded, "site {s}");
         assert!(
-            c.endpoints[&SiteId(s)].delivered.runs().is_empty(),
+            c.endpoints[&SiteId(s)].data.delivered().runs().is_empty(),
             "site {s}"
         );
     }
@@ -1162,7 +1166,7 @@ fn on_message_takes_its_own_groups_entries_out_of_a_site_level_stability_frame()
     });
     c.pump(false);
     assert_eq!(c.endpoints[&SiteId(0)].unstable_len(), 1);
-    let acks = |c: &Cluster, site: u16| IdSet::clone(c.endpoints[&SiteId(site)].stab.received());
+    let acks = |c: &Cluster, site: u16| IdSet::clone(c.endpoints[&SiteId(site)].data.received());
     let entry = |group: GroupId, view_seq: u64, received: IdSet| StabilityEntry {
         group,
         view_seq,
@@ -1512,4 +1516,43 @@ fn a_commit_that_cuts_out_an_acked_site_asks_it_to_rejoin_once() {
     }
     assert_eq!(c.rejoins[&SiteId(2)], vec![(SiteId(0), 4)]);
     assert_eq!(c.endpoints[&SiteId(2)].view().unwrap().seq(), 3);
+}
+
+#[test]
+fn an_acked_site_that_loses_its_majority_wedges_and_still_installs_the_commit() {
+    let mut c = Cluster::build_three_member_group();
+    c.gbcast(0);
+    c.step(2, 0); // site 2 acks ...
+    c.suspect(2, &[0, 1]); // ... then loses both peers
+    assert!(c.wedged(2));
+    assert!(!c.endpoints[&SiteId(2)].mode.flushing());
+    assert_eq!(c.stalls[&SiteId(2)], vec![(3, 1, 3)]);
+    c.pump(false); // the commit from site 0 retracts a suspicion first
+    for s in 0..3u16 {
+        let ve = c.latest_view(SiteId(s)).expect("view event");
+        assert_eq!((ve.view.seq(), ve.gbcasts.len()), (4, 1), "site {s}");
+    }
+    assert!(!c.wedged(2));
+}
+
+#[test]
+fn a_wedged_site_that_regains_its_majority_probes_before_it_cuts() {
+    let mut c = Cluster::build_three_member_group();
+    c.suspect(0, &[1, 2]);
+    assert!(c.wedged(0));
+    // Member 1 leaves and stops voting: site 0 holds half of the voters, the oldest among
+    // them, so it may cut.  It leaves the wedge the one way there is, with a probe.
+    c.exec(SiteId(0), |ep, now, out| {
+        ep.submit_leave(now, member(1), out).unwrap();
+    });
+    for dst in [1u16, 2] {
+        assert_eq!(
+            c.queued(dst, 0),
+            ["stability", "flush-commit"],
+            "site {dst}"
+        );
+    }
+    let v = c.endpoints[&SiteId(0)].view().unwrap();
+    assert_eq!((v.seq(), &v.members[..]), (4, &[member(0)][..]));
+    assert!(!c.wedged(0));
 }

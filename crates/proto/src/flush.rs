@@ -20,8 +20,9 @@
 //!    cannot deliver (an ABCAST no report carried, a CBCAST whose predecessor none did),
 //!    then delivers the view-change event, then resumes normal operation in the new view.
 //!
-//! This module holds the bookkeeping for both roles; the driving logic lives in
-//! [`crate::endpoint::GroupEndpoint`].
+//! This module holds the bookkeeping of both roles.  The endpoint's mode holds one of them
+//! while a flush runs (coordinating, or acked and waiting for the commit), and
+//! [`crate::endpoint::GroupEndpoint`] drives the exchange.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -142,33 +143,12 @@ impl FlushCoordinator {
 /// Participant-side state of an in-progress flush.
 #[derive(Clone, Debug)]
 pub struct FlushParticipant {
-    /// Sequence number of the view being installed.
-    pub target_seq: u64,
     /// The member coordinating this flush.
     pub initiator: ProcessId,
     /// Takeover attempt counter.
     pub attempt: u64,
     /// When we acked (for timeout-based takeover).
     pub started_at: SimTime,
-}
-
-/// Which role this endpoint plays in the current flush, if any.
-#[derive(Clone, Debug)]
-pub enum FlushRole {
-    /// This endpoint's site hosts the flush coordinator.
-    Coordinator(FlushCoordinator),
-    /// This endpoint acked a flush and is waiting for the commit.
-    Participant(FlushParticipant),
-}
-
-impl FlushRole {
-    /// When this flush started locally.
-    pub(crate) fn started_at(&self) -> SimTime {
-        match self {
-            FlushRole::Coordinator(c) => c.started_at,
-            FlushRole::Participant(p) => p.started_at,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -288,18 +268,5 @@ mod tests {
         );
         assert!(!c.forget_site(SiteId(1)));
         assert!(c.forget_site(SiteId(2)));
-    }
-
-    #[test]
-    fn role_accessors() {
-        let c = FlushRole::Coordinator(FlushCoordinator::new(5, 0, BTreeSet::new(), SimTime(123)));
-        assert_eq!(c.started_at(), SimTime(123));
-        let p = FlushRole::Participant(FlushParticipant {
-            target_seq: 6,
-            initiator: ProcessId::new(SiteId(0), 1),
-            attempt: 2,
-            started_at: SimTime(9),
-        });
-        assert_eq!(p.started_at(), SimTime(9));
     }
 }
