@@ -16,9 +16,9 @@
 //! in 1987, but this system no longer inherits the limitation.  [`LinkFaults`] cuts
 //! site-to-site links (symmetric or one-way) so traffic genuinely disappears instead of
 //! being retransmitted, and a [`NemesisSchedule`] composes timed partition / heal / crash /
-//! delay-spike events the way [`CrashSchedule`] composes coordinated kills.  Both backends
-//! honor the cut at the sending side; the protocol layer's primary-partition rule (see
-//! `vsync-proto`'s endpoint) turns a cut into a wedged minority rather than split-brain.
+//! delay-spike events, coordinated kills included.  Both backends honor the cut at the
+//! sending side; the protocol layer's primary-partition rule (see `vsync-proto`'s endpoint)
+//! turns a cut into a wedged minority rather than split-brain.
 //!
 //! Decisions are drawn from a deterministic RNG seeded per node, so a node's *sequence* of
 //! fault decisions is reproducible even though thread interleaving is not (see the
@@ -113,87 +113,6 @@ impl FaultPlan {
 impl Default for FaultPlan {
     fn default() -> Self {
         FaultPlan::none()
-    }
-}
-
-/// One site's appointment with death in a [`CrashSchedule`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ScheduledKill {
-    /// The site to kill.
-    pub site: SiteId,
-    /// When to kill it, relative to the start of the schedule.
-    pub after: Duration,
-}
-
-/// A coordinated crash of many sites: who dies, in what order, spread over what window.
-///
-/// The total-failure tests need *every* member of a group dead — but "the last site to
-/// fail" (the log the reform protocol must elect, paper Section 3.8) depends entirely on
-/// the kill order and spacing, so the schedule is a first-class, seedable object rather
-/// than a loop in each test.  Executed by `IsisHarness::run_crash_schedule` on either
-/// backend; kills are held in non-decreasing `after` order.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CrashSchedule {
-    kills: Vec<ScheduledKill>,
-}
-
-impl CrashSchedule {
-    /// Kills every site at the same instant (no site outlives another by more than
-    /// scheduling noise — the degenerate case where log election falls to tie-breaks).
-    pub fn simultaneous(sites: impl IntoIterator<Item = SiteId>) -> Self {
-        CrashSchedule {
-            kills: sites
-                .into_iter()
-                .map(|site| ScheduledKill {
-                    site,
-                    after: Duration::ZERO,
-                })
-                .collect(),
-        }
-    }
-
-    /// Kills sites one by one, `gap` apart, in the order given — the listed last site is
-    /// the last to fail, so its log should win the reform election.
-    pub fn staggered(sites: impl IntoIterator<Item = SiteId>, gap: Duration) -> Self {
-        CrashSchedule {
-            kills: sites
-                .into_iter()
-                .enumerate()
-                .map(|(i, site)| ScheduledKill {
-                    site,
-                    after: gap.saturating_mul(i as u64),
-                })
-                .collect(),
-        }
-    }
-
-    /// [`staggered`](Self::staggered) in a deterministically shuffled order: the fuzz
-    /// tests draw many kill orders from many seeds without hand-writing permutations.
-    pub fn shuffled(sites: impl IntoIterator<Item = SiteId>, gap: Duration, seed: u64) -> Self {
-        let mut order: Vec<SiteId> = sites.into_iter().collect();
-        DetRng::new(seed).shuffle(&mut order);
-        CrashSchedule::staggered(order, gap)
-    }
-
-    /// Fully explicit offsets (e.g. a kill timed to land inside a compaction window).
-    /// Sorted into execution order; the order of equal offsets is preserved.
-    pub fn at_offsets(kills: impl IntoIterator<Item = (SiteId, Duration)>) -> Self {
-        let mut kills: Vec<ScheduledKill> = kills
-            .into_iter()
-            .map(|(site, after)| ScheduledKill { site, after })
-            .collect();
-        kills.sort_by_key(|k| k.after);
-        CrashSchedule { kills }
-    }
-
-    /// The kills in execution order.
-    pub(crate) fn kills(&self) -> &[ScheduledKill] {
-        &self.kills
-    }
-
-    /// The sites in kill order (the last entry is the "last to fail").
-    pub fn order(&self) -> Vec<SiteId> {
-        self.kills.iter().map(|k| k.site).collect()
     }
 }
 
@@ -299,8 +218,12 @@ pub struct ScheduledNemesis {
     pub event: NemesisEvent,
 }
 
-/// A composed sequence of timed network faults: partitions, heals, crashes and delay
-/// spikes, the way [`CrashSchedule`] composes coordinated kills.
+/// A composed sequence of timed faults: partitions, heals, crashes and delay spikes.
+///
+/// A total failure is a schedule too: the tests that need *every* member of a group dead
+/// depend on who fails last (the log the reform protocol must elect, paper Section 3.8),
+/// so the kill order and spacing are a seedable schedule ([`NemesisSchedule::crashes`])
+/// rather than a loop in each test.
 ///
 /// Executed by `IsisHarness::run_nemesis` on either backend.  Each `Partition` /
 /// `OneWayCut` event *replaces* the link table (carrying any active delay spike forward),
@@ -350,6 +273,29 @@ impl NemesisSchedule {
                     extra: Duration::ZERO,
                 },
             )
+    }
+
+    /// Crashes `sites` one by one, `gap` apart, in the order given: the listed last site is
+    /// the last to fail, so its log should win a reform election.  A zero gap crashes them
+    /// all at the same instant, and the election falls to its tie-breaks.
+    pub fn crashes(sites: impl IntoIterator<Item = SiteId>, gap: Duration) -> Self {
+        sites
+            .into_iter()
+            .enumerate()
+            .fold(NemesisSchedule::new(), |schedule, (i, site)| {
+                schedule.at(gap.saturating_mul(i as u64), NemesisEvent::Crash { site })
+            })
+    }
+
+    /// The sites the schedule crashes, in crash order (the last entry is the last to fail).
+    pub fn crashed_sites(&self) -> Vec<SiteId> {
+        self.events
+            .iter()
+            .filter_map(|e| match e.event {
+                NemesisEvent::Crash { site } => Some(site),
+                _ => None,
+            })
+            .collect()
     }
 
     /// The events in execution order.
@@ -422,32 +368,31 @@ mod tests {
     #[test]
     fn crash_schedules_order_and_window() {
         let sites: Vec<SiteId> = (0..4).map(SiteId).collect();
-        let all = CrashSchedule::simultaneous(sites.clone());
-        assert!(all.kills().iter().all(|k| k.after == Duration::ZERO));
-        assert_eq!(all.order(), sites);
+        let all = NemesisSchedule::crashes(sites.clone(), Duration::ZERO);
+        assert!(all.events().iter().all(|e| e.after == Duration::ZERO));
+        assert_eq!(all.crashed_sites(), sites);
 
         let gap = Duration::from_millis(50);
-        let st = CrashSchedule::staggered(sites.clone(), gap);
+        let st = NemesisSchedule::crashes(sites.clone(), gap);
         assert_eq!(
-            st.kills().last().map(|k| k.after),
+            st.events().last().map(|e| e.after),
             Some(Duration::from_millis(150))
         );
-        assert_eq!(st.order().last(), Some(&SiteId(3)));
+        assert_eq!(st.crashed_sites().last(), Some(&SiteId(3)));
 
-        // Shuffles are deterministic per seed and vary across seeds.
-        let a = CrashSchedule::shuffled(sites.clone(), gap, 9);
-        assert_eq!(a, CrashSchedule::shuffled(sites.clone(), gap, 9));
-        let distinct = (0..16)
-            .map(|seed| CrashSchedule::shuffled(sites.clone(), gap, seed).order())
-            .collect::<std::collections::BTreeSet<_>>();
-        assert!(distinct.len() > 1, "16 seeds never changed the kill order");
-
-        // Explicit offsets execute in time order regardless of argument order.
-        let ex = CrashSchedule::at_offsets([
-            (SiteId(1), Duration::from_millis(20)),
-            (SiteId(0), Duration::from_millis(5)),
-        ]);
-        assert_eq!(ex.order(), vec![SiteId(0), SiteId(1)]);
+        // Explicit offsets execute in time order regardless of argument order, and other
+        // events between the crashes do not count as crashes.
+        let ex = NemesisSchedule::new()
+            .at(
+                Duration::from_millis(20),
+                NemesisEvent::Crash { site: SiteId(1) },
+            )
+            .at(
+                Duration::from_millis(5),
+                NemesisEvent::Crash { site: SiteId(0) },
+            )
+            .at(Duration::from_millis(10), NemesisEvent::Heal);
+        assert_eq!(ex.crashed_sites(), vec![SiteId(0), SiteId(1)]);
     }
 
     #[test]

@@ -32,7 +32,7 @@ use vsync_util::{
     SiteId, VsError,
 };
 
-use crate::faults::{CrashSchedule, FaultPlan, LinkFaults, NemesisEvent, NemesisSchedule};
+use crate::faults::{FaultPlan, LinkFaults, NemesisEvent, NemesisSchedule};
 use crate::sim::SimCluster;
 use crate::threaded::{NodeReport, ThreadedCluster};
 use crate::transport::invoke_fn;
@@ -606,26 +606,12 @@ impl<R: IsisRuntime> IsisHarness<R> {
         );
     }
 
-    /// Executes a coordinated crash schedule: kills each listed site at its offset,
-    /// letting runtime time pass between kills so the spacing (which decides who fails
-    /// last, and therefore whose log a later reform must elect) is real on both backends.
-    pub fn run_crash_schedule(&mut self, schedule: &CrashSchedule) {
-        let mut elapsed = Duration::ZERO;
-        for k in schedule.kills() {
-            if k.after > elapsed {
-                self.rt.advance(Duration::from_micros(
-                    k.after.as_micros() - elapsed.as_micros(),
-                ));
-                elapsed = k.after;
-            }
-            self.rt.kill_site(k.site);
-        }
-    }
-
     /// Executes a nemesis schedule: folds each timed partition / heal / delay-spike event
     /// into the runtime's link-fault table and kills sites for `Crash` events, letting
-    /// runtime time pass between events.  Returns with the *final* table still installed —
-    /// callers that want a healed cluster end their schedule with [`NemesisEvent::Heal`].
+    /// runtime time pass between events, so the spacing of kills (which decides who fails
+    /// last, and therefore whose log a later reform must elect) is real on both backends.
+    /// Returns with the *final* table still installed — callers that want a healed cluster
+    /// end their schedule with [`NemesisEvent::Heal`].
     pub fn run_nemesis(&mut self, schedule: &NemesisSchedule) {
         let mut elapsed = Duration::ZERO;
         let mut links = LinkFaults::none();

@@ -45,8 +45,7 @@ pub mod transport;
 pub mod wire;
 
 pub use faults::{
-    CrashSchedule, FaultDecision, FaultPlan, LinkFaults, NemesisEvent, NemesisSchedule,
-    ScheduledKill, ScheduledNemesis,
+    FaultDecision, FaultPlan, LinkFaults, NemesisEvent, NemesisSchedule, ScheduledNemesis,
 };
 pub use harness::{IsisHarness, IsisRuntime, SimRuntime, StackJob, ThreadedRuntime};
 pub use invariants::{InvariantViolation, MemberTimeline, PartitionInvariants};

@@ -15,9 +15,9 @@
 //! 4. the losers discard their divergent tails and rejoin through the ordinary view-cut
 //!    state transfer, exactly like a brand-new member.
 //!
-//! The example stages a coordinated crash with a [`CrashSchedule`] — site 0 first, then
-//! site 1, then site 2, so site 2's log is authoritative — and prints the election plus
-//! each member's exactly-once partition:
+//! The example stages a coordinated crash with a crash-only [`NemesisSchedule`] — site 0
+//! first, then site 1, then site 2, so site 2's log is authoritative — and prints the
+//! election plus each member's exactly-once partition:
 //! `log-replayed + snapshot + post-reform applies == total`.
 //!
 //! Run with: `cargo run --example total_failure`
@@ -30,7 +30,7 @@ use std::sync::{Arc, Mutex};
 
 use vsync::core::{Duration, EntryId, GroupId, Message, ProtocolKind, ReformStatus, SiteId};
 use vsync::proto::ProtoConfig;
-use vsync::rt::{CrashSchedule, FaultPlan, IsisHarness, IsisRuntime, ThreadedRuntime};
+use vsync::rt::{FaultPlan, IsisHarness, IsisRuntime, NemesisSchedule, ThreadedRuntime};
 use vsync::tools::{FileStore, RecoveryManager, StateTransfer};
 
 const APPLY: EntryId = EntryId(9);
@@ -181,13 +181,13 @@ fn main() {
         );
     }
     h.rt.advance(Duration::from_millis(2));
-    let schedule = CrashSchedule::staggered(sites.clone(), Duration::from_millis(25));
+    let schedule = NemesisSchedule::crashes(sites.clone(), Duration::from_millis(25));
     println!(
         "killing every site mid-burst, {:?} apart (kill order {:?})",
         Duration::from_millis(25),
-        schedule.order()
+        schedule.crashed_sites()
     );
-    h.run_crash_schedule(&schedule);
+    h.run_nemesis(&schedule);
     let covered: Vec<usize> = mirrors
         .iter()
         .map(|m| m.order.lock().unwrap().len())

@@ -15,8 +15,8 @@
 //! * compaction-truncated logs (checkpoint + log tail) reform to the same state as
 //!   uncompacted ones, including when a kill lands in the compaction window.
 //!
-//! The kill choreography is a seedable [`CrashSchedule`] so the proptest leg draws many
-//! orders and instants without hand-writing permutations.
+//! The kill choreography is a seedable crash-only [`NemesisSchedule`] so the proptest leg
+//! draws many orders and instants without hand-writing permutations.
 
 use std::cell::RefCell;
 use std::path::{Path, PathBuf};
@@ -29,9 +29,11 @@ use vsync::core::{
     Duration, EntryId, GroupId, Message, ProcessId, ProtocolKind, ReformStatus, SiteId, StackConfig,
 };
 use vsync::proto::ProtoConfig;
-use vsync::rt::{CrashSchedule, FaultPlan, IsisHarness, IsisRuntime, SimRuntime, ThreadedRuntime};
+use vsync::rt::{
+    FaultPlan, IsisHarness, IsisRuntime, NemesisEvent, NemesisSchedule, SimRuntime, ThreadedRuntime,
+};
 use vsync::tools::{FileStore, RecoveryManager, StateTransfer};
-use vsync::util::NetParams;
+use vsync::util::{DetRng, NetParams};
 
 const APPLY: EntryId = EntryId(5);
 const NUM_SITES: u16 = 3;
@@ -283,7 +285,7 @@ struct ReformOutcome {
 fn run_total_failure_scenario<R: IsisRuntime>(
     mut h: IsisHarness<R>,
     root: &Path,
-    schedule: &CrashSchedule,
+    schedule: &NemesisSchedule,
     crash_after: Duration,
     compaction: Option<usize>,
 ) -> ReformOutcome {
@@ -323,7 +325,7 @@ fn run_total_failure_scenario<R: IsisRuntime>(
     if crash_after > Duration::ZERO {
         h.rt.advance(crash_after);
     }
-    h.run_crash_schedule(schedule);
+    h.run_nemesis(schedule);
     for &s in &sites {
         assert!(!h.rt.site_is_up(s), "schedule must kill every site");
     }
@@ -457,7 +459,7 @@ fn run_total_failure_scenario<R: IsisRuntime>(
 
     let outcome = ReformOutcome {
         lead,
-        kill_order: schedule.order(),
+        kill_order: schedule.crashed_sites(),
         precrash_lead: precrash[lead.index()].clone(),
         orders: new_members.iter().map(Member::order).collect(),
         partitions: new_members.iter().map(Member::partition).collect(),
@@ -554,6 +556,13 @@ fn fuzz_root(tag: &str) -> PathBuf {
 // Deterministic conformance legs (both backends)
 // ---------------------------------------------------------------------------------------
 
+/// Every site, in an order drawn from `seed`.
+fn shuffled_sites(seed: u64) -> Vec<SiteId> {
+    let mut sites: Vec<SiteId> = (0..NUM_SITES).map(SiteId).collect();
+    DetRng::new(seed).shuffle(&mut sites);
+    sites
+}
+
 #[test]
 fn simulated_backend_reforms_after_total_failure() {
     // Generous gaps: each kill is followed by a view change at the survivors — until the
@@ -562,7 +571,7 @@ fn simulated_backend_reforms_after_total_failure() {
     // even split), so the final two sites' logs share the authoritative view and the
     // election tie-breaks toward the older member: the penultimate kill wins.
     let sites: Vec<SiteId> = (0..NUM_SITES).map(SiteId).collect();
-    let schedule = CrashSchedule::staggered(sites, Duration::from_millis(200));
+    let schedule = NemesisSchedule::crashes(sites, Duration::from_millis(200));
     let o = run_total_failure_scenario(
         sim_harness(2026),
         &fuzz_root("sim"),
@@ -582,7 +591,7 @@ fn simulated_backend_reforms_after_total_failure() {
 #[test]
 fn simulated_backend_reforms_after_a_reversed_kill_order() {
     let sites: Vec<SiteId> = (0..NUM_SITES).rev().map(SiteId).collect();
-    let schedule = CrashSchedule::staggered(sites, Duration::from_millis(200));
+    let schedule = NemesisSchedule::crashes(sites, Duration::from_millis(200));
     let o = run_total_failure_scenario(
         sim_harness(2027),
         &fuzz_root("sim-rev"),
@@ -599,7 +608,7 @@ fn simulated_backend_reforms_after_a_simultaneous_crash() {
     // No site outlives another: the election falls entirely to the frontier weight and
     // rank tie-breaks, and must still produce exactly one winner.
     let sites: Vec<SiteId> = (0..NUM_SITES).map(SiteId).collect();
-    let schedule = CrashSchedule::simultaneous(sites);
+    let schedule = NemesisSchedule::crashes(sites, Duration::ZERO);
     let o = run_total_failure_scenario(
         sim_harness(2028),
         &fuzz_root("sim-simul"),
@@ -613,7 +622,7 @@ fn simulated_backend_reforms_after_a_simultaneous_crash() {
 #[test]
 fn threaded_backend_reforms_after_total_failure() {
     let sites: Vec<SiteId> = (0..NUM_SITES).map(SiteId).collect();
-    let schedule = CrashSchedule::staggered(sites, Duration::from_millis(20));
+    let schedule = NemesisSchedule::crashes(sites, Duration::from_millis(20));
     let o = run_total_failure_scenario(
         threaded_harness(2026),
         &fuzz_root("thr"),
@@ -626,8 +635,7 @@ fn threaded_backend_reforms_after_total_failure() {
 
 #[test]
 fn threaded_backend_reforms_after_a_shuffled_kill_order() {
-    let sites: Vec<SiteId> = (0..NUM_SITES).map(SiteId).collect();
-    let schedule = CrashSchedule::shuffled(sites, Duration::from_millis(10), 7);
+    let schedule = NemesisSchedule::crashes(shuffled_sites(7), Duration::from_millis(10));
     let o = run_total_failure_scenario(
         threaded_harness(2029),
         &fuzz_root("thr-shuf"),
@@ -649,7 +657,7 @@ fn threaded_backend_reforms_after_a_shuffled_kill_order() {
 #[test]
 fn compacted_logs_reform_to_the_same_state_as_uncompacted() {
     let sites: Vec<SiteId> = (0..NUM_SITES).map(SiteId).collect();
-    let schedule = CrashSchedule::staggered(sites, Duration::from_millis(200));
+    let schedule = NemesisSchedule::crashes(sites, Duration::from_millis(200));
     let plain = run_total_failure_scenario(
         sim_harness(2030),
         &fuzz_root("plain"),
@@ -688,11 +696,11 @@ fn kills_landing_in_the_compaction_window_stay_exactly_once() {
     // roughly one failure timeout later; sweep the second kill across that instant.
     let ft = NetParams::modern().failure_timeout;
     for (i, epsilon_ms) in [0u64, 2, 5, 10].into_iter().enumerate() {
-        let schedule = CrashSchedule::at_offsets([
-            (SiteId(0), Duration::ZERO),
-            (SiteId(1), ft + Duration::from_millis(epsilon_ms)),
-            (SiteId(2), ft.saturating_mul(3)),
-        ]);
+        let crash = |site| NemesisEvent::Crash { site: SiteId(site) };
+        let schedule = NemesisSchedule::new()
+            .at(Duration::ZERO, crash(0))
+            .at(ft + Duration::from_millis(epsilon_ms), crash(1))
+            .at(ft.saturating_mul(3), crash(2));
         let o = run_total_failure_scenario(
             sim_harness(3000 + i as u64),
             &fuzz_root(&format!("ckpt-window-{i}")),
@@ -717,8 +725,7 @@ proptest! {
         crash_after_ms in 0u64..10,
         compact in 0u8..2,
     ) {
-        let sites: Vec<SiteId> = (0..NUM_SITES).map(SiteId).collect();
-        let schedule = CrashSchedule::shuffled(sites, Duration::from_millis(gap_ms), seed);
+        let schedule = NemesisSchedule::crashes(shuffled_sites(seed), Duration::from_millis(gap_ms));
         let o = run_total_failure_scenario(
             sim_harness(seed ^ 0xace1),
             &fuzz_root(&format!("fuzz-{seed}")),
@@ -738,8 +745,7 @@ proptest! {
         gap_ms in 0u64..30,
         crash_after_ms in 0u64..4,
     ) {
-        let sites: Vec<SiteId> = (0..NUM_SITES).map(SiteId).collect();
-        let schedule = CrashSchedule::shuffled(sites, Duration::from_millis(gap_ms), seed);
+        let schedule = NemesisSchedule::crashes(shuffled_sites(seed), Duration::from_millis(gap_ms));
         let o = run_total_failure_scenario(
             threaded_harness(seed ^ 0xbeef),
             &fuzz_root(&format!("fuzz-thr-{seed}")),
