@@ -12,17 +12,16 @@
 //! count, then per field a `u16`-prefixed name, a type tag and the value.  A nested message
 //! is a body without the envelope byte and carries no length of its own.
 //!
-//! Three decode paths are provided:
+//! Two decode paths are provided:
 //!
 //! * [`decode`] — the owned path: allocates a [`Message`] whose strings and byte vectors are
 //!   independent of the input buffer.  Strings are allocated exactly once (the field table is
 //!   populated by moving the freshly decoded name, not re-cloning it).
-//! * [`decode_view`] — the borrowing path: returns a [`MessageView`] whose `Str`/`Bytes`
-//!   values are slices of the input and whose list values stay packed in wire form until
-//!   iterated.  Use it when a caller only needs to *inspect* a stored message (filter by a
-//!   field, count entries) without materialising the whole thing.
 //! * [`decode_shared`] / [`decode_segments`] / `decode_body_shared` — the owned path over
 //!   shared input: `Bytes` values alias the input instead of being copied out of it.
+//!
+//! A reader that only inspects a few fields goes through [`crate::stream::FieldCursor`]
+//! instead, which borrows strings and leaves lists packed ([`U64sView`], [`AddrsView`]).
 //!
 //! The same bytes may be held as one buffer or as a [`Segments`] list.  [`encode_segments`]
 //! writes the list form, in which a large `Bytes` value is its own segment — the value's
@@ -449,7 +448,7 @@ fn decode_value(r: &mut Reader<'_>, depth: usize) -> Result<Value> {
     Ok(value)
 }
 
-// --- Borrowing decode --------------------------------------------------------------------
+// --- Packed lists ------------------------------------------------------------------------
 
 /// A list of `u64`s still packed in big-endian wire form, borrowed from the input buffer.
 /// Elements are decoded on access, so a caller that never touches the list pays nothing.
@@ -520,182 +519,6 @@ impl<'a> AddrsView<'a> {
     pub fn iter(&self) -> impl Iterator<Item = Address> + 'a {
         self.raw.iter().map(decode_address)
     }
-}
-
-/// A field value borrowed from an encoded buffer: strings and byte strings are slices of the
-/// input, lists stay packed until iterated, and only nested structure is heap-allocated.
-#[derive(Clone, Debug)]
-pub enum ValueView<'a> {
-    /// Boolean flag.
-    Bool(bool),
-    /// Signed 64-bit integer.
-    I64(i64),
-    /// Unsigned 64-bit integer.
-    U64(u64),
-    /// IEEE-754 double.
-    F64(f64),
-    /// UTF-8 string, borrowed.
-    Str(&'a str),
-    /// Raw bytes, borrowed.
-    Bytes(&'a [u8]),
-    /// A process or group address.
-    Addr(Address),
-    /// A list of addresses, packed.
-    AddrList(AddrsView<'a>),
-    /// A vector of unsigned integers, packed.
-    U64List(U64sView<'a>),
-    /// A nested message.
-    Msg(Box<MessageView<'a>>),
-}
-
-impl ValueView<'_> {
-    /// Returns the unsigned integer if this is a `U64`.
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            ValueView::U64(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// Returns the string slice if this is a `Str`.
-    #[cfg(test)]
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            ValueView::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Returns the byte slice if this is a `Bytes`.
-    #[cfg(test)]
-    fn as_bytes(&self) -> Option<&[u8]> {
-        match self {
-            ValueView::Bytes(b) => Some(b),
-            _ => None,
-        }
-    }
-
-    /// Copies the view out into an owned [`Value`].
-    #[cfg(test)]
-    fn to_value(&self) -> Value {
-        match self {
-            ValueView::Bool(v) => Value::Bool(*v),
-            ValueView::I64(v) => Value::I64(*v),
-            ValueView::U64(v) => Value::U64(*v),
-            ValueView::F64(v) => Value::F64(*v),
-            ValueView::Str(s) => Value::Str((*s).to_owned()),
-            ValueView::Bytes(b) => Value::Bytes(Bytes::copy_from_slice(b)),
-            ValueView::Addr(a) => Value::Addr(*a),
-            ValueView::AddrList(v) => Value::AddrList(v.iter().collect()),
-            ValueView::U64List(v) => Value::U64List(v.to_vec()),
-            ValueView::Msg(m) => Value::Msg(Box::new(m.to_message())),
-        }
-    }
-}
-
-/// One decoded field borrowing from the input buffer.
-#[derive(Clone, Debug)]
-pub struct FieldView<'a> {
-    /// Field name, borrowed.
-    pub name: &'a str,
-    /// Field value, borrowed.
-    pub value: ValueView<'a>,
-}
-
-/// A message decoded without copying its payload out of the input buffer.
-///
-/// The view validates exactly as much as [`decode`] does (magic byte, UTF-8, bounds,
-/// trailing garbage); `MessageView::to_message` is guaranteed to produce the same
-/// [`Message`] the owned decoder would.
-#[derive(Clone, Debug, Default)]
-pub struct MessageView<'a> {
-    fields: Vec<FieldView<'a>>,
-}
-
-impl<'a> MessageView<'a> {
-    /// Number of fields (counting duplicates in the raw encoding separately).
-    #[cfg(test)]
-    fn field_count(&self) -> usize {
-        self.fields.len()
-    }
-
-    /// The value of the *last* field named `name`, mirroring the replace-on-duplicate
-    /// semantics of the owned decoder.
-    fn get(&self, name: &str) -> Option<&ValueView<'a>> {
-        self.fields
-            .iter()
-            .rev()
-            .find(|f| f.name == name)
-            .map(|f| &f.value)
-    }
-
-    /// Typed accessor: u64.
-    pub fn get_u64(&self, name: &str) -> Option<u64> {
-        self.get(name).and_then(ValueView::as_u64)
-    }
-
-    /// Typed accessor: string slice.
-    #[cfg(test)]
-    fn get_str(&self, name: &str) -> Option<&str> {
-        self.get(name).and_then(ValueView::as_str)
-    }
-
-    /// Typed accessor: byte slice.
-    #[cfg(test)]
-    fn get_bytes(&self, name: &str) -> Option<&[u8]> {
-        self.get(name).and_then(ValueView::as_bytes)
-    }
-
-    /// Copies the view out into an owned [`Message`] (identical to what [`decode`] returns
-    /// for the same input).
-    #[cfg(test)]
-    fn to_message(&self) -> Message {
-        let mut table = Vec::with_capacity(self.fields.len());
-        for f in &self.fields {
-            put_field(&mut table, FieldName::from(f.name), f.value.to_value());
-        }
-        Message::from_table(table)
-    }
-}
-
-/// Decodes a message *view* from bytes produced by [`encode`], borrowing string, byte and
-/// list payloads from the input instead of copying them.
-pub fn decode_view(bytes: &[u8]) -> Result<MessageView<'_>> {
-    let mut r = Reader::flat(bytes);
-    strip_magic(&mut r)?;
-    let msg = decode_message_view(&mut r, 0)?;
-    check_no_trailing(&r)?;
-    Ok(msg)
-}
-
-fn decode_message_view<'a>(r: &mut Reader<'a>, depth: usize) -> Result<MessageView<'a>> {
-    let count = read_field_count(r, depth)?;
-    let mut fields = Vec::with_capacity(count.min(MAX_EAGER_FIELDS));
-    for _ in 0..count {
-        let name = read_name(r)?;
-        let value = decode_value_view(r, depth)?;
-        fields.push(FieldView { name, value });
-    }
-    Ok(MessageView { fields })
-}
-
-fn decode_value_view<'a>(r: &mut Reader<'a>, depth: usize) -> Result<ValueView<'a>> {
-    let value = match r.u8("value tag")? {
-        TAG_BOOL => ValueView::Bool(r.u8("bool")? != 0),
-        TAG_I64 => ValueView::I64(r.u64("i64")? as i64),
-        TAG_U64 => ValueView::U64(r.u64("u64")?),
-        TAG_F64 => ValueView::F64(f64::from_bits(r.u64("f64")?)),
-        TAG_STR => ValueView::Str(value_str(read_counted(r, 1, "string")?)?),
-        TAG_BYTES => ValueView::Bytes(read_counted(r, 1, "bytes")?),
-        TAG_ADDR => ValueView::Addr(decode_address(r.u64("address")?)),
-        TAG_ADDR_LIST => ValueView::AddrList(AddrsView::new(read_counted(r, 8, "address list")?)),
-        TAG_U64_LIST => ValueView::U64List(U64sView::new(read_counted(r, 8, "u64 list")?)),
-        TAG_MSG => ValueView::Msg(Box::new(decode_message_view(r, depth + 1)?)),
-        other => {
-            return Err(VsError::CodecError(format!("unknown value tag {other}")));
-        }
-    };
-    Ok(value)
 }
 
 #[cfg(test)]
@@ -801,67 +624,29 @@ mod tests {
     }
 
     #[test]
-    fn view_decode_matches_owned_decode() {
-        let msg = sample();
-        let bytes = encode(&msg);
-        let view = decode_view(&bytes).expect("view decode");
-        assert_eq!(view.to_message(), msg);
-        assert_eq!(view.field_count(), msg.field_count());
-    }
-
-    #[test]
-    fn view_borrows_without_copying_payloads() {
-        let msg = sample();
-        let bytes = encode(&msg);
-        let view = decode_view(&bytes).expect("view decode");
-        let blob = view.get_bytes("blob").expect("blob field");
-        assert_eq!(blob, &[1u8, 2, 3, 4, 5]);
-        // The slice points into the encoded buffer, not a copy.
-        let base = bytes.as_ptr() as usize;
-        let ptr = blob.as_ptr() as usize;
-        assert!(ptr >= base && ptr < base + bytes.len());
-        assert_eq!(view.get_str("name"), Some("emulsion-service"));
-        assert_eq!(view.get_u64("count"), Some(42));
-    }
-
-    #[test]
     fn view_lists_decode_lazily_and_correctly() {
-        let msg = sample();
-        let bytes = encode(&msg);
-        let view = decode_view(&bytes).expect("view decode");
-        let Some(ValueView::U64List(vt)) = view.get("vt") else {
-            panic!("vt is a u64 list");
-        };
+        let raw: Vec<u8> = [1u64, 0, 3].iter().flat_map(|v| v.to_be_bytes()).collect();
+        let vt = U64sView::new(&raw);
         assert_eq!(vt.len(), 3);
         assert_eq!(vt.get(0), Some(1));
         assert_eq!(vt.get(3), None);
         assert_eq!(vt.to_vec(), vec![1, 0, 3]);
-        let Some(ValueView::AddrList(members)) = view.get("members") else {
-            panic!("members is an addr list");
-        };
+        let addrs = [
+            Address::Process(ProcessId::new(SiteId(0), 1)),
+            Address::Group(GroupId(77)),
+        ];
+        let raw: Vec<u8> = addrs
+            .iter()
+            .flat_map(|a| encode_address(a).to_be_bytes())
+            .collect();
+        let members = AddrsView::new(&raw);
         assert_eq!(members.len(), 2);
         assert_eq!(
             members.get(1),
             Some(Address::Group(GroupId(77))),
             "addresses unpack on access"
         );
-    }
-
-    #[test]
-    fn view_rejects_everything_the_owned_decoder_rejects() {
-        let bytes = encode(&sample()).to_vec();
-        for cut in 1..bytes.len() {
-            assert!(
-                decode_view(&bytes[..cut]).is_err(),
-                "view decode of {cut}-byte prefix should fail"
-            );
-        }
-        let mut bad_magic = bytes.clone();
-        bad_magic[0] = 0;
-        assert!(decode_view(&bad_magic).is_err());
-        let mut trailing = bytes;
-        trailing.push(0xFF);
-        assert!(decode_view(&trailing).is_err());
+        assert_eq!(members.iter().collect::<Vec<_>>(), addrs);
     }
 
     #[test]
@@ -879,9 +664,8 @@ mod tests {
         let owned = decode(&buf).expect("owned decode");
         assert_eq!(owned.field_count(), 1, "duplicate replaces");
         assert_eq!(owned.get_u64("x"), Some(2));
-        let view = decode_view(&buf).expect("view decode");
-        assert_eq!(view.get_u64("x"), Some(2), "view reads the last duplicate");
-        assert_eq!(view.to_message(), owned);
+        let shared = decode_shared(&buf.freeze()).expect("shared decode");
+        assert_eq!(shared, owned, "the shared path replaces the same way");
     }
 
     #[test]
@@ -910,15 +694,14 @@ mod tests {
     #[test]
     fn rejects_implausible_field_count_without_large_allocation() {
         // Hand-craft: magic + a header claiming u32::MAX fields followed by 8 junk bytes.
-        // Both decode paths must reject on the count bound (no field could be 0 bytes), and
-        // must do so without reserving count-proportional memory first.
+        // The decoder must reject on the count bound (no field could be 0 bytes), and must
+        // do so without reserving count-proportional memory first.
         let mut buf = BytesMut::new();
         buf.put_u8(MAGIC);
         buf.put_u32(u32::MAX);
         buf.put_slice(&[0u8; 8]);
         let err = decode(&buf).expect_err("owned decode rejects");
         assert!(err.to_string().contains("implausible field count"));
-        assert!(decode_view(&buf).is_err(), "view decode rejects");
         // A count that fits the remaining bytes only if fields were < MIN_FIELD_WIRE_LEN
         // bytes each is equally implausible.
         let mut buf = BytesMut::new();
@@ -926,7 +709,6 @@ mod tests {
         buf.put_u32(5);
         buf.put_slice(&[0u8; 4 * 5 - 1]);
         assert!(decode(&buf).is_err());
-        assert!(decode_view(&buf).is_err());
     }
 
     #[test]
@@ -938,7 +720,6 @@ mod tests {
         }
         let bytes = encode(&msg);
         assert_eq!(decode(&bytes).unwrap(), msg);
-        assert!(decode_view(&bytes).is_ok());
         // ...one level deeper is rejected with an error, not a stack overflow. Hand-craft
         // the headers so the test does not depend on Message being able to build it:
         // each level is one field (empty name, TAG_MSG) wrapping the next.
@@ -953,10 +734,6 @@ mod tests {
         buf.put_u32(0); // innermost message: zero fields
         let err = decode(&buf).expect_err("owned decode rejects deep nesting");
         assert!(err.to_string().contains("nesting"), "{err}");
-        assert!(
-            decode_view(&buf).is_err(),
-            "view decode rejects deep nesting"
-        );
     }
 
     #[test]

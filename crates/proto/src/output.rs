@@ -86,40 +86,3 @@ pub enum EndpointOutput {
         observed_seq: u64,
     },
 }
-
-impl EndpointOutput {
-    /// Convenience predicate used by tests.
-    pub fn is_delivery(&self) -> bool {
-        matches!(self, EndpointOutput::Deliver(_))
-    }
-
-    /// Convenience predicate used by tests.
-    pub fn is_view_change(&self) -> bool {
-        matches!(self, EndpointOutput::ViewChange(_))
-    }
-
-    /// Convenience predicate used by tests.
-    pub fn is_send(&self) -> bool {
-        matches!(self, EndpointOutput::Send { .. })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use vsync_util::GroupId;
-
-    #[test]
-    fn predicates() {
-        let d = EndpointOutput::Deliver(Delivery {
-            group: GroupId(1),
-            msg_id: MsgId::new(SiteId(0), 1),
-            view_seq: 1,
-            protocol: ProtocolKind::Cbcast,
-            payload: Message::new(),
-        });
-        assert!(d.is_delivery());
-        assert!(!d.is_send());
-        assert!(!d.is_view_change());
-    }
-}

@@ -152,74 +152,6 @@ impl FileStore {
     fn log_dir(&self, key: &str) -> PathBuf {
         self.root.join(format!("{}.log", Self::sanitize(key)))
     }
-
-    /// Reads each entry file of `key`'s log in append order and yields its raw bytes (plus
-    /// its path and whether it is the final entry) to `each`, which returns `false` to stop
-    /// early.  The single source of truth for entry naming, ordering, and error wrapping —
-    /// `read_log` and `scan_log` both go through it.  Returns the number of entries yielded.
-    fn for_each_log_entry(
-        &self,
-        key: &str,
-        mut each: impl FnMut(&std::path::Path, Vec<u8>, bool) -> Result<bool>,
-    ) -> Result<usize> {
-        let dir = self.log_dir(key);
-        if !dir.exists() {
-            return Ok(0);
-        }
-        let mut names: Vec<PathBuf> = std::fs::read_dir(&dir)
-            .map_err(|e| VsError::StorageError(format!("list log {key}: {e}")))?
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .collect();
-        names.sort();
-        let mut visited = 0;
-        let last = names.len();
-        for (i, p) in names.into_iter().enumerate() {
-            let bytes = std::fs::read(&p)
-                .map_err(|e| VsError::StorageError(format!("read log entry {p:?}: {e}")))?;
-            visited += 1;
-            if !each(&p, bytes, i + 1 == last)? {
-                break;
-            }
-        }
-        Ok(visited)
-    }
-
-    /// Handles a decode failure at position `path`: a **final** entry that fails to decode
-    /// is a torn tail — the machine died mid-append, exactly the case the fsync'd record
-    /// before it was built for — so it is repaired (deleted, best-effort) and iteration
-    /// stops cleanly.  An undecodable entry *before* the tail is genuine corruption the
-    /// caller must hear about: replaying around a mid-log hole would silently drop
-    /// history.
-    fn tolerate_torn_tail(path: &std::path::Path, is_last: bool, err: VsError) -> Result<bool> {
-        if is_last {
-            let _ = std::fs::remove_file(path);
-            Ok(false)
-        } else {
-            Err(VsError::StorageError(format!(
-                "undecodable log entry {path:?} before the tail: {err}"
-            )))
-        }
-    }
-
-    /// Streams the entries of a log through `visit` as *borrowed* decoded views
-    /// ([`codec::decode_view`]), in append order, without materialising owned messages.
-    /// `visit` returns `false` to stop early.  Returns the number of entries visited
-    /// (a repaired torn tail counts as visited but is not shown to `visit`).
-    ///
-    /// This is the cheap way to inspect a log — count entries, find a sequence number,
-    /// filter by a field — when a full [`StableStore::read_log`] replay is not needed.
-    pub fn scan_log(
-        &self,
-        key: &str,
-        mut visit: impl FnMut(&codec::MessageView<'_>) -> bool,
-    ) -> Result<usize> {
-        self.for_each_log_entry(key, |path, bytes, is_last| {
-            match codec::decode_view(&bytes) {
-                Ok(view) => Ok(visit(&view)),
-                Err(e) => Self::tolerate_torn_tail(path, is_last, e),
-            }
-        })
-    }
 }
 
 impl StableStore for FileStore {
@@ -274,17 +206,38 @@ impl StableStore for FileStore {
         Ok(())
     }
 
+    /// Replays the log in append order.  A *final* entry that fails to decode is a torn
+    /// tail — the machine died mid-append, exactly the case the fsync'd record before it
+    /// was built for — so it is repaired (deleted, best-effort) and replay stops there.  An
+    /// undecodable entry *before* the tail is genuine corruption the caller must hear
+    /// about: replaying around a mid-log hole would silently drop history.
     fn read_log(&self, key: &str) -> Result<Vec<Message>> {
-        let mut out = Vec::new();
-        self.for_each_log_entry(key, |path, bytes, is_last| {
+        let dir = self.log_dir(key);
+        if !dir.exists() {
+            return Ok(Vec::new());
+        }
+        let mut names: Vec<PathBuf> = std::fs::read_dir(&dir)
+            .map_err(|e| VsError::StorageError(format!("list log {key}: {e}")))?
+            .filter_map(|e| e.ok().map(|e| e.path()))
+            .collect();
+        names.sort();
+        let last = names.len();
+        let mut out = Vec::with_capacity(last);
+        for (i, path) in names.into_iter().enumerate() {
+            let bytes = std::fs::read(&path)
+                .map_err(|e| VsError::StorageError(format!("read log entry {path:?}: {e}")))?;
             match codec::decode_shared(&bytes.into()) {
-                Ok(msg) => {
-                    out.push(msg);
-                    Ok(true)
+                Ok(msg) => out.push(msg),
+                Err(_) if i + 1 == last => {
+                    let _ = std::fs::remove_file(&path);
                 }
-                Err(e) => Self::tolerate_torn_tail(path, is_last, e),
+                Err(e) => {
+                    return Err(VsError::StorageError(format!(
+                        "undecodable log entry {path:?} before the tail: {e}"
+                    )))
+                }
             }
-        })?;
+        }
         Ok(out)
     }
 
@@ -351,30 +304,6 @@ mod tests {
     }
 
     #[test]
-    fn file_store_scan_log_visits_views_in_order() {
-        let dir = std::env::temp_dir().join(format!("vsync-scan-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = FileStore::new(&dir).unwrap();
-        for i in 0..4u64 {
-            store.append_log("seq", &Message::with_body(i)).unwrap();
-        }
-        let mut seen = Vec::new();
-        let visited = store
-            .scan_log("seq", |view| {
-                seen.push(view.get_u64("body").unwrap());
-                true
-            })
-            .unwrap();
-        assert_eq!(visited, 4);
-        assert_eq!(seen, vec![0, 1, 2, 3]);
-        // Early stop.
-        let visited = store.scan_log("seq", |_| false).unwrap();
-        assert_eq!(visited, 1);
-        assert_eq!(store.scan_log("absent", |_| true).unwrap(), 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn file_store_append_index_survives_truncate_and_reopen() {
         let dir = std::env::temp_dir().join(format!("vsync-idx-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -430,7 +359,6 @@ mod tests {
         let mid = dir.join("wal.log").join("00000000.msg");
         std::fs::write(&mid, b"x").unwrap();
         assert!(store.read_log("wal").is_err());
-        assert!(store.scan_log("wal", |_| true).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
