@@ -22,7 +22,7 @@ use crate::flush::{FlushCoordinator, FlushParticipant};
 /// Gossip rounds an endpoint keeps probing for after it un-wedges without a view change:
 /// one immediate probe plus this many periodic ones, so a lost probe cannot strand a healed
 /// minority in a stale view.
-pub(super) const STALE_VIEW_PROBES: u8 = 3;
+const STALE_VIEW_PROBES: u8 = 3;
 
 /// Where an endpoint stands.  A joiner with no view yet is `Normal`.
 #[derive(Debug)]
