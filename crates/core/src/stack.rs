@@ -1558,4 +1558,407 @@ mod tests {
         };
         assert_ne!(other.retry_delay(base), mk(2).retry_delay(base));
     }
+
+    // -- Sans-io pins: one stack (or two, wired back to back) driven through `on_packet`
+    // and `on_timer` with a free-standing `Outbox`, no runtime underneath.
+
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    use crate::process::ProcessBuilder;
+    use vsync_proto::Frontier;
+
+    const G: GroupId = GroupId(7);
+
+    fn pid(site: u16, local: u32) -> ProcessId {
+        ProcessId::new(SiteId(site), local)
+    }
+
+    fn site_stack(site: u16, sites: u16) -> SiteStack {
+        SiteStack::new(
+            SiteId(site),
+            (0..sites).map(SiteId).collect(),
+            StackConfig::default(),
+            ProtoConfig::default(),
+            SharedStats::new(),
+        )
+    }
+
+    /// A heartbeat from `from` to `to`: any packet proves its sender's site alive.
+    fn heartbeat(from: u16, to: u16) -> Packet {
+        let mut hb = Message::new();
+        hb.set(CTRL, "hb");
+        Packet::new(
+            protocols_process(SiteId(from)),
+            protocols_process(SiteId(to)),
+            PacketKind::Heartbeat,
+            hb,
+        )
+    }
+
+    fn decode(pkt: &Packet) -> Option<ProtoMsg> {
+        if !ProtoMsg::is_proto_frame(&pkt.payload) {
+            return None;
+        }
+        ProtoMsg::decode_frame(&pkt.payload)
+            .ok()
+            .map(|(_, m)| m.clone())
+    }
+
+    /// Drains the outbox (timers too) and returns the destination site of every JoinReq.
+    fn join_reqs(out: &mut Outbox) -> Vec<SiteId> {
+        out.drain_timers().for_each(drop);
+        out.drain_sends()
+            .filter(|p| matches!(decode(p), Some(ProtoMsg::JoinReq { .. })))
+            .map(|p| p.dst.site)
+            .collect()
+    }
+
+    #[test]
+    fn join_retries_back_off_rotate_contacts_and_stop_at_a_leave_or_a_view() {
+        unanswered_join_backs_off_rotates_and_stops_at_a_leave();
+        a_view_holding_the_joiner_ends_its_retries();
+    }
+
+    fn unanswered_join_backs_off_rotates_and_stops_at_a_leave() {
+        let cfg = StackConfig::default();
+        let joiner = pid(1, 1);
+        let mut st = site_stack(1, 4);
+        st.add_process(ProcessBuilder::new(joiner).build());
+        st.register_group("g", G, vec![SiteId(0), SiteId(2), SiteId(3)]);
+        let mut out = Outbox::new();
+        st.on_start(SimTime::ZERO, &mut out);
+        st.join_group(G, joiner, None, &mut out).unwrap();
+        let mut sent: Vec<(SimTime, SiteId)> = join_reqs(&mut out)
+            .into_iter()
+            .map(|s| (SimTime::ZERO, s))
+            .collect();
+        // Every contact heartbeats, so none is ever suspected; none answers the join.
+        let mut now = SimTime::ZERO;
+        while sent.len() < 8 {
+            now += cfg.tick_interval;
+            assert!(
+                now < SimTime::ZERO + Duration::from_secs(30),
+                "re-sends stopped: {sent:?}"
+            );
+            for s in [0, 2, 3] {
+                st.on_packet(now, heartbeat(s, 1), &mut out);
+            }
+            st.on_timer(now, TICK, &mut out);
+            sent.extend(join_reqs(&mut out).into_iter().map(|s| (now, s)));
+        }
+        // Three re-sends to the preferred contact, then the rest of the contacts in turn.
+        let dsts: Vec<u16> = sent.iter().map(|(_, s)| s.0).collect();
+        assert_eq!(dsts, [0, 0, 0, 0, 2, 3, 2, 3]);
+        // Re-send k waits `failure_timeout * 2^min(k-1, 3)` plus at most a quarter of that
+        // in jitter, seen at tick granularity.
+        for k in 1..sent.len() {
+            let gap = sent[k].0.saturating_since(sent[k - 1].0);
+            let backoff = cfg.failure_timeout.saturating_mul(1 << (k - 1).min(3));
+            let most = backoff + Duration::from_micros(backoff.as_micros() / 4) + cfg.tick_interval;
+            assert!(
+                gap >= backoff && gap <= most,
+                "re-send {k}: {gap:?} vs {backoff:?}"
+            );
+        }
+        st.leave_group(G, joiner, &mut out).unwrap();
+        assert!(join_reqs(&mut out).is_empty());
+        let quiet_until = now + cfg.failure_timeout.saturating_mul(40);
+        while now < quiet_until {
+            now += cfg.tick_interval;
+            for s in [0, 2, 3] {
+                st.on_packet(now, heartbeat(s, 1), &mut out);
+            }
+            st.on_timer(now, TICK, &mut out);
+            assert!(
+                join_reqs(&mut out).is_empty(),
+                "a leave must cancel the retry"
+            );
+        }
+    }
+
+    /// Delivers everything in the outbox to its site's stack, at once and in order, until
+    /// nothing is left; `deaf` packets are dropped.  Returns the JoinReqs sent from site 1.
+    fn settle(
+        stacks: &mut [SiteStack],
+        now: SimTime,
+        out: &mut Outbox,
+        deaf: impl Fn(&Packet) -> bool,
+    ) -> usize {
+        let mut joins = 0;
+        loop {
+            out.drain_timers().for_each(drop);
+            let batch: Vec<Packet> = out.drain_sends().collect();
+            if batch.is_empty() {
+                return joins;
+            }
+            for pkt in batch {
+                if pkt.src.site == SiteId(1)
+                    && matches!(decode(&pkt), Some(ProtoMsg::JoinReq { .. }))
+                {
+                    joins += 1;
+                }
+                if !deaf(&pkt) {
+                    let to = pkt.dst.site.0 as usize;
+                    stacks[to].on_packet(now, pkt, out);
+                }
+            }
+        }
+    }
+
+    fn a_view_holding_the_joiner_ends_its_retries() {
+        let cfg = StackConfig::default();
+        let (member, joiner) = (pid(0, 1), pid(1, 1));
+        let mut stacks = [site_stack(0, 2), site_stack(1, 2)];
+        stacks[0].add_process(ProcessBuilder::new(member).build());
+        stacks[1].add_process(ProcessBuilder::new(joiner).build());
+        let mut out = Outbox::new();
+        stacks[0].create_group("g", G, member, &mut out);
+        stacks[1].register_group("g", G, vec![SiteId(0)]);
+        stacks[1].join_group(G, joiner, None, &mut out).unwrap();
+        // The contact drops the first three JoinReqs (the request and two re-sends) and
+        // takes the fourth.
+        let mut joins = 0;
+        let mut now = SimTime::ZERO;
+        loop {
+            let dropped = joins;
+            joins += settle(&mut stacks, now, &mut out, |p| {
+                dropped < 3 && matches!(decode(p), Some(ProtoMsg::JoinReq { .. }))
+            });
+            if stacks[1].view_of(G).is_some_and(|v| v.contains(joiner)) {
+                break;
+            }
+            now += cfg.tick_interval;
+            assert!(
+                now < SimTime::ZERO + Duration::from_secs(30),
+                "the join never installed"
+            );
+            for st in &mut stacks {
+                st.on_timer(now, TICK, &mut out);
+            }
+        }
+        assert_eq!(joins, 4);
+        let quiet_until = now + cfg.failure_timeout.saturating_mul(40);
+        while now < quiet_until {
+            now += cfg.tick_interval;
+            for st in &mut stacks {
+                st.on_timer(now, TICK, &mut out);
+            }
+            assert_eq!(settle(&mut stacks, now, &mut out, |_| false), 0);
+        }
+        assert!(stacks[0].view_of(G).is_some_and(|v| v.contains(joiner)));
+    }
+
+    fn log_summary(site: u16, view_seq: u64) -> LogSummary {
+        LogSummary {
+            site: SiteId(site),
+            view_seq,
+            covered: Frontier::new(),
+            rank: u64::from(site),
+        }
+    }
+
+    fn summary_from(site: u16, view_seq: u64) -> Packet {
+        let s = log_summary(site, view_seq);
+        let wire = ProtoMsg::ReformSummary {
+            from_site: s.site,
+            view_seq: s.view_seq,
+            covered: s.covered,
+            rank: s.rank,
+        }
+        .into_frame(G);
+        Packet::new(
+            protocols_process(SiteId(site)),
+            protocols_process(SiteId(1)),
+            PacketKind::Control,
+            wire,
+        )
+    }
+
+    /// Drains the outbox; returns where each ReformSummary went and where each ReformAlive went.
+    fn reform_sends(out: &mut Outbox) -> (Vec<u16>, Vec<u16>) {
+        out.drain_timers().for_each(drop);
+        let (mut summaries, mut alive) = (Vec::new(), Vec::new());
+        for p in out.drain_sends() {
+            match decode(&p) {
+                Some(ProtoMsg::ReformSummary { from_site, .. }) => {
+                    assert_eq!(from_site, SiteId(1));
+                    summaries.push(p.dst.site.0);
+                }
+                Some(ProtoMsg::ReformAlive { contact }) => {
+                    assert_eq!(contact, SiteId(1));
+                    alive.push(p.dst.site.0);
+                }
+                _ => {}
+            }
+        }
+        (summaries, alive)
+    }
+
+    #[test]
+    fn reform_answers_each_outsider_once_and_an_installed_view_ends_it() {
+        let cfg = StackConfig::default();
+        let mut st = site_stack(1, 4);
+        let mut out = Outbox::new();
+        st.begin_reform(G, log_summary(1, 5), vec![SiteId(1), SiteId(2)], &mut out);
+        assert_eq!(reform_sends(&mut out), (vec![2], vec![]));
+        // Unresolved, the summary goes out again at the failure-timeout cadence.
+        let now = SimTime::ZERO + cfg.failure_timeout;
+        st.on_timer(now, TICK, &mut out);
+        assert_eq!(reform_sends(&mut out), (vec![2], vec![]));
+        // Site 3 is outside the expected set: answered once, however often it asks.
+        for answer in [vec![3], vec![]] {
+            st.on_packet(now, summary_from(3, 4), &mut out);
+            assert_eq!(reform_sends(&mut out), (answer, vec![]));
+        }
+        assert!(matches!(
+            st.reform_status(G, &mut out),
+            Some(ReformStatus::Collecting { .. })
+        ));
+        // Site 2's newer log completes the election: we follow it.
+        st.on_packet(now, summary_from(2, 6), &mut out);
+        assert_eq!(reform_sends(&mut out), (vec![2], vec![]));
+        assert_eq!(
+            st.reform_status(G, &mut out),
+            Some(ReformStatus::Follow { leader: SiteId(2) })
+        );
+        // Resolved: no more rebroadcasts, but a first-time sender is still answered once.
+        st.on_timer(now + cfg.failure_timeout, TICK, &mut out);
+        assert_eq!(reform_sends(&mut out), (vec![], vec![]));
+        for (from, answer) in [(0, vec![0]), (0, vec![]), (3, vec![])] {
+            st.on_packet(now, summary_from(from, 3), &mut out);
+            assert_eq!(reform_sends(&mut out), (answer, vec![]));
+        }
+        // An installed view ends the run; a summary now learns the group is alive.
+        let founder = pid(1, 1);
+        st.add_process(ProcessBuilder::new(founder).build());
+        st.create_group_at("g", G, founder, 7, &mut out);
+        assert_eq!(st.reform_status(G, &mut out), None);
+        st.on_packet(now, summary_from(3, 4), &mut out);
+        assert_eq!(reform_sends(&mut out), (vec![], vec![3]));
+    }
+
+    #[test]
+    fn a_site_failure_completes_its_collectors_in_session_order() {
+        let cfg = StackConfig::default();
+        let (caller, doomed) = (pid(0, 1), pid(0, 2));
+        let mut st = site_stack(0, 3);
+        st.add_process(ProcessBuilder::new(caller).build());
+        st.add_process(ProcessBuilder::new(doomed).build());
+        let mut out = Outbox::new();
+        st.on_start(SimTime::ZERO, &mut out);
+        // (tag, error) per continuation run.
+        let ran: Rc<RefCell<Vec<(&str, Option<VsError>)>>> = Rc::default();
+        let record = |tag: &'static str| -> ReplyCallback {
+            let ran = ran.clone();
+            Box::new(move |_ctx, outcome| ran.borrow_mut().push((tag, outcome.error)))
+        };
+        let mut call = |st: &mut SiteStack, from, to: &[ProcessId], wanted, cb| {
+            let dests = to.iter().copied().map(Address::Process).collect();
+            let body = Message::new();
+            st.issue_call(
+                from,
+                dests,
+                EntryId(9),
+                body,
+                ProtocolKind::Cbcast,
+                wanted,
+                cb,
+                &mut out,
+            );
+        };
+        // Sessions 1..=5.  "a" re-enters the stack with a call of its own, session 6.
+        let again = record("a-again");
+        let ran_a = ran.clone();
+        let a: ReplyCallback = Box::new(move |ctx, outcome| {
+            ran_a.borrow_mut().push(("a", outcome.error));
+            let to = vec![Address::Process(pid(1, 3))];
+            ctx.call(
+                to,
+                EntryId(9),
+                Message::new(),
+                ProtocolKind::Cbcast,
+                ReplyWanted::One,
+                again,
+            );
+        });
+        call(&mut st, caller, &[pid(1, 1)], ReplyWanted::One, Some(a));
+        call(
+            &mut st,
+            caller,
+            &[pid(2, 1)],
+            ReplyWanted::One,
+            Some(record("b")),
+        );
+        call(
+            &mut st,
+            caller,
+            &[pid(1, 1), pid(1, 2)],
+            ReplyWanted::All,
+            Some(record("c")),
+        );
+        call(
+            &mut st,
+            caller,
+            &[pid(1, 1), pid(2, 1)],
+            ReplyWanted::All,
+            Some(record("d")),
+        );
+        call(
+            &mut st,
+            doomed,
+            &[pid(1, 1)],
+            ReplyWanted::One,
+            Some(record("x")),
+        );
+        st.crash_local_process(doomed, &mut out);
+        // Site 2 keeps talking; site 1 falls silent until the detector suspects it.
+        let mut now = SimTime::ZERO;
+        while ran.borrow().is_empty() {
+            now += cfg.tick_interval;
+            assert!(
+                now < SimTime::ZERO + cfg.rpc_timeout,
+                "site 1 never suspected"
+            );
+            st.on_packet(now, heartbeat(2, 0), &mut out);
+            st.on_timer(now, TICK, &mut out);
+        }
+        let failed = |tag| {
+            (
+                tag,
+                Some(VsError::AllDestinationsFailed { wanted: 1, got: 0 }),
+            )
+        };
+        let failed_all =
+            |tag, wanted| (tag, Some(VsError::AllDestinationsFailed { wanted, got: 0 }));
+        assert_eq!(*ran.borrow(), [failed("a"), failed_all("c", 2)]);
+        // Replies from site 2 finish the rest; "d" lost site 1 and completes short.
+        for session in [4, 2] {
+            let mut reply = Message::with_body(session);
+            reply.set_sender(pid(2, 1));
+            reply.set_session(session);
+            reply.mark_reply(false);
+            st.on_packet(
+                now,
+                Packet::new(pid(2, 1), caller, PacketKind::Reply, reply),
+                &mut out,
+            );
+        }
+        assert_eq!(
+            *ran.borrow(),
+            [failed("a"), failed_all("c", 2), ("d", None), ("b", None)]
+        );
+        // Session 6 opened during the sweep, so that sweep never saw it: it runs out its
+        // own deadline.  The crashed caller's "x" never runs.
+        let deadline = now + cfg.rpc_timeout;
+        while now <= deadline {
+            now += cfg.tick_interval;
+            st.on_packet(now, heartbeat(2, 0), &mut out);
+            st.on_timer(now, TICK, &mut out);
+        }
+        let ran = ran.borrow();
+        assert_eq!(ran.len(), 5, "{ran:?}");
+        assert_eq!(ran[4].0, "a-again");
+        assert!(matches!(ran[4].1, Some(VsError::Timeout(_))), "{ran:?}");
+    }
 }
