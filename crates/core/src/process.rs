@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 
 use vsync_msg::{fields, Message};
-use vsync_net::{ProtocolKind, SharedStats};
+use vsync_net::ProtocolKind;
 use vsync_proto::{View, ViewEvent};
 use vsync_util::{Address, EntryId, GroupId, ProcessId, Rank, SimTime};
 
@@ -80,7 +80,6 @@ pub struct ToolCtx<'a> {
     views: &'a BTreeMap<GroupId, View>,
     directory: &'a BTreeMap<String, GroupId>,
     actions: Vec<CtxAction>,
-    stats: Option<SharedStats>,
 }
 
 impl<'a> ToolCtx<'a> {
@@ -97,21 +96,7 @@ impl<'a> ToolCtx<'a> {
             views,
             directory,
             actions: Vec::new(),
-            stats: None,
         }
-    }
-
-    /// Attaches the site's statistics counters (called by the site stack; contexts built
-    /// without them — e.g. in unit tests — simply have no counters to bump).
-    pub(crate) fn with_stats(mut self, stats: SharedStats) -> Self {
-        self.stats = Some(stats);
-        self
-    }
-
-    /// The site's statistics counters, when attached.  Tools bump cluster-visible
-    /// counters (e.g. transfer buffer overflows) through this.
-    pub fn stats(&self) -> Option<&SharedStats> {
-        self.stats.as_ref()
     }
 
     /// The process this handler runs in.

@@ -7,10 +7,13 @@
 //! destination to send a null reply, indicating that it does not intend to send a normal
 //! reply" (paper Section 3.2).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::RangeInclusive;
 
 use vsync_msg::Message;
-use vsync_util::{ProcessId, SimTime, SiteId, VsError};
+use vsync_util::{ProcessId, SimTime, VsError};
+
+use crate::process::ReplyCallback;
 
 /// How many replies the caller wants.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -159,15 +162,10 @@ impl ReplyCollector {
         self.check()
     }
 
-    /// Notes that a destination failed before replying.
-    pub(crate) fn on_failure(&mut self, failed: ProcessId) -> CollectorStatus {
-        self.awaiting.remove(&failed);
-        self.check()
-    }
-
-    /// Notes that every process at a site failed (site crash).
-    pub(crate) fn on_site_failure(&mut self, site: SiteId) -> CollectorStatus {
-        self.awaiting.retain(|p| p.site != site);
+    /// Notes that the destinations `failed` picks out (one process, or every process at a
+    /// crashed site) failed before replying.
+    pub(crate) fn on_failure(&mut self, failed: impl Fn(&ProcessId) -> bool) -> CollectorStatus {
+        self.awaiting.retain(|p| !failed(p));
         self.check()
     }
 
@@ -193,6 +191,76 @@ impl ReplyCollector {
             }
         }
         self.check()
+    }
+}
+
+/// A collection that finished with a continuation to run.
+pub(crate) struct Finished {
+    pub(crate) session: u64,
+    pub(crate) caller: ProcessId,
+    pub(crate) callback: ReplyCallback,
+    pub(crate) outcome: RpcOutcome,
+}
+
+/// A site's group-RPC sessions: the numbering every call draws from, and each open
+/// collection with the continuation waiting on it.
+#[derive(Default)]
+pub(crate) struct RpcSessions {
+    last: u64,
+    open: BTreeMap<u64, (ReplyCollector, Option<ReplyCallback>)>,
+}
+
+impl RpcSessions {
+    /// Numbers a new call.
+    pub(crate) fn next_session(&mut self) -> u64 {
+        self.last += 1;
+        self.last
+    }
+
+    /// The most recent session number handed out.
+    pub(crate) fn last(&self) -> u64 {
+        self.last
+    }
+
+    /// Opens the collection for `collector.session`.
+    pub(crate) fn open(&mut self, collector: ReplyCollector, callback: Option<ReplyCallback>) {
+        self.open.insert(collector.session, (collector, callback));
+    }
+
+    /// A crashed caller's collections end without running.
+    pub(crate) fn drop_caller(&mut self, caller: ProcessId) {
+        self.open.retain(|_, (c, _)| c.caller != caller);
+    }
+
+    /// Feeds `event` to each open session in `sessions`, in session order, and returns the
+    /// first that finishes with a continuation.  Every collection that finishes is closed;
+    /// one without a continuation is passed over.
+    pub(crate) fn next_finished(
+        &mut self,
+        sessions: RangeInclusive<u64>,
+        mut event: impl FnMut(&mut ReplyCollector) -> CollectorStatus,
+    ) -> Option<Finished> {
+        let (mut from, to) = sessions.into_inner();
+        while from <= to {
+            let (session, outcome) =
+                self.open
+                    .range_mut(from..=to)
+                    .find_map(|(s, (c, _))| match event(c) {
+                        CollectorStatus::Done(outcome) => Some((*s, outcome)),
+                        CollectorStatus::Pending => None,
+                    })?;
+            let (collector, callback) = self.open.remove(&session).expect("session is open");
+            if let Some(callback) = callback {
+                return Some(Finished {
+                    session,
+                    caller: collector.caller,
+                    callback,
+                    outcome,
+                });
+            }
+            from = session + 1;
+        }
+        None
     }
 }
 
@@ -294,8 +362,8 @@ mod tests {
             None,
             false,
         );
-        assert_eq!(c.on_failure(p(0, 1)), CollectorStatus::Pending);
-        match c.on_failure(p(1, 1)) {
+        assert_eq!(c.on_failure(|d| *d == p(0, 1)), CollectorStatus::Pending);
+        match c.on_failure(|d| *d == p(1, 1)) {
             CollectorStatus::Done(o) => {
                 assert!(matches!(
                     o.error,
@@ -316,7 +384,10 @@ mod tests {
             None,
             false,
         );
-        assert_eq!(c.on_site_failure(SiteId(0)), CollectorStatus::Pending);
+        assert_eq!(
+            c.on_failure(|d| d.site == SiteId(0)),
+            CollectorStatus::Pending
+        );
         assert_eq!(c.awaiting, BTreeSet::from([p(1, 1)]));
     }
 

@@ -5,10 +5,19 @@
 //! process maintains process group membership views, using a cache for groups not resident at
 //! the site.  Client programs are linked directly to whatever tools they employ."
 //!
-//! [`SiteStack`] is that process.  It owns one [`GroupEndpoint`] per group with members at
-//! this site, hosts the client processes themselves (entry handlers and monitors), runs the
-//! failure detector, collects group-RPC replies, and relays multicasts issued by clients that
-//! are not members of the destination group to a site that is.
+//! [`SiteStack`] is that process.  It routes each group's traffic to the group's
+//! [`GroupEndpoint`] (one per group with members at this site), hosts the client processes
+//! themselves (entry handlers and monitors), runs the failure detector, and relays
+//! multicasts issued by clients that are not members of the destination group to a site
+//! that is.  Three of its jobs have an owner of their own, which keeps the job's state and
+//! answers the stack through one method per event:
+//!
+//! * `stack::joins` — the joins submitted here whose view has not installed yet: when each
+//!   is re-sent, and which contact it fails over to once its backoff is spent;
+//! * `stack::reform` — the total-failure elections in progress here (paper Section 3.8),
+//!   which send their own summaries;
+//! * the session table in [`crate::rpc`] — session numbering and each open reply
+//!   collection with the continuation waiting on it (paper Section 3.2).
 //!
 //! "All inter-site communication" includes message stability: what this site has received
 //! is something it tells its peer *sites*, not something each group tells its peers.  On a
@@ -20,7 +29,10 @@
 //! to its group's endpoint ([`GroupEndpoint::on_gossip`]), where it does everything a
 //! per-group frame did; an entry for a group with no endpoint here is dropped.
 
-use std::collections::{BTreeMap, BTreeSet};
+mod joins;
+mod reform;
+
+use std::collections::BTreeMap;
 
 use vsync_msg::{fields, Frame, Message};
 use vsync_net::{Outbox, Packet, PacketKind, ProtocolKind, SharedStats, SiteHandler};
@@ -29,14 +41,14 @@ use vsync_proto::{
     Delivery, EndpointOutput, GroupEndpoint, LogSummary, ProtoConfig, ReformStatus, ReformTracker,
     View, ViewEvent,
 };
-use vsync_util::{
-    Address, Duration, EntryId, GroupId, ProcessId, Result, SimTime, SiteId, VsError,
-};
+use vsync_util::{Address, EntryId, GroupId, ProcessId, Result, SimTime, SiteId, VsError};
 
 use crate::config::StackConfig;
 use crate::process::{CtxAction, IsisProcess, ReplyCallback, ToolCtx};
 use crate::protection::ProtectionPolicy;
-use crate::rpc::{CollectorStatus, ReplyCollector, ReplyWanted, RpcOutcome};
+use crate::rpc::{CollectorStatus, ReplyCollector, ReplyWanted, RpcOutcome, RpcSessions};
+use joins::Joins;
+use reform::Reforms;
 use vsync_net::FailureDetector;
 
 /// Timer token used for the stack's periodic maintenance tick.
@@ -50,56 +62,14 @@ fn protocols_process(site: SiteId) -> ProcessId {
     ProcessId::new(site, 0)
 }
 
-/// A join submitted at this site whose view has not installed yet.  Kept so the request can
-/// be re-submitted: the JoinReq (or the coordinator it was queued at) may have died with a
-/// crashed site, and membership changes are idempotent end to end (the coordinator dedups
-/// queued joiners, `View::successor` ignores joins of existing members), so re-sending is
-/// always safe.
-struct PendingJoin {
-    group: GroupId,
-    joiner: ProcessId,
-    credentials: Option<String>,
-    last_sent: SimTime,
-    /// Resubmissions since the last view install for the group.  Drives the exponential
-    /// backoff: a join that keeps failing is probably waiting out a partition or a dead
-    /// coordinator, and hammering it at a fixed cadence only adds load right when the
-    /// group is least able to absorb it.
-    attempts: u32,
-}
-
-impl PendingJoin {
-    /// How long to wait after `last_sent` before resubmitting: `failure_timeout`
-    /// doubled per failed attempt (capped at 8x) plus a deterministic jitter of up to a
-    /// quarter of that, seeded from the joiner identity and the attempt number so
-    /// concurrent joiners desynchronise identically on every run.
-    fn retry_delay(&self, base: Duration) -> Duration {
-        let backoff = base.saturating_mul(1u64 << self.attempts.min(3));
-        let mut rng = vsync_util::DetRng::new(
-            0x9e37_79b9_7f4a_7c15
-                ^ (u64::from(self.joiner.site.0) << 24)
-                ^ (u64::from(self.joiner.local) << 8)
-                ^ u64::from(self.attempts),
-        );
-        let jitter = rng.next_below(backoff.as_micros() / 4 + 1);
-        backoff + Duration::from_micros(jitter)
-    }
-}
-
-/// One in-flight total-failure reform at this site (paper Section 3.8): the election state
-/// plus the retransmission bookkeeping the stack drives around it.
-struct ReformRun {
-    tracker: ReformTracker,
-    /// When our summary last went out; rebroadcast at the failure-timeout cadence until
-    /// the election resolves, so staggered restarts and lost packets converge.
-    last_broadcast: SimTime,
-    /// Sites our summary has already been sent to.  Participants' last recorded views —
-    /// and hence their expected sets — legitimately differ (the later a site died, the
-    /// smaller its final view), so a peer outside *our* expected set may still need our
-    /// summary to resolve *its* election: answer every first-time sender, even after our
-    /// own election resolved, but answer each at most once so replies cannot ping-pong.
-    answered: BTreeSet<SiteId>,
-    /// Whether the resolution has been counted (and traced) yet.
-    counted: bool,
+/// Sends a frame from the protocols process of site `from` to that of site `to`.
+fn send_proto(from: SiteId, to: SiteId, kind: PacketKind, msg: impl Into<Frame>, out: &mut Outbox) {
+    out.send(Packet::new(
+        protocols_process(from),
+        protocols_process(to),
+        kind,
+        msg,
+    ));
 }
 
 /// The stability frame this site is building for one set of peer sites during a tick: the
@@ -128,13 +98,12 @@ pub struct SiteStack {
     contacts: BTreeMap<GroupId, Vec<SiteId>>,
     policies: BTreeMap<GroupId, ProtectionPolicy>,
     fd: FailureDetector,
-    collectors: BTreeMap<u64, ReplyCollector>,
-    callbacks: BTreeMap<u64, ReplyCallback>,
-    /// Joins awaiting their view, re-submitted on a failure-timeout cadence.
-    pending_joins: Vec<PendingJoin>,
-    /// Total-failure reforms in progress at this site, by group.
-    reforms: BTreeMap<GroupId, ReformRun>,
-    next_session: u64,
+    /// Joins awaiting their view.
+    joins: Joins,
+    /// Total-failure reforms in progress at this site.
+    reforms: Reforms,
+    /// Group-RPC session numbering and the open reply collections.
+    rpc: RpcSessions,
     now: SimTime,
     /// When this stack last broadcast heartbeats.  Heartbeats go out at
     /// `heartbeat_interval` regardless of how fast the maintenance tick runs: with the
@@ -185,11 +154,9 @@ impl SiteStack {
             contacts: BTreeMap::new(),
             policies: BTreeMap::new(),
             fd,
-            collectors: BTreeMap::new(),
-            callbacks: BTreeMap::new(),
-            pending_joins: Vec::new(),
-            reforms: BTreeMap::new(),
-            next_session: 0,
+            joins: Joins::default(),
+            reforms: Reforms::new(site),
+            rpc: RpcSessions::default(),
             now: SimTime::ZERO,
             last_heartbeat: None,
             heartbeat: Frame::new(heartbeat),
@@ -293,12 +260,12 @@ impl SiteStack {
         first_seq: u64,
         out: &mut Outbox,
     ) {
-        let mut ep = GroupEndpoint::new(group, self.site, self.proto_cfg, self.stats.clone());
-        let mut eouts = self.take_eouts();
-        ep.create_at(creator, first_seq, &mut eouts);
+        let ep = GroupEndpoint::new(group, self.site, self.proto_cfg, self.stats.clone());
         self.endpoints.insert(group, ep);
         self.register_group(name, group, vec![self.site]);
-        self.pump_endpoint_outputs(group, eouts, out);
+        self.with_endpoint(group, out, |ep, _, eouts| {
+            ep.create_at(creator, first_seq, eouts)
+        });
     }
 
     // -- Total-failure reform (paper Section 3.8) ---------------------------------------------
@@ -316,26 +283,11 @@ impl SiteStack {
         expected: Vec<SiteId>,
         out: &mut Outbox,
     ) {
-        let deadline = self.now + self.cfg.reform_timeout;
         // The reform election honors the same primary-partition rule as live view changes:
         // a degraded (deadline) election may only elect a leader among a majority of the
         // expected participants.
-        let tracker = ReformTracker::new(summary, expected, deadline);
-        out.trace_with(|| {
-            format!(
-                "{}: reforming {group} with {} expected participants",
-                self.site,
-                tracker.expected().len()
-            )
-        });
-        let mut run = ReformRun {
-            tracker,
-            last_broadcast: self.now,
-            answered: BTreeSet::new(),
-            counted: false,
-        };
-        self.broadcast_reform_summary(group, &mut run, out);
-        self.reforms.insert(group, run);
+        let tracker = ReformTracker::new(summary, expected, self.now + self.cfg.reform_timeout);
+        self.reforms.begin(group, tracker, self.now, out);
     }
 
     /// Advances and reports the reform election for `group`, if one runs at this site.
@@ -343,106 +295,7 @@ impl SiteStack {
     /// this returns `None` again) once a view for the group installs here — lead, follow
     /// and operational paths all end in exactly that.
     pub fn reform_status(&mut self, group: GroupId, out: &mut Outbox) -> Option<ReformStatus> {
-        let mut reforms = std::mem::take(&mut self.reforms);
-        let status = reforms
-            .get_mut(&group)
-            .map(|run| self.advance_reform(group, run, out));
-        debug_assert!(self.reforms.is_empty(), "re-entrant reform poll");
-        self.reforms = reforms;
-        status
-    }
-
-    /// Resolves the election if it can fire, counting and tracing the resolution once.
-    fn advance_reform(
-        &mut self,
-        group: GroupId,
-        run: &mut ReformRun,
-        out: &mut Outbox,
-    ) -> ReformStatus {
-        let status = run.tracker.try_resolve(self.now);
-        if run.tracker.status().is_some() && !run.counted {
-            run.counted = true;
-            self.stats.with(|s| s.count_reform_election());
-            out.trace_with(|| format!("{}: reform of {group} resolved: {status:?}", self.site));
-        }
-        status
-    }
-
-    /// Sends our summary to every expected participant (except ourselves).
-    fn broadcast_reform_summary(&self, group: GroupId, run: &mut ReformRun, out: &mut Outbox) {
-        let s = run.tracker.own_summary();
-        let wire = ProtoMsg::ReformSummary {
-            from_site: s.site,
-            view_seq: s.view_seq,
-            covered: s.covered.clone(),
-            rank: s.rank,
-        }
-        .into_frame(group);
-        let mut sent = false;
-        for site in run.tracker.expected().to_vec() {
-            if site != self.site {
-                self.send_proto(site, PacketKind::Control, wire.clone(), out);
-                run.answered.insert(site);
-                sent = true;
-            }
-        }
-        if sent {
-            self.stats.with(|s| s.count_reform_summary());
-        }
-    }
-
-    /// A restarting peer offered its log summary for `group`.
-    fn handle_reform_summary(&mut self, group: GroupId, summary: LogSummary, out: &mut Outbox) {
-        // A live view here means the group never fully failed: the sender must abandon
-        // its reform and rejoin normally, with this site as contact.
-        if self
-            .endpoints
-            .get(&group)
-            .and_then(|ep| ep.view())
-            .is_some()
-        {
-            let wire = ProtoMsg::ReformAlive { contact: self.site }.into_frame(group);
-            self.send_proto(summary.site, PacketKind::Control, wire, out);
-            return;
-        }
-        let mut reforms = std::mem::take(&mut self.reforms);
-        if let Some(run) = reforms.get_mut(&group) {
-            let fresh = run.tracker.record(summary.clone());
-            // Answer with our own summary if the sender brought new information or has
-            // never heard ours — the latter matters when the sender is outside our
-            // expected set (its last recorded view was larger than ours), or when our
-            // election already resolved: without the reply it would starve until its
-            // degraded deadline and could elect a second leader.  Terminates: each sender
-            // is answered at most once per election, and the peer's `record` of our
-            // (already known) summary returns false, so it does not answer again.
-            if fresh || !run.answered.contains(&summary.site) {
-                run.answered.insert(summary.site);
-                self.broadcast_reform_summary_to(group, &run.tracker, summary.site, out);
-            }
-        }
-        // Not reforming (e.g. still replaying our own disk): safe to drop — the sender
-        // rebroadcasts on a timer until its election resolves.
-        self.reforms = reforms;
-    }
-
-    /// Unicast variant of [`broadcast_reform_summary`](Self::broadcast_reform_summary).
-    fn broadcast_reform_summary_to(
-        &self,
-        group: GroupId,
-        tracker: &ReformTracker,
-        dst: SiteId,
-        out: &mut Outbox,
-    ) {
-        let s = tracker.own_summary();
-        let wire = ProtoMsg::ReformSummary {
-            from_site: s.site,
-            view_seq: s.view_seq,
-            covered: s.covered.clone(),
-            rank: s.rank,
-        }
-        .into_frame(group);
-        self.send_proto(dst, PacketKind::Control, wire, out);
-        self.stats.with(|st| st.count_reform_summary());
+        self.reforms.status(group, self.now, out)
     }
 
     /// Asks for `joiner` (hosted here) to join `group`.
@@ -455,33 +308,14 @@ impl SiteStack {
     ) -> Result<()> {
         // Track the join until a view containing the joiner installs, so the maintenance
         // tick can re-submit it if the contact or coordinator it reaches first crashes.
-        match self
-            .pending_joins
-            .iter_mut()
-            .find(|p| p.group == group && p.joiner == joiner)
-        {
-            Some(p) => {
-                p.last_sent = self.now;
-                p.attempts = 0;
-            }
-            None => self.pending_joins.push(PendingJoin {
-                group,
-                joiner,
-                credentials: credentials.clone(),
-                last_sent: self.now,
-                attempts: 0,
-            }),
-        }
+        self.joins.track(group, joiner, &credentials, self.now);
         self.submit_join_request(group, joiner, credentials, 0, out)
     }
 
     /// One attempt at routing a join: submit locally if a member lives here, otherwise send
-    /// a JoinReq to a contact site the failure detector believes alive.  `attempt` is the
-    /// retry count for this join: once the exponential backoff is exhausted (the cap in
-    /// [`PendingJoin::retry_delay`]), the preferred contact is presumed unreachable in a
-    /// useful sense — often stranded in a wedged minority component that heartbeats fine
-    /// but can never install the join's view — and the request fails over, rotating
-    /// deterministically through the other known contact sites.
+    /// a JoinReq to a contact site the failure detector believes alive — or, once the
+    /// retries have spent their backoff (`attempt`), to the failover contact
+    /// (`joins::failover_contact`).
     fn submit_join_request(
         &mut self,
         group: GroupId,
@@ -491,23 +325,24 @@ impl SiteStack {
         out: &mut Outbox,
     ) -> Result<()> {
         // Make sure an endpoint exists so the eventual FlushCommit can be applied here.
-        self.endpoints.entry(group).or_insert_with(|| {
-            GroupEndpoint::new(group, self.site, self.proto_cfg, self.stats.clone())
-        });
-        let ep = self.endpoints.get(&group).expect("endpoint just ensured");
-        if ep.view().is_some() {
+        self.ensure_endpoint(group);
+        if self.is_member_site(group) {
             // A member already lives here: submit the join locally.
-            let mut eouts = self.take_eouts();
-            let ep = self.endpoints.get_mut(&group).expect("endpoint exists");
-            ep.submit_join(self.now, joiner, credentials, &mut eouts)?;
-            self.pump_endpoint_outputs(group, eouts, out);
-            return Ok(());
+            return self
+                .with_endpoint(group, out, |ep, now, eouts| {
+                    ep.submit_join(now, joiner, credentials, eouts)
+                })
+                .expect("endpoint just ensured");
         }
         // Otherwise ask a contact site.
         let preferred = self
             .alive_contact(group)
             .ok_or(VsError::NoSuchGroup(group))?;
-        let contact = match self.failover_contact(group, preferred, attempt) {
+        let failover = self
+            .contacts
+            .get(&group)
+            .and_then(|c| joins::failover_contact(c, preferred, attempt));
+        let contact = match failover {
             Some(other) => {
                 self.stats.with(|s| s.count_join_failover());
                 out.trace_with(|| {
@@ -526,28 +361,8 @@ impl SiteStack {
             credentials,
         }
         .into_frame(group);
-        self.send_proto(contact, PacketKind::Flush, wire, out);
+        send_proto(self.site, contact, PacketKind::Flush, wire, out);
         Ok(())
-    }
-
-    /// Picks the failover contact for a join whose backoff is exhausted: the retries
-    /// rotate through the known contact sites *other than* the stalled preferred one, so
-    /// a contact stranded in a minority component cannot absorb join attempts forever.
-    /// `None` below the backoff cap, or when no alternative site is known.
-    fn failover_contact(&self, group: GroupId, preferred: SiteId, attempt: u32) -> Option<SiteId> {
-        if attempt <= 3 {
-            return None;
-        }
-        let candidates = self.contacts.get(&group)?;
-        let others: Vec<SiteId> = candidates
-            .iter()
-            .copied()
-            .filter(|s| *s != preferred)
-            .collect();
-        if others.is_empty() {
-            return None;
-        }
-        Some(others[(attempt as usize - 4) % others.len()])
     }
 
     /// Asks for `member` (hosted here) to leave `group`.
@@ -557,63 +372,39 @@ impl SiteStack {
         member: ProcessId,
         out: &mut Outbox,
     ) -> Result<()> {
-        // An explicit leave cancels any still-pending join retry for the same member.
-        self.pending_joins
-            .retain(|p| !(p.group == group && p.joiner == member));
-        let mut eouts = self.take_eouts();
-        match self.endpoints.get_mut(&group) {
-            Some(ep) if ep.view().is_some() => {
-                ep.submit_leave(self.now, member, &mut eouts)?;
-                self.pump_endpoint_outputs(group, eouts, out);
-                Ok(())
-            }
-            _ => {
-                let contact = self
-                    .alive_contact(group)
-                    .ok_or(VsError::NoSuchGroup(group))?;
-                let wire = ProtoMsg::LeaveReq { member }.into_frame(group);
-                self.send_proto(contact, PacketKind::Flush, wire, out);
-                Ok(())
-            }
+        self.joins.cancel(group, member);
+        if self.is_member_site(group) {
+            return self
+                .with_endpoint(group, out, |ep, now, eouts| {
+                    ep.submit_leave(now, member, eouts)
+                })
+                .expect("member site has an endpoint");
         }
+        let contact = self
+            .alive_contact(group)
+            .ok_or(VsError::NoSuchGroup(group))?;
+        let wire = ProtoMsg::LeaveReq { member }.into_frame(group);
+        send_proto(self.site, contact, PacketKind::Flush, wire, out);
+        Ok(())
     }
 
     /// Crashes a local client process: it disappears immediately, and every group it belonged
     /// to is told (the paper's "detectable by some monitoring mechanism at the site").
     pub fn crash_local_process(&mut self, pid: ProcessId, out: &mut Outbox) {
         self.processes.remove(&pid);
-        // A dead joiner's pending join must not be re-submitted on its behalf.
-        self.pending_joins.retain(|p| p.joiner != pid);
-        // Cancel the collectors belonging to the dead caller.
-        let dead_sessions: Vec<u64> = self
-            .collectors
-            .iter()
-            .filter(|(_, c)| c.caller == pid)
-            .map(|(s, _)| *s)
-            .collect();
-        for s in dead_sessions {
-            self.collectors.remove(&s);
-            self.callbacks.remove(&s);
-        }
+        self.joins.forget_process(pid);
+        self.rpc.drop_caller(pid);
         let groups: Vec<GroupId> = self.endpoints.keys().copied().collect();
         for g in groups {
-            let (is_member, peer_sites) = {
-                let ep = self.endpoints.get(&g).expect("endpoint exists");
-                match ep.view() {
-                    Some(v) if v.contains(pid) => (true, v.member_sites()),
-                    _ => (false, Vec::new()),
-                }
+            let peer_sites = match self.endpoints.get(&g).and_then(|ep| ep.view()) {
+                Some(v) if v.contains(pid) => v.member_sites(),
+                _ => continue,
             };
-            if !is_member {
-                continue;
-            }
-            let mut eouts = self.take_eouts();
-            if let Some(ep) = self.endpoints.get_mut(&g) {
-                // A local crash is *observed* (the process table lost the entry), not a
-                // timeout: confirm it so later traffic from this site never retracts it.
-                ep.confirm_failures(self.now, &[pid], &mut eouts);
-            }
-            self.pump_endpoint_outputs(g, eouts, out);
+            // A local crash is *observed* (the process table lost the entry), not a
+            // timeout: confirm it so later traffic from this site never retracts it.
+            self.with_endpoint(g, out, |ep, now, eouts| {
+                ep.confirm_failures(now, &[pid], eouts)
+            });
             // Other sites cannot observe a silent local crash; tell every member site so that
             // whichever of them hosts the acting coordinator starts the view change (the
             // crashed process may itself have been the coordinator).  One report frame is
@@ -621,11 +412,11 @@ impl SiteStack {
             let wire = ProtoMsg::FailReport { failed: vec![pid] }.into_frame(g);
             for s in peer_sites {
                 if s != self.site {
-                    self.send_proto(s, PacketKind::Flush, wire.clone(), out);
+                    send_proto(self.site, s, PacketKind::Flush, wire.clone(), out);
                 }
             }
         }
-        self.fail_collectors_for_process(pid, out);
+        self.sweep_sessions(1, self.rpc.last(), |c| c.on_failure(|p| *p == pid), out);
     }
 
     /// Issues a call (multicast + reply collection) on behalf of `caller`, which must be a
@@ -643,8 +434,7 @@ impl SiteStack {
         callback: Option<ReplyCallback>,
         out: &mut Outbox,
     ) {
-        self.next_session += 1;
-        let session = self.next_session;
+        let session = self.rpc.next_session();
 
         let collecting = !matches!(wanted, ReplyWanted::None);
         // Replies route to `@reply-to` when present and fall back to `@sender` (which is
@@ -685,10 +475,7 @@ impl SiteStack {
             let deadline = Some(self.now + self.cfg.rpc_timeout);
             let collector =
                 ReplyCollector::new(caller, session, awaited, wanted, deadline, open_ended);
-            self.collectors.insert(session, collector);
-            if let Some(cb) = callback.take() {
-                self.callbacks.insert(session, cb);
-            }
+            self.rpc.open(collector, callback.take());
         }
 
         for d in dests {
@@ -721,7 +508,8 @@ impl SiteStack {
                 self.run_continuation(caller, cb, outcome, out);
             }
         } else {
-            self.poke_collector(session, out);
+            let now = self.now;
+            self.sweep_sessions(session, session, |c| c.on_tick(now), out);
         }
     }
 
@@ -739,44 +527,33 @@ impl SiteStack {
             .map(|ep| ep.view().is_some() && !ep.local_members().is_empty())
             .unwrap_or(false);
         if can_serve_locally {
-            let mut eouts = self.take_eouts();
-            let ep = self.endpoints.get_mut(&group).expect("endpoint exists");
-            let res = match protocol {
-                ProtocolKind::Abcast => ep.abcast(self.now, caller, msg, &mut eouts).map(|_| ()),
-                ProtocolKind::Gbcast => ep.gbcast(self.now, caller, msg, &mut eouts),
-                _ => ep.cbcast(self.now, caller, msg, &mut eouts).map(|_| ()),
-            };
-            if res.is_err() {
+            let res = self.with_endpoint(group, out, |ep, now, eouts| match protocol {
+                ProtocolKind::Abcast => ep.abcast(now, caller, msg, eouts).map(|_| ()),
+                ProtocolKind::Gbcast => ep.gbcast(now, caller, msg, eouts),
+                _ => ep.cbcast(now, caller, msg, eouts).map(|_| ()),
+            });
+            if let Some(res @ Err(_)) = res {
                 out.trace_with(|| format!("{}: multicast to {group} failed: {res:?}", self.site));
             }
-            self.pump_endpoint_outputs(group, eouts, out);
-        } else {
-            // Not a member site: relay through a contact site (Figure 1's view cache +
-            // forwarding path for external clients).
-            match self.alive_contact(group) {
-                Some(contact) => {
-                    self.stats.count_multicast(match protocol {
-                        ProtocolKind::Abcast => ProtocolKind::Abcast,
-                        ProtocolKind::Gbcast => ProtocolKind::Gbcast,
-                        _ => ProtocolKind::Cbcast,
-                    });
-                    let mut relay = Message::new();
-                    relay.set(CTRL, "relay");
-                    relay.set("relay-group", group);
-                    relay.set("relay-proto", protocol.name());
-                    relay.set("relay-payload", msg);
-                    out.send(Packet::new(
-                        protocols_process(self.site),
-                        protocols_process(contact),
-                        PacketKind::Control,
-                        relay,
-                    ));
-                }
-                None => {
-                    out.trace_with(|| format!("{}: no contact site known for {group}", self.site));
-                }
-            }
+            return;
         }
+        // Not a member site: relay through a contact site (Figure 1's view cache +
+        // forwarding path for external clients).
+        let Some(contact) = self.alive_contact(group) else {
+            out.trace_with(|| format!("{}: no contact site known for {group}", self.site));
+            return;
+        };
+        self.stats.count_multicast(match protocol {
+            ProtocolKind::Abcast => ProtocolKind::Abcast,
+            ProtocolKind::Gbcast => ProtocolKind::Gbcast,
+            _ => ProtocolKind::Cbcast,
+        });
+        let mut relay = Message::new();
+        relay.set(CTRL, "relay");
+        relay.set("relay-group", group);
+        relay.set("relay-proto", protocol.name());
+        relay.set("relay-payload", msg);
+        send_proto(self.site, contact, PacketKind::Control, relay, out);
     }
 
     fn alive_contact(&self, group: GroupId) -> Option<SiteId> {
@@ -788,16 +565,37 @@ impl SiteStack {
             .or_else(|| candidates.first().copied())
     }
 
-    fn send_proto(&self, dst_site: SiteId, kind: PacketKind, msg: Frame, out: &mut Outbox) {
-        out.send(Packet::new(
-            protocols_process(self.site),
-            protocols_process(dst_site),
-            kind,
-            msg,
-        ));
+    // -- Routing to endpoints -----------------------------------------------------------------
+
+    /// True if a member of `group` lives here: this site's endpoint has an installed view.
+    fn is_member_site(&self, group: GroupId) -> bool {
+        self.endpoints
+            .get(&group)
+            .is_some_and(|ep| ep.view().is_some())
     }
 
-    // -- Endpoint output processing -----------------------------------------------------------
+    /// Creates the group's endpoint unless this site already runs one.
+    fn ensure_endpoint(&mut self, group: GroupId) {
+        let (site, cfg, stats) = (self.site, self.proto_cfg, &self.stats);
+        self.endpoints
+            .entry(group)
+            .or_insert_with(|| GroupEndpoint::new(group, site, cfg, stats.clone()));
+    }
+
+    /// Runs `f` on the group's endpoint, if this site runs one, handing it the clock and the
+    /// reusable output buffer, then acts on whatever it emitted.
+    fn with_endpoint<T>(
+        &mut self,
+        group: GroupId,
+        out: &mut Outbox,
+        f: impl FnOnce(&mut GroupEndpoint, SimTime, &mut Vec<EndpointOutput>) -> T,
+    ) -> Option<T> {
+        let ep = self.endpoints.get_mut(&group)?;
+        let mut eouts = std::mem::take(&mut self.eout_scratch);
+        let res = f(ep, self.now, &mut eouts);
+        self.pump_endpoint_outputs(group, eouts, out);
+        Some(res)
+    }
 
     fn pump_endpoint_outputs(
         &mut self,
@@ -812,7 +610,7 @@ impl SiteStack {
                     kind,
                     msg,
                 } => {
-                    self.send_proto(dst_site, kind, msg, out);
+                    send_proto(self.site, dst_site, kind, msg, out);
                 }
                 EndpointOutput::Deliver(d) => {
                     self.deliver_group_message(group, d, out);
@@ -853,11 +651,6 @@ impl SiteStack {
         }
     }
 
-    /// Takes the reusable endpoint-output buffer (empty, capacity retained).
-    fn take_eouts(&mut self) -> Vec<EndpointOutput> {
-        std::mem::take(&mut self.eout_scratch)
-    }
-
     fn deliver_group_message(&mut self, group: GroupId, delivery: Delivery, out: &mut Outbox) {
         self.stats.count_delivery();
         let Some(entry) = delivery.payload.entry() else {
@@ -882,27 +675,16 @@ impl SiteStack {
     fn handle_view_change(&mut self, group: GroupId, ev: ViewEvent, out: &mut Outbox) {
         self.views.insert(group, ev.view.clone());
         self.contacts.insert(group, ev.view.member_sites());
-        // The join is satisfied the moment its view installs.  This must happen here, not
-        // only on the maintenance tick: a join-then-leave inside one tick interval would
-        // otherwise leave the entry pending with the joiner absent from the view again,
-        // and the retry would re-join a member that left on purpose.
-        self.pending_joins
-            .retain(|p| !(p.group == group && ev.view.contains(p.joiner)));
-        // A new view means the membership machinery is live again (whatever stalled the
-        // join — a dead coordinator, a mid-flush crash — has been reconfigured around),
-        // so surviving joins restart their backoff from the base cadence.
-        for p in self.pending_joins.iter_mut().filter(|p| p.group == group) {
-            p.attempts = 0;
-        }
-        // An installed view also ends any reform of the group here: the lead site founds
-        // its view, a follower's rejoin installs one, and an `Operational` verdict ends in
-        // a normal join — every reform path terminates exactly here.
-        if self.reforms.remove(&group).is_some() {
-            out.trace_with(|| format!("{}: reform of {group} complete, view installed", self.site));
-        }
+        self.joins.view_installed(group, &ev.view);
+        self.reforms.view_installed(group, out);
         // Tell reply collectors about departed members.
         for departed in ev.view.departed.clone() {
-            self.fail_collectors_for_process(departed, out);
+            self.sweep_sessions(
+                1,
+                self.rpc.last(),
+                |c| c.on_failure(|p| *p == departed),
+                out,
+            );
         }
         // Notify local monitors.
         let locals: Vec<ProcessId> = self.processes.keys().copied().collect();
@@ -944,8 +726,7 @@ impl SiteStack {
             return;
         };
         let actions = {
-            let mut ctx = ToolCtx::new(pid, self.now, &self.views, &self.directory)
-                .with_stats(self.stats.clone());
+            let mut ctx = ToolCtx::new(pid, self.now, &self.views, &self.directory);
             if !process.dispatch(&mut ctx, entry, msg) {
                 out.trace_with(|| format!("{pid}: no handler bound at {entry:?}"));
             }
@@ -959,8 +740,7 @@ impl SiteStack {
             return;
         };
         let actions = {
-            let mut ctx = ToolCtx::new(pid, self.now, &self.views, &self.directory)
-                .with_stats(self.stats.clone());
+            let mut ctx = ToolCtx::new(pid, self.now, &self.views, &self.directory);
             process.dispatch_view(&mut ctx, ev);
             ctx.take_actions()
         };
@@ -978,8 +758,7 @@ impl SiteStack {
             return;
         }
         let actions = {
-            let mut ctx = ToolCtx::new(caller, self.now, &self.views, &self.directory)
-                .with_stats(self.stats.clone());
+            let mut ctx = ToolCtx::new(caller, self.now, &self.views, &self.directory);
             callback(&mut ctx, outcome);
             ctx.take_actions()
         };
@@ -1076,46 +855,21 @@ impl SiteStack {
 
     // -- Reply collection ----------------------------------------------------------------------
 
-    fn poke_collector(&mut self, session: u64, out: &mut Outbox) {
-        let status = match self.collectors.get_mut(&session) {
-            Some(c) => c.on_tick(self.now),
-            None => return,
-        };
-        self.finish_collector(session, status, out);
-    }
-
-    fn finish_collector(&mut self, session: u64, status: CollectorStatus, out: &mut Outbox) {
-        if let CollectorStatus::Done(outcome) = status {
-            let caller = self
-                .collectors
-                .remove(&session)
-                .map(|c| c.caller)
-                .unwrap_or(protocols_process(self.site));
-            if let Some(cb) = self.callbacks.remove(&session) {
-                self.run_continuation(caller, cb, outcome, out);
-            }
-        }
-    }
-
-    fn fail_collectors_for_process(&mut self, failed: ProcessId, out: &mut Outbox) {
-        let sessions: Vec<u64> = self.collectors.keys().copied().collect();
-        for s in sessions {
-            let status = match self.collectors.get_mut(&s) {
-                Some(c) => c.on_failure(failed),
-                None => continue,
-            };
-            self.finish_collector(s, status, out);
-        }
-    }
-
-    fn fail_collectors_for_site(&mut self, site: SiteId, out: &mut Outbox) {
-        let sessions: Vec<u64> = self.collectors.keys().copied().collect();
-        for s in sessions {
-            let status = match self.collectors.get_mut(&s) {
-                Some(c) => c.on_site_failure(site),
-                None => continue,
-            };
-            self.finish_collector(s, status, out);
+    /// Feeds `event` to the open sessions numbered `first..=last`, in session order, and runs
+    /// the continuation of each that finishes as it finishes.  A continuation may re-enter
+    /// the stack (a leave can install a view, whose departures fail other collections);
+    /// sessions it opens are numbered past `last`, so this sweep never feeds them.
+    fn sweep_sessions(
+        &mut self,
+        first: u64,
+        last: u64,
+        mut event: impl FnMut(&mut ReplyCollector) -> CollectorStatus,
+        out: &mut Outbox,
+    ) {
+        let mut from = first;
+        while let Some(done) = self.rpc.next_finished(from..=last, &mut event) {
+            from = done.session + 1;
+            self.run_continuation(done.caller, done.callback, done.outcome, out);
         }
     }
 
@@ -1126,11 +880,9 @@ impl SiteStack {
         let Some(sender) = pkt.payload.sender() else {
             return;
         };
-        let status = match self.collectors.get_mut(&session) {
-            Some(c) => c.on_reply(sender, pkt.payload.to_message()),
-            None => return, // Superfluous replies are discarded silently.
-        };
-        self.finish_collector(session, status, out);
+        // Superfluous replies (no such session open) are discarded silently.
+        let reply = |c: &mut ReplyCollector| c.on_reply(sender, pkt.payload.to_message());
+        self.sweep_sessions(session, session, reply, out);
     }
 
     // -- Failure handling -----------------------------------------------------------------------
@@ -1148,13 +900,12 @@ impl SiteStack {
             if failed_members.is_empty() {
                 continue;
             }
-            let mut eouts = self.take_eouts();
-            if let Some(ep) = self.endpoints.get_mut(&g) {
-                ep.report_failures(self.now, &failed_members, &mut eouts);
-            }
-            self.pump_endpoint_outputs(g, eouts, out);
+            self.with_endpoint(g, out, |ep, now, eouts| {
+                ep.report_failures(now, &failed_members, eouts)
+            });
         }
-        self.fail_collectors_for_site(failed_site, out);
+        let gone = |c: &mut ReplyCollector| c.on_failure(|p| p.site == failed_site);
+        self.sweep_sessions(1, self.rpc.last(), gone, out);
     }
 
     /// A suspected site spoke again: the suspicion was a timeout artifact (delay spike or
@@ -1163,11 +914,9 @@ impl SiteStack {
     fn handle_site_recovery(&mut self, recovered_site: SiteId, out: &mut Outbox) {
         let groups: Vec<GroupId> = self.endpoints.keys().copied().collect();
         for g in groups {
-            let mut eouts = self.take_eouts();
-            if let Some(ep) = self.endpoints.get_mut(&g) {
-                ep.unsuspect_site(self.now, recovered_site, &mut eouts);
-            }
-            self.pump_endpoint_outputs(g, eouts, out);
+            self.with_endpoint(g, out, |ep, now, eouts| {
+                ep.unsuspect_site(now, recovered_site, eouts)
+            });
         }
     }
 
@@ -1258,20 +1007,24 @@ impl SiteStack {
                 covered,
                 rank,
             } => {
+                // A live view here means the group never fully failed: the sender must
+                // abandon its reform and rejoin normally, with this site as contact.
+                if self.is_member_site(group) {
+                    let wire = ProtoMsg::ReformAlive { contact: self.site }.into_frame(group);
+                    send_proto(self.site, *from_site, PacketKind::Control, wire, out);
+                    return;
+                }
                 let summary = LogSummary {
                     site: *from_site,
                     view_seq: *view_seq,
                     covered: covered.clone(),
                     rank: *rank,
                 };
-                self.handle_reform_summary(group, summary, out);
+                self.reforms.on_summary(group, summary, out);
                 return;
             }
             ProtoMsg::ReformAlive { contact } => {
-                let contact = *contact;
-                if let Some(run) = self.reforms.get_mut(&group) {
-                    run.tracker.mark_alive(contact);
-                }
+                self.reforms.on_alive(group, *contact);
                 return;
             }
             // A stability frame is site-to-site too: each entry goes to the endpoint of its
@@ -1287,24 +1040,11 @@ impl SiteStack {
                     });
                     return;
                 }
-                let mut eouts = self.take_eouts();
                 for entry in entries {
-                    let Some(ep) = self.endpoints.get_mut(&entry.group) else {
-                        continue;
-                    };
-                    ep.on_gossip(
-                        self.now,
-                        *from_site,
-                        entry.view_seq,
-                        &entry.received,
-                        &mut eouts,
-                    );
-                    if !eouts.is_empty() {
-                        self.pump_endpoint_outputs(entry.group, eouts, out);
-                        eouts = self.take_eouts();
-                    }
+                    self.with_endpoint(entry.group, out, |ep, now, eouts| {
+                        ep.on_gossip(now, *from_site, entry.view_seq, &entry.received, eouts)
+                    });
                 }
-                self.eout_scratch = eouts;
                 return;
             }
             _ => {}
@@ -1324,14 +1064,14 @@ impl SiteStack {
                 }
             }
         }
-        let mut eouts = self.take_eouts();
-        let ep = self.endpoints.entry(group).or_insert_with(|| {
-            GroupEndpoint::new(group, self.site, self.proto_cfg, self.stats.clone())
+        self.ensure_endpoint(group);
+        let from = pkt.src.site;
+        let res = self.with_endpoint(group, out, |ep, now, eouts| {
+            ep.on_message(now, from, &pkt.payload, eouts)
         });
-        if let Err(e) = ep.on_message(self.now, pkt.src.site, &pkt.payload, &mut eouts) {
+        if let Some(Err(e)) = res {
             out.trace_with(|| format!("{}: protocol error in {group}: {e}", self.site));
         }
-        self.pump_endpoint_outputs(group, eouts, out);
     }
 
     fn handle_app_packet(&mut self, pkt: &Packet, out: &mut Outbox) {
@@ -1394,7 +1134,8 @@ impl SiteHandler for SiteStack {
             self.last_heartbeat = Some(now);
             for s in &self.all_sites {
                 if *s != self.site {
-                    self.send_proto(*s, PacketKind::Heartbeat, self.heartbeat.clone(), out);
+                    let hb = self.heartbeat.clone();
+                    send_proto(self.site, *s, PacketKind::Heartbeat, hb, out);
                 }
             }
         }
@@ -1409,7 +1150,7 @@ impl SiteHandler for SiteStack {
         // together — one frame per distinct set of peer sites, entries in group order, sent
         // at the instant each endpoint's own frame would have left.  A receiver therefore
         // only ever sees entries of groups whose view contains it.
-        let mut eouts = self.take_eouts();
+        let mut eouts = std::mem::take(&mut self.eout_scratch);
         let mut emitted: Vec<(GroupId, Vec<EndpointOutput>)> = Vec::new();
         for (g, ep) in self.endpoints.iter_mut() {
             if let Some(report) = ep.gossip_due(now) {
@@ -1434,8 +1175,7 @@ impl SiteHandler for SiteStack {
             }
         }
         self.eout_scratch = eouts;
-        let mut gossip = std::mem::take(&mut self.gossip);
-        for bundle in &mut gossip {
+        for bundle in &mut self.gossip {
             let Some(group) = bundle.entries.first().map(|e| e.group) else {
                 continue;
             };
@@ -1446,67 +1186,42 @@ impl SiteHandler for SiteStack {
             }
             .into_frame(group);
             for s in &bundle.dsts {
-                self.send_proto(*s, PacketKind::Stability, wire.clone(), out);
+                send_proto(self.site, *s, PacketKind::Stability, wire.clone(), out);
             }
         }
-        self.gossip = gossip;
         for (g, outputs) in emitted {
             self.pump_endpoint_outputs(g, outputs, out);
         }
         // Re-submit joins whose view has still not installed: the first JoinReq, or the
-        // coordinator holding the queued join, may have died with a crashed site.  The
-        // base cadence (one failure timeout) gives the original attempt time to land, and
-        // by then the detector has usually condemned a dead contact so the retry routes
-        // around it; repeated failures back off exponentially with deterministic jitter
-        // (see `PendingJoin::retry_delay`), resetting whenever a view installs.
-        let mut pending = std::mem::take(&mut self.pending_joins);
-        pending.retain(|p| {
-            let installed = self
-                .endpoints
-                .get(&p.group)
+        // coordinator holding the queued join, may have died with a crashed site.  Repeated
+        // failures back off exponentially with deterministic jitter, resetting whenever a
+        // view installs.
+        let endpoints = &self.endpoints;
+        let installed = |g, joiner| {
+            endpoints
+                .get(&g)
                 .and_then(|ep| ep.view())
-                .map(|v| v.contains(p.joiner))
-                .unwrap_or(false);
-            !installed
-        });
-        for p in &mut pending {
-            if now.saturating_since(p.last_sent) < p.retry_delay(self.cfg.failure_timeout) {
-                continue;
-            }
-            p.last_sent = now;
-            p.attempts = p.attempts.saturating_add(1);
+                .is_some_and(|v| v.contains(joiner))
+        };
+        for retry in self.joins.due(now, self.cfg.failure_timeout, installed) {
             out.trace_with(|| {
                 format!(
                     "{}: re-submitting join of {} to {:?}",
-                    self.site, p.joiner, p.group
+                    self.site, retry.joiner, retry.group
                 )
             });
             // A dead contact everywhere leaves the join pending for the next cadence.
-            let _ =
-                self.submit_join_request(p.group, p.joiner, p.credentials.clone(), p.attempts, out);
+            let _ = self.submit_join_request(
+                retry.group,
+                retry.joiner,
+                retry.credentials,
+                retry.attempt,
+                out,
+            );
         }
-        self.pending_joins = pending;
-        // Total-failure reforms: advance each election (the deadline can fire one without
-        // any packet arriving) and rebroadcast unresolved summaries so lost packets and
-        // staggered restarts converge.
-        let mut reforms = std::mem::take(&mut self.reforms);
-        for (g, run) in reforms.iter_mut() {
-            self.advance_reform(*g, run, out);
-            if run.tracker.status().is_some() {
-                continue;
-            }
-            if now.saturating_since(run.last_broadcast) >= self.cfg.failure_timeout {
-                run.last_broadcast = now;
-                self.broadcast_reform_summary(*g, run, out);
-            }
-        }
-        debug_assert!(self.reforms.is_empty(), "re-entrant reform tick");
-        self.reforms = reforms;
+        self.reforms.on_tick(now, self.cfg.failure_timeout, out);
         // RPC deadlines.
-        let sessions: Vec<u64> = self.collectors.keys().copied().collect();
-        for s in sessions {
-            self.poke_collector(s, out);
-        }
+        self.sweep_sessions(1, self.rpc.last(), |c| c.on_tick(now), out);
         out.set_timer(self.cfg.tick_interval, TICK);
     }
 
@@ -1529,14 +1244,10 @@ mod tests {
     #[test]
     fn join_retry_backoff_doubles_caps_and_jitters_deterministically() {
         let base = Duration::from_millis(100);
-        let mk = |attempts| PendingJoin {
-            group: GroupId(1),
-            joiner: ProcessId::new(SiteId(2), 1),
-            credentials: None,
-            last_sent: SimTime::ZERO,
-            attempts,
-        };
-        let delays: Vec<Duration> = (0..6).map(|a| mk(a).retry_delay(base)).collect();
+        let joiner = ProcessId::new(SiteId(2), 1);
+        let delays: Vec<Duration> = (0..6)
+            .map(|a| joins::retry_delay(joiner, a, base))
+            .collect();
         for (a, d) in delays.iter().enumerate() {
             let backoff = base.saturating_mul(1 << (a as u32).min(3));
             // Within [backoff, backoff * 1.25]: never earlier than the cadence, bounded
@@ -1550,13 +1261,16 @@ mod tests {
         // Capped: attempts 3.. share the same 8x exponent.
         assert!(delays[4] < base.saturating_mul(16));
         // Deterministic: the same attempt always gets the same jitter.
-        assert_eq!(mk(2).retry_delay(base), mk(2).retry_delay(base));
+        assert_eq!(
+            joins::retry_delay(joiner, 2, base),
+            joins::retry_delay(joiner, 2, base)
+        );
         // Different joiners desynchronise.
-        let other = PendingJoin {
-            joiner: ProcessId::new(SiteId(3), 1),
-            ..mk(2)
-        };
-        assert_ne!(other.retry_delay(base), mk(2).retry_delay(base));
+        let other = ProcessId::new(SiteId(3), 1);
+        assert_ne!(
+            joins::retry_delay(other, 2, base),
+            joins::retry_delay(joiner, 2, base)
+        );
     }
 
     // -- Sans-io pins: one stack (or two, wired back to back) driven through `on_packet`
@@ -1567,6 +1281,7 @@ mod tests {
 
     use crate::process::ProcessBuilder;
     use vsync_proto::Frontier;
+    use vsync_util::Duration;
 
     const G: GroupId = GroupId(7);
 
@@ -1847,8 +1562,9 @@ mod tests {
         st.add_process(ProcessBuilder::new(doomed).build());
         let mut out = Outbox::new();
         st.on_start(SimTime::ZERO, &mut out);
+        type Runs = Rc<RefCell<Vec<(&'static str, Option<VsError>)>>>;
         // (tag, error) per continuation run.
-        let ran: Rc<RefCell<Vec<(&str, Option<VsError>)>>> = Rc::default();
+        let ran: Runs = Rc::default();
         let record = |tag: &'static str| -> ReplyCallback {
             let ran = ran.clone();
             Box::new(move |_ctx, outcome| ran.borrow_mut().push((tag, outcome.error)))

@@ -77,12 +77,6 @@ pub struct NetStats {
     pub bytes_sent: u64,
     /// Messages delivered to application entry points.
     pub deliveries: u64,
-    /// Total-failure reform: log summaries broadcast by restarting sites.
-    pub reform_summaries: u64,
-    /// Total-failure reform: elections resolved (one per site per reformed group).
-    pub reform_elections: u64,
-    /// State transfers abandoned because the joiner's post-cut buffer overflowed.
-    pub transfer_overflows: u64,
     /// Partition episodes in which this member wedged in a minority component.
     pub minority_wedges: u64,
     /// Flush/view-install attempts refused by the primary-partition majority fence.
@@ -134,21 +128,6 @@ impl NetStats {
     /// Records a delivery to an application entry point.
     fn count_delivery(&mut self) {
         self.deliveries += 1;
-    }
-
-    /// Records one broadcast of a reform log summary.
-    pub fn count_reform_summary(&mut self) {
-        self.reform_summaries += 1;
-    }
-
-    /// Records one resolved reform election.
-    pub fn count_reform_election(&mut self) {
-        self.reform_elections += 1;
-    }
-
-    /// Records one state transfer abandoned to a post-cut buffer overflow.
-    pub fn count_transfer_overflow(&mut self) {
-        self.transfer_overflows += 1;
     }
 
     /// Records one wedge of a minority-partition member.
@@ -204,9 +183,6 @@ impl NetStats {
         d.retransmissions = self.retransmissions - baseline.retransmissions;
         d.bytes_sent = self.bytes_sent - baseline.bytes_sent;
         d.deliveries = self.deliveries - baseline.deliveries;
-        d.reform_summaries = self.reform_summaries - baseline.reform_summaries;
-        d.reform_elections = self.reform_elections - baseline.reform_elections;
-        d.transfer_overflows = self.transfer_overflows - baseline.transfer_overflows;
         d.minority_wedges = self.minority_wedges - baseline.minority_wedges;
         d.partition_stalls = self.partition_stalls - baseline.partition_stalls;
         d.rejoins_after_heal = self.rejoins_after_heal - baseline.rejoins_after_heal;
@@ -232,9 +208,6 @@ impl NetStats {
         self.retransmissions += other.retransmissions;
         self.bytes_sent += other.bytes_sent;
         self.deliveries += other.deliveries;
-        self.reform_summaries += other.reform_summaries;
-        self.reform_elections += other.reform_elections;
-        self.transfer_overflows += other.transfer_overflows;
         self.minority_wedges += other.minority_wedges;
         self.partition_stalls += other.partition_stalls;
         self.rejoins_after_heal += other.rejoins_after_heal;

@@ -245,9 +245,6 @@ impl StateTransfer {
                         "BufferOverflow: dropped {dropped} buffered messages; \
                          re-requesting a snapshot at a fresh cut"
                     ));
-                    if let Some(stats) = ctx.stats() {
-                        stats.with(|s| s.count_transfer_overflow());
-                    }
                     if send_marker {
                         let me = ctx.me();
                         let mut req = Message::new();
