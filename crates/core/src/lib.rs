@@ -9,9 +9,11 @@
 //! * [`rpc`] — group RPC: multicast a request, collect 0 / 1 / N / ALL replies, discard
 //!   duplicate and null replies, and fail cleanly when every destination has crashed
 //!   (paper Section 3.2).
-//! * [`stack`] — the per-site protocols process of Figure 1: it owns one
-//!   [`vsync_proto::GroupEndpoint`] per group, the failure detector, the reply collectors,
-//!   the group-name directory cache, and relays multicasts issued by non-member clients.
+//! * [`stack`] — the per-site protocols process of Figure 1: a router that owns one
+//!   [`vsync_proto::GroupEndpoint`] per group, the failure detector and the group-name
+//!   directory cache, and relays multicasts issued by non-member clients.  Three parts it
+//!   owns keep a job each: the joins waiting for their view, the total-failure reform
+//!   elections, and (in [`rpc`]) the group-RPC sessions.
 //! * [`protection`] — sender validation and join-credential checks (paper Section 3.10).
 //!
 //! The crate is sans-io: a [`SiteStack`] reacts to packets and timers through a

@@ -194,14 +194,6 @@ impl ReplyCollector {
     }
 }
 
-/// A collection that finished with a continuation to run.
-pub(crate) struct Finished {
-    pub(crate) session: u64,
-    pub(crate) caller: ProcessId,
-    pub(crate) callback: ReplyCallback,
-    pub(crate) outcome: RpcOutcome,
-}
-
 /// A site's group-RPC sessions: the numbering every call draws from, and each open
 /// collection with the continuation waiting on it.
 #[derive(Default)]
@@ -233,13 +225,13 @@ impl RpcSessions {
     }
 
     /// Feeds `event` to each open session in `sessions`, in session order, and returns the
-    /// first that finishes with a continuation.  Every collection that finishes is closed;
-    /// one without a continuation is passed over.
+    /// first that finishes with a continuation: its collector, continuation and outcome.
+    /// Every collection that finishes is closed; one without a continuation is passed over.
     pub(crate) fn next_finished(
         &mut self,
         sessions: RangeInclusive<u64>,
         mut event: impl FnMut(&mut ReplyCollector) -> CollectorStatus,
-    ) -> Option<Finished> {
+    ) -> Option<(ReplyCollector, ReplyCallback, RpcOutcome)> {
         let (mut from, to) = sessions.into_inner();
         while from <= to {
             let (session, outcome) =
@@ -251,12 +243,7 @@ impl RpcSessions {
                     })?;
             let (collector, callback) = self.open.remove(&session).expect("session is open");
             if let Some(callback) = callback {
-                return Some(Finished {
-                    session,
-                    caller: collector.caller,
-                    callback,
-                    outcome,
-                });
+                return Some((collector, callback, outcome));
             }
             from = session + 1;
         }

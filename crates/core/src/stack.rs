@@ -204,10 +204,7 @@ impl SiteStack {
     /// not yet known stable (would be redistributed by a flush).  Zero if this site runs
     /// no endpoint for the group.
     pub fn unstable_count(&self, group: GroupId) -> usize {
-        self.endpoints
-            .get(&group)
-            .map(|ep| ep.unstable_len())
-            .unwrap_or(0)
+        self.endpoints.get(&group).map_or(0, |ep| ep.unstable_len())
     }
 
     /// The wire frame of the last flush commit this site installed for the group (see
@@ -396,15 +393,16 @@ impl SiteStack {
         self.rpc.drop_caller(pid);
         let groups: Vec<GroupId> = self.endpoints.keys().copied().collect();
         for g in groups {
-            let peer_sites = match self.endpoints.get(&g).and_then(|ep| ep.view()) {
-                Some(v) if v.contains(pid) => v.member_sites(),
-                _ => continue,
-            };
             // A local crash is *observed* (the process table lost the entry), not a
             // timeout: confirm it so later traffic from this site never retracts it.
-            self.with_endpoint(g, out, |ep, now, eouts| {
-                ep.confirm_failures(now, &[pid], eouts)
+            let confirmed = self.with_endpoint(g, out, |ep, now, eouts| {
+                let peer_sites = ep.view().filter(|v| v.contains(pid))?.member_sites();
+                ep.confirm_failures(now, &[pid], eouts);
+                Some(peer_sites)
             });
+            let Some(peer_sites) = confirmed.flatten() else {
+                continue;
+            };
             // Other sites cannot observe a silent local crash; tell every member site so that
             // whichever of them hosts the acting coordinator starts the view change (the
             // crashed process may itself have been the coordinator).  One report frame is
@@ -431,7 +429,7 @@ impl SiteStack {
         payload: Message,
         protocol: ProtocolKind,
         wanted: ReplyWanted,
-        callback: Option<ReplyCallback>,
+        mut callback: Option<ReplyCallback>,
         out: &mut Outbox,
     ) {
         let session = self.rpc.next_session();
@@ -441,10 +439,7 @@ impl SiteStack {
         // always the caller here), so fire-and-forget sends skip the field.  `@group` names
         // the group destination being served; a leading one is stamped with the rest.
         let reply_to = collecting.then(|| vec![Address::Process(caller)]);
-        let mut group = match dests.first() {
-            Some(Address::Group(g)) => Some(*g),
-            _ => None,
-        };
+        let mut group = dests.first().and_then(|d| d.as_group());
         let mut msg = payload;
         msg.replace_system_fields(
             [
@@ -458,7 +453,6 @@ impl SiteStack {
             .chain(group.map(|g| (fields::GROUP, g.into()))),
         );
 
-        let mut callback = callback;
         if collecting {
             // Work out which concrete processes we expect replies from.
             let mut awaited: Vec<ProcessId> = Vec::new();
@@ -505,7 +499,7 @@ impl SiteStack {
                     responders: Vec::new(),
                     error: None,
                 };
-                self.run_continuation(caller, cb, outcome, out);
+                self.as_process(caller, out, |_, ctx| cb(ctx, outcome));
             }
         } else {
             let now = self.now;
@@ -524,8 +518,7 @@ impl SiteStack {
         let can_serve_locally = self
             .endpoints
             .get(&group)
-            .map(|ep| ep.view().is_some() && !ep.local_members().is_empty())
-            .unwrap_or(false);
+            .is_some_and(|ep| ep.view().is_some() && !ep.local_members().is_empty());
         if can_serve_locally {
             let res = self.with_endpoint(group, out, |ep, now, eouts| match protocol {
                 ProtocolKind::Abcast => ep.abcast(now, caller, msg, eouts).map(|_| ()),
@@ -609,15 +602,9 @@ impl SiteStack {
                     dst_site,
                     kind,
                     msg,
-                } => {
-                    send_proto(self.site, dst_site, kind, msg, out);
-                }
-                EndpointOutput::Deliver(d) => {
-                    self.deliver_group_message(group, d, out);
-                }
-                EndpointOutput::ViewChange(ev) => {
-                    self.handle_view_change(group, ev, out);
-                }
+                } => send_proto(self.site, dst_site, kind, msg, out),
+                EndpointOutput::Deliver(d) => self.deliver_group_message(group, d, out),
+                EndpointOutput::ViewChange(ev) => self.handle_view_change(group, ev, out),
                 EndpointOutput::PartitionStalled {
                     view_seq,
                     alive,
@@ -639,9 +626,7 @@ impl SiteStack {
                     contact,
                     observed_seq,
                     ..
-                } => {
-                    self.handle_rejoin_required(group, contact, observed_seq, out);
-                }
+                } => self.handle_rejoin_required(group, contact, observed_seq, out),
             }
         }
         // Return the drained buffer to the scratch slot (unless a re-entrant pump already
@@ -689,7 +674,7 @@ impl SiteStack {
         // Notify local monitors.
         let locals: Vec<ProcessId> = self.processes.keys().copied().collect();
         for pid in locals {
-            self.dispatch_view_event(pid, &ev, out);
+            self.as_process(pid, out, |p, ctx| p.dispatch_view(ctx, &ev));
         }
         // GBCAST payloads are delivered exactly at the cut, to the members of the new view.
         let members = ev
@@ -709,11 +694,25 @@ impl SiteStack {
 
     // -- Handler dispatch ---------------------------------------------------------------------
 
-    // The handler borrows the process entry in place while the `ToolCtx` borrows the view
-    // and directory tables — disjoint fields, so no remove/re-insert round-trip through the
-    // process map per delivery.  Re-entrancy is safe because handlers only *record* actions;
-    // `apply_actions` runs after every borrow is released.
-    //
+    /// Runs `f` as process `pid`, if it is still hosted here, then applies the actions it
+    /// recorded.  The process entry is borrowed in place while the `ToolCtx` borrows the view
+    /// and directory tables — disjoint fields, so no remove/re-insert round-trip through the
+    /// process map per delivery.  Re-entrancy is safe because handlers only *record*
+    /// actions; `apply_actions` runs after every borrow is released.
+    fn as_process<T>(
+        &mut self,
+        pid: ProcessId,
+        out: &mut Outbox,
+        f: impl FnOnce(&mut IsisProcess, &mut ToolCtx<'_>) -> T,
+    ) -> Option<T> {
+        let process = self.processes.get_mut(&pid)?;
+        let mut ctx = ToolCtx::new(pid, self.now, &self.views, &self.directory);
+        let res = f(process, &mut ctx);
+        let actions = ctx.take_actions();
+        self.apply_actions(pid, actions, out);
+        Some(res)
+    }
+
     // Every message a handler sees passes here, so this is where the protection tool checks
     // the sender of a message addressed to a protected group (paper Section 3.10).
     fn dispatch_entry(&mut self, pid: ProcessId, entry: EntryId, msg: &Message, out: &mut Outbox) {
@@ -722,47 +721,9 @@ impl SiteStack {
             out.trace_with(|| format!("{pid}: protection rejected message at {entry:?}: {why}"));
             return;
         }
-        let Some(process) = self.processes.get_mut(&pid) else {
-            return;
-        };
-        let actions = {
-            let mut ctx = ToolCtx::new(pid, self.now, &self.views, &self.directory);
-            if !process.dispatch(&mut ctx, entry, msg) {
-                out.trace_with(|| format!("{pid}: no handler bound at {entry:?}"));
-            }
-            ctx.take_actions()
-        };
-        self.apply_actions(pid, actions, out);
-    }
-
-    fn dispatch_view_event(&mut self, pid: ProcessId, ev: &ViewEvent, out: &mut Outbox) {
-        let Some(process) = self.processes.get_mut(&pid) else {
-            return;
-        };
-        let actions = {
-            let mut ctx = ToolCtx::new(pid, self.now, &self.views, &self.directory);
-            process.dispatch_view(&mut ctx, ev);
-            ctx.take_actions()
-        };
-        self.apply_actions(pid, actions, out);
-    }
-
-    fn run_continuation(
-        &mut self,
-        caller: ProcessId,
-        callback: ReplyCallback,
-        outcome: RpcOutcome,
-        out: &mut Outbox,
-    ) {
-        if !self.processes.contains_key(&caller) {
-            return;
+        if self.as_process(pid, out, |p, ctx| p.dispatch(ctx, entry, msg)) == Some(false) {
+            out.trace_with(|| format!("{pid}: no handler bound at {entry:?}"));
         }
-        let actions = {
-            let mut ctx = ToolCtx::new(caller, self.now, &self.views, &self.directory);
-            callback(&mut ctx, outcome);
-            ctx.take_actions()
-        };
-        self.apply_actions(caller, actions, out);
     }
 
     fn apply_actions(&mut self, caller: ProcessId, actions: Vec<CtxAction>, out: &mut Outbox) {
@@ -867,9 +828,9 @@ impl SiteStack {
         out: &mut Outbox,
     ) {
         let mut from = first;
-        while let Some(done) = self.rpc.next_finished(from..=last, &mut event) {
-            from = done.session + 1;
-            self.run_continuation(done.caller, done.callback, done.outcome, out);
+        while let Some((c, callback, outcome)) = self.rpc.next_finished(from..=last, &mut event) {
+            from = c.session + 1;
+            self.as_process(c.caller, out, |_, ctx| callback(ctx, outcome));
         }
     }
 
@@ -891,17 +852,11 @@ impl SiteStack {
         out.trace_with(|| format!("{}: site {failed_site} suspected failed", self.site));
         let groups: Vec<GroupId> = self.endpoints.keys().copied().collect();
         for g in groups {
-            let failed_members: Vec<ProcessId> = self
-                .endpoints
-                .get(&g)
-                .and_then(|ep| ep.view().cloned())
-                .map(|v| v.members_at(failed_site))
-                .unwrap_or_default();
-            if failed_members.is_empty() {
-                continue;
-            }
             self.with_endpoint(g, out, |ep, now, eouts| {
-                ep.report_failures(now, &failed_members, eouts)
+                let failed = ep.view().map(|v| v.members_at(failed_site));
+                if let Some(failed) = failed.filter(|f| !f.is_empty()) {
+                    ep.report_failures(now, &failed, eouts);
+                }
             });
         }
         let gone = |c: &mut ReplyCollector| c.on_failure(|p| p.site == failed_site);
@@ -931,9 +886,8 @@ impl SiteStack {
         observed_seq: u64,
         out: &mut Outbox,
     ) {
-        let locals: Vec<ProcessId> = self
-            .endpoints
-            .get(&group)
+        let tail = self.endpoints.remove(&group);
+        let locals = tail
             .map(|ep| ep.local_members().to_vec())
             .unwrap_or_default();
         self.stats.with(|s| s.count_rejoin_after_heal());
@@ -944,7 +898,6 @@ impl SiteStack {
                 self.site
             )
         });
-        self.endpoints.remove(&group);
         // Route the rejoin through the site that evidenced the primary view, ahead of
         // whatever contacts the stale view left cached.
         let entry = self.contacts.entry(group).or_default();
@@ -1203,21 +1156,14 @@ impl SiteHandler for SiteStack {
                 .and_then(|ep| ep.view())
                 .is_some_and(|v| v.contains(joiner))
         };
-        for retry in self.joins.due(now, self.cfg.failure_timeout, installed) {
+        for (group, joiner, credentials, attempt) in
+            self.joins.due(now, self.cfg.failure_timeout, installed)
+        {
             out.trace_with(|| {
-                format!(
-                    "{}: re-submitting join of {} to {:?}",
-                    self.site, retry.joiner, retry.group
-                )
+                format!("{}: re-submitting join of {joiner} to {group:?}", self.site)
             });
             // A dead contact everywhere leaves the join pending for the next cadence.
-            let _ = self.submit_join_request(
-                retry.group,
-                retry.joiner,
-                retry.credentials,
-                retry.attempt,
-                out,
-            );
+            let _ = self.submit_join_request(group, joiner, credentials, attempt, out);
         }
         self.reforms.on_tick(now, self.cfg.failure_timeout, out);
         // RPC deadlines.

@@ -1,10 +1,7 @@
-//! Joins submitted at this site whose view has not installed yet.
-//!
-//! The JoinReq (or the coordinator it was queued at) may die with a crashed site, and
-//! membership changes are idempotent end to end (the coordinator dedups queued joiners,
-//! `View::successor` ignores joins of existing members), so re-sending a join is always
-//! safe.  [`Joins`] decides when a join is re-sent and, once its backoff is spent, which
-//! contact it fails over to; the stack routes the JoinReq itself.
+//! Joins submitted at this site whose view has not installed yet: when each is re-sent,
+//! and which contact it fails over to once its backoff is spent.  Re-sending is always
+//! safe: membership changes are idempotent end to end (the coordinator dedups queued
+//! joiners, `View::successor` ignores joins of existing members).
 
 use vsync_proto::View;
 use vsync_util::{DetRng, Duration, GroupId, ProcessId, SimTime, SiteId};
@@ -20,15 +17,6 @@ struct PendingJoin {
     /// coordinator, and hammering it at a fixed cadence only adds load right when the
     /// group is least able to absorb it.
     attempts: u32,
-}
-
-/// A re-send whose backoff has run out, for the stack to route.
-pub(super) struct Retry {
-    pub(super) group: GroupId,
-    pub(super) joiner: ProcessId,
-    pub(super) credentials: Option<String>,
-    /// Which re-send this is (1 for the first).
-    pub(super) attempt: u32,
 }
 
 /// The joins submitted at this site that are waiting for their view.
@@ -92,15 +80,16 @@ impl Joins {
     }
 
     /// Forgets the joins whose joiner is already in the view installed here (`installed`),
-    /// and returns the re-sends due at `now`, each counted as an attempt.  The base cadence
-    /// (`base`, one failure timeout) gives the previous attempt time to land, and by then
-    /// the detector has usually condemned a dead contact so the retry routes around it.
+    /// and returns the re-sends due at `now` as (group, joiner, credentials, attempt), the
+    /// attempt counting from 1.  The base cadence (`base`, one failure timeout) gives the
+    /// previous attempt time to land, and by then the detector has usually condemned a dead
+    /// contact so the retry routes around it.
     pub(super) fn due(
         &mut self,
         now: SimTime,
         base: Duration,
         installed: impl Fn(GroupId, ProcessId) -> bool,
-    ) -> Vec<Retry> {
+    ) -> Vec<(GroupId, ProcessId, Option<String>, u32)> {
         self.pending.retain(|p| !installed(p.group, p.joiner));
         let mut due = Vec::new();
         for p in &mut self.pending {
@@ -109,12 +98,7 @@ impl Joins {
             }
             p.last_sent = now;
             p.attempts = p.attempts.saturating_add(1);
-            due.push(Retry {
-                group: p.group,
-                joiner: p.joiner,
-                credentials: p.credentials.clone(),
-                attempt: p.attempts,
-            });
+            due.push((p.group, p.joiner, p.credentials.clone(), p.attempts));
         }
         due
     }
@@ -146,16 +130,11 @@ pub(super) fn failover_contact(
     preferred: SiteId,
     attempt: u32,
 ) -> Option<SiteId> {
-    if attempt <= 3 {
-        return None;
-    }
+    let turn = (attempt as usize).checked_sub(4)?;
     let others: Vec<SiteId> = contacts
         .iter()
+        .filter(|s| **s != preferred)
         .copied()
-        .filter(|s| *s != preferred)
         .collect();
-    if others.is_empty() {
-        return None;
-    }
-    Some(others[(attempt as usize - 4) % others.len()])
+    (!others.is_empty()).then(|| others[turn % others.len()])
 }

@@ -1,10 +1,6 @@
-//! Total-failure reforms in progress at this site (paper Section 3.8).
-//!
-//! A restarting site offers the summary of its recovery log to the sites of the last view
-//! the log recorded and collects theirs until the election resolves.  [`Reforms`] holds
-//! each election with its retransmission bookkeeping and sends the summaries itself; the
-//! stack answers a summary for a group that is still alive here, and ends a run when a view
-//! of the group installs.
+//! Total-failure reforms in progress at this site (paper Section 3.8): each election with
+//! its retransmission bookkeeping.  [`Reforms`] sends the log summaries itself; the stack
+//! answers a summary for a group still alive here, and ends a run when a view installs.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -55,12 +51,10 @@ impl Reforms {
         now: SimTime,
         out: &mut Outbox,
     ) {
+        let expected = tracker.expected().len();
+        let site = self.site;
         out.trace_with(|| {
-            format!(
-                "{}: reforming {group} with {} expected participants",
-                self.site,
-                tracker.expected().len()
-            )
+            format!("{site}: reforming {group} with {expected} expected participants")
         });
         let mut run = ReformRun {
             tracker,
