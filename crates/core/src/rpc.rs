@@ -95,16 +95,12 @@ impl ReplyCollector {
         open_ended: bool,
     ) -> Self {
         let awaiting: BTreeSet<ProcessId> = destinations.into_iter().collect();
-        let target = if open_ended {
-            match wanted {
-                ReplyWanted::None => 0,
-                ReplyWanted::One => 1,
-                ReplyWanted::Count(n) => n,
-                ReplyWanted::All => usize::MAX,
-            }
+        // Open-ended, ALL has no bound and any other count is taken as asked.
+        let target = wanted.target(if open_ended {
+            usize::MAX
         } else {
-            wanted.target(awaiting.len())
-        };
+            awaiting.len()
+        });
         ReplyCollector {
             caller,
             session,
@@ -118,31 +114,30 @@ impl ReplyCollector {
         }
     }
 
+    /// Ends the collection with the replies at hand and `error`.
+    fn done(&mut self, error: Option<VsError>) -> CollectorStatus {
+        CollectorStatus::Done(RpcOutcome {
+            replies: std::mem::take(&mut self.replies),
+            responders: std::mem::take(&mut self.responders),
+            error,
+        })
+    }
+
     fn check(&mut self) -> CollectorStatus {
         if self.replies.len() >= self.target {
-            return CollectorStatus::Done(RpcOutcome {
-                replies: std::mem::take(&mut self.replies),
-                responders: std::mem::take(&mut self.responders),
-                error: None,
-            });
+            return self.done(None);
         }
         if self.awaiting.is_empty() && !self.open_ended {
             // Everyone has either answered (possibly with a null reply) or failed.  If at
             // least one real reply arrived the collection simply completes short (the quorum
             // pattern of Section 3.3); if nothing arrived the caller gets an error code.
-            let error = if self.replies.is_empty() && self.target > 0 {
-                Some(VsError::AllDestinationsFailed {
+            let error = (self.replies.is_empty() && self.target > 0).then_some(
+                VsError::AllDestinationsFailed {
                     wanted: self.target,
                     got: 0,
-                })
-            } else {
-                None
-            };
-            return CollectorStatus::Done(RpcOutcome {
-                error,
-                replies: std::mem::take(&mut self.replies),
-                responders: std::mem::take(&mut self.responders),
-            });
+                },
+            );
+            return self.done(error);
         }
         CollectorStatus::Pending
     }
@@ -171,24 +166,16 @@ impl ReplyCollector {
 
     /// Checks the deadline.
     pub(crate) fn on_tick(&mut self, now: SimTime) -> CollectorStatus {
-        if let Some(d) = self.deadline {
-            if now >= d {
-                // Reaching the deadline with some replies in hand (an open-ended ALL call,
-                // for instance) is a normal completion; with none it is a timeout error.
-                let error = if self.replies.is_empty() && self.target > 0 {
-                    Some(VsError::Timeout(format!(
-                        "group RPC session {} (0 of {} replies)",
-                        self.session, self.target
-                    )))
-                } else {
-                    None
-                };
-                return CollectorStatus::Done(RpcOutcome {
-                    error,
-                    replies: std::mem::take(&mut self.replies),
-                    responders: std::mem::take(&mut self.responders),
-                });
-            }
+        if self.deadline.is_some_and(|d| now >= d) {
+            // Reaching the deadline with some replies in hand (an open-ended ALL call, for
+            // instance) is a normal completion; with none it is a timeout error.
+            let error = (self.replies.is_empty() && self.target > 0).then(|| {
+                VsError::Timeout(format!(
+                    "group RPC session {} (0 of {} replies)",
+                    self.session, self.target
+                ))
+            });
+            return self.done(error);
         }
         self.check()
     }
