@@ -305,7 +305,8 @@ impl SiteStack {
     ) -> Result<()> {
         // Track the join until a view containing the joiner installs, so the maintenance
         // tick can re-submit it if the contact or coordinator it reaches first crashes.
-        self.joins.track(group, joiner, &credentials, self.now);
+        self.joins
+            .track(group, joiner, credentials.as_deref(), self.now);
         self.submit_join_request(group, joiner, credentials, 0, out)
     }
 

@@ -32,7 +32,7 @@ impl Joins {
         &mut self,
         group: GroupId,
         joiner: ProcessId,
-        credentials: &Option<String>,
+        credentials: Option<&str>,
         now: SimTime,
     ) {
         match self
@@ -47,7 +47,7 @@ impl Joins {
             None => self.pending.push(PendingJoin {
                 group,
                 joiner,
-                credentials: credentials.clone(),
+                credentials: credentials.map(str::to_owned),
                 last_sent: now,
                 attempts: 0,
             }),
