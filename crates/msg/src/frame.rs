@@ -157,6 +157,20 @@ impl Frame {
         }
     }
 
+    /// [`Frame::from_wire`] for bytes whose size under the simulator's cost model is known
+    /// already (`None` if it is not): [`Frame::model_len`] then reads it instead of walking
+    /// the bytes.  How a holder that kept a frame's bytes and [`Frame::known_model_len`],
+    /// and let the frame go, makes it again.
+    pub fn from_wire_sized(wire: impl Into<Segments>, model_len: Option<usize>) -> Self {
+        let inner = FrameInner::from_wire(Wire::Envelope(wire.into()));
+        if let Some(len) = model_len {
+            let _ = inner.model_len.set(len);
+        }
+        Frame {
+            inner: Rc::new(inner),
+        }
+    }
+
     /// Wraps an encoded message *body* found nested inside another frame's bytes, aliasing
     /// them (see [`crate::stream::FieldCursor::encoded`]).
     pub fn from_wire_body(body: impl Into<Segments>) -> Self {
@@ -290,6 +304,12 @@ impl Frame {
         })
     }
 
+    /// [`Frame::model_len`] if the frame knows it without work: born from a writer, or
+    /// sized before.  `None` where finding it would mean walking the bytes or the tree.
+    pub fn known_model_len(&self) -> Option<usize> {
+        self.inner.model_len.get().copied()
+    }
+
     /// Mutable access to the message, copy-on-write: if other handles alias this frame the
     /// message is cloned first, so the mutation is invisible to them.  The memo slot and the
     /// wire form are dropped either way — derived values do not survive mutation.
@@ -320,7 +340,8 @@ impl Frame {
     /// Returns the memoized value of type `T`, running `make` to fill the empty slot.  The
     /// slot is write-once and type-erased: if a value of a *different* type already occupies
     /// it, `None` is returned and the caller falls back to uncached work (in practice the
-    /// slot has a single user — the typed protocol message).
+    /// slot holds the typed protocol message, or — in a frame made of a held copy's bytes —
+    /// the few facts about it that its holder knew).
     pub fn memo_get_or_init<T: 'static>(&self, make: impl FnOnce() -> T) -> Option<&T> {
         self.inner
             .memo
@@ -556,6 +577,25 @@ mod tests {
         // Still a message to anyone who asks for one, and equal to its tree-born twin.
         assert_eq!(frame.message(), &tree);
         assert_eq!(frame, Frame::new(tree));
+    }
+
+    #[test]
+    fn a_frame_remade_from_held_bytes_keeps_a_known_size() {
+        let mut w = FieldWriter::with_capacity(32);
+        w.put_str("kind", "held");
+        let written = Frame::from_writer(w, 1u64);
+        let known = written.known_model_len();
+        assert_eq!(known, Some(written.model_len()), "a writer knows its size");
+        let wire_born = Frame::from_wire(written.wire_segments());
+        assert_eq!(
+            wire_born.known_model_len(),
+            None,
+            "bytes alone are not sized"
+        );
+        let remade = Frame::from_wire_sized(written.wire_segments(), known);
+        assert_eq!(remade.known_model_len(), known);
+        assert_eq!(remade.wire_bytes(), written.wire_bytes());
+        assert_eq!(remade, written);
     }
 
     #[test]

@@ -206,6 +206,12 @@ impl Message {
     /// once — in one pass: what the stack does to every message it sends.  The table is made
     /// private once instead of once per field (a shared one is copied without the fields
     /// that go), and the new fields are not searched for among the ones just removed.
+    ///
+    /// A table this handle owns alone is stamped in place if it has room for `stamped`.
+    /// If it has none, its user fields move into a table allocated here instead of growing
+    /// the caller's allocation: the fields of a message built on one thread and stamped on
+    /// another then live, and are freed, on the stamping thread (see ARCHITECTURE.md,
+    /// "Allocations per CBCAST").
     pub fn replace_system_fields<'a>(
         &mut self,
         stamped: impl IntoIterator<Item = (&'a str, Value)>,
@@ -217,13 +223,22 @@ impl Message {
                 value,
             }
         });
+        let room = match stamped.size_hint() {
+            (_, Some(most)) => most,
+            (least, None) => least,
+        };
         let is_user = |f: &Field| !fields::is_system_field(&f.name);
         if let Some(own) = self.fields.as_mut().and_then(Arc::get_mut) {
             own.retain(is_user);
+            if own.capacity() - own.len() < room {
+                let mut table = Vec::with_capacity(own.len() + room);
+                table.append(own);
+                *own = table;
+            }
             own.extend(stamped);
             return;
         }
-        let mut table = Vec::with_capacity(self.field_count() + stamped.size_hint().0);
+        let mut table = Vec::with_capacity(self.field_count() + room);
         table.extend(self.iter().filter(|f| is_user(f)).cloned());
         table.extend(stamped);
         *self = Message::from_table(table);
@@ -387,6 +402,38 @@ mod tests {
             Some(1),
             "user fields survive stripping"
         );
+    }
+
+    #[test]
+    fn stamping_fills_an_owned_table_in_place_or_moves_it_into_a_fresh_one() {
+        let stamp = || {
+            [
+                (fields::SENDER, Value::from(ProcessId::new(SiteId(1), 2))),
+                (fields::ENTRY, Value::from(7u64)),
+                (fields::SESSION, Value::from(9u64)),
+                (fields::PROTOCOL, Value::from("cbcast")),
+            ]
+        };
+        // Room for the stamp: the table stays where it is.
+        let mut roomy = Message::with_field_capacity(8);
+        roomy.set("body", 1u64);
+        roomy.set(fields::GROUP, GroupId(3));
+        let table = |m: &Message| m.table().as_ptr();
+        let before = table(&roomy);
+        roomy.replace_system_fields(stamp());
+        assert_eq!(table(&roomy), before, "stamped in place");
+        // No room: the user fields move to a table made here, the stamp after them.
+        let mut full = Message::with_field_capacity(2);
+        full.set("body", 1u64);
+        full.set("n", 2u64);
+        full.replace_system_fields(stamp());
+        let names: Vec<&str> = full.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["body", "n", "@sender", "@entry", "@session", "@protocol"]
+        );
+        assert_eq!(roomy.get_u64("body"), full.get_u64("body"));
+        assert_eq!(roomy.group(), None, "the old system fields went");
     }
 
     #[test]

@@ -26,7 +26,7 @@ use vsync_net::{MsgId, PacketKind, ProtocolKind, SharedStats};
 use vsync_util::{GroupId, ProcessId, Rank, Result, SimTime, SiteId, VsError};
 
 use crate::config::ProtoConfig;
-use crate::flush::{stored_msg_id, FlushCoordinator, FlushParticipant};
+use crate::flush::{FlushCoordinator, FlushParticipant};
 use crate::frontier::{Frontier, IdSet};
 use crate::messages::{ProtoMsg, StabilityEntry, StoredMsg};
 use crate::output::{EndpointOutput, ViewEvent};
@@ -1059,10 +1059,8 @@ impl GroupEndpoint {
         // effects arrive via state transfer instead — the exactly-once partition of
         // history that virtual synchrony promises a joiner).
         let mut covered = self.data.delivered_frontier();
-        for s in &deliver {
-            if let Ok(id) = stored_msg_id(s) {
-                covered.observe(id);
-            }
+        for id in flush.collected.keys() {
+            covered.observe(*id);
         }
         let gbcasts = std::mem::take(&mut self.pending_gbcasts);
         self.pending_joins.clear();

@@ -16,7 +16,7 @@ use super::{send, GossipReport};
 use crate::abcast::AbcastState;
 use crate::cbcast::{CbcastState, ReadyCb};
 use crate::frontier::{Frontier, IdSet};
-use crate::messages::{ProtoMsg, StoredMsg};
+use crate::messages::{DataHeader, ProtoMsg, StoredMsg};
 use crate::output::{Delivery, EndpointOutput};
 use crate::stability::StabilityTracker;
 use crate::view::View;
@@ -148,8 +148,8 @@ impl DataPath {
     ) -> MsgId {
         let id = self.alloc_msg_id();
         let vt = self.cb.stamp_send(rank);
-        // Written once; the stability buffer and every peer-site packet alias this frame,
-        // and the typed message travels in it.
+        // Written once: every peer-site packet aliases this frame, and the typed message
+        // travels in it; the stability buffer keeps its bytes.
         let local = payload.clone();
         let wire = ProtoMsg::CbData {
             id,
@@ -198,8 +198,8 @@ impl DataPath {
     }
 
     /// Handles a data message of the view.  `msg` is the decoded view of `frame`; the
-    /// stability buffer aliases the frame directly (no re-encode: the received wire form *is*
-    /// the copy a flush would redistribute).
+    /// stability buffer keeps the frame's bytes (no re-encode: the received wire form *is*
+    /// the copy a flush would redistribute), and `msg` goes with the frame.
     pub(super) fn handle_data(
         &mut self,
         msg: &ProtoMsg,
@@ -377,41 +377,55 @@ impl DataPath {
         out: &mut Vec<EndpointOutput>,
     ) -> (Vec<MsgId>, Vec<MsgId>) {
         for stored in deliver {
-            let Ok((_, proto)) = ProtoMsg::decode_frame(&stored.wire) else {
+            // Which multicast it is comes off the copy's memo or first fields.  A copy is
+            // parsed only if it is delivered here and its payload is not here already.
+            let Ok(DataHeader { id, protocol }) = stored.header() else {
                 continue;
             };
-            match proto {
-                ProtoMsg::CbData {
-                    id,
-                    sender,
-                    sender_rank,
-                    vt,
-                    payload,
-                    ..
-                } => {
-                    // A CBCAST received here before the ack is delivered, or held back for a
-                    // predecessor this loop may yet bring.
-                    if self.stab.received().contains(*id) || (joining && covered.covers(*id)) {
-                        continue;
-                    }
-                    self.receive_cbcast(*id, *sender, *sender_rank as Rank, vt, payload, out);
-                }
-                ProtoMsg::AbData {
-                    id,
-                    sender,
-                    payload,
-                    ..
-                } => {
-                    if self.delivered.contains(*id) || (joining && covered.covers(*id)) {
-                        continue;
-                    }
-                    // The commit's priority is final, even over a decision made here
-                    // after the ack.  A commit always carries one for an ABCAST.
-                    let Some(prio) = stored.ab_priority else {
+            if joining && covered.covers(id) {
+                continue;
+            }
+            match (protocol, stored.ab_priority) {
+                // A CBCAST received here before the ack is delivered, or held back for a
+                // predecessor this loop may yet bring.
+                (ProtocolKind::Cbcast, _) if !self.stab.received().contains(id) => {
+                    let Ok(frame) = stored.typed() else {
                         continue;
                     };
-                    self.ab.on_data(*id, *sender, payload.clone());
-                    self.ab.decide(*id, prio, id.origin);
+                    if let Ok((
+                        _,
+                        ProtoMsg::CbData {
+                            sender,
+                            sender_rank,
+                            vt,
+                            payload,
+                            ..
+                        },
+                    )) = ProtoMsg::decode_frame(&frame)
+                    {
+                        self.receive_cbcast(id, *sender, *sender_rank as Rank, vt, payload, out);
+                    }
+                }
+                // The commit's priority is final, even over a decision made here after the
+                // ack.  A commit always carries one for an ABCAST.  One received here and
+                // not yet delivered has its payload waiting in the ABCAST state.
+                (ProtocolKind::Abcast, Some(prio)) if !self.delivered.contains(id) => {
+                    if !self.ab.is_pending(&id) {
+                        let Ok(frame) = stored.typed() else {
+                            continue;
+                        };
+                        let Ok((
+                            _,
+                            ProtoMsg::AbData {
+                                sender, payload, ..
+                            },
+                        )) = ProtoMsg::decode_frame(&frame)
+                        else {
+                            continue;
+                        };
+                        self.ab.on_data(id, *sender, payload.clone());
+                    }
+                    self.ab.decide(id, prio, id.origin);
                 }
                 _ => {}
             }
@@ -448,5 +462,73 @@ impl DataPath {
     #[cfg(test)]
     pub(super) fn delivered(&self) -> &IdSet {
         &self.delivered
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::messages::wire_stats;
+    use vsync_util::VectorClock;
+
+    const G: GroupId = GroupId(1);
+
+    /// A copy as a commit that crossed a thread boundary carries it: bytes, no typed value.
+    fn from_bytes(msg: ProtoMsg, ab_priority: Option<u64>) -> StoredMsg {
+        StoredMsg {
+            wire: Frame::from_wire(msg.into_frame(G).wire_segments()),
+            ab_priority,
+        }
+    }
+
+    #[test]
+    fn deliver_cut_parses_only_the_copies_it_delivers_and_does_not_hold() {
+        let (p0, p1) = (ProcessId::new(SiteId(0), 1), ProcessId::new(SiteId(1), 1));
+        let view = View::founding(G, p0).successor(&[], &[p1]);
+        let mut path = DataPath::new(G, SiteId(0));
+        path.reset(&view);
+        let cb = |seq: u64| ProtoMsg::CbData {
+            id: MsgId::new(SiteId(1), seq),
+            sender: p1,
+            sender_rank: 1,
+            view_seq: view.seq(),
+            vt: VectorClock::from_entries(vec![0, seq]),
+            payload: Message::with_body(seq),
+        };
+        let ab = |seq: u64| ProtoMsg::AbData {
+            id: MsgId::new(SiteId(1), seq),
+            sender: p1,
+            view_seq: view.seq(),
+            payload: Message::with_body(seq),
+        };
+        let mut out = Vec::new();
+        // Site 0 received the first two CBCASTs, and ABCAST 6 undecided, before the cut.
+        for msg in [cb(1), cb(2), ab(6)] {
+            let frame = msg.into_frame(G);
+            let (_, msg) = ProtoMsg::decode_frame(&frame).expect("born typed");
+            path.handle_data(msg, &frame, false, &mut out);
+        }
+        out.clear();
+        let cut: Vec<StoredMsg> = (1..=4)
+            .map(|seq| from_bytes(cb(seq), None))
+            .chain([from_bytes(ab(5), Some(1)), from_bytes(ab(6), Some(2))])
+            .collect();
+        let before = wire_stats::frame_decodes();
+        let (undecided, held_back) = path.deliver_cut(&cut, &Frontier::new(), false, &mut out);
+        assert!(undecided.is_empty() && held_back.is_empty());
+        let delivered: Vec<u64> = out
+            .iter()
+            .filter_map(|o| match o {
+                EndpointOutput::Deliver(d) => Some(d.msg_id.seq),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(delivered, vec![3, 4, 5, 6]);
+        assert_eq!(
+            wire_stats::frame_decodes() - before,
+            3,
+            "one parse per copy delivered whose payload was not here: CBCASTs 1 and 2 are \
+             read as ids, and ABCAST 6 is delivered from what site 0 already held"
+        );
     }
 }

@@ -26,24 +26,16 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use vsync_net::MsgId;
-use vsync_util::{ProcessId, Result, SimTime, SiteId, VsError};
+use vsync_net::{MsgId, ProtocolKind};
+use vsync_util::{ProcessId, Result, SimTime, SiteId};
 
-use crate::messages::{ProtoMsg, StoredMsg};
+use crate::messages::StoredMsg;
 
-/// Extracts the message id out of a stored (wire-form) data message.  Goes through the
-/// frame's typed memo: a held copy that was written or received in this process is not
-/// parsed at all, and one taken out of a flush ack's bytes is parsed once however many id
-/// lookups (stability overlay, coordinator merge, delivery) follow.
+/// Extracts the message id out of a stored (wire-form) data message through its header
+/// ([`StoredMsg::header`]): neither a held copy nor one taken out of a flush ack's bytes is
+/// parsed to find out which multicast it is.
 pub(crate) fn stored_msg_id(stored: &StoredMsg) -> Result<MsgId> {
-    let (_, proto) = ProtoMsg::decode_frame(&stored.wire)?;
-    match proto {
-        ProtoMsg::CbData { id, .. } | ProtoMsg::AbData { id, .. } => Ok(*id),
-        other => Err(VsError::Internal(format!(
-            "stored message is not a data message: {}",
-            other.type_tag()
-        ))),
-    }
+    stored.header().map(|header| header.id)
 }
 
 /// Coordinator-side state of an in-progress flush.
@@ -125,10 +117,8 @@ impl FlushCoordinator {
     pub(crate) fn deliver_set(&self) -> Vec<StoredMsg> {
         let settled = self.ab_clock + 1;
         let is_abcast = |s: &StoredMsg| {
-            matches!(
-                ProtoMsg::decode_frame(&s.wire),
-                Ok((_, ProtoMsg::AbData { .. }))
-            )
+            s.header()
+                .is_ok_and(|header| header.protocol == ProtocolKind::Abcast)
         };
         self.collected
             .values()
@@ -154,7 +144,8 @@ pub struct FlushParticipant {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vsync_msg::Message;
+    use crate::messages::{wire_stats, ProtoMsg};
+    use vsync_msg::{Frame, Message};
     use vsync_util::{GroupId, VectorClock};
 
     fn cb_stored(origin: u16, seq: u64, body: u64) -> StoredMsg {
@@ -203,6 +194,44 @@ mod tests {
             ab_priority: None,
         };
         assert!(stored_msg_id(&bogus).is_err());
+    }
+
+    #[test]
+    fn merge_and_deliver_set_read_copies_from_an_acks_bytes_without_parsing_them() {
+        let ack = ProtoMsg::FlushAck {
+            target_seq: 2,
+            from_site: SiteId(1),
+            ab_clock: 3,
+            stored: vec![
+                cb_stored(1, 1, 10),
+                ab_stored(1, 2, None),
+                ab_stored(0, 3, Some(2)),
+            ],
+        }
+        .into_frame(GroupId(1));
+        // The ack as a peer beyond a thread boundary receives it: bytes, parsed once.
+        let received = Frame::from_wire(ack.wire_segments());
+        let Ok((_, ProtoMsg::FlushAck { stored, .. })) = ProtoMsg::decode_frame(&received) else {
+            panic!("a flush ack");
+        };
+        let before = wire_stats::frame_decodes();
+        let mut c = FlushCoordinator::new(2, 0, [SiteId(1)].into_iter().collect(), SimTime::ZERO);
+        c.merge(stored.clone(), 3);
+        let set: Vec<(MsgId, Option<u64>)> = c
+            .deliver_set()
+            .iter()
+            .map(|s| (stored_msg_id(s).unwrap(), s.ab_priority))
+            .collect();
+        assert_eq!(
+            wire_stats::frame_decodes() - before,
+            0,
+            "ids and protocols only"
+        );
+        let id = |origin, seq| MsgId::new(SiteId(origin), seq);
+        assert_eq!(
+            set,
+            vec![(id(0, 3), Some(2)), (id(1, 1), None), (id(1, 2), Some(4))]
+        );
     }
 
     #[test]

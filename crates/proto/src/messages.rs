@@ -10,11 +10,11 @@
 //! application payloads the messages carry.
 //!
 //! A frame is *born* with its typed value in the memo slot, so inside one process — every
-//! site of the simulator, the sender's own stability buffer, a commit relayed onwards — a
-//! frame is never parsed at all; the bytes are read once per receiving site after they
-//! cross a thread boundary.  Multicasts held for a flush travel inside `FlushAck` /
-//! `FlushCommit` by splicing their frames' bytes and come back out as frames aliasing the
-//! carrier's segments.
+//! site of the simulator, a commit relayed onwards — a frame is never parsed at all; the
+//! bytes are read once per receiving site after they cross a thread boundary.  Multicasts
+//! held for a flush are held as bytes, travel inside `FlushAck` / `FlushCommit` by splicing
+//! those bytes, come back out as frames aliasing the carrier's segments, and are read as
+//! far as their ids until a commit delivers them (`StoredMsg::header`).
 //!
 //! The bytes are held as a [`Segments`] list: a payload's large byte string (a 64 KiB body,
 //! a state-transfer block) is never copied into a frame — not when the frame is written,
@@ -36,7 +36,7 @@ use std::rc::Rc;
 
 use vsync_msg::stream::{FieldCursor, FieldWriter};
 use vsync_msg::{codec, Frame, Message, Segments};
-use vsync_net::MsgId;
+use vsync_net::{MsgId, ProtocolKind};
 use vsync_util::{GroupId, ProcessId, Result, SiteId, VectorClock, VsError};
 
 use crate::frontier::{Frontier, IdSet};
@@ -79,10 +79,12 @@ pub mod wire_stats {
 }
 
 /// A multicast message held by an endpoint (received but not yet known stable), in the form
-/// it travels inside flush reports and commits.  The wire form is a shared [`Frame`], so
-/// buffering a received multicast aliases the packet's frame, reporting it in a flush ack
-/// splices the frame's bytes, and taking it back out of an ack or commit aliases *those*
-/// bytes — the message is never re-encoded and never becomes a tree on the way.
+/// it travels inside flush reports and commits.  The wire form is a [`Frame`]: handing a
+/// received multicast to the stability buffer shares the packet's bytes (the buffer keeps
+/// those, not the frame), reporting it in a flush ack splices them, and taking it back out
+/// of an ack or commit aliases *those* bytes — the message is never re-encoded and never
+/// becomes a tree on the way.  A flush reads a copy's id and protocol off its first fields
+/// (`StoredMsg::header`) and parses the rest only to deliver it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StoredMsg {
     /// The original data-bearing protocol message (`CbData` or `AbData`) in wire form.
@@ -100,6 +102,63 @@ impl From<Frame> for StoredMsg {
             wire,
             ab_priority: None,
         }
+    }
+}
+
+/// A data message's id and protocol: what a flush needs to know of a copy it may never
+/// deliver.  The stability buffer puts one in the memo slot of each frame it makes of a held
+/// copy's bytes, so that no holder of that frame in this process reads the bytes for it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct DataHeader {
+    pub(crate) id: MsgId,
+    pub(crate) protocol: ProtocolKind,
+}
+
+impl StoredMsg {
+    /// The id and protocol (CBCAST or ABCAST) of the multicast this copy holds, without
+    /// parsing it: off the frame's memo — its typed value, or the header a stability buffer
+    /// left there — or else off the first fields of its bytes, since every data message
+    /// starts with its type tag, its group and its id.  Counted by neither [`wire_stats`]
+    /// counter.  Fails if the copy is not a data message or its first fields do not read.
+    pub(crate) fn header(&self) -> Result<DataHeader> {
+        let not_data =
+            |tag: &str| VsError::Internal(format!("stored message is not a data message: {tag}"));
+        if let Some(header) = self.wire.memo_get::<DataHeader>() {
+            return Ok(*header);
+        }
+        if let Some((_, msg)) = self.wire.memo_get::<(GroupId, ProtoMsg)>() {
+            let (id, protocol) = match msg {
+                ProtoMsg::CbData { id, .. } => (*id, ProtocolKind::Cbcast),
+                ProtoMsg::AbData { id, .. } => (*id, ProtocolKind::Abcast),
+                other => return Err(not_data(other.type_tag())),
+            };
+            return Ok(DataHeader { id, protocol });
+        }
+        self.wire.wire_body()?.read_with(|body| {
+            let mut c = FieldCursor::new(body)?;
+            let protocol = match c.str(TYPE_FIELD)? {
+                "cb-data" => ProtocolKind::Cbcast,
+                "ab-data" => ProtocolKind::Abcast,
+                other => return Err(not_data(other)),
+            };
+            get_group(&mut c, GROUP_FIELD)?;
+            let id = get_msg_id(&mut c)?;
+            Ok(DataHeader { id, protocol })
+        })
+    }
+
+    /// The copy as a frame that holds its typed value, for delivery.  A frame with an empty
+    /// memo slot is parsed in place, once for every holder in this process; one whose slot
+    /// holds a header is parsed into a frame of its own, which goes with the delivery.
+    pub(crate) fn typed(&self) -> Result<Frame> {
+        let frame = match self.wire.memo_get::<DataHeader>() {
+            Some(_) => {
+                Frame::from_wire_sized(self.wire.wire_segments(), self.wire.known_model_len())
+            }
+            None => self.wire.clone(),
+        };
+        ProtoMsg::decode_frame(&frame)?;
+        Ok(frame)
     }
 }
 
@@ -679,8 +738,8 @@ impl ProtoMsg {
 
     /// Turns the message into its wire [`Frame`], tagged with the group it belongs to: the
     /// bytes are written in one pass and the typed message moves into the frame's memo slot,
-    /// so the sender's stability buffer, every same-process receiver of the fan-out and
-    /// anything that later forwards the frame read `self` back without parsing.  This is the
+    /// so every same-process receiver of the fan-out and anything that later forwards the
+    /// frame read `self` back without parsing.  This is the
     /// packet-path entry point counted by [`wire_stats`].
     ///
     /// A debug assertion keeps the memo honest: the bytes must decode to the typed message

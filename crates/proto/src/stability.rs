@@ -12,6 +12,17 @@
 //! messages the view has carried.  Only the held copies themselves are per message, and they
 //! leave as soon as every peer's run has passed them.
 //!
+//! A held copy is the *bytes* of the frame that carried the multicast, plus its protocol,
+//! its ABCAST decision and its size under the simulator's cost model if the frame knew it —
+//! never the frame.  Taking the bytes is one refcount, as taking the frame was; what it
+//! saves is the typed value the frame memoized (the payload's field table, the timestamp),
+//! which would otherwise stay alive until the message is stable and then be freed in a
+//! burst, on whichever thread the gossip happened to land.  That value goes with the packet
+//! instead, on the thread that decoded or wrote it.  A flush asks for the copies rarely:
+//! [`StabilityTracker::unstable`] makes a frame of each from its bytes then, with the copy's
+//! id and protocol in the frame's memo slot, and the flush reads no more of it than that
+//! until it delivers it.
+//!
 //! An ABCAST is held from receipt but advertised only once it is *decided* here, and not if
 //! it is decided between this site's flush ack and the commit, so no flush report carries a
 //! stable ABCAST as undecided.  A CBCAST received in that window is held and never
@@ -26,13 +37,15 @@
 //! with their ends moved, in place — followed by one pass over the held queues.
 
 use std::collections::VecDeque;
+use std::num::NonZeroU32;
 use std::rc::Rc;
 
-use vsync_net::MsgId;
+use vsync_msg::{Frame, Segments};
+use vsync_net::{MsgId, ProtocolKind};
 use vsync_util::SiteId;
 
 use crate::frontier::IdSet;
-use crate::messages::StoredMsg;
+use crate::messages::{DataHeader, StoredMsg};
 
 /// Gossip rounds a site keeps advertising after a message last became stable *here*.
 ///
@@ -61,12 +74,61 @@ pub struct StabilityTracker {
     received: Rc<IdSet>,
     /// Copies not yet known stable: one queue per origin (sorted by site), ascending by
     /// sequence number, so on FIFO traffic copies enter at the back and leave at the front.
-    held: Vec<(SiteId, VecDeque<(u64, StoredMsg)>)>,
+    held: Vec<(SiteId, VecDeque<HeldCopy>)>,
     /// Total length of the `held` queues.
     held_count: usize,
     /// Gossip rounds since a message last became stable here (see [`QUIET_ROUNDS`]);
     /// saturated while there has been none in this view.
     rounds_since_release: u8,
+}
+
+/// One held copy: what a flush report needs of it, without the frame it came in.
+#[derive(Clone, Debug)]
+struct HeldCopy {
+    /// The multicast's sequence number at its origin.
+    seq: u64,
+    /// The frame's wire form ([`Frame::wire_segments`]): shares the frame's buffers.
+    wire: Segments,
+    /// The frame's size under the simulator's cost model, if it knew it when held
+    /// ([`Frame::known_model_len`]); a flush report then does not walk the bytes for it.
+    /// Never 0 (a body is at least its field count) and never near 4 GiB, so it is kept in
+    /// 4 bytes: an entry is 72 B, and a site keeps one per copy in every group.
+    model_len: Option<NonZeroU32>,
+    /// CBCAST or ABCAST, read off the frame's typed value when held (it always has one on
+    /// the packet path); a flush then reads the copy's header off its memo, not its bytes.
+    protocol: Option<ProtocolKind>,
+    /// The ABCAST decision made here, once there is one.
+    ab_priority: Option<u64>,
+}
+
+impl HeldCopy {
+    fn new(seq: u64, copy: StoredMsg) -> Self {
+        HeldCopy {
+            seq,
+            wire: copy.wire.wire_segments(),
+            model_len: copy
+                .wire
+                .known_model_len()
+                .and_then(|len| NonZeroU32::new(u32::try_from(len).ok()?)),
+            protocol: copy.header().ok().map(|header| header.protocol),
+            ab_priority: copy.ab_priority,
+        }
+    }
+
+    /// The copy of `origin`'s multicast as a flush report carries it: a frame of the held
+    /// bytes, with the copy's header in its memo slot if the protocol is known.
+    fn to_stored(&self, origin: SiteId) -> StoredMsg {
+        let model_len = self.model_len.map(|len| len.get() as usize);
+        let wire = Frame::from_wire_sized(self.wire.clone(), model_len);
+        if let Some(protocol) = self.protocol {
+            let id = MsgId::new(origin, self.seq);
+            wire.memo_get_or_init(|| DataHeader { id, protocol });
+        }
+        StoredMsg {
+            wire,
+            ab_priority: self.ab_priority,
+        }
+    }
 }
 
 impl StabilityTracker {
@@ -103,8 +165,8 @@ impl StabilityTracker {
     }
 
     /// Records that this site received (and is buffering a copy of) a message, and
-    /// advertises its id.  An ABCAST is instead held (`hold`) until it is decided here
-    /// (`StabilityTracker::set_ab_priority`).
+    /// advertises its id.  The tracker keeps the copy's bytes, not its frame.  An ABCAST is
+    /// instead held (`hold`) until it is decided here (`StabilityTracker::set_ab_priority`).
     pub fn record_local(&mut self, id: MsgId, copy: StoredMsg) {
         if !Rc::make_mut(&mut self.received).insert(id) {
             // A duplicate, or a retransmitted copy of a message already stable here; do not
@@ -132,10 +194,10 @@ impl StabilityTracker {
             }
         };
         let at = match queue.back() {
-            Some((last, _)) if *last > id.seq => queue.partition_point(|(seq, _)| *seq < id.seq),
+            Some(last) if last.seq > id.seq => queue.partition_point(|h| h.seq < id.seq),
             _ => queue.len(),
         };
-        queue.insert(at, (id.seq, copy));
+        queue.insert(at, HeldCopy::new(id.seq, copy));
         self.held_count += 1;
     }
 
@@ -150,10 +212,10 @@ impl StabilityTracker {
             return;
         };
         let queue = &mut self.held[i].1;
-        let Ok(at) = queue.binary_search_by_key(&id.seq, |(seq, _)| *seq) else {
+        let Ok(at) = queue.binary_search_by_key(&id.seq, |h| h.seq) else {
             return;
         };
-        queue[at].1.ab_priority = Some(priority);
+        queue[at].ab_priority = Some(priority);
         if stable {
             queue.remove(at);
             self.held_count -= 1;
@@ -206,11 +268,12 @@ impl StabilityTracker {
         self.release_stable()
     }
 
-    /// Returns copies of every message still considered unstable, for a flush ack.
+    /// Returns copies of every message still considered unstable, for a flush ack: a
+    /// frame of each held copy's bytes, sized if the copy's frame was.
     pub fn unstable(&self) -> Vec<StoredMsg> {
         let mut out = Vec::with_capacity(self.held_count);
-        for (_, queue) in &self.held {
-            out.extend(queue.iter().map(|(_, copy)| copy.clone()));
+        for (origin, queue) in &self.held {
+            out.extend(queue.iter().map(|held| held.to_stored(*origin)));
         }
         out
     }
@@ -227,7 +290,7 @@ impl StabilityTracker {
         let everywhere = || peers.iter().map(|(_, acked)| acked).chain([&**received]);
         let mut released = 0;
         'origins: for (origin, queue) in held.iter_mut() {
-            let Some(&(front, _)) = queue.front() else {
+            let Some(front) = queue.front().map(|h| h.seq) else {
                 continue;
             };
             // The stretch of this origin's ids that every site has acknowledged — exact
@@ -247,13 +310,13 @@ impl StabilityTracker {
             let before = queue.len();
             if one_run_each && front >= lo {
                 // FIFO everywhere: the stable copies are the front of the queue up to `hi`.
-                while queue.front().is_some_and(|(seq, _)| *seq <= hi) {
+                while queue.front().is_some_and(|h| h.seq <= hi) {
                     queue.pop_front();
                 }
             } else {
                 // A reordered packet is overdue somewhere; look at every copy.
-                queue.retain(|(seq, _)| {
-                    let id = MsgId::new(*origin, *seq);
+                queue.retain(|h| {
+                    let id = MsgId::new(*origin, h.seq);
                     !everywhere().all(|acked| acked.contains(id))
                 });
             }
@@ -270,7 +333,9 @@ impl StabilityTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::messages::ProtoMsg;
     use vsync_msg::Message;
+    use vsync_util::{GroupId, ProcessId, VectorClock};
 
     fn copy(n: u64) -> StoredMsg {
         StoredMsg {
@@ -288,6 +353,57 @@ mod tests {
             .iter()
             .filter_map(|s| s.wire.get_u64("body"))
             .collect()
+    }
+
+    /// A CBCAST as its origin writes it: bytes, typed value and modelled size at once.
+    fn written(seq: u64) -> Frame {
+        ProtoMsg::CbData {
+            id: id(0, seq),
+            sender: ProcessId::new(SiteId(0), 1),
+            sender_rank: 0,
+            view_seq: 1,
+            vt: VectorClock::from_entries(vec![seq, 0]),
+            payload: Message::with_body(seq),
+        }
+        .into_frame(GroupId(1))
+    }
+
+    #[test]
+    fn a_held_copy_keeps_the_frames_bytes_and_lets_the_frame_go() {
+        let mut t = StabilityTracker::new(SiteId(0), vec![SiteId(0), SiteId(1)]);
+        let frame = written(1);
+        t.record_local(
+            id(0, 1),
+            StoredMsg {
+                wire: frame.clone(),
+                ab_priority: None,
+            },
+        );
+        assert_eq!(t.held_len(), 1);
+        assert_eq!(
+            frame.handle_count(),
+            1,
+            "the frame and its typed value are not held"
+        );
+        // A copy received as bytes, whose size nobody has worked out yet.
+        let received = Frame::from_wire(written(2).wire_segments());
+        t.hold(id(0, 2), received.clone().into());
+        assert_eq!(received.handle_count(), 1);
+        let unstable = t.unstable();
+        for (copy, original) in unstable.iter().zip([&frame, &received]) {
+            let (ours, theirs) = (copy.wire.wire_segments(), original.wire_segments());
+            assert_eq!(ours, theirs, "the same bytes");
+            assert_eq!(
+                ours.iter().next().map(|seg| seg.as_ptr()),
+                theirs.iter().next().map(|seg| seg.as_ptr()),
+                "shared, not copied"
+            );
+        }
+        // The written frame's size comes back without a walk; the received one's is walked
+        // only if someone asks, as before it was held.
+        assert_eq!(unstable[0].wire.known_model_len(), Some(frame.model_len()));
+        assert_eq!(unstable[1].wire.known_model_len(), None);
+        assert_eq!(unstable[1].wire.model_len(), received.model_len());
     }
 
     #[test]

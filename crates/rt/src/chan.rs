@@ -77,13 +77,26 @@ impl<T> Sender<T> {
     /// Enqueues an item, waking the receiver if it is parked.  Returns `false` (dropping
     /// the item) if the receiver is gone.
     pub fn send(&self, item: T) -> bool {
+        self.send_all([item])
+    }
+
+    /// Enqueues every item of `items` in order under one lock acquisition, and wakes the
+    /// receiver at most once, if it is parked and anything was queued.  Returns `false`
+    /// (dropping the items, outside the lock) if the receiver is gone.  A caller that passes
+    /// `buf.drain(..)` keeps its buffer for the next batch.
+    pub fn send_all(&self, items: impl IntoIterator<Item = T>) -> bool {
         let waiter = {
             let mut st = self.inner.state.lock();
             if !st.receiver_alive {
                 return false;
             }
-            st.queue.push_back(item);
-            st.waiting.take()
+            let before = st.queue.len();
+            st.queue.extend(items);
+            if st.queue.len() > before {
+                st.waiting.take()
+            } else {
+                None
+            }
         };
         if let Some(t) = waiter {
             t.unpark();
@@ -205,6 +218,33 @@ mod tests {
         assert!(matches!(try_recv(&rx), Recv::Item(1)));
         assert!(matches!(try_recv(&rx), Recv::Item(2)));
         assert!(matches!(try_recv(&rx), Recv::TimedOut));
+    }
+
+    #[test]
+    fn send_all_keeps_order_and_wakes_a_parked_receiver_once() {
+        let (tx, rx) = channel();
+        let parked = |tx: &Sender<u64>| tx.inner.state.lock().waiting.is_some();
+        let receiver = thread::spawn(move || {
+            let first = rx.recv_deadline(Some(Instant::now() + Duration::from_secs(5)));
+            let mut rest = VecDeque::new();
+            let _ = rx.drain_into(&mut rest);
+            (first, rest)
+        });
+        while !parked(&tx) {
+            thread::yield_now();
+        }
+        // An empty batch queues nothing and leaves the receiver parked.
+        assert!(tx.send_all(std::iter::empty()));
+        assert!(parked(&tx));
+        let mut batch: Vec<u64> = (0..5).collect();
+        assert!(tx.send_all(batch.drain(..)));
+        assert!(batch.capacity() >= 5, "the caller keeps its buffer");
+        assert!(!parked(&tx), "the one wake-up was taken");
+        let (first, rest) = receiver.join().unwrap();
+        // The receiver woke to the whole batch: one lock put all of it on the queue.
+        assert!(matches!(first, Recv::Item(0)));
+        assert_eq!(rest.into_iter().collect::<Vec<_>>(), vec![1, 2, 3, 4]);
+        assert!(!tx.send_all([5, 6]), "the receiver is gone");
     }
 
     #[test]

@@ -7,31 +7,34 @@
 //! on both backends, and a pair of handlers compares the addresses of what they were handed.
 //!
 //! What still allocates, per CBCAST of a 16 B body (ARCHITECTURE.md, "Allocations per
-//! CBCAST", has the table):
+//! CBCAST", has the table, with which thread frees each one):
 //!
 //! * **the caller** (six on the simulator, seven on threads) — the body's bytes and the
 //!   `Bytes` around them, the payload's table (`Arc` + `Vec`), and on these harnesses the
 //!   boxed job that carries the call to the site (boxed once more to cross a thread) and
 //!   its destination list;
-//! * **the sending stack** (seven, once per multicast whatever the fan-out) — the table
-//!   growing to take the system fields, the `@protocol` string, `stamp_send`'s timestamp,
-//!   the frame writer's buffer and the `Bytes` it is frozen into, the frame's `Rc` and its
-//!   memo `Box`;
+//! * **the sending stack** (seven, once per multicast whatever the fan-out) — a table for
+//!   the user and system fields made on the stamping thread when the caller's has no room
+//!   for them (in place of growing the caller's), the `@protocol` string, `stamp_send`'s
+//!   timestamp, the frame writer's buffer and the `Bytes` it is frozen into, the frame's
+//!   `Rc` and its memo `Box`;
 //! * **a receiving site on the simulator** — nothing: it reads the typed value the frame was
 //!   born with, and the payload it delivers is the sender's table;
 //! * **a receiving site across a thread boundary** (six) — the arriving frame's `Rc`, its
 //!   memo `Box`, the decoded timestamp, the decoded payload's table (`Arc` + `Vec`) and the
 //!   `@protocol` string in it (the body aliases the receive buffer);
+//! * **the stability buffer** — nothing: a held copy is the frame's bytes, one refcount, and
+//!   sending to a peer in batches allocates nothing per packet either;
 //! * **the runtime** — one stability-gossip frame per site per tick however many groups the
 //!   site hosts (the entry list, the writer's buffer and the `Bytes` it is frozen into, the
 //!   frame's `Rc` and its memo `Box`; an entry shares its group's run list), a fraction of an
 //!   allocation per multicast when amortised over these streams; the heartbeat frame is
 //!   written once per stack; nothing per packet on either backend.
 //!
-//! That is 13.6 per CBCAST on the 8-site simulator (the parent commit: 35.5) and 20.4 on two
-//! threads (23.3).  An ABCAST adds a proposal frame per receiving site and one order frame —
-//! four allocations per frame born (buffer, `Bytes`, `Rc`, memo `Box`), none per frame read
-//! on the simulator — and its holdback entries: 53.6 on the simulator (68.6).
+//! That is 13.6 per CBCAST on the 8-site simulator (2.61 per delivery in release) and 20.3
+//! on two threads (10.15).  An ABCAST adds a proposal frame per receiving site and one order
+//! frame — four allocations per frame born (buffer, `Bytes`, `Rc`, memo `Box`), none per
+//! frame read on the simulator — and its holdback entries: 53.6 on the simulator.
 //!
 //! The simulator budget holds in debug and release builds alike and fails at the parent
 //! commit in both.  The threaded budget is a release-build figure: a debug build re-reads

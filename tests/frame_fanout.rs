@@ -254,8 +254,9 @@ fn sim_join_under_load_writes_one_commit_that_every_site_aliases() {
     // JoinReq, FlushReq (one frame to both participants), a FlushAck from each of the two
     // participants, and ONE FlushCommit: sent to three sites, applied at four, kept as the
     // bulletin at four and relayed by three, all as the frame the coordinator wrote.  The
-    // 24 held multicasts ride inside the acks and the commit as spliced bytes and come
-    // back out with the typed values they were born with.
+    // 24 held multicasts are held as bytes, ride inside the acks and the commit spliced,
+    // and are read only as far as their ids: every site had delivered them all, so the
+    // cut delivers, and parses, none.
     assert_eq!(
         since(before),
         [5, 0, 0, 0],
