@@ -436,6 +436,47 @@ impl DataPath {
         (undecided, held_back)
     }
 
+    /// Ends the gate without a commit: the flush this site acked was abandoned, so its
+    /// report went nowhere and nothing it held back waits for a cut any more.  Each CBCAST
+    /// received behind the gate is advertised and delivered, and each ABCAST decided behind
+    /// it is advertised and delivered in order.
+    pub(super) fn release_gate(&mut self, out: &mut Vec<EndpointOutput>) {
+        for stored in self.stab.unstable() {
+            let Ok(DataHeader { id, protocol }) = stored.header() else {
+                continue;
+            };
+            if self.stab.received().contains(id) {
+                continue;
+            }
+            match (protocol, stored.ab_priority) {
+                (ProtocolKind::Cbcast, _) => {
+                    self.stab.advertise(id);
+                    let Ok(frame) = stored.typed() else {
+                        continue;
+                    };
+                    if let Ok((
+                        _,
+                        ProtoMsg::CbData {
+                            sender,
+                            sender_rank,
+                            vt,
+                            payload,
+                            ..
+                        },
+                    )) = ProtoMsg::decode_frame(&frame)
+                    {
+                        self.receive_cbcast(id, *sender, *sender_rank as Rank, vt, payload, out);
+                    }
+                }
+                (ProtocolKind::Abcast, Some(priority)) => {
+                    self.stab.set_ab_priority(id, priority, true);
+                }
+                _ => {}
+            }
+        }
+        self.drain_abcasts(out);
+    }
+
     fn emit_delivery(
         &mut self,
         id: MsgId,

@@ -852,6 +852,59 @@ fn a_cbcast_held_since_the_ack_is_re_reported_to_a_takeover_coordinator() {
     }
 }
 
+/// Runs site `site`'s flush watchdog once the flush timeout has passed.
+fn time_out_flushes(c: &mut Cluster, sites: &[u16]) {
+    c.now = SimTime(c.now.0 + 200_000);
+    for s in sites {
+        c.exec(SiteId(*s), |ep, now, out| ep.flush_watchdog(now, out));
+    }
+}
+
+#[test]
+fn an_ack_for_an_abandoned_flush_is_answered_and_cuts_nobody_out() {
+    let mut c = Cluster::build_three_member_group();
+    c.suspect(0, &[2]); // a delay spike: site 0 starts a flush without site 2 ...
+    assert_eq!(c.queued(1, 0), ["flush-req"]);
+    c.hear(0, 2); // ... and abandons it when site 2 speaks again
+    c.step(1, 0); // the request arrives late, and site 1 acks it
+    c.cbcast(2, 7); // m reaches site 1 behind its ack, and is held
+    c.step(1, 2);
+    assert_eq!(c.delivered_bodies(SiteId(1)), Vec::<u64>::new());
+    c.step(0, 1); // site 0 answers an ack for an attempt it no longer runs
+    assert_eq!(c.queued(1, 0), ["flush-abandoned"]);
+    c.step(1, 0); // site 1 leaves the flush and delivers m
+    assert_eq!(c.delivered_bodies(SiteId(1)), vec![7]);
+    // Without the answer, site 1 would suspect the quiet site 0 here and cut it out.
+    time_out_flushes(&mut c, &[1]);
+    c.pump(false);
+    assert_eq!(c.one_total_order(&[0, 1, 2]), vec![7]);
+    for s in 0..3u16 {
+        let v = c.endpoints[&SiteId(s)].view().unwrap();
+        assert_eq!((v.seq(), v.members.len()), (3, 3), "site {s}");
+        assert!(!c.endpoints[&SiteId(s)].mode.flushing(), "site {s}");
+    }
+}
+
+#[test]
+fn a_coordinator_that_hears_no_ack_is_taken_over_by_the_sites_that_hear_it() {
+    let mut c = Cluster::build_three_member_group();
+    c.gbcast(0);
+    c.step(1, 0); // both sites ack ...
+    c.step(2, 0);
+    c.drop_channel(SiteId(0), SiteId(1)); // ... behind a one-way cut into site 0
+    c.drop_channel(SiteId(0), SiteId(2));
+    c.suspect(0, &[1, 2]); // site 0 hears nobody and wedges mid-flush
+    assert!(c.wedged(0));
+    time_out_flushes(&mut c, &[1, 2]); // sites 1 and 2 still hear site 0, yet take over
+    let cut_off = c.endpoints.remove(&SiteId(0)).expect("endpoint exists");
+    c.pump(false);
+    c.endpoints.insert(SiteId(0), cut_off);
+    for s in [1u16, 2] {
+        let v = c.endpoints[&SiteId(s)].view().unwrap();
+        assert_eq!((v.seq(), &v.members[..]), (4, &[member(1), member(2)][..]));
+    }
+}
+
 #[test]
 fn multicasts_issued_during_a_flush_are_delivered_in_the_next_view() {
     let mut c = Cluster::build_three_member_group();

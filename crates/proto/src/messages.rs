@@ -277,6 +277,14 @@ pub enum ProtoMsg {
         /// Messages received in the current view that are not known stable.
         stored: Vec<StoredMsg>,
     },
+    /// The answer to a `FlushAck` whose flush its initiator no longer runs: every attempt of
+    /// the initiator's below `attempt` was abandoned, so no commit will come from the ack.
+    FlushAbandoned {
+        /// Sequence number of the view the abandoned flush would have installed.
+        target_seq: u64,
+        /// The initiator's next attempt number: every attempt below it is over.
+        attempt: u64,
+    },
     /// Flush phase three: the coordinator distributes the agreed cut and the new view.
     FlushCommit {
         /// The new view; its sequence number is the one this flush installs.
@@ -486,6 +494,7 @@ impl ProtoMsg {
             ProtoMsg::GbcastReq { .. } => "gbcast-req",
             ProtoMsg::FlushReq { .. } => "flush-req",
             ProtoMsg::FlushAck { .. } => "flush-ack",
+            ProtoMsg::FlushAbandoned { .. } => "flush-abandoned",
             ProtoMsg::FlushCommit { .. } => "flush-commit",
             ProtoMsg::Stability { .. } => "stability",
             ProtoMsg::ReformSummary { .. } => "reform-summary",
@@ -599,6 +608,13 @@ impl ProtoMsg {
                 w.put_u64("ab-clock", *ab_clock);
                 put_list(&mut w, "stored", stored, put_stored);
             }
+            ProtoMsg::FlushAbandoned {
+                target_seq,
+                attempt,
+            } => {
+                w.put_u64("target-seq", *target_seq);
+                w.put_u64("attempt", *attempt);
+            }
             ProtoMsg::FlushCommit {
                 view,
                 deliver,
@@ -706,6 +722,10 @@ impl ProtoMsg {
                 from_site: get_site(&mut c, "from-site")?,
                 ab_clock: c.u64("ab-clock")?,
                 stored: get_list(&mut c, "stored", get_stored)?,
+            },
+            "flush-abandoned" => ProtoMsg::FlushAbandoned {
+                target_seq: c.u64("target-seq")?,
+                attempt: c.u64("attempt")?,
             },
             "flush-commit" => ProtoMsg::FlushCommit {
                 view: View::read_fields(&mut c)?,
@@ -919,6 +939,10 @@ mod tests {
             from_site: SiteId(1),
             ab_clock: 12,
             stored: stored.clone(),
+        });
+        roundtrip(ProtoMsg::FlushAbandoned {
+            target_seq: 4,
+            attempt: 2,
         });
         // An ack that lost its clock would let the commit settle an ABCAST below a priority
         // the reporter already delivered.

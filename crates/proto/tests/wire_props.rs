@@ -5,7 +5,7 @@
 //! (`ProtoMsg::encode`, then `codec::encode`).  That tree encoder lives on below as the
 //! executable specification of the wire format — including the `i{N}` element names of packed
 //! lists, which used to come from a 64-entry table — and for seeded arbitrary messages of all
-//! 14 variants the one-pass writer must agree with it byte for byte, the size model must
+//! 15 variants the one-pass writer must agree with it byte for byte, the size model must
 //! agree with the tree's `encoded_len`, the reader must give back the typed message, frames
 //! nested in a flush ack or commit must come back out as the bytes that went in, and no
 //! truncation may decode or panic.
@@ -153,6 +153,13 @@ fn reference_tree(msg: &ProtoMsg, group: GroupId) -> Message {
             m.set("from-site", from_site.0 as u64);
             m.set("ab-clock", *ab_clock);
             m.set("stored", pack_stored(stored));
+        }
+        ProtoMsg::FlushAbandoned {
+            target_seq,
+            attempt,
+        } => {
+            m.set("target-seq", *target_seq);
+            m.set("attempt", *attempt);
         }
         ProtoMsg::FlushCommit {
             view,
@@ -338,7 +345,7 @@ fn view(rng: &mut DetRng) -> View {
     v
 }
 
-/// Message `variant` (0..14), with `held` stored messages where the variant carries any.
+/// Message `variant` (0..15), with `held` stored messages where the variant carries any.
 fn arbitrary(rng: &mut DetRng, variant: usize, held: usize) -> ProtoMsg {
     match variant {
         0 | 1 => loop {
@@ -398,6 +405,10 @@ fn arbitrary(rng: &mut DetRng, variant: usize, held: usize) -> ProtoMsg {
             view_seq: rng.next_below(9),
             covered: frontier(rng),
             rank: rng.next_below(6),
+        },
+        13 => ProtoMsg::FlushAbandoned {
+            target_seq: rng.next_below(9),
+            attempt: rng.next_below(3),
         },
         _ => ProtoMsg::ReformAlive {
             contact: SiteId(rng.next_below(6) as u16),
@@ -491,7 +502,7 @@ fn check(msg: ProtoMsg, check_truncations: bool) {
 fn all_variants_agree_with_the_tree_encoder() {
     for seed in 0..40u64 {
         let mut rng = DetRng::new(seed);
-        for variant in 0..14 {
+        for variant in 0..15 {
             let held = [0, 1, 5][(seed % 3) as usize];
             check(arbitrary(&mut rng, variant, held), true);
         }

@@ -482,6 +482,10 @@ fn a_delay_spike_wedges_then_retracts_without_a_needless_view_change() {
         (0..SITES).all(|m| distinct_bodies(&observations, m).contains(&99))
     });
     assert!(ok, "post-spike multicast not delivered everywhere");
+    // Keep watching well past the flush timeout: a flush abandoned during the spike must
+    // not surface later as a takeover that cuts out a coordinator that only went quiet.
+    h.settle(Duration::from_secs(2));
+    drain(&rx, &mut observations);
 
     assert!(
         !observations
