@@ -4,7 +4,7 @@
 //! multicasts* it performs.  Figure 3 breaks an ABCAST down into link traversals and packet
 //! costs.  Both are regenerated from the counters collected here: the protocol layer calls
 //! [`SharedStats::count_multicast`] every time it initiates a CBCAST/ABCAST/GBCAST (or a reply),
-//! and the network model counts packets, fragments, bytes and retransmissions as they flow.
+//! and the network model counts packets, fragments and bytes as they flow.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -63,7 +63,7 @@ pub struct NetStats {
     pub multicasts: BTreeMap<ProtocolKind, u64>,
     /// Packets handed to the network, by kind.
     pub packets: BTreeMap<PacketKind, u64>,
-    /// Total packets sent (including retransmissions and fragments).
+    /// Total packets sent (fragments included).
     pub packets_sent: u64,
     /// Packets that crossed a site boundary.
     pub inter_site_packets: u64,
@@ -71,8 +71,6 @@ pub struct NetStats {
     pub intra_site_packets: u64,
     /// Fragments generated by large messages.
     pub fragments_sent: u64,
-    /// Packets lost and recovered by retransmission.
-    pub retransmissions: u64,
     /// Total payload bytes handed to the network.
     pub bytes_sent: u64,
     /// Messages delivered to application entry points.
@@ -117,12 +115,6 @@ impl NetStats {
             self.intra_site_packets += fragments.max(1);
         }
         self.bytes_sent += bytes;
-    }
-
-    /// Records a retransmission caused by packet loss.
-    pub(crate) fn count_retransmission(&mut self) {
-        self.retransmissions += 1;
-        self.packets_sent += 1;
     }
 
     /// Records a delivery to an application entry point.
@@ -180,7 +172,6 @@ impl NetStats {
         d.inter_site_packets = self.inter_site_packets - baseline.inter_site_packets;
         d.intra_site_packets = self.intra_site_packets - baseline.intra_site_packets;
         d.fragments_sent = self.fragments_sent - baseline.fragments_sent;
-        d.retransmissions = self.retransmissions - baseline.retransmissions;
         d.bytes_sent = self.bytes_sent - baseline.bytes_sent;
         d.deliveries = self.deliveries - baseline.deliveries;
         d.minority_wedges = self.minority_wedges - baseline.minority_wedges;
@@ -205,7 +196,6 @@ impl NetStats {
         self.inter_site_packets += other.inter_site_packets;
         self.intra_site_packets += other.intra_site_packets;
         self.fragments_sent += other.fragments_sent;
-        self.retransmissions += other.retransmissions;
         self.bytes_sent += other.bytes_sent;
         self.deliveries += other.deliveries;
         self.minority_wedges += other.minority_wedges;

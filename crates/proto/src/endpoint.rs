@@ -710,7 +710,18 @@ impl GroupEndpoint {
             ProtoMsg::FlushAbandoned {
                 target_seq,
                 attempt,
-            } => self.handle_flush_abandoned(now, from_site, *target_seq, *attempt, out),
+            } => {
+                // The initiator ran no attempt below `attempt` when it heard this site's
+                // ack.  If this site acked one, it leaves the flush and delivers what the ack
+                // held back; an initiator that never answers is left to the flush timeout.
+                let over = matches!(&self.mode, Mode::Acked { flush, .. }
+                    if flush.initiator.site == from_site && flush.attempt < *attempt);
+                if over && self.view.as_ref().map(|v| v.seq() + 1) == Some(*target_seq) {
+                    self.step(Input::Abandon);
+                    self.data.release_gate(out);
+                    self.start_flush_if_needed(now, out);
+                }
+            }
             ProtoMsg::FlushCommit { .. } => return self.apply_commit(now, frame, true, out),
             ProtoMsg::Stability {
                 from_site: reporter,
@@ -1019,9 +1030,8 @@ impl GroupEndpoint {
             Mode::Coordinating { flush, .. } if flush.target_seq == target_seq => {
                 flush.absorb_ack(from_site, stored, ab_clock)
             }
-            // An ack for a flush this site started and abandoned since: no commit will
-            // answer it, so say so, or the acked site would wait out the flush timeout and
-            // cut out a coordinator that is alive.
+            // An ack for a flush this site abandoned since: say so, or the acked site waits
+            // out the flush timeout and cuts out a coordinator that is alive.
             _ if self.view.as_ref().map(|v| v.seq() + 1) == Some(target_seq) => {
                 let abandoned = ProtoMsg::FlushAbandoned {
                     target_seq,
@@ -1036,28 +1046,6 @@ impl GroupEndpoint {
         if complete {
             self.complete_flush(now, out);
         }
-    }
-
-    /// The initiator at `from_site` ran no attempt below `attempt` any more when it heard
-    /// this site's ack: if this site acked one of them, it leaves the flush, delivers what
-    /// its ack held back, and carries on in the view.  A takeover is left to the flush
-    /// timeout, for an initiator that never answers.
-    fn handle_flush_abandoned(
-        &mut self,
-        now: SimTime,
-        from_site: SiteId,
-        target_seq: u64,
-        attempt: u64,
-        out: &mut Vec<EndpointOutput>,
-    ) {
-        let over = matches!(&self.mode, Mode::Acked { flush, .. }
-            if flush.initiator.site == from_site && flush.attempt < attempt);
-        if !over || self.view.as_ref().map(|v| v.seq() + 1) != Some(target_seq) {
-            return;
-        }
-        self.step(Input::Abandon);
-        self.data.release_gate(out);
-        self.start_flush_if_needed(now, out);
     }
 
     fn complete_flush(&mut self, now: SimTime, out: &mut Vec<EndpointOutput>) {

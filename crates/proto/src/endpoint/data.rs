@@ -389,22 +389,7 @@ impl DataPath {
                 // A CBCAST received here before the ack is delivered, or held back for a
                 // predecessor this loop may yet bring.
                 (ProtocolKind::Cbcast, _) if !self.stab.received().contains(id) => {
-                    let Ok(frame) = stored.typed() else {
-                        continue;
-                    };
-                    if let Ok((
-                        _,
-                        ProtoMsg::CbData {
-                            sender,
-                            sender_rank,
-                            vt,
-                            payload,
-                            ..
-                        },
-                    )) = ProtoMsg::decode_frame(&frame)
-                    {
-                        self.receive_cbcast(id, *sender, *sender_rank as Rank, vt, payload, out);
-                    }
+                    self.receive_stored_cbcast(id, stored, out);
                 }
                 // The commit's priority is final, even over a decision made here after the
                 // ack.  A commit always carries one for an ABCAST.  One received here and
@@ -451,22 +436,7 @@ impl DataPath {
             match (protocol, stored.ab_priority) {
                 (ProtocolKind::Cbcast, _) => {
                     self.stab.advertise(id);
-                    let Ok(frame) = stored.typed() else {
-                        continue;
-                    };
-                    if let Ok((
-                        _,
-                        ProtoMsg::CbData {
-                            sender,
-                            sender_rank,
-                            vt,
-                            payload,
-                            ..
-                        },
-                    )) = ProtoMsg::decode_frame(&frame)
-                    {
-                        self.receive_cbcast(id, *sender, *sender_rank as Rank, vt, payload, out);
-                    }
+                    self.receive_stored_cbcast(id, &stored, out);
                 }
                 (ProtocolKind::Abcast, Some(priority)) => {
                     self.stab.set_ab_priority(id, priority, true);
@@ -475,6 +445,31 @@ impl DataPath {
             }
         }
         self.drain_abcasts(out);
+    }
+
+    /// Runs a CBCAST held as a stored copy through the causal-order machine.
+    fn receive_stored_cbcast(
+        &mut self,
+        id: MsgId,
+        stored: &StoredMsg,
+        out: &mut Vec<EndpointOutput>,
+    ) {
+        let Ok(frame) = stored.typed() else {
+            return;
+        };
+        if let Ok((
+            _,
+            ProtoMsg::CbData {
+                sender,
+                sender_rank,
+                vt,
+                payload,
+                ..
+            },
+        )) = ProtoMsg::decode_frame(&frame)
+        {
+            self.receive_cbcast(id, *sender, *sender_rank as Rank, vt, payload, out);
+        }
     }
 
     fn emit_delivery(

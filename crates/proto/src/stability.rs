@@ -205,41 +205,29 @@ impl StabilityTracker {
     /// priority into flush acks.  If `advertise`, its id is gossiped from now on, and the
     /// copy goes at once if every peer has acknowledged it already.
     pub(crate) fn set_ab_priority(&mut self, id: MsgId, priority: u64, advertise: bool) {
-        if let Some((i, at)) = self.position(id) {
-            self.held[i].1[at].ab_priority = Some(priority);
-        }
-        if advertise {
-            self.advertise(id);
-        }
-    }
-
-    /// Gossips the id of a copy held without it from now on: an ABCAST once decided, or a
-    /// CBCAST kept back since a flush ack whose flush was abandoned.  The copy goes at once
-    /// if every peer has acknowledged it already.
-    pub(crate) fn advertise(&mut self, id: MsgId) {
-        if !Rc::make_mut(&mut self.received).insert(id)
-            || !self.peers.iter().all(|(_, acked)| acked.contains(id))
-        {
+        let stable = advertise
+            && Rc::make_mut(&mut self.received).insert(id)
+            && self.peers.iter().all(|(_, acked)| acked.contains(id));
+        let Ok(i) = self.held.binary_search_by_key(&id.origin, |(s, _)| *s) else {
             return;
-        }
-        if let Some((i, at)) = self.position(id) {
-            self.held[i].1.remove(at);
+        };
+        let queue = &mut self.held[i].1;
+        let Ok(at) = queue.binary_search_by_key(&id.seq, |h| h.seq) else {
+            return;
+        };
+        queue[at].ab_priority = Some(priority);
+        if stable {
+            queue.remove(at);
             self.held_count -= 1;
             self.rounds_since_release = 0;
         }
     }
 
-    /// Where the copy of `id` is held: its origin's queue and its place in it.
-    fn position(&self, id: MsgId) -> Option<(usize, usize)> {
-        let i = self
-            .held
-            .binary_search_by_key(&id.origin, |(s, _)| *s)
-            .ok()?;
-        let at = self.held[i]
-            .1
-            .binary_search_by_key(&id.seq, |h| h.seq)
-            .ok()?;
-        Some((i, at))
+    /// Advertises a CBCAST held without its id since a flush ack whose flush was abandoned,
+    /// and drops its copy if every peer has acknowledged it already.
+    pub(crate) fn advertise(&mut self, id: MsgId) {
+        Rc::make_mut(&mut self.received).insert(id);
+        self.release_stable();
     }
 
     /// The ids this site has received in this view (sent in stability gossip).  It keeps

@@ -1,123 +1,26 @@
-//! Fault injection for the runtime backends.
+//! Link faults and fault schedules for the runtime backends.
 //!
-//! The discrete-event simulator injects delay, loss and reordering through
-//! [`vsync_net::NetworkModel`]; real threads need the same knobs or the failure-scenario
-//! tests could only run under simulation.  A [`FaultPlan`] is evaluated by the *sending*
-//! transport for every cross-node packet, producing an extra delivery delay (and possibly
-//! an exemption from the per-channel FIFO clamp, which is what lets later packets overtake).
+//! What a link does to the packets it carries — delay, jitter, loss charged as
+//! retransmission timeouts, reordering — is a [`vsync_util::FaultPlan`], settled for every
+//! packet by [`vsync_net::Channels`] on both backends.  This module holds what the plan cannot
+//! say: the state of the cluster's links over time.
 //!
-//! Loss follows the simulator's model exactly: the channel stays reliable — the paper's
-//! system "tolerates message loss, but not partitioning", i.e. lost packets are recovered by
-//! retransmission — so a "dropped" packet is charged one retransmission timeout per lost
-//! attempt instead of disappearing.  Disappearing messages are modelled where the paper
-//! models them: by crashing whole sites ([`crate::threaded::ThreadedCluster::kill_site`]).
-//!
-//! *Partitions* go beyond the paper's fail-stop model: the quote above was true of ISIS
-//! in 1987, but this system no longer inherits the limitation.  [`LinkFaults`] cuts
-//! site-to-site links (symmetric or one-way) so traffic genuinely disappears instead of
-//! being retransmitted, and a [`NemesisSchedule`] composes timed partition / heal / crash /
-//! delay-spike events, coordinated kills included.  Both backends honor the cut at the
-//! sending side; the protocol layer's primary-partition rule (see `vsync-proto`'s endpoint)
-//! turns a cut into a wedged minority rather than split-brain.
-//!
-//! Decisions are drawn from a deterministic RNG seeded per node, so a node's *sequence* of
-//! fault decisions is reproducible even though thread interleaving is not (see the
-//! "where determinism ends" section of ARCHITECTURE.md).
+//! *Partitions* go beyond the paper's fail-stop model: the paper's system "tolerates message
+//! loss, but not partitioning", which was true of ISIS in 1987, but this system no longer
+//! inherits the limitation.  [`LinkFaults`] cuts site-to-site links (symmetric or one-way)
+//! so traffic genuinely disappears instead of being retransmitted, and holds every surviving
+//! inter-site packet for a delay spike.  A [`NemesisSchedule`] composes timed partition /
+//! heal / crash / delay-spike events, coordinated kills included.  Both backends ask the
+//! table one question per packet, at the sending side (`LinkFaults::hold`); the protocol
+//! layer's primary-partition rule (see `vsync-proto`'s endpoint) turns a cut into a wedged
+//! minority rather than split-brain.
 
 use std::collections::BTreeSet;
 
-use vsync_util::{DetRng, Duration, SiteId};
-
-/// What the fault injector decided for one packet.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FaultDecision {
-    /// Extra one-way delay beyond "now".
-    pub extra: Duration,
-    /// Whether the packet skips the per-channel FIFO clamp (deliberate reordering).
-    pub reordered: bool,
-}
-
-/// Configurable delay / loss / reordering injection for the threaded backend.
-#[derive(Clone, Copy, Debug)]
-pub struct FaultPlan {
-    /// Fixed one-way delay added to every cross-node packet.
-    pub delay: Duration,
-    /// Extra uniformly distributed delay in `[0, jitter)`.
-    pub jitter: Duration,
-    /// Probability that a packet attempt is lost and recovered by retransmission.
-    pub drop_probability: f64,
-    /// Timeout charged per lost attempt.
-    pub retransmit_timeout: Duration,
-    /// Probability that a packet is deliberately reordered: it bypasses the FIFO clamp and
-    /// is additionally held for `reorder_extra`, letting packets sent after it arrive first.
-    pub reorder_probability: f64,
-    /// Extra hold applied to reordered packets.
-    pub reorder_extra: Duration,
-}
-
-impl FaultPlan {
-    /// No injected faults: packets arrive as fast as the channels carry them, in FIFO
-    /// order per (src, dst) channel.
-    pub fn none() -> Self {
-        FaultPlan {
-            delay: Duration::ZERO,
-            jitter: Duration::ZERO,
-            drop_probability: 0.0,
-            retransmit_timeout: Duration::from_millis(5),
-            reorder_probability: 0.0,
-            reorder_extra: Duration::ZERO,
-        }
-    }
-
-    /// Sets the fixed delay.
-    pub fn with_delay(mut self, d: Duration) -> Self {
-        self.delay = d;
-        self
-    }
-
-    /// Sets the jitter bound.
-    pub fn with_jitter(mut self, d: Duration) -> Self {
-        self.jitter = d;
-        self
-    }
-
-    /// Sets the loss probability (clamped to `[0, 0.999]`).
-    pub fn with_drop(mut self, p: f64) -> Self {
-        self.drop_probability = p.clamp(0.0, 0.999);
-        self
-    }
-
-    /// Decides one packet's fate.
-    pub(crate) fn decide(&self, rng: &mut DetRng) -> FaultDecision {
-        let mut extra = self.delay;
-        if self.jitter > Duration::ZERO {
-            extra += Duration::from_micros(rng.next_below(self.jitter.as_micros()));
-        }
-        if self.drop_probability > 0.0 {
-            // Same shape as NetworkModel: each lost attempt costs one retransmission
-            // timeout, capped so a pathological probability cannot stall forever.
-            let mut attempts = 0u64;
-            while rng.chance(self.drop_probability) && attempts < 16 {
-                attempts += 1;
-            }
-            extra += self.retransmit_timeout.saturating_mul(attempts);
-        }
-        let reordered = self.reorder_probability > 0.0 && rng.chance(self.reorder_probability);
-        if reordered {
-            extra += self.reorder_extra;
-        }
-        FaultDecision { extra, reordered }
-    }
-}
-
-impl Default for FaultPlan {
-    fn default() -> Self {
-        FaultPlan::none()
-    }
-}
+use vsync_util::{Duration, SiteId};
 
 /// The current state of the cluster's links: which directed site pairs drop packets, and
-/// how much extra latency every surviving inter-site packet pays.
+/// how much extra latency every surviving inter-site packet pays.  The default is healthy.
 ///
 /// A cut is *directional* — `(src, dst)` present means packets from `src` to `dst`
 /// disappear — so asymmetric failures (A hears B, B does not hear A) are expressible.
@@ -133,11 +36,6 @@ pub struct LinkFaults {
 }
 
 impl LinkFaults {
-    /// Healthy links: nothing cut, no extra delay.
-    pub(crate) fn none() -> Self {
-        LinkFaults::default()
-    }
-
     /// Cuts the cluster into the given components: every link between sites in
     /// *different* components is cut in both directions; links within a component stay up.
     /// Sites not listed in any component keep all their links (they can still talk to
@@ -177,19 +75,18 @@ impl LinkFaults {
         self
     }
 
-    /// True if packets from `src` to `dst` are currently dropped.
-    pub(crate) fn blocks(&self, src: SiteId, dst: SiteId) -> bool {
-        src != dst && !self.cut.is_empty() && self.cut.contains(&(src, dst))
-    }
-
-    /// The extra latency surviving inter-site packets currently pay.
-    pub(crate) fn extra_delay(&self) -> Duration {
-        self.extra_delay
-    }
-
-    /// True if the table injects nothing at all (the hot-path fast case).
-    pub(crate) fn is_clear(&self) -> bool {
-        self.cut.is_empty() && self.extra_delay == Duration::ZERO
+    /// What the table does to a packet from `src` to `dst`: `None` if the link is cut, and
+    /// otherwise how long the packet is held before it leaves — the delay spike, on an
+    /// inter-site link.  A sender adds the hold to the send instant, so a packet sent after
+    /// a spike ends still queues behind one sent during it.
+    pub(crate) fn hold(&self, src: SiteId, dst: SiteId) -> Option<Duration> {
+        if src == dst {
+            Some(Duration::ZERO)
+        } else if self.cut.contains(&(src, dst)) {
+            None
+        } else {
+            Some(self.extra_delay)
+        }
     }
 }
 
@@ -316,7 +213,7 @@ impl NemesisSchedule {
                 true
             }
             NemesisEvent::Heal => {
-                *links = LinkFaults::none();
+                *links = LinkFaults::default();
                 true
             }
             NemesisEvent::DelaySpike { extra } => {
@@ -331,39 +228,6 @@ impl NemesisSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn no_faults_means_no_delay_and_no_reorder() {
-        let mut rng = DetRng::new(1);
-        for _ in 0..100 {
-            let d = FaultPlan::none().decide(&mut rng);
-            assert_eq!(d.extra, Duration::ZERO);
-            assert!(!d.reordered);
-        }
-    }
-
-    #[test]
-    fn jitter_stays_within_its_bound() {
-        let plan = FaultPlan::none()
-            .with_delay(Duration::from_micros(100))
-            .with_jitter(Duration::from_micros(50));
-        let mut rng = DetRng::new(2);
-        for _ in 0..200 {
-            let d = plan.decide(&mut rng);
-            assert!(d.extra >= Duration::from_micros(100));
-            assert!(d.extra < Duration::from_micros(150));
-        }
-    }
-
-    #[test]
-    fn loss_charges_retransmission_timeouts() {
-        let plan = FaultPlan::none().with_drop(0.9);
-        let mut rng = DetRng::new(3);
-        let delayed = (0..200)
-            .filter(|_| plan.decide(&mut rng).extra > Duration::ZERO)
-            .count();
-        assert!(delayed > 100, "90% loss must delay most packets: {delayed}");
-    }
 
     #[test]
     fn crash_schedules_order_and_window() {
@@ -399,27 +263,27 @@ mod tests {
     fn partitions_cut_across_components_only() {
         let links = LinkFaults::partition(&[vec![SiteId(0), SiteId(1)], vec![SiteId(2)]]);
         // Across components, both directions.
-        assert!(links.blocks(SiteId(0), SiteId(2)));
-        assert!(links.blocks(SiteId(2), SiteId(0)));
-        assert!(links.blocks(SiteId(1), SiteId(2)));
+        assert!(links.hold(SiteId(0), SiteId(2)).is_none());
+        assert!(links.hold(SiteId(2), SiteId(0)).is_none());
+        assert!(links.hold(SiteId(1), SiteId(2)).is_none());
         // Within a component, nothing.
-        assert!(!links.blocks(SiteId(0), SiteId(1)));
-        assert!(!links.blocks(SiteId(1), SiteId(0)));
+        assert!(links.hold(SiteId(0), SiteId(1)).is_some());
+        assert!(links.hold(SiteId(1), SiteId(0)).is_some());
         // A site outside every component keeps its links.
-        assert!(!links.blocks(SiteId(0), SiteId(3)));
-        assert!(!links.blocks(SiteId(3), SiteId(2)));
-        // Self-traffic is never cut.
-        assert!(!links.blocks(SiteId(2), SiteId(2)));
+        assert!(links.hold(SiteId(0), SiteId(3)).is_some());
+        assert!(links.hold(SiteId(3), SiteId(2)).is_some());
+        // Self-traffic is never cut or held.
+        assert_eq!(links.hold(SiteId(2), SiteId(2)), Some(Duration::ZERO));
     }
 
     #[test]
     fn one_way_cuts_are_directional() {
         let links = LinkFaults::one_way(&[SiteId(0)], &[SiteId(1), SiteId(2)]);
-        assert!(links.blocks(SiteId(0), SiteId(1)));
-        assert!(links.blocks(SiteId(0), SiteId(2)));
-        assert!(!links.blocks(SiteId(1), SiteId(0)));
-        assert!(!links.blocks(SiteId(2), SiteId(0)));
-        assert!(!links.blocks(SiteId(1), SiteId(2)));
+        assert!(links.hold(SiteId(0), SiteId(1)).is_none());
+        assert!(links.hold(SiteId(0), SiteId(2)).is_none());
+        assert!(links.hold(SiteId(1), SiteId(0)).is_some());
+        assert!(links.hold(SiteId(2), SiteId(0)).is_some());
+        assert!(links.hold(SiteId(1), SiteId(2)).is_some());
     }
 
     #[test]
@@ -447,12 +311,15 @@ mod tests {
             ]
         );
 
-        let mut links = LinkFaults::none();
+        let mut links = LinkFaults::default();
         NemesisSchedule::apply_to_links(&sched.events()[0].event, &mut links);
-        assert!(links.blocks(SiteId(0), SiteId(1)));
+        assert!(links.hold(SiteId(0), SiteId(1)).is_none());
         NemesisSchedule::apply_to_links(&sched.events()[1].event, &mut links);
-        assert!(links.blocks(SiteId(0), SiteId(1)), "spike keeps the cut");
-        assert_eq!(links.extra_delay(), spike);
+        assert!(
+            links.hold(SiteId(0), SiteId(1)).is_none(),
+            "spike keeps the cut"
+        );
+        assert_eq!(links.hold(SiteId(0), SiteId(2)), Some(spike));
         // A new partition carries the spike forward.
         NemesisSchedule::apply_to_links(
             &NemesisEvent::Partition {
@@ -460,10 +327,13 @@ mod tests {
             },
             &mut links,
         );
-        assert!(!links.blocks(SiteId(0), SiteId(1)));
-        assert_eq!(links.extra_delay(), spike);
+        assert_eq!(links.hold(SiteId(0), SiteId(1)), Some(spike));
         NemesisSchedule::apply_to_links(&sched.events()[2].event, &mut links);
-        assert!(links.is_clear(), "heal clears cuts and the spike");
+        assert_eq!(
+            links,
+            LinkFaults::default(),
+            "heal clears cuts and the spike"
+        );
 
         // Crashes do not touch the link table.
         assert!(!NemesisSchedule::apply_to_links(
@@ -489,22 +359,5 @@ mod tests {
         assert!(
             matches!(d.events()[1].event, NemesisEvent::DelaySpike { extra } if extra == Duration::ZERO)
         );
-    }
-
-    #[test]
-    fn decisions_are_deterministic_per_seed() {
-        let plan = FaultPlan {
-            reorder_probability: 0.02,
-            reorder_extra: Duration::from_millis(1),
-            ..FaultPlan::none()
-                .with_jitter(Duration::from_micros(400))
-                .with_drop(0.01)
-        };
-        let run = |seed| {
-            let mut rng = DetRng::new(seed);
-            (0..64).map(|_| plan.decide(&mut rng)).collect::<Vec<_>>()
-        };
-        assert_eq!(run(42), run(42));
-        assert_ne!(run(42), run(43));
     }
 }

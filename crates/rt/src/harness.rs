@@ -28,11 +28,11 @@ use vsync_core::{
 use vsync_net::{NetStats, Outbox, SharedStats};
 use vsync_proto::ProtoConfig;
 use vsync_util::{
-    Duration, EntryId, GroupId, LatencyProfile, NetParams, ProcessId, Rank, Result, SimTime,
-    SiteId, VsError,
+    Duration, EntryId, FaultPlan, GroupId, LatencyProfile, NetParams, ProcessId, Rank, Result,
+    SimTime, SiteId, VsError,
 };
 
-use crate::faults::{FaultPlan, LinkFaults, NemesisEvent, NemesisSchedule};
+use crate::faults::{LinkFaults, NemesisEvent, NemesisSchedule};
 use crate::sim::SimCluster;
 use crate::threaded::{NodeReport, ThreadedCluster};
 use crate::transport::invoke_fn;
@@ -65,7 +65,7 @@ pub trait IsisRuntime {
     /// True if the site is currently operational.
     fn site_is_up(&self, site: SiteId) -> bool;
 
-    /// Installs a link-level partition table (`LinkFaults::none` heals every link).
+    /// Installs a link table of cuts and delay spikes (`LinkFaults::default()` heals every link).
     fn set_link_faults(&mut self, links: LinkFaults);
 }
 
@@ -614,7 +614,7 @@ impl<R: IsisRuntime> IsisHarness<R> {
     /// end their schedule with [`NemesisEvent::Heal`].
     pub fn run_nemesis(&mut self, schedule: &NemesisSchedule) {
         let mut elapsed = Duration::ZERO;
-        let mut links = LinkFaults::none();
+        let mut links = LinkFaults::default();
         for ev in schedule.events() {
             if ev.after > elapsed {
                 self.rt.advance(Duration::from_micros(

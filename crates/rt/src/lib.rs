@@ -7,9 +7,11 @@
 //! * [`sim`] — the discrete-event simulation: deterministic virtual time over `vsync-net`'s
 //!   calendar queue and network model.  Properties are proved here.
 //! * [`threaded`] — one OS thread per site; packets are serialized through the toolkit
-//!   codec and flow over lock-protected channels (`parking_lot` mutexes), with configurable
-//!   delay / loss / reordering injection at the sending side.  Properties are *exercised
-//!   under real concurrency* here.
+//!   codec and flow over lock-protected channels (`parking_lot` mutexes).  Properties are
+//!   *exercised under real concurrency* here.
+//!
+//! Both inject the same link faults at the sending side: a [`FaultPlan`] settled by
+//! `vsync-net`'s `Channels`, and the [`LinkFaults`] table.
 //!
 //! Layering:
 //!
@@ -19,8 +21,7 @@
 //!   as the threaded backend's wire.
 //! * [`wire`] — packet serialization for thread-boundary crossings; keeps every `Rc`-based
 //!   protocol structure provably thread-local.
-//! * [`faults`] — fault injection: delay / loss / reorder plans for the threaded backend,
-//!   link-level partitions ([`LinkFaults`]) honored by both backends, and timed
+//! * [`faults`] — the link table ([`LinkFaults`]: cuts and delay spikes) and timed
 //!   partition / heal / crash / delay-spike schedules ([`NemesisSchedule`]).
 //! * [`harness`] — backend-generic stack construction and toolkit operations
 //!   ([`IsisHarness`]), so scenarios (including the cross-backend conformance tests) are
@@ -44,12 +45,11 @@ pub mod threaded;
 pub mod transport;
 pub mod wire;
 
-pub use faults::{
-    FaultDecision, FaultPlan, LinkFaults, NemesisEvent, NemesisSchedule, ScheduledNemesis,
-};
+pub use faults::{LinkFaults, NemesisEvent, NemesisSchedule, ScheduledNemesis};
 pub use harness::{IsisHarness, IsisRuntime, SimRuntime, StackJob, ThreadedRuntime};
 pub use invariants::{InvariantViolation, MemberTimeline, PartitionInvariants};
 pub use sim::{SimCluster, SimTransport};
 pub use threaded::{NodeReport, ThreadedCluster, ThreadedTransport};
 pub use transport::{Event, InvokeFn, Node, Transport};
+pub use vsync_util::FaultPlan;
 pub use wire::WirePacket;

@@ -1,13 +1,14 @@
 //! The discrete-event simulation backend behind the [`Transport`] trait.
 //!
-//! The [`CalendarQueue`] event loop and the [`NetworkModel`] latency/loss/fragmentation
-//! model, behind the per-node [`Transport`] interface, so the *same* [`Node`] driver that
-//! runs on an OS thread in the threaded backend runs here under a deterministic scheduler.
-//! Virtual time, seeded randomness and single-threaded execution make every run exactly
-//! reproducible, which is what the cross-backend conformance tests lean on: prove a property
-//! here, then check the threaded backend preserves it under real concurrency.  This is the
-//! only simulator: every test, example, application and the paper reproduction (`repro`)
-//! runs on it.
+//! The [`CalendarQueue`] event loop and the [`NetworkModel`] latency/fragmentation model,
+//! behind the per-node [`Transport`] interface, so the *same* [`Node`] driver that runs on an
+//! OS thread in the threaded backend runs here under a deterministic scheduler.  The link
+//! faults are the threaded backend's too: the profile's [`vsync_util::FaultPlan`], settled by
+//! the model's [`vsync_net::Channels`], and the [`LinkFaults`] table.  Virtual time, seeded
+//! randomness and single-threaded execution make every run exactly reproducible, which is
+//! what the cross-backend conformance tests lean on: prove a property here, then check the
+//! threaded backend preserves it under real concurrency.  This is the only simulator: every
+//! test, example, application and the paper reproduction (`repro`) runs on it.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -62,22 +63,14 @@ impl Transport for SimTransport {
 
     fn send(&mut self, pkt: Packet) {
         let mut core = self.core.borrow_mut();
-        let now = core.now;
         // A cut link swallows the packet at the sender, like a send racing a crash: no
         // retransmission charge, no arrival, no trace of it in the calendar.
-        if !core.links.is_clear() {
-            if core.links.blocks(pkt.src.site, pkt.dst.site) {
-                return;
-            }
-            if pkt.src.site != pkt.dst.site && core.links.extra_delay() > Duration::ZERO {
-                let extra = core.links.extra_delay();
-                let plan = core.net.plan_delivery(now, &pkt);
-                core.queue.push(plan.arrival + extra, SimEv::Pkt(pkt));
-                return;
-            }
-        }
-        let plan = core.net.plan_delivery(now, &pkt);
-        core.queue.push(plan.arrival, SimEv::Pkt(pkt));
+        let Some(hold) = core.links.hold(pkt.src.site, pkt.dst.site) else {
+            return;
+        };
+        let sent = core.now + hold;
+        let arrival = core.net.plan_delivery(sent, &pkt);
+        core.queue.push(arrival, SimEv::Pkt(pkt));
     }
 
     fn set_timer(&mut self, after: Duration, token: u64) {
@@ -118,7 +111,7 @@ impl SimCluster {
             net: NetworkModel::new(params, stats.clone(), seed),
             epochs: vec![0; num_sites],
             stats,
-            links: LinkFaults::none(),
+            links: LinkFaults::default(),
         };
         SimCluster {
             core: Rc::new(RefCell::new(core)),
@@ -283,7 +276,7 @@ mod tests {
     use std::any::Any;
     use vsync_msg::Message;
     use vsync_net::PacketKind;
-    use vsync_util::ProcessId;
+    use vsync_util::{FaultPlan, ProcessId};
 
     struct Echo {
         received: Vec<(SimTime, String)>,
@@ -621,7 +614,7 @@ mod tests {
             .unwrap();
         assert_eq!(got, 0, "a cut link swallows the packet");
 
-        c.set_link_faults(LinkFaults::none());
+        c.set_link_faults(LinkFaults::default());
         c.with_node::<Echo, _>(SiteId(0), |_h, _now, out| {
             out.send(Packet::new(
                 a,
@@ -669,7 +662,7 @@ mod tests {
             let mut c = two_sites();
             let a = ProcessId::new(SiteId(0), 0);
             let b = ProcessId::new(SiteId(1), 0);
-            c.set_link_faults(LinkFaults::none().with_extra_delay(spike));
+            c.set_link_faults(LinkFaults::default().with_extra_delay(spike));
             c.with_node::<Echo, _>(SiteId(0), |_h, _now, out| {
                 out.send(Packet::new(
                     a,
@@ -691,9 +684,47 @@ mod tests {
     }
 
     #[test]
+    fn one_link_stays_fifo_across_the_end_of_a_delay_spike() {
+        let mut c = two_sites();
+        let a = ProcessId::new(SiteId(0), 0);
+        let b = ProcessId::new(SiteId(1), 0);
+        let send = |c: &mut SimCluster, body: &'static str| {
+            c.with_node::<Echo, _>(SiteId(0), |_h, _now, out| {
+                out.send(Packet::new(
+                    a,
+                    b,
+                    PacketKind::Data,
+                    Message::with_body(body),
+                ));
+            });
+        };
+        c.set_link_faults(LinkFaults::default().with_extra_delay(Duration::from_millis(100)));
+        send(&mut c, "first");
+        c.set_link_faults(LinkFaults::default());
+        send(&mut c, "second");
+        c.run_until(SimTime(1_000_000));
+        let got: Vec<String> = c
+            .with_node::<Echo, _>(SiteId(1), |h, _n, _o| {
+                h.received.iter().map(|(_, body)| body.clone()).collect()
+            })
+            .unwrap();
+        assert_eq!(
+            got,
+            ["first", "second"],
+            "a packet sent after the spike queues behind"
+        );
+    }
+
+    #[test]
     fn same_seed_same_schedule() {
         let run = |seed: u64| {
-            let mut c = SimCluster::new(2, NetParams::modern().with_loss(0.1), seed);
+            let params = NetParams {
+                faults: FaultPlan::none()
+                    .with_drop(0.1)
+                    .with_jitter(Duration::from_micros(200)),
+                ..NetParams::modern()
+            };
+            let mut c = SimCluster::new(2, params, seed);
             c.install(SiteId(0), Echo::boxed());
             c.install(SiteId(1), Echo::boxed());
             let a = ProcessId::new(SiteId(0), 0);
@@ -708,5 +739,6 @@ mod tests {
                 .unwrap()
         };
         assert_eq!(run(9), run(9), "identical seeds replay identically");
+        assert_ne!(run(9), run(10), "with faults, the seed picks the schedule");
     }
 }

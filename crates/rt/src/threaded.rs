@@ -26,11 +26,11 @@
 //! exactly like a fail-stop site.  Subsequent sends to the site, buffered ones included, are
 //! silently dropped at the router, and [`ThreadedCluster::spawn_site`] on the empty slot
 //! models site recovery.
-//! Link-level faults (delay / loss / reordering) are injected by the sending transport
-//! according to a [`FaultPlan`].  Partitions ([`crate::faults::LinkFaults`]) live on the
-//! router: [`ThreadedCluster::set_link_faults`] swaps the shared cut table, and each
-//! sending transport consults it when a packet is sent, before buffering it — a cut link
-//! drops the packet at the sender, exactly where the simulator drops it.
+//! Link faults are the simulator's, applied where it applies them.  The link table
+//! ([`crate::faults::LinkFaults`]) lives on the router, swapped by
+//! [`ThreadedCluster::set_link_faults`]; a sending transport asks it about each packet before
+//! buffering it, so a cut link drops the packet at the sender.  Then the transport's own
+//! [`Channels`] apply the cluster's [`FaultPlan`] and keep each channel FIFO.
 
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -40,11 +40,11 @@ use std::time::Instant;
 
 use parking_lot::RwLock;
 
-use vsync_net::{Packet, SiteHandler};
-use vsync_util::{DetRng, Duration, FastHashMap, ProcessId, SimTime, SiteId};
+use vsync_net::{Channels, Packet, SiteHandler};
+use vsync_util::{Duration, FaultPlan, SimTime, SiteId};
 
 use crate::chan::{self, Receiver, Recv, Sender};
-use crate::faults::{FaultPlan, LinkFaults};
+use crate::faults::LinkFaults;
 use crate::transport::{Event, InvokeFn, Node, Transport};
 use crate::wire::WirePacket;
 
@@ -72,28 +72,24 @@ impl Router {
         Router {
             start: Instant::now(),
             slots: RwLock::new((0..num_sites).map(|_| None).collect()),
-            links: RwLock::new(LinkFaults::none()),
+            links: RwLock::new(LinkFaults::default()),
             links_active: AtomicBool::new(false),
         }
     }
 
     fn set_links(&self, links: LinkFaults) {
-        let active = !links.is_clear();
+        let active = links != LinkFaults::default();
         *self.links.write() = links;
         self.links_active.store(active, Ordering::Release);
     }
 
-    /// `true` if the current partition table cuts the `src -> dst` link.
-    fn link_blocks(&self, src: SiteId, dst: SiteId) -> bool {
-        self.links_active.load(Ordering::Acquire) && self.links.read().blocks(src, dst)
-    }
-
-    /// Extra one-way delay currently charged to surviving cross-site links.
-    fn link_extra_delay(&self) -> Duration {
+    /// What the link table does to a packet from `src` to `dst` ([`LinkFaults::hold`]).  A
+    /// healed cluster answers without taking the lock.
+    fn link_hold(&self, src: SiteId, dst: SiteId) -> Option<Duration> {
         if self.links_active.load(Ordering::Acquire) {
-            self.links.read().extra_delay()
+            self.links.read().hold(src, dst)
         } else {
-            Duration::ZERO
+            Some(Duration::ZERO)
         }
     }
 
@@ -105,11 +101,6 @@ impl Router {
     /// Maps a cluster timestamp back onto the wall clock (for channel wait deadlines).
     fn instant_of(&self, t: SimTime) -> Instant {
         self.start + std::time::Duration::from_micros(t.0)
-    }
-
-    /// Sends to a site's channel; `false` (message dropped) if the site is down.
-    fn send_to(&self, site: SiteId, msg: NodeMsg) -> bool {
-        self.send_all_to(site, [msg])
     }
 
     /// Sends a batch to a site's channel in order, under one lock and with at most one
@@ -178,16 +169,13 @@ pub struct ThreadedTransport {
     /// What the last look at the channel brought in and `recv` has not filed yet.  The
     /// channel is emptied in one lock acquisition per pass, not one per message.
     inbox: VecDeque<NodeMsg>,
-    faults: FaultPlan,
-    rng: DetRng,
+    /// This node's sending side of its channels: the cluster's fault plan and the FIFO
+    /// clamp per (src, dst), seeded per incarnation.
+    channels: Channels,
     timers: BinaryHeap<TimerEntry>,
     held: BinaryHeap<HeldPacket>,
     /// Same-site loopback: local traffic never crosses the wire (or the codec).
     local: VecDeque<Packet>,
-    /// Latest promised delivery instant per (src, dst) channel, so injected jitter cannot
-    /// reorder a channel that the network model would keep FIFO (mirrors
-    /// `NetworkModel::channel_front`); deliberate reordering bypasses the clamp.
-    channel_front: FastHashMap<(ProcessId, ProcessId), SimTime>,
     seq: u64,
     /// The wall clock as last read by [`Transport::recv`]: one reading per event serves the
     /// due check, the handler's `now`, every `deliver_at` and every timer the event arms.
@@ -218,12 +206,10 @@ impl ThreadedTransport {
             router,
             rx,
             inbox: VecDeque::new(),
-            faults,
-            rng: DetRng::new(seed),
+            channels: Channels::new(faults, seed),
             timers: BinaryHeap::new(),
             held: BinaryHeap::new(),
             local: VecDeque::new(),
-            channel_front: FastHashMap::default(),
             seq: 0,
             outgoing: Vec::new(),
             unsent: 0,
@@ -325,29 +311,15 @@ impl Transport for ThreadedTransport {
             self.local.push_back(pkt);
             return;
         }
-        // Partition table: a cut link swallows the packet at the sender, like the sim.
+        // Link table: a cut link swallows the packet at the sender, like the sim.
         // Control-plane `NodeMsg::Invoke` traffic never passes through here, so harness
         // queries keep working across a partition.
-        if self.router.link_blocks(self.site, pkt.dst.site) {
+        let Some(hold) = self.router.link_hold(self.site, pkt.dst.site) else {
             return;
-        }
-        let decision = self.faults.decide(&mut self.rng);
-        let mut deliver_at = self.now() + decision.extra + self.router.link_extra_delay();
-        let key = (pkt.src, pkt.dst);
-        if decision.reordered {
-            // Deliberately reordered: bypass the FIFO clamp *and leave it untouched*, so
-            // packets sent later keep their earlier delivery instants and can overtake.
-            // Folding this packet's (inflated) instant into the clamp would push every
-            // later packet behind it and quietly restore FIFO.
-        } else if let Some(front) = self.channel_front.get_mut(&key) {
-            if deliver_at < *front {
-                deliver_at = *front;
-            } else {
-                *front = deliver_at;
-            }
-        } else {
-            self.channel_front.insert(key, deliver_at);
-        }
+        };
+        let deliver_at = self
+            .channels
+            .deliver_at(pkt.src, pkt.dst, self.now() + hold);
         let wire = WirePacket::from_packet(&pkt, deliver_at);
         self.packets_sent += 1;
         self.wire_bytes_sent += wire.wire_len() as u64;
@@ -519,10 +491,10 @@ impl ThreadedCluster {
     /// Injects a control-plane closure into a node's event loop.  Returns `false` if the
     /// site is down (the closure is dropped, like any packet to a crashed site).
     pub fn invoke(&self, site: SiteId, f: InvokeFn) -> bool {
-        self.router.send_to(site, NodeMsg::Invoke(f))
+        self.router.send_all_to(site, [NodeMsg::Invoke(f)])
     }
 
-    /// Installs a link-level partition table; `LinkFaults::none` heals all links.
+    /// Installs a link table (cuts and delay spikes); `LinkFaults::default()` heals all links.
     /// Takes effect for packets sent after the call; packets already queued or held at
     /// the receiver still arrive (a real cut cannot recall in-flight datagrams either).
     pub fn set_link_faults(&self, links: LinkFaults) {
@@ -585,6 +557,7 @@ mod tests {
     use std::sync::mpsc;
     use vsync_msg::Message;
     use vsync_net::{Outbox, PacketKind};
+    use vsync_util::ProcessId;
 
     /// Echoes every "ping" back to its sender and reports everything it sees.
     struct Echo {
@@ -917,7 +890,7 @@ mod tests {
             rx.try_iter().all(|(_, body)| body != "cut-ping"),
             "packet across a cut link must be swallowed"
         );
-        cluster.set_link_faults(LinkFaults::none());
+        cluster.set_link_faults(LinkFaults::default());
         ping(&cluster, "heal-ping");
         assert!(
             wait_for(&rx, "heal-ping").is_some(),

@@ -1,4 +1,4 @@
-//! Network latency / bandwidth profiles.
+//! Network latency / bandwidth profiles, and the faults an inter-site link injects.
 //!
 //! The paper's performance figures (Section 7, Figures 2 and 3) were measured on four SUN
 //! 3/50 workstations connected by a 10 Mbit Ethernet, with a measured cost of roughly 10 ms
@@ -7,6 +7,7 @@
 //! reproduces exactly that model so the benchmark harness can regenerate the figures'
 //! shapes; [`LatencyProfile::Modern`] is a faster profile used by the examples and most
 //! tests so they run quickly.
+//! A [`FaultPlan`] adds what an inter-site link does on top: delay, jitter, loss, reordering.
 
 use serde::{Deserialize, Serialize};
 
@@ -37,11 +38,9 @@ pub struct NetParams {
     pub fragment_size: usize,
     /// Link bandwidth in bytes per second (per-packet serialization delay = size/bandwidth).
     pub bandwidth_bytes_per_sec: u64,
-    /// Probability that a packet is dropped on an inter-site link (retransmission recovers
-    /// it; the paper's system tolerates message loss but not partitions).
-    pub loss_probability: f64,
-    /// Retransmission timeout used by the reliable inter-site channel.
-    pub retransmit_timeout: Duration,
+    /// What every inter-site link injects on top of the latency model (none in every
+    /// profile).
+    pub faults: FaultPlan,
     /// Interval between failure-detector heartbeats.
     pub heartbeat_interval: Duration,
     /// Initial failure-detection timeout (the detector adapts it upward under load).
@@ -59,8 +58,7 @@ impl NetParams {
                 inter_site_delay: Duration::from_millis(16),
                 fragment_size: 4 * 1024,
                 bandwidth_bytes_per_sec: 10_000_000 / 8,
-                loss_probability: 0.0,
-                retransmit_timeout: Duration::from_millis(200),
+                faults: FaultPlan::none(),
                 heartbeat_interval: Duration::from_millis(500),
                 failure_timeout: Duration::from_millis(2_000),
                 cpu_per_packet: Duration::from_millis(1),
@@ -70,8 +68,7 @@ impl NetParams {
                 inter_site_delay: Duration::from_micros(50),
                 fragment_size: 64 * 1024,
                 bandwidth_bytes_per_sec: 1_250_000_000,
-                loss_probability: 0.0,
-                retransmit_timeout: Duration::from_millis(5),
+                faults: FaultPlan::none(),
                 heartbeat_interval: Duration::from_millis(10),
                 failure_timeout: Duration::from_millis(50),
                 cpu_per_packet: Duration::from_micros(1),
@@ -81,8 +78,7 @@ impl NetParams {
                 inter_site_delay: Duration::ZERO,
                 fragment_size: usize::MAX,
                 bandwidth_bytes_per_sec: u64::MAX,
-                loss_probability: 0.0,
-                retransmit_timeout: Duration::from_millis(1),
+                faults: FaultPlan::none(),
                 heartbeat_interval: Duration::from_millis(10),
                 failure_timeout: Duration::from_millis(50),
                 cpu_per_packet: Duration::ZERO,
@@ -103,12 +99,6 @@ impl NetParams {
     /// Builds the instant profile.
     pub fn instant() -> Self {
         Self::for_profile(LatencyProfile::Instant)
-    }
-
-    /// Sets the packet loss probability (clamped to `[0, 1)`).
-    pub fn with_loss(mut self, p: f64) -> Self {
-        self.loss_probability = p.clamp(0.0, 0.999);
-        self
     }
 
     /// Number of fragments a message of `len` bytes is split into.
@@ -133,6 +123,57 @@ impl NetParams {
 impl Default for NetParams {
     fn default() -> Self {
         NetParams::modern()
+    }
+}
+
+/// Delay, jitter, loss and reordering injected on an inter-site link, decided per packet by
+/// the sending side from a seeded RNG.
+///
+/// Loss keeps the channel reliable — the paper's system "tolerates message loss, but not
+/// partitioning" — so a lost attempt costs [`FaultPlan::RETRANSMIT_TIMEOUT`] of delay rather
+/// than the packet.  Packets that disappear are a partition's business (the runtime's link
+/// table), or a crashed site's.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct FaultPlan {
+    /// Fixed one-way delay added to every packet.
+    pub delay: Duration,
+    /// Extra uniformly distributed delay in `[0, jitter)`.
+    pub jitter: Duration,
+    /// Probability that a packet attempt is lost and recovered by retransmission.
+    pub drop_probability: f64,
+    /// Probability that a packet is deliberately reordered: it skips the per-channel FIFO
+    /// clamp and is held for `reorder_extra` more, so packets sent after it can arrive first.
+    pub reorder_probability: f64,
+    /// Extra hold applied to reordered packets.
+    pub reorder_extra: Duration,
+}
+
+impl FaultPlan {
+    /// Delay charged per lost attempt.
+    pub const RETRANSMIT_TIMEOUT: Duration = Duration::from_millis(5);
+
+    /// No injected faults: packets arrive as fast as the channels carry them, in FIFO order
+    /// per (src, dst) channel, and no decision draws from the RNG.
+    pub fn none() -> Self {
+        FaultPlan::default()
+    }
+
+    /// Sets the fixed delay.
+    pub fn with_delay(mut self, d: Duration) -> Self {
+        self.delay = d;
+        self
+    }
+
+    /// Sets the jitter bound.
+    pub fn with_jitter(mut self, d: Duration) -> Self {
+        self.jitter = d;
+        self
+    }
+
+    /// Sets the loss probability (clamped to `[0, 0.999]`).
+    pub fn with_drop(mut self, p: f64) -> Self {
+        self.drop_probability = p.clamp(0.0, 0.999);
+        self
     }
 }
 
@@ -173,9 +214,9 @@ mod tests {
 
     #[test]
     fn loss_is_clamped() {
-        let p = NetParams::modern().with_loss(5.0);
-        assert!(p.loss_probability < 1.0);
-        let p = NetParams::modern().with_loss(-1.0);
-        assert_eq!(p.loss_probability, 0.0);
+        let p = FaultPlan::none().with_drop(5.0);
+        assert!(p.drop_probability < 1.0);
+        let p = FaultPlan::none().with_drop(-1.0);
+        assert_eq!(p.drop_probability, 0.0);
     }
 }

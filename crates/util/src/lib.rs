@@ -10,7 +10,7 @@
 //! * [`clock`] — the per-view vector clocks CBCAST orders by.
 //! * [`error`] — the common error type.
 //! * [`config`] — latency/bandwidth profiles, including the 1987 profile used to reproduce
-//!   the paper's Figures 2 and 3.
+//!   the paper's Figures 2 and 3, and the fault plan of an inter-site link.
 //! * [`rng`] — a small deterministic RNG so simulations are reproducible from a seed.
 //! * [`hash`] — a fast non-cryptographic hasher for hot-path maps keyed by toolkit ids.
 
@@ -23,7 +23,7 @@ pub mod rng;
 pub mod time;
 
 pub use clock::VectorClock;
-pub use config::{LatencyProfile, NetParams};
+pub use config::{FaultPlan, LatencyProfile, NetParams};
 pub use error::{Result, VsError};
 pub use hash::{FastHashMap, FastHashSet, IdBuildHasher, IdHasher};
 pub use ids::{Address, EntryId, GroupId, Incarnation, ProcessId, Rank, SiteId, ViewId};

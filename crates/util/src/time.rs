@@ -47,7 +47,7 @@ impl Duration {
     }
 
     /// Builds a duration from milliseconds.
-    pub fn from_millis(ms: u64) -> Self {
+    pub const fn from_millis(ms: u64) -> Self {
         Duration(ms * 1_000)
     }
 

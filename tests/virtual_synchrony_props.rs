@@ -13,18 +13,22 @@ use vsync_core::{
     Duration, EntryId, GroupId, Message, NetParams, ProcessId, ProtocolKind, SiteId, StackConfig,
 };
 use vsync_proto::ProtoConfig;
-use vsync_rt::{IsisHarness, IsisRuntime, SimRuntime};
+use vsync_rt::{FaultPlan, IsisHarness, IsisRuntime, SimRuntime};
 
 const APPLY: EntryId = EntryId(2);
 
 type Log = Rc<RefCell<Vec<u64>>>;
 
+/// `n` members in one group on the simulator, every inter-site link under `faults`.
 fn deploy_with(
     seed: u64,
-    loss: f64,
+    faults: FaultPlan,
     n: usize,
 ) -> (IsisHarness<SimRuntime>, GroupId, Vec<ProcessId>, Vec<Log>) {
-    let params = NetParams::modern().with_loss(loss);
+    let params = NetParams {
+        faults,
+        ..NetParams::modern()
+    };
     let mut sys = IsisHarness::new(SimRuntime::new(
         n,
         params,
@@ -56,15 +60,24 @@ fn deploy_with(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// ABCAST delivers the same total order at every member, for any seed, sender mix and
-    /// (recoverable) packet-loss rate.
+    /// ABCAST delivers the same total order at every member, for any seed, sender mix,
+    /// (recoverable) packet-loss rate, jitter and share of reordered packets.
     #[test]
     fn abcast_total_order_holds_under_loss_and_any_seed(
         seed in 0u64..1_000,
         loss in 0.0f64..0.2,
+        jitter_us in 0u64..400,
+        reorder in 0.0f64..0.1,
         sender_picks in proptest::collection::vec(0usize..3, 6..15),
     ) {
-        let (mut sys, gid, members, logs) = deploy_with(seed, loss, 3);
+        let faults = FaultPlan {
+            reorder_probability: reorder,
+            reorder_extra: Duration::from_millis(1),
+            ..FaultPlan::none()
+                .with_drop(loss)
+                .with_jitter(Duration::from_micros(jitter_us))
+        };
+        let (mut sys, gid, members, logs) = deploy_with(seed, faults, 3);
         for (i, pick) in sender_picks.iter().enumerate() {
             sys.client_send(
                 members[*pick],
@@ -84,13 +97,16 @@ proptest! {
 
     /// When a member crashes mid-stream, every survivor delivers exactly the same set of
     /// messages (atomicity + the virtual synchrony cut), and all survivors agree on the view.
+    /// Jitter makes the seed pick the interleaving.
     #[test]
     fn survivors_agree_on_deliveries_across_a_crash(
         seed in 0u64..1_000,
+        jitter_us in 0u64..300,
         crash_after in 1usize..8,
         total in 8usize..16,
     ) {
-        let (mut sys, gid, members, logs) = deploy_with(seed, 0.0, 4);
+        let faults = FaultPlan::none().with_jitter(Duration::from_micros(jitter_us));
+        let (mut sys, gid, members, logs) = deploy_with(seed, faults, 4);
         for i in 0..total {
             sys.client_send(
                 members[i % 4],
@@ -138,7 +154,7 @@ proptest! {
 #[test]
 fn per_sender_fifo_holds_for_every_seed_in_a_sweep() {
     for seed in 0..5u64 {
-        let (mut sys, gid, members, logs) = deploy_with(seed, 0.05, 3);
+        let (mut sys, gid, members, logs) = deploy_with(seed, FaultPlan::none().with_drop(0.05), 3);
         for i in 0..12u64 {
             sys.client_send(
                 members[0],
