@@ -852,7 +852,7 @@ fn a_cbcast_held_since_the_ack_is_re_reported_to_a_takeover_coordinator() {
     }
 }
 
-/// Runs site `site`'s flush watchdog once the flush timeout has passed.
+/// Runs the flush watchdog at each of `sites` once the flush timeout has passed.
 fn time_out_flushes(c: &mut Cluster, sites: &[u16]) {
     c.now = SimTime(c.now.0 + 200_000);
     for s in sites {
