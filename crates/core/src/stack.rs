@@ -54,9 +54,6 @@ use vsync_net::FailureDetector;
 /// Timer token used for the stack's periodic maintenance tick.
 const TICK: u64 = 1;
 
-/// Control-field name used for stack-to-stack (non-protocol) traffic.
-const CTRL: &str = "@ctrl";
-
 /// Returns the process id conventionally used for the protocols process of a site.
 fn protocols_process(site: SiteId) -> ProcessId {
     ProcessId::new(site, 0)
@@ -110,7 +107,8 @@ pub struct SiteStack {
     /// default config (`StackConfig::from_params`) the tick period *equals* the heartbeat
     /// period, so this guard only bites for custom configs that tick faster.
     last_heartbeat: Option<SimTime>,
-    /// The heartbeat, written once: every heartbeat packet this stack ever sends aliases it.
+    /// The heartbeat, an empty message written once: every heartbeat packet this stack ever
+    /// sends aliases it, and its packet kind is all a receiver reads.
     heartbeat: Frame,
     /// Stability frames under construction during a tick, one per distinct set of peer
     /// sites; between ticks, the sets in use with nothing in them.
@@ -139,8 +137,6 @@ impl SiteStack {
             cfg.failure_timeout,
             SimTime::ZERO,
         );
-        let mut heartbeat = Message::new();
-        heartbeat.set(CTRL, "hb");
         SiteStack {
             site,
             cfg,
@@ -159,7 +155,7 @@ impl SiteStack {
             rpc: RpcSessions::default(),
             now: SimTime::ZERO,
             last_heartbeat: None,
-            heartbeat: Frame::new(heartbeat),
+            heartbeat: Frame::new(Message::new()),
             gossip: Vec::new(),
             member_scratch: Vec::new(),
             eout_scratch: Vec::new(),
@@ -450,7 +446,6 @@ impl SiteStack {
             ]
             .into_iter()
             .chain(reply_to.map(|to| (fields::REPLY_TO, to.into())))
-            .chain([(fields::PROTOCOL, protocol.name().into())])
             .chain(group.map(|g| (fields::GROUP, g.into()))),
         );
 
@@ -513,7 +508,7 @@ impl SiteStack {
         caller: ProcessId,
         group: GroupId,
         protocol: ProtocolKind,
-        msg: Message,
+        payload: Message,
         out: &mut Outbox,
     ) {
         let can_serve_locally = self
@@ -522,9 +517,9 @@ impl SiteStack {
             .is_some_and(|ep| ep.view().is_some() && !ep.local_members().is_empty());
         if can_serve_locally {
             let res = self.with_endpoint(group, out, |ep, now, eouts| match protocol {
-                ProtocolKind::Abcast => ep.abcast(now, caller, msg, eouts).map(|_| ()),
-                ProtocolKind::Gbcast => ep.gbcast(now, caller, msg, eouts),
-                _ => ep.cbcast(now, caller, msg, eouts).map(|_| ()),
+                ProtocolKind::Abcast => ep.abcast(now, caller, payload, eouts).map(|_| ()),
+                ProtocolKind::Gbcast => ep.gbcast(now, caller, payload, eouts),
+                _ => ep.cbcast(now, caller, payload, eouts).map(|_| ()),
             });
             if let Some(res @ Err(_)) = res {
                 out.trace_with(|| format!("{}: multicast to {group} failed: {res:?}", self.site));
@@ -537,17 +532,13 @@ impl SiteStack {
             out.trace_with(|| format!("{}: no contact site known for {group}", self.site));
             return;
         };
-        self.stats.count_multicast(match protocol {
-            ProtocolKind::Abcast => ProtocolKind::Abcast,
-            ProtocolKind::Gbcast => ProtocolKind::Gbcast,
+        let protocol = match protocol {
+            ProtocolKind::Abcast | ProtocolKind::Gbcast => protocol,
             _ => ProtocolKind::Cbcast,
-        });
-        let mut relay = Message::new();
-        relay.set(CTRL, "relay");
-        relay.set("relay-group", group);
-        relay.set("relay-proto", protocol.name());
-        relay.set("relay-payload", msg);
-        send_proto(self.site, contact, PacketKind::Control, relay, out);
+        };
+        self.stats.count_multicast(protocol);
+        let wire = ProtoMsg::Relay { protocol, payload }.into_frame(group);
+        send_proto(self.site, contact, PacketKind::Control, wire, out);
     }
 
     fn alive_contact(&self, group: GroupId) -> Option<SiteId> {
@@ -913,35 +904,6 @@ impl SiteStack {
 
     // -- Incoming traffic -----------------------------------------------------------------------
 
-    fn handle_control(&mut self, pkt: &Packet, out: &mut Outbox) {
-        match pkt.payload.get_str(CTRL) {
-            Some("hb") => {}
-            Some("relay") => {
-                let Some(group) = pkt
-                    .payload
-                    .get_addr("relay-group")
-                    .and_then(|a| a.as_group())
-                else {
-                    return;
-                };
-                let Some(inner) = pkt.payload.get_msg("relay-payload").cloned() else {
-                    return;
-                };
-                let protocol = match pkt.payload.get_str("relay-proto") {
-                    Some("ABCAST") => ProtocolKind::Abcast,
-                    Some("GBCAST") => ProtocolKind::Gbcast,
-                    _ => ProtocolKind::Cbcast,
-                };
-                let original_sender = inner.sender().unwrap_or(pkt.src);
-                self.multicast_to_group(original_sender, group, protocol, inner, out);
-            }
-            Some(other) => {
-                out.trace_with(|| format!("{}: unknown control message {other:?}", self.site));
-            }
-            None => {}
-        }
-    }
-
     fn handle_proto(&mut self, pkt: &Packet, out: &mut Outbox) {
         // At most one parse per frame: a frame born in this process (every frame, on the
         // simulator) carries its typed message, and one that arrived as bytes is parsed here
@@ -952,8 +914,9 @@ impl SiteStack {
             return;
         };
         let group = *group;
-        // Reform traffic is stack-to-stack: it concerns sites whose endpoints are gone
-        // (that is the premise), so it must not fault an endpoint into existence below.
+        // Reform and relay traffic is stack-to-stack: a reform concerns sites whose endpoints
+        // are gone (that is the premise), a relay comes from a site with no endpoint for the
+        // group, so neither may fault an endpoint into existence below.
         match decoded {
             ProtoMsg::ReformSummary {
                 from_site,
@@ -979,6 +942,11 @@ impl SiteStack {
             }
             ProtoMsg::ReformAlive { contact } => {
                 self.reforms.on_alive(group, *contact);
+                return;
+            }
+            ProtoMsg::Relay { protocol, payload } => {
+                let sender = payload.sender().unwrap_or(pkt.src);
+                self.multicast_to_group(sender, group, *protocol, payload.clone(), out);
                 return;
             }
             // A stability frame is site-to-site too: each entry goes to the endpoint of its
@@ -1057,16 +1025,18 @@ impl SiteHandler for SiteStack {
                 }
             }
         }
-        // Protocol frames are recognised and read without a field tree; everything else
-        // (control, replies, application traffic) is a symbol table and gets one built here,
-        // lazily, if it arrived as bytes.  Bytes that decode as neither are a corrupt
-        // datagram: traced and dropped.
+        // A heartbeat has done its work above and carries nothing to read.  Protocol frames
+        // — everything else one site stack says to another — are recognised and read
+        // without a field tree; what is left (replies, application traffic) is a symbol
+        // table and gets one built here, lazily, if it arrived as bytes.  Bytes that decode
+        // as neither are a corrupt datagram: traced and dropped.
+        if pkt.kind == PacketKind::Heartbeat {
+            return;
+        }
         if ProtoMsg::is_proto_frame(&pkt.payload) {
             self.handle_proto(&pkt, out);
         } else if let Err(e) = pkt.payload.try_message() {
             out.trace_with(|| format!("{}: undecodable message from {}: {e}", self.site, pkt.src));
-        } else if pkt.payload.contains(CTRL) {
-            self.handle_control(&pkt, out);
         } else {
             self.handle_app_packet(&pkt, out);
         }
@@ -1248,13 +1218,11 @@ mod tests {
 
     /// A heartbeat from `from` to `to`: any packet proves its sender's site alive.
     fn heartbeat(from: u16, to: u16) -> Packet {
-        let mut hb = Message::new();
-        hb.set(CTRL, "hb");
         Packet::new(
             protocols_process(SiteId(from)),
             protocols_process(SiteId(to)),
             PacketKind::Heartbeat,
-            hb,
+            Message::new(),
         )
     }
 

@@ -27,7 +27,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
-use vsync_util::{Address, EntryId, GroupId, ProcessId, VectorClock};
+use vsync_util::{Address, EntryId, GroupId, ProcessId};
 
 use crate::fields;
 use crate::name::FieldName;
@@ -302,11 +302,6 @@ impl Message {
         self.get_bool(fields::NULL_REPLY).unwrap_or(false)
     }
 
-    /// Attaches a vector timestamp (CBCAST metadata).
-    pub fn set_vector_time(&mut self, vt: &VectorClock) {
-        self.set(fields::VECTOR_TIME, vt.entries().to_vec());
-    }
-
     /// Approximate encoded size in bytes.  Used by the transport to charge fragmentation and
     /// serialization costs without actually serializing on every hop.
     pub fn encoded_len(&self) -> usize {
@@ -411,7 +406,10 @@ mod tests {
                 (fields::SENDER, Value::from(ProcessId::new(SiteId(1), 2))),
                 (fields::ENTRY, Value::from(7u64)),
                 (fields::SESSION, Value::from(9u64)),
-                (fields::PROTOCOL, Value::from("cbcast")),
+                (
+                    fields::REPLY_TO,
+                    Value::from(vec![Address::Group(GroupId(3))]),
+                ),
             ]
         };
         // Room for the stamp: the table stays where it is.
@@ -430,18 +428,10 @@ mod tests {
         let names: Vec<&str> = full.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(
             names,
-            ["body", "n", "@sender", "@entry", "@session", "@protocol"]
+            ["body", "n", "@sender", "@entry", "@session", "@reply-to"]
         );
         assert_eq!(roomy.get_u64("body"), full.get_u64("body"));
         assert_eq!(roomy.group(), None, "the old system fields went");
-    }
-
-    #[test]
-    fn vector_time_roundtrip() {
-        let mut m = Message::new();
-        let vt = VectorClock::from_entries(vec![3, 1, 4, 1, 5]);
-        m.set_vector_time(&vt);
-        assert_eq!(m.get_u64_list(fields::VECTOR_TIME), Some(vt.entries()));
     }
 
     #[test]

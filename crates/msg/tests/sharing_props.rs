@@ -10,7 +10,7 @@
 //! test does not rely on shrinking.
 
 use vsync_msg::{codec, fields, Message, Value};
-use vsync_util::{Address, DetRng, EntryId, GroupId, ProcessId, SiteId, VectorClock};
+use vsync_util::{Address, DetRng, EntryId, GroupId, ProcessId, SiteId};
 
 /// A value that owns everything below it.
 #[derive(Clone, Debug, PartialEq)]
@@ -227,13 +227,6 @@ impl Family {
                         ModelValue::Leaf(true.into()),
                     );
                 }
-                let vt: Vec<u64> = (0..rng.next_below(4)).collect();
-                self.handles[i].set_vector_time(&VectorClock::from_entries(vt.clone()));
-                model_set(
-                    &mut self.models[i],
-                    fields::VECTOR_TIME,
-                    ModelValue::Leaf(vt.into()),
-                );
             }
             // `mem::take`: the table moves to a new handle, the old one reads empty.
             12 => {

@@ -46,7 +46,8 @@ pub enum PacketKind {
     Flush,
     /// A point-to-point reply to a group RPC.
     Reply,
-    /// Failure-detector heartbeat.
+    /// Failure-detector heartbeat: an empty message, which a receiver knows by this kind
+    /// alone.
     Heartbeat,
     /// Stability gossip (delivery acknowledgement vectors).
     Stability,
@@ -71,7 +72,7 @@ pub struct Packet {
     pub src: ProcessId,
     /// Receiving process.
     pub dst: ProcessId,
-    /// Classification for statistics and tracing.
+    /// Classification for statistics and tracing; for a heartbeat, all there is to read.
     pub kind: PacketKind,
     /// The payload frame (shared across the packets of one fan-out).
     pub payload: Frame,

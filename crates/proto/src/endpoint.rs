@@ -743,10 +743,12 @@ impl GroupEndpoint {
                     self.on_gossip(now, from_site, entry.view_seq, &entry.received, out);
                 }
             }
-            // Reform traffic is a site-level exchange handled by the hosting stack before
-            // any endpoint exists (there is no group to route it to while the group is
-            // dead); an operational endpoint simply ignores a stray copy.
-            ProtoMsg::ReformSummary { .. } | ProtoMsg::ReformAlive { .. } => {}
+            // Reform and relay traffic is a site-level exchange handled by the hosting stack
+            // before any endpoint is consulted (a reform's group is dead, a relay is a
+            // multicast still to be made); an endpoint simply ignores a stray copy.
+            ProtoMsg::ReformSummary { .. }
+            | ProtoMsg::ReformAlive { .. }
+            | ProtoMsg::Relay { .. } => {}
         }
         Ok(())
     }

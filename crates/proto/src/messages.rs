@@ -22,11 +22,13 @@
 //! the payload a receiver reads aliases that segment.  Everything else about a frame, and
 //! every frame without such a value, is one buffer as before.
 //!
-//! Every frame names the group it belongs to and is routed to that group's endpoint — except
-//! [`ProtoMsg::Stability`], which is a conversation between *sites*: one frame carries the
-//! sending site's report for every group it shares with the destination, as a list of
-//! [`StabilityEntry`], and the receiving stack routes each entry by the group *it* names.
-//! There is one such frame shape; a lone endpoint's gossip is the list of one.
+//! Every frame names the group it belongs to and is routed to that group's endpoint, except
+//! the conversations between *site stacks*, which the receiving stack answers itself: the
+//! reform pair, for a group with no live endpoint; [`ProtoMsg::Relay`], a non-member
+//! client's multicast; and [`ProtoMsg::Stability`], the sending site's report on every group
+//! it shares with the destination, a list of [`StabilityEntry`] routed entry by entry (a
+//! lone endpoint's gossip is the list of one).  Besides these frames, a stack sends a peer
+//! stack only its heartbeat: an empty message, known by its packet kind.
 //!
 //! [`ProtoMsg::encode`] and [`ProtoMsg::decode`] convert to and from a [`Message`] tree by
 //! going through the bytes; they exist for tests and tools that want to look at (or
@@ -331,6 +333,15 @@ pub enum ProtoMsg {
         /// A site currently hosting a live member, usable as the join contact.
         contact: SiteId,
     },
+    /// A multicast from a client at a site with no member of the group, on its way to a site
+    /// with one (paper Figure 1), which makes it under the payload's `@sender`.  The frame's
+    /// group is the destination.
+    Relay {
+        /// CBCAST, ABCAST or GBCAST.
+        protocol: ProtocolKind,
+        /// The stamped application message.
+        payload: Message,
+    },
 }
 
 const TYPE_FIELD: &str = "@g-type";
@@ -499,6 +510,7 @@ impl ProtoMsg {
             ProtoMsg::Stability { .. } => "stability",
             ProtoMsg::ReformSummary { .. } => "reform-summary",
             ProtoMsg::ReformAlive { .. } => "reform-alive",
+            ProtoMsg::Relay { .. } => "relay",
         }
     }
 
@@ -508,9 +520,9 @@ impl ProtoMsg {
             ProtoMsg::CbData { vt, payload, .. } => {
                 8 * vt.entries().len() + codec::buffered_len(payload)
             }
-            ProtoMsg::AbData { payload, .. } | ProtoMsg::GbcastReq { payload, .. } => {
-                codec::buffered_len(payload)
-            }
+            ProtoMsg::AbData { payload, .. }
+            | ProtoMsg::GbcastReq { payload, .. }
+            | ProtoMsg::Relay { payload, .. } => codec::buffered_len(payload),
             ProtoMsg::FlushAck { stored, .. } => stored_len(stored),
             ProtoMsg::FlushCommit {
                 deliver, gbcasts, ..
@@ -642,6 +654,10 @@ impl ProtoMsg {
                 w.put_u64("rank", *rank);
             }
             ProtoMsg::ReformAlive { contact } => w.put_u64("contact", contact.0 as u64),
+            ProtoMsg::Relay { protocol, payload } => {
+                w.put_str("protocol", protocol.name());
+                w.put_message("payload", payload);
+            }
         }
         w
     }
@@ -745,6 +761,15 @@ impl ProtoMsg {
             },
             "reform-alive" => ProtoMsg::ReformAlive {
                 contact: get_site(&mut c, "contact")?,
+            },
+            "relay" => ProtoMsg::Relay {
+                protocol: match c.str("protocol")? {
+                    "CBCAST" => ProtocolKind::Cbcast,
+                    "ABCAST" => ProtocolKind::Abcast,
+                    "GBCAST" => ProtocolKind::Gbcast,
+                    other => return Err(VsError::CodecError(format!("cannot relay {other:?}"))),
+                },
+                payload: c.message("payload")?,
             },
             other => {
                 return Err(VsError::CodecError(format!(
@@ -1198,6 +1223,34 @@ mod tests {
             rank: 0,
         });
         roundtrip(ProtoMsg::ReformAlive { contact: SiteId(3) });
+    }
+
+    #[test]
+    fn relay_roundtrips_with_each_primitive_and_refuses_any_other() {
+        let relay = |protocol| ProtoMsg::Relay {
+            protocol,
+            payload: Message::with_body("from afar").with("@sender", p(3, 1)),
+        };
+        for protocol in [
+            ProtocolKind::Cbcast,
+            ProtocolKind::Abcast,
+            ProtocolKind::Gbcast,
+        ] {
+            roundtrip(relay(protocol));
+        }
+        // A relay that lost its payload has nothing to multicast, and one that names no
+        // primitive, or one a relay cannot carry, must not turn into a CBCAST.
+        assert_field_is_required(relay(ProtocolKind::Abcast), "payload");
+        assert_field_is_required(relay(ProtocolKind::Abcast), "protocol");
+        for name in ["local RPC", "reply", "abcast", ""] {
+            let mut wire = relay(ProtocolKind::Abcast).encode(GroupId(42));
+            wire.set("protocol", name);
+            assert!(
+                ProtoMsg::decode(&wire).is_err(),
+                "relay of {name:?} decoded"
+            );
+            assert!(ProtoMsg::decode_frame(&Frame::new(wire)).is_err());
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! (`ProtoMsg::encode`, then `codec::encode`).  That tree encoder lives on below as the
 //! executable specification of the wire format — including the `i{N}` element names of packed
 //! lists, which used to come from a 64-entry table — and for seeded arbitrary messages of all
-//! 15 variants the one-pass writer must agree with it byte for byte, the size model must
+//! 16 variants the one-pass writer must agree with it byte for byte, the size model must
 //! agree with the tree's `encoded_len`, the reader must give back the typed message, frames
 //! nested in a flush ack or commit must come back out as the bytes that went in, and no
 //! truncation may decode or panic.
@@ -22,7 +22,7 @@
 //! in a commit — must come back out as the very buffer the sender put in.
 
 use vsync_msg::{codec, Bytes, Frame, Message};
-use vsync_net::MsgId;
+use vsync_net::{MsgId, ProtocolKind};
 use vsync_proto::messages::{StabilityEntry, StoredMsg};
 use vsync_proto::{Frontier, IdSet, ProtoMsg, View};
 use vsync_util::{Address, DetRng, GroupId, ProcessId, SiteId, VectorClock};
@@ -208,6 +208,10 @@ fn reference_tree(msg: &ProtoMsg, group: GroupId) -> Message {
         ProtoMsg::ReformAlive { contact } => {
             m.set("contact", contact.0 as u64);
         }
+        ProtoMsg::Relay { protocol, payload } => {
+            m.set("protocol", protocol.name());
+            m.set("payload", payload.clone());
+        }
     }
     m
 }
@@ -345,7 +349,7 @@ fn view(rng: &mut DetRng) -> View {
     v
 }
 
-/// Message `variant` (0..15), with `held` stored messages where the variant carries any.
+/// Message `variant` (0..16), with `held` stored messages where the variant carries any.
 fn arbitrary(rng: &mut DetRng, variant: usize, held: usize) -> ProtoMsg {
     match variant {
         0 | 1 => loop {
@@ -410,8 +414,16 @@ fn arbitrary(rng: &mut DetRng, variant: usize, held: usize) -> ProtoMsg {
             target_seq: rng.next_below(9),
             attempt: rng.next_below(3),
         },
-        _ => ProtoMsg::ReformAlive {
+        14 => ProtoMsg::ReformAlive {
             contact: SiteId(rng.next_below(6) as u16),
+        },
+        _ => ProtoMsg::Relay {
+            protocol: [
+                ProtocolKind::Cbcast,
+                ProtocolKind::Abcast,
+                ProtocolKind::Gbcast,
+            ][rng.next_index(3)],
+            payload: payload(rng),
         },
     }
 }
@@ -502,7 +514,7 @@ fn check(msg: ProtoMsg, check_truncations: bool) {
 fn all_variants_agree_with_the_tree_encoder() {
     for seed in 0..40u64 {
         let mut rng = DetRng::new(seed);
-        for variant in 0..15 {
+        for variant in 0..16 {
             let held = [0, 1, 5][(seed % 3) as usize];
             check(arbitrary(&mut rng, variant, held), true);
         }
@@ -572,7 +584,8 @@ fn body_addresses(msg: &ProtoMsg) -> Vec<*const u8> {
     match msg {
         ProtoMsg::CbData { payload, .. }
         | ProtoMsg::AbData { payload, .. }
-        | ProtoMsg::GbcastReq { payload, .. } => vec![of(payload)],
+        | ProtoMsg::GbcastReq { payload, .. }
+        | ProtoMsg::Relay { payload, .. } => vec![of(payload)],
         ProtoMsg::FlushAck { stored: held, .. } => held_addresses(held),
         ProtoMsg::FlushCommit {
             deliver, gbcasts, ..
@@ -635,7 +648,11 @@ fn bulk_payloads_travel_by_reference_and_flatten_to_the_tree_encoders_bytes() {
         covered: frontier(&mut rng),
         gbcasts: vec![bulk(3)],
     };
-    for (msg, bodies) in [(cb, 1), (ab, 1), (ack, 2), (commit, 3)] {
+    let relay = ProtoMsg::Relay {
+        protocol: ProtocolKind::Abcast,
+        payload: bulk(4),
+    };
+    for (msg, bodies) in [(cb, 1), (ab, 1), (ack, 2), (commit, 3), (relay, 1)] {
         let tag = msg.type_tag();
         // Typed equality, and flatten == the tree encoder's bytes (`check` (a)-(e)).
         check(msg.clone(), false);

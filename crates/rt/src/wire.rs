@@ -174,9 +174,9 @@ mod tests {
 
     #[test]
     fn byte_strings_of_a_received_application_frame_are_the_senders_buffers() {
-        // A reply, a state-transfer block or a relay envelope arrives as segments and
-        // becomes a tree lazily, over them: a 64 KiB body is neither copied into the wire
-        // form nor out of it, a small one aliases the buffer it was written into.
+        // A reply or a state-transfer block arrives as segments and becomes a tree
+        // lazily, over them: a 64 KiB body is neither copied into the wire form nor out of
+        // it, a small one aliases the buffer it was written into.
         let body = Bytes::from(vec![0xABu8; 64 * 1024]);
         let pkt = Packet::new(
             ProcessId::new(SiteId(0), 1),
@@ -234,16 +234,16 @@ mod tests {
     }
 
     /// Corrupt input never panics a node: every prefix cut and a flipped tag byte of one
-    /// protocol frame and one application frame, fed through `WirePacket` into a site
-    /// stack, is traced and dropped with no delivery; the intact frames then deliver, which
-    /// proves the harness could have.
+    /// protocol frame, one application frame and one relayed multicast, fed through
+    /// `WirePacket` into a site stack, is traced and dropped with no delivery and nothing
+    /// multicast; the intact frames then deliver, which proves the harness could have.
     #[test]
     fn corrupt_frames_are_traced_and_dropped_by_the_site_stack() {
         use std::cell::Cell;
         use std::rc::Rc;
         use vsync_core::{ProcessBuilder, SiteStack, StackConfig};
         use vsync_msg::Message;
-        use vsync_net::{MsgId, Outbox, SharedStats, SiteHandler};
+        use vsync_net::{MsgId, Outbox, ProtocolKind, SharedStats, SiteHandler};
         use vsync_proto::{ProtoConfig, ProtoMsg};
         use vsync_util::{EntryId, GroupId, VectorClock};
 
@@ -279,6 +279,11 @@ mod tests {
             payload: app.clone(),
         }
         .into_frame(gid);
+        let relay_frame = ProtoMsg::Relay {
+            protocol: ProtocolKind::Cbcast,
+            payload: app.clone(),
+        }
+        .into_frame(gid);
         let cases = [
             ("protocol", PacketKind::Data, proto_frame.wire_bytes()),
             (
@@ -286,6 +291,7 @@ mod tests {
                 PacketKind::Control,
                 Frame::new(app).wire_bytes(),
             ),
+            ("relay", PacketKind::Control, relay_frame.wire_bytes()),
         ];
 
         let feed = |stack: &mut SiteStack, kind, bytes: Bytes| -> Vec<String> {

@@ -458,6 +458,128 @@ fn threaded_backend_preserves_virtual_synchrony() {
 }
 
 // ---------------------------------------------------------------------------------------
+// Relay: a client at a site with no member of the group multicasts to it.  Its site sends
+// each multicast to a contact site as a `ProtoMsg::Relay` frame, and the contact makes the
+// multicast under the client's address (paper Figure 1).  On threads every relay crosses a
+// thread boundary as bytes, so the threaded run parses each one.
+
+/// Bodies the outside client sends; even ones go by CBCAST, odd ones by ABCAST.
+const RELAYED: u64 = 16;
+
+/// A three-member group on sites 0-2 and a client on site 3 that sends [`RELAYED`]
+/// multicasts to it.  Returns each member's delivered bodies in local delivery order; a
+/// delivery that does not carry the client's address reads as `u64::MAX`.
+fn run_relay_scenario<R: IsisRuntime>(mut h: IsisHarness<R>) -> Vec<Vec<u64>> {
+    let (tx, rx) = mpsc::channel::<Obs>();
+    let gid = h.allocate_group_id();
+    let client = h.spawn(SiteId(3), |_| {});
+    let members: Vec<ProcessId> = (0..3u16)
+        .map(|site| {
+            let tx = tx.clone();
+            h.spawn(SiteId(site), move |b| {
+                b.on_entry(APPLY, move |_ctx, msg| {
+                    let from_client = msg.sender() == Some(client);
+                    let _ = tx.send(Obs::Delivered {
+                        member: site,
+                        body: msg
+                            .get_u64("body")
+                            .filter(|_| from_client)
+                            .unwrap_or(u64::MAX),
+                    });
+                });
+            })
+        })
+        .collect();
+    h.create_group_with_id("relayed", gid, members[0]);
+    for m in &members[1..] {
+        h.join_and_wait(gid, *m, None, Duration::from_secs(20))
+            .expect("join");
+    }
+    let ok = h.wait_until(Duration::from_secs(20), |h| {
+        (0..3u16).all(|s| h.view_of(SiteId(s), gid).is_some_and(|v| v.len() == 3))
+    });
+    assert!(ok, "three-member view never installed everywhere");
+    assert!(
+        h.view_of(SiteId(3), gid).is_none(),
+        "site 3 hosts no member"
+    );
+
+    for i in 0..RELAYED {
+        let protocol = if i % 2 == 0 {
+            ProtocolKind::Cbcast
+        } else {
+            ProtocolKind::Abcast
+        };
+        h.client_send(client, gid, APPLY, Message::with_body(i), protocol);
+    }
+    let mut observations = Vec::new();
+    let ok = h.wait_until(Duration::from_secs(20), |_h| {
+        observations.extend(rx.try_iter());
+        observations.len() as u64 >= 3 * RELAYED
+    });
+    // Anything beyond the expected count would be a duplicate: give it time to show.
+    h.settle(Duration::from_millis(50));
+    observations.extend(rx.try_iter());
+    assert!(
+        ok,
+        "relayed multicasts not delivered everywhere: {observations:?}"
+    );
+    member_logs(&observations, &[0, 1, 2])
+        .into_iter()
+        .map(|log| log.deliveries.into_iter().map(|(_, body)| body).collect())
+        .collect()
+}
+
+/// Every member delivers every relayed multicast exactly once, under the client's address,
+/// and all members deliver the ABCASTs in one order.
+fn check_relay(delivered: &[Vec<u64>]) {
+    let abcasts =
+        |order: &Vec<u64>| -> Vec<u64> { order.iter().copied().filter(|b| b % 2 == 1).collect() };
+    for (member, order) in delivered.iter().enumerate() {
+        let mut bodies = order.clone();
+        bodies.sort_unstable();
+        assert_eq!(
+            bodies,
+            (0..RELAYED).collect::<Vec<u64>>(),
+            "member {member} did not deliver each relayed multicast once: {order:?}"
+        );
+        assert_eq!(
+            abcasts(order),
+            abcasts(&delivered[0]),
+            "member {member} disagrees with member 0 on the ABCAST order"
+        );
+    }
+}
+
+#[test]
+fn simulated_backend_relays_a_non_member_clients_multicasts() {
+    let params = NetParams::modern();
+    let h = IsisHarness::new(SimRuntime::new(
+        4,
+        params,
+        StackConfig::from_params(&params),
+        ProtoConfig::fast(),
+        2028,
+    ));
+    check_relay(&run_relay_scenario(h));
+}
+
+#[test]
+fn threaded_backend_relays_a_non_member_clients_multicasts() {
+    let faults = FaultPlan::none()
+        .with_delay(Duration::from_micros(100))
+        .with_jitter(Duration::from_micros(300));
+    let h = IsisHarness::new(ThreadedRuntime::new(
+        4,
+        ThreadedRuntime::fast_local_config(),
+        ProtoConfig::fast(),
+        faults,
+        2028,
+    ));
+    check_relay(&run_relay_scenario(h));
+}
+
+// ---------------------------------------------------------------------------------------
 // Crash → durable-log replay → rejoin
 // ---------------------------------------------------------------------------------------
 //
