@@ -26,9 +26,10 @@
 //! * [`harness`] — backend-generic stack construction and toolkit operations
 //!   ([`IsisHarness`]), so scenarios (including the cross-backend conformance tests) are
 //!   written once.
-//! * [`invariants`] — the partition-safety checker: replays per-member view logs and
-//!   view-tagged delivery logs, asserting no two concurrent primary views and post-heal
-//!   convergence to identical duplicate-free delivery orders.
+//! * [`invariants`] — the virtual-synchrony checker: replays per-member view logs and
+//!   view-tagged delivery logs, asserting no two concurrent primary views, monotone views,
+//!   exactly-once delivery, the same deliveries per view among the members that moved on
+//!   together (in one order, for ABCAST), and post-heal convergence to one state order.
 //!
 //! Determinism ends at the threaded backend's scheduler: fault *decisions* stay seeded and
 //! reproducible per node, but thread interleaving is the operating system's.  The

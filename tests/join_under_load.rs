@@ -11,91 +11,43 @@
 //! identical and duplicate-free** — no message is lost, replayed, or double-applied, no
 //! matter when the join happened.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+mod support;
 
 use proptest::prelude::*;
-use vsync::core::{Duration, EntryId, Message, ProcessId, ProtocolKind, SiteId, StackConfig};
-use vsync::proto::ProtoConfig;
-use vsync::rt::{IsisHarness, IsisRuntime, SimRuntime};
-use vsync::tools::StateTransfer;
-use vsync::util::NetParams;
+use support::{check, holding, send, sim, spawn_member, Disk, Recorder};
+use vsync::core::{Duration, GroupId, ProtocolKind, SiteId};
+use vsync::rt::{FaultPlan, IsisHarness, IsisRuntime, PartitionInvariants, SimRuntime};
 
-const APPLY: EntryId = EntryId(3);
 /// Messages in the burst the join is injected into.
 const TOTAL: u64 = 16;
 
-/// A spawned member: its id, shared applied-body log, and transfer-complete mirror.
-type Member = (ProcessId, Arc<Mutex<Vec<u64>>>, Arc<AtomicBool>);
-
-fn sim_harness(seed: u64) -> IsisHarness<SimRuntime> {
-    let params = NetParams::modern();
-    IsisHarness::new(SimRuntime::new(
-        3,
-        params,
-        StackConfig::from_params(&params),
-        ProtoConfig::fast(),
-        seed,
-    ))
-}
-
-/// Spawns a member whose state is the ordered log of applied message bodies.  The log is
-/// transferred on join; the APPLY entry is buffered until the member's snapshot is in
-/// place.
-fn spawn_log_member(
-    h: &mut IsisHarness<SimRuntime>,
-    site: SiteId,
-    gid: vsync::core::GroupId,
-    ready: bool,
-) -> Member {
-    let log: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-    let ready_mirror = Arc::new(AtomicBool::new(ready));
-    let log2 = log.clone();
-    let ready2 = ready_mirror.clone();
-    let pid = h.spawn(site, move |b| {
-        let l_encode = log2.clone();
-        let l_apply = log2.clone();
-        let r_apply = ready2.clone();
-        let xfer = StateTransfer::new(
-            gid,
-            move || vec![Message::new().with("log", l_encode.lock().unwrap().clone())],
-            move |_ctx, block| {
-                if let Some(snapshot) = block.get_u64_list("log") {
-                    *l_apply.lock().unwrap() = snapshot.to_vec();
-                }
-                if block.get_bool("xfer-last").unwrap_or(false) {
-                    r_apply.store(true, Ordering::Relaxed);
-                }
-            },
-        );
-        xfer.attach(b);
-        if ready {
-            xfer.mark_ready();
-        }
-        let l_update = log2.clone();
-        xfer.on_entry_buffered(b, APPLY, move |_ctx, msg| {
-            l_update
-                .lock()
-                .unwrap()
-                .push(msg.get_u64("body").unwrap_or(u64::MAX));
-        });
-    });
-    (pid, log, ready_mirror)
+/// Spawns the joiner at site 2 and submits its join without waiting for it.
+fn submit_join(h: &mut IsisHarness<SimRuntime>, gid: GroupId) -> Recorder {
+    let (pid, rec) = spawn_member(h, SiteId(2), gid, false, Disk::None);
+    h.rt.with_stack_job(
+        SiteId(2),
+        Box::new(move |stack, _now, out| {
+            stack
+                .join_group(gid, pid, None, out)
+                .expect("join submitted");
+        }),
+    );
+    rec
 }
 
 /// Runs one seeded scenario with the join submitted after `join_after` of the burst's
 /// `TOTAL` sends (`join_after > TOTAL` degenerates to a join after the whole burst is in
 /// flight).  Panics if any member's applied multiset is wrong.
 fn join_races_burst(seed: u64, join_after: u64) {
-    let mut h = sim_harness(seed);
+    let mut h = sim(3, seed, FaultPlan::none());
     let gid = h.allocate_group_id();
-    let (m0, log0, _) = spawn_log_member(&mut h, SiteId(0), gid, true);
+    let (m0, log0) = spawn_member(&mut h, SiteId(0), gid, true, Disk::None);
     h.create_group_with_id("load", gid, m0);
-    let (m1, log1, ready1) = spawn_log_member(&mut h, SiteId(1), gid, false);
+    let (m1, log1) = spawn_member(&mut h, SiteId(1), gid, false, Disk::None);
     h.join_and_wait(gid, m1, None, Duration::from_secs(10))
         .expect("first join");
     assert!(
-        h.wait_until(Duration::from_secs(10), |_| ready1.load(Ordering::Relaxed)),
+        h.wait_until(Duration::from_secs(10), |_| log1.is_ready()),
         "first transfer never completed"
     );
 
@@ -103,19 +55,7 @@ fn join_races_burst(seed: u64, join_after: u64) {
     // sender; the tiny settles let the join's flush interleave with in-flight traffic
     // instead of everything happening at one instant.
     let senders = [m0, m1];
-    let mut joiner: Option<Member> = None;
-    fn submit_join(h: &mut IsisHarness<SimRuntime>, gid: vsync::core::GroupId) -> Member {
-        let (pid, log, ready) = spawn_log_member(h, SiteId(2), gid, false);
-        h.rt.with_stack_job(
-            SiteId(2),
-            Box::new(move |stack, _now, out| {
-                stack
-                    .join_group(gid, pid, None, out)
-                    .expect("join submitted");
-            }),
-        );
-        (pid, log, ready)
-    }
+    let mut joiner: Option<Recorder> = None;
     for i in 0..TOTAL {
         if i == join_after {
             joiner = Some(submit_join(&mut h, gid));
@@ -125,52 +65,35 @@ fn join_races_burst(seed: u64, join_after: u64) {
         } else {
             ProtocolKind::Abcast
         };
-        h.client_send(
-            senders[(i % 2) as usize],
-            gid,
-            APPLY,
-            Message::with_body(i),
-            protocol,
-        );
+        send(&mut h, senders[(i % 2) as usize], gid, i, protocol);
         h.settle(Duration::from_micros(500));
     }
-    let (jid, log2, ready2) = joiner.unwrap_or_else(|| submit_join(&mut h, gid));
+    let log2 = joiner.unwrap_or_else(|| submit_join(&mut h, gid));
 
-    // Everyone converges: the joiner is a member, its transfer completed, and all three
-    // logs hold the full burst.
-    let ok = h.wait_until(Duration::from_secs(20), |h| {
-        h.view_of(SiteId(2), gid)
-            .map(|v| v.contains(jid))
-            .unwrap_or(false)
+    // Everyone converges: the joiner's transfer completed and all three logs hold the
+    // full burst.
+    let recs = [log0, log1, log2];
+    let ok = h.wait_until(Duration::from_secs(40), |_| {
+        recs[2].is_ready() && holding(&recs, TOTAL as usize)
     });
-    assert!(
-        ok,
-        "seed {seed}, join_after {join_after}: join never installed"
-    );
-    let ok = h.wait_until(Duration::from_secs(20), |_| {
-        ready2.load(Ordering::Relaxed)
-            && log0.lock().unwrap().len() == TOTAL as usize
-            && log1.lock().unwrap().len() == TOTAL as usize
-            && log2.lock().unwrap().len() == TOTAL as usize
-    });
-    let snapshot = |l: &Arc<Mutex<Vec<u64>>>| l.lock().unwrap().clone();
     assert!(
         ok,
         "seed {seed}, join_after {join_after}: logs never converged \
          (m0={:?}, m1={:?}, joiner={:?}, ready={})",
-        snapshot(&log0),
-        snapshot(&log1),
-        snapshot(&log2),
-        ready2.load(Ordering::Relaxed),
+        recs[0].bodies(),
+        recs[1].bodies(),
+        recs[2].bodies(),
+        recs[2].is_ready(),
     );
 
-    // The property: identical, duplicate-free applied multisets at every member.
+    // The property: identical, duplicate-free applied multisets at every member, and
+    // the same deliveries in each view.
+    check(&recs, PartitionInvariants::check_view_agreement);
     let want: Vec<u64> = (0..TOTAL).collect();
-    for (who, log) in [("m0", &log0), ("m1", &log1), ("joiner", &log2)] {
-        let mut multiset = snapshot(log);
-        multiset.sort_unstable();
+    for (who, log) in ["m0", "m1", "joiner"].iter().zip(&recs) {
         assert_eq!(
-            multiset, want,
+            log.sorted(),
+            want,
             "seed {seed}, join_after {join_after}: {who} applied a wrong multiset"
         );
     }

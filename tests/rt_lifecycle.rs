@@ -10,196 +10,87 @@
 //! settle-until-stable workaround before every join.  The cut-coordinated state transfer
 //! (snapshot at the view cut, covered-frontier suppression at the joining endpoint,
 //! buffered application entries) makes the join exactly-once, and the partition is pinned
-//! by application-side counters: `snapshot value + post-snapshot increments == total`.
+//! by application-side counters: `snapshot + post-snapshot applies == total`.
 
-use std::cell::RefCell;
-use std::path::PathBuf;
-use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+mod support;
 
-use vsync::core::{Duration, EntryId, Message, ProcessId, ProtocolKind, SiteId};
-use vsync::proto::ProtoConfig;
-use vsync::rt::{FaultPlan, IsisHarness, IsisRuntime, ThreadedRuntime};
-use vsync::tools::{FileStore, RecoveryManager, StateTransfer};
+use support::{check, holding, send, spawn_member, temp_root, threaded, view_at, Disk, Recorder};
+use vsync::core::{Duration, ProtocolKind, SiteId};
+use vsync::rt::{FaultPlan, IsisRuntime, PartitionInvariants};
 
-const APPLY: EntryId = EntryId(2);
-
-fn threaded_harness(n: usize, faults: FaultPlan) -> IsisHarness<ThreadedRuntime> {
-    IsisHarness::new(ThreadedRuntime::new(
-        n,
-        ThreadedRuntime::fast_local_config(),
-        ProtoConfig::fast(),
-        faults,
-        99,
-    ))
-}
-
-/// Mirrors of one member's application state, readable from the test thread.
-struct CounterMirror {
-    /// Current counter value (snapshot + applied increments).
-    value: Arc<AtomicU64>,
-    /// Number of APPLY handler executions (each increments by the message body).
-    applies: Arc<AtomicU64>,
-    /// The counter value carried by the received snapshot (joiners only).
-    snapshot: Arc<AtomicU64>,
-}
-
-/// Spawns a member whose counter state is updated by multicast, transferred on join, and
-/// observable from the test thread through atomic mirrors.  The APPLY entry goes through
-/// the transfer tool's buffering, so a joiner holds post-cut messages until its snapshot
-/// has landed.
-fn spawn_counter_member(
-    h: &mut IsisHarness<ThreadedRuntime>,
-    site: SiteId,
-    gid: vsync::core::GroupId,
-    ready: bool,
-) -> (ProcessId, CounterMirror) {
-    let mirror = CounterMirror {
-        value: Arc::new(AtomicU64::new(0)),
-        applies: Arc::new(AtomicU64::new(0)),
-        snapshot: Arc::new(AtomicU64::new(0)),
-    };
-    let m_value = mirror.value.clone();
-    let m_applies = mirror.applies.clone();
-    let m_snapshot = mirror.snapshot.clone();
-    let pid = h.spawn(site, move |b| {
-        // Thread-local state plus the transfer tool, all built on the node's own thread.
-        let counter: Rc<RefCell<u64>> = Rc::new(RefCell::new(0));
-        let c_encode = counter.clone();
-        let c_apply = counter.clone();
-        let m_apply = m_value.clone();
-        let xfer = StateTransfer::new(
-            gid,
-            move || vec![Message::new().with("counter", *c_encode.borrow())],
-            move |_ctx, block| {
-                if let Some(v) = block.get_u64("counter") {
-                    *c_apply.borrow_mut() = v;
-                    m_apply.store(v, Ordering::Relaxed);
-                    m_snapshot.store(v, Ordering::Relaxed);
-                }
-            },
-        );
-        xfer.attach(b);
-        if ready {
-            xfer.mark_ready();
-        }
-        let c_update = counter.clone();
-        xfer.on_entry_buffered(b, APPLY, move |_ctx, msg| {
-            let mut c = c_update.borrow_mut();
-            *c += msg.get_u64("body").unwrap_or(0);
-            m_value.store(*c, Ordering::Relaxed);
-            m_applies.fetch_add(1, Ordering::Relaxed);
-        });
-    });
-    (pid, mirror)
+/// CBCAST for even bodies, ABCAST for odd ones.
+fn mixed(i: u64) -> ProtocolKind {
+    if i % 2 == 0 {
+        ProtocolKind::Cbcast
+    } else {
+        ProtocolKind::Abcast
+    }
 }
 
 #[test]
 fn full_lifecycle_over_real_threads() {
-    let mut h = threaded_harness(
-        4,
-        // Real concurrency plus injected link delay, jitter and modelled loss.
-        FaultPlan::none()
-            .with_delay(Duration::from_micros(50))
-            .with_jitter(Duration::from_micros(200))
-            .with_drop(0.005),
-    );
+    // Real concurrency plus injected link delay, jitter and modelled loss.
+    let faults = FaultPlan::none()
+        .with_delay(Duration::from_micros(50))
+        .with_jitter(Duration::from_micros(200))
+        .with_drop(0.005);
+    let mut h = threaded(4, 99, faults);
     let gid = h.allocate_group_id();
 
     // -- Join ---------------------------------------------------------------------------
-    let (creator, c0) = spawn_counter_member(&mut h, SiteId(0), gid, true);
+    let (creator, c0) = spawn_member(&mut h, SiteId(0), gid, true, Disk::None);
     h.create_group_with_id("lifecycle", gid, creator);
-    let (m1, c1) = spawn_counter_member(&mut h, SiteId(1), gid, false);
-    let (m2, _c2) = spawn_counter_member(&mut h, SiteId(2), gid, false);
+    let (m1, c1) = spawn_member(&mut h, SiteId(1), gid, false, Disk::None);
+    let (m2, c2) = spawn_member(&mut h, SiteId(2), gid, false, Disk::None);
     h.join_and_wait(gid, m1, None, Duration::from_secs(20))
         .expect("join m1");
     h.join_and_wait(gid, m2, None, Duration::from_secs(20))
         .expect("join m2");
     let ok = h.wait_until(Duration::from_secs(10), |h| {
-        (0..3u16).all(|s| {
-            h.view_of(SiteId(s), gid)
-                .map(|v| v.len() == 3)
-                .unwrap_or(false)
-        })
+        view_at(h, gid, 0..3, |v| v.len() == 3)
     });
     assert!(ok, "three-member view installed everywhere");
 
     // -- Concurrent CBCAST and ABCAST traffic under load ---------------------------------
-    // 30 increments of 1, interleaving both primitives and all three senders.
+    // 30 messages, interleaving both primitives and all three senders.
     let senders = [creator, m1, m2];
     for i in 0..30u64 {
-        let protocol = if i % 2 == 0 {
-            ProtocolKind::Cbcast
-        } else {
-            ProtocolKind::Abcast
-        };
-        h.client_send(
-            senders[(i % 3) as usize],
-            gid,
-            APPLY,
-            Message::with_body(1u64),
-            protocol,
-        );
+        send(&mut h, senders[(i % 3) as usize], gid, i, mixed(i));
     }
-    let ok = h.wait_until(Duration::from_secs(20), |_| {
-        c0.value.load(Ordering::Relaxed) == 30 && c1.value.load(Ordering::Relaxed) == 30
-    });
+    let survivors = [c0.clone(), c1.clone()];
+    let ok = h.wait_until(Duration::from_secs(20), |_| holding(&survivors, 30));
     assert!(
         ok,
-        "all 30 increments applied everywhere (c0={}, c1={})",
-        c0.value.load(Ordering::Relaxed),
-        c1.value.load(Ordering::Relaxed)
+        "all 30 messages applied everywhere (c0={}, c1={})",
+        c0.len(),
+        c1.len()
     );
 
     // -- Crash, flush, new view -----------------------------------------------------------
     h.rt.kill_site(SiteId(2));
     assert!(!h.rt.site_is_up(SiteId(2)));
     let ok = h.wait_until(Duration::from_secs(30), |h| {
-        [0u16, 1].iter().all(|s| {
-            h.view_of(SiteId(*s), gid)
-                .map(|v| v.len() == 2 && !v.contains(m2))
-                .unwrap_or(false)
-        })
+        view_at(h, gid, [0, 1], |v| v.len() == 2 && !v.contains(m2))
     });
     assert!(ok, "survivors flushed and installed the two-member view");
 
     // Traffic keeps flowing in the new view.
-    for _ in 0..10u64 {
-        h.client_send(
-            creator,
-            gid,
-            APPLY,
-            Message::with_body(1u64),
-            ProtocolKind::Abcast,
-        );
+    for i in 30..40u64 {
+        send(&mut h, creator, gid, i, ProtocolKind::Abcast);
     }
-    let ok = h.wait_until(Duration::from_secs(20), |_| {
-        c0.value.load(Ordering::Relaxed) == 40 && c1.value.load(Ordering::Relaxed) == 40
-    });
+    let ok = h.wait_until(Duration::from_secs(20), |_| holding(&survivors, 40));
     assert!(ok, "post-crash traffic delivered to both survivors");
 
     // -- State transfer to a late joiner, mid-burst ---------------------------------------
-    // No settling: burst fresh increments and submit the join while at least eight of them
+    // No settling: burst fresh messages and submit the join while at least eight of them
     // are still *unstable* (a flush would redistribute them).  The snapshot is taken at the
     // view cut and the joining endpoint suppresses the covered redelivery, so the join is
     // exactly-once no matter how the OS schedules the race.
-    let mut sent = 0u64;
+    let mut sent = 40u64;
     let mut unstable_at_join = 0usize;
     for _attempt in 0..4 {
         for i in 0..8u64 {
-            let protocol = if i % 2 == 0 {
-                ProtocolKind::Cbcast
-            } else {
-                ProtocolKind::Abcast
-            };
-            h.client_send(
-                senders[(i % 2) as usize],
-                gid,
-                APPLY,
-                Message::with_body(1u64),
-                protocol,
-            );
+            send(&mut h, senders[(i % 2) as usize], gid, sent + i, mixed(i));
         }
         sent += 8;
         unstable_at_join = h.unstable_count(SiteId(0), gid);
@@ -211,35 +102,37 @@ fn full_lifecycle_over_real_threads() {
         unstable_at_join >= 8,
         "join must race unstable traffic (saw only {unstable_at_join} unstable)"
     );
-    let expected = 40 + sent;
-    let (late, c3) = spawn_counter_member(&mut h, SiteId(3), gid, false);
+    let expected = sent as usize;
+    let (late, c3) = spawn_member(&mut h, SiteId(3), gid, false, Disk::None);
     h.join_and_wait(gid, late, None, Duration::from_secs(20))
         .expect("late join under unstable traffic");
-    let ok = h.wait_until(Duration::from_secs(20), |_| {
-        c0.value.load(Ordering::Relaxed) == expected
-            && c1.value.load(Ordering::Relaxed) == expected
-            && c3.value.load(Ordering::Relaxed) == expected
-    });
+    let recs = [c0.clone(), c1.clone(), c3.clone()];
+    let ok = h.wait_until(Duration::from_secs(20), |_| holding(&recs, expected));
     assert!(
         ok,
         "every member converged to {expected} exactly once (c0={}, c1={}, c3={})",
-        c0.value.load(Ordering::Relaxed),
-        c1.value.load(Ordering::Relaxed),
-        c3.value.load(Ordering::Relaxed)
+        c0.len(),
+        c1.len(),
+        c3.len()
     );
     // Let any straggler (a duplicate would be one) land, then re-check: nothing may move.
     h.settle(Duration::from_millis(100));
     assert_eq!(
-        c3.value.load(Ordering::Relaxed),
+        c3.len(),
         expected,
         "late duplicate application at the joiner"
     );
-    // The exactly-once partition: the snapshot accounts for every pre-cut increment, the
+    check(
+        &[c0, c1, c2, c3.clone()],
+        PartitionInvariants::check_view_agreement,
+    );
+    // The exactly-once partition: the snapshot accounts for every pre-cut message, the
     // buffered APPLY entry for every post-cut one, and together they cover each message
     // exactly once.
+    let [_, snapshot, applies] = c3.from();
     assert_eq!(
-        c3.snapshot.load(Ordering::Relaxed) + c3.applies.load(Ordering::Relaxed),
-        expected,
+        snapshot + applies,
+        sent,
         "snapshot + post-snapshot applies must partition the message history"
     );
 
@@ -249,117 +142,6 @@ fn full_lifecycle_over_real_threads() {
     assert!(reports.iter().all(|r| r.events > 0));
 }
 
-/// Mirrors of a durably-logging member, readable from the test thread.
-struct DurableMirror {
-    /// Number of distinct bodies in the member's state.
-    len: Arc<AtomicU64>,
-    ready: Arc<AtomicBool>,
-    replayed: Arc<AtomicU64>,
-    snapshot_added: Arc<AtomicU64>,
-    applies: Arc<AtomicU64>,
-}
-
-impl DurableMirror {
-    fn new(ready: bool) -> Self {
-        DurableMirror {
-            len: Arc::new(AtomicU64::new(0)),
-            ready: Arc::new(AtomicBool::new(ready)),
-            replayed: Arc::new(AtomicU64::new(0)),
-            snapshot_added: Arc::new(AtomicU64::new(0)),
-            applies: Arc::new(AtomicU64::new(0)),
-        }
-    }
-}
-
-/// Spawns a member whose state is the set of delivered bodies, with every delivery and
-/// view marker appended to an fsync'd on-disk recovery log when `root` is given.  When
-/// `replay` is set the process first rebuilds its state from that log (the full-process-
-/// death respawn path) before wiring the transfer tool and its handlers.
-fn spawn_durable_counter_member(
-    h: &mut IsisHarness<ThreadedRuntime>,
-    site: SiteId,
-    gid: vsync::core::GroupId,
-    ready: bool,
-    root: Option<PathBuf>,
-    replay: bool,
-) -> (ProcessId, DurableMirror) {
-    let mirror = DurableMirror::new(ready);
-    let m_len = mirror.len.clone();
-    let m_ready = mirror.ready.clone();
-    let m_replayed = mirror.replayed.clone();
-    let m_snapshot = mirror.snapshot_added.clone();
-    let m_applies = mirror.applies.clone();
-    let pid = h.spawn(site, move |b| {
-        let rm = root.map(|r| {
-            RecoveryManager::new(
-                Rc::new(FileStore::new(r).expect("store").with_fsync_interval(1)),
-                "lifecycle",
-            )
-        });
-        let state: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
-        if replay {
-            let rm = rm.as_ref().expect("replay needs a store");
-            let s = state.clone();
-            let summary = rm
-                .replay(|entry, payload| {
-                    if entry == APPLY {
-                        s.borrow_mut()
-                            .push(payload.get_u64("body").unwrap_or(u64::MAX));
-                    }
-                })
-                .expect("replay");
-            m_replayed.store(summary.messages as u64, Ordering::Relaxed);
-            m_len.store(state.borrow().len() as u64, Ordering::Relaxed);
-        }
-        if let Some(rm) = &rm {
-            rm.attach_logging(b, gid);
-        }
-        let s_encode = state.clone();
-        let s_apply = state.clone();
-        let l_apply = m_len.clone();
-        let xfer = StateTransfer::new(
-            gid,
-            move || {
-                s_encode
-                    .borrow()
-                    .iter()
-                    .map(|v| Message::new().with("life-entry", *v))
-                    .collect()
-            },
-            move |_ctx, block| {
-                if let Some(v) = block.get_u64("life-entry") {
-                    let mut s = s_apply.borrow_mut();
-                    // The rejoin snapshot overlaps the replayed prefix; only new bodies
-                    // count as snapshot-recovered.
-                    if !s.contains(&v) {
-                        s.push(v);
-                        l_apply.store(s.len() as u64, Ordering::Relaxed);
-                        m_snapshot.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                if block.get_bool("xfer-last").unwrap_or(false) {
-                    m_ready.store(true, Ordering::Relaxed);
-                }
-            },
-        );
-        xfer.attach(b);
-        if ready {
-            xfer.mark_ready();
-        }
-        let s_update = state.clone();
-        xfer.on_entry_buffered(b, APPLY, move |_ctx, msg| {
-            if let Some(rm) = &rm {
-                let _ = rm.log_delivery(APPLY, msg);
-            }
-            let mut s = s_update.borrow_mut();
-            s.push(msg.get_u64("body").unwrap_or(u64::MAX));
-            m_len.store(s.len() as u64, Ordering::Relaxed);
-            m_applies.fetch_add(1, Ordering::Relaxed);
-        });
-    });
-    (pid, mirror)
-}
-
 /// Full process death and log-based resurrection on real threads: a member's node thread
 /// is killed outright, everything in memory is lost, and the respawned incarnation must
 /// rebuild from its fsync'd on-disk log, rejoin **mid-burst** via state transfer, and end
@@ -367,38 +149,32 @@ fn spawn_durable_counter_member(
 /// nonzero.
 #[test]
 fn full_process_death_replays_its_log_and_rejoins() {
-    let root = std::env::temp_dir().join(format!("vsync-lifecycle-death-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    let mut h = threaded_harness(3, FaultPlan::none());
+    let root = temp_root("lifecycle-death");
+    let mut h = threaded(3, 99, FaultPlan::none());
     let gid = h.allocate_group_id();
-    let (m0, c0) = spawn_durable_counter_member(&mut h, SiteId(0), gid, true, None, false);
+    let (m0, c0) = spawn_member(&mut h, SiteId(0), gid, true, Disk::None);
     h.create_group_with_id("death", gid, m0);
-    let (m1, c1) = spawn_durable_counter_member(&mut h, SiteId(1), gid, false, None, false);
+    let (m1, c1) = spawn_member(&mut h, SiteId(1), gid, false, Disk::None);
     h.join_and_wait(gid, m1, None, Duration::from_secs(20))
         .expect("join m1");
-    let (m2, c2) =
-        spawn_durable_counter_member(&mut h, SiteId(2), gid, false, Some(root.clone()), false);
+    let (m2, c2) = spawn_member(&mut h, SiteId(2), gid, false, Disk::Log(root.clone(), None));
     h.join_and_wait(gid, m2, None, Duration::from_secs(20))
         .expect("join m2");
-    let ok = h.wait_until(Duration::from_secs(20), |_| {
-        c1.ready.load(Ordering::Relaxed) && c2.ready.load(Ordering::Relaxed)
-    });
+    let ok = h.wait_until(Duration::from_secs(20), |_| c1.is_ready() && c2.is_ready());
     assert!(ok, "initial transfers never completed");
 
-    // Phase one: twelve messages, logged durably at site 2 before each mirrored apply.
+    // Phase one: twelve messages, logged durably at site 2 before each recorded apply.
     for i in 0..12u64 {
-        h.client_send(
+        send(
+            &mut h,
             [m0, m1, m2][(i % 3) as usize],
             gid,
-            APPLY,
-            Message::with_body(i),
+            i,
             ProtocolKind::Abcast,
         );
     }
     let ok = h.wait_until(Duration::from_secs(20), |_| {
-        [&c0, &c1, &c2]
-            .iter()
-            .all(|c| c.len.load(Ordering::Relaxed) == 12)
+        holding(&[c0.clone(), c1.clone(), c2.clone()], 12)
     });
     assert!(ok, "phase-one deliveries incomplete");
 
@@ -406,26 +182,22 @@ fn full_process_death_replays_its_log_and_rejoins() {
     h.rt.kill_site(SiteId(2));
     assert!(!h.rt.site_is_up(SiteId(2)));
     let ok = h.wait_until(Duration::from_secs(30), |h| {
-        [0u16, 1].iter().all(|s| {
-            h.view_of(SiteId(*s), gid)
-                .map(|v| v.len() == 2 && !v.contains(m2))
-                .unwrap_or(false)
-        })
+        view_at(h, gid, [0, 1], |v| v.len() == 2 && !v.contains(m2))
     });
     assert!(ok, "survivors never installed the post-crash view");
 
     // Phase two: twelve messages the dead site misses entirely.
     for i in 12..24u64 {
-        h.client_send(
+        send(
+            &mut h,
             [m0, m1][(i % 2) as usize],
             gid,
-            APPLY,
-            Message::with_body(i),
+            i,
             ProtocolKind::Abcast,
         );
     }
     let ok = h.wait_until(Duration::from_secs(20), |_| {
-        c0.len.load(Ordering::Relaxed) == 24 && c1.len.load(Ordering::Relaxed) == 24
+        holding(&[c0.clone(), c1.clone()], 24)
     });
     assert!(ok, "phase-two deliveries incomplete");
 
@@ -433,17 +205,14 @@ fn full_process_death_replays_its_log_and_rejoins() {
     // the on-disk log before the transfer tool is even wired.
     h.rt.recover_site(SiteId(2));
     assert!(h.rt.site_is_up(SiteId(2)));
-    let (r2, c2b) =
-        spawn_durable_counter_member(&mut h, SiteId(2), gid, false, Some(root.clone()), true);
+    let (r2, c2b) = spawn_member(&mut h, SiteId(2), gid, false, Disk::Recover(root.clone()));
     // The configure closure runs asynchronously on the respawned node's thread; wait for
     // the replay it performs before judging its result.
-    let ok = h.wait_until(Duration::from_secs(10), |_| {
-        c2b.replayed.load(Ordering::Relaxed) == 12
-    });
+    let ok = h.wait_until(Duration::from_secs(10), |_| c2b.from()[0] == 12);
     assert!(
         ok,
         "the log replay must rebuild exactly the pre-crash deliveries (replayed={})",
-        c2b.replayed.load(Ordering::Relaxed)
+        c2b.from()[0]
     );
     h.query(SiteId(2), move |stack, _now, _out| {
         // The fresh stack lost its namespace cache; both survivor sites as contacts.
@@ -455,11 +224,11 @@ fn full_process_death_replays_its_log_and_rejoins() {
     let mut sent = 0u64;
     for _attempt in 0..4 {
         for i in 0..8u64 {
-            h.client_send(
+            send(
+                &mut h,
                 [m0, m1][(i % 2) as usize],
                 gid,
-                APPLY,
-                Message::with_body(24 + sent + i),
+                24 + sent + i,
                 ProtocolKind::Abcast,
             );
         }
@@ -470,45 +239,37 @@ fn full_process_death_replays_its_log_and_rejoins() {
     }
     h.join_and_wait(gid, r2, None, Duration::from_secs(20))
         .expect("rejoin after replay");
-    let ok = h.wait_until(Duration::from_secs(20), |_| {
-        c2b.ready.load(Ordering::Relaxed)
-    });
+    let ok = h.wait_until(Duration::from_secs(20), |_| c2b.is_ready());
     assert!(ok, "rejoin transfer never completed");
 
     // Phase four: a post-rejoin tail the recovered member must apply live (not via the
     // snapshot), so every partition term is exercised.
     for i in 0..4u64 {
-        h.client_send(
-            r2,
-            gid,
-            APPLY,
-            Message::with_body(24 + sent + i),
-            ProtocolKind::Abcast,
-        );
+        send(&mut h, r2, gid, 24 + sent + i, ProtocolKind::Abcast);
     }
     let total = 24 + sent + 4;
-    let ok = h.wait_until(Duration::from_secs(20), |_| {
-        [&c0, &c1, &c2b]
-            .iter()
-            .all(|c| c.len.load(Ordering::Relaxed) == total)
-    });
+    let recs = [c0.clone(), c1.clone(), c2b.clone()];
+    let ok = h.wait_until(Duration::from_secs(20), |_| holding(&recs, total as usize));
     assert!(
         ok,
         "final convergence failed (c0={}, c1={}, recovered={}, want {total})",
-        c0.len.load(Ordering::Relaxed),
-        c1.len.load(Ordering::Relaxed),
-        c2b.len.load(Ordering::Relaxed),
+        c0.len(),
+        c1.len(),
+        c2b.len(),
     );
     // Nothing may move once settled: a late duplicate would.
     h.settle(Duration::from_millis(100));
-    assert_eq!(c2b.len.load(Ordering::Relaxed), total);
+    assert_eq!(c2b.len() as u64, total);
+    check(&recs, PartitionInvariants::check_all);
+    check(
+        &[c0, c1, c2, c2b.clone()],
+        PartitionInvariants::check_view_order,
+    );
 
     // The exactly-once partition across the member's three lives: pre-crash history via
     // the replayed log, missed history via the rejoin snapshot, live history via
     // post-snapshot applies.  Each term nonzero, together covering every message once.
-    let replayed = c2b.replayed.load(Ordering::Relaxed);
-    let snapshot = c2b.snapshot_added.load(Ordering::Relaxed);
-    let applies = c2b.applies.load(Ordering::Relaxed);
+    let [replayed, snapshot, applies] = c2b.from();
     assert_eq!(replayed, 12);
     assert!(
         snapshot >= 12,
@@ -528,25 +289,16 @@ fn full_process_death_replays_its_log_and_rejoins() {
 
 #[test]
 fn site_recovery_rejoins_the_cluster() {
-    let mut h = threaded_harness(3, FaultPlan::none());
-    let (tx, rx) = mpsc::channel::<u64>();
-    let creator = h.spawn(SiteId(0), move |b| {
-        b.on_entry(APPLY, move |_ctx, msg| {
-            let _ = tx.send(msg.get_u64("body").unwrap_or(0));
-        });
-    });
-    let gid = h.create_group("recover", creator);
+    let mut h = threaded(3, 99, FaultPlan::none());
+    let gid = h.allocate_group_id();
+    let (creator, c0) = spawn_member(&mut h, SiteId(0), gid, true, Disk::None);
+    h.create_group_with_id("recover", gid, creator);
     h.rt.kill_site(SiteId(1));
     assert!(!h.rt.site_is_up(SiteId(1)));
     h.rt.recover_site(SiteId(1));
     assert!(h.rt.site_is_up(SiteId(1)));
     // The recovered site hosts a fresh process that can join the existing group.
-    let (jtx, jrx) = mpsc::channel::<u64>();
-    let joiner = h.spawn(SiteId(1), move |b| {
-        b.on_entry(APPLY, move |_ctx, msg| {
-            let _ = jtx.send(msg.get_u64("body").unwrap_or(0));
-        });
-    });
+    let (joiner, c1) = spawn_member(&mut h, SiteId(1), gid, false, Disk::None);
     // The fresh stack lost its namespace cache; repopulate the contact entry (the
     // recovery-manager tool does this from stable storage in the full system).
     h.query(SiteId(1), move |stack, _now, _out| {
@@ -554,27 +306,13 @@ fn site_recovery_rejoins_the_cluster() {
     });
     h.join_and_wait(gid, joiner, None, Duration::from_secs(20))
         .expect("join after recovery");
-    h.client_send(
-        creator,
-        gid,
-        APPLY,
-        Message::with_body(5u64),
-        ProtocolKind::Cbcast,
-    );
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    let mut got = (None, None);
-    while (got.0.is_none() || got.1.is_none()) && std::time::Instant::now() < deadline {
-        if let Ok(v) = rx.try_recv() {
-            got.0 = Some(v);
-        }
-        if let Ok(v) = jrx.try_recv() {
-            got.1 = Some(v);
-        }
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
+    send(&mut h, creator, gid, 5, ProtocolKind::Cbcast);
+    let recs: [Recorder; 2] = [c0, c1];
+    let ok = h.wait_until(Duration::from_secs(10), |_| holding(&recs, 1));
+    assert!(ok, "both members deliver after recovery");
     assert_eq!(
-        got,
-        (Some(5), Some(5)),
+        [recs[0].bodies(), recs[1].bodies()],
+        [vec![5], vec![5]],
         "both members deliver after recovery"
     );
 }

@@ -18,83 +18,53 @@
 //! view-installed-but-transfer-incomplete window and asserts a re-serve happened, the other
 //! disables re-serve and pins the wedge it fixes (joiner stuck, `TransferStalled` raised).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+mod support;
+
 use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
-use vsync::core::{Duration, EntryId, Message, ProcessId, ProtocolKind, SiteId, StackConfig};
-use vsync::proto::ProtoConfig;
-use vsync::rt::{FaultPlan, IsisHarness, IsisRuntime, SimRuntime, ThreadedRuntime};
+use support::{attach, check, sim, threaded, view_at, Recorder, APPLY};
+use vsync::core::{Duration, EntryId, GroupId, Message, ProcessId, ProtocolKind, SiteId};
+use vsync::rt::{FaultPlan, IsisHarness, IsisRuntime, PartitionInvariants, SimRuntime};
 use vsync::tools::StateTransfer;
-use vsync::util::NetParams;
 
-const APPLY: EntryId = EntryId(3);
-/// Unbuffered probe entry: snapshots the transfer tool's counters into the mirrors, even
-/// while the member is wedged (buffered entries would hold a probe back).
+/// Unbuffered probe entry: snapshots the transfer tool's counters, even while the member
+/// is wedged (buffered entries would hold a probe back).
 const PROBE: EntryId = EntryId(4);
 /// Messages in the burst the join and the crash are injected into.
 const TOTAL: u64 = 16;
 
-/// Test-thread-readable mirrors of one member's application and transfer-tool state.
-struct Mirrors {
-    log: Arc<Mutex<Vec<u64>>>,
-    ready: Arc<AtomicBool>,
-    rerequests: Arc<AtomicU64>,
-    stalled_events: Arc<AtomicU64>,
-    buffered: Arc<AtomicU64>,
-}
+/// The transfer tool's counters as of the last probe: re-requests sent, stall events,
+/// messages buffered.
+type Probe = Arc<Mutex<[u64; 3]>>;
 
-fn sim_harness(seed: u64) -> IsisHarness<SimRuntime> {
-    let params = NetParams::modern();
-    IsisHarness::new(SimRuntime::new(
-        3,
-        params,
-        StackConfig::from_params(&params),
-        ProtoConfig::fast(),
-        seed,
-    ))
-}
+/// One member: its recorded history and its transfer tool's probed counters.
+type Member = (ProcessId, Recorder, Probe);
 
-/// Spawns a member whose state is the log of applied message bodies.  The state encodes as
-/// **one block per entry** and snapshot application deduplicates, so a fresh re-serve can
-/// overlap whatever a dead serve already delivered.  The APPLY entry pushes
-/// unconditionally: a protocol-level double-delivery shows up as a duplicate in the log.
-/// `pad` bytes of ballast per block let the deterministic tests make blocks *slower on the
+/// Spawns a support log member with this suite's own transfer tool: the state encodes as
+/// **one block per entry**, `pad` bytes of ballast each, and a stall threshold of four
+/// buffered messages.  The ballast lets the deterministic tests make blocks *slower on the
 /// wire than the commit* (serialization delay grows with size), opening a real window in
-/// which the join view is installed while the snapshot is still in flight.
+/// which the join view is installed while the snapshot is still in flight.  With `reserve`
+/// off, a joiner whose source dies mid-transfer never asks a survivor to re-serve.
 fn spawn_log_member<R: IsisRuntime>(
     h: &mut IsisHarness<R>,
     site: SiteId,
-    gid: vsync::core::GroupId,
+    gid: GroupId,
     ready: bool,
     reserve: bool,
     pad: usize,
-) -> (ProcessId, Mirrors) {
-    let mirrors = Mirrors {
-        log: Arc::new(Mutex::new(Vec::new())),
-        ready: Arc::new(AtomicBool::new(ready)),
-        rerequests: Arc::new(AtomicU64::new(0)),
-        stalled_events: Arc::new(AtomicU64::new(0)),
-        buffered: Arc::new(AtomicU64::new(0)),
-    };
-    let log = mirrors.log.clone();
-    let m_ready = mirrors.ready.clone();
-    let m_rereq = mirrors.rerequests.clone();
-    let m_stall = mirrors.stalled_events.clone();
-    let m_buf = mirrors.buffered.clone();
+) -> Member {
+    let (rec, probe) = (Recorder::new(ready), Probe::default());
+    let (r, p) = (rec.clone(), probe.clone());
     let pid = h.spawn(site, move |b| {
-        let l_encode = log.clone();
-        let l_apply = log.clone();
-        let r_apply = m_ready.clone();
+        let (r_encode, r_apply) = (r.clone(), r.clone());
         let xfer = StateTransfer::new(
             gid,
             move || {
-                l_encode
-                    .lock()
-                    .unwrap()
-                    .iter()
-                    .map(|v| {
-                        let m = Message::new().with("log-entry", *v);
+                let blocks = r_encode.blocks().into_iter();
+                blocks
+                    .map(|m| {
                         if pad == 0 {
                             m
                         } else {
@@ -103,52 +73,32 @@ fn spawn_log_member<R: IsisRuntime>(
                     })
                     .collect()
             },
-            move |_ctx, block| {
-                if let Some(v) = block.get_u64("log-entry") {
-                    let mut l = l_apply.lock().unwrap();
-                    // A re-serve resends the full state; entries a dead serve already
-                    // delivered must not double-apply.
-                    if !l.contains(&v) {
-                        l.push(v);
-                    }
-                }
-                if block.get_bool("xfer-last").unwrap_or(false) {
-                    r_apply.store(true, Ordering::Relaxed);
-                }
-            },
+            move |_ctx, block| r_apply.apply_block(block),
         )
         .with_stall_threshold(4);
-        xfer.attach(b);
-        if ready {
-            xfer.mark_ready();
-        }
         if !reserve {
             xfer.disable_reserve();
         }
-        let l_update = log.clone();
-        xfer.on_entry_buffered(b, APPLY, move |_ctx, msg| {
-            l_update
-                .lock()
-                .unwrap()
-                .push(msg.get_u64("body").unwrap_or(u64::MAX));
-        });
-        let x_probe = xfer.clone();
+        attach(b, gid, &r, &xfer, None);
         b.on_entry(PROBE, move |_ctx, _msg| {
-            m_rereq.store(x_probe.rerequests_sent(), Ordering::Relaxed);
-            m_stall.store(x_probe.stalled_events(), Ordering::Relaxed);
-            m_buf.store(x_probe.buffered_len() as u64, Ordering::Relaxed);
+            *p.lock().unwrap() = [
+                xfer.rerequests_sent(),
+                xfer.stalled_events(),
+                xfer.buffered_len() as u64,
+            ];
         });
     });
-    (pid, mirrors)
+    rec.label(pid);
+    (pid, rec, probe)
 }
 
 fn submit_join<R: IsisRuntime>(
     h: &mut IsisHarness<R>,
-    gid: vsync::core::GroupId,
+    gid: GroupId,
     reserve: bool,
     pad: usize,
-) -> (ProcessId, Mirrors) {
-    let (pid, mirrors) = spawn_log_member(h, SiteId(2), gid, false, reserve, pad);
+) -> Member {
+    let (pid, rec, probe) = spawn_log_member(h, SiteId(2), gid, false, reserve, pad);
     h.rt.with_stack_job(
         SiteId(2),
         Box::new(move |stack, _now, out| {
@@ -160,7 +110,7 @@ fn submit_join<R: IsisRuntime>(
                 .expect("join submitted");
         }),
     );
-    (pid, mirrors)
+    (pid, rec, probe)
 }
 
 /// Builds the source/survivor group: the rank-0 transfer source at site 0 and *two*
@@ -169,42 +119,38 @@ fn submit_join<R: IsisRuntime>(
 /// the view when the source dies: a lone junior survivor of a two-member group is
 /// indistinguishable from the losing half of an even partition split, so the
 /// primary-partition fence wedges it by design and the join could never install.
+/// Returns the members' pids and recorders, the source first.
 fn source_survivor_group<R: IsisRuntime>(
     h: &mut IsisHarness<R>,
-    gid: vsync::core::GroupId,
+    gid: GroupId,
     pad: usize,
-) -> (ProcessId, Mirrors, ProcessId, Mirrors) {
-    let (m0, mir0) = spawn_log_member(h, SiteId(0), gid, true, true, pad);
+) -> (Vec<ProcessId>, Vec<Recorder>) {
+    let (m0, r0, _) = spawn_log_member(h, SiteId(0), gid, true, true, pad);
     h.create_group_with_id("crash", gid, m0);
-    let (m1, mir1) = spawn_log_member(h, SiteId(1), gid, false, true, pad);
+    let (m1, r1, _) = spawn_log_member(h, SiteId(1), gid, false, true, pad);
     h.join_and_wait(gid, m1, None, Duration::from_secs(10))
         .expect("survivor join");
-    let (m1b, mir1b) = spawn_log_member(h, SiteId(1), gid, false, true, pad);
+    let (m1b, r1b, _) = spawn_log_member(h, SiteId(1), gid, false, true, pad);
     h.join_and_wait(gid, m1b, None, Duration::from_secs(10))
         .expect("second survivor join");
     assert!(
-        h.wait_until(Duration::from_secs(10), |_| {
-            mir1.ready.load(Ordering::Relaxed) && mir1b.ready.load(Ordering::Relaxed)
-        }),
+        h.wait_until(Duration::from_secs(10), |_| r1.is_ready() && r1b.is_ready()),
         "survivor transfers never completed"
     );
-    (m0, mir0, m1, mir1)
+    (vec![m0, m1, m1b], vec![r0, r1, r1b])
 }
 
-fn sorted(l: &Arc<Mutex<Vec<u64>>>) -> Vec<u64> {
-    let mut v = l.lock().unwrap().clone();
-    v.sort_unstable();
-    v
-}
-
-fn assert_duplicate_free(who: &str, ctx: &str, multiset: &[u64]) {
-    for w in multiset.windows(2) {
-        assert!(
-            w[0] != w[1],
-            "{ctx}: {who} applied message {} twice (multiset {multiset:?})",
-            w[0]
-        );
-    }
+/// The survivor and the joiner hold the same bodies, and every member delivered the same
+/// ones in each view, each exactly once.
+fn check_agreement(ctx: &str, recs: &[Recorder], joiner: &Recorder) {
+    assert_eq!(
+        recs[1].sorted(),
+        joiner.sorted(),
+        "{ctx}: applied multisets diverged after settling"
+    );
+    let mut all = recs.to_vec();
+    all.push(joiner.clone());
+    check(&all, PartitionInvariants::check_view_agreement);
 }
 
 /// Runs one seeded scenario: the join is submitted after `join_after` of the burst's
@@ -214,12 +160,13 @@ fn assert_duplicate_free(who: &str, ctx: &str, multiset: &[u64]) {
 /// duplicate-free applied multiset.
 fn crash_races_transfer(seed: u64, join_after: u64, kill_after: u64) {
     let ctx = format!("seed {seed}, join_after {join_after}, kill_after {kill_after}");
-    let mut h = sim_harness(seed);
+    let mut h = sim(3, seed, FaultPlan::none());
     let gid = h.allocate_group_id();
-    let (m0, _mir0, m1, mir1) = source_survivor_group(&mut h, gid, 0);
+    let (pids, recs) = source_survivor_group(&mut h, gid, 0);
+    let (m0, m1) = (pids[0], pids[1]);
 
     // The burst, with the joiner and the crash injected mid-flight.
-    let mut joiner: Option<(ProcessId, Mirrors)> = None;
+    let mut joiner: Option<Member> = None;
     let mut killed = false;
     for i in 0..TOTAL {
         if i == join_after {
@@ -242,7 +189,7 @@ fn crash_races_transfer(seed: u64, join_after: u64, kill_after: u64) {
         h.client_send(sender, gid, APPLY, Message::with_body(i), protocol);
         h.settle(Duration::from_micros(500));
     }
-    let (jid, mir2) = joiner.unwrap_or_else(|| submit_join(&mut h, gid, true, 0));
+    let (jid, joiner, _) = joiner.unwrap_or_else(|| submit_join(&mut h, gid, true, 0));
     if !killed {
         h.rt.kill_site_dropping_outbound(SiteId(0));
     }
@@ -250,34 +197,26 @@ fn crash_races_transfer(seed: u64, join_after: u64, kill_after: u64) {
     // Convergence: the joiner is in the view, the dead source is out of it, the joiner's
     // transfer completed (possibly via a survivor re-serve), and both logs agree.
     let ok = h.wait_until(Duration::from_secs(30), |h| {
-        [SiteId(1), SiteId(2)].iter().all(|s| {
-            h.view_of(*s, gid)
-                .map(|v| v.contains(jid) && !v.contains(m0) && v.len() == 3)
-                .unwrap_or(false)
+        view_at(h, gid, [1, 2], |v| {
+            v.contains(jid) && !v.contains(m0) && v.len() == 3
         })
     });
     assert!(ok, "{ctx}: survivors never agreed on the post-crash view");
     let ok = h.wait_until(Duration::from_secs(30), |_| {
-        mir2.ready.load(Ordering::Relaxed) && sorted(&mir1.log) == sorted(&mir2.log)
+        joiner.is_ready() && recs[1].sorted() == joiner.sorted()
     });
     assert!(
         ok,
         "{ctx}: joiner wedged or logs diverged (ready={}, survivor={:?}, joiner={:?})",
-        mir2.ready.load(Ordering::Relaxed),
-        sorted(&mir1.log),
-        sorted(&mir2.log),
+        joiner.is_ready(),
+        recs[1].sorted(),
+        joiner.sorted(),
     );
     // Let any straggler (a late duplicate would be one) land, then re-check: nothing moves.
     h.settle(Duration::from_millis(200));
-    let survivor = sorted(&mir1.log);
-    let joiner_log = sorted(&mir2.log);
-    assert_eq!(
-        survivor, joiner_log,
-        "{ctx}: applied multisets diverged after settling"
-    );
-    assert_duplicate_free("survivor", &ctx, &survivor);
-    assert_duplicate_free("joiner", &ctx, &joiner_log);
+    check_agreement(&ctx, &recs, &joiner);
     // The survivor's own sends can never be lost: it outlives the cut that installs them.
+    let survivor = recs[1].sorted();
     for i in 0..TOTAL {
         let survivor_sent = i % 2 == 1 || i >= kill_after;
         if survivor_sent {
@@ -316,25 +255,23 @@ fn boundary_crash_instants_never_wedge_the_joiner() {
 /// and asserts the joiner recovered *via a re-request* (not by luck).
 #[test]
 fn mid_transfer_source_crash_is_reserved_by_the_survivor() {
-    let (h, gid, m1, mir2, caught) = run_mid_transfer_crash(21, true);
+    let (mut h, gid, pids, recs, (_, joiner, probed), caught) = run_mid_transfer_crash(21, true);
     assert!(
         caught,
         "never caught the mid-transfer window; pick another seed"
     );
-    let mut h = h;
-    let ok = h.wait_until(Duration::from_secs(30), |_| {
-        mir2.ready.load(Ordering::Relaxed)
-    });
+    let ok = h.wait_until(Duration::from_secs(30), |_| joiner.is_ready());
     assert!(ok, "joiner never unwedged after mid-transfer source crash");
     // Probe the joiner's transfer tool: the recovery must have gone through at least one
     // snapshot re-request.
-    probe(&mut h, gid, m1);
+    probe(&mut h, gid, pids[1]);
     assert!(
-        mir2.rerequests.load(Ordering::Relaxed) >= 1,
+        probed.lock().unwrap()[0] >= 1,
         "joiner became ready without re-requesting — the window was not exercised"
     );
-    let survivor_log = sorted(&mir2.log);
-    assert_duplicate_free("joiner", "mid-transfer crash", &survivor_log);
+    let mut all = recs;
+    all.push(joiner);
+    check(&all, PartitionInvariants::check_view_agreement);
 }
 
 /// The same window with re-serve disabled pins the failure mode the protocol fixes: the
@@ -342,28 +279,27 @@ fn mid_transfer_source_crash_is_reserved_by_the_survivor() {
 /// so the condition is observable outside tests too.
 #[test]
 fn without_reserve_the_joiner_wedges_and_reports_a_stall() {
-    let (h, gid, m1, mir2, caught) = run_mid_transfer_crash(21, false);
+    let (mut h, gid, pids, _, (_, joiner, probed), caught) = run_mid_transfer_crash(21, false);
     assert!(
         caught,
         "never caught the mid-transfer window; pick another seed"
     );
-    let mut h = h;
     h.settle(Duration::from_secs(5));
-    probe(&mut h, gid, m1);
+    probe(&mut h, gid, pids[1]);
     assert!(
-        !mir2.ready.load(Ordering::Relaxed),
+        !joiner.is_ready(),
         "joiner unwedged with re-serve disabled — the knob no longer pins the failure mode"
     );
+    let [rerequests, stalled, buffered] = *probed.lock().unwrap();
     assert!(
-        mir2.buffered.load(Ordering::Relaxed) >= 4,
-        "wedged joiner's buffer never grew past the stall threshold (buffered={})",
-        mir2.buffered.load(Ordering::Relaxed)
+        buffered >= 4,
+        "wedged joiner's buffer never grew past the stall threshold (buffered={buffered})"
     );
     assert!(
-        mir2.stalled_events.load(Ordering::Relaxed) >= 1,
+        stalled >= 1,
         "TransferStalled never fired for a wedged joiner"
     );
-    assert_eq!(mir2.rerequests.load(Ordering::Relaxed), 0);
+    assert_eq!(rerequests, 0);
 }
 
 /// Shared choreography for the deterministic window tests: build the group, deliver a
@@ -372,17 +308,19 @@ fn without_reserve_the_joiner_wedges_and_reports_a_stall() {
 /// source in that instant.  Post-cut traffic (sent by the survivor) keeps flowing so the
 /// joiner's buffered entries see load.  Returns `caught = false` if the transfer won the
 /// race against the view observation (seed-dependent; the callers assert it).
+#[allow(clippy::type_complexity)]
 fn run_mid_transfer_crash(
     seed: u64,
     reserve: bool,
 ) -> (
     IsisHarness<SimRuntime>,
-    vsync::core::GroupId,
-    ProcessId,
-    Mirrors,
+    GroupId,
+    Vec<ProcessId>,
+    Vec<Recorder>,
+    Member,
     bool,
 ) {
-    let mut h = sim_harness(seed);
+    let mut h = sim(3, seed, FaultPlan::none());
     let gid = h.allocate_group_id();
     // Half a megabyte of ballast per snapshot block: at the modern profile's 10 Gbit/s the
     // blocks' serialization delay (~400 µs each) dwarfs the flush commit's (~KBs), so the
@@ -390,17 +328,17 @@ fn run_mid_transfer_crash(
     // simulator's latency model is deterministic, so without the ballast the small blocks
     // would *always* beat the commit and the window would never be observable.
     const PAD: usize = 512 * 1024;
-    let (m0, _mir0, m1, mir1) = source_survivor_group(&mut h, gid, PAD);
+    let (pids, recs) = source_survivor_group(&mut h, gid, PAD);
+    let (m0, m1) = (pids[0], pids[1]);
     // Pre-join history: 16 entries, fully delivered, so the snapshot is 16 blocks wide —
     // a wide window for the crash to land inside.
     for i in 0..TOTAL {
         h.client_send(m0, gid, APPLY, Message::with_body(i), ProtocolKind::Cbcast);
     }
-    let ok = h.wait_until(Duration::from_secs(10), |_| {
-        mir1.log.lock().unwrap().len() == TOTAL as usize
-    });
+    let ok = h.wait_until(Duration::from_secs(10), |_| recs[1].len() == TOTAL as usize);
     assert!(ok, "pre-join burst never delivered");
-    let (jid, mir2) = submit_join(&mut h, gid, reserve, PAD);
+    let member = submit_join(&mut h, gid, reserve, PAD);
+    let (jid, joiner) = (member.0, member.1.clone());
     // Advance in 50 µs steps hunting for the instant where the join view has installed at
     // both surviving sites but the joiner's transfer is still incomplete — i.e. some of
     // the source's snapshot blocks are still on the wire.  (Requiring the survivor to have
@@ -408,13 +346,10 @@ fn run_mid_transfer_crash(
     // fan-out, so the scenario isolates the transfer-crash path.)
     let mut caught = false;
     for _ in 0..200_000 {
-        if mir2.ready.load(Ordering::Relaxed) {
+        if joiner.is_ready() {
             break; // the transfer won the race against the observation
         }
-        let installed_everywhere = [SiteId(1), SiteId(2)]
-            .iter()
-            .all(|s| h.view_of(*s, gid).map(|v| v.contains(jid)).unwrap_or(false));
-        if installed_everywhere {
+        if view_at(&mut h, gid, [1, 2], |v| v.contains(jid)) {
             caught = true;
             break;
         }
@@ -434,11 +369,11 @@ fn run_mid_transfer_crash(
         );
         h.settle(Duration::from_micros(500));
     }
-    (h, gid, m1, mir2, caught)
+    (h, gid, pids, recs, member, caught)
 }
 
-/// Sends a probe through the survivor and settles so the joiner's counter mirrors refresh.
-fn probe(h: &mut IsisHarness<SimRuntime>, gid: vsync::core::GroupId, m1: ProcessId) {
+/// Sends a probe through the survivor and settles so the joiner's probed counters refresh.
+fn probe(h: &mut IsisHarness<SimRuntime>, gid: GroupId, m1: ProcessId) {
     h.client_send(m1, gid, PROBE, Message::new(), ProtocolKind::Cbcast);
     h.settle(Duration::from_millis(50));
 }
@@ -451,18 +386,14 @@ fn probe(h: &mut IsisHarness<SimRuntime>, gid: vsync::core::GroupId, m1: Process
 #[test]
 fn threaded_source_crash_never_wedges_the_joiner() {
     for (round, delay) in [0u64, 500, 2_000, 8_000].into_iter().enumerate() {
+        let ctx = format!("round {round}");
         let faults = FaultPlan::none()
             .with_delay(Duration::from_micros(200))
             .with_jitter(Duration::from_micros(400));
-        let mut h = IsisHarness::new(ThreadedRuntime::new(
-            3,
-            ThreadedRuntime::fast_local_config(),
-            ProtoConfig::fast(),
-            faults,
-            77 + round as u64,
-        ));
+        let mut h = threaded(3, 77 + round as u64, faults);
         let gid = h.allocate_group_id();
-        let (m0, _mir0, m1, mir1) = source_survivor_group(&mut h, gid, 0);
+        let (pids, recs) = source_survivor_group(&mut h, gid, 0);
+        let (m0, m1) = (pids[0], pids[1]);
         for i in 0..TOTAL {
             let sender = if i % 2 == 0 { m0 } else { m1 };
             h.client_send(
@@ -473,12 +404,10 @@ fn threaded_source_crash_never_wedges_the_joiner() {
                 ProtocolKind::Cbcast,
             );
         }
-        let ok = h.wait_until(Duration::from_secs(20), |_| {
-            mir1.log.lock().unwrap().len() == TOTAL as usize
-        });
-        assert!(ok, "round {round}: pre-join burst never delivered");
+        let ok = h.wait_until(Duration::from_secs(20), |_| recs[1].len() == TOTAL as usize);
+        assert!(ok, "{ctx}: pre-join burst never delivered");
 
-        let (jid, mir2) = submit_join(&mut h, gid, true, 0);
+        let (jid, joiner, _) = submit_join(&mut h, gid, true, 0);
         if delay > 0 {
             h.settle(Duration::from_micros(delay));
         }
@@ -494,34 +423,22 @@ fn threaded_source_crash_never_wedges_the_joiner() {
             );
         }
         let ok = h.wait_until(Duration::from_secs(30), |h| {
-            [SiteId(1), SiteId(2)].iter().all(|s| {
-                h.view_of(*s, gid)
-                    .map(|v| v.contains(jid) && !v.contains(m0) && v.len() == 3)
-                    .unwrap_or(false)
+            view_at(h, gid, [1, 2], |v| {
+                v.contains(jid) && !v.contains(m0) && v.len() == 3
             })
         });
-        assert!(
-            ok,
-            "round {round}: survivors never agreed on the post-crash view"
-        );
+        assert!(ok, "{ctx}: survivors never agreed on the post-crash view");
         let ok = h.wait_until(Duration::from_secs(30), |_| {
-            mir2.ready.load(Ordering::Relaxed) && sorted(&mir1.log) == sorted(&mir2.log)
+            joiner.is_ready() && recs[1].sorted() == joiner.sorted()
         });
         assert!(
             ok,
-            "round {round}: joiner wedged or logs diverged (ready={}, survivor={:?}, joiner={:?})",
-            mir2.ready.load(Ordering::Relaxed),
-            sorted(&mir1.log),
-            sorted(&mir2.log),
+            "{ctx}: joiner wedged or logs diverged (ready={}, survivor={:?}, joiner={:?})",
+            joiner.is_ready(),
+            recs[1].sorted(),
+            joiner.sorted(),
         );
         h.settle(Duration::from_millis(100));
-        let survivor = sorted(&mir1.log);
-        let joiner_log = sorted(&mir2.log);
-        assert_eq!(
-            survivor, joiner_log,
-            "round {round}: applied multisets diverged after settling"
-        );
-        assert_duplicate_free("survivor", &format!("threaded round {round}"), &survivor);
-        assert_duplicate_free("joiner", &format!("threaded round {round}"), &joiner_log);
+        check_agreement(&ctx, &recs, &joiner);
     }
 }
