@@ -117,7 +117,7 @@ pub struct GroupEndpoint {
     /// [`GroupEndpoint::step`].
     flush_attempt: u64,
     /// Membership changes queued at (or forwarded to) the acting coordinator.
-    pending_joins: Vec<ProcessId>,
+    pending_joins: Vec<(ProcessId, Option<String>)>,
     pending_leaves: Vec<ProcessId>,
     /// Members this site believes have failed (cleared when a view excluding them installs).
     suspected: BTreeSet<ProcessId>,
@@ -130,8 +130,9 @@ pub struct GroupEndpoint {
     /// excluding them is an *expected* departure, not evidence that the primary partition
     /// cut this site out.
     leaving_local: BTreeSet<ProcessId>,
-    /// User GBCAST payloads queued for the next cut (only at the coordinator's site).
-    pending_gbcasts: Vec<Message>,
+    /// User GBCASTs queued for the next cut, with their senders (only at the coordinator's
+    /// site).
+    pending_gbcasts: Vec<(ProcessId, Message)>,
     /// Application multicasts issued while a flush was in progress.
     buffered_sends: Vec<BufferedSend>,
     /// Protocol messages that belong to a view we have not installed yet (frames aliased,
@@ -288,7 +289,7 @@ impl GroupEndpoint {
             return Err(VsError::NoCoordinator(self.group));
         };
         if coord.site == self.site {
-            self.pending_gbcasts.push(payload);
+            self.pending_gbcasts.push((sender, payload));
             self.start_flush_if_needed(now, out);
         } else {
             let wire = ProtoMsg::GbcastReq { sender, payload }.into_frame(self.group);
@@ -312,8 +313,8 @@ impl GroupEndpoint {
             return Err(VsError::NoCoordinator(self.group));
         };
         if coord.site == self.site {
-            if !self.pending_joins.contains(&joiner) {
-                self.pending_joins.push(joiner);
+            if !self.pending_joins.iter().any(|(j, _)| *j == joiner) {
+                self.pending_joins.push((joiner, credentials));
             }
             self.start_flush_if_needed(now, out);
         } else {
@@ -946,6 +947,7 @@ impl GroupEndpoint {
             return;
         };
         if coord.site != self.site {
+            self.hand_over(coord.site, out);
             return;
         }
         self.stats.count_multicast(ProtocolKind::Gbcast);
@@ -974,6 +976,36 @@ impl GroupEndpoint {
         self.step(Input::Coordinate(coordinator));
         if complete {
             self.complete_flush(now, out);
+        }
+    }
+
+    /// A site holds queued changes only while it is the acting coordinator: a deposed one
+    /// sends them on to `coordinator_site`, which cuts them into its next view.
+    fn hand_over(&mut self, coordinator_site: SiteId, out: &mut Vec<EndpointOutput>) {
+        let joins = std::mem::take(&mut self.pending_joins);
+        let leaves = std::mem::take(&mut self.pending_leaves);
+        let gbcasts = std::mem::take(&mut self.pending_gbcasts);
+        let requests = (joins.into_iter())
+            .map(|(joiner, credentials)| ProtoMsg::JoinReq {
+                joiner,
+                credentials,
+            })
+            .chain(
+                leaves
+                    .into_iter()
+                    .map(|member| ProtoMsg::LeaveReq { member }),
+            )
+            .chain(
+                (gbcasts.into_iter())
+                    .map(|(sender, payload)| ProtoMsg::GbcastReq { sender, payload }),
+            );
+        for req in requests {
+            send(
+                out,
+                coordinator_site,
+                PacketKind::Flush,
+                req.into_frame(self.group),
+            );
         }
     }
 
@@ -1077,7 +1109,7 @@ impl GroupEndpoint {
             .copied()
             .chain(self.pending_leaves.iter().copied())
             .collect();
-        let joined: Vec<ProcessId> = self.pending_joins.clone();
+        let joined: Vec<ProcessId> = self.pending_joins.iter().map(|(j, _)| *j).collect();
         let new_view = view.successor(&departed, &joined);
         let deliver = flush.deliver_set();
         // Describe the cut as a per-origin frontier: everything redistributed by this
@@ -1090,7 +1122,10 @@ impl GroupEndpoint {
         for id in flush.collected.keys() {
             covered.observe(*id);
         }
-        let gbcasts = std::mem::take(&mut self.pending_gbcasts);
+        let gbcasts = std::mem::take(&mut self.pending_gbcasts)
+            .into_iter()
+            .map(|(_, payload)| payload)
+            .collect();
         self.pending_joins.clear();
         self.pending_leaves.clear();
         // Send the commit to every site that was in the old view or is in the new one.
@@ -1222,6 +1257,9 @@ impl GroupEndpoint {
         self.confirmed.retain(|p| new_view.contains(*p));
         // A leave the new view processed is done; one still pending stays remembered.
         self.leaving_local.retain(|p| new_view.contains(*p));
+        // Joins and leaves the new view settled are done, wherever they were queued.
+        self.pending_joins.retain(|(j, _)| !new_view.contains(*j));
+        self.pending_leaves.retain(|p| new_view.contains(*p));
         let pending_restart = !self.suspected.is_empty()
             || !self.pending_joins.is_empty()
             || !self.pending_leaves.is_empty()

@@ -1609,3 +1609,71 @@ fn a_wedged_site_that_regains_its_majority_probes_before_it_cuts() {
     assert_eq!((v.seq(), &v.members[..]), (4, &[member(0)][..]));
     assert!(!c.wedged(0));
 }
+
+// -- A deposed coordinator hands its queue over ------------------------------------------------
+//
+// A site holds queued changes only while it is the acting coordinator.  Site 1 falsely
+// suspects site 0, coordinates, and queues a change; then it hears site 0 again.
+
+/// The view events at `site` that carried GBCASTs: each view's seq with their bodies.
+fn gbcast_bodies(c: &Cluster, site: u16) -> Vec<(u64, Vec<u64>)> {
+    c.views[&SiteId(site)]
+        .iter()
+        .filter(|ve| !ve.gbcasts.is_empty())
+        .map(|ve| {
+            let bodies = ve.gbcasts.iter().filter_map(|m| m.get_u64("body"));
+            (ve.view.seq(), bodies.collect())
+        })
+        .collect()
+}
+
+#[test]
+fn a_deposed_coordinator_hands_its_queued_gbcast_to_the_coordinator() {
+    let mut c = Cluster::build_three_member_group();
+    c.suspect(1, &[0]); // site 1 starts a flush without site 0 ...
+    c.exec(SiteId(1), |ep, now, out| {
+        ep.gbcast(now, member(1), Message::with_body(77u64), out)
+            .unwrap();
+    });
+    c.hear(1, 0); // ... and is deposed while its GBCAST waits
+    c.pump(false);
+    c.exec(SiteId(2), |ep, now, out| {
+        ep.submit_leave(now, member(2), out).unwrap();
+    });
+    c.pump(false);
+    for s in [0u16, 1] {
+        assert_eq!(gbcast_bodies(&c, s), [(4, vec![77])], "site {s}");
+        let v = c.endpoints[&SiteId(s)].view().unwrap();
+        assert_eq!(v.members, vec![member(0), member(1)], "site {s}");
+    }
+}
+
+#[test]
+fn a_deposed_coordinator_never_readmits_a_joiner_that_left() {
+    let mut c = Cluster::build_three_member_group();
+    let joiner = ProcessId::new(SiteId(2), 2);
+    c.suspect(1, &[0]);
+    c.exec(SiteId(1), |ep, now, out| {
+        ep.submit_join(now, joiner, None, out).unwrap();
+    });
+    c.hear(1, 0);
+    c.pump(false);
+    c.exec(SiteId(0), |ep, now, out| {
+        ep.submit_join(now, joiner, None, out).unwrap();
+    });
+    c.pump(false);
+    assert!(c.endpoints[&SiteId(1)].view().unwrap().contains(joiner));
+    c.exec(SiteId(2), |ep, now, out| {
+        ep.submit_leave(now, joiner, out).unwrap();
+    });
+    c.pump(false);
+    c.crash_site(SiteId(0));
+    for s in [1u16, 2] {
+        c.confirm_crashes(s, &[0]);
+    }
+    c.pump(false);
+    for s in [1u16, 2] {
+        let v = c.endpoints[&SiteId(s)].view().unwrap();
+        assert_eq!(v.members, vec![member(1), member(2)], "site {s}");
+    }
+}
