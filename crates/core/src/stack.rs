@@ -224,8 +224,8 @@ impl SiteStack {
         self.contacts.insert(group, contact_sites);
     }
 
-    /// Installs a protection policy for a group: joins are checked when this site
-    /// coordinates them, and senders on every message dispatched here.
+    /// Installs a protection policy for a group: joins are checked wherever they enter this
+    /// site, and senders on every message dispatched here.
     pub fn set_policy(&mut self, group: GroupId, policy: ProtectionPolicy) {
         self.policies.insert(group, policy);
     }
@@ -299,11 +299,32 @@ impl SiteStack {
         credentials: Option<String>,
         out: &mut Outbox,
     ) -> Result<()> {
+        self.admit_join(group, joiner, credentials.as_deref(), out)?;
         // Track the join until a view containing the joiner installs, so the maintenance
         // tick can re-submit it if the contact or coordinator it reaches first crashes.
         self.joins
             .track(group, joiner, credentials.as_deref(), self.now);
         self.submit_join_request(group, joiner, credentials, 0, out)
+    }
+
+    /// The protection tool's check on a join (paper Section 3.10), made wherever a join
+    /// enters this site: submitted by a local process, or arriving as a `JoinReq`.
+    fn admit_join(
+        &self,
+        group: GroupId,
+        joiner: ProcessId,
+        credentials: Option<&str>,
+        out: &mut Outbox,
+    ) -> Result<()> {
+        let Some(Err(why)) = self
+            .policies
+            .get(&group)
+            .map(|p| p.validate_join(credentials))
+        else {
+            return Ok(());
+        };
+        out.trace_with(|| format!("{}: join of {joiner} to {group} refused: {why}", self.site));
+        Err(VsError::JoinRefused(why))
     }
 
     /// One attempt at routing a join: submit locally if a member lives here, otherwise send
@@ -971,19 +992,16 @@ impl SiteStack {
             }
             _ => {}
         }
-        // Joins are validated by the protection policy before the protocol layer sees them.
         if let ProtoMsg::JoinReq {
             joiner,
             credentials,
         } = decoded
         {
-            if let Some(policy) = self.policies.get(&group) {
-                if let Err(why) = policy.validate_join(credentials.as_deref()) {
-                    out.trace_with(|| {
-                        format!("{}: join of {joiner} to {group} refused: {why}", self.site)
-                    });
-                    return;
-                }
+            if self
+                .admit_join(group, *joiner, credentials.as_deref(), out)
+                .is_err()
+            {
+                return;
             }
         }
         self.ensure_endpoint(group);

@@ -951,6 +951,34 @@ mod tests {
     }
 
     #[test]
+    fn protection_policy_checks_a_join_at_a_member_site_too() {
+        let mut h = sim_harness(2);
+        let creator = h.spawn(SiteId(0), |_| {});
+        let gid = h.allocate_group_id();
+        h.set_policy(gid, ProtectionPolicy::open().with_join_credential("sesame"));
+        h.create_group_with_id("secure", gid, creator);
+        let neighbour = h.spawn(SiteId(0), |_| {});
+        let denied = h.join_and_wait(
+            gid,
+            neighbour,
+            Some("wrong".into()),
+            Duration::from_millis(500),
+        );
+        assert!(
+            matches!(denied, Err(VsError::JoinRefused(_))),
+            "refused at once: {denied:?}"
+        );
+        assert_eq!(h.view_of(SiteId(0), gid).map(|v| v.len()), Some(1));
+        let allowed = h.join_and_wait(
+            gid,
+            neighbour,
+            Some("sesame".into()),
+            Duration::from_secs(5),
+        );
+        assert!(allowed.is_ok(), "{allowed:?}");
+    }
+
+    #[test]
     fn protection_policy_rejects_untrusted_senders() {
         let mut h = sim_harness(2);
         let seen: Vec<Rc<RefCell<Vec<u64>>>> = (0..2).map(|_| Rc::default()).collect();
