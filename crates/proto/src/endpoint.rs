@@ -5,14 +5,17 @@
 //! inter-site communication", keeping one block of ordering state per process group with
 //! members at that site.  [`GroupEndpoint`] is that block of state.
 //!
-//! It is two machines side by side.  The *data path* runs CBCAST, ABCAST and the stability
-//! buffer in the installed view.  The *mode* is where the site stands in the flush that
-//! implements GBCAST and virtually synchronous view changes, and against the
-//! primary-partition fence: normal, coordinating a flush, acked into one, wedged in a
-//! minority, or exiled from a primary view that moved on without it.  One transition
-//! function is the only writer of the mode.  The mode gates the data path with one flag,
-//! true from this site's flush ack to the commit, and never reaches into it.  ARCHITECTURE.md
-//! draws the mode's state diagram.
+//! It owns three parts.  The *data path* runs CBCAST, ABCAST and the stability buffer in the
+//! installed view.  The *mode* is where the site stands in the flush that implements GBCAST
+//! and virtually synchronous view changes, and against the primary-partition fence: normal,
+//! coordinating a flush, acked into one, wedged in a minority, or exiled from a primary view
+//! that moved on without it.  The *changes* are what the next flush cut settles: the
+//! suspected members, the joins, leaves and GBCASTs queued for it, and the local members
+//! that asked to leave; they decide whether a flush is needed, who votes at the fence and
+//! what the next view is.  Only the acting coordinator holds queued requests: any other site
+//! hands them over to it.  One transition function is the only writer of the mode.  The mode
+//! gates the data path with one flag, true from this site's flush ack to the commit, and
+//! never reaches into it.  ARCHITECTURE.md draws the mode's state diagram.
 //!
 //! The endpoint is sans-io: every public method appends [`EndpointOutput`] actions to a
 //! caller-supplied vector.  The hosting protocol stack (in `vsync-core`) owns one endpoint
@@ -32,9 +35,11 @@ use crate::messages::{ProtoMsg, StabilityEntry, StoredMsg};
 use crate::output::{EndpointOutput, ViewEvent};
 use crate::view::View;
 
+mod changes;
 mod data;
 mod mode;
 
+use changes::{Changes, Suspicion};
 use data::DataPath;
 use mode::{Input, Mode};
 
@@ -116,23 +121,8 @@ pub struct GroupEndpoint {
     /// The attempt number the next flush this site coordinates carries.  Written only by
     /// [`GroupEndpoint::step`].
     flush_attempt: u64,
-    /// Membership changes queued at (or forwarded to) the acting coordinator.
-    pending_joins: Vec<(ProcessId, Option<String>)>,
-    pending_leaves: Vec<ProcessId>,
-    /// Members this site believes have failed (cleared when a view excluding them installs).
-    suspected: BTreeSet<ProcessId>,
-    /// The subset of `suspected` reported as *confirmed* crashes (explicit process-crash
-    /// reports).  Confirmed suspicions are never retracted by later traffic; everything
-    /// else in `suspected` came from timeouts and is withdrawn the moment the suspect
-    /// speaks again (see [`GroupEndpoint::unsuspect_site`]).
-    confirmed: BTreeSet<ProcessId>,
-    /// Local members whose voluntary leave was submitted through this endpoint.  A commit
-    /// excluding them is an *expected* departure, not evidence that the primary partition
-    /// cut this site out.
-    leaving_local: BTreeSet<ProcessId>,
-    /// User GBCASTs queued for the next cut, with their senders (only at the coordinator's
-    /// site).
-    pending_gbcasts: Vec<(ProcessId, Message)>,
+    /// What the next view changes: suspicions, queued requests, local leavers.
+    changes: Changes,
     /// Application multicasts issued while a flush was in progress.
     buffered_sends: Vec<BufferedSend>,
     /// Protocol messages that belong to a view we have not installed yet (frames aliased,
@@ -161,12 +151,7 @@ impl GroupEndpoint {
             data: DataPath::new(group, site),
             mode: Mode::Normal { probes: 0 },
             flush_attempt: 0,
-            pending_joins: Vec::new(),
-            pending_leaves: Vec::new(),
-            suspected: BTreeSet::new(),
-            confirmed: BTreeSet::new(),
-            leaving_local: BTreeSet::new(),
-            pending_gbcasts: Vec::new(),
+            changes: Changes::default(),
             buffered_sends: Vec::new(),
             future_msgs: Vec::new(),
             last_commit: None,
@@ -285,17 +270,7 @@ impl GroupEndpoint {
         out: &mut Vec<EndpointOutput>,
     ) -> Result<()> {
         self.member_view()?;
-        let Some(coord) = self.acting_coordinator() else {
-            return Err(VsError::NoCoordinator(self.group));
-        };
-        if coord.site == self.site {
-            self.pending_gbcasts.push((sender, payload));
-            self.start_flush_if_needed(now, out);
-        } else {
-            let wire = ProtoMsg::GbcastReq { sender, payload }.into_frame(self.group);
-            send(out, coord.site, PacketKind::Flush, wire);
-        }
-        Ok(())
+        self.submit(now, ProtoMsg::GbcastReq { sender, payload }, out)
     }
 
     // -- Membership operations ---------------------------------------------------------------
@@ -309,23 +284,11 @@ impl GroupEndpoint {
         credentials: Option<String>,
         out: &mut Vec<EndpointOutput>,
     ) -> Result<()> {
-        let Some(coord) = self.acting_coordinator() else {
-            return Err(VsError::NoCoordinator(self.group));
+        let join = ProtoMsg::JoinReq {
+            joiner,
+            credentials,
         };
-        if coord.site == self.site {
-            if !self.pending_joins.iter().any(|(j, _)| *j == joiner) {
-                self.pending_joins.push((joiner, credentials));
-            }
-            self.start_flush_if_needed(now, out);
-        } else {
-            let wire = ProtoMsg::JoinReq {
-                joiner,
-                credentials,
-            }
-            .into_frame(self.group);
-            send(out, coord.site, PacketKind::Flush, wire);
-        }
-        Ok(())
+        self.submit(now, join, out)
     }
 
     /// Submits a voluntary leave for `member`.
@@ -335,22 +298,29 @@ impl GroupEndpoint {
         member: ProcessId,
         out: &mut Vec<EndpointOutput>,
     ) -> Result<()> {
+        if member.site == self.site {
+            self.changes.leaving_here(member);
+        }
+        self.submit(now, ProtoMsg::LeaveReq { member }, out)
+    }
+
+    /// Queues `request` (a `JoinReq`, `LeaveReq` or `GbcastReq`) for the next cut if this
+    /// site is the acting coordinator, or sends it to the site of the one that is.
+    fn submit(
+        &mut self,
+        now: SimTime,
+        request: ProtoMsg,
+        out: &mut Vec<EndpointOutput>,
+    ) -> Result<()> {
         let Some(coord) = self.acting_coordinator() else {
             return Err(VsError::NoCoordinator(self.group));
         };
-        if member.site == self.site {
-            // Remember that this local member asked to go: the commit that excludes it is
-            // an expected departure, not a primary partition cutting us out.
-            self.leaving_local.insert(member);
-        }
         if coord.site == self.site {
-            if !self.pending_leaves.contains(&member) {
-                self.pending_leaves.push(member);
-            }
+            self.changes.queue(request);
             self.start_flush_if_needed(now, out);
         } else {
-            let wire = ProtoMsg::LeaveReq { member }.into_frame(self.group);
-            send(out, coord.site, PacketKind::Flush, wire);
+            let frame = request.into_frame(self.group);
+            send(out, coord.site, PacketKind::Flush, frame);
         }
         Ok(())
     }
@@ -366,7 +336,7 @@ impl GroupEndpoint {
         failed: &[ProcessId],
         out: &mut Vec<EndpointOutput>,
     ) {
-        self.note_failures(now, failed, false, out);
+        self.note_failures(now, failed, Suspicion::Timeout, out);
     }
 
     /// Reports *confirmed* crashes (an explicit process-exit report, not a timeout).
@@ -377,14 +347,14 @@ impl GroupEndpoint {
         failed: &[ProcessId],
         out: &mut Vec<EndpointOutput>,
     ) {
-        self.note_failures(now, failed, true, out);
+        self.note_failures(now, failed, Suspicion::Observed, out);
     }
 
     fn note_failures(
         &mut self,
         now: SimTime,
         failed: &[ProcessId],
-        confirmed: bool,
+        why: Suspicion,
         out: &mut Vec<EndpointOutput>,
     ) {
         if self.exiled() {
@@ -394,15 +364,8 @@ impl GroupEndpoint {
             return;
         };
         let mut newly = false;
-        for f in failed {
-            if view.contains(*f) {
-                if self.suspected.insert(*f) {
-                    newly = true;
-                }
-                if confirmed {
-                    self.confirmed.insert(*f);
-                }
-            }
+        for f in failed.iter().filter(|f| view.contains(**f)) {
+            newly |= self.changes.suspect(*f, why);
         }
         if !newly {
             return;
@@ -410,19 +373,14 @@ impl GroupEndpoint {
         // Primary-partition fence, checked pre-emptively at every member: if the visible
         // component no longer holds a majority of the view, wedge instead of cutting —
         // the other side of the partition (which does) will install the next primary view.
-        if !self.has_primary_majority(&view) {
-            self.enter_wedge(view.seq(), out);
+        if !self.changes.majority(&view) {
+            self.enter_wedge(&view, out);
             return;
         }
-        // Fully failed sites will never answer ABCAST proposals or flush requests.
         let failed_sites: Vec<SiteId> = view
             .member_sites()
             .into_iter()
-            .filter(|s| {
-                view.members_at(*s)
-                    .iter()
-                    .all(|m| self.suspected.contains(m))
-            })
+            .filter(|s| self.changes.lost(&view, *s))
             .collect();
         let gate = self.acked();
         for fs in &failed_sites {
@@ -430,7 +388,7 @@ impl GroupEndpoint {
         }
         // If the flush we acked was being run by a now-failed member, leave it so the next
         // coordinator (possibly us) can take over.
-        if matches!(&self.mode, Mode::Acked { flush, .. } if self.suspected.contains(&flush.initiator))
+        if matches!(&self.mode, Mode::Acked { flush, .. } if self.changes.suspects(flush.initiator))
         {
             self.step(Input::Abandon);
         }
@@ -458,20 +416,12 @@ impl GroupEndpoint {
         if self.exiled() {
             return;
         }
-        let cleared: Vec<ProcessId> = self
-            .suspected
-            .iter()
-            .copied()
-            .filter(|p| p.site == site && !self.confirmed.contains(p))
-            .collect();
-        if cleared.is_empty() {
+        let cleared = self.changes.unsuspect(site);
+        if cleared == 0 {
             return;
         }
-        for p in &cleared {
-            self.suspected.remove(p);
-        }
         self.stats.with(|s| {
-            for _ in &cleared {
+            for _ in 0..cleared {
                 s.count_suspicion_cleared();
             }
         });
@@ -488,53 +438,9 @@ impl GroupEndpoint {
 
     // -- Primary-partition fence ---------------------------------------------------------------
 
-    /// Votes for the majority fence: `(alive, voters)` where voters are the current view's
-    /// members minus voluntary leavers and minus *confirmed* crashes — a process whose
-    /// exit was observed and reported cannot be running in a rival component, so it is no
-    /// more partition evidence than a leaver.  Alive are the voters this endpoint does not
-    /// suspect (all remaining suspicions are timeout-based, i.e. possibly a partition).
-    fn majority_tally(&self, view: &View) -> (usize, usize) {
-        let mut voters = 0usize;
-        let mut alive = 0usize;
-        for m in &view.members {
-            if self.pending_leaves.contains(m) || self.confirmed.contains(m) {
-                continue;
-            }
-            voters += 1;
-            if !self.suspected.contains(m) {
-                alive += 1;
-            }
-        }
-        (alive, voters)
-    }
-
-    /// The primary-partition rule: a component may cut a new view from `view` only if it
-    /// holds a strict majority of the voters, or exactly half of them *including the
-    /// oldest voter* (the rank-0 tie-break, so an even split has exactly one winner).
-    fn has_primary_majority(&self, view: &View) -> bool {
-        let (alive, voters) = self.majority_tally(view);
-        if voters == 0 || alive * 2 > voters {
-            return true;
-        }
-        if alive * 2 == voters {
-            // Exactly half: the half containing the oldest voter wins.
-            return view
-                .members
-                .iter()
-                .find(|m| !self.pending_leaves.contains(*m) && !self.confirmed.contains(*m))
-                .map(|oldest| !self.suspected.contains(oldest))
-                .unwrap_or(false);
-        }
-        false
-    }
-
     /// Wedges the endpoint: abandons any flush role, counts the stall, and reports it.
-    fn enter_wedge(&mut self, view_seq: u64, out: &mut Vec<EndpointOutput>) {
-        let (alive, voters) = self
-            .view
-            .as_ref()
-            .map(|v| self.majority_tally(v))
-            .unwrap_or((0, 0));
+    fn enter_wedge(&mut self, view: &View, out: &mut Vec<EndpointOutput>) {
+        let (alive, voters) = self.changes.tally(view);
         let newly = !self.mode.wedged();
         self.stats.with(|s| {
             s.count_partition_stall();
@@ -545,7 +451,7 @@ impl GroupEndpoint {
         self.step(Input::Wedge);
         out.push(EndpointOutput::PartitionStalled {
             group: self.group,
-            view_seq,
+            view_seq: view.seq(),
             alive,
             voters,
         });
@@ -568,7 +474,7 @@ impl GroupEndpoint {
         let Some(view) = &self.view else {
             return;
         };
-        if !self.has_primary_majority(view) {
+        if !self.changes.majority(view) {
             return;
         }
         self.step(Input::Unwedge);
@@ -674,23 +580,15 @@ impl GroupEndpoint {
                 ViewPosition::Future => self.hold_future(from_site, frame, *view_seq, out),
                 ViewPosition::Past => self.bulletin_stale_sender(from_site, out),
             },
-            ProtoMsg::JoinReq {
-                joiner,
-                credentials,
-            } => {
-                self.submit_join(now, *joiner, credentials.clone(), out)?;
+            ProtoMsg::JoinReq { .. } | ProtoMsg::GbcastReq { .. } => {
+                self.submit(now, msg.clone(), out)?;
             }
-            ProtoMsg::LeaveReq { member } => {
-                self.submit_leave(now, *member, out)?;
-            }
+            ProtoMsg::LeaveReq { member } => self.submit_leave(now, *member, out)?,
             ProtoMsg::FailReport { failed } => {
                 // Fail reports carry explicit process-exit notifications, not timeouts:
                 // these suspicions are confirmed and never retracted by later traffic.
                 let failed = failed.clone();
                 self.confirm_failures(now, &failed, out);
-            }
-            ProtoMsg::GbcastReq { sender, payload } => {
-                self.gbcast(now, *sender, payload.clone(), out)?;
             }
             ProtoMsg::FlushReq {
                 target_seq,
@@ -723,7 +621,7 @@ impl GroupEndpoint {
                     self.start_flush_if_needed(now, out);
                 }
             }
-            ProtoMsg::FlushCommit { .. } => return self.apply_commit(now, frame, true, out),
+            ProtoMsg::FlushCommit { .. } => return self.apply_commit(now, frame, out),
             ProtoMsg::Stability {
                 from_site: reporter,
                 entries,
@@ -871,7 +769,7 @@ impl GroupEndpoint {
             Mode::Acked { flush, .. } => {
                 // The coordinator went quiet: treat it as failed and let the next oldest
                 // surviving member (possibly hosted here) take over.
-                self.suspected.insert(flush.initiator);
+                self.changes.suspect(flush.initiator, Suspicion::Timeout);
                 self.step(Input::CoordinatorSilent);
                 self.start_flush_if_needed(now, out);
             }
@@ -897,12 +795,7 @@ impl GroupEndpoint {
         if self.exiled() {
             return None;
         }
-        self.view
-            .as_ref()?
-            .members
-            .iter()
-            .copied()
-            .find(|m| !self.suspected.contains(m))
+        self.changes.coordinator(self.view.as_ref()?)
     }
 
     fn view_position(&self, view_seq: u64) -> ViewPosition {
@@ -921,23 +814,16 @@ impl GroupEndpoint {
     }
 
     fn start_flush_if_needed(&mut self, now: SimTime, out: &mut Vec<EndpointOutput>) {
-        if !matches!(self.mode, Mode::Normal { .. } | Mode::Wedged) {
+        if !matches!(self.mode, Mode::Normal { .. } | Mode::Wedged) || !self.changes.pending() {
             return;
         }
         let Some(view) = self.view.clone() else {
             return;
         };
-        let has_changes = !self.pending_joins.is_empty()
-            || !self.pending_leaves.is_empty()
-            || !self.suspected.is_empty()
-            || !self.pending_gbcasts.is_empty();
-        if !has_changes {
-            return;
-        }
         // Primary-partition fence: never start cutting a view from inside a minority
         // component — wedge until the partition heals or the suspicions are retracted.
-        if !self.has_primary_majority(&view) {
-            self.enter_wedge(view.seq(), out);
+        if !self.changes.majority(&view) {
+            self.enter_wedge(&view, out);
             return;
         }
         // A wedged site that has its majority back leaves the wedge the one way there is:
@@ -947,7 +833,7 @@ impl GroupEndpoint {
             return;
         };
         if coord.site != self.site {
-            self.hand_over(coord.site, out);
+            self.changes.hand_over(self.group, coord.site, out);
             return;
         }
         self.stats.count_multicast(ProtocolKind::Gbcast);
@@ -955,12 +841,7 @@ impl GroupEndpoint {
         let awaiting: BTreeSet<SiteId> = view
             .member_sites()
             .into_iter()
-            .filter(|s| *s != self.site)
-            .filter(|s| {
-                view.members_at(*s)
-                    .iter()
-                    .any(|m| !self.suspected.contains(m))
-            })
+            .filter(|s| *s != self.site && !self.changes.lost(&view, *s))
             .collect();
         let req = ProtoMsg::FlushReq {
             target_seq,
@@ -976,36 +857,6 @@ impl GroupEndpoint {
         self.step(Input::Coordinate(coordinator));
         if complete {
             self.complete_flush(now, out);
-        }
-    }
-
-    /// A site holds queued changes only while it is the acting coordinator: a deposed one
-    /// sends them on to `coordinator_site`, which cuts them into its next view.
-    fn hand_over(&mut self, coordinator_site: SiteId, out: &mut Vec<EndpointOutput>) {
-        let joins = std::mem::take(&mut self.pending_joins);
-        let leaves = std::mem::take(&mut self.pending_leaves);
-        let gbcasts = std::mem::take(&mut self.pending_gbcasts);
-        let requests = (joins.into_iter())
-            .map(|(joiner, credentials)| ProtoMsg::JoinReq {
-                joiner,
-                credentials,
-            })
-            .chain(
-                leaves
-                    .into_iter()
-                    .map(|member| ProtoMsg::LeaveReq { member }),
-            )
-            .chain(
-                (gbcasts.into_iter())
-                    .map(|(sender, payload)| ProtoMsg::GbcastReq { sender, payload }),
-            );
-        for req in requests {
-            send(
-                out,
-                coordinator_site,
-                PacketKind::Flush,
-                req.into_frame(self.group),
-            );
         }
     }
 
@@ -1092,8 +943,8 @@ impl GroupEndpoint {
         // Authoritative primary-partition fence: suspicions may have accumulated since
         // this flush started (forgotten sites complete a flush too), so re-check that we
         // still hold a majority of the view being cut before committing its successor.
-        if !self.has_primary_majority(&view) {
-            self.enter_wedge(view.seq(), out);
+        if !self.changes.majority(&view) {
+            self.enter_wedge(&view, out);
             return;
         }
         let Mode::Coordinating { flush, .. } = &mut self.mode else {
@@ -1102,16 +953,7 @@ impl GroupEndpoint {
         // Merge our own report into the union.
         let (stored, ab_clock) = self.data.flush_report();
         flush.merge(stored, ab_clock);
-        // Build the new view.
-        let departed: Vec<ProcessId> = self
-            .suspected
-            .iter()
-            .copied()
-            .chain(self.pending_leaves.iter().copied())
-            .collect();
-        let joined: Vec<ProcessId> = self.pending_joins.iter().map(|(j, _)| *j).collect();
-        let new_view = view.successor(&departed, &joined);
-        let deliver = flush.deliver_set();
+        let (new_view, gbcasts) = self.changes.successor(&view);
         // Describe the cut as a per-origin frontier: everything redistributed by this
         // flush plus everything the coordinator already delivered in the old view.  A
         // snapshot taken while installing the committed view covers exactly this set, so
@@ -1122,42 +964,23 @@ impl GroupEndpoint {
         for id in flush.collected.keys() {
             covered.observe(*id);
         }
-        let gbcasts = std::mem::take(&mut self.pending_gbcasts)
-            .into_iter()
-            .map(|(_, payload)| payload)
-            .collect();
-        self.pending_joins.clear();
-        self.pending_leaves.clear();
-        // Send the commit to every site that was in the old view or is in the new one.
-        let mut dst_sites: Vec<SiteId> = view.member_sites();
-        for s in new_view.member_sites() {
-            if !dst_sites.contains(&s) {
-                dst_sites.push(s);
-            }
-        }
-        // One frame: sent to every site, applied here, kept as the bulletin, and relayed by
-        // every receiver, without ever being written (or, in one process, read) again.
+        // One frame: applied here like anywhere else, which sends it to every site, keeps
+        // it as the bulletin, and never writes (or, in one process, reads) it again.
         let commit = ProtoMsg::FlushCommit {
             view: new_view,
-            deliver,
+            deliver: flush.deliver_set(),
             covered,
             gbcasts,
         }
         .into_frame(self.group);
-        for s in dst_sites {
-            if s != self.site {
-                send(out, s, PacketKind::Flush, commit.clone());
-            }
-        }
         // The coordinator can drop only CBCASTs here (see `apply_commit`), and every other
         // survivor holding one finds it in this commit and drops it too.
-        let _ = self.apply_commit(now, &commit, false, out);
+        let _ = self.apply_commit(now, &commit, out);
     }
 
-    /// Applies a flush commit.  `commit` is the frame itself — the one `complete_flush`
-    /// just built (`relay` false), or the one `on_message` received — because installing a
-    /// view also means forwarding that frame (the relay) and keeping it (the bulletin), and a
-    /// frame in hand need not be written again.
+    /// Applies a flush commit: the frame `on_message` received, or the one `complete_flush`
+    /// just built, because installing a view also means forwarding that frame (the relay)
+    /// and keeping it (the bulletin), and a frame in hand need not be written again.
     ///
     /// Returns an error naming the messages the cut dropped here, if any, once the view is
     /// installed: the hosting stack traces it.
@@ -1165,7 +988,6 @@ impl GroupEndpoint {
         &mut self,
         now: SimTime,
         commit: &Frame,
-        relay: bool,
         out: &mut Vec<EndpointOutput>,
     ) -> Result<()> {
         let Ok((
@@ -1186,47 +1008,48 @@ impl GroupEndpoint {
                 return Ok(());
             }
         }
-        // A commit whose new view excludes every local member that neither asked to leave
-        // nor provably crashed is not ours to install: the primary partition cut us out (a
-        // false suspicion that committed, or a minority wedge the majority flushed
-        // around).  Everything we did past the last shared view is a divergent tail —
+        // A commit whose new view excludes every local member that still votes (neither
+        // asked to leave nor provably crashed) is not ours to install: the primary partition
+        // cut us out (a false suspicion that committed, or a minority wedge the majority
+        // flushed around).  Everything we did past the last shared view is a divergent tail —
         // request a discard-and-rejoin instead of installing.
-        let mut involuntary = self
+        let mut voting = self
             .local_members
             .iter()
-            .filter(|m| !self.leaving_local.contains(m) && !self.confirmed.contains(m))
+            .filter(|m| self.changes.votes(**m))
             .peekable();
-        let cut_out = involuntary.peek().is_some() && !involuntary.any(|m| new_view.contains(*m));
+        let cut_out = voting.peek().is_some() && !voting.any(|m| new_view.contains(*m));
         if cut_out {
             let contact = new_view.coordinator().map(|c| c.site).unwrap_or(self.site);
             self.exile(contact, target_seq, out);
             return Ok(());
         }
-        // Relay the commit on first install (receivers only — the creator already sent it
-        // everywhere).  Commits come from the acting coordinator, which may die with some
-        // copies still on the wire; a commit that reaches only part of the membership would
-        // split the view history, because the survivors that missed it take over the flush
-        // and commit a *different* view at the same sequence number.  One hop per member
-        // closes the gap: whoever installs re-sends the frame to every member site of the
-        // old and new views, and later copies fail the sequence check above, so the relay
-        // storm terminates after at most one send per member.
-        if relay {
-            let mut relay_sites: Vec<SiteId> = self
-                .view
-                .as_ref()
-                .map(View::member_sites)
-                .unwrap_or_default();
-            for s in new_view.member_sites() {
-                if !relay_sites.contains(&s) {
-                    relay_sites.push(s);
-                }
-            }
-            for s in relay_sites {
-                if s != self.site {
-                    send(out, s, PacketKind::Flush, commit.clone());
-                }
+        // Send the commit to every member site of the old and new views.  Commits come from
+        // the acting coordinator, which may die with some copies still on the wire; a commit
+        // that reaches only part of the membership would split the view history, because the
+        // survivors that missed it take over the flush and commit a *different* view at the
+        // same sequence number.  One hop per member closes the gap: whoever installs re-sends
+        // the frame, and later copies fail the sequence check above, so the relay storm
+        // terminates after at most one send per member.
+        let mut sites: Vec<SiteId> = self
+            .view
+            .as_ref()
+            .map(View::member_sites)
+            .unwrap_or_default();
+        for s in new_view.member_sites() {
+            if !sites.contains(&s) {
+                sites.push(s);
             }
         }
+        for s in sites {
+            if s != self.site {
+                send(out, s, PacketKind::Flush, commit.clone());
+            }
+        }
+        // Only the coordinator applies a commit while its flush awaits nobody: it merged its
+        // own report into the cut, so none of its ABCASTs is left undecided.
+        let own =
+            matches!(&self.mode, Mode::Coordinating { flush, .. } if flush.awaiting.is_empty());
         // Keep the commit as the bulletin answered to stale traffic from excluded sites.
         self.last_commit = Some(commit.clone());
         // A joining endpoint (no view installed: this site only enters the group at this
@@ -1237,7 +1060,7 @@ impl GroupEndpoint {
         let joining = self.view.is_none();
         let (mut dropped, held_back) = self.data.deliver_cut(deliver, covered, joining, out);
         debug_assert!(
-            relay || dropped.is_empty(),
+            !own || dropped.is_empty(),
             "the coordinator's undecided ABCASTs are all in its own report"
         );
         dropped.extend(held_back);
@@ -1251,19 +1074,7 @@ impl GroupEndpoint {
             covered: covered.clone(),
         }));
         self.install_view(new_view.clone());
-        // Any membership change reported during the flush that the new view did not cover
-        // must trigger another round.
-        self.suspected.retain(|p| new_view.contains(*p));
-        self.confirmed.retain(|p| new_view.contains(*p));
-        // A leave the new view processed is done; one still pending stays remembered.
-        self.leaving_local.retain(|p| new_view.contains(*p));
-        // Joins and leaves the new view settled are done, wherever they were queued.
-        self.pending_joins.retain(|(j, _)| !new_view.contains(*j));
-        self.pending_leaves.retain(|p| new_view.contains(*p));
-        let pending_restart = !self.suspected.is_empty()
-            || !self.pending_joins.is_empty()
-            || !self.pending_leaves.is_empty()
-            || !self.pending_gbcasts.is_empty();
+        self.changes.installed(new_view);
         // Re-issue multicasts buffered while the flush was running.
         let buffered = std::mem::take(&mut self.buffered_sends);
         for b in buffered {
@@ -1281,9 +1092,8 @@ impl GroupEndpoint {
         for (from_site, wire) in future {
             let _ = self.on_message(now, from_site, &wire, out);
         }
-        if pending_restart {
-            self.start_flush_if_needed(now, out);
-        }
+        // Whatever the new view did not settle takes another round.
+        self.start_flush_if_needed(now, out);
         if dropped.is_empty() {
             Ok(())
         } else {
