@@ -890,8 +890,9 @@ impl SiteStack {
 
     /// The endpoint observed a newer primary view that excludes its local members: its
     /// history past the last shared cut is a divergent minority tail.  Discard the endpoint
-    /// (and with it the tail) and rejoin the members through the evidenced contact; the
-    /// join-cut state transfer replaces everything the tail contained.
+    /// (and with it the tail) and rejoin the members, with the credentials they joined
+    /// with, through the evidenced contact; the join-cut state transfer replaces everything
+    /// the tail contained.
     fn handle_rejoin_required(
         &mut self,
         group: GroupId,
@@ -917,7 +918,8 @@ impl SiteStack {
         entry.retain(|s| *s != contact);
         entry.insert(0, contact);
         for m in locals {
-            if let Err(e) = self.join_group(group, m, None, out) {
+            let credentials = self.joins.credentials(group, m);
+            if let Err(e) = self.join_group(group, m, credentials, out) {
                 out.trace_with(|| format!("{}: rejoin of {m} to {group} failed: {e}", self.site));
             }
         }

@@ -1,7 +1,10 @@
 //! Joins submitted at this site whose view has not installed yet: when each is re-sent,
 //! and which contact it fails over to once its backoff is spent.  Re-sending is always
 //! safe: membership changes are idempotent end to end (the coordinator dedups queued
-//! joiners, `View::successor` ignores joins of existing members).
+//! joiners, `View::successor` ignores joins of existing members).  The credentials a local member joined with are kept until it leaves or dies,
+//! so an exile's rejoin passes the same protection check its first join did.
+
+use std::collections::BTreeMap;
 
 use vsync_proto::View;
 use vsync_util::{DetRng, Duration, GroupId, ProcessId, SimTime, SiteId};
@@ -10,7 +13,6 @@ use vsync_util::{DetRng, Duration, GroupId, ProcessId, SimTime, SiteId};
 struct PendingJoin {
     group: GroupId,
     joiner: ProcessId,
-    credentials: Option<String>,
     last_sent: SimTime,
     /// Resubmissions since the last view install for the group.  Drives the exponential
     /// backoff: a join that keeps failing is probably waiting out a partition or a dead
@@ -23,11 +25,14 @@ struct PendingJoin {
 #[derive(Default)]
 pub(super) struct Joins {
     pending: Vec<PendingJoin>,
+    /// The credentials each local member joined its group with, until it leaves or dies.
+    credentials: BTreeMap<(GroupId, ProcessId), String>,
 }
 
 impl Joins {
     /// A JoinReq for `joiner` just went out: track it until a view containing the joiner
-    /// installs, restarting the backoff if the join was already pending.
+    /// installs, restarting the backoff if the join was already pending, and keep its
+    /// credentials for as long as the joiner is a member.
     pub(super) fn track(
         &mut self,
         group: GroupId,
@@ -35,6 +40,10 @@ impl Joins {
         credentials: Option<&str>,
         now: SimTime,
     ) {
+        match credentials {
+            Some(c) => self.credentials.insert((group, joiner), c.to_owned()),
+            None => self.credentials.remove(&(group, joiner)),
+        };
         match self
             .pending
             .iter_mut()
@@ -47,7 +56,6 @@ impl Joins {
             None => self.pending.push(PendingJoin {
                 group,
                 joiner,
-                credentials: credentials.map(str::to_owned),
                 last_sent: now,
                 attempts: 0,
             }),
@@ -58,11 +66,18 @@ impl Joins {
     pub(super) fn cancel(&mut self, group: GroupId, member: ProcessId) {
         self.pending
             .retain(|p| !(p.group == group && p.joiner == member));
+        self.credentials.remove(&(group, member));
     }
 
     /// A dead joiner's pending joins must not be re-submitted on its behalf.
     pub(super) fn forget_process(&mut self, pid: ProcessId) {
         self.pending.retain(|p| p.joiner != pid);
+        self.credentials.retain(|(_, member), _| *member != pid);
+    }
+
+    /// The credentials `member` joined `group` with, if any.
+    pub(super) fn credentials(&self, group: GroupId, member: ProcessId) -> Option<String> {
+        self.credentials.get(&(group, member)).cloned()
     }
 
     /// A view of `group` installed here.  The joins it contains are satisfied the moment it
@@ -98,7 +113,8 @@ impl Joins {
             }
             p.last_sent = now;
             p.attempts = p.attempts.saturating_add(1);
-            due.push((p.group, p.joiner, p.credentials.clone(), p.attempts));
+            let credentials = self.credentials.get(&(p.group, p.joiner)).cloned();
+            due.push((p.group, p.joiner, credentials, p.attempts));
         }
         due
     }

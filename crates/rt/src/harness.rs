@@ -951,6 +951,37 @@ mod tests {
     }
 
     #[test]
+    fn an_exile_of_a_protected_group_rejoins_with_its_own_credentials() {
+        let mut h = sim_harness(3);
+        let gid = h.allocate_group_id();
+        h.set_policy(gid, ProtectionPolicy::open().with_join_credential("sesame"));
+        let members: Vec<ProcessId> = (0..3).map(|s| h.spawn(SiteId(s), |_| {})).collect();
+        h.create_group_with_id("secure", gid, members[0]);
+        for m in &members[1..] {
+            h.join_and_wait(gid, *m, Some("sesame".into()), Duration::from_secs(5))
+                .unwrap();
+        }
+        // Site 2 is cut off until the other two install a view without its member ...
+        let components = vec![vec![SiteId(0), SiteId(1)], vec![SiteId(2)]];
+        let cut = NemesisSchedule::new().at(Duration::ZERO, NemesisEvent::Partition { components });
+        h.run_nemesis(&cut);
+        let exiled = h.wait_until(Duration::from_secs(10), |h| {
+            h.view_of(SiteId(0), gid)
+                .is_some_and(|v| !v.contains(members[2]))
+        });
+        assert!(exiled, "the cut never exiled site 2's member");
+        // ... then healed: the exile rejoins, and the policy admits it again.
+        h.run_nemesis(&NemesisSchedule::new().at(Duration::ZERO, NemesisEvent::Heal));
+        let back = h.wait_until(Duration::from_secs(10), |h| {
+            (0..3).all(|s| {
+                h.view_of(SiteId(s), gid)
+                    .is_some_and(|v| v.contains(members[2]))
+            })
+        });
+        assert!(back, "the exile never rejoined");
+    }
+
+    #[test]
     fn protection_policy_checks_a_join_at_a_member_site_too() {
         let mut h = sim_harness(2);
         let creator = h.spawn(SiteId(0), |_| {});
