@@ -312,11 +312,11 @@ impl GroupEndpoint {
         request: ProtoMsg,
         out: &mut Vec<EndpointOutput>,
     ) -> Result<()> {
-        let Some(coord) = self.acting_coordinator() else {
+        let (Some(coord), Some(view)) = (self.acting_coordinator(), self.view.as_ref()) else {
             return Err(VsError::NoCoordinator(self.group));
         };
         if coord.site == self.site {
-            self.changes.queue(request);
+            self.changes.queue(request, view);
             self.start_flush_if_needed(now, out);
         } else {
             let frame = request.into_frame(self.group);

@@ -108,12 +108,15 @@ impl Changes {
         !self.suspected.is_empty() || !self.queued.is_empty()
     }
 
-    /// Queues a `JoinReq`, `LeaveReq` or `GbcastReq` for the next cut.  A join or leave
-    /// already queued is not queued twice.
-    pub(super) fn queue(&mut self, request: ProtoMsg) {
+    /// Queues a `JoinReq`, `LeaveReq` or `GbcastReq` for the next cut of `view`.  A join or
+    /// leave already queued is not queued twice, and a join of a member `view` holds and
+    /// nobody suspects is not queued at all: its cut would change nothing.
+    pub(super) fn queue(&mut self, request: ProtoMsg, view: &View) {
+        let settled = matches!(&request, ProtoMsg::JoinReq { joiner, .. }
+            if view.contains(*joiner) && !self.suspects(*joiner));
         let repeat =
             !matches!(request, ProtoMsg::GbcastReq { .. }) && self.queued.contains(&request);
-        if !repeat {
+        if !settled && !repeat {
             self.queued.push(request);
         }
     }
@@ -227,13 +230,13 @@ mod tests {
             for s in *observed {
                 c.suspect(member(*s), Suspicion::Observed);
             }
+            let v = view(*n);
             for s in *leaves {
-                c.queue(leave(*s));
+                c.queue(leave(*s), &v);
             }
             for s in *local {
                 c.leaving_here(member(*s));
             }
-            let v = view(*n);
             assert_eq!(c.tally(&v), *tally, "row {row}");
             assert_eq!(c.majority(&v), *majority, "row {row}");
         }
@@ -247,7 +250,7 @@ mod tests {
             payload: Message::with_body(7u64),
         };
         for request in [join(3), join(4), leave(1), leave(2), gbcast.clone()] {
-            c.queue(request);
+            c.queue(request, &view(3));
         }
         c.suspect(member(2), Suspicion::Timeout);
         // A view cut elsewhere: member 3 joined, members 1 and 2 left.
@@ -284,8 +287,8 @@ mod tests {
         assert!(c.pending());
         c.installed(&view(3).successor(&[member(1)], &[]));
         assert!(!c.pending());
-        c.queue(leave(2));
-        c.queue(leave(2));
+        c.queue(leave(2), &view(3));
+        c.queue(leave(2), &view(3));
         assert!(c.pending());
         let mut out = Vec::new();
         c.hand_over(GroupId(1), SiteId(0), &mut out);

@@ -1677,3 +1677,15 @@ fn a_deposed_coordinator_never_readmits_a_joiner_that_left() {
         assert_eq!(v.members, vec![member(1), member(2)], "site {s}");
     }
 }
+
+#[test]
+fn a_join_of_a_current_member_changes_no_view() {
+    let mut c = Cluster::build_three_member_group();
+    c.exec(SiteId(0), |ep, now, out| {
+        ep.submit_join(now, member(2), None, out).unwrap();
+    });
+    c.pump(false);
+    for s in [0u16, 1, 2] {
+        assert_eq!(c.endpoints[&SiteId(s)].view().unwrap().seq(), 3, "site {s}");
+    }
+}
