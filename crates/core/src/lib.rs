@@ -41,9 +41,7 @@ pub use stack::SiteStack;
 // Re-export the identifiers and message types users need constantly.
 pub use vsync_msg::{fields, Message, Value};
 pub use vsync_net::{MsgId, NetStats, ProtocolKind, SharedStats};
-pub use vsync_proto::{
-    Delivery, Frontier, LogSummary, ReformStatus, ReformTracker, View, ViewEvent,
-};
+pub use vsync_proto::{Delivery, Frontier, LogSummary, View, ViewEvent};
 pub use vsync_util::{
     Address, Duration, EntryId, GroupId, LatencyProfile, NetParams, ProcessId, Rank, Result,
     SimTime, SiteId, VsError,

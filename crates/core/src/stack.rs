@@ -15,7 +15,8 @@
 //! * `stack::joins` — the joins submitted here whose view has not installed yet: when each
 //!   is re-sent, and which contact it fails over to once its backoff is spent;
 //! * `stack::reform` — the total-failure elections in progress here (paper Section 3.8),
-//!   which send their own summaries;
+//!   which send their own summaries and hand each verdict to the stack, which refounds
+//!   the group or joins the restarting member;
 //! * the session table in [`crate::rpc`] — session numbering and each open reply
 //!   collection with the continuation waiting on it (paper Section 3.2).
 //!
@@ -48,7 +49,7 @@ use crate::process::{CtxAction, IsisProcess, ReplyCallback, ToolCtx};
 use crate::protection::ProtectionPolicy;
 use crate::rpc::{CollectorStatus, ReplyCollector, ReplyWanted, RpcOutcome, RpcSessions};
 use joins::Joins;
-use reform::Reforms;
+use reform::{Reforms, Restart};
 use vsync_net::FailureDetector;
 
 /// Timer token used for the stack's periodic maintenance tick.
@@ -245,7 +246,7 @@ impl SiteStack {
     /// Ordinary creation uses seq 1; a total-failure reform winner refounds at
     /// `authoritative last view + 1` so the reformed incarnation's views — and any later
     /// reform election — dominate every pre-crash recovery log.
-    pub fn create_group_at(
+    fn create_group_at(
         &mut self,
         name: &str,
         group: GroupId,
@@ -263,15 +264,24 @@ impl SiteStack {
 
     // -- Total-failure reform (paper Section 3.8) ---------------------------------------------
 
-    /// Starts a total-failure reform of `group` at this restarting site: offers `summary`
-    /// (what our recovery log covers) to `expected` — the sites of the last view the log
-    /// recorded, the only logs that could dominate ours — and collects theirs until the
-    /// election resolves.  Poll [`reform_status`](Self::reform_status); the stack
-    /// rebroadcasts the summary on a failure-timeout cadence and holds a degraded election
-    /// if `reform_timeout` passes with summaries still missing.
+    /// Starts a total-failure reform of `group` at this restarting site for `member`, a
+    /// local process restarting from this site's recovery log.  Offers `summary` (what the
+    /// log covers) to `expected` — the sites of the last view the log recorded, the only
+    /// logs that could dominate ours — and collects theirs until the election resolves,
+    /// rebroadcasting on a failure-timeout cadence and holding a degraded election if
+    /// `reform_timeout` passes with summaries still missing.  Then it acts on the verdict:
+    /// if our log won, it refounds the group as `name` with `member` alone, one view past
+    /// the authoritative log; otherwise it joins `member` with `credentials` through the
+    /// winner — or through a live member, if the group never fully failed — re-sending on
+    /// the join backoff until the winner has refounded.  The run ends when a view of the
+    /// group installs here, or when `member` dies.
+    #[allow(clippy::too_many_arguments)]
     pub fn begin_reform(
         &mut self,
+        name: &str,
         group: GroupId,
+        member: ProcessId,
+        credentials: Option<String>,
         summary: LogSummary,
         expected: Vec<SiteId>,
         out: &mut Outbox,
@@ -280,15 +290,41 @@ impl SiteStack {
         // a degraded (deadline) election may only elect a leader among a majority of the
         // expected participants.
         let tracker = ReformTracker::new(summary, expected, self.now + self.cfg.reform_timeout);
-        self.reforms.begin(group, tracker, self.now, out);
+        let restart = Restart {
+            name: name.to_owned(),
+            member,
+            credentials,
+        };
+        self.reforms.begin(group, tracker, restart, self.now, out);
     }
 
-    /// Advances and reports the reform election for `group`, if one runs at this site.
-    /// `Collecting` until resolution; resolutions are sticky.  The entry is dropped (and
-    /// this returns `None` again) once a view for the group installs here — lead, follow
-    /// and operational paths all end in exactly that.
-    pub fn reform_status(&mut self, group: GroupId, out: &mut Outbox) -> Option<ReformStatus> {
-        self.reforms.status(group, self.now, out)
+    /// Acts on a reform verdict: refounds the group with the restarting member if our log
+    /// won, or joins the member through the winner or the live member that answered.
+    fn act_on_reform(
+        &mut self,
+        group: GroupId,
+        restart: Restart,
+        verdict: ReformStatus,
+        out: &mut Outbox,
+    ) {
+        let Restart {
+            name,
+            member,
+            credentials,
+        } = restart;
+        let contact = match verdict {
+            ReformStatus::Lead { new_view_seq } => {
+                return self.create_group_at(&name, group, member, new_view_seq, out);
+            }
+            ReformStatus::Follow { leader: contact } | ReformStatus::Operational { contact } => {
+                contact
+            }
+            ReformStatus::Collecting { .. } => return,
+        };
+        self.register_group(&name, group, vec![contact]);
+        if let Err(e) = self.join_group(group, member, credentials, out) {
+            out.trace_with(|| format!("{}: rejoin of {member} to {group} failed: {e}", self.site));
+        }
     }
 
     /// Asks for `joiner` (hosted here) to join `group`.
@@ -408,6 +444,7 @@ impl SiteStack {
     pub fn crash_local_process(&mut self, pid: ProcessId, out: &mut Outbox) {
         self.processes.remove(&pid);
         self.joins.forget_process(pid);
+        self.reforms.forget_process(pid);
         self.rpc.drop_caller(pid);
         let groups: Vec<GroupId> = self.endpoints.keys().copied().collect();
         for g in groups {
@@ -674,7 +711,7 @@ impl SiteStack {
         self.views.insert(group, ev.view.clone());
         self.contacts.insert(group, ev.view.member_sites());
         self.joins.view_installed(group, &ev.view);
-        self.reforms.view_installed(group, out);
+        self.reforms.view_installed(group, &ev.view, out);
         // Tell reply collectors about departed members.
         for departed in ev.view.departed.clone() {
             self.sweep_sessions(
@@ -1156,7 +1193,9 @@ impl SiteHandler for SiteStack {
             // A dead contact everywhere leaves the join pending for the next cadence.
             let _ = self.submit_join_request(group, joiner, credentials, attempt, out);
         }
-        self.reforms.on_tick(now, self.cfg.failure_timeout, out);
+        for (group, restart, verdict) in self.reforms.on_tick(now, self.cfg.failure_timeout, out) {
+            self.act_on_reform(group, restart, verdict, out);
+        }
         // RPC deadlines.
         self.sweep_sessions(1, self.rpc.last(), |c| c.on_tick(now), out);
         out.set_timer(self.cfg.tick_interval, TICK);
@@ -1425,10 +1464,11 @@ mod tests {
         )
     }
 
-    /// Drains the outbox; returns where each ReformSummary went and where each ReformAlive went.
-    fn reform_sends(out: &mut Outbox) -> (Vec<u16>, Vec<u16>) {
+    /// Drains the outbox; returns where each ReformSummary, each ReformAlive and each
+    /// JoinReq went.
+    fn reform_sends(out: &mut Outbox) -> (Vec<u16>, Vec<u16>, Vec<u16>) {
         out.drain_timers().for_each(drop);
-        let (mut summaries, mut alive) = (Vec::new(), Vec::new());
+        let (mut summaries, mut alive, mut joins) = (Vec::new(), Vec::new(), Vec::new());
         for p in out.drain_sends() {
             match decode(&p) {
                 Some(ProtoMsg::ReformSummary { from_site, .. }) => {
@@ -1439,53 +1479,160 @@ mod tests {
                     assert_eq!(contact, SiteId(1));
                     alive.push(p.dst.site.0);
                 }
+                Some(ProtoMsg::JoinReq { .. }) => joins.push(p.dst.site.0),
                 _ => {}
             }
         }
-        (summaries, alive)
+        (summaries, alive, joins)
+    }
+
+    /// A stack at site 1 of 4 hosting `member`, which restarts from a log that recorded
+    /// view 5, with site 2 the only other expected participant.
+    fn reforming_site(member: ProcessId, out: &mut Outbox) -> SiteStack {
+        let mut st = site_stack(1, 4);
+        st.add_process(ProcessBuilder::new(member).build());
+        let expected = vec![SiteId(1), SiteId(2)];
+        st.begin_reform("g", G, member, None, log_summary(1, 5), expected, out);
+        st
     }
 
     #[test]
     fn reform_answers_each_outsider_once_and_an_installed_view_ends_it() {
         let cfg = StackConfig::default();
-        let mut st = site_stack(1, 4);
+        let member = pid(1, 1);
         let mut out = Outbox::new();
-        st.begin_reform(G, log_summary(1, 5), vec![SiteId(1), SiteId(2)], &mut out);
-        assert_eq!(reform_sends(&mut out), (vec![2], vec![]));
+        let mut st = reforming_site(member, &mut out);
+        assert_eq!(reform_sends(&mut out), (vec![2], vec![], vec![]));
         // Unresolved, the summary goes out again at the failure-timeout cadence.
         let now = SimTime::ZERO + cfg.failure_timeout;
         st.on_timer(now, TICK, &mut out);
-        assert_eq!(reform_sends(&mut out), (vec![2], vec![]));
+        assert_eq!(reform_sends(&mut out), (vec![2], vec![], vec![]));
         // Site 3 is outside the expected set: answered once, however often it asks.
         for answer in [vec![3], vec![]] {
             st.on_packet(now, summary_from(3, 4), &mut out);
-            assert_eq!(reform_sends(&mut out), (answer, vec![]));
+            assert_eq!(reform_sends(&mut out), (answer, vec![], vec![]));
         }
-        assert!(matches!(
-            st.reform_status(G, &mut out),
-            Some(ReformStatus::Collecting { .. })
-        ));
-        // Site 2's newer log completes the election: we follow it.
+        // Still collecting: a tick neither founds the group nor joins the member.
+        st.on_timer(now, TICK, &mut out);
+        assert_eq!(reform_sends(&mut out), (vec![], vec![], vec![]));
+        assert!(st.view_of(G).is_none());
+        // Site 2's newer log completes the election: we follow it, joining through it.
         st.on_packet(now, summary_from(2, 6), &mut out);
-        assert_eq!(reform_sends(&mut out), (vec![2], vec![]));
-        assert_eq!(
-            st.reform_status(G, &mut out),
-            Some(ReformStatus::Follow { leader: SiteId(2) })
-        );
-        // Resolved: no more rebroadcasts, but a first-time sender is still answered once.
+        assert_eq!(reform_sends(&mut out), (vec![2], vec![], vec![]));
+        st.on_timer(now, TICK, &mut out);
+        assert_eq!(reform_sends(&mut out), (vec![], vec![], vec![2]));
+        // Resolved: no more rebroadcasts (the join may be re-sent), but a first-time sender
+        // is still answered once.
         st.on_timer(now + cfg.failure_timeout, TICK, &mut out);
-        assert_eq!(reform_sends(&mut out), (vec![], vec![]));
+        let (summaries, alive, joins) = reform_sends(&mut out);
+        assert_eq!((summaries, alive), (vec![], vec![]));
+        assert!(joins.iter().all(|s| *s == 2), "{joins:?}");
         for (from, answer) in [(0, vec![0]), (0, vec![]), (3, vec![])] {
             st.on_packet(now, summary_from(from, 3), &mut out);
-            assert_eq!(reform_sends(&mut out), (answer, vec![]));
+            assert_eq!(reform_sends(&mut out), (answer, vec![], vec![]));
         }
-        // An installed view ends the run; a summary now learns the group is alive.
-        let founder = pid(1, 1);
-        st.add_process(ProcessBuilder::new(founder).build());
-        st.create_group_at("g", G, founder, 7, &mut out);
-        assert_eq!(st.reform_status(G, &mut out), None);
+        // An installed view ends the run and the join; a summary now learns the group is
+        // alive.
+        st.create_group_at("g", G, member, 7, &mut out);
+        st.on_timer(now + cfg.failure_timeout.saturating_mul(20), TICK, &mut out);
+        assert_eq!(reform_sends(&mut out), (vec![], vec![], vec![]));
         st.on_packet(now, summary_from(3, 4), &mut out);
-        assert_eq!(reform_sends(&mut out), (vec![], vec![3]));
+        assert_eq!(reform_sends(&mut out), (vec![], vec![3], vec![]));
+    }
+
+    #[test]
+    fn a_lead_verdict_founds_the_group_with_the_waiting_member() {
+        let cfg = StackConfig::default();
+        let member = pid(1, 1);
+        let mut out = Outbox::new();
+        let mut st = reforming_site(member, &mut out);
+        // Site 2's log stopped a view earlier: ours wins once the tick resolves it.
+        st.on_packet(SimTime::ZERO, summary_from(2, 4), &mut out);
+        assert_eq!(reform_sends(&mut out), (vec![2, 2], vec![], vec![]));
+        assert!(st.view_of(G).is_none());
+        st.on_timer(SimTime::ZERO + cfg.tick_interval, TICK, &mut out);
+        let v = st.view_of(G).expect("the lead refounds the group");
+        assert_eq!((v.seq(), &v.members[..]), (6, &[member][..]));
+        assert_eq!(st.lookup("g"), Some(G));
+        assert_eq!(reform_sends(&mut out), (vec![], vec![], vec![]));
+    }
+
+    #[test]
+    fn a_follow_verdict_joins_the_member_through_the_leader_until_it_has_refounded() {
+        let cfg = StackConfig::default();
+        let (lead, follower) = (pid(0, 1), pid(1, 1));
+        let mut stacks = [site_stack(0, 2), site_stack(1, 2)];
+        stacks[0].add_process(ProcessBuilder::new(lead).build());
+        stacks[1].add_process(ProcessBuilder::new(follower).build());
+        let mut out = Outbox::new();
+        let sites = vec![SiteId(0), SiteId(1)];
+        stacks[0].begin_reform(
+            "g",
+            G,
+            lead,
+            None,
+            log_summary(0, 6),
+            sites.clone(),
+            &mut out,
+        );
+        stacks[1].begin_reform("g", G, follower, None, log_summary(1, 5), sites, &mut out);
+        let mut now = SimTime::ZERO;
+        assert_eq!(settle(&mut stacks, now, &mut out, |_| false), 0);
+        // The follower acts first: its JoinReq reaches a leader that has not refounded.
+        now += cfg.tick_interval;
+        stacks[1].on_timer(now, TICK, &mut out);
+        assert_eq!(settle(&mut stacks, now, &mut out, |_| false), 1);
+        stacks[0].on_timer(now, TICK, &mut out);
+        assert_eq!(settle(&mut stacks, now, &mut out, |_| false), 0);
+        let v = stacks[0].view_of(G).expect("the leader refounded");
+        assert_eq!((v.seq(), &v.members[..]), (7, &[lead][..]));
+        assert!(stacks[1].view_of(G).is_none());
+        // The join backoff re-sends the request, which the refounded leader admits.
+        let mut joins = 1;
+        while !stacks[1].view_of(G).is_some_and(|v| v.contains(follower)) {
+            now += cfg.tick_interval;
+            assert!(
+                now < SimTime::ZERO + Duration::from_secs(30),
+                "the follower never joined"
+            );
+            for st in &mut stacks {
+                st.on_timer(now, TICK, &mut out);
+            }
+            joins += settle(&mut stacks, now, &mut out, |_| false);
+        }
+        assert_eq!(joins, 2);
+        for st in &stacks {
+            let v = st.view_of(G).unwrap();
+            assert_eq!((v.seq(), &v.members[..]), (8, &[lead, follower][..]));
+        }
+        let quiet_until = now + cfg.failure_timeout.saturating_mul(40);
+        while now < quiet_until {
+            now += cfg.tick_interval;
+            for st in &mut stacks {
+                st.on_timer(now, TICK, &mut out);
+            }
+            assert_eq!(settle(&mut stacks, now, &mut out, |_| false), 0);
+        }
+    }
+
+    #[test]
+    fn a_reform_whose_member_died_is_dropped() {
+        let cfg = StackConfig::default();
+        let member = pid(1, 1);
+        let mut out = Outbox::new();
+        let mut st = reforming_site(member, &mut out);
+        assert_eq!(reform_sends(&mut out), (vec![2], vec![], vec![]));
+        st.crash_local_process(member, &mut out);
+        // Site 2's older log would make us lead: nobody is left to found the group with, so
+        // the summary goes unanswered and nothing is founded, joined or rebroadcast.
+        st.on_packet(SimTime::ZERO, summary_from(2, 4), &mut out);
+        let mut now = SimTime::ZERO;
+        while now < SimTime::ZERO + cfg.failure_timeout.saturating_mul(3) {
+            now += cfg.tick_interval;
+            st.on_timer(now, TICK, &mut out);
+            assert_eq!(reform_sends(&mut out), (vec![], vec![], vec![]));
+        }
+        assert!(st.view_of(G).is_none());
     }
 
     #[test]

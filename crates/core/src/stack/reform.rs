@@ -1,16 +1,27 @@
 //! Total-failure reforms in progress at this site (paper Section 3.8): each election with
-//! its retransmission bookkeeping.  [`Reforms`] sends the log summaries itself; the stack
-//! answers a summary for a group still alive here, and ends a run when a view installs.
+//! its retransmission bookkeeping and the restarting local member it decides for.
+//! [`Reforms`] sends the log summaries itself and hands each verdict to the stack once,
+//! which refounds the group or joins the member; the stack answers a summary for a group
+//! still alive here, and ends a run when a view installs or its member dies.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use vsync_msg::Frame;
 use vsync_net::{Outbox, PacketKind};
 use vsync_proto::messages::ProtoMsg;
-use vsync_proto::{LogSummary, ReformStatus, ReformTracker};
-use vsync_util::{Duration, GroupId, SimTime, SiteId};
+use vsync_proto::{LogSummary, ReformStatus, ReformTracker, View};
+use vsync_util::{Duration, GroupId, ProcessId, SimTime, SiteId};
 
 use super::send_proto;
+
+/// The local member restarting from this site's log, and what acting on the verdict for it
+/// takes: the name the group is registered under and the member's join credentials.
+#[derive(Clone)]
+pub(super) struct Restart {
+    pub(super) name: String,
+    pub(super) member: ProcessId,
+    pub(super) credentials: Option<String>,
+}
 
 /// One election: the tracker plus the retransmission bookkeeping around it.
 struct ReformRun {
@@ -24,8 +35,9 @@ struct ReformRun {
     /// summary to resolve *its* election: answer every first-time sender, even after our
     /// own election resolved, but answer each at most once so replies cannot ping-pong.
     answered: BTreeSet<SiteId>,
-    /// Whether the resolution has been traced yet.
-    counted: bool,
+    restart: Restart,
+    /// Whether the verdict has been handed to the stack, which acts on it once.
+    decided: bool,
 }
 
 /// The reforms this site runs, by group.
@@ -42,12 +54,13 @@ impl Reforms {
         }
     }
 
-    /// Starts the election `tracker` describes and offers our summary to every expected
-    /// participant.
+    /// Starts the election `tracker` describes for `restart`'s member and offers our
+    /// summary to every expected participant.
     pub(super) fn begin(
         &mut self,
         group: GroupId,
         tracker: ReformTracker,
+        restart: Restart,
         now: SimTime,
         out: &mut Outbox,
     ) {
@@ -60,21 +73,11 @@ impl Reforms {
             tracker,
             last_broadcast: now,
             answered: BTreeSet::new(),
-            counted: false,
+            restart,
+            decided: false,
         };
         run.broadcast(self.site, group, out);
         self.runs.insert(group, run);
-    }
-
-    /// Advances and reports the election for `group`, if one runs here.
-    pub(super) fn status(
-        &mut self,
-        group: GroupId,
-        now: SimTime,
-        out: &mut Outbox,
-    ) -> Option<ReformStatus> {
-        let run = self.runs.get_mut(&group)?;
-        Some(run.advance(self.site, group, now, out))
     }
 
     /// A restarting peer offered its log summary for a group with no live view here.
@@ -107,49 +110,56 @@ impl Reforms {
         }
     }
 
-    /// A view of `group` installed here, which ends its reform: the lead site founds its
-    /// view, a follower's rejoin installs one, and an `Operational` verdict ends in a normal
-    /// join — every reform path terminates exactly here.
-    pub(super) fn view_installed(&mut self, group: GroupId, out: &mut Outbox) {
-        if self.runs.remove(&group).is_some() {
+    /// A view of `group` installed here.  One holding the restarting member ends its
+    /// reform: the lead site founds it, a follower's rejoin installs it, and an
+    /// `Operational` verdict ends in a normal join — every reform path that keeps its
+    /// member terminates exactly here.  A view without the member (a commit the group sent
+    /// this site's dead incarnation) ends nothing.
+    pub(super) fn view_installed(&mut self, group: GroupId, view: &View, out: &mut Outbox) {
+        let Some(run) = self.runs.get(&group) else {
+            return;
+        };
+        if view.contains(run.restart.member) {
+            self.runs.remove(&group);
             out.trace_with(|| format!("{}: reform of {group} complete, view installed", self.site));
         }
     }
 
+    /// A local process died: the elections run for it have nobody left to restart.
+    pub(super) fn forget_process(&mut self, pid: ProcessId) {
+        self.runs.retain(|_, run| run.restart.member != pid);
+    }
+
     /// The maintenance tick: advances each election (the deadline can fire one without any
-    /// packet arriving) and rebroadcasts unresolved summaries every `cadence`, so lost
-    /// packets and staggered restarts converge.
-    pub(super) fn on_tick(&mut self, now: SimTime, cadence: Duration, out: &mut Outbox) {
+    /// packet arriving), rebroadcasts unresolved summaries every `cadence`, so lost packets
+    /// and staggered restarts converge, and returns each verdict reached since the last
+    /// tick with the member it decides for.
+    pub(super) fn on_tick(
+        &mut self,
+        now: SimTime,
+        cadence: Duration,
+        out: &mut Outbox,
+    ) -> Vec<(GroupId, Restart, ReformStatus)> {
+        let mut verdicts = Vec::new();
         for (g, run) in self.runs.iter_mut() {
-            run.advance(self.site, *g, now, out);
-            if run.tracker.status().is_some() {
-                continue;
-            }
-            if now.saturating_since(run.last_broadcast) >= cadence {
-                run.last_broadcast = now;
-                run.broadcast(self.site, *g, out);
+            let status = run.tracker.try_resolve(now);
+            if matches!(status, ReformStatus::Collecting { .. }) {
+                if now.saturating_since(run.last_broadcast) >= cadence {
+                    run.last_broadcast = now;
+                    run.broadcast(self.site, *g, out);
+                }
+            } else if !run.decided {
+                run.decided = true;
+                let site = self.site;
+                out.trace_with(|| format!("{site}: reform of {g} resolved: {status:?}"));
+                verdicts.push((*g, run.restart.clone(), status));
             }
         }
+        verdicts
     }
 }
 
 impl ReformRun {
-    /// Resolves the election if it can fire, tracing the resolution once.
-    fn advance(
-        &mut self,
-        site: SiteId,
-        group: GroupId,
-        now: SimTime,
-        out: &mut Outbox,
-    ) -> ReformStatus {
-        let status = self.tracker.try_resolve(now);
-        if self.tracker.status().is_some() && !self.counted {
-            self.counted = true;
-            out.trace_with(|| format!("{site}: reform of {group} resolved: {status:?}"));
-        }
-        status
-    }
-
     /// Sends our summary to every expected participant (except ourselves).
     fn broadcast(&mut self, site: SiteId, group: GroupId, out: &mut Outbox) {
         let wire = summary_frame(group, &self.tracker);

@@ -13,8 +13,8 @@
 //! offers, the strict total order `authority_cmp` that decides the election identically
 //! at every site, and the [`ReformTracker`] state machine a restarting stack drives with
 //! incoming summaries and its clock.  Wire traffic (`ProtoMsg::ReformSummary` /
-//! `ProtoMsg::ReformAlive`) and retransmission live in the `vsync-core` stack; nothing
-//! here does I/O.
+//! `ProtoMsg::ReformAlive`), retransmission and acting on the verdict live in the
+//! `vsync-core` stack; nothing here does I/O.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
@@ -195,11 +195,6 @@ impl ReformTracker {
         };
         self.resolved = Some(status.clone());
         status
-    }
-
-    /// The resolution, if the election has fired.
-    pub fn status(&self) -> Option<&ReformStatus> {
-        self.resolved.as_ref()
     }
 }
 

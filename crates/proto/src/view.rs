@@ -18,7 +18,7 @@ pub struct View {
     pub id: ViewId,
     /// Members in order of decreasing age: index = rank, rank 0 is the oldest member.
     pub members: Vec<ProcessId>,
-    /// Members added relative to the previous view (empty for the founding view).
+    /// Members added relative to the previous view; a founding view lists its creator.
     pub joined: Vec<ProcessId>,
     /// Members that departed (left or failed) relative to the previous view.
     pub departed: Vec<ProcessId>,

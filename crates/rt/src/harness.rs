@@ -640,18 +640,6 @@ impl<R: IsisRuntime> IsisHarness<R> {
         }
     }
 
-    /// Polls the total-failure reform election at one site, advancing it against the
-    /// site's clock.  `None` when the site is down or no reform runs there (including
-    /// after the reform completed — a view install clears it).
-    pub fn reform_status(
-        &mut self,
-        site: SiteId,
-        gid: GroupId,
-    ) -> Option<vsync_core::ReformStatus> {
-        self.query(site, move |stack, _now, out| stack.reform_status(gid, out))
-            .flatten()
-    }
-
     /// Drives the runtime in 1 ms steps until `cond` holds or `max_wait` of runtime time
     /// passes; returns whether the condition was met.
     pub fn wait_until(

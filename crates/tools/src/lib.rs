@@ -38,7 +38,7 @@ pub use config_tool::ConfigTool;
 pub use coordinator::CoordCohort;
 pub use monitor::SiteMonitor;
 pub use news::NewsService;
-pub use recovery::{RecoveryAdvice, RecoveryManager, ReplaySummary};
+pub use recovery::{RecoveryManager, ReplaySummary};
 pub use replicated::{ReplicatedData, UpdateOrdering};
 pub use semaphore::SemaphoreTool;
 pub use stable::{FileStore, MemoryStore, StableStore};

@@ -6,11 +6,16 @@
 //! process either to restart the group (if it was one of the last to fail) or to wait for it
 //! to restart elsewhere and then rejoin."
 //!
-//! Each registered member logs every view it observes to stable storage.  On recovery the
-//! manager first checks whether the group is currently operational (then the answer is simply
-//! *rejoin*); otherwise it consults the last logged view: a process that appears in it was
-//! among the last to fail and may safely restart the group from its checkpoint and log, while
-//! one that does not must wait for a last-to-fail member to restart the group first.
+//! Each registered member logs every view it observes and every message it applies to
+//! stable storage.  Telling the total failure of a group from a partial one is the reform
+//! election the site stack runs (`SiteStack::begin_reform`, fed by
+//! [`RecoveryManager::log_summary`] and [`RecoveryManager::last_known_sites`]): a live member
+//! answers it if the group never died, and otherwise the log of the last site to fail wins.
+//! The stack refounds the group with the winner's restarting member and joins every other
+//! one, so a member learns the verdict from its first view of the group, and
+//! [`RecoveryManager::attach_restart`] turns that into the paper's advice: a member that
+//! founded the view alone restarts the group from its checkpoint and log; any other rejoined,
+//! discards its divergent tail and takes the state-transfer snapshot.
 //!
 //! # Checkpoint-based log compaction
 //!
@@ -43,19 +48,6 @@ use vsync_core::{
 use vsync_util::{Result, SiteId, VsError};
 
 use crate::stable::StableStore;
-
-/// The advice given to a recovering process.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RecoveryAdvice {
-    /// The group is still operational somewhere: rejoin it (state transfer will catch us up).
-    Rejoin,
-    /// The whole group failed and we were among the last to fail: restart it from our
-    /// checkpoint and log.
-    Restart,
-    /// The whole group failed but someone else failed after us: wait for that member (which
-    /// has a more recent state) to restart the group, then rejoin.
-    WaitForRestart,
-}
 
 /// What a [`RecoveryManager::replay`] / [`RecoveryManager::recover`] reconstructed from
 /// durable storage.
@@ -238,11 +230,10 @@ impl RecoveryManager {
         Ok(self.store.read_log(&self.log_key())?.len())
     }
 
-    /// Discards **all** durable state for this service: log, checkpoint and membership
-    /// record.  A reform *follower* calls this before rejoining — its divergent tail lost
-    /// the election, and the rejoin's state transfer plus fresh logging re-establish
-    /// durability from the reformed group's history.
-    pub fn discard(&self) -> Result<()> {
+    /// Discards the log and the checkpoint.  A restarting member that rejoined calls this
+    /// at its first view — its divergent tail lost the election, and the rejoin's state
+    /// transfer plus fresh logging re-establish durability from the group's history.
+    fn discard(&self) -> Result<()> {
         self.store.truncate_log(&self.log_key())?;
         self.store
             .write_checkpoint(&self.snap_key(), &Message::new())?;
@@ -414,7 +405,7 @@ impl RecoveryManager {
         }))
     }
 
-    // -- Membership record + advice -------------------------------------------------------
+    // -- Membership record and restart -------------------------------------------------------
 
     /// Records a view observed by a member (normally called from the attached monitor).
     fn record_view(&self, view: &View) -> Result<()> {
@@ -431,8 +422,9 @@ impl RecoveryManager {
     }
 
     /// Attaches view logging to a member process: each observed view updates the
-    /// last-known-membership checkpoint (for [`advise`](Self::advise)) and appends a view
-    /// marker to the durable log (for [`replay`](Self::replay)).
+    /// last-known-membership checkpoint (for [`log_summary`](Self::log_summary) and
+    /// [`last_known_sites`](Self::last_known_sites)) and appends a view marker to the
+    /// durable log (for [`replay`](Self::replay)).
     pub fn attach_logging(&self, builder: &mut ProcessBuilder, group: GroupId) {
         let this = self.clone();
         builder.on_view_change(group, move |_ctx, ev| {
@@ -441,45 +433,60 @@ impl RecoveryManager {
         });
     }
 
-    /// The membership of the last view this site observed before failing, if any.
-    pub fn last_known_members(&self) -> Result<Vec<ProcessId>> {
-        let Some(m) = self.store.read_checkpoint(&self.key())? else {
-            return Ok(Vec::new());
-        };
-        Ok(m.get_addr_list("members")
-            .unwrap_or_default()
-            .iter()
-            .filter_map(|a| a.as_process())
-            .collect())
-    }
-
     /// The sites of the last view this site observed before failing: the reform
     /// election's participant set (only their logs could possibly dominate ours).
     pub fn last_known_sites(&self) -> Result<Vec<SiteId>> {
+        let Some(m) = self.store.read_checkpoint(&self.key())? else {
+            return Ok(Vec::new());
+        };
         let mut sites = Vec::new();
-        for p in self.last_known_members()? {
-            if !sites.contains(&p.site) {
+        for a in m.get_addr_list("members").unwrap_or_default() {
+            if let Some(p) = a.as_process().filter(|p| !sites.contains(&p.site)) {
                 sites.push(p.site);
             }
         }
         Ok(sites)
     }
 
-    /// Advises a recovering process.  `group_operational` is whether the group currently has
-    /// operational members (determined by asking the namespace / attempting a lookup).
-    pub fn advise(&self, me: ProcessId, group_operational: bool) -> Result<RecoveryAdvice> {
-        if group_operational {
-            return Ok(RecoveryAdvice::Rejoin);
-        }
-        let last = self.last_known_members()?;
-        if last.iter().any(|p| p.same_slot(&me)) {
-            Ok(RecoveryAdvice::Restart)
-        } else if last.is_empty() {
-            // No record at all: nothing to wait for, restart fresh.
-            Ok(RecoveryAdvice::Restart)
-        } else {
-            Ok(RecoveryAdvice::WaitForRestart)
-        }
+    /// Gives a member restarting after a total failure the paper's advice, once its site's
+    /// reform election (`SiteStack::begin_reform`) has decided.  The verdict is the
+    /// member's first view of `group`: if the member founded that view alone, this site's
+    /// log won, and its checkpoint and tail are replayed through `snapshot` and `apply`
+    /// (see [`recover`](Self::recover)); any other first view is a rejoin, so the log is
+    /// discarded and state transfer brings the state.  Attach it ahead of
+    /// [`attach_logging`](Self::attach_logging), compaction and state transfer, so the
+    /// replay reads what the dead incarnation logged and nothing the new one appends.
+    pub fn attach_restart(
+        &self,
+        builder: &mut ProcessBuilder,
+        group: GroupId,
+        snapshot: impl FnMut(&Message) + 'static,
+        apply: impl FnMut(EntryId, &Message) + 'static,
+    ) {
+        let this = self.clone();
+        let mut replay = Some((snapshot, apply));
+        builder.on_view_change(group, move |ctx, ev| {
+            if !ev.view.contains(ctx.me()) {
+                return;
+            }
+            let Some((snapshot, apply)) = replay.take() else {
+                return;
+            };
+            let (service, seq) = (&this.service, ev.view.seq());
+            let advice = if ev.view.len() == 1 {
+                this.recover(snapshot, apply).map(|r| {
+                    format!(
+                        "RestartReplayed: service {service} view {seq}: {} checkpoint blocks, \
+                         {} log records",
+                        r.snapshot_blocks, r.messages
+                    )
+                })
+            } else {
+                this.discard()
+                    .map(|()| format!("RestartDiscarded: service {service} view {seq}"))
+            };
+            ctx.trace(advice.unwrap_or_else(|e| format!("RestartFailed: {e}")));
+        });
     }
 }
 
@@ -566,57 +573,6 @@ mod tests {
         let mut m = Message::with_body(body);
         m.set_sender(p(origin));
         m
-    }
-
-    #[test]
-    fn operational_group_means_rejoin() {
-        let rm = manager();
-        assert_eq!(rm.advise(p(0), true).unwrap(), RecoveryAdvice::Rejoin);
-    }
-
-    #[test]
-    fn last_to_fail_restarts_the_group() {
-        let rm = manager();
-        let view = View::founding(GroupId(1), p(0)).successor(&[], &[p(1)]);
-        rm.record_view(&view).unwrap();
-        assert_eq!(rm.advise(p(0), false).unwrap(), RecoveryAdvice::Restart);
-        assert_eq!(rm.advise(p(1), false).unwrap(), RecoveryAdvice::Restart);
-    }
-
-    #[test]
-    fn earlier_casualties_wait_for_the_survivors() {
-        let rm = manager();
-        // Our site failed first; the view we logged last still contained us, but then the
-        // survivors installed a view without us and logged *that* on their sites.  The check
-        // below simulates the survivor's log advising *us*: the last view recorded there
-        // excludes our process, so we must wait.
-        let survivors_last_view = View::founding(GroupId(1), p(1)).successor(&[], &[p(2)]);
-        rm.record_view(&survivors_last_view).unwrap();
-        assert_eq!(
-            rm.advise(p(0), false).unwrap(),
-            RecoveryAdvice::WaitForRestart
-        );
-        assert_eq!(rm.advise(p(1), false).unwrap(), RecoveryAdvice::Restart);
-    }
-
-    #[test]
-    fn recovery_recognises_new_incarnations_of_the_same_slot() {
-        let rm = manager();
-        let view = View::founding(GroupId(1), p(0));
-        rm.record_view(&view).unwrap();
-        let recovered_incarnation = p(0).next_incarnation();
-        assert_eq!(
-            rm.advise(recovered_incarnation, false).unwrap(),
-            RecoveryAdvice::Restart
-        );
-    }
-
-    #[test]
-    fn no_history_means_fresh_restart() {
-        let rm = manager();
-        assert_eq!(rm.advise(p(3), false).unwrap(), RecoveryAdvice::Restart);
-        assert!(rm.last_known_members().unwrap().is_empty());
-        assert!(rm.log_summary(p(3)).unwrap().is_none());
     }
 
     #[test]
@@ -822,8 +778,12 @@ mod tests {
     #[test]
     fn log_summary_reports_seq_frontier_and_rank() {
         let rm = manager();
+        // No history: nothing to offer an election, and nobody to expect in it.
+        assert!(rm.log_summary(p(3)).unwrap().is_none());
+        assert!(rm.last_known_sites().unwrap().is_empty());
         let v = View::founding(GroupId(1), p(1)).successor(&[], &[p(0)]);
         rm.record_view(&v).unwrap();
+        assert_eq!(rm.last_known_sites().unwrap(), [SiteId(1), SiteId(0)]);
         rm.log_view_marker(&v).unwrap();
         rm.log_delivery(EntryId(1), &delivery(1, 10)).unwrap();
         rm.log_delivery(EntryId(1), &delivery(1, 11)).unwrap();
@@ -832,6 +792,9 @@ mod tests {
         assert_eq!(s.site, SiteId(0));
         assert_eq!(s.view_seq, v.seq());
         assert_eq!(s.rank, 1, "p(0) is the younger member of v");
+        // A new incarnation of the same slot holds the dead one's rank.
+        let reborn = rm.log_summary(p(0).next_incarnation()).unwrap().unwrap();
+        assert_eq!(reborn.rank, 1);
         assert_eq!(
             s.covered.entries(),
             &[(SiteId(0), 1), (SiteId(1), 2)],

@@ -9,15 +9,18 @@
 //!    last view its log remembers;
 //! 2. the summaries are totally ordered (view seq, then covered frontier, then rank):
 //!    the **"last site to fail"** wins, because only its log saw the group's final state;
-//! 3. the winner replays its log (checkpoint + tail, if compaction ran) and *refounds*
-//!    the group one view past the authoritative log, so the reformed incarnation's views
-//!    dominate every pre-crash log;
-//! 4. the losers discard their divergent tails and rejoin through the ordinary view-cut
-//!    state transfer, exactly like a brand-new member.
+//! 3. each site's stack acts on the verdict: the winner's refounds the group with its
+//!    restarting member one view past the authoritative log, so the reformed
+//!    incarnation's views dominate every pre-crash log, and every other stack joins its
+//!    member through the winner, exactly like a brand-new member;
+//! 4. each member reads the verdict from its first view (`RecoveryManager::attach_restart`):
+//!    the one that founded it alone replays its log (checkpoint + tail, if compaction
+//!    ran), the others discard their divergent tails and take the state-transfer snapshot.
 //!
 //! The example stages a coordinated crash with a crash-only [`NemesisSchedule`] — site 0
-//! first, then site 1, then site 2, so site 2's log is authoritative — and prints the
-//! election plus each member's exactly-once partition:
+//! first, then site 1, then site 2, 25 ms apart: faster than the failure detector, so
+//! every log ends at the same view and the election falls to its tie-breaks — and prints
+//! the election plus each member's exactly-once partition:
 //! `log-replayed + snapshot + post-reform applies == total`.
 //!
 //! Run with: `cargo run --example total_failure`
@@ -28,7 +31,7 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use vsync::core::{Duration, EntryId, GroupId, Message, ProtocolKind, ReformStatus, SiteId};
+use vsync::core::{Duration, EntryId, GroupId, Message, ProtocolKind, SiteId};
 use vsync::proto::ProtoConfig;
 use vsync::rt::{FaultPlan, IsisHarness, IsisRuntime, NemesisSchedule, ThreadedRuntime};
 use vsync::tools::{FileStore, RecoveryManager, StateTransfer};
@@ -115,6 +118,13 @@ fn wire_member(
     if ready {
         xfer.mark_ready();
     }
+    // A founder holds its state at its first view: nobody transfers it any.
+    let (x, founded) = (xfer.clone(), m.ready.clone());
+    b.on_view_change(gid, move |_ctx, _ev| {
+        if x.is_ready() {
+            founded.store(true, Ordering::Relaxed);
+        }
+    });
     let s_update = state.clone();
     let o_update = m.order.clone();
     let c_applies = m.applies.clone();
@@ -194,118 +204,61 @@ fn main() {
         .collect();
     println!("total failure: all sites dead; per-site durably covered deliveries: {covered:?}");
 
-    // -- Reform: respawn, exchange summaries, elect the last log -------------------------
+    // -- Reform: respawn, and let each site's stack elect the last log and act on it ------
     h.respawn_all();
+    let mut members = Vec::new();
+    let mut new_pids = Vec::new();
     for &s in &sites {
-        let r = site_root(s);
-        let me = pids[s.index()];
-        h.query(s, move |stack, _now, out| {
-            let rm = open_manager(r);
-            let summary = rm.log_summary(me).expect("summary").expect("logged");
-            let mut expected = rm.last_known_sites().expect("sites");
-            if expected.is_empty() {
-                expected.push(me.site);
-            }
-            stack.begin_reform(gid, summary, expected, out);
-        });
-    }
-    let mut resolved: Vec<Option<ReformStatus>> = vec![None; sites.len()];
-    while resolved.iter().any(Option::is_none) {
-        for &s in &sites {
-            if resolved[s.index()].is_none() {
-                match h.reform_status(s, gid) {
-                    Some(ReformStatus::Collecting { .. }) | None => {}
-                    Some(done) => {
-                        println!("  site {} resolved: {done:?}", s.0);
-                        resolved[s.index()] = Some(done);
-                    }
-                }
-            }
-        }
-        h.rt.advance(Duration::from_millis(5));
-    }
-    let (lead, new_view_seq) = sites
-        .iter()
-        .find_map(|&s| match resolved[s.index()] {
-            Some(ReformStatus::Lead { new_view_seq }) => Some((s, new_view_seq)),
-            _ => None,
-        })
-        .expect("exactly one leader");
-    println!("election: site {}'s log is authoritative (last to fail); refounding at view {new_view_seq}", lead.0);
-
-    // Winner: recover checkpoint + log tail into a fresh member, then refound the group.
-    let lead_mirror = Mirror::new(true);
-    let shared = lead_mirror.share();
-    let r = site_root(lead);
-    let lead_pid = h.spawn(lead, move |b| {
-        let rm = open_manager(r);
-        let state: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
-        let s = state.clone();
-        let o = shared.order.clone();
-        let s2 = state.clone();
-        let o2 = shared.order.clone();
-        let summary = rm
-            .recover(
-                |block| {
-                    if let Some(v) = block.get_u64("tf-entry") {
-                        s.borrow_mut().push(v);
-                        o.lock().unwrap().push(v);
-                    }
-                },
-                |entry, payload| {
-                    if entry == APPLY {
-                        let v = payload.get_u64("body").unwrap_or(u64::MAX);
-                        s2.borrow_mut().push(v);
-                        o2.lock().unwrap().push(v);
-                    }
-                },
-            )
-            .expect("recover");
-        shared.replayed.store(
-            (summary.messages + summary.snapshot_blocks) as u64,
-            Ordering::Relaxed,
-        );
-        wire_member(b, gid, rm, state, &shared, true);
-    });
-    h.query(lead, move |stack, _now, out| {
-        stack.create_group_at("inventory", gid, lead_pid, new_view_seq, out);
-    });
-
-    // Losers: discard the divergent tail, rejoin via the ordinary view-cut transfer.
-    let mut members = vec![None, None, None];
-    let mut new_pids = [lead_pid; 3];
-    members[lead.index()] = Some(lead_mirror);
-    for &s in &sites {
-        if s == lead {
-            continue;
-        }
         let m = Mirror::new(false);
         let shared = m.share();
         let r = site_root(s);
         let pid = h.spawn(s, move |b| {
             let rm = open_manager(r);
-            rm.discard().expect("discard losing log");
-            wire_member(
+            let state: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
+            // Replays the log into the state, if this member's first view says its log won.
+            let (s, o, c) = (state.clone(), shared.order.clone(), shared.replayed.clone());
+            let replay = move |v: u64| {
+                s.borrow_mut().push(v);
+                o.lock().unwrap().push(v);
+                c.fetch_add(1, Ordering::Relaxed);
+            };
+            let apply = replay.clone();
+            rm.attach_restart(
                 b,
                 gid,
-                rm,
-                Rc::new(RefCell::new(Vec::new())),
-                &shared,
-                false,
+                move |block| block.get_u64("tf-entry").into_iter().for_each(&replay),
+                move |entry, payload| {
+                    if entry == APPLY {
+                        apply(payload.get_u64("body").unwrap_or(u64::MAX));
+                    }
+                },
             );
+            wire_member(b, gid, rm, state, &shared, false);
         });
-        h.query(s, move |stack, _now, _out| {
-            stack.register_group("inventory", gid, vec![lead]);
+        let (r, old) = (site_root(s), pids[s.index()]);
+        h.query(s, move |stack, _now, out| {
+            let rm = open_manager(r);
+            let summary = rm.log_summary(old).expect("summary").expect("logged");
+            let expected = rm.last_known_sites().expect("sites");
+            stack.begin_reform("inventory", gid, pid, None, summary, expected, out);
         });
-        h.join_and_wait(gid, pid, None, Duration::from_secs(10))
-            .expect("loser rejoin");
-        members[s.index()] = Some(m);
-        new_pids[s.index()] = pid;
+        members.push(m);
+        new_pids.push(pid);
     }
-    let members: Vec<Mirror> = members.into_iter().map(Option::unwrap).collect();
-    h.wait_until(Duration::from_secs(10), |_| {
+    let reformed = h.wait_until(Duration::from_secs(10), |_| {
         members.iter().all(|m| m.ready.load(Ordering::Relaxed))
     });
+    assert!(reformed, "the reformed group never formed");
+    // The founder is the reformed view's oldest member.
+    let view = h.view_of(sites[0], gid).expect("reformed view");
+    let lead = view.members[0].site;
+    println!(
+        "election: site {}'s log is authoritative; it refounded the group, now view {} \
+         with {} members",
+        lead.0,
+        view.seq(),
+        view.len()
+    );
     println!("reform complete: losers discarded their tails and rejoined via state transfer");
 
     // -- The reformed group is fully operational -----------------------------------------

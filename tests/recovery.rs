@@ -1,5 +1,5 @@
-//! Integration: stable storage, the recovery manager's restart-vs-rejoin advice, and
-//! rebuilding replicated state after a total failure (paper Section 3.8 and Section 5 Step 6).
+//! Integration: stable storage, the recovery manager's rejoin advice to a member whose
+//! group outlived it, and rebuilding replicated state after a total failure (paper Section 3.8 and Section 5 Step 6).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -8,8 +8,7 @@ use proptest::prelude::*;
 use vsync_core::{Duration, EntryId, LatencyProfile, Message, ProtocolKind, SiteId};
 use vsync_rt::{IsisHarness, IsisRuntime, SimRuntime};
 use vsync_tools::{
-    FileStore, MemoryStore, RecoveryAdvice, RecoveryManager, ReplicatedData, StableStore,
-    UpdateOrdering,
+    FileStore, MemoryStore, RecoveryManager, ReplicatedData, StableStore, UpdateOrdering,
 };
 
 const DATA: EntryId = EntryId(60);
@@ -80,14 +79,15 @@ fn replicated_data_survives_total_failure_through_checkpoint_and_log() {
 }
 
 #[test]
-fn recovery_manager_advice_depends_on_who_failed_last() {
-    let mut sys = IsisHarness::new(SimRuntime::for_profile(3, LatencyProfile::Modern, 42));
+fn a_member_restarting_while_its_group_lives_rejoins_and_discards_its_log() {
+    // The group survives on site 0 while site 1's member dies with its site.  Restarted
+    // from its log, the member's reform election hears from the live member, so the stack
+    // joins it through site 0 and the member throws its stale log away at that first view.
+    let mut sys = IsisHarness::new(SimRuntime::for_profile(2, LatencyProfile::Modern, 42));
     let store: Rc<dyn StableStore> = Rc::new(MemoryStore::new());
-    let rm = RecoveryManager::new(store, "svc");
-
+    let rm = RecoveryManager::new(store.clone(), "svc");
     let gid = sys.allocate_group_id();
-    let rm_attach = rm.clone();
-    let a = sys.spawn_local(SiteId(0), move |b| rm_attach.attach_logging(b, gid));
+    let a = sys.spawn_local(SiteId(0), |_| {});
     sys.create_group_with_id("svc", gid, a);
     let rm_attach = rm.clone();
     let b = sys.spawn_local(SiteId(1), move |builder| {
@@ -95,26 +95,35 @@ fn recovery_manager_advice_depends_on_who_failed_last() {
     });
     sys.join_and_wait(gid, b, None, Duration::from_secs(5))
         .unwrap();
-    sys.settle(Duration::from_millis(100));
-
-    // While the group is operational somewhere, the advice is always to rejoin.
-    assert_eq!(rm.advise(a, true).unwrap(), RecoveryAdvice::Rejoin);
-
-    // Member a fails first; the survivors install a view without it and keep logging.
-    sys.kill_process(a);
+    rm.log_delivery(DATA, &Message::with_body(1u64)).unwrap();
+    sys.rt.kill_site(SiteId(1));
     let ok = sys.wait_until(Duration::from_secs(10), |s| {
-        s.view_of(SiteId(1), gid)
-            .map(|v| v.len() == 1)
-            .unwrap_or(false)
+        s.view_of(SiteId(0), gid).is_some_and(|v| v.len() == 1)
     });
     assert!(ok);
-    sys.settle(Duration::from_millis(100));
 
-    // Now the whole group fails.  Consulting the (surviving site's) log: member b was in the
-    // last view, so it restarts; member a was not, so it waits for b.
-    assert_eq!(rm.advise(b, false).unwrap(), RecoveryAdvice::Restart);
-    assert_eq!(rm.advise(a, false).unwrap(), RecoveryAdvice::WaitForRestart);
-    assert_eq!(rm.last_known_members().unwrap(), vec![b]);
+    sys.rt.recover_site(SiteId(1));
+    let restarted = RecoveryManager::new(store, "svc");
+    let replayed = Rc::new(RefCell::new(0));
+    let (r, counted) = (restarted.clone(), replayed.clone());
+    let b2 = sys.spawn_local(SiteId(1), move |builder| {
+        let count = move |_: EntryId, _: &Message| *counted.borrow_mut() += 1;
+        r.attach_restart(builder, gid, |_| {}, count);
+        r.attach_logging(builder, gid);
+    });
+    let summary = restarted.log_summary(b).unwrap().expect("b logged");
+    let expected = restarted.last_known_sites().unwrap();
+    sys.with_stack(SiteId(1), move |stack, _now, out| {
+        stack.begin_reform("svc", gid, b2, None, summary, expected, out)
+    });
+    let ok = sys.wait_until(Duration::from_secs(10), |s| {
+        s.view_of(SiteId(0), gid).is_some_and(|v| v.contains(b2))
+    });
+    assert!(ok, "the restarted member never rejoined");
+    assert_eq!(*replayed.borrow(), 0, "a rejoining member replays nothing");
+    // The stale delivery is gone: the log holds only the rejoin's view marker.
+    let left = restarted.replay(|_, _| {}).unwrap();
+    assert_eq!((left.messages, left.views), (0, 1));
 }
 
 #[test]

@@ -209,6 +209,23 @@ impl Recorder {
         }
     }
 
+    /// What rebuilds the state from a durable log: one closure for each checkpoint block,
+    /// one for each logged delivery.
+    pub fn replay(&self) -> (impl FnMut(&Message), impl FnMut(EntryId, &Message)) {
+        let (snapshot, apply) = (self.clone(), self.clone());
+        (
+            move |block: &Message| {
+                let v = block.get_u64("entry").unwrap_or(u64::MAX);
+                snapshot.lock().push(0, v, 0);
+            },
+            move |entry: EntryId, payload: &Message| {
+                if entry == APPLY {
+                    apply.lock().push(0, body(payload), 0);
+                }
+            },
+        )
+    }
+
     /// The state as transfer blocks, one per body.
     pub fn blocks(&self) -> Vec<Message> {
         self.bodies()
@@ -264,8 +281,11 @@ pub enum Disk {
     /// Rebuild the state from the root's checkpoint and log before anything is wired,
     /// then keep logging (a process that died with its site).
     Recover(PathBuf),
-    /// Throw away what the root holds, then keep logging (a reform's losing log).
-    Discard(PathBuf),
+    /// Restart after a total failure, the site's reform election deciding at the member's
+    /// first view: rebuild the state from the root's checkpoint and log if the member
+    /// founded that view, or throw the root's log away for the transfer snapshot if it
+    /// joined; then keep logging.
+    Reform(PathBuf),
 }
 
 fn open_log(root: PathBuf) -> RecoveryManager {
@@ -318,23 +338,14 @@ pub fn spawn_member<R: IsisRuntime>(
             Disk::Log(root, compaction) => (Some(open_log(root)), compaction),
             Disk::Recover(root) => {
                 let rm = open_log(root);
-                rm.recover(
-                    |block| {
-                        r.lock()
-                            .push(0, block.get_u64("entry").unwrap_or(u64::MAX), 0)
-                    },
-                    |entry, payload| {
-                        if entry == APPLY {
-                            r.lock().push(0, body(payload), 0);
-                        }
-                    },
-                )
-                .expect("recover");
+                let (snapshot, apply) = r.replay();
+                rm.recover(snapshot, apply).expect("recover");
                 (Some(rm), None)
             }
-            Disk::Discard(root) => {
+            Disk::Reform(root) => {
                 let rm = open_log(root);
-                rm.discard().expect("discard");
+                let (snapshot, apply) = r.replay();
+                rm.attach_restart(b, gid, snapshot, apply);
                 (Some(rm), None)
             }
         };

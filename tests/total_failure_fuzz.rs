@@ -3,7 +3,8 @@
 //! recovery logs survive — and the restarting sites must *reform* the group from those
 //! logs: exchange log summaries, elect the "last to fail" log as authoritative, refound
 //! the group from the winner's replayed state, and rejoin the losers via the ordinary
-//! view-cut state transfer.
+//! view-cut state transfer.  The site stacks act on their own verdicts; each restarting
+//! member reads its verdict from its first view.
 //!
 //! What the scenario pins, on both backends and across fuzzed kill orders and instants:
 //!
@@ -27,7 +28,7 @@ use proptest::prelude::*;
 use support::{
     check, holding, jitter, send, sim, spawn_member, temp_root, threaded, Disk, Recorder,
 };
-use vsync::core::{Duration, ProtocolKind, ReformStatus, SiteId};
+use vsync::core::{Duration, ProtocolKind, SiteId};
 use vsync::rt::{
     FaultPlan, IsisHarness, IsisRuntime, NemesisEvent, NemesisSchedule, PartitionInvariants,
 };
@@ -65,8 +66,8 @@ impl ReformOutcome {
 }
 
 /// Runs the full scenario: found a three-member group, start a burst, execute the crash
-/// schedule mid-burst (total failure), respawn every site, reform from the logs, rejoin
-/// the losers, then a post-reform burst.
+/// schedule mid-burst (total failure), respawn every site, reform from the logs (the
+/// winner refounds, the losers rejoin), then a post-reform burst.
 fn run_total_failure_scenario<R: IsisRuntime>(
     mut h: IsisHarness<R>,
     root: &Path,
@@ -116,114 +117,56 @@ fn run_total_failure_scenario<R: IsisRuntime>(
         assert!(!h.rt.site_is_up(s), "schedule must kill every site");
     }
 
-    // Respawn the sites (empty stacks, no processes) and start the reform election at
-    // each: offer what the site's own log covers to the sites of its last recorded view.
+    // Respawn the sites (empty stacks, no processes), spawn each site's restarting member
+    // and start the reform election for it: offer what the site's own log covers to the
+    // sites of its last recorded view.  The stacks refound the group with the winner's
+    // member one view past the authoritative log, so the reformed incarnation's views
+    // dominate every pre-crash log, and join every other member through the winner.
     h.respawn_all();
+    let mut new_pids = Vec::new();
+    let mut reformed = Vec::new();
     for &s in &sites {
         let r = site_root(root, s);
-        let me = pids[s.index()];
+        let (pid, m) = spawn_member(&mut h, s, gid, false, Disk::Reform(r.clone()));
+        let old = pids[s.index()];
         let began = h.query(s, move |stack, _now, out| {
             let rm = RecoveryManager::new(Rc::new(FileStore::new(r).expect("store")), "recovery");
             let summary = rm
-                .log_summary(me)
+                .log_summary(old)
                 .expect("log summary")
                 .expect("every member site logged durably");
-            let mut expected = rm.last_known_sites().expect("last known sites");
-            if expected.is_empty() {
-                expected.push(me.site);
-            }
-            stack.begin_reform(gid, summary, expected, out);
+            let expected = rm.last_known_sites().expect("last known sites");
+            stack.begin_reform("tf", gid, pid, None, summary, expected, out);
         });
         assert!(began.is_some(), "reform never started at {s:?}");
+        new_pids.push(pid);
+        reformed.push(m);
     }
+    let ok = h.wait_until(Duration::from_secs(30), |_| {
+        reformed.iter().all(Recorder::is_ready)
+    });
+    assert!(ok, "the reformed group never formed");
 
-    // Poll every site until its election resolves.
-    let mut resolved: Vec<Option<ReformStatus>> = vec![None; sites.len()];
-    let mut waited = Duration::ZERO;
-    while resolved.iter().any(Option::is_none) {
-        for &s in &sites {
-            if resolved[s.index()].is_some() {
-                continue;
-            }
-            match h.reform_status(s, gid) {
-                Some(ReformStatus::Collecting { .. }) | None => {}
-                Some(done) => resolved[s.index()] = Some(done),
-            }
-        }
-        h.rt.advance(Duration::from_millis(5));
-        waited += Duration::from_millis(5);
-        assert!(
-            waited < Duration::from_secs(30),
-            "reform election never resolved: {resolved:?}"
-        );
-    }
-
-    // Exactly one winner; everyone else must name it as their contact.
-    let leads: Vec<(SiteId, u64)> = sites
-        .iter()
-        .filter_map(|&s| match resolved[s.index()] {
-            Some(ReformStatus::Lead { new_view_seq }) => Some((s, new_view_seq)),
-            _ => None,
-        })
+    // Exactly one winner: the one member whose first view it founded alone.  Its first
+    // view dominates every pre-crash view.  Its replay (newest checkpoint's blocks, then
+    // the surviving log tail) rebuilt exactly its durably-covered pre-crash order; every
+    // other member discarded its divergent tail and took the winner's snapshot.
+    let leads: Vec<usize> = (0..sites.len())
+        .filter(|&i| reformed[i].timeline().views[0].1.len() == 1)
         .collect();
-    assert_eq!(
-        leads.len(),
-        1,
-        "exactly one log must win the election: {resolved:?}"
+    assert_eq!(leads.len(), 1, "exactly one log must win the election");
+    let lead = sites[leads[0]];
+    let founded = reformed[lead.index()].views()[0];
+    let precrash_last = members.iter().flat_map(Recorder::views).max();
+    assert!(
+        Some(founded) > precrash_last,
+        "refounded at view {founded}, not past {precrash_last:?}"
     );
-    let (lead, new_view_seq) = leads[0];
-    for &s in &sites {
-        if s == lead {
-            continue;
-        }
-        let contact = match resolved[s.index()] {
-            Some(ReformStatus::Follow { leader }) => leader,
-            Some(ReformStatus::Operational { contact }) => contact,
-            ref other => panic!("loser at {s:?} resolved unexpectedly: {other:?}"),
-        };
-        assert_eq!(contact, lead, "loser at {s:?} named the wrong contact");
-    }
-
-    // The winner replays its log and refounds the group one past the authoritative view,
-    // so the reformed incarnation's views dominate every pre-crash log.  Full recovery
-    // (newest checkpoint's blocks, then the surviving log tail) rebuilds the authoritative
-    // pre-crash state before any handler is wired; it then refounds, so it spawns ready.
-    let disk = Disk::Recover(site_root(root, lead));
-    let (lead_pid, lead_member) = spawn_member(&mut h, lead, gid, true, disk);
-    h.query(lead, move |stack, _now, out| {
-        stack.create_group_at("tf", gid, lead_pid, new_view_seq, out);
-    })
-    .expect("refound at leader");
     assert_eq!(
-        lead_member.bodies(),
+        reformed[lead.index()].bodies(),
         members[lead.index()].bodies(),
         "leader replay must rebuild exactly its durably-covered pre-crash order"
     );
-
-    // The losers discard their divergent tails outright and rejoin through the ordinary
-    // view-cut transfer, with the reformed leader as contact — the paper's "recover as if
-    // joining for the first time" path.
-    let mut new_pids = vec![lead_pid; sites.len()];
-    let mut reformed = vec![lead_member; sites.len()];
-    for &s in &sites {
-        if s == lead {
-            continue;
-        }
-        let disk = Disk::Discard(site_root(root, s));
-        let (pid, m) = spawn_member(&mut h, s, gid, false, disk);
-        h.query(s, move |stack, _now, _out| {
-            stack.register_group("tf", gid, vec![lead]);
-        })
-        .expect("register reformed group");
-        h.join_and_wait(gid, pid, None, Duration::from_secs(20))
-            .expect("loser rejoin");
-        new_pids[s.index()] = pid;
-        reformed[s.index()] = m;
-    }
-    let ok = h.wait_until(Duration::from_secs(20), |_| {
-        reformed.iter().all(Recorder::is_ready)
-    });
-    assert!(ok, "rejoin transfers never completed");
 
     // Post-reform burst: distinct bodies, everyone sending, everyone delivering.
     let total = members[lead.index()].len() + POST as usize;
