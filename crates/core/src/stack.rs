@@ -264,17 +264,15 @@ impl SiteStack {
 
     // -- Total-failure reform (paper Section 3.8) ---------------------------------------------
 
-    /// Starts a total-failure reform of `group` at this restarting site for `member`, a
-    /// local process restarting from this site's recovery log.  Offers `summary` (what the
-    /// log covers) to `expected` — the sites of the last view the log recorded, the only
-    /// logs that could dominate ours — and collects theirs until the election resolves,
-    /// rebroadcasting on a failure-timeout cadence and holding a degraded election if
-    /// `reform_timeout` passes with summaries still missing.  Then it acts on the verdict:
-    /// if our log won, it refounds the group as `name` with `member` alone, one view past
-    /// the authoritative log; otherwise it joins `member` with `credentials` through the
-    /// winner — or through a live member, if the group never fully failed — re-sending on
-    /// the join backoff until the winner has refounded.  The run ends when a view of the
-    /// group installs here, or when `member` dies.
+    /// Starts a total-failure reform of `group` for `member`, a local process restarting
+    /// from this site's recovery log: offers `summary` (what the log covers) to `expected`,
+    /// the sites of the last view it recorded, rebroadcasting on the failure-timeout
+    /// cadence, and holds a degraded election if `reform_timeout` passes first.  The stack
+    /// acts on the verdict: if our log won it refounds the group as `name` with `member`
+    /// alone, one view past the authoritative log; otherwise it joins `member` with
+    /// `credentials` through the winner (or a live member), re-sending on the join backoff
+    /// until the winner has refounded.  The run ends when a view holding `member` installs
+    /// here, or when `member` dies.
     #[allow(clippy::too_many_arguments)]
     pub fn begin_reform(
         &mut self,
@@ -303,26 +301,20 @@ impl SiteStack {
     fn act_on_reform(
         &mut self,
         group: GroupId,
-        restart: Restart,
+        r: Restart,
         verdict: ReformStatus,
         out: &mut Outbox,
     ) {
-        let Restart {
-            name,
-            member,
-            credentials,
-        } = restart;
         let contact = match verdict {
             ReformStatus::Lead { new_view_seq } => {
-                return self.create_group_at(&name, group, member, new_view_seq, out);
+                return self.create_group_at(&r.name, group, r.member, new_view_seq, out);
             }
-            ReformStatus::Follow { leader: contact } | ReformStatus::Operational { contact } => {
-                contact
-            }
+            ReformStatus::Follow { leader: c } | ReformStatus::Operational { contact: c } => c,
             ReformStatus::Collecting { .. } => return,
         };
-        self.register_group(&name, group, vec![contact]);
-        if let Err(e) = self.join_group(group, member, credentials, out) {
+        self.register_group(&r.name, group, vec![contact]);
+        let member = r.member;
+        if let Err(e) = self.join_group(group, member, r.credentials, out) {
             out.trace_with(|| format!("{}: rejoin of {member} to {group} failed: {e}", self.site));
         }
     }
@@ -1396,7 +1388,6 @@ mod tests {
     }
 
     fn a_view_holding_the_joiner_ends_its_retries() {
-        let cfg = StackConfig::default();
         let (member, joiner) = (pid(0, 1), pid(1, 1));
         let mut stacks = [site_stack(0, 2), site_stack(1, 2)];
         stacks[0].add_process(ProcessBuilder::new(member).build());
@@ -1407,12 +1398,27 @@ mod tests {
         stacks[1].join_group(G, joiner, None, &mut out).unwrap();
         // The contact drops the first three JoinReqs (the request and two re-sends) and
         // takes the fourth.
+        let joins = run_until_joined(&mut stacks, joiner, 3, SimTime::ZERO, &mut out);
+        assert_eq!(joins, 4);
+        assert!(stacks[0].view_of(G).is_some_and(|v| v.contains(joiner)));
+    }
+
+    /// Runs sites 0 and 1 from `now`, ticking both and delivering everything with site 1's
+    /// first `lost` JoinReqs dropped, until `joiner`'s view installs at site 1; then 40
+    /// failure timeouts more, in which no JoinReq may go out.  Returns how many site 1 sent.
+    fn run_until_joined(
+        stacks: &mut [SiteStack; 2],
+        joiner: ProcessId,
+        lost: usize,
+        mut now: SimTime,
+        out: &mut Outbox,
+    ) -> usize {
+        let cfg = StackConfig::default();
         let mut joins = 0;
-        let mut now = SimTime::ZERO;
         loop {
             let dropped = joins;
-            joins += settle(&mut stacks, now, &mut out, |p| {
-                dropped < 3 && matches!(decode(p), Some(ProtoMsg::JoinReq { .. }))
+            joins += settle(stacks, now, out, |p| {
+                dropped < lost && matches!(decode(p), Some(ProtoMsg::JoinReq { .. }))
             });
             if stacks[1].view_of(G).is_some_and(|v| v.contains(joiner)) {
                 break;
@@ -1422,20 +1428,19 @@ mod tests {
                 now < SimTime::ZERO + Duration::from_secs(30),
                 "the join never installed"
             );
-            for st in &mut stacks {
-                st.on_timer(now, TICK, &mut out);
+            for st in stacks.iter_mut() {
+                st.on_timer(now, TICK, out);
             }
         }
-        assert_eq!(joins, 4);
         let quiet_until = now + cfg.failure_timeout.saturating_mul(40);
         while now < quiet_until {
             now += cfg.tick_interval;
-            for st in &mut stacks {
-                st.on_timer(now, TICK, &mut out);
+            for st in stacks.iter_mut() {
+                st.on_timer(now, TICK, out);
             }
-            assert_eq!(settle(&mut stacks, now, &mut out, |_| false), 0);
+            assert_eq!(settle(stacks, now, out, |_| false), 0);
         }
-        assert!(stacks[0].view_of(G).is_some_and(|v| v.contains(joiner)));
+        joins
     }
 
     fn log_summary(site: u16, view_seq: u64) -> LogSummary {
@@ -1583,35 +1588,14 @@ mod tests {
         stacks[1].on_timer(now, TICK, &mut out);
         assert_eq!(settle(&mut stacks, now, &mut out, |_| false), 1);
         stacks[0].on_timer(now, TICK, &mut out);
-        assert_eq!(settle(&mut stacks, now, &mut out, |_| false), 0);
         let v = stacks[0].view_of(G).expect("the leader refounded");
         assert_eq!((v.seq(), &v.members[..]), (7, &[lead][..]));
         assert!(stacks[1].view_of(G).is_none());
-        // The join backoff re-sends the request, which the refounded leader admits.
-        let mut joins = 1;
-        while !stacks[1].view_of(G).is_some_and(|v| v.contains(follower)) {
-            now += cfg.tick_interval;
-            assert!(
-                now < SimTime::ZERO + Duration::from_secs(30),
-                "the follower never joined"
-            );
-            for st in &mut stacks {
-                st.on_timer(now, TICK, &mut out);
-            }
-            joins += settle(&mut stacks, now, &mut out, |_| false);
-        }
-        assert_eq!(joins, 2);
+        // The join backoff re-sends the request once, and the refounded leader admits it.
+        assert_eq!(run_until_joined(&mut stacks, follower, 0, now, &mut out), 1);
         for st in &stacks {
             let v = st.view_of(G).unwrap();
             assert_eq!((v.seq(), &v.members[..]), (8, &[lead, follower][..]));
-        }
-        let quiet_until = now + cfg.failure_timeout.saturating_mul(40);
-        while now < quiet_until {
-            now += cfg.tick_interval;
-            for st in &mut stacks {
-                st.on_timer(now, TICK, &mut out);
-            }
-            assert_eq!(settle(&mut stacks, now, &mut out, |_| false), 0);
         }
     }
 

@@ -1,8 +1,8 @@
 //! Joins submitted at this site whose view has not installed yet: when each is re-sent,
 //! and which contact it fails over to once its backoff is spent.  Re-sending is always
 //! safe: membership changes are idempotent end to end (the coordinator drops a join of a
-//! current member and dedups queued joiners).  The credentials a local member joined with are kept until it leaves or dies,
-//! so an exile's rejoin passes the same protection check its first join did.
+//! current member and dedups queued joiners).  A local member's join credentials are kept
+//! until it leaves or dies, so an exile's rejoin passes the check its first join did.
 
 use std::collections::BTreeMap;
 

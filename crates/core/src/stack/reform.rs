@@ -110,16 +110,12 @@ impl Reforms {
         }
     }
 
-    /// A view of `group` installed here.  One holding the restarting member ends its
-    /// reform: the lead site founds it, a follower's rejoin installs it, and an
-    /// `Operational` verdict ends in a normal join — every reform path that keeps its
-    /// member terminates exactly here.  A view without the member (a commit the group sent
-    /// this site's dead incarnation) ends nothing.
+    /// A view of `group` installed here.  One holding the restarting member ends its reform:
+    /// the lead founds it, and a `Follow` or `Operational` verdict's join installs it.  A
+    /// view without the member (a commit sent to this site's dead incarnation) ends nothing.
     pub(super) fn view_installed(&mut self, group: GroupId, view: &View, out: &mut Outbox) {
-        let Some(run) = self.runs.get(&group) else {
-            return;
-        };
-        if view.contains(run.restart.member) {
+        let run = self.runs.get(&group);
+        if run.is_some_and(|run| view.contains(run.restart.member)) {
             self.runs.remove(&group);
             out.trace_with(|| format!("{}: reform of {group} complete, view installed", self.site));
         }

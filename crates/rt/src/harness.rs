@@ -949,21 +949,19 @@ mod tests {
             h.join_and_wait(gid, *m, Some("sesame".into()), Duration::from_secs(5))
                 .unwrap();
         }
-        // Site 2 is cut off until the other two install a view without its member ...
+        // Site 2 is cut off long enough to be exiled (views 4 and 5 are its exclusion and
+        // its rejoin), then healed: the policy must admit the exile again.
         let components = vec![vec![SiteId(0), SiteId(1)], vec![SiteId(2)]];
-        let cut = NemesisSchedule::new().at(Duration::ZERO, NemesisEvent::Partition { components });
-        h.run_nemesis(&cut);
-        let exiled = h.wait_until(Duration::from_secs(10), |h| {
-            h.view_of(SiteId(0), gid)
-                .is_some_and(|v| !v.contains(members[2]))
-        });
-        assert!(exiled, "the cut never exiled site 2's member");
-        // ... then healed: the exile rejoins, and the policy admits it again.
-        h.run_nemesis(&NemesisSchedule::new().at(Duration::ZERO, NemesisEvent::Heal));
+        let cut = Duration::from_millis(500);
+        h.run_nemesis(&NemesisSchedule::partition_window(
+            Duration::ZERO,
+            cut,
+            components,
+        ));
         let back = h.wait_until(Duration::from_secs(10), |h| {
             (0..3).all(|s| {
                 h.view_of(SiteId(s), gid)
-                    .is_some_and(|v| v.contains(members[2]))
+                    .is_some_and(|v| v.seq() >= 5 && v.contains(members[2]))
             })
         });
         assert!(back, "the exile never rejoined");

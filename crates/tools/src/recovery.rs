@@ -7,15 +7,11 @@
 //! to restart elsewhere and then rejoin."
 //!
 //! Each registered member logs every view it observes and every message it applies to
-//! stable storage.  Telling the total failure of a group from a partial one is the reform
-//! election the site stack runs (`SiteStack::begin_reform`, fed by
-//! [`RecoveryManager::log_summary`] and [`RecoveryManager::last_known_sites`]): a live member
-//! answers it if the group never died, and otherwise the log of the last site to fail wins.
-//! The stack refounds the group with the winner's restarting member and joins every other
-//! one, so a member learns the verdict from its first view of the group, and
-//! [`RecoveryManager::attach_restart`] turns that into the paper's advice: a member that
-//! founded the view alone restarts the group from its checkpoint and log; any other rejoined,
-//! discards its divergent tail and takes the state-transfer snapshot.
+//! stable storage.  Whether a recovering member restarts the group or rejoins it is decided
+//! by the reform election its site stack runs (`SiteStack::begin_reform`, fed by
+//! [`RecoveryManager::log_summary`]); the member reads the verdict at its first view, where
+//! [`RecoveryManager::attach_restart`] replays the log of a member that founded that view
+//! alone and discards the log of one that rejoined.
 //!
 //! # Checkpoint-based log compaction
 //!
@@ -472,20 +468,18 @@ impl RecoveryManager {
             let Some((snapshot, apply)) = replay.take() else {
                 return;
             };
-            let (service, seq) = (&this.service, ev.view.seq());
             let advice = if ev.view.len() == 1 {
-                this.recover(snapshot, apply).map(|r| {
-                    format!(
-                        "RestartReplayed: service {service} view {seq}: {} checkpoint blocks, \
-                         {} log records",
-                        r.snapshot_blocks, r.messages
-                    )
-                })
+                let r = this.recover(snapshot, apply);
+                r.map(|r| format!("replayed {} + {} records", r.snapshot_blocks, r.messages))
             } else {
-                this.discard()
-                    .map(|()| format!("RestartDiscarded: service {service} view {seq}"))
+                this.discard().map(|()| "discarded its log".to_owned())
             };
-            ctx.trace(advice.unwrap_or_else(|e| format!("RestartFailed: {e}")));
+            let seq = ev.view.seq();
+            let advice = advice.unwrap_or_else(|e| format!("failed: {e}"));
+            ctx.trace(format!(
+                "Restart: service {} view {seq} {advice}",
+                this.service
+            ));
         });
     }
 }

@@ -25,19 +25,22 @@
 //!
 //! Run with: `cargo run --example total_failure`
 
-use std::cell::RefCell;
 use std::path::PathBuf;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use vsync::core::{Duration, EntryId, GroupId, Message, ProtocolKind, SiteId};
+use vsync::core::{Duration, EntryId, GroupId, Message, ProcessBuilder, ProtocolKind, SiteId};
 use vsync::proto::ProtoConfig;
 use vsync::rt::{FaultPlan, IsisHarness, IsisRuntime, NemesisSchedule, ThreadedRuntime};
 use vsync::tools::{FileStore, RecoveryManager, StateTransfer};
 
 const APPLY: EntryId = EntryId(9);
 
+/// One member's state — the ordered list of bodies it applied — and how many of them came
+/// from its durable log, from a transfer snapshot and by delivery.  Written on the
+/// member's node thread, read by `main`.
+#[derive(Clone, Default)]
 struct Mirror {
     order: Arc<Mutex<Vec<u64>>>,
     ready: Arc<AtomicBool>,
@@ -47,24 +50,10 @@ struct Mirror {
 }
 
 impl Mirror {
-    fn new(ready: bool) -> Mirror {
-        Mirror {
-            order: Arc::new(Mutex::new(Vec::new())),
-            ready: Arc::new(AtomicBool::new(ready)),
-            replayed: Arc::new(AtomicU64::new(0)),
-            snapshot_added: Arc::new(AtomicU64::new(0)),
-            applies: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
-    fn share(&self) -> Mirror {
-        Mirror {
-            order: self.order.clone(),
-            ready: self.ready.clone(),
-            replayed: self.replayed.clone(),
-            snapshot_added: self.snapshot_added.clone(),
-            applies: self.applies.clone(),
-        }
+    /// Applies `v`, counting it under `door`.
+    fn add(&self, v: u64, door: &AtomicU64) {
+        self.order.lock().unwrap().push(v);
+        door.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -77,63 +66,40 @@ fn open_manager(root: PathBuf) -> RecoveryManager {
 
 /// Wires a member whose state is the ordered list of delivered bodies, durably logged
 /// (log first, then apply) and served to joiners via state transfer.
-fn wire_member(
-    b: &mut vsync::core::ProcessBuilder,
-    gid: GroupId,
-    rm: RecoveryManager,
-    state: Rc<RefCell<Vec<u64>>>,
-    m: &Mirror,
-    ready: bool,
-) {
+fn wire_member(b: &mut ProcessBuilder, gid: GroupId, rm: RecoveryManager, m: Mirror) {
     rm.attach_logging(b, gid);
-    let s_encode = state.clone();
-    let s_apply = state.clone();
-    let o_apply = m.order.clone();
-    let c_snapshot = m.snapshot_added.clone();
-    let m_ready = m.ready.clone();
+    let (encode, apply) = (m.clone(), m.clone());
     let xfer = StateTransfer::new(
         gid,
         move || {
-            s_encode
-                .borrow()
+            let order = encode.order.lock().unwrap();
+            order
                 .iter()
                 .map(|v| Message::new().with("tf-entry", *v))
                 .collect()
         },
         move |_ctx, block| {
             if let Some(v) = block.get_u64("tf-entry") {
-                let mut s = s_apply.borrow_mut();
-                if !s.contains(&v) {
-                    s.push(v);
-                    o_apply.lock().unwrap().push(v);
-                    c_snapshot.fetch_add(1, Ordering::Relaxed);
+                if !apply.order.lock().unwrap().contains(&v) {
+                    apply.add(v, &apply.snapshot_added);
                 }
             }
             if block.get_bool("xfer-last").unwrap_or(false) {
-                m_ready.store(true, Ordering::Relaxed);
+                apply.ready.store(true, Ordering::Relaxed);
             }
         },
     );
     xfer.attach(b);
-    if ready {
-        xfer.mark_ready();
-    }
     // A founder holds its state at its first view: nobody transfers it any.
-    let (x, founded) = (xfer.clone(), m.ready.clone());
+    let (x, founded) = (xfer.clone(), m.clone());
     b.on_view_change(gid, move |_ctx, _ev| {
         if x.is_ready() {
-            founded.store(true, Ordering::Relaxed);
+            founded.ready.store(true, Ordering::Relaxed);
         }
     });
-    let s_update = state.clone();
-    let o_update = m.order.clone();
-    let c_applies = m.applies.clone();
     xfer.on_entry_buffered(b, APPLY, move |_ctx, msg| {
         let _ = rm.log_delivery(APPLY, msg);
-        let v = msg.get_u64("body").unwrap_or(u64::MAX);
-        s_update.borrow_mut().push(v);
-        o_update.lock().unwrap().push(v);
-        c_applies.fetch_add(1, Ordering::Relaxed);
+        m.add(msg.get_u64("body").unwrap_or(u64::MAX), &m.applies);
     });
 }
 
@@ -159,13 +125,9 @@ fn main() {
     let mut pids = Vec::new();
     let mut mirrors = Vec::new();
     for (i, &s) in sites.iter().enumerate() {
-        let m = Mirror::new(i == 0);
-        let shared = m.share();
-        let r = site_root(s);
-        let pid = h.spawn(s, move |b| {
-            let state = Rc::new(RefCell::new(Vec::new()));
-            wire_member(b, gid, open_manager(r), state, &shared, i == 0);
-        });
+        let m = Mirror::default();
+        let (shared, r) = (m.clone(), site_root(s));
+        let pid = h.spawn(s, move |b| wire_member(b, gid, open_manager(r), shared));
         if i == 0 {
             h.create_group_with_id("inventory", gid, pid);
         } else {
@@ -209,31 +171,27 @@ fn main() {
     let mut members = Vec::new();
     let mut new_pids = Vec::new();
     for &s in &sites {
-        let m = Mirror::new(false);
-        let shared = m.share();
-        let r = site_root(s);
+        let m = Mirror::default();
+        let (shared, r) = (m.clone(), site_root(s));
         let pid = h.spawn(s, move |b| {
             let rm = open_manager(r);
-            let state: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
             // Replays the log into the state, if this member's first view says its log won.
-            let (s, o, c) = (state.clone(), shared.order.clone(), shared.replayed.clone());
-            let replay = move |v: u64| {
-                s.borrow_mut().push(v);
-                o.lock().unwrap().push(v);
-                c.fetch_add(1, Ordering::Relaxed);
-            };
-            let apply = replay.clone();
+            let (snapshot, log) = (shared.clone(), shared.clone());
             rm.attach_restart(
                 b,
                 gid,
-                move |block| block.get_u64("tf-entry").into_iter().for_each(&replay),
+                move |block| {
+                    if let Some(v) = block.get_u64("tf-entry") {
+                        snapshot.add(v, &snapshot.replayed);
+                    }
+                },
                 move |entry, payload| {
                     if entry == APPLY {
-                        apply(payload.get_u64("body").unwrap_or(u64::MAX));
+                        log.add(payload.get_u64("body").unwrap_or(u64::MAX), &log.replayed);
                     }
                 },
             );
-            wire_member(b, gid, rm, state, &shared, false);
+            wire_member(b, gid, rm, shared);
         });
         let (r, old) = (site_root(s), pids[s.index()]);
         h.query(s, move |stack, _now, out| {

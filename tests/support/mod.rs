@@ -209,23 +209,6 @@ impl Recorder {
         }
     }
 
-    /// What rebuilds the state from a durable log: one closure for each checkpoint block,
-    /// one for each logged delivery.
-    pub fn replay(&self) -> (impl FnMut(&Message), impl FnMut(EntryId, &Message)) {
-        let (snapshot, apply) = (self.clone(), self.clone());
-        (
-            move |block: &Message| {
-                let v = block.get_u64("entry").unwrap_or(u64::MAX);
-                snapshot.lock().push(0, v, 0);
-            },
-            move |entry: EntryId, payload: &Message| {
-                if entry == APPLY {
-                    apply.lock().push(0, body(payload), 0);
-                }
-            },
-        )
-    }
-
     /// The state as transfer blocks, one per body.
     pub fn blocks(&self) -> Vec<Message> {
         self.bodies()
@@ -288,7 +271,8 @@ pub enum Disk {
     Reform(PathBuf),
 }
 
-fn open_log(root: PathBuf) -> RecoveryManager {
+/// The recovery log a member keeps under `root`.
+pub fn open_log(root: PathBuf) -> RecoveryManager {
     let store = FileStore::new(root).expect("open store");
     RecoveryManager::new(Rc::new(store.with_fsync_interval(1)), "recovery")
 }
@@ -332,20 +316,28 @@ pub fn spawn_member<R: IsisRuntime>(
 ) -> (ProcessId, Recorder) {
     let rec = Recorder::new(ready);
     let r = rec.clone();
+    let reform = matches!(disk, Disk::Reform(_));
     let pid = h.spawn(site, move |b| {
         let (rm, compaction) = match disk {
             Disk::None => (None, None),
             Disk::Log(root, compaction) => (Some(open_log(root)), compaction),
-            Disk::Recover(root) => {
+            Disk::Recover(root) | Disk::Reform(root) => {
                 let rm = open_log(root);
-                let (snapshot, apply) = r.replay();
-                rm.recover(snapshot, apply).expect("recover");
-                (Some(rm), None)
-            }
-            Disk::Reform(root) => {
-                let rm = open_log(root);
-                let (snapshot, apply) = r.replay();
-                rm.attach_restart(b, gid, snapshot, apply);
+                let (from_checkpoint, from_log) = (r.clone(), r.clone());
+                let snapshot = move |block: &Message| {
+                    let v = block.get_u64("entry").unwrap_or(u64::MAX);
+                    from_checkpoint.lock().push(0, v, 0);
+                };
+                let apply = move |entry, payload: &Message| {
+                    if entry == APPLY {
+                        from_log.lock().push(0, body(payload), 0);
+                    }
+                };
+                if reform {
+                    rm.attach_restart(b, gid, snapshot, apply);
+                } else {
+                    rm.recover(snapshot, apply).expect("recover");
+                }
                 (Some(rm), None)
             }
         };

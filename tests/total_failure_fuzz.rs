@@ -22,17 +22,15 @@
 mod support;
 
 use std::path::{Path, PathBuf};
-use std::rc::Rc;
 
 use proptest::prelude::*;
 use support::{
-    check, holding, jitter, send, sim, spawn_member, temp_root, threaded, Disk, Recorder,
+    check, holding, jitter, open_log, send, sim, spawn_member, temp_root, threaded, Disk, Recorder,
 };
 use vsync::core::{Duration, ProtocolKind, SiteId};
 use vsync::rt::{
     FaultPlan, IsisHarness, IsisRuntime, NemesisEvent, NemesisSchedule, PartitionInvariants,
 };
-use vsync::tools::{FileStore, RecoveryManager};
 use vsync::util::{DetRng, NetParams};
 
 const NUM_SITES: u16 = 3;
@@ -123,25 +121,25 @@ fn run_total_failure_scenario<R: IsisRuntime>(
     // member one view past the authoritative log, so the reformed incarnation's views
     // dominate every pre-crash log, and join every other member through the winner.
     h.respawn_all();
-    let mut new_pids = Vec::new();
-    let mut reformed = Vec::new();
-    for &s in &sites {
-        let r = site_root(root, s);
-        let (pid, m) = spawn_member(&mut h, s, gid, false, Disk::Reform(r.clone()));
-        let old = pids[s.index()];
-        let began = h.query(s, move |stack, _now, out| {
-            let rm = RecoveryManager::new(Rc::new(FileStore::new(r).expect("store")), "recovery");
-            let summary = rm
-                .log_summary(old)
-                .expect("log summary")
-                .expect("every member site logged durably");
-            let expected = rm.last_known_sites().expect("last known sites");
-            stack.begin_reform("tf", gid, pid, None, summary, expected, out);
-        });
-        assert!(began.is_some(), "reform never started at {s:?}");
-        new_pids.push(pid);
-        reformed.push(m);
-    }
+    let (new_pids, reformed): (Vec<_>, Vec<_>) = sites
+        .iter()
+        .map(|&s| {
+            let r = site_root(root, s);
+            let (pid, m) = spawn_member(&mut h, s, gid, false, Disk::Reform(r.clone()));
+            let old = pids[s.index()];
+            let began = h.query(s, move |stack, _now, out| {
+                let rm = open_log(r);
+                let summary = rm
+                    .log_summary(old)
+                    .expect("log summary")
+                    .expect("every member site logged durably");
+                let expected = rm.last_known_sites().expect("last known sites");
+                stack.begin_reform("tf", gid, pid, None, summary, expected, out);
+            });
+            assert!(began.is_some(), "reform never started at {s:?}");
+            (pid, m)
+        })
+        .unzip();
     let ok = h.wait_until(Duration::from_secs(30), |_| {
         reformed.iter().all(Recorder::is_ready)
     });
