@@ -968,7 +968,8 @@ impl SiteStack {
         let group = *group;
         // Reform and relay traffic is stack-to-stack: a reform concerns sites whose endpoints
         // are gone (that is the premise), a relay comes from a site with no endpoint for the
-        // group, so neither may fault an endpoint into existence below.
+        // group.  Everything else goes to the group's endpoint here, and is dropped if this
+        // site runs none: no frame makes one.
         match decoded {
             ProtoMsg::ReformSummary {
                 from_site,
@@ -1003,7 +1004,7 @@ impl SiteStack {
             }
             // A stability frame is site-to-site too: each entry goes to the endpoint of its
             // group.  A group with no endpoint here (a view that does not span this site
-            // any more, a corrupt entry) is skipped, never faulted into existence.
+            // any more, a corrupt entry) is skipped.
             ProtoMsg::Stability { from_site, entries } => {
                 if *from_site != pkt.src.site {
                     out.trace_with(|| {
@@ -1035,7 +1036,6 @@ impl SiteStack {
                 return;
             }
         }
-        self.ensure_endpoint(group);
         let from = pkt.src.site;
         let res = self.with_endpoint(group, out, |ep, now, eouts| {
             ep.on_message(now, from, &pkt.payload, eouts)

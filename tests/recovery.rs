@@ -5,7 +5,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use proptest::prelude::*;
-use vsync_core::{Duration, EntryId, LatencyProfile, Message, ProtocolKind, SiteId};
+use vsync_core::{Duration, EntryId, LatencyProfile, Message, ProtocolKind, SiteId, View};
 use vsync_rt::{IsisHarness, IsisRuntime, SimRuntime};
 use vsync_tools::{
     FileStore, MemoryStore, RecoveryManager, ReplicatedData, StableStore, UpdateOrdering,
@@ -105,10 +105,15 @@ fn a_member_restarting_while_its_group_lives_rejoins_and_discards_its_log() {
     sys.rt.recover_site(SiteId(1));
     let restarted = RecoveryManager::new(store, "svc");
     let r = restarted.clone();
+    let seen: Rc<RefCell<Vec<View>>> = Rc::default();
+    let record = seen.clone();
     let b2 = sys.spawn_local(SiteId(1), move |builder| {
         let replay = |_: EntryId, _: &Message| panic!("a rejoining member replays nothing");
         r.attach_restart(builder, gid, |_| {}, replay);
         r.attach_logging(builder, gid);
+        builder.on_view_change(gid, move |_ctx, ev| {
+            record.borrow_mut().push(ev.view.clone())
+        });
     });
     let summary = restarted.log_summary(b).unwrap().expect("b logged");
     let expected = restarted.last_known_sites().unwrap();
@@ -119,6 +124,13 @@ fn a_member_restarting_while_its_group_lives_rejoins_and_discards_its_log() {
         s.view_of(SiteId(0), gid).is_some_and(|v| v.contains(b2))
     });
     assert!(ok, "the restarted member never rejoined");
+    // Every view the member heard of holds it: the commit site 0 sent to site 1's dead
+    // incarnation finds no endpoint at the fresh stack and installs nothing there.
+    let seen = seen.borrow();
+    assert!(
+        !seen.is_empty() && seen.iter().all(|v| v.contains(b2)),
+        "{seen:?}"
+    );
     // The stale delivery is gone: the log holds only the rejoin's view marker.
     let left = restarted.replay(|_, _| {}).unwrap();
     assert_eq!((left.messages, left.views), (0, 1));
