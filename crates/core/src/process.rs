@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 
 use vsync_msg::{fields, Message};
 use vsync_net::ProtocolKind;
-use vsync_proto::{View, ViewEvent};
+use vsync_proto::{GroupEndpoint, View, ViewEvent};
 use vsync_util::{Address, EntryId, GroupId, ProcessId, Rank, SimTime};
 
 use crate::rpc::{ReplyWanted, RpcOutcome};
@@ -77,7 +77,7 @@ pub enum CtxAction {
 pub struct ToolCtx<'a> {
     me: ProcessId,
     now: SimTime,
-    views: &'a BTreeMap<GroupId, View>,
+    endpoints: &'a BTreeMap<GroupId, GroupEndpoint>,
     directory: &'a BTreeMap<String, GroupId>,
     actions: Vec<CtxAction>,
 }
@@ -87,13 +87,13 @@ impl<'a> ToolCtx<'a> {
     pub(crate) fn new(
         me: ProcessId,
         now: SimTime,
-        views: &'a BTreeMap<GroupId, View>,
+        endpoints: &'a BTreeMap<GroupId, GroupEndpoint>,
         directory: &'a BTreeMap<String, GroupId>,
     ) -> Self {
         ToolCtx {
             me,
             now,
-            views,
+            endpoints,
             directory,
             actions: Vec::new(),
         }
@@ -114,9 +114,9 @@ impl<'a> ToolCtx<'a> {
         self.directory.get(name).copied()
     }
 
-    /// The current view of a group known to this site.
+    /// The view of the group installed at this site; `None` where no member of it lives.
     pub fn view_of(&self, group: GroupId) -> Option<&View> {
-        self.views.get(&group)
+        self.endpoints.get(&group).and_then(GroupEndpoint::view)
     }
 
     /// This process's rank in a group it belongs to.
@@ -336,9 +336,9 @@ mod tests {
 
     #[test]
     fn ctx_records_actions_in_order() {
-        let views = BTreeMap::new();
+        let endpoints = BTreeMap::new();
         let directory = BTreeMap::new();
-        let mut ctx = ToolCtx::new(pid(), SimTime(5), &views, &directory);
+        let mut ctx = ToolCtx::new(pid(), SimTime(5), &endpoints, &directory);
         ctx.send(
             GroupId(1),
             EntryId(3),
@@ -357,12 +357,14 @@ mod tests {
 
     #[test]
     fn ctx_view_and_directory_lookups() {
-        let mut views = BTreeMap::new();
         let me = pid();
-        views.insert(GroupId(7), View::founding(GroupId(7), me));
+        let mut ep =
+            GroupEndpoint::new(GroupId(7), me.site, Default::default(), Default::default());
+        ep.create(me, &mut Vec::new());
+        let endpoints = BTreeMap::from([(GroupId(7), ep)]);
         let mut directory = BTreeMap::new();
         directory.insert("twenty".to_owned(), GroupId(7));
-        let ctx = ToolCtx::new(me, SimTime(0), &views, &directory);
+        let ctx = ToolCtx::new(me, SimTime(0), &endpoints, &directory);
         assert_eq!(ctx.lookup("twenty"), Some(GroupId(7)));
         assert_eq!(ctx.lookup("nope"), None);
         assert_eq!(ctx.my_rank(GroupId(7)), Some(0));
@@ -373,7 +375,7 @@ mod tests {
 
     #[test]
     fn process_dispatch_and_entries() {
-        let views = BTreeMap::new();
+        let endpoints = BTreeMap::new();
         let directory = BTreeMap::new();
         let mut proc = IsisProcess::new(pid());
         let seen = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
@@ -386,7 +388,7 @@ mod tests {
         );
         assert!(proc.entries.contains_key(&EntryId(1)));
         assert!(!proc.entries.contains_key(&EntryId(2)));
-        let mut ctx = ToolCtx::new(pid(), SimTime(0), &views, &directory);
+        let mut ctx = ToolCtx::new(pid(), SimTime(0), &endpoints, &directory);
         assert!(proc.dispatch(&mut ctx, EntryId(1), &Message::with_body(9u64)));
         assert!(!proc.dispatch(&mut ctx, EntryId(2), &Message::with_body(9u64)));
         assert_eq!(*seen.borrow(), vec![9]);
@@ -394,7 +396,7 @@ mod tests {
 
     #[test]
     fn monitors_fire_only_for_their_group() {
-        let views = BTreeMap::new();
+        let endpoints = BTreeMap::new();
         let directory = BTreeMap::new();
         let count = std::rc::Rc::new(std::cell::RefCell::new(0));
         let c2 = count.clone();
@@ -405,7 +407,7 @@ mod tests {
                 *c2.borrow_mut() += 1;
             }),
         );
-        let mut ctx = ToolCtx::new(pid(), SimTime(0), &views, &directory);
+        let mut ctx = ToolCtx::new(pid(), SimTime(0), &endpoints, &directory);
         let ev1 = ViewEvent {
             view: View::founding(GroupId(1), pid()),
             gbcasts: vec![],

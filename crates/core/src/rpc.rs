@@ -68,9 +68,9 @@ pub struct ReplyCollector {
     /// Optional deadline (used for callers that are not members of the destination group and
     /// therefore do not observe its view changes).
     pub deadline: Option<SimTime>,
-    /// True when the destination membership was unknown at call time (external caller with no
-    /// cached view): collection then completes on reaching the target or on the deadline,
-    /// never on "awaiting set empty".
+    /// True when the destination membership was unknown at call time (a caller at a site
+    /// where no member lives): collection then completes on reaching the target or on the
+    /// deadline, never on "awaiting set empty".
     open_ended: bool,
 }
 

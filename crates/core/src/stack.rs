@@ -29,6 +29,12 @@
 //! however many groups there are.  An arriving frame is taken apart again: each entry goes
 //! to its group's endpoint ([`GroupEndpoint::on_gossip`]), where it does everything a
 //! per-group frame did; an entry for a group with no endpoint here is dropped.
+//!
+//! A site's part in a group is its endpoint.  A local create (or refound) or join makes it,
+//! `retire_if_idle` drops it once its view holds no member here and no local join to the
+//! group is pending, and a frame for a group with no endpoint here is dropped.  A member
+//! lives here when that view holds a process of this site; the view has no other copy, and
+//! a group not resident here is known by its contact sites alone, Figure 1's cache.
 
 mod joins;
 mod reform;
@@ -88,8 +94,6 @@ pub struct SiteStack {
     all_sites: Vec<SiteId>,
     processes: BTreeMap<ProcessId, IsisProcess>,
     endpoints: BTreeMap<GroupId, GroupEndpoint>,
-    /// Views of groups this site knows about (member groups plus cached contact views).
-    views: BTreeMap<GroupId, View>,
     /// Symbolic name -> group id (the namespace cache).
     directory: BTreeMap<String, GroupId>,
     /// Group id -> candidate contact sites, refreshed from every view we observe.
@@ -146,7 +150,6 @@ impl SiteStack {
             all_sites,
             processes: BTreeMap::new(),
             endpoints: BTreeMap::new(),
-            views: BTreeMap::new(),
             directory: BTreeMap::new(),
             contacts: BTreeMap::new(),
             policies: BTreeMap::new(),
@@ -182,9 +185,9 @@ impl SiteStack {
         self.processes.contains_key(&pid)
     }
 
-    /// The view this site currently has of a group (member view or cached).
+    /// The view of the group installed here; `None` where no member lives or a join waits.
     pub fn view_of(&self, group: GroupId) -> Option<&View> {
-        self.views.get(&group)
+        self.endpoints.get(&group).and_then(GroupEndpoint::view)
     }
 
     /// True if this site runs a protocol endpoint for the group: a member lives here, or is
@@ -328,10 +331,19 @@ impl SiteStack {
         out: &mut Outbox,
     ) -> Result<()> {
         self.admit_join(group, joiner, credentials.as_deref(), out)?;
+        // A current member's join changes nothing: the coordinator would drop it.
+        if self.view_of(group).is_some_and(|v| v.contains(joiner)) {
+            return Ok(());
+        }
         // Track the join until a view containing the joiner installs, so the maintenance
         // tick can re-submit it if the contact or coordinator it reaches first crashes.
         self.joins
             .track(group, joiner, credentials.as_deref(), self.now);
+        // The endpoint the admitting commit lands in; a pending join keeps it.
+        let (site, cfg, stats) = (self.site, self.proto_cfg, &self.stats);
+        self.endpoints
+            .entry(group)
+            .or_insert_with(|| GroupEndpoint::new(group, site, cfg, stats.clone()));
         self.submit_join_request(group, joiner, credentials, 0, out)
     }
 
@@ -367,15 +379,13 @@ impl SiteStack {
         attempt: u32,
         out: &mut Outbox,
     ) -> Result<()> {
-        // Make sure an endpoint exists so the eventual FlushCommit can be applied here.
-        self.ensure_endpoint(group);
         if self.is_member_site(group) {
             // A member already lives here: submit the join locally.
             return self
                 .with_endpoint(group, out, |ep, now, eouts| {
                     ep.submit_join(now, joiner, credentials, eouts)
                 })
-                .expect("endpoint just ensured");
+                .expect("member site has an endpoint");
         }
         // Otherwise ask a contact site.
         let preferred = self
@@ -506,7 +516,8 @@ impl SiteStack {
             for d in &dests {
                 match d {
                     Address::Process(p) => awaited.push(*p),
-                    Address::Group(g) => match self.views.get(g) {
+                    // No view here (an outside client, a former member): open-ended.
+                    Address::Group(g) => match self.view_of(*g) {
                         Some(v) => awaited.extend(v.members.iter().copied()),
                         None => open_ended = true,
                     },
@@ -561,11 +572,7 @@ impl SiteStack {
         payload: Message,
         out: &mut Outbox,
     ) {
-        let can_serve_locally = self
-            .endpoints
-            .get(&group)
-            .is_some_and(|ep| ep.view().is_some() && !ep.local_members().is_empty());
-        if can_serve_locally {
+        if self.is_member_site(group) {
             let res = self.with_endpoint(group, out, |ep, now, eouts| match protocol {
                 ProtocolKind::Abcast => ep.abcast(now, caller, payload, eouts).map(|_| ()),
                 ProtocolKind::Gbcast => ep.gbcast(now, caller, payload, eouts),
@@ -576,8 +583,8 @@ impl SiteStack {
             }
             return;
         }
-        // Not a member site: relay through a contact site (Figure 1's view cache +
-        // forwarding path for external clients).
+        // Not a member site: relay through a contact site (Figure 1's cache of contact
+        // sites and forwarding path for external clients).
         let Some(contact) = self.alive_contact(group) else {
             out.trace_with(|| format!("{}: no contact site known for {group}", self.site));
             return;
@@ -602,19 +609,23 @@ impl SiteStack {
 
     // -- Routing to endpoints -----------------------------------------------------------------
 
-    /// True if a member of `group` lives here: this site's endpoint has an installed view.
+    /// True if a member of `group` lives here: the endpoint's view holds a local process.
     fn is_member_site(&self, group: GroupId) -> bool {
         self.endpoints
             .get(&group)
-            .is_some_and(|ep| ep.view().is_some())
+            .is_some_and(|ep| !ep.local_members().is_empty())
     }
 
-    /// Creates the group's endpoint unless this site already runs one.
-    fn ensure_endpoint(&mut self, group: GroupId) {
-        let (site, cfg, stats) = (self.site, self.proto_cfg, &self.stats);
-        self.endpoints
-            .entry(group)
-            .or_insert_with(|| GroupEndpoint::new(group, site, cfg, stats.clone()));
+    /// The one rule that ends this site's part in a group, run after every pump: drops an
+    /// endpoint whose view holds no member here, unless a local join still needs it.
+    fn retire_if_idle(&mut self, group: GroupId) {
+        let idle = self
+            .endpoints
+            .get(&group)
+            .is_some_and(|ep| ep.view().is_some() && ep.local_members().is_empty());
+        if idle && !self.joins.pending_in(group) {
+            self.endpoints.remove(&group);
+        }
     }
 
     /// Runs `f` on the group's endpoint, if this site runs one, handing it the clock and the
@@ -676,6 +687,7 @@ impl SiteStack {
         if self.eout_scratch.capacity() < outputs.capacity() {
             self.eout_scratch = outputs;
         }
+        self.retire_if_idle(group);
     }
 
     fn deliver_group_message(&mut self, group: GroupId, delivery: Delivery, out: &mut Outbox) {
@@ -700,7 +712,6 @@ impl SiteStack {
     }
 
     fn handle_view_change(&mut self, group: GroupId, ev: ViewEvent, out: &mut Outbox) {
-        self.views.insert(group, ev.view.clone());
         self.contacts.insert(group, ev.view.member_sites());
         self.joins.view_installed(group, &ev.view);
         self.reforms.view_installed(group, &ev.view, out);
@@ -719,11 +730,7 @@ impl SiteStack {
             self.as_process(pid, out, |p, ctx| p.dispatch_view(ctx, &ev));
         }
         // GBCAST payloads are delivered exactly at the cut, to the members of the new view.
-        let members = ev
-            .view
-            .members_at(self.site)
-            .into_iter()
-            .collect::<Vec<_>>();
+        let members = ev.view.members_at(self.site);
         for payload in &ev.gbcasts {
             self.stats.count_delivery();
             if let Some(entry) = payload.entry() {
@@ -737,9 +744,9 @@ impl SiteStack {
     // -- Handler dispatch ---------------------------------------------------------------------
 
     /// Runs `f` as process `pid`, if it is still hosted here, then applies the actions it
-    /// recorded.  The process entry is borrowed in place while the `ToolCtx` borrows the view
-    /// and directory tables — disjoint fields, so no remove/re-insert round-trip through the
-    /// process map per delivery.  Re-entrancy is safe because handlers only *record*
+    /// recorded.  The process entry is borrowed in place while the `ToolCtx` borrows the
+    /// endpoint and directory tables — disjoint fields, so no remove/re-insert round-trip
+    /// through the process map per delivery.  Re-entrancy is safe because handlers only *record*
     /// actions; `apply_actions` runs after every borrow is released.
     fn as_process<T>(
         &mut self,
@@ -748,7 +755,7 @@ impl SiteStack {
         f: impl FnOnce(&mut IsisProcess, &mut ToolCtx<'_>) -> T,
     ) -> Option<T> {
         let process = self.processes.get_mut(&pid)?;
-        let mut ctx = ToolCtx::new(pid, self.now, &self.views, &self.directory);
+        let mut ctx = ToolCtx::new(pid, self.now, &self.endpoints, &self.directory);
         let res = f(process, &mut ctx);
         let actions = ctx.take_actions();
         self.apply_actions(pid, actions, out);
@@ -1022,19 +1029,16 @@ impl SiteStack {
                 }
                 return;
             }
-            _ => {}
-        }
-        if let ProtoMsg::JoinReq {
-            joiner,
-            credentials,
-        } = decoded
-        {
-            if self
+            ProtoMsg::JoinReq {
+                joiner,
+                credentials,
+            } if self
                 .admit_join(group, *joiner, credentials.as_deref(), out)
-                .is_err()
+                .is_err() =>
             {
                 return;
             }
+            _ => {}
         }
         let from = pkt.src.site;
         let res = self.with_endpoint(group, out, |ep, now, eouts| {
@@ -1169,16 +1173,7 @@ impl SiteHandler for SiteStack {
         // coordinator holding the queued join, may have died with a crashed site.  Repeated
         // failures back off exponentially with deterministic jitter, resetting whenever a
         // view installs.
-        let endpoints = &self.endpoints;
-        let installed = |g, joiner| {
-            endpoints
-                .get(&g)
-                .and_then(|ep| ep.view())
-                .is_some_and(|v| v.contains(joiner))
-        };
-        for (group, joiner, credentials, attempt) in
-            self.joins.due(now, self.cfg.failure_timeout, installed)
-        {
+        for (group, joiner, credentials, attempt) in self.joins.due(now, self.cfg.failure_timeout) {
             out.trace_with(|| {
                 format!("{}: re-submitting join of {joiner} to {group:?}", self.site)
             });

@@ -75,6 +75,11 @@ impl Joins {
         self.credentials.retain(|(_, member), _| *member != pid);
     }
 
+    /// True while a join to `group` submitted here waits for its view.
+    pub(super) fn pending_in(&self, group: GroupId) -> bool {
+        self.pending.iter().any(|p| p.group == group)
+    }
+
     /// The credentials `member` joined `group` with, if any.
     pub(super) fn credentials(&self, group: GroupId, member: ProcessId) -> Option<String> {
         self.credentials.get(&(group, member)).cloned()
@@ -94,8 +99,7 @@ impl Joins {
         }
     }
 
-    /// Forgets the joins whose joiner is already in the view installed here (`installed`),
-    /// and returns the re-sends due at `now` as (group, joiner, credentials, attempt), the
+    /// Returns the re-sends due at `now` as (group, joiner, credentials, attempt), the
     /// attempt counting from 1.  The base cadence (`base`, one failure timeout) gives the
     /// previous attempt time to land, and by then the detector has usually condemned a dead
     /// contact so the retry routes around it.
@@ -103,9 +107,7 @@ impl Joins {
         &mut self,
         now: SimTime,
         base: Duration,
-        installed: impl Fn(GroupId, ProcessId) -> bool,
     ) -> Vec<(GroupId, ProcessId, Option<String>, u32)> {
-        self.pending.retain(|p| !installed(p.group, p.joiner));
         let mut due = Vec::new();
         for p in &mut self.pending {
             if now.saturating_since(p.last_sent) < retry_delay(p.joiner, p.attempts, base) {

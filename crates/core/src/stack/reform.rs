@@ -112,8 +112,7 @@ impl Reforms {
 
     /// A view of `group` installed here.  One holding the restarting member ends its reform:
     /// the lead founds it, and a `Follow` or `Operational` verdict's join installs it.  A
-    /// view without the member (another local member's) ends nothing; a commit sent to this
-    /// site's dead incarnation finds no endpoint here and installs nothing.
+    /// view without it ends nothing (a commit sent to a dead incarnation installs none).
     pub(super) fn view_installed(&mut self, group: GroupId, view: &View, out: &mut Outbox) {
         let run = self.runs.get(&group);
         if run.is_some_and(|run| view.contains(run.restart.member)) {

@@ -1003,10 +1003,11 @@ impl GroupEndpoint {
             return Ok(());
         };
         let target_seq = new_view.seq();
-        if let Some(v) = &self.view {
-            if target_seq <= v.seq() {
-                return Ok(());
-            }
+        // A joining endpoint (no view) installs only the cut that admits a member here.
+        match &self.view {
+            Some(v) if target_seq <= v.seq() => return Ok(()),
+            None if !new_view.members.iter().any(|m| m.site == self.site) => return Ok(()),
+            _ => {}
         }
         // A commit whose new view excludes every local member that still votes (neither
         // asked to leave nor provably crashed) is not ours to install: the primary partition

@@ -490,6 +490,41 @@ fn voluntary_leave_installs_a_smaller_view_everywhere() {
 }
 
 #[test]
+fn a_joining_endpoint_installs_only_the_cut_that_admits_it() {
+    // Site 1's member leaves; the site then runs a fresh, joining endpoint for a new local
+    // process.  A late copy of the leave's commit reaches it: that view holds nobody here,
+    // so it is not this endpoint's cut.  The commit admitting the new process is.
+    let mut c = Cluster::build_three_member_group();
+    c.exec(SiteId(1), |ep, now, out| {
+        ep.submit_leave(now, member(1), out).unwrap();
+    });
+    c.pump(false);
+    let leave_commit = c.endpoints[&SiteId(0)].last_commit().unwrap().clone();
+    let fresh = GroupEndpoint::new(GROUP, SiteId(1), ProtoConfig::fast(), c.stats.clone());
+    c.endpoints.insert(SiteId(1), fresh);
+    let before = c.views[&SiteId(1)].len();
+    c.exec(SiteId(1), |ep, now, out| {
+        ep.on_message(now, SiteId(2), &leave_commit, out).unwrap();
+    });
+    assert!(c.endpoints[&SiteId(1)].view().is_none());
+    assert_eq!(
+        c.views[&SiteId(1)].len(),
+        before,
+        "no view event for the leave's cut"
+    );
+    let newcomer = ProcessId::new(SiteId(1), 2);
+    c.exec(SiteId(0), |ep, now, out| {
+        ep.submit_join(now, newcomer, None, out).unwrap();
+    });
+    c.pump(false);
+    let v = c.endpoints[&SiteId(1)].view().expect("admitted");
+    assert_eq!(
+        (v.seq(), v.members.clone()),
+        (5, vec![member(0), member(2), newcomer])
+    );
+}
+
+#[test]
 fn virtual_synchrony_failed_senders_message_is_redistributed_at_the_cut() {
     let mut c = Cluster::build_three_member_group();
     // Member 0 multicasts; the copy reaches site 1 but the copy to site 2 is lost when the

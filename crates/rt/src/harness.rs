@@ -450,7 +450,7 @@ impl<R: IsisRuntime> IsisHarness<R> {
             .flatten()
     }
 
-    /// The view a site currently has of a group.
+    /// The view of a group installed at a site; `None` at a site where no member lives.
     pub fn view_of(&mut self, site: SiteId, gid: GroupId) -> Option<View> {
         self.query(site, move |stack, _now, _out| stack.view_of(gid).cloned())
             .flatten()

@@ -554,3 +554,73 @@ fn one_way_cut_exiles_the_silenced_member_without_a_wedge() {
         "lost bodies"
     );
 }
+
+// ---------------------------------------------------------------------------------------
+// Last member leaves → the site has no part in the group → a fresh member joins there
+// ---------------------------------------------------------------------------------------
+//
+// A site's part in a group is its endpoint.  Once the site's last member has left, the
+// site answers like one that was never in the group — no view, no endpoint — and a fresh
+// process there joins through a contact like any newcomer, its state brought by transfer.
+
+/// Forms a group on sites 0-2, sends a burst, lets site 2's member leave, checks that site
+/// 2 dropped its part in the group, then joins a fresh member at site 2 and sends a second
+/// burst in which it takes part.  Returns the recorders: the three first members, then the
+/// fresh one.
+fn run_rehost_scenario<R: IsisRuntime>(mut h: IsisHarness<R>) -> Vec<Recorder> {
+    let (gid, mut pids, mut recs) = form_group(&mut h, 3);
+    for i in 0..6u64 {
+        send(&mut h, pids[(i % 3) as usize], gid, i, ABCAST);
+    }
+    let ok = h.wait_until(Duration::from_secs(20), |_| holding(&recs, 6));
+    assert!(ok, "first-burst deliveries incomplete");
+
+    h.leave_and_wait(gid, pids[2], Duration::from_secs(20))
+        .expect("leave");
+    let part = h.query(SiteId(2), move |stack, _now, _out| {
+        (stack.view_of(gid).is_some(), stack.has_endpoint(gid))
+    });
+    assert_eq!(
+        part,
+        Some((false, false)),
+        "site 2 keeps a (view, endpoint) of the group its last member left"
+    );
+
+    let (fresh, rec) = spawn_member(&mut h, SiteId(2), gid, false, Disk::None);
+    h.join_and_wait(gid, fresh, None, Duration::from_secs(20))
+        .expect("a fresh member joins at site 2");
+    pids[2] = fresh;
+    recs.push(rec);
+    for i in 6..12u64 {
+        send(&mut h, pids[(i % 3) as usize], gid, i, ABCAST);
+    }
+    let ok = h.wait_until(Duration::from_secs(20), |_| {
+        holding(&recs[..2], 12) && holding(&recs[3..], 12)
+    });
+    h.settle(Duration::from_millis(50));
+    assert!(ok, "second-burst deliveries incomplete");
+    recs
+}
+
+/// Every member agrees with every other on each view they share, and the fresh member
+/// holds every body: the first burst by transfer, the second by delivery.
+fn check_rehost(recs: &[Recorder]) {
+    check(recs, Inv::check_view_agreement);
+    for m in [0, 1, 3] {
+        assert_eq!(
+            recs[m].sorted(),
+            (0..12).collect::<Vec<u64>>(),
+            "member {m} lost or duplicated bodies"
+        );
+    }
+}
+
+#[test]
+fn simulated_backend_site_hosts_a_group_again_after_its_last_member_left() {
+    check_rehost(&run_rehost_scenario(sim(3, 2029, FaultPlan::none())));
+}
+
+#[test]
+fn threaded_backend_site_hosts_a_group_again_after_its_last_member_left() {
+    check_rehost(&run_rehost_scenario(threaded(3, 2029, jitter())));
+}

@@ -195,7 +195,9 @@ impl Recorder {
 
     /// Applies one transfer block: adopts its body unless the state already holds it (a
     /// rejoin snapshot or a re-serve overlaps what the member has), and on the last block
-    /// marks the member ready, recording the view it waited in.
+    /// marks the member ready, recording the view it waited in.  A last block can outrun
+    /// the commit of the view it was served at (channels are FIFO per pair of processes):
+    /// the member is then ready at that view's install, as its transfer tool is.
     pub fn apply_block(&self, block: &Message) {
         let mut r = self.lock();
         if let Some(v) = block.get_u64("entry") {
@@ -203,7 +205,9 @@ impl Recorder {
                 r.push(0, v, 1);
             }
         }
-        if block.get_bool("xfer-last").unwrap_or(false) {
+        let served_at = block.get_u64("xfer-epoch").unwrap_or(0);
+        let installed = r.view.as_ref().is_some_and(|(seq, _)| *seq >= served_at);
+        if block.get_bool("xfer-last").unwrap_or(false) && installed {
             r.ready = true;
             r.record_view();
         }
