@@ -1393,21 +1393,25 @@ mod tests {
         stacks[1].join_group(G, joiner, None, &mut out).unwrap();
         // The contact drops the first three JoinReqs (the request and two re-sends) and
         // takes the fourth.
-        let joins = run_until_joined(&mut stacks, joiner, 3, SimTime::ZERO, &mut out);
+        let (joins, now) = run_until_joined(&mut stacks, joiner, 3, SimTime::ZERO, &mut out);
         assert_eq!(joins, 4);
         assert!(stacks[0].view_of(G).is_some_and(|v| v.contains(joiner)));
+        // A member's join changes nothing: no request goes out, now or on a later tick.
+        stacks[1].join_group(G, joiner, None, &mut out).unwrap();
+        assert_eq!(run_until_joined(&mut stacks, joiner, 0, now, &mut out).0, 0);
     }
 
     /// Runs sites 0 and 1 from `now`, ticking both and delivering everything with site 1's
     /// first `lost` JoinReqs dropped, until `joiner`'s view installs at site 1; then 40
-    /// failure timeouts more, in which no JoinReq may go out.  Returns how many site 1 sent.
+    /// failure timeouts more, in which no JoinReq may go out.  Returns how many site 1 sent,
+    /// and the time the run ended.
     fn run_until_joined(
         stacks: &mut [SiteStack; 2],
         joiner: ProcessId,
         lost: usize,
         mut now: SimTime,
         out: &mut Outbox,
-    ) -> usize {
+    ) -> (usize, SimTime) {
         let cfg = StackConfig::default();
         let mut joins = 0;
         loop {
@@ -1435,7 +1439,7 @@ mod tests {
             }
             assert_eq!(settle(stacks, now, out, |_| false), 0);
         }
-        joins
+        (joins, now)
     }
 
     fn log_summary(site: u16, view_seq: u64) -> LogSummary {
@@ -1587,7 +1591,10 @@ mod tests {
         assert_eq!((v.seq(), &v.members[..]), (7, &[lead][..]));
         assert!(stacks[1].view_of(G).is_none());
         // The join backoff re-sends the request once, and the refounded leader admits it.
-        assert_eq!(run_until_joined(&mut stacks, follower, 0, now, &mut out), 1);
+        assert_eq!(
+            run_until_joined(&mut stacks, follower, 0, now, &mut out).0,
+            1
+        );
         for st in &stacks {
             let v = st.view_of(G).unwrap();
             assert_eq!((v.seq(), &v.members[..]), (8, &[lead, follower][..]));
