@@ -4,9 +4,9 @@
 //! single magic byte.  It is the wire format of the threaded backend — every packet that
 //! crosses a thread boundary travels as these bytes (see `vsync_rt::wire`) — and of the
 //! file-backed stable store.  A [`crate::Frame`] holds a message in this form, in tree form,
-//! or both, and derives either from the other through this module; protocol messages are
-//! written straight into the format by [`crate::stream::FieldWriter`] and read back out of it
-//! by [`crate::stream::FieldCursor`], without a [`Message`] in between.
+//! or both, and derives either from the other through this module.  A protocol frame is a
+//! message of one byte-string field whose bytes are laid out by position
+//! ([`crate::stream`]), written and read without a [`Message`] in between.
 //!
 //! The layout is an envelope byte (`0xA5`) followed by a message *body*: a `u32` field
 //! count, then per field a `u16`-prefixed name, a type tag and the value.  A nested message
@@ -17,11 +17,8 @@
 //! * [`decode`] — the owned path: allocates a [`Message`] whose strings and byte vectors are
 //!   independent of the input buffer.  Strings are allocated exactly once (the field table is
 //!   populated by moving the freshly decoded name, not re-cloning it).
-//! * [`decode_shared`] / [`decode_segments`] / `decode_body_shared` — the owned path over
-//!   shared input: `Bytes` values alias the input instead of being copied out of it.
-//!
-//! A reader that only inspects a few fields goes through [`crate::stream::FieldCursor`]
-//! instead, which borrows strings and leaves lists packed ([`U64sView`], [`AddrsView`]).
+//! * [`decode_shared`] / [`decode_segments`] — the owned path over shared input: `Bytes`
+//!   values alias the input instead of being copied out of it.
 //!
 //! The same bytes may be held as one buffer or as a [`Segments`] list.  [`encode_segments`]
 //! writes the list form, in which a large `Bytes` value is its own segment — the value's
@@ -76,7 +73,7 @@ pub fn wire_len(msg: &Message) -> usize {
 }
 
 /// How many bytes of `msg`'s body a gathering writer ([`encode_segments`], a
-/// [`crate::stream::FieldWriter`]) copies into its own buffer: the wire size less the byte
+/// [`crate::stream::FrameWriter`]) copies into its own buffer: the wire size less the byte
 /// strings it takes by reference.  What such a writer reserves.
 pub fn buffered_len(msg: &Message) -> usize {
     message_wire_len(msg, true)
@@ -223,19 +220,6 @@ pub fn decode_segments(wire: &Segments) -> Result<Message> {
     wire.read_with(|wire| decode_envelope(Reader::over(wire)))
 }
 
-/// Decodes a message *body* — the nested form, a field count and fields with no envelope
-/// byte — from shared segments it must span exactly.  This is how a [`crate::Frame`] recovered
-/// from inside another frame (a multicast redistributed by a flush) builds its tree; `Bytes`
-/// values alias `body` as in [`decode_segments`].
-pub(crate) fn decode_body_shared(body: &Segments) -> Result<Message> {
-    body.read_with(|body| {
-        let mut r = Reader::over(body);
-        let msg = decode_message(&mut r, 0)?;
-        check_no_trailing(&r)?;
-        Ok(msg)
-    })
-}
-
 /// Checks the envelope byte of an encoded message and returns the body behind it, sharing
 /// `wire`'s segments.
 pub fn envelope_body(wire: &Segments) -> Result<Segments> {
@@ -295,19 +279,6 @@ pub(crate) fn read_field_count(r: &mut Reader<'_>, depth: usize) -> Result<usize
     Ok(count)
 }
 
-/// Reads one field name as raw bytes (see [`name_str`]).
-#[inline]
-pub(crate) fn read_name_bytes<'a>(r: &mut Reader<'a>) -> Result<&'a [u8]> {
-    let name_len = r.u16("field name length")? as usize;
-    r.take(name_len, "field name")
-}
-
-/// Validates a field name as UTF-8, like every decoder does.
-pub(crate) fn name_str(raw: &[u8]) -> Result<&str> {
-    std::str::from_utf8(raw)
-        .map_err(|e| VsError::CodecError(format!("field name is not UTF-8: {e}")))
-}
-
 /// Validates a string value as UTF-8.
 pub(crate) fn value_str(raw: &[u8]) -> Result<&str> {
     std::str::from_utf8(raw).map_err(|e| VsError::CodecError(format!("string is not UTF-8: {e}")))
@@ -316,7 +287,9 @@ pub(crate) fn value_str(raw: &[u8]) -> Result<&str> {
 /// Reads one field name.
 #[inline]
 pub(crate) fn read_name<'a>(r: &mut Reader<'a>) -> Result<&'a str> {
-    name_str(read_name_bytes(r)?)
+    let name_len = r.u16("field name length")? as usize;
+    std::str::from_utf8(r.take(name_len, "field name")?)
+        .map_err(|e| VsError::CodecError(format!("field name is not UTF-8: {e}")))
 }
 
 /// Reads a `u32` element count and returns the length in bytes of `count` elements of
@@ -333,13 +306,11 @@ pub(crate) fn read_counted<'a>(r: &mut Reader<'a>, unit: usize, what: &str) -> R
     r.take(len, what)
 }
 
-/// The name of the first field of an encoded message (`envelope`) or message body, borrowed
-/// from `wire`; `None` for a message without fields.
-pub(crate) fn first_field_name(wire: &Segments, envelope: bool) -> Result<Option<&str>> {
+/// The name of the first field of an encoded message, borrowed from `wire`; `None` for a
+/// message without fields.
+pub(crate) fn first_field_name(wire: &Segments) -> Result<Option<&str>> {
     let mut r = Reader::over(wire);
-    if envelope {
-        strip_magic(&mut r)?;
-    }
+    strip_magic(&mut r)?;
     match read_field_count(&mut r, 0)? {
         0 => Ok(None),
         _ => read_name(&mut r).map(Some),
@@ -370,7 +341,12 @@ pub(crate) fn walk_value(r: &mut Reader<'_>, depth: usize) -> Result<usize> {
         TAG_STR => {
             return Ok(value_str(read_counted(r, 1, "string")?)?.len());
         }
-        TAG_BYTES => return Ok(read_counted(r, 1, "bytes")?.len()),
+        // Not looked into, so it may span segments: a protocol frame's one value does.
+        TAG_BYTES => {
+            let len = read_counted_len(r, 1, "bytes")?;
+            r.skip(len, "bytes")?;
+            return Ok(len);
+        }
         TAG_ADDR_LIST | TAG_U64_LIST => return Ok(read_counted(r, 8, "list")?.len()),
         TAG_MSG => return walk_message(r, depth + 1),
         other => {

@@ -13,11 +13,9 @@
 //! * [`Frame::from_wire`] starts from bytes — what arrives over a thread boundary.  Nothing
 //!   is decoded until someone reads a field ([`Frame::message`] or `Deref`, counted by
 //!   [`tree_builds`]); `Bytes` values of the tree then alias the received segments.
-//! * [`Frame::from_writer`] starts from a [`FieldWriter`] — how protocol messages are born:
+//! * [`Frame::from_writer`] starts from a [`FrameWriter`] — how protocol messages are born:
 //!   the bytes, their modelled size and the typed value they were written from, all at once.
 //!   Such a frame never needs a tree.
-//! * [`Frame::from_wire_body`] wraps a message found *inside* another frame's bytes (a
-//!   multicast redistributed by a flush), aliasing them.
 //!
 //! Multicasting to N sites therefore costs one pointer clone per destination, whatever form
 //! the frame is in.
@@ -54,7 +52,7 @@ use vsync_util::Result;
 use crate::codec;
 use crate::message::Message;
 use crate::segments::Segments;
-use crate::stream::FieldWriter;
+use crate::stream::FrameWriter;
 
 /// Thread-local counter of tree → bytes encodes performed by [`Frame::wire_bytes`] (cache
 /// misses only — a warm cache costs a pointer clone, and a frame born from a writer or from
@@ -93,22 +91,15 @@ thread_local! {
 /// What `Deref` reads when a frame's bytes do not decode.
 static EMPTY: Message = Message::new();
 
-/// A message's wire form: the codec's bytes, as the segments they were written or received
-/// in (one, unless the message holds a large byte string; see [`crate::segments`]).
-enum Wire {
-    /// A top-level encoding: the envelope byte, then the body.
-    Envelope(Segments),
-    /// A body alone, as found nested inside another message's bytes.
-    Body(Segments),
-}
-
 struct FrameInner {
     /// Tree form, built lazily from the wire form (`Err` if the bytes do not decode).
     tree: OnceCell<Result<Message>>,
-    /// Wire form, encoded lazily from the tree.  Lives in the shared allocation, so a
-    /// fan-out that serializes the same frame once per destination pays for one encode and
-    /// N clones of a refcounted segment list.
-    wire: OnceCell<Wire>,
+    /// Wire form — the codec's bytes, envelope byte included, as the segments they were
+    /// written or received in (one, unless the message holds a large byte string; see
+    /// [`crate::segments`]) — encoded lazily from the tree.  Lives in the shared allocation,
+    /// so a fan-out that serializes the same frame once per destination pays for one encode
+    /// and N clones of a refcounted segment list.
+    wire: OnceCell<Segments>,
     /// Size under the simulator's cost model ([`Message::encoded_len`]).
     model_len: OnceCell<usize>,
     memo: OnceCell<Box<dyn Any>>,
@@ -124,7 +115,7 @@ impl FrameInner {
         }
     }
 
-    fn from_wire(wire: Wire) -> Self {
+    fn from_wire(wire: Segments) -> Self {
         FrameInner {
             tree: OnceCell::new(),
             wire: OnceCell::from(wire),
@@ -153,7 +144,7 @@ impl Frame {
     /// here; see the module docs for what happens if the bytes turn out to be corrupt.
     pub fn from_wire(wire: impl Into<Segments>) -> Self {
         Frame {
-            inner: Rc::new(FrameInner::from_wire(Wire::Envelope(wire.into()))),
+            inner: Rc::new(FrameInner::from_wire(wire.into())),
         }
     }
 
@@ -162,7 +153,7 @@ impl Frame {
     /// the bytes.  How a holder that kept a frame's bytes and [`Frame::known_model_len`],
     /// and let the frame go, makes it again.
     pub fn from_wire_sized(wire: impl Into<Segments>, model_len: Option<usize>) -> Self {
-        let inner = FrameInner::from_wire(Wire::Envelope(wire.into()));
+        let inner = FrameInner::from_wire(wire.into());
         if let Some(len) = model_len {
             let _ = inner.model_len.set(len);
         }
@@ -171,20 +162,12 @@ impl Frame {
         }
     }
 
-    /// Wraps an encoded message *body* found nested inside another frame's bytes, aliasing
-    /// them (see [`crate::stream::FieldCursor::encoded`]).
-    pub fn from_wire_body(body: impl Into<Segments>) -> Self {
-        Frame {
-            inner: Rc::new(FrameInner::from_wire(Wire::Body(body.into()))),
-        }
-    }
-
     /// A frame born in wire form: the bytes `writer` produced, the modelled size it
     /// accumulated, and in the memo slot the typed value the bytes were written from — so no
     /// holder of this frame ever parses it.
-    pub fn from_writer<T: 'static>(writer: FieldWriter, memo: T) -> Self {
+    pub fn from_writer<T: 'static>(writer: FrameWriter, memo: T) -> Self {
         let (bytes, model_len) = writer.finish();
-        let inner = FrameInner::from_wire(Wire::Envelope(bytes));
+        let inner = FrameInner::from_wire(bytes);
         let _ = inner.model_len.set(model_len);
         let _ = inner.memo.set(Box::new(memo));
         Frame {
@@ -192,13 +175,11 @@ impl Frame {
         }
     }
 
-    fn wire(&self) -> &Wire {
+    fn wire(&self) -> &Segments {
         self.inner.wire.get_or_init(|| {
             wire_cache::note_encode();
             let tree = self.inner.tree.get().and_then(|t| t.as_ref().ok());
-            Wire::Envelope(codec::encode_segments(
-                tree.expect("a frame holds a tree or bytes"),
-            ))
+            codec::encode_segments(tree.expect("a frame holds a tree or bytes"))
         })
     }
 
@@ -208,16 +189,9 @@ impl Frame {
     /// and a message without one is a single segment.  For a frame that started as a tree
     /// the bytes are encoded **once per frame** and cached in the shared allocation, so
     /// every later call (every further destination of a fan-out) clones a refcounted list;
-    /// [`wire_cache`] counts those encodes.  A frame that was found inside another one
-    /// ([`Frame::from_wire_body`]) has no envelope of its own and gets a fresh one-byte
-    /// segment on every call — nothing on the packet path sends such a frame on its own.
+    /// [`wire_cache`] counts those encodes.
     pub fn wire_segments(&self) -> Segments {
-        match self.wire() {
-            Wire::Envelope(wire) => wire.clone(),
-            Wire::Body(body) => std::iter::once(Bytes::copy_from_slice(&[codec::MAGIC]))
-                .chain(body.iter().cloned())
-                .collect(),
-        }
+        self.wire().clone()
     }
 
     /// [`Frame::wire_segments`] as one buffer: the frame's only segment, or a copy of
@@ -227,14 +201,11 @@ impl Frame {
         self.wire_segments().to_bytes()
     }
 
-    /// The wire form without the envelope byte: what nests inside another message, and what
-    /// a [`crate::stream::FieldCursor`] reads.  Shares the frame's segments; fails if they
-    /// do not start with the envelope byte.
+    /// The wire form without the envelope byte: what a [`crate::stream::FrameReader`]
+    /// opens.  Shares the frame's segments; fails if they do not start with the envelope
+    /// byte.
     pub fn wire_body(&self) -> Result<Segments> {
-        match self.wire() {
-            Wire::Envelope(wire) => codec::envelope_body(wire),
-            Wire::Body(body) => Ok(body.clone()),
-        }
+        codec::envelope_body(self.wire())
     }
 
     /// The framed message as a tree, or why its bytes do not decode.  A frame that has only
@@ -245,15 +216,8 @@ impl Frame {
             .tree
             .get_or_init(|| {
                 TREE_BUILDS.with(|c| c.set(c.get() + 1));
-                match self
-                    .inner
-                    .wire
-                    .get()
-                    .expect("a frame holds a tree or bytes")
-                {
-                    Wire::Envelope(wire) => codec::decode_segments(wire),
-                    Wire::Body(body) => codec::decode_body_shared(body),
-                }
+                let wire = self.inner.wire.get();
+                codec::decode_segments(wire.expect("a frame holds a tree or bytes"))
             })
             .as_ref()
             .map_err(Clone::clone)
@@ -272,16 +236,12 @@ impl Frame {
 
     /// The name of the message's first field, read off whichever form the frame already
     /// has — a few bytes into the first segment for a wire-born frame.  Lets a router
-    /// recognise a protocol message (whose first field is its type tag) without building a
-    /// tree.  Only bytes whose first field cannot be read where it stands (corrupt, or cut
-    /// inside it) are decoded to find out.
+    /// recognise a protocol frame (whose one field is [`crate::stream::FRAME_FIELD`])
+    /// without building a tree.  Only bytes whose first field cannot be read where it
+    /// stands (corrupt, or cut inside it) are decoded to find out.
     pub fn first_field_name(&self) -> Option<&str> {
         if self.inner.tree.get().is_none() {
-            let (wire, envelope) = match self.inner.wire.get()? {
-                Wire::Envelope(wire) => (wire, true),
-                Wire::Body(body) => (body, false),
-            };
-            if let Ok(name) = codec::first_field_name(wire, envelope) {
+            if let Ok(name) = codec::first_field_name(self.inner.wire.get()?) {
                 return name;
             }
         }
@@ -409,7 +369,7 @@ impl fmt::Debug for Frame {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::FieldWriter;
+    use crate::stream::FRAME_FIELD;
 
     #[test]
     fn clone_aliases_instead_of_copying() {
@@ -563,16 +523,16 @@ mod tests {
 
     #[test]
     fn a_frame_born_from_a_writer_has_bytes_model_and_memo_and_never_a_tree() {
-        let mut w = FieldWriter::with_capacity(32);
-        w.put_str("kind", "born");
-        w.put_u64("seq", 7);
+        let mut w = FrameWriter::with_capacity(32);
+        w.put_str("born");
+        w.put_varint(7);
         let frame = Frame::from_writer(w, 7u64);
-        let tree = Message::new().with("kind", "born").with("seq", 7u64);
+        let tree = Message::new().with(FRAME_FIELD, b"\x04born\x07".to_vec());
         let (encodes, builds) = (wire_cache::encodes(), tree_builds());
         assert_eq!(frame.wire_bytes(), codec::encode(&tree));
         assert_eq!(frame.model_len(), tree.encoded_len());
         assert_eq!(frame.memo_get::<u64>(), Some(&7));
-        assert_eq!(frame.first_field_name(), Some("kind"));
+        assert_eq!(frame.first_field_name(), Some(FRAME_FIELD));
         assert_eq!((wire_cache::encodes(), tree_builds()), (encodes, builds));
         // Still a message to anyone who asks for one, and equal to its tree-born twin.
         assert_eq!(frame.message(), &tree);
@@ -581,8 +541,8 @@ mod tests {
 
     #[test]
     fn a_frame_remade_from_held_bytes_keeps_a_known_size() {
-        let mut w = FieldWriter::with_capacity(32);
-        w.put_str("kind", "held");
+        let mut w = FrameWriter::with_capacity(32);
+        w.put_str("held");
         let written = Frame::from_writer(w, 1u64);
         let known = written.known_model_len();
         assert_eq!(known, Some(written.model_len()), "a writer knows its size");
@@ -596,23 +556,6 @@ mod tests {
         assert_eq!(remade.known_model_len(), known);
         assert_eq!(remade.wire_bytes(), written.wire_bytes());
         assert_eq!(remade, written);
-    }
-
-    #[test]
-    fn a_nested_body_is_a_frame_of_its_own() {
-        let inner = Message::with_body("inner").with("n", 1u64);
-        let outer = codec::encode(&Message::new().with("wrapped", inner.clone()));
-        let body = {
-            let body = codec::envelope_body(&outer.into()).expect("envelope");
-            let mut cur = crate::stream::FieldCursor::new(&body).expect("open");
-            cur.encoded("wrapped").expect("nested")
-        };
-        let frame = Frame::from_wire_body(body.clone());
-        assert_eq!(frame.wire_body().expect("body"), body);
-        assert_eq!(frame.wire_bytes(), codec::encode(&inner));
-        assert_eq!(frame.model_len(), inner.encoded_len());
-        assert_eq!(frame.message(), &inner);
-        assert_eq!(frame, Frame::new(inner));
     }
 
     #[test]

@@ -4,14 +4,14 @@
 //! A wire form is mostly small things — names, tags, integers — that a writer copies into
 //! one buffer, and now and then a large byte string the application already holds in a
 //! refcounted [`Bytes`].  Copying that string into the buffer is the whole cost of sending
-//! it, so a writer (`SegmentsMut`, the buffer under [`crate::stream::FieldWriter`] and
+//! it, so a writer (`SegmentsMut`, the buffer under [`crate::stream::FrameWriter`] and
 //! [`crate::codec::encode_segments`]) does not: a `Bytes` of at least `SPLICE_MIN` becomes a
 //! segment of its own, by reference, and what was written before and after it are slices of
 //! the writer's one buffer.  The concatenation of the segments is exactly what a writer that
 //! copied everything would have produced; a wire form without a large value is one segment
 //! and costs nothing more than the buffer did.
 //!
-//! `Reader` (under every decoder and [`crate::stream::FieldCursor`]) is the other end: a
+//! `Reader` (under every decoder and [`crate::stream::FrameReader`]) is the other end: a
 //! cursor over the bytes that stays inside one segment and moves to the next only when the
 //! current one is used up, which is where a writer's boundaries fall.  Bytes cut anywhere
 //! else — inside a name, a length prefix, a scalar — are still the same bytes:
@@ -75,7 +75,7 @@ impl Segments {
     }
 
     /// How many of these bytes a writer copies into its own buffer when the list is spliced
-    /// into it ([`crate::stream::FieldWriter::put_encoded`]); the rest it takes by reference.
+    /// into it ([`crate::stream::FrameWriter::put_segments`]); the rest it takes by reference.
     pub fn buffered_len(&self) -> usize {
         self.iter()
             .map(|seg| seg.len())
@@ -187,7 +187,8 @@ impl Sink for BytesMut {
 /// the spliced ones are slices of it — so offsets into what the writer itself wrote (a
 /// count slot to patch later) stay valid across a splice.
 pub(crate) struct SegmentsMut {
-    buf: BytesMut,
+    /// A plain vector, so that the small appends an encoder is made of inline here.
+    buf: Vec<u8>,
     /// Spliced byte strings, each with the length of `buf` at the time: the offset in the
     /// writer's own bytes it goes in front of.
     splices: Vec<(usize, Bytes)>,
@@ -196,24 +197,24 @@ pub(crate) struct SegmentsMut {
 impl SegmentsMut {
     pub(crate) fn with_capacity(capacity: usize) -> Self {
         SegmentsMut {
-            buf: BytesMut::with_capacity(capacity),
+            buf: Vec::with_capacity(capacity),
             splices: Vec::new(),
         }
     }
 
-    /// Bytes written into the buffer so far (spliced ones not counted): an offset that
-    /// [`SegmentsMut::patch`] accepts later.
-    pub(crate) fn buffered(&self) -> usize {
-        self.buf.len()
+    /// Bytes written so far, spliced ones included: the length of what `finish` returns.
+    pub(crate) fn len(&self) -> usize {
+        self.buf.len() + self.splices.iter().map(|(_, b)| b.len()).sum::<usize>()
     }
 
-    /// Overwrites bytes written earlier, at an offset [`SegmentsMut::buffered`] returned.
+    /// Overwrites bytes written earlier, at an offset into the writer's own bytes (spliced
+    /// ones not counted).
     pub(crate) fn patch(&mut self, at: usize, bytes: &[u8]) {
         self.buf[at..at + bytes.len()].copy_from_slice(bytes);
     }
 
     pub(crate) fn finish(self) -> Segments {
-        let buf = self.buf.freeze();
+        let buf = Bytes::from(self.buf);
         if self.splices.is_empty() {
             return buf.into();
         }
@@ -232,7 +233,12 @@ impl SegmentsMut {
 impl BufMut for SegmentsMut {
     #[inline]
     fn put_slice(&mut self, src: &[u8]) {
-        self.buf.put_slice(src);
+        self.buf.extend_from_slice(src);
+    }
+
+    #[inline]
+    fn put_u8(&mut self, v: u8) {
+        self.buf.push(v);
     }
 }
 
@@ -241,7 +247,7 @@ impl Sink for SegmentsMut {
         if splices(bytes.len()) {
             self.splices.push((self.buf.len(), bytes.clone()));
         } else {
-            self.buf.put_slice(bytes);
+            self.buf.extend_from_slice(bytes);
         }
     }
 }
@@ -327,6 +333,27 @@ impl<'a> Reader<'a> {
         let (head, rest) = self.buf.split_at(n);
         self.buf = rest;
         Ok(head)
+    }
+
+    /// Moves past the next `n` bytes, which may span segments: what a reader that does not
+    /// look inside a value (a byte string it only measures, a frame held whole) does.
+    pub(crate) fn skip(&mut self, mut n: usize, what: &str) -> Result<()> {
+        if n > self.remaining() {
+            return Err(VsError::CodecError(format!(
+                "truncated message: need {n} bytes for {what}, have {}",
+                self.remaining()
+            )));
+        }
+        while n > self.buf.len() {
+            n -= self.buf.len();
+            let (seg, rest) = self.next.split_first().expect("remaining() counts them");
+            self.buf = seg;
+            self.seg = Some(seg);
+            self.next = rest;
+            self.beyond -= seg.len();
+        }
+        self.buf = &self.buf[n..];
+        Ok(())
     }
 
     /// [`Reader::take`] for a byte-string value: a slice of the segment it lies in — the
@@ -433,7 +460,7 @@ mod tests {
         w.put_shared(&small);
         w.put_shared(&large);
         w.put_shared(&large);
-        let slot = w.buffered();
+        let slot = 4 + small.len();
         w.put_u8(0);
         w.patch(slot, &[5]);
         w.patch(0, &1u32.to_be_bytes());

@@ -9,7 +9,7 @@
 //! 2. the writer's list, the flat bytes and the same bytes re-cut (at every offset for a
 //!    small message; at random offsets, near the start and around the writer's own
 //!    boundaries for a large one) decode to equal trees, equal modelled sizes and equal
-//!    field-by-field reads, in and out of order;
+//!    value-by-value reads of a protocol frame's positional body;
 //! 3. a value the writer spliced comes back out of the writer's list as the very buffer
 //!    that went in, and out of any other cut with the right contents;
 //! 4. truncated, bit-flipped, shortened and lengthened lists are errors or other messages,
@@ -17,9 +17,18 @@
 //!
 //! Cases come from a fixed seed and nothing relies on shrinking: a failure names its case.
 
-use vsync_msg::stream::{FieldCursor, FieldWriter};
+use vsync_msg::stream::{FrameReader, FrameWriter, FRAME_FIELD};
 use vsync_msg::{codec, Bytes, Frame, Message, Segments, Value};
 use vsync_util::{Address, DetRng, GroupId, ProcessId, Result, SiteId};
+
+/// Appends `v` as a LEB128 varint: the reference for what the frame writer writes.
+fn varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
 
 const CASES: u64 = 48;
 
@@ -145,108 +154,80 @@ impl Gen {
 }
 
 /// A frame shaped like a data-bearing protocol message that also carries a held frame, as
-/// a flush commit does: written field by field, with `payload` a tree and `held` the wire
-/// form of another one.  Returns the writer's output and the tree it must be equal to.
+/// a flush commit does: written value by value, with `payload` a tree and `held` the wire
+/// form of another one.  Returns the writer's output, its modelled size and the tree it
+/// must be equal to, whose one value is the positional body written out by hand.
 fn protocol_shaped(payload: &Message, held: &Message, seq: u64) -> (Segments, usize, Message) {
     let held_wire = codec::encode_segments(held);
-    let held_body = codec::envelope_body(&held_wire).expect("envelope");
-    let mut w = FieldWriter::with_capacity(96 + codec::buffered_len(payload));
-    w.put_str("@g-type", "shaped");
-    w.put_addr("@g-group", GroupId(9));
-    w.put_u64("seq", seq);
-    w.put_u64_list("vt", &[seq, 0, 3]);
-    w.put_message("payload", payload);
-    w.put_nested("held", |w| {
-        w.put_u64("n", 1);
-        w.put_nested("i0", |w| {
-            let model = codec::body_model_len(&held_body).expect("well-formed");
-            w.put_encoded("wire", &held_body, model);
-            w.put_u64("abp", seq + 1);
-        });
-    });
-    w.put_u64("tail", !seq);
+    let mut w = FrameWriter::with_capacity(96 + codec::buffered_len(payload));
+    w.put_str("shaped");
+    w.put_varint(9);
+    w.put_varint(seq);
+    w.put_varint(3);
+    for v in [seq, 0, 3] {
+        w.put_varint(v);
+    }
+    w.put_message(payload);
+    w.put_segments(&held_wire);
+    w.put_u8(1);
+    w.put_varint(seq + 1);
+    w.put_varint(!seq);
     let (wire, model) = w.finish();
-    let tree = Message::new()
-        .with("@g-type", "shaped")
-        .with("@g-group", GroupId(9))
-        .with("seq", seq)
-        .with("vt", vec![seq, 0, 3])
-        .with("payload", payload.clone())
-        .with(
-            "held",
-            Message::new().with("n", 1u64).with(
-                "i0",
-                Message::new()
-                    .with("wire", held.clone())
-                    .with("abp", seq + 1),
-            ),
-        )
-        .with("tail", !seq);
-    (wire, model, tree)
+    let mut body = vec![6];
+    body.extend_from_slice(b"shaped");
+    for v in [9, seq, 3, seq, 0, 3] {
+        varint(&mut body, v);
+    }
+    let payload_body = codec::encode(payload).slice(1..);
+    varint(&mut body, payload_body.len() as u64);
+    body.extend_from_slice(&payload_body);
+    let held_flat = codec::encode(held);
+    varint(&mut body, held_flat.len() as u64);
+    body.extend_from_slice(&held_flat);
+    body.push(1);
+    varint(&mut body, seq + 1);
+    varint(&mut body, !seq);
+    (wire, model, Message::new().with(FRAME_FIELD, body))
 }
 
-/// What reading a protocol-shaped body field by field yields.
+/// What reading a protocol-shaped body value by value yields.
 #[derive(Debug, PartialEq)]
 struct Read {
     kind: String,
+    group: u64,
     seq: u64,
     vt: Vec<u64>,
     payload: Message,
     held: Bytes,
     abp: Option<u64>,
     tail: u64,
-    absent: Option<u64>,
 }
 
-/// Reads a protocol-shaped body through a cursor; `reversed` asks for the fields back to
-/// front, so every lookup wraps around.
-fn read_shaped(body: &Segments, reversed: bool) -> Result<Read> {
+/// Reads a protocol-shaped body through a frame reader.
+fn read_shaped(body: &Segments) -> Result<Read> {
     body.read_with(|body| {
-        let mut c = FieldCursor::new(body)?;
-        let read = if reversed {
-            let absent = c.opt_u64("no-such-field")?;
-            let tail = c.u64("tail")?;
-            let (held, abp) = c.nested("held", |list| {
-                list.nested("i0", |e| {
-                    let abp = e.opt_u64("abp")?;
-                    Ok((e.encoded("wire")?, abp))
-                })
-            })?;
-            let payload = c.message("payload")?;
-            let vt = c.u64_list("vt")?.to_vec();
-            let seq = c.u64("seq")?;
-            Read {
-                kind: c.str("@g-type")?.to_owned(),
-                seq,
-                vt,
-                payload,
-                held: held.to_bytes(),
-                abp,
-                tail,
-                absent,
-            }
-        } else {
-            let kind = c.str("@g-type")?.to_owned();
-            let seq = c.u64("seq")?;
-            let vt = c.u64_list("vt")?.to_vec();
-            let payload = c.message("payload")?;
-            let (held, abp) = c.nested("held", |list| {
-                list.nested("i0", |e| Ok((e.encoded("wire")?, e.opt_u64("abp")?)))
-            })?;
-            Read {
-                kind,
-                seq,
-                vt,
-                payload,
-                held: held.to_bytes(),
-                abp,
-                tail: c.u64("tail")?,
-                absent: c.opt_u64("no-such-field")?,
-            }
+        let mut c = FrameReader::open(body)?;
+        let read = Read {
+            kind: c.str()?.to_owned(),
+            group: c.varint()?,
+            seq: c.varint()?,
+            vt: {
+                let n = c.count()?;
+                (0..n).map(|_| c.varint()).collect::<Result<_>>()?
+            },
+            payload: c.message()?,
+            held: c.segments()?.to_bytes(),
+            abp: (c.u8()? == 1).then(|| c.varint()).transpose()?,
+            tail: c.varint()?,
         };
         c.finish()?;
         Ok(read)
     })
+}
+
+/// Bytes of `m`'s byte-string values that a gathering writer takes by reference.
+fn spliced_len(m: &Message) -> usize {
+    codec::wire_len(m) - 1 - codec::buffered_len(m)
 }
 
 /// `flat` cut into segments at `cuts` (sorted or not, repeats allowed).
@@ -330,15 +311,15 @@ fn writer_segments_concatenate_to_the_flat_encoding() {
             "case {case}: frame"
         );
         assert_eq!(model, shaped.encoded_len(), "case {case}: size model");
-        // What the writer wrote itself is what `buffered_len` says it reserves for; the
-        // rest is values, all slices of the one source buffer.
+        // The writer copies everything but the large values of the payload and the held
+        // frame; those are segments of their own, all slices of the one source buffer.
         let source = g.source.as_ptr() as usize..g.source.as_ptr() as usize + g.source.len();
         let own = wire
             .iter()
             .filter(|seg| !source.contains(&(seg.as_ptr() as usize)));
         assert_eq!(
             own.map(|seg| seg.len()).sum::<usize>(),
-            1 + codec::buffered_len(&shaped),
+            wire.len() - spliced_len(&tree) - spliced_len(&held),
             "case {case}: what the writer copied"
         );
     }
@@ -364,26 +345,28 @@ fn every_cut_decodes_to_the_same_tree_model_and_fields() {
         let held = g.shaped_tree(case + 2);
         let (wire, model, shaped) = protocol_shaped(&payload, &held, case);
         let flat = wire.to_bytes();
-        let held_flat = codec::encode(&held).slice(1..);
+        let held_flat = codec::encode(&held);
 
         // The writer's own list: equal, and spliced values are the buffers that went in.
         let got = codec::decode_segments(&wire).expect("writer's list decodes");
         assert_eq!(got, shaped, "case {case}");
-        spliced += assert_spliced_values_alias(&wire, &shaped, &got);
         let frame = Frame::from_wire(wire.clone());
         assert_eq!(frame.model_len(), model, "case {case}");
-        assert_eq!(frame.first_field_name(), Some("@g-type"));
+        assert_eq!(frame.first_field_name(), Some(FRAME_FIELD));
         assert_eq!(frame.message(), &shaped);
         let body = codec::envelope_body(&wire).expect("envelope");
-        let want = read_shaped(&body, false).expect("in order");
+        let want = read_shaped(&body).expect("reads");
         assert_eq!(want.payload, payload, "case {case}");
         assert_eq!(want.held, held_flat, "case {case}");
         assert_eq!(
-            (want.seq, want.abp, want.tail, want.absent),
-            (case, Some(case + 1), !case, None)
+            (want.kind.as_str(), want.group, want.vt.as_slice()),
+            ("shaped", 9, &[case, 0, 3][..])
         );
-        assert_spliced_values_alias(&wire, &payload, &want.payload);
-        assert_eq!(read_shaped(&body, true).expect("out of order"), want);
+        assert_eq!(
+            (want.seq, want.abp, want.tail),
+            (case, Some(case + 1), !case)
+        );
+        spliced += assert_spliced_values_alias(&wire, &payload, &want.payload);
 
         // One buffer, and the same bytes cut anywhere.
         assert_eq!(codec::decode(&flat).expect("flat"), shaped, "case {case}");
@@ -395,12 +378,10 @@ fn every_cut_decodes_to_the_same_tree_model_and_fields() {
             assert_eq!(got.as_ref(), Ok(&shaped), "case {case}, cut {i}: tree");
             let frame = Frame::from_wire(cut.clone());
             assert_eq!(frame.model_len(), model, "case {case}, cut {i}: model");
-            assert_eq!(frame.first_field_name(), Some("@g-type"));
+            assert_eq!(frame.first_field_name(), Some(FRAME_FIELD));
             let body = frame.wire_body().expect("envelope");
-            for reversed in [false, true] {
-                let read = read_shaped(&body, reversed);
-                assert_eq!(read.as_ref(), Ok(&want), "case {case}, cut {i}: fields");
-            }
+            let read = read_shaped(&body);
+            assert_eq!(read.as_ref(), Ok(&want), "case {case}, cut {i}: values");
         }
     }
     assert!(spliced >= CASES as usize, "spliced values were read back");
@@ -424,10 +405,7 @@ fn damaged_lists_are_errors_or_other_messages_never_a_panic() {
         );
         let _ = format!("{frame:?}");
         if let Ok(body) = frame.wire_body() {
-            assert_eq!(
-                read_shaped(&body, false).is_ok(),
-                read_shaped(&body, true).is_ok()
-            );
+            let _ = read_shaped(&body);
         }
         decoded.is_ok()
     };

@@ -1111,13 +1111,21 @@ fn multicast_counters_reflect_primitive_usage() {
 
 // -- Stability bookkeeping is O(sites), not O(messages) --------------------------------------
 
-/// The `ids` list of a lone endpoint's gossip frame: the one entry it carries, on the wire.
+/// The runs and the single ids, `[origin, seq, ...]`, a lone endpoint's gossip frame lists:
+/// those of the one entry it carries, as the bytes read back at another site give them.
+fn listed(gossip: &Frame) -> (usize, Option<Vec<u64>>) {
+    let arrived = Frame::from_wire(gossip.wire_segments());
+    let Ok((_, ProtoMsg::Stability { entries, .. })) = ProtoMsg::decode_frame(&arrived) else {
+        panic!("not a stability frame");
+    };
+    assert_eq!(entries.len(), 1, "one endpoint, one entry");
+    assert_eq!(entries[0].group, GROUP);
+    let (runs, ids) = entries[0].received.to_wire();
+    (runs.len() / 3, (!ids.is_empty()).then_some(ids))
+}
+
 fn listed_ids(gossip: &Frame) -> Option<Vec<u64>> {
-    let entries = gossip.message().get_msg("entries").expect("entries");
-    assert_eq!(entries.get_u64("n"), Some(1), "one endpoint, one entry");
-    let entry = entries.get_msg("i0").expect("entry");
-    assert_eq!(entry.get_addr("group"), Some(GROUP.into()));
-    entry.get_u64_list("ids").map(<[u64]>::to_vec)
+    listed(gossip).1
 }
 
 #[test]
@@ -1125,7 +1133,7 @@ fn a_long_view_keeps_gossip_and_dedup_state_bounded() {
     const MESSAGES: u64 = 20_000;
     let mut c = Cluster::build_three_member_group();
     let view_seq = c.endpoints[&SiteId(0)].view().unwrap().seq();
-    let mut early_size = None;
+    let mut early_runs = None;
     for i in 0..MESSAGES {
         let s = (i % 3) as u16;
         c.exec(SiteId(s), |ep, now, out| {
@@ -1142,22 +1150,24 @@ fn a_long_view_keeps_gossip_and_dedup_state_bounded() {
         if i % 256 == 255 {
             c.tick_all();
             c.pump(false);
-            // (a) Past the warm-up every gossip frame has the same small size, however
-            // many messages the view has carried by then.
+            // (a) Past the warm-up every gossip frame lists the same runs and is as small,
+            // however many messages the view has carried by then (only the width of its
+            // sequence numbers grows, a byte per seven bits).
             for (from, frame) in c.gossip.drain(..) {
                 let size = frame.wire_bytes().len();
                 assert!(
-                    size <= 256,
+                    size <= 64,
                     "site {} gossiped {size} B at message {i}",
                     from.0
                 );
-                assert_eq!(*early_size.get_or_insert(size), size, "at message {i}");
-                assert_eq!(listed_ids(&frame), None, "FIFO traffic lists no ids");
+                let (runs, ids) = listed(&frame);
+                assert_eq!(*early_runs.get_or_insert(runs), runs, "at message {i}");
+                assert_eq!(ids, None, "FIFO traffic lists no ids");
             }
         }
     }
     c.pump(false);
-    assert!(early_size.is_some(), "gossip was observed");
+    assert!(early_runs.is_some(), "gossip was observed");
     // (b) Once sends stop, everything stabilizes and gossip goes silent within a fixed
     // number of ticks: one exchange to stabilize, then the quiet rounds.
     let mut ticks_to_silence = 0;
@@ -1215,8 +1225,11 @@ fn a_long_view_keeps_gossip_and_dedup_state_bounded() {
         ep.on_message(now, SiteId(0), &second, out).unwrap();
     });
     let closed = gossip_of_site_1(&mut c);
-    assert_eq!(listed_ids(&closed), None, "the gap closed");
-    assert_eq!(closed.wire_bytes().len(), early_size.unwrap());
+    assert_eq!(
+        listed(&closed),
+        (early_runs.unwrap(), None),
+        "the gap closed"
+    );
     c.pump(false);
     // (d) A join cuts the view: the commit's covered frontier, read off the per-origin
     // runs, is the one that folding every delivered id would give.

@@ -261,39 +261,46 @@ impl IdSet {
 
     /// Every run beside whether it is a *straggler*: a single id that is not its origin's
     /// first run, i.e. one received beyond a gap that is still open.
-    fn runs_and_stragglers(&self) -> impl Iterator<Item = (&Run, bool)> {
+    fn runs_and_stragglers(&self) -> impl Iterator<Item = (&Run, bool)> + Clone {
         self.runs.iter().enumerate().map(|(i, r)| {
             let straggler = r.lo == r.hi && i > 0 && self.runs[i - 1].origin == r.origin;
             (r, straggler)
         })
     }
 
-    /// The `runs` half of the wire form, `[origin, lo, hi, ...]`: each origin's first run,
-    /// and every later run that is longer than a single id.
-    pub(crate) fn wire_runs(&self) -> impl Iterator<Item = u64> + '_ {
+    /// The runs a frame lists as runs: each origin's first run, and every later run that is
+    /// longer than a single id.
+    pub(crate) fn wire_runs(&self) -> impl Iterator<Item = &Run> + Clone {
         self.runs_and_stragglers()
             .filter(|(_, straggler)| !straggler)
-            .flat_map(|(r, _)| [r.origin.0 as u64, r.lo, r.hi])
+            .map(|(r, _)| r)
     }
 
-    /// The `ids` half of the wire form, `[origin, seq, ...]`: the stragglers.  Empty on FIFO
-    /// traffic.
-    pub(crate) fn wire_ids(&self) -> impl Iterator<Item = u64> + '_ {
+    /// The runs a frame lists as single ids: the stragglers.  None on FIFO traffic.
+    pub(crate) fn wire_ids(&self) -> impl Iterator<Item = &Run> + Clone {
         self.runs_and_stragglers()
             .filter(|(_, straggler)| *straggler)
-            .flat_map(|(r, _)| [r.origin.0 as u64, r.lo])
+            .map(|(r, _)| r)
     }
 
-    /// The wire form `(runs, ids)` as two vectors (see `IdSet::wire_runs` and
-    /// `IdSet::wire_ids`, which a frame writer streams without them).
+    /// The wire form flattened: `runs` as `[origin, lo, hi, ...]` (see `IdSet::wire_runs`)
+    /// and `ids` as `[origin, seq, ...]` (see `IdSet::wire_ids`).
     pub fn to_wire(&self) -> (Vec<u64>, Vec<u64>) {
-        (self.wire_runs().collect(), self.wire_ids().collect())
+        (
+            self.wire_runs()
+                .flat_map(|r| [r.origin.0 as u64, r.lo, r.hi])
+                .collect(),
+            self.wire_ids()
+                .flat_map(|r| [r.origin.0 as u64, r.lo])
+                .collect(),
+        )
     }
 
-    /// Parses the wire form written by [`IdSet::to_wire`].  Like [`Frontier::from_wire`]
+    /// Parses the flattened form [`IdSet::to_wire`] gives.  Like [`Frontier::from_wire`]
     /// it re-canonicalises: runs may arrive unsorted, overlapping or touching, an id may
     /// repeat or fall inside a run, and incomplete trailing elements and inverted runs are
-    /// ignored.  The result costs memory per run on the wire, not per id covered.
+    /// ignored.
+    #[cfg(test)]
     pub(crate) fn from_wire(runs: &[u64], ids: &[u64]) -> Self {
         let mut set = IdSet::new();
         for r in runs.chunks_exact(3) {

@@ -8,8 +8,10 @@
 //! decisions — no extra agreement protocol required.
 
 use serde::{Deserialize, Serialize};
-use vsync_msg::stream::{FieldCursor, FieldWriter};
-use vsync_util::{Address, GroupId, ProcessId, Rank, Result, SiteId, ViewId, VsError};
+use vsync_msg::stream::{FrameReader, FrameWriter};
+use vsync_util::{GroupId, ProcessId, Rank, Result, SiteId, ViewId};
+
+use crate::messages::{get_processes, put_processes};
 
 /// A group membership view.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -22,17 +24,6 @@ pub struct View {
     pub joined: Vec<ProcessId>,
     /// Members that departed (left or failed) relative to the previous view.
     pub departed: Vec<ProcessId>,
-}
-
-const VIEW_GROUP: &str = "view-group";
-const VIEW_SEQ: &str = "view-seq";
-const VIEW_MEMBERS: &str = "view-members";
-const VIEW_JOINED: &str = "view-joined";
-const VIEW_DEPARTED: &str = "view-departed";
-
-/// A process list as the wire's address list.
-pub(crate) fn process_addrs(ps: &[ProcessId]) -> impl ExactSizeIterator<Item = Address> + '_ {
-    ps.iter().map(|p| Address::Process(*p))
 }
 
 impl View {
@@ -140,33 +131,26 @@ impl View {
         }
     }
 
-    /// Writes the view as the `view-*` fields of a flush commit — the one place those
-    /// fields are written.
-    pub(crate) fn write_fields(&self, w: &mut FieldWriter) {
-        w.put_addr(VIEW_GROUP, self.id.group);
-        w.put_u64(VIEW_SEQ, self.id.seq);
-        w.put_addr_list(VIEW_MEMBERS, process_addrs(&self.members));
-        w.put_addr_list(VIEW_JOINED, process_addrs(&self.joined));
-        w.put_addr_list(VIEW_DEPARTED, process_addrs(&self.departed));
+    /// Writes the view into a flush commit — the one place a view is written: its group,
+    /// its sequence number, and its member, joined and departed lists.
+    pub(crate) fn write(&self, w: &mut FrameWriter) {
+        w.put_varint(self.id.group.0);
+        w.put_varint(self.id.seq);
+        put_processes(w, &self.members);
+        put_processes(w, &self.joined);
+        put_processes(w, &self.departed);
     }
 
-    /// Reads a view previously written by [`View::write_fields`] — the one place those
-    /// fields are read.  A list that is absent reads as empty.
-    pub(crate) fn read_fields(c: &mut FieldCursor<'_>) -> Result<View> {
-        let group = c.addr(VIEW_GROUP)?.as_group().ok_or_else(|| {
-            VsError::CodecError(format!("field {VIEW_GROUP:?} is not a group address"))
-        })?;
-        let seq = c.u64(VIEW_SEQ)?;
-        let mut list = |name: &str| -> Result<Vec<ProcessId>> {
-            Ok(c.opt_addr_list(name)?
-                .map(|l| l.iter().filter_map(|a| a.as_process()).collect())
-                .unwrap_or_default())
-        };
+    /// Reads a view written by [`View::write`] — the one place a view is read.
+    pub(crate) fn read(c: &mut FrameReader<'_>) -> Result<View> {
         Ok(View {
-            id: ViewId { group, seq },
-            members: list(VIEW_MEMBERS)?,
-            joined: list(VIEW_JOINED)?,
-            departed: list(VIEW_DEPARTED)?,
+            id: ViewId {
+                group: GroupId(c.varint()?),
+                seq: c.varint()?,
+            },
+            members: get_processes(c)?,
+            joined: get_processes(c)?,
+            departed: get_processes(c)?,
         })
     }
 }
@@ -239,20 +223,21 @@ mod tests {
         let v = View::founding(GroupId(7), p(0, 1))
             .successor(&[], &[p(1, 1)])
             .successor(&[p(0, 1)], &[p(2, 1)]);
-        let mut w = FieldWriter::with_capacity(128);
-        v.write_fields(&mut w);
+        let mut w = FrameWriter::with_capacity(64);
+        v.write(&mut w);
         let (bytes, _) = w.finish();
         let body = vsync_msg::codec::envelope_body(&bytes).expect("envelope");
-        let mut c = FieldCursor::new(&body).expect("open");
-        assert_eq!(View::read_fields(&mut c).expect("decode"), v);
-        c.finish().expect("nothing else in the buffer");
-        // The bytes are what the tree codec writes for the same five fields.
+        // Group, seq, then each list as a count and (site, local, incarnation) per member.
         let tree = vsync_msg::codec::decode_segments(&bytes).expect("tree");
-        assert_eq!(tree.field_count(), 5);
-        assert_eq!(tree.get_u64("view-seq"), Some(3));
+        let positional = tree
+            .get_bytes(vsync_msg::stream::FRAME_FIELD)
+            .expect("body");
         assert_eq!(
-            tree.get_addr_list("view-departed"),
-            Some(&[p(0, 1).into()][..])
+            positional,
+            &[7, 3, 2, 1, 1, 0, 2, 1, 0, 1, 2, 1, 0, 1, 0, 1, 0]
         );
+        let mut c = FrameReader::open(&body).expect("open");
+        assert_eq!(View::read(&mut c).expect("decode"), v);
+        c.finish().expect("nothing else in the buffer");
     }
 }

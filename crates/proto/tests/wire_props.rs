@@ -1,71 +1,152 @@
-//! Model-based property test: the streaming protocol encoder and the cursor decoder against
-//! the tree encoder they replaced.
+//! Model-based property test: the positional protocol writer and reader against a
+//! reference layout written out by hand.
 //!
-//! Until issue 14 a [`ProtoMsg`] reached the wire by way of a [`Message`] tree
-//! (`ProtoMsg::encode`, then `codec::encode`).  That tree encoder lives on below as the
-//! executable specification of the wire format — including the `i{N}` element names of packed
-//! lists, which used to come from a 64-entry table — and for seeded arbitrary messages of all
-//! 16 variants the one-pass writer must agree with it byte for byte, the size model must
-//! agree with the tree's `encoded_len`, the reader must give back the typed message, frames
-//! nested in a flush ack or commit must come back out as the bytes that went in, and no
-//! truncation may decode or panic.
+//! A [`ProtoMsg`] frame is a codec message of one byte-string field whose bytes are laid out
+//! by position: the kind byte, the group, then the variant's fields in declaration order,
+//! integers as shortest-form LEB128 varints, lists as a count and their entries, payloads
+//! and held frames as a length and their bytes.  The reference below spells that layout
+//! out again, independently of `ProtoMsg::write`, and for seeded arbitrary messages of all
+//! 16 variants the one-pass writer must agree with the tree encoder's bytes of the
+//! reference tree byte for byte, the size model must agree with that tree's `encoded_len`,
+//! the reader must give back the typed message, frames nested in a flush ack or commit
+//! must come back out as the bytes that went in, and damaged bytes must be refused: every
+//! proper prefix, a trailing byte, an unknown kind, an over-long or overflowing varint, a
+//! site id beyond 16 bits, and a count or length the bytes left cannot hold — never
+//! decoded, never a panic, and never an allocation sized by the bad count.
 //!
-//! A stability frame is a site's reports on many groups at once (issue 17), so the
-//! generator draws it with no entry, one, or many — groups repeated and out of order, sets
-//! with open gaps — and a frame of 64 entries is checked on its own, bit-flips included:
-//! whatever arrives decodes or is refused, and never panics.
+//! A stability frame is a site's reports on many groups at once, so the generator draws it
+//! with no entry, one, or many — groups repeated and out of order, sets with open gaps —
+//! and a frame of 64 entries is checked on its own, bit-flips included: whatever arrives
+//! decodes or is refused, and never panics.
 //!
-//! Since issue 16 a frame's bytes are held as a list of segments, with a large payload body
-//! spliced in by reference.  That changes how the bytes are held, not which bytes they are:
-//! the reference below is still compared against the list's concatenation, the list itself
-//! must read back as the typed message, and 64 KiB bodies — alone, held in a flush ack, held
-//! in a commit — must come back out as the very buffer the sender put in.
+//! A frame's bytes are held as a list of segments, with a large payload body spliced in by
+//! reference.  That changes how the bytes are held, not which bytes they are: the reference
+//! is compared against the list's concatenation, the list itself must read back as the
+//! typed message, and 64 KiB bodies — alone, held in a flush ack, held in a commit — must
+//! come back out as the very buffer the sender put in.
 
+use vsync_msg::stream::FRAME_FIELD;
 use vsync_msg::{codec, Bytes, Frame, Message};
 use vsync_net::{MsgId, ProtocolKind};
 use vsync_proto::messages::{StabilityEntry, StoredMsg};
 use vsync_proto::{Frontier, IdSet, ProtoMsg, View};
 use vsync_util::{Address, DetRng, GroupId, ProcessId, SiteId, VectorClock};
 
-// -- The reference: the tree encoder as it stood before the streaming writer -------------
+// -- The reference: the layout written out by hand ------------------------------------------
 
-fn addrs(ps: &[ProcessId]) -> Vec<Address> {
-    ps.iter().map(|p| Address::Process(*p)).collect()
+/// A positional body, and where the first value of each kind a reader must police went:
+/// `(offset, width)` of the first site id and of the first count or length.
+#[derive(Default)]
+struct Layout {
+    bytes: Vec<u8>,
+    site: Option<(usize, usize)>,
+    count: Option<(usize, usize)>,
 }
 
-fn pack_msg_list(items: &[Message]) -> Message {
-    let mut list = Message::new();
-    list.set("n", items.len() as u64);
-    for (i, item) in items.iter().enumerate() {
-        list.set(&format!("i{i}"), item.clone());
+impl Layout {
+    fn varint(&mut self, mut v: u64) -> (usize, usize) {
+        let at = self.bytes.len();
+        while v >= 0x80 {
+            self.bytes.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.bytes.push(v as u8);
+        (at, self.bytes.len() - at)
     }
-    list
-}
 
-fn pack_stored(stored: &[StoredMsg]) -> Message {
-    let items: Vec<Message> = stored
-        .iter()
-        .map(|s| {
-            let mut m = Message::new();
-            m.set("wire", s.wire.to_message());
-            if let Some(p) = s.ab_priority {
-                m.set("abp", p);
+    fn site(&mut self, site: SiteId) {
+        let span = self.varint(site.0.into());
+        self.site.get_or_insert(span);
+    }
+
+    fn count(&mut self, n: usize) {
+        let span = self.varint(n as u64);
+        self.count.get_or_insert(span);
+    }
+
+    fn id(&mut self, id: MsgId) {
+        self.site(id.origin);
+        self.varint(id.seq);
+    }
+
+    fn process(&mut self, p: ProcessId) {
+        self.site(p.site);
+        self.varint(p.local.into());
+        self.varint(p.incarnation.into());
+    }
+
+    fn processes(&mut self, ps: &[ProcessId]) {
+        self.count(ps.len());
+        for p in ps {
+            self.process(*p);
+        }
+    }
+
+    fn raw(&mut self, bytes: &[u8]) {
+        self.count(bytes.len());
+        self.bytes.extend_from_slice(bytes);
+    }
+
+    /// A payload: its codec body, the encoding without the envelope byte.
+    fn payload(&mut self, m: &Message) {
+        self.raw(&codec::encode(m)[1..]);
+    }
+
+    fn frontier(&mut self, f: &Frontier) {
+        self.count(f.entries().len());
+        for (site, seq) in f.entries() {
+            self.id(MsgId::new(*site, *seq));
+        }
+    }
+
+    fn stored(&mut self, held: &[StoredMsg]) {
+        self.count(held.len());
+        for s in held {
+            self.raw(&s.wire.wire_bytes());
+            match s.ab_priority {
+                None => self.bytes.push(0),
+                Some(p) => {
+                    self.bytes.push(1);
+                    self.varint(p);
+                }
             }
-            m
-        })
-        .collect();
-    pack_msg_list(&items)
+        }
+    }
+
+    /// Flattened id-set halves: `[origin, lo, hi, ...]` or `[origin, seq, ...]`.
+    fn runs(&mut self, flat: &[u64], width: usize) {
+        self.count(flat.len() / width);
+        for run in flat.chunks(width) {
+            self.site(SiteId(run[0] as u16));
+            for v in &run[1..] {
+                self.varint(*v);
+            }
+        }
+    }
 }
 
-fn put_msg_id(m: &mut Message, id: MsgId) {
-    m.set("id-origin", id.origin.0 as u64);
-    m.set("id-seq", id.seq);
-}
-
-fn reference_tree(msg: &ProtoMsg, group: GroupId) -> Message {
-    let mut m = Message::new();
-    m.set("@g-type", msg.type_tag());
-    m.set("@g-group", group);
+fn reference(msg: &ProtoMsg, group: GroupId) -> Layout {
+    let mut l = Layout::default();
+    let kind = match msg {
+        ProtoMsg::CbData { .. } => 0,
+        ProtoMsg::AbData { .. } => 1,
+        ProtoMsg::AbPropose { .. } => 2,
+        ProtoMsg::AbOrder { .. } => 3,
+        ProtoMsg::JoinReq { .. } => 4,
+        ProtoMsg::LeaveReq { .. } => 5,
+        ProtoMsg::FailReport { .. } => 6,
+        ProtoMsg::GbcastReq { .. } => 7,
+        ProtoMsg::FlushReq { .. } => 8,
+        ProtoMsg::FlushAck { .. } => 9,
+        ProtoMsg::FlushAbandoned { .. } => 10,
+        ProtoMsg::FlushCommit { .. } => 11,
+        ProtoMsg::Stability { .. } => 12,
+        ProtoMsg::ReformSummary { .. } => 13,
+        ProtoMsg::ReformAlive { .. } => 14,
+        ProtoMsg::Relay { .. } => 15,
+    };
+    l.bytes.push(kind);
+    l.varint(group.0);
     match msg {
         ProtoMsg::CbData {
             id,
@@ -75,12 +156,15 @@ fn reference_tree(msg: &ProtoMsg, group: GroupId) -> Message {
             vt,
             payload,
         } => {
-            put_msg_id(&mut m, *id);
-            m.set("sender", *sender);
-            m.set("sender-rank", *sender_rank);
-            m.set("view-seq", *view_seq);
-            m.set("vt", vt.entries().to_vec());
-            m.set("payload", payload.clone());
+            l.id(*id);
+            l.process(*sender);
+            l.varint(*sender_rank);
+            l.varint(*view_seq);
+            l.count(vt.entries().len());
+            for v in vt.entries() {
+                l.varint(*v);
+            }
+            l.payload(payload);
         }
         ProtoMsg::AbData {
             id,
@@ -88,10 +172,10 @@ fn reference_tree(msg: &ProtoMsg, group: GroupId) -> Message {
             view_seq,
             payload,
         } => {
-            put_msg_id(&mut m, *id);
-            m.set("sender", *sender);
-            m.set("view-seq", *view_seq);
-            m.set("payload", payload.clone());
+            l.id(*id);
+            l.process(*sender);
+            l.varint(*view_seq);
+            l.payload(payload);
         }
         ProtoMsg::AbPropose {
             id,
@@ -99,10 +183,10 @@ fn reference_tree(msg: &ProtoMsg, group: GroupId) -> Message {
             proposed,
             proposer_site,
         } => {
-            put_msg_id(&mut m, *id);
-            m.set("view-seq", *view_seq);
-            m.set("proposed", *proposed);
-            m.set("proposer-site", proposer_site.0 as u64);
+            l.id(*id);
+            l.varint(*view_seq);
+            l.varint(*proposed);
+            l.site(*proposer_site);
         }
         ProtoMsg::AbOrder {
             id,
@@ -110,38 +194,38 @@ fn reference_tree(msg: &ProtoMsg, group: GroupId) -> Message {
             final_priority,
             tiebreak_site,
         } => {
-            put_msg_id(&mut m, *id);
-            m.set("view-seq", *view_seq);
-            m.set("final", *final_priority);
-            m.set("tiebreak-site", tiebreak_site.0 as u64);
+            l.id(*id);
+            l.varint(*view_seq);
+            l.varint(*final_priority);
+            l.site(*tiebreak_site);
         }
         ProtoMsg::JoinReq {
             joiner,
             credentials,
         } => {
-            m.set("joiner", *joiner);
-            if let Some(c) = credentials {
-                m.set("credentials", c.as_str());
+            l.process(*joiner);
+            match credentials {
+                None => l.bytes.push(0),
+                Some(c) => {
+                    l.bytes.push(1);
+                    l.raw(c.as_bytes());
+                }
             }
         }
-        ProtoMsg::LeaveReq { member } => {
-            m.set("member", *member);
-        }
-        ProtoMsg::FailReport { failed } => {
-            m.set("failed", addrs(failed));
-        }
+        ProtoMsg::LeaveReq { member } => l.process(*member),
+        ProtoMsg::FailReport { failed } => l.processes(failed),
         ProtoMsg::GbcastReq { sender, payload } => {
-            m.set("sender", *sender);
-            m.set("payload", payload.clone());
+            l.process(*sender);
+            l.payload(payload);
         }
         ProtoMsg::FlushReq {
             target_seq,
             initiator,
             attempt,
         } => {
-            m.set("target-seq", *target_seq);
-            m.set("initiator", *initiator);
-            m.set("attempt", *attempt);
+            l.varint(*target_seq);
+            l.process(*initiator);
+            l.varint(*attempt);
         }
         ProtoMsg::FlushAck {
             target_seq,
@@ -149,17 +233,17 @@ fn reference_tree(msg: &ProtoMsg, group: GroupId) -> Message {
             ab_clock,
             stored,
         } => {
-            m.set("target-seq", *target_seq);
-            m.set("from-site", from_site.0 as u64);
-            m.set("ab-clock", *ab_clock);
-            m.set("stored", pack_stored(stored));
+            l.varint(*target_seq);
+            l.site(*from_site);
+            l.varint(*ab_clock);
+            l.stored(stored);
         }
         ProtoMsg::FlushAbandoned {
             target_seq,
             attempt,
         } => {
-            m.set("target-seq", *target_seq);
-            m.set("attempt", *attempt);
+            l.varint(*target_seq);
+            l.varint(*attempt);
         }
         ProtoMsg::FlushCommit {
             view,
@@ -167,32 +251,28 @@ fn reference_tree(msg: &ProtoMsg, group: GroupId) -> Message {
             covered,
             gbcasts,
         } => {
-            m.set("view-group", view.id.group);
-            m.set("view-seq", view.id.seq);
-            m.set("view-members", addrs(&view.members));
-            m.set("view-joined", addrs(&view.joined));
-            m.set("view-departed", addrs(&view.departed));
-            m.set("deliver", pack_stored(deliver));
-            m.set("covered", covered.to_wire());
-            m.set("gbcasts", pack_msg_list(gbcasts));
+            l.varint(view.id.group.0);
+            l.varint(view.id.seq);
+            l.processes(&view.members);
+            l.processes(&view.joined);
+            l.processes(&view.departed);
+            l.stored(deliver);
+            l.frontier(covered);
+            l.count(gbcasts.len());
+            for g in gbcasts {
+                l.payload(g);
+            }
         }
         ProtoMsg::Stability { from_site, entries } => {
-            m.set("from-site", from_site.0 as u64);
-            let entries: Vec<Message> = entries
-                .iter()
-                .map(|e| {
-                    let mut m = Message::new();
-                    m.set("group", e.group);
-                    m.set("view-seq", e.view_seq);
-                    let (runs, ids) = e.received.to_wire();
-                    m.set("runs", runs);
-                    if !ids.is_empty() {
-                        m.set("ids", ids);
-                    }
-                    m
-                })
-                .collect();
-            m.set("entries", pack_msg_list(&entries));
+            l.site(*from_site);
+            l.count(entries.len());
+            for e in entries {
+                l.varint(e.group.0);
+                l.varint(e.view_seq);
+                let (runs, ids) = e.received.to_wire();
+                l.runs(&runs, 3);
+                l.runs(&ids, 2);
+            }
         }
         ProtoMsg::ReformSummary {
             from_site,
@@ -200,20 +280,28 @@ fn reference_tree(msg: &ProtoMsg, group: GroupId) -> Message {
             covered,
             rank,
         } => {
-            m.set("from-site", from_site.0 as u64);
-            m.set("view-seq", *view_seq);
-            m.set("covered", covered.to_wire());
-            m.set("rank", *rank);
+            l.site(*from_site);
+            l.varint(*view_seq);
+            l.frontier(covered);
+            l.varint(*rank);
         }
-        ProtoMsg::ReformAlive { contact } => {
-            m.set("contact", contact.0 as u64);
-        }
+        ProtoMsg::ReformAlive { contact } => l.site(*contact),
         ProtoMsg::Relay { protocol, payload } => {
-            m.set("protocol", protocol.name());
-            m.set("payload", payload.clone());
+            l.bytes.push(match protocol {
+                ProtocolKind::Cbcast => 0,
+                ProtocolKind::Abcast => 1,
+                ProtocolKind::Gbcast => 2,
+                other => panic!("{other} is not relayed"),
+            });
+            l.payload(payload);
         }
     }
-    m
+    l
+}
+
+/// The frame whose positional body is `body`, as a tree.
+fn tree_of(body: Vec<u8>) -> Message {
+    Message::new().with(FRAME_FIELD, body)
 }
 
 // -- Generators -----------------------------------------------------------------------------
@@ -438,13 +526,79 @@ fn held_of(msg: &ProtoMsg) -> &[StoredMsg] {
 
 // -- The properties -------------------------------------------------------------------------
 
+/// `body` with the bytes at `span` replaced by `with`.
+fn splice(body: &[u8], (at, width): (usize, usize), with: &[u8]) -> Vec<u8> {
+    [&body[..at], with, &body[at + width..]].concat()
+}
+
+/// Damaged versions of a frame's body that must all be refused, each with what it is.
+fn damaged(layout: &Layout) -> Vec<(String, Vec<u8>)> {
+    let body = &layout.bytes;
+    let mut out = vec![("a trailing byte".to_owned(), [&body[..], &[0]].concat())];
+    for kind in [16u8, 0x80, u8::MAX] {
+        out.push((format!("kind {kind}"), splice(body, (0, 1), &[kind])));
+    }
+    // The group varint (its first byte is at 1): padded, past 64 bits, past ten bytes.
+    let group = (
+        1,
+        layout.bytes[1..]
+            .iter()
+            .position(|b| b & 0x80 == 0)
+            .unwrap()
+            + 1,
+    );
+    let mut padded = body[group.0..group.0 + group.1].to_vec();
+    *padded.last_mut().unwrap() |= 0x80;
+    padded.push(0);
+    out.push((
+        "an over-long varint".to_owned(),
+        splice(body, group, &padded),
+    ));
+    let mut wide = vec![0xFF; 9];
+    wide.push(0x02);
+    out.push((
+        "a varint past 64 bits".to_owned(),
+        splice(body, group, &wide),
+    ));
+    let mut eleven = vec![0xFF; 10];
+    eleven.push(0x01);
+    out.push((
+        "an eleven-byte varint".to_owned(),
+        splice(body, group, &eleven),
+    ));
+    if let Some(site) = layout.site {
+        out.push((
+            "site 65536".to_owned(),
+            splice(body, site, &[0x80, 0x80, 0x04]),
+        ));
+    }
+    if let Some((at, width)) = layout.count {
+        let left = body.len() - at - width;
+        let mut more = Layout::default();
+        more.varint(left as u64 + 1);
+        out.push((
+            format!("count {}", left + 1),
+            splice(body, (at, width), &more.bytes),
+        ));
+        // Were an allocation sized by this count, it would abort the test.
+        let mut huge = Layout::default();
+        huge.varint(1 << 40);
+        out.push((
+            "count 2^40".to_owned(),
+            splice(body, (at, width), &huge.bytes),
+        ));
+    }
+    out
+}
+
 fn check(msg: ProtoMsg, check_truncations: bool) {
-    let reference = reference_tree(&msg, GROUP);
+    let layout = reference(&msg, GROUP);
+    let reference = tree_of(layout.bytes.clone());
     let reference_bytes = codec::encode(&reference);
     let frame = msg.encode_frame(GROUP);
     let tag = msg.type_tag();
 
-    // (a) the one-pass writer produces the tree encoder's bytes, byte for byte;
+    // (a) the one-pass writer produces the tree encoder's bytes of the reference tree;
     let bytes = frame.wire_bytes();
     assert_eq!(bytes, reference_bytes, "{tag}: wire bytes");
     // (b) reading those bytes — as a site beyond a thread boundary does — gives the typed
@@ -497,7 +651,18 @@ fn check(msg: ProtoMsg, check_truncations: bool) {
         );
     }
     assert_eq!(held_of(&msg).len(), held_of(decoded).len());
-    // (f) no truncation decodes, and none panics.
+    // (f) damage is refused, and never panics: a trailing byte, a bad kind, bad varints,
+    // a site beyond 16 bits and a count beyond the bytes left;
+    for (what, body) in damaged(&layout) {
+        let tree = tree_of(body);
+        assert!(ProtoMsg::decode(&tree).is_err(), "{tag}: {what} decoded");
+        let frame = Frame::from_wire(codec::encode(&tree));
+        assert!(
+            ProtoMsg::decode_frame(&frame).is_err(),
+            "{tag}: {what} decoded"
+        );
+    }
+    // (g) and so is every truncation.
     if check_truncations {
         for cut in 0..bytes.len() {
             let prefix = Frame::from_wire(bytes.slice(..cut));
@@ -512,29 +677,36 @@ fn check(msg: ProtoMsg, check_truncations: bool) {
 
 #[test]
 fn all_variants_agree_with_the_tree_encoder() {
+    let mut policed = [(false, false); 16];
     for seed in 0..40u64 {
         let mut rng = DetRng::new(seed);
-        for variant in 0..16 {
+        for (variant, (site, count)) in policed.iter_mut().enumerate() {
             let held = [0, 1, 5][(seed % 3) as usize];
-            check(arbitrary(&mut rng, variant, held), true);
+            let msg = arbitrary(&mut rng, variant, held);
+            let layout = reference(&msg, GROUP);
+            *site |= layout.site.is_some();
+            *count |= layout.count.is_some();
+            check(msg, true);
         }
     }
+    // Every variant with a site id or a count had it damaged: all but `FlushAbandoned` and
+    // `Relay` (whose sender is inside its payload) have a site, and ten have a count or a
+    // length.
+    let sites = policed.iter().filter(|(site, _)| *site).count();
+    let counts = policed.iter().filter(|(_, count)| *count).count();
+    assert_eq!((sites, counts), (14, 10));
 }
 
 #[test]
 fn long_held_lists_agree_past_the_old_name_table() {
-    // 80 held multicasts: element names `i0`..`i79`, beyond the 64-entry table the tree
-    // encoder used to have.  Truncations are sampled by the shorter lists above; at this
-    // size every prefix would be quadratic for no new code path.
+    // 80 held multicasts, beyond the 64 element names a tabled encoder once had.
+    // Truncations are sampled by the shorter lists above; at this size every prefix would
+    // be quadratic for no new code path.
     for seed in 0..4u64 {
         let mut rng = DetRng::new(1_000 + seed);
         for variant in [9, 10] {
             let msg = arbitrary(&mut rng, variant, 80);
-            let tree = reference_tree(&msg, GROUP);
-            let list = tree
-                .get_msg(if variant == 9 { "stored" } else { "deliver" })
-                .expect("list");
-            assert!(list.get_msg("i63").is_some() && list.get_msg("i79").is_some());
+            assert_eq!(held_of(&msg).len(), 80);
             check(msg, false);
         }
     }
@@ -542,15 +714,13 @@ fn long_held_lists_agree_past_the_old_name_table() {
 
 #[test]
 fn a_stability_frame_of_many_groups_agrees_and_survives_damage() {
-    // What a site hosting 64 groups sends a peer each tick: 64 entries, element names
-    // `i0`..`i63`.  Typed round trip, reference tree and size model as for any message.
+    // What a site hosting 64 groups sends a peer each tick: 64 entries.  Typed round trip,
+    // reference layout and size model as for any message.
     for seed in 0..2u64 {
         let mut rng = DetRng::new(2_000 + seed);
         let msg = stability(&mut rng, 64);
-        let tree = reference_tree(&msg, GROUP);
-        let list = tree.get_msg("entries").expect("list");
-        assert_eq!(list.get_u64("n"), Some(64));
-        assert!(list.get_msg("i63").is_some_and(|e| e.contains("runs")));
+        let layout = reference(&msg, GROUP);
+        assert_eq!(&layout.bytes[..4], &[12, 42, layout.bytes[2], 64]);
         check(msg.clone(), false);
         // Damage: a sample of truncations is refused; a flipped bit anywhere gives a frame
         // that decodes (to *some* report — a changed sequence number is still a number) or
@@ -570,7 +740,7 @@ fn a_stability_frame_of_many_groups_agrees_and_survives_damage() {
             if let Ok((_, ProtoMsg::Stability { entries, .. })) = ProtoMsg::decode_frame(&frame) {
                 assert!(
                     entries.len() <= 64,
-                    "an entry count cannot grow past its fields"
+                    "an entry count cannot grow past its bytes"
                 );
             }
         }
