@@ -278,9 +278,18 @@ fn fixed_seed_scenario_reproduces_packet_byte_and_latency_counts_exactly() {
     // one-field control message it replaced was 18: 2 766 × 14 = 38 724.  `@protocol` was
     // 22 B on every stamped payload the run put on the wire, in a data packet or held in a
     // flush packet: 2 165 × 22 = 47 630.  Packets by kind did not move.
+    // Then 985 336 → 436 206 when protocol frames stopped naming their fields and took a
+    // positional layout (one kind byte, varints): −549 130 B, by packet kind
+    //   Data       801 × −195.9 B avg = −156 896 (CBCAST and ABCAST data frames)
+    //   Flush       30 × −10 341 B avg = −310 234 (mostly the held copies they carry)
+    //   Proposal   140 × −150 B       =  −21 000
+    //   SetOrder   160 × −145 B       =  −23 200
+    //   Stability   90 × −420 B       =  −37 800
+    // and Heartbeat and Reply, which carry no protocol frame, unchanged.  Packets by kind,
+    // deliveries and logged entries did not move.
     assert_eq!(
         totals,
-        (4087, 4057, 30, 0, 985_336, 999, 899),
+        (4087, 4057, 30, 0, 436_206, 999, 899),
         "(packets, inter-site, intra-site, fragments, bytes, deliveries, logged)"
     );
     let lat = |n, p50, p99, max, sum| Latencies {
@@ -290,18 +299,23 @@ fn fixed_seed_scenario_reproduces_packet_byte_and_latency_counts_exactly() {
         max,
         sum,
     };
+    // The CBCAST max was 64 and the sum 10 724 until frames became positional: the CBCAST
+    // sent as the join's flush began waits for its commit, now 6 µs sooner on the wire, and
+    // one other arrives 1 µs sooner.
     assert_eq!(
         cb,
-        lat(210, 51, 51, 64, 10_724),
+        lat(210, 51, 51, 58, 10_717),
         "CBCAST send → last delivery (µs)"
     );
     // The ABCAST sum was 960 313 until the same change: the flush packets that carry held
     // copies lost 22 B a copy, so the 19 ABCASTs delivered at the crash's commit arrive
     // 4 µs sooner each, 19 × 4 = 76.  n, p50, p99 and max are those of ABCASTs it does
-    // not touch.
+    // not touch.  Then 960 237 → 959 496 when frames became positional: the same 19
+    // ABCASTs arrive 39 µs sooner each, 19 × 39 = 741, as the acks and the commit carrying
+    // their held copies are that much shorter at 10 Gbit/s.
     assert_eq!(
         ab,
-        lat(60, 153, 56_651, 56_651, 960_237),
+        lat(60, 153, 56_651, 56_651, 959_496),
         "ABCAST send → last delivery (µs)"
     );
     assert_eq!(rpc, lat(30, 6, 6, 6, 180), "RPC send → first reply (µs)");
