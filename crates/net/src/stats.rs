@@ -36,8 +36,7 @@ pub enum ProtocolKind {
 }
 
 impl ProtocolKind {
-    /// Static display name, also the primitive's name on the wire inside a relayed
-    /// multicast (`ProtoMsg::Relay`), so it must not go through a `format!` allocation.
+    /// Static display name, so it must not go through a `format!` allocation.
     pub fn name(&self) -> &'static str {
         match self {
             ProtocolKind::Cbcast => "CBCAST",

@@ -34,13 +34,16 @@ use vsync_util::{Address, DetRng, GroupId, ProcessId, SiteId, VectorClock};
 
 // -- The reference: the layout written out by hand ------------------------------------------
 
-/// A positional body, and where the first value of each kind a reader must police went:
-/// `(offset, width)` of the first site id and of the first count or length.
+/// A positional body, and where the values a reader must police went: `(offset, width)`
+/// of every varint, of the first site id and of the first count or length, and the offset
+/// of the first option flag.
 #[derive(Default)]
 struct Layout {
     bytes: Vec<u8>,
+    varints: Vec<(usize, usize)>,
     site: Option<(usize, usize)>,
     count: Option<(usize, usize)>,
+    flag: Option<usize>,
 }
 
 impl Layout {
@@ -51,7 +54,15 @@ impl Layout {
             v >>= 7;
         }
         self.bytes.push(v as u8);
-        (at, self.bytes.len() - at)
+        let span = (at, self.bytes.len() - at);
+        self.varints.push(span);
+        span
+    }
+
+    /// An option's flag byte: 1 if a value follows.
+    fn flag(&mut self, set: bool) {
+        self.flag.get_or_insert(self.bytes.len());
+        self.bytes.push(u8::from(set));
     }
 
     fn site(&mut self, site: SiteId) {
@@ -103,12 +114,9 @@ impl Layout {
         self.count(held.len());
         for s in held {
             self.raw(&s.wire.wire_bytes());
-            match s.ab_priority {
-                None => self.bytes.push(0),
-                Some(p) => {
-                    self.bytes.push(1);
-                    self.varint(p);
-                }
+            self.flag(s.ab_priority.is_some());
+            if let Some(p) = s.ab_priority {
+                self.varint(p);
             }
         }
     }
@@ -204,12 +212,9 @@ fn reference(msg: &ProtoMsg, group: GroupId) -> Layout {
             credentials,
         } => {
             l.process(*joiner);
-            match credentials {
-                None => l.bytes.push(0),
-                Some(c) => {
-                    l.bytes.push(1);
-                    l.raw(c.as_bytes());
-                }
+            l.flag(credentials.is_some());
+            if let Some(c) = credentials {
+                l.raw(c.as_bytes());
             }
         }
         ProtoMsg::LeaveReq { member } => l.process(*member),
@@ -538,22 +543,17 @@ fn damaged(layout: &Layout) -> Vec<(String, Vec<u8>)> {
     for kind in [16u8, 0x80, u8::MAX] {
         out.push((format!("kind {kind}"), splice(body, (0, 1), &[kind])));
     }
-    // The group varint (its first byte is at 1): padded, past 64 bits, past ten bytes.
-    let group = (
-        1,
-        layout.bytes[1..]
-            .iter()
-            .position(|b| b & 0x80 == 0)
-            .unwrap()
-            + 1,
-    );
-    let mut padded = body[group.0..group.0 + group.1].to_vec();
-    *padded.last_mut().unwrap() |= 0x80;
-    padded.push(0);
-    out.push((
-        "an over-long varint".to_owned(),
-        splice(body, group, &padded),
-    ));
+    // Every varint padded to a longer form of the same value (a reader that let a value
+    // that does not read default would read on), and the group's past 64 bits and past
+    // ten bytes.
+    for &(at, width) in &layout.varints {
+        let mut padded = body[at..at + width].to_vec();
+        *padded.last_mut().unwrap() |= 0x80;
+        padded.push(0);
+        let what = format!("an over-long varint at {at}");
+        out.push((what, splice(body, (at, width), &padded)));
+    }
+    let group = layout.varints[0];
     let mut wide = vec![0xFF; 9];
     wide.push(0x02);
     out.push((
@@ -580,13 +580,14 @@ fn damaged(layout: &Layout) -> Vec<(String, Vec<u8>)> {
             format!("count {}", left + 1),
             splice(body, (at, width), &more.bytes),
         ));
-        // Were an allocation sized by this count, it would abort the test.
+        // A reader that sized a list by this count would panic on the capacity.
         let mut huge = Layout::default();
-        huge.varint(1 << 40);
-        out.push((
-            "count 2^40".to_owned(),
-            splice(body, (at, width), &huge.bytes),
-        ));
+        huge.varint(u64::MAX);
+        let damaged = splice(body, (at, width), &huge.bytes);
+        out.push(("count 2^64 - 1".to_owned(), damaged));
+    }
+    if let Some(at) = layout.flag {
+        out.push(("option flag 2".to_owned(), splice(body, (at, 1), &[2])));
     }
     out
 }
@@ -652,7 +653,7 @@ fn check(msg: ProtoMsg, check_truncations: bool) {
     }
     assert_eq!(held_of(&msg).len(), held_of(decoded).len());
     // (f) damage is refused, and never panics: a trailing byte, a bad kind, bad varints,
-    // a site beyond 16 bits and a count beyond the bytes left;
+    // a site beyond 16 bits, a count beyond the bytes left and a bad option flag;
     for (what, body) in damaged(&layout) {
         let tree = tree_of(body);
         assert!(ProtoMsg::decode(&tree).is_err(), "{tag}: {what} decoded");
