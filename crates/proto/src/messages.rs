@@ -381,16 +381,16 @@ fn get_process(c: &mut FrameReader<'_>) -> Result<ProcessId> {
 }
 
 /// Writes a count and then each item.
-fn put_list<T>(w: &mut FrameWriter, items: &[T], mut put: impl FnMut(&mut FrameWriter, &T)) {
+fn put_counted<T>(w: &mut FrameWriter, items: &[T], mut put: impl FnMut(&mut FrameWriter, &T)) {
     w.put_varint(items.len() as u64);
     for item in items {
         put(w, item);
     }
 }
 
-/// Reads a list written by [`put_list`].  The count was checked against the bytes left
+/// Reads a list written by [`put_counted`].  The count was checked against the bytes left
 /// (every item is at least one byte), so the allocation it sizes is bounded by the frame.
-fn get_list<'a, T>(
+fn get_counted<'a, T>(
     c: &mut FrameReader<'a>,
     mut get: impl FnMut(&mut FrameReader<'a>) -> Result<T>,
 ) -> Result<Vec<T>> {
@@ -403,27 +403,28 @@ fn get_list<'a, T>(
 }
 
 pub(crate) fn put_processes(w: &mut FrameWriter, ps: &[ProcessId]) {
-    put_list(w, ps, |w, p| put_process(w, *p));
+    put_counted(w, ps, |w, p| put_process(w, *p));
 }
 
 pub(crate) fn get_processes(c: &mut FrameReader<'_>) -> Result<Vec<ProcessId>> {
-    get_list(c, get_process)
+    get_counted(c, get_process)
 }
 
-fn put_option(w: &mut FrameWriter, v: Option<u64>) {
-    match v {
-        None => w.put_u8(0),
-        Some(v) => {
-            w.put_u8(1);
-            w.put_varint(v);
-        }
+/// Writes a flag byte, 1 if a value follows, and the value.
+fn put_option<T>(w: &mut FrameWriter, v: Option<T>, put: impl FnOnce(&mut FrameWriter, T)) {
+    w.put_u8(u8::from(v.is_some()));
+    if let Some(v) = v {
+        put(w, v);
     }
 }
 
-fn get_option(c: &mut FrameReader<'_>) -> Result<Option<u64>> {
+fn get_option<'a, T>(
+    c: &mut FrameReader<'a>,
+    get: impl FnOnce(&mut FrameReader<'a>) -> Result<T>,
+) -> Result<Option<T>> {
     match c.u8()? {
         0 => Ok(None),
-        1 => c.varint().map(Some),
+        1 => get(c).map(Some),
         other => Err(VsError::CodecError(format!("option flag {other}"))),
     }
 }
@@ -431,18 +432,18 @@ fn get_option(c: &mut FrameReader<'_>) -> Result<Option<u64>> {
 /// A held multicast is its frame's whole wire form, spliced, then its ABCAST priority.
 fn put_stored(w: &mut FrameWriter, stored: &StoredMsg) {
     w.put_segments(&stored.wire.wire_segments());
-    put_option(w, stored.ab_priority);
+    put_option(w, stored.ab_priority, FrameWriter::put_varint);
 }
 
 fn get_stored(c: &mut FrameReader<'_>) -> Result<StoredMsg> {
     Ok(StoredMsg {
         wire: Frame::from_wire(c.segments()?),
-        ab_priority: get_option(c)?,
+        ab_priority: get_option(c, FrameReader::varint)?,
     })
 }
 
 fn put_frontier(w: &mut FrameWriter, f: &Frontier) {
-    put_list(w, f.entries(), |w, (site, seq)| {
+    put_counted(w, f.entries(), |w, (site, seq)| {
         put_id(w, MsgId::new(*site, *seq))
     });
 }
@@ -508,27 +509,30 @@ fn stored_len(stored: &[StoredMsg]) -> usize {
         .sum()
 }
 
+/// The variants' names, in declaration order: indexed by kind byte.
+const TYPE_TAGS: [&str; 16] = [
+    "cb-data",
+    "ab-data",
+    "ab-propose",
+    "ab-order",
+    "join-req",
+    "leave-req",
+    "fail-report",
+    "gbcast-req",
+    "flush-req",
+    "flush-ack",
+    "flush-abandoned",
+    "flush-commit",
+    "stability",
+    "reform-summary",
+    "reform-alive",
+    "relay",
+];
+
 impl ProtoMsg {
     /// Human-readable name of the variant, for traces and test output.
     pub fn type_tag(&self) -> &'static str {
-        match self {
-            ProtoMsg::CbData { .. } => "cb-data",
-            ProtoMsg::AbData { .. } => "ab-data",
-            ProtoMsg::AbPropose { .. } => "ab-propose",
-            ProtoMsg::AbOrder { .. } => "ab-order",
-            ProtoMsg::JoinReq { .. } => "join-req",
-            ProtoMsg::LeaveReq { .. } => "leave-req",
-            ProtoMsg::FailReport { .. } => "fail-report",
-            ProtoMsg::GbcastReq { .. } => "gbcast-req",
-            ProtoMsg::FlushReq { .. } => "flush-req",
-            ProtoMsg::FlushAck { .. } => "flush-ack",
-            ProtoMsg::FlushAbandoned { .. } => "flush-abandoned",
-            ProtoMsg::FlushCommit { .. } => "flush-commit",
-            ProtoMsg::Stability { .. } => "stability",
-            ProtoMsg::ReformSummary { .. } => "reform-summary",
-            ProtoMsg::ReformAlive { .. } => "reform-alive",
-            ProtoMsg::Relay { .. } => "relay",
-        }
+        TYPE_TAGS[usize::from(self.kind())]
     }
 
     /// The kind byte a frame starts with: the variant's place in declaration order.
@@ -597,7 +601,7 @@ impl ProtoMsg {
                 put_process(&mut w, *sender);
                 w.put_varint(*sender_rank);
                 w.put_varint(*view_seq);
-                put_list(&mut w, vt.entries(), |w, x| w.put_varint(*x));
+                put_counted(&mut w, vt.entries(), |w, x| w.put_varint(*x));
                 w.put_message(payload);
             }
             ProtoMsg::AbData {
@@ -633,13 +637,7 @@ impl ProtoMsg {
                 credentials,
             } => {
                 put_process(&mut w, *joiner);
-                match credentials {
-                    None => w.put_u8(0),
-                    Some(c) => {
-                        w.put_u8(1);
-                        w.put_str(c);
-                    }
-                }
+                put_option(&mut w, credentials.as_deref(), FrameWriter::put_str);
             }
             ProtoMsg::LeaveReq { member } => put_process(&mut w, *member),
             ProtoMsg::FailReport { failed } => put_processes(&mut w, failed),
@@ -665,7 +663,7 @@ impl ProtoMsg {
                 w.put_varint(*target_seq);
                 put_site(&mut w, *from_site);
                 w.put_varint(*ab_clock);
-                put_list(&mut w, stored, put_stored);
+                put_counted(&mut w, stored, put_stored);
             }
             ProtoMsg::FlushAbandoned {
                 target_seq,
@@ -681,13 +679,13 @@ impl ProtoMsg {
                 gbcasts,
             } => {
                 view.write(&mut w);
-                put_list(&mut w, deliver, put_stored);
+                put_counted(&mut w, deliver, put_stored);
                 put_frontier(&mut w, covered);
-                put_list(&mut w, gbcasts, FrameWriter::put_message);
+                put_counted(&mut w, gbcasts, FrameWriter::put_message);
             }
             ProtoMsg::Stability { from_site, entries } => {
                 put_site(&mut w, *from_site);
-                put_list(&mut w, entries, put_entry);
+                put_counted(&mut w, entries, put_entry);
             }
             ProtoMsg::ReformSummary {
                 from_site,
@@ -736,7 +734,7 @@ impl ProtoMsg {
                 sender: get_process(c)?,
                 sender_rank: c.varint()?,
                 view_seq: c.varint()?,
-                vt: VectorClock::from_entries(get_list(c, FrameReader::varint)?),
+                vt: VectorClock::from_entries(get_counted(c, FrameReader::varint)?),
                 payload: c.message()?,
             },
             1 => ProtoMsg::AbData {
@@ -759,11 +757,7 @@ impl ProtoMsg {
             },
             4 => ProtoMsg::JoinReq {
                 joiner: get_process(c)?,
-                credentials: match c.u8()? {
-                    0 => None,
-                    1 => Some(c.str()?.to_owned()),
-                    other => return Err(VsError::CodecError(format!("option flag {other}"))),
-                },
+                credentials: get_option(c, |c| c.str().map(str::to_owned))?,
             },
             5 => ProtoMsg::LeaveReq {
                 member: get_process(c)?,
@@ -784,7 +778,7 @@ impl ProtoMsg {
                 target_seq: c.varint()?,
                 from_site: get_site(c)?,
                 ab_clock: c.varint()?,
-                stored: get_list(c, get_stored)?,
+                stored: get_counted(c, get_stored)?,
             },
             10 => ProtoMsg::FlushAbandoned {
                 target_seq: c.varint()?,
@@ -792,13 +786,13 @@ impl ProtoMsg {
             },
             11 => ProtoMsg::FlushCommit {
                 view: View::read(c)?,
-                deliver: get_list(c, get_stored)?,
+                deliver: get_counted(c, get_stored)?,
                 covered: get_frontier(c)?,
-                gbcasts: get_list(c, FrameReader::message)?,
+                gbcasts: get_counted(c, FrameReader::message)?,
             },
             12 => ProtoMsg::Stability {
                 from_site: get_site(c)?,
-                entries: get_list(c, get_entry)?,
+                entries: get_counted(c, get_entry)?,
             },
             13 => ProtoMsg::ReformSummary {
                 from_site: get_site(c)?,
@@ -827,6 +821,7 @@ impl ProtoMsg {
         reader.finish()?;
         Ok((group, msg))
     }
+
     /// Turns the message into its wire [`Frame`], tagged with the group it belongs to: the
     /// bytes are written in one pass and the typed message moves into the frame's memo slot,
     /// so every same-process receiver of the fan-out and anything that later forwards the

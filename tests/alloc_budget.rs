@@ -133,8 +133,8 @@ const THREADED_BUDGET: f64 = if cfg!(debug_assertions) { 24.0 } else { 9.7 };
 /// re-reads every frame it writes — a 16-entry gossip frame included: 7.12 against 7.62.
 const MULTI_GROUP_BUDGET: f64 = if cfg!(debug_assertions) { 7.4 } else { 3.45 };
 
-/// Heap bytes a delivery of a 64 KiB body may ask for, on either backend.  Measured 216 B on
-/// the 8-site simulator and 1 180 B on two threads in release; 280 B and 2 782 B in debug,
+/// Heap bytes a delivery of a 64 KiB body may ask for, on either backend.  Measured 198 B on
+/// the 8-site simulator and 1 068 B on two threads in release; 252 B and 1 686 B in debug,
 /// which re-reads every frame it writes (see the module docs) but copies no body either.
 const BULK_BYTES_BUDGET: f64 = if cfg!(debug_assertions) {
     4096.0
