@@ -8,9 +8,10 @@
 //!
 //! This crate provides exactly that data structure ([`Message`]), the typed values fields can
 //! hold ([`Value`]), the well-known system field names ([`fields`]), the compact binary
-//! codec ([`codec`]) that is the wire format between threads and on stable storage, a field
-//! writer and cursor over that format for layers that do not need the symbol table
-//! ([`stream`]), and the shared wire frame packets carry ([`Frame`]).
+//! codec ([`codec`]) that is the wire format between threads and on stable storage, the
+//! positional writer and reader of the protocol frames carried in that format, for layers
+//! that do not need the symbol table ([`stream`]), and the shared wire frame packets carry
+//! ([`Frame`]).
 
 pub mod codec;
 pub mod fields;
