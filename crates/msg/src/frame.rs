@@ -162,9 +162,9 @@ impl Frame {
         }
     }
 
-    /// A frame born in wire form: the bytes `writer` produced, the modelled size it
-    /// accumulated, and in the memo slot the typed value the bytes were written from — so no
-    /// holder of this frame ever parses it.
+    /// A frame born in wire form: the bytes `writer` produced, their size under the
+    /// simulator's model, and in the memo slot the typed value the bytes were written from —
+    /// so no holder of this frame ever parses it.
     pub fn from_writer<T: 'static>(writer: FrameWriter, memo: T) -> Self {
         let (bytes, model_len) = writer.finish();
         let inner = FrameInner::from_wire(bytes);
@@ -250,9 +250,9 @@ impl Frame {
     }
 
     /// Size of the message under the simulator's cost model — [`Message::encoded_len`] of
-    /// its tree — computed once per frame: accumulated while writing for a frame born from
-    /// a writer, read off the tree if there is one, walked off the bytes otherwise (bytes
-    /// that do not decode count as their own length).
+    /// its tree — computed once per frame: told by the writer for a frame born from one,
+    /// read off the tree if there is one, walked off the bytes otherwise (bytes that do not
+    /// decode count as their own length).
     pub fn model_len(&self) -> usize {
         *self.inner.model_len.get_or_init(|| {
             if let Some(Ok(tree)) = self.inner.tree.get() {
