@@ -148,20 +148,6 @@ impl Frame {
         }
     }
 
-    /// [`Frame::from_wire`] for bytes whose size under the simulator's cost model is known
-    /// already (`None` if it is not): [`Frame::model_len`] then reads it instead of walking
-    /// the bytes.  How a holder that kept a frame's bytes and [`Frame::known_model_len`],
-    /// and let the frame go, makes it again.
-    pub fn from_wire_sized(wire: impl Into<Segments>, model_len: Option<usize>) -> Self {
-        let inner = FrameInner::from_wire(wire.into());
-        if let Some(len) = model_len {
-            let _ = inner.model_len.set(len);
-        }
-        Frame {
-            inner: Rc::new(inner),
-        }
-    }
-
     /// A frame born in wire form: the bytes `writer` produced, their size under the
     /// simulator's model, and in the memo slot the typed value the bytes were written from —
     /// so no holder of this frame ever parses it.
@@ -252,7 +238,8 @@ impl Frame {
     /// Size of the message under the simulator's cost model — [`Message::encoded_len`] of
     /// its tree — computed once per frame: told by the writer for a frame born from one,
     /// read off the tree if there is one, walked off the bytes otherwise (bytes that do not
-    /// decode count as their own length).
+    /// decode count as their own length).  Walking a protocol frame reads its head and
+    /// steps over its one value.
     pub fn model_len(&self) -> usize {
         *self.inner.model_len.get_or_init(|| {
             if let Some(Ok(tree)) = self.inner.tree.get() {
@@ -262,12 +249,6 @@ impl Frame {
                 .and_then(|body| codec::body_model_len(&body))
                 .unwrap_or_else(|_| self.wire_segments().len())
         })
-    }
-
-    /// [`Frame::model_len`] if the frame knows it without work: born from a writer, or
-    /// sized before.  `None` where finding it would mean walking the bytes or the tree.
-    pub fn known_model_len(&self) -> Option<usize> {
-        self.inner.model_len.get().copied()
     }
 
     /// Mutable access to the message, copy-on-write: if other handles alias this frame the
@@ -544,16 +525,12 @@ mod tests {
         let mut w = FrameWriter::with_capacity(32);
         w.put_str("held");
         let written = Frame::from_writer(w, 1u64);
-        let known = written.known_model_len();
-        assert_eq!(known, Some(written.model_len()), "a writer knows its size");
-        let wire_born = Frame::from_wire(written.wire_segments());
-        assert_eq!(
-            wire_born.known_model_len(),
-            None,
-            "bytes alone are not sized"
-        );
-        let remade = Frame::from_wire_sized(written.wire_segments(), known);
-        assert_eq!(remade.known_model_len(), known);
+        // The bytes alone, held and made into a frame again, walk to the size the writer
+        // told, without a tree.
+        let remade = Frame::from_wire(written.wire_segments());
+        let builds = tree_builds();
+        assert_eq!(remade.model_len(), written.model_len());
+        assert_eq!(tree_builds(), builds);
         assert_eq!(remade.wire_bytes(), written.wire_bytes());
         assert_eq!(remade, written);
     }

@@ -160,9 +160,7 @@ impl StoredMsg {
     /// holds a header is parsed into a frame of its own, which goes with the delivery.
     pub(crate) fn typed(&self) -> Result<Frame> {
         let frame = match self.wire.memo_get::<DataHeader>() {
-            Some(_) => {
-                Frame::from_wire_sized(self.wire.wire_segments(), self.wire.known_model_len())
-            }
+            Some(_) => Frame::from_wire(self.wire.wire_segments()),
             None => self.wire.clone(),
         };
         ProtoMsg::decode_frame(&frame)?;

@@ -37,7 +37,6 @@
 //! with their ends moved, in place — followed by one pass over the held queues.
 
 use std::collections::VecDeque;
-use std::num::NonZeroU32;
 use std::rc::Rc;
 
 use vsync_msg::{Frame, Segments};
@@ -89,11 +88,6 @@ struct HeldCopy {
     seq: u64,
     /// The frame's wire form ([`Frame::wire_segments`]): shares the frame's buffers.
     wire: Segments,
-    /// The frame's size under the simulator's cost model, if it knew it when held
-    /// ([`Frame::known_model_len`]); a flush report then does not walk the bytes for it.
-    /// Never 0 (a body is at least its field count) and never near 4 GiB, so it is kept in
-    /// 4 bytes: an entry is 72 B, and a site keeps one per copy in every group.
-    model_len: Option<NonZeroU32>,
     /// CBCAST or ABCAST, read off the frame's typed value when held (it always has one on
     /// the packet path); a flush then reads the copy's header off its memo, not its bytes.
     protocol: Option<ProtocolKind>,
@@ -106,10 +100,6 @@ impl HeldCopy {
         HeldCopy {
             seq,
             wire: copy.wire.wire_segments(),
-            model_len: copy
-                .wire
-                .known_model_len()
-                .and_then(|len| NonZeroU32::new(u32::try_from(len).ok()?)),
             protocol: copy.header().ok().map(|header| header.protocol),
             ab_priority: copy.ab_priority,
         }
@@ -118,8 +108,7 @@ impl HeldCopy {
     /// The copy of `origin`'s multicast as a flush report carries it: a frame of the held
     /// bytes, with the copy's header in its memo slot if the protocol is known.
     fn to_stored(&self, origin: SiteId) -> StoredMsg {
-        let model_len = self.model_len.map(|len| len.get() as usize);
-        let wire = Frame::from_wire_sized(self.wire.clone(), model_len);
+        let wire = Frame::from_wire(self.wire.clone());
         if let Some(protocol) = self.protocol {
             let id = MsgId::new(origin, self.seq);
             wire.memo_get_or_init(|| DataHeader { id, protocol });
@@ -406,10 +395,8 @@ mod tests {
                 "shared, not copied"
             );
         }
-        // The written frame's size comes back without a walk; the received one's is walked
-        // only if someone asks, as before it was held.
-        assert_eq!(unstable[0].wire.known_model_len(), Some(frame.model_len()));
-        assert_eq!(unstable[1].wire.known_model_len(), None);
+        // Either copy's bytes walk to its frame's size.
+        assert_eq!(unstable[0].wire.model_len(), frame.model_len());
         assert_eq!(unstable[1].wire.model_len(), received.model_len());
     }
 
