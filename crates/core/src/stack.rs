@@ -6,17 +6,15 @@
 //! the site.  Client programs are linked directly to whatever tools they employ."
 //!
 //! [`SiteStack`] is that process.  It routes each group's traffic to the group's
-//! [`GroupEndpoint`] (one per group with members at this site), hosts the client processes
-//! themselves (entry handlers and monitors), runs the failure detector, and relays
-//! multicasts issued by clients that are not members of the destination group to a site
-//! that is.  Three of its jobs have an owner of their own, which keeps the job's state and
-//! answers the stack through one method per event:
+//! [`GroupEndpoint`], hosts the client processes themselves (entry handlers and monitors),
+//! runs the failure detector, and relays multicasts issued by clients that are not members
+//! of the destination group to a site that is.  Three of its jobs have an owner of their own:
 //!
-//! * `stack::joins` — the joins submitted here whose view has not installed yet: when each
-//!   is re-sent, and which contact it fails over to once its backoff is spent;
+//! * `stack::membership` — one intent per local process and group (joining, restarting,
+//!   member, leaving) and the credentials to join again, moved by one transition function,
+//!   whose refound, join or re-send the stack runs;
 //! * `stack::reform` — the total-failure elections in progress here (paper Section 3.8),
-//!   which send their own summaries and hand each verdict to the stack, which refounds
-//!   the group or joins the restarting member;
+//!   whose verdicts go to the intents, and the JoinReqs that wait for a lead's refound;
 //! * the session table in [`crate::rpc`] — session numbering and each open reply
 //!   collection with the continuation waiting on it (paper Section 3.2).
 //!
@@ -30,13 +28,13 @@
 //! to its group's endpoint ([`GroupEndpoint::on_gossip`]), where it does everything a
 //! per-group frame did; an entry for a group with no endpoint here is dropped.
 //!
-//! A site's part in a group is its endpoint.  A local create (or refound) or join makes it,
-//! `retire_if_idle` drops it once its view holds no member here and no local join to the
-//! group is pending, and a frame for a group with no endpoint here is dropped.  A member
-//! lives here when that view holds a process of this site; the view has no other copy, and
-//! a group not resident here is known by its contact sites alone, Figure 1's cache.
+//! A site's part in a group is its endpoint.  A local create, refound or join makes it, no
+//! frame does, and it lives while its view holds a local member or a local process has an
+//! intent in the group (`retire_if_idle`).  A member lives here when that view holds a
+//! process of this site; the view has no other copy, and a group not resident here is known
+//! by its contact sites alone, Figure 1's cache.
 
-mod joins;
+mod membership;
 mod reform;
 
 use std::collections::BTreeMap;
@@ -44,18 +42,15 @@ use std::collections::BTreeMap;
 use vsync_msg::{fields, Frame, Message};
 use vsync_net::{Outbox, Packet, PacketKind, ProtocolKind, SharedStats, SiteHandler};
 use vsync_proto::messages::{ProtoMsg, StabilityEntry};
-use vsync_proto::{
-    Delivery, EndpointOutput, GroupEndpoint, LogSummary, ProtoConfig, ReformStatus, ReformTracker,
-    View, ViewEvent,
-};
+use vsync_proto::{Delivery, EndpointOutput, GroupEndpoint, ProtoConfig, View, ViewEvent};
 use vsync_util::{Address, EntryId, GroupId, ProcessId, Result, SimTime, SiteId, VsError};
 
 use crate::config::StackConfig;
 use crate::process::{CtxAction, IsisProcess, ReplyCallback, ToolCtx};
 use crate::protection::ProtectionPolicy;
 use crate::rpc::{CollectorStatus, ReplyCollector, ReplyWanted, RpcOutcome, RpcSessions};
-use joins::Joins;
-use reform::{Reforms, Restart};
+use membership::{Input, Membership};
+use reform::ReformRun;
 use vsync_net::FailureDetector;
 
 /// Timer token used for the stack's periodic maintenance tick.
@@ -96,14 +91,14 @@ pub struct SiteStack {
     endpoints: BTreeMap<GroupId, GroupEndpoint>,
     /// Symbolic name -> group id (the namespace cache).
     directory: BTreeMap<String, GroupId>,
-    /// Group id -> candidate contact sites, refreshed from every view we observe.
+    /// Group id -> candidate contact sites: registered, or from each view installed here.
     contacts: BTreeMap<GroupId, Vec<SiteId>>,
     policies: BTreeMap<GroupId, ProtectionPolicy>,
     fd: FailureDetector,
-    /// Joins awaiting their view.
-    joins: Joins,
-    /// Total-failure reforms in progress at this site.
-    reforms: Reforms,
+    /// What this site is doing for each local process in each group.
+    membership: Membership,
+    /// Total-failure elections in progress at this site, by group.
+    reforms: BTreeMap<GroupId, ReformRun>,
     /// Group-RPC session numbering and the open reply collections.
     rpc: RpcSessions,
     now: SimTime,
@@ -154,8 +149,8 @@ impl SiteStack {
             contacts: BTreeMap::new(),
             policies: BTreeMap::new(),
             fd,
-            joins: Joins::default(),
-            reforms: Reforms::new(site),
+            membership: Membership::default(),
+            reforms: BTreeMap::new(),
             rpc: RpcSessions::default(),
             now: SimTime::ZERO,
             last_heartbeat: None,
@@ -190,11 +185,11 @@ impl SiteStack {
         self.endpoints.get(&group).and_then(GroupEndpoint::view)
     }
 
-    /// True if this site runs a protocol endpoint for the group: a member lives here, or is
-    /// joining here.  Diagnostic: traffic about a group this site has no part in must not
-    /// leave one behind.
+    /// True if this site runs a protocol endpoint for the group: a member lives here, or a
+    /// local process has an intent in it.  Diagnostic: traffic about a group this site has
+    /// no part in must not leave one behind.
     ///
-    /// Only caller: `tests/gossip_bundle.rs`.
+    /// Callers: `tests/gossip_bundle.rs`, `tests/rt_conformance.rs`.
     #[doc(hidden)]
     pub fn has_endpoint(&self, group: GroupId) -> bool {
         self.endpoints.contains_key(&group)
@@ -265,88 +260,6 @@ impl SiteStack {
         });
     }
 
-    // -- Total-failure reform (paper Section 3.8) ---------------------------------------------
-
-    /// Starts a total-failure reform of `group` for `member`, a local process restarting
-    /// from this site's recovery log: offers `summary` (what the log covers) to `expected`,
-    /// the sites of the last view it recorded, rebroadcasting on the failure-timeout
-    /// cadence, and holds a degraded election if `reform_timeout` passes first.  The stack
-    /// acts on the verdict: if our log won it refounds the group as `name` with `member`
-    /// alone, one view past the authoritative log; otherwise it joins `member` with
-    /// `credentials` through the winner (or a live member), re-sending on the join backoff
-    /// until the winner has refounded.  The run ends when a view holding `member` installs
-    /// here, or when `member` dies.
-    #[allow(clippy::too_many_arguments)]
-    pub fn begin_reform(
-        &mut self,
-        name: &str,
-        group: GroupId,
-        member: ProcessId,
-        credentials: Option<String>,
-        summary: LogSummary,
-        expected: Vec<SiteId>,
-        out: &mut Outbox,
-    ) {
-        // The reform election honors the same primary-partition rule as live view changes:
-        // a degraded (deadline) election may only elect a leader among a majority of the
-        // expected participants.
-        let tracker = ReformTracker::new(summary, expected, self.now + self.cfg.reform_timeout);
-        let restart = Restart {
-            name: name.to_owned(),
-            member,
-            credentials,
-        };
-        self.reforms.begin(group, tracker, restart, self.now, out);
-    }
-
-    /// Acts on a reform verdict: refounds the group with the restarting member if our log
-    /// won, or joins the member through the winner or the live member that answered.
-    fn act_on_reform(
-        &mut self,
-        group: GroupId,
-        r: Restart,
-        verdict: ReformStatus,
-        out: &mut Outbox,
-    ) {
-        let contact = match verdict {
-            ReformStatus::Lead { new_view_seq } => {
-                return self.create_group_at(&r.name, group, r.member, new_view_seq, out);
-            }
-            ReformStatus::Follow { leader: c } | ReformStatus::Operational { contact: c } => c,
-            ReformStatus::Collecting { .. } => return,
-        };
-        self.register_group(&r.name, group, vec![contact]);
-        let member = r.member;
-        if let Err(e) = self.join_group(group, member, r.credentials, out) {
-            out.trace_with(|| format!("{}: rejoin of {member} to {group} failed: {e}", self.site));
-        }
-    }
-
-    /// Asks for `joiner` (hosted here) to join `group`.
-    pub fn join_group(
-        &mut self,
-        group: GroupId,
-        joiner: ProcessId,
-        credentials: Option<String>,
-        out: &mut Outbox,
-    ) -> Result<()> {
-        self.admit_join(group, joiner, credentials.as_deref(), out)?;
-        // A current member's join changes nothing: the coordinator would drop it.
-        if self.view_of(group).is_some_and(|v| v.contains(joiner)) {
-            return Ok(());
-        }
-        // Track the join until a view containing the joiner installs, so the maintenance
-        // tick can re-submit it if the contact or coordinator it reaches first crashes.
-        self.joins
-            .track(group, joiner, credentials.as_deref(), self.now);
-        // The endpoint the admitting commit lands in; a pending join keeps it.
-        let (site, cfg, stats) = (self.site, self.proto_cfg, &self.stats);
-        self.endpoints
-            .entry(group)
-            .or_insert_with(|| GroupEndpoint::new(group, site, cfg, stats.clone()));
-        self.submit_join_request(group, joiner, credentials, 0, out)
-    }
-
     /// The protection tool's check on a join (paper Section 3.10), made wherever a join
     /// enters this site: submitted by a local process, or arriving as a `JoinReq`.
     fn admit_join(
@@ -365,113 +278,6 @@ impl SiteStack {
         };
         out.trace_with(|| format!("{}: join of {joiner} to {group} refused: {why}", self.site));
         Err(VsError::JoinRefused(why))
-    }
-
-    /// One attempt at routing a join: submit locally if a member lives here, otherwise send
-    /// a JoinReq to a contact site the failure detector believes alive — or, once the
-    /// retries have spent their backoff (`attempt`), to the failover contact
-    /// (`joins::failover_contact`).
-    fn submit_join_request(
-        &mut self,
-        group: GroupId,
-        joiner: ProcessId,
-        credentials: Option<String>,
-        attempt: u32,
-        out: &mut Outbox,
-    ) -> Result<()> {
-        if self.is_member_site(group) {
-            // A member already lives here: submit the join locally.
-            return self
-                .with_endpoint(group, out, |ep, now, eouts| {
-                    ep.submit_join(now, joiner, credentials, eouts)
-                })
-                .expect("member site has an endpoint");
-        }
-        // Otherwise ask a contact site.
-        let preferred = self
-            .alive_contact(group)
-            .ok_or(VsError::NoSuchGroup(group))?;
-        let failover = self
-            .contacts
-            .get(&group)
-            .and_then(|c| joins::failover_contact(c, preferred, attempt));
-        let contact = match failover {
-            Some(other) => {
-                self.stats.with(|s| s.count_join_failover());
-                out.trace_with(|| {
-                    format!(
-                        "{}: JoinContactUnreachable: join of {joiner} to {group} via \
-                         {preferred} stalled after {attempt} attempts; failing over to {other}",
-                        self.site
-                    )
-                });
-                other
-            }
-            None => preferred,
-        };
-        let wire = ProtoMsg::JoinReq {
-            joiner,
-            credentials,
-        }
-        .into_frame(group);
-        send_proto(self.site, contact, PacketKind::Flush, wire, out);
-        Ok(())
-    }
-
-    /// Asks for `member` (hosted here) to leave `group`.
-    pub fn leave_group(
-        &mut self,
-        group: GroupId,
-        member: ProcessId,
-        out: &mut Outbox,
-    ) -> Result<()> {
-        self.joins.cancel(group, member);
-        if self.is_member_site(group) {
-            return self
-                .with_endpoint(group, out, |ep, now, eouts| {
-                    ep.submit_leave(now, member, eouts)
-                })
-                .expect("member site has an endpoint");
-        }
-        let contact = self
-            .alive_contact(group)
-            .ok_or(VsError::NoSuchGroup(group))?;
-        let wire = ProtoMsg::LeaveReq { member }.into_frame(group);
-        send_proto(self.site, contact, PacketKind::Flush, wire, out);
-        Ok(())
-    }
-
-    /// Crashes a local client process: it disappears immediately, and every group it belonged
-    /// to is told (the paper's "detectable by some monitoring mechanism at the site").
-    pub fn crash_local_process(&mut self, pid: ProcessId, out: &mut Outbox) {
-        self.processes.remove(&pid);
-        self.joins.forget_process(pid);
-        self.reforms.forget_process(pid);
-        self.rpc.drop_caller(pid);
-        let groups: Vec<GroupId> = self.endpoints.keys().copied().collect();
-        for g in groups {
-            // A local crash is *observed* (the process table lost the entry), not a
-            // timeout: confirm it so later traffic from this site never retracts it.
-            let confirmed = self.with_endpoint(g, out, |ep, now, eouts| {
-                let peer_sites = ep.view().filter(|v| v.contains(pid))?.member_sites();
-                ep.confirm_failures(now, &[pid], eouts);
-                Some(peer_sites)
-            });
-            let Some(peer_sites) = confirmed.flatten() else {
-                continue;
-            };
-            // Other sites cannot observe a silent local crash; tell every member site so that
-            // whichever of them hosts the acting coordinator starts the view change (the
-            // crashed process may itself have been the coordinator).  One report frame is
-            // fanned out to every peer site.
-            let wire = ProtoMsg::FailReport { failed: vec![pid] }.into_frame(g);
-            for s in peer_sites {
-                if s != self.site {
-                    send_proto(self.site, s, PacketKind::Flush, wire.clone(), out);
-                }
-            }
-        }
-        self.sweep_sessions(1, self.rpc.last(), |c| c.on_failure(|p| *p == pid), out);
     }
 
     /// Issues a call (multicast + reply collection) on behalf of `caller`, which must be a
@@ -616,18 +422,6 @@ impl SiteStack {
             .is_some_and(|ep| !ep.local_members().is_empty())
     }
 
-    /// The one rule that ends this site's part in a group, run after every pump: drops an
-    /// endpoint whose view holds no member here, unless a local join still needs it.
-    fn retire_if_idle(&mut self, group: GroupId) {
-        let idle = self
-            .endpoints
-            .get(&group)
-            .is_some_and(|ep| ep.view().is_some() && ep.local_members().is_empty());
-        if idle && !self.joins.pending_in(group) {
-            self.endpoints.remove(&group);
-        }
-    }
-
     /// Runs `f` on the group's endpoint, if this site runs one, handing it the clock and the
     /// reusable output buffer, then acts on whatever it emitted.
     fn with_endpoint<T>(
@@ -713,8 +507,13 @@ impl SiteStack {
 
     fn handle_view_change(&mut self, group: GroupId, ev: ViewEvent, out: &mut Outbox) {
         self.contacts.insert(group, ev.view.member_sites());
-        self.joins.view_installed(group, &ev.view);
-        self.reforms.view_installed(group, &ev.view, out);
+        // Every live local member of the view, and every intent in the group it leaves out.
+        let members = ev.view.members_at(self.site);
+        for m in members.iter().filter(|m| self.processes.contains_key(m)) {
+            self.membership.step(group, *m, Input::ViewWith);
+        }
+        let without = |g, p| g == group && !members.contains(&p);
+        self.membership.step_each(without, |_| Input::ViewWithout);
         // Tell reply collectors about departed members.
         for departed in ev.view.departed.clone() {
             self.sweep_sessions(
@@ -730,7 +529,6 @@ impl SiteStack {
             self.as_process(pid, out, |p, ctx| p.dispatch_view(ctx, &ev));
         }
         // GBCAST payloads are delivered exactly at the cut, to the members of the new view.
-        let members = ev.view.members_at(self.site);
         for payload in &ev.gbcasts {
             self.stats.count_delivery();
             if let Some(entry) = payload.entry() {
@@ -924,43 +722,6 @@ impl SiteStack {
         }
     }
 
-    /// The endpoint observed a newer primary view that excludes its local members: its
-    /// history past the last shared cut is a divergent minority tail.  Discard the endpoint
-    /// (and with it the tail) and rejoin the members, with the credentials they joined
-    /// with, through the evidenced contact; the join-cut state transfer replaces everything
-    /// the tail contained.
-    fn handle_rejoin_required(
-        &mut self,
-        group: GroupId,
-        contact: SiteId,
-        observed_seq: u64,
-        out: &mut Outbox,
-    ) {
-        let tail = self.endpoints.remove(&group);
-        let locals = tail
-            .map(|ep| ep.local_members().to_vec())
-            .unwrap_or_default();
-        self.stats.with(|s| s.count_rejoin_after_heal());
-        out.trace_with(|| {
-            format!(
-                "{}: {group} diverged from primary view {observed_seq}; \
-                 discarding local tail and rejoining via {contact}",
-                self.site
-            )
-        });
-        // Route the rejoin through the site that evidenced the primary view, ahead of
-        // whatever contacts the stale view left cached.
-        let entry = self.contacts.entry(group).or_default();
-        entry.retain(|s| *s != contact);
-        entry.insert(0, contact);
-        for m in locals {
-            let credentials = self.joins.credentials(group, m);
-            if let Err(e) = self.join_group(group, m, credentials, out) {
-                out.trace_with(|| format!("{}: rejoin of {m} to {group} failed: {e}", self.site));
-            }
-        }
-    }
-
     // -- Incoming traffic -----------------------------------------------------------------------
 
     fn handle_proto(&mut self, pkt: &Packet, out: &mut Outbox) {
@@ -978,31 +739,8 @@ impl SiteStack {
         // group.  Everything else goes to the group's endpoint here, and is dropped if this
         // site runs none: no frame makes one.
         match decoded {
-            ProtoMsg::ReformSummary {
-                from_site,
-                view_seq,
-                covered,
-                rank,
-            } => {
-                // A live view here means the group never fully failed: the sender must
-                // abandon its reform and rejoin normally, with this site as contact.
-                if self.is_member_site(group) {
-                    let wire = ProtoMsg::ReformAlive { contact: self.site }.into_frame(group);
-                    send_proto(self.site, *from_site, PacketKind::Control, wire, out);
-                    return;
-                }
-                let summary = LogSummary {
-                    site: *from_site,
-                    view_seq: *view_seq,
-                    covered: covered.clone(),
-                    rank: *rank,
-                };
-                self.reforms.on_summary(group, summary, out);
-                return;
-            }
-            ProtoMsg::ReformAlive { contact } => {
-                self.reforms.on_alive(group, *contact);
-                return;
+            ProtoMsg::ReformSummary { .. } | ProtoMsg::ReformAlive { .. } => {
+                return self.on_reform_frame(group, decoded, out);
             }
             ProtoMsg::Relay { protocol, payload } => {
                 let sender = payload.sender().unwrap_or(pkt.src);
@@ -1044,8 +782,17 @@ impl SiteStack {
         let res = self.with_endpoint(group, out, |ep, now, eouts| {
             ep.on_message(now, from, &pkt.payload, eouts)
         });
-        if let Some(Err(e)) = res {
-            out.trace_with(|| format!("{}: protocol error in {group}: {e}", self.site));
+        match (res, decoded) {
+            (Some(Err(e)), _) => {
+                out.trace_with(|| format!("{}: protocol error in {group}: {e}", self.site));
+            }
+            // A JoinReq that finds no endpoint waits for this site's election, if one runs.
+            (None, ProtoMsg::JoinReq { joiner, .. }) => {
+                if let Some(run) = self.reforms.get_mut(&group) {
+                    run.kept.insert(*joiner, pkt.clone());
+                }
+            }
+            _ => {}
         }
     }
 
@@ -1169,20 +916,16 @@ impl SiteHandler for SiteStack {
         for (g, outputs) in emitted {
             self.pump_endpoint_outputs(g, outputs, out);
         }
-        // Re-submit joins whose view has still not installed: the first JoinReq, or the
+        // Re-send joins whose view has still not installed: the first JoinReq, or the
         // coordinator holding the queued join, may have died with a crashed site.  Repeated
         // failures back off exponentially with deterministic jitter, resetting whenever a
         // view installs.
-        for (group, joiner, credentials, attempt) in self.joins.due(now, self.cfg.failure_timeout) {
-            out.trace_with(|| {
-                format!("{}: re-submitting join of {joiner} to {group:?}", self.site)
-            });
-            // A dead contact everywhere leaves the join pending for the next cadence.
-            let _ = self.submit_join_request(group, joiner, credentials, attempt, out);
+        let base = self.cfg.failure_timeout;
+        let tick = |joiner| Input::Tick(now, base, joiner);
+        for (group, pid, action) in self.membership.step_each(|_, _| true, tick) {
+            self.act(group, pid, action, out);
         }
-        for (group, restart, verdict) in self.reforms.on_tick(now, self.cfg.failure_timeout, out) {
-            self.act_on_reform(group, restart, verdict, out);
-        }
+        self.reform_tick(out);
         // RPC deadlines.
         self.sweep_sessions(1, self.rpc.last(), |c| c.on_tick(now), out);
         out.set_timer(self.cfg.tick_interval, TICK);
@@ -1209,7 +952,7 @@ mod tests {
         let base = Duration::from_millis(100);
         let joiner = ProcessId::new(SiteId(2), 1);
         let delays: Vec<Duration> = (0..6)
-            .map(|a| joins::retry_delay(joiner, a, base))
+            .map(|a| membership::retry_delay(joiner, a, base))
             .collect();
         for (a, d) in delays.iter().enumerate() {
             let backoff = base.saturating_mul(1 << (a as u32).min(3));
@@ -1225,25 +968,25 @@ mod tests {
         assert!(delays[4] < base.saturating_mul(16));
         // Deterministic: the same attempt always gets the same jitter.
         assert_eq!(
-            joins::retry_delay(joiner, 2, base),
-            joins::retry_delay(joiner, 2, base)
+            membership::retry_delay(joiner, 2, base),
+            membership::retry_delay(joiner, 2, base)
         );
         // Different joiners desynchronise.
         let other = ProcessId::new(SiteId(3), 1);
         assert_ne!(
-            joins::retry_delay(other, 2, base),
-            joins::retry_delay(joiner, 2, base)
+            membership::retry_delay(other, 2, base),
+            membership::retry_delay(joiner, 2, base)
         );
     }
 
     // -- Sans-io pins: one stack (or two, wired back to back) driven through `on_packet`
     // and `on_timer` with a free-standing `Outbox`, no runtime underneath.
 
-    use std::cell::RefCell;
+    use std::cell::{Cell, RefCell};
     use std::rc::Rc;
 
     use crate::process::ProcessBuilder;
-    use vsync_proto::Frontier;
+    use vsync_proto::{Frontier, LogSummary};
     use vsync_util::Duration;
 
     const G: GroupId = GroupId(7);
@@ -1582,22 +1325,112 @@ mod tests {
         stacks[1].begin_reform("g", G, follower, None, log_summary(1, 5), sites, &mut out);
         let mut now = SimTime::ZERO;
         assert_eq!(settle(&mut stacks, now, &mut out, |_| false), 0);
-        // The follower acts first: its JoinReq reaches a leader that has not refounded.
+        // The follower acts first: its JoinReq reaches a leader that has not refounded, which
+        // keeps it for its own verdict.
         now += cfg.tick_interval;
         stacks[1].on_timer(now, TICK, &mut out);
         assert_eq!(settle(&mut stacks, now, &mut out, |_| false), 1);
+        assert!(stacks.iter().all(|st| st.view_of(G).is_none()));
+        // The leader refounds at view 7 and admits the kept join at once: the follower's view
+        // installs in the settle that follows, and no JoinReq is ever re-sent.
         stacks[0].on_timer(now, TICK, &mut out);
-        let v = stacks[0].view_of(G).expect("the leader refounded");
-        assert_eq!((v.seq(), &v.members[..]), (7, &[lead][..]));
         assert!(stacks[1].view_of(G).is_none());
-        // The join backoff re-sends the request once, and the refounded leader admits it.
+        assert_eq!(settle(&mut stacks, now, &mut out, |_| false), 0);
+        assert!(stacks[1].view_of(G).is_some_and(|v| v.contains(follower)));
         assert_eq!(
             run_until_joined(&mut stacks, follower, 0, now, &mut out).0,
-            1
+            0
         );
         for st in &stacks {
             let v = st.view_of(G).unwrap();
             assert_eq!((v.seq(), &v.members[..]), (8, &[lead, follower][..]));
+        }
+    }
+
+    #[test]
+    fn an_operational_verdict_joins_through_the_live_member_and_ends_the_run() {
+        let cfg = StackConfig::default();
+        let (live, restarting) = (pid(0, 1), pid(1, 1));
+        let mut stacks = [site_stack(0, 2), site_stack(1, 2)];
+        stacks[0].add_process(ProcessBuilder::new(live).build());
+        stacks[1].add_process(ProcessBuilder::new(restarting).build());
+        let mut out = Outbox::new();
+        stacks[0].create_group("g", G, live, &mut out);
+        let sites = vec![SiteId(0), SiteId(1)];
+        stacks[1].begin_reform("g", G, restarting, None, log_summary(1, 5), sites, &mut out);
+        // Counts what site 1 is told is alive and what it says, as `settle` delivers it.
+        let (alive, summaries) = (Cell::new(0), Cell::new(0));
+        let count = |p: &Packet| {
+            match decode(p) {
+                Some(ProtoMsg::ReformAlive { contact: SiteId(0) }) => alive.set(alive.get() + 1),
+                Some(ProtoMsg::ReformSummary {
+                    from_site: SiteId(1),
+                    ..
+                }) => summaries.set(summaries.get() + 1),
+                _ => {}
+            }
+            false
+        };
+        let mut now = SimTime::ZERO;
+        assert_eq!(settle(&mut stacks, now, &mut out, count), 0);
+        assert_eq!((alive.get(), summaries.get()), (1, 1));
+        // The verdict joins the member through the live site, whose view admits it.
+        now += cfg.tick_interval;
+        stacks[1].on_timer(now, TICK, &mut out);
+        assert_eq!(settle(&mut stacks, now, &mut out, count), 1);
+        for st in &stacks {
+            let v = st.view_of(G).expect("the member joined");
+            assert_eq!((v.seq(), &v.members[..]), (2, &[live, restarting][..]));
+        }
+        // The view ended the run: no summary or JoinReq goes out again, and a summary that
+        // arrives now learns the group is alive.
+        let quiet_until = now + cfg.failure_timeout.saturating_mul(10);
+        while now < quiet_until {
+            now += cfg.tick_interval;
+            for st in stacks.iter_mut() {
+                st.on_timer(now, TICK, &mut out);
+            }
+            assert_eq!(settle(&mut stacks, now, &mut out, count), 0);
+        }
+        assert_eq!((alive.get(), summaries.get()), (1, 1));
+        stacks[1].on_packet(now, summary_from(0, 3), &mut out);
+        assert_eq!(reform_sends(&mut out), (vec![], vec![0], vec![]));
+    }
+
+    #[test]
+    fn a_join_that_ends_before_its_view_leaves_nothing_behind() {
+        let cfg = StackConfig::default();
+        let joiner = pid(1, 1);
+        for case in ["refused", "left", "crashed"] {
+            let mut st = site_stack(1, 3);
+            st.add_process(ProcessBuilder::new(joiner).build());
+            let mut out = Outbox::new();
+            st.on_start(SimTime::ZERO, &mut out);
+            if case == "refused" {
+                // No contact is known yet: the join fails at submission.
+                let res = st.join_group(G, joiner, None, &mut out);
+                assert_eq!(res, Err(VsError::NoSuchGroup(G)));
+                st.register_group("g", G, vec![SiteId(0), SiteId(2)]);
+            } else {
+                st.register_group("g", G, vec![SiteId(0), SiteId(2)]);
+                st.join_group(G, joiner, None, &mut out).unwrap();
+                assert_eq!(join_reqs(&mut out), [SiteId(0)]);
+                if case == "left" {
+                    st.leave_group(G, joiner, &mut out).unwrap();
+                } else {
+                    st.crash_local_process(joiner, &mut out);
+                }
+            }
+            let (mut now, mut sent) = (SimTime::ZERO, join_reqs(&mut out).len());
+            while now < SimTime::ZERO + cfg.failure_timeout.saturating_mul(10) {
+                now += cfg.tick_interval;
+                for s in [0, 2] {
+                    st.on_packet(now, heartbeat(s, 1), &mut out);
+                }
+                st.on_timer(now, TICK, &mut out);
+                sent += join_reqs(&mut out).len();
+            }
+            assert_eq!((st.has_endpoint(G), sent), (false, 0), "{case}");
         }
     }
 
