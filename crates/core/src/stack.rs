@@ -512,7 +512,7 @@ impl SiteStack {
         for m in members.iter().filter(|m| self.processes.contains_key(m)) {
             self.membership.step(group, *m, Input::ViewWith);
         }
-        let without = |g, p| g == group && !members.contains(&p);
+        let without = |g, p, _: &_| g == group && !members.contains(&p);
         self.membership.step_each(without, |_| Input::ViewWithout);
         // Tell reply collectors about departed members.
         for departed in ev.view.departed.clone() {
@@ -922,7 +922,7 @@ impl SiteHandler for SiteStack {
         // view installs.
         let base = self.cfg.failure_timeout;
         let tick = |joiner| Input::Tick(now, base, joiner);
-        for (group, pid, action) in self.membership.step_each(|_, _| true, tick) {
+        for (group, pid, action) in self.membership.step_each(|_, _, i| i.joining(), tick) {
             self.act(group, pid, action, out);
         }
         self.reform_tick(out);

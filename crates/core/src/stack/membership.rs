@@ -61,7 +61,8 @@ pub(super) enum Input {
     Verdict(ReformStatus),
     Leave,
     Death,
-    /// The maintenance tick, with the join backoff's base cadence and the process.
+    /// The maintenance tick, with the join backoff's base cadence and the process; only a
+    /// joining or restarting intent has anything to do on it, so only those are fed one.
     Tick(SimTime, Duration, ProcessId),
 }
 
@@ -70,8 +71,7 @@ pub(super) enum Input {
 pub(super) enum Action {
     /// Found the group again with the process alone: the name to register, the first view.
     Refound(String, u64),
-    /// Join the process with these credentials; a verdict's join first registers the group's
-    /// name and the contact to join through.
+    /// Join with these credentials, after registering the group's name and contact if given.
     Join(Option<String>, Option<(String, SiteId)>),
     /// Send the pending join again with these credentials, as this re-send.
     Resend(Option<String>, u32),
@@ -169,12 +169,12 @@ impl Membership {
     /// Feeds each intent `pick` selects the input made for its process; returns the actions.
     pub(super) fn step_each(
         &mut self,
-        pick: impl Fn(GroupId, ProcessId) -> bool,
+        pick: impl Fn(GroupId, ProcessId, &Intent) -> bool,
         input: impl Fn(ProcessId) -> Input,
     ) -> Vec<(GroupId, ProcessId, Action)> {
         let mut actions = Vec::new();
         self.0.retain(|&(g, p), slot| {
-            if !pick(g, p) {
+            if !pick(g, p, slot) {
                 return true;
             }
             let (intent, action) = next(Some(std::mem::replace(slot, Intent::Leaving)), input(p));
@@ -330,7 +330,8 @@ impl SiteStack {
     /// to is told (the paper's "detectable by some monitoring mechanism at the site").
     pub fn crash_local_process(&mut self, pid: ProcessId, out: &mut Outbox) {
         self.processes.remove(&pid);
-        self.membership.step_each(|_, p| p == pid, |_| Input::Death);
+        self.membership
+            .step_each(|_, p, _| p == pid, |_| Input::Death);
         self.rpc.drop_caller(pid);
         let groups: Vec<GroupId> = self.endpoints.keys().copied().collect();
         for g in groups {
@@ -393,7 +394,7 @@ impl SiteStack {
         entry.insert(0, contact);
         for (_, pid, action) in self
             .membership
-            .step_each(|g, _| g == group, |_| Input::Exile)
+            .step_each(|g, _, _| g == group, |_| Input::Exile)
         {
             self.act(group, pid, action, out);
         }
@@ -601,8 +602,6 @@ mod tests {
         ("member c", "operational 0", "member c", "-"),
         ("member c", "leave", "leaving", "-"),
         ("member c", "death", "absent", "-"),
-        ("member c", "tick early", "member c", "-"),
-        ("member c", "tick due", "member c", "-"),
         ("leaving", "restart", "restarting h e", "-"),
         ("leaving", "view holding it", "leaving", "-"),
         ("leaving", "view without it", "absent", "-"),
@@ -612,8 +611,6 @@ mod tests {
         ("leaving", "operational 0", "leaving", "-"),
         ("leaving", "leave", "leaving", "-"),
         ("leaving", "death", "absent", "-"),
-        ("leaving", "tick early", "leaving", "-"),
-        ("leaving", "tick due", "leaving", "-"),
     ];
 
     /// The pairs the stack never feeds, and why.
@@ -624,8 +621,12 @@ mod tests {
         ("absent", "follow 0", "a verdict goes to its group's intents"),
         ("absent", "operational 0", "a verdict goes to its group's intents"),
         ("absent", "death", "a death goes to the process's intents"),
-        ("absent", "tick early", "a tick goes to the intents"),
-        ("absent", "tick due", "a tick goes to the intents"),
+        ("absent", "tick early", "a tick goes to joining and restarting intents only"),
+        ("absent", "tick due", "a tick goes to joining and restarting intents only"),
+        ("member c", "tick early", "a tick goes to joining and restarting intents only"),
+        ("member c", "tick due", "a tick goes to joining and restarting intents only"),
+        ("leaving", "tick early", "a tick goes to joining and restarting intents only"),
+        ("leaving", "tick due", "a tick goes to joining and restarting intents only"),
         ("leaving", "join", "the view here holds a leaving process, and a join of a process the view holds submits nothing"),
         ("leaving", "refused", "the same: a join of a leaving process is never submitted"),
     ];

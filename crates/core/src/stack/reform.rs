@@ -143,9 +143,8 @@ impl SiteStack {
     /// rebroadcasts unresolved summaries every failure timeout, and hands each verdict to
     /// its group's intents.  A lead's refound is the endpoint the kept JoinReqs wait for.
     pub(super) fn reform_tick(&mut self, out: &mut Outbox) {
-        let membership = &self.membership;
-        self.reforms
-            .retain(|g, _| membership.any_in(*g, Intent::joining));
+        let (membership, reforms) = (&self.membership, &mut self.reforms);
+        reforms.retain(|g, _| membership.any_in(*g, Intent::joining));
         let (now, site) = (self.now, self.site);
         let mut verdicts = Vec::new();
         for (g, run) in self.reforms.iter_mut() {
@@ -159,7 +158,7 @@ impl SiteStack {
         }
         for (group, verdict, kept) in verdicts {
             let input = |_| Input::Verdict(verdict.clone());
-            for (_, pid, action) in self.membership.step_each(|g, _| g == group, input) {
+            for (_, pid, action) in self.membership.step_each(|g, _, _| g == group, input) {
                 out.trace_with(|| format!("{site}: reform of {group} resolved: {verdict:?}"));
                 self.act(group, pid, action, out);
             }
