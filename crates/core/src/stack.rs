@@ -30,9 +30,10 @@
 //!
 //! A site's part in a group is its endpoint.  A local create, refound or join makes it, no
 //! frame does, and it lives while its view holds a local member or a local process has an
-//! intent in the group (`retire_if_idle`).  A member lives here when that view holds a
-//! process of this site; the view has no other copy, and a group not resident here is known
-//! by its contact sites alone, Figure 1's cache.
+//! intent in the group (`retire_if_idle`); a commit that finds none but joins a process of
+//! this site, whose join ended before the cut, is answered with a failure report.  A member
+//! lives here when that view holds a process of this site; the view has no other copy, and
+//! a group not resident here is known by its contact sites alone, Figure 1's cache.
 
 mod membership;
 mod reform;
@@ -49,7 +50,7 @@ use crate::config::StackConfig;
 use crate::process::{CtxAction, IsisProcess, ReplyCallback, ToolCtx};
 use crate::protection::ProtectionPolicy;
 use crate::rpc::{CollectorStatus, ReplyCollector, ReplyWanted, RpcOutcome, RpcSessions};
-use membership::{Input, Membership};
+use membership::{Input, Intent, Membership};
 use reform::ReformRun;
 use vsync_net::FailureDetector;
 
@@ -512,8 +513,14 @@ impl SiteStack {
         for m in members.iter().filter(|m| self.processes.contains_key(m)) {
             self.membership.step(group, *m, Input::ViewWith);
         }
-        let without = |g, p, _: &_| g == group && !members.contains(&p);
-        self.membership.step_each(without, |_| Input::ViewWithout);
+        let without = |p, _: &_| !members.contains(&p);
+        self.membership
+            .step_each(Some(group), without, |_| Input::ViewWithout);
+        if self.reforms.contains_key(&group) && !self.membership.any_in(group, Intent::joining) {
+            self.reforms.remove(&group);
+            out.trace_with(|| format!("{}: reform of {group} complete, view installed", self.site));
+        }
+        self.report_ended_joins(group, &ev.view, out);
         // Tell reply collectors about departed members.
         for departed in ev.view.departed.clone() {
             self.sweep_sessions(
@@ -792,6 +799,9 @@ impl SiteStack {
                     run.kept.insert(*joiner, pkt.clone());
                 }
             }
+            // A commit that finds no endpoint joins a process of this site only if its join
+            // ended (it left or died) before this cut: the group must not wait on it.
+            (None, ProtoMsg::FlushCommit { view, .. }) => self.report_ended_joins(group, view, out),
             _ => {}
         }
     }
@@ -922,7 +932,7 @@ impl SiteHandler for SiteStack {
         // view installs.
         let base = self.cfg.failure_timeout;
         let tick = |joiner| Input::Tick(now, base, joiner);
-        for (group, pid, action) in self.membership.step_each(|_, _, i| i.joining(), tick) {
+        for (group, pid, action) in self.membership.step_each(None, |_, i| i.joining(), tick) {
             self.act(group, pid, action, out);
         }
         self.reform_tick(out);
@@ -1431,6 +1441,83 @@ mod tests {
                 sent += join_reqs(&mut out).len();
             }
             assert_eq!((st.has_endpoint(G), sent), (false, 0), "{case}");
+        }
+    }
+
+    #[test]
+    fn a_join_that_ends_before_its_cut_never_holds_up_the_group() {
+        let (member, joiner, next) = (pid(0, 1), pid(1, 1), pid(1, 2));
+        for case in ["left", "crashed", "refused again"] {
+            let mut stacks = [site_stack(0, 2), site_stack(1, 2)];
+            stacks[0].add_process(ProcessBuilder::new(member).build());
+            for p in [joiner, next] {
+                stacks[1].add_process(ProcessBuilder::new(p).build());
+            }
+            let mut out = Outbox::new();
+            stacks[0].create_group("g", G, member, &mut out);
+            stacks[1].register_group("g", G, vec![SiteId(0)]);
+            stacks[1].set_policy(G, ProtectionPolicy::open().with_join_credential("k"));
+            stacks[1]
+                .join_group(G, joiner, Some("k".into()), &mut out)
+                .unwrap();
+            // The JoinReq is on its way to the coordinator when the join ends, or when a
+            // repeat of it is refused, which leaves it to stand.
+            let mut joined = vec![];
+            match case {
+                "left" => stacks[1].leave_group(G, joiner, &mut out).unwrap(),
+                "crashed" => stacks[1].crash_local_process(joiner, &mut out),
+                _ => {
+                    let refused = stacks[1].join_group(G, joiner, None, &mut out);
+                    assert!(
+                        matches!(refused, Err(VsError::JoinRefused(_))),
+                        "{refused:?}"
+                    );
+                    joined.push(joiner);
+                }
+            }
+            assert_eq!(stacks[1].has_endpoint(G), !joined.is_empty(), "{case}");
+            settle(&mut stacks, SimTime::ZERO, &mut out, |_| false);
+            // A join that ended got its cut all the same, and site 1 answered it with a
+            // failure report: the next cut left the joiner out without waiting on site 1.
+            let v = stacks[0].view_of(G).expect("the group lives");
+            let seq = if joined.is_empty() { 3 } else { 2 };
+            assert_eq!(v.seq(), seq, "{case}");
+            assert_eq!(stacks[1].has_endpoint(G), !joined.is_empty(), "{case}");
+            // The group's next view change completes at both sites.
+            stacks[1]
+                .join_group(G, next, Some("k".into()), &mut out)
+                .unwrap();
+            settle(&mut stacks, SimTime::ZERO, &mut out, |_| false);
+            joined.push(next);
+            for st in &stacks {
+                let v = st.view_of(G).expect("site 1 holds a member");
+                assert_eq!(v.seq(), seq + 1, "{case}");
+                assert_eq!(v.members, [&[member][..], &joined].concat(), "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_joiner_that_dies_before_its_cut_beside_a_member_is_reported_at_the_cut() {
+        let (member, local, joiner) = (pid(0, 1), pid(1, 1), pid(1, 2));
+        let mut stacks = [site_stack(0, 2), site_stack(1, 2)];
+        stacks[0].add_process(ProcessBuilder::new(member).build());
+        for p in [local, joiner] {
+            stacks[1].add_process(ProcessBuilder::new(p).build());
+        }
+        let mut out = Outbox::new();
+        stacks[0].create_group("g", G, member, &mut out);
+        stacks[1].register_group("g", G, vec![SiteId(0)]);
+        stacks[1].join_group(G, local, None, &mut out).unwrap();
+        settle(&mut stacks, SimTime::ZERO, &mut out, |_| false);
+        // Site 1 is a member site now: the join goes through its endpoint, and the joiner
+        // dies before the cut, which no view held it in to report.
+        stacks[1].join_group(G, joiner, None, &mut out).unwrap();
+        stacks[1].crash_local_process(joiner, &mut out);
+        settle(&mut stacks, SimTime::ZERO, &mut out, |_| false);
+        for st in &stacks {
+            let v = st.view_of(G).expect("the group lives");
+            assert_eq!((v.seq(), &v.members[..]), (4, &[member, local][..]));
         }
     }
 

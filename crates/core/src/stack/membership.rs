@@ -6,17 +6,21 @@
 //! any ── restart ──▶ Restarting ── lead, follow, operational ──▶ refound or join
 //! absent, Joining, Restarting ── view with it ──▶ Member ── leave ──▶ Leaving
 //! Member, Leaving ── view without it ──▶ absent      Joining, Member ── exile ──▶ join
-//! any ── refused, death ──▶ absent                   Joining, Restarting ── leave ──▶ absent
+//! any but Joining ── refused ──▶ absent              Joining, Restarting ── leave ──▶ absent
+//! any ── death ──▶ absent
 //! ```
 //!
-//! Any other input leaves the intent as it is; a verdict or an exile only asks for a join,
-//! whose own input moves the intent.  The view stays the one record of who is a member.
+//! Any other input leaves the intent as it is: a refused repeat join leaves the pending one
+//! to its backoff, and a verdict or an exile only asks for a join, whose own input moves the
+//! intent.  The view stays the one record of who is a member.  A join that ends before its
+//! view (the joiner left or died) takes the endpoint with it; if the join's cut still comes,
+//! the stack answers it with a failure report, so the group never waits on this site.
 
 use std::collections::BTreeMap;
 
 use vsync_net::{Outbox, PacketKind};
 use vsync_proto::messages::ProtoMsg;
-use vsync_proto::{GroupEndpoint, ReformStatus};
+use vsync_proto::{GroupEndpoint, ReformStatus, View};
 use vsync_util::{DetRng, Duration, GroupId, ProcessId, Result, SimTime, SiteId, VsError};
 
 use super::{send_proto, SiteStack};
@@ -48,7 +52,7 @@ pub(super) enum Intent {
 pub(super) enum Input {
     /// A local join with these credentials is about to be submitted, at this time.
     Join(Option<String>, SimTime),
-    /// A local join failed at submission: refused, or no contact or coordinator took it.
+    /// A local join was refused at submission, or no contact or member here could take it.
     Refused,
     /// `SiteStack::begin_reform` restarts the process in the group registered as the name.
     Restart(String, Option<String>),
@@ -103,6 +107,7 @@ pub(super) fn next(intent: Option<Intent>, input: Input) -> (Option<Intent>, Opt
         attempts,
     };
     match (intent, input) {
+        (Some(pending @ Joining { .. }), Refused) => (Some(pending), None),
         (_, Refused | Death)
         | (Some(Leaving), Exile)
         | (Some(Member { .. } | Leaving), ViewWithout)
@@ -154,41 +159,58 @@ pub(super) fn next(intent: Option<Intent>, input: Input) -> (Option<Intent>, Opt
 
 /// The intents of this site's local processes, by group and process.
 #[derive(Default)]
-pub(super) struct Membership(BTreeMap<(GroupId, ProcessId), Intent>);
+pub(super) struct Membership(BTreeMap<Key, Intent>);
+
+type Key = (GroupId, ProcessId);
 
 impl Membership {
-    /// Feeds `input` to `pid`'s intent in `group` and returns the action it asks for.
+    /// Feeds `input` to `pid`'s intent in `group` and returns the action it asks for.  An
+    /// intent that stays is written back in place.
     pub(super) fn step(&mut self, group: GroupId, pid: ProcessId, input: Input) -> Option<Action> {
-        let (intent, action) = next(self.0.remove(&(group, pid)), input);
-        if let Some(intent) = intent {
-            self.0.insert((group, pid), intent);
-        }
+        let key = (group, pid);
+        let held = self.0.get_mut(&key);
+        let (intent, action) = next(held.map(|i| std::mem::replace(i, Intent::Leaving)), input);
+        match intent {
+            Some(i) => self.0.insert(key, i),
+            None => self.0.remove(&key),
+        };
         action
     }
 
-    /// Feeds each intent `pick` selects the input made for its process; returns the actions.
+    /// Feeds each intent in `group` (in every group, for `None`) that `pick` selects the input
+    /// made for its process; returns the actions.  Reads only `group`'s intents, and writes
+    /// only the picked ones.
     pub(super) fn step_each(
         &mut self,
-        pick: impl Fn(GroupId, ProcessId, &Intent) -> bool,
+        group: Option<GroupId>,
+        pick: impl Fn(ProcessId, &Intent) -> bool,
         input: impl Fn(ProcessId) -> Input,
     ) -> Vec<(GroupId, ProcessId, Action)> {
-        let mut actions = Vec::new();
-        self.0.retain(|&(g, p), slot| {
-            if !pick(g, p, slot) {
-                return true;
-            }
-            let (intent, action) = next(Some(std::mem::replace(slot, Intent::Leaving)), input(p));
-            actions.extend(action.map(|a| (g, p, a)));
-            intent.map(|i| *slot = i).is_some()
-        });
-        actions
+        let picked: Vec<Key> = self
+            .range(group)
+            .filter(|((_, p), i)| pick(*p, i))
+            .map(|(key, _)| *key)
+            .collect();
+        let step = |(g, p)| Some((g, p, self.step(g, p, input(p))?));
+        picked.into_iter().filter_map(step).collect()
+    }
+
+    /// True if `pid` has an intent in `group`.
+    pub(super) fn holds(&self, group: GroupId, pid: ProcessId) -> bool {
+        self.0.contains_key(&(group, pid))
     }
 
     /// True if some local process's intent in `group` passes `test`.
     pub(super) fn any_in(&self, group: GroupId, test: impl Fn(&Intent) -> bool) -> bool {
-        let first = (group, ProcessId::new(SiteId(0), 0));
-        let mut intents = self.0.range(first..).take_while(|((g, _), _)| *g == group);
-        intents.any(|(_, i)| test(i))
+        self.range(Some(group)).any(|(_, i)| test(i))
+    }
+
+    /// The intents in `group`, or every intent for `None`.
+    fn range(&self, group: Option<GroupId>) -> impl Iterator<Item = (&Key, &Intent)> {
+        let (first, last) = group.map_or((GroupId(0), GroupId(u64::MAX)), |g| (g, g));
+        let lowest = ProcessId::new(SiteId(0), 0);
+        let highest = ProcessId::new(SiteId(u16::MAX), u32::MAX);
+        self.0.range((first, lowest)..=(last, highest))
     }
 }
 
@@ -237,30 +259,31 @@ impl SiteStack {
         credentials: Option<String>,
         out: &mut Outbox,
     ) -> Result<()> {
+        let routed = self.is_member_site(group) || self.alive_contact(group).is_some();
         let res = self.admit_join(group, joiner, credentials.as_deref(), out);
+        let res = res.and_then(|()| routed.then_some(()).ok_or(VsError::NoSuchGroup(group)));
         // A current member's join changes nothing: the coordinator would drop it.
         if self.view_of(group).is_some_and(|v| v.contains(joiner)) {
             return res;
         }
-        let res = res.and_then(|()| {
-            let input = Input::Join(credentials.clone(), self.now);
-            self.membership.step(group, joiner, input);
-            // The endpoint the admitting commit lands in.
-            let (site, cfg, stats) = (self.site, self.proto_cfg, &self.stats);
-            self.endpoints
-                .entry(group)
-                .or_insert_with(|| GroupEndpoint::new(group, site, cfg, stats.clone()));
-            self.submit_join_request(group, joiner, credentials, 0, out)
-        });
         if res.is_err() {
             self.membership.step(group, joiner, Input::Refused);
             self.retire_if_idle(group);
+            return res;
         }
-        res
+        let input = Input::Join(credentials.clone(), self.now);
+        self.membership.step(group, joiner, input);
+        // The endpoint the admitting commit lands in.
+        let (site, cfg, stats) = (self.site, self.proto_cfg, &self.stats);
+        self.endpoints
+            .entry(group)
+            .or_insert_with(|| GroupEndpoint::new(group, site, cfg, stats.clone()));
+        self.submit_join_request(group, joiner, credentials, 0, out)
     }
 
     /// One attempt at routing a join: submit locally if a member lives here, otherwise send
-    /// a JoinReq to a contact.
+    /// a JoinReq to the first contact site the failure detector believes alive — or, once
+    /// the retries have spent their backoff (`attempt`), to the failover contact.
     fn submit_join_request(
         &mut self,
         group: GroupId,
@@ -276,32 +299,28 @@ impl SiteStack {
                 })
                 .expect("member site has an endpoint");
         }
-        let contact = self.contact_for(group, attempt, out)?;
-        let wire = ProtoMsg::JoinReq {
-            joiner,
-            credentials,
-        }
-        .into_frame(group);
-        send_proto(self.site, contact, PacketKind::Flush, wire, out);
-        Ok(())
-    }
-
-    /// The contact a request about `group` goes to: the first contact site the failure
-    /// detector believes alive — or, once a join's retries have spent their backoff
-    /// (`attempt`), the failover contact.
-    fn contact_for(&mut self, group: GroupId, attempt: u32, out: &mut Outbox) -> Result<SiteId> {
         let preferred = self.alive_contact(group);
         let preferred = preferred.ok_or(VsError::NoSuchGroup(group))?;
         let contacts = self.contacts.get(&group);
         let failover = contacts.and_then(|c| failover_contact(c, preferred, attempt));
         if let Some(other) = failover {
             self.stats.with(|s| s.count_join_failover());
-            let site = self.site;
             out.trace_with(|| {
-                format!("{site}: JoinContactUnreachable: {group} {preferred} -> {other}")
+                format!(
+                    "{}: JoinContactUnreachable: join of {joiner} to {group} via \
+                     {preferred} stalled after {attempt} attempts; failing over to {other}",
+                    self.site
+                )
             });
         }
-        Ok(failover.unwrap_or(preferred))
+        let wire = ProtoMsg::JoinReq {
+            joiner,
+            credentials,
+        }
+        .into_frame(group);
+        let contact = failover.unwrap_or(preferred);
+        send_proto(self.site, contact, PacketKind::Flush, wire, out);
+        Ok(())
     }
 
     /// Asks for `member` (hosted here) to leave `group`.
@@ -320,7 +339,8 @@ impl SiteStack {
                 })
                 .expect("member site has an endpoint");
         }
-        let contact = self.contact_for(group, 0, out)?;
+        let contact = self.alive_contact(group);
+        let contact = contact.ok_or(VsError::NoSuchGroup(group))?;
         let wire = ProtoMsg::LeaveReq { member }.into_frame(group);
         send_proto(self.site, contact, PacketKind::Flush, wire, out);
         Ok(())
@@ -331,37 +351,54 @@ impl SiteStack {
     pub fn crash_local_process(&mut self, pid: ProcessId, out: &mut Outbox) {
         self.processes.remove(&pid);
         self.membership
-            .step_each(|_, p, _| p == pid, |_| Input::Death);
+            .step_each(None, |p, _| p == pid, |_| Input::Death);
         self.rpc.drop_caller(pid);
         let groups: Vec<GroupId> = self.endpoints.keys().copied().collect();
         for g in groups {
-            // A local crash is *observed* (the process table lost the entry), not a
-            // timeout: confirm it so later traffic from this site never retracts it.
-            let confirmed = self.with_endpoint(g, out, |ep, now, eouts| {
-                let peer_sites = ep.view().filter(|v| v.contains(pid))?.member_sites();
-                ep.confirm_failures(now, &[pid], eouts);
-                Some(peer_sites)
-            });
-            let Some(peer_sites) = confirmed.flatten() else {
-                continue;
-            };
-            // Other sites cannot observe a silent local crash; tell every member site so that
-            // whichever of them hosts the acting coordinator starts the view change (the
-            // crashed process may itself have been the coordinator).  One report frame is
-            // fanned out to every peer site.
-            let wire = ProtoMsg::FailReport { failed: vec![pid] }.into_frame(g);
-            for s in peer_sites {
-                if s != self.site {
-                    send_proto(self.site, s, PacketKind::Flush, wire.clone(), out);
-                }
+            match self.view_of(g).filter(|v| v.contains(pid)) {
+                Some(v) => self.report_gone(g, v.member_sites(), vec![pid], out),
+                None => self.retire_if_idle(g),
             }
         }
         self.sweep_sessions(1, self.rpc.last(), |c| c.on_failure(|p| *p == pid), out);
     }
 
-    /// The one rule that ends this site's part in a group, run after every pump, local leave
-    /// and failed join: drops an endpoint whose view (if any) holds no member here once no
-    /// local process has an intent in the group.  The intents are read only then.
+    /// Tells the group that `gone`, processes of this site in a view of it spanning `sites`,
+    /// are not in it here: they died, or their join ended before its cut.  The endpoint
+    /// here, if any, confirms it (an *observed* exit, never retracted by later traffic); the
+    /// other sites cannot observe a silent local exit, so every one of them is sent one
+    /// report frame, and whichever hosts the acting coordinator (the gone process may have
+    /// been it) cuts them out without waiting on this site.
+    pub(super) fn report_gone(
+        &mut self,
+        group: GroupId,
+        sites: Vec<SiteId>,
+        gone: Vec<ProcessId>,
+        out: &mut Outbox,
+    ) {
+        self.with_endpoint(group, out, |ep, now, eouts| {
+            ep.confirm_failures(now, &gone, eouts)
+        });
+        let wire = ProtoMsg::FailReport { failed: gone }.into_frame(group);
+        for s in sites.into_iter().filter(|s| *s != self.site) {
+            send_proto(self.site, s, PacketKind::Flush, wire.clone(), out);
+        }
+    }
+
+    /// Answers a view of `group` that joins processes of this site with no intent here: their
+    /// join ended before its cut (they left, or died), so the group is told they are gone.
+    /// Run on each view installed here, and on a commit that finds no endpoint here.
+    pub(super) fn report_ended_joins(&mut self, group: GroupId, view: &View, out: &mut Outbox) {
+        let ended = |p: &&ProcessId| p.site == self.site && !self.membership.holds(group, **p);
+        let gone: Vec<ProcessId> = view.joined.iter().filter(ended).copied().collect();
+        if !gone.is_empty() {
+            self.report_gone(group, view.member_sites(), gone, out);
+        }
+    }
+
+    /// The one rule that ends this site's part in a group, run after every pump, local leave,
+    /// refused join and local death: drops an endpoint whose view (if any) holds no member
+    /// here once no local process has an intent in the group.  The intents are read only then.
     pub(super) fn retire_if_idle(&mut self, group: GroupId) {
         let no_member = |ep: &GroupEndpoint| ep.local_members().is_empty();
         let idle = self.endpoints.get(&group).is_some_and(no_member);
@@ -383,19 +420,22 @@ impl SiteStack {
     ) {
         self.endpoints.remove(&group);
         self.stats.with(|s| s.count_rejoin_after_heal());
-        let site = self.site;
         out.trace_with(|| {
-            format!("{site}: {group} exiled by view {observed_seq}, rejoins via {contact}")
+            format!(
+                "{}: {group} diverged from primary view {observed_seq}; \
+                 discarding local tail and rejoining via {contact}",
+                self.site
+            )
         });
         // Route the rejoin through the site that evidenced the primary view, ahead of
         // whatever contacts the stale view left cached.
         let entry = self.contacts.entry(group).or_default();
         entry.retain(|s| *s != contact);
         entry.insert(0, contact);
-        for (_, pid, action) in self
+        let exiled = self
             .membership
-            .step_each(|g, _, _| g == group, |_| Input::Exile)
-        {
+            .step_each(Some(group), |_, _| true, |_| Input::Exile);
+        for (_, pid, action) in exiled {
             self.act(group, pid, action, out);
         }
     }
@@ -414,6 +454,9 @@ impl SiteStack {
             }
             // A dead contact everywhere leaves the join pending for the next cadence.
             Action::Resend(credentials, attempt) => {
+                out.trace_with(|| {
+                    format!("{}: re-submitting join of {pid} to {group:?}", self.site)
+                });
                 self.submit_join_request(group, pid, credentials, attempt, out)
             }
         };
@@ -550,7 +593,8 @@ mod tests {
         ("absent", "view holding it", "member -", "-"),
         ("absent", "leave", "absent", "-"),
         ("joining 2 0ms c", "join", "joining 0 50ms d", "-"),
-        ("joining 2 0ms c", "refused", "absent", "-"),
+        // A refused repeat join: the pending one stands.
+        ("joining 2 0ms c", "refused", "joining 2 0ms c", "-"),
         ("joining 2 0ms c", "restart", "restarting h e", "-"),
         ("joining 2 0ms c", "view holding it", "member c", "-"),
         ("joining 2 0ms c", "view without it", "joining 0 0ms c", "-"),

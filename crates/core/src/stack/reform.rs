@@ -158,7 +158,7 @@ impl SiteStack {
         }
         for (group, verdict, kept) in verdicts {
             let input = |_| Input::Verdict(verdict.clone());
-            for (_, pid, action) in self.membership.step_each(|g, _, _| g == group, input) {
+            for (_, pid, action) in self.membership.step_each(Some(group), |_, _| true, input) {
                 out.trace_with(|| format!("{site}: reform of {group} resolved: {verdict:?}"));
                 self.act(group, pid, action, out);
             }
