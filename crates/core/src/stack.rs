@@ -1522,6 +1522,38 @@ mod tests {
     }
 
     #[test]
+    fn a_leave_of_a_joiner_whose_join_was_lost_runs_no_flush() {
+        let (member, other, joiner) = (pid(0, 1), pid(2, 1), pid(1, 1));
+        let mut stacks = [site_stack(0, 3), site_stack(1, 3), site_stack(2, 3)];
+        for (site, p) in [(0, member), (1, joiner), (2, other)] {
+            stacks[site].add_process(ProcessBuilder::new(p).build());
+        }
+        let mut out = Outbox::new();
+        stacks[0].create_group("g", G, member, &mut out);
+        for site in [1, 2] {
+            stacks[site].register_group("g", G, vec![SiteId(0)]);
+        }
+        stacks[2].join_group(G, other, None, &mut out).unwrap();
+        settle(&mut stacks, SimTime::ZERO, &mut out, |_| false);
+        // The JoinReq is lost; the joiner's leave reaches the coordinator.
+        stacks[1].join_group(G, joiner, None, &mut out).unwrap();
+        let is_join = |p: &Packet| matches!(decode(p), Some(ProtoMsg::JoinReq { .. }));
+        settle(&mut stacks, SimTime::ZERO, &mut out, is_join);
+        stacks[1].leave_group(G, joiner, &mut out).unwrap();
+        let flushes = Cell::new(0);
+        settle(&mut stacks, SimTime::ZERO, &mut out, |p| {
+            let flush = matches!(decode(p), Some(ProtoMsg::FlushReq { .. }));
+            flushes.set(flushes.get() + usize::from(flush));
+            false
+        });
+        assert_eq!(flushes.get(), 0, "a flush for a leave that changes nothing");
+        for site in [0, 2] {
+            let v = stacks[site].view_of(G).expect("the group lives");
+            assert_eq!((v.seq(), &v.members[..]), (2, &[member, other][..]));
+        }
+    }
+
+    #[test]
     fn a_reform_whose_member_died_is_dropped() {
         let cfg = StackConfig::default();
         let member = pid(1, 1);

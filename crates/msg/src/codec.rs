@@ -29,7 +29,7 @@
 //! messages instead of allocating per call.
 
 use bytes::{BufMut, Bytes, BytesMut};
-use vsync_util::{Address, Result, VsError};
+use vsync_util::{Result, VsError};
 
 use crate::message::{Field, Message};
 use crate::name::FieldName;
@@ -66,8 +66,8 @@ pub(crate) const TAG_ADDR_LIST: u8 = 8;
 pub(crate) const TAG_U64_LIST: u8 = 9;
 pub(crate) const TAG_MSG: u8 = 10;
 
-/// Exact number of bytes [`encode`] produces for `msg` (unlike [`Message::encoded_len`],
-/// which is the simulator's *cost model* and only approximate).
+/// Exact number of bytes [`encode`] produces for `msg`, worked out from the tree without
+/// encoding it: how the simulator sizes a frame that holds no bytes.
 pub fn wire_len(msg: &Message) -> usize {
     1 + message_wire_len(msg, false)
 }
@@ -317,57 +317,6 @@ pub(crate) fn first_field_name(wire: &Segments) -> Result<Option<&str>> {
     }
 }
 
-/// Walks one encoded message body without building anything: validates exactly what
-/// [`decode`] validates (bounds, tags, UTF-8, nesting, field counts), leaves `r` just past
-/// the body, and returns the body's size under the [`Message::encoded_len`] cost model —
-/// so finding where a nested message ends and sizing a wire-born frame for the simulator
-/// are the same pass.  (A name repeated in the encoding counts once per occurrence here and
-/// once in total in a decoded tree; no writer in this workspace repeats names.)
-pub(crate) fn walk_message(r: &mut Reader<'_>, depth: usize) -> Result<usize> {
-    let count = read_field_count(r, depth)?;
-    let mut model = 4;
-    for _ in 0..count {
-        let name = read_name(r)?;
-        model += 1 + 2 + name.len() + 4 + walk_value(r, depth)?;
-    }
-    Ok(model)
-}
-
-/// Walks one encoded value (tag included); returns its [`Value::payload_len`].
-pub(crate) fn walk_value(r: &mut Reader<'_>, depth: usize) -> Result<usize> {
-    let len = match r.u8("value tag")? {
-        TAG_BOOL => 1,
-        TAG_I64 | TAG_U64 | TAG_F64 | TAG_ADDR => 8,
-        TAG_STR => {
-            return Ok(value_str(read_counted(r, 1, "string")?)?.len());
-        }
-        // Not looked into, so it may span segments: a protocol frame's one value does.
-        TAG_BYTES => {
-            let len = read_counted_len(r, 1, "bytes")?;
-            r.skip(len, "bytes")?;
-            return Ok(len);
-        }
-        TAG_ADDR_LIST | TAG_U64_LIST => return Ok(read_counted(r, 8, "list")?.len()),
-        TAG_MSG => return walk_message(r, depth + 1),
-        other => {
-            return Err(VsError::CodecError(format!("unknown value tag {other}")));
-        }
-    };
-    r.take(len, "fixed-width value")?;
-    Ok(len)
-}
-
-/// Size of an encoded message body under the [`Message::encoded_len`] cost model, computed
-/// from the bytes alone (no tree is built).  `body` must hold exactly one message body.
-pub fn body_model_len(body: &Segments) -> Result<usize> {
-    body.read_with(|body| {
-        let mut r = Reader::over(body);
-        let model = walk_message(&mut r, 0)?;
-        check_no_trailing(&r)?;
-        Ok(model)
-    })
-}
-
 pub(crate) fn decode_message(r: &mut Reader<'_>, depth: usize) -> Result<Message> {
     let count = read_field_count(r, depth)?;
     // Built privately and shared once, when complete: no copy-on-write check per field.
@@ -411,11 +360,11 @@ fn decode_value(r: &mut Reader<'_>, depth: usize) -> Result<Value> {
         TAG_ADDR => Value::Addr(decode_address(r.u64("address")?)),
         // Exact-size collects: one allocation, no per-push capacity checks.
         TAG_ADDR_LIST => Value::AddrList(
-            AddrsView::new(read_counted(r, 8, "address list")?)
-                .iter()
+            be_u64s(read_counted(r, 8, "address list")?)
+                .map(decode_address)
                 .collect(),
         ),
-        TAG_U64_LIST => Value::U64List(U64sView::new(read_counted(r, 8, "u64 list")?).to_vec()),
+        TAG_U64_LIST => Value::U64List(be_u64s(read_counted(r, 8, "u64 list")?).collect()),
         TAG_MSG => Value::Msg(Box::new(decode_message(r, depth + 1)?)),
         other => {
             return Err(VsError::CodecError(format!("unknown value tag {other}")));
@@ -424,77 +373,10 @@ fn decode_value(r: &mut Reader<'_>, depth: usize) -> Result<Value> {
     Ok(value)
 }
 
-// --- Packed lists ------------------------------------------------------------------------
-
-/// A list of `u64`s still packed in big-endian wire form, borrowed from the input buffer.
-/// Elements are decoded on access, so a caller that never touches the list pays nothing.
-#[derive(Clone, Copy, Debug)]
-pub struct U64sView<'a> {
-    raw: &'a [u8],
-}
-
-impl<'a> U64sView<'a> {
-    /// Wraps packed big-endian elements (`raw.len()` is a multiple of 8).
-    pub(crate) fn new(raw: &'a [u8]) -> Self {
-        U64sView { raw }
-    }
-
-    /// Number of elements.
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        self.raw.len() / 8
-    }
-
-    /// Element `i`, if in bounds.
-    #[cfg(test)]
-    fn get(&self, i: usize) -> Option<u64> {
-        let chunk = self.raw.get(i * 8..i * 8 + 8)?;
-        Some(u64::from_be_bytes(chunk.try_into().expect("8-byte slice")))
-    }
-
-    /// Iterates the decoded elements.
-    fn iter(&self) -> impl Iterator<Item = u64> + 'a {
-        self.raw
-            .chunks_exact(8)
-            .map(|c| u64::from_be_bytes(c.try_into().expect("8-byte chunk")))
-    }
-
-    /// Copies the list out into an owned vector.
-    pub fn to_vec(&self) -> Vec<u64> {
-        self.iter().collect()
-    }
-}
-
-/// A list of addresses still packed in wire form, borrowed from the input buffer.
-#[derive(Clone, Copy, Debug)]
-pub struct AddrsView<'a> {
-    raw: U64sView<'a>,
-}
-
-impl<'a> AddrsView<'a> {
-    /// Wraps packed 8-byte encoded addresses.
-    pub(crate) fn new(raw: &'a [u8]) -> Self {
-        AddrsView {
-            raw: U64sView::new(raw),
-        }
-    }
-
-    /// Number of addresses.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        self.raw.len()
-    }
-
-    /// Address `i`, if in bounds.
-    #[cfg(test)]
-    fn get(&self, i: usize) -> Option<Address> {
-        self.raw.get(i).map(decode_address)
-    }
-
-    /// Iterates the decoded addresses.
-    pub fn iter(&self) -> impl Iterator<Item = Address> + 'a {
-        self.raw.iter().map(decode_address)
-    }
+/// The big-endian `u64`s packed in `raw` (`raw.len()` is a multiple of 8).
+fn be_u64s(raw: &[u8]) -> impl ExactSizeIterator<Item = u64> + '_ {
+    raw.chunks_exact(8)
+        .map(|c| u64::from_be_bytes(c.try_into().expect("8-byte chunk")))
 }
 
 #[cfg(test)]
@@ -534,17 +416,6 @@ mod tests {
     fn empty_message_roundtrip() {
         let msg = Message::new();
         assert_eq!(decode(&encode(&msg)).unwrap(), msg);
-    }
-
-    #[test]
-    fn encoded_len_is_a_reasonable_size_model() {
-        let msg = sample();
-        let actual = encode(&msg).len();
-        let model = msg.encoded_len();
-        // The model need not be exact, but must be within a small constant factor so that
-        // fragmentation decisions in the simulator are realistic.
-        assert!(model >= actual / 2, "model {model} actual {actual}");
-        assert!(model <= actual * 2, "model {model} actual {actual}");
     }
 
     #[test]
@@ -597,32 +468,6 @@ mod tests {
                 "shared decode of {cut}-byte prefix should fail"
             );
         }
-    }
-
-    #[test]
-    fn view_lists_decode_lazily_and_correctly() {
-        let raw: Vec<u8> = [1u64, 0, 3].iter().flat_map(|v| v.to_be_bytes()).collect();
-        let vt = U64sView::new(&raw);
-        assert_eq!(vt.len(), 3);
-        assert_eq!(vt.get(0), Some(1));
-        assert_eq!(vt.get(3), None);
-        assert_eq!(vt.to_vec(), vec![1, 0, 3]);
-        let addrs = [
-            Address::Process(ProcessId::new(SiteId(0), 1)),
-            Address::Group(GroupId(77)),
-        ];
-        let raw: Vec<u8> = addrs
-            .iter()
-            .flat_map(|a| encode_address(a).to_be_bytes())
-            .collect();
-        let members = AddrsView::new(&raw);
-        assert_eq!(members.len(), 2);
-        assert_eq!(
-            members.get(1),
-            Some(Address::Group(GroupId(77))),
-            "addresses unpack on access"
-        );
-        assert_eq!(members.iter().collect::<Vec<_>>(), addrs);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   is decoded until someone reads a field ([`Frame::message`] or `Deref`, counted by
 //!   [`tree_builds`]); `Bytes` values of the tree then alias the received segments.
 //! * [`Frame::from_writer`] starts from a [`FrameWriter`] — how protocol messages are born:
-//!   the bytes, their modelled size and the typed value they were written from, all at once.
-//!   Such a frame never needs a tree.
+//!   the bytes and the typed value they were written from, at once.  Such a frame never
+//!   needs a tree.
 //!
 //! Multicasting to N sites therefore costs one pointer clone per destination, whatever form
 //! the frame is in.
@@ -100,8 +100,6 @@ struct FrameInner {
     /// so a fan-out that serializes the same frame once per destination pays for one encode
     /// and N clones of a refcounted segment list.
     wire: OnceCell<Segments>,
-    /// Size under the simulator's cost model ([`Message::encoded_len`]).
-    model_len: OnceCell<usize>,
     memo: OnceCell<Box<dyn Any>>,
 }
 
@@ -110,7 +108,6 @@ impl FrameInner {
         FrameInner {
             tree: OnceCell::from(Ok(msg)),
             wire: OnceCell::new(),
-            model_len: OnceCell::new(),
             memo: OnceCell::new(),
         }
     }
@@ -119,7 +116,6 @@ impl FrameInner {
         FrameInner {
             tree: OnceCell::new(),
             wire: OnceCell::from(wire),
-            model_len: OnceCell::new(),
             memo: OnceCell::new(),
         }
     }
@@ -148,13 +144,10 @@ impl Frame {
         }
     }
 
-    /// A frame born in wire form: the bytes `writer` produced, their size under the
-    /// simulator's model, and in the memo slot the typed value the bytes were written from —
-    /// so no holder of this frame ever parses it.
+    /// A frame born in wire form: the bytes `writer` produced, and in the memo slot the typed
+    /// value the bytes were written from — so no holder of this frame ever parses it.
     pub fn from_writer<T: 'static>(writer: FrameWriter, memo: T) -> Self {
-        let (bytes, model_len) = writer.finish();
-        let inner = FrameInner::from_wire(bytes);
-        let _ = inner.model_len.set(model_len);
+        let inner = FrameInner::from_wire(writer.finish());
         let _ = inner.memo.set(Box::new(memo));
         Frame {
             inner: Rc::new(inner),
@@ -235,20 +228,15 @@ impl Frame {
         Some(first.name.as_str())
     }
 
-    /// Size of the message under the simulator's cost model — [`Message::encoded_len`] of
-    /// its tree — computed once per frame: told by the writer for a frame born from one,
-    /// read off the tree if there is one, walked off the bytes otherwise (bytes that do not
-    /// decode count as their own length).  Walking a protocol frame reads its head and
-    /// steps over its one value.
-    pub fn model_len(&self) -> usize {
-        *self.inner.model_len.get_or_init(|| {
-            if let Some(Ok(tree)) = self.inner.tree.get() {
-                return tree.encoded_len();
-            }
-            self.wire_body()
-                .and_then(|body| codec::body_model_len(&body))
-                .unwrap_or_else(|_| self.wire_segments().len())
-        })
+    /// Length of the frame's wire form, envelope byte included: what a byte-oriented
+    /// transport sends and what the simulator charges.  The length of the bytes if the frame
+    /// holds them (bytes that do not decode count as themselves), otherwise worked out from
+    /// the tree without encoding it ([`codec::wire_len`]).
+    pub fn wire_len(&self) -> usize {
+        match self.inner.wire.get() {
+            Some(wire) => wire.len(),
+            None => codec::wire_len(self.message()),
+        }
     }
 
     /// Mutable access to the message, copy-on-write: if other handles alias this frame the
@@ -469,7 +457,7 @@ mod tests {
         let (encodes, builds) = (wire_cache::encodes(), tree_builds());
         // Shipping it on and sizing it touch no tree and encode nothing.
         assert_eq!(frame.wire_bytes(), bytes);
-        assert_eq!(frame.model_len(), msg.encoded_len());
+        assert_eq!(frame.wire_len(), bytes.len());
         assert_eq!(frame.first_field_name(), Some("body"));
         assert_eq!((wire_cache::encodes(), tree_builds()), (encodes, builds));
         // The first field read builds the tree; every handle shares it afterwards.
@@ -495,7 +483,7 @@ mod tests {
                 frame.message().is_empty(),
                 "Deref cannot fail: it reads empty"
             );
-            assert_eq!(frame.model_len(), corrupt.len());
+            assert_eq!(frame.wire_len(), corrupt.len());
             assert_eq!(frame.wire_bytes(), corrupt, "still forwardable as is");
             let _ = format!("{frame:?}");
         }
@@ -509,15 +497,19 @@ mod tests {
         w.put_varint(7);
         let frame = Frame::from_writer(w, 7u64);
         let tree = Message::new().with(FRAME_FIELD, b"\x04born\x07".to_vec());
+        let twin = Frame::new(tree.clone());
         let (encodes, builds) = (wire_cache::encodes(), tree_builds());
         assert_eq!(frame.wire_bytes(), codec::encode(&tree));
-        assert_eq!(frame.model_len(), tree.encoded_len());
+        // Its size is its bytes' length, and its tree-born twin is sized to the same length
+        // without being encoded.
+        assert_eq!(frame.wire_len(), codec::encode(&tree).len());
+        assert_eq!(twin.wire_len(), frame.wire_len());
         assert_eq!(frame.memo_get::<u64>(), Some(&7));
         assert_eq!(frame.first_field_name(), Some(FRAME_FIELD));
         assert_eq!((wire_cache::encodes(), tree_builds()), (encodes, builds));
         // Still a message to anyone who asks for one, and equal to its tree-born twin.
         assert_eq!(frame.message(), &tree);
-        assert_eq!(frame, Frame::new(tree));
+        assert_eq!(frame, twin);
     }
 
     #[test]
@@ -525,11 +517,10 @@ mod tests {
         let mut w = FrameWriter::with_capacity(32);
         w.put_str("held");
         let written = Frame::from_writer(w, 1u64);
-        // The bytes alone, held and made into a frame again, walk to the size the writer
-        // told, without a tree.
+        // The bytes alone, held and made into a frame again, are sized without a tree.
         let remade = Frame::from_wire(written.wire_segments());
         let builds = tree_builds();
-        assert_eq!(remade.model_len(), written.model_len());
+        assert_eq!(remade.wire_len(), written.wire_len());
         assert_eq!(tree_builds(), builds);
         assert_eq!(remade.wire_bytes(), written.wire_bytes());
         assert_eq!(remade, written);

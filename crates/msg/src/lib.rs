@@ -11,7 +11,9 @@
 //! codec ([`codec`]) that is the wire format between threads and on stable storage, the
 //! positional writer and reader of the protocol frames carried in that format, for layers
 //! that do not need the symbol table ([`stream`]), and the shared wire frame packets carry
-//! ([`Frame`]).
+//! ([`Frame`]).  A frame's size is its wire length ([`Frame::wire_len`]): the bytes the
+//! threaded backend sends, and what the simulator charges, worked out from the tree
+//! without encoding it when the frame holds no bytes.
 
 pub mod codec;
 pub mod fields;

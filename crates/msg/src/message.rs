@@ -301,17 +301,6 @@ impl Message {
     pub fn is_null_reply(&self) -> bool {
         self.get_bool(fields::NULL_REPLY).unwrap_or(false)
     }
-
-    /// Approximate encoded size in bytes.  Used by the transport to charge fragmentation and
-    /// serialization costs without actually serializing on every hop.
-    pub fn encoded_len(&self) -> usize {
-        // Header: field count (4 bytes).
-        4 + self
-            .table()
-            .iter()
-            .map(|f| 1 + 2 + f.name.len() + 4 + f.value.payload_len())
-            .sum::<usize>()
-    }
 }
 
 /// Messages are equal when their tables hold the same fields in the same order, however
@@ -440,15 +429,5 @@ mod tests {
         let mut outer = Message::new();
         outer.set("wrapped", inner.clone());
         assert_eq!(outer.get_msg("wrapped"), Some(&inner));
-    }
-
-    #[test]
-    fn encoded_len_grows_with_content() {
-        let empty = Message::new();
-        let small = Message::with_body("x");
-        let big = Message::with_body(vec![0u8; 10_000]);
-        assert!(empty.encoded_len() < small.encoded_len());
-        assert!(small.encoded_len() < big.encoded_len());
-        assert!(big.encoded_len() >= 10_000);
     }
 }

@@ -118,14 +118,11 @@ impl FrameWriter {
         }
     }
 
-    /// Finishes the frame: its wire bytes, envelope byte included, and their size under
-    /// the simulator's cost model — what [`crate::codec::body_model_len`] walks the bytes
-    /// to, everything but the envelope byte.
-    pub fn finish(mut self) -> (Segments, usize) {
-        let len = self.buf.len();
-        let body = u32::try_from(len - HEAD_LEN).expect("a frame body under 4 GiB");
+    /// Finishes the frame: its wire bytes, envelope byte included.
+    pub fn finish(mut self) -> Segments {
+        let body = u32::try_from(self.buf.len() - HEAD_LEN).expect("a frame body under 4 GiB");
         self.buf.patch(HEAD_LEN - 4, &body.to_be_bytes());
-        (self.buf.finish(), len - 1)
+        self.buf.finish()
     }
 }
 
@@ -255,7 +252,7 @@ mod tests {
     use bytes::Bytes;
 
     /// A frame of one of each kind of value, and the tree it is.
-    fn write_sample() -> (Segments, usize, Message) {
+    fn write_sample() -> (Segments, Message) {
         let payload = Message::with_body("app").with("price", 9000u64);
         let held = codec::encode_segments(&Message::with_body(vec![1u8, 2, 3]));
         let mut w = FrameWriter::with_capacity(64);
@@ -265,7 +262,7 @@ mod tests {
         w.put_message(&payload);
         w.put_segments(&held);
         w.put_varint(u64::MAX);
-        let (wire, model) = w.finish();
+        let wire = w.finish();
         let mut body = vec![7u8, 0xAC, 0x02, 6];
         body.extend_from_slice(b"sample");
         let payload_body = codec::encode(&payload).slice(1..);
@@ -276,7 +273,7 @@ mod tests {
         body.extend_from_slice(&[0xFF; 9]);
         body.push(0x01);
         let tree = Message::new().with(FRAME_FIELD, body);
-        (wire, model, tree)
+        (wire, tree)
     }
 
     fn read_sample(body: &Segments) -> Result<(u8, u64, String, Message, Segments, u64)> {
@@ -295,20 +292,17 @@ mod tests {
 
     #[test]
     fn writer_output_is_the_tree_encoders_output_and_model() {
-        let (wire, model, tree) = write_sample();
+        let (wire, tree) = write_sample();
         assert_eq!(wire.iter().count(), 1, "nothing large: one buffer");
         let bytes = wire.to_bytes();
         assert_eq!(bytes, codec::encode(&tree), "byte for byte");
-        assert_eq!(model, tree.encoded_len(), "size model");
-        let body = codec::envelope_body(&wire).expect("envelope");
-        assert_eq!(codec::body_model_len(&body).expect("walk"), model);
-        assert_eq!(model, bytes.len() - 1);
+        assert_eq!(wire.len(), codec::wire_len(&tree), "length");
         assert_eq!(codec::decode(&bytes).expect("decode"), tree);
     }
 
     #[test]
     fn a_nested_read_that_stops_early_still_lands_after_the_nested_message() {
-        let (wire, _, _) = write_sample();
+        let (wire, _) = write_sample();
         let body = codec::envelope_body(&wire).expect("envelope");
         let (kind, n, name, payload, held, last) = read_sample(&body).expect("reads");
         assert_eq!((kind, n, name.as_str(), last), (7, 300, "sample", u64::MAX));
@@ -327,7 +321,7 @@ mod tests {
 
     #[test]
     fn cursor_rejects_wrong_types_truncation_and_trailing_bytes() {
-        let (wire, _, _) = write_sample();
+        let (wire, _) = write_sample();
         let body = codec::envelope_body(&wire).expect("envelope").to_bytes();
         // Every proper prefix fails, never panics; so does one byte more.
         for cut in 0..body.len() {
@@ -404,17 +398,14 @@ mod tests {
         w.put_message(&payload);
         w.put_segments(&held);
         w.put_varint(2);
-        let (wire, model) = w.finish();
-        assert_eq!(model, wire.len() - 1);
+        let wire = w.finish();
         let segs: Vec<&Bytes> = wire.iter().collect();
         assert_eq!(segs.len(), 5, "own bytes around each of the two values");
         assert_eq!(segs[1].as_ptr(), big.as_ptr(), "spliced, not copied");
         assert_eq!(segs[3].as_ptr(), big.as_ptr());
         assert!(wire.buffered_len() < 128);
-        // Every way of reading hands the value back as the buffer that went in, and the
-        // model walks to the same size without copying it.
+        // Every way of reading hands the value back as the buffer that went in.
         let body = codec::envelope_body(&wire).expect("envelope");
-        assert_eq!(codec::body_model_len(&body), Ok(model));
         let mut c = FrameReader::open(&body).expect("open");
         assert_eq!(c.varint(), Ok(1));
         let read = c.message().expect("payload");

@@ -39,21 +39,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// Approximate in-memory / on-wire payload size in bytes, used by the network simulator
-    /// to charge serialization and fragmentation costs.
-    pub(crate) fn payload_len(&self) -> usize {
-        match self {
-            Value::Bool(_) => 1,
-            Value::I64(_) | Value::U64(_) | Value::F64(_) => 8,
-            Value::Str(s) => s.len(),
-            Value::Bytes(b) => b.len(),
-            Value::Addr(_) => 8,
-            Value::AddrList(v) => 8 * v.len(),
-            Value::U64List(v) => 8 * v.len(),
-            Value::Msg(m) => m.encoded_len(),
-        }
-    }
-
     /// Returns the boolean if this is a `Bool`.
     pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
@@ -284,16 +269,5 @@ mod tests {
         for addr in cases {
             assert_eq!(decode_address(encode_address(&addr)), addr, "{addr:?}");
         }
-    }
-
-    #[test]
-    fn payload_len_reflects_size() {
-        assert_eq!(Value::from("abcd").payload_len(), 4);
-        assert_eq!(Value::from(vec![0u8; 100]).payload_len(), 100);
-        assert_eq!(Value::from(3u64).payload_len(), 8);
-        assert_eq!(
-            Value::AddrList(vec![Address::Group(GroupId(1)); 3]).payload_len(),
-            24
-        );
     }
 }

@@ -1,5 +1,5 @@
 //! Property tests for the message codec: arbitrary messages survive an encode/decode
-//! round-trip, and the size model stays within a constant factor of the real encoding.
+//! round-trip, and garbage or truncated bytes never panic the decoder.
 
 use proptest::prelude::*;
 use vsync_msg::{codec, Message, Value};
@@ -65,14 +65,6 @@ proptest! {
         let bytes = codec::encode(&msg);
         let back = codec::decode(&bytes).expect("decode must succeed");
         prop_assert_eq!(back, msg);
-    }
-
-    #[test]
-    fn size_model_tracks_real_encoding(msg in arb_message()) {
-        let bytes = codec::encode(&msg);
-        let model = msg.encoded_len();
-        prop_assert!(model + 64 >= bytes.len() / 2);
-        prop_assert!(model <= bytes.len() * 2 + 64);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! 1. the writer's segments, concatenated, are the bytes the flat encoder produces;
 //! 2. the writer's list, the flat bytes and the same bytes re-cut (at every offset for a
 //!    small message; at random offsets, near the start and around the writer's own
-//!    boundaries for a large one) decode to equal trees, equal modelled sizes and equal
+//!    boundaries for a large one) decode to equal trees, the exact wire length and equal
 //!    value-by-value reads of a protocol frame's positional body;
 //! 3. a value the writer spliced comes back out of the writer's list as the very buffer
 //!    that went in, and out of any other cut with the right contents;
@@ -155,9 +155,8 @@ impl Gen {
 
 /// A frame shaped like a data-bearing protocol message that also carries a held frame, as
 /// a flush commit does: written value by value, with `payload` a tree and `held` the wire
-/// form of another one.  Returns the writer's output, its modelled size and the tree it
-/// must be equal to, whose one value is the positional body written out by hand.
-fn protocol_shaped(payload: &Message, held: &Message, seq: u64) -> (Segments, usize, Message) {
+/// form of another one.  Returns the writer's output and the tree it must be equal to, whose one value is the positional body written out by hand.
+fn protocol_shaped(payload: &Message, held: &Message, seq: u64) -> (Segments, Message) {
     let held_wire = codec::encode_segments(held);
     let mut w = FrameWriter::with_capacity(96 + codec::buffered_len(payload));
     w.put_str("shaped");
@@ -172,7 +171,7 @@ fn protocol_shaped(payload: &Message, held: &Message, seq: u64) -> (Segments, us
     w.put_u8(1);
     w.put_varint(seq + 1);
     w.put_varint(!seq);
-    let (wire, model) = w.finish();
+    let wire = w.finish();
     let mut body = vec![6];
     body.extend_from_slice(b"shaped");
     for v in [9, seq, 3, seq, 0, 3] {
@@ -187,7 +186,7 @@ fn protocol_shaped(payload: &Message, held: &Message, seq: u64) -> (Segments, us
     body.push(1);
     varint(&mut body, seq + 1);
     varint(&mut body, !seq);
-    (wire, model, Message::new().with(FRAME_FIELD, body))
+    (wire, Message::new().with(FRAME_FIELD, body))
 }
 
 /// What reading a protocol-shaped body value by value yields.
@@ -304,13 +303,17 @@ fn writer_segments_concatenate_to_the_flat_encoding() {
         assert_eq!(wire.len(), codec::wire_len(&tree), "case {case}: length");
         multi += usize::from(wire.iter().count() > 1);
         let held = g.shaped_tree(case + 1);
-        let (wire, model, shaped) = protocol_shaped(&tree, &held, case);
+        let (wire, shaped) = protocol_shaped(&tree, &held, case);
         assert_eq!(
             wire.to_bytes(),
             codec::encode(&shaped),
             "case {case}: frame"
         );
-        assert_eq!(model, shaped.encoded_len(), "case {case}: size model");
+        assert_eq!(
+            wire.len(),
+            codec::wire_len(&shaped),
+            "case {case}: frame length"
+        );
         // The writer copies everything but the large values of the payload and the held
         // frame; those are segments of their own, all slices of the one source buffer.
         let source = g.source.as_ptr() as usize..g.source.as_ptr() as usize + g.source.len();
@@ -343,15 +346,21 @@ fn every_cut_decodes_to_the_same_tree_model_and_fields() {
     for case in 0..CASES {
         let payload = g.shaped_tree(case);
         let held = g.shaped_tree(case + 2);
-        let (wire, model, shaped) = protocol_shaped(&payload, &held, case);
+        let (wire, shaped) = protocol_shaped(&payload, &held, case);
         let flat = wire.to_bytes();
+        let len = codec::wire_len(&shaped);
+        assert_eq!(
+            Frame::new(shaped.clone()).wire_len(),
+            len,
+            "case {case}: tree"
+        );
         let held_flat = codec::encode(&held);
 
         // The writer's own list: equal, and spliced values are the buffers that went in.
         let got = codec::decode_segments(&wire).expect("writer's list decodes");
         assert_eq!(got, shaped, "case {case}");
         let frame = Frame::from_wire(wire.clone());
-        assert_eq!(frame.model_len(), model, "case {case}");
+        assert_eq!(frame.wire_len(), len, "case {case}");
         assert_eq!(frame.first_field_name(), Some(FRAME_FIELD));
         assert_eq!(frame.message(), &shaped);
         let body = codec::envelope_body(&wire).expect("envelope");
@@ -377,7 +386,7 @@ fn every_cut_decodes_to_the_same_tree_model_and_fields() {
             let got = codec::decode_segments(cut);
             assert_eq!(got.as_ref(), Ok(&shaped), "case {case}, cut {i}: tree");
             let frame = Frame::from_wire(cut.clone());
-            assert_eq!(frame.model_len(), model, "case {case}, cut {i}: model");
+            assert_eq!(frame.wire_len(), len, "case {case}, cut {i}: length");
             assert_eq!(frame.first_field_name(), Some(FRAME_FIELD));
             let body = frame.wire_body().expect("envelope");
             let read = read_shaped(&body);
@@ -399,7 +408,7 @@ fn damaged_lists_are_errors_or_other_messages_never_a_panic() {
             assert!(frame.message().is_empty(), "undecodable reads as empty");
         }
         let _ = (
-            frame.model_len(),
+            frame.wire_len(),
             frame.first_field_name(),
             frame.wire_bytes(),
         );
@@ -411,7 +420,7 @@ fn damaged_lists_are_errors_or_other_messages_never_a_panic() {
     };
     for case in 0..CASES {
         let (payload, held) = (g.shaped_tree(case), g.shaped_tree(case + 3));
-        let (wire, _, _) = protocol_shaped(&payload, &held, case);
+        let (wire, _) = protocol_shaped(&payload, &held, case);
         assert!(poke(wire.clone()), "case {case}: intact");
         let segs: Vec<Bytes> = wire.iter().cloned().collect();
         let with = |i: usize, seg: Option<Bytes>| -> Segments {

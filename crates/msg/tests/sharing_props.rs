@@ -4,7 +4,7 @@
 //!
 //! The reference model is a plain owned tree per handle — no `Message` inside it, so nothing
 //! in the model can share anything — and after **every** step every handle is compared with
-//! its model: field by field, and through equality, `Debug`, `encoded_len` and the codec
+//! its model: field by field, and through equality, `Debug`, `wire_len` and the codec
 //! against a message rebuilt from the model with fresh, unshared tables.  Sequences are
 //! generated from fixed seeds, so a failure names the seed and step that reproduce it; the
 //! test does not rely on shrinking.
@@ -68,9 +68,9 @@ fn assert_reads_as(handle: &Message, model: &Model, ctx: &str) {
         "{ctx}: Debug rendering"
     );
     assert_eq!(
-        handle.encoded_len(),
-        fresh.encoded_len(),
-        "{ctx}: size model"
+        codec::wire_len(handle),
+        codec::wire_len(&fresh),
+        "{ctx}: wire length"
     );
     assert_eq!(
         codec::encode(handle),

@@ -57,6 +57,10 @@ pub enum PacketKind {
     Control,
 }
 
+/// Bytes the simulator charges a packet on top of its payload's wire length: the header a
+/// real datagram would carry.
+pub const HEADER_LEN: usize = 32;
+
 /// An addressed message in flight between two processes.
 ///
 /// Packets always name concrete processes; group expansion happens in the protocol layer
@@ -106,10 +110,10 @@ impl Packet {
         self.src.site == self.dst.site
     }
 
-    /// Approximate wire size of the packet (payload plus a small header).  The payload's
-    /// share is cached in the frame, so the packets of one fan-out size it once.
+    /// Size the simulator charges the packet: its payload's wire length — the bytes the
+    /// threaded backend sends for it — plus [`HEADER_LEN`].
     pub(crate) fn wire_size(&self) -> usize {
-        self.payload.model_len() + 32
+        self.payload.wire_len() + HEADER_LEN
     }
 }
 
@@ -170,6 +174,6 @@ mod tests {
             PacketKind::Data,
             Message::with_body(vec![0u8; 1000]),
         );
-        assert!(p.wire_size() > 1000);
+        assert_eq!(p.wire_size(), p.payload.wire_bytes().len() + HEADER_LEN);
     }
 }

@@ -70,7 +70,9 @@ pub struct NetStats {
     pub intra_site_packets: u64,
     /// Fragments generated by large messages.
     pub fragments_sent: u64,
-    /// Total payload bytes handed to the network.
+    /// Bytes handed to the network: each packet's payload wire length plus the simulated
+    /// header ([`crate::packet::HEADER_LEN`]), once per packet however many fragments it
+    /// took.
     pub bytes_sent: u64,
     /// Messages delivered to application entry points.
     pub deliveries: u64,

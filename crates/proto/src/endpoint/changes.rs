@@ -109,11 +109,20 @@ impl Changes {
     }
 
     /// Queues a `JoinReq`, `LeaveReq` or `GbcastReq` for the next cut of `view`.  A join or
-    /// leave already queued is not queued twice, and a join of a member `view` holds and
-    /// nobody suspects is not queued at all: its cut would change nothing.
+    /// leave already queued is not queued twice.  Nor is one whose cut would change nothing:
+    /// a join of a member `view` holds and nobody suspects, or a leave of a process `view`
+    /// does not hold, which instead withdraws that process's queued join.
     pub(super) fn queue(&mut self, request: ProtoMsg, view: &View) {
-        let settled = matches!(&request, ProtoMsg::JoinReq { joiner, .. }
-            if view.contains(*joiner) && !self.suspects(*joiner));
+        let settled = match &request {
+            ProtoMsg::JoinReq { joiner, .. } => view.contains(*joiner) && !self.suspects(*joiner),
+            ProtoMsg::LeaveReq { member } if !view.contains(*member) => {
+                self.queued.retain(
+                    |queued| !matches!(queued, ProtoMsg::JoinReq { joiner, .. } if joiner == member),
+                );
+                true
+            }
+            _ => false,
+        };
         let repeat =
             !matches!(request, ProtoMsg::GbcastReq { .. }) && self.queued.contains(&request);
         if !settled && !repeat {
@@ -266,6 +275,17 @@ mod tests {
         assert_eq!(after.members, [member(0), member(3), member(4)]);
         assert_eq!(gbcasts, [Message::with_body(7u64)]);
         assert!(!c.pending(), "the successor drained the queue");
+    }
+
+    #[test]
+    fn a_leave_of_a_process_the_view_does_not_hold_withdraws_its_join() {
+        let mut c = Changes::default();
+        c.queue(leave(3), &view(3));
+        assert!(!c.pending(), "nothing to cut");
+        for request in [join(3), join(4), leave(3)] {
+            c.queue(request, &view(3));
+        }
+        assert_eq!(c.queued, [join(4)]);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! The typed value and the bytes are converted **directly**: one writer (behind
 //! [`ProtoMsg::into_frame`]) and one reader (behind [`ProtoMsg::decode_frame`]), and no
 //! [`Message`] tree in either direction.  A frame is still a codec message — of one
-//! byte-string field — so the transport, the simulator's size model and routing by the
-//! first field's name treat it like any other.
+//! byte-string field — so the transport, the simulator's sizing and routing by the first
+//! field's name treat it like any other.
 //!
 //! A frame is *born* with its typed value in the memo slot, so inside one process — every
 //! site of the simulator, a commit relayed onwards — a frame is never parsed at all; the
@@ -866,7 +866,7 @@ impl ProtoMsg {
         wire_stats::note_decode();
         let decoded = ProtoMsg::read(&frame.wire_body()?)?;
         debug_assert_eq!(
-            codec::envelope_body(&decoded.1.write(decoded.0).finish().0)
+            codec::envelope_body(&decoded.1.write(decoded.0).finish())
                 .and_then(|body| ProtoMsg::read(&body))
                 .ok()
                 .as_ref(),
@@ -889,7 +889,7 @@ impl ProtoMsg {
     /// The message as a [`Message`] tree — one field holding the positional body — decoded
     /// from its wire bytes by the generic codec.
     pub fn encode(&self, group: GroupId) -> Message {
-        codec::decode_segments(&self.write(group).finish().0)
+        codec::decode_segments(&self.write(group).finish())
             .expect("the frame writer produces well-formed messages")
     }
 
@@ -1286,10 +1286,10 @@ mod tests {
             let frame = msg.encode_frame(GroupId(1_000));
             let len = frame.wire_bytes().len();
             assert!(3 * len <= named, "{}: {len} B", msg.type_tag());
-            // The simulator charges what the bytes walk to; there is no second model.
+            // The simulator charges the bytes' length, however the frame was born.
             let arrived = Frame::from_wire(frame.wire_bytes());
-            assert_eq!(frame.model_len(), arrived.model_len(), "{}", msg.type_tag());
-            assert_eq!(frame.model_len(), len - 1);
+            assert_eq!(frame.wire_len(), len, "{}", msg.type_tag());
+            assert_eq!(arrived.wire_len(), len, "{}", msg.type_tag());
         }
     }
 

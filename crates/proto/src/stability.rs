@@ -12,9 +12,8 @@
 //! messages the view has carried.  Only the held copies themselves are per message, and they
 //! leave as soon as every peer's run has passed them.
 //!
-//! A held copy is the *bytes* of the frame that carried the multicast, plus its protocol,
-//! its ABCAST decision and its size under the simulator's cost model if the frame knew it —
-//! never the frame.  Taking the bytes is one refcount, as taking the frame was; what it
+//! A held copy is the *bytes* of the frame that carried the multicast, plus its protocol and
+//! its ABCAST decision — never the frame.  Taking the bytes is one refcount, as taking the frame was; what it
 //! saves is the typed value the frame memoized (the payload's field table, the timestamp),
 //! which would otherwise stay alive until the message is stable and then be freed in a
 //! burst, on whichever thread the gossip happened to land.  That value goes with the packet
@@ -351,7 +350,7 @@ mod tests {
             .collect()
     }
 
-    /// A CBCAST as its origin writes it: bytes, typed value and modelled size at once.
+    /// A CBCAST as its origin writes it: bytes and typed value at once.
     fn written(seq: u64) -> Frame {
         ProtoMsg::CbData {
             id: id(0, seq),
@@ -395,9 +394,9 @@ mod tests {
                 "shared, not copied"
             );
         }
-        // Either copy's bytes walk to its frame's size.
-        assert_eq!(unstable[0].wire.model_len(), frame.model_len());
-        assert_eq!(unstable[1].wire.model_len(), received.model_len());
+        // Either copy is sized as its frame's bytes.
+        assert_eq!(unstable[0].wire.wire_len(), frame.wire_bytes().len());
+        assert_eq!(unstable[1].wire.wire_len(), received.wire_bytes().len());
     }
 
     #[test]

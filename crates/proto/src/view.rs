@@ -225,7 +225,7 @@ mod tests {
             .successor(&[p(0, 1)], &[p(2, 1)]);
         let mut w = FrameWriter::with_capacity(64);
         v.write(&mut w);
-        let (bytes, _) = w.finish();
+        let bytes = w.finish();
         let body = vsync_msg::codec::envelope_body(&bytes).expect("envelope");
         // Group, seq, then each list as a count and (site, local, incarnation) per member.
         let tree = vsync_msg::codec::decode_segments(&bytes).expect("tree");

@@ -7,8 +7,8 @@
 //! and held frames as a length and their bytes.  The reference below spells that layout
 //! out again, independently of `ProtoMsg::write`, and for seeded arbitrary messages of all
 //! 16 variants the one-pass writer must agree with the tree encoder's bytes of the
-//! reference tree byte for byte, the size model must agree with that tree's `encoded_len`,
-//! the reader must give back the typed message, frames nested in a flush ack or commit
+//! reference tree byte for byte, the size the simulator charges must be that tree's exact
+//! wire length, the reader must give back the typed message, frames nested in a flush ack or commit
 //! must come back out as the bytes that went in, and damaged bytes must be refused: every
 //! proper prefix, a trailing byte, an unknown kind, an over-long or overflowing varint, a
 //! site id beyond 16 bits, and a count or length the bytes left cannot hold — never
@@ -625,17 +625,20 @@ fn check(msg: ProtoMsg, check_truncations: bool) {
         reference,
         "{tag}: tree"
     );
-    // (d) the size the simulator charges is the tree's, whichever way the frame was born;
-    assert_eq!(
-        frame.model_len(),
-        reference.encoded_len(),
-        "{tag}: model (born)"
-    );
-    assert_eq!(
-        arrived.model_len(),
-        reference.encoded_len(),
-        "{tag}: model (arrived)"
-    );
+    // (d) the size the simulator charges is the tree's wire length, whichever way the frame
+    // was born;
+    let tree_born = Frame::new(reference.clone());
+    for (how, sized) in [
+        ("born", &frame),
+        ("arrived", &arrived),
+        ("tree", &tree_born),
+    ] {
+        assert_eq!(
+            sized.wire_len(),
+            reference_bytes.len(),
+            "{tag}: wire length ({how})"
+        );
+    }
     // (e) every held frame comes back out of an ack or commit as the bytes that went in,
     // and reads as the same typed message;
     for (put, got) in held_of(&msg).iter().zip(held_of(decoded)) {
@@ -716,7 +719,7 @@ fn long_held_lists_agree_past_the_old_name_table() {
 #[test]
 fn a_stability_frame_of_many_groups_agrees_and_survives_damage() {
     // What a site hosting 64 groups sends a peer each tick: 64 entries.  Typed round trip,
-    // reference layout and size model as for any message.
+    // reference layout and wire length as for any message.
     for seed in 0..2u64 {
         let mut rng = DetRng::new(2_000 + seed);
         let msg = stability(&mut rng, 64);

@@ -346,4 +346,85 @@ mod tests {
             );
         }
     }
+
+    /// Site 0 sends site 1 an application message and a protocol frame when it starts;
+    /// site 1 reports each arrival.
+    struct Sender {
+        site: SiteId,
+        arrived: std::sync::mpsc::Sender<()>,
+    }
+
+    fn cross_site_packets() -> [Packet; 2] {
+        use vsync_net::MsgId;
+        use vsync_proto::ProtoMsg;
+        use vsync_util::GroupId;
+        let (a, b) = (ProcessId::new(SiteId(0), 1), ProcessId::new(SiteId(1), 1));
+        let app = Message::with_body("payload").with("seq", 7u64);
+        let order = ProtoMsg::AbOrder {
+            id: MsgId::new(SiteId(0), 4),
+            view_seq: 2,
+            final_priority: 9,
+            tiebreak_site: SiteId(1),
+        };
+        [
+            Packet::new(a, b, PacketKind::Data, app),
+            Packet::new(a, b, PacketKind::SetOrder, order.encode_frame(GroupId(3))),
+        ]
+    }
+
+    impl vsync_net::SiteHandler for Sender {
+        fn on_start(&mut self, _now: SimTime, out: &mut vsync_net::Outbox) {
+            if self.site == SiteId(0) {
+                cross_site_packets().into_iter().for_each(|p| out.send(p));
+            }
+        }
+        fn on_packet(&mut self, _now: SimTime, _pkt: Packet, _out: &mut vsync_net::Outbox) {
+            let _ = self.arrived.send(());
+        }
+        fn on_timer(&mut self, _now: SimTime, _token: u64, _out: &mut vsync_net::Outbox) {}
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    #[test]
+    fn both_backends_count_the_bytes_a_frame_puts_on_the_wire() {
+        use crate::{FaultPlan, SimCluster, ThreadedCluster};
+        use std::sync::mpsc;
+        use std::time::Duration as WallTime;
+        use vsync_net::packet::HEADER_LEN;
+        use vsync_util::{Duration, NetParams};
+        let want: usize = cross_site_packets()
+            .iter()
+            .map(|p| p.payload.wire_bytes().len())
+            .sum();
+        let (tx, rx) = mpsc::channel();
+        let sender = |site: u16| Sender {
+            site: SiteId(site),
+            arrived: tx.clone(),
+        };
+
+        let mut sim = SimCluster::new(2, NetParams::modern(), 1);
+        for site in 0..2 {
+            sim.install(SiteId(site), Box::new(sender(site)));
+        }
+        sim.run_for(Duration::from_millis(10));
+        assert_eq!(rx.try_iter().count(), 2, "the simulator delivered both");
+        let stats = sim.stats().snapshot();
+        let charged = stats.bytes_sent - HEADER_LEN as u64 * stats.packets_sent;
+
+        let mut threads = ThreadedCluster::new(2, FaultPlan::none(), 1);
+        for site in 0..2 {
+            let handler = sender(site);
+            threads.spawn_site(SiteId(site), move |_now| Box::new(handler));
+        }
+        for _ in 0..2 {
+            rx.recv_timeout(WallTime::from_secs(10))
+                .expect("the threads delivered both");
+        }
+        let reports = threads.shutdown();
+        let sent: u64 = reports.iter().map(|r| r.wire_bytes_sent).sum();
+
+        assert_eq!((charged, sent), (want as u64, want as u64));
+    }
 }
