@@ -1,12 +1,12 @@
-//! Tier-1 golden: the simulator's wire-size model and virtual-time behaviour, pinned.
+//! Tier-1 golden: the bytes the simulator charges and its virtual-time behaviour, pinned.
 //!
 //! One fixed-seed `rt::sim` scenario — 4 sites, 300 paced operations mixing CBCAST, ABCAST
 //! and group RPC, one join with a state transfer and one site crash, both under load —
 //! must reproduce, to the packet, byte and microsecond, the numbers captured on the commit
 //! before protocol frames became wire-born (the byte total has been re-pinned since, each
 //! time with its reason beside the constant).  Packet sizes drive fragmentation
-//! and link delay in the simulator, so a change that moves the size model
-//! (`Message::encoded_len` / `Frame::model_len` / `Packet::wire_size`) or the number of
+//! and link delay in the simulator, so a change that moves a frame's wire length
+//! (`Frame::wire_len`, charged with a fixed header by `Packet::wire_size`) or the number of
 //! packets a primitive costs shows up here, in `cargo test`, and not only in the
 //! benchmark's exact-per-seed rows or `crates/bench/golden/repro_all.md`.
 //!
@@ -287,9 +287,22 @@ fn fixed_seed_scenario_reproduces_packet_byte_and_latency_counts_exactly() {
     //   Stability   90 × −420 B       =  −37 800
     // and Heartbeat and Reply, which carry no protocol frame, unchanged.  Packets by kind,
     // deliveries and logged entries did not move.
+    // Then 436 206 → 438 245 when the simulator began to charge a frame's wire length, the
+    // bytes the threaded backend sends, in place of a size model: +2 039 B, by packet kind
+    //   Heartbeat 2 766 × +1 B  = +2 766  the envelope byte, which the model left out
+    //   Data        799 × +1 B  =   +799  the same, on every protocol frame
+    //   Flush        30 × +1 B  =    +30
+    //   Proposal    140 × +1 B  =   +140
+    //   SetOrder    160 × +1 B  =   +160
+    //   Stability    90 × +1 B  =    +90
+    //   Reply       100 × −19 B = −1 900  an RPC reply: the envelope byte, less 4 B for each
+    //                                     of its five fixed-width fields, which the model
+    //                                     charged a length they do not have
+    //   Data          2 × −23 B =    −46  the join's two state-transfer blocks: six such fields
+    // Packets by kind, deliveries, logged entries and every latency did not move.
     assert_eq!(
         totals,
-        (4087, 4057, 30, 0, 436_206, 999, 899),
+        (4087, 4057, 30, 0, 438_245, 999, 899),
         "(packets, inter-site, intra-site, fragments, bytes, deliveries, logged)"
     );
     let lat = |n, p50, p99, max, sum| Latencies {
