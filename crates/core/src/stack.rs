@@ -120,6 +120,9 @@ pub struct SiteStack {
     /// vector) for the duration of one pump, so re-entrant pumps fall back to a fresh
     /// allocation instead of aliasing.
     eout_scratch: Vec<EndpointOutput>,
+    /// The groups whose endpoints were reached during the current run of packets before its
+    /// last, and so may hold ordering entries (see `end_run`).
+    in_run: Vec<GroupId>,
 }
 
 impl SiteStack {
@@ -159,6 +162,7 @@ impl SiteStack {
             gossip: Vec::new(),
             member_scratch: Vec::new(),
             eout_scratch: Vec::new(),
+            in_run: Vec::new(),
         }
     }
 
@@ -425,6 +429,11 @@ impl SiteStack {
 
     /// Runs `f` on the group's endpoint, if this site runs one, handing it the clock and the
     /// reusable output buffer, then acts on whatever it emitted.
+    ///
+    /// While a packet is handled that another packet follows, the endpoint keeps the ABCAST
+    /// proposals and orders it made, and the group is noted for the end of the run; in any
+    /// other call it sends them before this returns, so no entry outlives the run, or the
+    /// call, that made it.
     fn with_endpoint<T>(
         &mut self,
         group: GroupId,
@@ -434,8 +443,23 @@ impl SiteStack {
         let ep = self.endpoints.get_mut(&group)?;
         let mut eouts = std::mem::take(&mut self.eout_scratch);
         let res = f(ep, self.now, &mut eouts);
+        if !out.packet_follows() {
+            ep.send_held(&mut eouts);
+        } else if !self.in_run.contains(&group) {
+            self.in_run.push(group);
+        }
         self.pump_endpoint_outputs(group, eouts, out);
         Some(res)
+    }
+
+    /// Ends a run of packets: every endpoint reached during it sends the ordering entries it
+    /// holds, one proposal frame per initiator and one order frame for all its peers.
+    fn end_run(&mut self, out: &mut Outbox) {
+        for i in 0..self.in_run.len() {
+            // Reached outside packet handling, an endpoint sends what it holds.
+            self.with_endpoint(self.in_run[i], out, |_, _, _| ());
+        }
+        self.in_run.clear();
     }
 
     fn pump_endpoint_outputs(
@@ -816,16 +840,9 @@ impl SiteStack {
         };
         self.dispatch_entry(pkt.dst, entry, &pkt.payload, out);
     }
-}
 
-impl SiteHandler for SiteStack {
-    fn on_start(&mut self, now: SimTime, out: &mut Outbox) {
-        self.now = now;
-        out.set_timer(self.cfg.tick_interval, TICK);
-    }
-
-    fn on_packet(&mut self, now: SimTime, pkt: Packet, out: &mut Outbox) {
-        self.now = now;
+    fn handle_packet(&mut self, pkt: Packet, out: &mut Outbox) {
+        let now = self.now;
         if pkt.src.site != self.site {
             // Any traffic from a site proves it is alive.
             if let Some(verdict) = self.fd.on_heartbeat(pkt.src.site, now) {
@@ -849,6 +866,23 @@ impl SiteHandler for SiteStack {
             out.trace_with(|| format!("{}: undecodable message from {}: {e}", self.site, pkt.src));
         } else {
             self.handle_app_packet(&pkt, out);
+        }
+    }
+}
+
+impl SiteHandler for SiteStack {
+    fn on_start(&mut self, now: SimTime, out: &mut Outbox) {
+        self.now = now;
+        out.set_timer(self.cfg.tick_interval, TICK);
+    }
+
+    /// Handles one packet.  The ABCAST ordering entries it makes are held while the driver
+    /// has another packet ready ([`Outbox::packet_follows`]) and sent when the run ends.
+    fn on_packet(&mut self, now: SimTime, pkt: Packet, out: &mut Outbox) {
+        self.now = now;
+        self.handle_packet(pkt, out);
+        if !out.packet_follows() {
+            self.end_run(out);
         }
     }
 
@@ -904,6 +938,7 @@ impl SiteHandler for SiteStack {
                 bundle.entries.push(report.to_entry());
             }
             ep.flush_watchdog(now, &mut eouts);
+            ep.send_held(&mut eouts);
             if !eouts.is_empty() {
                 emitted.push((*g, std::mem::take(&mut eouts)));
             }
@@ -996,6 +1031,8 @@ mod tests {
     use std::rc::Rc;
 
     use crate::process::ProcessBuilder;
+    use vsync_net::MsgId;
+    use vsync_proto::messages::wire_stats;
     use vsync_proto::{Frontier, LogSummary};
     use vsync_util::Duration;
 
@@ -1696,5 +1733,251 @@ mod tests {
         assert_eq!(ran.len(), 5, "{ran:?}");
         assert_eq!(ran[4].0, "a-again");
         assert!(matches!(ran[4].1, Some(VsError::Timeout(_))), "{ran:?}");
+    }
+
+    // -- ABCAST ordering frames: held through a run of packets, sent when it ends, and never
+    // overtaken by a later frame to the same site.
+
+    const APPLY: EntryId = EntryId(3);
+
+    /// What the members delivered: `(site, body)` in delivery order, all sites in one log.
+    type Log = Rc<RefCell<Vec<(u16, u64)>>>;
+
+    /// Stacks for sites `0..n`, each hosting member `(site, 1)`, which logs what it is
+    /// delivered, in group `G`: founded at site 0, the others joined one by one.
+    fn abcast_group(n: u16) -> (Vec<SiteStack>, Log) {
+        let log: Log = Rc::default();
+        let mut stacks: Vec<SiteStack> = (0..n).map(|s| site_stack(s, n)).collect();
+        for (s, st) in (0..n).zip(stacks.iter_mut()) {
+            let mut b = ProcessBuilder::new(pid(s, 1));
+            let log = log.clone();
+            b.on_entry(APPLY, move |_ctx, msg| {
+                let body = msg.get_u64("body").expect("a body");
+                log.borrow_mut().push((s, body));
+            });
+            st.add_process(b.build());
+        }
+        let mut out = Outbox::new();
+        stacks[0].create_group("g", G, pid(0, 1), &mut out);
+        for s in 1..n {
+            let st = &mut stacks[usize::from(s)];
+            st.register_group("g", G, vec![SiteId(0)]);
+            st.join_group(G, pid(s, 1), None, &mut out).unwrap();
+            settle(&mut stacks, SimTime::ZERO, &mut out, |_| false);
+        }
+        let full = |st: &SiteStack| st.view_of(G).is_some_and(|v| v.len() == usize::from(n));
+        assert!(stacks.iter().all(full), "the group never formed");
+        (stacks, log)
+    }
+
+    fn multicast(
+        st: &mut SiteStack,
+        site: u16,
+        protocol: ProtocolKind,
+        body: u64,
+        out: &mut Outbox,
+    ) {
+        let (to, payload) = (vec![Address::Group(G)], Message::with_body(body));
+        st.issue_call(
+            pid(site, 1),
+            to,
+            APPLY,
+            payload,
+            protocol,
+            ReplyWanted::None,
+            None,
+            out,
+        );
+    }
+
+    /// The packets in the outbox, taken out (its timers are dropped).
+    fn sent(out: &mut Outbox) -> Vec<Packet> {
+        out.drain_timers().for_each(drop);
+        out.drain_sends().collect()
+    }
+
+    /// Hands `pkts` to `st` as one run of packets, as a driver that had them all ready
+    /// would: every packet but the last is followed by another.
+    fn run(st: &mut SiteStack, pkts: Vec<Packet>, out: &mut Outbox) {
+        let n = pkts.len();
+        for (i, pkt) in pkts.into_iter().enumerate() {
+            out.set_packet_follows(i + 1 < n);
+            st.on_packet(SimTime::ZERO, pkt, out);
+        }
+        out.set_packet_follows(false);
+    }
+
+    /// The ids in an ordering frame, with its packet's destination and kind.
+    fn ordering(pkt: &Packet) -> (u16, PacketKind, Vec<MsgId>) {
+        let ids = match decode(pkt) {
+            Some(ProtoMsg::AbPropose { proposals, .. }) => {
+                proposals.into_iter().map(|(id, _)| *id).collect()
+            }
+            Some(ProtoMsg::AbOrder { orders, .. }) => {
+                orders.into_iter().map(|(id, ..)| *id).collect()
+            }
+            other => panic!("not an ordering frame: {other:?}"),
+        };
+        (pkt.dst.site.0, pkt.kind, ids)
+    }
+
+    fn bodies_at(log: &Log, site: u16) -> Vec<u64> {
+        log.borrow()
+            .iter()
+            .filter(|(s, _)| *s == site)
+            .map(|(_, b)| *b)
+            .collect()
+    }
+
+    /// Site 1 ABCASTs `k` multicasts; each other site handles their data frames as one run,
+    /// and site 1 the proposals that come back as one run.  Returns the proposal frames'
+    /// contents, then the order frames', and checks that every member delivered the `k`
+    /// in one order.
+    type Frames = Vec<(u16, PacketKind, Vec<MsgId>)>;
+
+    fn order_a_run(k: u64) -> (Frames, Frames) {
+        let (mut stacks, log) = abcast_group(3);
+        let mut out = Outbox::new();
+        for body in 0..k {
+            multicast(&mut stacks[1], 1, ProtocolKind::Abcast, body, &mut out);
+        }
+        let data = sent(&mut out);
+        assert_eq!(
+            data.len() as u64,
+            2 * k,
+            "a data frame to each peer per ABCAST"
+        );
+        let mut proposals = Vec::new();
+        for site in [0, 2] {
+            let (mut to_site, rest): (Vec<Packet>, Vec<Packet>) =
+                data.iter().cloned().partition(|p| p.dst.site.0 == site);
+            assert_eq!(rest.len() as u64, k);
+            let last = to_site.pop().expect("k >= 1");
+            let st = &mut stacks[usize::from(site)];
+            out.set_packet_follows(true);
+            for pkt in to_site {
+                st.on_packet(SimTime::ZERO, pkt, &mut out);
+            }
+            let held = sent(&mut out);
+            assert!(
+                held.is_empty(),
+                "nothing leaves before the run ends: {held:?}"
+            );
+            out.set_packet_follows(false);
+            st.on_packet(SimTime::ZERO, last, &mut out);
+            proposals.extend(sent(&mut out));
+        }
+        let before = wire_stats::frame_encodes();
+        run(&mut stacks[1], proposals.clone(), &mut out);
+        let orders = sent(&mut out);
+        assert_eq!(
+            wire_stats::frame_encodes() - before,
+            1,
+            "the order frame, written once"
+        );
+        assert!(
+            orders.windows(2).all(|o| o[0].payload == o[1].payload),
+            "every peer is sent the same frame"
+        );
+        for pkt in orders.clone() {
+            let site = pkt.dst.site.0;
+            stacks[usize::from(site)].on_packet(SimTime::ZERO, pkt, &mut out);
+        }
+        assert!(sent(&mut out).is_empty());
+        let order = bodies_at(&log, 1);
+        assert_eq!(order.len() as u64, k);
+        for site in [0, 2] {
+            assert_eq!(bodies_at(&log, site), order, "site {site}'s ABCAST order");
+        }
+        (
+            proposals.iter().map(ordering).collect(),
+            orders.iter().map(ordering).collect(),
+        )
+    }
+
+    #[test]
+    fn a_run_of_abcasts_is_proposed_in_one_frame_and_ordered_in_one_frame_for_every_peer() {
+        let k = 5;
+        let ids: Vec<MsgId> = (1..=k).map(|seq| MsgId::new(SiteId(1), seq)).collect();
+        let (proposals, orders) = order_a_run(k);
+        assert_eq!(
+            proposals,
+            [
+                (1, PacketKind::Proposal, ids.clone()),
+                (1, PacketKind::Proposal, ids.clone())
+            ],
+            "one proposal frame of k entries from each peer"
+        );
+        assert_eq!(
+            orders,
+            [
+                (0, PacketKind::SetOrder, ids.clone()),
+                (2, PacketKind::SetOrder, ids)
+            ],
+            "one order frame of k entries for both peers"
+        );
+    }
+
+    #[test]
+    fn a_lone_abcast_is_proposed_and_ordered_one_frame_each_as_ever() {
+        let id = vec![MsgId::new(SiteId(1), 1)];
+        let (proposals, orders) = order_a_run(1);
+        let proposal = (1, PacketKind::Proposal, id.clone());
+        assert_eq!(proposals, [proposal.clone(), proposal]);
+        let order = |site| (site, PacketKind::SetOrder, id.clone());
+        assert_eq!(orders, [order(0), order(2)]);
+    }
+
+    /// A proposal held through a run goes out ahead of any later frame to its initiator:
+    /// the flush ack that answers a request in the same run, and a leave the member asks
+    /// for before the run ends.
+    #[test]
+    fn a_held_proposal_goes_out_ahead_of_every_later_frame_to_its_initiator() {
+        let (mut stacks, _log) = abcast_group(2);
+        let mut out = Outbox::new();
+        let kinds = |pkts: &[Packet]| -> Vec<(u16, PacketKind)> {
+            pkts.iter().map(|p| (p.dst.site.0, p.kind)).collect()
+        };
+        // Site 0 ABCASTs, then GBCASTs, which as the coordinator starts a flush at once.
+        multicast(&mut stacks[0], 0, ProtocolKind::Abcast, 1, &mut out);
+        multicast(&mut stacks[0], 0, ProtocolKind::Gbcast, 2, &mut out);
+        let to_site_1 = sent(&mut out);
+        assert_eq!(
+            kinds(&to_site_1),
+            [(1, PacketKind::Data), (1, PacketKind::Flush)]
+        );
+        run(&mut stacks[1], to_site_1, &mut out);
+        let answers = sent(&mut out);
+        assert_eq!(
+            kinds(&answers),
+            [(0, PacketKind::Proposal), (0, PacketKind::Flush)]
+        );
+        assert!(matches!(
+            decode(&answers[1]),
+            Some(ProtoMsg::FlushAck { .. })
+        ));
+        for pkt in answers {
+            stacks[0].on_packet(SimTime::ZERO, pkt, &mut out);
+        }
+        settle(&mut stacks, SimTime::ZERO, &mut out, |_| false);
+        // Site 0 ABCASTs again; site 1's member leaves while the proposal is held.
+        multicast(&mut stacks[0], 0, ProtocolKind::Abcast, 3, &mut out);
+        let data = sent(&mut out);
+        out.set_packet_follows(true);
+        for pkt in data {
+            stacks[1].on_packet(SimTime::ZERO, pkt, &mut out);
+        }
+        out.set_packet_follows(false);
+        assert!(sent(&mut out).is_empty(), "the proposal is held");
+        stacks[1].leave_group(G, pid(1, 1), &mut out).unwrap();
+        let answers = sent(&mut out);
+        assert_eq!(
+            kinds(&answers),
+            [(0, PacketKind::Proposal), (0, PacketKind::Flush)]
+        );
+        assert!(matches!(
+            decode(&answers[1]),
+            Some(ProtoMsg::LeaveReq { .. })
+        ));
     }
 }

@@ -239,6 +239,13 @@ impl<'a> FrameReader<'a> {
         Ok(start.until(&self.r))
     }
 
+    /// True once every byte of the frame has been read: how a list that runs to the end of
+    /// the frame, with no count in front, knows it is over.
+    #[inline]
+    pub fn at_end(&self) -> bool {
+        self.r.remaining() == 0
+    }
+
     /// Ends the read: refuses bytes left over after the last value.
     pub fn finish(self) -> Result<()> {
         check_no_trailing(&self.r)

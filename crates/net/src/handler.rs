@@ -28,7 +28,8 @@ pub trait SiteHandler: Any {
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
-/// Actions a handler wants its driver to perform.
+/// Actions a handler wants its driver to perform, and what the driver tells the handler of
+/// the event after this one.
 pub struct Outbox {
     sends: Vec<Packet>,
     timers: Vec<(Duration, u64)>,
@@ -36,6 +37,9 @@ pub struct Outbox {
     /// Whether trace lines are kept.  Drivers set this once, so handlers using
     /// [`Outbox::trace_with`] skip even the string formatting when traces are off.
     collect_traces: bool,
+    /// Whether the driver already holds another packet for the handler, ready to be handled
+    /// next (see [`Outbox::packet_follows`]).
+    packet_follows: bool,
 }
 
 impl Default for Outbox {
@@ -47,6 +51,7 @@ impl Default for Outbox {
             // A free-standing outbox (handler unit tests) records traces; a runtime driver
             // chooses its own setting at construction.
             collect_traces: true,
+            packet_follows: false,
         }
     }
 }
@@ -87,6 +92,23 @@ impl Outbox {
         self.collect_traces = on;
     }
 
+    /// True while the handler handles a packet that its driver will follow, at once, with
+    /// another packet: the run of packets goes on.  A handler may hold back what it would
+    /// send in answer to every packet of the run (a site's ABCAST proposals and orders) and
+    /// send it as one frame when the run ends, which delays nothing the transport was not
+    /// holding back anyway.  False for everything else — a timer, an injected call, the
+    /// last packet that is ready, and any outbox not filled by a driver's event loop — so a
+    /// handler that holds something sends it before the call returns.
+    pub fn packet_follows(&self) -> bool {
+        self.packet_follows
+    }
+
+    /// Says whether the next event the driver will hand the handler is another packet that
+    /// is already ready.  Set by the event loop around each packet it dispatches.
+    pub fn set_packet_follows(&mut self, follows: bool) {
+        self.packet_follows = follows;
+    }
+
     /// Drains the queued packet sends.  Used by runtime drivers that flush a dispatch's
     /// actions into a transport; the buffer's capacity is retained for reuse.
     pub fn drain_sends(&mut self) -> std::vec::Drain<'_, Packet> {
@@ -111,6 +133,10 @@ mod tests {
     #[test]
     fn free_standing_outbox_records_traces_for_unit_tests() {
         let mut out = Outbox::new();
+        assert!(
+            !out.packet_follows(),
+            "no run of packets goes on by default"
+        );
         assert!(out.traces_enabled());
         out.trace_with(|| "kept".to_owned());
         assert_eq!(out.drain_traces().collect::<Vec<_>>(), ["kept"]);

@@ -84,15 +84,6 @@ impl GossipReport<'_> {
     }
 }
 
-/// Appends one `Send` of `msg` to `dst_site`.
-fn send(out: &mut Vec<EndpointOutput>, dst_site: SiteId, kind: PacketKind, msg: Frame) {
-    out.push(EndpointOutput::Send {
-        dst_site,
-        kind,
-        msg,
-    });
-}
-
 /// Protocol endpoint for one group at one site.
 pub struct GroupEndpoint {
     group: GroupId,
@@ -182,7 +173,7 @@ impl GroupEndpoint {
     pub fn create_at(&mut self, creator: ProcessId, first_seq: u64, out: &mut Vec<EndpointOutput>) {
         debug_assert_eq!(creator.site, self.site);
         let view = View::founding_at(self.group, creator, first_seq);
-        self.install_view(view.clone());
+        self.install_view(view.clone(), out);
         out.push(EndpointOutput::ViewChange(ViewEvent {
             view,
             gbcasts: Vec::new(),
@@ -320,7 +311,7 @@ impl GroupEndpoint {
             self.start_flush_if_needed(now, out);
         } else {
             let frame = request.into_frame(self.group);
-            send(out, coord.site, PacketKind::Flush, frame);
+            self.data.send(coord.site, PacketKind::Flush, frame, out);
         }
         Ok(())
     }
@@ -509,7 +500,7 @@ impl GroupEndpoint {
             return;
         }
         if let Some(commit) = self.last_commit.clone() {
-            send(out, from_site, PacketKind::Flush, commit);
+            self.data.send(from_site, PacketKind::Flush, commit, out);
         }
     }
 
@@ -554,28 +545,27 @@ impl GroupEndpoint {
                 }
             }
             ProtoMsg::AbPropose {
-                id,
                 view_seq,
-                proposed,
                 proposer_site,
+                proposals,
             } => match self.view_position(*view_seq) {
                 ViewPosition::Current => {
-                    self.data
-                        .on_proposal(*id, *proposer_site, *proposed, self.acked(), out);
+                    let gate = self.acked();
+                    for &(id, proposed) in proposals {
+                        self.data
+                            .on_proposal(id, *proposer_site, proposed, gate, out);
+                    }
                 }
                 ViewPosition::Future => self.hold_future(from_site, frame, *view_seq, out),
                 ViewPosition::Past => {}
             },
-            ProtoMsg::AbOrder {
-                id,
-                view_seq,
-                final_priority,
-                tiebreak_site,
-            } => match self.view_position(*view_seq) {
+            ProtoMsg::AbOrder { view_seq, orders } => match self.view_position(*view_seq) {
                 ViewPosition::Current => {
                     let gate = self.acked();
-                    self.data
-                        .abcast_decided(*id, *final_priority, *tiebreak_site, gate, out);
+                    for &(id, final_priority, tiebreak_site) in orders {
+                        self.data
+                            .abcast_decided(id, final_priority, tiebreak_site, gate, out);
+                    }
                 }
                 ViewPosition::Future => self.hold_future(from_site, frame, *view_seq, out),
                 ViewPosition::Past => self.bulletin_stale_sender(from_site, out),
@@ -697,14 +687,30 @@ impl GroupEndpoint {
         }
     }
 
-    /// Periodic maintenance for a host that drives this endpoint alone: the gossip round,
-    /// sent as a stability frame of this one entry, then the flush watchdog.  A host of
-    /// many endpoints calls the two halves itself and sends one frame for all of them.
+    /// Periodic maintenance for a host that drives this endpoint alone: the ordering frames
+    /// held, the gossip round, sent as a stability frame of this one entry, then the flush
+    /// watchdog.  A host of many endpoints calls the parts itself and sends one stability
+    /// frame for all of them.
     pub fn on_tick(&mut self, now: SimTime, out: &mut Vec<EndpointOutput>) {
+        self.send_held(out);
         if self.gossip_due(now).is_some() {
             self.data.send_report(out);
         }
         self.flush_watchdog(now, out);
+    }
+
+    /// Sends the ABCAST proposals and orders this endpoint holds: one `AbPropose` frame per
+    /// initiator and one `AbOrder` frame for every peer, however many entries each carries.
+    ///
+    /// The endpoint holds every proposal and order it makes until it sends some other frame
+    /// (which they go ahead of), installs a view, ticks, holds 64 proposals or 64 orders, or
+    /// is called here.  Its host calls
+    /// this when a run of packets ends — before anything but another packet — and at the end
+    /// of every call that is not packet handling, so an entry never outlives the run, or the
+    /// call, that made it: an initiator that delivers an ABCAST and then crashes has sent
+    /// its order.
+    pub fn send_held(&mut self, out: &mut Vec<EndpointOutput>) {
+        self.data.send_held(out);
     }
 
     /// First half of a maintenance tick: runs the gossip timer and, if a round is due and
@@ -763,7 +769,7 @@ impl GroupEndpoint {
                 }
                 .into_frame(self.group);
                 for s in &flush.awaiting {
-                    send(out, *s, PacketKind::Flush, req.clone());
+                    self.data.send(*s, PacketKind::Flush, req.clone(), out);
                 }
             }
             Mode::Acked { flush, .. } => {
@@ -833,7 +839,10 @@ impl GroupEndpoint {
             return;
         };
         if coord.site != self.site {
-            self.changes.hand_over(self.group, coord.site, out);
+            for request in self.changes.hand_over() {
+                let frame = request.into_frame(self.group);
+                self.data.send(coord.site, PacketKind::Flush, frame, out);
+            }
             return;
         }
         self.stats.count_multicast(ProtocolKind::Gbcast);
@@ -850,7 +859,7 @@ impl GroupEndpoint {
         }
         .into_frame(self.group);
         for s in &awaiting {
-            send(out, *s, PacketKind::Flush, req.clone());
+            self.data.send(*s, PacketKind::Flush, req.clone(), out);
         }
         let complete = awaiting.is_empty();
         let coordinator = FlushCoordinator::new(target_seq, self.flush_attempt, awaiting, now);
@@ -899,7 +908,7 @@ impl GroupEndpoint {
             stored,
         }
         .into_frame(self.group);
-        send(out, initiator.site, PacketKind::Flush, ack);
+        self.data.send(initiator.site, PacketKind::Flush, ack, out);
     }
 
     fn handle_flush_ack(
@@ -923,7 +932,7 @@ impl GroupEndpoint {
                     attempt: self.flush_attempt,
                 }
                 .into_frame(self.group);
-                send(out, from_site, PacketKind::Flush, abandoned);
+                self.data.send(from_site, PacketKind::Flush, abandoned, out);
                 false
             }
             _ => false,
@@ -1044,7 +1053,7 @@ impl GroupEndpoint {
         }
         for s in sites {
             if s != self.site {
-                send(out, s, PacketKind::Flush, commit.clone());
+                self.data.send(s, PacketKind::Flush, commit.clone(), out);
             }
         }
         // Only the coordinator applies a commit while its flush awaits nobody: it merged its
@@ -1074,7 +1083,7 @@ impl GroupEndpoint {
             gbcasts: gbcasts.clone(),
             covered: covered.clone(),
         }));
-        self.install_view(new_view.clone());
+        self.install_view(new_view.clone(), out);
         self.changes.installed(new_view);
         // Re-issue multicasts buffered while the flush was running.
         let buffered = std::mem::take(&mut self.buffered_sends);
@@ -1105,15 +1114,16 @@ impl GroupEndpoint {
     }
 
     /// Installs `view`: a committed view is primary by construction, so any flush role,
-    /// wedge or probing ends here.
-    fn install_view(&mut self, view: View) {
+    /// wedge or probing ends here.  What the data path holds for the outgoing view goes out
+    /// first.
+    fn install_view(&mut self, view: View, out: &mut Vec<EndpointOutput>) {
         // Keep the outgoing view's local members: deliveries emitted at the cut are tagged
         // with the old view's sequence number and must still route to *its* members (see
         // `delivery_recipients`).
         self.prev_view_seq = self.view.as_ref().map(View::seq).unwrap_or(0);
         self.prev_local_members = std::mem::take(&mut self.local_members);
         self.local_members = view.members_at(self.site);
-        self.data.reset(&view);
+        self.data.reset(&view, out);
         self.step(Input::Install);
         self.view = Some(view);
     }

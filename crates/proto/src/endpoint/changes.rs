@@ -7,12 +7,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use vsync_msg::Message;
-use vsync_net::PacketKind;
-use vsync_util::{GroupId, ProcessId, SiteId};
+use vsync_util::{ProcessId, SiteId};
 
-use super::send;
 use crate::messages::ProtoMsg;
-use crate::output::EndpointOutput;
 use crate::view::View;
 
 /// Why a member is suspected.  Ordered: an observed crash outranks a timeout.
@@ -165,17 +162,10 @@ impl Changes {
     }
 
     /// A site holds queued requests only while it is the acting coordinator: a deposed one
-    /// sends them on to the site of the one that is, which cuts them into its next view.
-    pub(super) fn hand_over(
-        &mut self,
-        group: GroupId,
-        coordinator: SiteId,
-        out: &mut Vec<EndpointOutput>,
-    ) {
-        for request in self.queued.drain(..) {
-            let frame = request.into_frame(group);
-            send(out, coordinator, PacketKind::Flush, frame);
-        }
+    /// takes them out here and sends them on to the site of the one that is, which cuts
+    /// them into its next view.
+    pub(super) fn hand_over(&mut self) -> std::vec::Drain<'_, ProtoMsg> {
+        self.queued.drain(..)
     }
 }
 
@@ -310,13 +300,8 @@ mod tests {
         c.queue(leave(2), &view(3));
         c.queue(leave(2), &view(3));
         assert!(c.pending());
-        let mut out = Vec::new();
-        c.hand_over(GroupId(1), SiteId(0), &mut out);
+        let handed: Vec<ProtoMsg> = c.hand_over().collect();
         assert!(!c.pending(), "a deposed coordinator keeps nothing");
-        let [EndpointOutput::Send { dst_site, msg, .. }] = &out[..] else {
-            panic!("one request handed over: {out:?}");
-        };
-        assert_eq!(*dst_site, SiteId(0));
-        assert_eq!(ProtoMsg::decode_frame(msg).expect("decodes").1, leave(2));
+        assert_eq!(handed, [leave(2)], "one request handed over");
     }
 }

@@ -7,19 +7,32 @@
 //! carry.  A CBCAST that arrives in it is held and delivered only if the commit carries it;
 //! an ABCAST decided in it is delivered only in the commit's order.  The commit's agreed set
 //! goes through [`DataPath::deliver_cut`], which ends the window.
+//!
+//! An ABCAST's proposals and orders are *held* rather than sent one frame each: every
+//! proposal made for one initiator goes out in one `AbPropose` frame, and every order in one
+//! `AbOrder` frame written once for all the peers, when the host ends its run of packets
+//! ([`DataPath::send_held`]) or [`HELD_MAX`] of either are held.  Nothing else to a peer
+//! overtakes them: every other frame this path sends, and every frame the endpoint sends
+//! through [`DataPath::send`], goes out behind whatever is held, and so does a view change.
 
 use vsync_msg::{Frame, Message};
 use vsync_net::{MsgId, PacketKind, ProtocolKind};
 use vsync_util::{GroupId, ProcessId, Rank, SiteId, VectorClock};
 
-use super::{send, GossipReport};
+use super::GossipReport;
 use crate::abcast::AbcastState;
 use crate::cbcast::{CbcastState, ReadyCb};
 use crate::frontier::{Frontier, IdSet};
-use crate::messages::{DataHeader, ProtoMsg, StoredMsg};
+use crate::messages::{DataHeader, Entries, ProtoMsg, StoredMsg};
 use crate::output::{Delivery, EndpointOutput};
 use crate::stability::StabilityTracker;
 use crate::view::View;
+
+/// Most proposals, or orders, held at once: the one that makes this many sends what is
+/// held, whether the run has ended or not.  It bounds an ordering frame, the burst of
+/// decisions one frame releases where it arrives, and how long a long run keeps its first
+/// entry back.
+const HELD_MAX: usize = 64;
 
 /// CBCAST, ABCAST and stability for one group at one site, in one view at a time.
 pub(super) struct DataPath {
@@ -38,6 +51,12 @@ pub(super) struct DataPath {
     delivered: IdSet,
     /// Scratch for CBCAST deliveries, reused across received packets.
     ready_scratch: Vec<ReadyCb>,
+    /// ABCAST proposals made since the last ordering frames went out, each for the site
+    /// its multicast's id names.  Kept, emptied, between runs.
+    held_proposals: Vec<(MsgId, u64)>,
+    /// ABCAST orders decided here since the last ordering frames went out.  Kept, emptied,
+    /// between runs.
+    held_orders: Vec<(MsgId, u64, SiteId)>,
 }
 
 impl DataPath {
@@ -53,12 +72,15 @@ impl DataPath {
             stab: StabilityTracker::new(site, vec![site]),
             delivered: IdSet::new(),
             ready_scratch: Vec::new(),
+            held_proposals: Vec::new(),
+            held_orders: Vec::new(),
         }
     }
 
-    /// Starts over in `view`.  Nothing of the previous view survives: its commit delivered
-    /// what it could and dropped the rest.
-    pub(super) fn reset(&mut self, view: &View) {
+    /// Starts over in `view`, once what is held for the previous one has gone out.  Nothing
+    /// of the previous view survives: its commit delivered what it could and dropped the rest.
+    pub(super) fn reset(&mut self, view: &View, out: &mut Vec<EndpointOutput>) {
+        self.send_held(out);
         let member_sites = view.member_sites();
         self.peers = member_sites
             .iter()
@@ -102,7 +124,7 @@ impl DataPath {
     /// Sends the report to every peer site in a stability frame of its own.  Doubles as the
     /// stale-view probe: at a peer that committed a newer view the stamp reads as past and
     /// draws the bulletin commit back.
-    pub(super) fn send_report(&self, out: &mut Vec<EndpointOutput>) {
+    pub(super) fn send_report(&mut self, out: &mut Vec<EndpointOutput>) {
         if !self.peers.is_empty() {
             let frame = self.gossip_report().into_frame(self.site);
             self.send_to_peers(PacketKind::Stability, frame, out);
@@ -123,11 +145,74 @@ impl DataPath {
         self.stab.on_gossip_set(from_site, received);
     }
 
-    /// Fans one wire frame out to every peer site.  Each `Send` aliases the same frame: the
-    /// per-destination cost is a reference-count bump, not a copy of the message.
-    fn send_to_peers(&self, kind: PacketKind, msg: Frame, out: &mut Vec<EndpointOutput>) {
+    /// Appends one `Send` of `msg` to `dst_site`, behind the ordering frames held.  Every
+    /// frame the endpoint sends outside this path goes through here.
+    pub(super) fn send(
+        &mut self,
+        dst_site: SiteId,
+        kind: PacketKind,
+        msg: Frame,
+        out: &mut Vec<EndpointOutput>,
+    ) {
+        self.send_held(out);
+        out.push(EndpointOutput::Send {
+            dst_site,
+            kind,
+            msg,
+        });
+    }
+
+    /// Fans one wire frame out to every peer site, behind the ordering frames held.
+    fn send_to_peers(&mut self, kind: PacketKind, msg: Frame, out: &mut Vec<EndpointOutput>) {
+        self.send_held(out);
+        self.fan_out(kind, msg, out);
+    }
+
+    /// Each `Send` aliases the same frame: the per-destination cost is a reference-count
+    /// bump, not a copy of the message.
+    fn fan_out(&self, kind: PacketKind, msg: Frame, out: &mut Vec<EndpointOutput>) {
         for s in &self.peers {
-            send(out, *s, kind, msg.clone());
+            out.push(EndpointOutput::Send {
+                dst_site: *s,
+                kind,
+                msg: msg.clone(),
+            });
+        }
+    }
+
+    /// Sends what is held: one `AbPropose` frame per initiator, then one `AbOrder` frame
+    /// fanned out to every peer.  Does nothing if nothing is held.
+    pub(super) fn send_held(&mut self, out: &mut Vec<EndpointOutput>) {
+        while let Some(&(first, _)) = self.held_proposals.first() {
+            let initiator = first.origin;
+            let theirs = |(id, _): &(MsgId, u64)| id.origin == initiator;
+            let proposals = if self.held_proposals.iter().all(theirs) {
+                // The usual case: every proposal held is for one initiator.
+                Entries::gather(self.held_proposals.drain(..))
+            } else {
+                let proposals = Entries::gather(self.held_proposals.iter().copied().filter(theirs));
+                self.held_proposals.retain(|p| !theirs(p));
+                proposals
+            };
+            let propose = ProtoMsg::AbPropose {
+                view_seq: self.view_seq,
+                proposer_site: self.site,
+                proposals: proposals.expect("the first proposal held is theirs"),
+            }
+            .into_frame(self.group);
+            out.push(EndpointOutput::Send {
+                dst_site: initiator,
+                kind: PacketKind::Proposal,
+                msg: propose,
+            });
+        }
+        if let Some(orders) = Entries::gather(self.held_orders.drain(..)) {
+            let order = ProtoMsg::AbOrder {
+                view_seq: self.view_seq,
+                orders,
+            }
+            .into_frame(self.group);
+            self.fan_out(PacketKind::SetOrder, order, out);
         }
     }
 
@@ -230,7 +315,7 @@ impl DataPath {
                 id,
                 sender,
                 payload,
-                view_seq,
+                ..
             } => {
                 if self.delivered.contains(*id) {
                     return;
@@ -239,14 +324,10 @@ impl DataPath {
                     self.stab.hold(*id, frame.clone().into());
                 }
                 let proposed = self.ab.on_data(*id, *sender, payload.clone());
-                let propose = ProtoMsg::AbPropose {
-                    id: *id,
-                    view_seq: *view_seq,
-                    proposed,
-                    proposer_site: self.site,
+                self.held_proposals.push((*id, proposed));
+                if self.held_proposals.len() >= HELD_MAX {
+                    self.send_held(out);
                 }
-                .into_frame(self.group);
-                send(out, id.origin, PacketKind::Proposal, propose);
             }
             _ => unreachable!("handle_data only receives data messages"),
         }
@@ -313,6 +394,7 @@ impl DataPath {
         }
     }
 
+    /// Holds the order for the peers and decides the ABCAST here.
     fn finish_abcast_order(
         &mut self,
         id: MsgId,
@@ -321,14 +403,10 @@ impl DataPath {
         gate: bool,
         out: &mut Vec<EndpointOutput>,
     ) {
-        let order = ProtoMsg::AbOrder {
-            id,
-            view_seq: self.view_seq,
-            final_priority,
-            tiebreak_site: tiebreak,
+        self.held_orders.push((id, final_priority, tiebreak));
+        if self.held_orders.len() >= HELD_MAX {
+            self.send_held(out);
         }
-        .into_frame(self.group);
-        self.send_to_peers(PacketKind::SetOrder, order, out);
         self.abcast_decided(id, final_priority, tiebreak, gate, out);
     }
 
@@ -522,7 +600,7 @@ mod tests {
         let (p0, p1) = (ProcessId::new(SiteId(0), 1), ProcessId::new(SiteId(1), 1));
         let view = View::founding(G, p0).successor(&[], &[p1]);
         let mut path = DataPath::new(G, SiteId(0));
-        path.reset(&view);
+        path.reset(&view, &mut Vec::new());
         let cb = |seq: u64| ProtoMsg::CbData {
             id: MsgId::new(SiteId(1), seq),
             sender: p1,

@@ -66,7 +66,8 @@ impl Cluster {
         }
     }
 
-    /// Runs `f` against one endpoint and routes everything it produced.
+    /// Runs `f` against one endpoint and routes everything it produced.  Each call is a run
+    /// of its own: the ordering entries it made go out at its end.
     fn exec<R>(
         &mut self,
         site: SiteId,
@@ -76,6 +77,7 @@ impl Cluster {
         let now = self.now;
         let ep = self.endpoints.get_mut(&site).expect("endpoint exists");
         let r = f(ep, now, &mut out);
+        ep.send_held(&mut out);
         self.route(site, out);
         r
     }

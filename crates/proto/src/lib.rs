@@ -38,7 +38,7 @@ pub mod view;
 pub use config::ProtoConfig;
 pub use endpoint::{GossipReport, GroupEndpoint};
 pub use frontier::{Frontier, IdSet};
-pub use messages::{ProtoMsg, StabilityEntry};
+pub use messages::{Entries, ProtoMsg, StabilityEntry};
 pub use output::{Delivery, EndpointOutput, ViewEvent};
 pub use reform::{LogSummary, ReformStatus, ReformTracker};
 pub use view::View;

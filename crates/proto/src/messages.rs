@@ -186,6 +186,61 @@ pub struct StabilityEntry {
     /// endpoint's tracker keeps, so building a frame copies no run list.
     pub received: Rc<IdSet>,
 }
+/// The entries of an ABCAST ordering frame: a list that is never empty, with its first
+/// entry held inline, so that the frame of a lone multicast's proposal or order allocates
+/// no list.  Built from one entry (`From`) or a non-empty vector (`TryFrom`); read by
+/// iterating over a reference.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Entries<T> {
+    first: T,
+    more: Vec<T>,
+}
+
+impl<T> Entries<T> {
+    /// The entries `items` yields, `None` if it yields none.  The rest of the list is
+    /// sized by the iterator's lower bound, so an exact iterator allocates once, and one of
+    /// a single entry not at all.
+    pub(crate) fn gather(mut items: impl Iterator<Item = T>) -> Option<Self> {
+        let first = items.next()?;
+        Some(Entries {
+            first,
+            more: items.collect(),
+        })
+    }
+
+    /// How many entries there are: at least one.
+    pub(crate) fn len(&self) -> usize {
+        1 + self.more.len()
+    }
+}
+
+impl<T> From<T> for Entries<T> {
+    fn from(first: T) -> Self {
+        Entries {
+            first,
+            more: Vec::new(),
+        }
+    }
+}
+
+impl<T> TryFrom<Vec<T>> for Entries<T> {
+    type Error = VsError;
+
+    fn try_from(items: Vec<T>) -> Result<Self> {
+        Entries::gather(items.into_iter())
+            .ok_or_else(|| VsError::Internal("an ordering frame of no entry".to_owned()))
+    }
+}
+
+impl<'a, T> IntoIterator for &'a Entries<T> {
+    type Item = &'a T;
+    type IntoIter = std::iter::Chain<std::iter::Once<&'a T>, std::slice::Iter<'a, T>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        std::iter::once(&self.first).chain(&self.more)
+    }
+}
+
 /// Typed protocol messages exchanged between the group endpoints of different sites.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ProtoMsg {
@@ -215,27 +270,26 @@ pub enum ProtoMsg {
         /// Application payload.
         payload: Message,
     },
-    /// ABCAST phase one response: a destination proposes a priority.
+    /// ABCAST phase one response: a destination proposes priorities for multicasts of one
+    /// initiator — every proposal it made for that site during one run of packets.
     AbPropose {
-        /// The multicast being ordered.
-        id: MsgId,
         /// View sequence number.
         view_seq: u64,
-        /// The proposed priority.
-        proposed: u64,
-        /// Site making the proposal (tie-break component).
+        /// Site making the proposals (tie-break component).
         proposer_site: SiteId,
+        /// `(multicast, proposed priority)`, in the order they were made.  On the wire the
+        /// list runs to the end of the frame, with no count: a frame of one proposal is as
+        /// long as a frame that could hold only one.
+        proposals: Entries<(MsgId, u64)>,
     },
-    /// ABCAST phase two: the initiator announces the final priority.
+    /// ABCAST phase two: the initiator announces final priorities — every order it decided
+    /// during one run of packets, one frame for all its peers.
     AbOrder {
-        /// The multicast being ordered.
-        id: MsgId,
         /// View sequence number.
         view_seq: u64,
-        /// Final (maximum) priority.
-        final_priority: u64,
-        /// Tie-break site carried with the final priority.
-        tiebreak_site: SiteId,
+        /// `(multicast, final priority, tie-break site)`, in the order they were decided;
+        /// as in [`ProtoMsg::AbPropose`], the list runs to the end of the frame.
+        orders: Entries<(MsgId, u64, SiteId)>,
     },
     /// Request, sent to the group coordinator's site, to add a member.
     JoinReq {
@@ -398,6 +452,19 @@ fn get_counted<'a, T>(
         items.push(get(c)?);
     }
     Ok(items)
+}
+
+/// Reads entries until the frame ends: the uncounted list an ABCAST ordering frame closes
+/// with.  At least one entry must be there, and the last must be whole.
+fn get_to_end<'a, T>(
+    c: &mut FrameReader<'a>,
+    mut get: impl FnMut(&mut FrameReader<'a>) -> Result<T>,
+) -> Result<Entries<T>> {
+    let mut entries = Entries::from(get(c)?);
+    while !c.at_end() {
+        entries.more.push(get(c)?);
+    }
+    Ok(entries)
 }
 
 pub(crate) fn put_processes(w: &mut FrameWriter, ps: &[ProcessId]) {
@@ -581,6 +648,9 @@ impl ProtoMsg {
                 .iter()
                 .map(|e| 16 + 12 * e.received.runs().len())
                 .sum(),
+            // A varint is at most 10 B, but ids, priorities and sites are short.
+            ProtoMsg::AbPropose { proposals, .. } => 16 + 12 * proposals.len(),
+            ProtoMsg::AbOrder { orders, .. } => 16 + 14 * orders.len(),
             _ => 32,
         };
         let mut w = FrameWriter::with_capacity(reserve);
@@ -614,21 +684,24 @@ impl ProtoMsg {
                 w.put_message(payload);
             }
             ProtoMsg::AbPropose {
-                id,
                 view_seq,
-                proposed: priority,
-                proposer_site: site,
-            }
-            | ProtoMsg::AbOrder {
-                id,
-                view_seq,
-                final_priority: priority,
-                tiebreak_site: site,
+                proposer_site,
+                proposals,
             } => {
-                put_id(&mut w, *id);
                 w.put_varint(*view_seq);
-                w.put_varint(*priority);
-                put_site(&mut w, *site);
+                put_site(&mut w, *proposer_site);
+                for &(id, proposed) in proposals {
+                    put_id(&mut w, id);
+                    w.put_varint(proposed);
+                }
+            }
+            ProtoMsg::AbOrder { view_seq, orders } => {
+                w.put_varint(*view_seq);
+                for &(id, priority, site) in orders {
+                    put_id(&mut w, id);
+                    w.put_varint(priority);
+                    put_site(&mut w, site);
+                }
             }
             ProtoMsg::JoinReq {
                 joiner,
@@ -742,16 +815,13 @@ impl ProtoMsg {
                 payload: c.message()?,
             },
             2 => ProtoMsg::AbPropose {
-                id: get_id(c)?,
                 view_seq: c.varint()?,
-                proposed: c.varint()?,
                 proposer_site: get_site(c)?,
+                proposals: get_to_end(c, |c| Ok((get_id(c)?, c.varint()?)))?,
             },
             3 => ProtoMsg::AbOrder {
-                id: get_id(c)?,
                 view_seq: c.varint()?,
-                final_priority: c.varint()?,
-                tiebreak_site: get_site(c)?,
+                orders: get_to_end(c, |c| Ok((get_id(c)?, c.varint()?, get_site(c)?)))?,
             },
             4 => ProtoMsg::JoinReq {
                 joiner: get_process(c)?,
@@ -938,16 +1008,30 @@ mod tests {
             payload: Message::with_body(5u64),
         });
         roundtrip(ProtoMsg::AbPropose {
-            id: MsgId::new(SiteId(0), 1),
             view_seq: 1,
-            proposed: 17,
             proposer_site: SiteId(3),
+            proposals: (MsgId::new(SiteId(0), 1), 17).into(),
+        });
+        let proposals = (1..=40).map(|seq| (MsgId::new(SiteId(0), seq), 16 + seq));
+        roundtrip(ProtoMsg::AbPropose {
+            view_seq: 1,
+            proposer_site: SiteId(3),
+            proposals: Entries::gather(proposals).expect("40 proposals"),
         });
         roundtrip(ProtoMsg::AbOrder {
-            id: MsgId::new(SiteId(0), 1),
             view_seq: 1,
-            final_priority: 21,
-            tiebreak_site: SiteId(2),
+            orders: (MsgId::new(SiteId(0), 1), 21, SiteId(2)).into(),
+        });
+        let orders = (1..=40).map(|seq| {
+            (
+                MsgId::new(SiteId(0), seq),
+                300 + seq,
+                SiteId(seq as u16 % 3),
+            )
+        });
+        roundtrip(ProtoMsg::AbOrder {
+            view_seq: 1,
+            orders: Entries::gather(orders).expect("40 orders"),
         });
     }
 
@@ -1272,10 +1356,8 @@ mod tests {
             payload: Message::with_body(vec![7u8; 20]),
         };
         let order = ProtoMsg::AbOrder {
-            id: MsgId::new(SiteId(2), 1_000),
             view_seq: 3,
-            final_priority: 40_000,
-            tiebreak_site: SiteId(2),
+            orders: (MsgId::new(SiteId(2), 1_000), 40_000, SiteId(2)).into(),
         };
         let flush = ProtoMsg::FlushReq {
             target_seq: 4,

@@ -185,27 +185,26 @@ fn reference(msg: &ProtoMsg, group: GroupId) -> Layout {
             l.varint(*view_seq);
             l.payload(payload);
         }
+        // The entries of an ordering frame run to its end, with no count in front.
         ProtoMsg::AbPropose {
-            id,
             view_seq,
-            proposed,
             proposer_site,
+            proposals,
         } => {
-            l.id(*id);
             l.varint(*view_seq);
-            l.varint(*proposed);
             l.site(*proposer_site);
+            for (id, proposed) in proposals {
+                l.id(*id);
+                l.varint(*proposed);
+            }
         }
-        ProtoMsg::AbOrder {
-            id,
-            view_seq,
-            final_priority,
-            tiebreak_site,
-        } => {
-            l.id(*id);
+        ProtoMsg::AbOrder { view_seq, orders } => {
             l.varint(*view_seq);
-            l.varint(*final_priority);
-            l.site(*tiebreak_site);
+            for (id, final_priority, tiebreak_site) in orders {
+                l.id(*id);
+                l.varint(*final_priority);
+                l.site(*tiebreak_site);
+            }
         }
         ProtoMsg::JoinReq {
             joiner,
@@ -442,6 +441,15 @@ fn view(rng: &mut DetRng) -> View {
     v
 }
 
+/// How many entries an arbitrary `AbPropose` or `AbOrder` carries: one half the time.
+fn ordering_entries(rng: &mut DetRng) -> usize {
+    if rng.chance(0.5) {
+        1
+    } else {
+        2 + rng.next_below(40) as usize
+    }
+}
+
 /// Message `variant` (0..16), with `held` stored messages where the variant carries any.
 fn arbitrary(rng: &mut DetRng, variant: usize, held: usize) -> ProtoMsg {
     match variant {
@@ -452,17 +460,26 @@ fn arbitrary(rng: &mut DetRng, variant: usize, held: usize) -> ProtoMsg {
                 break m;
             }
         },
+        // One entry, as a lone ABCAST sends, or a run's worth of them.
         2 => ProtoMsg::AbPropose {
-            id: msg_id(rng),
             view_seq: rng.next_below(9),
-            proposed: rng.next_u64(),
             proposer_site: SiteId(rng.next_below(6) as u16),
+            proposals: (0..ordering_entries(rng))
+                .map(|_| (msg_id(rng), rng.next_u64()))
+                .collect::<Vec<_>>()
+                .try_into()
+                .expect("at least one proposal"),
         },
         3 => ProtoMsg::AbOrder {
-            id: msg_id(rng),
             view_seq: rng.next_below(9),
-            final_priority: rng.next_u64(),
-            tiebreak_site: SiteId(rng.next_below(6) as u16),
+            orders: (0..ordering_entries(rng))
+                .map(|_| {
+                    let site = SiteId(rng.next_below(6) as u16);
+                    (msg_id(rng), rng.next_u64(), site)
+                })
+                .collect::<Vec<_>>()
+                .try_into()
+                .expect("at least one order"),
         },
         4 => ProtoMsg::JoinReq {
             joiner: pid(rng),
@@ -699,6 +716,42 @@ fn all_variants_agree_with_the_tree_encoder() {
     let sites = policed.iter().filter(|(site, _)| *site).count();
     let counts = policed.iter().filter(|(_, count)| *count).count();
     assert_eq!((sites, counts), (14, 10));
+}
+
+#[test]
+fn an_ordering_frame_is_refused_without_an_entry_or_with_a_partial_one() {
+    let decode = |body: &[u8]| {
+        let frame = Frame::from_wire(codec::encode(&tree_of(body.to_vec())));
+        ProtoMsg::decode_frame(&frame).cloned()
+    };
+    // `AbPropose` in group 42, view 3, from site 1; `AbOrder` in group 42, view 3.
+    let (propose, order) = ([2u8, 42, 3, 1], [3u8, 42, 3]);
+    let one_proposal = [&propose[..], &[0, 5, 9]].concat();
+    let one_order = [&order[..], &[0, 5, 9, 1]].concat();
+    let proposals = |msg: (GroupId, ProtoMsg)| match msg {
+        (_, ProtoMsg::AbPropose { proposals, .. }) => proposals.into_iter().count(),
+        _ => 0,
+    };
+    let orders = |msg: (GroupId, ProtoMsg)| match msg {
+        (_, ProtoMsg::AbOrder { orders, .. }) => orders.into_iter().count(),
+        _ => 0,
+    };
+    assert_eq!(decode(&one_proposal).map(proposals).ok(), Some(1));
+    assert_eq!(decode(&one_order).map(orders).ok(), Some(1));
+    assert!(decode(&propose).is_err(), "a proposal frame of no proposal");
+    assert!(decode(&order).is_err(), "an order frame of no order");
+    // A second entry cut short after each of its values but the last.
+    for cut in 1..3 {
+        let partial = [&one_proposal[..], &[0, 6, 9][..cut]].concat();
+        assert!(
+            decode(&partial).is_err(),
+            "a proposal cut after {cut} values"
+        );
+    }
+    for cut in 1..4 {
+        let partial = [&one_order[..], &[0, 6, 9, 1][..cut]].concat();
+        assert!(decode(&partial).is_err(), "an order cut after {cut} values");
+    }
 }
 
 #[test]

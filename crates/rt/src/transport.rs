@@ -79,6 +79,11 @@ pub trait Transport {
 /// The loop is deliberately tiny: receive an event, dispatch it into the handler, flush the
 /// recorded actions back into the transport.  The simulation calls `Node::poll` from its
 /// scheduler; the threaded backend parks in `Node::run` on its own OS thread.
+///
+/// Both look one event ahead: the event after the one being handled is taken from the
+/// transport first, if it is ready, so that the handler can be told whether another packet
+/// follows at once ([`Outbox::packet_follows`]).  The lookahead never waits: an event that
+/// is not ready yet ends the run.
 pub struct Node<T: Transport> {
     transport: T,
     handler: Box<dyn SiteHandler>,
@@ -117,16 +122,25 @@ impl<T: Transport> Node<T> {
         self.flush();
     }
 
-    /// Dispatches one event into the handler and flushes the recorded actions.
-    fn handle(&mut self, ev: Event) {
+    /// Dispatches one event into the handler and flushes the recorded actions.  First
+    /// takes the next event, if one is ready, and returns it: a packet is told whether
+    /// another packet follows it.
+    fn handle(&mut self, ev: Event) -> Option<Event> {
+        let next = self.transport.recv(false);
         let now = self.transport.now();
         match ev {
-            Event::Packet(pkt) => self.handler.on_packet(now, pkt, &mut self.out),
+            Event::Packet(pkt) => {
+                let follows = matches!(next, Some(Event::Packet(_)));
+                self.out.set_packet_follows(follows);
+                self.handler.on_packet(now, pkt, &mut self.out);
+                self.out.set_packet_follows(false);
+            }
             Event::Timer(token) => self.handler.on_timer(now, token, &mut self.out),
             Event::Invoke(f) => f(self.handler.as_mut(), now, &mut self.out),
         }
         self.events += 1;
         self.flush();
+        next
     }
 
     /// Drains every event that is ready *right now* (non-blocking); returns how many were
@@ -134,8 +148,9 @@ impl<T: Transport> Node<T> {
     /// into the node's inbox.
     pub(crate) fn poll(&mut self) -> u64 {
         let mut n = 0;
-        while let Some(ev) = self.transport.recv(false) {
-            self.handle(ev);
+        let mut next = self.transport.recv(false);
+        while let Some(ev) = next {
+            next = self.handle(ev);
             n += 1;
         }
         n
@@ -144,8 +159,9 @@ impl<T: Transport> Node<T> {
     /// Blocks on the transport until it closes, dispatching every event.  This is the body
     /// of a threaded node's OS thread.  Returns the total number of events handled.
     pub(crate) fn run(&mut self) -> u64 {
-        while let Some(ev) = self.transport.recv(true) {
-            self.handle(ev);
+        let mut next = None;
+        while let Some(ev) = next.take().or_else(|| self.transport.recv(true)) {
+            next = self.handle(ev);
         }
         self.events
     }

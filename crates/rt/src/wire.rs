@@ -112,10 +112,8 @@ mod tests {
         use vsync_proto::ProtoMsg;
         use vsync_util::GroupId;
         let msg = ProtoMsg::AbOrder {
-            id: MsgId::new(SiteId(0), 4),
             view_seq: 2,
-            final_priority: 9,
-            tiebreak_site: SiteId(1),
+            orders: (MsgId::new(SiteId(0), 4), 9, SiteId(1)).into(),
         };
         let frame = msg.encode_frame(GroupId(3));
         let pkt = Packet::new(
@@ -361,10 +359,8 @@ mod tests {
         let (a, b) = (ProcessId::new(SiteId(0), 1), ProcessId::new(SiteId(1), 1));
         let app = Message::with_body("payload").with("seq", 7u64);
         let order = ProtoMsg::AbOrder {
-            id: MsgId::new(SiteId(0), 4),
             view_seq: 2,
-            final_priority: 9,
-            tiebreak_site: SiteId(1),
+            orders: (MsgId::new(SiteId(0), 4), 9, SiteId(1)).into(),
         };
         [
             Packet::new(a, b, PacketKind::Data, app),

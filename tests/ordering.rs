@@ -4,8 +4,8 @@
 mod support;
 
 use support::{check, form_group, send, sim, Recorder};
-use vsync::core::{Duration, GroupId, ProcessId, ProtocolKind};
-use vsync::rt::{FaultPlan, IsisHarness, PartitionInvariants, SimRuntime};
+use vsync::core::{Duration, GroupId, ProcessId, ProtocolKind, SiteId};
+use vsync::rt::{FaultPlan, IsisHarness, IsisRuntime, PartitionInvariants, SimRuntime};
 
 fn deploy(
     n: u16,
@@ -55,6 +55,48 @@ fn abcast_total_order_is_identical_at_every_member() {
     );
     // One total order at every member.
     check(&recs, PartitionInvariants::check_all);
+}
+
+/// An initiator delivers an ABCAST the moment it decides it, so the order must be on its way
+/// to the other members by then: a site that delivers and crashes before its next tick or
+/// its next frame must not leave the survivors to settle a different order.
+///
+/// Site 0 ABCASTs `A` (1) and site 2, just after, `B` (2).  Every site sends a CBCAST once
+/// both have arrived everywhere, and site 2 one more once it has decided `B`, so every
+/// proposal and `B`'s order leave at once whenever a site sends its next frame.  Site 0
+/// decides `A` and delivers it, delivers `B` when `B`'s order comes, and crashes.  Had `A`'s
+/// order stayed behind with it, the survivors would settle `A` at the crash's flush above
+/// every priority they know, after `B`.
+#[test]
+fn an_initiator_that_delivers_an_abcast_and_then_crashes_has_sent_its_order() {
+    let (mut sys, gid, members, recs) = deploy(3);
+    let abcasts =
+        |rec: &Recorder| -> Vec<u64> { rec.bodies().into_iter().filter(|b| *b <= 2).collect() };
+    send(&mut sys, members[0], gid, 1, ProtocolKind::Abcast);
+    sys.settle(Duration::from_micros(10));
+    send(&mut sys, members[2], gid, 2, ProtocolKind::Abcast);
+    sys.settle(Duration::from_micros(60));
+    for (i, m) in members.iter().enumerate() {
+        send(&mut sys, *m, gid, 3 + i as u64, ProtocolKind::Cbcast);
+    }
+    sys.settle(Duration::from_micros(60));
+    send(&mut sys, members[2], gid, 6, ProtocolKind::Cbcast);
+    for _ in 0..1_000 {
+        if abcasts(&recs[0]).len() == 2 {
+            break;
+        }
+        sys.settle(Duration::from_micros(1));
+    }
+    sys.rt.kill_site(SiteId(0));
+    sys.settle(Duration::from_millis(2_000));
+    assert_eq!(
+        abcasts(&recs[0]),
+        [1, 2],
+        "site 0 delivered A, then B, then crashed"
+    );
+    for rec in &recs[1..] {
+        assert_eq!(abcasts(rec), [1, 2], "a survivor's ABCAST order");
+    }
 }
 
 #[test]
