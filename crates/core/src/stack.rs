@@ -938,6 +938,7 @@ impl SiteHandler for SiteStack {
                 bundle.entries.push(report.to_entry());
             }
             ep.flush_watchdog(now, &mut eouts);
+            // A view the watchdog installs replays held-back traffic, which can make entries.
             ep.send_held(&mut eouts);
             if !eouts.is_empty() {
                 emitted.push((*g, std::mem::take(&mut eouts)));

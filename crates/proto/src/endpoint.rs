@@ -687,16 +687,17 @@ impl GroupEndpoint {
         }
     }
 
-    /// Periodic maintenance for a host that drives this endpoint alone: the ordering frames
-    /// held, the gossip round, sent as a stability frame of this one entry, then the flush
-    /// watchdog.  A host of many endpoints calls the parts itself and sends one stability
-    /// frame for all of them.
+    /// Periodic maintenance for a host that drives this endpoint alone: the gossip round,
+    /// sent as a stability frame of this one entry, the flush watchdog, then the ordering
+    /// frames still held (a view the watchdog installs replays held-back traffic, which
+    /// can make entries).  A host of many endpoints calls the parts itself and sends one
+    /// stability frame for all of them.
     pub fn on_tick(&mut self, now: SimTime, out: &mut Vec<EndpointOutput>) {
-        self.send_held(out);
         if self.gossip_due(now).is_some() {
             self.data.send_report(out);
         }
         self.flush_watchdog(now, out);
+        self.send_held(out);
     }
 
     /// Sends the ABCAST proposals and orders this endpoint holds: one `AbPropose` frame per
