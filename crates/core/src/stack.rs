@@ -28,6 +28,12 @@
 //! to its group's endpoint ([`GroupEndpoint::on_gossip`]), where it does everything a
 //! per-group frame did; an entry for a group with no endpoint here is dropped.
 //!
+//! An ABCAST's proposals and orders are paced by the site's packets, not by the group's
+//! multicasts: while the driver has another packet ready ([`Outbox::packet_follows`]) the
+//! endpoints keep the entries they make, and when the run of packets ends, and at the end of
+//! every other call, each sends them as one proposal frame per initiator and one order frame
+//! for all its peers ([`GroupEndpoint::send_held`]).
+//!
 //! A site's part in a group is its endpoint.  A local create, refound or join makes it, no
 //! frame does, and it lives while its view holds a local member or a local process has an
 //! intent in the group (`retire_if_idle`); a commit that finds none but joins a process of
@@ -456,7 +462,7 @@ impl SiteStack {
     /// holds, one proposal frame per initiator and one order frame for all its peers.
     fn end_run(&mut self, out: &mut Outbox) {
         for i in 0..self.in_run.len() {
-            // Reached outside packet handling, an endpoint sends what it holds.
+            // With no packet to follow, reaching an endpoint sends what it holds.
             self.with_endpoint(self.in_run[i], out, |_, _, _| ());
         }
         self.in_run.clear();

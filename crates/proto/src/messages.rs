@@ -4,8 +4,9 @@
 //! position ([`vsync_msg::stream`]): one kind byte, the group, then the variant's fields in
 //! declaration order.  Integers are LEB128 varints; a site id is a varint that must fit in
 //! 16 bits; a process is its site, local index and incarnation; a timestamp, a process list,
-//! a frontier or an id set is a count and then its entries; an application payload is a
-//! length and its codec bytes; a held multicast is a length and its frame's whole wire form.
+//! a frontier or an id set is a count and then its entries, except the entries of an ABCAST
+//! ordering frame, which run to the frame's end; an application payload is a length and its
+//! codec bytes; a held multicast is a length and its frame's whole wire form.
 //! Nothing on the wire names a field: the code on both sides fixes the layout, as it does
 //! between two protocols processes in the paper.  The self-describing symbol table is the
 //! *application's* format, carried inside.
@@ -186,6 +187,7 @@ pub struct StabilityEntry {
     /// endpoint's tracker keeps, so building a frame copies no run list.
     pub received: Rc<IdSet>,
 }
+
 /// The entries of an ABCAST ordering frame: a list that is never empty, with its first
 /// entry held inline, so that the frame of a lone multicast's proposal or order allocates
 /// no list.  Built from one entry (`From`) or a non-empty vector (`TryFrom`); read by
@@ -278,8 +280,8 @@ pub enum ProtoMsg {
         /// Site making the proposals (tie-break component).
         proposer_site: SiteId,
         /// `(multicast, proposed priority)`, in the order they were made.  On the wire the
-        /// list runs to the end of the frame, with no count: a frame of one proposal is as
-        /// long as a frame that could hold only one.
+        /// list runs to the end of the frame, with no count, so a frame of one proposal
+        /// carries nothing for being a list.
         proposals: Entries<(MsgId, u64)>,
     },
     /// ABCAST phase two: the initiator announces final priorities — every order it decided
