@@ -25,19 +25,38 @@
 //! the moment the transfer completes, which is the paper's "buffered by the application"
 //! discipline packaged as part of the tool.
 //!
+//! # The joiner
+//!
+//! Whether a member holds the state is one [`Joiner`], written only by [`next`]:
+//!
+//! ```text
+//! any ── mark ready, founded alone ──▶ Ready
+//! Ready ── admitted (back from an exile) ──▶ Waiting{fence: the view}
+//! Waiting ── admitted, own re-request in the cut ──▶ Waiting{fence: the view}, held dropped
+//! Waiting ── departure ──▶ Waiting{fence: the view}, held dropped, re-request
+//! Waiting ── message, buffer full ──▶ Waiting{fence: installed + 1}, held dropped, re-request
+//! Waiting ── block older than the fence ──▶ the same (a straggler)
+//! Waiting ── last block, its cut installed ──▶ Ready, held replayed
+//! Waiting ── last block, its cut not installed ──▶ Waiting{done at: the cut}
+//! Waiting{done at c} ── view c or later ──▶ Ready, held dropped
+//! ```
+//!
+//! A re-request goes out once per fence.  The *fence* is the serve cut the member accepts
+//! blocks from: every re-serve is a snapshot at a fresh cut, so a straggler block from a
+//! superseded one can never corrupt it.
+//!
 //! # Survivor re-serve
 //!
 //! If the transfer *source* crashes after the cut but before the joiner received the final
 //! block, nobody else holds a snapshot taken at the joiner's cut — re-encoding at
 //! request-processing time cannot be exactly-once, because post-cut traffic is already
 //! sitting in the joiner's buffer.  The tool therefore recovers by forcing a **fresh cut**:
-//! when a still-waiting member sees a view that removes processes, it discards the dead
-//! transfer's partial blocks and its post-cut buffer, then GBCASTs a re-request marker.
-//! The marker rides the next flush and is delivered in the resulting view event's
-//! `gbcasts`, exactly at that new cut — where the (new) rank-0 member encodes a fresh
-//! snapshot and serves it like any join-cut transfer.  Every block is tagged with the view
-//! sequence of its serve cut (`xfer-epoch`); the joiner rejects blocks from superseded
-//! cuts, so a straggler block from the dead transfer can never corrupt the fresh one.
+//! when a still-waiting member sees a view that removes processes, it fences onto that view,
+//! drops its post-cut buffer and GBCASTs a re-request marker.  The marker rides the next
+//! flush and is delivered in the resulting view event's `gbcasts`, exactly at that new cut —
+//! where the (new) rank-0 member encodes a fresh snapshot and serves it like any join-cut
+//! transfer.  Every block carries the view sequence of its serve cut (`xfer-epoch`).  A
+//! buffer that overflows takes the same path.
 //!
 //! Completion is deferred until the serve cut has installed *locally*: a final block that
 //! outruns the joiner's own flush commit must not release the buffer early, because the
@@ -60,56 +79,224 @@ pub type EncodeFn = Box<dyn FnMut() -> Vec<Message>>;
 /// Applies one received state block.
 pub type ApplyFn = Box<dyn FnMut(&mut ToolCtx<'_>, &Message)>;
 
-/// Buffered-message count at which a waiting joiner with no snapshot progress is declared
-/// stalled (see [`StateTransfer::with_stall_threshold`]).
-const DEFAULT_STALL_THRESHOLD: usize = 32;
+/// A buffered entry's application handler, shared by its entry binding and the replay.
+type Handler = Rc<RefCell<dyn FnMut(&mut ToolCtx<'_>, &Message)>>;
 
-/// Hard cap on the joiner's post-cut buffer.  Crossing it raises a `BufferOverflow` trace
-/// event, drops the buffer, and re-requests the snapshot at a fresh cut — bounding memory
-/// under hostile load at the cost of restarting the transfer.
-const DEFAULT_MAX_BUFFERED: usize = 1024;
+/// Messages a waiting member holds for which the next one traces a `TransferStalled`, unless
+/// a block arrived in between: the message that first reaches it sets the stall mark.
+const STALL_THRESHOLD: usize = 32;
+
+/// Messages a waiting member holds at most.  The next one drops them all, traces a
+/// `BufferOverflow` and re-requests the snapshot at a fresh cut: memory stays bounded under
+/// hostile load at the cost of restarting the transfer.
+const MAX_BUFFERED: usize = 1024;
+
+/// Whether this member holds the group's state.
+enum Joiner {
+    /// The creator, a founder, or a joiner whose transfer completed.
+    Ready,
+    /// Waiting for a snapshot.
+    Waiting {
+        /// The serve cut blocks must come from, or a later one.
+        fence: u64,
+        /// Messages for buffered entries, in arrival order.
+        held: Vec<(EntryId, Message)>,
+        /// The cut of a final block already applied, whose view has not installed here.
+        done_at: Option<u64>,
+        /// The held count when it first reached [`STALL_THRESHOLD`] since the last block.
+        stall_mark: Option<usize>,
+    },
+}
+
+impl Joiner {
+    fn waiting(fence: u64) -> Joiner {
+        Joiner::Waiting {
+            fence,
+            held: Vec::new(),
+            done_at: None,
+            stall_mark: None,
+        }
+    }
+
+    fn ready(&self) -> bool {
+        matches!(self, Joiner::Ready)
+    }
+}
+
+/// What moves the joiner.  The views are ones that hold this member, each given by the first
+/// of these that it is; `installed` is the newest view installed here.
+enum Input {
+    MarkReady,
+    /// The view holds this member alone: it founded the group.
+    Founded,
+    /// The view admits this member.
+    Admitted(u64),
+    /// The view's cut carries this member's re-request.
+    Marker(u64),
+    /// A process departed at the view.
+    Departure(u64),
+    View(u64),
+    /// A snapshot block served at cut `epoch`.
+    Block {
+        epoch: u64,
+        last: bool,
+        installed: u64,
+    },
+    /// A message for a buffered entry.
+    Buffered(EntryId, Message, u64),
+}
+
+/// What the handlers do for a transition, in order.
+enum Action {
+    /// Apply the block at hand.
+    Apply,
+    /// Run these messages through their entries' handlers.
+    Replay(Vec<(EntryId, Message)>),
+    /// GBCAST a re-request marker: the cut it rides serves this member afresh.
+    Rerequest,
+    /// The transfer starts over: forget the covered frontier and trace why.
+    Restart(Restart),
+    /// Trace a stall with this many messages held.
+    Stalled(usize),
+}
+
+/// Why a transfer starts over.
+enum Restart {
+    /// Re-admitted at this view after an exile.
+    Exiled(u64),
+    /// A process, perhaps the source, departed at this view.
+    Departed(u64),
+    /// The buffer overflowed, dropping this many messages.
+    Overflow(usize),
+}
+
+/// The transition function.
+fn next(joiner: Joiner, input: Input) -> (Joiner, Vec<Action>) {
+    use Input::*;
+    use Joiner::*;
+    // Starts over at `fence` (dropping what is held), re-requesting unless `from` was it.
+    let restart = |from: u64, fence: u64, why| {
+        let mut actions = vec![Action::Restart(why)];
+        if fence > from {
+            actions.push(Action::Rerequest);
+        }
+        (Joiner::waiting(fence), actions)
+    };
+    match (joiner, input) {
+        (_, MarkReady | Founded) => (Ready, Vec::new()),
+        (Ready, Admitted(seq)) => (
+            Joiner::waiting(seq),
+            vec![Action::Restart(Restart::Exiled(seq))],
+        ),
+        (Ready, Buffered(entry, msg, _)) => (Ready, vec![Action::Replay(vec![(entry, msg)])]),
+        (Ready, _) => (Ready, Vec::new()),
+        // The serve cut whose final block already applied has installed: everything held
+        // predates it (the endpoint holds post-cut traffic until the view installs), so the
+        // snapshot covers it.
+        (
+            Waiting {
+                done_at: Some(cut), ..
+            },
+            Admitted(seq) | Marker(seq) | Departure(seq) | View(seq),
+        ) if seq >= cut => (Ready, Vec::new()),
+        // This cut serves this member: what it holds predates the cut, and blocks of the cut
+        // that raced ahead of the commit stay applied.
+        (Waiting { done_at, .. }, Admitted(seq) | Marker(seq)) => (
+            Waiting {
+                fence: seq,
+                held: Vec::new(),
+                done_at,
+                stall_mark: None,
+            },
+            Vec::new(),
+        ),
+        // Whatever partial state this member holds was encoded at a cut that can no longer
+        // be completed exactly once.
+        (Waiting { fence, .. }, Departure(seq)) => restart(fence, seq, Restart::Departed(seq)),
+        // A snapshot that never arrived cannot say which held messages it covers, so the
+        // next view's cut must serve them all (this message included).
+        (Waiting { fence, held, .. }, Buffered(_, _, installed)) if held.len() >= MAX_BUFFERED => {
+            restart(fence, installed + 1, Restart::Overflow(held.len() + 1))
+        }
+        (
+            Waiting {
+                fence,
+                mut held,
+                done_at,
+                stall_mark,
+            },
+            Buffered(entry, msg, _),
+        ) => {
+            held.push((entry, msg));
+            let (stall_mark, actions) = match stall_mark {
+                Some(mark) if held.len() == mark + 1 => {
+                    (stall_mark, vec![Action::Stalled(held.len())])
+                }
+                None if held.len() >= STALL_THRESHOLD => (Some(held.len()), Vec::new()),
+                _ => (stall_mark, Vec::new()),
+            };
+            let joiner = Waiting {
+                fence,
+                held,
+                done_at,
+                stall_mark,
+            };
+            (joiner, actions)
+        }
+        (
+            Waiting {
+                fence,
+                held,
+                done_at,
+                ..
+            },
+            Block {
+                epoch,
+                last,
+                installed,
+            },
+        ) if epoch >= fence => {
+            if last && installed >= epoch {
+                (Ready, vec![Action::Apply, Action::Replay(held)])
+            } else {
+                let done_at = if last { Some(epoch) } else { done_at };
+                let joiner = Waiting {
+                    fence,
+                    held,
+                    done_at,
+                    stall_mark: None,
+                };
+                (joiner, vec![Action::Apply])
+            }
+        }
+        (joiner, _) => (joiner, Vec::new()),
+    }
+}
 
 struct Inner {
     group: GroupId,
     encode: EncodeFn,
     apply: ApplyFn,
-    ready: bool,
+    joiner: Joiner,
     /// The covered frontier tagged onto the most recently applied snapshot block: which
     /// pre-cut messages the transferred state already includes.
     covered: Option<Frontier>,
-    /// Messages for buffered entries that arrived before the transfer completed, in
-    /// arrival order.
-    pending: Vec<(EntryId, Message)>,
     /// The application handlers behind [`StateTransfer::on_entry_buffered`].
-    wrapped: BTreeMap<EntryId, ApplyFn>,
-    /// Sequence of the most recent view event observed for the group.  Blocks completing
-    /// a serve cut that has not installed locally yet defer readiness (see module docs).
-    last_view_seq: u64,
-    /// Minimum serve-cut sequence a block must carry to be applied.  Bumped when a dead
-    /// transfer is abandoned so its stragglers cannot corrupt the fresh snapshot.
-    min_epoch: u64,
-    /// Serve-cut sequence whose final block has been applied but whose view has not
-    /// installed locally yet; readiness completes at that view event.
-    complete_at: Option<u64>,
-    /// Whether the survivor re-serve protocol is active (disabled only by tests pinning
-    /// the wedge it fixes).
-    reserve_enabled: bool,
-    /// Stall detection: `blocks_received` when the buffer first crossed the threshold.
-    stall_mark: Option<u64>,
-    stall_threshold: usize,
-    stalled: bool,
-    stalled_events: u64,
-    /// Hard cap on `pending`: a transfer that cannot keep up with hostile post-cut load
-    /// must fail cleanly (drop + re-request at a fresh cut) instead of growing without
-    /// bound.
-    max_buffered: usize,
-    buffer_overflows: u64,
-    /// Fence epoch of the last overflow-triggered re-request, so repeated overflows
-    /// within the same view drop the buffer again but do not flood GBCAST markers.
-    overflow_marker_epoch: u64,
+    handlers: BTreeMap<EntryId, Handler>,
+    /// Sequence of the most recent view event observed for the group.
+    installed: u64,
     blocks_received: u64,
     transfers_served: u64,
     rerequests_sent: u64,
+}
+
+impl Inner {
+    /// Moves the joiner by `input` and returns what to do.
+    fn advance(&mut self, input: Input) -> Vec<Action> {
+        let (joiner, actions) = next(std::mem::replace(&mut self.joiner, Joiner::Ready), input);
+        self.joiner = joiner;
+        actions
+    }
 }
 
 /// The state-transfer tool attached to one group member (or joiner).
@@ -118,21 +305,97 @@ pub struct StateTransfer {
     inner: Rc<RefCell<Inner>>,
 }
 
-/// Runs one buffered-entry handler outside the state borrow (handlers may re-enter the
-/// tool through the context's recorded actions).
-fn run_wrapped(inner: &Rc<RefCell<Inner>>, ctx: &mut ToolCtx<'_>, entry: EntryId, msg: &Message) {
-    let taken = inner.borrow_mut().wrapped.remove(&entry);
-    let Some(mut handler) = taken else { return };
-    handler(ctx, msg);
-    inner.borrow_mut().wrapped.insert(entry, handler);
-}
-
 /// True if `payload` is a re-serve request marker, returning the requesting member.
 fn rerequest_joiner(payload: &Message) -> Option<ProcessId> {
     if !payload.get_bool("xfer-rerequest").unwrap_or(false) {
         return None;
     }
     payload.get_addr("xfer-joiner").and_then(|a| a.as_process())
+}
+
+/// The joiner's input for a view event, `None` for a view without this member.
+fn view_input(ev: &ViewEvent, me: ProcessId) -> Option<Input> {
+    let seq = ev.view.seq();
+    Some(if !ev.view.contains(me) {
+        return None;
+    } else if ev.view.len() == 1 {
+        Input::Founded
+    } else if ev.view.joined.contains(&me) {
+        Input::Admitted(seq)
+    } else if ev.gbcasts.iter().any(|g| rerequest_joiner(g) == Some(me)) {
+        Input::Marker(seq)
+    } else if !ev.view.departed.is_empty() {
+        Input::Departure(seq)
+    } else {
+        Input::View(seq)
+    })
+}
+
+/// Moves the joiner by `input` and runs the actions `next` returns; `block` is the snapshot
+/// block at hand, if the input is one.
+fn step(inner: &Rc<RefCell<Inner>>, ctx: &mut ToolCtx<'_>, input: Input, block: Option<&Message>) {
+    let actions = inner.borrow_mut().advance(input);
+    // The callbacks run outside the state borrow: they may read the tool.
+    for action in actions {
+        match action {
+            Action::Apply => {
+                let Some(block) = block else { continue };
+                let mut apply = {
+                    let mut state = inner.borrow_mut();
+                    state.blocks_received += 1;
+                    if let Some(covered) = block.get_u64_list("xfer-covered") {
+                        state.covered = Some(Frontier::from_wire(covered));
+                    }
+                    std::mem::replace(&mut state.apply, Box::new(|_ctx, _m| {}))
+                };
+                apply(ctx, block);
+                inner.borrow_mut().apply = apply;
+            }
+            Action::Replay(held) => {
+                for (entry, msg) in held {
+                    let handler = inner.borrow().handlers.get(&entry).cloned();
+                    if let Some(handler) = handler {
+                        (handler.borrow_mut())(ctx, &msg);
+                    }
+                }
+            }
+            Action::Rerequest => {
+                let group = {
+                    let mut state = inner.borrow_mut();
+                    state.rerequests_sent += 1;
+                    state.group
+                };
+                let mut req = Message::new();
+                req.set("xfer-rerequest", true);
+                req.set("xfer-joiner", Address::Process(ctx.me()));
+                let to = Address::Group(group);
+                ctx.send(to, EntryId::GENERIC_XFER, req, ProtocolKind::Gbcast);
+            }
+            Action::Restart(why) => {
+                inner.borrow_mut().covered = None;
+                ctx.trace(match why {
+                    Restart::Exiled(seq) => {
+                        format!("rejoined at view {seq} after exile; awaiting a fresh snapshot")
+                    }
+                    Restart::Departed(seq) => format!(
+                        "transfer source departed before completion at view {seq}; \
+                         re-requesting a snapshot at a fresh cut"
+                    ),
+                    Restart::Overflow(dropped) => format!(
+                        "BufferOverflow: dropped {dropped} buffered messages; \
+                         re-requesting a snapshot at a fresh cut"
+                    ),
+                });
+            }
+            Action::Stalled(held) => {
+                let blocks = inner.borrow().blocks_received;
+                ctx.trace(format!(
+                    "TransferStalled: {held} messages buffered with no snapshot progress \
+                     (blocks_received={blocks})"
+                ));
+            }
+        }
+    }
 }
 
 impl StateTransfer {
@@ -148,21 +411,10 @@ impl StateTransfer {
                 group,
                 encode: Box::new(encode),
                 apply: Box::new(apply),
-                ready: false,
+                joiner: Joiner::waiting(0),
                 covered: None,
-                pending: Vec::new(),
-                wrapped: BTreeMap::new(),
-                last_view_seq: 0,
-                min_epoch: 0,
-                complete_at: None,
-                reserve_enabled: true,
-                stall_mark: None,
-                stall_threshold: DEFAULT_STALL_THRESHOLD,
-                stalled: false,
-                stalled_events: 0,
-                max_buffered: DEFAULT_MAX_BUFFERED,
-                buffer_overflows: 0,
-                overflow_marker_epoch: 0,
+                handlers: BTreeMap::new(),
+                installed: 0,
                 blocks_received: 0,
                 transfers_served: 0,
                 rerequests_sent: 0,
@@ -183,88 +435,21 @@ impl StateTransfer {
         entry: EntryId,
         handler: impl FnMut(&mut ToolCtx<'_>, &Message) + 'static,
     ) {
-        self.inner
-            .borrow_mut()
-            .wrapped
-            .insert(entry, Box::new(handler));
+        let handler: Handler = Rc::new(RefCell::new(handler));
         let inner = self.inner.clone();
-        let group = self.inner.borrow().group;
+        inner.borrow_mut().handlers.insert(entry, handler.clone());
         builder.on_entry(entry, move |ctx, msg| {
-            enum Growth {
-                Quiet,
-                Stalled,
-                /// (messages dropped, whether to GBCAST a re-request marker)
-                Overflow(usize, bool),
+            // `next`'s answer for a ready member, without building its input.
+            if inner.borrow().joiner.ready() {
+                return (handler.borrow_mut())(ctx, msg);
             }
-            let growth = {
-                let mut state = inner.borrow_mut();
-                if state.ready {
-                    Growth::Quiet
-                } else if state.pending.len() >= state.max_buffered {
-                    // The buffer is full: the transfer cannot complete exactly-once with
-                    // this backlog intact anyway (we cannot tell which held messages a
-                    // snapshot that never arrived would have covered), so fail the join
-                    // attempt cleanly — drop everything (this message included; it
-                    // predates the fresh cut, whose snapshot will cover it) and fence
-                    // onto a snapshot at a fresh cut, exactly the dead-source recovery
-                    // path.  The pending-join retry discipline above us handles a
-                    // contact that never answers at all.
-                    let dropped = state.pending.len() + 1;
-                    state.buffer_overflows += 1;
-                    let fence = state.last_view_seq + 1;
-                    state.abandon_transfer(fence);
-                    let send_marker = state.overflow_marker_epoch < fence;
-                    if send_marker {
-                        state.overflow_marker_epoch = fence;
-                        state.rerequests_sent += 1;
-                    }
-                    Growth::Overflow(dropped, send_marker)
-                } else {
-                    state.pending.push((entry, msg.clone()));
-                    if state.note_buffer_growth() {
-                        Growth::Stalled
-                    } else {
-                        Growth::Quiet
-                    }
-                }
-            };
-            match growth {
-                Growth::Stalled => {
-                    let (buffered, blocks) = {
-                        let state = inner.borrow();
-                        (state.pending.len(), state.blocks_received)
-                    };
-                    ctx.trace(format!(
-                        "TransferStalled: {buffered} messages buffered with no snapshot \
-                         progress (blocks_received={blocks})"
-                    ));
-                    return;
-                }
-                Growth::Overflow(dropped, send_marker) => {
-                    ctx.trace(format!(
-                        "BufferOverflow: dropped {dropped} buffered messages; \
-                         re-requesting a snapshot at a fresh cut"
-                    ));
-                    if send_marker {
-                        let me = ctx.me();
-                        let mut req = Message::new();
-                        req.set("xfer-rerequest", true);
-                        req.set("xfer-joiner", Address::Process(me));
-                        ctx.send(
-                            Address::Group(group),
-                            EntryId::GENERIC_XFER,
-                            req,
-                            ProtocolKind::Gbcast,
-                        );
-                    }
-                    return;
-                }
-                Growth::Quiet => {}
-            }
-            if !inner.borrow().ready {
-                return;
-            }
-            run_wrapped(&inner, ctx, entry, msg);
+            let installed = inner.borrow().installed;
+            step(
+                &inner,
+                ctx,
+                Input::Buffered(entry, msg.clone(), installed),
+                None,
+            );
         });
     }
 
@@ -281,85 +466,23 @@ impl StateTransfer {
             if rerequest_joiner(msg).is_some() {
                 return;
             }
-            {
-                let mut state = inner.borrow_mut();
-                let epoch = msg.get_u64("xfer-epoch").unwrap_or(0);
-                if state.ready || epoch < state.min_epoch {
-                    // A straggler from a superseded serve (or a late re-serve after this
-                    // member already completed): applying it would corrupt newer state.
-                    return;
-                }
-                state.blocks_received += 1;
-                state.stall_mark = None;
-                state.stalled = false;
-                if let Some(covered) = msg.get_u64_list("xfer-covered") {
-                    state.covered = Some(Frontier::from_wire(covered));
-                }
-            }
-            // Run the application callback outside the borrow.
-            let mut taken = {
-                let mut state = inner.borrow_mut();
-                std::mem::replace(&mut state.apply, Box::new(|_ctx, _m| {}))
+            let block = Input::Block {
+                epoch: msg.get_u64("xfer-epoch").unwrap_or(0),
+                last: msg.get_bool("xfer-last").unwrap_or(false),
+                installed: inner.borrow().installed,
             };
-            taken(ctx, msg);
-            let replay = {
-                let mut state = inner.borrow_mut();
-                state.apply = taken;
-                if msg.get_bool("xfer-last").unwrap_or(false) {
-                    let epoch = msg.get_u64("xfer-epoch").unwrap_or(0);
-                    if state.last_view_seq >= epoch {
-                        state.finish_transfer()
-                    } else {
-                        // The serve cut has not installed locally yet: the commit's cut
-                        // redeliveries (covered by this snapshot) may still be on their
-                        // way into the buffer.  Readiness completes at that view event.
-                        state.complete_at = Some(epoch);
-                        Vec::new()
-                    }
-                } else {
-                    Vec::new()
-                }
-            };
-            // The snapshot is in place: replay the messages that arrived ahead of it, in
-            // their original arrival order.
-            for (entry, held) in replay {
-                run_wrapped(&inner, ctx, entry, &held);
-            }
+            step(&inner, ctx, block, Some(msg));
         });
 
-        // View monitor: joiner-side re-serve detection plus the sending side.  Both run
-        // inside the stack's view-change dispatch — synchronously at the flush cut.
+        // View monitor: the joiner's view inputs, then the sending side.  Both run inside
+        // the stack's view-change dispatch — synchronously at the flush cut.
         let inner = self.inner.clone();
         builder.on_view_change(group, move |ctx, ev| {
             let me = ctx.me();
-            let rearmed = {
-                let mut state = inner.borrow_mut();
-                state.last_view_seq = ev.view.seq();
-                // The founding member is "ready" by definition: nobody to transfer from.
-                if ev.view.len() == 1 && ev.view.contains(me) {
-                    state.ready = true;
-                    false
-                } else if state.ready && ev.view.joined.contains(&me) {
-                    // A *ready* member re-admitted as a joiner has been in exile: its
-                    // stack sat out some views in a wedged minority, discarded the
-                    // divergent protocol tail and rejoined after the heal.  Whatever
-                    // state it holds is a stale prefix, so drop readiness and fence onto
-                    // this cut — the rejoin snapshot (and nothing older) must apply.
-                    state.ready = false;
-                    state.covered = None;
-                    state.prepare_for_serve(ev.view.seq());
-                    true
-                } else {
-                    false
-                }
-            };
-            if rearmed {
-                ctx.trace(format!(
-                    "rejoined at view {} after exile; awaiting a fresh snapshot",
-                    ev.view.seq()
-                ));
+            inner.borrow_mut().installed = ev.view.seq();
+            if let Some(input) = view_input(ev, me) {
+                step(&inner, ctx, input, None);
             }
-            joiner_side(&inner, ctx, ev, me, group);
             sender_side(&inner, ctx, ev, me);
         });
     }
@@ -367,30 +490,12 @@ impl StateTransfer {
     /// Marks this member as already holding the authoritative state (the group creator calls
     /// this *before any traffic flows*; joiners become ready when their transfer completes).
     pub fn mark_ready(&self) {
-        self.inner.borrow_mut().ready = true;
-    }
-
-    /// Disables the survivor re-serve protocol.  Exists only so tests can pin the wedge it
-    /// fixes (a joiner whose transfer source died stays buffered forever).
-    pub fn disable_reserve(&self) {
-        self.inner.borrow_mut().reserve_enabled = false;
-    }
-
-    /// Sets the buffered-message count at which a waiting member with no snapshot progress
-    /// raises a `TransferStalled` trace event (default 32).
-    pub fn with_stall_threshold(self, threshold: usize) -> Self {
-        self.inner.borrow_mut().stall_threshold = threshold.max(1);
-        self
+        self.inner.borrow_mut().advance(Input::MarkReady);
     }
 
     /// True once this member holds the full state (creator, or joiner after transfer).
     pub fn is_ready(&self) -> bool {
-        self.inner.borrow().ready
-    }
-
-    /// Number of `TransferStalled` events raised by this member.
-    pub fn stalled_events(&self) -> u64 {
-        self.inner.borrow().stalled_events
+        self.inner.borrow().joiner.ready()
     }
 
     /// The covered frontier tagged onto the received snapshot: which pre-cut messages the
@@ -401,7 +506,10 @@ impl StateTransfer {
 
     /// Number of messages currently held by buffered entries awaiting the snapshot.
     pub fn buffered_len(&self) -> usize {
-        self.inner.borrow().pending.len()
+        match &self.inner.borrow().joiner {
+            Joiner::Ready => 0,
+            Joiner::Waiting { held, .. } => held.len(),
+        }
     }
 
     /// Number of joins this member served as the transfer source.
@@ -409,140 +517,9 @@ impl StateTransfer {
         self.inner.borrow().transfers_served
     }
 
-    /// Number of snapshot re-requests this member issued after its source died.
+    /// Number of snapshot re-requests this member issued.
     pub fn rerequests_sent(&self) -> u64 {
         self.inner.borrow().rerequests_sent
-    }
-}
-
-impl Inner {
-    /// Completes the transfer: marks ready and hands back the held messages for replay.
-    fn finish_transfer(&mut self) -> Vec<(EntryId, Message)> {
-        self.ready = true;
-        self.complete_at = None;
-        self.stall_mark = None;
-        self.stalled = false;
-        std::mem::take(&mut self.pending)
-    }
-
-    /// Abandons an in-flight transfer whose source is gone: the partial snapshot and the
-    /// buffered post-cut traffic all belong to the dead cut; a fresh serve (epoch >
-    /// `abandoned_at`) will cover everything up to *its* cut.
-    fn abandon_transfer(&mut self, abandoned_at: u64) {
-        self.covered = None;
-        self.complete_at = None;
-        self.prepare_for_serve(abandoned_at);
-    }
-
-    /// Fences this member onto the serve cut `serve_seq`: earlier-epoch stragglers are
-    /// rejected and the buffer (all of it predating the cut, hence covered by its
-    /// snapshot) is dropped.  Progress already made by fresh-epoch blocks that raced
-    /// ahead of the local commit is kept.
-    fn prepare_for_serve(&mut self, serve_seq: u64) {
-        self.pending.clear();
-        self.min_epoch = serve_seq;
-        self.stall_mark = None;
-        self.stalled = false;
-    }
-
-    /// Records one more buffered message; returns true when this growth crosses into the
-    /// stalled condition (threshold reached with no block received since it was reached).
-    fn note_buffer_growth(&mut self) -> bool {
-        if self.pending.len() < self.stall_threshold {
-            return false;
-        }
-        match self.stall_mark {
-            None => {
-                self.stall_mark = Some(self.blocks_received);
-                false
-            }
-            Some(mark) if self.blocks_received == mark && !self.stalled => {
-                self.stalled = true;
-                self.stalled_events += 1;
-                true
-            }
-            Some(_) => false,
-        }
-    }
-}
-
-/// What the joiner-side view handling decided to do at one view event.
-enum JoinerAction {
-    /// A deferred transfer completed at this cut; nothing to replay (the buffer was
-    /// covered by the snapshot and cleared).
-    Completed,
-    /// This cut is our fresh serve cut; the epoch fence is in place.
-    Prepared,
-    /// Our source departed: a re-request marker must be GBCAST to force a fresh cut.
-    Rerequest,
-}
-
-/// Joiner-side view handling: completes a deferred transfer once its serve cut installs,
-/// prepares for a fresh serve when this cut carries our re-request marker, and detects a
-/// dead source (a departure while we are still waiting) by re-requesting at a fresh cut.
-fn joiner_side(
-    inner: &Rc<RefCell<Inner>>,
-    ctx: &mut ToolCtx<'_>,
-    ev: &ViewEvent,
-    me: ProcessId,
-    group: GroupId,
-) {
-    if inner.borrow().ready || !ev.view.contains(me) {
-        return;
-    }
-    let action = {
-        let mut state = inner.borrow_mut();
-        let my_marker = ev.gbcasts.iter().any(|g| rerequest_joiner(g) == Some(me));
-        if state
-            .complete_at
-            .is_some_and(|epoch| ev.view.seq() >= epoch)
-        {
-            // The serve cut whose final block already arrived has now installed locally.
-            // Everything buffered up to this instant predates the cut (the endpoint holds
-            // post-cut traffic until the view installs) and is therefore covered by the
-            // snapshot: drop it, don't replay it.
-            state.pending.clear();
-            let _ = state.finish_transfer();
-            JoinerAction::Completed
-        } else if my_marker {
-            // This cut is our fresh serve cut.  Everything buffered so far predates it and
-            // is covered by the snapshot (being) served at it; blocks of the fresh epoch
-            // that raced ahead of our commit remain valid.  Do NOT re-request here — the
-            // marker's presence means the flush we asked for is exactly this one.
-            state.prepare_for_serve(ev.view.seq());
-            JoinerAction::Prepared
-        } else if !ev.view.joined.contains(&me)
-            && !ev.view.departed.is_empty()
-            && state.reserve_enabled
-        {
-            // A process departed while our transfer was in flight — possibly our source.
-            // Whatever partial state we hold was encoded at a cut that can no longer be
-            // completed exactly-once, so discard it and ask for a snapshot at a fresh cut.
-            state.abandon_transfer(ev.view.seq());
-            state.rerequests_sent += 1;
-            JoinerAction::Rerequest
-        } else {
-            return;
-        }
-    };
-    match action {
-        JoinerAction::Completed | JoinerAction::Prepared => {}
-        JoinerAction::Rerequest => {
-            ctx.trace(format!(
-                "transfer source departed before completion at view {}; re-requesting a \
-                 snapshot at a fresh cut",
-                ev.view.seq()
-            ));
-            let mut req = Message::new();
-            req.set("xfer-rerequest", true);
-            req.set("xfer-joiner", Address::Process(me));
-            ctx.send(
-                Address::Group(group),
-                EntryId::GENERIC_XFER,
-                req,
-                ProtocolKind::Gbcast,
-            );
-        }
     }
 }
 
@@ -565,7 +542,7 @@ fn sender_side(inner: &Rc<RefCell<Inner>>, ctx: &mut ToolCtx<'_>, ev: &ViewEvent
             targets.push(requester);
         }
     }
-    if targets.is_empty() || ev.view.rank_of(me) != Some(0) || !inner.borrow().ready {
+    if targets.is_empty() || ev.view.rank_of(me) != Some(0) || !inner.borrow().joiner.ready() {
         return;
     }
     let blocks = {
@@ -617,79 +594,568 @@ fn sender_side(inner: &Rc<RefCell<Inner>>, ctx: &mut ToolCtx<'_>, ev: &ViewEvent
 mod tests {
     use super::*;
 
+    fn joiner(label: &str) -> Joiner {
+        let waiting = |fence, held, done_at, stall_mark| Joiner::Waiting {
+            fence,
+            held: vec![(EntryId(3), Message::new()); held],
+            done_at,
+            stall_mark,
+        };
+        match label {
+            "ready" => Joiner::Ready,
+            "waiting 5 held 2" => waiting(5, 2, None, None),
+            "waiting 5 held 31" => waiting(5, 31, None, None),
+            "waiting 5 held 32 mark 32" => waiting(5, 32, None, Some(32)),
+            "waiting 5 held 1024 mark 32" => waiting(5, MAX_BUFFERED, None, Some(32)),
+            "waiting 7 held 1024 mark 32" => waiting(7, MAX_BUFFERED, None, Some(32)),
+            "waiting 5 held 2 done 7" => waiting(5, 2, Some(7), None),
+            other => panic!("no joiner {other:?}"),
+        }
+    }
+
+    /// Blocks and messages arrive with view 6 installed; the views are view 7.
+    fn input(label: &str) -> Input {
+        let block = |epoch, last| Input::Block {
+            epoch,
+            last,
+            installed: 6,
+        };
+        match label {
+            "mark ready" => Input::MarkReady,
+            "founded" => Input::Founded,
+            "admitted 7" => Input::Admitted(7),
+            "marker 7" => Input::Marker(7),
+            "departure 7" => Input::Departure(7),
+            "view 7" => Input::View(7),
+            "block 4" => block(4, false),
+            "block 6" => block(6, false),
+            "last block 6" => block(6, true),
+            "last block 7" => block(7, true),
+            "message" => Input::Buffered(EntryId(3), Message::new(), 6),
+            other => panic!("no input {other:?}"),
+        }
+    }
+
+    fn label(joiner: &Joiner) -> String {
+        match joiner {
+            Joiner::Ready => "ready".into(),
+            Joiner::Waiting {
+                fence,
+                held,
+                done_at,
+                stall_mark,
+            } => {
+                let mut label = format!("waiting {fence} held {}", held.len());
+                if let Some(mark) = stall_mark {
+                    label += &format!(" mark {mark}");
+                }
+                if let Some(cut) = done_at {
+                    label += &format!(" done {cut}");
+                }
+                label
+            }
+        }
+    }
+
+    fn actions(actions: &[Action]) -> String {
+        let labels: Vec<String> = actions
+            .iter()
+            .map(|action| match action {
+                Action::Apply => "apply".into(),
+                Action::Replay(held) => format!("replay {}", held.len()),
+                Action::Rerequest => "rerequest".into(),
+                Action::Restart(Restart::Exiled(seq)) => format!("restart exiled {seq}"),
+                Action::Restart(Restart::Departed(seq)) => format!("restart departed {seq}"),
+                Action::Restart(Restart::Overflow(dropped)) => {
+                    format!("restart overflow {dropped}")
+                }
+                Action::Stalled(held) => format!("stalled {held}"),
+            })
+            .collect();
+        if labels.is_empty() {
+            "-".into()
+        } else {
+            labels.join(", ")
+        }
+    }
+
+    /// Feeds `by` to the joiner labelled `from`; returns the next one's label and the actions'.
+    fn run(from: Joiner, by: Input) -> (Joiner, String) {
+        let (to, acts) = next(from, by);
+        (to, actions(&acts))
+    }
+
+    const JOINERS: [&str; 7] = [
+        "ready",
+        "waiting 5 held 2",
+        "waiting 5 held 31",
+        "waiting 5 held 32 mark 32",
+        "waiting 5 held 1024 mark 32",
+        // Overflowed while view 6 was installed, so its re-request already went out.
+        "waiting 7 held 1024 mark 32",
+        // The final block of cut 7 applied before view 7 installed.
+        "waiting 5 held 2 done 7",
+    ];
+
+    const INPUTS: [&str; 11] = [
+        "mark ready",
+        "founded",
+        "admitted 7",
+        "marker 7",
+        "departure 7",
+        "view 7",
+        "block 4",
+        "block 6",
+        "last block 6",
+        "last block 7",
+        "message",
+    ];
+
+    /// Every (joiner, input) pair once: the joiner after it and the actions asked for.  The
+    /// tool feeds every pair; a ready member's entry binding answers `message` itself, as the
+    /// row says, without building the input.
+    const TABLE: &[(&str, &str, &str, &str)] = &[
+        ("ready", "mark ready", "ready", "-"),
+        ("ready", "founded", "ready", "-"),
+        // The exile re-arm.
+        (
+            "ready",
+            "admitted 7",
+            "waiting 7 held 0",
+            "restart exiled 7",
+        ),
+        ("ready", "marker 7", "ready", "-"),
+        ("ready", "departure 7", "ready", "-"),
+        ("ready", "view 7", "ready", "-"),
+        ("ready", "block 4", "ready", "-"),
+        ("ready", "block 6", "ready", "-"),
+        ("ready", "last block 6", "ready", "-"),
+        ("ready", "last block 7", "ready", "-"),
+        ("ready", "message", "ready", "replay 1"),
+        ("waiting 5 held 2", "mark ready", "ready", "-"),
+        ("waiting 5 held 2", "founded", "ready", "-"),
+        ("waiting 5 held 2", "admitted 7", "waiting 7 held 0", "-"),
+        // The own-marker fence.
+        ("waiting 5 held 2", "marker 7", "waiting 7 held 0", "-"),
+        // The dead-source re-request.
+        (
+            "waiting 5 held 2",
+            "departure 7",
+            "waiting 7 held 0",
+            "restart departed 7, rerequest",
+        ),
+        ("waiting 5 held 2", "view 7", "waiting 5 held 2", "-"),
+        // A stale-epoch block.
+        ("waiting 5 held 2", "block 4", "waiting 5 held 2", "-"),
+        ("waiting 5 held 2", "block 6", "waiting 5 held 2", "apply"),
+        (
+            "waiting 5 held 2",
+            "last block 6",
+            "ready",
+            "apply, replay 2",
+        ),
+        // The deferred completion, armed.
+        (
+            "waiting 5 held 2",
+            "last block 7",
+            "waiting 5 held 2 done 7",
+            "apply",
+        ),
+        ("waiting 5 held 2", "message", "waiting 5 held 3", "-"),
+        ("waiting 5 held 31", "mark ready", "ready", "-"),
+        ("waiting 5 held 31", "founded", "ready", "-"),
+        ("waiting 5 held 31", "admitted 7", "waiting 7 held 0", "-"),
+        ("waiting 5 held 31", "marker 7", "waiting 7 held 0", "-"),
+        (
+            "waiting 5 held 31",
+            "departure 7",
+            "waiting 7 held 0",
+            "restart departed 7, rerequest",
+        ),
+        ("waiting 5 held 31", "view 7", "waiting 5 held 31", "-"),
+        ("waiting 5 held 31", "block 4", "waiting 5 held 31", "-"),
+        ("waiting 5 held 31", "block 6", "waiting 5 held 31", "apply"),
+        (
+            "waiting 5 held 31",
+            "last block 6",
+            "ready",
+            "apply, replay 31",
+        ),
+        (
+            "waiting 5 held 31",
+            "last block 7",
+            "waiting 5 held 31 done 7",
+            "apply",
+        ),
+        // The stall mark is set...
+        (
+            "waiting 5 held 31",
+            "message",
+            "waiting 5 held 32 mark 32",
+            "-",
+        ),
+        ("waiting 5 held 32 mark 32", "mark ready", "ready", "-"),
+        ("waiting 5 held 32 mark 32", "founded", "ready", "-"),
+        (
+            "waiting 5 held 32 mark 32",
+            "admitted 7",
+            "waiting 7 held 0",
+            "-",
+        ),
+        (
+            "waiting 5 held 32 mark 32",
+            "marker 7",
+            "waiting 7 held 0",
+            "-",
+        ),
+        (
+            "waiting 5 held 32 mark 32",
+            "departure 7",
+            "waiting 7 held 0",
+            "restart departed 7, rerequest",
+        ),
+        (
+            "waiting 5 held 32 mark 32",
+            "view 7",
+            "waiting 5 held 32 mark 32",
+            "-",
+        ),
+        (
+            "waiting 5 held 32 mark 32",
+            "block 4",
+            "waiting 5 held 32 mark 32",
+            "-",
+        ),
+        // ...a block clears it...
+        (
+            "waiting 5 held 32 mark 32",
+            "block 6",
+            "waiting 5 held 32",
+            "apply",
+        ),
+        (
+            "waiting 5 held 32 mark 32",
+            "last block 6",
+            "ready",
+            "apply, replay 32",
+        ),
+        (
+            "waiting 5 held 32 mark 32",
+            "last block 7",
+            "waiting 5 held 32 done 7",
+            "apply",
+        ),
+        // ...and the next message without one reports.
+        (
+            "waiting 5 held 32 mark 32",
+            "message",
+            "waiting 5 held 33 mark 32",
+            "stalled 33",
+        ),
+        ("waiting 5 held 1024 mark 32", "mark ready", "ready", "-"),
+        ("waiting 5 held 1024 mark 32", "founded", "ready", "-"),
+        (
+            "waiting 5 held 1024 mark 32",
+            "admitted 7",
+            "waiting 7 held 0",
+            "-",
+        ),
+        (
+            "waiting 5 held 1024 mark 32",
+            "marker 7",
+            "waiting 7 held 0",
+            "-",
+        ),
+        (
+            "waiting 5 held 1024 mark 32",
+            "departure 7",
+            "waiting 7 held 0",
+            "restart departed 7, rerequest",
+        ),
+        (
+            "waiting 5 held 1024 mark 32",
+            "view 7",
+            "waiting 5 held 1024 mark 32",
+            "-",
+        ),
+        (
+            "waiting 5 held 1024 mark 32",
+            "block 4",
+            "waiting 5 held 1024 mark 32",
+            "-",
+        ),
+        (
+            "waiting 5 held 1024 mark 32",
+            "block 6",
+            "waiting 5 held 1024",
+            "apply",
+        ),
+        (
+            "waiting 5 held 1024 mark 32",
+            "last block 6",
+            "ready",
+            "apply, replay 1024",
+        ),
+        (
+            "waiting 5 held 1024 mark 32",
+            "last block 7",
+            "waiting 5 held 1024 done 7",
+            "apply",
+        ),
+        // The overflow: fenced one past the installed view.
+        (
+            "waiting 5 held 1024 mark 32",
+            "message",
+            "waiting 7 held 0",
+            "restart overflow 1025, rerequest",
+        ),
+        ("waiting 7 held 1024 mark 32", "mark ready", "ready", "-"),
+        ("waiting 7 held 1024 mark 32", "founded", "ready", "-"),
+        (
+            "waiting 7 held 1024 mark 32",
+            "admitted 7",
+            "waiting 7 held 0",
+            "-",
+        ),
+        (
+            "waiting 7 held 1024 mark 32",
+            "marker 7",
+            "waiting 7 held 0",
+            "-",
+        ),
+        // One re-request per fence: this one's went out at the overflow.
+        (
+            "waiting 7 held 1024 mark 32",
+            "departure 7",
+            "waiting 7 held 0",
+            "restart departed 7",
+        ),
+        (
+            "waiting 7 held 1024 mark 32",
+            "view 7",
+            "waiting 7 held 1024 mark 32",
+            "-",
+        ),
+        (
+            "waiting 7 held 1024 mark 32",
+            "block 4",
+            "waiting 7 held 1024 mark 32",
+            "-",
+        ),
+        (
+            "waiting 7 held 1024 mark 32",
+            "block 6",
+            "waiting 7 held 1024 mark 32",
+            "-",
+        ),
+        (
+            "waiting 7 held 1024 mark 32",
+            "last block 6",
+            "waiting 7 held 1024 mark 32",
+            "-",
+        ),
+        (
+            "waiting 7 held 1024 mark 32",
+            "last block 7",
+            "waiting 7 held 1024 done 7",
+            "apply",
+        ),
+        (
+            "waiting 7 held 1024 mark 32",
+            "message",
+            "waiting 7 held 0",
+            "restart overflow 1025",
+        ),
+        ("waiting 5 held 2 done 7", "mark ready", "ready", "-"),
+        ("waiting 5 held 2 done 7", "founded", "ready", "-"),
+        // The deferred completion, at its cut's view whatever else the view says.
+        ("waiting 5 held 2 done 7", "admitted 7", "ready", "-"),
+        ("waiting 5 held 2 done 7", "marker 7", "ready", "-"),
+        ("waiting 5 held 2 done 7", "departure 7", "ready", "-"),
+        ("waiting 5 held 2 done 7", "view 7", "ready", "-"),
+        (
+            "waiting 5 held 2 done 7",
+            "block 4",
+            "waiting 5 held 2 done 7",
+            "-",
+        ),
+        (
+            "waiting 5 held 2 done 7",
+            "block 6",
+            "waiting 5 held 2 done 7",
+            "apply",
+        ),
+        (
+            "waiting 5 held 2 done 7",
+            "last block 6",
+            "ready",
+            "apply, replay 2",
+        ),
+        (
+            "waiting 5 held 2 done 7",
+            "last block 7",
+            "waiting 5 held 2 done 7",
+            "apply",
+        ),
+        (
+            "waiting 5 held 2 done 7",
+            "message",
+            "waiting 5 held 3 done 7",
+            "-",
+        ),
+    ];
+
+    #[test]
+    fn every_joiner_answers_every_input() {
+        let pairs: std::collections::BTreeSet<(&str, &str)> =
+            TABLE.iter().map(|(j, by, _, _)| (*j, *by)).collect();
+        assert_eq!(pairs.len(), TABLE.len(), "one row per pair");
+        assert_eq!(
+            pairs.len(),
+            JOINERS.len() * INPUTS.len(),
+            "every (joiner, input) pair is a row"
+        );
+        for (from, by, to, act) in TABLE {
+            let (next_joiner, next_actions) = run(joiner(from), input(by));
+            assert_eq!(
+                (label(&next_joiner).as_str(), next_actions.as_str()),
+                (*to, *act),
+                "{from} + {by}"
+            );
+        }
+    }
+
     #[test]
     fn readiness_flags() {
         let t = StateTransfer::new(GroupId(1), Vec::new, |_ctx, _m| {});
         assert!(!t.is_ready());
+        assert_eq!(label(&t.inner.borrow().joiner), "waiting 0 held 0");
         t.mark_ready();
         assert!(t.is_ready());
         assert_eq!(t.transfers_served(), 0);
         assert_eq!(t.rerequests_sent(), 0);
         assert_eq!(t.buffered_len(), 0);
         assert!(t.covered().is_none());
-        assert!(!t.inner.borrow().stalled);
-        assert_eq!(t.stalled_events(), 0);
+        // Only `next` moves the joiner, and it drops what a member held when it turns ready
+        // without a snapshot.
+        for from in ["waiting 5 held 2", "ready"] {
+            for by in ["mark ready", "founded"] {
+                let (to, acts) = run(joiner(from), input(by));
+                assert_eq!((label(&to), acts), ("ready".into(), "-".into()));
+            }
+        }
     }
 
     #[test]
     fn stall_detection_trips_once_per_quiet_period() {
-        let t = StateTransfer::new(GroupId(1), Vec::new, |_ctx, _m| {}).with_stall_threshold(2);
-        let mut inner = t.inner.borrow_mut();
-        inner.pending.push((EntryId(3), Message::new()));
-        assert!(!inner.note_buffer_growth(), "below threshold");
-        inner.pending.push((EntryId(3), Message::new()));
-        assert!(!inner.note_buffer_growth(), "first crossing arms the mark");
-        inner.pending.push((EntryId(3), Message::new()));
-        assert!(inner.note_buffer_growth(), "no progress since the mark");
-        inner.pending.push((EntryId(3), Message::new()));
-        assert!(!inner.note_buffer_growth(), "already reported");
-        assert_eq!(inner.stalled_events, 1);
-        // A received block resets the detector.
-        inner.stall_mark = None;
-        inner.stalled = false;
-        inner.pending.push((EntryId(3), Message::new()));
-        assert!(!inner.note_buffer_growth(), "re-arms after progress");
-        inner.pending.push((EntryId(3), Message::new()));
-        assert!(inner.note_buffer_growth(), "trips again if progress stops");
-        assert_eq!(inner.stalled_events, 2);
+        let mut state = joiner("waiting 5 held 31");
+        let mut feed = |by: &str| {
+            let (to, acts) = run(std::mem::replace(&mut state, Joiner::Ready), input(by));
+            state = to;
+            (label(&state), acts)
+        };
+        let said = |to: &str, acts: &str| (to.to_string(), acts.to_string());
+        assert_eq!(
+            feed("message"),
+            said("waiting 5 held 32 mark 32", "-"),
+            "marks"
+        );
+        assert_eq!(
+            feed("message"),
+            said("waiting 5 held 33 mark 32", "stalled 33"),
+            "no block since the mark"
+        );
+        assert_eq!(
+            feed("message"),
+            said("waiting 5 held 34 mark 32", "-"),
+            "already reported"
+        );
+        assert_eq!(
+            feed("block 6"),
+            said("waiting 5 held 34", "apply"),
+            "a block resets it"
+        );
+        assert_eq!(
+            feed("message"),
+            said("waiting 5 held 35 mark 35", "-"),
+            "re-arms after progress"
+        );
+        assert_eq!(
+            feed("message"),
+            said("waiting 5 held 36 mark 35", "stalled 36"),
+            "trips again if progress stops"
+        );
     }
 
     #[test]
     fn buffer_limit_bookkeeping() {
-        let t = StateTransfer::new(GroupId(1), Vec::new, |_ctx, _m| {});
-        {
-            let mut inner = t.inner.borrow_mut();
-            inner.max_buffered = 3;
-            inner.last_view_seq = 5;
-            for _ in 0..3 {
-                inner.pending.push((EntryId(3), Message::new()));
-            }
-            // What the overflow branch does, without driving a full system: fence one
-            // past the current view and drop everything.
-            inner.buffer_overflows += 1;
-            let fence = inner.last_view_seq + 1;
-            inner.abandon_transfer(fence);
-            assert!(inner.pending.is_empty());
-            assert_eq!(
-                inner.min_epoch, 6,
-                "current-epoch stragglers are fenced too"
-            );
+        // The buffer overflows while view 5 is installed: fenced one past it, so that
+        // current-epoch stragglers are fenced too, and re-requested.
+        let full = || joiner("waiting 5 held 1024 mark 32");
+        let overflow = || Input::Buffered(EntryId(3), Message::new(), 5);
+        let (state, acts) = run(full(), overflow());
+        assert_eq!(
+            (label(&state), acts.as_str()),
+            (
+                "waiting 6 held 0".into(),
+                "restart overflow 1025, rerequest"
+            )
+        );
+        let (state, acts) = run(state, input("block 4"));
+        assert_eq!(
+            (label(&state), acts.as_str()),
+            ("waiting 6 held 0".into(), "-")
+        );
+        let block = Input::Block {
+            epoch: 5,
+            last: true,
+            installed: 5,
+        };
+        let (mut state, acts) = run(state, block);
+        assert_eq!(
+            (label(&state), acts.as_str()),
+            ("waiting 6 held 0".into(), "-")
+        );
+        // It fills again in the same view: dropped again, but the re-request stands.
+        if let Joiner::Waiting { held, .. } = &mut state {
+            held.resize(MAX_BUFFERED, (EntryId(3), Message::new()));
         }
-        assert_eq!(t.inner.borrow().buffer_overflows, 1);
-        assert_eq!(t.buffered_len(), 0);
+        let (state, acts) = run(state, overflow());
+        assert_eq!(
+            (label(&state), acts.as_str()),
+            ("waiting 6 held 0".into(), "restart overflow 1025")
+        );
     }
 
     #[test]
     fn abandon_fences_off_the_dead_cut() {
-        let t = StateTransfer::new(GroupId(1), Vec::new, |_ctx, _m| {});
-        let mut inner = t.inner.borrow_mut();
-        inner.pending.push((EntryId(3), Message::new()));
-        inner.covered = Some(Frontier::new());
-        inner.complete_at = Some(4);
-        inner.abandon_transfer(7);
-        assert!(inner.pending.is_empty());
-        assert!(inner.covered.is_none());
-        assert!(inner.complete_at.is_none());
-        assert_eq!(inner.min_epoch, 7);
+        // A final block of cut 8 applied early, then a departure at view 7 (before cut 8 has
+        // installed here): the partial state goes, blocks of the dead serve are fenced off.
+        let waiting = Joiner::Waiting {
+            fence: 4,
+            held: vec![(EntryId(3), Message::new())],
+            done_at: Some(8),
+            stall_mark: None,
+        };
+        let (state, acts) = run(waiting, input("departure 7"));
+        assert_eq!(
+            (label(&state), acts.as_str()),
+            ("waiting 7 held 0".into(), "restart departed 7, rerequest")
+        );
+        let (state, acts) = run(state, input("last block 6"));
+        assert_eq!(
+            (label(&state), acts.as_str()),
+            ("waiting 7 held 0".into(), "-")
+        );
+        let fresh = Input::Block {
+            epoch: 7,
+            last: true,
+            installed: 7,
+        };
+        let (state, acts) = run(state, fresh);
+        assert_eq!(
+            (label(&state), acts.as_str()),
+            ("ready".into(), "apply, replay 0")
+        );
     }
 }

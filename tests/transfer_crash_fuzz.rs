@@ -14,9 +14,10 @@
 //! to get out may be legitimately lost — virtual synchrony promises agreement among the
 //! survivors, not delivery of a crashed sender's unsent traffic.)
 //!
-//! Two deterministic companions pin the mechanism itself: one catches the exact
-//! view-installed-but-transfer-incomplete window and asserts a re-serve happened, the other
-//! disables re-serve and pins the wedge it fixes (joiner stuck, `TransferStalled` raised).
+//! Half the randomized cases give every snapshot block [`PAD`] bytes of ballast and kill the
+//! source one burst step after the join, so that the kill lands while blocks are on the wire.
+//! A deterministic companion catches the exact view-installed-but-transfer-incomplete window
+//! and asserts a re-serve happened.
 
 mod support;
 
@@ -33,26 +34,28 @@ use vsync::tools::StateTransfer;
 const PROBE: EntryId = EntryId(4);
 /// Messages in the burst the join and the crash are injected into.
 const TOTAL: u64 = 16;
+/// Half a megabyte of ballast per snapshot block: at the modern profile's 10 Gbit/s the
+/// blocks' serialization delay (~400 µs each) dwarfs the flush commit's (~KBs), so the join
+/// view installs everywhere while the snapshot is still on the wire.  The simulator's latency
+/// model is deterministic, so without the ballast the small blocks would *always* beat the
+/// commit and the window would never open.
+const PAD: usize = 512 * 1024;
 
-/// The transfer tool's counters as of the last probe: re-requests sent, stall events,
-/// messages buffered.
-type Probe = Arc<Mutex<[u64; 3]>>;
+/// The re-requests the transfer tool had sent as of the last probe.
+type Probe = Arc<Mutex<u64>>;
 
 /// One member: its recorded history and its transfer tool's probed counters.
 type Member = (ProcessId, Recorder, Probe);
 
 /// Spawns a support log member with this suite's own transfer tool: the state encodes as
-/// **one block per entry**, `pad` bytes of ballast each, and a stall threshold of four
-/// buffered messages.  The ballast lets the deterministic tests make blocks *slower on the
-/// wire than the commit* (serialization delay grows with size), opening a real window in
-/// which the join view is installed while the snapshot is still in flight.  With `reserve`
-/// off, a joiner whose source dies mid-transfer never asks a survivor to re-serve.
+/// **one block per entry**, `pad` bytes of ballast each.  The ballast makes blocks *slower
+/// on the wire than the commit* (serialization delay grows with size), opening a real window
+/// in which the join view is installed while the snapshot is still in flight.
 fn spawn_log_member<R: IsisRuntime>(
     h: &mut IsisHarness<R>,
     site: SiteId,
     gid: GroupId,
     ready: bool,
-    reserve: bool,
     pad: usize,
 ) -> Member {
     let (rec, probe) = (Recorder::new(ready), Probe::default());
@@ -74,31 +77,18 @@ fn spawn_log_member<R: IsisRuntime>(
                     .collect()
             },
             move |_ctx, block| r_apply.apply_block(block),
-        )
-        .with_stall_threshold(4);
-        if !reserve {
-            xfer.disable_reserve();
-        }
+        );
         attach(b, gid, &r, &xfer, None);
         b.on_entry(PROBE, move |_ctx, _msg| {
-            *p.lock().unwrap() = [
-                xfer.rerequests_sent(),
-                xfer.stalled_events(),
-                xfer.buffered_len() as u64,
-            ];
+            *p.lock().unwrap() = xfer.rerequests_sent();
         });
     });
     rec.label(pid);
     (pid, rec, probe)
 }
 
-fn submit_join<R: IsisRuntime>(
-    h: &mut IsisHarness<R>,
-    gid: GroupId,
-    reserve: bool,
-    pad: usize,
-) -> Member {
-    let (pid, rec, probe) = spawn_log_member(h, SiteId(2), gid, false, reserve, pad);
+fn submit_join<R: IsisRuntime>(h: &mut IsisHarness<R>, gid: GroupId, pad: usize) -> Member {
+    let (pid, rec, probe) = spawn_log_member(h, SiteId(2), gid, false, pad);
     h.rt.with_stack_job(
         SiteId(2),
         Box::new(move |stack, _now, out| {
@@ -125,12 +115,12 @@ fn source_survivor_group<R: IsisRuntime>(
     gid: GroupId,
     pad: usize,
 ) -> (Vec<ProcessId>, Vec<Recorder>) {
-    let (m0, r0, _) = spawn_log_member(h, SiteId(0), gid, true, true, pad);
+    let (m0, r0, _) = spawn_log_member(h, SiteId(0), gid, true, pad);
     h.create_group_with_id("crash", gid, m0);
-    let (m1, r1, _) = spawn_log_member(h, SiteId(1), gid, false, true, pad);
+    let (m1, r1, _) = spawn_log_member(h, SiteId(1), gid, false, pad);
     h.join_and_wait(gid, m1, None, Duration::from_secs(10))
         .expect("survivor join");
-    let (m1b, r1b, _) = spawn_log_member(h, SiteId(1), gid, false, true, pad);
+    let (m1b, r1b, _) = spawn_log_member(h, SiteId(1), gid, false, pad);
     h.join_and_wait(gid, m1b, None, Duration::from_secs(10))
         .expect("second survivor join");
     assert!(
@@ -155,14 +145,14 @@ fn check_agreement(ctx: &str, recs: &[Recorder], joiner: &Recorder) {
 
 /// Runs one seeded scenario: the join is submitted after `join_after` of the burst's
 /// `TOTAL` sends and the transfer source is killed after `kill_after` sends
-/// (`kill_after >= TOTAL` degenerates to a crash after the whole burst is in flight).
-/// Panics unless the joiner unwedges and the survivor and joiner converge on an identical,
-/// duplicate-free applied multiset.
-fn crash_races_transfer(seed: u64, join_after: u64, kill_after: u64) {
-    let ctx = format!("seed {seed}, join_after {join_after}, kill_after {kill_after}");
+/// (`kill_after >= TOTAL` degenerates to a crash after the whole burst is in flight); each
+/// snapshot block carries `pad` bytes of ballast.  Panics unless the joiner unwedges and the
+/// survivor and joiner converge on an identical, duplicate-free applied multiset.
+fn crash_races_transfer(seed: u64, join_after: u64, kill_after: u64, pad: usize) {
+    let ctx = format!("seed {seed}, join_after {join_after}, kill_after {kill_after}, pad {pad}");
     let mut h = sim(3, seed, FaultPlan::none());
     let gid = h.allocate_group_id();
-    let (pids, recs) = source_survivor_group(&mut h, gid, 0);
+    let (pids, recs) = source_survivor_group(&mut h, gid, pad);
     let (m0, m1) = (pids[0], pids[1]);
 
     // The burst, with the joiner and the crash injected mid-flight.
@@ -170,7 +160,7 @@ fn crash_races_transfer(seed: u64, join_after: u64, kill_after: u64) {
     let mut killed = false;
     for i in 0..TOTAL {
         if i == join_after {
-            joiner = Some(submit_join(&mut h, gid, true, 0));
+            joiner = Some(submit_join(&mut h, gid, pad));
         }
         if i == kill_after {
             // The hard kill: in-flight packets from site 0 die on the wire, so the crash
@@ -189,7 +179,7 @@ fn crash_races_transfer(seed: u64, join_after: u64, kill_after: u64) {
         h.client_send(sender, gid, APPLY, Message::with_body(i), protocol);
         h.settle(Duration::from_micros(500));
     }
-    let (jid, joiner, _) = joiner.unwrap_or_else(|| submit_join(&mut h, gid, true, 0));
+    let (jid, joiner, _) = joiner.unwrap_or_else(|| submit_join(&mut h, gid, pad));
     if !killed {
         h.rt.kill_site_dropping_outbound(SiteId(0));
     }
@@ -235,8 +225,12 @@ proptest! {
         seed in 0u64..1_000_000,
         join_after in 0u64..TOTAL,
         kill_after in 0u64..(TOTAL + 2),
+        ballast in any::<bool>(),
     ) {
-        crash_races_transfer(seed, join_after, kill_after);
+        // A ballast case kills the source one burst step after the join: its snapshot's
+        // blocks are then on the wire.
+        let (kill_after, pad) = if ballast { (join_after + 1, PAD) } else { (kill_after, 0) };
+        crash_races_transfer(seed, join_after, kill_after, pad);
     }
 }
 
@@ -245,9 +239,9 @@ proptest! {
 /// whole burst.
 #[test]
 fn boundary_crash_instants_never_wedge_the_joiner() {
-    crash_races_transfer(7, 0, 0);
-    crash_races_transfer(11, 5, 5);
-    crash_races_transfer(13, 3, TOTAL);
+    crash_races_transfer(7, 0, 0, 0);
+    crash_races_transfer(11, 5, 5, 0);
+    crash_races_transfer(13, 3, TOTAL, 0);
 }
 
 /// Catches the exact window the re-serve protocol exists for — the join view has installed
@@ -255,7 +249,7 @@ fn boundary_crash_instants_never_wedge_the_joiner() {
 /// and asserts the joiner recovered *via a re-request* (not by luck).
 #[test]
 fn mid_transfer_source_crash_is_reserved_by_the_survivor() {
-    let (mut h, gid, pids, recs, (_, joiner, probed), caught) = run_mid_transfer_crash(21, true);
+    let (mut h, gid, pids, recs, (_, joiner, probed), caught) = run_mid_transfer_crash(21);
     assert!(
         caught,
         "never caught the mid-transfer window; pick another seed"
@@ -266,7 +260,7 @@ fn mid_transfer_source_crash_is_reserved_by_the_survivor() {
     // snapshot re-request.
     probe(&mut h, gid, pids[1]);
     assert!(
-        probed.lock().unwrap()[0] >= 1,
+        *probed.lock().unwrap() >= 1,
         "joiner became ready without re-requesting — the window was not exercised"
     );
     let mut all = recs;
@@ -274,44 +268,15 @@ fn mid_transfer_source_crash_is_reserved_by_the_survivor() {
     check(&all, PartitionInvariants::check_view_agreement);
 }
 
-/// The same window with re-serve disabled pins the failure mode the protocol fixes: the
-/// joiner stays wedged forever, its buffer grows, and the `TransferStalled` detector fires
-/// so the condition is observable outside tests too.
-#[test]
-fn without_reserve_the_joiner_wedges_and_reports_a_stall() {
-    let (mut h, gid, pids, _, (_, joiner, probed), caught) = run_mid_transfer_crash(21, false);
-    assert!(
-        caught,
-        "never caught the mid-transfer window; pick another seed"
-    );
-    h.settle(Duration::from_secs(5));
-    probe(&mut h, gid, pids[1]);
-    assert!(
-        !joiner.is_ready(),
-        "joiner unwedged with re-serve disabled — the knob no longer pins the failure mode"
-    );
-    let [rerequests, stalled, buffered] = *probed.lock().unwrap();
-    assert!(
-        buffered >= 4,
-        "wedged joiner's buffer never grew past the stall threshold (buffered={buffered})"
-    );
-    assert!(
-        stalled >= 1,
-        "TransferStalled never fired for a wedged joiner"
-    );
-    assert_eq!(rerequests, 0);
-}
-
-/// Shared choreography for the deterministic window tests: build the group, deliver a
+/// Choreography for the deterministic window test: build the group, deliver a
 /// 16-message burst everywhere, submit the join, wait until the three-member view has
 /// installed at the joiner's site while the transfer is still incomplete, and kill the
 /// source in that instant.  Post-cut traffic (sent by the survivor) keeps flowing so the
 /// joiner's buffered entries see load.  Returns `caught = false` if the transfer won the
-/// race against the view observation (seed-dependent; the callers assert it).
+/// race against the view observation (seed-dependent; the caller asserts it).
 #[allow(clippy::type_complexity)]
 fn run_mid_transfer_crash(
     seed: u64,
-    reserve: bool,
 ) -> (
     IsisHarness<SimRuntime>,
     GroupId,
@@ -322,12 +287,6 @@ fn run_mid_transfer_crash(
 ) {
     let mut h = sim(3, seed, FaultPlan::none());
     let gid = h.allocate_group_id();
-    // Half a megabyte of ballast per snapshot block: at the modern profile's 10 Gbit/s the
-    // blocks' serialization delay (~400 µs each) dwarfs the flush commit's (~KBs), so the
-    // join view installs everywhere while the whole snapshot is still on the wire.  The
-    // simulator's latency model is deterministic, so without the ballast the small blocks
-    // would *always* beat the commit and the window would never be observable.
-    const PAD: usize = 512 * 1024;
     let (pids, recs) = source_survivor_group(&mut h, gid, PAD);
     let (m0, m1) = (pids[0], pids[1]);
     // Pre-join history: 16 entries, fully delivered, so the snapshot is 16 blocks wide —
@@ -337,7 +296,7 @@ fn run_mid_transfer_crash(
     }
     let ok = h.wait_until(Duration::from_secs(10), |_| recs[1].len() == TOTAL as usize);
     assert!(ok, "pre-join burst never delivered");
-    let member = submit_join(&mut h, gid, reserve, PAD);
+    let member = submit_join(&mut h, gid, PAD);
     let (jid, joiner) = (member.0, member.1.clone());
     // Advance in 50 µs steps hunting for the instant where the join view has installed at
     // both surviving sites but the joiner's transfer is still incomplete — i.e. some of
@@ -358,7 +317,7 @@ fn run_mid_transfer_crash(
     if caught {
         h.rt.kill_site_dropping_outbound(SiteId(0));
     }
-    // Post-crash traffic from the survivor: the wedged joiner must buffer it.
+    // Post-crash traffic from the survivor: the waiting joiner buffers it.
     for i in 0..8u64 {
         h.client_send(
             m1,
@@ -407,7 +366,7 @@ fn threaded_source_crash_never_wedges_the_joiner() {
         let ok = h.wait_until(Duration::from_secs(20), |_| recs[1].len() == TOTAL as usize);
         assert!(ok, "{ctx}: pre-join burst never delivered");
 
-        let (jid, joiner, _) = submit_join(&mut h, gid, true, 0);
+        let (jid, joiner, _) = submit_join(&mut h, gid, 0);
         if delay > 0 {
             h.settle(Duration::from_micros(delay));
         }
