@@ -45,16 +45,14 @@ use vsync_util::{Result, SiteId, VsError};
 
 use crate::stable::StableStore;
 
-/// What a [`RecoveryManager::replay`] / [`RecoveryManager::recover`] reconstructed from
-/// durable storage.
+/// What [`RecoveryManager::recover`] reconstructed from durable storage.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReplaySummary {
     /// Delivered-message records re-applied through the caller's closure.
     pub messages: usize,
     /// View markers crossed (not re-applied — membership is re-learned by rejoining).
     pub views: usize,
-    /// Checkpoint state blocks handed to the snapshot closure (0 when no checkpoint, or
-    /// when replaying through [`RecoveryManager::replay`], which is log-only).
+    /// Checkpoint state blocks handed to the snapshot closure (0 when no checkpoint).
     pub snapshot_blocks: usize,
     /// Epoch (cut view seq) of the checkpoint the replay started from, if any.
     pub checkpoint_epoch: Option<u64>,
@@ -153,32 +151,16 @@ impl RecoveryManager {
         self.store.append_log(&self.log_key(), &rec)
     }
 
-    /// Replays the durable **log only**, in append order, handing every delivered-message
-    /// record to `apply` exactly as `log_delivery` recorded it.  View markers are counted
-    /// but not applied: current membership is re-learned by rejoining, not from history.
-    ///
-    /// If compaction is in use, call [`recover`](Self::recover) instead — this method
-    /// skips records a checkpoint already covers but does not apply the checkpoint itself.
-    pub fn replay(&self, mut apply: impl FnMut(EntryId, &Message)) -> Result<ReplaySummary> {
-        self.recover_inner(None::<fn(&Message)>, &mut apply)
-    }
-
-    /// Full recovery: applies the newest checkpoint's state blocks through `snapshot`,
-    /// then replays the surviving log tail through `apply`.  This is the restart path of a
-    /// member whose log is compacted — together the two closures rebuild exactly the state
-    /// the dead incarnation had durably recorded.
+    /// Recovery: applies the newest checkpoint's state blocks (if compaction ever ran)
+    /// through `snapshot`, then replays the log records it does not cover, in append order,
+    /// handing every delivered-message record to `apply` exactly as `log_delivery` recorded
+    /// it.  Together the two closures rebuild exactly the state the dead incarnation had
+    /// durably recorded.  View markers are counted but not applied: current membership is
+    /// re-learned by rejoining, not from history.
     pub fn recover(
         &self,
         mut snapshot: impl FnMut(&Message),
         mut apply: impl FnMut(EntryId, &Message),
-    ) -> Result<ReplaySummary> {
-        self.recover_inner(Some(&mut snapshot), &mut apply)
-    }
-
-    fn recover_inner(
-        &self,
-        mut snapshot: Option<impl FnMut(&Message)>,
-        apply: &mut impl FnMut(EntryId, &Message),
     ) -> Result<ReplaySummary> {
         // Replay fence: a compaction racing this replay could truncate the log under us.
         self.shared.replaying.set(true);
@@ -188,11 +170,9 @@ impl RecoveryManager {
             if let Some(snap) = self.read_snapshot()? {
                 folded_lsn = snap.folded_lsn;
                 summary.checkpoint_epoch = Some(snap.epoch);
-                if let Some(snapshot) = snapshot.as_mut() {
-                    for block in &snap.blocks {
-                        snapshot(block);
-                        summary.snapshot_blocks += 1;
-                    }
+                for block in &snap.blocks {
+                    snapshot(block);
+                    summary.snapshot_blocks += 1;
                 }
             }
             for rec in self.store.read_log(&self.log_key())? {
@@ -420,7 +400,7 @@ impl RecoveryManager {
     /// Attaches view logging to a member process: each observed view updates the
     /// last-known-membership checkpoint (for [`log_summary`](Self::log_summary) and
     /// [`last_known_sites`](Self::last_known_sites)) and appends a view marker to the
-    /// durable log (for [`replay`](Self::replay)).
+    /// durable log (for [`recover`](Self::recover)).
     pub fn attach_logging(&self, builder: &mut ProcessBuilder, group: GroupId) {
         let this = self.clone();
         builder.on_view_change(group, move |_ctx, ev| {
@@ -585,7 +565,10 @@ mod tests {
 
         let mut seen = Vec::new();
         let summary = rm
-            .replay(|entry, payload| seen.push((entry.0, payload.get_u64("body").unwrap())))
+            .recover(
+                |_| panic!("no checkpoint"),
+                |entry, payload| seen.push((entry.0, payload.get_u64("body").unwrap())),
+            )
             .unwrap();
         assert_eq!(
             summary,
@@ -598,7 +581,8 @@ mod tests {
         assert_eq!(seen, vec![(7, 10), (7, 11), (8, 12)]);
 
         rm.store.truncate_log(&rm.log_key()).unwrap();
-        assert_eq!(rm.replay(|_, _| {}).unwrap(), ReplaySummary::default());
+        let summary = rm.recover(|_| {}, |_, _| {}).unwrap();
+        assert_eq!(summary, ReplaySummary::default());
     }
 
     #[test]
@@ -622,7 +606,10 @@ mod tests {
         let rm = RecoveryManager::new(Rc::new(crate::stable::FileStore::new(&dir).unwrap()), "svc");
         let mut bodies = Vec::new();
         let summary = rm
-            .replay(|_, payload| bodies.push(payload.get_u64("body").unwrap()))
+            .recover(
+                |_| panic!("no checkpoint"),
+                |_, payload| bodies.push(payload.get_u64("body").unwrap()),
+            )
             .unwrap();
         assert_eq!(
             summary,
@@ -695,7 +682,7 @@ mod tests {
 
         let mut plain_state = Vec::new();
         plain
-            .replay(|_, m| plain_state.push(m.get_u64("body").unwrap()))
+            .recover(|_| {}, |_, m| plain_state.push(m.get_u64("body").unwrap()))
             .unwrap();
         assert_eq!(compacted_state, plain_state);
         assert_eq!(compacted_state, vec![1, 2, 3, 4, 5]);

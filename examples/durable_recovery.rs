@@ -69,12 +69,15 @@ fn spawn_member(
             let rm = rm.as_ref().expect("replay needs a store");
             let s = state.clone();
             let summary = rm
-                .replay(|entry, payload| {
-                    if entry == APPLY {
-                        s.borrow_mut()
-                            .push(payload.get_u64("body").unwrap_or(u64::MAX));
-                    }
-                })
+                .recover(
+                    |_| {},
+                    |entry, payload| {
+                        if entry == APPLY {
+                            s.borrow_mut()
+                                .push(payload.get_u64("body").unwrap_or(u64::MAX));
+                        }
+                    },
+                )
                 .expect("replay");
             m_replayed.store(summary.messages as u64, Ordering::Relaxed);
             m_len.store(state.borrow().len() as u64, Ordering::Relaxed);

@@ -132,7 +132,7 @@ fn a_member_restarting_while_its_group_lives_rejoins_and_discards_its_log() {
         "{seen:?}"
     );
     // The stale delivery is gone: the log holds only the rejoin's view marker.
-    let left = restarted.replay(|_, _| {}).unwrap();
+    let left = restarted.recover(|_| {}, |_, _| {}).unwrap();
     assert_eq!((left.messages, left.views), (0, 1));
 }
 
@@ -263,10 +263,13 @@ proptest! {
         let rm = RecoveryManager::new(store, "torn");
         let got = RefCell::new(Vec::new());
         let summary = rm
-            .replay(|entry, payload| {
-                assert_eq!(entry, DATA);
-                got.borrow_mut().push(payload.get_u64("body").unwrap());
-            })
+            .recover(
+                |_| {},
+                |entry, payload| {
+                    assert_eq!(entry, DATA);
+                    got.borrow_mut().push(payload.get_u64("body").unwrap());
+                },
+            )
             .expect("torn tail must not fail replay");
         let got = got.into_inner();
         let expect: Vec<u64> = if tail_survives {
@@ -280,9 +283,12 @@ proptest! {
         // The torn entry was repaired on first read: a second replay sees a clean log and
         // yields exactly the same records (no error, no double-apply).
         let again = RefCell::new(Vec::new());
-        rm.replay(|_, payload| {
-            again.borrow_mut().push(payload.get_u64("body").unwrap());
-        })
+        rm.recover(
+            |_| {},
+            |_, payload| {
+                again.borrow_mut().push(payload.get_u64("body").unwrap());
+            },
+        )
         .expect("repaired log must replay cleanly");
         prop_assert_eq!(again.into_inner(), expect);
 
