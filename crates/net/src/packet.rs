@@ -51,8 +51,6 @@ pub enum PacketKind {
     Heartbeat,
     /// Stability gossip (delivery acknowledgement vectors).
     Stability,
-    /// State-transfer block (simulated TCP bulk channel).
-    Transfer,
     /// Anything else (namespace lookups, tool-internal control traffic, ...).
     Control,
 }

@@ -31,8 +31,6 @@ pub enum ProtocolKind {
     Reply,
     /// A point-to-point call that never leaves the site ("1 local RPC" rows of Table 1).
     LocalRpc,
-    /// Bulk state-transfer traffic over the simulated TCP channel.
-    TcpTransfer,
 }
 
 impl ProtocolKind {
@@ -44,7 +42,6 @@ impl ProtocolKind {
             ProtocolKind::Gbcast => "GBCAST",
             ProtocolKind::Reply => "reply",
             ProtocolKind::LocalRpc => "local RPC",
-            ProtocolKind::TcpTransfer => "TCP transfer",
         }
     }
 }

@@ -1416,11 +1416,7 @@ mod tests {
         let body = body_of(&relay(ProtocolKind::Abcast));
         assert_field_is_required(relay(ProtocolKind::Abcast), 3, &body[3..]);
         assert_field_is_required(relay(ProtocolKind::Abcast), 2, &[1]);
-        for kind in [
-            ProtocolKind::Reply,
-            ProtocolKind::LocalRpc,
-            ProtocolKind::TcpTransfer,
-        ] {
+        for kind in [ProtocolKind::Reply, ProtocolKind::LocalRpc] {
             let msg = relay(kind);
             assert!(
                 ProtoMsg::decode(&msg.encode(GroupId(42))).is_err(),
