@@ -27,7 +27,7 @@
 //!
 //! # The joiner
 //!
-//! Whether a member holds the state is one [`Joiner`], written only by [`next`]:
+//! Whether a member holds the state is one `Joiner`, written only by `next`:
 //!
 //! ```text
 //! any ── mark ready, founded alone ──▶ Ready
@@ -82,8 +82,8 @@ pub type ApplyFn = Box<dyn FnMut(&mut ToolCtx<'_>, &Message)>;
 /// A buffered entry's application handler, shared by its entry binding and the replay.
 type Handler = Rc<RefCell<dyn FnMut(&mut ToolCtx<'_>, &Message)>>;
 
-/// Messages a waiting member holds for which the next one traces a `TransferStalled`, unless
-/// a block arrived in between: the message that first reaches it sets the stall mark.
+/// Held messages at which a waiting member sets its stall mark: one more with no block in
+/// between traces a `TransferStalled`.
 const STALL_THRESHOLD: usize = 32;
 
 /// Messages a waiting member holds at most.  The next one drops them all, traces a
